@@ -11,6 +11,7 @@
 use crate::constraint::IntegrityConstraint;
 use crate::graph::{DiGraph, IncrementalDag};
 use crate::ids::{ConjunctId, OpIndex};
+use crate::monitor::undo::{Tape, TapeCursor};
 use crate::schedule::Schedule;
 use crate::state::ItemSet;
 
@@ -107,18 +108,6 @@ pub fn data_access_graph(schedule: &Schedule, ic: &IntegrityConstraint) -> DataA
     DataAccessGraph { graph }
 }
 
-/// The deltas one [`OnlineAccessDag::record_logged`] call applied —
-/// enough to retract it exactly, in LIFO (journal) order.
-#[derive(Clone, Debug, Default)]
-pub struct AccessDagDelta {
-    /// The entity's read- or write-unit bit was freshly set.
-    fresh_bit: bool,
-    /// Unit edges freshly inserted, in insertion order.
-    edges: Vec<(u32, u32)>,
-    /// This access froze the graph (first cycle observed here).
-    froze: bool,
-}
-
 /// `DAG(S, IC)` maintained **incrementally**, one access at a time.
 ///
 /// Nodes are `l` fixed *units* (conjuncts here; the scheduler reuses
@@ -149,6 +138,31 @@ pub struct OnlineAccessDag {
     ws: Vec<ItemSet>,
     /// Tag of the access that first made the graph cyclic.
     cyclic_at: Option<OpIndex>,
+    /// The edges a probe has inserted and must take out again (kept
+    /// between probes so that probing does not allocate).
+    probe: Vec<(u32, u32)>,
+}
+
+/// The edges a fresh `(entity, unit, is_write)` access induces, given
+/// the entity's unit sets *before* the access: none if the unit's bit
+/// is already set on the accessed side (they are present already).
+fn induced_edges<'a>(
+    rs: &'a [ItemSet],
+    ws: &'a [ItemSet],
+    entity: usize,
+    unit: u32,
+    is_write: bool,
+) -> impl Iterator<Item = (u32, u32)> + 'a {
+    let (same, other) = if is_write { (ws, rs) } else { (rs, ws) };
+    let bit = crate::ids::ItemId(unit);
+    other
+        .get(entity)
+        .filter(|_| same.get(entity).is_some_and(|s| !s.contains(bit)))
+        .into_iter()
+        .flat_map(ItemSet::iter)
+        .map(|i| i.0)
+        .filter(move |&i| i != unit)
+        .map(move |i| if is_write { (i, unit) } else { (unit, i) })
 }
 
 impl OnlineAccessDag {
@@ -160,9 +174,7 @@ impl OnlineAccessDag {
         }
         OnlineAccessDag {
             dag,
-            rs: Vec::new(),
-            ws: Vec::new(),
-            cyclic_at: None,
+            ..OnlineAccessDag::default()
         }
     }
 
@@ -215,36 +227,6 @@ impl OnlineAccessDag {
         }
     }
 
-    /// The edges a fresh `(entity, unit, is_write)` access would add.
-    fn new_edges(&self, entity: usize, unit: u32, is_write: bool, out: &mut Vec<(u32, u32)>) {
-        out.clear();
-        let (Some(rs), Some(ws)) = (self.rs.get(entity), self.ws.get(entity)) else {
-            return;
-        };
-        let bit = crate::ids::ItemId(unit);
-        if is_write {
-            if ws.contains(bit) {
-                return; // unit already written: edges already present
-            }
-            out.extend(
-                rs.iter()
-                    .map(|i| i.0)
-                    .filter(|&i| i != unit)
-                    .map(|i| (i, unit)),
-            );
-        } else {
-            if rs.contains(bit) {
-                return;
-            }
-            out.extend(
-                ws.iter()
-                    .map(|j| j.0)
-                    .filter(|&j| j != unit)
-                    .map(|j| (unit, j)),
-            );
-        }
-    }
-
     /// Would recording this access keep the graph acyclic? The probe
     /// inserts the induced edges and retracts them in LIFO order —
     /// nothing is committed. `false` once the graph is frozen.
@@ -252,23 +234,19 @@ impl OnlineAccessDag {
         if self.cyclic_at.is_some() {
             return false;
         }
-        let mut candidate = Vec::new();
-        self.new_edges(entity, unit, is_write, &mut candidate);
-        let mut inserted: Vec<(u32, u32)> = Vec::new();
+        self.probe.clear();
         let mut ok = true;
-        for (u, v) in candidate {
-            if self.dag.has_edge(u, v) {
-                continue;
-            }
-            match self.dag.add_edge(u, v) {
-                Ok(()) => inserted.push((u, v)),
+        for (u, v) in induced_edges(&self.rs, &self.ws, entity, unit, is_write) {
+            match self.dag.insert_edge(u, v) {
+                Ok(true) => self.probe.push((u, v)),
+                Ok(false) => {}
                 Err(_) => {
                     ok = false;
                     break;
                 }
             }
         }
-        for &(u, v) in inserted.iter().rev() {
+        for &(u, v) in self.probe.iter().rev() {
             self.dag.remove_edge(u, v);
         }
         ok
@@ -279,58 +257,84 @@ impl OnlineAccessDag {
     /// `tag` as the witness. Returns whether the graph is still
     /// acyclic afterwards.
     pub fn record(&mut self, entity: usize, unit: u32, is_write: bool, tag: OpIndex) -> bool {
-        self.record_logged(entity, unit, is_write, tag);
+        self.record_inner(entity, unit, is_write, tag, None);
         self.is_acyclic()
     }
 
-    /// [`OnlineAccessDag::record`] returning the exact deltas applied,
-    /// for LIFO retraction by [`OnlineAccessDag::undo`].
+    /// [`OnlineAccessDag::record`] journaling exactly what it applied
+    /// as one frame on `tape`, for LIFO retraction by
+    /// [`OnlineAccessDag::undo`]: the unit edges freshly inserted, in
+    /// insertion order (two words each), then one trailer word —
+    /// `edges << 2 | froze << 1 | fresh_bit`, where `fresh_bit` says
+    /// the entity's read- or write-unit bit was newly set and `froze`
+    /// that this access closed the first cycle. An access to a frozen
+    /// graph applies nothing and writes the trailer `0`.
     pub fn record_logged(
         &mut self,
         entity: usize,
         unit: u32,
         is_write: bool,
         tag: OpIndex,
-    ) -> AccessDagDelta {
-        let mut delta = AccessDagDelta::default();
-        if self.cyclic_at.is_some() {
-            return delta; // frozen: cyclicity is monotone
-        }
-        let mut edges = Vec::new();
-        self.new_edges(entity, unit, is_write, &mut edges);
-        self.grow(entity);
-        let set = if is_write {
-            &mut self.ws[entity]
-        } else {
-            &mut self.rs[entity]
-        };
-        delta.fresh_bit = set.insert(crate::ids::ItemId(unit));
-        for (u, v) in edges {
-            if self.dag.has_edge(u, v) {
-                continue;
-            }
-            match self.dag.add_edge(u, v) {
-                Ok(()) => delta.edges.push((u, v)),
-                Err(_) => {
-                    self.cyclic_at = Some(tag);
-                    delta.froze = true;
-                    break;
-                }
-            }
-        }
-        delta
+        tape: &mut Tape,
+    ) {
+        self.record_inner(entity, unit, is_write, tag, Some(tape));
     }
 
-    /// Retract one recorded access. Sound only in LIFO (journal)
-    /// order relative to other `record_logged` calls.
-    pub fn undo(&mut self, entity: usize, unit: u32, is_write: bool, delta: &AccessDagDelta) {
-        if delta.froze {
+    fn record_inner(
+        &mut self,
+        entity: usize,
+        unit: u32,
+        is_write: bool,
+        tag: OpIndex,
+        mut tape: Option<&mut Tape>,
+    ) {
+        let mut trailer = 0u32;
+        if self.cyclic_at.is_none() {
+            // Cyclicity is monotone: a frozen graph records nothing.
+            for (u, v) in induced_edges(&self.rs, &self.ws, entity, unit, is_write) {
+                match self.dag.insert_edge(u, v) {
+                    Ok(true) => {
+                        if let Some(tape) = tape.as_deref_mut() {
+                            tape.push(u);
+                            tape.push(v);
+                            trailer += 1 << 2;
+                        }
+                    }
+                    Ok(false) => {}
+                    Err(_) => {
+                        self.cyclic_at = Some(tag);
+                        trailer |= 2;
+                        break;
+                    }
+                }
+            }
+            self.grow(entity);
+            let set = if is_write {
+                &mut self.ws[entity]
+            } else {
+                &mut self.rs[entity]
+            };
+            trailer |= u32::from(set.insert(crate::ids::ItemId(unit)));
+        }
+        if let Some(tape) = tape {
+            tape.push(trailer);
+        }
+    }
+
+    /// Retract one recorded access by consuming its frame from the end
+    /// of `tape`. Sound only in LIFO (journal) order relative to other
+    /// `record_logged` calls.
+    pub fn undo(&mut self, entity: usize, unit: u32, is_write: bool, tape: &mut Tape) {
+        let trailer = tape.pop();
+        if trailer & 2 != 0 {
             self.cyclic_at = None;
         }
-        for &(u, v) in delta.edges.iter().rev() {
+        for _ in 0..trailer >> 2 {
+            let v = tape.pop();
+            let u = tape.pop();
             self.dag.remove_edge(u, v);
         }
-        if delta.fresh_bit {
+        if trailer & 1 != 0 {
             let set = if is_write {
                 &mut self.ws[entity]
             } else {
@@ -338,6 +342,18 @@ impl OnlineAccessDag {
             };
             set.remove(crate::ids::ItemId(unit));
         }
+    }
+
+    /// Step `cursor` over the data-access-graph frame before it (its
+    /// words are unit ids, which no compaction renumbers).
+    pub(crate) fn skip_frame(cursor: &mut TapeCursor<'_>) {
+        let trailer = cursor.pop();
+        cursor.take(2 * (trailer >> 2) as usize);
+    }
+
+    /// Bytes of the unit graph and the per-entity rows.
+    pub(crate) fn resident_bytes(&self) -> usize {
+        self.dag.resident_bytes() + ItemSet::rows_bytes(self.rs.iter().chain(&self.ws))
     }
 }
 
@@ -513,12 +529,14 @@ mod tests {
         let mut online = OnlineAccessDag::new(ic.len());
         online.record(0, 1, false, OpIndex(0)); // T1 reads C2
         online.record(0, 0, true, OpIndex(1)); // T1 writes C1 → edge 1→0
-        let d2 = online.record_logged(1, 0, false, OpIndex(2)); // T2 reads C1
-        let d3 = online.record_logged(1, 1, true, OpIndex(3)); // closes the cycle
+        let mut tape = Tape::default();
+        online.record_logged(1, 0, false, OpIndex(2), &mut tape); // T2 reads C1
+        online.record_logged(1, 1, true, OpIndex(3), &mut tape); // closes the cycle
         assert!(!online.is_acyclic());
         // LIFO retraction restores acyclicity and admissibility.
-        online.undo(1, 1, true, &d3);
-        online.undo(1, 0, false, &d2);
+        online.undo(1, 1, true, &mut tape);
+        online.undo(1, 0, false, &mut tape);
+        assert!(tape.is_empty());
         assert!(online.is_acyclic());
         assert!(online.admits(1, 0, false));
         // Re-recording reproduces the cycle at the new tag.

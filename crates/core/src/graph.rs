@@ -3,21 +3,140 @@
 //! Used for precedence graphs ([`crate::serializability`]), data access
 //! graphs ([`crate::dag`]) and the scheduler's waits-for graphs. Nodes
 //! are dense `usize` indices; callers keep their own node↔entity maps.
+//!
+//! ## Adjacency layout
+//!
+//! Both graphs keep a node's neighbours in an `AdjList`: a sorted,
+//! deduplicated `u32` list that holds up to seven members inside the
+//! node's own 32-byte row and moves to the heap only beyond that. The
+//! reduced conflict graphs the monitors maintain have a handful of
+//! edges per transaction, so creating a node and giving it edges calls
+//! no allocator. Iteration is **ascending by node id** — part of the
+//! contract, not an accident of the container: the traversals below
+//! push neighbours in that order, and the order
+//! [`IncrementalDag::retain_condensed`] replays its condensed edges in
+//! (hence the maintained topological order after a compaction) follows
+//! from it.
 
 use std::collections::BTreeSet;
+use std::sync::Mutex;
+
+/// Members an [`AdjList`] holds in place (with the length byte and the
+/// enum tag this makes the row 32 bytes — the size of the `Vec` arm).
+const INLINE: usize = 7;
+
+/// One node's neighbours: sorted ascending, no duplicates.
+#[derive(Clone, Debug)]
+enum AdjList {
+    /// The first `len` entries of `items` are the members.
+    Inline { len: u8, items: [u32; INLINE] },
+    /// More than [`INLINE`] members at some point (removals do not
+    /// move a list back, so a list hovering around the limit does not
+    /// allocate on every change).
+    Heap(Vec<u32>),
+}
+
+impl Default for AdjList {
+    fn default() -> AdjList {
+        AdjList::Inline {
+            len: 0,
+            items: [0; INLINE],
+        }
+    }
+}
+
+impl AdjList {
+    fn as_slice(&self) -> &[u32] {
+        match self {
+            AdjList::Inline { len, items } => &items[..*len as usize],
+            AdjList::Heap(v) => v,
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.as_slice().len()
+    }
+
+    fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    fn contains(&self, x: u32) -> bool {
+        self.as_slice().binary_search(&x).is_ok()
+    }
+
+    /// Insert `x`, keeping the order; returns whether it was absent.
+    fn insert(&mut self, x: u32) -> bool {
+        let Err(at) = self.as_slice().binary_search(&x) else {
+            return false;
+        };
+        match self {
+            AdjList::Inline { len, items } if (*len as usize) < INLINE => {
+                let n = *len as usize;
+                items.copy_within(at..n, at + 1);
+                items[at] = x;
+                *len += 1;
+            }
+            AdjList::Inline { items, .. } => {
+                let mut v = Vec::with_capacity(2 * INLINE + 2);
+                v.extend_from_slice(&items[..at]);
+                v.push(x);
+                v.extend_from_slice(&items[at..]);
+                *self = AdjList::Heap(v);
+            }
+            AdjList::Heap(v) => v.insert(at, x),
+        }
+        true
+    }
+
+    /// Remove `x`; returns whether it was present.
+    fn remove(&mut self, x: u32) -> bool {
+        let Ok(at) = self.as_slice().binary_search(&x) else {
+            return false;
+        };
+        match self {
+            AdjList::Inline { len, items } => {
+                items.copy_within(at + 1..*len as usize, at);
+                *len -= 1;
+            }
+            AdjList::Heap(v) => {
+                v.remove(at);
+            }
+        }
+        true
+    }
+
+    /// Empty the list (a heap buffer is kept for the row's next
+    /// tenant: the rows that survive a condensation are the ones whose
+    /// lists it tends to lengthen).
+    fn clear(&mut self) {
+        match self {
+            AdjList::Inline { len, .. } => *len = 0,
+            AdjList::Heap(v) => v.clear(),
+        }
+    }
+
+    /// Heap bytes in use beyond the row itself.
+    fn spill_bytes(&self) -> usize {
+        match self {
+            AdjList::Inline { .. } => 0,
+            AdjList::Heap(v) => std::mem::size_of_val(v.as_slice()),
+        }
+    }
+}
 
 /// A directed graph over nodes `0..n` with deduplicated edges.
 #[derive(Clone, Debug, Default)]
 pub struct DiGraph {
-    /// `succ[u]` = ordered successor set of `u`.
-    succ: Vec<BTreeSet<usize>>,
+    /// `succ[u]` = ordered successor list of `u`.
+    succ: Vec<AdjList>,
 }
 
 impl DiGraph {
     /// A graph with `n` isolated nodes.
     pub fn new(n: usize) -> DiGraph {
         DiGraph {
-            succ: vec![BTreeSet::new(); n],
+            succ: vec![AdjList::default(); n],
         }
     }
 
@@ -33,30 +152,28 @@ impl DiGraph {
 
     /// Add the edge `u → v` (self-loops allowed; duplicates ignored).
     pub fn add_edge(&mut self, u: usize, v: usize) {
-        self.succ[u].insert(v);
+        assert!(v < self.succ.len(), "add_edge({u}, {v}): no such node");
+        self.succ[u].insert(v as u32);
     }
 
     /// Is `u → v` present?
     pub fn has_edge(&self, u: usize, v: usize) -> bool {
-        self.succ[u].contains(&v)
+        u32::try_from(v).is_ok_and(|v| self.succ[u].contains(v))
     }
 
     /// Successors of `u` in ascending order.
     pub fn successors(&self, u: usize) -> impl Iterator<Item = usize> + '_ {
-        self.succ[u].iter().copied()
+        self.succ[u].as_slice().iter().map(|&v| v as usize)
     }
 
     /// Total number of edges.
     pub fn edge_count(&self) -> usize {
-        self.succ.iter().map(|s| s.len()).sum()
+        self.succ.iter().map(AdjList::len).sum()
     }
 
     /// All edges `(u, v)`.
     pub fn edges(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
-        self.succ
-            .iter()
-            .enumerate()
-            .flat_map(|(u, vs)| vs.iter().map(move |&v| (u, v)))
+        (0..self.len()).flat_map(move |u| self.successors(u).map(move |v| (u, v)))
     }
 
     /// Does the graph contain a directed cycle?
@@ -155,16 +272,16 @@ impl DiGraph {
                 continue;
             }
             // Iterative DFS with explicit stack of (node, successor iter pos).
-            let mut stack = vec![(start, self.succ[start].iter())];
+            let mut stack = vec![(start, self.successors(start))];
             mark[start] = Mark::Gray;
             while let Some((u, it)) = stack.last_mut() {
                 let u = *u;
                 match it.next() {
-                    Some(&v) => match mark[v] {
+                    Some(v) => match mark[v] {
                         Mark::White => {
                             parent[v] = u;
                             mark[v] = Mark::Gray;
-                            stack.push((v, self.succ[v].iter()));
+                            stack.push((v, self.successors(v)));
                         }
                         Mark::Gray => {
                             // Found a back edge u → v: unwind the cycle.
@@ -206,22 +323,21 @@ impl DiGraph {
 /// pinpoints the offending operation.
 #[derive(Debug, Default)]
 pub struct IncrementalDag {
-    /// `succ[u]` = ordered successor set of `u` (deduplicated).
-    succ: Vec<BTreeSet<u32>>,
-    /// `pred[v]` = ordered predecessor set of `v`.
-    pred: Vec<BTreeSet<u32>>,
+    /// `succ[u]` = ordered successor list of `u` (deduplicated).
+    succ: Vec<AdjList>,
+    /// `pred[v]` = ordered predecessor list of `v`.
+    pred: Vec<AdjList>,
     /// `ord[u]` = position of `u` in the maintained topological order.
     ord: Vec<u32>,
     /// `node_at[k]` = the node at position `k` (inverse of `ord`).
     node_at: Vec<u32>,
-    /// Epoch-marked visited scratch for the traversals: `mark[x] ==
-    /// epoch` means visited in the current search, so each search is
-    /// O(1)-membership without clearing or reallocating. Behind a
-    /// `Mutex` (uncontended in single-writer use) so the read-only
-    /// admission probe can use it too *and* the DAG stays `Sync` —
-    /// the sharded monitor probes shard graphs under shared read
-    /// locks from several threads.
-    scratch: std::sync::Mutex<VisitMark>,
+    /// Search state reused by every traversal, so that none of them
+    /// allocates once the buffers have grown. Behind a `Mutex`
+    /// (uncontended in single-writer use; `&mut self` paths bypass it
+    /// with `get_mut`) so the read-only admission probe can use it too
+    /// *and* the DAG stays `Sync` — the sharded monitor probes shard
+    /// graphs under shared read locks from several threads.
+    scratch: Mutex<Scratch>,
 }
 
 impl Clone for IncrementalDag {
@@ -232,21 +348,34 @@ impl Clone for IncrementalDag {
             ord: self.ord.clone(),
             node_at: self.node_at.clone(),
             // Scratch is per-search state; a clone starts fresh.
-            scratch: std::sync::Mutex::new(VisitMark::default()),
+            scratch: Mutex::new(Scratch::default()),
         }
     }
 }
 
-/// Reusable visited marks (see [`IncrementalDag::scratch`]).
-#[derive(Clone, Debug, Default)]
-struct VisitMark {
+/// Reusable traversal buffers (see [`IncrementalDag::scratch`]).
+#[derive(Debug, Default)]
+struct Scratch {
+    /// Epoch-marked visited table: `mark[x] == epoch` means visited in
+    /// the current search, so each search is O(1)-membership without
+    /// clearing.
     mark: Vec<u32>,
     epoch: u32,
+    /// The DFS stack.
+    stack: Vec<u32>,
+    /// The affected region of a reordering insertion: nodes reached
+    /// forward from the edge's head, backward from its tail.
+    delta_f: Vec<u32>,
+    delta_b: Vec<u32>,
+    /// The positions the affected region occupies.
+    slots: Vec<u32>,
+    /// The condensed edges of a [`IncrementalDag::retain_condensed`].
+    pairs: Vec<(u32, u32)>,
 }
 
-impl VisitMark {
-    /// Start a fresh search: bump the epoch (rolling over by clearing)
-    /// and size the table to `n` nodes.
+impl Scratch {
+    /// Start a fresh search over `n` nodes: bump the epoch (rolling
+    /// over by clearing), size the table, empty the stack.
     fn begin(&mut self, n: usize) {
         if self.mark.len() < n {
             self.mark.resize(n, 0);
@@ -258,6 +387,7 @@ impl VisitMark {
                 1
             }
         };
+        self.stack.clear();
     }
 
     /// Mark `x` visited; returns whether it was fresh.
@@ -291,8 +421,8 @@ impl IncrementalDag {
     /// Add a fresh node at the end of the topological order.
     pub fn add_node(&mut self) -> u32 {
         let u = self.succ.len() as u32;
-        self.succ.push(BTreeSet::new());
-        self.pred.push(BTreeSet::new());
+        self.succ.push(AdjList::default());
+        self.pred.push(AdjList::default());
         self.ord.push(u);
         self.node_at.push(u);
         u
@@ -300,12 +430,12 @@ impl IncrementalDag {
 
     /// Is `u → v` present?
     pub fn has_edge(&self, u: u32, v: u32) -> bool {
-        self.succ[u as usize].contains(&v)
+        self.succ[u as usize].contains(v)
     }
 
     /// Total number of edges.
     pub fn edge_count(&self) -> usize {
-        self.succ.iter().map(|s| s.len()).sum()
+        self.succ.iter().map(AdjList::len).sum()
     }
 
     /// The maintained topological order's position of `u`.
@@ -323,27 +453,33 @@ impl IncrementalDag {
     /// [`WouldCycle`] — with the graph **unchanged** — if the edge
     /// would close a cycle (including the self-loop `u → u`).
     pub fn add_edge(&mut self, u: u32, v: u32) -> Result<(), WouldCycle> {
+        self.insert_edge(u, v).map(|_| ())
+    }
+
+    /// [`IncrementalDag::add_edge`] that also says whether the edge is
+    /// new (`Ok(false)`: it was already present) — what a journaling
+    /// caller must know to retract exactly its own insertions.
+    pub fn insert_edge(&mut self, u: u32, v: u32) -> Result<bool, WouldCycle> {
         if u == v {
             return Err(WouldCycle);
         }
-        if self.succ[u as usize].contains(&v) {
-            return Ok(());
+        if self.succ[u as usize].contains(v) {
+            return Ok(false);
         }
         if self.ord[u as usize] > self.ord[v as usize] {
             // Affected region: discover, check for a cycle, reorder.
             let lower = self.ord[v as usize];
             let upper = self.ord[u as usize];
-            let mut delta_f = Vec::new();
-            if !self.forward(v, upper, &mut delta_f, u) {
+            let sc = self.scratch.get_mut().unwrap_or_else(|e| e.into_inner());
+            if !forward(&self.succ, &self.ord, sc, v, upper, u) {
                 return Err(WouldCycle);
             }
-            let mut delta_b = Vec::new();
-            self.backward(u, lower, &mut delta_b);
-            self.reorder(delta_b, delta_f);
+            backward(&self.pred, &self.ord, sc, u, lower);
+            reorder(&mut self.ord, &mut self.node_at, sc);
         }
         self.succ[u as usize].insert(v);
         self.pred[v as usize].insert(u);
-        Ok(())
+        Ok(true)
     }
 
     /// Remove the edge `u → v`.
@@ -361,7 +497,7 @@ impl IncrementalDag {
     ///
     /// Panics if the edge is absent (the journal guarantees presence).
     pub fn remove_edge(&mut self, u: u32, v: u32) {
-        let removed = self.succ[u as usize].remove(&v) && self.pred[v as usize].remove(&u);
+        let removed = self.succ[u as usize].remove(v) && self.pred[v as usize].remove(u);
         assert!(removed, "remove_edge({u}, {v}): edge not present");
     }
 
@@ -398,51 +534,67 @@ impl IncrementalDag {
     /// preserves the undo layer's LIFO `remove_last_node` contract:
     /// the youngest surviving node stays the highest-numbered one.
     pub fn retain_condensed(&mut self, kept: &[bool]) -> Vec<u32> {
-        assert_eq!(kept.len(), self.len(), "retain_condensed: kept mask size");
+        let mut map = vec![0; kept.len()];
+        self.retain_condensed_into(kept, &mut map);
+        map
+    }
+
+    /// [`IncrementalDag::retain_condensed`] writing the old→new map
+    /// into a buffer the caller keeps (one entry per old node). The graph is rebuilt **in its
+    /// own storage**: the condensed edges are collected (per kept
+    /// source in ascending id order, a DFS through the dropped region
+    /// only), the rows are cut down to the kept count and emptied, the
+    /// order restarts as the identity, and the edges are inserted in
+    /// the order collected — the same insertions, in the same order,
+    /// as building a fresh graph, so the maintained order afterwards is
+    /// the same too.
+    pub(crate) fn retain_condensed_into(&mut self, kept: &[bool], map: &mut [u32]) {
+        let n = self.len();
+        assert_eq!(kept.len(), n, "retain_condensed: kept mask size");
+        assert_eq!(map.len(), n, "retain_condensed: map size");
         const GONE: u32 = u32::MAX;
-        let mut map = vec![GONE; self.len()];
         let mut next = 0u32;
         for (u, &k) in kept.iter().enumerate() {
-            if k {
-                map[u] = next;
+            map[u] = if k {
                 next += 1;
-            }
+                next - 1
+            } else {
+                GONE
+            };
         }
-        let mut out = IncrementalDag::new();
-        for _ in 0..next {
-            out.add_node();
-        }
-        // Per kept source: DFS through the dropped region only; the
-        // kept frontier it reaches becomes direct condensed edges.
-        let mut stack: Vec<u32> = Vec::new();
-        let mut seen = vec![false; self.len()];
-        for u in 0..self.len() {
-            if !kept[u] {
-                continue;
-            }
-            let mut visited: Vec<usize> = Vec::new();
-            stack.clear();
-            stack.extend(self.succ[u].iter().copied());
-            while let Some(x) = stack.pop() {
-                let xi = x as usize;
-                if seen[xi] {
+        let sc = self.scratch.get_mut().unwrap_or_else(|e| e.into_inner());
+        let mut pairs = std::mem::take(&mut sc.pairs);
+        pairs.clear();
+        for u in (0..n).filter(|&u| kept[u]) {
+            sc.begin(n);
+            sc.stack.extend_from_slice(self.succ[u].as_slice());
+            while let Some(x) = sc.stack.pop() {
+                if !sc.visit(x) {
                     continue;
                 }
-                seen[xi] = true;
-                visited.push(xi);
-                if kept[xi] {
-                    out.add_edge(map[u], map[xi])
-                        .expect("condensed closure of a DAG stays acyclic");
+                if kept[x as usize] {
+                    pairs.push((map[u], map[x as usize]));
                 } else {
-                    stack.extend(self.succ[xi].iter().copied());
+                    sc.stack.extend_from_slice(self.succ[x as usize].as_slice());
                 }
             }
-            for xi in visited {
-                seen[xi] = false;
-            }
         }
-        *self = out;
-        map
+        self.succ.truncate(next as usize);
+        self.pred.truncate(next as usize);
+        self.succ.iter_mut().for_each(AdjList::clear);
+        self.pred.iter_mut().for_each(AdjList::clear);
+        self.ord.clear();
+        self.ord.extend(0..next);
+        self.node_at.clear();
+        self.node_at.extend(0..next);
+        for &(u, v) in &pairs {
+            self.add_edge(u, v)
+                .expect("condensed closure of a DAG stays acyclic");
+        }
+        self.scratch
+            .get_mut()
+            .unwrap_or_else(|e| e.into_inner())
+            .pairs = pairs;
     }
 
     /// Would inserting every edge `s → target` (for `s` in `sources`)
@@ -452,99 +604,130 @@ impl IncrementalDag {
     /// topological order (edges only ever go order-forward), without
     /// touching the graph.
     pub fn admits_edges_into(&self, sources: &[u32], target: u32) -> bool {
-        let Some(&max_ord) = sources.iter().map(|&s| &self.ord[s as usize]).max() else {
+        self.admits_edges_from(sources.iter().copied(), target)
+    }
+
+    /// [`IncrementalDag::admits_edges_into`] over any re-iterable
+    /// source sequence, so a caller whose sources sit in two places
+    /// (a conflict graph's last writer and reader list) need not copy
+    /// them into one slice first.
+    pub(crate) fn admits_edges_from<I>(&self, sources: I, target: u32) -> bool
+    where
+        I: Iterator<Item = u32> + Clone,
+    {
+        let Some(limit) = sources.clone().map(|s| self.ord[s as usize]).max() else {
             return true;
         };
-        if sources.contains(&target) {
+        if sources.clone().any(|s| s == target) {
             return false;
         }
-        if self.ord[target as usize] > max_ord {
+        if self.ord[target as usize] > limit {
             return true;
         }
-        self.forward_until(target, max_ord, sources)
-    }
-
-    /// DFS forward from `start` over nodes with `ord ≤ limit`,
-    /// collecting visits into `delta`. Returns `false` if `forbidden`
-    /// is reached (a cycle witness).
-    fn forward(&self, start: u32, limit: u32, delta: &mut Vec<u32>, forbidden: u32) -> bool {
-        let mut seen = self.scratch.lock().unwrap_or_else(|e| e.into_inner());
-        seen.begin(self.len());
-        let mut stack = vec![start];
-        while let Some(x) = stack.pop() {
-            if !seen.visit(x) {
+        // DFS forward from `target` over nodes with `ord ≤ limit`;
+        // reaching any source is the cycle witness.
+        let mut guard = self.scratch.lock().unwrap_or_else(|e| e.into_inner());
+        let sc = &mut *guard;
+        sc.begin(self.len());
+        sc.stack.push(target);
+        while let Some(x) = sc.stack.pop() {
+            if !sc.visit(x) {
                 continue;
             }
-            delta.push(x);
-            for &y in &self.succ[x as usize] {
-                if y == forbidden {
+            for &y in self.succ[x as usize].as_slice() {
+                if sources.clone().any(|s| s == y) {
                     return false;
                 }
                 if self.ord[y as usize] <= limit {
-                    stack.push(y);
+                    sc.stack.push(y);
                 }
             }
         }
         true
     }
 
-    /// DFS forward from `start` over nodes with `ord ≤ limit`; returns
-    /// `false` the moment any member of `targets` is reached.
-    fn forward_until(&self, start: u32, limit: u32, targets: &[u32]) -> bool {
-        let mut seen = self.scratch.lock().unwrap_or_else(|e| e.into_inner());
-        seen.begin(self.len());
-        let mut stack = vec![start];
-        while let Some(x) = stack.pop() {
-            if !seen.visit(x) {
-                continue;
+    /// Bytes of graph state: the four per-node rows plus the lists
+    /// that outgrew their row (the traversal buffers are not state).
+    pub(crate) fn resident_bytes(&self) -> usize {
+        use std::mem::size_of;
+        self.len() * 2 * (size_of::<AdjList>() + size_of::<u32>())
+            + self
+                .succ
+                .iter()
+                .chain(&self.pred)
+                .map(AdjList::spill_bytes)
+                .sum::<usize>()
+    }
+}
+
+/// DFS forward from `start` over nodes with `ord ≤ limit`, collecting
+/// visits into `sc.delta_f`. Returns `false` if `forbidden` is reached
+/// (a cycle witness).
+fn forward(
+    succ: &[AdjList],
+    ord: &[u32],
+    sc: &mut Scratch,
+    start: u32,
+    limit: u32,
+    forbidden: u32,
+) -> bool {
+    sc.begin(succ.len());
+    sc.stack.push(start);
+    sc.delta_f.clear();
+    while let Some(x) = sc.stack.pop() {
+        if !sc.visit(x) {
+            continue;
+        }
+        sc.delta_f.push(x);
+        for &y in succ[x as usize].as_slice() {
+            if y == forbidden {
+                return false;
             }
-            for &y in &self.succ[x as usize] {
-                if targets.contains(&y) {
-                    return false;
-                }
-                if self.ord[y as usize] <= limit {
-                    stack.push(y);
-                }
+            if ord[y as usize] <= limit {
+                sc.stack.push(y);
             }
         }
-        true
     }
+    true
+}
 
-    /// DFS backward from `start` over nodes with `ord ≥ limit`.
-    fn backward(&self, start: u32, limit: u32, delta: &mut Vec<u32>) {
-        let mut seen = self.scratch.lock().unwrap_or_else(|e| e.into_inner());
-        seen.begin(self.len());
-        let mut stack = vec![start];
-        while let Some(x) = stack.pop() {
-            if !seen.visit(x) {
-                continue;
-            }
-            delta.push(x);
-            for &y in &self.pred[x as usize] {
-                if self.ord[y as usize] >= limit {
-                    stack.push(y);
-                }
+/// DFS backward from `start` over nodes with `ord ≥ limit`, collecting
+/// visits into `sc.delta_b`.
+fn backward(pred: &[AdjList], ord: &[u32], sc: &mut Scratch, start: u32, limit: u32) {
+    sc.begin(pred.len());
+    sc.stack.push(start);
+    sc.delta_b.clear();
+    while let Some(x) = sc.stack.pop() {
+        if !sc.visit(x) {
+            continue;
+        }
+        sc.delta_b.push(x);
+        for &y in pred[x as usize].as_slice() {
+            if ord[y as usize] >= limit {
+                sc.stack.push(y);
             }
         }
     }
+}
 
-    /// Reassign the affected nodes' positions: the backward set keeps
-    /// its internal order and moves wholly before the forward set,
-    /// reusing exactly the position multiset the two sets occupied.
-    fn reorder(&mut self, mut delta_b: Vec<u32>, mut delta_f: Vec<u32>) {
-        delta_b.sort_by_key(|&x| self.ord[x as usize]);
-        delta_f.sort_by_key(|&x| self.ord[x as usize]);
-        let mut slots: Vec<u32> = delta_b
+/// Reassign the affected nodes' positions: the backward set keeps its
+/// internal order and moves wholly before the forward set, reusing
+/// exactly the position multiset the two sets occupied.
+fn reorder(ord: &mut [u32], node_at: &mut [u32], sc: &mut Scratch) {
+    sc.delta_b.sort_unstable_by_key(|&x| ord[x as usize]);
+    sc.delta_f.sort_unstable_by_key(|&x| ord[x as usize]);
+    sc.slots.clear();
+    sc.slots.extend(
+        sc.delta_b
             .iter()
-            .chain(delta_f.iter())
-            .map(|&x| self.ord[x as usize])
-            .collect();
-        slots.sort_unstable();
-        for (k, &x) in delta_b.iter().chain(delta_f.iter()).enumerate() {
-            let pos = slots[k];
-            self.ord[x as usize] = pos;
-            self.node_at[pos as usize] = x;
-        }
+            .chain(sc.delta_f.iter())
+            .map(|&x| ord[x as usize]),
+    );
+    sc.slots.sort_unstable();
+    for (k, &x) in sc.delta_b.iter().chain(sc.delta_f.iter()).enumerate() {
+        let pos = sc.slots[k];
+        ord[x as usize] = pos;
+        node_at[pos as usize] = x;
     }
 }
 

@@ -10,9 +10,8 @@
 //! [`ScheduleIndex`] builds, in one pass over the schedule:
 //!
 //! * per-transaction operation position lists (ascending),
-//! * per-transaction **prefix read/write-set tables** — entry `k` is
-//!   the `RS`/`WS` of the transaction's first `k` operations as a
-//!   dense [`ItemSet`] bitset,
+//! * per-transaction **prefix read/write sets** — the `RS`/`WS` of the
+//!   transaction's first `k` operations as a dense [`ItemSet`] bitset,
 //! * the *reads-from* source of every read position, and
 //! * last-operation positions (the `txn_finished_by` lookup).
 //!
@@ -23,23 +22,59 @@
 //! plus a few word operations — no rescans, no `Vec<Operation>`
 //! clones.
 //!
-//! The tables themselves live in the crate-private `PrefixTables` and are extended one
-//! operation at a time — the *same* `O(words)`-per-operation update
-//! that [`OnlineIndex`](crate::monitor::OnlineIndex) applies as a
-//! scheduler emits operations. The batch `ScheduleIndex` is a thin
-//! freeze of that incremental construction: `ScheduleIndex::new`
-//! replays the schedule through `PrefixTables::push`, and
-//! `OnlineIndex::index` borrows its live tables into a `ScheduleIndex`
-//! without copying, so there is exactly one table-building
-//! implementation.
+//! ## Storage: one row per operation, nothing per transaction
+//!
+//! The tables live in the crate-private `PrefixTables`, extended one
+//! operation at a time. An operation changes exactly one side of its
+//! transaction — a read grows `RS`, a write grows `WS` — so a push
+//! appends **one** set to an append-only row store (`rows[p]` is the
+//! changed side after operation `p`) and records, per position, *which
+//! position's row* holds the transaction's `RS` and which its `WS` at
+//! that point: its own for the side it changed, its predecessor's
+//! entry for the other. A query finds the transaction's last operation
+//! at or before `p` and follows that one index; no row is ever copied
+//! for the side that did not change. Position lists are runs of one
+//! shared arena (a run that has to grow while it is not the last one
+//! moves to the end; the holes are squeezed out when they outweigh the
+//! live runs and at every compaction), so creating a transaction's
+//! tables calls no allocator, and rows retired by a retraction or a
+//! compaction are handed back to the next pushes with their spill
+//! buffers.
+//!
+//! The batch `ScheduleIndex` is a thin freeze of that incremental
+//! construction: `ScheduleIndex::new` replays the schedule through
+//! `PrefixTables::push`, and
+//! [`OnlineIndex::index`](crate::monitor::OnlineIndex::index) borrows
+//! its live tables into a `ScheduleIndex` without copying, so there is
+//! exactly one table-building implementation.
 
 use crate::ids::{OpIndex, TxnId};
 use crate::op::{Action, Operation};
 use crate::schedule::Schedule;
-use crate::state::ItemSet;
+use crate::state::{ItemSet, SetPool};
 use std::borrow::Cow;
 
 const NONE: u32 = u32::MAX;
+
+/// What the tables record per live position.
+#[derive(Clone, Copy, Debug)]
+struct OpRow {
+    /// Position whose row is the transaction's `RS` after this
+    /// operation (`NONE`: it has read nothing yet).
+    rs_at: u32,
+    /// Likewise for `WS`.
+    ws_at: u32,
+    /// The write this operation reads from (`NONE`: not a read, or a
+    /// read of the initial state).
+    reads_from: u32,
+}
+
+/// One slot's run of positions inside the arena.
+#[derive(Clone, Copy, Debug)]
+struct Run {
+    start: u32,
+    len: u32,
+}
 
 /// The positional/prefix tables shared by the batch [`ScheduleIndex`]
 /// and the incremental [`OnlineIndex`](crate::monitor::OnlineIndex).
@@ -47,22 +82,28 @@ const NONE: u32 = u32::MAX;
 /// query is answered from the tables without rescanning operations.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct PrefixTables {
-    /// Absolute position of the first live `reads_from` row — mirrors
-    /// the schedule's compaction base. Positions stored in the tables
-    /// are absolute; only the per-position `reads_from` rows are
-    /// tail-relative storage.
-    pub(crate) base: usize,
-    /// Per slot: ascending positions of the transaction's operations.
-    pub(crate) positions: Vec<Vec<u32>>,
-    /// Per slot: `rs_prefix[k]` = items read by the first `k` ops.
-    pub(crate) rs_prefix: Vec<Vec<ItemSet>>,
-    /// Per slot: `ws_prefix[k]` = items written by the first `k` ops.
-    pub(crate) ws_prefix: Vec<Vec<ItemSet>>,
-    /// Per position: the write a read takes its value from.
-    pub(crate) reads_from: Vec<Option<u32>>,
+    /// Absolute position of the first live row — mirrors the
+    /// schedule's compaction base. Positions stored in the tables are
+    /// absolute; `ops` and `rows` are tail-relative storage.
+    base: usize,
+    /// Per slot: its ascending positions, as a run of `arena`.
+    runs: Vec<Run>,
+    arena: Vec<u32>,
+    /// Arena words no run covers any more.
+    holes: usize,
+    /// The other half of the arena's double buffer (see
+    /// [`PrefixTables::squeeze`]).
+    arena_spare: Vec<u32>,
+    /// Per live position: row indices and the reads-from source.
+    ops: Vec<OpRow>,
+    /// Per live position: the side the operation changed, after it.
+    rows: Vec<ItemSet>,
+    /// Retired rows, reused (with their spill buffers) by later pushes.
+    spare_rows: SetPool,
     /// Per item: position of the latest write seen so far.
-    pub(crate) last_write: Vec<u32>,
-    /// Referenced when a query names a transaction not in the schedule.
+    last_write: Vec<u32>,
+    /// Referenced when a query names a transaction not in the
+    /// schedule, or a side a transaction has not touched yet.
     empty: ItemSet,
 }
 
@@ -72,41 +113,122 @@ impl PrefixTables {
         PrefixTables::default()
     }
 
-    /// Make slot `slot` exist (entry 0 of each prefix table is the
-    /// empty set: "nothing read/written before the first operation").
-    fn ensure_slot(&mut self, slot: usize) {
-        while self.positions.len() <= slot {
-            self.positions.push(Vec::new());
-            self.rs_prefix.push(vec![ItemSet::new()]);
-            self.ws_prefix.push(vec![ItemSet::new()]);
+    /// Ascending positions of slot `slot`'s operations.
+    pub(crate) fn positions(&self, slot: usize) -> &[u32] {
+        let Run { start, len } = self.runs[slot];
+        &self.arena[start as usize..(start + len) as usize]
+    }
+
+    fn row(&self, at: u32) -> &ItemSet {
+        match at {
+            NONE => &self.empty,
+            q => &self.rows[q as usize - self.base],
         }
     }
 
+    /// `(RS, WS)` of slot `slot` after its operation at position `q`.
+    fn sets_at(&self, q: u32) -> (&ItemSet, &ItemSet) {
+        let op = self.ops[q as usize - self.base];
+        (self.row(op.rs_at), self.row(op.ws_at))
+    }
+
+    /// `(RS(T), WS(T))` of slot `slot` over the whole prefix.
+    pub(crate) fn totals(&self, slot: usize) -> (&ItemSet, &ItemSet) {
+        match self.positions(slot).last() {
+            Some(&q) => self.sets_at(q),
+            None => (&self.empty, &self.empty),
+        }
+    }
+
+    /// `(RS, WS)` of slot `slot`'s operations at positions `≤ p` (the
+    /// paper's `before` convention includes `p` itself).
+    fn sets_before(&self, slot: usize, p: OpIndex) -> (&ItemSet, &ItemSet) {
+        let positions = self.positions(slot);
+        match positions.partition_point(|&q| q as usize <= p.0) {
+            0 => (&self.empty, &self.empty),
+            k => self.sets_at(positions[k - 1]),
+        }
+    }
+
+    /// Append `p` to slot `slot`'s run (creating the slot if it is the
+    /// next one), moving the run to the arena's end first when it is
+    /// not already there.
+    fn push_position(&mut self, slot: usize, p: u32) {
+        debug_assert!(slot <= self.runs.len(), "slots are created in order");
+        if slot == self.runs.len() {
+            self.runs.push(Run {
+                start: self.arena.len() as u32,
+                len: 0,
+            });
+        }
+        let Run { start, len } = self.runs[slot];
+        let (start, end) = (start as usize, (start + len) as usize);
+        if end != self.arena.len() {
+            self.runs[slot].start = self.arena.len() as u32;
+            self.arena.extend_from_within(start..end);
+            self.holes += end - start;
+        }
+        self.arena.push(p);
+        self.runs[slot].len += 1;
+        if self.holes > self.arena.len() / 2 {
+            self.squeeze();
+        }
+    }
+
+    /// Copy the live runs, in slot order, into the spare buffer and
+    /// swap the two: the holes left by moved runs, retracted positions
+    /// and compacted slots are gone, and neither buffer is freed.
+    fn squeeze(&mut self) {
+        let mut packed = std::mem::take(&mut self.arena_spare);
+        packed.clear();
+        for run in &mut self.runs {
+            let at = packed.len() as u32;
+            packed
+                .extend_from_slice(&self.arena[run.start as usize..(run.start + run.len) as usize]);
+            run.start = at;
+        }
+        self.arena_spare = std::mem::replace(&mut self.arena, packed);
+        self.holes = 0;
+    }
+
     /// Append the operation at position `self.len()` for transaction
-    /// slot `slot`: one prefix-table row per op, `O(words)`.
+    /// slot `slot`: one row for the side it changes, `O(words)`.
     pub(crate) fn push(&mut self, slot: usize, op: &Operation) {
-        let p = self.base + self.reads_from.len();
-        self.ensure_slot(slot);
+        let p = (self.base + self.ops.len()) as u32;
         if self.last_write.len() <= op.item.index() {
             self.last_write.resize(op.item.index() + 1, NONE);
         }
-        self.positions[slot].push(p as u32);
-        let mut rs = self.rs_prefix[slot].last().expect("entry 0 exists").clone();
-        let mut ws = self.ws_prefix[slot].last().expect("entry 0 exists").clone();
-        match op.action {
+        // The transaction's entry so far: its previous operation's.
+        let mut entry = match self.runs.get(slot).filter(|r| r.len > 0) {
+            Some(run) => {
+                self.ops[self.arena[(run.start + run.len - 1) as usize] as usize - self.base]
+            }
+            None => OpRow {
+                rs_at: NONE,
+                ws_at: NONE,
+                reads_from: NONE,
+            },
+        };
+        self.push_position(slot, p);
+        let grown = match op.action {
             Action::Read => {
-                rs.insert(op.item);
-                let w = self.last_write[op.item.index()];
-                self.reads_from.push((w != NONE).then_some(w));
+                entry.reads_from = self.last_write[op.item.index()];
+                &mut entry.rs_at
             }
             Action::Write => {
-                ws.insert(op.item);
-                self.last_write[op.item.index()] = p as u32;
-                self.reads_from.push(None);
+                entry.reads_from = NONE;
+                self.last_write[op.item.index()] = p;
+                &mut entry.ws_at
             }
+        };
+        let mut row = self.spare_rows.take();
+        if *grown != NONE {
+            row.clone_from(&self.rows[*grown as usize - self.base]);
         }
-        self.rs_prefix[slot].push(rs);
-        self.ws_prefix[slot].push(ws);
+        row.insert(op.item);
+        *grown = p;
+        self.rows.push(row);
+        self.ops.push(entry);
     }
 
     /// Build the tables for a complete schedule by replaying it through
@@ -114,9 +236,6 @@ impl PrefixTables {
     pub(crate) fn build(schedule: &Schedule) -> PrefixTables {
         let mut t = PrefixTables::new();
         t.base = schedule.base();
-        if let Some(last_slot) = schedule.txn_ids().len().checked_sub(1) {
-            t.ensure_slot(last_slot);
-        }
         for (i, o) in schedule.ops().iter().enumerate() {
             t.push(schedule.slot_of_op(OpIndex(schedule.base() + i)), o);
         }
@@ -126,15 +245,20 @@ impl PrefixTables {
     /// Reclaim the table rows of the compacted prefix: the summarized
     /// transactions' slots (`0..s_cut` — dense-prefix by the same
     /// argument as [`Schedule::compact_prefix`]) and the per-position
-    /// `reads_from` rows below `frontier`. `last_write` keeps its
-    /// absolute positions — entries below the frontier stay valid as
-    /// *positions* (the monitor guards slot lookups on them).
+    /// rows below `frontier`. Surviving transactions have every
+    /// operation at or above the frontier, so the positions their rows
+    /// name stay live. `last_write` keeps its absolute positions —
+    /// entries below the frontier stay valid as *positions* (the
+    /// monitor guards slot lookups on them).
     pub(crate) fn compact(&mut self, s_cut: usize, frontier: usize) {
         debug_assert!(frontier >= self.base);
-        self.positions.drain(..s_cut);
-        self.rs_prefix.drain(..s_cut);
-        self.ws_prefix.drain(..s_cut);
-        self.reads_from.drain(..frontier - self.base);
+        let cut = frontier - self.base;
+        self.runs.drain(..s_cut);
+        self.squeeze();
+        self.ops.drain(..cut);
+        for row in self.rows.drain(..cut) {
+            self.spare_rows.give(row);
+        }
         self.base = frontier;
     }
 
@@ -143,12 +267,17 @@ impl PrefixTables {
         self.last_write.get(item).copied().unwrap_or(NONE)
     }
 
+    /// The write the read at live position `p` takes its value from.
+    pub(crate) fn reads_from(&self, p: OpIndex) -> Option<OpIndex> {
+        let w = self.ops[p.0 - self.base].reads_from;
+        (w != NONE).then_some(OpIndex(w as usize))
+    }
+
     /// Retract the most recent [`PrefixTables::push`] — the undo-log's
     /// table half. `prev_last_write` is the `last_write` entry the
     /// caller captured before the push (only consulted for writes);
-    /// `new_slot` says the push created the slot, whose now-pristine
-    /// rows are dropped so the tables equal a fresh build of the
-    /// shortened schedule.
+    /// `new_slot` says the push created the slot, which is dropped so
+    /// the tables equal a fresh build of the shortened schedule.
     pub(crate) fn pop(
         &mut self,
         slot: usize,
@@ -156,25 +285,33 @@ impl PrefixTables {
         prev_last_write: u32,
         new_slot: bool,
     ) {
-        self.positions[slot].pop();
-        self.rs_prefix[slot].pop();
-        self.ws_prefix[slot].pop();
-        self.reads_from.pop();
+        let run = &mut self.runs[slot];
+        run.len -= 1;
+        if (run.start + run.len) as usize + 1 == self.arena.len() {
+            self.arena.pop();
+        } else {
+            self.holes += 1;
+        }
+        self.ops.pop();
+        self.spare_rows
+            .give(self.rows.pop().expect("one row per pushed operation"));
         if op.action == Action::Write {
             self.last_write[op.item.index()] = prev_last_write;
         }
         if new_slot {
-            debug_assert!(self.positions[slot].is_empty());
-            self.positions.pop();
-            self.rs_prefix.pop();
-            self.ws_prefix.pop();
+            debug_assert_eq!(self.runs[slot].len, 0);
+            self.runs.pop();
         }
     }
 
-    /// How many of the slot's operations are at positions `≤ p` (the
-    /// paper's `before` convention includes `p` itself).
-    fn prefix_len(&self, slot: usize, p: OpIndex) -> usize {
-        self.positions[slot].partition_point(|&q| q as usize <= p.0)
+    /// Bytes of the live rows (retired rows and the second arena
+    /// buffer are spare capacity, not state).
+    pub(crate) fn resident_bytes(&self) -> usize {
+        use std::mem::size_of;
+        self.runs.len() * size_of::<Run>()
+            + (self.arena.len() - self.holes + self.last_write.len()) * size_of::<u32>()
+            + self.ops.len() * (size_of::<OpRow>() + size_of::<ItemSet>())
+            + self.rows.iter().map(ItemSet::heap_bytes).sum::<usize>()
     }
 }
 
@@ -217,14 +354,13 @@ impl<'s> ScheduleIndex<'s> {
 
     /// Ascending operation positions of `txn`.
     pub fn positions_of(&self, txn: TxnId) -> &[u32] {
-        self.slot(txn)
-            .map_or(&[][..], |s| self.tables.positions[s].as_slice())
+        self.slot(txn).map_or(&[][..], |s| self.tables.positions(s))
     }
 
     /// `RS(before(T, p, S))`: items `txn` has read at or before `p`.
     pub fn read_set_before(&self, txn: TxnId, p: OpIndex) -> &ItemSet {
         match self.slot(txn) {
-            Some(s) => &self.tables.rs_prefix[s][self.tables.prefix_len(s, p)],
+            Some(s) => self.tables.sets_before(s, p).0,
             None => &self.tables.empty,
         }
     }
@@ -232,7 +368,7 @@ impl<'s> ScheduleIndex<'s> {
     /// `WS(before(T, p, S))`: items `txn` has written at or before `p`.
     pub fn write_set_before(&self, txn: TxnId, p: OpIndex) -> &ItemSet {
         match self.slot(txn) {
-            Some(s) => &self.tables.ws_prefix[s][self.tables.prefix_len(s, p)],
+            Some(s) => self.tables.sets_before(s, p).1,
             None => &self.tables.empty,
         }
     }
@@ -240,7 +376,7 @@ impl<'s> ScheduleIndex<'s> {
     /// `RS(T)`: everything `txn` reads in the whole schedule.
     pub fn read_set_total(&self, txn: TxnId) -> &ItemSet {
         match self.slot(txn) {
-            Some(s) => self.tables.rs_prefix[s].last().expect("entry 0 exists"),
+            Some(s) => self.tables.totals(s).0,
             None => &self.tables.empty,
         }
     }
@@ -248,13 +384,13 @@ impl<'s> ScheduleIndex<'s> {
     /// `WS(T)`: everything `txn` writes in the whole schedule.
     pub fn write_set_total(&self, txn: TxnId) -> &ItemSet {
         match self.slot(txn) {
-            Some(s) => self.tables.ws_prefix[s].last().expect("entry 0 exists"),
+            Some(s) => self.tables.totals(s).1,
             None => &self.tables.empty,
         }
     }
 
-    /// `(WS(T), WS(before(T, p, S)))` as prefix-table references, when
-    /// the transaction appears in the schedule. The lemma updates fuse
+    /// `(WS(T), WS(before(T, p, S)))` as row references, when the
+    /// transaction appears in the schedule. The lemma updates fuse
     /// these with the conjunct mask in one word-wise pass.
     pub(crate) fn ws_total_and_before(
         &self,
@@ -262,22 +398,19 @@ impl<'s> ScheduleIndex<'s> {
         p: OpIndex,
     ) -> Option<(&ItemSet, &ItemSet)> {
         let s = self.slot(txn)?;
-        Some((
-            self.tables.ws_prefix[s].last().expect("entry 0 exists"),
-            &self.tables.ws_prefix[s][self.tables.prefix_len(s, p)],
-        ))
+        Some((self.tables.totals(s).1, self.tables.sets_before(s, p).1))
     }
 
     /// `WS(after(T^d, p, S))` into `out`: the items of `d` that `txn`
     /// still writes strictly after `p`. Exact because a transaction
     /// writes each item at most once (§2.2).
     pub fn write_set_after_into(&self, txn: TxnId, p: OpIndex, d: &ItemSet, out: &mut ItemSet) {
-        let Some(s) = self.slot(txn) else {
+        let Some((total, before)) = self.ws_total_and_before(txn, p) else {
             out.clear();
             return;
         };
-        out.clone_from(self.tables.ws_prefix[s].last().expect("entry 0 exists"));
-        out.difference_with(&self.tables.ws_prefix[s][self.tables.prefix_len(s, p)]);
+        out.clone_from(total);
+        out.difference_with(before);
         out.intersect_with(d);
     }
 
@@ -298,7 +431,7 @@ impl<'s> ScheduleIndex<'s> {
     /// returned position can fall below the schedule's compaction base
     /// when the writer was summarized.
     pub fn reads_from(&self, p: OpIndex) -> Option<OpIndex> {
-        self.tables.reads_from[p.0 - self.tables.base].map(|q| OpIndex(q as usize))
+        self.tables.reads_from(p)
     }
 }
 

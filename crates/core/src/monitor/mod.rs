@@ -101,10 +101,10 @@ use crate::ids::{ItemId, OpIndex, TxnId};
 use crate::index::{PrefixTables, ScheduleIndex};
 use crate::op::{Action, Operation};
 use crate::schedule::Schedule;
-use crate::state::ItemSet;
+use crate::state::{ItemSet, SetPool};
 use crate::theorems::{Guarantee, ProgramTraits};
 use crate::viewset::inclusion_holds_everywhere;
-use undo::{GraphDelta, PushDelta, SeqDelta, UndoLog};
+use undo::{GlobalDelta, GraphDelta, PushDelta, SeqDelta, Tape, UndoLog};
 
 const ABSENT: u32 = u32::MAX;
 
@@ -136,8 +136,7 @@ impl OnlineIndex {
         let p = OpIndex(self.schedule.len());
         let slot = match self.schedule.txn_slot(op.txn) {
             Some(s) => {
-                let rs = self.tables.rs_prefix[s].last().expect("entry 0 exists");
-                let ws = self.tables.ws_prefix[s].last().expect("entry 0 exists");
+                let (rs, ws) = self.tables.totals(s);
                 validate_22(rs, ws, &op)?;
                 s
             }
@@ -173,7 +172,7 @@ impl OnlineIndex {
     /// at or above the compaction base; the *result* may fall below it
     /// (a read whose writer was summarized).
     pub fn reads_from(&self, p: OpIndex) -> Option<OpIndex> {
-        self.tables.reads_from[p.0 - self.tables.base].map(|q| OpIndex(q as usize))
+        self.tables.reads_from(p)
     }
 
     /// Committed-prefix compaction: collapse the permanent prefix below
@@ -212,6 +211,152 @@ impl OnlineIndex {
     }
 }
 
+/// Which conjuncts contain each item — the scopes inverted once at
+/// construction, so that admitting an operation looks its conjuncts
+/// up instead of testing every scope.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct ScopeIndex {
+    /// `conjuncts[starts[i]..starts[i + 1]]` = the conjuncts
+    /// containing item `i`, ascending.
+    starts: Vec<u32>,
+    conjuncts: Vec<u32>,
+}
+
+impl ScopeIndex {
+    pub(crate) fn new(scopes: &[ItemSet]) -> ScopeIndex {
+        let item_ub = scopes
+            .iter()
+            .filter_map(|s| s.iter().last())
+            .map(|i| i.index() + 1)
+            .max()
+            .unwrap_or(0);
+        let mut starts = vec![0u32; item_ub + 1];
+        for item in scopes.iter().flat_map(ItemSet::iter) {
+            starts[item.index() + 1] += 1;
+        }
+        for i in 0..item_ub {
+            starts[i + 1] += starts[i];
+        }
+        let mut conjuncts = vec![0u32; starts[item_ub] as usize];
+        let mut fill = starts.clone();
+        for (k, scope) in scopes.iter().enumerate() {
+            for item in scope.iter() {
+                conjuncts[fill[item.index()] as usize] = k as u32;
+                fill[item.index()] += 1;
+            }
+        }
+        ScopeIndex { starts, conjuncts }
+    }
+
+    /// The conjuncts containing `item`, ascending (none for an item no
+    /// scope mentions).
+    pub(crate) fn of(&self, item: ItemId) -> &[u32] {
+        match self.starts.get(item.index()..item.index() + 2) {
+            Some(&[lo, hi]) => &self.conjuncts[lo as usize..hi as usize],
+            _ => &[],
+        }
+    }
+
+    fn resident_bytes(&self) -> usize {
+        (self.starts.len() + self.conjuncts.len()) * std::mem::size_of::<u32>()
+    }
+}
+
+/// Which transactions were declared finished
+/// ([`OnlineMonitor::finish_txn`]) and are not yet summarized: one
+/// flag per slot, so the frontier scan and the declaration itself
+/// neither hash nor allocate. A declaration outlives a retraction of
+/// the transaction's operations — the optimistic executors re-push
+/// committed survivors when another transaction aborts — so a finished
+/// transaction that loses its slot is parked by id until a push gives
+/// it a slot again.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct FinishedFlags {
+    by_slot: Vec<bool>,
+    /// Finished transactions that currently have no slot (normally
+    /// empty: only a retraction reaching a finished transaction's
+    /// first operation puts one here).
+    detached: Vec<TxnId>,
+}
+
+impl FinishedFlags {
+    /// `txn` was just given the next slot.
+    pub(crate) fn slot_created(&mut self, txn: TxnId) {
+        let parked = self.detached.iter().position(|&t| t == txn);
+        if let Some(at) = parked {
+            self.detached.swap_remove(at);
+        }
+        self.by_slot.push(parked.is_some());
+    }
+
+    /// The last slot, which belonged to `txn`, was retracted.
+    pub(crate) fn slot_popped(&mut self, txn: TxnId) {
+        if self.by_slot.pop() == Some(true) {
+            self.detached.push(txn);
+        }
+    }
+
+    pub(crate) fn mark(&mut self, slot: usize) {
+        self.by_slot[slot] = true;
+    }
+
+    pub(crate) fn is_finished(&self, slot: usize) -> bool {
+        self.by_slot[slot]
+    }
+
+    /// The first `s_cut` slots were summarized.
+    pub(crate) fn compact(&mut self, s_cut: usize) {
+        self.by_slot.drain(..s_cut);
+    }
+
+    fn resident_bytes(&self) -> usize {
+        self.by_slot.len() + self.detached.len() * std::mem::size_of::<TxnId>()
+    }
+}
+
+/// The two per-node tables a compaction sweep works in — which nodes
+/// must survive, and the old→new numbering — for one or several
+/// graphs laid out one after another. The monitor keeps them between
+/// sweeps, so a sweep allocates nothing however many graphs it
+/// condenses.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct NodeMaps {
+    kept: Vec<bool>,
+    map: Vec<u32>,
+    /// `starts[g]..starts[g + 1]` = graph `g`'s region.
+    starts: Vec<usize>,
+}
+
+impl NodeMaps {
+    /// One region per graph size given, every node unmarked.
+    pub(crate) fn layout(&mut self, sizes: impl Iterator<Item = usize>) {
+        self.starts.clear();
+        self.starts.push(0);
+        let mut end = 0;
+        for n in sizes {
+            end += n;
+            self.starts.push(end);
+        }
+        self.kept.clear();
+        self.kept.resize(end, false);
+        self.map.clear();
+        self.map.resize(end, ABSENT);
+    }
+
+    pub(crate) fn kept(&mut self, g: usize) -> &mut [bool] {
+        &mut self.kept[self.starts[g]..self.starts[g + 1]]
+    }
+
+    pub(crate) fn map(&self, g: usize) -> &[u32] {
+        &self.map[self.starts[g]..self.starts[g + 1]]
+    }
+
+    fn both(&mut self, g: usize) -> (&mut [bool], &mut [u32]) {
+        let range = self.starts[g]..self.starts[g + 1];
+        (&mut self.kept[range.clone()], &mut self.map[range])
+    }
+}
+
 /// One projection's reduced conflict graph, maintained incrementally.
 ///
 /// Mirrors the batch reduced construction (each operation conflicts
@@ -229,7 +374,9 @@ struct ProjGraph {
     slot_of_node: Vec<u32>,
     /// Per item: the node of its latest writer.
     last_writer: Vec<u32>,
-    /// Per item: reader nodes since the latest write.
+    /// Per item: reader nodes since the latest write. A write empties
+    /// the list in place (journaling its members first when logging),
+    /// so each item's buffer is allocated once and reused.
     readers: Vec<Vec<u32>>,
     /// First prefix position whose projection is non-serializable.
     cyclic_at: Option<OpIndex>,
@@ -255,24 +402,10 @@ impl ProjGraph {
         self.node_of_slot[slot]
     }
 
-    /// Conflict-edge sources the next access would add (all edges end
-    /// at the accessing transaction's node).
-    fn edge_sources(&self, node: u32, item: usize, is_write: bool, out: &mut Vec<u32>) {
-        out.clear();
-        let Some(&w) = self.last_writer.get(item) else {
-            return;
-        };
-        if w != ABSENT && w != node {
-            out.push(w);
-        }
-        if is_write {
-            if let Some(readers) = self.readers.get(item) {
-                out.extend(readers.iter().copied().filter(|&r| r != node));
-            }
-        }
-    }
-
-    /// Would this access keep the projection acyclic? Read-only.
+    /// Would this access keep the projection acyclic? Read-only. The
+    /// conflict edges it would add all end at the accessing
+    /// transaction's node and start at the item's last writer and, for
+    /// a write, at the readers since.
     fn admits(&self, slot: Option<usize>, item: usize, is_write: bool) -> bool {
         if self.cyclic_at.is_some() {
             return false;
@@ -282,144 +415,140 @@ impl ProjGraph {
             None | Some(ABSENT) => return true,
             Some(n) => n,
         };
-        let mut sources = Vec::new();
-        self.edge_sources(node, item, is_write, &mut sources);
-        self.dag.admits_edges_into(&sources, node)
+        let writer = self.last_writer.get(item).copied().filter(|&w| w != ABSENT);
+        let readers = match self.readers.get(item) {
+            Some(readers) if is_write => readers.as_slice(),
+            _ => &[],
+        };
+        let sources = writer
+            .into_iter()
+            .chain(readers.iter().copied())
+            .filter(|&s| s != node);
+        self.dag.admits_edges_from(sources, node)
     }
 
-    /// Record one access, adding its reduced conflict edges.
-    fn apply(&mut self, slot: usize, item: usize, is_write: bool, p: OpIndex) {
-        self.apply_inner(slot, item, is_write, p, None);
-    }
-
-    /// [`ProjGraph::apply`] recording the exact deltas applied, for
-    /// LIFO retraction by [`ProjGraph::undo`].
-    fn apply_logged(&mut self, slot: usize, item: usize, is_write: bool, p: OpIndex) -> GraphDelta {
-        let mut delta = GraphDelta::default();
-        self.apply_inner(slot, item, is_write, p, Some(&mut delta));
-        delta
-    }
-
-    fn apply_inner(
+    /// Record one access, adding its reduced conflict edges. With a
+    /// `tape`, exactly what was applied is journaled as one graph
+    /// frame (see [`undo`]) for LIFO retraction by [`ProjGraph::undo`].
+    fn apply(
         &mut self,
         slot: usize,
         item: usize,
         is_write: bool,
         p: OpIndex,
-        mut log: Option<&mut GraphDelta>,
+        mut tape: Option<&mut Tape>,
     ) {
-        if self.cyclic_at.is_some() {
-            return; // frozen: non-serializability is monotone
-        }
-        self.grow(slot, item);
-        let created = self.node_of_slot[slot] == ABSENT;
-        let t = self.node(slot);
-        if created {
-            if let Some(d) = log.as_deref_mut() {
-                d.added_node = true;
+        let mut delta = GraphDelta::NONE;
+        if self.cyclic_at.is_none() {
+            // (A frozen graph applies nothing: non-serializability is
+            // monotone.)
+            self.grow(slot, item);
+            if self.node_of_slot[slot] == ABSENT {
+                delta.flags |= GraphDelta::ADDED_NODE;
             }
-        }
-        // Insert one conflict edge, journaling fresh insertions.
-        fn insert(
-            dag: &mut IncrementalDag,
-            from: u32,
-            to: u32,
-            log: &mut Option<&mut GraphDelta>,
-        ) -> bool {
-            match log {
-                Some(d) => {
-                    if dag.has_edge(from, to) {
-                        return false;
+            let t = self.node(slot);
+            // Insert one conflict edge into `t`, journaling it if fresh;
+            // returns whether it would have closed a cycle.
+            let mut link = |dag: &mut IncrementalDag, from: u32| match dag.insert_edge(from, t) {
+                Ok(fresh) => {
+                    if let (true, Some(tape)) = (fresh, tape.as_deref_mut()) {
+                        tape.push(from);
+                        tape.push(t);
+                        delta.n_edges += 1;
                     }
-                    match dag.add_edge(from, to) {
-                        Ok(()) => {
-                            d.edges.push((from, to));
-                            false
-                        }
-                        Err(_) => true,
+                    false
+                }
+                Err(_) => true,
+            };
+            let w = self.last_writer[item];
+            let mut closed = false;
+            if w != ABSENT && w != t {
+                closed |= link(&mut self.dag, w);
+            }
+            if is_write {
+                for &r in &self.readers[item] {
+                    if r != t {
+                        closed |= link(&mut self.dag, r);
                     }
                 }
-                None => dag.add_edge(from, to).is_err(),
-            }
-        }
-        let w = self.last_writer[item];
-        let mut closed = false;
-        if w != ABSENT && w != t {
-            closed |= insert(&mut self.dag, w, t, &mut log);
-        }
-        if is_write {
-            let readers = std::mem::take(&mut self.readers[item]);
-            for &r in &readers {
-                if r != t {
-                    closed |= insert(&mut self.dag, r, t, &mut log);
-                }
-            }
-            self.last_writer[item] = t;
-            if let Some(d) = log.as_deref_mut() {
                 // The drained reader list and the displaced writer are
                 // exactly what retraction must put back.
-                d.write_undo = Some((w, readers));
+                if let Some(tape) = tape.as_deref_mut() {
+                    for &r in self.readers[item].iter().rev() {
+                        tape.push(r);
+                    }
+                    delta.n_readers = self.readers[item].len() as u32;
+                }
+                delta.prev_writer = w;
+                delta.flags |= GraphDelta::WROTE;
+                self.readers[item].clear();
+                self.last_writer[item] = t;
+            } else {
+                self.readers[item].push(t);
+                delta.flags |= GraphDelta::READ_PUSHED;
             }
-        } else {
-            self.readers[item].push(t);
-            if let Some(d) = log.as_deref_mut() {
-                d.read_pushed = true;
+            if closed {
+                self.cyclic_at = Some(p);
+                delta.flags |= GraphDelta::FROZE;
             }
         }
-        if closed {
-            self.cyclic_at = Some(p);
-            if let Some(d) = log {
-                d.froze = true;
-            }
+        if let Some(tape) = tape {
+            delta.seal(tape);
         }
     }
 
-    /// Retract one logged access. Sound only in LIFO (journal) order:
-    /// the maintained Pearce–Kelly order then satisfies a superset of
-    /// the surviving constraints, so no reordering is needed.
-    fn undo(&mut self, slot: usize, item: usize, is_write: bool, delta: GraphDelta) {
-        if delta.froze {
+    /// Retract one logged access by consuming its frame from the end
+    /// of `tape`. Sound only in LIFO (journal) order: the maintained
+    /// Pearce–Kelly order then satisfies a superset of the surviving
+    /// constraints, so no reordering is needed.
+    fn undo(&mut self, slot: usize, item: usize, tape: &mut Tape) {
+        let delta = GraphDelta::open(tape);
+        if delta.has(GraphDelta::FROZE) {
             self.cyclic_at = None;
         }
-        if is_write {
-            if let Some((prev_writer, readers)) = delta.write_undo {
-                self.last_writer[item] = prev_writer;
-                debug_assert!(self.readers[item].is_empty());
-                self.readers[item] = readers;
+        if delta.has(GraphDelta::WROTE) {
+            self.last_writer[item] = delta.prev_writer;
+            debug_assert!(self.readers[item].is_empty());
+            for _ in 0..delta.n_readers {
+                let r = tape.pop();
+                self.readers[item].push(r);
             }
-        } else if delta.read_pushed {
+        } else if delta.has(GraphDelta::READ_PUSHED) {
             let popped = self.readers[item].pop();
             debug_assert_eq!(popped, Some(self.node_of_slot[slot]));
         }
-        for &(u, v) in delta.edges.iter().rev() {
+        for _ in 0..delta.n_edges {
+            let v = tape.pop();
+            let u = tape.pop();
             self.dag.remove_edge(u, v);
         }
-        if delta.added_node {
+        if delta.has(GraphDelta::ADDED_NODE) {
             self.dag.remove_last_node();
             self.slot_of_node.pop();
             self.node_of_slot[slot] = ABSENT;
         }
     }
 
-    /// Committed-prefix compaction of one projection. The `s_cut`
-    /// summarized transaction slots occupy the node-id prefix (node
-    /// ids follow first-access order, and every summarized access
-    /// precedes every survivor access in the schedule); their nodes are
-    /// dropped except the **boundary facts** — each item's last writer
-    /// and readers-since-last-write — plus any node a retained undo
-    /// entry references (`kept` marks those), with reachability among
-    /// all kept nodes condensed exactly
+    /// Committed-prefix compaction of one projection, in its own
+    /// storage. The `s_cut` summarized transaction slots occupy the
+    /// node-id prefix (node ids follow first-access order, and every
+    /// summarized access precedes every survivor access in the
+    /// schedule); their nodes are dropped except the **boundary
+    /// facts** — each item's last writer and readers-since-last-write
+    /// — plus any node a retained undo entry references (the caller
+    /// has marked those in `kept`), with reachability among all kept
+    /// nodes condensed exactly
     /// ([`IncrementalDag::retain_condensed`]). Kept summarized nodes
     /// lose their slot (they are pure summary — `ABSENT` in
     /// `slot_of_node`, skipped by [`ProjGraph::order`]); survivor slots
-    /// shift down by `s_cut`. Returns the old→new node map
-    /// (`ABSENT` = dropped) so undo entries can be renamed.
+    /// shift down by `s_cut`. Fills `map` with the old→new node
+    /// numbering (`ABSENT` = dropped) so undo entries can be renamed.
     ///
     /// Verdict parity: `admits`/`apply` consult only `last_writer`,
     /// `readers` and reachability between their nodes — all preserved
     /// exactly — and `cyclic_at` is an absolute position, so every
     /// future verdict equals the uncompacted twin's.
-    fn compact(&mut self, s_cut: usize, mut kept: Vec<bool>) -> Vec<u32> {
+    fn compact(&mut self, s_cut: usize, kept: &mut [bool], map: &mut [u32]) {
         debug_assert_eq!(kept.len(), self.dag.len());
         // The to-be-summarized prefix: slot-less summary nodes from
         // earlier compactions (kept back then only for boundary facts
@@ -446,36 +575,37 @@ impl ProjGraph {
                 kept[r as usize] = true;
             }
         }
-        let map = self.dag.retain_condensed(&kept);
-        let mut node_of_slot = vec![ABSENT; self.node_of_slot.len().saturating_sub(s_cut)];
-        let mut slot_of_node = vec![ABSENT; self.dag.len()];
-        for (old, &slot) in self.slot_of_node.iter().enumerate() {
-            let new = map[old];
-            if new != ABSENT && slot != ABSENT && (slot as usize) >= s_cut {
-                node_of_slot[slot as usize - s_cut] = new;
-                slot_of_node[new as usize] = slot - s_cut as u32;
+        self.dag.retain_condensed_into(kept, map);
+        // `map` is monotone, so a kept node's new row never lies
+        // beyond its old one: the table can be rewritten front to back.
+        for (old, &new) in map.iter().enumerate() {
+            if new != ABSENT {
+                let slot = self.slot_of_node[old];
+                self.slot_of_node[new as usize] = if slot != ABSENT && slot as usize >= s_cut {
+                    slot - s_cut as u32
+                } else {
+                    ABSENT
+                };
             }
         }
-        self.node_of_slot = node_of_slot;
-        self.slot_of_node = slot_of_node;
-        for w in &mut self.last_writer {
-            if *w != ABSENT {
-                *w = map[*w as usize];
+        self.slot_of_node.truncate(self.dag.len());
+        let gone = s_cut.min(self.node_of_slot.len());
+        self.node_of_slot.drain(..gone);
+        let renumber = |n: &mut u32| {
+            if *n != ABSENT {
+                *n = map[*n as usize];
             }
-        }
-        for rs in &mut self.readers {
-            for r in rs.iter_mut() {
-                *r = map[*r as usize];
-            }
-        }
-        map
+        };
+        self.node_of_slot.iter_mut().for_each(renumber);
+        self.last_writer.iter_mut().for_each(renumber);
+        self.readers.iter_mut().flatten().for_each(renumber);
     }
 
-    /// Structural memory estimate (heap rows, not allocator-exact).
+    /// Bytes of the graph, the slot↔node tables and the per-item
+    /// boundary facts.
     fn resident_bytes(&self) -> usize {
         use std::mem::size_of;
-        self.dag.len() * (size_of::<u32>() * 4)
-            + self.dag.edge_count() * size_of::<u32>() * 2
+        self.dag.resident_bytes()
             + (self.node_of_slot.len() + self.slot_of_node.len() + self.last_writer.len())
                 * size_of::<u32>()
             + self
@@ -655,6 +785,30 @@ pub struct CompactStats {
     pub txns_summarized: usize,
 }
 
+/// The compaction frontier both monitors compute: the longest prefix
+/// of `schedule` below `limit` (the prefix that is already permanent)
+/// in which every operation belongs to a finished transaction whose
+/// *last* operation also lies in that prefix.
+fn compaction_frontier(schedule: &Schedule, finished: &FinishedFlags, limit: usize) -> usize {
+    let mut hi = schedule.base();
+    let mut frontier = schedule.base();
+    for p in schedule.base()..limit {
+        let slot = schedule.slot_of_op(OpIndex(p));
+        if !finished.is_finished(slot) {
+            break;
+        }
+        let last = schedule.slot_last_raw(slot) as usize;
+        if last >= limit {
+            break;
+        }
+        hi = hi.max(last + 1);
+        if p + 1 == hi {
+            frontier = p + 1;
+        }
+    }
+    frontier
+}
+
 /// Live verdicts over a growing schedule: per-conjunct and global
 /// conflict graphs under incremental cycle detection, delayed-read
 /// tracking, and the Lemma 2/6 inclusion certificates — all updated in
@@ -664,11 +818,16 @@ pub struct OnlineMonitor {
     index: OnlineIndex,
     /// The conjunct data sets `d_e` (projection scopes).
     scopes: Vec<ItemSet>,
+    /// The scopes inverted: which conjuncts contain an item.
+    scope_index: ScopeIndex,
     global: ProjGraph,
     conjuncts: Vec<ProjGraph>,
     /// Per slot: items this transaction wrote that another transaction
     /// has read — its *next* operation materializes a dirty read.
     dirty_reads: Vec<ItemSet>,
+    /// Rows `dirty_reads` gave up (retraction, compaction), reused by
+    /// the slots created next.
+    spare_sets: SetPool,
     first_non_dr: Option<OpIndex>,
     /// Per conjunct: first position where an in-scope dirty read
     /// materialized (kills the Lemma 6 certificate for that scope).
@@ -682,13 +841,13 @@ pub struct OnlineMonitor {
     scopes_disjoint: bool,
     /// `DAG(S, IC)` maintained live (Theorem 3's hypothesis).
     access_dag: OnlineAccessDag,
-    /// Per-push retraction deltas above the log's floor, when logging
+    /// Per-push retraction records above the log's floor, when logging
     /// (the shared [`undo`] layer; unlogged pushes raise the floor).
     log: Option<UndoLog<PushDelta>>,
     /// Transactions declared finished ([`OnlineMonitor::finish_txn`])
     /// but not yet summarized — the compaction frontier advances only
     /// over finished transactions.
-    finished: std::collections::HashSet<TxnId>,
+    finished: FinishedFlags,
     /// Transactions collapsed into the permanent prefix: pushes for
     /// them are rejected with [`CoreError::SummarizedTransaction`].
     summarized: SummarizedSet,
@@ -696,6 +855,11 @@ pub struct OnlineMonitor {
     compactions: u64,
     /// Total operations reclaimed across all compactions.
     ops_reclaimed: u64,
+    /// The node tables compaction works in: region 0 is the global
+    /// graph's, region `k + 1` conjunct `k`'s.
+    maps: NodeMaps,
+    /// The running read/write sets a batch is validated against.
+    batch_sets: (ItemSet, ItemSet),
 }
 
 impl OnlineMonitor {
@@ -718,10 +882,12 @@ impl OnlineMonitor {
             .all(|(i, a)| scopes[i + 1..].iter().all(|b| a.is_disjoint(b)));
         OnlineMonitor {
             index: OnlineIndex::new(),
+            scope_index: ScopeIndex::new(&scopes),
             scopes,
             global: ProjGraph::default(),
             conjuncts: vec![ProjGraph::default(); n],
             dirty_reads: Vec::new(),
+            spare_sets: SetPool::default(),
             first_non_dr: None,
             conjunct_non_dr: vec![None; n],
             first_violation: None,
@@ -729,10 +895,12 @@ impl OnlineMonitor {
             scopes_disjoint,
             access_dag: OnlineAccessDag::new(n),
             log: None,
-            finished: std::collections::HashSet::new(),
+            finished: FinishedFlags::default(),
             summarized: SummarizedSet::default(),
             compactions: 0,
             ops_reclaimed: 0,
+            maps: NodeMaps::default(),
+            batch_sets: (ItemSet::new(), ItemSet::new()),
         }
     }
 
@@ -744,9 +912,9 @@ impl OnlineMonitor {
 
     /// Append one operation and return the updated verdict.
     ///
-    /// Cost: the `O(words)` index update, the touched graphs' edge
-    /// insertions (amortized near-constant under Pearce–Kelly), and an
-    /// `O(|scopes|)` scan — no table rebuild, no schedule rescan.
+    /// Cost: the `O(words)` index update and the touched graphs' edge
+    /// insertions (amortized near-constant under Pearce–Kelly) — no
+    /// table rebuild, no schedule rescan, no scan over the scopes.
     ///
     /// An unlogged push is permanent: it raises the floor below which
     /// [`OnlineMonitor::truncate_to`] can retract.
@@ -771,38 +939,41 @@ impl OnlineMonitor {
         if self.summarized.contains(op.txn) {
             return Err(CoreError::SummarizedTransaction { txn: op.txn });
         }
-        let (item, is_read) = (op.item, op.is_read());
-        let existing_slot = self.index.schedule().txn_slot(op.txn);
-        let mut delta = PushDelta {
-            seq: SeqDelta {
-                new_slot: existing_slot.is_none(),
-                prev_item_ub: self.index.schedule().item_ub(),
-                prev_last_write: self.index.last_write_raw(item),
-                prev_slot_last: existing_slot.map_or(0, |s| {
-                    *self.index.tables.positions[s]
-                        .last()
-                        .expect("older op exists")
-                }),
-            },
-            ..PushDelta::default()
+        let (txn, item, is_read) = (op.txn, op.item, op.is_read());
+        let existing_slot = self.index.schedule().txn_slot(txn);
+        let seq = SeqDelta {
+            new_slot: existing_slot.is_none(),
+            prev_item_ub: self.index.schedule().item_ub(),
+            prev_last_write: self.index.last_write_raw(item),
+            prev_slot_last: existing_slot.map_or(0, |s| self.index.schedule().slot_last_raw(s)),
         };
+        let mut global = GlobalDelta::default();
         let p = self.index.push(op)?;
         let slot = self.index.schedule().slot_of_op(p);
-        if self.dirty_reads.len() <= slot {
-            self.dirty_reads.resize_with(slot + 1, ItemSet::new);
+        if seq.new_slot {
+            self.finished.slot_created(txn);
+            self.dirty_reads.push(self.spare_sets.take());
         }
+        // The push's frames go on the log's tape as they are applied.
+        let mut tape = match &mut self.log {
+            Some(log) if logged => Some(log.tape()),
+            _ => None,
+        };
         // 1. This operation proves its transaction was still running:
         //    any earlier read *from* it is now a DR violation.
         if !self.dirty_reads[slot].is_empty() {
             if self.first_non_dr.is_none() {
                 self.first_non_dr = Some(p);
-                delta.global.set_first_non_dr = true;
+                global.set_first_non_dr = true;
             }
             for (k, scope) in self.scopes.iter().enumerate() {
                 if self.conjunct_non_dr[k].is_none() && !scope.is_disjoint(&self.dirty_reads[slot])
                 {
                     self.conjunct_non_dr[k] = Some(p);
-                    delta.global.conjunct_non_dr_set.push(k as u32);
+                    if let Some(tape) = tape.as_deref_mut() {
+                        tape.push(k as u32);
+                        global.n_kills += 1;
+                    }
                 }
             }
         }
@@ -816,7 +987,7 @@ impl OnlineMonitor {
                 if w.0 >= self.index.schedule().base() {
                     let w_slot = self.index.schedule().slot_of_op(w);
                     if w_slot != slot && self.dirty_reads[w_slot].insert(item) {
-                        delta.global.dr_mark = Some(w_slot as u32);
+                        global.dr_mark = w_slot as u32;
                     }
                 }
             }
@@ -824,30 +995,29 @@ impl OnlineMonitor {
         // 3. Conflict graphs: global plus every scope containing the
         //    item (this is where serializability / PWSR flip), and the
         //    live data access graph (Theorem 3's hypothesis).
-        if logged {
-            delta.global.graph = self.global.apply_logged(slot, item.index(), !is_read, p);
-        } else {
-            self.global.apply(slot, item.index(), !is_read, p);
-        }
-        for (k, scope) in self.scopes.iter().enumerate() {
-            if scope.contains(item) {
-                if logged {
-                    let d = self.conjuncts[k].apply_logged(slot, item.index(), !is_read, p);
-                    delta.conjuncts.push((k as u32, d));
-                    let d = self.access_dag.record_logged(slot, k as u32, !is_read, p);
-                    delta.dag_deltas.push((k as u32, d));
-                } else {
-                    self.conjuncts[k].apply(slot, item.index(), !is_read, p);
-                    self.access_dag.record(slot, k as u32, !is_read, p);
+        self.global
+            .apply(slot, item.index(), !is_read, p, tape.as_deref_mut());
+        let mut set_first_violation = false;
+        for &k in self.scope_index.of(item) {
+            let graph = &mut self.conjuncts[k as usize];
+            graph.apply(slot, item.index(), !is_read, p, tape.as_deref_mut());
+            match tape.as_deref_mut() {
+                Some(tape) => self.access_dag.record_logged(slot, k, !is_read, p, tape),
+                None => {
+                    self.access_dag.record(slot, k, !is_read, p);
                 }
-                if self.first_violation.is_none() && self.conjuncts[k].cyclic_at == Some(p) {
-                    self.first_violation = Some(p);
-                    delta.set_first_violation = true;
-                }
+            }
+            if self.first_violation.is_none() && graph.cyclic_at == Some(p) {
+                self.first_violation = Some(p);
+                set_first_violation = true;
             }
         }
         if logged {
-            self.log.as_mut().expect("log enabled").record(delta);
+            self.log.as_mut().expect("log enabled").record(PushDelta {
+                seq,
+                global,
+                set_first_violation,
+            });
         }
         Ok(self.verdict())
     }
@@ -859,8 +1029,8 @@ impl OnlineMonitor {
     /// same contract: the slice must be nonempty operations of a
     /// single transaction in program order (panics otherwise), and
     /// admission is **atomic** — the whole run is §2.2-validated
-    /// up front against a copy of the transaction's live prefix
-    /// bitsets, so a malformed operation anywhere in the run rejects
+    /// up front against a copy of the transaction's live read/write
+    /// sets, so a malformed operation anywhere in the run rejects
     /// the batch with the monitor untouched (no partial prefix is
     /// admitted). Verdicts, certificates and undo behaviour are
     /// byte-identical to pushing the operations one at a time; the
@@ -900,21 +1070,20 @@ impl OnlineMonitor {
         }
         // Pre-validate the whole run on simulated bitsets so the
         // per-op loop below cannot fail midway.
-        let (mut rs, mut ws) = match self.index.schedule().txn_slot(txn) {
-            Some(s) => (
-                self.index.tables.rs_prefix[s]
-                    .last()
-                    .expect("entry 0 exists")
-                    .clone(),
-                self.index.tables.ws_prefix[s]
-                    .last()
-                    .expect("entry 0 exists")
-                    .clone(),
-            ),
-            None => (ItemSet::new(), ItemSet::new()),
-        };
+        let (rs, ws) = &mut self.batch_sets;
+        match self.index.schedule().txn_slot(txn) {
+            Some(s) => {
+                let (live_rs, live_ws) = self.index.tables.totals(s);
+                rs.clone_from(live_rs);
+                ws.clone_from(live_ws);
+            }
+            None => {
+                rs.clear();
+                ws.clear();
+            }
+        }
         for op in ops {
-            validate_22(&rs, &ws, op)?;
+            validate_22(rs, ws, op)?;
             if op.is_write() {
                 ws.insert(op.item);
             } else {
@@ -951,41 +1120,39 @@ impl OnlineMonitor {
         );
         let undone = self.index.len() - n;
         for _ in 0..undone {
-            let delta = self
+            let log = self
                 .log
                 .as_mut()
-                .expect("logged pushes exist above the floor")
-                .pop()
-                .expect("one log entry per logged push");
+                .expect("logged pushes exist above the floor");
+            let delta = log.pop().expect("one log entry per logged push");
+            let tape = log.tape();
             let p = OpIndex(self.index.len() - 1);
             let slot = self.index.schedule().slot_of_op(p);
-            let op = self.index.schedule().op(p).clone();
-            let (item, is_write) = (op.item, op.is_write());
+            let op = self.index.schedule().op(p);
+            let (txn, item, is_write) = (op.txn, op.item, op.is_write());
             // Reverse application order: graphs first, then tables.
-            for (k, d) in delta.dag_deltas.into_iter().rev() {
-                self.access_dag.undo(slot, k, is_write, &d);
+            for &k in self.scope_index.of(item).iter().rev() {
+                self.access_dag.undo(slot, k, is_write, tape);
+                self.conjuncts[k as usize].undo(slot, item.index(), tape);
             }
-            for (k, d) in delta.conjuncts.into_iter().rev() {
-                self.conjuncts[k as usize].undo(slot, item.index(), is_write, d);
-            }
-            self.global
-                .undo(slot, item.index(), is_write, delta.global.graph);
+            self.global.undo(slot, item.index(), tape);
             if delta.set_first_violation {
                 self.first_violation = None;
             }
-            for k in delta.global.conjunct_non_dr_set {
-                self.conjunct_non_dr[k as usize] = None;
+            for _ in 0..delta.global.n_kills {
+                self.conjunct_non_dr[tape.pop() as usize] = None;
             }
             if delta.global.set_first_non_dr {
                 self.first_non_dr = None;
             }
-            if let Some(w_slot) = delta.global.dr_mark {
-                self.dirty_reads[w_slot as usize].remove(item);
+            if delta.global.dr_mark != ABSENT {
+                self.dirty_reads[delta.global.dr_mark as usize].remove(item);
             }
             self.index.pop_for_undo(&delta.seq);
             if delta.seq.new_slot {
-                self.dirty_reads
-                    .truncate(self.index.schedule().txn_ids().len());
+                self.finished.slot_popped(txn);
+                let row = self.dirty_reads.pop().expect("one row per slot");
+                self.spare_sets.give(row);
             }
         }
         undone
@@ -1023,8 +1190,8 @@ impl OnlineMonitor {
     /// transaction is summarized — a later push for it is still
     /// accepted and simply holds the frontier back.
     pub fn finish_txn(&mut self, txn: TxnId) {
-        if self.index.schedule().txn_slot(txn).is_some() {
-            self.finished.insert(txn);
+        if let Some(slot) = self.index.schedule().txn_slot(txn) {
+            self.finished.mark(slot);
         }
     }
 
@@ -1035,25 +1202,7 @@ impl OnlineMonitor {
     /// frontier-safety condition shared with checkpointing and WAL
     /// truncation).
     pub fn compaction_frontier(&self) -> usize {
-        let s = self.index.schedule();
-        let limit = self.log_floor();
-        let mut hi = s.base();
-        let mut frontier = s.base();
-        for p in s.base()..limit {
-            let slot = s.slot_of_op(OpIndex(p));
-            if !self.finished.contains(&s.txn_ids()[slot]) {
-                break;
-            }
-            let last = s.slot_last_raw(slot) as usize;
-            if last >= limit {
-                break;
-            }
-            hi = hi.max(last + 1);
-            if p + 1 == hi {
-                frontier = p + 1;
-            }
-        }
-        frontier
+        compaction_frontier(self.index.schedule(), &self.finished, self.log_floor())
     }
 
     /// **Committed-prefix compaction**: collapse the prefix below
@@ -1061,7 +1210,10 @@ impl OnlineMonitor {
     /// per-item last-writer/last-reader boundary facts plus the
     /// condensed reachability of each conflict graph — reclaiming
     /// schedule segments, prefix-table rows, graph nodes, Pearce–Kelly
-    /// order slots and delayed-read rows.
+    /// order slots and delayed-read rows. Every structure is cut down
+    /// in its own storage, and the tables the sweep works in are the
+    /// monitor's own: its allocations do not grow with the prefix or
+    /// with the number of conjuncts.
     ///
     /// Every verdict, certificate and admission decision after the
     /// call is byte-identical to an uncompacted twin's (pinned by the
@@ -1082,42 +1234,41 @@ impl OnlineMonitor {
         }
         // Nodes a retained undo entry references must survive the
         // condensation: the entry has to stay replayable in LIFO order.
-        let mut kept_global = vec![false; self.global.dag.len()];
-        let mut kept_conj: Vec<Vec<bool>> = self
-            .conjuncts
-            .iter()
-            .map(|g| vec![false; g.dag.len()])
-            .collect();
-        if let Some(log) = &self.log {
-            for delta in log.iter() {
-                delta.global.mark_nodes(&mut kept_global);
-                for (k, d) in &delta.conjuncts {
-                    d.mark_nodes(&mut kept_conj[*k as usize]);
-                }
-            }
-        }
+        let sizes = std::iter::once(&self.global).chain(&self.conjuncts);
+        self.maps.layout(sizes.map(|g| g.dag.len()));
+        let maps = &mut self.maps;
+        Self::walk_log_nodes(
+            self.log.as_mut(),
+            self.index.schedule(),
+            &self.scope_index,
+            |graph, node| maps.kept(graph)[*node as usize] = true,
+        );
         let summarized = self.index.compact(frontier);
         let s_cut = summarized.len();
-        let gmap = self.global.compact(s_cut, kept_global);
-        let cmaps: Vec<Vec<u32>> = self
-            .conjuncts
-            .iter_mut()
-            .zip(kept_conj)
-            .map(|(g, kept)| g.compact(s_cut, kept))
-            .collect();
-        // Rename the node ids retained undo entries reference.
-        if let Some(log) = &mut self.log {
-            for delta in log.iter_mut() {
-                delta.global.remap(&gmap, s_cut as u32);
-                for (k, d) in &mut delta.conjuncts {
-                    d.remap_nodes(&cmaps[*k as usize]);
-                }
-            }
+        for (g, graph) in std::iter::once(&mut self.global)
+            .chain(&mut self.conjuncts)
+            .enumerate()
+        {
+            let (kept, map) = self.maps.both(g);
+            graph.compact(s_cut, kept, map);
         }
-        self.dirty_reads.drain(..s_cut.min(self.dirty_reads.len()));
+        // Rename the node ids retained undo entries reference.
+        let maps = &self.maps;
+        Self::walk_log_nodes(
+            self.log.as_mut(),
+            self.index.schedule(),
+            &self.scope_index,
+            |graph, node| *node = maps.map(graph)[*node as usize],
+        );
+        for delta in self.log.iter_mut().flat_map(UndoLog::iter_mut) {
+            delta.global.shift_slots(s_cut as u32);
+        }
+        for row in self.dirty_reads.drain(..s_cut.min(self.dirty_reads.len())) {
+            self.spare_sets.give(row);
+        }
         self.access_dag.compact_entities(s_cut);
+        self.finished.compact(s_cut);
         for t in &summarized {
-            self.finished.remove(t);
             self.summarized.insert(*t);
         }
         self.compactions += 1;
@@ -1127,6 +1278,30 @@ impl OnlineMonitor {
             ops_reclaimed: frontier - base,
             txns_summarized: s_cut,
         }
+    }
+
+    /// Hand `visit` every conflict-graph node id the retained undo
+    /// entries mention, with the graph it belongs to (0 = global,
+    /// `k + 1` = conjunct `k`), reading each entry's frames the way
+    /// [`OnlineMonitor::truncate_to`] would pop them.
+    fn walk_log_nodes(
+        log: Option<&mut UndoLog<PushDelta>>,
+        schedule: &Schedule,
+        scope_index: &ScopeIndex,
+        mut visit: impl FnMut(usize, &mut u32),
+    ) {
+        let Some(log) = log else {
+            return;
+        };
+        let mut p = log.end();
+        log.walk_back(|_, cursor| {
+            p -= 1;
+            for &k in scope_index.of(schedule.op(OpIndex(p)).item).iter().rev() {
+                OnlineAccessDag::skip_frame(cursor);
+                GraphDelta::visit_nodes(cursor, |node| visit(k as usize + 1, node));
+            }
+            GraphDelta::visit_nodes(cursor, |node| visit(0, node));
+        });
     }
 
     /// Compaction calls that actually advanced the frontier.
@@ -1144,40 +1319,34 @@ impl OnlineMonitor {
         self.summarized.contains(txn)
     }
 
-    /// A structural estimate of the monitor's resident heap, in bytes:
-    /// rows × element sizes across the schedule, prefix tables, graphs,
-    /// delayed-read rows and undo log. Not allocator-exact — its job is
-    /// to make the compaction plateau measurable (the `compact`
-    /// experiment) without an allocator hook.
+    /// A structural estimate of the monitor's resident state, in
+    /// bytes: live rows × element sizes across the schedule, prefix
+    /// tables, graphs, delayed-read rows and the undo log with its
+    /// tape. Its job is to make the compaction plateau measurable
+    /// without an allocator hook, so it counts what the monitor must
+    /// hold, not what it happens to have reserved: `Vec` growth slack,
+    /// the retired rows kept for reuse (at most what the last sweep or
+    /// retraction released) and the scratch tables are left out.
+    /// `crates/core/tests/alloc_budget.rs` holds it within a factor of
+    /// two of the bytes a counting allocator sees live whenever the
+    /// monitor is at a high-water mark (before a sweep, or never
+    /// swept).
     pub fn resident_bytes_estimate(&self) -> usize {
-        use std::mem::size_of;
-        let s = self.index.schedule();
-        let itemset = |set: &ItemSet| size_of::<ItemSet>() + set.len().div_ceil(8);
-        let mut total = std::mem::size_of_val(s.ops())
-            + s.txn_ids().len() * (size_of::<TxnId>() + size_of::<u32>() + 2 * size_of::<usize>());
-        let t = &self.index.tables;
-        total += t.reads_from.len() * size_of::<Option<u32>>();
-        total += t
-            .positions
-            .iter()
-            .map(|p| size_of::<Vec<u32>>() + p.len() * size_of::<u32>())
-            .sum::<usize>();
-        total += t
-            .rs_prefix
-            .iter()
-            .chain(&t.ws_prefix)
-            .map(|rows| size_of::<Vec<ItemSet>>() + rows.iter().map(itemset).sum::<usize>())
-            .sum::<usize>();
-        total += self.global.resident_bytes();
-        total += self
-            .conjuncts
-            .iter()
-            .map(ProjGraph::resident_bytes)
-            .sum::<usize>();
-        total += self.dirty_reads.iter().map(itemset).sum::<usize>();
-        total += self.logged_len() * size_of::<PushDelta>();
-        total += self.summarized.resident_bytes();
-        total
+        self.index.schedule().resident_bytes()
+            + self.index.tables.resident_bytes()
+            + ItemSet::rows_bytes(&self.scopes)
+            + self.scope_index.resident_bytes()
+            + self.global.resident_bytes()
+            + self
+                .conjuncts
+                .iter()
+                .map(|g| std::mem::size_of::<ProjGraph>() + g.resident_bytes())
+                .sum::<usize>()
+            + ItemSet::rows_bytes(&self.dirty_reads)
+            + self.access_dag.resident_bytes()
+            + self.log.as_ref().map_or(0, UndoLog::resident_bytes)
+            + self.finished.resident_bytes()
+            + self.summarized.resident_bytes()
     }
 
     /// Would admitting this access keep `level`? Read-only — the
@@ -1209,11 +1378,10 @@ impl OnlineMonitor {
     }
 
     fn admits_conjuncts(&self, slot: Option<usize>, item: ItemId, is_write: bool) -> bool {
-        self.scopes
+        self.scope_index
+            .of(item)
             .iter()
-            .zip(&self.conjuncts)
-            .filter(|(scope, _)| scope.contains(item))
-            .all(|(_, g)| g.admits(slot, item.index(), is_write))
+            .all(|&k| self.conjuncts[k as usize].admits(slot, item.index(), is_write))
     }
 
     /// The current verdict (what the last `push` returned).

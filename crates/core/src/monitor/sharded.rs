@@ -21,13 +21,14 @@
 //! 1. **sequence** (one short mutex): append to the growing
 //!    [`Schedule`], update the `last_write`/reads-from entry, and
 //!    claim *tickets* — one for the global stage and one per conjunct
-//!    shard whose scope contains the item. This section is `O(words)`
-//!    with **no graph work, no prefix-table row clones and no §2.2
-//!    scans** — the per-transaction read/write totals that back the
-//!    §2.2 validation live *outside* the mutex (each transaction's
-//!    totals cell is touched only by the thread pushing that
-//!    transaction, per the program-order contract), so the
-//!    order-claiming region is the thinnest it can be.
+//!    shard whose scope contains the item (looked up in the scopes'
+//!    item → conjunct index, built once at construction). This
+//!    section is `O(words)` with **no graph work, no prefix tables and
+//!    no §2.2 scans** — the per-transaction read/write totals that
+//!    back the §2.2 validation live *outside* the mutex, in a striped
+//!    table (each transaction's row is touched only by the thread
+//!    pushing that transaction, per the program-order contract), so
+//!    the order-claiming region is the thinnest it can be.
 //! 2. **global** (ticketed, own lock): delayed-read tracking
 //!    (Definition 5 marks, the first-non-DR prefix, the per-conjunct
 //!    Lemma-6 kills) and the global reduced conflict graph under
@@ -63,9 +64,9 @@
 //! push through the shared [`undo`](super::undo) layer, split by
 //! pipeline stage: the sequence mutex owns an `UndoLog<SeqDelta>`
 //! (table rows), the global stage an `UndoLog<GlobalDelta>` (DR
-//! marks plus the global graph), and each shard its own
-//! `(position, GraphDelta)`
-//! journal *behind the shard's existing lock*. Because each stage
+//! marks, with the global graph's frames on its tape), and each shard
+//! its own journal of positions and graph frames *behind the shard's
+//! existing lock*. Because each stage
 //! serves tickets in claimed order, each journal is automatically in
 //! position order — the LIFO retraction invariant holds per stage
 //! without any cross-stage coordination.
@@ -108,18 +109,20 @@
 
 use super::journal::MonitorJournal;
 use super::undo::{GlobalDelta, GraphDelta, SeqDelta, UndoLog};
-use super::{AdmissionLevel, CompactStats, ProjGraph, SummarizedSet, Verdict, VerdictLevel};
+use super::{
+    AdmissionLevel, CompactStats, FinishedFlags, NodeMaps, ProjGraph, ScopeIndex, SummarizedSet,
+    Verdict, VerdictLevel,
+};
 use crate::error::{CoreError, Result};
 use crate::ids::{ItemId, OpIndex, TxnId};
-use crate::op::Action;
 use crate::op::Operation;
 use crate::schedule::Schedule;
-use crate::state::ItemSet;
+use crate::state::{ItemSet, SetPool};
 use parking_lot::{Mutex, RwLock};
+use std::cell::Cell;
 use std::collections::HashMap;
 use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicU32, AtomicU64, AtomicU8, Ordering};
-use std::sync::Arc;
 use std::time::Instant;
 
 const NO_POS: u32 = u32::MAX;
@@ -285,15 +288,164 @@ impl<G> Drop for RankedGuard<G> {
     }
 }
 
-/// One transaction's running §2.2 read/write totals. Lives *outside*
-/// the sequence mutex: the push contract (one thread pushes a given
-/// transaction's operations, in program order) makes each cell
-/// effectively thread-private, so validating against it costs no
-/// shared serial time.
+/// One transaction's running §2.2 read/write totals.
 #[derive(Debug, Default)]
 struct TxnTotals {
     rs: ItemSet,
     ws: ItemSet,
+}
+
+/// How many independently locked parts the totals table has.
+const TOTALS_STRIPES: usize = 16;
+const _: () = assert!(TOTALS_STRIPES.is_power_of_two());
+
+/// The §2.2 totals of every live transaction. Lives *outside* the
+/// sequence mutex: the push contract (one thread pushes a given
+/// transaction's operations, in program order) makes each entry
+/// effectively thread-private, so validating against it costs no
+/// shared serial time. The entries sit in a few hash maps, each behind
+/// its own lock that is held only while one run is validated or
+/// stripped; a transaction's entry is a row of its stripe's map, not a
+/// heap cell of its own, and the rows of forgotten transactions are
+/// handed to the next new ones with their spill buffers.
+#[derive(Debug)]
+struct TotalsTable {
+    stripes: Vec<Mutex<TotalsStripe>>,
+}
+
+#[derive(Debug, Default)]
+struct TotalsStripe {
+    live: HashMap<TxnId, TxnTotals>,
+    spare: Vec<TxnTotals>,
+}
+
+impl TotalsTable {
+    fn new() -> TotalsTable {
+        TotalsTable {
+            stripes: (0..TOTALS_STRIPES).map(|_| Mutex::default()).collect(),
+        }
+    }
+
+    /// The stripe holding `txn` (the top bits of a multiplicative
+    /// hash, so neighbouring ids spread over the stripes). Unranked:
+    /// a thread holds at most one stripe and takes no other lock
+    /// while it does, so taking one under the sequence mutex is safe.
+    fn stripe(&self, txn: TxnId) -> &Mutex<TotalsStripe> {
+        let h = txn.0.wrapping_mul(0x9E37_79B9) >> (32 - TOTALS_STRIPES.trailing_zeros());
+        &self.stripes[h as usize]
+    }
+
+    /// §2.2-validate `ops` (one transaction's run, in program order)
+    /// against the transaction's totals and record them — atomically:
+    /// on any failure the bits set for earlier operations of the run
+    /// are cleared again, so a rejected run leaves no trace
+    /// (`validate_22` rejects duplicates, hence every bit set here was
+    /// fresh). The same check, by the same code, as the single-writer
+    /// index — parity by construction.
+    fn admit(&self, txn: TxnId, ops: &[Operation]) -> Result<()> {
+        let mut stripe = self.stripe(txn).lock();
+        let stripe = &mut *stripe;
+        let t = stripe
+            .live
+            .entry(txn)
+            .or_insert_with(|| stripe.spare.pop().unwrap_or_default());
+        for (i, op) in ops.iter().enumerate() {
+            if let Err(e) = super::validate_22(&t.rs, &t.ws, op) {
+                ops[..i].iter().for_each(|prior| t.strip(prior));
+                return Err(e);
+            }
+            if op.is_write() {
+                t.ws.insert(op.item);
+            } else {
+                t.rs.insert(op.item);
+            }
+        }
+        Ok(())
+    }
+
+    /// Clear the bits `ops` set in `txn`'s totals: the run never
+    /// claimed a position, or its operations were retracted.
+    fn strip<'a>(&self, txn: TxnId, ops: impl IntoIterator<Item = &'a Operation>) {
+        let mut stripe = self.stripe(txn).lock();
+        let t = stripe
+            .live
+            .get_mut(&txn)
+            .expect("totals exist for a pushed transaction");
+        ops.into_iter().for_each(|op| t.strip(op));
+    }
+
+    /// Drop `txn`'s totals: it was retracted whole, or summarized.
+    fn forget(&self, txn: TxnId) {
+        let mut stripe = self.stripe(txn).lock();
+        if let Some(mut t) = stripe.live.remove(&txn) {
+            t.rs.clear();
+            t.ws.clear();
+            stripe.spare.push(t);
+        }
+    }
+
+    fn resident_bytes(&self) -> usize {
+        use std::mem::size_of;
+        self.stripes
+            .iter()
+            .map(|stripe| {
+                let stripe = stripe.lock();
+                stripe
+                    .live
+                    .values()
+                    .map(|t| {
+                        size_of::<(TxnId, TxnTotals)>() + 1 + t.rs.heap_bytes() + t.ws.heap_bytes()
+                    })
+                    .sum::<usize>()
+            })
+            .sum::<usize>()
+    }
+}
+
+impl TxnTotals {
+    fn strip(&mut self, op: &Operation) {
+        if op.is_write() {
+            self.ws.remove(op.item);
+        } else {
+            self.rs.remove(op.item);
+        }
+    }
+}
+
+/// What one admission call needs between its stages, kept per thread
+/// so that a lane reuses its own buffers and shares them with nobody.
+#[derive(Default)]
+struct LaneScratch {
+    /// One entry per (operation, conjunct containing its item):
+    /// `(shard, index of the operation in the run, ticket)`. Filled in
+    /// program order under the sequence lock — so each shard's tickets
+    /// follow program order — then sorted by shard for stage 3.
+    turns: Vec<(u32, u32, u32)>,
+    /// Per operation of the run: the slot of the writer a read takes
+    /// its value from, as the sequence stage resolved it.
+    rf_slots: Vec<Option<usize>>,
+}
+
+thread_local! {
+    static LANE_SCRATCH: Cell<LaneScratch> = const {
+        Cell::new(LaneScratch {
+            turns: Vec::new(),
+            rf_slots: Vec::new(),
+        })
+    };
+}
+
+/// Run `f` with the calling thread's [`LaneScratch`], emptied. The
+/// scratch is taken out of its cell for the duration, so a re-entrant
+/// call (a journal that pushes) finds a fresh one instead of a borrow
+/// conflict.
+fn with_lane_scratch<R>(f: impl FnOnce(&mut LaneScratch) -> R) -> R {
+    let mut scratch = LANE_SCRATCH.with(Cell::take);
+    scratch.turns.clear();
+    scratch.rf_slots.clear();
+    let out = f(&mut scratch);
+    LANE_SCRATCH.with(|cell| cell.set(scratch));
+    out
 }
 
 /// Stage-1 state: the order-defining serial section.
@@ -306,7 +458,9 @@ struct SeqState {
     /// Per slot: position of the transaction's first operation (the
     /// `O(1)` lookup behind [`ShardedMonitor::retract_txn`]).
     first_op: Vec<u32>,
-    /// Next global-stage ticket.
+    /// Next global-stage ticket. Tickets are compared for equality
+    /// only and all their arithmetic wraps, so a stream may run past
+    /// 2³² operations.
     gticket: u32,
     /// Next ticket per conjunct shard.
     tickets: Vec<u32>,
@@ -318,7 +472,7 @@ struct SeqState {
     journal: Option<Box<dyn MonitorJournal>>,
     /// Transactions declared finished ([`ShardedMonitor::finish_txn`])
     /// but not yet summarized.
-    finished: std::collections::HashSet<TxnId>,
+    finished: FinishedFlags,
     /// Transactions collapsed into the permanent prefix: pushes and
     /// retractions for them are rejected.
     summarized: SummarizedSet,
@@ -326,6 +480,11 @@ struct SeqState {
     /// reclaimed by them.
     compactions: u64,
     ops_reclaimed: u64,
+    /// The node tables a compaction sweep works in, one graph at a
+    /// time (the sweep holds this lock throughout).
+    maps: NodeMaps,
+    /// The survivors a [`ShardedMonitor::retract_txn`] re-pushes.
+    survivors: Vec<Operation>,
 }
 
 /// Stage-2 state: everything that needs the full total order.
@@ -336,6 +495,8 @@ struct GlobalState {
     /// Per slot: items written that someone else has read — the
     /// writer's next operation materializes the dirty read.
     dirty_reads: Vec<ItemSet>,
+    /// Rows `dirty_reads` gave up, reused by the slots created next.
+    spare_sets: SetPool,
     first_non_dr: Option<OpIndex>,
     /// Per conjunct: first in-scope dirty-read materialization.
     conjunct_non_dr: Vec<Option<OpIndex>>,
@@ -344,12 +505,13 @@ struct GlobalState {
 }
 
 /// Stage-3 state: one conjunct's reduced conflict graph plus its own
-/// undo journal (position-tagged, automatically in position order
-/// because the shard serves tickets in claimed order).
+/// undo journal: one record — the position — and one graph frame per
+/// logged push that touched the shard, automatically in position
+/// order because the shard serves tickets in claimed order.
 #[derive(Debug, Default)]
 struct ShardState {
     graph: ProjGraph,
-    log: Vec<(u32, GraphDelta)>,
+    log: UndoLog<u32>,
 }
 
 /// One conjunct shard: a ticket turnstile plus the guarded state.
@@ -425,6 +587,15 @@ pub struct PushOutcome {
 }
 
 impl PushOutcome {
+    /// What an outcome slot holds before the pipeline fills it.
+    const PENDING: PushOutcome = PushOutcome {
+        pos: OpIndex(0),
+        floor: VerdictLevel::Serializable,
+        caused_non_serializable: false,
+        caused_violation: false,
+        caused_non_dr: false,
+    };
+
     /// Did this push break the verdict rung `level` protects? (A
     /// conjunct cycle uses edges the global graph also contains, so a
     /// violation always breaches the `Serializable` floor too.)
@@ -453,9 +624,11 @@ impl PushOutcome {
 #[derive(Debug)]
 pub struct ShardedMonitor {
     scopes: Vec<ItemSet>,
+    /// The scopes inverted: which shards an item's operations visit.
+    scope_index: ScopeIndex,
     /// Per transaction: §2.2 running totals, outside the serial
-    /// section (see [`TxnTotals`]).
-    totals: RwLock<HashMap<TxnId, Arc<Mutex<TxnTotals>>>>,
+    /// section (see [`TotalsTable`]).
+    totals: TotalsTable,
     seq: RankedMutex<SeqState>,
     gserving: AtomicU32,
     gstate: RankedRwLock<GlobalState>,
@@ -494,8 +667,9 @@ impl ShardedMonitor {
     fn build(scopes: Vec<ItemSet>, logging: bool) -> ShardedMonitor {
         let n = scopes.len();
         ShardedMonitor {
+            scope_index: ScopeIndex::new(&scopes),
             scopes,
-            totals: RwLock::new(HashMap::new()),
+            totals: TotalsTable::new(),
             seq: RankedMutex::new(
                 RANK_SEQ,
                 SeqState {
@@ -506,10 +680,12 @@ impl ShardedMonitor {
                     tickets: vec![0; n],
                     log: UndoLog::new(0),
                     journal: None,
-                    finished: std::collections::HashSet::new(),
+                    finished: FinishedFlags::default(),
                     summarized: SummarizedSet::default(),
                     compactions: 0,
                     ops_reclaimed: 0,
+                    maps: NodeMaps::default(),
+                    survivors: Vec::new(),
                 },
             ),
             gserving: AtomicU32::new(0),
@@ -518,6 +694,7 @@ impl ShardedMonitor {
                 GlobalState {
                     graph: ProjGraph::default(),
                     dirty_reads: Vec::new(),
+                    spare_sets: SetPool::default(),
                     first_non_dr: None,
                     conjunct_non_dr: vec![None; n],
                     log: UndoLog::new(0),
@@ -537,6 +714,24 @@ impl ShardedMonitor {
             serial_ns: AtomicU64::new(0),
             serial_ops: AtomicU64::new(0),
         }
+    }
+
+    /// Start every turnstile of a monitor that has admitted nothing at
+    /// `first` instead of 0, so a test reaches the `u32` wrap-around
+    /// in a handful of pushes.
+    #[cfg(test)]
+    fn with_first_ticket(self, first: u32) -> ShardedMonitor {
+        {
+            let mut s = self.seq.lock();
+            assert!(s.schedule.is_empty(), "tickets already claimed");
+            s.gticket = first;
+            s.tickets.fill(first);
+        }
+        self.gserving.store(first, Ordering::Release);
+        for shard in &self.shards {
+            shard.serving.store(first, Ordering::Release);
+        }
+        self
     }
 
     /// A sharded monitor over an integrity constraint's conjuncts.
@@ -597,14 +792,6 @@ impl ShardedMonitor {
         self.len() == 0
     }
 
-    /// The §2.2 totals cell of `txn` (created on first use).
-    fn totals_cell(&self, txn: TxnId) -> Arc<Mutex<TxnTotals>> {
-        if let Some(cell) = self.totals.read().get(&txn) {
-            return Arc::clone(cell);
-        }
-        Arc::clone(self.totals.write().entry(txn).or_default())
-    }
-
     /// Append one operation from any thread; returns the lock-free
     /// verdict floor after this push (a sound "no better than" rung —
     /// the exact [`Verdict`] is [`ShardedMonitor::verdict`]'s, at
@@ -619,101 +806,13 @@ impl ShardedMonitor {
     /// [`ShardedMonitor::push`] returning the full [`PushOutcome`]:
     /// the floor plus the flags saying whether *this* operation broke
     /// a verdict rung — what an optimistic executor's abort decision
-    /// keys on.
+    /// keys on. A run of one through the same pipeline as
+    /// [`ShardedMonitor::push_batch`]; an attached [`MonitorJournal`]
+    /// receives it as a single-operation `appended` call.
     pub fn push_outcome(&self, op: Operation) -> Result<PushOutcome> {
-        let (txn, item, action) = (op.txn, op.item, op.action);
-        let is_write = action == Action::Write;
-        // Touched conjuncts, gathered outside every lock (tickets are
-        // filled in under the sequence lock — one allocation total on
-        // the hot path).
-        let mut turns: Vec<(usize, u32)> = self
-            .scopes
-            .iter()
-            .enumerate()
-            .filter(|(_, scope)| scope.contains(item))
-            .map(|(k, _)| (k, 0))
-            .collect();
-
-        // --- §2.2 validation: outside the serial section ---------------
-        // The same check, by the same code, as the single-writer index
-        // — parity by construction. The totals cell belongs to this
-        // thread by the program-order contract, so no ordering is lost
-        // by validating before the position is claimed.
-        let cell = self.totals_cell(txn);
-        {
-            let mut t = cell.lock();
-            super::validate_22(&t.rs, &t.ws, &op)?;
-            if is_write {
-                t.ws.insert(item);
-            } else {
-                t.rs.insert(item);
-            }
-        }
-
-        // --- stage 1: claim the position -------------------------------
-        let (p, slot, rf_slot, gticket) = {
-            let mut s = self.seq.lock();
-            if s.summarized.contains(txn) {
-                // Roll back the §2.2 bit set above: the push never
-                // claimed a position, so the totals must not remember
-                // it.
-                drop(s);
-                let mut t = cell.lock();
-                if is_write {
-                    t.ws.remove(item);
-                } else {
-                    t.rs.remove(item);
-                }
-                return Err(CoreError::SummarizedTransaction { txn });
-            }
-            let t0 = self.time_serial.then(Instant::now);
-            if let Some(journal) = s.journal.as_deref_mut() {
-                journal.appended(&op);
-            }
-            let claimed = self.stage_seq(&mut s, op, &mut turns);
-            // Claimed under the sequence lock, released after the
-            // floor publication below: a retraction's drain waits for
-            // this to reach zero, so it can never interleave between
-            // a push's stage work and its (stale-state) `fetch_max`.
-            self.inflight.fetch_add(1, Ordering::AcqRel);
-            if let Some(t0) = t0 {
-                self.serial_ns
-                    .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-                self.serial_ops.fetch_add(1, Ordering::Relaxed);
-            }
-            claimed
-        };
-
-        // --- stage 2: global graph + delayed-read, in position order ---
-        wait_turn(&self.gserving, gticket);
-        let (ser_now, dr_now, caused_non_serializable, caused_non_dr) = {
-            let mut g = self.gstate.write();
-            self.stage_global(&mut g, slot, item, is_write, rf_slot, p)
-        };
-        self.gserving.store(gticket + 1, Ordering::Release);
-
-        // --- stage 3: touched conjunct shards, per-shard order ---------
-        let mut caused_violation = false;
-        for &(k, t) in &turns {
-            let shard = &self.shards[k];
-            wait_turn(&shard.serving, t);
-            caused_violation |= self.stage_shard(k, slot, item, is_write, p);
-            shard.serving.store(t + 1, Ordering::Release);
-        }
-
-        // --- lock-free floor -------------------------------------------
-        let violation = self.first_violation.load(Ordering::Acquire) != NO_POS;
-        let level = VerdictLevel::compose(ser_now, dr_now, !violation);
-        let mine = rank(level);
-        let prev = self.floor.fetch_max(mine, Ordering::AcqRel);
-        self.inflight.fetch_sub(1, Ordering::AcqRel);
-        Ok(PushOutcome {
-            pos: p,
-            floor: level_of(prev.max(mine)),
-            caused_non_serializable,
-            caused_violation,
-            caused_non_dr,
-        })
+        let mut outcome = [PushOutcome::PENDING];
+        self.admit(std::slice::from_ref(&op), false, &mut outcome)?;
+        Ok(outcome[0])
     }
 
     /// **Batch admission**: append one transaction's program-ordered
@@ -742,6 +841,9 @@ impl ShardedMonitor {
     /// `appended_batch` call under the sequence mutex (the WAL frames
     /// it as a single multi-op record).
     ///
+    /// The returned vector is the call's only allocation once the
+    /// calling thread's scratch buffers have grown to the run's size.
+    ///
     /// The slice must be nonempty operations of a **single
     /// transaction** in program order (panics otherwise — the batch
     /// unit is the transaction, per the push contract). Errors, with
@@ -752,181 +854,146 @@ impl ShardedMonitor {
         let Some(first) = ops.first() else {
             return Ok(Vec::new());
         };
-        let txn = first.txn;
         assert!(
-            ops.iter().all(|o| o.txn == txn),
+            ops.iter().all(|o| o.txn == first.txn),
             "push_batch requires a single-transaction batch (the program-order unit)"
         );
-        let n = self.scopes.len();
-        // Touched conjuncts per shard, gathered outside every lock;
-        // tickets are assigned under the sequence lock. Entries are in
-        // program order within each shard, so per-shard ticket order
-        // equals singleton claim order.
-        let mut by_shard: Vec<Vec<(usize, u32)>> = vec![Vec::new(); n];
-        for (i, op) in ops.iter().enumerate() {
-            for (k, scope) in self.scopes.iter().enumerate() {
-                if scope.contains(op.item) {
-                    by_shard[k].push((i, 0));
-                }
-            }
-        }
-
-        // --- §2.2 validation: the whole run, atomically ----------------
-        // One totals-cell lookup and one lock for the batch; on any
-        // failure the bits set for earlier operations roll back, so a
-        // rejected batch leaves no trace (validate_22 rejects
-        // duplicates, hence every bit set here was fresh).
-        let cell = self.totals_cell(txn);
-        {
-            let mut t = cell.lock();
-            for (i, op) in ops.iter().enumerate() {
-                if let Err(e) = super::validate_22(&t.rs, &t.ws, op) {
-                    for prior in &ops[..i] {
-                        if prior.is_write() {
-                            t.ws.remove(prior.item);
-                        } else {
-                            t.rs.remove(prior.item);
-                        }
-                    }
-                    return Err(e);
-                }
-                if op.is_write() {
-                    t.ws.insert(op.item);
-                } else {
-                    t.rs.insert(op.item);
-                }
-            }
-        }
-
-        // --- stage 1: claim the segment, once ---------------------------
-        let (p0, slot, rf_slots, g0) = {
-            let mut s = self.seq.lock();
-            if s.summarized.contains(txn) {
-                drop(s);
-                let mut t = cell.lock();
-                for op in ops {
-                    if op.is_write() {
-                        t.ws.remove(op.item);
-                    } else {
-                        t.rs.remove(op.item);
-                    }
-                }
-                return Err(CoreError::SummarizedTransaction { txn });
-            }
-            let t0 = self.time_serial.then(Instant::now);
-            if let Some(journal) = s.journal.as_deref_mut() {
-                journal.appended_batch(ops);
-            }
-            let claimed = self.stage_seq_batch(&mut s, ops, &mut by_shard);
-            // One in-flight token covers the whole batch: the drain
-            // only needs to know the pipeline has unpublished floors,
-            // not how many.
-            self.inflight.fetch_add(1, Ordering::AcqRel);
-            if let Some(t0) = t0 {
-                self.serial_ns
-                    .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-                self.serial_ops
-                    .fetch_add(ops.len() as u64, Ordering::Relaxed);
-            }
-            claimed
-        };
-
-        // --- stage 2: one global turn for the run -----------------------
-        // Per-op results are captured in program order inside the one
-        // write-lock hold, so each operation's (serializable, dr)
-        // snapshot is prefix-exact — identical to singleton pushes.
-        wait_turn(&self.gserving, g0);
-        let mut global_out = Vec::with_capacity(ops.len());
-        {
-            let mut g = self.gstate.write();
-            for (i, op) in ops.iter().enumerate() {
-                global_out.push(self.stage_global(
-                    &mut g,
-                    slot,
-                    op.item,
-                    op.is_write(),
-                    rf_slots[i],
-                    OpIndex(p0 + i),
-                ));
-            }
-        }
-        self.gserving
-            .store(g0 + ops.len() as u32, Ordering::Release);
-
-        // --- stage 3: one turn per touched shard ------------------------
-        // The lock-free violation floor moves only through this
-        // batch's own `caused` flags in a single-writer interleaving,
-        // so capturing it before the shard turns and prefix-OR-ing the
-        // per-op flags reproduces exactly what each singleton push
-        // would have loaded after its own shard stages.
-        let viol_pre = self.first_violation.load(Ordering::Acquire) != NO_POS;
-        let mut caused_violation = vec![false; ops.len()];
-        for (k, entries) in by_shard.iter().enumerate() {
-            let Some(&(_, t0k)) = entries.first() else {
-                continue;
-            };
-            let shard = &self.shards[k];
-            wait_turn(&shard.serving, t0k);
-            {
-                let mut sh = shard.state.write();
-                for &(i, _) in entries {
-                    caused_violation[i] |= self.stage_shard_locked(
-                        &mut sh,
-                        slot,
-                        ops[i].item,
-                        ops[i].is_write(),
-                        OpIndex(p0 + i),
-                    );
-                }
-            }
-            shard
-                .serving
-                .store(t0k + entries.len() as u32, Ordering::Release);
-        }
-
-        // --- lock-free floor, per op in program order -------------------
-        let mut viol_run = viol_pre;
-        let mut outcomes = Vec::with_capacity(ops.len());
-        for (i, &(ser_now, dr_now, caused_non_serializable, caused_non_dr)) in
-            global_out.iter().enumerate()
-        {
-            viol_run |= caused_violation[i];
-            let level = VerdictLevel::compose(ser_now, dr_now, !viol_run);
-            let mine = rank(level);
-            let prev = self.floor.fetch_max(mine, Ordering::AcqRel);
-            outcomes.push(PushOutcome {
-                pos: OpIndex(p0 + i),
-                floor: level_of(prev.max(mine)),
-                caused_non_serializable,
-                caused_violation: caused_violation[i],
-                caused_non_dr,
-            });
-        }
-        self.inflight.fetch_sub(1, Ordering::AcqRel);
+        let mut outcomes = vec![PushOutcome::PENDING; ops.len()];
+        self.admit(ops, true, &mut outcomes)?;
         Ok(outcomes)
     }
 
-    /// Stage 1 of the batch path, under the (held) sequence lock:
-    /// reserve the segment `[len, len + k)` in one `Schedule` append,
-    /// record one [`SeqDelta`] per operation (computed arithmetically
-    /// from the pre-batch snapshot — within a single-transaction run,
-    /// operation `i`'s previous-slot-last is simply `p0 + i - 1`, and
-    /// §2.2's read-after-write rejection guarantees no read in the run
+    /// The admission pipeline for one transaction's nonempty run,
+    /// filling `outcomes[i]` for `ops[i]`. `framed` says how a
+    /// journal hears of it: as one `appended_batch`, or (a run of one
+    /// from [`ShardedMonitor::push_outcome`]) as `appended`.
+    fn admit(&self, ops: &[Operation], framed: bool, outcomes: &mut [PushOutcome]) -> Result<()> {
+        let txn = ops[0].txn;
+        // --- §2.2 validation: the whole run, atomically, outside the
+        // serial section. The totals belong to this thread by the
+        // program-order contract, so no ordering is lost by validating
+        // before the positions are claimed.
+        self.totals.admit(txn, ops)?;
+        with_lane_scratch(|scratch| {
+            // --- stage 1: claim the segment, once -----------------------
+            let (p0, slot, g0) = {
+                let mut s = self.seq.lock();
+                if s.summarized.contains(txn) {
+                    // The run never claimed a position, and a
+                    // summarized transaction has no other totals.
+                    drop(s);
+                    self.totals.forget(txn);
+                    return Err(CoreError::SummarizedTransaction { txn });
+                }
+                let t0 = self.time_serial.then(Instant::now);
+                if let Some(journal) = s.journal.as_deref_mut() {
+                    if framed {
+                        journal.appended_batch(ops);
+                    } else {
+                        journal.appended(&ops[0]);
+                    }
+                }
+                let claimed = self.stage_seq(&mut s, ops, scratch);
+                // Claimed under the sequence lock, released after the
+                // floor publication below: a retraction's drain waits
+                // for this to reach zero, so it can never interleave
+                // between a push's stage work and its (stale-state)
+                // `fetch_max`. One token covers the whole run: the
+                // drain only needs to know the pipeline has
+                // unpublished floors, not how many.
+                self.inflight.fetch_add(1, Ordering::AcqRel);
+                if let Some(t0) = t0 {
+                    self.serial_ns
+                        .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
+                    self.serial_ops
+                        .fetch_add(ops.len() as u64, Ordering::Relaxed);
+                }
+                claimed
+            };
+
+            // --- stage 2: one global turn for the run -------------------
+            // Per-op results are captured in program order inside the
+            // one write-lock hold, so each operation's (serializable,
+            // dr) snapshot is prefix-exact — identical to singleton
+            // pushes.
+            wait_turn(&self.gserving, g0);
+            {
+                let mut g = self.gstate.write();
+                for (i, op) in ops.iter().enumerate() {
+                    outcomes[i] =
+                        self.stage_global(&mut g, slot, op, scratch.rf_slots[i], OpIndex(p0 + i));
+                }
+            }
+            self.gserving
+                .store(g0.wrapping_add(ops.len() as u32), Ordering::Release);
+
+            // --- stage 3: one turn per touched shard --------------------
+            // The lock-free violation floor moves only through this
+            // run's own `caused` flags in a single-writer interleaving,
+            // so capturing it before the shard turns and prefix-OR-ing
+            // the per-op flags reproduces exactly what each singleton
+            // push would have loaded after its own shard stages.
+            let viol_pre = self.first_violation.load(Ordering::Acquire) != NO_POS;
+            scratch.turns.sort_unstable();
+            for turns in scratch.turns.chunk_by(|a, b| a.0 == b.0) {
+                let (k, _, t0k) = turns[0];
+                let shard = &self.shards[k as usize];
+                wait_turn(&shard.serving, t0k);
+                {
+                    let mut sh = shard.state.write();
+                    for &(_, i, _) in turns {
+                        let i = i as usize;
+                        outcomes[i].caused_violation |=
+                            self.stage_shard(&mut sh, slot, &ops[i], OpIndex(p0 + i));
+                    }
+                }
+                shard
+                    .serving
+                    .store(t0k.wrapping_add(turns.len() as u32), Ordering::Release);
+            }
+
+            // --- lock-free floor, per op in program order ---------------
+            let mut violated = viol_pre;
+            for outcome in outcomes.iter_mut() {
+                violated |= outcome.caused_violation;
+                let mine = if violated {
+                    rank(VerdictLevel::Violation)
+                } else {
+                    rank(outcome.floor)
+                };
+                let prev = self.floor.fetch_max(mine, Ordering::AcqRel);
+                outcome.floor = level_of(prev.max(mine));
+            }
+            self.inflight.fetch_sub(1, Ordering::AcqRel);
+            Ok(())
+        })
+    }
+
+    /// Stage 1, under the (held) sequence lock: reserve the segment
+    /// `[len, len + k)` in one `Schedule` append, record one
+    /// [`SeqDelta`] per operation (computed arithmetically from the
+    /// pre-run snapshot — within a single-transaction run, operation
+    /// `i`'s previous-slot-last is simply `p0 + i - 1`, and §2.2's
+    /// read-after-write rejection guarantees no read in the run
     /// resolves against a writer inside the run), and claim every
-    /// global and per-shard ticket atomically. The per-op deltas keep
-    /// `truncate_locked`'s one-pop-per-op rollback valid unchanged.
-    fn stage_seq_batch(
+    /// global and per-shard ticket atomically, in program order. The
+    /// per-op deltas keep `truncate_locked`'s one-pop-per-op rollback
+    /// valid whatever the run's length. The caller has already
+    /// reported the append to the durability journal. Leaves the
+    /// claimed shard turns and the resolved reads-from slots in
+    /// `scratch`; returns the first position, the transaction's slot
+    /// and the first global ticket.
+    fn stage_seq(
         &self,
         s: &mut SeqState,
         ops: &[Operation],
-        by_shard: &mut [Vec<(usize, u32)>],
-    ) -> (usize, usize, Vec<Option<usize>>, u32) {
+        scratch: &mut LaneScratch,
+    ) -> (usize, usize, u32) {
         let p0 = s.schedule.len();
         let base = s.schedule.base();
         let existing = s.schedule.txn_slot(ops[0].txn);
         let pre_slot_last = existing.map_or(0, |sl| s.schedule.slot_last_raw(sl));
         let mut cur_ub = s.schedule.item_ub();
-        let mut rf_slots = Vec::with_capacity(ops.len());
         for (i, op) in ops.iter().enumerate() {
             let idx = op.item.index();
             let delta = SeqDelta {
@@ -947,11 +1014,20 @@ impl ShardedMonitor {
                 s.last_write[idx] = (p0 + i) as u32;
                 None
             } else {
-                let w = s.last_write.get(idx).copied().unwrap_or(NO_POS);
+                // A writer below the compaction base is summarized,
+                // hence finished: its dirty-read mark could never
+                // trip, so skipping it keeps verdict parity with an
+                // uncompacted replay (its row was reclaimed).
+                let w = delta.prev_last_write;
                 (w != NO_POS && w as usize >= base)
                     .then(|| s.schedule.slot_of_op(OpIndex(w as usize)))
             };
-            rf_slots.push(rf);
+            scratch.rf_slots.push(rf);
+            for &k in self.scope_index.of(op.item) {
+                let ticket = &mut s.tickets[k as usize];
+                scratch.turns.push((k, i as u32, *ticket));
+                *ticket = ticket.wrapping_add(1);
+            }
             if self.logging {
                 s.log.record(delta);
             }
@@ -959,85 +1035,32 @@ impl ShardedMonitor {
         let slot = s.schedule.push_segment_unchecked(ops);
         if slot == s.first_op.len() {
             s.first_op.push(p0 as u32);
+            s.finished.slot_created(ops[0].txn);
         }
         let g0 = s.gticket;
-        s.gticket += ops.len() as u32;
-        for (k, entries) in by_shard.iter_mut().enumerate() {
-            for entry in entries.iter_mut() {
-                entry.1 = s.tickets[k];
-                s.tickets[k] += 1;
-            }
-        }
-        (p0, slot, rf_slots, g0)
+        s.gticket = g0.wrapping_add(ops.len() as u32);
+        (p0, slot, g0)
     }
 
-    /// Stage 1 under the (held) sequence lock: append, maintain the
-    /// order tables, claim tickets, record the sequence-half undo
-    /// delta. The caller has already reported the append to the
-    /// durability journal (hoisted so the batch path can report one
-    /// framed multi-op record instead of per-op calls).
-    fn stage_seq(
-        &self,
-        s: &mut SeqState,
-        op: Operation,
-        turns: &mut [(usize, u32)],
-    ) -> (OpIndex, usize, Option<usize>, u32) {
-        let (item, is_write) = (op.item, op.is_write());
-        let existing = s.schedule.txn_slot(op.txn);
-        let delta = SeqDelta {
-            new_slot: existing.is_none(),
-            prev_item_ub: s.schedule.item_ub(),
-            prev_last_write: s.last_write.get(item.index()).copied().unwrap_or(NO_POS),
-            prev_slot_last: existing.map_or(0, |sl| s.schedule.slot_last_raw(sl)),
-        };
-        let p = OpIndex(s.schedule.len());
-        s.schedule.push_op_unchecked(op);
-        let slot = s.schedule.slot_of_op(p);
-        if slot == s.first_op.len() {
-            s.first_op.push(p.0 as u32);
-        }
-        let rf_slot = if is_write {
-            if s.last_write.len() <= item.index() {
-                s.last_write.resize(item.index() + 1, NO_POS);
-            }
-            s.last_write[item.index()] = p.0 as u32;
-            None
-        } else {
-            // A writer below the compaction base is summarized, hence
-            // finished: its dirty-read mark could never trip, so
-            // skipping it keeps verdict parity with an uncompacted
-            // replay (its row was reclaimed).
-            let w = s.last_write.get(item.index()).copied().unwrap_or(NO_POS);
-            (w != NO_POS && w as usize >= s.schedule.base())
-                .then(|| s.schedule.slot_of_op(OpIndex(w as usize)))
-        };
-        let gticket = s.gticket;
-        s.gticket += 1;
-        for (k, ticket) in turns.iter_mut() {
-            *ticket = s.tickets[*k];
-            s.tickets[*k] += 1;
-        }
-        if self.logging {
-            s.log.record(delta);
-        }
-        (p, slot, rf_slot, gticket)
-    }
-
-    /// Stage 2 under the (held) global lock. Returns `(serializable,
-    /// dr, caused_non_serializable, caused_non_dr)` for the prefix
-    /// ending at `p` — exact, because tickets serve in position order.
+    /// Stage 2 under the (held) global lock: delayed-read tracking and
+    /// the global conflict graph for the operation at `p`. Returns its
+    /// outcome as far as this stage knows it — exact for the prefix
+    /// ending at `p`, because tickets serve in position order:
+    /// position, the two global causality flags, and as `floor` the
+    /// rung the prefix holds *if no conjunct is violated* (stage 3 and
+    /// the floor publication settle that).
     fn stage_global(
         &self,
         g: &mut GlobalState,
         slot: usize,
-        item: ItemId,
-        is_write: bool,
+        op: &Operation,
         rf_slot: Option<usize>,
         p: OpIndex,
-    ) -> (bool, bool, bool, bool) {
+    ) -> PushOutcome {
         let mut delta = GlobalDelta::default();
-        if g.dirty_reads.len() <= slot {
-            g.dirty_reads.resize_with(slot + 1, ItemSet::new);
+        let mut tape = self.logging.then(|| g.log.tape());
+        while g.dirty_reads.len() <= slot {
+            g.dirty_reads.push(g.spare_sets.take());
         }
         let mut caused_non_dr = false;
         if !g.dirty_reads[slot].is_empty() {
@@ -1049,59 +1072,41 @@ impl ShardedMonitor {
             for (k, scope) in self.scopes.iter().enumerate() {
                 if g.conjunct_non_dr[k].is_none() && !scope.is_disjoint(&g.dirty_reads[slot]) {
                     g.conjunct_non_dr[k] = Some(p);
-                    delta.conjunct_non_dr_set.push(k as u32);
+                    if let Some(tape) = tape.as_deref_mut() {
+                        tape.push(k as u32);
+                        delta.n_kills += 1;
+                    }
                 }
             }
         }
-        if !is_write {
-            if let Some(w_slot) = rf_slot {
-                if w_slot != slot && g.dirty_reads[w_slot].insert(item) {
-                    delta.dr_mark = Some(w_slot as u32);
-                }
+        if let (false, Some(w_slot)) = (op.is_write(), rf_slot) {
+            if w_slot != slot && g.dirty_reads[w_slot].insert(op.item) {
+                delta.dr_mark = w_slot as u32;
             }
         }
-        if self.logging {
-            delta.graph = g.graph.apply_logged(slot, item.index(), is_write, p);
-        } else {
-            g.graph.apply(slot, item.index(), is_write, p);
-        }
-        let caused_non_serializable = g.graph.cyclic_at == Some(p);
-        let out = (
-            g.graph.serializable(),
-            g.first_non_dr.is_none(),
-            caused_non_serializable,
-            caused_non_dr,
-        );
+        g.graph.apply(slot, op.item.index(), op.is_write(), p, tape);
         if self.logging {
             g.log.record(delta);
         }
-        out
+        PushOutcome {
+            pos: p,
+            floor: VerdictLevel::compose(g.graph.serializable(), g.first_non_dr.is_none(), true),
+            caused_non_serializable: g.graph.cyclic_at == Some(p),
+            caused_violation: false,
+            caused_non_dr,
+        }
     }
 
-    /// Stage 3 for shard `k` (takes the shard's write lock; the caller
-    /// holds its ticket). Returns whether this access closed the
-    /// conjunct's first cycle.
-    fn stage_shard(&self, k: usize, slot: usize, item: ItemId, is_write: bool, p: OpIndex) -> bool {
-        let mut sh = self.shards[k].state.write();
-        self.stage_shard_locked(&mut sh, slot, item, is_write, p)
-    }
-
-    /// Stage 3's body against an already-locked shard — the batch path
-    /// holds one write lock per touched shard and runs its whole run
-    /// of in-scope operations through this, in ticket order.
-    fn stage_shard_locked(
-        &self,
-        sh: &mut ShardState,
-        slot: usize,
-        item: ItemId,
-        is_write: bool,
-        p: OpIndex,
-    ) -> bool {
+    /// Stage 3 against an already write-locked shard (the caller holds
+    /// its ticket): the conjunct's conflict graph for the operation at
+    /// `p`. Returns whether this access closed the conjunct's first
+    /// cycle.
+    fn stage_shard(&self, sh: &mut ShardState, slot: usize, op: &Operation, p: OpIndex) -> bool {
+        let tape = self.logging.then(|| sh.log.tape());
+        sh.graph
+            .apply(slot, op.item.index(), op.is_write(), p, tape);
         if self.logging {
-            let d = sh.graph.apply_logged(slot, item.index(), is_write, p);
-            sh.log.push((p.0 as u32, d));
-        } else {
-            sh.graph.apply(slot, item.index(), is_write, p);
+            sh.log.record(p.0 as u32);
         }
         let closed = sh.graph.cyclic_at == Some(p);
         if closed {
@@ -1185,8 +1190,8 @@ impl ShardedMonitor {
         self.gstate.write().log.checkpoint(floor);
         for shard in &self.shards {
             let mut sh = shard.state.write();
-            let below = sh.log.partition_point(|&(pos, _)| (pos as usize) < floor);
-            sh.log.drain(..below);
+            let below = sh.log.count_front(|&pos| (pos as usize) < floor);
+            sh.log.drop_oldest(below);
         }
         floor
     }
@@ -1217,8 +1222,8 @@ impl ShardedMonitor {
     /// accepted and simply holds the frontier back.
     pub fn finish_txn(&self, txn: TxnId) {
         let mut s = self.seq.lock();
-        if s.schedule.txn_slot(txn).is_some() {
-            s.finished.insert(txn);
+        if let Some(slot) = s.schedule.txn_slot(txn) {
+            s.finished.mark(slot);
         }
     }
 
@@ -1243,23 +1248,7 @@ impl ShardedMonitor {
         } else {
             s.schedule.len()
         };
-        let mut hi = s.schedule.base();
-        let mut frontier = s.schedule.base();
-        for p in s.schedule.base()..limit {
-            let slot = s.schedule.slot_of_op(OpIndex(p));
-            if !s.finished.contains(&s.schedule.txn_ids()[slot]) {
-                break;
-            }
-            let last = s.schedule.slot_last_raw(slot) as usize;
-            if last >= limit {
-                break;
-            }
-            hi = hi.max(last + 1);
-            if p + 1 == hi {
-                frontier = p + 1;
-            }
-        }
-        frontier
+        super::compaction_frontier(&s.schedule, &s.finished, limit)
     }
 
     /// **Committed-prefix compaction**, sharded: collapse the prefix
@@ -1268,7 +1257,9 @@ impl ShardedMonitor {
     /// condensed reachability of the global and per-conjunct conflict
     /// graphs — reclaiming schedule segments, graph nodes,
     /// Pearce–Kelly order slots, delayed-read rows and the summarized
-    /// transactions' §2.2 totals cells.
+    /// transactions' §2.2 totals. Every graph is condensed in its own
+    /// storage through one pair of node tables the monitor keeps, so a
+    /// sweep's allocations do not grow with the number of shards.
     ///
     /// Quiesces the pipeline for the duration (sequence mutex held,
     /// in-flight pushes drained), then walks the stages in lock-rank
@@ -1291,49 +1282,34 @@ impl ShardedMonitor {
                 txns_summarized: 0,
             };
         }
-        // Global stage: nodes a retained undo entry references must
-        // survive the condensation (the entry has to stay replayable
-        // in LIFO order).
-        let mut g = self.gstate.write();
-        let mut kept_global = vec![false; g.graph.dag.len()];
-        for delta in g.log.iter() {
-            delta.mark_nodes(&mut kept_global);
-        }
+        let s = &mut *s;
         let summarized = s.schedule.compact_prefix(frontier);
         let s_cut = summarized.len();
         s.first_op.drain(..s_cut);
-        let gmap = g.graph.compact(s_cut, kept_global);
-        for delta in g.log.iter_mut() {
-            delta.remap(&gmap, s_cut as u32);
+        s.finished.compact(s_cut);
+        // Every graph is condensed in its own storage, through the one
+        // pair of node tables this lock guards: global stage first,
+        // then the conjunct shards in ascending rank.
+        {
+            let mut g = self.gstate.write();
+            let g = &mut *g;
+            Self::compact_graph(&mut g.graph, &mut g.log, s_cut, &mut s.maps, |delta| {
+                delta.shift_slots(s_cut as u32)
+            });
+            let rows = g.dirty_reads.len();
+            for row in g.dirty_reads.drain(..s_cut.min(rows)) {
+                g.spare_sets.give(row);
+            }
         }
-        let rows = g.dirty_reads.len();
-        g.dirty_reads.drain(..s_cut.min(rows));
-        drop(g);
-        // Conjunct shards, ascending rank.
         for shard in &self.shards {
             let mut sh = shard.state.write();
-            let mut kept = vec![false; sh.graph.dag.len()];
-            for (_, d) in &sh.log {
-                d.mark_nodes(&mut kept);
-            }
-            let map = sh.graph.compact(s_cut, kept);
-            for (_, d) in &mut sh.log {
-                d.remap_nodes(&map);
-            }
+            let sh = &mut *sh;
+            Self::compact_graph(&mut sh.graph, &mut sh.log, s_cut, &mut s.maps, |_| {});
         }
         // The summarized transactions can never push again, so their
-        // §2.2 totals cells are dead weight — reclaim them. (The
-        // totals map is unranked; taking it under the sequence mutex
-        // is safe because no path acquires the sequence mutex while
-        // holding it.)
-        {
-            let mut totals = self.totals.write();
-            for t in &summarized {
-                totals.remove(t);
-            }
-        }
+        // §2.2 totals are dead weight — reclaim them.
         for t in &summarized {
-            s.finished.remove(t);
+            self.totals.forget(*t);
             s.summarized.insert(*t);
         }
         s.compactions += 1;
@@ -1343,6 +1319,31 @@ impl ShardedMonitor {
             ops_reclaimed: frontier - base,
             txns_summarized: s_cut,
         }
+    }
+
+    /// Condense one stage's graph below the frontier. Nodes a
+    /// retained journal entry mentions must survive (the entry has to
+    /// stay replayable in LIFO order) and are renamed afterwards; each
+    /// entry's tape words end with its graph frame, and `renumber`
+    /// adjusts whatever the record itself names.
+    fn compact_graph<D>(
+        graph: &mut ProjGraph,
+        log: &mut UndoLog<D>,
+        s_cut: usize,
+        maps: &mut NodeMaps,
+        mut renumber: impl FnMut(&mut D),
+    ) {
+        maps.layout(std::iter::once(graph.dag.len()));
+        let kept = maps.kept(0);
+        log.walk_back(|_, cursor| {
+            GraphDelta::visit_nodes(cursor, |node| kept[*node as usize] = true)
+        });
+        let (kept, map) = maps.both(0);
+        graph.compact(s_cut, kept, map);
+        log.walk_back(|delta, cursor| {
+            GraphDelta::visit_nodes(cursor, |node| *node = map[*node as usize]);
+            renumber(delta);
+        });
     }
 
     /// Compaction calls that actually advanced the frontier.
@@ -1360,36 +1361,36 @@ impl ShardedMonitor {
         self.seq.lock().summarized.contains(txn)
     }
 
-    /// A structural estimate of the monitor's resident heap, in bytes:
-    /// rows × element sizes across the schedule, order tables, stage
-    /// journals, graphs, delayed-read rows and totals cells. Not
-    /// allocator-exact — its job is to make the compaction plateau
-    /// measurable (the `compact` experiment) without an allocator
-    /// hook. Quiesces briefly (takes each stage's lock in rank order).
+    /// A structural estimate of the monitor's resident state, in
+    /// bytes: live rows × element sizes across the schedule, order
+    /// tables, stage journals and their tapes, graphs, delayed-read
+    /// rows and §2.2 totals — what the monitor must hold, not what it
+    /// has reserved (see
+    /// [`OnlineMonitor::resident_bytes_estimate`](super::OnlineMonitor::resident_bytes_estimate)
+    /// for what is left out, and the test that pins it). Quiesces
+    /// briefly (takes each stage's lock in rank order).
     pub fn resident_bytes_estimate(&self) -> usize {
         use std::mem::size_of;
-        let itemset = |set: &ItemSet| size_of::<ItemSet>() + set.len().div_ceil(8);
         let s = self.seq.lock();
-        let mut total = std::mem::size_of_val(s.schedule.ops())
-            + s.schedule.txn_ids().len()
-                * (size_of::<TxnId>() + size_of::<u32>() + 2 * size_of::<usize>());
-        total += (s.last_write.len() + s.first_op.len()) * size_of::<u32>();
-        total += s.log.len() * size_of::<SeqDelta>();
-        total += s.summarized.resident_bytes();
+        let mut total = ItemSet::rows_bytes(&self.scopes)
+            + self.scope_index.resident_bytes()
+            + self.shards.len() * size_of::<Shard>()
+            + s.schedule.resident_bytes()
+            + (s.last_write.len() + s.first_op.len() + s.tickets.len()) * size_of::<u32>()
+            + s.log.resident_bytes()
+            + s.finished.resident_bytes()
+            + s.summarized.resident_bytes();
         {
             let g = self.gstate.read();
-            total += g.graph.resident_bytes();
-            total += g.dirty_reads.iter().map(itemset).sum::<usize>();
-            total += g.log.len() * size_of::<GlobalDelta>();
+            total += g.graph.resident_bytes()
+                + ItemSet::rows_bytes(&g.dirty_reads)
+                + g.log.resident_bytes();
         }
         for shard in &self.shards {
             let sh = shard.state.read();
-            total += sh.graph.resident_bytes();
-            total += sh.log.len() * (size_of::<u32>() + size_of::<GraphDelta>());
+            total += sh.graph.resident_bytes() + sh.log.resident_bytes();
         }
-        total += self.totals.read().len()
-            * (size_of::<TxnId>() + size_of::<Arc<Mutex<TxnTotals>>>() + size_of::<TxnTotals>());
-        total
+        total + self.totals.resident_bytes()
     }
 
     /// The truncation body, under the held sequence lock after a
@@ -1400,9 +1401,9 @@ impl ShardedMonitor {
     /// strips only the victim's, leaving survivors' totals untouched
     /// because their operations are re-pushed immediately *and* their
     /// owning threads may hold already-validated bits for in-flight
-    /// pushes parked at the sequence mutex (the totals cells are
+    /// pushes parked at the sequence mutex (the totals are
     /// owner-maintained; a retraction must not rewrite another
-    /// thread's cell under it).
+    /// thread's row under it).
     fn truncate_locked(&self, s: &mut SeqState, n: usize, victim: Option<TxnId>) -> usize {
         assert!(self.logging, "truncate_to on an unlogged ShardedMonitor");
         assert!(
@@ -1436,17 +1437,16 @@ impl ShardedMonitor {
             let sd = s.log.pop().expect("one sequence entry per logged push");
             // Shards first (reverse of push order); ticket turnstiles
             // roll back one step so re-claimed tickets line up.
-            for (k, scope) in self.scopes.iter().enumerate().rev() {
-                if !scope.contains(item) {
-                    continue;
-                }
+            for &k in self.scope_index.of(item).iter().rev() {
+                let k = k as usize;
                 {
                     let mut sh = self.shards[k].state.write();
-                    let (pos, d) = sh.log.pop().expect("one shard entry per touched push");
+                    let sh = &mut *sh;
+                    let pos = sh.log.pop().expect("one shard entry per touched push");
                     debug_assert_eq!(pos as usize, p);
-                    sh.graph.undo(slot, item.index(), is_write, d);
+                    sh.graph.undo(slot, item.index(), sh.log.tape());
                 }
-                s.tickets[k] -= 1;
+                s.tickets[k] = s.tickets[k].wrapping_sub(1);
                 self.shards[k]
                     .serving
                     .store(s.tickets[k], Ordering::Release);
@@ -1454,22 +1454,27 @@ impl ShardedMonitor {
             // Global stage.
             {
                 let mut g = self.gstate.write();
+                let g = &mut *g;
                 let gd = g.log.pop().expect("one global entry per logged push");
-                g.graph.undo(slot, item.index(), is_write, gd.graph);
-                if let Some(w_slot) = gd.dr_mark {
-                    g.dirty_reads[w_slot as usize].remove(item);
+                let tape = g.log.tape();
+                g.graph.undo(slot, item.index(), tape);
+                if gd.dr_mark != NO_POS {
+                    g.dirty_reads[gd.dr_mark as usize].remove(item);
                 }
-                for k in gd.conjunct_non_dr_set {
-                    g.conjunct_non_dr[k as usize] = None;
+                for _ in 0..gd.n_kills {
+                    g.conjunct_non_dr[tape.pop() as usize] = None;
                 }
                 if gd.set_first_non_dr {
                     g.first_non_dr = None;
                 }
                 if sd.new_slot {
-                    g.dirty_reads.truncate(slot);
+                    while g.dirty_reads.len() > slot {
+                        let row = g.dirty_reads.pop().expect("length checked");
+                        g.spare_sets.give(row);
+                    }
                 }
             }
-            s.gticket -= 1;
+            s.gticket = s.gticket.wrapping_sub(1);
             self.gserving.store(s.gticket, Ordering::Release);
             // Sequence tables and §2.2 totals (see the `victim`
             // contract above).
@@ -1480,24 +1485,13 @@ impl ShardedMonitor {
                 .pop_op_unchecked(sd.new_slot, sd.prev_slot_last, sd.prev_item_ub);
             if sd.new_slot {
                 s.first_op.pop();
+                s.finished.slot_popped(op.txn);
             }
-            let strip_totals = victim.is_none_or(|v| v == op.txn);
-            if strip_totals {
+            if victim.is_none_or(|v| v == op.txn) {
                 if sd.new_slot {
-                    self.totals.write().remove(&op.txn);
+                    self.totals.forget(op.txn);
                 } else {
-                    let cell = self
-                        .totals
-                        .read()
-                        .get(&op.txn)
-                        .map(Arc::clone)
-                        .expect("totals cell exists for a pushed transaction");
-                    let mut t = cell.lock();
-                    if is_write {
-                        t.ws.remove(item);
-                    } else {
-                        t.rs.remove(item);
-                    }
+                    self.totals.strip(op.txn, [&op]);
                 }
             }
         }
@@ -1562,15 +1556,22 @@ impl ShardedMonitor {
             return Ok((0, 0));
         };
         let first = s.first_op[slot] as usize;
-        let survivors: Vec<Operation> = (first..s.schedule.len())
-            .map(|p| s.schedule.op(OpIndex(p)).clone())
-            .filter(|o| o.txn != txn)
-            .collect();
+        let mut survivors = std::mem::take(&mut s.survivors);
+        survivors.clear();
+        survivors.extend(
+            (first..s.schedule.len())
+                .map(|p| s.schedule.op(OpIndex(p)))
+                .filter(|o| o.txn != txn)
+                .cloned(),
+        );
         let undone = self.truncate_locked(&mut s, first, Some(txn));
         let repushed = survivors.len();
-        for op in survivors {
-            self.push_locked(&mut s, op);
-        }
+        with_lane_scratch(|scratch| {
+            for op in &survivors {
+                self.push_locked(&mut s, op, scratch);
+            }
+        });
+        s.survivors = survivors;
         if repushed > 0 {
             // One exact recompute after the whole re-push (the
             // truncation already recomputed; per-op floors would be
@@ -1586,28 +1587,24 @@ impl ShardedMonitor {
     /// is claimed and served immediately, so the journals stay in
     /// position order. Does **not** touch the §2.2 totals: the
     /// truncation it follows left the survivors' bits in place (their
-    /// owning threads may be mid-push against those very cells).
-    fn push_locked(&self, s: &mut SeqState, op: Operation) {
-        let (item, is_write) = (op.item, op.is_write());
-        let mut turns: Vec<(usize, u32)> = self
-            .scopes
-            .iter()
-            .enumerate()
-            .filter(|(_, scope)| scope.contains(item))
-            .map(|(k, _)| (k, 0))
-            .collect();
+    /// owning threads may be mid-push against those very rows).
+    fn push_locked(&self, s: &mut SeqState, op: &Operation, scratch: &mut LaneScratch) {
         if let Some(journal) = s.journal.as_deref_mut() {
-            journal.appended(&op);
+            journal.appended(op);
         }
-        let (p, slot, rf_slot, gticket) = self.stage_seq(s, op, &mut turns);
+        scratch.turns.clear();
+        scratch.rf_slots.clear();
+        let (p, slot, gticket) = self.stage_seq(s, std::slice::from_ref(op), scratch);
         {
             let mut g = self.gstate.write();
-            self.stage_global(&mut g, slot, item, is_write, rf_slot, p);
+            self.stage_global(&mut g, slot, op, scratch.rf_slots[0], OpIndex(p));
         }
-        self.gserving.store(gticket + 1, Ordering::Release);
-        for &(k, t) in &turns {
-            self.stage_shard(k, slot, item, is_write, p);
-            self.shards[k].serving.store(t + 1, Ordering::Release);
+        self.gserving
+            .store(gticket.wrapping_add(1), Ordering::Release);
+        for &(k, _, t) in &scratch.turns {
+            let shard = &self.shards[k as usize];
+            self.stage_shard(&mut shard.state.write(), slot, op, OpIndex(p));
+            shard.serving.store(t.wrapping_add(1), Ordering::Release);
         }
     }
 
@@ -1659,17 +1656,13 @@ impl ShardedMonitor {
     }
 
     fn admits_conjuncts(&self, slot: Option<usize>, item: ItemId, is_write: bool) -> bool {
-        self.scopes
-            .iter()
-            .enumerate()
-            .filter(|(_, scope)| scope.contains(item))
-            .all(|(k, _)| {
-                self.shards[k]
-                    .state
-                    .read()
-                    .graph
-                    .admits(slot, item.index(), is_write)
-            })
+        self.scope_index.of(item).iter().all(|&k| {
+            self.shards[k as usize]
+                .state
+                .read()
+                .graph
+                .admits(slot, item.index(), is_write)
+        })
     }
 
     /// The full verdict, assembled from every stage's state. **Exact
@@ -2050,8 +2043,9 @@ mod tests {
         assert_eq!(m.len(), 31, "checkpoint retracts nothing");
         for shard in &m.shards {
             let sh = shard.state.read();
-            assert!(
-                sh.log.iter().all(|&(pos, _)| pos as usize >= 30),
+            assert_eq!(
+                sh.log.count_front(|&pos| (pos as usize) < 30),
+                0,
                 "below-floor shard deltas must be reclaimed"
             );
         }
@@ -2267,5 +2261,68 @@ mod tests {
         m.checkpoint([TxnId(2)]);
         assert_eq!(m.compact().frontier, 1);
         m.truncate_to(0);
+    }
+
+    /// Ticket arithmetic wraps: a monitor whose turnstiles start four
+    /// short of `u32::MAX` pushes, batches, retracts (forwards and
+    /// back across the wrap), checkpoints and compacts exactly like
+    /// one that starts at 0 — checked against a single-writer replay
+    /// of the surviving interleaving after every step. (With `+`/`-`
+    /// on the tickets a debug build panics at the first wrap.)
+    #[test]
+    fn tickets_wrap_around_without_losing_their_place() {
+        let m = ShardedMonitor::new_logged(example2_scopes()).with_first_ticket(u32::MAX - 3);
+        let mut kept: Vec<Operation> = Vec::new();
+        let check = |m: &ShardedMonitor, kept: &[Operation], step: &str| {
+            let mut replay = OnlineMonitor::new(example2_scopes());
+            for op in kept {
+                replay.push(op.clone()).unwrap();
+            }
+            assert_eq!(m.verdict(), replay.verdict(), "{step}");
+            assert_eq!(m.floor(), replay.verdict().level, "{step}");
+            assert_eq!(m.len(), kept.len(), "{step}");
+        };
+        // Global tickets MAX-3 … MAX, then 0: the batch crosses the wrap.
+        m.push(wr(1, 0, 1)).unwrap();
+        kept.push(wr(1, 0, 1));
+        let t2 = [rd(2, 0, 1), rd(2, 1, 0), wr(2, 2, 5), rd(2, 3, 0)];
+        let outcomes = m.push_batch(&t2).unwrap();
+        assert_eq!(outcomes.last().unwrap().pos, OpIndex(4));
+        kept.extend(t2.iter().cloned());
+        check(&m, &kept, "batch across the global wrap");
+        // Shard 0 has served MAX-3 … MAX-1; these take MAX and 0.
+        m.push(wr(3, 1, 2)).unwrap();
+        let t4 = [rd(4, 2, 5), wr(4, 0, 3)];
+        m.push_batch(&t4).unwrap();
+        kept.push(wr(3, 1, 2));
+        kept.extend(t4.iter().cloned());
+        check(&m, &kept, "singleton and batch past the wrap");
+        // Abort T3: four tickets are handed back and T4's two re-claimed.
+        assert_eq!(m.retract_txn(TxnId(3)).unwrap(), (3, 2));
+        kept.retain(|o| o.txn != TxnId(3));
+        check(&m, &kept, "retract_txn past the wrap");
+        // Truncate back below the wrap, then push forward across it again.
+        assert_eq!(m.truncate_to(2), 5);
+        kept.truncate(2);
+        check(&m, &kept, "truncate back across the wrap");
+        let t5 = [rd(5, 1, 0), wr(5, 1, 7), wr(5, 2, 8)];
+        m.push_batch(&t5).unwrap();
+        m.push(rd(2, 2, 8)).unwrap();
+        kept.extend(t5.iter().cloned());
+        kept.push(rd(2, 2, 8));
+        check(&m, &kept, "second crossing");
+        // Everything settles: checkpoint, compact, and keep going.
+        for t in [1, 2, 5] {
+            m.finish_txn(TxnId(t));
+        }
+        assert_eq!(m.checkpoint([]), kept.len());
+        assert_eq!(m.compact().frontier, kept.len());
+        check(&m, &kept, "compacted");
+        m.push_batch(&[rd(6, 0, 1), wr(6, 1, 9)]).unwrap();
+        kept.extend([rd(6, 0, 1), wr(6, 1, 9)]);
+        check(&m, &kept, "after compaction");
+        assert_eq!(m.retract_txn(TxnId(6)).unwrap(), (2, 0));
+        kept.truncate(kept.len() - 2);
+        check(&m, &kept, "retract after compaction");
     }
 }

@@ -321,6 +321,14 @@ impl Schedule {
         summarized
     }
 
+    /// Bytes of the live operation tail and the positional tables
+    /// (the hash table at one control byte per entry).
+    pub(crate) fn resident_bytes(&self) -> usize {
+        use std::mem::size_of;
+        self.ops.len() * (size_of::<Operation>() + size_of::<u32>())
+            + self.txns.len() * (2 * size_of::<TxnId>() + 2 * size_of::<u32>() + 1)
+    }
+
     /// `depth(p, S)`: number of operations strictly before `p`.
     pub fn depth(&self, p: OpIndex) -> usize {
         p.depth()

@@ -40,6 +40,28 @@ pub struct ItemSet {
 
 const WORD_BITS: usize = 64;
 
+/// Retired [`ItemSet`]s kept, emptied, for reuse: a set whose members
+/// reach 64 owns a spill buffer, and a monitor that retires rows (a
+/// retraction, a compaction) at the rate it creates them can hand the
+/// buffers on instead of freeing and allocating them.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct SetPool {
+    sets: Vec<ItemSet>,
+}
+
+impl SetPool {
+    /// An empty set, from the pool if it has one.
+    pub(crate) fn take(&mut self) -> ItemSet {
+        self.sets.pop().unwrap_or_default()
+    }
+
+    /// Retire `set` into the pool.
+    pub(crate) fn give(&mut self, mut set: ItemSet) {
+        set.clear();
+        self.sets.push(set);
+    }
+}
+
 impl Clone for ItemSet {
     fn clone(&self) -> Self {
         ItemSet {
@@ -126,6 +148,20 @@ impl ItemSet {
     pub fn clear(&mut self) {
         self.word0 = 0;
         self.rest.clear();
+    }
+
+    /// Heap bytes of the spill words (0 while every member is below
+    /// 64).
+    pub(crate) fn heap_bytes(&self) -> usize {
+        std::mem::size_of_val(self.rest.as_slice())
+    }
+
+    /// Bytes of a table of sets, spill words included — what the
+    /// monitors' resident estimates count per table.
+    pub(crate) fn rows_bytes<'a>(rows: impl IntoIterator<Item = &'a ItemSet>) -> usize {
+        rows.into_iter()
+            .map(|set| std::mem::size_of::<ItemSet>() + set.heap_bytes())
+            .sum()
     }
 
     /// Membership test.
