@@ -4,9 +4,7 @@
 //!
 //! `push_replay/N` streams all N operations through an
 //! [`OnlineMonitor`] — divide by N for the per-op cost a scheduler
-//! pays. `index_replay/N` is the same stream through the bare
-//! [`OnlineIndex`] (prefix tables only, no graphs), pricing the table
-//! half. `batch_reverify/N` is ONE batch verification of the full
+//! pays. `batch_reverify/N` is ONE batch verification of the full
 //! prefix (schedule build + serializability + PWSR + DR) — the cost a
 //! naive design pays per arriving operation. The acceptance bar for
 //! the online path: `push_replay/N ÷ N` at least 10× below
@@ -27,7 +25,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use pwsr_bench::monitor_exp::{batch_verdict, tier_workload, TIERS};
 use pwsr_core::monitor::sharded::ShardedMonitor;
-use pwsr_core::monitor::{OnlineIndex, OnlineMonitor};
+use pwsr_core::monitor::OnlineMonitor;
 use std::hint::black_box;
 
 fn bench_monitor(c: &mut Criterion) {
@@ -43,15 +41,6 @@ fn bench_monitor(c: &mut Criterion) {
                     black_box(m.push(op.clone()).expect("valid schedule"));
                 }
                 black_box(m.verdict())
-            })
-        });
-        group.bench_with_input(BenchmarkId::new("index_replay", n), &s, |b, s| {
-            b.iter(|| {
-                let mut ix = OnlineIndex::new();
-                for op in s.ops() {
-                    black_box(ix.push(op.clone()).expect("valid schedule"));
-                }
-                ix.len()
             })
         });
         group.bench_with_input(BenchmarkId::new("batch_reverify", n), &s, |b, s| {

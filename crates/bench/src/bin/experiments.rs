@@ -30,29 +30,25 @@
 //! plus the sharded-retraction cost entries; and a `batch` block
 //! recording the batched admission path (the singleton-push baseline
 //! and `push_batch` throughput per (batch size, threads) tier with
-//! the amortized serial-stage ns per op) so CI can gate batched
-//! single-thread throughput strictly above the singleton baseline at
-//! batch ≥ 8; and an `analysis` block
+//! the amortized serial-stage ns per op); and an `analysis` block
 //! recording the static robustness analyzer's portfolio (programs
 //! analyzed, Safe/Unsafe/Unknown verdict counts) and the certified
 //! admission fast path's per-op cost against the monitored path — so
 //! successive PRs can track the perf trajectory (`BENCH_*.json` at the
 //! repo root) and CI can gate on the format, the monitors' per-op
-//! cost, the retraction cost staying sub-linear, and the certified
-//! skip staying strictly cheaper than runtime certification; and a
+//! cost and the retraction cost staying sub-linear (it compares no
+//! two timings with each other — `benchmark/` judges speed); and a
 //! `recovery` block recording the REC-2 crash-injection sweep (crash
 //! points injected — torn tails, bit flips, checkpoint+tail legs —
 //! how many recovered byte-identically, WAL replay ns per record, and
 //! the admission path's WAL-on vs WAL-off ns per op) so CI can fail
-//! on any unrecovered crash point and gate the WAL's admission
-//! overhead under 2×; and a `compact` block recording the CMP-1
-//! committed-prefix-compaction stream (ops streamed, compaction
+//! on any unrecovered crash point; and a `compact` block recording
+//! the CMP-1 committed-prefix-compaction stream (ops streamed, compaction
 //! sweeps, ops reclaimed, the compacting twin's resident-byte
 //! plateau pre/post sweep vs the uncompacted baseline's footprint,
-//! and both paths' ns per op) so CI can gate the compacting path's
-//! per-op overhead under 1.5× and the memory plateau staying far
-//! below the uncompacted twin; and a `chaos` block recording the
-//! CHA-1 deterministic fault sweep (seeded fault points injected
+//! and both paths' ns per op) so CI can gate the memory plateau
+//! staying far below the uncompacted twin; and a `chaos` block
+//! recording the CHA-1 deterministic fault sweep (seeded fault points injected
 //! beneath the WAL sink and into the executor workers, how many were
 //! contained per the error-policy contract, post-fault recovery
 //! round-trips, fault-free-twin parity checks, and the zombie-reap /

@@ -466,10 +466,12 @@ pub const RETRACT_SUFFIX: usize = 16;
 /// 2-conjunct tier workload, plus the sharded-retraction cost at both
 /// schedule tiers. Shape checks: every run's committed schedule is
 /// read-coherent, lands at or above the `Pwsr` admission floor, and
-/// its verdict is byte-identical to a single-writer replay; the
-/// retraction round-trips restore verdict parity each time. Abort and
-/// retry counts are recorded, not asserted — they are a property of
-/// the host's interleavings.
+/// its verdict is byte-identical to a single-writer replay — the
+/// `floor+parity` column names the first of these a thread count
+/// failed (`run_error`, `read_coherence`, `verdict_not_pwsr`,
+/// `verdict_len`, `replay_parity`); the retraction round-trips restore
+/// verdict parity each time. Abort and retry counts are recorded, not
+/// asserted — they are a property of the host's interleavings.
 ///
 /// [`run_threaded_occ_certified`]: pwsr_scheduler::concurrent::run_threaded_occ_certified
 pub fn mon3(trials: u64, seed: u64) -> (bool, String, OccMtStats) {
@@ -503,12 +505,17 @@ pub fn mon3(trials: u64, seed: u64) -> (bool, String, OccMtStats) {
     let mut rng = StdRng::seed_from_u64(seed);
     let w = crate::scale_exp::sized_workload(&mut rng, target, conjuncts);
     let scopes: Vec<ItemSet> = w.ic.conjuncts().iter().map(|c| c.items().clone()).collect();
+    // What went wrong, beyond the table cell: the committed schedule
+    // of a run that landed below the admission floor.
+    let mut witnesses = String::new();
     for threads in MT_THREADS {
         let mut best: Option<(std::time::Duration, u64, u64, u64)> = None;
-        let mut parity = true;
+        // The first check any repetition failed, under the name
+        // `benchmark/`'s oracle gives the same condition.
+        let mut failure: Option<&'static str> = None;
         for _ in 0..reps {
             let start = Instant::now();
-            let out = match run_threaded_occ_certified(
+            let Ok(out) = run_threaded_occ_certified(
                 &w.programs,
                 &w.catalog,
                 &w.initial,
@@ -516,24 +523,36 @@ pub fn mon3(trials: u64, seed: u64) -> (bool, String, OccMtStats) {
                 AdmissionLevel::Pwsr,
                 threads,
                 100_000,
-            ) {
-                Ok(out) => out,
-                Err(_) => {
-                    parity = false;
-                    break;
-                }
+            ) else {
+                failure = failure.or(Some("run_error"));
+                break;
             };
             let elapsed = start.elapsed();
-            parity &= out.schedule.check_read_coherence(&w.initial).is_ok();
-            parity &= out.verdict.pwsr();
-            parity &= out.verdict.len == out.schedule.len();
             // Byte-identical to the single-writer replay.
             let mut replay = OnlineMonitor::new(scopes.clone());
             let mut last = replay.verdict();
             for op in out.schedule.ops() {
                 last = replay.push(op.clone()).expect("recorded schedule is valid");
             }
-            parity &= last == out.verdict;
+            let failed = if out.schedule.check_read_coherence(&w.initial).is_err() {
+                Some("read_coherence")
+            } else if !out.verdict.pwsr() {
+                // The executor committed below its floor (a replay
+                // that disagreed would say `replay_parity`: the
+                // monitor). The schedule is the bug report.
+                witnesses.push_str(&format!(
+                    "\nverdict_not_pwsr at {threads} threads; committed schedule:\n{}",
+                    out.schedule
+                ));
+                Some("verdict_not_pwsr")
+            } else if out.verdict.len != out.schedule.len() {
+                Some("verdict_len")
+            } else if last != out.verdict {
+                Some("replay_parity")
+            } else {
+                None
+            };
+            failure = failure.or(failed);
             if best.as_ref().is_none_or(|(b, ..)| elapsed < *b) {
                 best = Some((
                     elapsed,
@@ -543,7 +562,7 @@ pub fn mon3(trials: u64, seed: u64) -> (bool, String, OccMtStats) {
                 ));
             }
         }
-        ok &= parity;
+        ok &= failure.is_none();
         let Some((elapsed, committed_ops, aborts, retries)) = best else {
             continue;
         };
@@ -560,7 +579,7 @@ pub fn mon3(trials: u64, seed: u64) -> (bool, String, OccMtStats) {
             tier.aborts.to_string(),
             tier.retries.to_string(),
             format!("{:.0}", tier.ns_per_committed_op),
-            parity.to_string(),
+            failure.unwrap_or("true").to_string(),
         ]);
         stats.tiers.push(tier);
     }
@@ -618,7 +637,8 @@ pub fn mon3(trials: u64, seed: u64) -> (bool, String, OccMtStats) {
         stats.retraction.push(tier);
     }
     ok &= stats.retraction.len() == TIERS.len();
-    (ok, format!("{}\n{}", t.render(), rt.render()), stats)
+    let text = format!("{}\n{}{witnesses}", t.render(), rt.render());
+    (ok, text, stats)
 }
 
 /// One (batch size, thread count) measurement of the batched

@@ -11,7 +11,7 @@
 use crate::constraint::IntegrityConstraint;
 use crate::graph::{DiGraph, IncrementalDag};
 use crate::ids::{ConjunctId, OpIndex};
-use crate::monitor::undo::{Tape, TapeCursor};
+use crate::monitor::undo::Tape;
 use crate::schedule::Schedule;
 use crate::state::ItemSet;
 
@@ -342,13 +342,6 @@ impl OnlineAccessDag {
             };
             set.remove(crate::ids::ItemId(unit));
         }
-    }
-
-    /// Step `cursor` over the data-access-graph frame before it (its
-    /// words are unit ids, which no compaction renumbers).
-    pub(crate) fn skip_frame(cursor: &mut TapeCursor<'_>) {
-        let trailer = cursor.pop();
-        cursor.take(2 * (trailer >> 2) as usize);
     }
 
     /// Bytes of the unit graph and the per-entity rows.

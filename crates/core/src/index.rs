@@ -36,23 +36,20 @@
 //! for the side that did not change. Position lists are runs of one
 //! shared arena (a run that has to grow while it is not the last one
 //! moves to the end; the holes are squeezed out when they outweigh the
-//! live runs and at every compaction), so creating a transaction's
-//! tables calls no allocator, and rows retired by a retraction or a
-//! compaction are handed back to the next pushes with their spill
-//! buffers.
+//! live runs), so creating a transaction's tables calls no allocator.
 //!
-//! The batch `ScheduleIndex` is a thin freeze of that incremental
-//! construction: `ScheduleIndex::new` replays the schedule through
-//! `PrefixTables::push`, and
-//! [`OnlineIndex::index`](crate::monitor::OnlineIndex::index) borrows
-//! its live tables into a `ScheduleIndex` without copying, so there is
-//! exactly one table-building implementation.
+//! `ScheduleIndex::new` replays the schedule through
+//! `PrefixTables::push` — the one table-building implementation. The
+//! monitors do not keep these tables: their verdicts need only the
+//! per-item latest write and each transaction's running totals (see
+//! `monitor::stages`), and the Lemma 2/6 audit
+//! ([`OnlineMonitor::certify_prefix`](crate::monitor::OnlineMonitor::certify_prefix))
+//! builds an index from the schedule when asked.
 
 use crate::ids::{OpIndex, TxnId};
 use crate::op::{Action, Operation};
 use crate::schedule::Schedule;
-use crate::state::{ItemSet, SetPool};
-use std::borrow::Cow;
+use crate::state::ItemSet;
 
 const NONE: u32 = u32::MAX;
 
@@ -76,12 +73,11 @@ struct Run {
     len: u32,
 }
 
-/// The positional/prefix tables shared by the batch [`ScheduleIndex`]
-/// and the incremental [`OnlineIndex`](crate::monitor::OnlineIndex).
-/// Grown one operation at a time via [`PrefixTables::push`]; every
-/// query is answered from the tables without rescanning operations.
+/// The positional/prefix tables behind [`ScheduleIndex`]. Grown one
+/// operation at a time via [`PrefixTables::push`]; every query is
+/// answered from the tables without rescanning operations.
 #[derive(Clone, Debug, Default)]
-pub(crate) struct PrefixTables {
+struct PrefixTables {
     /// Absolute position of the first live row — mirrors the
     /// schedule's compaction base. Positions stored in the tables are
     /// absolute; `ops` and `rows` are tail-relative storage.
@@ -98,8 +94,6 @@ pub(crate) struct PrefixTables {
     ops: Vec<OpRow>,
     /// Per live position: the side the operation changed, after it.
     rows: Vec<ItemSet>,
-    /// Retired rows, reused (with their spill buffers) by later pushes.
-    spare_rows: SetPool,
     /// Per item: position of the latest write seen so far.
     last_write: Vec<u32>,
     /// Referenced when a query names a transaction not in the
@@ -108,13 +102,8 @@ pub(crate) struct PrefixTables {
 }
 
 impl PrefixTables {
-    /// Empty tables (no slots, no operations).
-    pub(crate) fn new() -> PrefixTables {
-        PrefixTables::default()
-    }
-
     /// Ascending positions of slot `slot`'s operations.
-    pub(crate) fn positions(&self, slot: usize) -> &[u32] {
+    fn positions(&self, slot: usize) -> &[u32] {
         let Run { start, len } = self.runs[slot];
         &self.arena[start as usize..(start + len) as usize]
     }
@@ -133,7 +122,7 @@ impl PrefixTables {
     }
 
     /// `(RS(T), WS(T))` of slot `slot` over the whole prefix.
-    pub(crate) fn totals(&self, slot: usize) -> (&ItemSet, &ItemSet) {
+    fn totals(&self, slot: usize) -> (&ItemSet, &ItemSet) {
         match self.positions(slot).last() {
             Some(&q) => self.sets_at(q),
             None => (&self.empty, &self.empty),
@@ -176,8 +165,8 @@ impl PrefixTables {
     }
 
     /// Copy the live runs, in slot order, into the spare buffer and
-    /// swap the two: the holes left by moved runs, retracted positions
-    /// and compacted slots are gone, and neither buffer is freed.
+    /// swap the two: the holes left by moved runs are gone, and
+    /// neither buffer is freed.
     fn squeeze(&mut self) {
         let mut packed = std::mem::take(&mut self.arena_spare);
         packed.clear();
@@ -193,7 +182,7 @@ impl PrefixTables {
 
     /// Append the operation at position `self.len()` for transaction
     /// slot `slot`: one row for the side it changes, `O(words)`.
-    pub(crate) fn push(&mut self, slot: usize, op: &Operation) {
+    fn push(&mut self, slot: usize, op: &Operation) {
         let p = (self.base + self.ops.len()) as u32;
         if self.last_write.len() <= op.item.index() {
             self.last_write.resize(op.item.index() + 1, NONE);
@@ -221,10 +210,10 @@ impl PrefixTables {
                 &mut entry.ws_at
             }
         };
-        let mut row = self.spare_rows.take();
-        if *grown != NONE {
-            row.clone_from(&self.rows[*grown as usize - self.base]);
-        }
+        let mut row = match *grown {
+            NONE => ItemSet::new(),
+            q => self.rows[q as usize - self.base].clone(),
+        };
         row.insert(op.item);
         *grown = p;
         self.rows.push(row);
@@ -233,95 +222,29 @@ impl PrefixTables {
 
     /// Build the tables for a complete schedule by replaying it through
     /// [`PrefixTables::push`] — the single table-building path.
-    pub(crate) fn build(schedule: &Schedule) -> PrefixTables {
-        let mut t = PrefixTables::new();
-        t.base = schedule.base();
+    fn build(schedule: &Schedule) -> PrefixTables {
+        let mut t = PrefixTables {
+            base: schedule.base(),
+            ..PrefixTables::default()
+        };
         for (i, o) in schedule.ops().iter().enumerate() {
             t.push(schedule.slot_of_op(OpIndex(schedule.base() + i)), o);
         }
         t
     }
 
-    /// Reclaim the table rows of the compacted prefix: the summarized
-    /// transactions' slots (`0..s_cut` — dense-prefix by the same
-    /// argument as [`Schedule::compact_prefix`]) and the per-position
-    /// rows below `frontier`. Surviving transactions have every
-    /// operation at or above the frontier, so the positions their rows
-    /// name stay live. `last_write` keeps its absolute positions —
-    /// entries below the frontier stay valid as *positions* (the
-    /// monitor guards slot lookups on them).
-    pub(crate) fn compact(&mut self, s_cut: usize, frontier: usize) {
-        debug_assert!(frontier >= self.base);
-        let cut = frontier - self.base;
-        self.runs.drain(..s_cut);
-        self.squeeze();
-        self.ops.drain(..cut);
-        for row in self.rows.drain(..cut) {
-            self.spare_rows.give(row);
-        }
-        self.base = frontier;
-    }
-
-    /// The latest-write position of `item`, `NONE` if never written.
-    pub(crate) fn last_write_raw(&self, item: usize) -> u32 {
-        self.last_write.get(item).copied().unwrap_or(NONE)
-    }
-
     /// The write the read at live position `p` takes its value from.
-    pub(crate) fn reads_from(&self, p: OpIndex) -> Option<OpIndex> {
+    fn reads_from(&self, p: OpIndex) -> Option<OpIndex> {
         let w = self.ops[p.0 - self.base].reads_from;
         (w != NONE).then_some(OpIndex(w as usize))
     }
-
-    /// Retract the most recent [`PrefixTables::push`] — the undo-log's
-    /// table half. `prev_last_write` is the `last_write` entry the
-    /// caller captured before the push (only consulted for writes);
-    /// `new_slot` says the push created the slot, which is dropped so
-    /// the tables equal a fresh build of the shortened schedule.
-    pub(crate) fn pop(
-        &mut self,
-        slot: usize,
-        op: &Operation,
-        prev_last_write: u32,
-        new_slot: bool,
-    ) {
-        let run = &mut self.runs[slot];
-        run.len -= 1;
-        if (run.start + run.len) as usize + 1 == self.arena.len() {
-            self.arena.pop();
-        } else {
-            self.holes += 1;
-        }
-        self.ops.pop();
-        self.spare_rows
-            .give(self.rows.pop().expect("one row per pushed operation"));
-        if op.action == Action::Write {
-            self.last_write[op.item.index()] = prev_last_write;
-        }
-        if new_slot {
-            debug_assert_eq!(self.runs[slot].len, 0);
-            self.runs.pop();
-        }
-    }
-
-    /// Bytes of the live rows (retired rows and the second arena
-    /// buffer are spare capacity, not state).
-    pub(crate) fn resident_bytes(&self) -> usize {
-        use std::mem::size_of;
-        self.runs.len() * size_of::<Run>()
-            + (self.arena.len() - self.holes + self.last_write.len()) * size_of::<u32>()
-            + self.ops.len() * (size_of::<OpRow>() + size_of::<ItemSet>())
-            + self.rows.iter().map(ItemSet::heap_bytes).sum::<usize>()
-    }
 }
 
-/// Positional lookup tables for one schedule, built once in `O(n)` —
-/// or borrowed, fully built, from a live
-/// [`OnlineIndex`](crate::monitor::OnlineIndex).
+/// Positional lookup tables for one schedule, built once in `O(n)`.
 #[derive(Clone, Debug)]
 pub struct ScheduleIndex<'s> {
     schedule: &'s Schedule,
-    tables: Cow<'s, PrefixTables>,
+    tables: PrefixTables,
 }
 
 impl<'s> ScheduleIndex<'s> {
@@ -330,15 +253,7 @@ impl<'s> ScheduleIndex<'s> {
     pub fn new(schedule: &'s Schedule) -> ScheduleIndex<'s> {
         ScheduleIndex {
             schedule,
-            tables: Cow::Owned(PrefixTables::build(schedule)),
-        }
-    }
-
-    /// A zero-copy view over tables an `OnlineIndex` maintains live.
-    pub(crate) fn borrowed(schedule: &'s Schedule, tables: &'s PrefixTables) -> ScheduleIndex<'s> {
-        ScheduleIndex {
-            schedule,
-            tables: Cow::Borrowed(tables),
+            tables: PrefixTables::build(schedule),
         }
     }
 

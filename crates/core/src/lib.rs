@@ -110,7 +110,7 @@ pub mod prelude {
     pub use crate::history::{Event, History, HistoryClass, Outcome};
     pub use crate::ids::{ConjunctId, ItemId, OpIndex, TxnId};
     pub use crate::index::ScheduleIndex;
-    pub use crate::monitor::{AdmissionLevel, OnlineIndex, OnlineMonitor, VerdictLevel};
+    pub use crate::monitor::{AdmissionLevel, OnlineMonitor, VerdictLevel};
     pub use crate::notation::{parse_history, parse_schedule};
     pub use crate::op::{Action, OpStruct, Operation};
     pub use crate::pwsr::{is_pwsr, PwsrReport};

@@ -1,20 +1,24 @@
-//! The **online verdict monitor**: incremental schedule indexing and
-//! live Lemma 2/6 certification, one operation at a time.
+//! The **online verdict monitor**: live Lemma 2/6 certification of a
+//! growing schedule, one operation (or one transaction's run of them)
+//! at a time.
 //!
-//! PR 2's batch tables ([`ScheduleIndex`]) answer the paper's
-//! positional questions from prefix tables built once per schedule; but
-//! every quantity they maintain — per-transaction position lists,
-//! prefix `RS`/`WS` bitsets, last-write-per-item, reads-from — changes
-//! by `O(words)` when one operation is appended. [`OnlineIndex`]
-//! exploits that: it owns a *growing* [`Schedule`] and applies exactly
-//! the same table update per `push` that the batch path applies per
-//! schedule operation (the batch `ScheduleIndex::new` is literally a
-//! replay through the shared builder, and [`OnlineIndex::index`]
-//! borrows the live tables back into a `ScheduleIndex` without
-//! copying).
+//! The batch deciders answer the paper's questions from tables built
+//! once per schedule ([`ScheduleIndex`](crate::index::ScheduleIndex));
+//! but what the *verdicts* depend on — each item's latest write
+//! (reads-from), each transaction's running `RS`/`WS` totals (§2.2),
+//! the conflict edges an access adds — changes by `O(1)` words when
+//! one operation is appended. The certifier is that observation as a
+//! state machine, written once in the private `stages` module: the
+//! order-defining sequence tables, the total-order-dependent state and
+//! one conflict graph per conjunct, each with its own undo journal.
+//! Two drivers hold it. [`OnlineMonitor`], here, owns the stage state
+//! outright and is the single-writer reference;
+//! [`sharded::ShardedMonitor`] puts the same structs behind ranked
+//! locks and ticket turnstiles so that threads certify concurrently.
+//! On the same interleaving they reach the same state by construction
+//! — the same code ran in the same order on the same data.
 //!
-//! [`OnlineMonitor`] layers the paper's verdicts on top, maintained
-//! **incrementally** after every push:
+//! The verdicts, maintained **incrementally** after every push:
 //!
 //! * a **reduced conflict graph** per conjunct scope `d_e` plus one
 //!   global graph, under Pearce–Kelly incremental topological ordering
@@ -64,152 +68,56 @@
 //! `tests/monitor_props.rs` — the expensive recomputation is the
 //! test oracle, not the runtime path.
 //!
-//! ## Beyond the single writer
+//! ## What a driver adds
 //!
-//! Three layers added on top of the per-push core:
+//! Everything a push does to the certified state, how it is retracted
+//! ([`undo`]: per-stage LIFO journals over side tapes, bounded by
+//! [`OnlineMonitor::checkpoint`]) and how the committed prefix is
+//! collapsed ([`OnlineMonitor::compact`]) is stage code, shared. The
+//! single writer adds, and only it maintains:
 //!
-//! * an **undo-log** ([`OnlineMonitor::push_logged`] /
-//!   [`OnlineMonitor::truncate_to`]): every logged push records the
-//!   exact graph-edge and table deltas it applied, so a scheduler
-//!   abort that rewrote its trace re-syncs in `O(ops undone)` instead
-//!   of an `O(n)` rebuild. The delta records and the LIFO retraction
-//!   contract live in the shared [`undo`] layer (see its module docs
-//!   for the invariant), which the sharded monitor consumes too;
-//!   [`OnlineMonitor::checkpoint`] raises the log's floor once no
-//!   live transaction can force a retraction that deep, bounding the
-//!   log's memory over a long run;
+//! * the **§2.2 totals per slot** — it has the transaction's slot in
+//!   hand, so a run is validated against a row of a plain vector (the
+//!   pipeline keeps the same rows in striped maps outside its
+//!   sequence lock);
 //! * the **Theorem 1/3 hypotheses live**
 //!   ([`OnlineMonitor::guarantees`]): fixed structure is a property of
 //!   the *programs* ([`ProgramTraits`], supplied once at
 //!   construction), scope disjointness is checked once at
 //!   construction, and `DAG(S, IC)` acyclicity rides an incremental
-//!   [`OnlineAccessDag`] instead of being
-//!   rebuilt from the trace;
-//! * a **sharded concurrent monitor** ([`sharded::ShardedMonitor`]):
-//!   per-conjunct shards behind their own locks with a ticketed
-//!   pipeline, for certification under real OS-thread parallelism.
+//!   [`OnlineAccessDag`] instead of being rebuilt from the trace. The
+//!   access graph's probe inserts and retracts edges, so it wants one
+//!   writer; its undo frames ride a journal of the monitor's own, in
+//!   step with the stage journals;
+//! * **per-call logging**: [`OnlineMonitor::push_logged`] journals,
+//!   [`OnlineMonitor::push`] does not and thereby makes everything so
+//!   far permanent (a pipeline is built logged or unlogged);
+//! * a full [`Verdict`] after every operation, where the pipeline
+//!   returns a lock-free floor and causality flags.
+//!
+//! Tickets, the durability journal call, the survivors of a
+//! `retract_txn` and the atomic floor are the pipeline's; see
+//! [`sharded`].
 
 pub mod journal;
 pub mod sharded;
+mod stages;
 pub mod undo;
 
 use crate::constraint::IntegrityConstraint;
 use crate::dag::OnlineAccessDag;
-use crate::error::{CoreError, MalformedKind, Result};
+use crate::error::Result;
 use crate::graph::IncrementalDag;
 use crate::ids::{ItemId, OpIndex, TxnId};
-use crate::index::{PrefixTables, ScheduleIndex};
-use crate::op::{Action, Operation};
+use crate::op::Operation;
 use crate::schedule::Schedule;
-use crate::state::{ItemSet, SetPool};
+use crate::state::ItemSet;
 use crate::theorems::{Guarantee, ProgramTraits};
 use crate::viewset::inclusion_holds_everywhere;
-use undo::{GlobalDelta, GraphDelta, PushDelta, SeqDelta, Tape, UndoLog};
+use stages::{GlobalState, SeqState, ShardState, TxnTotals};
+use undo::{GraphDelta, Tape, UndoLog};
 
 const ABSENT: u32 = u32::MAX;
-
-/// A growing [`Schedule`] plus the PR-2 positional/prefix tables,
-/// maintained in `O(words)` per appended operation.
-///
-/// `push` enforces the §2.2 per-transaction rules (read/write each item
-/// at most once, no read-after-write) from the live prefix bitsets, so
-/// the owned schedule is valid at every moment; [`OnlineIndex::index`]
-/// exposes the full [`ScheduleIndex`] query surface over the current
-/// prefix with zero copying.
-#[derive(Clone, Debug, Default)]
-pub struct OnlineIndex {
-    schedule: Schedule,
-    tables: PrefixTables,
-}
-
-impl OnlineIndex {
-    /// An empty index.
-    pub fn new() -> OnlineIndex {
-        OnlineIndex::default()
-    }
-
-    /// Append one operation, updating every table in `O(words)`.
-    ///
-    /// Errors (leaving the index untouched) if the operation violates
-    /// its transaction's §2.2 well-formedness within the prefix.
-    pub fn push(&mut self, op: Operation) -> Result<OpIndex> {
-        let p = OpIndex(self.schedule.len());
-        let slot = match self.schedule.txn_slot(op.txn) {
-            Some(s) => {
-                let (rs, ws) = self.tables.totals(s);
-                validate_22(rs, ws, &op)?;
-                s
-            }
-            None => self.schedule.txn_ids().len(),
-        };
-        self.tables.push(slot, &op);
-        self.schedule.push_op_unchecked(op);
-        Ok(p)
-    }
-
-    /// Number of operations pushed so far.
-    pub fn len(&self) -> usize {
-        self.schedule.len()
-    }
-
-    /// Is the index empty?
-    pub fn is_empty(&self) -> bool {
-        self.schedule.is_empty()
-    }
-
-    /// The current prefix as a schedule.
-    pub fn schedule(&self) -> &Schedule {
-        &self.schedule
-    }
-
-    /// The batch query surface over the live tables — a thin freeze of
-    /// the incremental construction, no copying.
-    pub fn index(&self) -> ScheduleIndex<'_> {
-        ScheduleIndex::borrowed(&self.schedule, &self.tables)
-    }
-
-    /// The §3.2 reads-from source of position `p`, `O(1)`. `p` must be
-    /// at or above the compaction base; the *result* may fall below it
-    /// (a read whose writer was summarized).
-    pub fn reads_from(&self, p: OpIndex) -> Option<OpIndex> {
-        self.tables.reads_from(p)
-    }
-
-    /// Committed-prefix compaction: collapse the permanent prefix below
-    /// `frontier` out of the schedule and every per-slot table, and
-    /// return the summarized transactions (the callers' slots shift
-    /// down by that count). Positions stay absolute; only storage is
-    /// reclaimed.
-    pub(crate) fn compact(&mut self, frontier: usize) -> Vec<TxnId> {
-        let summarized = self.schedule.compact_prefix(frontier);
-        self.tables.compact(summarized.len(), frontier);
-        summarized
-    }
-
-    /// Surrender the accumulated schedule.
-    pub fn into_schedule(self) -> Schedule {
-        self.schedule
-    }
-
-    /// The latest-write position of `item` (`u32::MAX` if none) — the
-    /// one table entry a push overwrites destructively, captured by
-    /// the undo-log before the push.
-    pub(crate) fn last_write_raw(&self, item: ItemId) -> u32 {
-        self.tables.last_write_raw(item.index())
-    }
-
-    /// Retract the most recent push. The [`SeqDelta`] is the captured
-    /// sequence half of that push's undo-log entry.
-    pub(crate) fn pop_for_undo(&mut self, seq: &SeqDelta) {
-        let p = OpIndex(self.schedule.len() - 1);
-        let slot = self.schedule.slot_of_op(p);
-        let op = self.schedule.op(p).clone();
-        self.tables
-            .pop(slot, &op, seq.prev_last_write, seq.new_slot);
-        self.schedule
-            .pop_op_unchecked(seq.new_slot, seq.prev_slot_last, seq.prev_item_ub);
-    }
-}
 
 /// Which conjuncts contain each item — the scopes inverted once at
 /// construction, so that admitting an operation looks its conjuncts
@@ -315,45 +223,23 @@ impl FinishedFlags {
 }
 
 /// The two per-node tables a compaction sweep works in — which nodes
-/// must survive, and the old→new numbering — for one or several
-/// graphs laid out one after another. The monitor keeps them between
-/// sweeps, so a sweep allocates nothing however many graphs it
-/// condenses.
+/// must survive, and the old→new numbering — for one graph at a time.
+/// The monitor keeps them between sweeps, so a sweep allocates nothing
+/// however many graphs it condenses.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct NodeMaps {
     kept: Vec<bool>,
     map: Vec<u32>,
-    /// `starts[g]..starts[g + 1]` = graph `g`'s region.
-    starts: Vec<usize>,
 }
 
 impl NodeMaps {
-    /// One region per graph size given, every node unmarked.
-    pub(crate) fn layout(&mut self, sizes: impl Iterator<Item = usize>) {
-        self.starts.clear();
-        self.starts.push(0);
-        let mut end = 0;
-        for n in sizes {
-            end += n;
-            self.starts.push(end);
-        }
+    /// Both tables sized for a graph of `n` nodes, every node unmarked.
+    fn reset(&mut self, n: usize) -> (&mut [bool], &mut [u32]) {
         self.kept.clear();
-        self.kept.resize(end, false);
+        self.kept.resize(n, false);
         self.map.clear();
-        self.map.resize(end, ABSENT);
-    }
-
-    pub(crate) fn kept(&mut self, g: usize) -> &mut [bool] {
-        &mut self.kept[self.starts[g]..self.starts[g + 1]]
-    }
-
-    pub(crate) fn map(&self, g: usize) -> &[u32] {
-        &self.map[self.starts[g]..self.starts[g + 1]]
-    }
-
-    fn both(&mut self, g: usize) -> (&mut [bool], &mut [u32]) {
-        let range = self.starts[g]..self.starts[g + 1];
-        (&mut self.kept[range.clone()], &mut self.map[range])
+        self.map.resize(n, ABSENT);
+        (&mut self.kept, &mut self.map)
     }
 }
 
@@ -529,8 +415,32 @@ impl ProjGraph {
         }
     }
 
-    /// Committed-prefix compaction of one projection, in its own
-    /// storage. The `s_cut` summarized transaction slots occupy the
+    /// Committed-prefix compaction of one projection and the journal
+    /// that retracts it. Nodes a retained journal entry mentions must
+    /// survive the condensation (the entry has to stay replayable in
+    /// LIFO order) and are renamed afterwards; each entry's tape words
+    /// end with its graph frame, and `renumber` adjusts whatever the
+    /// record itself names.
+    fn compact<D>(
+        &mut self,
+        log: &mut UndoLog<D>,
+        s_cut: usize,
+        maps: &mut NodeMaps,
+        mut renumber: impl FnMut(&mut D),
+    ) {
+        let (kept, map) = maps.reset(self.dag.len());
+        log.walk_back(|_, cursor| {
+            GraphDelta::visit_nodes(cursor, |node| kept[*node as usize] = true)
+        });
+        self.condense(s_cut, kept, map);
+        log.walk_back(|delta, cursor| {
+            GraphDelta::visit_nodes(cursor, |node| *node = map[*node as usize]);
+            renumber(delta);
+        });
+    }
+
+    /// The condensation itself, in the graph's own storage. The
+    /// `s_cut` summarized transaction slots occupy the
     /// node-id prefix (node ids follow first-access order, and every
     /// summarized access precedes every survivor access in the
     /// schedule); their nodes are dropped except the **boundary
@@ -548,7 +458,7 @@ impl ProjGraph {
     /// `readers` and reachability between their nodes — all preserved
     /// exactly — and `cyclic_at` is an absolute position, so every
     /// future verdict equals the uncompacted twin's.
-    fn compact(&mut self, s_cut: usize, kept: &mut [bool], map: &mut [u32]) {
+    fn condense(&mut self, s_cut: usize, kept: &mut [bool], map: &mut [u32]) {
         debug_assert_eq!(kept.len(), self.dag.len());
         // The to-be-summarized prefix: slot-less summary nodes from
         // earlier compactions (kept back then only for boundary facts
@@ -651,10 +561,8 @@ pub enum VerdictLevel {
 
 impl VerdictLevel {
     /// Compose the ladder from its three (monotonically worsening)
-    /// components. This is the **only** composition point — shared by
-    /// the single-writer verdict, the sharded verdict and the sharded
-    /// lock-free floor — so the byte-parity contract between the two
-    /// monitors cannot drift through a divergent re-implementation.
+    /// components — the only composition point, behind every verdict
+    /// and the sharded monitor's lock-free floor.
     pub(crate) fn compose(serializable: bool, dr: bool, pwsr: bool) -> VerdictLevel {
         if !pwsr {
             VerdictLevel::Violation
@@ -665,27 +573,6 @@ impl VerdictLevel {
         } else {
             VerdictLevel::Pwsr
         }
-    }
-}
-
-/// The §2.2 admissibility of `op` against its transaction's current
-/// read/write totals — the one validation both the single-writer
-/// index and the sharded monitor's sequence stage apply (shared so
-/// the error precedence cannot diverge between the two paths).
-fn validate_22(rs: &ItemSet, ws: &ItemSet, op: &Operation) -> Result<()> {
-    let reason = match op.action {
-        Action::Read if rs.contains(op.item) => Some(MalformedKind::DuplicateRead),
-        Action::Read if ws.contains(op.item) => Some(MalformedKind::ReadAfterWrite),
-        Action::Write if ws.contains(op.item) => Some(MalformedKind::DuplicateWrite),
-        _ => None,
-    };
-    match reason {
-        Some(reason) => Err(CoreError::MalformedTransaction {
-            txn: op.txn,
-            reason,
-            item: op.item,
-        }),
-        None => Ok(()),
     }
 }
 
@@ -785,54 +672,34 @@ pub struct CompactStats {
     pub txns_summarized: usize,
 }
 
-/// The compaction frontier both monitors compute: the longest prefix
-/// of `schedule` below `limit` (the prefix that is already permanent)
-/// in which every operation belongs to a finished transaction whose
-/// *last* operation also lies in that prefix.
-fn compaction_frontier(schedule: &Schedule, finished: &FinishedFlags, limit: usize) -> usize {
-    let mut hi = schedule.base();
-    let mut frontier = schedule.base();
-    for p in schedule.base()..limit {
-        let slot = schedule.slot_of_op(OpIndex(p));
-        if !finished.is_finished(slot) {
-            break;
-        }
-        let last = schedule.slot_last_raw(slot) as usize;
-        if last >= limit {
-            break;
-        }
-        hi = hi.max(last + 1);
-        if p + 1 == hi {
-            frontier = p + 1;
-        }
-    }
-    frontier
-}
-
 /// Live verdicts over a growing schedule: per-conjunct and global
 /// conflict graphs under incremental cycle detection, delayed-read
 /// tracking, and the Lemma 2/6 inclusion certificates — all updated in
 /// `O(words)` amortized per [`OnlineMonitor::push`].
+///
+/// The single-writer driver of the certifier in `stages`: it owns
+/// the three stage states directly and walks each admitted run through
+/// them operation by operation. Beside them it keeps what only a
+/// single writer maintains — the per-slot §2.2 totals, the live data
+/// access graph (Theorem 3) with the log its undo frames ride, and the
+/// static [`ProgramTraits`] (Theorem 1).
 #[derive(Clone, Debug)]
 pub struct OnlineMonitor {
-    index: OnlineIndex,
     /// The conjunct data sets `d_e` (projection scopes).
     scopes: Vec<ItemSet>,
     /// The scopes inverted: which conjuncts contain an item.
     scope_index: ScopeIndex,
-    global: ProjGraph,
-    conjuncts: Vec<ProjGraph>,
-    /// Per slot: items this transaction wrote that another transaction
-    /// has read — its *next* operation materializes a dirty read.
-    dirty_reads: Vec<ItemSet>,
-    /// Rows `dirty_reads` gave up (retraction, compaction), reused by
-    /// the slots created next.
-    spare_sets: SetPool,
-    first_non_dr: Option<OpIndex>,
-    /// Per conjunct: first position where an in-scope dirty read
-    /// materialized (kills the Lemma 6 certificate for that scope).
-    conjunct_non_dr: Vec<Option<OpIndex>>,
+    seq: SeqState,
+    global: GlobalState,
+    conjuncts: Vec<ShardState>,
+    /// First prefix with a non-serializable conjunct projection: the
+    /// minimum over the conjuncts' first cycles.
     first_violation: Option<OpIndex>,
+    /// Per slot: the transaction's running §2.2 read/write totals.
+    totals: Vec<TxnTotals>,
+    /// Rows `totals` gave up (retraction, compaction), emptied and
+    /// reused by the slots created next.
+    spare_totals: Vec<TxnTotals>,
     /// What is known about the generating programs (Theorem 1 input;
     /// static, supplied at construction).
     traits: ProgramTraits,
@@ -841,25 +708,15 @@ pub struct OnlineMonitor {
     scopes_disjoint: bool,
     /// `DAG(S, IC)` maintained live (Theorem 3's hypothesis).
     access_dag: OnlineAccessDag,
-    /// Per-push retraction records above the log's floor, when logging
-    /// (the shared [`undo`] layer; unlogged pushes raise the floor).
-    log: Option<UndoLog<PushDelta>>,
-    /// Transactions declared finished ([`OnlineMonitor::finish_txn`])
-    /// but not yet summarized — the compaction frontier advances only
-    /// over finished transactions.
-    finished: FinishedFlags,
-    /// Transactions collapsed into the permanent prefix: pushes for
-    /// them are rejected with [`CoreError::SummarizedTransaction`].
-    summarized: SummarizedSet,
-    /// Compaction calls that actually advanced the frontier.
-    compactions: u64,
-    /// Total operations reclaimed across all compactions.
-    ops_reclaimed: u64,
-    /// The node tables compaction works in: region 0 is the global
-    /// graph's, region `k + 1` conjunct `k`'s.
-    maps: NodeMaps,
-    /// The running read/write sets a batch is validated against.
-    batch_sets: (ItemSet, ItemSet),
+    /// One entry per logged push, in step with the stage journals: its
+    /// tape carries the push's data-access-graph frames, one per
+    /// conjunct containing the item, ascending.
+    dag_log: UndoLog<()>,
+    /// Per operation of the run being admitted: its reads-from writer
+    /// slot, as the sequence stage resolved it.
+    rf_slots: Vec<Option<usize>>,
+    /// The verdict after each operation of the last admitted run.
+    verdicts: Vec<Verdict>,
 }
 
 impl OnlineMonitor {
@@ -881,26 +738,20 @@ impl OnlineMonitor {
             .enumerate()
             .all(|(i, a)| scopes[i + 1..].iter().all(|b| a.is_disjoint(b)));
         OnlineMonitor {
-            index: OnlineIndex::new(),
             scope_index: ScopeIndex::new(&scopes),
             scopes,
-            global: ProjGraph::default(),
-            conjuncts: vec![ProjGraph::default(); n],
-            dirty_reads: Vec::new(),
-            spare_sets: SetPool::default(),
-            first_non_dr: None,
-            conjunct_non_dr: vec![None; n],
+            seq: SeqState::default(),
+            global: GlobalState::new(n),
+            conjuncts: vec![ShardState::default(); n],
             first_violation: None,
+            totals: Vec::new(),
+            spare_totals: Vec::new(),
             traits,
             scopes_disjoint,
             access_dag: OnlineAccessDag::new(n),
-            log: None,
-            finished: FinishedFlags::default(),
-            summarized: SummarizedSet::default(),
-            compactions: 0,
-            ops_reclaimed: 0,
-            maps: NodeMaps::default(),
-            batch_sets: (ItemSet::new(), ItemSet::new()),
+            dag_log: UndoLog::new(0),
+            rf_slots: Vec::new(),
+            verdicts: Vec::new(),
         }
     }
 
@@ -912,192 +763,116 @@ impl OnlineMonitor {
 
     /// Append one operation and return the updated verdict.
     ///
-    /// Cost: the `O(words)` index update and the touched graphs' edge
+    /// Cost: the `O(1)` table updates and the touched graphs' edge
     /// insertions (amortized near-constant under Pearce–Kelly) — no
     /// table rebuild, no schedule rescan, no scan over the scopes.
+    /// Errors (leaving the monitor untouched) if the operation
+    /// violates its transaction's §2.2 well-formedness or the
+    /// transaction was summarized.
     ///
     /// An unlogged push is permanent: it raises the floor below which
-    /// [`OnlineMonitor::truncate_to`] can retract.
+    /// [`OnlineMonitor::truncate_to`] can retract to the new length.
     pub fn push(&mut self, op: Operation) -> Result<Verdict> {
-        let v = self.push_inner(op, false)?;
-        if let Some(log) = &mut self.log {
-            log.reset(self.index.len());
-        }
-        Ok(v)
+        self.admit(std::slice::from_ref(&op), false).map(|v| v[0])
     }
 
-    /// [`OnlineMonitor::push`] recording an undo-log entry, so the
+    /// [`OnlineMonitor::push`] recording undo-log entries, so the
     /// push can later be retracted by [`OnlineMonitor::truncate_to`].
     pub fn push_logged(&mut self, op: Operation) -> Result<Verdict> {
-        if self.log.is_none() {
-            self.log = Some(UndoLog::new(self.index.len()));
-        }
-        self.push_inner(op, true)
-    }
-
-    fn push_inner(&mut self, op: Operation, logged: bool) -> Result<Verdict> {
-        if self.summarized.contains(op.txn) {
-            return Err(CoreError::SummarizedTransaction { txn: op.txn });
-        }
-        let (txn, item, is_read) = (op.txn, op.item, op.is_read());
-        let existing_slot = self.index.schedule().txn_slot(txn);
-        let seq = SeqDelta {
-            new_slot: existing_slot.is_none(),
-            prev_item_ub: self.index.schedule().item_ub(),
-            prev_last_write: self.index.last_write_raw(item),
-            prev_slot_last: existing_slot.map_or(0, |s| self.index.schedule().slot_last_raw(s)),
-        };
-        let mut global = GlobalDelta::default();
-        let p = self.index.push(op)?;
-        let slot = self.index.schedule().slot_of_op(p);
-        if seq.new_slot {
-            self.finished.slot_created(txn);
-            self.dirty_reads.push(self.spare_sets.take());
-        }
-        // The push's frames go on the log's tape as they are applied.
-        let mut tape = match &mut self.log {
-            Some(log) if logged => Some(log.tape()),
-            _ => None,
-        };
-        // 1. This operation proves its transaction was still running:
-        //    any earlier read *from* it is now a DR violation.
-        if !self.dirty_reads[slot].is_empty() {
-            if self.first_non_dr.is_none() {
-                self.first_non_dr = Some(p);
-                global.set_first_non_dr = true;
-            }
-            for (k, scope) in self.scopes.iter().enumerate() {
-                if self.conjunct_non_dr[k].is_none() && !scope.is_disjoint(&self.dirty_reads[slot])
-                {
-                    self.conjunct_non_dr[k] = Some(p);
-                    if let Some(tape) = tape.as_deref_mut() {
-                        tape.push(k as u32);
-                        global.n_kills += 1;
-                    }
-                }
-            }
-        }
-        // 2. A read leaves a pending mark on its reads-from writer; the
-        //    writer's next operation (step 1, later push) trips it. A
-        //    writer below the compaction base is summarized, hence
-        //    finished: its mark could never trip, so skipping it keeps
-        //    verdict parity with the uncompacted twin.
-        if is_read {
-            if let Some(w) = self.index.reads_from(p) {
-                if w.0 >= self.index.schedule().base() {
-                    let w_slot = self.index.schedule().slot_of_op(w);
-                    if w_slot != slot && self.dirty_reads[w_slot].insert(item) {
-                        global.dr_mark = w_slot as u32;
-                    }
-                }
-            }
-        }
-        // 3. Conflict graphs: global plus every scope containing the
-        //    item (this is where serializability / PWSR flip), and the
-        //    live data access graph (Theorem 3's hypothesis).
-        self.global
-            .apply(slot, item.index(), !is_read, p, tape.as_deref_mut());
-        let mut set_first_violation = false;
-        for &k in self.scope_index.of(item) {
-            let graph = &mut self.conjuncts[k as usize];
-            graph.apply(slot, item.index(), !is_read, p, tape.as_deref_mut());
-            match tape.as_deref_mut() {
-                Some(tape) => self.access_dag.record_logged(slot, k, !is_read, p, tape),
-                None => {
-                    self.access_dag.record(slot, k, !is_read, p);
-                }
-            }
-            if self.first_violation.is_none() && graph.cyclic_at == Some(p) {
-                self.first_violation = Some(p);
-                set_first_violation = true;
-            }
-        }
-        if logged {
-            self.log.as_mut().expect("log enabled").record(PushDelta {
-                seq,
-                global,
-                set_first_violation,
-            });
-        }
-        Ok(self.verdict())
+        self.admit(std::slice::from_ref(&op), true).map(|v| v[0])
     }
 
     /// **Batch admission**: append one transaction's program-ordered
     /// run of operations and return the verdict after each — the
     /// single-writer twin of [`sharded::ShardedMonitor::push_batch`],
-    /// with the
-    /// same contract: the slice must be nonempty operations of a
+    /// with the same contract: the slice must be operations of a
     /// single transaction in program order (panics otherwise), and
-    /// admission is **atomic** — the whole run is §2.2-validated
-    /// up front against a copy of the transaction's live read/write
-    /// sets, so a malformed operation anywhere in the run rejects
-    /// the batch with the monitor untouched (no partial prefix is
-    /// admitted). Verdicts, certificates and undo behaviour are
-    /// byte-identical to pushing the operations one at a time; the
-    /// batch boundary only matters to journaling callers (the
-    /// scheduler's admission layer frames the run as one WAL record).
-    /// An empty slice returns an empty vector.
+    /// admission is **atomic** — the whole run is §2.2-validated up
+    /// front against the transaction's totals, so a malformed
+    /// operation anywhere in the run rejects the batch with the
+    /// monitor untouched (no partial prefix is admitted). Verdicts,
+    /// certificates and undo behaviour are byte-identical to pushing
+    /// the operations one at a time; the batch boundary only matters
+    /// to journaling callers (the scheduler's admission layer frames
+    /// the run as one WAL record). An empty slice returns an empty
+    /// vector.
     pub fn push_batch(&mut self, ops: &[Operation]) -> Result<Vec<Verdict>> {
-        let verdicts = self.batch_inner(ops, false)?;
-        if let Some(log) = &mut self.log {
-            log.reset(self.index.len());
-        }
-        Ok(verdicts)
+        self.admit(ops, false).map(<[Verdict]>::to_vec)
     }
 
-    /// [`OnlineMonitor::push_batch`] recording one undo-log entry per
+    /// [`OnlineMonitor::push_batch`] recording undo-log entries per
     /// operation, so batch-admitted operations retract individually
     /// through [`OnlineMonitor::truncate_to`] exactly like singleton
     /// [`OnlineMonitor::push_logged`] calls.
     pub fn push_batch_logged(&mut self, ops: &[Operation]) -> Result<Vec<Verdict>> {
-        if self.log.is_none() {
-            self.log = Some(UndoLog::new(self.index.len()));
-        }
-        self.batch_inner(ops, true)
+        self.admit(ops, true).map(<[Verdict]>::to_vec)
     }
 
-    fn batch_inner(&mut self, ops: &[Operation], logged: bool) -> Result<Vec<Verdict>> {
+    /// The one admission path: validate the run against its
+    /// transaction's totals, claim its segment (stage 1), then take
+    /// each operation through the global stage, the stage of every
+    /// conjunct containing its item, and the data access graph —
+    /// journaling all of it when `logged`. Returns the verdict after
+    /// each operation.
+    fn admit(&mut self, ops: &[Operation], logged: bool) -> Result<&[Verdict]> {
+        self.verdicts.clear();
         let Some(first) = ops.first() else {
-            return Ok(Vec::new());
+            return Ok(&self.verdicts);
         };
         let txn = first.txn;
         assert!(
             ops.iter().all(|o| o.txn == txn),
             "push_batch requires a single-transaction batch (the program-order unit)"
         );
-        if self.summarized.contains(txn) {
-            return Err(CoreError::SummarizedTransaction { txn });
-        }
-        // Pre-validate the whole run on simulated bitsets so the
-        // per-op loop below cannot fail midway.
-        let (rs, ws) = &mut self.batch_sets;
-        match self.index.schedule().txn_slot(txn) {
-            Some(s) => {
-                let (live_rs, live_ws) = self.index.tables.totals(s);
-                rs.clone_from(live_rs);
-                ws.clone_from(live_ws);
+        let existing = self.seq.slot(txn)?;
+        let slot = existing.unwrap_or_else(|| {
+            let mut row = self.spare_totals.pop().unwrap_or_default();
+            row.clear();
+            self.totals.push(row);
+            self.totals.len() - 1
+        });
+        if let Err(e) = self.totals[slot].admit(ops) {
+            if existing.is_none() {
+                self.spare_totals.extend(self.totals.pop());
             }
-            None => {
-                rs.clear();
-                ws.clear();
+            return Err(e);
+        }
+        self.rf_slots.clear();
+        let (p0, slot) = self.seq.apply(ops, existing, logged, &mut self.rf_slots);
+        for (i, op) in ops.iter().enumerate() {
+            let p = OpIndex(p0 + i);
+            self.global
+                .apply(&self.scopes, slot, op, self.rf_slots[i], p, logged);
+            for &k in self.scope_index.of(op.item) {
+                if self.conjuncts[k as usize].apply(slot, op, p, logged) {
+                    self.first_violation.get_or_insert(p);
+                }
+                if logged {
+                    let tape = self.dag_log.tape();
+                    self.access_dag
+                        .record_logged(slot, k, op.is_write(), p, tape);
+                } else {
+                    self.access_dag.record(slot, k, op.is_write(), p);
+                }
             }
-        }
-        for op in ops {
-            validate_22(rs, ws, op)?;
-            if op.is_write() {
-                ws.insert(op.item);
-            } else {
-                rs.insert(op.item);
+            if logged {
+                self.dag_log.record(());
             }
+            self.verdicts
+                .push(self.global.verdict(p.0 + 1, self.first_violation));
         }
-        let mut verdicts = Vec::with_capacity(ops.len());
-        for op in ops {
-            verdicts.push(
-                self.push_inner(op.clone(), logged)
-                    .expect("batch pre-validated"),
-            );
+        if !logged {
+            // Permanent, and so is everything before it: the journals
+            // restart empty at the new length.
+            let len = self.seq.schedule.len();
+            if self.seq.log.len() > 0 {
+                self.conjuncts.iter_mut().for_each(|c| c.log.reset(len));
+            }
+            self.seq.log.reset(len);
+            self.global.log.reset(len);
+            self.dag_log.reset(len);
         }
-        Ok(verdicts)
+        Ok(&self.verdicts)
     }
 
     /// Retract logged pushes until the prefix is `n` operations long,
@@ -1109,51 +884,36 @@ impl OnlineMonitor {
     /// logged floor (unlogged pushes are permanent).
     pub fn truncate_to(&mut self, n: usize) -> usize {
         assert!(
-            n <= self.index.len(),
+            n <= self.len(),
             "truncate_to({n}) beyond length {}",
-            self.index.len()
+            self.len()
         );
         assert!(
             n >= self.log_floor(),
             "truncate_to({n}) undercuts the undo-log floor {}",
             self.log_floor()
         );
-        let undone = self.index.len() - n;
+        let undone = self.len() - n;
         for _ in 0..undone {
-            let log = self
-                .log
-                .as_mut()
-                .expect("logged pushes exist above the floor");
-            let delta = log.pop().expect("one log entry per logged push");
-            let tape = log.tape();
-            let p = OpIndex(self.index.len() - 1);
-            let slot = self.index.schedule().slot_of_op(p);
-            let op = self.index.schedule().op(p);
-            let (txn, item, is_write) = (op.txn, op.item, op.is_write());
-            // Reverse application order: graphs first, then tables.
-            for &k in self.scope_index.of(item).iter().rev() {
-                self.access_dag.undo(slot, k, is_write, tape);
-                self.conjuncts[k as usize].undo(slot, item.index(), tape);
+            let u = self.seq.undo();
+            self.dag_log.pop();
+            // Reverse application order within the push.
+            for &k in self.scope_index.of(u.op.item).iter().rev() {
+                let tape = self.dag_log.tape();
+                self.access_dag.undo(u.slot, k, u.op.is_write(), tape);
+                self.conjuncts[k as usize].undo(u.slot, u.op.item, u.pos);
             }
-            self.global.undo(slot, item.index(), tape);
-            if delta.set_first_violation {
-                self.first_violation = None;
+            self.global.undo(u.slot, u.op.item, u.new_slot);
+            if u.new_slot {
+                self.spare_totals.extend(self.totals.pop());
+            } else {
+                self.totals[u.slot].strip(&u.op);
             }
-            for _ in 0..delta.global.n_kills {
-                self.conjunct_non_dr[tape.pop() as usize] = None;
-            }
-            if delta.global.set_first_non_dr {
-                self.first_non_dr = None;
-            }
-            if delta.global.dr_mark != ABSENT {
-                self.dirty_reads[delta.global.dr_mark as usize].remove(item);
-            }
-            self.index.pop_for_undo(&delta.seq);
-            if delta.seq.new_slot {
-                self.finished.slot_popped(txn);
-                let row = self.dirty_reads.pop().expect("one row per slot");
-                self.spare_sets.give(row);
-            }
+        }
+        // Every conjunct that went cyclic at or after `n` is acyclic
+        // again, and the minimum over the others is unchanged.
+        if self.first_violation.is_some_and(|p| p.0 >= n) {
+            self.first_violation = None;
         }
         undone
     }
@@ -1161,14 +921,14 @@ impl OnlineMonitor {
     /// Operations retractable by [`OnlineMonitor::truncate_to`]
     /// (equivalently, undo-log entries held: `len() - log_floor()`).
     pub fn logged_len(&self) -> usize {
-        self.log.as_ref().map_or(0, UndoLog::len)
+        self.seq.log.len()
     }
 
     /// The undo-log floor: the prefix length below which pushes are
     /// permanent (equals [`OnlineMonitor::len`] when nothing is
     /// logged).
     pub fn log_floor(&self) -> usize {
-        self.log.as_ref().map_or(self.index.len(), UndoLog::base)
+        self.seq.log.base()
     }
 
     /// Raise the undo-log floor to `floor` (clamped to the currently
@@ -1178,10 +938,14 @@ impl OnlineMonitor {
     /// `floor` has settled, nothing can force a retraction below it.
     /// Returns the new floor.
     pub fn checkpoint(&mut self, floor: usize) -> usize {
-        match &mut self.log {
-            Some(log) => log.checkpoint(floor),
-            None => self.index.len(),
+        let before = self.log_floor();
+        let floor = self.seq.raise_floor(floor);
+        if floor > before {
+            self.global.raise_floor(floor);
+            self.conjuncts.iter_mut().for_each(|c| c.raise_floor(floor));
+            self.dag_log.checkpoint(floor);
         }
+        floor
     }
 
     /// Declare `txn` finished: it will issue no further operations.
@@ -1190,9 +954,14 @@ impl OnlineMonitor {
     /// transaction is summarized — a later push for it is still
     /// accepted and simply holds the frontier back.
     pub fn finish_txn(&mut self, txn: TxnId) {
-        if let Some(slot) = self.index.schedule().txn_slot(txn) {
-            self.finished.mark(slot);
-        }
+        self.seq.finish(txn);
+    }
+
+    /// The position of `txn`'s first live operation, `O(1)` — what a
+    /// checkpoint over a set of live transactions takes the minimum
+    /// of. `None` for a transaction with no live operation.
+    pub fn first_op_of(&self, txn: TxnId) -> Option<OpIndex> {
+        self.seq.first_op_of(txn).map(OpIndex)
     }
 
     /// The **compaction frontier**: the longest prefix in which every
@@ -1202,15 +971,15 @@ impl OnlineMonitor {
     /// frontier-safety condition shared with checkpointing and WAL
     /// truncation).
     pub fn compaction_frontier(&self) -> usize {
-        compaction_frontier(self.index.schedule(), &self.finished, self.log_floor())
+        self.seq.frontier(self.log_floor())
     }
 
     /// **Committed-prefix compaction**: collapse the prefix below
     /// [`OnlineMonitor::compaction_frontier`] into a summary —
     /// per-item last-writer/last-reader boundary facts plus the
     /// condensed reachability of each conflict graph — reclaiming
-    /// schedule segments, prefix-table rows, graph nodes, Pearce–Kelly
-    /// order slots and delayed-read rows. Every structure is cut down
+    /// schedule segments, graph nodes, Pearce–Kelly order slots,
+    /// delayed-read rows and §2.2 totals. Every structure is cut down
     /// in its own storage, and the tables the sweep works in are the
     /// monitor's own: its allocations do not grow with the prefix or
     /// with the number of conjuncts.
@@ -1222,131 +991,68 @@ impl OnlineMonitor {
     /// [`CoreError::SummarizedTransaction`], and
     /// [`OnlineMonitor::truncate_to`] below the frontier keeps
     /// panicking — the frontier never exceeds the undo-log floor.
+    ///
+    /// [`CoreError::SummarizedTransaction`]: crate::error::CoreError::SummarizedTransaction
     pub fn compact(&mut self) -> CompactStats {
-        let frontier = self.compaction_frontier();
-        let base = self.index.schedule().base();
-        if frontier <= base {
-            return CompactStats {
-                frontier: base,
-                ops_reclaimed: 0,
-                txns_summarized: 0,
-            };
-        }
-        // Nodes a retained undo entry references must survive the
-        // condensation: the entry has to stay replayable in LIFO order.
-        let sizes = std::iter::once(&self.global).chain(&self.conjuncts);
-        self.maps.layout(sizes.map(|g| g.dag.len()));
-        let maps = &mut self.maps;
-        Self::walk_log_nodes(
-            self.log.as_mut(),
-            self.index.schedule(),
-            &self.scope_index,
-            |graph, node| maps.kept(graph)[*node as usize] = true,
-        );
-        let summarized = self.index.compact(frontier);
-        let s_cut = summarized.len();
-        for (g, graph) in std::iter::once(&mut self.global)
-            .chain(&mut self.conjuncts)
-            .enumerate()
-        {
-            let (kept, map) = self.maps.both(g);
-            graph.compact(s_cut, kept, map);
-        }
-        // Rename the node ids retained undo entries reference.
-        let maps = &self.maps;
-        Self::walk_log_nodes(
-            self.log.as_mut(),
-            self.index.schedule(),
-            &self.scope_index,
-            |graph, node| *node = maps.map(graph)[*node as usize],
-        );
-        for delta in self.log.iter_mut().flat_map(UndoLog::iter_mut) {
-            delta.global.shift_slots(s_cut as u32);
-        }
-        for row in self.dirty_reads.drain(..s_cut.min(self.dirty_reads.len())) {
-            self.spare_sets.give(row);
-        }
-        self.access_dag.compact_entities(s_cut);
-        self.finished.compact(s_cut);
-        for t in &summarized {
-            self.summarized.insert(*t);
-        }
-        self.compactions += 1;
-        self.ops_reclaimed += (frontier - base) as u64;
-        CompactStats {
-            frontier,
-            ops_reclaimed: frontier - base,
-            txns_summarized: s_cut,
-        }
-    }
-
-    /// Hand `visit` every conflict-graph node id the retained undo
-    /// entries mention, with the graph it belongs to (0 = global,
-    /// `k + 1` = conjunct `k`), reading each entry's frames the way
-    /// [`OnlineMonitor::truncate_to`] would pop them.
-    fn walk_log_nodes(
-        log: Option<&mut UndoLog<PushDelta>>,
-        schedule: &Schedule,
-        scope_index: &ScopeIndex,
-        mut visit: impl FnMut(usize, &mut u32),
-    ) {
-        let Some(log) = log else {
-            return;
-        };
-        let mut p = log.end();
-        log.walk_back(|_, cursor| {
-            p -= 1;
-            for &k in scope_index.of(schedule.op(OpIndex(p)).item).iter().rev() {
-                OnlineAccessDag::skip_frame(cursor);
-                GraphDelta::visit_nodes(cursor, |node| visit(k as usize + 1, node));
+        let (stats, _) = self.seq.compact(self.log_floor());
+        let s_cut = stats.txns_summarized;
+        if stats.ops_reclaimed > 0 {
+            self.global.compact(s_cut, &mut self.seq.maps);
+            for c in &mut self.conjuncts {
+                c.compact(s_cut, &mut self.seq.maps);
             }
-            GraphDelta::visit_nodes(cursor, |node| visit(0, node));
-        });
+            self.access_dag.compact_entities(s_cut);
+            self.spare_totals.extend(self.totals.drain(..s_cut));
+        }
+        stats
     }
 
     /// Compaction calls that actually advanced the frontier.
     pub fn compactions(&self) -> u64 {
-        self.compactions
+        self.seq.compactions
     }
 
     /// Total operations reclaimed across all compactions.
     pub fn ops_reclaimed(&self) -> u64 {
-        self.ops_reclaimed
+        self.seq.ops_reclaimed
     }
 
     /// Was `txn` summarized into the permanent prefix?
     pub fn is_summarized(&self, txn: TxnId) -> bool {
-        self.summarized.contains(txn)
+        self.seq.is_summarized(txn)
     }
 
     /// A structural estimate of the monitor's resident state, in
-    /// bytes: live rows × element sizes across the schedule, prefix
-    /// tables, graphs, delayed-read rows and the undo log with its
-    /// tape. Its job is to make the compaction plateau measurable
-    /// without an allocator hook, so it counts what the monitor must
-    /// hold, not what it happens to have reserved: `Vec` growth slack,
-    /// the retired rows kept for reuse (at most what the last sweep or
-    /// retraction released) and the scratch tables are left out.
+    /// bytes: live rows × element sizes across the schedule, order
+    /// tables, graphs, delayed-read rows, §2.2 totals and the undo
+    /// journals with their tapes. Its job is to make the compaction
+    /// plateau measurable without an allocator hook, so it counts what
+    /// the monitor must hold, not what it happens to have reserved:
+    /// `Vec` growth slack, the retired rows kept for reuse (at most
+    /// what the last sweep or retraction released) and the scratch
+    /// tables are left out.
     /// `crates/core/tests/alloc_budget.rs` holds it within a factor of
     /// two of the bytes a counting allocator sees live whenever the
     /// monitor is at a high-water mark (before a sweep, or never
     /// swept).
     pub fn resident_bytes_estimate(&self) -> usize {
-        self.index.schedule().resident_bytes()
-            + self.index.tables.resident_bytes()
-            + ItemSet::rows_bytes(&self.scopes)
+        use std::mem::size_of;
+        ItemSet::rows_bytes(&self.scopes)
             + self.scope_index.resident_bytes()
+            + self.seq.resident_bytes()
             + self.global.resident_bytes()
             + self
                 .conjuncts
                 .iter()
-                .map(|g| std::mem::size_of::<ProjGraph>() + g.resident_bytes())
+                .map(|c| size_of::<ShardState>() + c.resident_bytes())
                 .sum::<usize>()
-            + ItemSet::rows_bytes(&self.dirty_reads)
+            + self
+                .totals
+                .iter()
+                .map(|t| size_of::<TxnTotals>() + t.heap_bytes())
+                .sum::<usize>()
             + self.access_dag.resident_bytes()
-            + self.log.as_ref().map_or(0, UndoLog::resident_bytes)
-            + self.finished.resident_bytes()
-            + self.summarized.resident_bytes()
+            + self.dag_log.resident_bytes()
     }
 
     /// Would admitting this access keep `level`? Read-only — the
@@ -1354,73 +1060,42 @@ impl OnlineMonitor {
     /// A summarized transaction is never admitted: its push would be
     /// rejected ([`CoreError::SummarizedTransaction`]) regardless of
     /// what the graphs say.
+    ///
+    /// [`CoreError::SummarizedTransaction`]: crate::error::CoreError::SummarizedTransaction
     pub fn admits(&self, txn: TxnId, item: ItemId, is_write: bool, level: AdmissionLevel) -> bool {
-        if self.summarized.contains(txn) {
+        let Ok(slot) = self.seq.slot(txn) else {
             return false;
-        }
-        let slot = self.index.schedule().txn_slot(txn);
-        match level {
-            AdmissionLevel::Serializable => self.admits_graph_global(slot, item.index(), is_write),
-            AdmissionLevel::Pwsr => self.admits_conjuncts(slot, item, is_write),
-            AdmissionLevel::PwsrDr => {
-                // Any operation of a dirtily-read transaction
-                // materializes the DR violation.
-                let clean = slot
-                    .and_then(|s| self.dirty_reads.get(s))
-                    .is_none_or(ItemSet::is_empty);
-                clean && self.admits_conjuncts(slot, item, is_write)
-            }
-        }
-    }
-
-    fn admits_graph_global(&self, slot: Option<usize>, item: usize, is_write: bool) -> bool {
-        self.global.admits(slot, item, is_write)
-    }
-
-    fn admits_conjuncts(&self, slot: Option<usize>, item: ItemId, is_write: bool) -> bool {
-        self.scope_index
-            .of(item)
-            .iter()
-            .all(|&k| self.conjuncts[k as usize].admits(slot, item.index(), is_write))
+        };
+        let (global, conjunct) = (|| &self.global, |k: usize| &self.conjuncts[k]);
+        stages::admits(
+            &self.scope_index,
+            slot,
+            item,
+            is_write,
+            level,
+            global,
+            conjunct,
+        )
     }
 
     /// The current verdict (what the last `push` returned).
     pub fn verdict(&self) -> Verdict {
-        let serializable = self.global.serializable();
-        let pwsr = self.first_violation.is_none();
-        let dr = self.first_non_dr.is_none();
-        let level = VerdictLevel::compose(serializable, dr, pwsr);
-        Verdict {
-            len: self.index.len(),
-            level,
-            serializable,
-            dr,
-            first_violation: self.first_violation,
-            first_non_serializable: self.global.cyclic_at,
-            first_non_dr: self.first_non_dr,
-            lemma2_certified: pwsr,
-            lemma6_certified: pwsr && self.conjunct_non_dr.iter().all(Option::is_none),
-        }
-    }
-
-    /// The underlying growing index (schedule + query tables).
-    pub fn online_index(&self) -> &OnlineIndex {
-        &self.index
+        self.global.verdict(self.len(), self.first_violation)
     }
 
     /// The current prefix.
     pub fn schedule(&self) -> &Schedule {
-        self.index.schedule()
+        &self.seq.schedule
     }
 
     /// Number of operations pushed.
     pub fn len(&self) -> usize {
-        self.index.len()
+        self.seq.schedule.len()
     }
 
     /// Has nothing been pushed yet?
     pub fn is_empty(&self) -> bool {
-        self.index.is_empty()
+        self.seq.schedule.is_empty()
     }
 
     /// The projection scopes.
@@ -1432,27 +1107,27 @@ impl OnlineMonitor {
     /// (a topological order of its reduced conflict graph), or `None`
     /// once the projection is non-serializable.
     pub fn conjunct_order(&self, k: usize) -> Option<Vec<TxnId>> {
-        self.conjuncts[k].order(self.index.schedule().txn_ids())
+        self.conjuncts[k].graph.order(self.seq.schedule.txn_ids())
     }
 
     /// The maintained global serialization order, or `None`.
     pub fn serialization_order(&self) -> Option<Vec<TxnId>> {
-        self.global.order(self.index.schedule().txn_ids())
+        self.global.graph.order(self.seq.schedule.txn_ids())
     }
 
     /// Does the Lemma 2 certificate hold for conjunct `k`?
     pub fn lemma2_holds(&self, k: usize) -> bool {
-        self.conjuncts[k].serializable()
+        self.conjuncts[k].graph.serializable()
     }
 
     /// Does the Lemma 6 certificate hold for conjunct `k`?
     pub fn lemma6_holds(&self, k: usize) -> bool {
-        self.conjuncts[k].serializable() && self.conjunct_non_dr[k].is_none()
+        self.lemma2_holds(k) && self.global.lemma6_clean(k)
     }
 
     /// First position whose projection on conjunct `k` is cyclic.
     pub fn conjunct_first_cycle(&self, k: usize) -> Option<OpIndex> {
-        self.conjuncts[k].cyclic_at
+        self.conjuncts[k].graph.cyclic_at
     }
 
     /// Re-derive every certificate with the batch machinery and compare
@@ -1462,7 +1137,7 @@ impl OnlineMonitor {
     /// [`OnlineMonitor::lemma6_holds`]. `O(n·|τ|)` — the audit path,
     /// not the per-push path.
     pub fn certify_prefix(&self) -> bool {
-        let s = self.index.schedule();
+        let s = self.schedule();
         for (k, d) in self.scopes.iter().enumerate() {
             let Some(order) = self.conjunct_order(k) else {
                 continue; // Lemma preconditions need a serialization order.
@@ -1508,11 +1183,12 @@ impl OnlineMonitor {
     /// void unless the prefix is PWSR over disjoint scopes.
     pub fn guarantees(&self) -> Vec<Guarantee> {
         let mut out = Vec::new();
-        if self.scopes_disjoint && self.first_violation.is_none() {
+        let v = self.verdict();
+        if self.scopes_disjoint && v.pwsr() {
             if self.traits.all_fixed_structure == Some(true) {
                 out.push(Guarantee::Theorem1FixedStructure);
             }
-            if self.first_non_dr.is_none() {
+            if v.dr {
                 out.push(Guarantee::Theorem2DelayedRead);
             }
             if self.access_dag.is_acyclic() {
@@ -1546,7 +1222,7 @@ pub enum AdmissionLevel {
 mod tests {
     use super::*;
     use crate::dr::is_delayed_read;
-    use crate::ids::ItemId;
+    use crate::error::CoreError;
     use crate::serializability::{is_conflict_serializable, is_conflict_serializable_proj};
     use crate::value::Value;
 
@@ -1578,40 +1254,24 @@ mod tests {
     }
 
     #[test]
-    fn online_index_matches_batch_index() {
-        let ops = example2_ops();
-        let mut online = OnlineIndex::new();
-        for (k, op) in ops.iter().enumerate() {
-            assert_eq!(online.push(op.clone()).unwrap(), OpIndex(k));
-            let prefix = Schedule::new(ops[..=k].to_vec()).unwrap();
-            let batch = ScheduleIndex::new(&prefix);
-            let live = online.index();
-            assert_eq!(online.schedule(), &prefix);
-            for &t in prefix.txn_ids() {
-                for p in prefix.positions() {
-                    assert_eq!(live.read_set_before(t, p), batch.read_set_before(t, p));
-                    assert_eq!(live.write_set_before(t, p), batch.write_set_before(t, p));
-                    assert_eq!(live.txn_finished_by(t, p), batch.txn_finished_by(t, p));
-                }
-            }
-            for p in prefix.positions() {
-                assert_eq!(live.reads_from(p), batch.reads_from(p));
-            }
-        }
-    }
-
-    #[test]
     fn online_index_rejects_malformed_transactions() {
-        let mut ix = OnlineIndex::new();
-        ix.push(rd(1, 0, 0)).unwrap();
-        ix.push(wr(1, 1, 1)).unwrap();
-        assert!(ix.push(rd(1, 0, 0)).is_err(), "duplicate read");
-        assert!(ix.push(rd(1, 1, 1)).is_err(), "read after write");
-        assert!(ix.push(wr(1, 1, 2)).is_err(), "duplicate write");
-        // Nothing was appended by the failed pushes.
-        assert_eq!(ix.len(), 2);
-        ix.push(rd(2, 0, 0)).unwrap();
-        assert_eq!(ix.len(), 3);
+        let mut m = OnlineMonitor::new(example2_scopes());
+        m.push(rd(1, 0, 0)).unwrap();
+        m.push(wr(1, 1, 1)).unwrap();
+        assert!(m.push(rd(1, 0, 0)).is_err(), "duplicate read");
+        assert!(m.push(rd(1, 1, 1)).is_err(), "read after write");
+        assert!(m.push(wr(1, 1, 2)).is_err(), "duplicate write");
+        // A run is refused whole, wherever its malformed operation
+        // sits, for a transaction seen before or not.
+        assert!(m.push_batch(&[rd(1, 2, 0), wr(1, 1, 2)]).is_err());
+        assert!(m.push_batch(&[rd(3, 0, 0), rd(3, 0, 0)]).is_err());
+        // Nothing was appended by the failed pushes, and no bit of a
+        // refused run stuck.
+        assert_eq!(m.len(), 2);
+        assert_eq!(m.schedule().txn_ids(), &[TxnId(1)]);
+        m.push(rd(1, 2, 0)).unwrap();
+        m.push(rd(3, 0, 0)).unwrap();
+        assert_eq!(m.len(), 4);
     }
 
     #[test]

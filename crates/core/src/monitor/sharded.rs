@@ -1,53 +1,66 @@
-//! The **sharded concurrent monitor**: live certification under real
-//! OS-thread parallelism, without a single big mutex — and, when
-//! logging is enabled, with **speculative-suffix retraction** so an
-//! optimistic executor can abort.
+//! The **sharded concurrent monitor**: the certifier of
+//! [`OnlineMonitor`](super::OnlineMonitor) driven by many threads at
+//! once, without a single big mutex — and, when logging is enabled,
+//! with **speculative-suffix retraction** so an optimistic executor
+//! can abort.
 //!
-//! [`OnlineMonitor`](super::OnlineMonitor) is single-writer: a
-//! threaded executor certifying through it serializes every operation
-//! behind one lock — exactly the parallelism the PWSR criterion
-//! exists to permit. The paper's structure says that is unnecessary:
-//! the per-conjunct projections are *independent* (Definition 2
-//! quantifies per conjunct, and the conjunct data sets are disjoint in
-//! every interesting instance), so per-conjunct certification state
-//! can live in per-conjunct **shards**, each behind its own
-//! `parking_lot` lock.
+//! A threaded executor certifying through the single writer
+//! serializes every operation behind one lock — exactly the
+//! parallelism the PWSR criterion exists to permit. The paper's
+//! structure says that is unnecessary: the per-conjunct projections
+//! are *independent* (Definition 2 quantifies per conjunct, and the
+//! conjunct data sets are disjoint in every interesting instance). The
+//! certifier is already written that way — three kinds of plain stage
+//! state in the private `stages` module, each owning its `apply`,
+//! `undo`, `compact` and journal — so this module writes no
+//! certification logic of its own. It holds the same structs the
+//! single writer owns, each behind its own `parking_lot` lock, and
+//! adds what only a pipeline needs: the order in which threads get to
+//! call them.
 //!
 //! ## The ticketed pipeline
 //!
 //! A monitored prefix is a *total order*, so something must define it.
-//! [`ShardedMonitor::push`] splits each operation into three stages:
+//! [`ShardedMonitor::push_batch`] takes one transaction's run through
+//! three stages:
 //!
-//! 1. **sequence** (one short mutex): append to the growing
-//!    [`Schedule`], update the `last_write`/reads-from entry, and
-//!    claim *tickets* — one for the global stage and one per conjunct
-//!    shard whose scope contains the item (looked up in the scopes'
-//!    item → conjunct index, built once at construction). This
-//!    section is `O(words)` with **no graph work, no prefix tables and
-//!    no §2.2 scans** — the per-transaction read/write totals that
+//! 1. **sequence** (one short mutex around `SeqState`): append the run
+//!    to the growing [`Schedule`], update the `last_write`/reads-from
+//!    entries, and claim *tickets* — one per operation for the global
+//!    stage and one per conjunct shard whose scope contains its item
+//!    (looked up in the scopes' item → conjunct index, built once at
+//!    construction). This section is `O(words)` with **no graph work
+//!    and no §2.2 scans** — the per-transaction read/write totals that
 //!    back the §2.2 validation live *outside* the mutex, in a striped
 //!    table (each transaction's row is touched only by the thread
 //!    pushing that transaction, per the program-order contract), so
-//!    the order-claiming region is the thinnest it can be.
-//! 2. **global** (ticketed, own lock): delayed-read tracking
-//!    (Definition 5 marks, the first-non-DR prefix, the per-conjunct
-//!    Lemma-6 kills) and the global reduced conflict graph under
-//!    Pearce–Kelly. Tickets are served in claim order, so this state
-//!    evolves in exactly the claimed interleaving.
-//! 3. **shards** (ticketed, one `RwLock` per conjunct): each touched
-//!    conjunct's reduced conflict graph. Operations on *different*
-//!    conjuncts proceed through different shards concurrently — this
-//!    is where the parallelism the single writer forfeits comes back.
+//!    the order-claiming region is the thinnest it can be. The
+//!    durability journal hears of the run here, which makes journal
+//!    order claimed order.
+//! 2. **global** (ticketed, `GlobalState` behind its own lock):
+//!    delayed-read tracking (Definition 5 marks, the first-non-DR
+//!    prefix, the per-conjunct Lemma-6 kills) and the global reduced
+//!    conflict graph under Pearce–Kelly. Tickets are served in claim
+//!    order, so this state evolves in exactly the claimed
+//!    interleaving.
+//! 3. **shards** (ticketed, one `ShardState` per conjunct behind an
+//!    `RwLock`): each touched conjunct's reduced conflict graph.
+//!    Operations on *different* conjuncts proceed through different
+//!    shards concurrently — this is where the parallelism the single
+//!    writer forfeits comes back.
 //!
-//! Because every stage processes operations in claimed-position order,
-//! each component's state equals the single-writer monitor's on the
-//! same interleaving — the final [`ShardedMonitor::verdict`] is
-//! **byte-identical** to replaying the recorded schedule through an
-//! `OnlineMonitor` (pinned by the stress tests in
-//! `tests/sharded_props.rs`). The stages form a pipeline: while one
-//! thread runs its global stage for position `p`, another can run the
-//! sequence stage for `p+1` and a third a shard stage for `p-1`, so
-//! throughput is bounded by the *widest stage*, not by the sum.
+//! Every stage sees its operations in claimed-position order, and the
+//! stage code is the single writer's, so each component's state
+//! equals the single-writer monitor's on the same interleaving — the
+//! final [`ShardedMonitor::verdict`] is **byte-identical** to
+//! replaying the recorded schedule through an `OnlineMonitor`. What
+//! `tests/sharded_props.rs` stresses is therefore this module's own
+//! part: that the turnstiles really do serve in claimed order under
+//! real threads, aborts and compactions. The stages form a pipeline:
+//! while one thread runs its global stage for position `p`, another
+//! can run the sequence stage for `p+1` and a third a shard stage for
+//! `p-1`, so throughput is bounded by the *widest stage*, not by the
+//! sum.
 //!
 //! The verdict ladder is additionally mirrored into a **lock-free
 //! atomic floor** (`fetch_max` over the ladder rank, `fetch_min` over
@@ -58,27 +71,24 @@
 //! worsens between retractions; [`ShardedMonitor::truncate_to`] and
 //! [`ShardedMonitor::retract_txn`] recompute it exactly.
 //!
-//! ## Retraction (the undo layer, sharded)
+//! ## Retraction
 //!
-//! A monitor built with [`ShardedMonitor::new_logged`] journals every
-//! push through the shared [`undo`](super::undo) layer, split by
-//! pipeline stage: the sequence mutex owns an `UndoLog<SeqDelta>`
-//! (table rows), the global stage an `UndoLog<GlobalDelta>` (DR
-//! marks, with the global graph's frames on its tape), and each shard
-//! its own journal of positions and graph frames *behind the shard's
-//! existing lock*. Because each stage
-//! serves tickets in claimed order, each journal is automatically in
-//! position order — the LIFO retraction invariant holds per stage
-//! without any cross-stage coordination.
+//! A monitor built with [`ShardedMonitor::new_logged`] has every stage
+//! journal what it applies ([`undo`](super::undo)): each stage state
+//! owns its journal, so the journal sits *behind the stage's existing
+//! lock*, and because each stage serves tickets in claimed order each
+//! journal is automatically in position order — the LIFO retraction
+//! invariant holds per stage without any cross-stage coordination.
 //!
 //! [`ShardedMonitor::truncate_to`] retracts a speculative suffix: it
 //! holds the sequence mutex (no new positions can be claimed), waits
 //! for the in-flight pipeline to drain (bounded by the ops already
 //! ticketed — they complete without needing the sequence mutex), then
-//! pops each stage's journal in reverse position order. A shard is
-//! locked only while *its own* entries pop — a shard untouched by the
-//! suffix is never locked at all — so the cost is `O(ops undone)`
-//! counted per shard, not `O(schedule)`.
+//! has each stage undo its last entry, newest position first, handing
+//! each turnstile its ticket back. A shard is locked only while *its
+//! own* entries pop — a shard untouched by the suffix is never locked
+//! at all — so the cost is `O(ops undone)` counted per shard, not
+//! `O(schedule)`.
 //! [`ShardedMonitor::retract_txn`] is the abort primitive on top:
 //! truncate to the aborting transaction's first operation, then
 //! re-push the surviving interleaving (which can never introduce a
@@ -90,9 +100,9 @@
 //! [`ShardedMonitor::checkpoint`] bounds the journals' memory over a
 //! long run: once the caller knows which transactions may still
 //! abort, every stage's floor rises to the oldest live transaction's
-//! first operation and the per-push deltas below it are reclaimed —
-//! the sharded counterpart of
-//! [`OnlineMonitor::checkpoint`](super::OnlineMonitor::checkpoint).
+//! first operation and the per-push deltas below it are reclaimed.
+//! [`ShardedMonitor::compact`] then collapses the finished prefix
+//! below that floor, stage by stage in lock-rank order.
 //!
 //! ## Lock discipline
 //!
@@ -108,16 +118,13 @@
 //! workload.
 
 use super::journal::MonitorJournal;
-use super::undo::{GlobalDelta, GraphDelta, SeqDelta, UndoLog};
-use super::{
-    AdmissionLevel, CompactStats, FinishedFlags, NodeMaps, ProjGraph, ScopeIndex, SummarizedSet,
-    Verdict, VerdictLevel,
-};
-use crate::error::{CoreError, Result};
+use super::stages::{self, GlobalState, SeqState, ShardState, TxnTotals};
+use super::{AdmissionLevel, CompactStats, ScopeIndex, Verdict, VerdictLevel};
+use crate::error::Result;
 use crate::ids::{ItemId, OpIndex, TxnId};
 use crate::op::Operation;
 use crate::schedule::Schedule;
-use crate::state::{ItemSet, SetPool};
+use crate::state::ItemSet;
 use parking_lot::{Mutex, RwLock};
 use std::cell::Cell;
 use std::collections::HashMap;
@@ -288,13 +295,6 @@ impl<G> Drop for RankedGuard<G> {
     }
 }
 
-/// One transaction's running §2.2 read/write totals.
-#[derive(Debug, Default)]
-struct TxnTotals {
-    rs: ItemSet,
-    ws: ItemSet,
-}
-
 /// How many independently locked parts the totals table has.
 const TOTALS_STRIPES: usize = 16;
 const _: () = assert!(TOTALS_STRIPES.is_power_of_two());
@@ -336,31 +336,17 @@ impl TotalsTable {
     }
 
     /// §2.2-validate `ops` (one transaction's run, in program order)
-    /// against the transaction's totals and record them — atomically:
-    /// on any failure the bits set for earlier operations of the run
-    /// are cleared again, so a rejected run leaves no trace
-    /// (`validate_22` rejects duplicates, hence every bit set here was
-    /// fresh). The same check, by the same code, as the single-writer
-    /// index — parity by construction.
+    /// against the transaction's totals and record them, atomically
+    /// ([`TxnTotals::admit`] — the single writer's check, by the same
+    /// code).
     fn admit(&self, txn: TxnId, ops: &[Operation]) -> Result<()> {
         let mut stripe = self.stripe(txn).lock();
         let stripe = &mut *stripe;
-        let t = stripe
+        stripe
             .live
             .entry(txn)
-            .or_insert_with(|| stripe.spare.pop().unwrap_or_default());
-        for (i, op) in ops.iter().enumerate() {
-            if let Err(e) = super::validate_22(&t.rs, &t.ws, op) {
-                ops[..i].iter().for_each(|prior| t.strip(prior));
-                return Err(e);
-            }
-            if op.is_write() {
-                t.ws.insert(op.item);
-            } else {
-                t.rs.insert(op.item);
-            }
-        }
-        Ok(())
+            .or_insert_with(|| stripe.spare.pop().unwrap_or_default())
+            .admit(ops)
     }
 
     /// Clear the bits `ops` set in `txn`'s totals: the run never
@@ -378,8 +364,7 @@ impl TotalsTable {
     fn forget(&self, txn: TxnId) {
         let mut stripe = self.stripe(txn).lock();
         if let Some(mut t) = stripe.live.remove(&txn) {
-            t.rs.clear();
-            t.ws.clear();
+            t.clear();
             stripe.spare.push(t);
         }
     }
@@ -393,22 +378,10 @@ impl TotalsTable {
                 stripe
                     .live
                     .values()
-                    .map(|t| {
-                        size_of::<(TxnId, TxnTotals)>() + 1 + t.rs.heap_bytes() + t.ws.heap_bytes()
-                    })
+                    .map(|t| size_of::<(TxnId, TxnTotals)>() + 1 + t.heap_bytes())
                     .sum::<usize>()
             })
             .sum::<usize>()
-    }
-}
-
-impl TxnTotals {
-    fn strip(&mut self, op: &Operation) {
-        if op.is_write() {
-            self.ws.remove(op.item);
-        } else {
-            self.rs.remove(op.item);
-        }
     }
 }
 
@@ -448,70 +421,23 @@ fn with_lane_scratch<R>(f: impl FnOnce(&mut LaneScratch) -> R) -> R {
     out
 }
 
-/// Stage-1 state: the order-defining serial section.
+/// What the order-claiming sequence mutex guards: the stage-1 state
+/// plus what only a pipeline needs beside it.
 #[derive(Debug)]
-struct SeqState {
-    /// The growing schedule — the interleaving being certified.
-    schedule: Schedule,
-    /// Per item: position of the latest write (`NO_POS` if none).
-    last_write: Vec<u32>,
-    /// Per slot: position of the transaction's first operation (the
-    /// `O(1)` lookup behind [`ShardedMonitor::retract_txn`]).
-    first_op: Vec<u32>,
+struct Sequencer {
+    state: SeqState,
     /// Next global-stage ticket. Tickets are compared for equality
     /// only and all their arithmetic wraps, so a stream may run past
     /// 2³² operations.
     gticket: u32,
     /// Next ticket per conjunct shard.
     tickets: Vec<u32>,
-    /// Sequence-half undo journal (entries only when logging).
-    log: UndoLog<SeqDelta>,
     /// Durability journal: receives appends/truncations/floor raises
     /// under this mutex, so journal order is claimed schedule order
     /// (see [`MonitorJournal`]'s ordering contract).
     journal: Option<Box<dyn MonitorJournal>>,
-    /// Transactions declared finished ([`ShardedMonitor::finish_txn`])
-    /// but not yet summarized.
-    finished: FinishedFlags,
-    /// Transactions collapsed into the permanent prefix: pushes and
-    /// retractions for them are rejected.
-    summarized: SummarizedSet,
-    /// Compaction calls that advanced the frontier / total operations
-    /// reclaimed by them.
-    compactions: u64,
-    ops_reclaimed: u64,
-    /// The node tables a compaction sweep works in, one graph at a
-    /// time (the sweep holds this lock throughout).
-    maps: NodeMaps,
     /// The survivors a [`ShardedMonitor::retract_txn`] re-pushes.
     survivors: Vec<Operation>,
-}
-
-/// Stage-2 state: everything that needs the full total order.
-#[derive(Debug)]
-struct GlobalState {
-    /// The global reduced conflict graph (serializability).
-    graph: ProjGraph,
-    /// Per slot: items written that someone else has read — the
-    /// writer's next operation materializes the dirty read.
-    dirty_reads: Vec<ItemSet>,
-    /// Rows `dirty_reads` gave up, reused by the slots created next.
-    spare_sets: SetPool,
-    first_non_dr: Option<OpIndex>,
-    /// Per conjunct: first in-scope dirty-read materialization.
-    conjunct_non_dr: Vec<Option<OpIndex>>,
-    /// Global-half undo journal (entries only when logging).
-    log: UndoLog<GlobalDelta>,
-}
-
-/// Stage-3 state: one conjunct's reduced conflict graph plus its own
-/// undo journal: one record — the position — and one graph frame per
-/// logged push that touched the shard, automatically in position
-/// order because the shard serves tickets in claimed order.
-#[derive(Debug, Default)]
-struct ShardState {
-    graph: ProjGraph,
-    log: UndoLog<u32>,
 }
 
 /// One conjunct shard: a ticket turnstile plus the guarded state.
@@ -629,7 +555,7 @@ pub struct ShardedMonitor {
     /// Per transaction: §2.2 running totals, outside the serial
     /// section (see [`TotalsTable`]).
     totals: TotalsTable,
-    seq: RankedMutex<SeqState>,
+    seq: RankedMutex<Sequencer>,
     gserving: AtomicU32,
     gstate: RankedRwLock<GlobalState>,
     shards: Vec<Shard>,
@@ -672,34 +598,16 @@ impl ShardedMonitor {
             totals: TotalsTable::new(),
             seq: RankedMutex::new(
                 RANK_SEQ,
-                SeqState {
-                    schedule: Schedule::default(),
-                    last_write: Vec::new(),
-                    first_op: Vec::new(),
+                Sequencer {
+                    state: SeqState::default(),
                     gticket: 0,
                     tickets: vec![0; n],
-                    log: UndoLog::new(0),
                     journal: None,
-                    finished: FinishedFlags::default(),
-                    summarized: SummarizedSet::default(),
-                    compactions: 0,
-                    ops_reclaimed: 0,
-                    maps: NodeMaps::default(),
                     survivors: Vec::new(),
                 },
             ),
             gserving: AtomicU32::new(0),
-            gstate: RankedRwLock::new(
-                RANK_GLOBAL,
-                GlobalState {
-                    graph: ProjGraph::default(),
-                    dirty_reads: Vec::new(),
-                    spare_sets: SetPool::default(),
-                    first_non_dr: None,
-                    conjunct_non_dr: vec![None; n],
-                    log: UndoLog::new(0),
-                },
-            ),
+            gstate: RankedRwLock::new(RANK_GLOBAL, GlobalState::new(n)),
             shards: (0..n)
                 .map(|k| Shard {
                     serving: AtomicU32::new(0),
@@ -723,7 +631,7 @@ impl ShardedMonitor {
     fn with_first_ticket(self, first: u32) -> ShardedMonitor {
         {
             let mut s = self.seq.lock();
-            assert!(s.schedule.is_empty(), "tickets already claimed");
+            assert!(s.state.schedule.is_empty(), "tickets already claimed");
             s.gticket = first;
             s.tickets.fill(first);
         }
@@ -784,7 +692,7 @@ impl ShardedMonitor {
 
     /// Operations pushed so far.
     pub fn len(&self) -> usize {
-        self.seq.lock().schedule.len()
+        self.seq.lock().state.schedule.len()
     }
 
     /// Has nothing been pushed yet?
@@ -878,13 +786,16 @@ impl ShardedMonitor {
             // --- stage 1: claim the segment, once -----------------------
             let (p0, slot, g0) = {
                 let mut s = self.seq.lock();
-                if s.summarized.contains(txn) {
-                    // The run never claimed a position, and a
-                    // summarized transaction has no other totals.
-                    drop(s);
-                    self.totals.forget(txn);
-                    return Err(CoreError::SummarizedTransaction { txn });
-                }
+                let existing = match s.state.slot(txn) {
+                    Ok(existing) => existing,
+                    Err(summarized) => {
+                        // The run never claimed a position, and a
+                        // summarized transaction has no other totals.
+                        drop(s);
+                        self.totals.forget(txn);
+                        return Err(summarized);
+                    }
+                };
                 let t0 = self.time_serial.then(Instant::now);
                 if let Some(journal) = s.journal.as_deref_mut() {
                     if framed {
@@ -893,7 +804,7 @@ impl ShardedMonitor {
                         journal.appended(&ops[0]);
                     }
                 }
-                let claimed = self.stage_seq(&mut s, ops, scratch);
+                let claimed = self.stage_seq(&mut s, ops, existing, scratch);
                 // Claimed under the sequence lock, released after the
                 // floor publication below: a retraction's drain waits
                 // for this to reach zero, so it can never interleave
@@ -920,8 +831,20 @@ impl ShardedMonitor {
             {
                 let mut g = self.gstate.write();
                 for (i, op) in ops.iter().enumerate() {
-                    outcomes[i] =
-                        self.stage_global(&mut g, slot, op, scratch.rf_slots[i], OpIndex(p0 + i));
+                    let p = OpIndex(p0 + i);
+                    let caused_non_dr =
+                        g.apply(&self.scopes, slot, op, scratch.rf_slots[i], p, self.logging);
+                    // The outcome as far as this stage knows it: as
+                    // `floor`, the rung the prefix holds *if no
+                    // conjunct is violated* (stage 3 and the floor
+                    // publication settle that).
+                    outcomes[i] = PushOutcome {
+                        pos: p,
+                        floor: g.level(true),
+                        caused_non_serializable: g.graph.cyclic_at == Some(p),
+                        caused_violation: false,
+                        caused_non_dr,
+                    };
                 }
             }
             self.gserving
@@ -969,146 +892,40 @@ impl ShardedMonitor {
         })
     }
 
-    /// Stage 1, under the (held) sequence lock: reserve the segment
-    /// `[len, len + k)` in one `Schedule` append, record one
-    /// [`SeqDelta`] per operation (computed arithmetically from the
-    /// pre-run snapshot — within a single-transaction run, operation
-    /// `i`'s previous-slot-last is simply `p0 + i - 1`, and §2.2's
-    /// read-after-write rejection guarantees no read in the run
-    /// resolves against a writer inside the run), and claim every
-    /// global and per-shard ticket atomically, in program order. The
-    /// per-op deltas keep `truncate_locked`'s one-pop-per-op rollback
-    /// valid whatever the run's length. The caller has already
-    /// reported the append to the durability journal. Leaves the
-    /// claimed shard turns and the resolved reads-from slots in
-    /// `scratch`; returns the first position, the transaction's slot
-    /// and the first global ticket.
+    /// Stage 1, under the (held) sequence lock: claim the run's
+    /// segment ([`SeqState::apply`]) and with it, atomically and in
+    /// program order, every global and per-shard ticket. The caller
+    /// has already reported the append to the durability journal.
+    /// Leaves the claimed shard turns and the resolved reads-from
+    /// slots in `scratch`; returns the first position, the
+    /// transaction's slot and the first global ticket.
     fn stage_seq(
         &self,
-        s: &mut SeqState,
+        s: &mut Sequencer,
         ops: &[Operation],
+        existing: Option<usize>,
         scratch: &mut LaneScratch,
     ) -> (usize, usize, u32) {
-        let p0 = s.schedule.len();
-        let base = s.schedule.base();
-        let existing = s.schedule.txn_slot(ops[0].txn);
-        let pre_slot_last = existing.map_or(0, |sl| s.schedule.slot_last_raw(sl));
-        let mut cur_ub = s.schedule.item_ub();
+        let (p0, slot) = s
+            .state
+            .apply(ops, existing, self.logging, &mut scratch.rf_slots);
         for (i, op) in ops.iter().enumerate() {
-            let idx = op.item.index();
-            let delta = SeqDelta {
-                new_slot: existing.is_none() && i == 0,
-                prev_item_ub: cur_ub,
-                prev_last_write: s.last_write.get(idx).copied().unwrap_or(NO_POS),
-                prev_slot_last: if i == 0 {
-                    pre_slot_last
-                } else {
-                    (p0 + i - 1) as u32
-                },
-            };
-            cur_ub = cur_ub.max(idx + 1);
-            let rf = if op.is_write() {
-                if s.last_write.len() <= idx {
-                    s.last_write.resize(idx + 1, NO_POS);
-                }
-                s.last_write[idx] = (p0 + i) as u32;
-                None
-            } else {
-                // A writer below the compaction base is summarized,
-                // hence finished: its dirty-read mark could never
-                // trip, so skipping it keeps verdict parity with an
-                // uncompacted replay (its row was reclaimed).
-                let w = delta.prev_last_write;
-                (w != NO_POS && w as usize >= base)
-                    .then(|| s.schedule.slot_of_op(OpIndex(w as usize)))
-            };
-            scratch.rf_slots.push(rf);
             for &k in self.scope_index.of(op.item) {
                 let ticket = &mut s.tickets[k as usize];
                 scratch.turns.push((k, i as u32, *ticket));
                 *ticket = ticket.wrapping_add(1);
             }
-            if self.logging {
-                s.log.record(delta);
-            }
-        }
-        let slot = s.schedule.push_segment_unchecked(ops);
-        if slot == s.first_op.len() {
-            s.first_op.push(p0 as u32);
-            s.finished.slot_created(ops[0].txn);
         }
         let g0 = s.gticket;
         s.gticket = g0.wrapping_add(ops.len() as u32);
         (p0, slot, g0)
     }
 
-    /// Stage 2 under the (held) global lock: delayed-read tracking and
-    /// the global conflict graph for the operation at `p`. Returns its
-    /// outcome as far as this stage knows it — exact for the prefix
-    /// ending at `p`, because tickets serve in position order:
-    /// position, the two global causality flags, and as `floor` the
-    /// rung the prefix holds *if no conjunct is violated* (stage 3 and
-    /// the floor publication settle that).
-    fn stage_global(
-        &self,
-        g: &mut GlobalState,
-        slot: usize,
-        op: &Operation,
-        rf_slot: Option<usize>,
-        p: OpIndex,
-    ) -> PushOutcome {
-        let mut delta = GlobalDelta::default();
-        let mut tape = self.logging.then(|| g.log.tape());
-        while g.dirty_reads.len() <= slot {
-            g.dirty_reads.push(g.spare_sets.take());
-        }
-        let mut caused_non_dr = false;
-        if !g.dirty_reads[slot].is_empty() {
-            if g.first_non_dr.is_none() {
-                g.first_non_dr = Some(p);
-                delta.set_first_non_dr = true;
-                caused_non_dr = true;
-            }
-            for (k, scope) in self.scopes.iter().enumerate() {
-                if g.conjunct_non_dr[k].is_none() && !scope.is_disjoint(&g.dirty_reads[slot]) {
-                    g.conjunct_non_dr[k] = Some(p);
-                    if let Some(tape) = tape.as_deref_mut() {
-                        tape.push(k as u32);
-                        delta.n_kills += 1;
-                    }
-                }
-            }
-        }
-        if let (false, Some(w_slot)) = (op.is_write(), rf_slot) {
-            if w_slot != slot && g.dirty_reads[w_slot].insert(op.item) {
-                delta.dr_mark = w_slot as u32;
-            }
-        }
-        g.graph.apply(slot, op.item.index(), op.is_write(), p, tape);
-        if self.logging {
-            g.log.record(delta);
-        }
-        PushOutcome {
-            pos: p,
-            floor: VerdictLevel::compose(g.graph.serializable(), g.first_non_dr.is_none(), true),
-            caused_non_serializable: g.graph.cyclic_at == Some(p),
-            caused_violation: false,
-            caused_non_dr,
-        }
-    }
-
     /// Stage 3 against an already write-locked shard (the caller holds
-    /// its ticket): the conjunct's conflict graph for the operation at
-    /// `p`. Returns whether this access closed the conjunct's first
-    /// cycle.
+    /// its ticket). Returns whether this access closed the conjunct's
+    /// first cycle, mirroring it into the lock-free violation floor.
     fn stage_shard(&self, sh: &mut ShardState, slot: usize, op: &Operation, p: OpIndex) -> bool {
-        let tape = self.logging.then(|| sh.log.tape());
-        sh.graph
-            .apply(slot, op.item.index(), op.is_write(), p, tape);
-        if self.logging {
-            sh.log.record(p.0 as u32);
-        }
-        let closed = sh.graph.cyclic_at == Some(p);
+        let closed = sh.apply(slot, op, p, self.logging);
         if closed {
             self.first_violation.fetch_min(p.0 as u32, Ordering::AcqRel);
         }
@@ -1121,7 +938,7 @@ impl ShardedMonitor {
     /// cannot grow); the already-ticketed pushes finish without
     /// needing that lock, so this terminates after at most `threads`
     /// turns.
-    fn drain(&self, s: &SeqState) {
+    fn drain(&self, s: &Sequencer) {
         wait_turn(&self.gserving, s.gticket);
         for (k, shard) in self.shards.iter().enumerate() {
             wait_turn(&shard.serving, s.tickets[k]);
@@ -1176,22 +993,20 @@ impl ShardedMonitor {
         let mut s = self.seq.lock();
         self.drain(&s);
         if !self.logging {
-            return s.schedule.len();
+            return s.state.schedule.len();
         }
         let floor = live
             .into_iter()
-            .filter_map(|t| s.schedule.txn_slot(t).map(|slot| s.first_op[slot] as usize))
+            .filter_map(|t| s.state.first_op_of(t))
             .min()
-            .unwrap_or(s.schedule.len());
-        let floor = s.log.checkpoint(floor);
+            .unwrap_or(s.state.schedule.len());
+        let floor = s.state.raise_floor(floor);
         if let Some(journal) = s.journal.as_deref_mut() {
             journal.floor_raised(floor);
         }
-        self.gstate.write().log.checkpoint(floor);
+        self.gstate.write().raise_floor(floor);
         for shard in &self.shards {
-            let mut sh = shard.state.write();
-            let below = sh.log.count_front(|&pos| (pos as usize) < floor);
-            sh.log.drop_oldest(below);
+            shard.state.write().raise_floor(floor);
         }
         floor
     }
@@ -1200,11 +1015,17 @@ impl ShardedMonitor {
     /// pushes are permanent (0 until a checkpoint raises it; equal to
     /// [`ShardedMonitor::len`] on an unlogged monitor).
     pub fn log_floor(&self) -> usize {
-        let s = self.seq.lock();
+        self.floor_locked(&self.seq.lock())
+    }
+
+    /// The retraction floor, under the held sequence lock. On a logged
+    /// monitor that is the checkpoint floor (`log.base()`); an
+    /// unlogged monitor's pushes are all permanent.
+    fn floor_locked(&self, s: &Sequencer) -> usize {
         if self.logging {
-            s.log.base()
+            s.state.log.base()
         } else {
-            s.schedule.len()
+            s.state.schedule.len()
         }
     }
 
@@ -1212,7 +1033,7 @@ impl ShardedMonitor {
     /// push, bounded by `len() - log_floor()` (the checkpoint test
     /// pins this).
     pub fn logged_len(&self) -> usize {
-        self.seq.lock().log.len()
+        self.seq.lock().state.log.len()
     }
 
     /// Declare `txn` finished: it will issue no further operations.
@@ -1221,10 +1042,7 @@ impl ShardedMonitor {
     /// transaction is summarized — a later push for it is still
     /// accepted and simply holds the frontier back.
     pub fn finish_txn(&self, txn: TxnId) {
-        let mut s = self.seq.lock();
-        if let Some(slot) = s.schedule.txn_slot(txn) {
-            s.finished.mark(slot);
-        }
+        self.seq.lock().state.finish(txn);
     }
 
     /// The **compaction frontier**: the longest prefix in which every
@@ -1235,20 +1053,7 @@ impl ShardedMonitor {
     /// [`ShardedMonitor::checkpoint`] and WAL truncation).
     pub fn compaction_frontier(&self) -> usize {
         let s = self.seq.lock();
-        self.frontier_locked(&s)
-    }
-
-    /// The frontier scan, under the held sequence lock. On a logged
-    /// monitor the limit is the checkpoint floor (`log.base()`); an
-    /// unlogged monitor's pushes are all permanent, so the whole
-    /// schedule is eligible.
-    fn frontier_locked(&self, s: &SeqState) -> usize {
-        let limit = if self.logging {
-            s.log.base()
-        } else {
-            s.schedule.len()
-        };
-        super::compaction_frontier(&s.schedule, &s.finished, limit)
+        s.state.frontier(self.floor_locked(&s))
     }
 
     /// **Committed-prefix compaction**, sharded: collapse the prefix
@@ -1270,95 +1075,45 @@ impl ShardedMonitor {
     /// harness in `tests/sharded_props.rs`); pushes and retractions
     /// for summarized transactions are rejected with
     /// [`CoreError::SummarizedTransaction`].
+    ///
+    /// [`CoreError::SummarizedTransaction`]: crate::error::CoreError::SummarizedTransaction
     pub fn compact(&self) -> CompactStats {
         let mut s = self.seq.lock();
         self.drain(&s);
-        let frontier = self.frontier_locked(&s);
-        let base = s.schedule.base();
-        if frontier <= base {
-            return CompactStats {
-                frontier: base,
-                ops_reclaimed: 0,
-                txns_summarized: 0,
-            };
+        let limit = self.floor_locked(&s);
+        let (stats, summarized) = s.state.compact(limit);
+        if stats.ops_reclaimed == 0 {
+            return stats;
         }
-        let s = &mut *s;
-        let summarized = s.schedule.compact_prefix(frontier);
-        let s_cut = summarized.len();
-        s.first_op.drain(..s_cut);
-        s.finished.compact(s_cut);
         // Every graph is condensed in its own storage, through the one
         // pair of node tables this lock guards: global stage first,
         // then the conjunct shards in ascending rank.
-        {
-            let mut g = self.gstate.write();
-            let g = &mut *g;
-            Self::compact_graph(&mut g.graph, &mut g.log, s_cut, &mut s.maps, |delta| {
-                delta.shift_slots(s_cut as u32)
-            });
-            let rows = g.dirty_reads.len();
-            for row in g.dirty_reads.drain(..s_cut.min(rows)) {
-                g.spare_sets.give(row);
-            }
-        }
+        let s_cut = stats.txns_summarized;
+        self.gstate.write().compact(s_cut, &mut s.state.maps);
         for shard in &self.shards {
-            let mut sh = shard.state.write();
-            let sh = &mut *sh;
-            Self::compact_graph(&mut sh.graph, &mut sh.log, s_cut, &mut s.maps, |_| {});
+            shard.state.write().compact(s_cut, &mut s.state.maps);
         }
         // The summarized transactions can never push again, so their
         // §2.2 totals are dead weight — reclaim them.
-        for t in &summarized {
-            self.totals.forget(*t);
-            s.summarized.insert(*t);
+        for t in summarized {
+            self.totals.forget(t);
         }
-        s.compactions += 1;
-        s.ops_reclaimed += (frontier - base) as u64;
-        CompactStats {
-            frontier,
-            ops_reclaimed: frontier - base,
-            txns_summarized: s_cut,
-        }
-    }
-
-    /// Condense one stage's graph below the frontier. Nodes a
-    /// retained journal entry mentions must survive (the entry has to
-    /// stay replayable in LIFO order) and are renamed afterwards; each
-    /// entry's tape words end with its graph frame, and `renumber`
-    /// adjusts whatever the record itself names.
-    fn compact_graph<D>(
-        graph: &mut ProjGraph,
-        log: &mut UndoLog<D>,
-        s_cut: usize,
-        maps: &mut NodeMaps,
-        mut renumber: impl FnMut(&mut D),
-    ) {
-        maps.layout(std::iter::once(graph.dag.len()));
-        let kept = maps.kept(0);
-        log.walk_back(|_, cursor| {
-            GraphDelta::visit_nodes(cursor, |node| kept[*node as usize] = true)
-        });
-        let (kept, map) = maps.both(0);
-        graph.compact(s_cut, kept, map);
-        log.walk_back(|delta, cursor| {
-            GraphDelta::visit_nodes(cursor, |node| *node = map[*node as usize]);
-            renumber(delta);
-        });
+        stats
     }
 
     /// Compaction calls that actually advanced the frontier.
     pub fn compactions(&self) -> u64 {
-        self.seq.lock().compactions
+        self.seq.lock().state.compactions
     }
 
     /// Total operations reclaimed across all compactions.
     pub fn ops_reclaimed(&self) -> u64 {
-        self.seq.lock().ops_reclaimed
+        self.seq.lock().state.ops_reclaimed
     }
 
     /// Was `txn` summarized into the permanent prefix?
     pub fn is_summarized(&self, txn: TxnId) -> bool {
-        self.seq.lock().summarized.contains(txn)
+        self.seq.lock().state.is_summarized(txn)
     }
 
     /// A structural estimate of the monitor's resident state, in
@@ -1375,20 +1130,11 @@ impl ShardedMonitor {
         let mut total = ItemSet::rows_bytes(&self.scopes)
             + self.scope_index.resident_bytes()
             + self.shards.len() * size_of::<Shard>()
-            + s.schedule.resident_bytes()
-            + (s.last_write.len() + s.first_op.len() + s.tickets.len()) * size_of::<u32>()
-            + s.log.resident_bytes()
-            + s.finished.resident_bytes()
-            + s.summarized.resident_bytes();
-        {
-            let g = self.gstate.read();
-            total += g.graph.resident_bytes()
-                + ItemSet::rows_bytes(&g.dirty_reads)
-                + g.log.resident_bytes();
-        }
+            + s.state.resident_bytes()
+            + s.tickets.len() * size_of::<u32>();
+        total += self.gstate.read().resident_bytes();
         for shard in &self.shards {
-            let sh = shard.state.read();
-            total += sh.graph.resident_bytes() + sh.log.resident_bytes();
+            total += shard.state.read().resident_bytes();
         }
         total + self.totals.resident_bytes()
     }
@@ -1404,94 +1150,49 @@ impl ShardedMonitor {
     /// pushes parked at the sequence mutex (the totals are
     /// owner-maintained; a retraction must not rewrite another
     /// thread's row under it).
-    fn truncate_locked(&self, s: &mut SeqState, n: usize, victim: Option<TxnId>) -> usize {
+    fn truncate_locked(&self, s: &mut Sequencer, n: usize, victim: Option<TxnId>) -> usize {
         assert!(self.logging, "truncate_to on an unlogged ShardedMonitor");
+        let len = s.state.schedule.len();
+        assert!(n <= len, "truncate_to({n}) beyond length {len}");
         assert!(
-            n <= s.schedule.len(),
-            "truncate_to({n}) beyond length {}",
-            s.schedule.len()
-        );
-        assert!(
-            n >= s.log.base(),
+            n >= s.state.log.base(),
             "truncate_to({n}) below the checkpoint floor {} (those deltas were reclaimed; \
              the checkpoint's live set must cover every transaction that may abort, and the \
              compaction frontier — which never exceeds this floor — is permanent)",
-            s.log.base()
+            s.state.log.base()
         );
         debug_assert!(
-            n >= s.schedule.base(),
+            n >= s.state.schedule.base(),
             "truncate_to({n}) below the compaction frontier {}",
-            s.schedule.base()
+            s.state.schedule.base()
         );
-        let undone = s.schedule.len() - n;
+        let undone = len - n;
         if undone > 0 {
             if let Some(journal) = s.journal.as_deref_mut() {
                 journal.truncated(n);
             }
         }
         for _ in 0..undone {
-            let p = s.schedule.len() - 1;
-            let op = s.schedule.op(OpIndex(p)).clone();
-            let slot = s.schedule.slot_of_op(OpIndex(p));
-            let (item, is_write) = (op.item, op.is_write());
-            let sd = s.log.pop().expect("one sequence entry per logged push");
-            // Shards first (reverse of push order); ticket turnstiles
-            // roll back one step so re-claimed tickets line up.
-            for &k in self.scope_index.of(item).iter().rev() {
+            let u = s.state.undo();
+            // Shards in reverse of push order; every turnstile rolls
+            // back one step so re-claimed tickets line up.
+            for &k in self.scope_index.of(u.op.item).iter().rev() {
                 let k = k as usize;
-                {
-                    let mut sh = self.shards[k].state.write();
-                    let sh = &mut *sh;
-                    let pos = sh.log.pop().expect("one shard entry per touched push");
-                    debug_assert_eq!(pos as usize, p);
-                    sh.graph.undo(slot, item.index(), sh.log.tape());
-                }
+                self.shards[k].state.write().undo(u.slot, u.op.item, u.pos);
                 s.tickets[k] = s.tickets[k].wrapping_sub(1);
                 self.shards[k]
                     .serving
                     .store(s.tickets[k], Ordering::Release);
             }
-            // Global stage.
-            {
-                let mut g = self.gstate.write();
-                let g = &mut *g;
-                let gd = g.log.pop().expect("one global entry per logged push");
-                let tape = g.log.tape();
-                g.graph.undo(slot, item.index(), tape);
-                if gd.dr_mark != NO_POS {
-                    g.dirty_reads[gd.dr_mark as usize].remove(item);
-                }
-                for _ in 0..gd.n_kills {
-                    g.conjunct_non_dr[tape.pop() as usize] = None;
-                }
-                if gd.set_first_non_dr {
-                    g.first_non_dr = None;
-                }
-                if sd.new_slot {
-                    while g.dirty_reads.len() > slot {
-                        let row = g.dirty_reads.pop().expect("length checked");
-                        g.spare_sets.give(row);
-                    }
-                }
-            }
+            self.gstate.write().undo(u.slot, u.op.item, u.new_slot);
             s.gticket = s.gticket.wrapping_sub(1);
             self.gserving.store(s.gticket, Ordering::Release);
-            // Sequence tables and §2.2 totals (see the `victim`
-            // contract above).
-            if is_write {
-                s.last_write[item.index()] = sd.prev_last_write;
-            }
-            s.schedule
-                .pop_op_unchecked(sd.new_slot, sd.prev_slot_last, sd.prev_item_ub);
-            if sd.new_slot {
-                s.first_op.pop();
-                s.finished.slot_popped(op.txn);
-            }
-            if victim.is_none_or(|v| v == op.txn) {
-                if sd.new_slot {
-                    self.totals.forget(op.txn);
+            // §2.2 totals (see the `victim` contract above).
+            if victim.is_none_or(|v| v == u.op.txn) {
+                if u.new_slot {
+                    self.totals.forget(u.op.txn);
                 } else {
-                    self.totals.strip(op.txn, [&op]);
+                    self.totals.strip(u.op.txn, [&u.op]);
                 }
             }
         }
@@ -1513,12 +1214,7 @@ impl ShardedMonitor {
             }
         }
         self.first_violation.store(fv, Ordering::Release);
-        let g = self.gstate.read();
-        let level = VerdictLevel::compose(
-            g.graph.serializable(),
-            g.first_non_dr.is_none(),
-            fv == NO_POS,
-        );
+        let level = self.gstate.read().level(fv == NO_POS);
         self.floor.store(rank(level), Ordering::Release);
     }
 
@@ -1544,23 +1240,23 @@ impl ShardedMonitor {
     /// A transaction the monitor has never seen retracts nothing. A
     /// transaction summarized by committed-prefix compaction
     /// ([`ShardedMonitor::compact`]) is rejected with
-    /// [`CoreError::SummarizedTransaction`]: its operations live in
+    /// [`CoreError::SummarizedTransaction`] — its operations live in
     /// the collapsed, permanent prefix and can no longer be undone.
+    ///
+    /// [`CoreError::SummarizedTransaction`]: crate::error::CoreError::SummarizedTransaction
     pub fn retract_txn(&self, txn: TxnId) -> Result<(usize, usize)> {
         let mut s = self.seq.lock();
-        if s.summarized.contains(txn) {
-            return Err(CoreError::SummarizedTransaction { txn });
-        }
+        s.state.slot(txn)?;
         self.drain(&s);
-        let Some(slot) = s.schedule.txn_slot(txn) else {
+        let Some(first) = s.state.first_op_of(txn) else {
             return Ok((0, 0));
         };
-        let first = s.first_op[slot] as usize;
         let mut survivors = std::mem::take(&mut s.survivors);
         survivors.clear();
+        let schedule = &s.state.schedule;
         survivors.extend(
-            (first..s.schedule.len())
-                .map(|p| s.schedule.op(OpIndex(p)))
+            schedule.ops()[first - schedule.base()..]
+                .iter()
                 .filter(|o| o.txn != txn)
                 .cloned(),
         );
@@ -1588,17 +1284,18 @@ impl ShardedMonitor {
     /// position order. Does **not** touch the §2.2 totals: the
     /// truncation it follows left the survivors' bits in place (their
     /// owning threads may be mid-push against those very rows).
-    fn push_locked(&self, s: &mut SeqState, op: &Operation, scratch: &mut LaneScratch) {
+    fn push_locked(&self, s: &mut Sequencer, op: &Operation, scratch: &mut LaneScratch) {
         if let Some(journal) = s.journal.as_deref_mut() {
             journal.appended(op);
         }
         scratch.turns.clear();
         scratch.rf_slots.clear();
-        let (p, slot, gticket) = self.stage_seq(s, std::slice::from_ref(op), scratch);
-        {
-            let mut g = self.gstate.write();
-            self.stage_global(&mut g, slot, op, scratch.rf_slots[0], OpIndex(p));
-        }
+        let existing = s.state.schedule.txn_slot(op.txn);
+        let (p, slot, gticket) = self.stage_seq(s, std::slice::from_ref(op), existing, scratch);
+        let rf_slot = scratch.rf_slots[0];
+        self.gstate
+            .write()
+            .apply(&self.scopes, slot, op, rf_slot, OpIndex(p), self.logging);
         self.gserving
             .store(gticket.wrapping_add(1), Ordering::Release);
         for &(k, _, t) in &scratch.turns {
@@ -1622,6 +1319,8 @@ impl ShardedMonitor {
     /// admitted: its push would be rejected
     /// ([`CoreError::SummarizedTransaction`]) regardless of what the
     /// graphs say.
+    ///
+    /// [`CoreError::SummarizedTransaction`]: crate::error::CoreError::SummarizedTransaction
     pub fn would_admit(
         &self,
         txn: TxnId,
@@ -1629,40 +1328,22 @@ impl ShardedMonitor {
         is_write: bool,
         level: AdmissionLevel,
     ) -> bool {
-        let slot = {
-            let s = self.seq.lock();
-            if s.summarized.contains(txn) {
-                return false;
-            }
-            s.schedule.txn_slot(txn)
+        let Ok(slot) = self.seq.lock().state.slot(txn) else {
+            return false;
         };
-        match level {
-            AdmissionLevel::Serializable => {
-                self.gstate
-                    .read()
-                    .graph
-                    .admits(slot, item.index(), is_write)
-            }
-            AdmissionLevel::Pwsr => self.admits_conjuncts(slot, item, is_write),
-            AdmissionLevel::PwsrDr => {
-                let clean = {
-                    let g = self.gstate.read();
-                    slot.and_then(|s| g.dirty_reads.get(s))
-                        .is_none_or(ItemSet::is_empty)
-                };
-                clean && self.admits_conjuncts(slot, item, is_write)
-            }
-        }
-    }
-
-    fn admits_conjuncts(&self, slot: Option<usize>, item: ItemId, is_write: bool) -> bool {
-        self.scope_index.of(item).iter().all(|&k| {
-            self.shards[k as usize]
-                .state
-                .read()
-                .graph
-                .admits(slot, item.index(), is_write)
-        })
+        let (global, shard) = (
+            || self.gstate.read(),
+            |k: usize| self.shards[k].state.read(),
+        );
+        stages::admits(
+            &self.scope_index,
+            slot,
+            item,
+            is_write,
+            level,
+            global,
+            shard,
+        )
     }
 
     /// The full verdict, assembled from every stage's state. **Exact
@@ -1673,29 +1354,14 @@ impl ShardedMonitor {
     /// [`OnlineMonitor`](super::OnlineMonitor) fed the same
     /// interleaving.
     pub fn verdict(&self) -> Verdict {
-        let len = self.seq.lock().schedule.len();
+        let len = self.seq.lock().state.schedule.len();
         let g = self.gstate.read();
-        let mut first_violation: Option<OpIndex> = None;
-        for shard in &self.shards {
-            if let Some(c) = shard.state.read().graph.cyclic_at {
-                first_violation = Some(first_violation.map_or(c, |f| f.min(c)));
-            }
-        }
-        let serializable = g.graph.serializable();
-        let pwsr = first_violation.is_none();
-        let dr = g.first_non_dr.is_none();
-        let level = VerdictLevel::compose(serializable, dr, pwsr);
-        Verdict {
-            len,
-            level,
-            serializable,
-            dr,
-            first_violation,
-            first_non_serializable: g.graph.cyclic_at,
-            first_non_dr: g.first_non_dr,
-            lemma2_certified: pwsr,
-            lemma6_certified: pwsr && g.conjunct_non_dr.iter().all(Option::is_none),
-        }
+        let first_violation = self
+            .shards
+            .iter()
+            .filter_map(|shard| shard.state.read().graph.cyclic_at)
+            .min();
+        g.verdict(len, first_violation)
     }
 
     /// Does the Lemma 2 certificate hold for conjunct `k` (module
@@ -1706,12 +1372,12 @@ impl ShardedMonitor {
 
     /// Does the Lemma 6 certificate hold for conjunct `k`?
     pub fn lemma6_holds(&self, k: usize) -> bool {
-        self.lemma2_holds(k) && self.gstate.read().conjunct_non_dr[k].is_none()
+        self.lemma2_holds(k) && self.gstate.read().lemma6_clean(k)
     }
 
     /// A snapshot of the certified interleaving so far.
     pub fn snapshot_schedule(&self) -> Schedule {
-        self.seq.lock().schedule.clone()
+        self.seq.lock().state.schedule.clone()
     }
 
     /// Consume the monitor: the certified interleaving plus the final
@@ -1719,7 +1385,7 @@ impl ShardedMonitor {
     /// verdict.
     pub fn into_parts(self) -> (Schedule, Verdict) {
         let verdict = self.verdict();
-        (self.seq.into_inner().schedule, verdict)
+        (self.seq.into_inner().state.schedule, verdict)
     }
 }
 
@@ -1727,6 +1393,7 @@ impl ShardedMonitor {
 mod tests {
     use super::super::OnlineMonitor;
     use super::*;
+    use crate::error::CoreError;
     use crate::value::Value;
     use std::sync::Arc;
 

@@ -1,25 +1,24 @@
-//! The shared **retraction layer**: per-push delta records, the side
-//! tape their variable parts live on, and the LIFO undo-log contract
-//! consumed by *both* monitors.
+//! The **retraction layer**: per-push delta records, the side tape
+//! their variable parts live on, and the LIFO undo-log contract.
 //!
-//! PR 4 grew an undo-log ad hoc inside [`OnlineMonitor`]
-//! (`push_logged`/`truncate_to`); this module factors the machinery
-//! once so the sharded concurrent monitor can reuse it verbatim. A
-//! *logged push* captures, before mutating anything destructively,
-//! exactly the deltas it is about to apply. Each journal entry is a
-//! **fixed-size record** — nothing in it owns heap memory — plus a run
-//! of `u32` words on the journal's [`Tape`]:
+//! Every stage of the certifier (`stages`) owns one `UndoLog`; a
+//! *logged push* captures in it, before mutating anything
+//! destructively, exactly the deltas it is about to apply. Each
+//! journal entry is a **fixed-size record** — nothing in it owns heap
+//! memory — plus a run of `u32` words on the journal's [`Tape`]:
 //!
-//! * `SeqDelta` — the order-defining table rows: the displaced
-//!   `last_write` entry, the schedule's previous per-transaction
-//!   last-operation position and item bound (both monotone, hence not
-//!   recomputable), and whether the push created its transaction's
-//!   slot. No tape words;
-//! * `GlobalDelta` — the total-order-dependent state: the
-//!   delayed-read mark freshly set on the reads-from writer, whether
-//!   the push set `first_non_dr`, and how many per-conjunct Lemma-6
-//!   kills it made. On the tape: the killed conjunct ids, then the
-//!   global reduced conflict graph's frame;
+//! * `SeqDelta` (the sequence stage's record) — the order-defining
+//!   table rows: the displaced `last_write` entry, the schedule's
+//!   previous per-transaction last-operation position and item bound
+//!   (both monotone, hence not recomputable), and whether the push
+//!   created its transaction's slot. No tape words;
+//! * `GlobalDelta` (the global stage's) — the total-order-dependent
+//!   state: the delayed-read mark freshly set on the reads-from
+//!   writer, whether the push set `first_non_dr`, and how many
+//!   per-conjunct Lemma-6 kills it made. On the tape: the killed
+//!   conjunct ids, then the global reduced conflict graph's frame;
+//! * a position (a conjunct stage's record, one per push that touched
+//!   the conjunct) with that conjunct's graph frame on the tape;
 //! * a **graph frame** (`GraphDelta` is its trailer) — one
 //!   projection-graph access: the conflict edges freshly inserted, in
 //!   insertion order; the reader list a write drained, last reader
@@ -28,7 +27,9 @@
 //!   whether the access froze the projection (first cycle);
 //! * a **data-access-graph frame**
 //!   ([`OnlineAccessDag::record_logged`]) — the unit edges freshly
-//!   inserted, then one trailer word.
+//!   inserted, then one trailer word. Only the single writer keeps the
+//!   access graph; its frames ride an `UndoLog<()>` of the monitor's
+//!   own, one entry per push.
 //!
 //! A frame is written front to back while the push runs and read back
 //! to front when it is retracted: the trailer comes off first and says
@@ -76,16 +77,14 @@
 //! `UndoLog::walk_back`, which visits the entries newest first with
 //! a cursor that reads frames the way a retraction would.
 //!
-//! Consumers: [`OnlineMonitor`] keeps one `UndoLog<PushDelta>` (the
-//! stage records folded into one entry per push, since a single writer
-//! applies them atomically; its tape carries the global frame and then
-//! one graph frame and one data-access-graph frame per conjunct the
-//! item belongs to); [`ShardedMonitor`] splits the same records per
-//! pipeline stage — `UndoLog<SeqDelta>` under the order-claiming
-//! mutex, `UndoLog<GlobalDelta>` under the global stage's lock, and
-//! per-shard position-tagged journals behind each shard's own lock —
-//! so a truncate touches each shard for `O(ops undone in that shard)`
-//! and unaffected shards not at all.
+//! The layout is the same under both drivers, because the journals
+//! belong to the stage state, not to the driver: one sequence journal,
+//! one global journal, one journal per conjunct. [`ShardedMonitor`]
+//! reaches each behind its stage's lock, so a truncate touches each
+//! shard for `O(ops undone in that shard)` and unaffected shards not at
+//! all; [`OnlineMonitor`] reaches them directly, and a push it is told
+//! not to log empties them all (what came before an unretractable push
+//! can never be retracted either).
 //!
 //! [`OnlineMonitor`]: super::OnlineMonitor
 //! [`ShardedMonitor`]: super::sharded::ShardedMonitor
@@ -235,8 +234,7 @@ impl GraphDelta {
 }
 
 /// The order-defining table rows one push displaced — the sequence
-/// half of the retraction contract (owned by the single writer's
-/// index, and by the sharded monitor's stage-1 state).
+/// stage's half of the retraction contract.
 #[derive(Clone, Copy, Debug, Default)]
 pub(crate) struct SeqDelta {
     /// The push created its transaction's slot.
@@ -251,8 +249,7 @@ pub(crate) struct SeqDelta {
 }
 
 /// The total-order-dependent deltas of one push: delayed-read tracking
-/// (stage 2 of the sharded pipeline; folded into [`PushDelta`] by the
-/// single writer). Its tape words: the ids of the conjuncts whose
+/// (the global stage). Its tape words: the ids of the conjuncts whose
 /// `conjunct_non_dr` the push set, then the global graph's frame.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct GlobalDelta {
@@ -288,22 +285,6 @@ impl GlobalDelta {
             _ => ABSENT,
         };
     }
-}
-
-/// Everything one logged [`OnlineMonitor`](super::OnlineMonitor) push
-/// applied, captured so `truncate_to` can retract it exactly: the
-/// stage records plus the single writer's first-violation flag. Its
-/// tape words: [`GlobalDelta`]'s, then per conjunct containing the
-/// item, ascending, that conjunct's graph frame and its
-/// data-access-graph frame.
-#[derive(Clone, Copy, Debug, Default)]
-pub(crate) struct PushDelta {
-    /// Sequence-stage displacements.
-    pub(crate) seq: SeqDelta,
-    /// Delayed-read deltas.
-    pub(crate) global: GlobalDelta,
-    /// The push set `first_violation`.
-    pub(crate) set_first_violation: bool,
 }
 
 /// A journal of per-push records above a retraction *floor*, with the
@@ -368,13 +349,6 @@ impl<D> UndoLog<D> {
         let words = self.tape.len() - self.sealed;
         self.sealed = self.tape.len();
         self.entries.push_back((delta, words as u32));
-    }
-
-    /// The retained records, oldest first, mutably — committed-prefix
-    /// compaction shifts the slot numbers a retained record names in
-    /// place.
-    pub(crate) fn iter_mut(&mut self) -> impl Iterator<Item = &mut D> {
-        self.entries.iter_mut().map(|(d, _)| d)
     }
 
     /// How many of the oldest records satisfy `below` (which must hold

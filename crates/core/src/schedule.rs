@@ -85,43 +85,29 @@ impl Schedule {
         }
     }
 
-    /// Append one operation, maintaining every positional table in
-    /// `O(1)` amortized. The caller (the online index) has already
-    /// enforced the §2.2 per-transaction rules — this is the growth
-    /// step behind [`crate::monitor::OnlineIndex::push`].
-    pub(crate) fn push_op_unchecked(&mut self, op: Operation) {
-        let p = (self.base + self.ops.len()) as u32;
-        let slot = match self.slot_of.get(&op.txn) {
-            Some(&s) => s,
-            None => {
-                let s = self.txns.len() as u32;
-                self.txns.push(op.txn);
-                self.slot_of.insert(op.txn, s);
-                self.slot_last.push(p);
-                s
-            }
-        };
-        self.op_slot.push(slot);
-        self.slot_last[slot as usize] = p;
-        self.item_ub = self.item_ub.max(op.item.index() + 1);
-        self.ops.push(op);
-    }
-
     /// Append a contiguous **segment** of operations, all from one
-    /// transaction, paying the transaction-slot lookup and the
-    /// positional-table bookkeeping once for the whole run instead of
-    /// per operation. Returns the dense slot the segment landed in.
-    /// The caller holds the order-claiming lock, has §2.2-validated
-    /// the run, and guarantees `ops` is nonempty and single-txn; the
-    /// segment occupies positions `[len, len + ops.len())` exactly as
-    /// if pushed one by one, so `pop_op_unchecked` undoes its
-    /// operations individually in LIFO order unchanged.
-    pub(crate) fn push_segment_unchecked(&mut self, ops: &[Operation]) -> usize {
+    /// transaction, paying the positional-table bookkeeping once for
+    /// the whole run instead of per operation — the monitors' only
+    /// growth step. `existing` is the transaction's slot as
+    /// [`Schedule::txn_slot`] reports it (the caller has just looked
+    /// it up to validate the run, so the hash is probed once per run);
+    /// returns the dense slot the segment landed in. The caller owns
+    /// the order, has §2.2-validated the run, and guarantees `ops` is
+    /// nonempty and single-txn; the segment occupies positions
+    /// `[len, len + ops.len())` exactly as if pushed one by one, so
+    /// `pop_op_unchecked` undoes its operations individually in LIFO
+    /// order.
+    pub(crate) fn push_segment_unchecked(
+        &mut self,
+        ops: &[Operation],
+        existing: Option<usize>,
+    ) -> usize {
         debug_assert!(!ops.is_empty());
         debug_assert!(ops.iter().all(|o| o.txn == ops[0].txn));
+        debug_assert_eq!(existing, self.txn_slot(ops[0].txn));
         let p0 = self.base + self.ops.len();
-        let slot = match self.slot_of.get(&ops[0].txn) {
-            Some(&s) => s,
+        let slot = match existing {
+            Some(s) => s as u32,
             None => {
                 let s = self.txns.len() as u32;
                 self.txns.push(ops[0].txn);
@@ -146,8 +132,8 @@ impl Schedule {
         self.slot_last[slot]
     }
 
-    /// Retract the most recent [`Schedule::push_op_unchecked`] — the
-    /// undo-log's schedule half. `new_txn` says the popped operation
+    /// Retract the last operation appended — the undo-log's schedule
+    /// half — and hand it back. `new_txn` says the popped operation
     /// was its transaction's first (the transaction disappears);
     /// otherwise `prev_slot_last` restores the transaction's previous
     /// last-operation position. `prev_item_ub` restores the item
@@ -158,7 +144,7 @@ impl Schedule {
         new_txn: bool,
         prev_slot_last: u32,
         prev_item_ub: usize,
-    ) {
+    ) -> Operation {
         let op = self.ops.pop().expect("pop on empty schedule");
         let slot = self.op_slot.pop().expect("op_slot in step") as usize;
         if new_txn {
@@ -171,6 +157,7 @@ impl Schedule {
             self.slot_last[slot] = prev_slot_last;
         }
         self.item_ub = prev_item_ub;
+        op
     }
 
     /// Build a schedule from an interleaved operation sequence.

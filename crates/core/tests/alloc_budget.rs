@@ -9,16 +9,19 @@
 //!
 //! | path | allocations per operation |
 //! |---|---|
-//! | `OnlineMonitor::push_batch_logged` | ≤ 1.0 |
+//! | `OnlineMonitor::push_batch_logged` | ≤ 0.5 |
 //! | `ShardedMonitor::push_batch`, unlogged | ≤ 0.5 |
 //! | `ShardedMonitor::push_batch`, logged | ≤ 1.0 |
 //! | `truncate_to` of an admitted suffix, both monitors | 0 |
 //!
 //! The returned `Vec` of verdicts or outcomes counts (1/8 per
 //! operation); the rest of the allowance covers the amortized doubling
-//! of the tables that grow with the stream, and — single writer only —
-//! the one prefix-table row each operation adds, whose bitset spills
-//! to the heap for items ≥ 64 unless a retired row is at hand.
+//! of the tables that grow with the stream and the two §2.2 totals of
+//! each new transaction, whose bitsets spill to the heap for items
+//! ≥ 64 unless a retired row is at hand. Both monitors run the same
+//! stage code over the same journals, so they read alike: measured on
+//! the stream that only grows, 0.427 (single writer), 0.423 (sharded)
+//! and 0.428 (sharded, logged); swept, 0.129 / 0.128 / 0.129.
 
 use pwsr_core::ids::{ItemId, TxnId};
 use pwsr_core::monitor::sharded::ShardedMonitor;
@@ -204,8 +207,9 @@ fn online_logged_batches_stay_within_one_allocation_per_operation() {
         let mut m = OnlineMonitor::new(scopes(CONJUNCTS));
         stream_online(&mut m, &txns[..WARM_UP], upkeep);
         let spent = stream_online(&mut m, &txns[WARM_UP..], upkeep);
+        // Measured: 0.427 on the stream that only grows, 0.129 swept.
         assert!(
-            per_op(spent) <= 1.0,
+            per_op(spent) <= 0.5,
             "push_batch_logged: {:.3} allocations per operation ({spent} calls)",
             per_op(spent)
         );

@@ -2,91 +2,26 @@
 //!
 //! The contract under test: pushing a schedule's operations one at a
 //! time through [`OnlineMonitor`] must yield, at **every** prefix,
-//! exactly the verdicts obtained by building a fresh [`Schedule`] +
-//! [`ScheduleIndex`] and running the batch checkers — serializability,
+//! exactly the verdicts obtained by building a fresh [`Schedule`] and
+//! running the batch checkers — serializability,
 //! per-scope PWSR, delayed-read, and the Lemma 2/6 inclusion sweeps
 //! (the expensive recomputation is the oracle; the monitor's
 //! incremental flags are the implementation under test).
 
+mod common;
+
+use common::{arb_transactions, interleave_random, scopes_from_bits, MAX_ITEMS};
 use proptest::prelude::*;
 use pwsr_core::dr::is_delayed_read;
 use pwsr_core::ids::{ItemId, TxnId};
-use pwsr_core::index::ScheduleIndex;
-use pwsr_core::monitor::{AdmissionLevel, OnlineIndex, OnlineMonitor};
+use pwsr_core::monitor::{AdmissionLevel, OnlineMonitor};
 use pwsr_core::op::Operation;
 use pwsr_core::schedule::Schedule;
 use pwsr_core::serializability::{
     is_conflict_serializable, is_conflict_serializable_proj, precedence_graph_proj,
 };
-use pwsr_core::state::ItemSet;
-use pwsr_core::txn::Transaction;
 use pwsr_core::value::Value;
 use pwsr_core::viewset::inclusion_holds_everywhere;
-
-const MAX_ITEMS: u32 = 6;
-
-/// Random well-formed transactions over items `0..MAX_ITEMS`.
-fn arb_transactions(n_txns: u32) -> impl Strategy<Value = Vec<Transaction>> {
-    let per_txn = proptest::collection::btree_map(
-        0..MAX_ITEMS,
-        (any::<bool>(), any::<bool>(), -20i64..20),
-        1..=MAX_ITEMS as usize,
-    );
-    proptest::collection::vec(per_txn, n_txns as usize).prop_map(move |txn_specs| {
-        txn_specs
-            .into_iter()
-            .enumerate()
-            .map(|(k, spec)| {
-                let txn = TxnId(k as u32 + 1);
-                let mut ops = Vec::new();
-                for (item, (do_read, do_write, v)) in spec {
-                    if do_read {
-                        ops.push(Operation::read(txn, ItemId(item), Value::Int(v)));
-                    }
-                    if do_write || !do_read {
-                        ops.push(Operation::write(txn, ItemId(item), Value::Int(v + 1)));
-                    }
-                }
-                Transaction::new(txn, ops).expect("respects §2.2")
-            })
-            .collect()
-    })
-}
-
-/// Interleave complete transactions by a byte stream of picks.
-fn interleave_random(txns: &[Transaction], mix: &[u8]) -> Vec<Operation> {
-    let mut cursors: Vec<usize> = vec![0; txns.len()];
-    let mut ops = Vec::new();
-    let total: usize = txns.iter().map(Transaction::len).sum();
-    let mut mi = 0;
-    while ops.len() < total {
-        let pick = (mix.get(mi).copied().unwrap_or(0) as usize) % txns.len();
-        mi += 1;
-        for off in 0..txns.len() {
-            let k = (pick + off) % txns.len();
-            if cursors[k] < txns[k].len() {
-                ops.push(txns[k].ops()[cursors[k]].clone());
-                cursors[k] += 1;
-                break;
-            }
-        }
-    }
-    ops
-}
-
-/// Two scopes carved out of the item universe by a bitmask (items
-/// whose bit is unset fall outside every scope).
-fn scopes_from_bits(d1_bits: u32, d2_bits: u32) -> Vec<ItemSet> {
-    let d1: ItemSet = (0..MAX_ITEMS)
-        .filter(|i| d1_bits & (1 << i) != 0)
-        .map(ItemId)
-        .collect();
-    let d2: ItemSet = (0..MAX_ITEMS)
-        .filter(|i| d2_bits & (1 << i) != 0 && d1_bits & (1 << i) == 0)
-        .map(ItemId)
-        .collect();
-    vec![d1, d2]
-}
 
 proptest! {
     /// The monitor's verdict equals batch recomputation at EVERY prefix:
@@ -147,38 +82,6 @@ proptest! {
                 scopes.iter().all(|d| is_conflict_serializable_proj(&prefix, d))
             );
             prop_assert!(monitor.certify_prefix());
-        }
-    }
-
-    /// The online index's tables equal a fresh batch index at every
-    /// prefix, for every (transaction, position) query.
-    #[test]
-    fn online_index_matches_fresh_batch_index(
-        txns in arb_transactions(3),
-        mix in proptest::collection::vec(any::<u8>(), 0..48),
-    ) {
-        let ops = interleave_random(&txns, &mix);
-        let mut online = OnlineIndex::new();
-        for k in 0..ops.len() {
-            online.push(ops[k].clone()).expect("valid interleaving");
-            let prefix = Schedule::new(ops[..=k].to_vec()).expect("valid prefix");
-            let batch = ScheduleIndex::new(&prefix);
-            let live = online.index();
-            prop_assert_eq!(online.schedule(), &prefix);
-            for &t in prefix.txn_ids() {
-                prop_assert_eq!(live.positions_of(t), batch.positions_of(t));
-                prop_assert_eq!(live.read_set_total(t), batch.read_set_total(t));
-                prop_assert_eq!(live.write_set_total(t), batch.write_set_total(t));
-                for p in prefix.positions() {
-                    prop_assert_eq!(live.read_set_before(t, p), batch.read_set_before(t, p));
-                    prop_assert_eq!(live.write_set_before(t, p), batch.write_set_before(t, p));
-                    prop_assert_eq!(live.txn_finished_by(t, p), batch.txn_finished_by(t, p));
-                }
-            }
-            for p in prefix.positions() {
-                prop_assert_eq!(live.reads_from(p), batch.reads_from(p));
-                prop_assert_eq!(live.reads_from(p), prefix.reads_from(p));
-            }
         }
     }
 

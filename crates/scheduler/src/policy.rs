@@ -433,10 +433,9 @@ impl MonitorAdmission {
     /// memory bound for the admission log ([`OnlineMonitor`] keeps
     /// one delta per logged push otherwise). Returns the new floor.
     pub fn checkpoint<I: IntoIterator<Item = TxnId>>(&mut self, live: I) -> usize {
-        let index = self.monitor.online_index().index();
         let floor = live
             .into_iter()
-            .filter_map(|t| index.positions_of(t).first().map(|&p| p as usize))
+            .filter_map(|t| self.monitor.first_op_of(t).map(|p| p.0))
             .min()
             .unwrap_or(self.monitor.len());
         let before = self.monitor.log_floor();

@@ -99,47 +99,62 @@ fn stalled_writer_no_lost_wakeup() {
 /// reaped by a waiter: its write is rolled back, its suffix retracted,
 /// the pool progresses, and the victim's retry still lands — nothing
 /// is lost, and the run records the reap.
+///
+/// Whether a *waiter* gets to reap depends on the schedule: when the
+/// other five increments finish before T1 reaches its stall there is
+/// nobody left to wait on it, and T1 times itself out instead
+/// (`timeouts=1 reaps=0`). So every repetition holds the
+/// schedule-independent contract — the stall fired, a deadline was
+/// missed, no update was lost, the schedule is an execution — and the
+/// reap itself must show on at least one of up to 20.
 #[test]
 fn zombie_reap_restores_progress() {
     let (cat, ic, initial) = setup();
-    let plan = FaultPlan::new()
-        .on_access(1, 1, ExecFault::Stall { ms: 60 })
-        .share();
-    let tuning = OccTuning {
-        dirty_spin: 4,
-        park_budget: 4096,
-        park_timeout_us: 200,
-        // 3ms deadline versus a 60ms stall: the victim is a zombie
-        // for ~95% of its stall.
-        txn_deadline_us: 3_000,
-        faults: Some(plan.clone()),
-        ..OccTuning::default()
-    };
-    let out = run_threaded_occ_tuned(
-        &hot_increments(6),
-        &cat,
-        &initial,
-        &occ_spec(&ic, None),
-        4,
-        10_000,
-        &tuning,
-    )
-    .unwrap();
-    assert_eq!(plan.remaining(), 0);
-    assert!(
-        out.metrics.zombie_reaps >= 1,
-        "the stalled writer must be reaped: {}",
-        out.metrics
+    let mut seen = Vec::new();
+    for _ in 0..20 {
+        let plan = FaultPlan::new()
+            .on_access(1, 1, ExecFault::Stall { ms: 60 })
+            .share();
+        let tuning = OccTuning {
+            dirty_spin: 4,
+            park_budget: 4096,
+            park_timeout_us: 200,
+            // 3ms deadline versus a 60ms stall: the victim is a zombie
+            // for ~95% of its stall.
+            txn_deadline_us: 3_000,
+            faults: Some(plan.clone()),
+            ..OccTuning::default()
+        };
+        let out = run_threaded_occ_tuned(
+            &hot_increments(6),
+            &cat,
+            &initial,
+            &occ_spec(&ic, None),
+            4,
+            10_000,
+            &tuning,
+        )
+        .unwrap();
+        assert_eq!(plan.remaining(), 0, "the stall point must fire");
+        assert!(out.metrics.txn_timeouts >= 1, "{}", out.metrics);
+        assert_eq!(
+            out.final_state.get(cat.lookup("a0").unwrap()),
+            Some(&Value::Int(6)),
+            "reap + retry loses no update: {}",
+            out.schedule
+        );
+        out.schedule.check_read_coherence(&initial).unwrap();
+        assert_eq!(out.final_state, out.schedule.apply(&initial));
+        seen.push(out.metrics.to_string());
+        if out.metrics.zombie_reaps >= 1 {
+            return;
+        }
+    }
+    panic!(
+        "the stalled writer was never reaped in {} repetitions:\n{}",
+        seen.len(),
+        seen.join("\n")
     );
-    assert!(out.metrics.txn_timeouts >= 1);
-    assert_eq!(
-        out.final_state.get(cat.lookup("a0").unwrap()),
-        Some(&Value::Int(6)),
-        "reap + retry loses no update: {}",
-        out.schedule
-    );
-    out.schedule.check_read_coherence(&initial).unwrap();
-    assert_eq!(out.final_state, out.schedule.apply(&initial));
 }
 
 /// A worker panic mid-transaction is contained: the dead transaction's
