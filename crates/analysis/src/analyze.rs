@@ -181,11 +181,7 @@ impl WorkloadAnalysis {
 /// Does `verdict` breach `level`? (The same floor test the OCC
 /// executor applies per push.)
 pub fn breaches(verdict: &Verdict, level: AdmissionLevel) -> bool {
-    match level {
-        AdmissionLevel::Serializable => !verdict.serializable,
-        AdmissionLevel::Pwsr => !verdict.pwsr(),
-        AdmissionLevel::PwsrDr => !verdict.pwsr() || !verdict.dr,
-    }
+    !verdict.meets(level)
 }
 
 /// Replay a schedule through a fresh monitor, returning the final

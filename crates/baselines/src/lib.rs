@@ -10,17 +10,12 @@
 //!   example of an "operationally defined, ad-hoc" criterion; shown to
 //!   admit consistency violations (write skew) that PWSR-with-
 //!   restrictions rules out.
-//! * [`saga`] — the saga decomposition model \[8\] (§1's second
-//!   approach): transactions split into independently committed
-//!   subtransactions, all interleavings allowed.
 
 pub mod degree2;
-pub mod saga;
 pub mod setwise;
 
 /// Convenience re-exports.
 pub mod prelude {
     pub use crate::degree2::satisfies_degree2;
-    pub use crate::saga::{flatten_sagas, Saga};
     pub use crate::setwise::{is_setwise_serializable, AtomicDataSets};
 }

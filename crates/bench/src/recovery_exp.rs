@@ -14,8 +14,8 @@
 //! (clean boundaries, torn frames, bit-flipped checksums, and a
 //! checkpoint-plus-tail leg) and demands every recovery land
 //! byte-identical — state hash, verdict ladder, floor — on the oracle
-//! prefix; it also measures replay cost and the WAL's admission-path
-//! overhead.
+//! prefix. (What replay and journaling cost is `benchmark/`'s
+//! `recover_replay` and `occ_durable`.)
 
 use crate::report::Table;
 use pwsr_core::dr::is_delayed_read;
@@ -28,7 +28,7 @@ use pwsr_durability::wal::{scan, SharedWal, SyncPolicy, Wal, WalRecord};
 use pwsr_gen::chaos::random_execution;
 use pwsr_gen::workloads::{random_workload, Workload, WorkloadConfig};
 use pwsr_scheduler::exec::{run_workload, ExecConfig};
-use pwsr_scheduler::policy::{MonitorAdmission, PolicySpec};
+use pwsr_scheduler::policy::PolicySpec;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -127,9 +127,7 @@ pub fn rec1(trials: u64, seed: u64) -> (bool, String) {
     (ok, t.render())
 }
 
-/// Machine-readable outcome of the REC-2 crash sweep; the experiments
-/// harness lifts it into the JSON document's `recovery` block so CI
-/// can gate on it.
+/// Outcome of the REC-2 crash sweep, by leg.
 #[derive(Clone, Debug)]
 pub struct RecoveryStats {
     /// Total injected crash points (cuts + flips + checkpoint legs).
@@ -144,28 +142,12 @@ pub struct RecoveryStats {
     pub recovered_ok: u64,
     /// Logical records in the full (uncrashed) WAL.
     pub wal_records: u64,
-    /// Full-log recovery cost per replayed record.
-    pub replay_ns_per_op: f64,
-    /// Admission-path cost per op with the WAL attached.
-    pub wal_on_ns_per_op: f64,
-    /// Admission-path cost per op without a WAL.
-    pub wal_off_ns_per_op: f64,
 }
 
 impl RecoveryStats {
     /// Did every injected crash recover byte-identically?
     pub fn all_recovered(&self) -> bool {
         self.crash_points > 0 && self.recovered_ok == self.crash_points
-    }
-
-    /// WAL-on admission cost relative to WAL-off (the CI gate holds
-    /// this under 2×).
-    pub fn wal_overhead(&self) -> f64 {
-        if self.wal_off_ns_per_op > 0.0 {
-            self.wal_on_ns_per_op / self.wal_off_ns_per_op
-        } else {
-            0.0
-        }
     }
 }
 
@@ -276,14 +258,7 @@ fn matches_oracle(rec: &pwsr_durability::recover::Recovered, oracle: &WalOracle,
 /// the crash sweep cuts into have round-tripped through the
 /// filesystem, not just a memory buffer); retried over seeds until the
 /// log is interesting (enough records to cut into).
-fn journaled_execution(
-    seed: u64,
-) -> (
-    Workload,
-    Vec<ItemSet>,
-    Vec<u8>,
-    pwsr_core::schedule::Schedule,
-) {
+fn journaled_execution(seed: u64) -> (Workload, Vec<ItemSet>, Vec<u8>) {
     let mut rng = StdRng::seed_from_u64(seed);
     let path = std::env::temp_dir().join(format!("pwsr_rec2_{}_{seed:x}.wal", std::process::id()));
     for _ in 0..50 {
@@ -305,15 +280,17 @@ fn journaled_execution(
         let policy = PolicySpec::predicate_wise_2pl(&w.ic)
             .monitor_admission(&w.ic, AdmissionLevel::Pwsr)
             .durable(wal.clone());
-        let Ok(out) = run_workload(
+        if run_workload(
             &w.programs,
             &w.catalog,
             &w.initial,
             &policy,
             &ExecConfig::default(),
-        ) else {
+        )
+        .is_err()
+        {
             continue;
-        };
+        }
         let scopes: Vec<ItemSet> = w.ic.conjuncts().iter().map(|c| c.items().clone()).collect();
         wal.sync();
         let bytes = std::fs::read(&path).expect("read temp WAL back");
@@ -328,7 +305,7 @@ fn journaled_execution(
                 .any(|&i| i > 0 && i + 1 < n)
             {
                 let _ = std::fs::remove_file(&path);
-                return (w, scopes, bytes, out.schedule);
+                return (w, scopes, bytes);
             }
         }
     }
@@ -338,16 +315,16 @@ fn journaled_execution(
 
 /// Crash points per category — fixed (not scaled by `--smoke`): the
 /// acceptance bar is "every injected crash recovers", which only means
-/// something at full count.
+/// something at full count ([`REC2_FLOOR`]).
 const REC2_CUTS: usize = 80;
 const REC2_FLIPS: usize = 32;
 const REC2_CKPS: usize = 16;
+/// The fewest crash points a sweep may inject and still count.
+const REC2_FLOOR: u64 = 100;
 
-/// Run the crash-injection sweep. `trials` scales only the timing legs
-/// (≈ `trials × 2500` admission ops per leg); the sweep itself is
-/// fixed-size.
-pub fn rec2(trials: u64, seed: u64) -> (bool, String, RecoveryStats) {
-    let (_w, scopes, bytes, schedule) = journaled_execution(seed);
+/// Run the crash-injection sweep (fixed-size: 128 points).
+pub fn rec2(seed: u64) -> (bool, String, RecoveryStats) {
+    let (_w, scopes, bytes) = journaled_execution(seed);
     let oracle = WalOracle::build(&scopes, &bytes);
     let mut rng = StdRng::seed_from_u64(seed ^ 0x5EC2);
 
@@ -447,40 +424,6 @@ pub fn rec2(trials: u64, seed: u64) -> (bool, String, RecoveryStats) {
         }
     }
 
-    // Timing leg A: full-log replay cost.
-    let replay_ns_per_op = {
-        let mut best = f64::INFINITY;
-        for _ in 0..3 {
-            let t0 = std::time::Instant::now();
-            let rec = recover(scopes.clone(), None, &bytes).expect("full replay");
-            let ns = t0.elapsed().as_nanos() as f64 / rec.records_applied.max(1) as f64;
-            best = best.min(ns);
-        }
-        best
-    };
-
-    // Timing leg B: admission overhead with/without the WAL, over the
-    // executor's own committed trace (re-pushed into fresh admissions,
-    // so both legs do identical monitor work).
-    let ops = schedule.ops();
-    let target = (trials.max(1) as usize) * 2500;
-    let reps = target.div_ceil(ops.len().max(1)).max(1);
-    let time_leg = |wal: Option<SharedWal>| -> f64 {
-        let t0 = std::time::Instant::now();
-        for _ in 0..reps {
-            let mut adm = MonitorAdmission::new(scopes.clone(), AdmissionLevel::Pwsr);
-            if let Some(w) = &wal {
-                adm = adm.with_wal(w.clone());
-            }
-            for op in ops {
-                adm.push(op);
-            }
-        }
-        t0.elapsed().as_nanos() as f64 / (reps * ops.len()) as f64
-    };
-    let wal_off_ns_per_op = time_leg(None);
-    let wal_on_ns_per_op = time_leg(Some(SharedWal::in_memory(SyncPolicy::Batched(64))));
-
     let stats = RecoveryStats {
         crash_points,
         torn_tail_points: torn,
@@ -488,11 +431,9 @@ pub fn rec2(trials: u64, seed: u64) -> (bool, String, RecoveryStats) {
         checkpoint_points: ckps,
         recovered_ok: ok_points,
         wal_records: oracle.records.len() as u64,
-        replay_ns_per_op,
-        wal_on_ns_per_op,
-        wal_off_ns_per_op,
     };
-    let ok = stats.all_recovered() && torn > 0 && flips > 0 && ckps > 0;
+    let ok =
+        stats.all_recovered() && crash_points >= REC2_FLOOR && torn > 0 && flips > 0 && ckps > 0;
     let mut t = Table::new(
         "REC-2  Crash recovery: seeded WAL crash-injection sweep",
         &["leg", "points", "note"],
@@ -518,17 +459,9 @@ pub fn rec2(trials: u64, seed: u64) -> (bool, String, RecoveryStats) {
         "state hash + verdict + floor all byte-identical".into(),
     ]);
     t.row(&[
-        "replay".into(),
-        format!("{:.0} ns/rec", stats.replay_ns_per_op),
-        format!("{} records in the uncrashed log", stats.wal_records),
-    ]);
-    t.row(&[
-        "wal overhead".into(),
-        format!("{:.2}x", stats.wal_overhead()),
-        format!(
-            "admission {:.0} → {:.0} ns/op (gate < 2x)",
-            stats.wal_off_ns_per_op, stats.wal_on_ns_per_op
-        ),
+        "log".into(),
+        stats.wal_records.to_string(),
+        "records in the uncrashed log".into(),
     ]);
     (ok, t.render(), stats)
 }
@@ -545,7 +478,7 @@ mod tests {
 
     #[test]
     fn rec2_every_crash_recovers() {
-        let (ok, text, stats) = rec2(1, 801);
+        let (ok, text, stats) = rec2(801);
         assert!(ok, "{text}");
         assert!(stats.crash_points >= 100, "{}", stats.crash_points);
         assert!(stats.all_recovered(), "{text}");

@@ -607,6 +607,20 @@ impl Verdict {
     pub fn pwsr(&self) -> bool {
         self.first_violation.is_none()
     }
+
+    /// Does the prefix sit at or above the rung `level` protects? The
+    /// whole-prefix counterpart of the per-push
+    /// [`PushOutcome::breaches`](sharded::PushOutcome::breaches): an
+    /// executor admitting at `level` must only ever return a verdict
+    /// that meets it. (`serializable` implies `pwsr()` — a conjunct
+    /// cycle uses edges the global graph also contains.)
+    pub fn meets(&self, level: AdmissionLevel) -> bool {
+        match level {
+            AdmissionLevel::Serializable => self.serializable,
+            AdmissionLevel::Pwsr => self.pwsr(),
+            AdmissionLevel::PwsrDr => self.pwsr() && self.dr,
+        }
+    }
 }
 
 /// The transactions collapsed into the permanent prefix by

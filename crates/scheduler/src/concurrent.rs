@@ -7,12 +7,10 @@
 //! ascending space order for a transaction's whole lifetime
 //! (conservative per-space 2PL — deadlock-free by lock ordering).
 //!
-//! Three recording paths:
+//! Two recording paths, both certified live:
 //!
-//! * [`run_threaded`] — uncertified: the database and trace live
-//!   behind one mutex (contention there is irrelevant to semantics);
-//! * [`run_threaded_certified`] — certified **without the big shared
-//!   mutex**: the database is striped by item, and the interleaving
+//! * [`run_threaded_certified`] — lock-based, with no global database
+//!   lock: the database is striped by item, and the interleaving
 //!   is recorded *by* the sharded monitor
 //!   ([`ShardedMonitor`]) whose ticketed pipeline
 //!   defines the total order. Conservative per-space 2PL already
@@ -20,7 +18,7 @@
 //!   lifetimes, so a thread's `db access → push` pair cannot be split
 //!   by a conflicting pair — the recorded schedule is read-coherent
 //!   by construction, and the monitor certifies it live, in parallel;
-//! * [`run_threaded_occ_certified`] — **optimistic**: no spaces are
+//! * [`run_threaded_occ_tuned`] — **optimistic**: no spaces are
 //!   ever locked. A worker pool executes transactions speculatively
 //!   against the same item-striped database, every access is pushed
 //!   through a *logged* sharded monitor at a configured
@@ -59,16 +57,7 @@ use pwsr_tplang::session::{Pending, ProgramSession};
 use std::collections::BTreeSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// Shared execution state behind one mutex (uncertified path: the
-/// database and trace are updated together; contention here is
-/// irrelevant to the semantics).
-struct Shared {
-    db: DbState,
-    trace: Vec<Operation>,
-}
 
 /// The database striped by item for the certified path: stripe
 /// `item.index() % n` owns the item, so threads touching different
@@ -136,79 +125,14 @@ fn space_lock_table(
 
 /// Run each program on its own OS thread under conservative per-space
 /// two-phase locking: every thread first computes its syntactic space
-/// set, locks those spaces in ascending order, executes, then releases.
-/// Returns the recorded (committed) schedule and the final state.
-pub fn run_threaded(
-    programs: &[Program],
-    catalog: &Catalog,
-    initial: &DbState,
-    policy: &PolicySpec,
-) -> Result<(Schedule, DbState)> {
-    let space_locks = space_lock_table(programs, catalog, policy);
-    let shared = Arc::new(Mutex::new(Shared {
-        db: initial.clone(),
-        trace: Vec::new(),
-    }));
-
-    std::thread::scope(|scope| -> Result<()> {
-        let mut handles = Vec::new();
-        for (k, program) in programs.iter().enumerate() {
-            let txn = TxnId(k as u32 + 1);
-            let shared = Arc::clone(&shared);
-            let space_locks = &space_locks;
-            handles.push(scope.spawn(move || -> Result<()> {
-                // Conservative: lock every space the program may touch,
-                // in ascending order (global order ⇒ no deadlock).
-                let spaces = space_set(program, catalog, policy);
-                let guards: Vec<_> = spaces
-                    .iter()
-                    .map(|&s| space_locks[s as usize].lock())
-                    .collect();
-                let mut session = ProgramSession::new(program, catalog, txn);
-                loop {
-                    match session.pending()? {
-                        Pending::NeedRead(item) => {
-                            let mut sh = shared.lock();
-                            let v = sh.db.require(item)?.clone();
-                            let op = session.feed_read(v)?;
-                            sh.trace.push(op);
-                        }
-                        Pending::Write(op) => {
-                            let mut sh = shared.lock();
-                            sh.db.set(op.item, op.value.clone());
-                            sh.trace.push(op);
-                            session.advance_write()?;
-                        }
-                        Pending::Done => break,
-                    }
-                    // Encourage interleaving across threads.
-                    std::thread::yield_now();
-                }
-                drop(guards);
-                Ok(())
-            }));
-        }
-        for h in handles {
-            h.join().map_err(|_| SchedError::Stalled)??;
-        }
-        Ok(())
-    })?;
-
-    let shared = Arc::try_unwrap(shared)
-        .map_err(|_| SchedError::Stalled)?
-        .into_inner();
-    let schedule = Schedule::new(shared.trace)?;
-    Ok((schedule, shared.db))
-}
-
-/// [`run_threaded`] with a [`ShardedMonitor`] certifying the verdict
-/// live, operation by operation, under real OS-thread parallelism —
-/// and **without the big shared mutex** the pre-sharding version
-/// funnelled every operation through. The database is striped by
-/// item; the interleaving is whatever order the threads' pushes claim
-/// inside the monitor's sequence stage, and the returned verdict is
-/// the monitor's exact (quiescent) verdict over exactly that
-/// interleaving.
+/// set, locks those spaces in ascending order, executes, then releases
+/// — with a [`ShardedMonitor`] certifying the verdict live, operation
+/// by operation. The database is striped by item (no global lock);
+/// the interleaving is whatever order the threads' pushes claim inside
+/// the monitor's sequence stage, and the returned verdict is the
+/// monitor's exact (quiescent) verdict over exactly that interleaving.
+/// Returns the recorded (committed) schedule, the final state and that
+/// verdict.
 ///
 /// When `policy.monitor` carries a [`StaticCertificate`] (see
 /// [`PolicySpec::certified`]), transactions the certificate covers
@@ -406,7 +330,7 @@ struct OccStripeCell {
     cv: Condvar,
 }
 
-/// The item-striped optimistic store behind [`run_threaded_occ_certified`].
+/// The item-striped optimistic store behind [`run_threaded_occ_tuned`].
 struct OccStripedDb {
     stripes: Vec<OccStripeCell>,
 }
@@ -457,7 +381,7 @@ struct OccMtCounters {
     max_batch: AtomicU64,
 }
 
-/// Outcome of [`run_threaded_occ_certified`]: the committed schedule
+/// Outcome of [`run_threaded_occ_tuned`]: the committed schedule
 /// (exactly the monitor's recorded interleaving — aborted attempts
 /// have been retracted), the final store, the monitor's exact verdict
 /// over that schedule, and the abort/retry counters.
@@ -546,7 +470,7 @@ impl Default for OccTuning {
 /// worker pool of `threads` OS threads claims transactions from a
 /// shared queue and executes them speculatively — no lock spaces, no
 /// 2PL. Every access goes through a *logged* [`ShardedMonitor`] at
-/// the `level` floor:
+/// the `spec.level` floor:
 ///
 /// * a **read** latches the item's stripe just long enough to observe
 ///   the value and claim the monitor position (so value and position
@@ -569,65 +493,31 @@ impl Default for OccTuning {
 ///   commits the non-serializable-but-PWSR interleavings a
 ///   serializability-validating OCC would abort.
 ///
+/// Driven by a full [`MonitorSpec`], so it honours a
+/// [`StaticCertificate`]. Transactions the certificate covers run
+/// **without the monitor**: their accesses still respect the
+/// dirty-item discipline (store correctness and read-coherence among
+/// certified transactions need it), but each operation lands in a
+/// cheap side trace instead of the logged pipeline, and no admission
+/// floor is ever checked for them — a statically-safe transaction
+/// cannot be certification-aborted. The returned verdict covers only
+/// the monitored operations; the overall guarantee is the
+/// certificate's static level over the certified subset conjoined
+/// with the verdict over the rest (sound because certified
+/// transactions form conflict-closed components).
+///
+/// [`OccTuning`] carries the dirty-wait spin/park budgets and the
+/// abort-backoff cap. When `spec.wal` is set, the sharded monitor
+/// journals every claimed operation (and every abort's retraction)
+/// into it, and the returned metrics carry the WAL counters.
+///
 /// Errors with [`SchedError::RestartLimit`] when one transaction
-/// aborts more than `max_restarts` times.
+/// aborts more than `max_restarts` times, and with
+/// [`SchedError::FloorBreached`] — carrying the committed schedule —
+/// when the quiescent verdict ends below `spec.level`: `Ok` means the
+/// committed schedule [meets](Verdict::meets) the floor.
 ///
 /// [`PushOutcome::breaches`]: pwsr_core::monitor::sharded::PushOutcome::breaches
-pub fn run_threaded_occ_certified(
-    programs: &[Program],
-    catalog: &Catalog,
-    initial: &DbState,
-    scopes: Vec<ItemSet>,
-    level: AdmissionLevel,
-    threads: usize,
-    max_restarts: u32,
-) -> Result<OccThreadedOutcome> {
-    let spec = MonitorSpec {
-        scopes,
-        level,
-        certificate: None,
-        wal: None,
-        compact_every: 0,
-    };
-    run_threaded_occ_spec(programs, catalog, initial, &spec, threads, max_restarts)
-}
-
-/// [`run_threaded_occ_certified`] driven by a full [`MonitorSpec`] —
-/// the entry point that honours a [`StaticCertificate`]. Transactions
-/// the certificate covers run **without the monitor**: their accesses
-/// still respect the dirty-item discipline (store correctness and
-/// read-coherence among certified transactions need it), but each
-/// operation lands in a cheap side trace instead of the logged
-/// pipeline, and no admission floor is ever checked for them — a
-/// statically-safe transaction cannot be certification-aborted. The
-/// returned verdict covers only the monitored operations; the overall
-/// guarantee is the certificate's static level over the certified
-/// subset conjoined with the verdict over the rest (sound because
-/// certified transactions form conflict-closed components).
-pub fn run_threaded_occ_spec(
-    programs: &[Program],
-    catalog: &Catalog,
-    initial: &DbState,
-    spec: &MonitorSpec,
-    threads: usize,
-    max_restarts: u32,
-) -> Result<OccThreadedOutcome> {
-    run_threaded_occ_tuned(
-        programs,
-        catalog,
-        initial,
-        spec,
-        threads,
-        max_restarts,
-        &OccTuning::default(),
-    )
-}
-
-/// [`run_threaded_occ_spec`] with explicit [`OccTuning`] knobs —
-/// dirty-wait spin/park budgets and the abort-backoff cap. When
-/// `spec.wal` is set, the sharded monitor journals every claimed
-/// operation (and every abort's retraction) into it, and the
-/// returned metrics carry the WAL counters.
 pub fn run_threaded_occ_tuned(
     programs: &[Program],
     catalog: &Catalog,
@@ -795,6 +685,16 @@ pub fn run_threaded_occ_tuned(
                 error: error.to_string(),
             });
         }
+    }
+    // The promise every per-push `breaches` check exists to keep,
+    // checked once on the quiescent verdict: a run that committed
+    // below its floor is a bug report, not a result.
+    if !verdict.meets(level) {
+        return Err(SchedError::FloorBreached {
+            level,
+            verdict,
+            schedule: Box::new(schedule),
+        });
     }
     Ok(OccThreadedOutcome {
         schedule,
@@ -1556,6 +1456,21 @@ mod tests {
         (cat, ic, initial)
     }
 
+    fn scopes_of(ic: &IntegrityConstraint) -> Vec<ItemSet> {
+        ic.conjuncts().iter().map(|c| c.items().clone()).collect()
+    }
+
+    /// A bare monitor spec: no certificate, no WAL, no compaction.
+    fn occ_spec(scopes: Vec<ItemSet>, level: AdmissionLevel) -> MonitorSpec {
+        MonitorSpec {
+            scopes,
+            level,
+            certificate: None,
+            wal: None,
+            compact_every: 0,
+        }
+    }
+
     #[test]
     fn threaded_run_is_pwsr_and_coherent() {
         let (cat, ic, initial) = setup();
@@ -1567,9 +1482,11 @@ mod tests {
         ];
         let policy = PolicySpec::predicate_wise_2pl(&ic);
         for _ in 0..5 {
-            let (schedule, final_state) = run_threaded(&programs, &cat, &initial, &policy).unwrap();
+            let (schedule, final_state, verdict) =
+                run_threaded_certified(&programs, &cat, &initial, &policy, scopes_of(&ic)).unwrap();
             schedule.check_read_coherence(&initial).unwrap();
             assert!(is_pwsr(&schedule, &ic).ok());
+            assert!(verdict.pwsr() && verdict.len == schedule.len());
             // All effects present regardless of interleaving.
             assert_eq!(
                 final_state.get(cat.lookup("a0").unwrap()),
@@ -1592,7 +1509,7 @@ mod tests {
             parse_program("T3", "b1 := b1 + 1; a1 := a1 + 2;").unwrap(),
         ];
         let policy = PolicySpec::predicate_wise_2pl(&ic);
-        let scopes: Vec<ItemSet> = ic.conjuncts().iter().map(|c| c.items().clone()).collect();
+        let scopes = scopes_of(&ic);
         for _ in 0..5 {
             let (schedule, _, verdict) =
                 run_threaded_certified(&programs, &cat, &initial, &policy, scopes.clone()).unwrap();
@@ -1623,7 +1540,7 @@ mod tests {
             parse_program("T4", "a0 := a0 + 2;").unwrap(),
         ];
         let policy = PolicySpec::predicate_wise_2pl(&ic);
-        let scopes: Vec<ItemSet> = ic.conjuncts().iter().map(|c| c.items().clone()).collect();
+        let scopes = scopes_of(&ic);
         for _ in 0..10 {
             let (schedule, final_state, verdict) =
                 run_threaded_certified(&programs, &cat, &initial, &policy, scopes.clone()).unwrap();
@@ -1647,7 +1564,9 @@ mod tests {
             parse_program("T2", "a0 := a0 + 1;").unwrap(),
         ];
         let policy = PolicySpec::predicate_wise_2pl(&ic);
-        let (schedule, _) = run_threaded(&programs, &cat, &initial, &policy).unwrap();
+        let (schedule, _, verdict) =
+            run_threaded_certified(&programs, &cat, &initial, &policy, scopes_of(&ic)).unwrap();
+        assert!(verdict.pwsr() && verdict.len == schedule.len());
         for (k, p) in programs.iter().enumerate() {
             let txn = TxnId(k as u32 + 1);
             let t = schedule.transaction(txn);
@@ -1658,40 +1577,26 @@ mod tests {
     #[test]
     fn empty_program_set() {
         let (cat, _ic, initial) = setup();
-        let (schedule, final_state) =
-            run_threaded(&[], &cat, &initial, &PolicySpec::global_2pl()).unwrap();
-        assert!(schedule.is_empty());
-        assert_eq!(final_state, initial);
         let (schedule, final_state, verdict) =
             run_threaded_certified(&[], &cat, &initial, &PolicySpec::global_2pl(), Vec::new())
                 .unwrap();
         assert!(schedule.is_empty());
         assert_eq!(final_state, initial);
         assert_eq!(verdict.len, 0);
-        let out = run_threaded_occ_certified(
+        let out = run_threaded_occ_tuned(
             &[],
             &cat,
             &initial,
-            Vec::new(),
-            AdmissionLevel::Pwsr,
+            &occ_spec(Vec::new(), AdmissionLevel::Pwsr),
             4,
             10,
+            &OccTuning::default(),
         )
         .unwrap();
         assert!(out.schedule.is_empty());
         assert_eq!(out.final_state, initial);
         assert_eq!(out.metrics.occ_aborts, 0);
         let _ = ItemId(0);
-    }
-
-    /// Does `level` hold on the final verdict? (What "the committed
-    /// schedule lands at or above the admission floor" means.)
-    fn meets_floor(verdict: &pwsr_core::monitor::Verdict, level: AdmissionLevel) -> bool {
-        match level {
-            AdmissionLevel::Serializable => verdict.serializable,
-            AdmissionLevel::Pwsr => verdict.pwsr(),
-            AdmissionLevel::PwsrDr => verdict.pwsr() && verdict.dr,
-        }
     }
 
     /// The OCC-certified path commits only floor-compliant schedules:
@@ -1708,7 +1613,7 @@ mod tests {
             parse_program("T3", "b1 := b1 + 7; a1 := a1 + 2;").unwrap(),
             parse_program("T4", "a0 := a0 + 3; b0 := b0 + 2;").unwrap(),
         ];
-        let scopes: Vec<ItemSet> = ic.conjuncts().iter().map(|c| c.items().clone()).collect();
+        let scopes = scopes_of(&ic);
         for level in [
             AdmissionLevel::Serializable,
             AdmissionLevel::Pwsr,
@@ -1716,23 +1621,19 @@ mod tests {
         ] {
             for threads in [1, 4] {
                 for _ in 0..5 {
-                    let out = run_threaded_occ_certified(
+                    let out = run_threaded_occ_tuned(
                         &programs,
                         &cat,
                         &initial,
-                        scopes.clone(),
-                        level,
+                        &occ_spec(scopes.clone(), level),
                         threads,
                         1_000,
+                        &OccTuning::default(),
                     )
                     .unwrap();
                     out.schedule.check_read_coherence(&initial).unwrap();
                     assert_eq!(out.schedule.apply(&initial), out.final_state);
-                    assert!(
-                        meets_floor(&out.verdict, level),
-                        "{level:?}: {}",
-                        out.schedule
-                    );
+                    assert!(out.verdict.meets(level), "{level:?}: {}", out.schedule);
                     assert!(is_pwsr(&out.schedule, &ic).ok());
                     // Effects of every committed transaction survive.
                     assert_eq!(
@@ -1792,7 +1693,7 @@ mod tests {
                 AdmissionLevel::Pwsr,
                 programs.len(),
             ));
-        let scopes: Vec<ItemSet> = ic.conjuncts().iter().map(|c| c.items().clone()).collect();
+        let scopes = scopes_of(&ic);
         for _ in 0..5 {
             let (schedule, final_state, verdict) =
                 run_threaded_certified(&programs, &cat, &initial, &policy, scopes.clone()).unwrap();
@@ -1833,7 +1734,7 @@ mod tests {
         let policy = PolicySpec::predicate_wise_2pl(&ic)
             .monitor_admission(&ic, AdmissionLevel::Pwsr)
             .certified(cert);
-        let scopes: Vec<ItemSet> = ic.conjuncts().iter().map(|c| c.items().clone()).collect();
+        let scopes = scopes_of(&ic);
         for _ in 0..5 {
             let (schedule, final_state, verdict) =
                 run_threaded_certified(&programs, &cat, &initial, &policy, scopes.clone()).unwrap();
@@ -1869,7 +1770,7 @@ mod tests {
             parse_program("T3", "a0 := a0 + 1;").unwrap(), // monitored
             parse_program("T4", "a0 := a0 + 2; b0 := b0 + 1;").unwrap(), // monitored
         ];
-        let scopes: Vec<ItemSet> = ic.conjuncts().iter().map(|c| c.items().clone()).collect();
+        let scopes = scopes_of(&ic);
         let spec = MonitorSpec {
             scopes: scopes.clone(),
             level: AdmissionLevel::Pwsr,
@@ -1882,8 +1783,16 @@ mod tests {
         };
         for threads in [1, 4] {
             for _ in 0..5 {
-                let out = run_threaded_occ_spec(&programs, &cat, &initial, &spec, threads, 10_000)
-                    .unwrap();
+                let out = run_threaded_occ_tuned(
+                    &programs,
+                    &cat,
+                    &initial,
+                    &spec,
+                    threads,
+                    10_000,
+                    &OccTuning::default(),
+                )
+                .unwrap();
                 assert_eq!(out.verdict.len, 6, "only T3/T4 ops are monitored");
                 assert_eq!(out.schedule.len(), 10);
                 assert!(out.metrics.monitor_skipped_ops >= 4);
@@ -1917,16 +1826,16 @@ mod tests {
         let hot: Vec<Program> = (0..6)
             .map(|k| parse_program(&format!("H{k}"), "a0 := a0 + 1;").unwrap())
             .collect();
-        let scopes: Vec<ItemSet> = ic.conjuncts().iter().map(|c| c.items().clone()).collect();
+        let scopes = scopes_of(&ic);
         for _ in 0..10 {
-            let out = run_threaded_occ_certified(
+            let out = run_threaded_occ_tuned(
                 &hot,
                 &cat,
                 &initial,
-                scopes.clone(),
-                AdmissionLevel::Pwsr,
+                &occ_spec(scopes.clone(), AdmissionLevel::Pwsr),
                 4,
                 10_000,
+                &OccTuning::default(),
             )
             .unwrap();
             out.schedule.check_read_coherence(&initial).unwrap();
@@ -1955,7 +1864,7 @@ mod tests {
         let hot: Vec<Program> = (0..8)
             .map(|k| parse_program(&format!("H{k}"), "a0 := a0 + 1; a1 := a1 + 1;").unwrap())
             .collect();
-        let scopes: Vec<ItemSet> = ic.conjuncts().iter().map(|c| c.items().clone()).collect();
+        let scopes = scopes_of(&ic);
 
         // Lock-based certified path: cadence carried by the policy.
         let policy = PolicySpec::predicate_wise_2pl(&ic)
@@ -1964,7 +1873,7 @@ mod tests {
         for _ in 0..5 {
             let (schedule, final_state, verdict) =
                 run_threaded_certified(&hot, &cat, &initial, &policy, scopes.clone()).unwrap();
-            assert!(meets_floor(&verdict, AdmissionLevel::Pwsr));
+            assert!(verdict.meets(AdmissionLevel::Pwsr));
             assert_eq!(
                 verdict.len,
                 schedule.len(),
@@ -2004,7 +1913,7 @@ mod tests {
                     &OccTuning::default(),
                 )
                 .unwrap();
-                assert!(meets_floor(&out.verdict, AdmissionLevel::Pwsr));
+                assert!(out.verdict.meets(AdmissionLevel::Pwsr));
                 assert_eq!(out.verdict.len, out.schedule.len(), "threads={threads}");
                 assert!(out.schedule.base() > 0, "compaction never fired");
                 assert_eq!(

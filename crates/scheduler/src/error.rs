@@ -2,6 +2,8 @@
 
 use pwsr_core::error::CoreError;
 use pwsr_core::ids::TxnId;
+use pwsr_core::monitor::{AdmissionLevel, Verdict};
+use pwsr_core::schedule::Schedule;
 use pwsr_tplang::error::TpError;
 use std::fmt;
 
@@ -39,6 +41,22 @@ pub enum SchedError {
         /// `Clone`).
         error: String,
     },
+    /// An executor configured at an admission level finished with a
+    /// committed schedule whose quiescent verdict sits below it — the
+    /// promise "returned `Ok` ⇒ verdict ≥ level" did not hold, so the
+    /// run refuses to report success. The committed schedule is the
+    /// bug report: replaying it through a single-writer monitor
+    /// reproduces the verdict.
+    FloorBreached {
+        /// The floor the executor was configured to protect.
+        level: AdmissionLevel,
+        /// The monitor's quiescent verdict over `schedule`.
+        verdict: Verdict,
+        /// The committed interleaving, as the monitor recorded it
+        /// (boxed: it would otherwise size every `Result` in the
+        /// crate).
+        schedule: Box<Schedule>,
+    },
 }
 
 impl fmt::Display for SchedError {
@@ -58,6 +76,17 @@ impl fmt::Display for SchedError {
             SchedError::WalFailed { error } => {
                 write!(f, "write-ahead log failed (fail-stop): {error}")
             }
+            SchedError::FloorBreached {
+                level,
+                verdict,
+                schedule,
+            } => write!(
+                f,
+                "committed schedule of {} operations sits at {:?}, below the {level:?} \
+                 admission floor",
+                schedule.len(),
+                verdict.level
+            ),
         }
     }
 }
@@ -108,5 +137,12 @@ mod tests {
             error: "injected short write".into(),
         };
         assert!(e.to_string().contains("fail-stop"));
+        let monitor = pwsr_core::monitor::OnlineMonitor::new(Vec::new());
+        let e = SchedError::FloorBreached {
+            level: AdmissionLevel::Pwsr,
+            verdict: monitor.verdict(),
+            schedule: Box::new(monitor.schedule().clone()),
+        };
+        assert!(e.to_string().contains("below the Pwsr"));
     }
 }

@@ -44,8 +44,8 @@ pub mod sgt;
 /// Convenience re-exports.
 pub mod prelude {
     pub use crate::concurrent::{
-        replay_matches, run_threaded, run_threaded_certified, run_threaded_occ_certified,
-        run_threaded_occ_spec, run_threaded_occ_tuned, OccThreadedOutcome, OccTuning,
+        replay_matches, run_threaded_certified, run_threaded_occ_tuned, OccThreadedOutcome,
+        OccTuning,
     };
     pub use crate::dag_admission::{check_static_dag, StaticDag};
     pub use crate::error::SchedError;

@@ -183,7 +183,7 @@ fn restrictions_are_mutually_independent() {
 #[test]
 fn threaded_executor_agrees_with_checkers() {
     use pwsr::gen::workloads::{random_workload, WorkloadConfig};
-    use pwsr::scheduler::concurrent::run_threaded;
+    use pwsr::scheduler::concurrent::run_threaded_certified;
     use pwsr::scheduler::policy::PolicySpec;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -203,11 +203,14 @@ fn threaded_executor_agrees_with_checkers() {
     );
     let policy = PolicySpec::predicate_wise_2pl(&w.ic);
     let solver = Solver::new(&w.catalog, &w.ic);
+    let scopes: Vec<_> = w.ic.conjuncts().iter().map(|c| c.items().clone()).collect();
     for _ in 0..3 {
-        let (schedule, final_state) =
-            run_threaded(&w.programs, &w.catalog, &w.initial, &policy).unwrap();
+        let (schedule, final_state, verdict) =
+            run_threaded_certified(&w.programs, &w.catalog, &w.initial, &policy, scopes.clone())
+                .unwrap();
         schedule.check_read_coherence(&w.initial).unwrap();
         assert!(is_pwsr(&schedule, &w.ic).ok());
+        assert!(verdict.pwsr() && verdict.len == schedule.len());
         assert_eq!(schedule.apply(&w.initial), final_state);
         assert!(check_strong_correctness(&schedule, &solver, &w.initial).ok());
     }
