@@ -243,6 +243,21 @@ impl NodeMaps {
     }
 }
 
+/// What one access did to a [`ProjGraph`]. Anything but `Clean` means
+/// the access, against the graph just before it, would not have been
+/// admitted ([`ProjGraph::admits`] answers `false`).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Applied {
+    /// Its conflict edges went in and the projection is still acyclic.
+    Clean,
+    /// It closed the projection's first cycle: the graph froze here.
+    Closed,
+    /// The graph was already frozen, so nothing was applied — the
+    /// access was never certified. A retraction that un-freezes the
+    /// graph re-pushes it.
+    Frozen,
+}
+
 /// One projection's reduced conflict graph, maintained incrementally.
 ///
 /// Mirrors the batch reduced construction (each operation conflicts
@@ -316,6 +331,8 @@ impl ProjGraph {
     /// Record one access, adding its reduced conflict edges. With a
     /// `tape`, exactly what was applied is journaled as one graph
     /// frame (see [`undo`]) for LIFO retraction by [`ProjGraph::undo`].
+    /// Says whether the access went in clean, closed the first cycle,
+    /// or met a graph that was already frozen.
     fn apply(
         &mut self,
         slot: usize,
@@ -323,11 +340,13 @@ impl ProjGraph {
         is_write: bool,
         p: OpIndex,
         mut tape: Option<&mut Tape>,
-    ) {
+    ) -> Applied {
         let mut delta = GraphDelta::NONE;
+        let mut applied = Applied::Frozen;
         if self.cyclic_at.is_none() {
             // (A frozen graph applies nothing: non-serializability is
-            // monotone.)
+            // monotone until a retraction un-freezes it.)
+            applied = Applied::Clean;
             self.grow(slot, item);
             if self.node_of_slot[slot] == ABSENT {
                 delta.flags |= GraphDelta::ADDED_NODE;
@@ -376,11 +395,13 @@ impl ProjGraph {
             if closed {
                 self.cyclic_at = Some(p);
                 delta.flags |= GraphDelta::FROZE;
+                applied = Applied::Closed;
             }
         }
         if let Some(tape) = tape {
             delta.seal(tape);
         }
+        applied
     }
 
     /// Retract one logged access by consuming its frame from the end
@@ -858,7 +879,7 @@ impl OnlineMonitor {
             self.global
                 .apply(&self.scopes, slot, op, self.rf_slots[i], p, logged);
             for &k in self.scope_index.of(op.item) {
-                if self.conjuncts[k as usize].apply(slot, op, p, logged) {
+                if self.conjuncts[k as usize].apply(slot, op, p, logged) == Applied::Closed {
                     self.first_violation.get_or_insert(p);
                 }
                 if logged {

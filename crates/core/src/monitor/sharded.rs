@@ -119,7 +119,7 @@
 
 use super::journal::MonitorJournal;
 use super::stages::{self, GlobalState, SeqState, ShardState, TxnTotals};
-use super::{AdmissionLevel, CompactStats, ScopeIndex, Verdict, VerdictLevel};
+use super::{AdmissionLevel, Applied, CompactStats, ScopeIndex, Verdict, VerdictLevel};
 use crate::error::Result;
 use crate::ids::{ItemId, OpIndex, TxnId};
 use crate::op::Operation;
@@ -841,7 +841,7 @@ impl ShardedMonitor {
                     outcomes[i] = PushOutcome {
                         pos: p,
                         floor: g.level(true),
-                        caused_non_serializable: g.graph.cyclic_at == Some(p),
+                        caused_non_serializable: !g.graph.serializable(),
                         caused_violation: false,
                         caused_non_dr,
                     };
@@ -922,14 +922,15 @@ impl ShardedMonitor {
     }
 
     /// Stage 3 against an already write-locked shard (the caller holds
-    /// its ticket). Returns whether this access closed the conjunct's
-    /// first cycle, mirroring it into the lock-free violation floor.
+    /// its ticket). Returns whether this access breached the conjunct
+    /// — closed its first cycle, or met it already frozen — mirroring
+    /// a closed cycle into the lock-free violation floor.
     fn stage_shard(&self, sh: &mut ShardState, slot: usize, op: &Operation, p: OpIndex) -> bool {
-        let closed = sh.apply(slot, op, p, self.logging);
-        if closed {
+        let applied = sh.apply(slot, op, p, self.logging);
+        if applied == Applied::Closed {
             self.first_violation.fetch_min(p.0 as u32, Ordering::AcqRel);
         }
-        closed
+        applied != Applied::Clean
     }
 
     /// Wait for every in-flight push to clear the pipeline *and*

@@ -34,8 +34,8 @@
 
 use super::undo::{GlobalDelta, SeqDelta, UndoLog};
 use super::{
-    AdmissionLevel, CompactStats, FinishedFlags, NodeMaps, ProjGraph, ScopeIndex, SummarizedSet,
-    Verdict, VerdictLevel,
+    AdmissionLevel, Applied, CompactStats, FinishedFlags, NodeMaps, ProjGraph, ScopeIndex,
+    SummarizedSet, Verdict, VerdictLevel,
 };
 use crate::error::{CoreError, MalformedKind, Result};
 use crate::ids::{ItemId, OpIndex, TxnId};
@@ -373,7 +373,9 @@ impl GlobalState {
     /// for the operation at `p`, whose reads-from writer slot stage 1
     /// resolved as `rf_slot`. Exact for the prefix ending at `p`
     /// provided operations arrive in position order. Returns whether
-    /// this operation was the first to materialize a dirty read.
+    /// this operation materialized a dirty read — it belongs to a
+    /// dirtily-read transaction, first such operation or not — which
+    /// is exactly when [`admits`] would have refused it at `PwsrDr`.
     pub(super) fn apply(
         &mut self,
         scopes: &[ItemSet],
@@ -390,12 +392,11 @@ impl GlobalState {
         }
         // This operation proves its transaction was still running: any
         // earlier read *from* it is now a DR violation.
-        let mut caused_non_dr = false;
-        if !self.dirty_reads[slot].is_empty() {
+        let caused_non_dr = !self.dirty_reads[slot].is_empty();
+        if caused_non_dr {
             if self.first_non_dr.is_none() {
                 self.first_non_dr = Some(p);
                 delta.set_first_non_dr = true;
-                caused_non_dr = true;
             }
             for (k, scope) in scopes.iter().enumerate() {
                 if self.conjunct_non_dr[k].is_none() && !scope.is_disjoint(&self.dirty_reads[slot])
@@ -510,16 +511,25 @@ pub(super) struct ShardState {
 
 impl ShardState {
     /// Stage 3: the conjunct's conflict graph for the operation at
-    /// `p`. Returns whether this access closed the conjunct's first
-    /// cycle.
-    pub(super) fn apply(&mut self, slot: usize, op: &Operation, p: OpIndex, logged: bool) -> bool {
+    /// `p`. Anything but [`Applied::Clean`] is a breach of the PWSR
+    /// rung — this access would not have been admitted — but only
+    /// [`Applied::Closed`] moves the conjunct's first-violation
+    /// position.
+    pub(super) fn apply(
+        &mut self,
+        slot: usize,
+        op: &Operation,
+        p: OpIndex,
+        logged: bool,
+    ) -> Applied {
         let tape = logged.then(|| self.log.tape());
-        self.graph
+        let applied = self
+            .graph
             .apply(slot, op.item.index(), op.is_write(), p, tape);
         if logged {
             self.log.record(p.0 as u32);
         }
-        self.graph.cyclic_at == Some(p)
+        applied
     }
 
     /// Retract the conjunct's last logged access, which was at `p`.
