@@ -491,24 +491,31 @@ fn wait_turn(serving: &AtomicU32, ticket: u32) {
 }
 
 /// What one [`ShardedMonitor::push_outcome`] observed — the lock-free
-/// floor plus *causality* flags: whether **this** push was the
-/// operation that broke each rung. An optimistic executor aborts the
-/// pushing transaction exactly when its own operation breached the
-/// configured admission floor ([`PushOutcome::breaches`]); a floor
-/// worsened by some *other* transaction's concurrent push is that
-/// transaction's to repair (its own `PushOutcome` reports the breach
-/// to the thread that pushed it).
+/// floor plus one flag per rung: whether **this** push, against the
+/// state just before it, *would not have been admitted* at that rung
+/// (what [`ShardedMonitor::would_admit`] answers, taken at the push).
+/// That covers the push that broke the rung and every push that met it
+/// already broken: an operation pushed into a frozen graph was never
+/// certified, and the retraction that heals the rung must not leave it
+/// behind. An optimistic executor aborts the pushing transaction
+/// exactly when its own operation breached the configured admission
+/// floor ([`PushOutcome::breaches`]); once every transaction so told
+/// has been retracted, the verdict meets that floor again.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct PushOutcome {
     /// The claimed position of the pushed operation.
     pub pos: OpIndex,
     /// The lock-free verdict floor after this push.
     pub floor: VerdictLevel,
-    /// This push closed the first global conflict-graph cycle.
+    /// The global conflict graph would not have admitted this push:
+    /// it closed the first cycle, or the graph was already frozen.
     pub caused_non_serializable: bool,
-    /// This push closed the first cycle of some conjunct projection.
+    /// Some conjunct projection would not have admitted this push: it
+    /// closed that projection's first cycle, or met it frozen.
     pub caused_violation: bool,
-    /// This push was the first to materialize a dirty read.
+    /// This push materialized a dirty read: its transaction had been
+    /// read from while still running (the first such push or a later
+    /// one).
     pub caused_non_dr: bool,
 }
 
@@ -522,7 +529,7 @@ impl PushOutcome {
         caused_non_dr: false,
     };
 
-    /// Did this push break the verdict rung `level` protects? (A
+    /// Would the rung `level` protects have refused this push? (A
     /// conjunct cycle uses edges the global graph also contains, so a
     /// violation always breaches the `Serializable` floor too.)
     pub fn breaches(&self, level: AdmissionLevel) -> bool {
@@ -1221,9 +1228,18 @@ impl ShardedMonitor {
 
     /// Abort `txn`: truncate to its first operation and re-push the
     /// surviving interleaving (every retracted operation of another
-    /// transaction, in its original order). No new *cycle* can appear
-    /// — the survivors' conflict edges are a subset of those already
-    /// certified. Delayed-read marks, however, can be **reassigned**:
+    /// transaction, in its original order). The re-push reports no
+    /// outcomes, and it **can** close a cycle: survivors pushed while a
+    /// graph was frozen were never applied to it, so un-freezing the
+    /// graph certifies them for the first time. What keeps the
+    /// executor safe is that each of those pushes was reported as a
+    /// breach when it was made ([`PushOutcome`]): a cycle among the
+    /// survivors has a last operation, that operation's push saw the
+    /// rest of the cycle — closing it, or meeting the graph frozen —
+    /// and its owner is already on its way here. Once every
+    /// transaction that received a breaching outcome has been
+    /// retracted, the verdict meets the floor. Delayed-read marks,
+    /// moreover, can be **reassigned**:
     /// a survivor read that took its value from the victim's write is
     /// re-recorded as reading from the earlier writer, which can mint
     /// a DR break that no [`PushOutcome`] ever reported (the verdict
@@ -1664,6 +1680,91 @@ mod tests {
         m.retract_txn(TxnId(1)).unwrap();
         assert!(m.verdict().dr);
         assert_eq!(m.floor(), VerdictLevel::Serializable);
+    }
+
+    /// The retraction contract: push `ops` with no retraction in
+    /// between — every owner "descheduled" between its push returning
+    /// and its `retract_txn` — then retract, in the order they were
+    /// told, every transaction that received an outcome breaching
+    /// `level`. The quiescent verdict must meet `level`: an aborted
+    /// transaction may not change what the others were certified
+    /// against.
+    fn assert_told_transactions_heal(
+        scopes: Vec<ItemSet>,
+        ops: Vec<Operation>,
+        level: AdmissionLevel,
+    ) {
+        let m = ShardedMonitor::new_logged(scopes);
+        let mut told = Vec::new();
+        for op in ops {
+            let txn = op.txn;
+            if m.push_outcome(op).unwrap().breaches(level) && !told.contains(&txn) {
+                told.push(txn);
+            }
+        }
+        assert!(!m.verdict().meets(level), "the schedule breaks the rung");
+        for txn in told {
+            m.retract_txn(txn).unwrap();
+        }
+        let v = m.verdict();
+        assert!(v.meets(level), "every told transaction retracted: {v:?}");
+        assert!(rank(m.floor()) <= rank(v.level), "floor is a lower bound");
+    }
+
+    /// The frozen-projection window, PWSR rung: T1 closes the T1/T2
+    /// cycle, and before T1 is retracted T3/T4 push a second, disjoint
+    /// cycle into the frozen conjunct. Those pushes were never
+    /// certified, so their transactions must be told.
+    #[test]
+    fn pushes_into_a_frozen_conjunct_are_told() {
+        let scope = ItemSet::from_iter((0..4).map(ItemId));
+        let ops = vec![
+            rd(1, 0, 0),
+            wr(2, 0, 1),
+            wr(2, 1, 1),
+            rd(1, 1, 1),
+            rd(3, 2, 0),
+            wr(4, 2, 1),
+            wr(4, 3, 1),
+            rd(3, 3, 1),
+        ];
+        assert_told_transactions_heal(vec![scope], ops, AdmissionLevel::Pwsr);
+    }
+
+    /// The same window on the DR rung: T1's second operation
+    /// materializes the first dirty read; T3's, pushed before T1 is
+    /// retracted, materializes another and must be told as well.
+    #[test]
+    fn every_dirtily_read_transaction_is_told() {
+        let scope = ItemSet::from_iter((0..4).map(ItemId));
+        let ops = vec![
+            wr(1, 0, 1),
+            rd(2, 0, 1),
+            wr(1, 1, 1),
+            wr(3, 2, 1),
+            rd(4, 2, 1),
+            wr(3, 3, 1),
+        ];
+        assert_told_transactions_heal(vec![scope], ops, AdmissionLevel::PwsrDr);
+    }
+
+    /// And on the `Serializable` rung: singleton conjuncts keep every
+    /// projection acyclic, so only the global graph decides; the
+    /// second, disjoint global cycle meets it frozen.
+    #[test]
+    fn pushes_into_a_frozen_global_graph_are_told() {
+        let scopes = (0..4).map(|i| ItemSet::from_iter([ItemId(i)])).collect();
+        let ops = vec![
+            rd(1, 0, 0),
+            wr(2, 0, 1),
+            wr(2, 1, 1),
+            rd(1, 1, 1),
+            rd(3, 2, 0),
+            wr(4, 2, 1),
+            wr(4, 3, 1),
+            rd(3, 3, 1),
+        ];
+        assert_told_transactions_heal(scopes, ops, AdmissionLevel::Serializable);
     }
 
     #[test]

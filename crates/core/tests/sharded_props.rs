@@ -316,6 +316,36 @@ proptest! {
             );
         }
     }
+
+    /// The pointwise retraction contract: a push reports a breach of
+    /// a rung exactly when the probe, asked just before it, would not
+    /// have admitted the operation at that rung — on every push, also
+    /// those that meet a rung some earlier push already broke.
+    #[test]
+    fn outcome_breaches_iff_probe_would_refuse(
+        txns in arb_transactions(5),
+        mix in proptest::collection::vec(any::<u8>(), 0..48),
+        d1_bits in 0u32..64,
+        d2_bits in 0u32..64,
+    ) {
+        use pwsr_core::monitor::AdmissionLevel;
+        let levels = [
+            AdmissionLevel::Serializable,
+            AdmissionLevel::Pwsr,
+            AdmissionLevel::PwsrDr,
+        ];
+        let sharded = ShardedMonitor::new_logged(scopes_from_bits(d1_bits, d2_bits));
+        for (p, op) in interleave_random(&txns, &mix).into_iter().enumerate() {
+            let admitted = levels.map(|l| sharded.would_admit(op.txn, op.item, op.is_write(), l));
+            let outcome = sharded.push_outcome(op).expect("valid");
+            for (level, admitted) in levels.into_iter().zip(admitted) {
+                prop_assert_eq!(
+                    outcome.breaches(level), !admitted,
+                    "op {} at {:?}: {:?}", p, level, outcome
+                );
+            }
+        }
+    }
 }
 
 fn floor_rank(level: pwsr_core::monitor::VerdictLevel) -> u8 {
