@@ -10,6 +10,17 @@
 //! `checkpoint + WAL tail`, truncating (never replaying) torn or
 //! bit-flipped tails.
 //!
+//! Recovery is mostly the monitor re-certifying the recorded history;
+//! what this crate adds to it — scanning, checksumming, hashing — is
+//! kept beside that work, not in front of it. A recovery from a
+//! checkpoint runs in two lanes: the journal scan and the schedule
+//! half of the checkpoint's state hash on a scoped helper thread, the
+//! prefix replay on the caller's (see [`mod@recover`]). The CRC-32
+//! folds eight bytes per step ([`crc32`]), and the checkpoint prefix
+//! is replayed in whole-transaction runs. None of it is observable:
+//! digests, verdicts and refusals are those of doing every step in
+//! sequence, one byte and one operation at a time.
+//!
 //! The crate is dependency-free by design (the container is offline):
 //! CRC-32 and SHA-256 are implemented here, against published test
 //! vectors.
@@ -17,10 +28,10 @@
 //! | module | contents |
 //! |---|---|
 //! | [`wal`] | frame format, [`Wal`]/[`SharedWal`], sync/error policies, corruption-detecting scan |
-//! | [`checkpoint`] | [`state_hash`], the `PWSRCKP1` checkpoint format |
-//! | [`mod@recover`] | [`recover`](recover::recover): checkpoint replay + tail replay |
+//! | [`checkpoint`] | [`state_hash`] (schedule half + verdict seal), the `PWSRCKP1` checkpoint format, [`advance_frontier`] |
+//! | [`mod@recover`] | [`recover`](recover::recover): checkpoint replay beside scan + hash, then tail replay |
 //! | [`fault`] | the deterministic chaos plane: [`FaultPlan`] and its fault points |
-//! | [`crc32`], [`sha256`] | the hand-rolled checksums |
+//! | [`crc32`], [`sha256`] | the hand-rolled checksums (CRC-32 slicing-by-8) |
 
 #![warn(missing_docs)]
 

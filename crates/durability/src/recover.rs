@@ -6,6 +6,15 @@
 //! to the pre-crash monitor *at the last durable record* — a torn or
 //! bit-flipped tail is detected by its checksum and truncated, never
 //! silently replayed.
+//!
+//! A recovery from a checkpoint runs as **two lanes**: scanning the
+//! WAL and hashing the checkpoint's operations need nothing the
+//! prefix replay produces, so a scoped helper thread does both while
+//! the calling thread replays. The lanes meet before the hash is
+//! compared and before the first tail record is applied, so every
+//! check, and the order of refusals, is that of doing the steps in
+//! sequence (a test holds `recover` to such a reference at every cut
+//! and bit flip of a journal).
 
 use std::fmt;
 
@@ -13,8 +22,8 @@ use pwsr_core::error::CoreError;
 use pwsr_core::monitor::OnlineMonitor;
 use pwsr_core::state::ItemSet;
 
-use crate::checkpoint::{replay_prefix, state_hash, Checkpoint, CheckpointError};
-use crate::wal::{scan, WalCorruption, WalRecord};
+use crate::checkpoint::{hash_ops, replay_prefix, seal, Checkpoint, CheckpointError};
+use crate::wal::{scan, WalCorruption, WalRecord, WalScan};
 
 /// The outcome of a successful recovery.
 #[derive(Debug)]
@@ -95,38 +104,77 @@ impl From<CheckpointError> for RecoverError {
 ///    fresh monitor).
 /// 3. Tail corruption is reported, not fatal: the monitor stands at
 ///    the last durable record.
+///
+/// With a checkpoint the work runs in **two lanes**: a scoped helper
+/// thread scans the WAL and hashes the checkpoint's operations while
+/// the calling thread replays them. The order of refusals is still
+/// that of the steps: an invalid prefix, then a hash mismatch, then
+/// the first inconsistent or unreplayable tail record. Without a
+/// checkpoint there is no prefix replay for the scan to run beside,
+/// and no thread is started.
 pub fn recover(
     scopes: Vec<ItemSet>,
     checkpoint: Option<&Checkpoint>,
     wal_bytes: &[u8],
 ) -> Result<Recovered, RecoverError> {
-    let mut monitor = match checkpoint {
-        Some(ckp) => {
-            let m = replay_prefix(scopes.clone(), &ckp.ops, ckp.floor).map_err(|e| {
-                RecoverError::Checkpoint(CheckpointError::InvalidPrefix(e.to_string()))
-            })?;
-            let actual = state_hash(&m);
-            if actual != ckp.hash {
-                return Err(CheckpointError::HashMismatch {
-                    expected: ckp.hash,
-                    actual,
-                }
-                .into());
-            }
-            m
-        }
-        None => OnlineMonitor::new(scopes.clone()),
+    let (mut monitor, scanned) = match checkpoint {
+        Some(ckp) => replay_beside_scan(&scopes, ckp, wal_bytes)?,
+        None => (OnlineMonitor::new(scopes.clone()), scan(wal_bytes)),
     };
-    let s = scan(wal_bytes);
-    for (index, rec) in s.records.iter().enumerate() {
+    let records_applied = scanned.records.len();
+    for (index, rec) in scanned.records.into_iter().enumerate() {
         apply_record(&mut monitor, &scopes, rec, index)?;
     }
     Ok(Recovered {
         monitor,
-        records_applied: s.records.len(),
-        valid_bytes: s.valid_bytes,
-        corruption: s.corruption,
+        records_applied,
+        valid_bytes: scanned.valid_bytes,
+        corruption: scanned.corruption,
     })
+}
+
+/// Step 1 and the scan of step 2, side by side. What the prefix
+/// replay produces — the monitor — is needed by neither the scan nor
+/// the schedule half of the state hash, which read only the input
+/// bytes and the checkpoint's operations. So a scoped helper thread
+/// scans the WAL and absorbs the checkpoint's operations into the
+/// digest while the calling thread replays them; after the join the
+/// replayed schedule is compared with the checkpoint's operations (so
+/// that the helper's digest is the monitor's own), sealed with the
+/// replayed verdict and floor, and checked against the stored hash.
+/// Neither lane waits on the other before the join, so on one CPU they
+/// simply time-slice.
+fn replay_beside_scan(
+    scopes: &[ItemSet],
+    ckp: &Checkpoint,
+    wal_bytes: &[u8],
+) -> Result<(OnlineMonitor, WalScan), CheckpointError> {
+    let (prefix, (scanned, digest)) = std::thread::scope(|lanes| {
+        let helper = lanes.spawn(|| (scan(wal_bytes), hash_ops(&ckp.ops)));
+        let prefix = replay_prefix(scopes.to_vec(), &ckp.ops, ckp.floor);
+        let beside = helper.join();
+        (
+            prefix,
+            beside.unwrap_or_else(|panic| std::panic::resume_unwind(panic)),
+        )
+    });
+    let monitor = prefix.map_err(|e| CheckpointError::InvalidPrefix(e.to_string()))?;
+    // The helper hashed the checkpoint's operations, not the monitor's:
+    // its digest stands for the monitor only if the replay recorded
+    // exactly those.
+    let digest = if monitor.schedule().ops() == ckp.ops {
+        digest
+    } else {
+        hash_ops(monitor.schedule().ops())
+    };
+    let actual = seal(digest, monitor.verdict(), monitor.log_floor());
+    if actual != ckp.hash {
+        return Err(CheckpointError::HashMismatch {
+            expected: ckp.hash,
+            actual,
+        });
+    }
+    Ok((monitor, scanned))
 }
 
 /// Apply one logical record to `monitor` — the replay side of the
@@ -134,20 +182,20 @@ pub fn recover(
 fn apply_record(
     monitor: &mut OnlineMonitor,
     scopes: &[ItemSet],
-    rec: &WalRecord,
+    rec: WalRecord,
     index: usize,
 ) -> Result<(), RecoverError> {
     match rec {
         WalRecord::Op(op) => monitor
-            .push_logged(op.clone())
+            .push_logged(op)
             .map(|_| ())
             .map_err(|source| RecoverError::Replay { index, source }),
         WalRecord::OpBatch(ops) => monitor
-            .push_batch_logged(ops)
+            .push_batch_logged(&ops)
             .map(|_| ())
             .map_err(|source| RecoverError::Replay { index, source }),
         WalRecord::Truncate(n) => {
-            let n = *n as usize;
+            let n = n as usize;
             if n > monitor.len() || n < monitor.log_floor() {
                 return Err(RecoverError::InconsistentRecord {
                     index,
@@ -162,7 +210,7 @@ fn apply_record(
             Ok(())
         }
         WalRecord::Floor(floor) => {
-            let floor = *floor as usize;
+            let floor = floor as usize;
             if floor > monitor.len() {
                 return Err(RecoverError::InconsistentRecord {
                     index,
@@ -182,7 +230,7 @@ fn apply_record(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::checkpoint::Checkpoint;
+    use crate::checkpoint::{state_hash, Checkpoint};
     use crate::wal::{SharedWal, SyncPolicy};
     use pwsr_core::ids::{ItemId, TxnId};
     use pwsr_core::monitor::journal::MonitorJournal;
@@ -324,6 +372,192 @@ mod tests {
             Err(RecoverError::Checkpoint(CheckpointError::HashMismatch { .. })) => {}
             other => panic!("expected hash mismatch, got {other:?}"),
         }
+    }
+
+    /// `recover` as it read before the lanes: each step in turn on the
+    /// calling thread, from `scan` and the monitor's entry points, the
+    /// prefix pushed one operation at a time and the monitor itself
+    /// hashed. Refusals are carried as their text.
+    fn recover_in_sequence(
+        scopes: Vec<ItemSet>,
+        checkpoint: Option<&Checkpoint>,
+        wal_bytes: &[u8],
+    ) -> Result<Recovered, String> {
+        let mut monitor = OnlineMonitor::new(scopes.clone());
+        if let Some(ckp) = checkpoint {
+            for op in &ckp.ops {
+                monitor
+                    .push_logged(op.clone())
+                    .map_err(|e| format!("checkpoint: invalid checkpoint prefix: {e}"))?;
+            }
+            monitor.checkpoint(ckp.floor);
+            let actual = state_hash(&monitor);
+            if actual != ckp.hash {
+                return Err(format!(
+                    "checkpoint: checkpoint state-hash mismatch: stored {}, replayed {actual}",
+                    ckp.hash
+                ));
+            }
+        }
+        let s = scan(wal_bytes);
+        for (index, rec) in s.records.iter().enumerate() {
+            match rec {
+                WalRecord::Op(op) => drop(monitor.push_logged(op.clone()).unwrap()),
+                WalRecord::OpBatch(ops) => drop(monitor.push_batch_logged(ops).unwrap()),
+                WalRecord::Truncate(n) if (*n as usize) > monitor.len() => {
+                    return Err(format!(
+                        "inconsistent WAL record #{index}: truncate to {n} outside [{}, {}]",
+                        monitor.log_floor(),
+                        monitor.len()
+                    ));
+                }
+                WalRecord::Truncate(n) => drop(monitor.truncate_to(*n as usize)),
+                WalRecord::Floor(f) => drop(monitor.checkpoint(*f as usize)),
+                WalRecord::Reset => monitor = OnlineMonitor::new(scopes.clone()),
+            }
+        }
+        Ok(Recovered {
+            monitor,
+            records_applied: s.records.len(),
+            valid_bytes: s.valid_bytes,
+            corruption: s.corruption,
+        })
+    }
+
+    /// Both recoveries of one input agree: on every `Recovered` field,
+    /// on the monitor's digest, verdict and floor, or on the refusal.
+    fn assert_same_recovery(ckp: Option<&Checkpoint>, bytes: &[u8], ctx: &str) {
+        let lanes = recover(scopes(), ckp, bytes).map_err(|e| e.to_string());
+        let sequence = recover_in_sequence(scopes(), ckp, bytes);
+        match (lanes, sequence) {
+            (Ok(a), Ok(b)) => {
+                assert_eq!(
+                    (a.records_applied, a.valid_bytes, a.corruption),
+                    (b.records_applied, b.valid_bytes, b.corruption),
+                    "{ctx}"
+                );
+                assert_eq!(state_hash(&a.monitor), state_hash(&b.monitor), "{ctx}");
+                assert_eq!(a.monitor.verdict(), b.monitor.verdict(), "{ctx}");
+                assert_eq!(a.monitor.log_floor(), b.monitor.log_floor(), "{ctx}");
+            }
+            (Err(a), Err(b)) => assert_eq!(a, b, "{ctx}"),
+            (a, b) => panic!("{ctx}: two lanes {a:?}, in sequence {b:?}"),
+        }
+    }
+
+    /// A checkpoint (taken with a live tail above its floor) and a
+    /// journal with single operations, batches, an abort's truncate
+    /// and a floor raise behind it.
+    fn checkpoint_and_journal() -> (Checkpoint, Vec<u8>) {
+        use crate::checkpoint::advance_frontier;
+        let w = |t, i, v| Operation::write(TxnId(t), ItemId(i), Value::Int(v));
+        let r = |t, i, v| Operation::read(TxnId(t), ItemId(i), Value::Int(v));
+        let wal = SharedWal::in_memory(SyncPolicy::Off);
+        let mut journal = wal.clone();
+        let mut live = OnlineMonitor::new(scopes());
+        let batch = |m: &mut OnlineMonitor, ops: &[Operation]| {
+            wal.clone().appended_batch(ops);
+            m.push_batch_logged(ops).unwrap();
+        };
+        batch(&mut live, &[w(1, 0, 1), w(1, 2, 2)]);
+        batch(&mut live, &[r(2, 0, 1), w(2, 3, 3)]);
+        batch(&mut live, &[r(3, 2, 2)]);
+        batch(&mut live, &[r(1, 3, 3)]);
+        live.finish_txn(TxnId(1));
+        live.finish_txn(TxnId(2));
+        live.checkpoint(4);
+        // Checkpoint below the length: T3's read is re-journaled as
+        // the head of the restarted WAL.
+        let (ckp, _) = advance_frontier(&mut live, &wal, None);
+        assert_eq!((ckp.floor, ckp.ops.len(), live.len()), (4, 4, 6));
+        batch(&mut live, &[w(3, 1, 4), w(3, 0, 5)]);
+        batch(&mut live, &[r(4, 1, 4), w(4, 2, 6)]);
+        // Abort T4, then it runs again; the floor follows.
+        journal.truncated(8);
+        live.truncate_to(8);
+        batch(&mut live, &[r(4, 0, 5), w(4, 1, 7)]);
+        journal.floor_raised(8);
+        live.checkpoint(8);
+        batch(&mut live, &[w(5, 3, 8)]);
+        let bytes = wal.snapshot().unwrap();
+        let rec = recover(scopes(), Some(&ckp), &bytes).unwrap();
+        assert_eq!(rec.monitor.verdict(), live.verdict());
+        assert_eq!((rec.records_applied, rec.corruption), (8, None));
+        (ckp, bytes)
+    }
+
+    /// Two-lane recovery equals the sequential reference on every
+    /// input the journal can be damaged into: cut at every byte, and
+    /// one bit flipped in every frame.
+    #[test]
+    fn two_lane_recovery_equals_the_sequence_on_every_cut_and_flip() {
+        let (ckp, bytes) = checkpoint_and_journal();
+        for cut in 0..=bytes.len() {
+            assert_same_recovery(Some(&ckp), &bytes[..cut], &format!("cut at {cut}"));
+        }
+        let mut at = 0;
+        while at < bytes.len() {
+            let len = u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap()) as usize;
+            let frame = crate::wal::FRAME_HEADER + len;
+            // Once in the header, once in the payload.
+            for byte in [at + 1, at + frame - 1] {
+                let mut flipped = bytes.clone();
+                flipped[byte] ^= 0x10;
+                assert_same_recovery(Some(&ckp), &flipped, &format!("flip in byte {byte}"));
+            }
+            at += frame;
+        }
+        // The same journal without its checkpoint does not replay —
+        // and is refused identically.
+        assert_same_recovery(None, &bytes, "no checkpoint");
+    }
+
+    /// Refusals keep their order: the prefix, then the hash, then the
+    /// tail — whatever the other lane found meanwhile.
+    #[test]
+    fn refusals_keep_their_precedence() {
+        let (ckp, _) = checkpoint_and_journal();
+        // A tail that would be refused on its own, with a torn end.
+        let mut bad_tail = WalRecord::Truncate(99).encode_frame();
+        bad_tail.extend_from_slice(&[7, 0, 0]);
+        match recover(scopes(), Some(&ckp), &bad_tail) {
+            Err(RecoverError::InconsistentRecord { index: 0, .. }) => {}
+            other => panic!("expected inconsistent record, got {other:?}"),
+        }
+        // Tampered hash: refused before any tail record is applied.
+        let mut tampered = ckp.clone();
+        tampered.hash.0[31] ^= 1;
+        match recover(scopes(), Some(&tampered), &bad_tail) {
+            Err(RecoverError::Checkpoint(CheckpointError::HashMismatch { expected, actual })) => {
+                assert_eq!((expected, actual), (tampered.hash, ckp.hash));
+            }
+            other => panic!("expected hash mismatch, got {other:?}"),
+        }
+        // Invalid prefix (T1 writes item 0 twice): refused before the
+        // hash is looked at.
+        let mut invalid = tampered.clone();
+        invalid.ops[1] = invalid.ops[0].clone();
+        match recover(scopes(), Some(&invalid), &bad_tail) {
+            Err(RecoverError::Checkpoint(CheckpointError::InvalidPrefix(_))) => {}
+            other => panic!("expected invalid prefix, got {other:?}"),
+        }
+    }
+
+    /// The degenerate inputs: nothing at all, and a checkpoint with
+    /// an empty journal behind it.
+    #[test]
+    fn empty_inputs_recover() {
+        let rec = recover(scopes(), None, &[]).unwrap();
+        assert_eq!(
+            (rec.monitor.len(), rec.records_applied, rec.valid_bytes),
+            (0, 0, 0)
+        );
+        assert_eq!(rec.corruption, None);
+        let (ckp, _) = checkpoint_and_journal();
+        let rec = recover(scopes(), Some(&ckp), &[]).unwrap();
+        assert_eq!((rec.records_applied, rec.corruption), (0, None));
+        assert_eq!(state_hash(&rec.monitor), ckp.hash);
+        assert_eq!(rec.monitor.log_floor(), ckp.floor);
     }
 
     #[test]
