@@ -1711,14 +1711,10 @@ mod tests {
         assert!(rank(m.floor()) <= rank(v.level), "floor is a lower bound");
     }
 
-    /// The frozen-projection window, PWSR rung: T1 closes the T1/T2
-    /// cycle, and before T1 is retracted T3/T4 push a second, disjoint
-    /// cycle into the frozen conjunct. Those pushes were never
-    /// certified, so their transactions must be told.
-    #[test]
-    fn pushes_into_a_frozen_conjunct_are_told() {
-        let scope = ItemSet::from_iter((0..4).map(ItemId));
-        let ops = vec![
+    /// T1 closes a T1/T2 cycle over items 0 and 1; then, with T1 not
+    /// yet retracted, T3/T4 push a second cycle over items 2 and 3.
+    fn two_disjoint_cycles() -> Vec<Operation> {
+        vec![
             rd(1, 0, 0),
             wr(2, 0, 1),
             wr(2, 1, 1),
@@ -1727,8 +1723,17 @@ mod tests {
             wr(4, 2, 1),
             wr(4, 3, 1),
             rd(3, 3, 1),
-        ];
-        assert_told_transactions_heal(vec![scope], ops, AdmissionLevel::Pwsr);
+        ]
+    }
+
+    /// The frozen-projection window, PWSR rung: T1 closes the T1/T2
+    /// cycle, and before T1 is retracted T3/T4 push a second, disjoint
+    /// cycle into the frozen conjunct. Those pushes were never
+    /// certified, so their transactions must be told.
+    #[test]
+    fn pushes_into_a_frozen_conjunct_are_told() {
+        let scope = ItemSet::from_iter((0..4).map(ItemId));
+        assert_told_transactions_heal(vec![scope], two_disjoint_cycles(), AdmissionLevel::Pwsr);
     }
 
     /// The same window on the DR rung: T1's second operation
@@ -1754,17 +1759,7 @@ mod tests {
     #[test]
     fn pushes_into_a_frozen_global_graph_are_told() {
         let scopes = (0..4).map(|i| ItemSet::from_iter([ItemId(i)])).collect();
-        let ops = vec![
-            rd(1, 0, 0),
-            wr(2, 0, 1),
-            wr(2, 1, 1),
-            rd(1, 1, 1),
-            rd(3, 2, 0),
-            wr(4, 2, 1),
-            wr(4, 3, 1),
-            rd(3, 3, 1),
-        ];
-        assert_told_transactions_heal(scopes, ops, AdmissionLevel::Serializable);
+        assert_told_transactions_heal(scopes, two_disjoint_cycles(), AdmissionLevel::Serializable);
     }
 
     #[test]
