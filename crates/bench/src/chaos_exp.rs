@@ -618,11 +618,8 @@ fn occ_tuning(deadline_us: u64, faults: FaultHandle) -> OccTuning {
 
 fn occ_spec(ctx: &Ctx, wal: Option<SharedWal>) -> MonitorSpec {
     MonitorSpec {
-        scopes: ctx.scopes(),
-        level: AdmissionLevel::Pwsr,
-        certificate: None,
         wal,
-        compact_every: 0,
+        ..MonitorSpec::new(ctx.scopes(), AdmissionLevel::Pwsr)
     }
 }
 

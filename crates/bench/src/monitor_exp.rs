@@ -259,13 +259,10 @@ pub fn mon3(trials: u64, seed: u64) -> (bool, String) {
     let (target, conjuncts, _) = TIERS[0];
     let mut rng = StdRng::seed_from_u64(seed);
     let w = sized_workload(&mut rng, target, conjuncts);
-    let spec = MonitorSpec {
-        scopes: w.ic.conjuncts().iter().map(|c| c.items().clone()).collect(),
-        level: AdmissionLevel::Pwsr,
-        certificate: None,
-        wal: None,
-        compact_every: 0,
-    };
+    let spec = MonitorSpec::new(
+        w.ic.conjuncts().iter().map(|c| c.items().clone()).collect(),
+        AdmissionLevel::Pwsr,
+    );
     // What went wrong, beyond the table cell: the committed schedule
     // of a run that landed below the admission floor.
     let mut witnesses = String::new();

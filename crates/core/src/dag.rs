@@ -200,8 +200,8 @@ impl OnlineAccessDag {
             .then(|| self.dag.order().iter().map(|&u| ConjunctId(u)).collect())
     }
 
-    /// Drop all recorded accesses (the scheduler resyncs after an
-    /// abort rewrote its trace).
+    /// Drop all recorded accesses (the scheduler's DAG guard, told of
+    /// an abort, folds the surviving trace in again from its start).
     pub fn clear(&mut self) {
         *self = OnlineAccessDag::new(self.units());
     }

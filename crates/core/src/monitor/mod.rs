@@ -95,9 +95,8 @@
 //! * a full [`Verdict`] after every operation, where the pipeline
 //!   returns a lock-free floor and causality flags.
 //!
-//! Tickets, the durability journal call, the survivors of a
-//! `retract_txn` and the atomic floor are the pipeline's; see
-//! [`sharded`].
+//! Tickets, the durability journal call and the atomic floor are the
+//! pipeline's; see [`sharded`].
 
 pub mod journal;
 pub mod sharded;
@@ -951,6 +950,35 @@ impl OnlineMonitor {
             self.first_violation = None;
         }
         undone
+    }
+
+    /// Abort `victims`: truncate to the earliest operation any of them
+    /// still holds, then re-admit — logged, through the ordinary
+    /// admission path — every other transaction's operation from there
+    /// on, in its original order. The single-writer form of
+    /// [`sharded::ShardedMonitor::retract_txn`], which states what the
+    /// re-push may and may not be assumed to preserve; both act on the
+    /// same stage-1 answer. Returns `(ops undone, ops re-pushed)`, the
+    /// abort's cost: proportional to the suffix, not to the schedule.
+    ///
+    /// A transaction the monitor has never seen contributes nothing; a
+    /// summarized one is rejected with
+    /// [`CoreError::SummarizedTransaction`] and nothing is retracted.
+    /// Panics, as [`OnlineMonitor::truncate_to`] does, if the earliest
+    /// operation lies below the undo-log floor.
+    ///
+    /// [`CoreError::SummarizedTransaction`]: crate::error::CoreError::SummarizedTransaction
+    pub fn retract_txns(&mut self, victims: &[TxnId]) -> Result<(usize, usize)> {
+        let mut survivors = Vec::new();
+        let Some(first) = self.seq.retraction(victims, &mut survivors)? else {
+            return Ok((0, 0));
+        };
+        let undone = self.truncate_to(first);
+        for op in &survivors {
+            self.admit(std::slice::from_ref(op), true)
+                .expect("a survivor was admitted after the same predecessors before");
+        }
+        Ok((undone, survivors.len()))
     }
 
     /// Operations retractable by [`OnlineMonitor::truncate_to`]

@@ -89,13 +89,16 @@
 //! own* entries pop — a shard untouched by the suffix is never locked
 //! at all — so the cost is `O(ops undone)` counted per shard, not
 //! `O(schedule)`.
-//! [`ShardedMonitor::retract_txn`] is the abort primitive on top:
-//! truncate to the aborting transaction's first operation, then
-//! re-push the surviving interleaving (which can never introduce a
-//! new violation: removing operations only removes conflict edges and
-//! DR marks). Both leave the monitor byte-identical to a single-writer
-//! replay of the surviving schedule — pinned under real-thread abort
-//! storms by `tests/sharded_props.rs`.
+//! [`ShardedMonitor::retract_txn`] is the abort primitive on top, and
+//! has the one shape retraction has under either driver: truncate to
+//! the victim's first operation, then re-push the survivors through
+//! the ordinary admission path (the same claim and serve as a push,
+//! under the sequence lock the truncation already holds). Both leave
+//! the monitor byte-identical to a single-writer replay of the
+//! surviving schedule — pinned under real-thread abort storms by
+//! `tests/sharded_props.rs`; what a re-push may and may not be assumed
+//! to preserve is `retract_txn`'s doc comment, and
+//! `tests/retract_props.rs` holds both drivers to it.
 //!
 //! [`ShardedMonitor::checkpoint`] bounds the journals' memory over a
 //! long run: once the caller knows which transactions may still
@@ -408,14 +411,12 @@ thread_local! {
     };
 }
 
-/// Run `f` with the calling thread's [`LaneScratch`], emptied. The
-/// scratch is taken out of its cell for the duration, so a re-entrant
-/// call (a journal that pushes) finds a fresh one instead of a borrow
-/// conflict.
+/// Run `f` with the calling thread's [`LaneScratch`] (each claim
+/// empties it). The scratch is taken out of its cell for the duration,
+/// so a re-entrant call (a journal that pushes) finds a fresh one
+/// instead of a borrow conflict.
 fn with_lane_scratch<R>(f: impl FnOnce(&mut LaneScratch) -> R) -> R {
     let mut scratch = LANE_SCRATCH.with(Cell::take);
-    scratch.turns.clear();
-    scratch.rf_slots.clear();
     let out = f(&mut scratch);
     LANE_SCRATCH.with(|cell| cell.set(scratch));
     out
@@ -779,19 +780,20 @@ impl ShardedMonitor {
     }
 
     /// The admission pipeline for one transaction's nonempty run,
-    /// filling `outcomes[i]` for `ops[i]`. `framed` says how a
-    /// journal hears of it: as one `appended_batch`, or (a run of one
-    /// from [`ShardedMonitor::push_outcome`]) as `appended`.
+    /// filling `outcomes[i]` for `ops[i]`: §2.2 validation, then
+    /// [`claim`](Self::claim) under the sequence lock, then
+    /// [`serve`](Self::serve) with the lock released. `framed` says how
+    /// a journal hears of it: as one `appended_batch`, or (a run of
+    /// one from [`ShardedMonitor::push_outcome`]) as `appended`.
     fn admit(&self, ops: &[Operation], framed: bool, outcomes: &mut [PushOutcome]) -> Result<()> {
         let txn = ops[0].txn;
-        // --- §2.2 validation: the whole run, atomically, outside the
-        // serial section. The totals belong to this thread by the
-        // program-order contract, so no ordering is lost by validating
-        // before the positions are claimed.
+        // The whole run, atomically, outside the serial section. The
+        // totals belong to this thread by the program-order contract,
+        // so no ordering is lost by validating before the positions
+        // are claimed.
         self.totals.admit(txn, ops)?;
         with_lane_scratch(|scratch| {
-            // --- stage 1: claim the segment, once -----------------------
-            let (p0, slot, g0) = {
+            let claimed = {
                 let mut s = self.seq.lock();
                 let existing = match s.state.slot(txn) {
                     Ok(existing) => existing,
@@ -804,17 +806,10 @@ impl ShardedMonitor {
                     }
                 };
                 let t0 = self.time_serial.then(Instant::now);
-                if let Some(journal) = s.journal.as_deref_mut() {
-                    if framed {
-                        journal.appended_batch(ops);
-                    } else {
-                        journal.appended(&ops[0]);
-                    }
-                }
-                let claimed = self.stage_seq(&mut s, ops, existing, scratch);
-                // Claimed under the sequence lock, released after the
-                // floor publication below: a retraction's drain waits
-                // for this to reach zero, so it can never interleave
+                let claimed = self.claim(&mut s, ops, framed, existing, scratch);
+                // Taken under the sequence lock, released after the
+                // floor publication: a retraction's drain waits for
+                // this to reach zero, so it can never interleave
                 // between a push's stage work and its (stale-state)
                 // `fetch_max`. One token covers the whole run: the
                 // drain only needs to know the pipeline has
@@ -828,91 +823,37 @@ impl ShardedMonitor {
                 }
                 claimed
             };
-
-            // --- stage 2: one global turn for the run -------------------
-            // Per-op results are captured in program order inside the
-            // one write-lock hold, so each operation's (serializable,
-            // dr) snapshot is prefix-exact — identical to singleton
-            // pushes.
-            wait_turn(&self.gserving, g0);
-            {
-                let mut g = self.gstate.write();
-                for (i, op) in ops.iter().enumerate() {
-                    let p = OpIndex(p0 + i);
-                    let caused_non_dr =
-                        g.apply(&self.scopes, slot, op, scratch.rf_slots[i], p, self.logging);
-                    // The outcome as far as this stage knows it: as
-                    // `floor`, the rung the prefix holds *if no
-                    // conjunct is violated* (stage 3 and the floor
-                    // publication settle that).
-                    outcomes[i] = PushOutcome {
-                        pos: p,
-                        floor: g.level(true),
-                        caused_non_serializable: !g.graph.serializable(),
-                        caused_violation: false,
-                        caused_non_dr,
-                    };
-                }
-            }
-            self.gserving
-                .store(g0.wrapping_add(ops.len() as u32), Ordering::Release);
-
-            // --- stage 3: one turn per touched shard --------------------
-            // The lock-free violation floor moves only through this
-            // run's own `caused` flags in a single-writer interleaving,
-            // so capturing it before the shard turns and prefix-OR-ing
-            // the per-op flags reproduces exactly what each singleton
-            // push would have loaded after its own shard stages.
-            let viol_pre = self.first_violation.load(Ordering::Acquire) != NO_POS;
-            scratch.turns.sort_unstable();
-            for turns in scratch.turns.chunk_by(|a, b| a.0 == b.0) {
-                let (k, _, t0k) = turns[0];
-                let shard = &self.shards[k as usize];
-                wait_turn(&shard.serving, t0k);
-                {
-                    let mut sh = shard.state.write();
-                    for &(_, i, _) in turns {
-                        let i = i as usize;
-                        outcomes[i].caused_violation |=
-                            self.stage_shard(&mut sh, slot, &ops[i], OpIndex(p0 + i));
-                    }
-                }
-                shard
-                    .serving
-                    .store(t0k.wrapping_add(turns.len() as u32), Ordering::Release);
-            }
-
-            // --- lock-free floor, per op in program order ---------------
-            let mut violated = viol_pre;
-            for outcome in outcomes.iter_mut() {
-                violated |= outcome.caused_violation;
-                let mine = if violated {
-                    rank(VerdictLevel::Violation)
-                } else {
-                    rank(outcome.floor)
-                };
-                let prev = self.floor.fetch_max(mine, Ordering::AcqRel);
-                outcome.floor = level_of(prev.max(mine));
-            }
+            self.serve(ops, claimed, scratch, outcomes);
             self.inflight.fetch_sub(1, Ordering::AcqRel);
             Ok(())
         })
     }
 
-    /// Stage 1, under the (held) sequence lock: claim the run's
-    /// segment ([`SeqState::apply`]) and with it, atomically and in
-    /// program order, every global and per-shard ticket. The caller
-    /// has already reported the append to the durability journal.
-    /// Leaves the claimed shard turns and the resolved reads-from
-    /// slots in `scratch`; returns the first position, the
-    /// transaction's slot and the first global ticket.
-    fn stage_seq(
+    /// The first half of an admission, under the (held) sequence lock:
+    /// report the run to the durability journal, claim its segment
+    /// ([`SeqState::apply`]) and with it, atomically and in program
+    /// order, every global and per-shard ticket. `existing` is the
+    /// transaction's slot as [`SeqState::slot`] reports it. Leaves the
+    /// claimed shard turns and the resolved reads-from slots in
+    /// `scratch`; returns the first position, the transaction's slot
+    /// and the first global ticket — what [`serve`](Self::serve) takes.
+    fn claim(
         &self,
         s: &mut Sequencer,
         ops: &[Operation],
+        framed: bool,
         existing: Option<usize>,
         scratch: &mut LaneScratch,
     ) -> (usize, usize, u32) {
+        if let Some(journal) = s.journal.as_deref_mut() {
+            if framed {
+                journal.appended_batch(ops);
+            } else {
+                journal.appended(&ops[0]);
+            }
+        }
+        scratch.turns.clear();
+        scratch.rf_slots.clear();
         let (p0, slot) = s
             .state
             .apply(ops, existing, self.logging, &mut scratch.rf_slots);
@@ -926,6 +867,84 @@ impl ShardedMonitor {
         let g0 = s.gticket;
         s.gticket = g0.wrapping_add(ops.len() as u32);
         (p0, slot, g0)
+    }
+
+    /// The second half: take the claimed run through its global turn
+    /// and one turn per touched shard, then publish the lock-free
+    /// floor, filling `outcomes`. Needs no sequence lock — an ordinary
+    /// push has released it; a retraction re-pushing a survivor still
+    /// holds it, drained, so every turn is already the caller's.
+    fn serve(
+        &self,
+        ops: &[Operation],
+        (p0, slot, g0): (usize, usize, u32),
+        scratch: &mut LaneScratch,
+        outcomes: &mut [PushOutcome],
+    ) {
+        // --- stage 2: one global turn for the run -----------------------
+        // Per-op results are captured in program order inside the one
+        // write-lock hold, so each operation's (serializable, dr)
+        // snapshot is prefix-exact — identical to singleton pushes.
+        wait_turn(&self.gserving, g0);
+        {
+            let mut g = self.gstate.write();
+            for (i, op) in ops.iter().enumerate() {
+                let p = OpIndex(p0 + i);
+                let caused_non_dr =
+                    g.apply(&self.scopes, slot, op, scratch.rf_slots[i], p, self.logging);
+                // The outcome as far as this stage knows it: as
+                // `floor`, the rung the prefix holds *if no conjunct
+                // is violated* (stage 3 and the floor publication
+                // settle that).
+                outcomes[i] = PushOutcome {
+                    pos: p,
+                    floor: g.level(true),
+                    caused_non_serializable: !g.graph.serializable(),
+                    caused_violation: false,
+                    caused_non_dr,
+                };
+            }
+        }
+        self.gserving
+            .store(g0.wrapping_add(ops.len() as u32), Ordering::Release);
+
+        // --- stage 3: one turn per touched shard ------------------------
+        // The lock-free violation floor moves only through this run's
+        // own `caused` flags in a single-writer interleaving, so
+        // capturing it before the shard turns and prefix-OR-ing the
+        // per-op flags reproduces exactly what each singleton push
+        // would have loaded after its own shard stages.
+        let viol_pre = self.first_violation.load(Ordering::Acquire) != NO_POS;
+        scratch.turns.sort_unstable();
+        for turns in scratch.turns.chunk_by(|a, b| a.0 == b.0) {
+            let (k, _, t0k) = turns[0];
+            let shard = &self.shards[k as usize];
+            wait_turn(&shard.serving, t0k);
+            {
+                let mut sh = shard.state.write();
+                for &(_, i, _) in turns {
+                    let i = i as usize;
+                    outcomes[i].caused_violation |=
+                        self.stage_shard(&mut sh, slot, &ops[i], OpIndex(p0 + i));
+                }
+            }
+            shard
+                .serving
+                .store(t0k.wrapping_add(turns.len() as u32), Ordering::Release);
+        }
+
+        // --- lock-free floor, per op in program order -------------------
+        let mut violated = viol_pre;
+        for outcome in outcomes.iter_mut() {
+            violated |= outcome.caused_violation;
+            let mine = if violated {
+                rank(VerdictLevel::Violation)
+            } else {
+                rank(outcome.floor)
+            };
+            let prev = self.floor.fetch_max(mine, Ordering::AcqRel);
+            outcome.floor = level_of(prev.max(mine));
+        }
     }
 
     /// Stage 3 against an already write-locked shard (the caller holds
@@ -1228,8 +1247,9 @@ impl ShardedMonitor {
 
     /// Abort `txn`: truncate to its first operation and re-push the
     /// surviving interleaving (every retracted operation of another
-    /// transaction, in its original order). The re-push reports no
-    /// outcomes, and it **can** close a cycle: survivors pushed while a
+    /// transaction, in its original order) through the admission path
+    /// every push takes. The re-push's outcomes go to nobody, and it
+    /// **can** close a cycle: survivors pushed while a
     /// graph was frozen were never applied to it, so un-freezing the
     /// graph certifies them for the first time. What keeps the
     /// executor safe is that each of those pushes was reported as a
@@ -1263,63 +1283,34 @@ impl ShardedMonitor {
     /// [`CoreError::SummarizedTransaction`]: crate::error::CoreError::SummarizedTransaction
     pub fn retract_txn(&self, txn: TxnId) -> Result<(usize, usize)> {
         let mut s = self.seq.lock();
-        s.state.slot(txn)?;
-        self.drain(&s);
-        let Some(first) = s.state.first_op_of(txn) else {
-            return Ok((0, 0));
-        };
         let mut survivors = std::mem::take(&mut s.survivors);
         survivors.clear();
-        let schedule = &s.state.schedule;
-        survivors.extend(
-            schedule.ops()[first - schedule.base()..]
-                .iter()
-                .filter(|o| o.txn != txn)
-                .cloned(),
-        );
-        let undone = self.truncate_locked(&mut s, first, Some(txn));
-        let repushed = survivors.len();
-        with_lane_scratch(|scratch| {
-            for op in &survivors {
-                self.push_locked(&mut s, op, scratch);
-            }
-        });
+        let plan = s.state.retraction(&[txn], &mut survivors);
+        let mut cost = (0, 0);
+        if let Ok(Some(first)) = plan {
+            self.drain(&s);
+            cost = (
+                self.truncate_locked(&mut s, first, Some(txn)),
+                survivors.len(),
+            );
+            // The ordinary admission path, minus what the survivors
+            // keep: their §2.2 totals stayed in place (their owners
+            // may be mid-push against those very rows), and the
+            // sequence lock is already held and drained, so every
+            // ticket claimed is served at once, the journals stay in
+            // position order and the floor the truncation recomputed
+            // stays exact.
+            with_lane_scratch(|scratch| {
+                for op in &survivors {
+                    let run = std::slice::from_ref(op);
+                    let existing = s.state.schedule.txn_slot(op.txn);
+                    let claimed = self.claim(&mut s, run, false, existing, scratch);
+                    self.serve(run, claimed, scratch, &mut [PushOutcome::PENDING]);
+                }
+            });
+        }
         s.survivors = survivors;
-        if repushed > 0 {
-            // One exact recompute after the whole re-push (the
-            // truncation already recomputed; per-op floors would be
-            // overwritten anyway and cost O(shards) locks each).
-            self.recompute_floor();
-        }
-        Ok((undone, repushed))
-    }
-
-    /// Run the whole pipeline inline for one operation while the
-    /// sequence lock is held and the pipeline is quiescent (the
-    /// re-push half of [`ShardedMonitor::retract_txn`]): every ticket
-    /// is claimed and served immediately, so the journals stay in
-    /// position order. Does **not** touch the §2.2 totals: the
-    /// truncation it follows left the survivors' bits in place (their
-    /// owning threads may be mid-push against those very rows).
-    fn push_locked(&self, s: &mut Sequencer, op: &Operation, scratch: &mut LaneScratch) {
-        if let Some(journal) = s.journal.as_deref_mut() {
-            journal.appended(op);
-        }
-        scratch.turns.clear();
-        scratch.rf_slots.clear();
-        let existing = s.state.schedule.txn_slot(op.txn);
-        let (p, slot, gticket) = self.stage_seq(s, std::slice::from_ref(op), existing, scratch);
-        let rf_slot = scratch.rf_slots[0];
-        self.gstate
-            .write()
-            .apply(&self.scopes, slot, op, rf_slot, OpIndex(p), self.logging);
-        self.gserving
-            .store(gticket.wrapping_add(1), Ordering::Release);
-        for &(k, _, t) in &scratch.turns {
-            let shard = &self.shards[k as usize];
-            self.stage_shard(&mut shard.state.write(), slot, op, OpIndex(p));
-            shard.serving.store(t.wrapping_add(1), Ordering::Release);
-        }
+        plan.map(|_| cost)
     }
 
     /// The current lock-free verdict floor — no locks taken.
@@ -1663,6 +1654,57 @@ mod tests {
         // T2 survived with its totals intact.
         assert!(m.push(wr(2, 1, 9)).is_err(), "duplicate write kept");
         assert_eq!(m.len(), 3);
+    }
+
+    /// What the durability journal hears of one `retract_txn`: the
+    /// truncation to the victim's first operation, then one `appended`
+    /// per survivor in its original order — the decomposition a log
+    /// replays — and nothing for a transaction that holds no position.
+    #[test]
+    fn retract_txn_journals_one_truncation_then_each_survivor() {
+        #[derive(Debug, PartialEq)]
+        enum Heard {
+            Op(Operation),
+            Truncate(usize),
+            Floor(usize),
+        }
+        #[derive(Debug)]
+        struct Recorder(Arc<Mutex<Vec<Heard>>>);
+        impl MonitorJournal for Recorder {
+            fn appended(&mut self, op: &Operation) {
+                self.0.lock().push(Heard::Op(op.clone()));
+            }
+            fn truncated(&mut self, new_len: usize) {
+                self.0.lock().push(Heard::Truncate(new_len));
+            }
+            fn floor_raised(&mut self, floor: usize) {
+                self.0.lock().push(Heard::Floor(floor));
+            }
+        }
+        let heard = Arc::new(Mutex::new(Vec::new()));
+        let m = ShardedMonitor::new_logged(example2_scopes())
+            .with_journal(Box::new(Recorder(Arc::clone(&heard))));
+        m.push(wr(3, 2, 0)).unwrap();
+        m.push(wr(1, 0, 1)).unwrap();
+        let t2 = [rd(2, 0, 1), wr(2, 1, 2)];
+        m.push_batch(&t2).unwrap();
+        m.push(rd(1, 1, 2)).unwrap();
+        m.push(rd(3, 1, 2)).unwrap();
+        heard.lock().clear();
+        assert_eq!(m.retract_txn(TxnId(1)).unwrap(), (5, 3));
+        assert_eq!(m.retract_txn(TxnId(9)).unwrap(), (0, 0));
+        let [r2, w2] = t2;
+        assert_eq!(
+            *heard.lock(),
+            [
+                Heard::Truncate(1),
+                Heard::Op(r2),
+                Heard::Op(w2),
+                Heard::Op(rd(3, 1, 2)),
+            ]
+        );
+        assert_eq!(m.checkpoint([]), 4);
+        assert_eq!(heard.lock().last(), Some(&Heard::Floor(4)));
     }
 
     /// The non-DR causality flag: the writer's next operation

@@ -171,6 +171,31 @@ impl SeqState {
         Some(self.first_op[slot] as usize)
     }
 
+    /// What retracting `victims` takes, the one answer both drivers
+    /// act on: the earliest position any of them still holds — where
+    /// the driver truncates to — and, appended to `survivors`, every
+    /// other transaction's operation from there on, in order — what it
+    /// re-pushes. `None` if no victim has a live operation; an error
+    /// if one was summarized.
+    pub(super) fn retraction(
+        &self,
+        victims: &[TxnId],
+        survivors: &mut Vec<Operation>,
+    ) -> Result<Option<usize>> {
+        let mut first: Option<usize> = None;
+        for &txn in victims {
+            if let Some(slot) = self.slot(txn)? {
+                let p = self.first_op[slot] as usize;
+                first = Some(first.map_or(p, |f| f.min(p)));
+            }
+        }
+        if let Some(first) = first {
+            let tail = &self.schedule.ops()[first - self.schedule.base()..];
+            survivors.extend(tail.iter().filter(|o| !victims.contains(&o.txn)).cloned());
+        }
+        Ok(first)
+    }
+
     /// Declare `txn` finished (advisory until it is summarized).
     pub(super) fn finish(&mut self, txn: TxnId) {
         if let Some(slot) = self.schedule.txn_slot(txn) {

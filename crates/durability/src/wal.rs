@@ -970,10 +970,6 @@ impl MonitorJournal for SharedWal {
     fn floor_raised(&mut self, floor: usize) {
         self.0.lock().append(&WalRecord::Floor(floor as u64));
     }
-
-    fn reset(&mut self) {
-        self.0.lock().append(&WalRecord::Reset);
-    }
 }
 
 #[cfg(test)]
@@ -1374,12 +1370,10 @@ mod tests {
         journal.appended(&op(0, 0, false, Value::Int(1)));
         journal.truncated(0);
         journal.floor_raised(0);
-        journal.reset();
         let s = scan(&shared.snapshot().unwrap());
-        assert_eq!(s.records.len(), 4);
+        assert_eq!(s.records.len(), 3);
         assert_eq!(s.records[1], WalRecord::Truncate(0));
         assert_eq!(s.records[2], WalRecord::Floor(0));
-        assert_eq!(s.records[3], WalRecord::Reset);
-        assert_eq!(shared.stats().appends, 4);
+        assert_eq!(shared.stats().appends, 3);
     }
 }

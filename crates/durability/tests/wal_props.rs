@@ -125,7 +125,7 @@ fn build_session(seed: u64, steps: usize) -> Session {
                 );
             }
         } else {
-            journal.reset();
+            wal.with(|w| w.append(&WalRecord::Reset));
             live = OnlineMonitor::new(scopes());
             record(
                 &mut records,

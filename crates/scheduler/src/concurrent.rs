@@ -1460,17 +1460,6 @@ mod tests {
         ic.conjuncts().iter().map(|c| c.items().clone()).collect()
     }
 
-    /// A bare monitor spec: no certificate, no WAL, no compaction.
-    fn occ_spec(scopes: Vec<ItemSet>, level: AdmissionLevel) -> MonitorSpec {
-        MonitorSpec {
-            scopes,
-            level,
-            certificate: None,
-            wal: None,
-            compact_every: 0,
-        }
-    }
-
     #[test]
     fn threaded_run_is_pwsr_and_coherent() {
         let (cat, ic, initial) = setup();
@@ -1587,7 +1576,7 @@ mod tests {
             &[],
             &cat,
             &initial,
-            &occ_spec(Vec::new(), AdmissionLevel::Pwsr),
+            &MonitorSpec::new(Vec::new(), AdmissionLevel::Pwsr),
             4,
             10,
             &OccTuning::default(),
@@ -1625,7 +1614,7 @@ mod tests {
                         &programs,
                         &cat,
                         &initial,
-                        &occ_spec(scopes.clone(), level),
+                        &MonitorSpec::new(scopes.clone(), level),
                         threads,
                         1_000,
                         &OccTuning::default(),
@@ -1772,14 +1761,11 @@ mod tests {
         ];
         let scopes = scopes_of(&ic);
         let spec = MonitorSpec {
-            scopes: scopes.clone(),
-            level: AdmissionLevel::Pwsr,
             certificate: Some(StaticCertificate::new(
                 AdmissionLevel::Pwsr,
                 [TxnId(1), TxnId(2)].into_iter().collect(),
             )),
-            wal: None,
-            compact_every: 0,
+            ..MonitorSpec::new(scopes.clone(), AdmissionLevel::Pwsr)
         };
         for threads in [1, 4] {
             for _ in 0..5 {
@@ -1832,7 +1818,7 @@ mod tests {
                 &hot,
                 &cat,
                 &initial,
-                &occ_spec(scopes.clone(), AdmissionLevel::Pwsr),
+                &MonitorSpec::new(scopes.clone(), AdmissionLevel::Pwsr),
                 4,
                 10_000,
                 &OccTuning::default(),
@@ -1895,11 +1881,8 @@ mod tests {
         // monitor needs the checkpoint-then-compact pairing because
         // in-flight transactions may yet abort and retract.
         let spec = MonitorSpec {
-            scopes: scopes.clone(),
-            level: AdmissionLevel::Pwsr,
-            certificate: None,
-            wal: None,
             compact_every: 1,
+            ..MonitorSpec::new(scopes.clone(), AdmissionLevel::Pwsr)
         };
         for threads in [1, 4] {
             for _ in 0..5 {

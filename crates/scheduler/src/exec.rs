@@ -114,6 +114,25 @@ struct TxnRt<'a> {
     backoff: u32,
 }
 
+/// Everything one execution reads and mutates. An abort touches all of
+/// it — locks, trace, store, dirty map, admission, guard, the
+/// transactions' own state — and can happen at any step, so the steps
+/// are methods of this rather than functions over a dozen borrows.
+struct Run<'a> {
+    policy: &'a PolicySpec,
+    cfg: &'a ExecConfig,
+    initial: &'a DbState,
+    rts: Vec<TxnRt<'a>>,
+    locks: LockTable,
+    db: DbState,
+    trace: Vec<Operation>,
+    dirty: HashMap<ItemId, TxnId>,
+    metrics: Metrics,
+    rejected: Vec<TxnId>,
+    admission: Option<MonitorAdmission>,
+    dag_guard: Option<DagGuard>,
+}
+
 /// Execute `programs` (program `k` runs as transaction `k+1`) from
 /// `initial` under `policy`.
 pub fn run_workload(
@@ -124,7 +143,7 @@ pub fn run_workload(
     cfg: &ExecConfig,
 ) -> Result<ExecOutcome> {
     let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let mut rts: Vec<TxnRt<'_>> = programs
+    let rts: Vec<TxnRt<'_>> = programs
         .iter()
         .enumerate()
         .map(|(k, p)| {
@@ -142,26 +161,38 @@ pub fn run_workload(
             }
         })
         .collect();
-    let mut locks = LockTable::new();
-    let mut db = initial.clone();
-    let mut trace: Vec<Operation> = Vec::new();
-    let mut dirty: HashMap<ItemId, TxnId> = HashMap::new();
-    let mut metrics = Metrics::default();
-    let mut rejected: Vec<TxnId> = Vec::new();
-    let mut admission: Option<MonitorAdmission> = policy.monitor.as_ref().map(|m| m.admission());
-    let mut dag_guard: Option<DagGuard> = policy.dag_guard.map(DagGuard::new);
+    let mut run = Run {
+        policy,
+        cfg,
+        initial,
+        rts,
+        locks: LockTable::new(),
+        db: initial.clone(),
+        trace: Vec::new(),
+        dirty: HashMap::new(),
+        metrics: Metrics::default(),
+        rejected: Vec::new(),
+        admission: policy.monitor.as_ref().map(|m| m.admission()),
+        dag_guard: policy.dag_guard.map(DagGuard::new),
+    };
 
     loop {
-        if rts.iter().all(|rt| rt.done) {
+        if run.rts.iter().all(|rt| rt.done) {
             break;
         }
-        if metrics.steps >= cfg.max_steps {
+        if run.metrics.steps >= cfg.max_steps {
             return Err(SchedError::StepBudgetExhausted {
                 max_steps: cfg.max_steps,
-                pending: rts.iter().filter(|rt| !rt.done).map(|rt| rt.txn).collect(),
+                pending: run
+                    .rts
+                    .iter()
+                    .filter(|rt| !rt.done)
+                    .map(|rt| rt.txn)
+                    .collect(),
             });
         }
-        let runnable: Vec<usize> = rts
+        let runnable: Vec<usize> = run
+            .rts
             .iter()
             .enumerate()
             .filter(|(_, rt)| !rt.done && rt.blocked.is_none() && rt.backoff == 0)
@@ -170,7 +201,7 @@ pub fn run_workload(
         if runnable.is_empty() {
             // Let backoffs tick down first.
             let mut ticked = false;
-            for rt in rts.iter_mut() {
+            for rt in run.rts.iter_mut() {
                 if rt.backoff > 0 {
                     rt.backoff -= 1;
                     ticked = true;
@@ -180,51 +211,34 @@ pub fn run_workload(
                 continue;
             }
             // Everyone live is blocked: there must be a cycle.
-            let resolved = resolve_deadlock(
-                &mut rts,
-                &mut locks,
-                &mut trace,
-                &mut dirty,
-                &mut db,
-                initial,
-                &mut metrics,
-                cfg,
-            )?;
-            if !resolved {
+            if !run.resolve_deadlock()? {
                 return Err(SchedError::Stalled);
             }
             continue;
         }
         let pick = runnable[rng.random_range(0..runnable.len())];
-        metrics.steps += 1;
-        step(
-            pick,
-            policy,
-            &mut rts,
-            &mut locks,
-            &mut db,
-            &mut trace,
-            &mut dirty,
-            &mut metrics,
-            initial,
-            cfg,
-            &mut rejected,
-            &mut admission,
-            &mut dag_guard,
-        )?;
-        metrics.lock_acquisitions = locks.acquisitions();
+        run.metrics.steps += 1;
+        run.step(pick)?;
+        run.metrics.lock_acquisitions = run.locks.acquisitions();
         // Bound the admission log's memory: ops before every live
         // transaction's first operation can never be rewritten by an
         // abort, so their undo deltas are dropped. (A cascade that
-        // aborts an already-finished transaction is the rare case the
-        // sync fallback rebuild covers.)
-        if let Some(mon) = admission.as_mut() {
-            mon.checkpoint(rts.iter().filter(|rt| !rt.done).map(|rt| rt.txn));
+        // aborts an already-finished transaction is the one case
+        // `MonitorAdmission::retract` starts over for.)
+        if let Some(mon) = run.admission.as_mut() {
+            mon.checkpoint(run.rts.iter().filter(|rt| !rt.done).map(|rt| rt.txn));
         }
     }
 
+    let Run {
+        mut metrics,
+        mut admission,
+        trace,
+        db,
+        rejected,
+        ..
+    } = run;
     if let Some(mon) = admission.as_mut() {
-        metrics.monitor_resyncs = mon.resyncs();
         metrics.monitor_undone_ops = mon.undone_ops();
         metrics.monitor_log_floor = mon.log_floor() as u64;
         metrics.monitor_skipped_ops = mon.skipped_ops();
@@ -263,7 +277,7 @@ pub fn run_workload(
 /// graph (`DAG(S, IC)` with lock spaces `0..l` as units) rides
 /// [`OnlineAccessDag`] instead of being rebuilt from the trace on
 /// every step — `O(new ops)` catch-up per step, a probe per intent,
-/// and a full replay only when an abort rewrote the trace.
+/// and a full replay only after an abort rewrote the trace.
 struct DagGuard {
     l: u32,
     dag: OnlineAccessDag,
@@ -288,16 +302,16 @@ impl DagGuard {
         *self.slots.entry(txn).or_insert(next)
     }
 
-    /// Fold trace growth into the graph; a shrunken trace (abort) is
-    /// the only case that replays from scratch. Every append in the
-    /// executor is preceded by a guard consultation in the same step,
-    /// so a rewrite can never masquerade as pure growth.
+    /// An abort rewrote the trace: forget it all, so that the next
+    /// [`sync`](Self::sync) folds the surviving trace from its start.
+    fn aborted(&mut self) {
+        self.dag.clear();
+        self.slots.clear();
+        self.synced = 0;
+    }
+
+    /// Fold trace growth into the graph.
     fn sync(&mut self, trace: &[Operation], policy: &PolicySpec) {
-        if trace.len() < self.synced {
-            self.dag.clear();
-            self.slots.clear();
-            self.synced = 0;
-        }
         for (k, op) in trace.iter().enumerate().skip(self.synced) {
             let sp = policy.space_of(op.item).0;
             if sp < self.l {
@@ -316,337 +330,20 @@ impl DagGuard {
     }
 }
 
-#[allow(clippy::too_many_arguments)]
-fn step(
-    pick: usize,
-    policy: &PolicySpec,
-    rts: &mut Vec<TxnRt<'_>>,
-    locks: &mut LockTable,
-    db: &mut DbState,
-    trace: &mut Vec<Operation>,
-    dirty: &mut HashMap<ItemId, TxnId>,
-    metrics: &mut Metrics,
-    initial: &DbState,
-    cfg: &ExecConfig,
-    rejected: &mut Vec<TxnId>,
-    admission: &mut Option<MonitorAdmission>,
-    dag_guard: &mut Option<DagGuard>,
-) -> Result<()> {
-    let txn = rts[pick].txn;
-    let pending = rts[pick].session.pending()?;
-    // Online verdict-monitor admission: reject (abort for restart) an
-    // operation whose admission would sink the verdict below the
-    // policy's configured level. The speculative test never mutates;
-    // `sync` walks the undo-log back only when an abort rewrote the
-    // trace.
-    if let Some(mon) = admission.as_mut() {
-        // Statically-certified transactions take the zero-cost fast
-        // path: no sync, no speculative test — the certificate proves
-        // every interleaving of their component safe.
-        if !mon.covers(txn) {
-            mon.sync(trace);
-            let intent = match &pending {
-                Pending::NeedRead(item) => Some((*item, false)),
-                Pending::Write(op) => Some((op.item, true)),
-                Pending::Done => None,
-            };
-            if let Some((item, is_write)) = intent {
-                if !mon.would_admit(txn, item, is_write) {
-                    metrics.monitor_rejections += 1;
-                    abort_cascading(pick, rts, locks, trace, dirty, db, initial, metrics, cfg)?;
-                    return Ok(());
-                }
-            }
-        }
-    }
-    // Runtime Theorem-3 guard: refuse the access that would close a
-    // conjunct cycle, rejecting the transaction outright (a retry
-    // could never commit — committed edges persist in DAG(S, IC)).
-    // Incremental: the guard folds trace growth into a live access
-    // DAG and answers with a retracting probe — no per-step rebuild.
-    if let Some(guard) = dag_guard.as_mut() {
-        guard.sync(trace, policy);
-        let intent = match &pending {
-            Pending::NeedRead(item) => Some((*item, false)),
-            Pending::Write(op) => Some((op.item, true)),
-            Pending::Done => None,
-        };
-        if let Some((item, is_write)) = intent {
-            let space = policy.space_of(item).0;
-            if space < guard.l && guard.rejects(txn, space, is_write) {
-                abort_cascading(pick, rts, locks, trace, dirty, db, initial, metrics, cfg)?;
-                rts[pick].done = true;
-                rejected.push(txn);
-                return Ok(());
-            }
-        }
-    }
-    match pending {
-        Pending::Done => {
-            // Commit: release everything, clean the dirty map.
-            locks.release_all(txn);
-            dirty.retain(|_, w| *w != txn);
-            rts[pick].done = true;
-            clear_blocks(rts);
-            Ok(())
-        }
-        Pending::NeedRead(item) => {
-            if policy.dr_block {
-                if let Some(&writer) = dirty.get(&item) {
-                    if writer != txn {
-                        block(
-                            pick,
-                            Block::Dirty { writer },
-                            rts,
-                            locks,
-                            trace,
-                            dirty,
-                            db,
-                            initial,
-                            metrics,
-                            cfg,
-                        )?;
-                        return Ok(());
-                    }
-                }
-            }
-            let space = policy.space_of(item);
-            if let Err(_holders) = locks.try_acquire(txn, space, item, LockMode::Shared) {
-                block(
-                    pick,
-                    Block::Lock {
-                        space,
-                        item,
-                        mode: LockMode::Shared,
-                    },
-                    rts,
-                    locks,
-                    trace,
-                    dirty,
-                    db,
-                    initial,
-                    metrics,
-                    cfg,
-                )?;
-                return Ok(());
-            }
-            let value = db.require(item)?.clone();
-            let op = rts[pick].session.feed_read(value)?;
-            if let Some(mon) = admission.as_mut() {
-                mon.observe(&op);
-            }
-            trace.push(op);
-            after_op(pick, policy, rts, locks);
-            Ok(())
-        }
-        Pending::Write(op) => {
-            let space = policy.space_of(op.item);
-            if let Err(_holders) = locks.try_acquire(txn, space, op.item, LockMode::Exclusive) {
-                block(
-                    pick,
-                    Block::Lock {
-                        space,
-                        item: op.item,
-                        mode: LockMode::Exclusive,
-                    },
-                    rts,
-                    locks,
-                    trace,
-                    dirty,
-                    db,
-                    initial,
-                    metrics,
-                    cfg,
-                )?;
-                return Ok(());
-            }
-            db.set(op.item, op.value.clone());
-            dirty.insert(op.item, txn);
-            rts[pick].session.advance_write()?;
-            if let Some(mon) = admission.as_mut() {
-                mon.observe(&op);
-            }
-            trace.push(op);
-            after_op(pick, policy, rts, locks);
-            Ok(())
-        }
-    }
-}
-
-/// Post-operation hooks: early per-space lock release driven by the
-/// access plan.
-fn after_op(pick: usize, policy: &PolicySpec, rts: &mut Vec<TxnRt<'_>>, locks: &mut LockTable) {
-    if !policy.early_release {
-        return;
-    }
-    let rt = &mut rts[pick];
-    let Some(plan) = &rt.plan else {
-        return; // no plan ⇒ hold to end
-    };
-    let emitted = rt.session.emitted();
-    if emitted > plan.len() {
-        // Plan deviation (defensive; cannot happen for certified
-        // fixed-structure programs): disable early release.
-        rt.plan = None;
-        return;
-    }
-    let remaining_spaces: BTreeSet<SpaceId> = plan[emitted..]
-        .iter()
-        .map(|o| policy.space_of(o.item))
-        .collect();
-    let txn = rt.txn;
-    let mut released = false;
-    for space in locks.spaces_held(txn) {
-        if !remaining_spaces.contains(&space) {
-            locks.release_space(txn, space);
-            released = true;
-        }
-    }
-    if released {
-        clear_blocks(rts);
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn block(
-    pick: usize,
-    why: Block,
-    rts: &mut Vec<TxnRt<'_>>,
-    locks: &mut LockTable,
-    trace: &mut Vec<Operation>,
-    dirty: &mut HashMap<ItemId, TxnId>,
-    db: &mut DbState,
-    initial: &DbState,
-    metrics: &mut Metrics,
-    cfg: &ExecConfig,
-) -> Result<()> {
-    metrics.waits += 1;
-    // Who stands in the way right now?
-    let index: HashMap<TxnId, usize> = rts.iter().enumerate().map(|(i, rt)| (rt.txn, i)).collect();
-    let opponents: Vec<usize> = match &why {
-        Block::Lock { space, item, mode } => locks
-            .conflicting_holders(rts[pick].txn, *space, *item, *mode)
-            .into_iter()
-            .filter_map(|t| index.get(&t).copied())
-            .filter(|&j| !rts[j].done)
-            .collect(),
-        Block::Dirty { writer } => index
-            .get(writer)
-            .copied()
-            .filter(|&j| !rts[j].done)
-            .into_iter()
-            .collect(),
-    };
-    match cfg.deadlock {
-        DeadlockPolicy::Detect => {
-            rts[pick].blocked = Some(why);
-            // A new edge appeared: look for a cycle right away.
-            let _ = resolve_deadlock(rts, locks, trace, dirty, db, initial, metrics, cfg)?;
-        }
-        DeadlockPolicy::WaitDie => {
-            // Wait only for younger opponents (requester older = smaller
-            // timestamp); otherwise die. Timestamps = original TxnId,
-            // stable across restarts.
-            let me = rts[pick].txn;
-            if opponents.iter().all(|&j| me < rts[j].txn) {
-                rts[pick].blocked = Some(why);
-            } else {
-                // Prevention: the requester dies; no cycle can ever form.
-                abort_cascading(pick, rts, locks, trace, dirty, db, initial, metrics, cfg)?;
-            }
-        }
-        DeadlockPolicy::WoundWait => {
-            let me = rts[pick].txn;
-            let younger: Vec<usize> = opponents
-                .iter()
-                .copied()
-                .filter(|&j| me < rts[j].txn)
-                .collect();
-            if younger.is_empty() {
-                // All opponents are older: wait politely.
-                rts[pick].blocked = Some(why);
-            } else {
-                // Wound every younger holder; retry the operation on a
-                // later step.
-                for j in younger {
-                    if !rts[j].done {
-                        abort_cascading(j, rts, locks, trace, dirty, db, initial, metrics, cfg)?;
-                    }
-                }
-            }
-        }
-    }
-    Ok(())
-}
-
-/// Build the waits-for graph from the current blocks and resolve one
-/// cycle if present. Returns whether a cycle was resolved.
-#[allow(clippy::too_many_arguments)]
-fn resolve_deadlock(
-    rts: &mut Vec<TxnRt<'_>>,
-    locks: &mut LockTable,
-    trace: &mut Vec<Operation>,
-    dirty: &mut HashMap<ItemId, TxnId>,
-    db: &mut DbState,
-    initial: &DbState,
-    metrics: &mut Metrics,
-    cfg: &ExecConfig,
-) -> Result<bool> {
-    let index: HashMap<TxnId, usize> = rts.iter().enumerate().map(|(i, rt)| (rt.txn, i)).collect();
-    let mut graph = DiGraph::new(rts.len());
-    for (i, rt) in rts.iter().enumerate() {
-        match &rt.blocked {
-            Some(Block::Lock { space, item, mode }) => {
-                for holder in locks.conflicting_holders(rt.txn, *space, *item, *mode) {
-                    if let Some(&j) = index.get(&holder) {
-                        if !rts[j].done {
-                            graph.add_edge(i, j);
-                        }
-                    }
-                }
-            }
-            Some(Block::Dirty { writer }) => {
-                if let Some(&j) = index.get(writer) {
-                    if !rts[j].done {
-                        graph.add_edge(i, j);
-                    }
-                }
-            }
-            None => {}
-        }
-    }
-    let Some(cycle) = graph.find_cycle() else {
-        return Ok(false);
-    };
-    metrics.deadlocks += 1;
-    // Victim: the cycle member with the fewest emitted operations
-    // (cheapest to redo); ties broken by the larger transaction id.
-    let &victim = cycle
-        .iter()
-        .min_by_key(|&&i| (rts[i].session.emitted(), std::cmp::Reverse(rts[i].txn)))
-        .expect("cycles are non-empty");
-    abort_cascading(victim, rts, locks, trace, dirty, db, initial, metrics, cfg)?;
-    Ok(true)
-}
-
 /// Abort `victim` plus every transaction that (transitively) read one
-/// of an aborted transaction's writes; roll back by filtering the trace
-/// and replaying, then restart the aborted transactions with backoff.
-#[allow(clippy::too_many_arguments)]
-fn abort_cascading(
-    victim: usize,
-    rts: &mut Vec<TxnRt<'_>>,
-    locks: &mut LockTable,
+/// of an aborted transaction's writes: tell the admission who, drop
+/// their operations from the trace, and rebuild the store by replaying
+/// what is left over `initial`. Returns the aborted set — the one
+/// cascade every trace-filtering executor runs.
+pub(crate) fn abort_with_dirty_readers(
+    victim: TxnId,
     trace: &mut Vec<Operation>,
-    dirty: &mut HashMap<ItemId, TxnId>,
-    db: &mut DbState,
     initial: &DbState,
-    metrics: &mut Metrics,
-    cfg: &ExecConfig,
-) -> Result<()> {
+    db: &mut DbState,
+    admission: Option<&mut MonitorAdmission>,
+) -> Result<Vec<TxnId>> {
     // Transitive closure of dirty readers.
-    let mut aborted: BTreeSet<TxnId> = BTreeSet::new();
-    aborted.insert(rts[victim].txn);
+    let mut aborted = vec![victim];
     loop {
         let mut grew = false;
         for (i, op) in trace.iter().enumerate() {
@@ -658,45 +355,290 @@ fn abort_cascading(
                 .rev()
                 .find(|w| w.is_write() && w.item == op.item)
                 .map(|w| w.txn);
-            if let Some(w) = writer {
-                if aborted.contains(&w) && aborted.insert(op.txn) {
-                    grew = true;
-                }
+            if writer.is_some_and(|w| aborted.contains(&w)) {
+                aborted.push(op.txn);
+                grew = true;
             }
         }
         if !grew {
             break;
         }
     }
+    if let Some(mon) = admission {
+        mon.retract(&aborted)?;
+    }
     // Roll back: drop aborted ops, replay the rest.
     trace.retain(|op| !aborted.contains(&op.txn));
     *db = initial.clone();
-    for op in trace.iter() {
-        if op.is_write() {
-            db.set(op.item, op.value.clone());
+    for op in trace.iter().filter(|op| op.is_write()) {
+        db.set(op.item, op.value.clone());
+    }
+    Ok(aborted)
+}
+
+impl Run<'_> {
+    /// The access `pending` is about to make, if any.
+    fn intent(pending: &Pending) -> Option<(ItemId, bool)> {
+        match pending {
+            Pending::NeedRead(item) => Some((*item, false)),
+            Pending::Write(op) => Some((op.item, true)),
+            Pending::Done => None,
         }
     }
-    // Rebuild the dirty map from the filtered trace.
-    dirty.clear();
-    let done_set: BTreeSet<TxnId> = rts.iter().filter(|rt| rt.done).map(|rt| rt.txn).collect();
-    for op in trace.iter() {
-        if op.is_write() {
-            if done_set.contains(&op.txn) {
-                dirty.remove(&op.item);
-            } else {
-                dirty.insert(op.item, op.txn);
+
+    fn step(&mut self, pick: usize) -> Result<()> {
+        let policy = self.policy;
+        let txn = self.rts[pick].txn;
+        let pending = self.rts[pick].session.pending()?;
+        // Online verdict-monitor admission: reject (abort for restart)
+        // an operation whose admission would sink the verdict below the
+        // policy's configured level. The speculative test never
+        // mutates. Statically-certified transactions take the zero-cost
+        // fast path inside it: the certificate proves every
+        // interleaving of their component safe.
+        if let (Some(mon), Some((item, is_write))) = (&self.admission, Self::intent(&pending)) {
+            if !mon.would_admit(txn, item, is_write) {
+                self.metrics.monitor_rejections += 1;
+                return self.abort_cascading(pick);
+            }
+        }
+        // Runtime Theorem-3 guard: refuse the access that would close a
+        // conjunct cycle, rejecting the transaction outright (a retry
+        // could never commit — committed edges persist in DAG(S, IC)).
+        // Incremental: the guard folds trace growth into a live access
+        // DAG and answers with a retracting probe — no per-step rebuild.
+        if let Some(guard) = self.dag_guard.as_mut() {
+            guard.sync(&self.trace, policy);
+            if let Some((item, is_write)) = Self::intent(&pending) {
+                let space = policy.space_of(item).0;
+                if space < guard.l && guard.rejects(txn, space, is_write) {
+                    self.abort_cascading(pick)?;
+                    self.rts[pick].done = true;
+                    self.rejected.push(txn);
+                    return Ok(());
+                }
+            }
+        }
+        match pending {
+            Pending::Done => {
+                // Commit: release everything, clean the dirty map.
+                self.locks.release_all(txn);
+                self.dirty.retain(|_, w| *w != txn);
+                self.rts[pick].done = true;
+                self.clear_blocks();
+                Ok(())
+            }
+            Pending::NeedRead(item) => {
+                if policy.dr_block {
+                    if let Some(&writer) = self.dirty.get(&item) {
+                        if writer != txn {
+                            return self.block(pick, Block::Dirty { writer });
+                        }
+                    }
+                }
+                let (space, mode) = (policy.space_of(item), LockMode::Shared);
+                if self.locks.try_acquire(txn, space, item, mode).is_err() {
+                    return self.block(pick, Block::Lock { space, item, mode });
+                }
+                let value = self.db.require(item)?.clone();
+                let op = self.rts[pick].session.feed_read(value)?;
+                self.record(pick, op);
+                Ok(())
+            }
+            Pending::Write(op) => {
+                let (space, item, mode) = (policy.space_of(op.item), op.item, LockMode::Exclusive);
+                if self.locks.try_acquire(txn, space, item, mode).is_err() {
+                    return self.block(pick, Block::Lock { space, item, mode });
+                }
+                self.db.set(item, op.value.clone());
+                self.dirty.insert(item, txn);
+                self.rts[pick].session.advance_write()?;
+                self.record(pick, op);
+                Ok(())
             }
         }
     }
-    // Reset the aborted transactions.
-    metrics.aborts += aborted.len() as u64;
-    for rt in rts.iter_mut() {
-        if aborted.contains(&rt.txn) {
-            locks.release_all(rt.txn);
+
+    /// `pick` performed `op`: show it to the admission, append it to the
+    /// trace, and release early what the access plan allows.
+    fn record(&mut self, pick: usize, op: Operation) {
+        if let Some(mon) = self.admission.as_mut() {
+            mon.observe(&op);
+        }
+        self.trace.push(op);
+        self.after_op(pick);
+    }
+
+    /// Post-operation hooks: early per-space lock release driven by the
+    /// access plan.
+    fn after_op(&mut self, pick: usize) {
+        let policy = self.policy;
+        if !policy.early_release {
+            return;
+        }
+        let rt = &mut self.rts[pick];
+        let Some(plan) = &rt.plan else {
+            return; // no plan ⇒ hold to end
+        };
+        let emitted = rt.session.emitted();
+        if emitted > plan.len() {
+            // Plan deviation (defensive; cannot happen for certified
+            // fixed-structure programs): disable early release.
+            rt.plan = None;
+            return;
+        }
+        let remaining_spaces: BTreeSet<SpaceId> = plan[emitted..]
+            .iter()
+            .map(|o| policy.space_of(o.item))
+            .collect();
+        let txn = rt.txn;
+        let mut released = false;
+        for space in self.locks.spaces_held(txn) {
+            if !remaining_spaces.contains(&space) {
+                self.locks.release_space(txn, space);
+                released = true;
+            }
+        }
+        if released {
+            self.clear_blocks();
+        }
+    }
+
+    fn block(&mut self, pick: usize, why: Block) -> Result<()> {
+        self.metrics.waits += 1;
+        let rts = &self.rts;
+        // Who stands in the way right now?
+        let index: HashMap<TxnId, usize> =
+            rts.iter().enumerate().map(|(i, rt)| (rt.txn, i)).collect();
+        let opponents: Vec<usize> = match &why {
+            Block::Lock { space, item, mode } => self
+                .locks
+                .conflicting_holders(rts[pick].txn, *space, *item, *mode)
+                .into_iter()
+                .filter_map(|t| index.get(&t).copied())
+                .filter(|&j| !rts[j].done)
+                .collect(),
+            Block::Dirty { writer } => index
+                .get(writer)
+                .copied()
+                .filter(|&j| !rts[j].done)
+                .into_iter()
+                .collect(),
+        };
+        match self.cfg.deadlock {
+            DeadlockPolicy::Detect => {
+                self.rts[pick].blocked = Some(why);
+                // A new edge appeared: look for a cycle right away.
+                self.resolve_deadlock()?;
+            }
+            DeadlockPolicy::WaitDie => {
+                // Wait only for younger opponents (requester older = smaller
+                // timestamp); otherwise die. Timestamps = original TxnId,
+                // stable across restarts.
+                let me = rts[pick].txn;
+                if opponents.iter().all(|&j| me < rts[j].txn) {
+                    self.rts[pick].blocked = Some(why);
+                } else {
+                    // Prevention: the requester dies; no cycle can ever form.
+                    self.abort_cascading(pick)?;
+                }
+            }
+            DeadlockPolicy::WoundWait => {
+                let me = rts[pick].txn;
+                let younger: Vec<usize> = opponents
+                    .iter()
+                    .copied()
+                    .filter(|&j| me < rts[j].txn)
+                    .collect();
+                if younger.is_empty() {
+                    // All opponents are older: wait politely.
+                    self.rts[pick].blocked = Some(why);
+                } else {
+                    // Wound every younger holder; retry the operation on a
+                    // later step.
+                    for j in younger {
+                        if !self.rts[j].done {
+                            self.abort_cascading(j)?;
+                        }
+                    }
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Build the waits-for graph from the current blocks and resolve one
+    /// cycle if present. Returns whether a cycle was resolved.
+    fn resolve_deadlock(&mut self) -> Result<bool> {
+        let rts = &self.rts;
+        let index: HashMap<TxnId, usize> =
+            rts.iter().enumerate().map(|(i, rt)| (rt.txn, i)).collect();
+        let mut graph = DiGraph::new(rts.len());
+        for (i, rt) in rts.iter().enumerate() {
+            let holders = match &rt.blocked {
+                Some(Block::Lock { space, item, mode }) => {
+                    self.locks.conflicting_holders(rt.txn, *space, *item, *mode)
+                }
+                Some(Block::Dirty { writer }) => vec![*writer],
+                None => Vec::new(),
+            };
+            for j in holders.iter().filter_map(|holder| index.get(holder)) {
+                if !rts[*j].done {
+                    graph.add_edge(i, *j);
+                }
+            }
+        }
+        let Some(cycle) = graph.find_cycle() else {
+            return Ok(false);
+        };
+        self.metrics.deadlocks += 1;
+        // Victim: the cycle member with the fewest emitted operations
+        // (cheapest to redo); ties broken by the larger transaction id.
+        let &victim = cycle
+            .iter()
+            .min_by_key(|&&i| (rts[i].session.emitted(), std::cmp::Reverse(rts[i].txn)))
+            .expect("cycles are non-empty");
+        self.abort_cascading(victim)?;
+        Ok(true)
+    }
+
+    /// Abort `victim` and its dirty readers ([`abort_with_dirty_readers`]
+    /// rolls trace, store and admission back), then restart the aborted
+    /// transactions with backoff.
+    fn abort_cascading(&mut self, victim: usize) -> Result<()> {
+        let aborted = abort_with_dirty_readers(
+            self.rts[victim].txn,
+            &mut self.trace,
+            self.initial,
+            &mut self.db,
+            self.admission.as_mut(),
+        )?;
+        if let Some(guard) = self.dag_guard.as_mut() {
+            guard.aborted();
+        }
+        // Rebuild the dirty map from the filtered trace.
+        self.dirty.clear();
+        let done: BTreeSet<TxnId> = self
+            .rts
+            .iter()
+            .filter(|rt| rt.done)
+            .map(|rt| rt.txn)
+            .collect();
+        for op in self.trace.iter().filter(|op| op.is_write()) {
+            if done.contains(&op.txn) {
+                self.dirty.remove(&op.item);
+            } else {
+                self.dirty.insert(op.item, op.txn);
+            }
+        }
+        // Reset the aborted transactions.
+        self.metrics.aborts += aborted.len() as u64;
+        for rt in self.rts.iter_mut().filter(|rt| aborted.contains(&rt.txn)) {
+            self.locks.release_all(rt.txn);
             rt.session = ProgramSession::new(rt.program, rt.catalog, rt.txn);
             rt.restarts += 1;
-            metrics.restarts += 1;
-            if rt.restarts > cfg.max_restarts {
+            self.metrics.restarts += 1;
+            if rt.restarts > self.cfg.max_restarts {
                 return Err(SchedError::RestartLimit {
                     txn: rt.txn,
                     restarts: rt.restarts,
@@ -706,16 +648,16 @@ fn abort_cascading(
             rt.blocked = None;
             rt.done = false;
         }
+        self.clear_blocks();
+        Ok(())
     }
-    clear_blocks(rts);
-    Ok(())
-}
 
-/// Unblock everyone: blocks are re-derived on the next attempt. Cheap
-/// revalidation after any lock/dirty state change.
-fn clear_blocks(rts: &mut [TxnRt<'_>]) {
-    for rt in rts.iter_mut() {
-        rt.blocked = None;
+    /// Unblock everyone: blocks are re-derived on the next attempt. Cheap
+    /// revalidation after any lock/dirty state change.
+    fn clear_blocks(&mut self) {
+        for rt in self.rts.iter_mut() {
+            rt.blocked = None;
+        }
     }
 }
 

@@ -22,9 +22,7 @@ pub struct Metrics {
     /// Operations rejected by the online verdict monitor (each rejection
     /// aborts and restarts the requesting transaction).
     pub monitor_rejections: u64,
-    /// Monitor re-syncs that found the trace rewritten by an abort.
-    pub monitor_resyncs: u64,
-    /// Operations the monitor's undo-log retracted across all re-syncs
+    /// Operations the monitor's undo-log retracted across all aborts
     /// (the abort cost that used to be an `O(n)` rebuild each time).
     pub monitor_undone_ops: u64,
     /// The monitor undo-log's final retraction floor — how far
@@ -102,7 +100,7 @@ impl fmt::Display for Metrics {
         write!(
             f,
             "steps={} ops={} waits={} deadlocks={} aborts={} restarts={} locks={} monrej={} \
-             monresync={} monundo={} monfloor={} monskip={} occab={} occretry={} \
+             monundo={} monfloor={} monskip={} occab={} occretry={} \
              walapp={} walbytes={} walsync={} walerr={} faults={} timeouts={} reaps={} \
              panics={} batches={} batchops={} maxbatch={} goodput={:.3}",
             self.steps,
@@ -113,7 +111,6 @@ impl fmt::Display for Metrics {
             self.restarts,
             self.lock_acquisitions,
             self.monitor_rejections,
-            self.monitor_resyncs,
             self.monitor_undone_ops,
             self.monitor_log_floor,
             self.monitor_skipped_ops,

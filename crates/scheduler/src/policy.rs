@@ -17,6 +17,7 @@
 use crate::lock::SpaceId;
 use pwsr_core::catalog::Catalog;
 use pwsr_core::constraint::IntegrityConstraint;
+use pwsr_core::error::CoreError;
 use pwsr_core::ids::{ItemId, TxnId};
 use pwsr_core::monitor::{AdmissionLevel, CompactStats, OnlineMonitor, Verdict};
 use pwsr_core::op::Operation;
@@ -111,12 +112,11 @@ impl StaticCertificate {
 /// scheduling decisions instead of describing finished histories.
 ///
 /// The speculative test ([`MonitorAdmission::would_admit`]) never
-/// mutates; after an abort rewrites the trace,
-/// [`MonitorAdmission::sync`] walks the monitor's undo-log back to the
-/// longest surviving prefix and re-pushes the filtered tail —
-/// `O(ops undone + ops re-pushed)` graph work instead of the old
-/// `O(n)` full rebuild (every per-operation step stays on the
-/// incremental path either way).
+/// mutates; an executor that aborts says whom
+/// ([`MonitorAdmission::retract`]) and the monitor takes their
+/// operations back through its undo-log — `O(ops undone + ops
+/// re-pushed)` graph work, so every step stays on the incremental
+/// path.
 #[derive(Clone, Debug)]
 pub struct MonitorAdmission {
     monitor: OnlineMonitor,
@@ -126,40 +126,17 @@ pub struct MonitorAdmission {
     /// covers bypass the monitor entirely (admitted unconditionally,
     /// their operations never pushed).
     certificate: Option<StaticCertificate>,
-    /// Trace operations observed, *including* certified skips — the
-    /// steady-state `sync` check compares against this, so the hot
-    /// path stays `O(1)` even when the monitor records only a
-    /// sub-trace.
-    seen: usize,
     /// Operations skipped via the certificate.
     skipped_ops: u64,
-    /// Re-syncs that found the trace rewritten.
-    resyncs: u64,
-    /// Operations retracted via the undo-log across all re-syncs.
+    /// Operations retracted via the undo-log across all retractions.
     undone_ops: u64,
     /// Optional write-ahead log: every monitored state transition
-    /// (push / truncate / floor raise / rebuild) is appended as a
+    /// (push / truncate / floor raise / reset) is appended as a
     /// checksummed record, so a crash recovers to exactly this
     /// admission's monitor state (see `pwsr_durability::recover`).
     /// Clones share the log, so clone-and-diverge admissions should
     /// not both stay journaled.
     wal: Option<SharedWal>,
-    /// Set when a journaling call site observed a sticky (unhealed)
-    /// WAL I/O error — the run's durable history is incomplete and
-    /// the executor must surface [`SchedError::WalFailed`] instead of
-    /// reporting success (the log used to drop records silently).
-    ///
-    /// [`SchedError::WalFailed`]: crate::error::SchedError::WalFailed
-    wal_failed: bool,
-}
-
-/// What one [`MonitorAdmission::sync`] call did.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct SyncStats {
-    /// Operations retracted through the undo-log.
-    pub undone: u64,
-    /// Surviving operations re-pushed after the divergence point.
-    pub repushed: u64,
 }
 
 impl MonitorAdmission {
@@ -170,30 +147,23 @@ impl MonitorAdmission {
             scopes,
             level,
             certificate: None,
-            seen: 0,
             skipped_ops: 0,
-            resyncs: 0,
             undone_ops: 0,
             wal: None,
-            wal_failed: false,
         }
     }
 
-    /// Journal one WAL transition, checking the log's health at the
-    /// call site: a sticky error after the append (fail-stop, or an
-    /// exhausted retry policy) marks this admission failed so the
-    /// executor refuses to report success. Self-healing policies
-    /// (retry, degrade-to-memory) leave no sticky error and the run
-    /// proceeds — the incident stays visible in `WalStats::io_errors`.
-    fn journal(&mut self, f: impl FnOnce(&mut Wal)) {
+    /// Journal WAL transitions. An I/O error the log's policy could
+    /// not heal (fail-stop, or an exhausted retry) stays in the log,
+    /// sticky, until the executor's [`take_wal_error`] turns it into a
+    /// refusal to report success; self-healing policies (retry,
+    /// degrade-to-memory) leave none and the run proceeds — the
+    /// incident stays visible in `WalStats::io_errors`.
+    ///
+    /// [`take_wal_error`]: MonitorAdmission::take_wal_error
+    fn journal(&self, f: impl FnOnce(&mut Wal)) {
         if let Some(wal) = &self.wal {
-            let healthy = wal.with(|w| {
-                f(w);
-                w.last_error().is_none()
-            });
-            if !healthy {
-                self.wal_failed = true;
-            }
+            wal.with(f);
         }
     }
 
@@ -288,25 +258,9 @@ impl MonitorAdmission {
     /// Record an admitted (or already-committed) operation. Logged, so
     /// an abort can retract it through the undo-log.
     pub fn push(&mut self, op: &Operation) -> Verdict {
-        self.seen += 1;
         self.journal(|w| w.append_op(op));
         self.monitor
             .push_logged(op.clone())
-            .expect("executor traces satisfy the §2.2 transaction rules")
-    }
-
-    /// Record a contiguous single-transaction run of admitted
-    /// operations: one framed WAL record, one atomically-validated
-    /// monitor batch. Per-op verdicts come back in program order —
-    /// identical to pushing the run op-by-op.
-    pub fn push_batch(&mut self, ops: &[Operation]) -> Vec<Verdict> {
-        if ops.is_empty() {
-            return Vec::new();
-        }
-        self.seen += ops.len();
-        self.journal(|w| w.append_batch(ops));
-        self.monitor
-            .push_batch_logged(ops)
             .expect("executor traces satisfy the §2.2 transaction rules")
     }
 
@@ -315,7 +269,6 @@ impl MonitorAdmission {
     /// was actually pushed (monitored), `false` if skipped.
     pub fn observe(&mut self, op: &Operation) -> bool {
         if self.covers(op.txn) {
-            self.seen += 1;
             self.skipped_ops += 1;
             false
         } else {
@@ -334,96 +287,62 @@ impl MonitorAdmission {
         &self.monitor
     }
 
-    /// Rebuild from scratch over `trace` — the old `O(n)` abort path,
-    /// kept as the fallback oracle (tests pin `sync` against it).
-    /// Certified transactions' operations are skipped, as on the
-    /// incremental path.
-    pub fn rebuild(&mut self, trace: &[Operation]) {
-        self.journal(|w| w.append(&WalRecord::Reset));
-        self.monitor = OnlineMonitor::new(self.scopes.clone());
-        self.seen = 0;
-        for op in trace {
-            self.observe(op);
-        }
-    }
-
-    /// Cheap re-sync: in the steady state (`len` unchanged) the
-    /// incremental monitor is already exactly `trace` and this is
-    /// `O(1)`. After an abort *filtered* the trace, retract through
-    /// the undo-log to the longest common prefix and re-push the
-    /// surviving tail — `O(ops undone + ops re-pushed)`, not `O(n)`:
-    /// an abort of a late-starting transaction leaves the long head
-    /// untouched. If a checkpoint raised the log floor above the
-    /// divergence point (possible only when the caller's "live" set
-    /// under-approximated the removable transactions), the rare
-    /// fallback is the old full rebuild.
-    pub fn sync(&mut self, trace: &[Operation]) -> SyncStats {
-        if self.seen == trace.len() {
-            return SyncStats::default();
-        }
-        self.resyncs += 1;
-        // With a certificate attached the monitor records only the
-        // uncertified sub-trace; compare against the filtered view.
-        // This allocation happens only on the (rare) abort path — the
-        // steady state returned above.
-        let filtered: Vec<Operation>;
-        let target: &[Operation] = match &self.certificate {
-            Some(cert) => {
-                filtered = trace
-                    .iter()
-                    .filter(|o| !cert.covers(o.txn))
-                    .cloned()
-                    .collect();
-                &filtered
-            }
-            None => trace,
-        };
-        // Longest common prefix of the recorded schedule and the
-        // rewritten trace (an abort removes operations, so divergence
-        // starts at the first removed position). The monitor stores
-        // only the tail above its compaction base — the summarized
-        // prefix is permanent (the frontier never exceeds the undo
-        // floor, which aborts cannot reach below), so positions below
-        // the base cannot have diverged and the comparison starts
-        // there.
-        let base = self.monitor.schedule().base();
-        if target.len() < base {
-            // The trace was rewritten below the permanent prefix — a
-            // caller bug mirroring an under-approximated checkpoint
-            // live set; the rebuild fallback stays observably correct.
-            self.rebuild(trace);
-            return SyncStats {
-                undone: 0,
-                repushed: target.len() as u64,
-            };
-        }
-        let recorded = self.monitor.schedule().ops();
-        let common = base
-            + recorded
+    /// The executor aborted `victims`: take their operations back.
+    /// One shape, the monitor's ([`OnlineMonitor::retract_txns`]):
+    /// truncate to the earliest operation any victim still holds and
+    /// re-push every other transaction's operation from there on —
+    /// `O(ops undone + ops re-pushed)`, not `O(n)`: an abort of a
+    /// late-starting transaction leaves the long head untouched. The
+    /// WAL hears `Truncate(first)`, then one `Op` per survivor. A
+    /// certified victim has nothing recorded and costs nothing.
+    /// Returns `(ops undone, ops re-pushed)`.
+    ///
+    /// One case cannot go through the undo-log: a cascade that reaches
+    /// a transaction which had *finished*, and so was not in the live
+    /// set of the last [`checkpoint`](Self::checkpoint) — its first
+    /// operation lies below the floor, where the deltas are gone. The
+    /// admission then starts over: `Reset` in the WAL, a fresh
+    /// monitor, and its own surviving operations pushed again. (Panics
+    /// there if the admission was also compacted — a summarized prefix
+    /// cannot be pushed again.) Above the floor, a summarized victim is
+    /// rejected with [`CoreError::SummarizedTransaction`], nothing
+    /// retracted.
+    pub fn retract(&mut self, victims: &[TxnId]) -> Result<(usize, usize), CoreError> {
+        let first = victims
+            .iter()
+            .filter_map(|&t| self.monitor.first_op_of(t))
+            .min();
+        let len = self.monitor.len();
+        let cost = if first.is_some_and(|p| p.0 < self.log_floor()) {
+            let schedule = self.monitor.schedule();
+            assert_eq!(schedule.base(), 0, "compacted: cannot start over");
+            let survivors: Vec<Operation> = schedule
+                .ops()
                 .iter()
-                .zip(target[base..].iter())
-                .take_while(|(a, b)| a == b)
-                .count();
-        if common < self.monitor.log_floor() {
-            self.rebuild(trace);
-            return SyncStats {
-                undone: 0,
-                repushed: target.len() as u64,
-            };
-        }
-        if common < self.monitor.len() {
-            self.journal(|w| w.append(&WalRecord::Truncate(common as u64)));
-        }
-        let undone = self.monitor.truncate_to(common) as u64;
-        self.undone_ops += undone;
-        let mut repushed = 0u64;
-        for op in &target[common..] {
-            self.push(op);
-            repushed += 1;
-        }
-        self.seen = trace.len();
-        debug_assert_eq!(self.monitor.len(), target.len());
-        SyncStats { undone, repushed }
+                .filter(|o| !victims.contains(&o.txn))
+                .cloned()
+                .collect();
+            self.journal(|w| w.append(&WalRecord::Reset));
+            self.monitor = OnlineMonitor::new(self.scopes.clone());
+            for op in &survivors {
+                self.push(op);
+            }
+            (len, survivors.len())
+        } else {
+            let (undone, repushed) = self.monitor.retract_txns(victims)?;
+            let ops = self.monitor.schedule().ops();
+            self.journal(|w| {
+                if undone > 0 {
+                    w.append(&WalRecord::Truncate((len - undone) as u64));
+                }
+                for op in &ops[ops.len() - repushed..] {
+                    w.append_op(op);
+                }
+            });
+            (undone, repushed)
+        };
+        self.undone_ops += cost.0 as u64;
+        Ok(cost)
     }
 
     /// Raise the undo-log floor to the oldest *live* transaction's
@@ -492,12 +411,7 @@ impl MonitorAdmission {
         self.monitor.logged_len()
     }
 
-    /// Re-syncs that found the trace rewritten by an abort.
-    pub fn resyncs(&self) -> u64 {
-        self.resyncs
-    }
-
-    /// Operations retracted through the undo-log across all re-syncs.
+    /// Operations retracted through the undo-log across all aborts.
     pub fn undone_ops(&self) -> u64 {
         self.undone_ops
     }
@@ -517,26 +431,16 @@ impl MonitorAdmission {
         self.wal.as_ref()
     }
 
-    /// False once any journaling call site observed a sticky WAL I/O
-    /// error (fail-stop, or a retry policy that ran out of attempts).
-    pub fn wal_healthy(&self) -> bool {
-        !self.wal_failed && self.wal.as_ref().is_none_or(SharedWal::healthy)
-    }
-
     /// Take the WAL's sticky I/O error, if any, clearing it — the
     /// executor's final sync turns `Some` into
     /// [`SchedError::WalFailed`](crate::error::SchedError::WalFailed).
     pub fn take_wal_error(&mut self) -> Option<std::io::Error> {
-        let err = self.wal.as_ref().and_then(SharedWal::take_error);
-        if err.is_some() {
-            self.wal_failed = true;
-        }
-        err
+        self.wal().and_then(SharedWal::take_error)
     }
 
     /// WAL counters (append/byte/fsync), when a WAL is attached.
     pub fn wal_stats(&self) -> Option<WalStats> {
-        self.wal.as_ref().map(SharedWal::stats)
+        self.wal().map(SharedWal::stats)
     }
 }
 
@@ -570,6 +474,18 @@ pub struct MonitorSpec {
 }
 
 impl MonitorSpec {
+    /// Monitor `scopes` at `level`: no certificate, no WAL, no
+    /// compaction.
+    pub fn new(scopes: Vec<ItemSet>, level: AdmissionLevel) -> MonitorSpec {
+        MonitorSpec {
+            scopes,
+            level,
+            certificate: None,
+            wal: None,
+            compact_every: 0,
+        }
+    }
+
     /// Build the admission state this spec describes, certificate and
     /// WAL attached.
     pub fn admission(&self) -> MonitorAdmission {
@@ -696,13 +612,10 @@ impl PolicySpec {
         ic: &IntegrityConstraint,
         level: AdmissionLevel,
     ) -> PolicySpec {
-        self.monitor = Some(MonitorSpec {
-            scopes: ic.conjuncts().iter().map(|c| c.items().clone()).collect(),
+        self.monitor = Some(MonitorSpec::new(
+            ic.conjuncts().iter().map(|c| c.items().clone()).collect(),
             level,
-            certificate: None,
-            wal: None,
-            compact_every: 0,
-        });
+        ));
         self.name = format!(
             "{}+MON({})",
             self.name,
@@ -812,6 +725,19 @@ mod tests {
         .unwrap()
     }
 
+    /// The reference a retraction is held to: `adm`, fresh, shown only
+    /// the operations of `trace` that no victim issued.
+    fn fed_survivors(
+        mut adm: MonitorAdmission,
+        trace: &[Operation],
+        victims: &[TxnId],
+    ) -> MonitorAdmission {
+        for op in trace.iter().filter(|o| !victims.contains(&o.txn)) {
+            adm.observe(op);
+        }
+        adm
+    }
+
     #[test]
     fn global_maps_everything_to_space_zero() {
         let p = PolicySpec::global_2pl();
@@ -887,20 +813,20 @@ mod tests {
         }
         // r1(b) closes the {a,b} cycle: rejected.
         assert!(!adm.would_admit(TxnId(1), ItemId(1), false));
-        // Roll T2 back: the trace shrinks; sync rebuilds, and the
+        // Roll T2 back, by name: its two operations go, and the
         // previously rejected access becomes admissible.
-        let trace = vec![ops[0].clone()];
-        adm.sync(&trace);
+        assert_eq!(adm.retract(&[TxnId(2)]).unwrap(), (2, 0));
         assert_eq!(adm.len(), 1);
         assert!(adm.would_admit(TxnId(1), ItemId(1), false));
     }
 
-    /// The undo-log sync equals a from-scratch rebuild on every
-    /// observable, and its cost is proportional to the rewritten
-    /// suffix, not the trace: aborting the last-arriving transaction
-    /// of a long trace undoes only the ops at/after its first op.
+    /// A retraction equals a fresh admission that never saw the victim
+    /// on every observable, and its cost is proportional to the
+    /// rewritten suffix, not the trace: aborting the last-arriving
+    /// transaction of a long trace undoes only the ops at/after its
+    /// first op.
     #[test]
-    fn sync_touches_only_the_rewritten_suffix() {
+    fn retract_touches_only_the_rewritten_suffix() {
         use pwsr_core::value::Value;
         let ic = two_conjunct_ic();
         // A long head of committed single-op transactions, then a
@@ -922,55 +848,89 @@ mod tests {
         for op in &trace {
             adm.push(op);
         }
-        // Abort the victim: filter its ops out, as the executor does.
-        let filtered: Vec<Operation> = trace.iter().filter(|o| o.txn != victim).cloned().collect();
-        let stats = adm.sync(&filtered);
         // Only the suffix from the victim's first op was touched.
-        assert_eq!(
-            stats.undone, 3,
-            "undone must be the rewritten suffix, not O(n)"
-        );
-        assert_eq!(stats.repushed, 1);
-        assert!((stats.undone + stats.repushed) as usize * 10 < n);
-        assert_eq!(adm.resyncs(), 1);
+        let (undone, repushed) = adm.retract(&[victim]).unwrap();
+        assert_eq!(undone, 3, "undone must be the rewritten suffix, not O(n)");
+        assert_eq!(repushed, 1);
+        assert!((undone + repushed) * 10 < n);
         assert_eq!(adm.undone_ops(), 3);
-        // Observable parity with the O(n) rebuild oracle.
-        let mut oracle = MonitorAdmission::for_constraint(&ic, AdmissionLevel::Pwsr);
-        oracle.rebuild(&filtered);
-        assert_eq!(adm.verdict(), oracle.verdict());
-        assert_eq!(adm.monitor().schedule(), oracle.monitor().schedule());
-        // Steady state: same-length sync is a no-op.
-        assert_eq!(adm.sync(&filtered), SyncStats::default());
-        assert_eq!(adm.resyncs(), 1);
+        // Observable parity with an admission that never saw the victim.
+        let fresh = fed_survivors(
+            MonitorAdmission::for_constraint(&ic, AdmissionLevel::Pwsr),
+            &trace,
+            &[victim],
+        );
+        assert_eq!(adm.verdict(), fresh.verdict());
+        assert_eq!(adm.monitor().schedule(), fresh.monitor().schedule());
+        // The victim holds nothing any more: naming it again is free.
+        assert_eq!(adm.retract(&[victim]).unwrap(), (0, 0));
+        assert_eq!(adm.undone_ops(), 3);
     }
 
-    #[test]
-    fn sync_equals_rebuild_across_random_abort_points() {
+    /// Three tangled transactions, used by the two tests below.
+    fn tangle() -> Vec<Operation> {
         use pwsr_core::value::Value;
-        let ic = two_conjunct_ic();
-        let ops: Vec<Operation> = vec![
+        vec![
             Operation::write(TxnId(1), ItemId(0), Value::Int(1)),
             Operation::read(TxnId(2), ItemId(0), Value::Int(1)),
             Operation::write(TxnId(3), ItemId(2), Value::Int(2)),
             Operation::write(TxnId(2), ItemId(1), Value::Int(2)),
             Operation::read(TxnId(3), ItemId(1), Value::Int(2)),
             Operation::read(TxnId(1), ItemId(2), Value::Int(2)),
-        ];
-        for victim in 1..=3u32 {
+        ]
+    }
+
+    #[test]
+    fn retract_equals_fresh_replay_at_every_abort_point() {
+        let ic = two_conjunct_ic();
+        let ops = tangle();
+        for victim in (1..=3).map(TxnId) {
             let mut adm = MonitorAdmission::for_constraint(&ic, AdmissionLevel::PwsrDr);
             for op in &ops {
                 adm.push(op);
             }
-            let filtered: Vec<Operation> =
-                ops.iter().filter(|o| o.txn.0 != victim).cloned().collect();
-            adm.sync(&filtered);
-            let mut oracle = MonitorAdmission::for_constraint(&ic, AdmissionLevel::PwsrDr);
-            oracle.rebuild(&filtered);
-            assert_eq!(adm.verdict(), oracle.verdict(), "victim {victim}");
-            assert_eq!(adm.len(), filtered.len());
-            // The synced monitor keeps certifying correctly.
+            adm.retract(&[victim]).unwrap();
+            let fresh = fed_survivors(
+                MonitorAdmission::for_constraint(&ic, AdmissionLevel::PwsrDr),
+                &ops,
+                &[victim],
+            );
+            assert_eq!(adm.verdict(), fresh.verdict(), "victim {victim}");
+            assert_eq!(adm.len(), fresh.len());
+            // The retracted monitor keeps certifying correctly.
             assert!(adm.monitor().certify_prefix());
         }
+    }
+
+    /// What trace-diffing could not state: a *set* of victims whose
+    /// earliest member is not the first named. The truncation goes to
+    /// T2's first operation (position 1), not T3's (position 2); the
+    /// WAL hears that one truncation and then the one survivor.
+    #[test]
+    fn retract_of_a_set_truncates_to_its_earliest_member() {
+        use pwsr_durability::wal::{scan, SyncPolicy};
+        let ic = two_conjunct_ic();
+        let ops = tangle();
+        let wal = SharedWal::in_memory(SyncPolicy::Off);
+        let mut adm =
+            MonitorAdmission::for_constraint(&ic, AdmissionLevel::Pwsr).with_wal(wal.clone());
+        for op in &ops {
+            adm.push(op);
+        }
+        let victims = [TxnId(3), TxnId(2)];
+        assert_eq!(adm.retract(&victims).unwrap(), (5, 1));
+        let fresh = fed_survivors(
+            MonitorAdmission::for_constraint(&ic, AdmissionLevel::Pwsr),
+            &ops,
+            &victims,
+        );
+        assert_eq!(adm.verdict(), fresh.verdict());
+        assert_eq!(adm.monitor().schedule(), fresh.monitor().schedule());
+        let records = scan(&wal.snapshot().unwrap()).records;
+        assert_eq!(
+            records[ops.len()..],
+            [WalRecord::Truncate(1), WalRecord::Op(ops[5].clone())]
+        );
     }
 
     /// §3.1's canonical non-PWSR interleaving: Example 2's schedule
@@ -1018,13 +978,18 @@ mod tests {
 
     /// `checkpoint` raises the undo-log floor to the oldest live
     /// transaction's first operation, bounding the log's memory to the
-    /// live suffix; syncing below a raised floor falls back to the
-    /// rebuild and stays observably correct.
+    /// live suffix; a retraction that reaches below a raised floor
+    /// starts over (`Reset`, fresh monitor, the admission's own
+    /// survivors again), stays observably correct, and recovers.
     #[test]
     fn checkpoint_bounds_the_log_to_the_live_suffix() {
         use pwsr_core::value::Value;
+        use pwsr_durability::recover::recover;
+        use pwsr_durability::wal::SyncPolicy;
         let ic = two_conjunct_ic();
-        let mut adm = MonitorAdmission::for_constraint(&ic, AdmissionLevel::Pwsr);
+        let wal = SharedWal::in_memory(SyncPolicy::Off);
+        let mut adm =
+            MonitorAdmission::for_constraint(&ic, AdmissionLevel::Pwsr).with_wal(wal.clone());
         // 100 settled single-op transactions, then one live straggler.
         let mut trace: Vec<Operation> = Vec::new();
         for k in 0..100u32 {
@@ -1050,31 +1015,39 @@ mod tests {
         assert_eq!(adm.log_len(), 1);
         assert_eq!(adm.len(), trace.len(), "checkpoint retracts nothing");
         // The live suffix still aborts incrementally.
-        let filtered: Vec<Operation> = trace.iter().filter(|o| o.txn != live).cloned().collect();
-        let stats = adm.sync(&filtered);
-        assert_eq!((stats.undone, stats.repushed), (1, 0));
+        assert_eq!(adm.retract(&[live]).unwrap(), (1, 0));
         // A checkpoint with nothing live drains the whole log.
         let floor = adm.checkpoint([]);
         assert_eq!(floor, adm.len());
         assert_eq!(adm.log_len(), 0);
-        // Syncing below the floor (a cascade aborted a "settled"
-        // transaction) takes the rebuild fallback — same observables
-        // as the oracle.
-        let rewritten: Vec<Operation> = filtered[1..].to_vec();
-        let stats = adm.sync(&rewritten);
-        assert_eq!(stats.repushed, rewritten.len() as u64);
-        let mut oracle = MonitorAdmission::for_constraint(&ic, AdmissionLevel::Pwsr);
-        oracle.rebuild(&rewritten);
-        assert_eq!(adm.verdict(), oracle.verdict());
-        assert_eq!(adm.monitor().schedule(), oracle.monitor().schedule());
+        // Retracting below the floor (a cascade aborted a "settled"
+        // transaction) starts over: everything is taken back, the 99
+        // survivors are pushed again — same observables as an
+        // admission that never saw the two victims, and the log
+        // (… `Reset`, 99 × `Op`) recovers to the same monitor.
+        let settled = trace[0].txn;
+        assert_eq!(adm.retract(&[settled]).unwrap(), (100, 99));
+        let fresh = fed_survivors(
+            MonitorAdmission::for_constraint(&ic, AdmissionLevel::Pwsr),
+            &trace,
+            &[live, settled],
+        );
+        assert_eq!(adm.verdict(), fresh.verdict());
+        assert_eq!(adm.monitor().schedule(), fresh.monitor().schedule());
+        assert_eq!(adm.log_floor(), 0, "the fresh monitor's pushes are logged");
+        let scopes = adm.monitor().scopes().to_vec();
+        let rec = recover(scopes, None, &wal.snapshot().unwrap()).unwrap();
+        assert_eq!(rec.monitor.verdict(), adm.verdict());
+        assert_eq!(rec.monitor.schedule(), adm.monitor().schedule());
+        assert_eq!(rec.monitor.log_floor(), adm.log_floor());
     }
 
-    /// Compaction composes with sync: settle a long head, checkpoint,
-    /// compact it away, then abort the one live transaction — the
-    /// incremental sync touches only the live suffix and every
-    /// observable matches a rebuild oracle over the filtered trace.
+    /// Compaction composes with retraction: settle a long head,
+    /// checkpoint, compact it away, then abort the one live transaction
+    /// — the retraction touches only the live suffix and every
+    /// observable matches a fresh admission over the surviving trace.
     #[test]
-    fn sync_after_compaction_touches_only_the_live_suffix() {
+    fn retract_after_compaction_touches_only_the_live_suffix() {
         use pwsr_core::value::Value;
         let ic = two_conjunct_ic();
         let mut adm = MonitorAdmission::for_constraint(&ic, AdmissionLevel::Pwsr);
@@ -1103,15 +1076,21 @@ mod tests {
         assert!(!adm.would_admit(TxnId(10), ItemId(5), true));
         // Abort the live straggler: the incremental path retracts only
         // its operation — the compacted head is never revisited.
-        let filtered: Vec<Operation> = trace.iter().filter(|o| o.txn != live).cloned().collect();
-        let s = adm.sync(&filtered);
-        assert_eq!((s.undone, s.repushed), (1, 0));
-        let mut oracle = MonitorAdmission::for_constraint(&ic, AdmissionLevel::Pwsr);
-        oracle.rebuild(&filtered);
-        assert_eq!(adm.verdict(), oracle.verdict());
+        assert_eq!(adm.retract(&[live]).unwrap(), (1, 0));
+        let fresh = fed_survivors(
+            MonitorAdmission::for_constraint(&ic, AdmissionLevel::Pwsr),
+            &trace,
+            &[live],
+        );
+        assert_eq!(adm.verdict(), fresh.verdict());
         assert!(
-            adm.resident_bytes_estimate() < oracle.resident_bytes_estimate(),
-            "the compacted admission must be smaller than the uncompacted oracle"
+            adm.resident_bytes_estimate() < fresh.resident_bytes_estimate(),
+            "the compacted admission must be smaller than the uncompacted one"
+        );
+        // A victim in the compacted prefix can no longer be retracted.
+        assert_eq!(
+            adm.retract(&[TxnId(10)]),
+            Err(CoreError::SummarizedTransaction { txn: TxnId(10) })
         );
     }
 
@@ -1187,9 +1166,9 @@ mod tests {
 
     /// Certified transactions are admitted unconditionally and their
     /// operations never reach the monitor; uncertified ones still get
-    /// full certification over the *filtered* sub-trace, and `sync`
-    /// (both the incremental path and the rebuild fallback) agrees
-    /// with a from-scratch oracle on that sub-trace.
+    /// full certification over the *filtered* sub-trace, and `retract`
+    /// agrees with a fresh admission on that sub-trace — a certified
+    /// victim has nothing recorded and costs nothing.
     #[test]
     fn certificate_fast_path_skips_and_syncs_filtered() {
         use pwsr_core::value::Value;
@@ -1217,31 +1196,23 @@ mod tests {
         assert_eq!(pushed, 3, "only uncertified ops reach the monitor");
         assert_eq!(adm.len(), 3);
         assert_eq!(adm.skipped_ops(), 2);
-        // Steady state: sync against the full trace is a no-op even
-        // though the monitor holds only the filtered sub-trace.
-        assert_eq!(adm.sync(&trace), SyncStats::default());
         // Abort T3: the monitor retracts only its ops; parity with a
-        // rebuild oracle over the filtered trace.
-        let filtered: Vec<Operation> = trace
-            .iter()
-            .filter(|o| o.txn != TxnId(3))
-            .cloned()
-            .collect();
-        let stats = adm.sync(&filtered);
-        assert_eq!((stats.undone, stats.repushed), (2, 0));
+        // fresh, equally certified admission over the surviving trace.
+        assert_eq!(adm.retract(&[TxnId(3)]).unwrap(), (2, 0));
         assert_eq!(adm.len(), 1);
-        let mut oracle =
+        let fresh = fed_survivors(
             MonitorAdmission::for_constraint(&ic, AdmissionLevel::Pwsr).with_certificate(
                 StaticCertificate::new(AdmissionLevel::Pwsr, [TxnId(1)].into_iter().collect()),
-            );
-        oracle.rebuild(&filtered);
-        assert_eq!(adm.verdict(), oracle.verdict());
-        assert_eq!(adm.monitor().schedule(), oracle.monitor().schedule());
-        assert_eq!(
-            oracle.skipped_ops(),
-            2,
-            "T1's ops skipped in the rebuild too"
+            ),
+            &trace,
+            &[TxnId(3)],
         );
+        assert_eq!(adm.verdict(), fresh.verdict());
+        assert_eq!(adm.monitor().schedule(), fresh.monitor().schedule());
+        assert_eq!(fresh.skipped_ops(), 2, "T1's ops skipped there too");
         assert_eq!(adm.skipped_ops(), 2);
+        // Aborting the certified T1 finds nothing of it to retract.
+        assert_eq!(adm.retract(&[TxnId(1)]).unwrap(), (0, 0));
+        assert_eq!(adm.len(), 1);
     }
 }

@@ -15,14 +15,13 @@
 //! ([`MonitorAdmission`] over the policy's space partition): each
 //! operation is a read-only admission probe plus an `O(words)`
 //! incremental push, replacing the old per-operation `O(n²)`
-//! rebuild-all-graphs scan. Aborts cascade through dirty readers
-//! exactly as in the other executors (the monitor is rebuilt from the
-//! surviving trace — aborts are rare, steps are not); restarts are
-//! capped. With a single global space this is classical SGT and
+//! rebuild-all-graphs scan. Aborts cascade through dirty readers by
+//! the lock-based executor's own function (the certifier is told whom
+//! and retracts them through its undo-log); restarts are capped. With a single global space this is classical SGT and
 //! certifies conflict-serializability.
 
 use crate::error::{Result, SchedError};
-use crate::exec::{ExecConfig, ExecOutcome};
+use crate::exec::{abort_with_dirty_readers, ExecConfig, ExecOutcome};
 use crate::metrics::Metrics;
 use crate::policy::{MonitorAdmission, PolicySpec};
 use pwsr_core::catalog::Catalog;
@@ -35,7 +34,6 @@ use pwsr_tplang::ast::Program;
 use pwsr_tplang::session::{Pending, ProgramSession};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::BTreeSet;
 
 /// SGT statistics.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -123,38 +121,8 @@ pub fn run_sgt(
         if !certifier.would_admit(tentative.txn, tentative.item, tentative.is_write()) {
             // Certification failure: cascade-abort this transaction.
             sgt.certification_failures += 1;
-            let mut aborted: BTreeSet<TxnId> = BTreeSet::new();
-            aborted.insert(txn);
-            loop {
-                let mut grew = false;
-                for (i, op) in trace.iter().enumerate() {
-                    if !op.is_read() || aborted.contains(&op.txn) {
-                        continue;
-                    }
-                    let writer = trace[..i]
-                        .iter()
-                        .rev()
-                        .find(|w| w.is_write() && w.item == op.item)
-                        .map(|w| w.txn);
-                    if let Some(w) = writer {
-                        if aborted.contains(&w) && aborted.insert(op.txn) {
-                            grew = true;
-                        }
-                    }
-                }
-                if !grew {
-                    break;
-                }
-            }
-            trace.retain(|o| !aborted.contains(&o.txn));
-            // Undo-log re-sync: O(ops undone + re-pushed), not O(n).
-            let _stats = certifier.sync(&trace);
-            db = initial.clone();
-            for op in &trace {
-                if op.is_write() {
-                    db.set(op.item, op.value.clone());
-                }
-            }
+            let aborted =
+                abort_with_dirty_readers(txn, &mut trace, initial, &mut db, Some(&mut certifier))?;
             metrics.aborts += aborted.len() as u64;
             metrics.restarts += aborted.len() as u64;
             for rt in rts.iter_mut() {
@@ -190,7 +158,6 @@ pub fn run_sgt(
         }
     }
 
-    metrics.monitor_resyncs = certifier.resyncs();
     metrics.monitor_undone_ops = certifier.undone_ops();
     metrics.committed_ops = trace.len() as u64;
     let schedule = Schedule::new(trace)?;

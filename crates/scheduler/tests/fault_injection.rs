@@ -47,11 +47,8 @@ fn hot_increments(n: usize) -> Vec<Program> {
 
 fn occ_spec(ic: &IntegrityConstraint, wal: Option<SharedWal>) -> MonitorSpec {
     MonitorSpec {
-        scopes: scopes_of(ic),
-        level: AdmissionLevel::Pwsr,
-        certificate: None,
         wal,
-        compact_every: 0,
+        ..MonitorSpec::new(scopes_of(ic), AdmissionLevel::Pwsr)
     }
 }
 
@@ -152,6 +149,91 @@ fn zombie_reap_restores_progress() {
     }
     panic!(
         "the stalled writer was never reaped in {} repetitions:\n{}",
+        seen.len(),
+        seen.join("\n")
+    );
+}
+
+/// The frozen-projection window, held open for as long as it takes: a
+/// reproduction of ROADMAP's P0 through the executor that needs no
+/// luck. Four programs over one conjunct {a0, b0, c0, d0}, one worker
+/// each, deadlines unarmed, every step placed by a stall (a stall
+/// fires after its access and before the breach check):
+///
+/// ```text
+///  0 ms  r1(a) r2(a) r3(c) r4(c)         each then sleeps
+/// 10 ms  T2 wakes: w2(a) r2(b) w2(b), commits
+/// 30 ms  T1 wakes: r1(b) — reads T2's b, closes the T1/T2 cycle, is
+///        told, and sleeps on it until 90 ms: the projection is frozen
+/// 45 ms  T4 wakes: w4(c) r4(d) w4(d) — pushed into the frozen graph
+/// 60 ms  T3 wakes: r3(d) — a second, disjoint cycle T3/T4, likewise
+/// 90 ms  T1 wakes, sees its breach, retracts
+/// ```
+///
+/// A certifier that reports only the push that *first* broke the rung
+/// tells T1 alone; T3 and T4 commit, T1's retraction un-freezes the
+/// graph over their cycle, and the run ends below its floor. That is
+/// what this test shows at the parent of `05f0d7a` (the commit that
+/// made every push into a frozen rung a told one): every repetition
+/// returns `SchedError::FloorBreached`. Since then T3 and T4 are told
+/// as well, retry until T1 is gone, and the run is `Ok`.
+///
+/// The placement is by sleeping, so a badly loaded host can miss it;
+/// same shape as `zombie_reap_restores_progress`: the safety contract
+/// is asserted on every repetition, and the window itself — all five
+/// stalls injected and somebody besides T1 aborted — must show on at
+/// least one of up to 20.
+#[test]
+fn frozen_window_held_open_by_a_stall_stays_above_the_floor() {
+    let mut cat = Catalog::new();
+    let items = ["a0", "b0", "c0", "d0"].map(|n| cat.add_item(n, Domain::int_range(-1000, 1000)));
+    let initial = DbState::from_pairs(items.map(|i| (i, Value::Int(0))));
+    let spec = MonitorSpec::new(vec![ItemSet::from_iter(items)], AdmissionLevel::Pwsr);
+    let programs = [
+        ("T1", "touch a0; touch b0;"),
+        ("T2", "a0 := a0 + 1; b0 := b0 + 1;"),
+        ("T3", "touch c0; touch d0;"),
+        ("T4", "c0 := c0 + 1; d0 := d0 + 1;"),
+    ]
+    .map(|(name, src)| parse_program(name, src).unwrap());
+    let mut seen = Vec::new();
+    for _ in 0..20 {
+        let plan = FaultPlan::new()
+            .on_access(1, 0, ExecFault::Stall { ms: 30 })
+            .on_access(2, 0, ExecFault::Stall { ms: 10 })
+            .on_access(3, 0, ExecFault::Stall { ms: 60 })
+            .on_access(4, 0, ExecFault::Stall { ms: 45 })
+            .on_access(1, 1, ExecFault::Stall { ms: 60 })
+            .share();
+        let tuning = OccTuning {
+            faults: Some(plan.clone()),
+            ..OccTuning::default()
+        };
+        // Whoever is told while T1 sleeps retries until it wakes.
+        let out = run_threaded_occ_tuned(&programs, &cat, &initial, &spec, 4, u32::MAX, &tuning)
+            .unwrap_or_else(|e| panic!("the run must stay above its floor: {e}"));
+        assert!(out.verdict.meets(spec.level), "{:?}", out.verdict);
+        out.schedule.check_read_coherence(&initial).unwrap();
+        assert_eq!(out.final_state, out.schedule.apply(&initial));
+        for (k, program) in programs.iter().enumerate() {
+            let txn = TxnId(k as u32 + 1);
+            let mine: Vec<_> = (out.schedule.ops().iter())
+                .filter(|o| o.txn == txn)
+                .cloned()
+                .collect();
+            assert!(
+                replay_matches(program, &cat, txn, &mine),
+                "{txn} must replay: {}",
+                out.schedule
+            );
+        }
+        seen.push(out.metrics.to_string());
+        if plan.remaining() == 0 && out.metrics.occ_aborts >= 2 {
+            return;
+        }
+    }
+    panic!(
+        "the window was never exercised in {} repetitions:\n{}",
         seen.len(),
         seen.join("\n")
     );

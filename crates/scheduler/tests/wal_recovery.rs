@@ -165,11 +165,8 @@ fn occ_tuned_parking_and_wal_survive_contention() {
     for round in 0..10 {
         let (wal, path) = file_wal(&format!("occ{round}"), SyncPolicy::Off);
         let spec = MonitorSpec {
-            scopes: scopes_of(&ic),
-            level: AdmissionLevel::Pwsr,
-            certificate: None,
             wal: Some(wal.clone()),
-            compact_every: 0,
+            ..MonitorSpec::new(scopes_of(&ic), AdmissionLevel::Pwsr)
         };
         let out = run_threaded_occ_tuned(&hot, &cat, &initial, &spec, 4, 10_000, &tuning).unwrap();
         out.schedule.check_read_coherence(&initial).unwrap();
@@ -207,13 +204,7 @@ fn occ_backoff_cap_preserves_outcomes() {
             backoff_cap: cap,
             ..OccTuning::default()
         };
-        let spec = MonitorSpec {
-            scopes: scopes_of(&ic),
-            level: AdmissionLevel::Pwsr,
-            certificate: None,
-            wal: None,
-            compact_every: 0,
-        };
+        let spec = MonitorSpec::new(scopes_of(&ic), AdmissionLevel::Pwsr);
         let out = run_threaded_occ_tuned(&hot, &cat, &initial, &spec, 4, 10_000, &tuning).unwrap();
         assert_eq!(
             out.final_state.get(cat.lookup("a0").unwrap()),
