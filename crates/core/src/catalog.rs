@@ -46,11 +46,16 @@ impl Catalog {
             .collect()
     }
 
-    /// Look up an item by name.
+    /// The id of the item called `name`, if there is one. Allocates
+    /// nothing: a miss is an answer, not an error (it is how `tplang`
+    /// tells a local variable from a data item).
+    pub fn get(&self, name: &str) -> Option<ItemId> {
+        self.by_name.get(name).copied()
+    }
+
+    /// Look up an item by name; a miss is [`CoreError::UnknownItem`].
     pub fn lookup(&self, name: &str) -> Result<ItemId> {
-        self.by_name
-            .get(name)
-            .copied()
+        self.get(name)
             .ok_or_else(|| CoreError::UnknownItem(name.to_owned()))
     }
 
@@ -111,6 +116,8 @@ mod tests {
         assert_eq!(cat.name(b), "b");
         assert_eq!(cat.len(), 2);
         assert!(cat.lookup("zzz").is_err());
+        assert_eq!(cat.get("a"), Some(a));
+        assert_eq!(cat.get("zzz"), None);
     }
 
     #[test]

@@ -54,6 +54,7 @@ use pwsr_durability::fault::{ExecFault, FaultHandle};
 use pwsr_tplang::ast::Program;
 use pwsr_tplang::interp::{run_with_reads, RunOutcome};
 use pwsr_tplang::session::{Pending, ProgramSession};
+use std::cell::RefCell;
 use std::collections::BTreeSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -224,7 +225,6 @@ pub fn run_threaded_certified(
                         }
                         Pending::Done => break,
                     }
-                    std::thread::yield_now();
                 }
                 if !batch.is_empty() {
                     monitor.push_batch(&batch)?;
@@ -330,6 +330,29 @@ struct OccStripeCell {
     cv: Condvar,
 }
 
+impl OccStripeCell {
+    /// Run `clear` — something that takes dirty marks off — under the
+    /// stripe latch, then wake the waiters parked on the stripe: the
+    /// one way a mark is cleared, so no site can forget the wake-up.
+    fn clear_marks<T>(&self, clear: impl FnOnce(&mut OccStripe) -> T) -> T {
+        let out = clear(&mut self.state.lock());
+        self.cv.notify_all();
+        out
+    }
+}
+
+/// Put back the value a write displaced (`None`: the item was unset).
+fn put_back(stripe: &mut OccStripe, item: ItemId, old: Option<Value>) {
+    match old {
+        Some(v) => {
+            stripe.db.set(item, v);
+        }
+        None => {
+            stripe.db.unset(item);
+        }
+    }
+}
+
 /// The item-striped optimistic store behind [`run_threaded_occ_tuned`].
 struct OccStripedDb {
     stripes: Vec<OccStripeCell>,
@@ -364,21 +387,50 @@ impl OccStripedDb {
     }
 }
 
-/// Shared OCC counters, folded into [`Metrics`] after the run.
+/// One worker's OCC counters: plain integers the worker owns, returns
+/// from its thread and [`run_threaded_occ_tuned`] sums at the join into
+/// [`Metrics`] — nothing shared, so counting costs no atomic and moves
+/// no cache line between cores.
 #[derive(Default)]
-struct OccMtCounters {
-    aborts: AtomicU64,
-    retries: AtomicU64,
-    certification_aborts: AtomicU64,
-    undone_ops: AtomicU64,
-    dirty_waits: AtomicU64,
-    skipped_ops: AtomicU64,
-    txn_timeouts: AtomicU64,
-    zombie_reaps: AtomicU64,
-    worker_panics: AtomicU64,
-    batch_pushes: AtomicU64,
-    batched_ops: AtomicU64,
-    max_batch: AtomicU64,
+struct OccCounters {
+    aborts: u64,
+    retries: u64,
+    certification_aborts: u64,
+    undone_ops: u64,
+    dirty_waits: u64,
+    skipped_ops: u64,
+    txn_timeouts: u64,
+    zombie_reaps: u64,
+    worker_panics: u64,
+    batch_pushes: u64,
+    batched_ops: u64,
+    max_batch: u64,
+}
+
+impl OccCounters {
+    /// One `push_batch` of `len` operations went to the monitor.
+    fn pushed_batch(&mut self, len: usize) {
+        self.batch_pushes += 1;
+        self.batched_ops += len as u64;
+        self.max_batch = self.max_batch.max(len as u64);
+    }
+
+    /// Fold another worker's counters in: sums, and the larger
+    /// `max_batch`.
+    fn absorb(&mut self, other: OccCounters) {
+        self.aborts += other.aborts;
+        self.retries += other.retries;
+        self.certification_aborts += other.certification_aborts;
+        self.undone_ops += other.undone_ops;
+        self.dirty_waits += other.dirty_waits;
+        self.skipped_ops += other.skipped_ops;
+        self.txn_timeouts += other.txn_timeouts;
+        self.zombie_reaps += other.zombie_reaps;
+        self.worker_panics += other.worker_panics;
+        self.batch_pushes += other.batch_pushes;
+        self.batched_ops += other.batched_ops;
+        self.max_batch = self.max_batch.max(other.max_batch);
+    }
 }
 
 /// Outcome of [`run_threaded_occ_tuned`]: the committed schedule
@@ -469,14 +521,19 @@ impl Default for OccTuning {
 /// Run the programs under **certified optimistic concurrency**: a
 /// worker pool of `threads` OS threads claims transactions from a
 /// shared queue and executes them speculatively — no lock spaces, no
-/// 2PL. Every access goes through a *logged* [`ShardedMonitor`] at
-/// the `spec.level` floor:
+/// 2PL. A worker compiles the program it claims once
+/// ([`ProgramSession::new`]); every attempt, retries included, runs a
+/// fresh machine over that code, and an access costs the instructions
+/// up to the program's next read — not a re-run of the program. Every
+/// access goes through a *logged* [`ShardedMonitor`] at the
+/// `spec.level` floor:
 ///
 /// * a **read** latches the item's stripe just long enough to observe
-///   the value and claim the monitor position (so value and position
-///   cannot be split by a conflicting access), skipping items left
-///   dirty by an uncommitted writer — after a bounded wait the reader
-///   aborts itself, which breaks wait cycles;
+///   the value, build the operation, run the program on to its next
+///   read and claim the monitor position (so value and position cannot
+///   be split by a conflicting access), skipping items left dirty by
+///   an uncommitted writer — after a bounded wait the reader aborts
+///   itself, which breaks wait cycles;
 /// * a **write** publishes through the stripe immediately (value +
 ///   dirty mark) and claims its position in program order —
 ///   the recorded per-transaction subsequence therefore replays under
@@ -506,8 +563,11 @@ impl Default for OccTuning {
 /// with the verdict over the rest (sound because certified
 /// transactions form conflict-closed components).
 ///
-/// [`OccTuning`] carries the dirty-wait spin/park budgets and the
-/// abort-backoff cap. When `spec.wal` is set, the sharded monitor
+/// The access loop itself never yields the processor: a worker gives
+/// it up only where somebody is actually waited for — between probes
+/// of a dirty item and parked on its stripe (`with_clean_stripe`), and
+/// in the backoff after an abort. [`OccTuning`] carries the dirty-wait
+/// spin/park budgets and the abort-backoff cap. When `spec.wal` is set, the sharded monitor
 /// journals every claimed operation (and every abort's retraction)
 /// into it, and the returned metrics carry the WAL counters.
 ///
@@ -535,7 +595,6 @@ pub fn run_threaded_occ_tuned(
     let level = spec.level;
     let certificate = spec.certificate.as_ref().filter(|c| c.satisfies(level));
     let db = OccStripedDb::new(initial, 16);
-    let counters = OccMtCounters::default();
     let next = AtomicUsize::new(0);
     let threads = threads.max(1);
     let side: Mutex<Vec<Operation>> = Mutex::new(Vec::new());
@@ -554,16 +613,17 @@ pub fn run_threaded_occ_tuned(
     let deadline =
         (tuning.txn_deadline_us > 0).then(|| Duration::from_micros(tuning.txn_deadline_us));
 
-    std::thread::scope(|scope| -> Result<()> {
+    let counters = std::thread::scope(|scope| -> Result<OccCounters> {
         let mut handles = Vec::new();
         for _ in 0..threads.min(programs.len().max(1)) {
-            let (monitor, db, counters, next, side) = (&monitor, &db, &counters, &next, &side);
+            let (monitor, db, next, side) = (&monitor, &db, &next, &side);
             let (commits, live, registry) = (&commits, &live, &registry);
-            handles.push(scope.spawn(move || -> Result<()> {
+            handles.push(scope.spawn(move || -> Result<OccCounters> {
+                let counters = RefCell::new(OccCounters::default());
                 let ctx = OccCtx {
                     monitor,
                     db,
-                    counters,
+                    counters: &counters,
                     registry,
                     side,
                     certificate,
@@ -574,13 +634,16 @@ pub fn run_threaded_occ_tuned(
                 loop {
                     let k = next.fetch_add(1, Ordering::Relaxed);
                     let Some(program) = programs.get(k) else {
-                        return Ok(());
+                        return Ok(counters.take());
                     };
                     let txn = TxnId(k as u32 + 1);
                     let fast = ctx.fast_of(txn);
+                    // Compiled once, here; every retry runs a fresh
+                    // machine over the same code.
+                    let mut session = ProgramSession::new(program, catalog, txn);
                     let mut restarts = 0u32;
                     loop {
-                        match occ_attempt(&ctx, program, catalog, txn)? {
+                        match occ_attempt(&ctx, &mut session)? {
                             AttemptEnd::Committed => {
                                 // An OCC commit is final — committed
                                 // transactions are never resurrected —
@@ -606,7 +669,7 @@ pub fn run_threaded_occ_tuned(
                                 if restarts > max_restarts {
                                     return Err(SchedError::RestartLimit { txn, restarts });
                                 }
-                                counters.retries.fetch_add(1, Ordering::Relaxed);
+                                counters.borrow_mut().retries += 1;
                                 // Asymmetric backoff: later transactions
                                 // back off longer, so colliding retries
                                 // separate even on a single core — capped
@@ -635,30 +698,31 @@ pub fn run_threaded_occ_tuned(
                 }
             }));
         }
+        let mut total = OccCounters::default();
         for h in handles {
-            h.join().map_err(|_| SchedError::Stalled)??;
+            total.absorb(h.join().map_err(|_| SchedError::Stalled)??);
         }
-        Ok(())
+        Ok(total)
     })?;
 
     let (monitored, verdict) = monitor.into_parts();
     let schedule = splice_side_trace(monitored, side.into_inner())?;
     let mut metrics = Metrics {
         committed_ops: schedule.len() as u64,
-        aborts: counters.aborts.load(Ordering::Relaxed),
-        restarts: counters.retries.load(Ordering::Relaxed),
-        occ_aborts: counters.aborts.load(Ordering::Relaxed),
-        occ_retries: counters.retries.load(Ordering::Relaxed),
-        monitor_rejections: counters.certification_aborts.load(Ordering::Relaxed),
-        monitor_undone_ops: counters.undone_ops.load(Ordering::Relaxed),
-        monitor_skipped_ops: counters.skipped_ops.load(Ordering::Relaxed),
-        waits: counters.dirty_waits.load(Ordering::Relaxed),
-        txn_timeouts: counters.txn_timeouts.load(Ordering::Relaxed),
-        zombie_reaps: counters.zombie_reaps.load(Ordering::Relaxed),
-        worker_panics: counters.worker_panics.load(Ordering::Relaxed),
-        batch_pushes: counters.batch_pushes.load(Ordering::Relaxed),
-        batched_ops: counters.batched_ops.load(Ordering::Relaxed),
-        max_batch: counters.max_batch.load(Ordering::Relaxed),
+        aborts: counters.aborts,
+        restarts: counters.retries,
+        occ_aborts: counters.aborts,
+        occ_retries: counters.retries,
+        monitor_rejections: counters.certification_aborts,
+        monitor_undone_ops: counters.undone_ops,
+        monitor_skipped_ops: counters.skipped_ops,
+        waits: counters.dirty_waits,
+        txn_timeouts: counters.txn_timeouts,
+        zombie_reaps: counters.zombie_reaps,
+        worker_panics: counters.worker_panics,
+        batch_pushes: counters.batch_pushes,
+        batched_ops: counters.batched_ops,
+        max_batch: counters.max_batch,
         ..Metrics::default()
     };
     // When one `FaultPlan` instruments both the executor and the WAL,
@@ -778,7 +842,7 @@ impl TxnRegistry {
 struct OccCtx<'a> {
     monitor: &'a ShardedMonitor,
     db: &'a OccStripedDb,
-    counters: &'a OccMtCounters,
+    counters: &'a RefCell<OccCounters>,
     registry: &'a TxnRegistry,
     side: &'a Mutex<Vec<Operation>>,
     certificate: Option<&'a StaticCertificate>,
@@ -820,26 +884,14 @@ fn try_reap(ctx: &OccCtx<'_>, victim: TxnId) -> bool {
     slot.state = SlotState::Reaped;
     let fast = ctx.fast_of(victim);
     let undone = retract_attempt(ctx.monitor, fast, victim);
-    ctx.counters
-        .undone_ops
-        .fetch_add(undone as u64, Ordering::Relaxed);
+    ctx.counters.borrow_mut().undone_ops += undone as u64;
     for (item, old) in slot.applied.iter().rev() {
-        let cell = &ctx.db.stripes[ctx.db.stripe_of(*item)];
-        {
-            let mut stripe = cell.state.lock();
-            match old {
-                Some(v) => {
-                    stripe.db.set(*item, v.clone());
-                }
-                None => {
-                    stripe.db.unset(*item);
-                }
-            }
+        ctx.db.stripes[ctx.db.stripe_of(*item)].clear_marks(|stripe| {
+            put_back(stripe, *item, old.clone());
             stripe.dirty.remove(item);
-        }
-        cell.cv.notify_all();
+        });
     }
-    ctx.counters.zombie_reaps.fetch_add(1, Ordering::Relaxed);
+    ctx.counters.borrow_mut().zombie_reaps += 1;
     true
 }
 
@@ -864,9 +916,7 @@ fn cleanup_attempt(
         let mut slot = ctx.registry.slot(txn).lock();
         if matches!(slot.state, SlotState::Running) {
             let undone = retract_attempt(ctx.monitor, fast, txn);
-            ctx.counters
-                .undone_ops
-                .fetch_add(undone as u64, Ordering::Relaxed);
+            ctx.counters.borrow_mut().undone_ops += undone as u64;
             let mut applied = std::mem::take(&mut slot.applied);
             rollback_store(ctx.db, &mut applied);
         } else {
@@ -876,21 +926,7 @@ fn cleanup_attempt(
     }
     if matches!(end_state, SlotState::Dead) {
         for cell in &ctx.db.stripes {
-            let cleared = {
-                let mut stripe = cell.state.lock();
-                let owned: Vec<ItemId> = stripe
-                    .dirty
-                    .iter()
-                    .filter_map(|(&i, &w)| (w == txn).then_some(i))
-                    .collect();
-                for item in &owned {
-                    stripe.dirty.remove(item);
-                }
-                !owned.is_empty()
-            };
-            if cleared {
-                cell.cv.notify_all();
-            }
+            cell.clear_marks(|stripe| stripe.dirty.retain(|_, w| *w != txn));
         }
     }
 }
@@ -906,21 +942,10 @@ fn cleanup_attempt(
 /// delayed-read break no `PushOutcome` ever reported).
 fn rollback_store(db: &OccStripedDb, applied: &mut WriteUndo) {
     for (item, old) in applied.drain(..).rev() {
-        let cell = &db.stripes[db.stripe_of(item)];
-        {
-            let mut stripe = cell.state.lock();
-            match old {
-                Some(v) => {
-                    stripe.db.set(item, v);
-                }
-                None => {
-                    stripe.db.unset(item);
-                }
-            }
+        db.stripes[db.stripe_of(item)].clear_marks(|stripe| {
+            put_back(stripe, item, old);
             stripe.dirty.remove(&item);
-        }
-        // Wake parked waiters: this dirty mark just cleared.
-        cell.cv.notify_all();
+        });
     }
 }
 
@@ -960,7 +985,7 @@ fn with_clean_stripe<T>(
                 return action(&mut stripe).map(Some);
             }
         }
-        counters.dirty_waits.fetch_add(1, Ordering::Relaxed);
+        counters.borrow_mut().dirty_waits += 1;
         spins += 1;
         if spins >= tuning.dirty_spin {
             break;
@@ -989,7 +1014,7 @@ fn with_clean_stripe<T>(
             return Ok(None);
         }
         parks += 1;
-        counters.dirty_waits.fetch_add(1, Ordering::Relaxed);
+        counters.borrow_mut().dirty_waits += 1;
         let (guard, _timed_out) = cell
             .cv
             .wait_timeout(stripe, Duration::from_micros(tuning.park_timeout_us.max(1)));
@@ -1033,17 +1058,11 @@ fn retract_attempt(
 /// panic is counted ([`Metrics::worker_panics`]) and reported to
 /// stderr, and the transaction ends [`AttemptEnd::Died`] — the pool
 /// keeps committing without it.
-fn occ_attempt(
-    ctx: &OccCtx<'_>,
-    program: &Program,
-    catalog: &Catalog,
-    txn: TxnId,
-) -> Result<AttemptEnd> {
+fn occ_attempt(ctx: &OccCtx<'_>, session: &mut ProgramSession<'_>) -> Result<AttemptEnd> {
+    let txn = session.txn();
     ctx.registry.begin(txn);
     let fast = ctx.fast_of(txn);
-    match catch_unwind(AssertUnwindSafe(|| {
-        occ_attempt_inner(ctx, program, catalog, txn, fast)
-    })) {
+    match catch_unwind(AssertUnwindSafe(|| occ_attempt_inner(ctx, session, fast))) {
         Ok(end) => {
             if end.is_err() {
                 // An error must not strand dirty marks: other workers
@@ -1055,7 +1074,7 @@ fn occ_attempt(
         }
         Err(payload) => {
             cleanup_attempt(ctx, txn, fast, SlotState::Dead);
-            ctx.counters.worker_panics.fetch_add(1, Ordering::Relaxed);
+            ctx.counters.borrow_mut().worker_panics += 1;
             let what = payload
                 .downcast_ref::<&str>()
                 .map(|s| (*s).to_string())
@@ -1096,13 +1115,15 @@ enum Registered {
 
 fn occ_attempt_inner(
     ctx: &OccCtx<'_>,
-    program: &Program,
-    catalog: &Catalog,
-    txn: TxnId,
+    session: &mut ProgramSession<'_>,
     fast: Option<&Mutex<Vec<Operation>>>,
 ) -> Result<AttemptEnd> {
-    let (monitor, counters) = (ctx.monitor, ctx.counters);
-    let mut session = ProgramSession::new(program, catalog, txn);
+    let (monitor, counters, txn) = (ctx.monitor, ctx.counters, session.txn());
+    // A retry starts the program over. (An attempt that gave up before
+    // its first access left the machine where a fresh one stands.)
+    if session.emitted() > 0 {
+        session.restart();
+    }
 
     // Abort this attempt: retract the recorded suffix, THEN squash the
     // store writes (see `rollback_store` / `retract_attempt` for why
@@ -1114,27 +1135,23 @@ fn occ_attempt_inner(
         let mut slot = ctx.registry.slot(txn).lock();
         if matches!(slot.state, SlotState::Running) {
             let undone = retract_attempt(monitor, fast, txn);
-            counters
-                .undone_ops
-                .fetch_add(undone as u64, Ordering::Relaxed);
+            counters.borrow_mut().undone_ops += undone as u64;
             let mut applied = std::mem::take(&mut slot.applied);
             rollback_store(ctx.db, &mut applied);
             slot.state = SlotState::Idle;
         }
-        counters.aborts.fetch_add(1, Ordering::Relaxed);
+        counters.borrow_mut().aborts += 1;
         if certification {
-            counters
-                .certification_aborts
-                .fetch_add(1, Ordering::Relaxed);
+            counters.borrow_mut().certification_aborts += 1;
         }
     };
 
     // Abort because the attempt outlived its deadline (or a reaper
     // said so): a timeout is an abort with an extra counter.
     let timeout_abort = |already_swept: bool| {
-        counters.txn_timeouts.fetch_add(1, Ordering::Relaxed);
+        counters.borrow_mut().txn_timeouts += 1;
         if already_swept {
-            counters.aborts.fetch_add(1, Ordering::Relaxed);
+            counters.borrow_mut().aborts += 1;
         } else {
             abort(false);
         }
@@ -1163,7 +1180,7 @@ fn occ_attempt_inner(
         match fast {
             Some(side) => {
                 side.lock().push(op);
-                counters.skipped_ops.fetch_add(1, Ordering::Relaxed);
+                counters.borrow_mut().skipped_ops += 1;
                 Ok(None)
             }
             None if op.is_write() => {
@@ -1173,13 +1190,7 @@ fn occ_attempt_inner(
             None => {
                 deferred.push(op);
                 let outcomes = monitor.push_batch(deferred)?;
-                counters.batch_pushes.fetch_add(1, Ordering::Relaxed);
-                counters
-                    .batched_ops
-                    .fetch_add(deferred.len() as u64, Ordering::Relaxed);
-                counters
-                    .max_batch
-                    .fetch_max(deferred.len() as u64, Ordering::Relaxed);
+                counters.borrow_mut().pushed_batch(deferred.len());
                 deferred.clear();
                 Ok(Some(outcomes))
             }
@@ -1308,22 +1319,12 @@ fn occ_attempt_inner(
                     // the write landed before the reaper's sweep and
                     // was already rolled back).
                     let _ = retract_attempt(monitor, fast, txn);
-                    let cell = &ctx.db.stripes[ctx.db.stripe_of(item)];
-                    {
-                        let mut stripe = cell.state.lock();
+                    ctx.db.stripes[ctx.db.stripe_of(item)].clear_marks(|stripe| {
                         if stripe.dirty.get(&item) == Some(&txn) {
-                            match restore {
-                                Some(v) => {
-                                    stripe.db.set(item, v);
-                                }
-                                None => {
-                                    stripe.db.unset(item);
-                                }
-                            }
+                            put_back(stripe, item, restore);
                             stripe.dirty.remove(&item);
                         }
-                    }
-                    cell.cv.notify_all();
+                    });
                     timeout_abort(true);
                     return Ok(AttemptEnd::Aborted);
                 }
@@ -1348,7 +1349,6 @@ fn occ_attempt_inner(
             Pending::Done => unreachable!("handled above"),
         }
         access += 1;
-        std::thread::yield_now();
     }
     // Flush the deferred write tail before committing — under the
     // slot lock, so the flush is atomic against a reaper's sweep
@@ -1366,13 +1366,7 @@ fn occ_attempt_inner(
             Some(Vec::new())
         } else {
             let outcomes = monitor.push_batch(&deferred)?;
-            counters.batch_pushes.fetch_add(1, Ordering::Relaxed);
-            counters
-                .batched_ops
-                .fetch_add(deferred.len() as u64, Ordering::Relaxed);
-            counters
-                .max_batch
-                .fetch_max(deferred.len() as u64, Ordering::Relaxed);
+            counters.borrow_mut().pushed_batch(deferred.len());
             deferred.clear();
             Some(outcomes)
         }
@@ -1405,9 +1399,7 @@ fn occ_attempt_inner(
         return Ok(AttemptEnd::Aborted);
     };
     for (item, _) in applied {
-        let cell = &ctx.db.stripes[ctx.db.stripe_of(item)];
-        cell.state.lock().dirty.remove(&item);
-        cell.cv.notify_all();
+        ctx.db.stripes[ctx.db.stripe_of(item)].clear_marks(|stripe| stripe.dirty.remove(&item));
     }
     Ok(AttemptEnd::Committed)
 }

@@ -104,8 +104,6 @@ enum Block {
 
 struct TxnRt<'a> {
     txn: TxnId,
-    program: &'a Program,
-    catalog: &'a Catalog,
     session: ProgramSession<'a>,
     plan: Option<Vec<OpStruct>>,
     done: bool,
@@ -150,8 +148,6 @@ pub fn run_workload(
             let txn = TxnId(k as u32 + 1);
             TxnRt {
                 txn,
-                program: p,
-                catalog,
                 session: ProgramSession::new(p, catalog, txn),
                 plan: access_plan(p, catalog, cfg.plan_mode),
                 done: false,
@@ -330,20 +326,20 @@ impl DagGuard {
     }
 }
 
-/// Abort `victim` plus every transaction that (transitively) read one
-/// of an aborted transaction's writes: tell the admission who, drop
-/// their operations from the trace, and rebuild the store by replaying
-/// what is left over `initial`. Returns the aborted set — the one
-/// cascade every trace-filtering executor runs.
+/// Abort `victims` plus every transaction that (transitively) read one
+/// of an aborted transaction's writes: tell the admission who — once,
+/// as one set — drop their operations from the trace, and rebuild the
+/// store by replaying what is left over `initial`. Returns the aborted
+/// set — the one cascade every trace-filtering executor runs.
 pub(crate) fn abort_with_dirty_readers(
-    victim: TxnId,
+    victims: &[TxnId],
     trace: &mut Vec<Operation>,
     initial: &DbState,
     db: &mut DbState,
     admission: Option<&mut MonitorAdmission>,
 ) -> Result<Vec<TxnId>> {
     // Transitive closure of dirty readers.
-    let mut aborted = vec![victim];
+    let mut aborted = victims.to_vec();
     loop {
         let mut grew = false;
         for (i, op) in trace.iter().enumerate() {
@@ -399,7 +395,7 @@ impl Run<'_> {
         if let (Some(mon), Some((item, is_write))) = (&self.admission, Self::intent(&pending)) {
             if !mon.would_admit(txn, item, is_write) {
                 self.metrics.monitor_rejections += 1;
-                return self.abort_cascading(pick);
+                return self.abort_cascading(&[pick]);
             }
         }
         // Runtime Theorem-3 guard: refuse the access that would close a
@@ -412,7 +408,7 @@ impl Run<'_> {
             if let Some((item, is_write)) = Self::intent(&pending) {
                 let space = policy.space_of(item).0;
                 if space < guard.l && guard.rejects(txn, space, is_write) {
-                    self.abort_cascading(pick)?;
+                    self.abort_cascading(&[pick])?;
                     self.rts[pick].done = true;
                     self.rejected.push(txn);
                     return Ok(());
@@ -540,7 +536,7 @@ impl Run<'_> {
                     self.rts[pick].blocked = Some(why);
                 } else {
                     // Prevention: the requester dies; no cycle can ever form.
-                    self.abort_cascading(pick)?;
+                    self.abort_cascading(&[pick])?;
                 }
             }
             DeadlockPolicy::WoundWait => {
@@ -554,13 +550,10 @@ impl Run<'_> {
                     // All opponents are older: wait politely.
                     self.rts[pick].blocked = Some(why);
                 } else {
-                    // Wound every younger holder; retry the operation on a
-                    // later step.
-                    for j in younger {
-                        if !self.rts[j].done {
-                            self.abort_cascading(j)?;
-                        }
-                    }
+                    // Wound every younger holder — as one set, so that
+                    // the admission retracts once and each survivor is
+                    // re-pushed once; retry the operation on a later step.
+                    self.abort_cascading(&younger)?;
                 }
             }
         }
@@ -598,16 +591,17 @@ impl Run<'_> {
             .iter()
             .min_by_key(|&&i| (rts[i].session.emitted(), std::cmp::Reverse(rts[i].txn)))
             .expect("cycles are non-empty");
-        self.abort_cascading(victim)?;
+        self.abort_cascading(&[victim])?;
         Ok(true)
     }
 
-    /// Abort `victim` and its dirty readers ([`abort_with_dirty_readers`]
-    /// rolls trace, store and admission back), then restart the aborted
-    /// transactions with backoff.
-    fn abort_cascading(&mut self, victim: usize) -> Result<()> {
+    /// Abort `victims` and their dirty readers ([`abort_with_dirty_readers`]
+    /// rolls trace, store and admission back, once for the whole set),
+    /// then restart the aborted transactions with backoff.
+    fn abort_cascading(&mut self, victims: &[usize]) -> Result<()> {
+        let victims: Vec<TxnId> = victims.iter().map(|&i| self.rts[i].txn).collect();
         let aborted = abort_with_dirty_readers(
-            self.rts[victim].txn,
+            &victims,
             &mut self.trace,
             self.initial,
             &mut self.db,
@@ -635,7 +629,7 @@ impl Run<'_> {
         self.metrics.aborts += aborted.len() as u64;
         for rt in self.rts.iter_mut().filter(|rt| aborted.contains(&rt.txn)) {
             self.locks.release_all(rt.txn);
-            rt.session = ProgramSession::new(rt.program, rt.catalog, rt.txn);
+            rt.session.restart();
             rt.restarts += 1;
             self.metrics.restarts += 1;
             if rt.restarts > self.cfg.max_restarts {
@@ -1175,6 +1169,49 @@ mod tests {
                 out.final_state.get(cat.lookup("x").unwrap()),
                 Some(&Value::Int(11))
             );
+        }
+    }
+
+    /// One elder, one step, two wounded: T1's write of `a0` meets the
+    /// shared locks of the younger T2 and T3, and the admission hears
+    /// of both at once. The cost is a single set retraction's — the two
+    /// reads come off and nothing is pushed again — where one
+    /// retraction per victim took three operations off (T3's read went
+    /// back in after T2's and came off again). Same committed schedule
+    /// either way: these are the ones the per-victim loop committed.
+    #[test]
+    fn wound_wait_retracts_its_victims_as_one_set() {
+        use pwsr_core::monitor::AdmissionLevel;
+        let (cat, ic, initial) = setup();
+        let programs = vec![
+            parse_program("T1", "a0 := 7;").unwrap(),
+            parse_program("T2", "b0 := a0;").unwrap(),
+            parse_program("T3", "b1 := a0;").unwrap(),
+        ];
+        let a0 = cat.lookup("a0").unwrap();
+        let mut model = MonitorAdmission::for_constraint(&ic, AdmissionLevel::Pwsr);
+        model.observe(&Operation::read(TxnId(2), a0, Value::Int(0)));
+        model.observe(&Operation::read(TxnId(3), a0, Value::Int(0)));
+        let (set_cost, repushed) = model.retract(&[TxnId(2), TxnId(3)]).unwrap();
+        assert_eq!((set_cost, repushed), (2, 0));
+        for (seed, committed) in [
+            (2, "w1(a0, 7) r3(a0, 7) r2(a0, 7) w3(b1, 7) w2(b0, 7)"),
+            (10, "w1(a0, 7) r2(a0, 7) r3(a0, 7) w3(b1, 7) w2(b0, 7)"),
+        ] {
+            let cfg = ExecConfig {
+                seed,
+                deadlock: DeadlockPolicy::WoundWait,
+                ..ExecConfig::default()
+            };
+            let policy =
+                PolicySpec::predicate_wise_2pl(&ic).monitor_admission(&ic, AdmissionLevel::Pwsr);
+            let out = run_workload(&programs, &cat, &initial, &policy, &cfg).unwrap();
+            // One block, both holders wounded in it, nobody twice.
+            let m = &out.metrics;
+            assert_eq!((m.waits, m.aborts, m.restarts), (1, 2, 2), "seed {seed}");
+            assert_eq!(m.monitor_undone_ops, set_cost as u64, "seed {seed}");
+            let shown: Vec<String> = out.schedule.ops().iter().map(|o| o.display(&cat)).collect();
+            assert_eq!(shown.join(" "), committed, "seed {seed}");
         }
     }
 }

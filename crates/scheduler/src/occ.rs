@@ -54,7 +54,6 @@ pub struct OccOutcome {
 
 struct OccTxn<'a> {
     txn: TxnId,
-    program: &'a Program,
     session: ProgramSession<'a>,
     plan: Option<Vec<OpStruct>>,
     /// Item → version observed at (first) read.
@@ -70,8 +69,8 @@ struct OccTxn<'a> {
 }
 
 impl<'a> OccTxn<'a> {
-    fn reset(&mut self, catalog: &'a Catalog) {
-        self.session = ProgramSession::new(self.program, catalog, self.txn);
+    fn reset(&mut self) {
+        self.session.restart();
         self.read_versions.clear();
         self.emitted_reads.clear();
         self.write_buffer.clear();
@@ -100,7 +99,6 @@ pub fn run_occ(
             let txn = TxnId(k as u32 + 1);
             OccTxn {
                 txn,
-                program: p,
                 session: ProgramSession::new(p, catalog, txn),
                 plan: access_plan(p, catalog, cfg.plan_mode),
                 read_versions: BTreeMap::new(),
@@ -268,7 +266,7 @@ pub fn run_occ(
                 metrics.occ_retries += aborted.len() as u64;
                 for t in txns.iter_mut() {
                     if aborted.contains(&t.txn) {
-                        t.reset(catalog);
+                        t.reset();
                         if t.restarts > cfg.max_restarts {
                             return Err(SchedError::RestartLimit {
                                 txn: t.txn,

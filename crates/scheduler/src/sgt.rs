@@ -63,7 +63,6 @@ pub fn run_sgt(
 ) -> Result<SgtOutcome> {
     struct Rt<'a> {
         txn: TxnId,
-        program: &'a Program,
         session: ProgramSession<'a>,
         done: bool,
         restarts: u32,
@@ -76,7 +75,6 @@ pub fn run_sgt(
             let txn = TxnId(k as u32 + 1);
             Rt {
                 txn,
-                program: p,
                 session: ProgramSession::new(p, catalog, txn),
                 done: false,
                 restarts: 0,
@@ -121,13 +119,18 @@ pub fn run_sgt(
         if !certifier.would_admit(tentative.txn, tentative.item, tentative.is_write()) {
             // Certification failure: cascade-abort this transaction.
             sgt.certification_failures += 1;
-            let aborted =
-                abort_with_dirty_readers(txn, &mut trace, initial, &mut db, Some(&mut certifier))?;
+            let aborted = abort_with_dirty_readers(
+                &[txn],
+                &mut trace,
+                initial,
+                &mut db,
+                Some(&mut certifier),
+            )?;
             metrics.aborts += aborted.len() as u64;
             metrics.restarts += aborted.len() as u64;
             for rt in rts.iter_mut() {
                 if aborted.contains(&rt.txn) {
-                    rt.session = ProgramSession::new(rt.program, catalog, rt.txn);
+                    rt.session.restart();
                     rt.done = false;
                     rt.restarts += 1;
                     if rt.restarts > cfg.max_restarts {

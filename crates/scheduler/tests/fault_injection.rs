@@ -92,6 +92,64 @@ fn stalled_writer_no_lost_wakeup() {
     out.schedule.check_read_coherence(&initial).unwrap();
 }
 
+/// A commit wakes the waiters parked on its marks — told by counts, not
+/// by a clock. T1 writes `a0` and stalls holding the dirty mark; T2,
+/// back from a shorter stall of its own, reads `a0`: one probe
+/// (`dirty_spin` = 1), then its single park (`park_budget` = 1), which
+/// lasts a minute unless somebody notifies. T1's commit does
+/// (`clear_marks`, the one way a mark is cleared). A lost wake-up would
+/// not hang the run — the park times out and finds the mark gone — but
+/// T2 would come back long past its 20 s deadline and abort for it:
+/// `txn_timeouts` and `occ_aborts` are the witnesses. Nothing here can
+/// abort for certification (T1 → T2 is the only order the marks allow),
+/// so both read 0 on every repetition; that T2 really parked (`waits` =
+/// the probe + the park) must show on one of up to 20 — a loaded host
+/// can run T1's worker so late that T2 never meets the mark.
+#[test]
+fn commit_wakes_the_parked_waiter() {
+    let (cat, ic, initial) = setup();
+    let programs = vec![
+        parse_program("T1", "a0 := 5;").unwrap(),
+        parse_program("T2", "b0 := b0 + a0;").unwrap(),
+    ];
+    let mut parked = false;
+    for _ in 0..20 {
+        let plan = FaultPlan::new()
+            .on_access(1, 0, ExecFault::Stall { ms: 80 })
+            .on_access(2, 0, ExecFault::Stall { ms: 20 })
+            .share();
+        let tuning = OccTuning {
+            dirty_spin: 1,
+            park_budget: 1,
+            park_timeout_us: 60_000_000,
+            txn_deadline_us: 20_000_000,
+            faults: Some(plan.clone()),
+            ..OccTuning::default()
+        };
+        let spec = occ_spec(&ic, None);
+        let out = run_threaded_occ_tuned(&programs, &cat, &initial, &spec, 2, 3, &tuning).unwrap();
+        assert_eq!(plan.remaining(), 0, "both stalls fire");
+        let m = &out.metrics;
+        assert_eq!(
+            (m.occ_aborts, m.txn_timeouts, m.zombie_reaps),
+            (0, 0, 0),
+            "a parked waiter was left to time out"
+        );
+        out.schedule.check_read_coherence(&initial).unwrap();
+        if out.metrics.waits == 2 {
+            assert_eq!(
+                out.final_state.get(cat.lookup("b0").unwrap()),
+                Some(&Value::Int(105)),
+                "T2 waited for T1's write, so it read it: {}",
+                out.schedule
+            );
+            parked = true;
+            break;
+        }
+    }
+    assert!(parked, "T2 never met T1's dirty mark in 20 runs");
+}
+
 /// With deadlines armed, a writer stalled far past its deadline is
 /// reaped by a waiter: its write is rolled back, its suffix retracted,
 /// the pool progresses, and the victim's retry still lands — nothing

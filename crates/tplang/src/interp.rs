@@ -1,4 +1,4 @@
-//! Program interpreter: turns a transaction program plus a database
+//! Whole-program execution: turns a transaction program plus a database
 //! state into the paper's *transaction* (a value-carrying operation
 //! sequence).
 //!
@@ -12,27 +12,26 @@
 //! * Local variables (any name not in the catalog) live outside the
 //!   database and never produce operations.
 //!
-//! ## Resumable execution
+//! ## One interpreter
 //!
-//! [`run_with_reads`] re-executes the program feeding it a log of read
-//! values; when the program needs a value the log does not yet contain,
-//! execution suspends with [`RunOutcome::NeedsRead`]. This is the
-//! *continuation-by-replay* technique: deterministic programs replay
-//! identically on a fixed read log, so schedulers can interleave
-//! programs operation-by-operation without coroutines (see
-//! [`crate::session`]).
+//! The model lives in [`crate::machine`]: the program is compiled once
+//! and a [`Machine`] runs it from read to read. The functions here drive
+//! one — [`run_with_reads`] from a log of read values, reporting where
+//! it stands when the log runs out; [`execute`] from a database state.
+//! Schedulers, which decide *when* each read happens, hold the same
+//! machine through [`crate::session`].
+//!
+//! [`TpError::DoubleWrite`]: crate::error::TpError::DoubleWrite
 
-use crate::ast::{BinOp, Cond, Expr, Program, Stmt, UnOp};
-use crate::error::{Result, TpError};
+use crate::ast::Program;
+use crate::error::Result;
+use crate::machine::{Code, Machine, Pending};
 use pwsr_core::catalog::Catalog;
-use pwsr_core::error::CoreError;
 use pwsr_core::ids::{ItemId, TxnId};
 use pwsr_core::op::Operation;
 use pwsr_core::state::DbState;
 use pwsr_core::txn::Transaction;
 use pwsr_core::value::Value;
-use std::collections::BTreeMap;
-use std::collections::HashMap;
 
 /// Result of a (possibly suspended) program run.
 #[derive(Clone, Debug)]
@@ -52,170 +51,25 @@ pub enum RunOutcome {
     },
 }
 
-enum Interrupt {
-    NeedsRead(ItemId),
-    Fail(TpError),
-}
-
-impl From<TpError> for Interrupt {
-    fn from(e: TpError) -> Self {
-        Interrupt::Fail(e)
-    }
-}
-
-struct Runner<'a> {
-    catalog: &'a Catalog,
+/// Compile `program` and run it as `txn`, asking `supply` for each
+/// read's value; `None` leaves the run suspended at that read.
+fn drive(
+    program: &Program,
+    catalog: &Catalog,
     txn: TxnId,
-    read_values: &'a [Value],
-    next_read: usize,
-    ops: Vec<Operation>,
-    locals: HashMap<String, Value>,
-    read_cache: BTreeMap<ItemId, Value>,
-    write_buffer: BTreeMap<ItemId, Value>,
-}
-
-type Step<T> = std::result::Result<T, Interrupt>;
-
-impl<'a> Runner<'a> {
-    fn read_name(&mut self, name: &str) -> Step<Value> {
-        match self.catalog.lookup(name) {
-            Ok(item) => self.read_item(item),
-            Err(_) => self
-                .locals
-                .get(name)
-                .cloned()
-                .ok_or_else(|| Interrupt::Fail(TpError::UnboundLocal(name.to_owned()))),
-        }
-    }
-
-    fn read_item(&mut self, item: ItemId) -> Step<Value> {
-        if let Some(v) = self.write_buffer.get(&item) {
-            return Ok(v.clone()); // own write, no operation
-        }
-        if let Some(v) = self.read_cache.get(&item) {
-            return Ok(v.clone()); // already read once
-        }
-        if self.next_read < self.read_values.len() {
-            let v = self.read_values[self.next_read].clone();
-            self.next_read += 1;
-            self.ops.push(Operation::read(self.txn, item, v.clone()));
-            self.read_cache.insert(item, v.clone());
-            Ok(v)
-        } else {
-            Err(Interrupt::NeedsRead(item))
-        }
-    }
-
-    fn write_name(&mut self, name: &str, value: Value) -> Step<()> {
-        match self.catalog.lookup(name) {
-            Ok(item) => {
-                if self.write_buffer.contains_key(&item) {
-                    return Err(Interrupt::Fail(TpError::DoubleWrite(item)));
-                }
-                self.ops
-                    .push(Operation::write(self.txn, item, value.clone()));
-                self.write_buffer.insert(item, value);
-                Ok(())
-            }
-            Err(_) => {
-                self.locals.insert(name.to_owned(), value);
-                Ok(())
-            }
-        }
-    }
-
-    fn eval(&mut self, expr: &Expr) -> Step<Value> {
-        fn int_of(v: Value, ctx: &'static str) -> Step<i64> {
-            v.as_int()
-                .ok_or(Interrupt::Fail(TpError::Core(CoreError::TypeError {
-                    expected: "int",
-                    found: "non-int",
-                    context: ctx,
-                })))
-        }
-        match expr {
-            Expr::Const(v) => Ok(v.clone()),
-            Expr::Var(name) => self.read_name(name),
-            Expr::Unary(op, e) => {
-                let v = int_of(self.eval(e)?, "unary op")?;
-                let out = match op {
-                    UnOp::Neg => v.checked_neg(),
-                    UnOp::Abs => v.checked_abs(),
-                };
-                out.map(Value::Int)
-                    .ok_or(Interrupt::Fail(TpError::Core(CoreError::Overflow)))
-            }
-            Expr::Binary(op, l, r) => {
-                let lv = int_of(self.eval(l)?, "binary op")?;
-                let rv = int_of(self.eval(r)?, "binary op")?;
-                let out = match op {
-                    BinOp::Add => lv.checked_add(rv),
-                    BinOp::Sub => lv.checked_sub(rv),
-                    BinOp::Mul => lv.checked_mul(rv),
-                    BinOp::Min => Some(lv.min(rv)),
-                    BinOp::Max => Some(lv.max(rv)),
-                };
-                out.map(Value::Int)
-                    .ok_or(Interrupt::Fail(TpError::Core(CoreError::Overflow)))
-            }
-        }
-    }
-
-    fn test(&mut self, cond: &Cond) -> Step<bool> {
-        match cond {
-            Cond::True => Ok(true),
-            Cond::False => Ok(false),
-            Cond::Cmp(op, l, r) => {
-                let lv = self.eval(l)?;
-                let rv = self.eval(r)?;
-                op.apply(&lv, &rv)
-                    .map_err(|e| Interrupt::Fail(TpError::Core(e)))
-            }
-            Cond::And(l, r) => Ok(self.test(l)? && self.test(r)?),
-            Cond::Or(l, r) => Ok(self.test(l)? || self.test(r)?),
-            Cond::Not(c) => Ok(!self.test(c)?),
-        }
-    }
-
-    fn exec_block(&mut self, stmts: &[Stmt]) -> Step<()> {
-        for s in stmts {
-            self.exec(s)?;
-        }
-        Ok(())
-    }
-
-    fn exec(&mut self, stmt: &Stmt) -> Step<()> {
-        match stmt {
-            Stmt::Assign { target, expr } => {
-                let v = self.eval(expr)?;
-                self.write_name(target, v)
-            }
-            Stmt::Touch(name) => {
-                let _ = self.read_name(name)?;
-                Ok(())
-            }
-            Stmt::If {
-                cond,
-                then_branch,
-                else_branch,
-            } => {
-                if self.test(cond)? {
-                    self.exec_block(then_branch)
-                } else {
-                    self.exec_block(else_branch)
-                }
-            }
-            Stmt::While { cond, body, limit } => {
-                let mut iters = 0u32;
-                while self.test(cond)? {
-                    if iters >= *limit {
-                        return Err(Interrupt::Fail(TpError::LoopLimit { limit: *limit }));
-                    }
-                    iters += 1;
-                    self.exec_block(body)?;
-                }
-                Ok(())
-            }
+    mut supply: impl FnMut(ItemId) -> Result<Option<Value>>,
+) -> Result<RunOutcome> {
+    let code = Code::compile(program, catalog);
+    let mut machine = Machine::start(&code, txn);
+    let mut ops = Vec::new();
+    loop {
+        match machine.pending()? {
+            Pending::Done => return Ok(RunOutcome::Complete { ops }),
+            Pending::Write(_) => ops.extend(machine.pop_write()),
+            Pending::NeedRead(item) => match supply(item)? {
+                Some(value) => ops.extend(machine.feed(&code, value)),
+                None => return Ok(RunOutcome::NeedsRead { item, ops }),
+            },
         }
     }
 }
@@ -228,24 +82,8 @@ pub fn run_with_reads(
     txn: TxnId,
     read_values: &[Value],
 ) -> Result<RunOutcome> {
-    let mut runner = Runner {
-        catalog,
-        txn,
-        read_values,
-        next_read: 0,
-        ops: Vec::new(),
-        locals: HashMap::new(),
-        read_cache: BTreeMap::new(),
-        write_buffer: BTreeMap::new(),
-    };
-    match runner.exec_block(&program.body) {
-        Ok(()) => Ok(RunOutcome::Complete { ops: runner.ops }),
-        Err(Interrupt::NeedsRead(item)) => Ok(RunOutcome::NeedsRead {
-            item,
-            ops: runner.ops,
-        }),
-        Err(Interrupt::Fail(e)) => Err(e),
-    }
+    let mut log = read_values.iter();
+    drive(program, catalog, txn, |_| Ok(log.next().cloned()))
 }
 
 /// Execute `program` in isolation from `state` (the `[DS1] TP [DS2]`
@@ -256,15 +94,11 @@ pub fn execute(
     txn: TxnId,
     state: &DbState,
 ) -> Result<Transaction> {
-    let mut reads: Vec<Value> = Vec::new();
-    loop {
-        match run_with_reads(program, catalog, txn, &reads)? {
-            RunOutcome::Complete { ops } => return Ok(Transaction::new(txn, ops)?),
-            RunOutcome::NeedsRead { item, .. } => {
-                reads.push(state.require(item)?.clone());
-            }
-        }
-    }
+    // Every read is supplied, so the run is complete.
+    let supply = |item| Ok(Some(state.require(item)?.clone()));
+    let (RunOutcome::Complete { ops } | RunOutcome::NeedsRead { ops, .. }) =
+        drive(program, catalog, txn, supply)?;
+    Ok(Transaction::new(txn, ops)?)
 }
 
 /// Execute in isolation and also apply the writes, returning
@@ -283,7 +117,10 @@ pub fn execute_and_apply(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ast::Stmt;
+    use crate::error::TpError;
     use crate::parser::parse_program;
+    use pwsr_core::error::CoreError;
     use pwsr_core::op::Action;
     use pwsr_core::value::Domain;
 

@@ -12,15 +12,18 @@
 //!   for structure padding).
 //! * [`lexer`] / [`parser`] — a small concrete syntax close to the
 //!   paper's (`a := 1; if (c > 0) then { b := abs(b) + 1; }`).
-//! * [`interp`] — executes a program against a database state,
-//!   producing the paper's *transaction* (operations with values). The
-//!   §2.2 assumptions are realized operationally: repeated reads are
-//!   served from a read cache (one read operation per item), reads of
-//!   self-written items are served from the write buffer (no
-//!   read-after-write operations), and double writes are rejected.
-//! * [`session`] — an incremental, resumable execution used by the
-//!   schedulers in `pwsr-scheduler` to interleave programs operation by
-//!   operation.
+//! * [`machine`] — the one interpreter: a program compiled once into a
+//!   flat instruction vector, and a resumable machine that runs it from
+//!   read to read. The §2.2 assumptions are realized operationally:
+//!   repeated reads are served from a read cache (one read operation
+//!   per item), reads of self-written items are served from the write
+//!   buffer (no read-after-write operations), and double writes are
+//!   rejected.
+//! * [`interp`] — executes a program against a database state (or a log
+//!   of read values), producing the paper's *transaction* (operations
+//!   with values): the machine, driven to the end.
+//! * [`session`] — the machine, driven operation by operation: what the
+//!   schedulers in `pwsr-scheduler` hold to interleave programs.
 //! * [`analysis`] — fixed-structure (Definition 3) checking: exact over
 //!   enumerated/supplied states, and a conservative static prover;
 //!   also straight-line detection (the \[14\] baseline's restriction).
@@ -34,6 +37,7 @@ pub mod ast;
 pub mod error;
 pub mod interp;
 pub mod lexer;
+pub mod machine;
 pub mod parser;
 pub mod programs;
 pub mod session;

@@ -8,7 +8,7 @@
 //!     match session.pending()? {
 //!         Pending::NeedRead(item) => {            // next op is a read
 //!             let v = db.get(item);               // scheduler decides *when*
-//!             let op = session.feed_read(v);      // logs value, returns r-op
+//!             let op = session.feed_read(v);      // takes value, returns r-op
 //!             schedule.push(op);
 //!         }
 //!         Pending::Write(op) => {                 // next op is a write
@@ -21,57 +21,57 @@
 //! }
 //! ```
 //!
-//! Internally each call replays the program against the accumulated
-//! read log ([`crate::interp::run_with_reads`]); programs are
-//! deterministic, so the replay always reaches the same frontier.
+//! The session compiles its program once ([`Code`]) and owns one
+//! [`Machine`] over it, which always stands at a stop — the next read it
+//! needs, the end, or an error — with the writes it passed on the way
+//! queued: [`ProgramSession::pending`] only looks,
+//! [`ProgramSession::advance_write`] pops the queue, and
+//! [`ProgramSession::feed_read`] runs the instructions up to the next
+//! stop. An aborted transaction starts over with
+//! [`ProgramSession::restart`].
 
 use crate::ast::Program;
 use crate::error::{Result, TpError};
-use crate::interp::{run_with_reads, RunOutcome};
+pub use crate::machine::Pending;
+use crate::machine::{Code, Machine};
 use pwsr_core::catalog::Catalog;
-use pwsr_core::ids::{ItemId, TxnId};
+use pwsr_core::ids::TxnId;
 use pwsr_core::op::Operation;
 use pwsr_core::value::Value;
-
-/// What the program will do next.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum Pending {
-    /// The next operation is a read of this item; the scheduler must
-    /// supply the current value via [`ProgramSession::feed_read`].
-    NeedRead(ItemId),
-    /// The next operation is this write; apply it and call
-    /// [`ProgramSession::advance_write`].
-    Write(Operation),
-    /// The program has no further operations.
-    Done,
-}
 
 /// A resumable execution of one program as one transaction.
 #[derive(Clone, Debug)]
 pub struct ProgramSession<'p> {
     program: &'p Program,
-    catalog: &'p Catalog,
-    txn: TxnId,
-    reads: Vec<Value>,
+    code: Code<'p>,
+    machine: Machine,
     /// Operations already handed to the scheduler.
     emitted: usize,
 }
 
 impl<'p> ProgramSession<'p> {
     /// Start a session for `program` running as transaction `txn`.
-    pub fn new(program: &'p Program, catalog: &'p Catalog, txn: TxnId) -> ProgramSession<'p> {
+    pub fn new(program: &'p Program, catalog: &Catalog, txn: TxnId) -> ProgramSession<'p> {
+        let code = Code::compile(program, catalog);
+        let machine = Machine::start(&code, txn);
         ProgramSession {
             program,
-            catalog,
-            txn,
-            reads: Vec::new(),
+            code,
+            machine,
             emitted: 0,
         }
     }
 
+    /// Start the transaction over, as after an abort: a fresh machine
+    /// over the program as already compiled.
+    pub fn restart(&mut self) {
+        self.machine = Machine::start(&self.code, self.txn());
+        self.emitted = 0;
+    }
+
     /// The transaction id this session runs under.
     pub fn txn(&self) -> TxnId {
-        self.txn
+        self.machine.txn()
     }
 
     /// The program being executed.
@@ -84,24 +84,10 @@ impl<'p> ProgramSession<'p> {
         self.emitted
     }
 
-    /// What happens next?
+    /// What happens next? An error the program ran into on its way to
+    /// the next read is reported here, ahead of the writes before it.
     pub fn pending(&self) -> Result<Pending> {
-        match run_with_reads(self.program, self.catalog, self.txn, &self.reads)? {
-            RunOutcome::Complete { ops } => {
-                if self.emitted < ops.len() {
-                    Ok(Pending::Write(ops[self.emitted].clone()))
-                } else {
-                    Ok(Pending::Done)
-                }
-            }
-            RunOutcome::NeedsRead { item, ops } => {
-                if self.emitted < ops.len() {
-                    Ok(Pending::Write(ops[self.emitted].clone()))
-                } else {
-                    Ok(Pending::NeedRead(item))
-                }
-            }
-        }
+        self.machine.pending()
     }
 
     /// Supply the value for the pending read; returns the read
@@ -110,29 +96,28 @@ impl<'p> ProgramSession<'p> {
     /// Must only be called when [`ProgramSession::pending`] returned
     /// [`Pending::NeedRead`].
     pub fn feed_read(&mut self, value: Value) -> Result<Operation> {
-        let Pending::NeedRead(item) = self.pending()? else {
+        let Some(op) = self.machine.feed(&self.code, value) else {
+            self.pending()?; // the program's own error, if it has one
             return Err(TpError::Parse {
                 at: 0,
                 msg: "feed_read called while no read is pending".into(),
             });
         };
-        self.reads.push(value.clone());
         self.emitted += 1;
-        Ok(Operation::read(self.txn, item, value))
+        Ok(op)
     }
 
     /// Acknowledge the pending write (after applying it to the store).
     pub fn advance_write(&mut self) -> Result<()> {
-        match self.pending()? {
-            Pending::Write(_) => {
-                self.emitted += 1;
-                Ok(())
-            }
-            other => Err(TpError::Parse {
+        if self.machine.pop_write().is_none() {
+            let pending = self.pending()?;
+            return Err(TpError::Parse {
                 at: 0,
-                msg: format!("advance_write called while pending is {other:?}"),
-            }),
+                msg: format!("advance_write called while pending is {pending:?}"),
+            });
         }
+        self.emitted += 1;
+        Ok(())
     }
 
     /// Has the program emitted all of its operations?
@@ -229,6 +214,73 @@ mod tests {
         // Done; advancing again is an error.
         assert!(s.advance_write().is_err());
         assert!(s.is_done().unwrap());
+    }
+
+    #[test]
+    fn session_cloned_mid_run_finishes_like_its_original() {
+        // Stop the original after its first read: `w(b)` is queued and
+        // the machine already stands at the read of `c`.
+        let cat = catalog_abc();
+        let p = parse_program("P", "b := a + 1; c := c + b; t := c; a := t;").unwrap();
+        let initial = DbState::from_pairs([
+            (cat.lookup("a").unwrap(), Value::Int(4)),
+            (cat.lookup("c").unwrap(), Value::Int(10)),
+        ]);
+        let mut original = ProgramSession::new(&p, &cat, TxnId(1));
+        let first = original.feed_read(Value::Int(4)).unwrap();
+        assert!(matches!(original.pending().unwrap(), Pending::Write(_)));
+        let mut clone = original.clone();
+        // The clone runs to its end first; the original must not notice.
+        let cloned_ops = drive(&mut clone, &mut initial.clone());
+        assert_eq!(original.emitted(), 1);
+        let ops = drive(&mut original, &mut initial.clone());
+        assert_eq!(ops, cloned_ops);
+        assert_eq!(ops.len(), 4); // w(b), r(c), w(c), w(a)
+        let whole: Vec<Operation> = std::iter::once(first).chain(ops).collect();
+        let isolated = crate::interp::execute(&p, &cat, TxnId(1), &initial).unwrap();
+        assert_eq!(whole, isolated.ops().to_vec());
+        assert!(original.is_done().unwrap() && clone.is_done().unwrap());
+    }
+
+    #[test]
+    fn restart_forgets_reads_and_emissions() {
+        let cat = catalog_abc();
+        let p = parse_program("P", "b := a + 1;").unwrap();
+        let mut s = ProgramSession::new(&p, &cat, TxnId(1));
+        s.feed_read(Value::Int(1)).unwrap();
+        s.advance_write().unwrap();
+        assert!(s.is_done().unwrap());
+        s.restart();
+        assert_eq!(s.emitted(), 0);
+        assert_eq!(
+            s.pending().unwrap(),
+            Pending::NeedRead(cat.lookup("a").unwrap())
+        );
+        s.feed_read(Value::Int(7)).unwrap();
+        let Pending::Write(w) = s.pending().unwrap() else {
+            panic!()
+        };
+        assert_eq!(w.value, Value::Int(8)); // not the first attempt's 2
+    }
+
+    #[test]
+    fn error_surfaces_at_pending_ahead_of_the_writes_before_it() {
+        // The double write is met on the way to the next stop, so the
+        // first `pending` already reports it — `w(a, 1)` is never handed
+        // out — and every later call repeats it.
+        let cat = catalog_abc();
+        let p = parse_program("P", "a := 1; a := 2;").unwrap();
+        let mut s = ProgramSession::new(&p, &cat, TxnId(1));
+        for _ in 0..2 {
+            assert!(matches!(s.pending(), Err(TpError::DoubleWrite(_))));
+        }
+        assert!(matches!(s.advance_write(), Err(TpError::DoubleWrite(_))));
+        assert!(matches!(
+            s.feed_read(Value::Int(0)),
+            Err(TpError::DoubleWrite(_))
+        ));
+        assert!(s.is_done().is_err());
+        assert_eq!(s.emitted(), 0);
     }
 
     #[test]

@@ -1,17 +1,22 @@
 //! Property-based tests for the program substrate: interpreter
-//! determinism, session/isolated equivalence, fixed-structure
-//! soundness, and the `fix_structure` rewrite.
+//! determinism, session/isolated equivalence, the compiled machine
+//! against the reference tree walk, fixed-structure soundness, and the
+//! `fix_structure` rewrite.
 
 use proptest::prelude::*;
 use pwsr_core::catalog::Catalog;
+use pwsr_core::constraint::Cmp;
 use pwsr_core::ids::TxnId;
 use pwsr_core::state::DbState;
 use pwsr_core::value::{Domain, Value};
 use pwsr_tplang::analysis::{is_straight_line, static_structure};
-use pwsr_tplang::ast::{Cond, Expr, Program, Stmt};
-use pwsr_tplang::interp::{execute, execute_and_apply};
+use pwsr_tplang::ast::{BinOp, Cond, Expr, Program, Stmt, UnOp};
+use pwsr_tplang::interp::{execute, execute_and_apply, run_with_reads, RunOutcome};
 use pwsr_tplang::session::{Pending, ProgramSession};
 use pwsr_tplang::transform::fix_structure;
+
+#[path = "reference.rs"]
+mod reference;
 
 const ITEMS: [&str; 4] = ["a", "b", "c", "d"];
 
@@ -78,6 +83,124 @@ fn arb_program() -> impl Strategy<Value = Program> {
         })
 }
 
+/// Names for the wide generator: the four items, two locals the
+/// programs assign, and one nothing ever assigns.
+const WIDE_NAMES: [&str; 7] = ["a", "b", "c", "d", "t", "u", "ghost"];
+
+fn arb_name() -> impl Strategy<Value = &'static str> {
+    // `ghost` (an unbound local wherever it is read) stays rare.
+    (0usize..61).prop_map(|i| WIDE_NAMES[if i == 60 { 6 } else { i % 6 }])
+}
+
+/// Everything an expression can be: every operator, locals, constants
+/// that overflow under `+` / `*` / `neg`, and the odd non-int.
+fn arb_wide_expr() -> BoxedStrategy<Expr> {
+    let leaf = prop_oneof![
+        (-4i64..5).prop_map(Expr::int),
+        (-4i64..5).prop_map(Expr::int),
+        arb_name().prop_map(Expr::var),
+        arb_name().prop_map(Expr::var),
+        arb_name().prop_map(Expr::var),
+        (0u8..8).prop_map(|k| match k {
+            0 => Expr::int(i64::MAX),
+            1 => Expr::int(i64::MIN),
+            2 => Expr::Const(Value::Bool(true)),
+            _ => Expr::int(i64::from(k)),
+        }),
+    ];
+    leaf.prop_recursive(3, 12, 2, |inner| {
+        prop_oneof![
+            (inner.clone(), inner.clone(), 0u8..5).prop_map(|(l, r, op)| {
+                let op = [BinOp::Add, BinOp::Sub, BinOp::Mul, BinOp::Min, BinOp::Max][op as usize];
+                Expr::Binary(op, Box::new(l), Box::new(r))
+            }),
+            (inner, any::<bool>()).prop_map(|(e, neg)| {
+                Expr::Unary(if neg { UnOp::Neg } else { UnOp::Abs }, Box::new(e))
+            }),
+        ]
+    })
+}
+
+fn arb_wide_cond() -> BoxedStrategy<Cond> {
+    let leaf = prop_oneof![
+        (arb_wide_expr(), arb_wide_expr(), 0u8..6).prop_map(|(l, r, op)| {
+            let op = [Cmp::Eq, Cmp::Ne, Cmp::Lt, Cmp::Le, Cmp::Gt, Cmp::Ge][op as usize];
+            Cond::Cmp(op, l, r)
+        }),
+        (arb_wide_expr(), arb_wide_expr()).prop_map(|(l, r)| Cond::lt(l, r)),
+        any::<bool>().prop_map(|b| if b { Cond::True } else { Cond::False }),
+    ];
+    leaf.prop_recursive(2, 6, 2, |inner| {
+        prop_oneof![
+            (inner.clone(), inner.clone()).prop_map(|(l, r)| Cond::And(Box::new(l), Box::new(r))),
+            (inner.clone(), inner.clone()).prop_map(|(l, r)| Cond::Or(Box::new(l), Box::new(r))),
+            inner.prop_map(|c| Cond::Not(Box::new(c))),
+        ]
+    })
+}
+
+/// Statements to the language's full width: writes to items (twice to
+/// the same one happens by itself) and to locals, `touch`, `if` with
+/// either arm empty or not, and `while` — over anything, with a limit
+/// small enough to be hit — nested two deep.
+fn arb_wide_block() -> BoxedStrategy<Vec<Stmt>> {
+    let simple = prop_oneof![
+        (arb_name(), arb_wide_expr()).prop_map(|(n, e)| Stmt::assign(n, e)),
+        (arb_name(), arb_wide_expr()).prop_map(|(n, e)| Stmt::assign(n, e)),
+        arb_name().prop_map(|n| Stmt::Touch(n.to_owned())),
+    ];
+    let leaf = proptest::collection::vec(simple, 0..4);
+    leaf.prop_recursive(2, 8, 3, |inner| {
+        let nested = prop_oneof![
+            (arb_wide_cond(), inner.clone(), inner.clone())
+                .prop_map(|(c, t, e)| Stmt::if_then_else(c, t, e)),
+            (arb_wide_cond(), inner.clone(), 0u32..4)
+                .prop_map(|(cond, body, limit)| { Stmt::While { cond, body, limit } }),
+            // The counting loop of `while_loop_runs_on_locals`, so that
+            // loops also *finish*: `t` climbs to `n` under a limit that
+            // is sometimes one short.
+            (0i64..4, inner.clone(), 2u32..5).prop_map(|(n, mut body, limit)| {
+                body.push(Stmt::assign("t", Expr::var("t").add(Expr::int(1))));
+                Stmt::While {
+                    cond: Cond::lt(Expr::var("t"), Expr::int(n)),
+                    body,
+                    limit,
+                }
+            }),
+        ];
+        (inner.clone(), nested, inner).prop_map(|(mut before, stmt, after)| {
+            before.push(stmt);
+            before.extend(after);
+            before
+        })
+    })
+}
+
+fn arb_wide_program() -> impl Strategy<Value = Program> {
+    // Mostly the locals are bound up front, so that most programs get
+    // past their first statement; sometimes one is left to chance.
+    (0u8..8, 0u8..8, arb_wide_block()).prop_map(|(t, u, mut body)| {
+        for (name, unbound) in [("u", u == 0), ("t", t == 0)] {
+            if !unbound {
+                body.insert(0, Stmt::assign(name, Expr::int(0)));
+            }
+        }
+        Program::new("W", body)
+    })
+}
+
+/// A read log: small ints, with the odd value no operator accepts.
+fn arb_read_log() -> impl Strategy<Value = Vec<Value>> {
+    proptest::collection::vec(
+        (-3i64..30).prop_map(|v| match v {
+            -3 => Value::Bool(false),
+            -2 => Value::str("s"),
+            v => Value::Int(v),
+        }),
+        0..7,
+    )
+}
+
 fn arb_state() -> impl Strategy<Value = DbState> {
     proptest::collection::vec(-30i64..30, ITEMS.len()).prop_map(|vals| {
         let cat = catalog();
@@ -124,6 +247,48 @@ proptest! {
             }
         }
         prop_assert_eq!(ops, isolated.ops().to_vec());
+    }
+
+    /// The compiled machine is the reference tree walk, observably: on
+    /// every prefix of a read log the two report the same operations
+    /// and the same suspended item, or the same error — and a session
+    /// fed the whole log answers every `pending` call with what a
+    /// replay of the values fed so far would answer, so an error
+    /// surfaces at the same call.
+    #[test]
+    fn machine_equals_reference(p in arb_wide_program(), log in arb_read_log()) {
+        let cat = catalog();
+        for k in 0..=log.len() {
+            let machine = run_with_reads(&p, &cat, TxnId(3), &log[..k]);
+            let oracle = reference::run_with_reads(&p, &cat, TxnId(3), &log[..k]);
+            prop_assert_eq!(format!("{machine:?}"), format!("{oracle:?}"), "prefix {}\n{}", k, p);
+        }
+        let mut sess = ProgramSession::new(&p, &cat, TxnId(3));
+        let mut fed = 0;
+        loop {
+            let expected = reference::run_with_reads(&p, &cat, TxnId(3), &log[..fed]).map(|run| {
+                let (ops, item) = match run {
+                    RunOutcome::Complete { ops } => (ops, None),
+                    RunOutcome::NeedsRead { item, ops } => (ops, Some(item)),
+                };
+                match (ops.get(sess.emitted()), item) {
+                    (Some(op), _) => Pending::Write(op.clone()),
+                    (None, Some(item)) => Pending::NeedRead(item),
+                    (None, None) => Pending::Done,
+                }
+            });
+            let pending = sess.pending();
+            prop_assert_eq!(&pending, &expected, "after {} reads\n{}", fed, p);
+            match pending {
+                Ok(Pending::NeedRead(item)) if fed < log.len() => {
+                    let op = sess.feed_read(log[fed].clone()).unwrap();
+                    prop_assert_eq!(op, pwsr_core::op::Operation::read(TxnId(3), item, log[fed].clone()));
+                    fed += 1;
+                }
+                Ok(Pending::Write(_)) => sess.advance_write().unwrap(),
+                _ => break,
+            }
+        }
     }
 
     /// Transactions produced by the interpreter satisfy §2.2 (their
