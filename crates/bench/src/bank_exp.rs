@@ -149,7 +149,7 @@ pub fn bank1(trials: u64, seed: u64) -> (bool, String) {
                     &cfg,
                 )
                 .ok()
-                .map(|o| (o.exec.schedule, true))
+                .map(|o| (o.schedule, true))
             }),
         ),
     ];

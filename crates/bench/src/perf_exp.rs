@@ -409,7 +409,6 @@ pub fn perf5(seeds: u64, seed0: u64) -> (bool, String) {
             &cfg,
         )
         .ok()
-        .map(|o| o.exec)
     });
     tally("SGT-PW (certifying)", &|w, s| {
         let cfg = ExecConfig {
@@ -424,7 +423,6 @@ pub fn perf5(seeds: u64, seed0: u64) -> (bool, String) {
             &cfg,
         )
         .ok()
-        .map(|o| o.exec)
     });
     (ok, t.render())
 }

@@ -1421,32 +1421,13 @@ pub fn replay_matches(program: &Program, catalog: &Catalog, txn: TxnId, ops: &[O
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pwsr_core::constraint::{Conjunct, Formula, IntegrityConstraint, Term};
+    use crate::fixtures::setup;
+    use pwsr_core::constraint::IntegrityConstraint;
     use pwsr_core::ids::ItemId;
     use pwsr_core::monitor::OnlineMonitor;
     use pwsr_core::pwsr::is_pwsr;
-    use pwsr_core::value::{Domain, Value};
+    use pwsr_core::value::Value;
     use pwsr_tplang::parser::parse_program;
-
-    fn setup() -> (Catalog, IntegrityConstraint, DbState) {
-        let mut cat = Catalog::new();
-        let a0 = cat.add_item("a0", Domain::int_range(-1000, 1000));
-        let b0 = cat.add_item("b0", Domain::int_range(-1000, 1000));
-        let a1 = cat.add_item("a1", Domain::int_range(-1000, 1000));
-        let b1 = cat.add_item("b1", Domain::int_range(-1000, 1000));
-        let ic = IntegrityConstraint::new(vec![
-            Conjunct::new(0, Formula::le(Term::var(a0), Term::var(b0))),
-            Conjunct::new(1, Formula::le(Term::var(a1), Term::var(b1))),
-        ])
-        .unwrap();
-        let initial = DbState::from_pairs([
-            (a0, Value::Int(0)),
-            (b0, Value::Int(100)),
-            (a1, Value::Int(0)),
-            (b1, Value::Int(100)),
-        ]);
-        (cat, ic, initial)
-    }
 
     fn scopes_of(ic: &IntegrityConstraint) -> Vec<ItemSet> {
         ic.conjuncts().iter().map(|c| c.items().clone()).collect()
@@ -1689,7 +1670,7 @@ mod tests {
             );
             assert_eq!(
                 final_state.get(cat.lookup("b1").unwrap()),
-                Some(&Value::Int(107))
+                Some(&Value::Int(17))
             );
         }
     }

@@ -1,15 +1,21 @@
-//! The deterministic discrete-event executor.
+//! The deterministic discrete-event executor: one seeded runner, three
+//! disciplines.
 //!
 //! Drives a set of transaction programs against one database under a
 //! [`PolicySpec`]: each step, a seeded RNG picks a runnable transaction
-//! and attempts its next operation (via
-//! [`ProgramSession`]); lock
-//! conflicts and delayed-read conflicts block; blocking triggers
-//! waits-for deadlock detection; deadlock victims are aborted with
-//! transitive *cascading* aborts (any transaction that read from an
-//! aborted write), rolled back by trace filtering, and restarted after
-//! a backoff. The output is the **committed** schedule — a valid
-//! [`Schedule`] in the paper's sense — plus execution metrics.
+//! and attempts its next operation (via [`ProgramSession`]). What
+//! happens at a read, at a write, after a step and on an abort is the
+//! `Discipline`'s: *locking* (here, [`run_workload`]) blocks on lock
+//! and delayed-read conflicts, which triggers waits-for deadlock
+//! detection or prevention; *validation* ([`crate::occ`]) buffers
+//! writes and checks read versions space by space; *certification*
+//! ([`crate::sgt`]) lets the admission probe every step makes decide.
+//! Everything else is written once, in `Run`: the transaction table,
+//! the pick, the step budget, the online-monitor admission and the
+//! runtime DAG guard, *cascading* aborts (any transaction that read
+//! from an aborted write) rolled back by trace filtering, restart
+//! accounting, and the outcome — the **committed** schedule, a valid
+//! [`Schedule`] in the paper's sense, plus execution metrics.
 //!
 //! The executor is fully deterministic for a fixed seed, making every
 //! experiment reproducible.
@@ -90,8 +96,11 @@ pub struct ExecOutcome {
     pub rejected: Vec<TxnId>,
 }
 
+/// Why a transaction waits. Made by the discipline that makes it wait
+/// and handed back to it ([`Discipline::holders`]) whenever the runner
+/// needs to know for whom.
 #[derive(Clone, Debug, PartialEq, Eq)]
-enum Block {
+pub(crate) enum Block {
     Lock {
         space: SpaceId,
         item: ItemId,
@@ -102,37 +111,98 @@ enum Block {
     },
 }
 
-struct TxnRt<'a> {
-    txn: TxnId,
-    session: ProgramSession<'a>,
-    plan: Option<Vec<OpStruct>>,
-    done: bool,
+/// A discipline's answer to a write.
+pub(crate) enum Write {
+    /// Into the store and the trace, now.
+    Apply,
+    /// The discipline took the operation and records it itself, later.
+    Buffer,
+    /// Not yet.
+    Wait(Block),
+}
+
+/// One row of the transaction table.
+pub(crate) struct TxnRt<'a> {
+    pub(crate) txn: TxnId,
+    pub(crate) session: ProgramSession<'a>,
+    pub(crate) plan: Option<Vec<OpStruct>>,
+    pub(crate) done: bool,
     blocked: Option<Block>,
     restarts: u32,
     backoff: u32,
 }
 
+impl TxnRt<'_> {
+    /// The spaces this transaction may still access — whatever lies
+    /// outside is finished with, and can be released or validated and
+    /// published: nothing once it is done, and under early release what
+    /// its access plan has left after the operations emitted so far.
+    /// `None` when that is unknowable (hold-to-end policy; no plan ⇒
+    /// hold to end; a plan the session has outrun — defensive, cannot
+    /// happen for certified fixed-structure programs).
+    pub(crate) fn spaces_ahead(&self, policy: &PolicySpec) -> Option<BTreeSet<SpaceId>> {
+        if self.done {
+            return Some(BTreeSet::new());
+        }
+        if !policy.early_release {
+            return None;
+        }
+        let ahead = self.plan.as_ref()?.get(self.session.emitted()..)?;
+        Some(ahead.iter().map(|o| policy.space_of(o.item)).collect())
+    }
+}
+
+/// The four points where the concurrency-control mechanisms differ;
+/// [`Run`] asks and never looks at who answers. The defaults are
+/// certification's, which needs nothing but the admission probe every
+/// step makes anyway.
+pub(crate) trait Discipline {
+    /// `txn` is about to read `item`; `Some` makes it wait.
+    fn read(&mut self, _run: &Run<'_>, _txn: TxnId, _item: ItemId) -> Option<Block> {
+        None
+    }
+
+    /// Its transaction is about to perform the write `op`.
+    fn write(&mut self, _run: &Run<'_>, _op: &Operation) -> Write {
+        Write::Apply
+    }
+
+    /// `run.rts[pick]` took a step: an access went through (or into
+    /// the buffer), or it reached its end and is `done`. Commit, early
+    /// release, validate-and-publish. `true` aborts it.
+    fn after_step(&mut self, _run: &mut Run<'_>, _pick: usize) -> bool {
+        false
+    }
+
+    /// `aborted` were rolled back and their sessions restarted.
+    fn on_abort(&mut self, _run: &mut Run<'_>, _aborted: &[TxnId]) {}
+
+    /// Who `txn` waits for while blocked on `why` — asked only of a
+    /// discipline that made somebody wait.
+    fn holders(&self, _txn: TxnId, _why: &Block) -> Vec<TxnId> {
+        Vec::new()
+    }
+}
+
 /// Everything one execution reads and mutates. An abort touches all of
-/// it — locks, trace, store, dirty map, admission, guard, the
-/// transactions' own state — and can happen at any step, so the steps
-/// are methods of this rather than functions over a dozen borrows.
-struct Run<'a> {
-    policy: &'a PolicySpec,
+/// it — trace, store, admission, guard, the transactions' own state —
+/// and can happen at any step, so the steps are methods of this rather
+/// than functions over a dozen borrows.
+pub(crate) struct Run<'a> {
+    pub(crate) policy: &'a PolicySpec,
     cfg: &'a ExecConfig,
     initial: &'a DbState,
-    rts: Vec<TxnRt<'a>>,
-    locks: LockTable,
-    db: DbState,
+    pub(crate) rts: Vec<TxnRt<'a>>,
+    pub(crate) db: DbState,
     trace: Vec<Operation>,
-    dirty: HashMap<ItemId, TxnId>,
-    metrics: Metrics,
+    pub(crate) metrics: Metrics,
     rejected: Vec<TxnId>,
-    admission: Option<MonitorAdmission>,
+    pub(crate) admission: Option<MonitorAdmission>,
     dag_guard: Option<DagGuard>,
 }
 
 /// Execute `programs` (program `k` runs as transaction `k+1`) from
-/// `initial` under `policy`.
+/// `initial` under `policy`, by locking.
 pub fn run_workload(
     programs: &[Program],
     catalog: &Catalog,
@@ -140,133 +210,92 @@ pub fn run_workload(
     policy: &PolicySpec,
     cfg: &ExecConfig,
 ) -> Result<ExecOutcome> {
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let rts: Vec<TxnRt<'_>> = programs
-        .iter()
-        .enumerate()
-        .map(|(k, p)| {
-            let txn = TxnId(k as u32 + 1);
-            TxnRt {
-                txn,
-                session: ProgramSession::new(p, catalog, txn),
-                plan: access_plan(p, catalog, cfg.plan_mode),
-                done: false,
-                blocked: None,
-                restarts: 0,
-                backoff: 0,
-            }
-        })
-        .collect();
-    let mut run = Run {
-        policy,
-        cfg,
-        initial,
-        rts,
-        locks: LockTable::new(),
-        db: initial.clone(),
-        trace: Vec::new(),
-        dirty: HashMap::new(),
-        metrics: Metrics::default(),
-        rejected: Vec::new(),
-        admission: policy.monitor.as_ref().map(|m| m.admission()),
-        dag_guard: policy.dag_guard.map(DagGuard::new),
-    };
+    let mut run = Run::new(programs, catalog, initial, policy, cfg);
+    run.admission = policy.monitor.as_ref().map(|m| m.admission());
+    run.dag_guard = policy.dag_guard.map(DagGuard::new);
+    run.run(&mut Locking::default())
+}
 
-    loop {
-        if run.rts.iter().all(|rt| rt.done) {
-            break;
-        }
-        if run.metrics.steps >= cfg.max_steps {
-            return Err(SchedError::StepBudgetExhausted {
-                max_steps: cfg.max_steps,
-                pending: run
-                    .rts
-                    .iter()
-                    .filter(|rt| !rt.done)
-                    .map(|rt| rt.txn)
-                    .collect(),
-            });
-        }
-        let runnable: Vec<usize> = run
-            .rts
-            .iter()
-            .enumerate()
-            .filter(|(_, rt)| !rt.done && rt.blocked.is_none() && rt.backoff == 0)
-            .map(|(i, _)| i)
-            .collect();
-        if runnable.is_empty() {
-            // Let backoffs tick down first.
-            let mut ticked = false;
-            for rt in run.rts.iter_mut() {
-                if rt.backoff > 0 {
-                    rt.backoff -= 1;
-                    ticked = true;
+/// The locking discipline: shared/exclusive locks per (space, item),
+/// held to the end or — early release — until the access plan shows the
+/// space finished with; optionally no read of an unfinished
+/// transaction's write.
+#[derive(Default)]
+struct Locking {
+    locks: LockTable,
+}
+
+impl Locking {
+    fn acquire(
+        &mut self,
+        run: &Run<'_>,
+        txn: TxnId,
+        item: ItemId,
+        mode: LockMode,
+    ) -> Option<Block> {
+        let space = run.policy.space_of(item);
+        let refused = self.locks.try_acquire(txn, space, item, mode).is_err();
+        refused.then_some(Block::Lock { space, item, mode })
+    }
+}
+
+impl Discipline for Locking {
+    fn read(&mut self, run: &Run<'_>, txn: TxnId, item: ItemId) -> Option<Block> {
+        if run.policy.dr_block {
+            // Dirty: the item's latest write is still in the trace and
+            // its writer has not finished.
+            let unfinished = |w: &TxnId| run.rts.iter().any(|rt| rt.txn == *w && !rt.done);
+            if let Some(writer) = last_writer(&run.trace, item).filter(unfinished) {
+                if writer != txn {
+                    return Some(Block::Dirty { writer });
                 }
             }
-            if ticked {
-                continue;
-            }
-            // Everyone live is blocked: there must be a cycle.
-            if !run.resolve_deadlock()? {
-                return Err(SchedError::Stalled);
-            }
-            continue;
         }
-        let pick = runnable[rng.random_range(0..runnable.len())];
-        run.metrics.steps += 1;
-        run.step(pick)?;
-        run.metrics.lock_acquisitions = run.locks.acquisitions();
-        // Bound the admission log's memory: ops before every live
-        // transaction's first operation can never be rewritten by an
-        // abort, so their undo deltas are dropped. (A cascade that
-        // aborts an already-finished transaction is the one case
-        // `MonitorAdmission::retract` starts over for.)
-        if let Some(mon) = run.admission.as_mut() {
-            mon.checkpoint(run.rts.iter().filter(|rt| !rt.done).map(|rt| rt.txn));
+        self.acquire(run, txn, item, LockMode::Shared)
+    }
+
+    fn write(&mut self, run: &Run<'_>, op: &Operation) -> Write {
+        match self.acquire(run, op.txn, op.item, LockMode::Exclusive) {
+            Some(why) => Write::Wait(why),
+            None => Write::Apply,
         }
     }
 
-    let Run {
-        mut metrics,
-        mut admission,
-        trace,
-        db,
-        rejected,
-        ..
-    } = run;
-    if let Some(mon) = admission.as_mut() {
-        metrics.monitor_undone_ops = mon.undone_ops();
-        metrics.monitor_log_floor = mon.log_floor() as u64;
-        metrics.monitor_skipped_ops = mon.skipped_ops();
-        if let Some(wal) = mon.wal() {
-            // Make the tail durable before reporting: a crash after
-            // this point loses nothing.
-            wal.sync();
-            let ws = wal.stats();
-            metrics.wal_appends = ws.appends;
-            metrics.wal_bytes = ws.bytes;
-            metrics.wal_fsyncs = ws.fsyncs;
-            metrics.wal_io_errors = ws.io_errors;
-            metrics.injected_faults = ws.injected_faults;
+    /// Commit releases everything; early release, the spaces the access
+    /// plan shows finished.
+    fn after_step(&mut self, run: &mut Run<'_>, pick: usize) -> bool {
+        run.metrics.lock_acquisitions = self.locks.acquisitions();
+        let rt = &run.rts[pick];
+        let Some(ahead) = rt.spaces_ahead(run.policy) else {
+            return false;
+        };
+        let (txn, done) = (rt.txn, rt.done);
+        let held = self.locks.spaces_held(txn).into_iter();
+        let finished: Vec<SpaceId> = held.filter(|s| !ahead.contains(s)).collect();
+        for &space in &finished {
+            self.locks.release_space(txn, space);
         }
-        // A sticky (unhealed) WAL error means durable history is
-        // incomplete: refuse to report the run as successful. Healed
-        // incidents (retry/degrade policies) pass through with only
-        // `wal_io_errors` raised.
-        if let Some(error) = mon.take_wal_error() {
-            return Err(SchedError::WalFailed {
-                error: error.to_string(),
-            });
+        if done || !finished.is_empty() {
+            run.clear_blocks();
+        }
+        false
+    }
+
+    fn on_abort(&mut self, run: &mut Run<'_>, aborted: &[TxnId]) {
+        for rt in run.rts.iter_mut().filter(|rt| aborted.contains(&rt.txn)) {
+            self.locks.release_all(rt.txn);
+            rt.backoff = rt.restarts;
         }
     }
-    metrics.committed_ops = trace.len() as u64;
-    let schedule = Schedule::new(trace)?;
-    Ok(ExecOutcome {
-        schedule,
-        final_state: db,
-        metrics,
-        rejected,
-    })
+
+    fn holders(&self, txn: TxnId, why: &Block) -> Vec<TxnId> {
+        match why {
+            Block::Lock { space, item, mode } => {
+                self.locks.conflicting_holders(txn, *space, *item, *mode)
+            }
+            Block::Dirty { writer } => vec![*writer],
+        }
+    }
 }
 
 /// The runtime Theorem-3 guard, incremental: the conjunct access
@@ -326,76 +355,148 @@ impl DagGuard {
     }
 }
 
-/// Abort `victims` plus every transaction that (transitively) read one
-/// of an aborted transaction's writes: tell the admission who — once,
-/// as one set — drop their operations from the trace, and rebuild the
-/// store by replaying what is left over `initial`. Returns the aborted
-/// set — the one cascade every trace-filtering executor runs.
-pub(crate) fn abort_with_dirty_readers(
-    victims: &[TxnId],
-    trace: &mut Vec<Operation>,
-    initial: &DbState,
-    db: &mut DbState,
-    admission: Option<&mut MonitorAdmission>,
-) -> Result<Vec<TxnId>> {
-    // Transitive closure of dirty readers.
-    let mut aborted = victims.to_vec();
-    loop {
-        let mut grew = false;
-        for (i, op) in trace.iter().enumerate() {
-            if !op.is_read() || aborted.contains(&op.txn) {
-                continue;
-            }
-            let writer = trace[..i]
-                .iter()
-                .rev()
-                .find(|w| w.is_write() && w.item == op.item)
-                .map(|w| w.txn);
-            if writer.is_some_and(|w| aborted.contains(&w)) {
-                aborted.push(op.txn);
-                grew = true;
-            }
-        }
-        if !grew {
-            break;
-        }
-    }
-    if let Some(mon) = admission {
-        mon.retract(&aborted)?;
-    }
-    // Roll back: drop aborted ops, replay the rest.
-    trace.retain(|op| !aborted.contains(&op.txn));
-    *db = initial.clone();
-    for op in trace.iter().filter(|op| op.is_write()) {
-        db.set(op.item, op.value.clone());
-    }
-    Ok(aborted)
+/// The transaction whose write of `item` a read placed after `before`
+/// reads from.
+fn last_writer(before: &[Operation], item: ItemId) -> Option<TxnId> {
+    let from = before.iter().rev().find(|w| w.is_write() && w.item == item);
+    from.map(|w| w.txn)
 }
 
-impl Run<'_> {
-    /// The access `pending` is about to make, if any.
-    fn intent(pending: &Pending) -> Option<(ItemId, bool)> {
-        match pending {
-            Pending::NeedRead(item) => Some((*item, false)),
-            Pending::Write(op) => Some((op.item, true)),
-            Pending::Done => None,
+impl<'a> Run<'a> {
+    /// The table and the store at the start: no admission, no guard.
+    pub(crate) fn new(
+        programs: &'a [Program],
+        catalog: &Catalog,
+        initial: &'a DbState,
+        policy: &'a PolicySpec,
+        cfg: &'a ExecConfig,
+    ) -> Run<'a> {
+        let row = |(k, p): (usize, &'a Program)| {
+            let txn = TxnId(k as u32 + 1);
+            TxnRt {
+                txn,
+                session: ProgramSession::new(p, catalog, txn),
+                plan: access_plan(p, catalog, cfg.plan_mode),
+                done: false,
+                blocked: None,
+                restarts: 0,
+                backoff: 0,
+            }
+        };
+        Run {
+            policy,
+            cfg,
+            initial,
+            rts: programs.iter().enumerate().map(row).collect(),
+            db: initial.clone(),
+            trace: Vec::new(),
+            metrics: Metrics::default(),
+            rejected: Vec::new(),
+            admission: None,
+            dag_guard: None,
         }
     }
 
-    fn step(&mut self, pick: usize) -> Result<()> {
+    /// The seeded loop: one RNG draw per step over the runnable
+    /// transactions until all are done.
+    pub(crate) fn run(mut self, d: &mut dyn Discipline) -> Result<ExecOutcome> {
+        let mut rng = StdRng::seed_from_u64(self.cfg.seed);
+        let live = |rt: &&TxnRt<'_>| !rt.done;
+        while self.rts.iter().any(|rt| !rt.done) {
+            if self.metrics.steps >= self.cfg.max_steps {
+                return Err(SchedError::StepBudgetExhausted {
+                    max_steps: self.cfg.max_steps,
+                    pending: self.rts.iter().filter(live).map(|rt| rt.txn).collect(),
+                });
+            }
+            let runnable: Vec<usize> = (0..self.rts.len())
+                .filter(|&i| {
+                    let rt = &self.rts[i];
+                    !rt.done && rt.blocked.is_none() && rt.backoff == 0
+                })
+                .collect();
+            if runnable.is_empty() {
+                // Let backoffs tick down first.
+                let mut ticked = false;
+                for rt in self.rts.iter_mut().filter(|rt| rt.backoff > 0) {
+                    rt.backoff -= 1;
+                    ticked = true;
+                }
+                // Otherwise everyone live is blocked: there must be a
+                // cycle.
+                if !ticked && !self.resolve_deadlock(d)? {
+                    return Err(SchedError::Stalled);
+                }
+                continue;
+            }
+            let pick = runnable[rng.random_range(0..runnable.len())];
+            self.metrics.steps += 1;
+            self.step(d, pick)?;
+            // Bound the admission log's memory: ops before every live
+            // transaction's first operation can never be rewritten by an
+            // abort, so their undo deltas are dropped. (A cascade that
+            // aborts an already-finished transaction is the one case
+            // `MonitorAdmission::retract` starts over for.)
+            if let Some(mon) = self.admission.as_mut() {
+                mon.checkpoint(self.rts.iter().filter(live).map(|rt| rt.txn));
+            }
+        }
+
+        let mut metrics = self.metrics;
+        if let Some(mon) = self.admission.as_mut() {
+            metrics.monitor_undone_ops = mon.undone_ops();
+            metrics.monitor_log_floor = mon.log_floor() as u64;
+            metrics.monitor_skipped_ops = mon.skipped_ops();
+            if let Some(wal) = mon.wal() {
+                // Make the tail durable before reporting: a crash after
+                // this point loses nothing.
+                wal.sync();
+                let ws = wal.stats();
+                metrics.wal_appends = ws.appends;
+                metrics.wal_bytes = ws.bytes;
+                metrics.wal_fsyncs = ws.fsyncs;
+                metrics.wal_io_errors = ws.io_errors;
+                metrics.injected_faults = ws.injected_faults;
+            }
+            // A sticky (unhealed) WAL error means durable history is
+            // incomplete: refuse to report the run as successful. Healed
+            // incidents (retry/degrade policies) pass through with only
+            // `wal_io_errors` raised.
+            if let Some(error) = mon.take_wal_error() {
+                return Err(SchedError::WalFailed {
+                    error: error.to_string(),
+                });
+            }
+        }
+        metrics.committed_ops = self.trace.len() as u64;
+        Ok(ExecOutcome {
+            schedule: Schedule::new(self.trace)?,
+            final_state: self.db,
+            metrics,
+            rejected: self.rejected,
+        })
+    }
+
+    fn step(&mut self, d: &mut dyn Discipline, pick: usize) -> Result<()> {
         let policy = self.policy;
         let txn = self.rts[pick].txn;
         let pending = self.rts[pick].session.pending()?;
+        // The access `pending` is about to make, if any.
+        let intent = match &pending {
+            Pending::NeedRead(item) => Some((*item, false)),
+            Pending::Write(op) => Some((op.item, true)),
+            Pending::Done => None,
+        };
         // Online verdict-monitor admission: reject (abort for restart)
         // an operation whose admission would sink the verdict below the
         // policy's configured level. The speculative test never
         // mutates. Statically-certified transactions take the zero-cost
         // fast path inside it: the certificate proves every
         // interleaving of their component safe.
-        if let (Some(mon), Some((item, is_write))) = (&self.admission, Self::intent(&pending)) {
+        if let (Some(mon), Some((item, is_write))) = (&self.admission, intent) {
             if !mon.would_admit(txn, item, is_write) {
                 self.metrics.monitor_rejections += 1;
-                return self.abort_cascading(&[pick]);
+                return self.abort_cascading(d, &[pick]);
             }
         }
         // Runtime Theorem-3 guard: refuse the access that would close a
@@ -405,10 +506,10 @@ impl Run<'_> {
         // DAG and answers with a retracting probe — no per-step rebuild.
         if let Some(guard) = self.dag_guard.as_mut() {
             guard.sync(&self.trace, policy);
-            if let Some((item, is_write)) = Self::intent(&pending) {
+            if let Some((item, is_write)) = intent {
                 let space = policy.space_of(item).0;
                 if space < guard.l && guard.rejects(txn, space, is_write) {
-                    self.abort_cascading(&[pick])?;
+                    self.abort_cascading(d, &[pick])?;
                     self.rts[pick].done = true;
                     self.rejected.push(txn);
                     return Ok(());
@@ -416,136 +517,75 @@ impl Run<'_> {
             }
         }
         match pending {
-            Pending::Done => {
-                // Commit: release everything, clean the dirty map.
-                self.locks.release_all(txn);
-                self.dirty.retain(|_, w| *w != txn);
-                self.rts[pick].done = true;
-                self.clear_blocks();
-                Ok(())
-            }
+            Pending::Done => self.rts[pick].done = true,
             Pending::NeedRead(item) => {
-                if policy.dr_block {
-                    if let Some(&writer) = self.dirty.get(&item) {
-                        if writer != txn {
-                            return self.block(pick, Block::Dirty { writer });
-                        }
-                    }
-                }
-                let (space, mode) = (policy.space_of(item), LockMode::Shared);
-                if self.locks.try_acquire(txn, space, item, mode).is_err() {
-                    return self.block(pick, Block::Lock { space, item, mode });
+                if let Some(why) = d.read(self, txn, item) {
+                    return self.block(d, pick, why);
                 }
                 let value = self.db.require(item)?.clone();
                 let op = self.rts[pick].session.feed_read(value)?;
-                self.record(pick, op);
-                Ok(())
+                self.record(op);
             }
-            Pending::Write(op) => {
-                let (space, item, mode) = (policy.space_of(op.item), op.item, LockMode::Exclusive);
-                if self.locks.try_acquire(txn, space, item, mode).is_err() {
-                    return self.block(pick, Block::Lock { space, item, mode });
+            Pending::Write(op) => match d.write(self, &op) {
+                Write::Wait(why) => return self.block(d, pick, why),
+                Write::Buffer => self.rts[pick].session.advance_write()?,
+                Write::Apply => {
+                    self.db.set(op.item, op.value.clone());
+                    self.rts[pick].session.advance_write()?;
+                    self.record(op);
                 }
-                self.db.set(item, op.value.clone());
-                self.dirty.insert(item, txn);
-                self.rts[pick].session.advance_write()?;
-                self.record(pick, op);
-                Ok(())
-            }
+            },
         }
+        if d.after_step(self, pick) {
+            self.abort_cascading(d, &[pick])?;
+        }
+        Ok(())
     }
 
-    /// `pick` performed `op`: show it to the admission, append it to the
-    /// trace, and release early what the access plan allows.
-    fn record(&mut self, pick: usize, op: Operation) {
+    /// `op` happened (its effect is in the store): show it to the
+    /// admission and append it to the trace.
+    pub(crate) fn record(&mut self, op: Operation) {
         if let Some(mon) = self.admission.as_mut() {
             mon.observe(&op);
         }
         self.trace.push(op);
-        self.after_op(pick);
     }
 
-    /// Post-operation hooks: early per-space lock release driven by the
-    /// access plan.
-    fn after_op(&mut self, pick: usize) {
-        let policy = self.policy;
-        if !policy.early_release {
-            return;
-        }
-        let rt = &mut self.rts[pick];
-        let Some(plan) = &rt.plan else {
-            return; // no plan ⇒ hold to end
-        };
-        let emitted = rt.session.emitted();
-        if emitted > plan.len() {
-            // Plan deviation (defensive; cannot happen for certified
-            // fixed-structure programs): disable early release.
-            rt.plan = None;
-            return;
-        }
-        let remaining_spaces: BTreeSet<SpaceId> = plan[emitted..]
-            .iter()
-            .map(|o| policy.space_of(o.item))
-            .collect();
-        let txn = rt.txn;
-        let mut released = false;
-        for space in self.locks.spaces_held(txn) {
-            if !remaining_spaces.contains(&space) {
-                self.locks.release_space(txn, space);
-                released = true;
-            }
-        }
-        if released {
-            self.clear_blocks();
-        }
+    /// The live transactions `txn` waits for while blocked on `why`,
+    /// as rows of the table.
+    fn opponents(&self, d: &dyn Discipline, txn: TxnId, why: &Block) -> Vec<usize> {
+        let row = |t: TxnId| self.rts.iter().position(|rt| rt.txn == t);
+        let holders = d.holders(txn, why).into_iter().filter_map(row);
+        holders.filter(|&j| !self.rts[j].done).collect()
     }
 
-    fn block(&mut self, pick: usize, why: Block) -> Result<()> {
+    fn block(&mut self, d: &mut dyn Discipline, pick: usize, why: Block) -> Result<()> {
         self.metrics.waits += 1;
-        let rts = &self.rts;
-        // Who stands in the way right now?
-        let index: HashMap<TxnId, usize> =
-            rts.iter().enumerate().map(|(i, rt)| (rt.txn, i)).collect();
-        let opponents: Vec<usize> = match &why {
-            Block::Lock { space, item, mode } => self
-                .locks
-                .conflicting_holders(rts[pick].txn, *space, *item, *mode)
-                .into_iter()
-                .filter_map(|t| index.get(&t).copied())
-                .filter(|&j| !rts[j].done)
-                .collect(),
-            Block::Dirty { writer } => index
-                .get(writer)
-                .copied()
-                .filter(|&j| !rts[j].done)
-                .into_iter()
-                .collect(),
-        };
+        // Timestamps = original TxnId, stable across restarts.
+        let me = self.rts[pick].txn;
+        let opponents = self.opponents(d, me, &why);
+        let younger: Vec<usize> = opponents
+            .iter()
+            .copied()
+            .filter(|&j| me < self.rts[j].txn)
+            .collect();
         match self.cfg.deadlock {
             DeadlockPolicy::Detect => {
                 self.rts[pick].blocked = Some(why);
                 // A new edge appeared: look for a cycle right away.
-                self.resolve_deadlock()?;
+                self.resolve_deadlock(d)?;
             }
             DeadlockPolicy::WaitDie => {
-                // Wait only for younger opponents (requester older = smaller
-                // timestamp); otherwise die. Timestamps = original TxnId,
-                // stable across restarts.
-                let me = rts[pick].txn;
-                if opponents.iter().all(|&j| me < rts[j].txn) {
+                // Wait only for younger opponents (requester older =
+                // smaller timestamp); otherwise the requester dies —
+                // prevention: no cycle can ever form.
+                if younger.len() == opponents.len() {
                     self.rts[pick].blocked = Some(why);
                 } else {
-                    // Prevention: the requester dies; no cycle can ever form.
-                    self.abort_cascading(&[pick])?;
+                    self.abort_cascading(d, &[pick])?;
                 }
             }
             DeadlockPolicy::WoundWait => {
-                let me = rts[pick].txn;
-                let younger: Vec<usize> = opponents
-                    .iter()
-                    .copied()
-                    .filter(|&j| me < rts[j].txn)
-                    .collect();
                 if younger.is_empty() {
                     // All opponents are older: wait politely.
                     self.rts[pick].blocked = Some(why);
@@ -553,7 +593,7 @@ impl Run<'_> {
                     // Wound every younger holder — as one set, so that
                     // the admission retracts once and each survivor is
                     // re-pushed once; retry the operation on a later step.
-                    self.abort_cascading(&younger)?;
+                    self.abort_cascading(d, &younger)?;
                 }
             }
         }
@@ -562,22 +602,13 @@ impl Run<'_> {
 
     /// Build the waits-for graph from the current blocks and resolve one
     /// cycle if present. Returns whether a cycle was resolved.
-    fn resolve_deadlock(&mut self) -> Result<bool> {
+    fn resolve_deadlock(&mut self, d: &mut dyn Discipline) -> Result<bool> {
         let rts = &self.rts;
-        let index: HashMap<TxnId, usize> =
-            rts.iter().enumerate().map(|(i, rt)| (rt.txn, i)).collect();
         let mut graph = DiGraph::new(rts.len());
         for (i, rt) in rts.iter().enumerate() {
-            let holders = match &rt.blocked {
-                Some(Block::Lock { space, item, mode }) => {
-                    self.locks.conflicting_holders(rt.txn, *space, *item, *mode)
-                }
-                Some(Block::Dirty { writer }) => vec![*writer],
-                None => Vec::new(),
-            };
-            for j in holders.iter().filter_map(|holder| index.get(holder)) {
-                if !rts[*j].done {
-                    graph.add_edge(i, *j);
+            if let Some(why) = &rt.blocked {
+                for j in self.opponents(d, rt.txn, why) {
+                    graph.add_edge(i, j);
                 }
             }
         }
@@ -591,44 +622,47 @@ impl Run<'_> {
             .iter()
             .min_by_key(|&&i| (rts[i].session.emitted(), std::cmp::Reverse(rts[i].txn)))
             .expect("cycles are non-empty");
-        self.abort_cascading(&[victim])?;
+        self.abort_cascading(d, &[victim])?;
         Ok(true)
     }
 
-    /// Abort `victims` and their dirty readers ([`abort_with_dirty_readers`]
-    /// rolls trace, store and admission back, once for the whole set),
-    /// then restart the aborted transactions with backoff.
-    fn abort_cascading(&mut self, victims: &[usize]) -> Result<()> {
-        let victims: Vec<TxnId> = victims.iter().map(|&i| self.rts[i].txn).collect();
-        let aborted = abort_with_dirty_readers(
-            &victims,
-            &mut self.trace,
-            self.initial,
-            &mut self.db,
-            self.admission.as_mut(),
-        )?;
+    /// Abort `victims` plus every transaction that (transitively) read
+    /// one of an aborted transaction's writes — the one cascade: tell
+    /// the admission who, once, as one set; drop their operations from
+    /// the trace; rebuild the store by replaying what is left over
+    /// `initial`; restart them.
+    fn abort_cascading(&mut self, d: &mut dyn Discipline, victims: &[usize]) -> Result<()> {
+        // Transitive closure of dirty readers.
+        let mut aborted: Vec<TxnId> = victims.iter().map(|&i| self.rts[i].txn).collect();
+        loop {
+            let mut grew = false;
+            for (i, op) in self.trace.iter().enumerate() {
+                if !op.is_read() || aborted.contains(&op.txn) {
+                    continue;
+                }
+                if last_writer(&self.trace[..i], op.item).is_some_and(|w| aborted.contains(&w)) {
+                    aborted.push(op.txn);
+                    grew = true;
+                }
+            }
+            if !grew {
+                break;
+            }
+        }
+        if let Some(mon) = self.admission.as_mut() {
+            mon.retract(&aborted)?;
+        }
         if let Some(guard) = self.dag_guard.as_mut() {
             guard.aborted();
         }
-        // Rebuild the dirty map from the filtered trace.
-        self.dirty.clear();
-        let done: BTreeSet<TxnId> = self
-            .rts
-            .iter()
-            .filter(|rt| rt.done)
-            .map(|rt| rt.txn)
-            .collect();
+        // Roll back: drop aborted ops, replay the rest.
+        self.trace.retain(|op| !aborted.contains(&op.txn));
+        self.db = self.initial.clone();
         for op in self.trace.iter().filter(|op| op.is_write()) {
-            if done.contains(&op.txn) {
-                self.dirty.remove(&op.item);
-            } else {
-                self.dirty.insert(op.item, op.txn);
-            }
+            self.db.set(op.item, op.value.clone());
         }
-        // Reset the aborted transactions.
         self.metrics.aborts += aborted.len() as u64;
         for rt in self.rts.iter_mut().filter(|rt| aborted.contains(&rt.txn)) {
-            self.locks.release_all(rt.txn);
             rt.session.restart();
             rt.restarts += 1;
             self.metrics.restarts += 1;
@@ -638,17 +672,16 @@ impl Run<'_> {
                     restarts: rt.restarts,
                 });
             }
-            rt.backoff = rt.restarts;
-            rt.blocked = None;
             rt.done = false;
         }
+        d.on_abort(self, &aborted);
         self.clear_blocks();
         Ok(())
     }
 
     /// Unblock everyone: blocks are re-derived on the next attempt. Cheap
     /// revalidation after any lock/dirty state change.
-    fn clear_blocks(&mut self) {
+    pub(crate) fn clear_blocks(&mut self) {
         for rt in self.rts.iter_mut() {
             rt.blocked = None;
         }
@@ -658,32 +691,11 @@ impl Run<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pwsr_core::constraint::{Conjunct, Formula, IntegrityConstraint, Term};
+    use crate::fixtures::setup;
     use pwsr_core::pwsr::is_pwsr;
     use pwsr_core::serializability::is_conflict_serializable;
     use pwsr_core::value::{Domain, Value};
     use pwsr_tplang::parser::parse_program;
-
-    /// Two conjuncts: C0 over {a0, b0}, C1 over {a1, b1}.
-    fn setup() -> (Catalog, IntegrityConstraint, DbState) {
-        let mut cat = Catalog::new();
-        let a0 = cat.add_item("a0", Domain::int_range(-100, 100));
-        let b0 = cat.add_item("b0", Domain::int_range(-100, 100));
-        let a1 = cat.add_item("a1", Domain::int_range(-100, 100));
-        let b1 = cat.add_item("b1", Domain::int_range(-100, 100));
-        let ic = IntegrityConstraint::new(vec![
-            Conjunct::new(0, Formula::le(Term::var(a0), Term::var(b0))),
-            Conjunct::new(1, Formula::le(Term::var(a1), Term::var(b1))),
-        ])
-        .unwrap();
-        let initial = DbState::from_pairs([
-            (a0, Value::Int(0)),
-            (b0, Value::Int(10)),
-            (a1, Value::Int(0)),
-            (b1, Value::Int(10)),
-        ]);
-        (cat, ic, initial)
-    }
 
     fn cross_conjunct_programs() -> Vec<Program> {
         vec![

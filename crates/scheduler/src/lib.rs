@@ -33,6 +33,8 @@ pub mod concurrent;
 pub mod dag_admission;
 pub mod error;
 pub mod exec;
+#[cfg(test)]
+mod fixtures;
 pub mod lock;
 pub mod mdbs;
 pub mod metrics;
@@ -53,9 +55,9 @@ pub mod prelude {
     pub use crate::lock::{LockMode, LockTable, SpaceId};
     pub use crate::mdbs::{run_mdbs, MdbsOutcome, Site};
     pub use crate::metrics::Metrics;
-    pub use crate::occ::{run_occ, OccOutcome, OccStats};
+    pub use crate::occ::run_occ;
     pub use crate::plan::{access_plan, PlanMode};
     pub use crate::policy::{MonitorAdmission, MonitorSpec, PolicySpec};
-    pub use crate::sgt::{run_sgt, SgtOutcome, SgtStats};
+    pub use crate::sgt::run_sgt;
     pub use pwsr_core::monitor::AdmissionLevel;
 }

@@ -1,13 +1,14 @@
 //! Optimistic concurrency control with per-space backward validation.
 //!
-//! The lock-based policies in [`crate::exec`] *block*; this executor
-//! never does. Transactions read the published store and buffer their
-//! writes privately; when a transaction completes its accesses to a
-//! lock space (per its access plan — exactly the fixed-structure
-//! programs of Theorem 1 have exact plans), that space is **validated**
-//! (have any items it read there been republished since?) and, on
-//! success, its writes for that space are published immediately. A
-//! failed validation aborts and restarts the whole transaction.
+//! The lock-based policies in [`crate::exec`] *block*; this discipline
+//! of the same seeded runner never does. Transactions read the
+//! published store and buffer their writes privately; when a
+//! transaction completes its accesses to a lock space (per its access
+//! plan — exactly the fixed-structure programs of Theorem 1 have exact
+//! plans), that space is **validated** (have any items it read there
+//! been republished since?) and, on success, its writes for that space
+//! are published immediately. A failed validation aborts the whole
+//! transaction, which restarts at once.
 //!
 //! With one global space this is classical backward-validation OCC and
 //! yields serializable schedules. With one space per conjunct it yields
@@ -17,66 +18,111 @@
 //! delayed-read: OCC-PW is a Theorem-1 workload generator, not a
 //! Theorem-2 one (tests check both facts).
 
-use crate::error::{Result, SchedError};
-use crate::exec::{ExecConfig, ExecOutcome};
+use crate::error::Result;
+use crate::exec::{Block, Discipline, ExecConfig, ExecOutcome, Run, Write};
 use crate::lock::SpaceId;
-use crate::metrics::Metrics;
-use crate::plan::access_plan;
 use crate::policy::PolicySpec;
 use pwsr_core::catalog::Catalog;
 use pwsr_core::ids::{ItemId, TxnId};
-use pwsr_core::op::{OpStruct, Operation};
-use pwsr_core::schedule::Schedule;
+use pwsr_core::op::Operation;
 use pwsr_core::state::DbState;
 use pwsr_tplang::ast::Program;
-use pwsr_tplang::session::{Pending, ProgramSession};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
-/// OCC-specific counters (folded into [`Metrics`] plus extras).
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct OccStats {
-    /// Space validations performed.
-    pub validations: u64,
-    /// Validations that failed (each aborts one transaction).
-    pub validation_failures: u64,
-}
-
-/// Outcome of an OCC run: the usual execution outcome plus OCC stats.
-#[derive(Clone, Debug)]
-pub struct OccOutcome {
-    /// Committed schedule, final state, generic metrics.
-    pub exec: ExecOutcome,
-    /// Validation counters.
-    pub occ: OccStats,
-}
-
-struct OccTxn<'a> {
-    txn: TxnId,
-    session: ProgramSession<'a>,
-    plan: Option<Vec<OpStruct>>,
+/// What one transaction's current attempt has done so far.
+#[derive(Default)]
+struct Attempt {
     /// Item → version observed at (first) read.
     read_versions: BTreeMap<ItemId, u64>,
-    /// Read ops already appended to the trace (for rollback on abort).
-    emitted_reads: Vec<usize>,
     /// Buffered writes, in program order.
     write_buffer: Vec<Operation>,
     /// Spaces already validated & published.
     published: BTreeSet<SpaceId>,
-    done: bool,
-    restarts: u32,
 }
 
-impl<'a> OccTxn<'a> {
-    fn reset(&mut self) {
-        self.session.restart();
-        self.read_versions.clear();
-        self.emitted_reads.clear();
-        self.write_buffer.clear();
-        self.published.clear();
-        self.done = false;
-        self.restarts += 1;
+/// The validating discipline: how often each item has been published,
+/// and the attempts in flight (a committed transaction keeps its own —
+/// a cascade can still reach it).
+#[derive(Default)]
+struct Validating {
+    versions: HashMap<ItemId, u64>,
+    attempts: HashMap<TxnId, Attempt>,
+}
+
+impl Discipline for Validating {
+    fn read(&mut self, _run: &Run<'_>, txn: TxnId, item: ItemId) -> Option<Block> {
+        let current = self.versions.get(&item).copied().unwrap_or(0);
+        let attempt = self.attempts.entry(txn).or_default();
+        attempt.read_versions.entry(item).or_insert(current);
+        None
+    }
+
+    fn write(&mut self, _run: &Run<'_>, op: &Operation) -> Write {
+        let attempt = self.attempts.entry(op.txn).or_default();
+        attempt.write_buffer.push(op.clone());
+        Write::Buffer
+    }
+
+    /// Validate and publish every space the transaction has touched and
+    /// finished with: all of them once it is done, otherwise (early
+    /// release) those its access plan will not come back to.
+    fn after_step(&mut self, run: &mut Run<'_>, pick: usize) -> bool {
+        let (policy, rt) = (run.policy, &run.rts[pick]);
+        let (Some(ahead), Some(attempt)) =
+            (rt.spaces_ahead(policy), self.attempts.get_mut(&rt.txn))
+        else {
+            return false;
+        };
+        // As the old loop had it (the buffered writes counted twice);
+        // the next commit takes it out.
+        let counted = rt.session.emitted() + attempt.write_buffer.len();
+        if !rt.done && rt.plan.as_ref().is_some_and(|p| counted > p.len()) {
+            return false;
+        }
+        let touched: BTreeSet<SpaceId> = attempt
+            .read_versions
+            .keys()
+            .chain(attempt.write_buffer.iter().map(|o| &o.item))
+            .map(|&i| policy.space_of(i))
+            .collect();
+        for space in touched {
+            if attempt.published.contains(&space) || ahead.contains(&space) {
+                continue;
+            }
+            let valid = attempt.read_versions.iter().all(|(&item, &v)| {
+                policy.space_of(item) != space
+                    || self.versions.get(&item).copied().unwrap_or(0) == v
+            });
+            if !valid {
+                return true;
+            }
+            let in_space = |o: &&Operation| policy.space_of(o.item) == space;
+            for op in attempt.write_buffer.iter().filter(in_space) {
+                run.db.set(op.item, op.value.clone());
+                *self.versions.entry(op.item).or_insert(0) += 1;
+                run.record(op.clone());
+            }
+            attempt.published.insert(space);
+        }
+        false
+    }
+
+    fn on_abort(&mut self, run: &mut Run<'_>, aborted: &[TxnId]) {
+        for attempt in aborted.iter().filter_map(|t| self.attempts.remove(t)) {
+            // Bump versions of every rolled-back write so stale
+            // read-versions held by live transactions fail their
+            // own validation (conservative but safe).
+            for op in &attempt.write_buffer {
+                if attempt.published.contains(&run.policy.space_of(op.item)) {
+                    *self.versions.entry(op.item).or_insert(0) += 1;
+                }
+            }
+        }
+        // The OCC-specific view of the same events, so the
+        // single-threaded and OCC-certified threaded paths
+        // report comparable counters.
+        run.metrics.occ_aborts += aborted.len() as u64;
+        run.metrics.occ_retries += aborted.len() as u64;
     }
 }
 
@@ -90,239 +136,20 @@ pub fn run_occ(
     initial: &DbState,
     policy: &PolicySpec,
     cfg: &ExecConfig,
-) -> Result<OccOutcome> {
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let mut txns: Vec<OccTxn<'_>> = programs
-        .iter()
-        .enumerate()
-        .map(|(k, p)| {
-            let txn = TxnId(k as u32 + 1);
-            OccTxn {
-                txn,
-                session: ProgramSession::new(p, catalog, txn),
-                plan: access_plan(p, catalog, cfg.plan_mode),
-                read_versions: BTreeMap::new(),
-                emitted_reads: Vec::new(),
-                write_buffer: Vec::new(),
-                published: BTreeSet::new(),
-                done: false,
-                restarts: 0,
-            }
-        })
-        .collect();
-    let mut store = initial.clone();
-    let mut versions: HashMap<ItemId, u64> = HashMap::new();
-    let mut trace: Vec<Operation> = Vec::new();
-    let mut metrics = Metrics::default();
-    let mut occ = OccStats::default();
-
-    while !txns.iter().all(|t| t.done) {
-        if metrics.steps >= cfg.max_steps {
-            return Err(SchedError::StepBudgetExhausted {
-                max_steps: cfg.max_steps,
-                pending: txns.iter().filter(|t| !t.done).map(|t| t.txn).collect(),
-            });
-        }
-        let live: Vec<usize> = txns
-            .iter()
-            .enumerate()
-            .filter(|(_, t)| !t.done)
-            .map(|(i, _)| i)
-            .collect();
-        let pick = live[rng.random_range(0..live.len())];
-        metrics.steps += 1;
-        let t = &mut txns[pick];
-        match t.session.pending()? {
-            Pending::NeedRead(item) => {
-                let value = store.require(item)?.clone();
-                let op = t.session.feed_read(value)?;
-                t.read_versions
-                    .entry(item)
-                    .or_insert_with(|| versions.get(&item).copied().unwrap_or(0));
-                t.emitted_reads.push(trace.len());
-                trace.push(op);
-            }
-            Pending::Write(op) => {
-                t.session.advance_write()?;
-                t.write_buffer.push(op);
-            }
-            Pending::Done => {
-                t.done = true;
-            }
-        }
-        // Early per-space validation when the plan says a space is done.
-        let early = policy.early_release;
-        let t = &mut txns[pick];
-        let candidate_spaces: Vec<SpaceId> = if t.done {
-            // Validate everything still unpublished.
-            let mut all: BTreeSet<SpaceId> = t
-                .read_versions
-                .keys()
-                .chain(t.write_buffer.iter().map(|o| &o.item))
-                .map(|&i| policy.space_of(i))
-                .collect();
-            for s in &t.published {
-                all.remove(s);
-            }
-            all.into_iter().collect()
-        } else if early {
-            match (&t.plan, t.session.emitted() + t.write_buffer.len()) {
-                (Some(plan), emitted_total) if emitted_total <= plan.len() => {
-                    // Note: emitted() counts reads only here because
-                    // writes are buffered; reconstruct progress from
-                    // reads + buffered writes.
-                    let progressed = t.emitted_reads.len() + t.write_buffer.len();
-                    let remaining: BTreeSet<SpaceId> = plan[progressed.min(plan.len())..]
-                        .iter()
-                        .map(|o| policy.space_of(o.item))
-                        .collect();
-                    let mut touched: BTreeSet<SpaceId> = t
-                        .read_versions
-                        .keys()
-                        .chain(t.write_buffer.iter().map(|o| &o.item))
-                        .map(|&i| policy.space_of(i))
-                        .collect();
-                    for s in &t.published {
-                        touched.remove(s);
-                    }
-                    touched
-                        .into_iter()
-                        .filter(|s| !remaining.contains(s))
-                        .collect()
-                }
-                _ => Vec::new(),
-            }
-        } else {
-            Vec::new()
-        };
-        for space in candidate_spaces {
-            occ.validations += 1;
-            let t = &txns[pick];
-            let valid = t.read_versions.iter().all(|(&item, &v)| {
-                policy.space_of(item) != space || versions.get(&item).copied().unwrap_or(0) == v
-            });
-            if valid {
-                let t = &mut txns[pick];
-                for op in t
-                    .write_buffer
-                    .iter()
-                    .filter(|o| policy.space_of(o.item) == space)
-                {
-                    store.set(op.item, op.value.clone());
-                    *versions.entry(op.item).or_insert(0) += 1;
-                    trace.push(op.clone());
-                }
-                t.published.insert(space);
-            } else {
-                // Abort with transitive cascade: any transaction whose
-                // recorded read took its value from an aborted
-                // transaction's (early-published) write must abort too,
-                // or its read would become incoherent after rollback.
-                occ.validation_failures += 1;
-                let mut aborted: BTreeSet<TxnId> = BTreeSet::new();
-                aborted.insert(txns[pick].txn);
-                loop {
-                    let mut grew = false;
-                    for (i, op) in trace.iter().enumerate() {
-                        if !op.is_read() || aborted.contains(&op.txn) {
-                            continue;
-                        }
-                        let writer = trace[..i]
-                            .iter()
-                            .rev()
-                            .find(|w| w.is_write() && w.item == op.item)
-                            .map(|w| w.txn);
-                        if let Some(w) = writer {
-                            if aborted.contains(&w) && aborted.insert(op.txn) {
-                                grew = true;
-                            }
-                        }
-                    }
-                    if !grew {
-                        break;
-                    }
-                }
-                // Bump versions of every rolled-back write so stale
-                // read-versions held by live transactions fail their
-                // own validation (conservative but safe).
-                for op in trace.iter().filter(|o| aborted.contains(&o.txn)) {
-                    if op.is_write() {
-                        *versions.entry(op.item).or_insert(0) += 1;
-                    }
-                }
-                trace.retain(|o| !aborted.contains(&o.txn));
-                store = initial.clone();
-                for op in &trace {
-                    if op.is_write() {
-                        store.set(op.item, op.value.clone());
-                    }
-                }
-                metrics.aborts += aborted.len() as u64;
-                metrics.restarts += aborted.len() as u64;
-                // The OCC-specific view of the same events, so the
-                // single-threaded and OCC-certified threaded paths
-                // report comparable counters.
-                metrics.occ_aborts += aborted.len() as u64;
-                metrics.occ_retries += aborted.len() as u64;
-                for t in txns.iter_mut() {
-                    if aborted.contains(&t.txn) {
-                        t.reset();
-                        if t.restarts > cfg.max_restarts {
-                            return Err(SchedError::RestartLimit {
-                                txn: t.txn,
-                                restarts: t.restarts,
-                            });
-                        }
-                    }
-                }
-                break;
-            }
-        }
-    }
-
-    metrics.committed_ops = trace.len() as u64;
-    let schedule = Schedule::new(trace)?;
-    Ok(OccOutcome {
-        exec: ExecOutcome {
-            schedule,
-            final_state: store,
-            metrics,
-            rejected: Vec::new(),
-        },
-        occ,
-    })
+) -> Result<ExecOutcome> {
+    Run::new(programs, catalog, initial, policy, cfg).run(&mut Validating::default())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pwsr_core::constraint::{Conjunct, Formula, IntegrityConstraint, Term};
+    use crate::fixtures::setup;
     use pwsr_core::pwsr::is_pwsr;
     use pwsr_core::serializability::is_conflict_serializable;
     use pwsr_core::solver::Solver;
     use pwsr_core::strong::check_strong_correctness;
-    use pwsr_core::value::{Domain, Value};
+    use pwsr_core::value::Value;
     use pwsr_tplang::parser::parse_program;
-
-    fn setup() -> (Catalog, IntegrityConstraint, DbState) {
-        let mut cat = Catalog::new();
-        let a0 = cat.add_item("a0", Domain::int_range(-100, 100));
-        let b0 = cat.add_item("b0", Domain::int_range(-100, 100));
-        let a1 = cat.add_item("a1", Domain::int_range(-100, 100));
-        let b1 = cat.add_item("b1", Domain::int_range(-100, 100));
-        let ic = IntegrityConstraint::new(vec![
-            Conjunct::new(0, Formula::le(Term::var(a0), Term::var(b0))),
-            Conjunct::new(1, Formula::le(Term::var(a1), Term::var(b1))),
-        ])
-        .unwrap();
-        let initial = DbState::from_pairs([
-            (a0, Value::Int(0)),
-            (b0, Value::Int(10)),
-            (a1, Value::Int(0)),
-            (b1, Value::Int(10)),
-        ]);
-        (cat, ic, initial)
-    }
 
     fn programs() -> Vec<Program> {
         vec![
@@ -343,20 +170,20 @@ mod tests {
             };
             let out =
                 run_occ(&programs(), &cat, &initial, &PolicySpec::global_2pl(), &cfg).unwrap();
-            out.exec.schedule.check_read_coherence(&initial).unwrap();
+            out.schedule.check_read_coherence(&initial).unwrap();
             assert!(
-                is_conflict_serializable(&out.exec.schedule),
+                is_conflict_serializable(&out.schedule),
                 "seed {seed}: {}",
-                out.exec.schedule
+                out.schedule
             );
             // No lost updates despite optimistic writes.
             assert_eq!(
-                out.exec.final_state.get(cat.lookup("a0").unwrap()),
+                out.final_state.get(cat.lookup("a0").unwrap()),
                 Some(&Value::Int(3)),
                 "seed {seed}"
             );
             assert_eq!(
-                out.exec.final_state.get(cat.lookup("b1").unwrap()),
+                out.final_state.get(cat.lookup("b1").unwrap()),
                 Some(&Value::Int(13))
             );
         }
@@ -374,14 +201,14 @@ mod tests {
             };
             let policy = PolicySpec::predicate_wise_2pl_early(&ic); // spaces + early
             let out = run_occ(&programs(), &cat, &initial, &policy, &cfg).unwrap();
-            out.exec.schedule.check_read_coherence(&initial).unwrap();
-            assert!(is_pwsr(&out.exec.schedule, &ic).ok(), "seed {seed}");
+            out.schedule.check_read_coherence(&initial).unwrap();
+            assert!(is_pwsr(&out.schedule, &ic).ok(), "seed {seed}");
             // Theorem 1: templates are fixed-structure ⇒ correct.
             assert!(
-                check_strong_correctness(&out.exec.schedule, &solver, &initial).ok(),
+                check_strong_correctness(&out.schedule, &solver, &initial).ok(),
                 "seed {seed}"
             );
-            if !pwsr_core::dr::is_delayed_read(&out.exec.schedule) {
+            if !pwsr_core::dr::is_delayed_read(&out.schedule) {
                 non_dr += 1;
             }
         }
@@ -406,13 +233,13 @@ mod tests {
                 ..ExecConfig::default()
             };
             let out = run_occ(&hot, &cat, &initial, &PolicySpec::global_2pl(), &cfg).unwrap();
-            any_failures |= out.occ.validation_failures > 0;
+            any_failures |= out.metrics.occ_aborts > 0;
             // Every OCC abort shows up in the shared Metrics counters,
             // mirroring the generic abort/restart pair.
-            assert_eq!(out.exec.metrics.occ_aborts, out.exec.metrics.aborts);
-            assert_eq!(out.exec.metrics.occ_retries, out.exec.metrics.restarts);
+            assert_eq!(out.metrics.occ_aborts, out.metrics.aborts);
+            assert_eq!(out.metrics.occ_retries, out.metrics.restarts);
             assert_eq!(
-                out.exec.final_state.get(cat.lookup("a0").unwrap()),
+                out.final_state.get(cat.lookup("a0").unwrap()),
                 Some(&Value::Int(4)),
                 "seed {seed}: all four increments must survive"
             );
@@ -433,8 +260,8 @@ mod tests {
         };
         let a = run_occ(&programs(), &cat, &initial, &policy, &cfg).unwrap();
         let b = run_occ(&programs(), &cat, &initial, &policy, &cfg).unwrap();
-        assert_eq!(a.exec.schedule, b.exec.schedule);
-        assert_eq!(a.occ, b.occ);
+        assert_eq!(a.schedule, b.schedule);
+        assert_eq!(a.metrics, b.metrics);
     }
 
     #[test]
@@ -448,8 +275,8 @@ mod tests {
             &ExecConfig::default(),
         )
         .unwrap();
-        assert!(out.exec.schedule.is_empty());
-        assert_eq!(out.occ, OccStats::default());
+        assert!(out.schedule.is_empty());
+        assert_eq!(out.metrics, crate::metrics::Metrics::default());
     }
 
     #[test]
@@ -475,16 +302,15 @@ mod tests {
                 ..ExecConfig::default()
             };
             let out = run_occ(&mix, &cat, &initial, &policy, &cfg).unwrap();
-            out.exec
-                .schedule
+            out.schedule
                 .check_read_coherence(&initial)
                 .unwrap_or_else(|e| panic!("seed {seed}: incoherent after cascade: {e}"));
-            assert!(is_pwsr(&out.exec.schedule, &ic).ok(), "seed {seed}");
+            assert!(is_pwsr(&out.schedule, &ic).ok(), "seed {seed}");
             assert!(
-                check_strong_correctness(&out.exec.schedule, &solver, &initial).ok(),
+                check_strong_correctness(&out.schedule, &solver, &initial).ok(),
                 "seed {seed}"
             );
-            total_failures += out.occ.validation_failures;
+            total_failures += out.metrics.occ_aborts;
         }
         assert!(total_failures > 0, "stress must exercise the abort path");
     }

@@ -14,42 +14,27 @@
 //! Certification runs on the online verdict monitor
 //! ([`MonitorAdmission`] over the policy's space partition): each
 //! operation is a read-only admission probe plus an `O(words)`
-//! incremental push, replacing the old per-operation `O(n²)`
-//! rebuild-all-graphs scan. Aborts cascade through dirty readers by
-//! the lock-based executor's own function (the certifier is told whom
-//! and retracts them through its undo-log); restarts are capped. With a single global space this is classical SGT and
-//! certifies conflict-serializability.
+//! incremental push — the probe and the push the seeded runner
+//! ([`crate::exec`]) makes at every step for any discipline, so this
+//! one adds nothing of its own. Aborts cascade through dirty readers
+//! (the certifier is told whom and retracts them through its
+//! undo-log) and the aborted restart at once; restarts are capped.
+//! With a single global space this is classical SGT and certifies
+//! conflict-serializability.
 
-use crate::error::{Result, SchedError};
-use crate::exec::{abort_with_dirty_readers, ExecConfig, ExecOutcome};
-use crate::metrics::Metrics;
+use crate::error::Result;
+use crate::exec::{Discipline, ExecConfig, ExecOutcome, Run};
 use crate::policy::{MonitorAdmission, PolicySpec};
 use pwsr_core::catalog::Catalog;
-use pwsr_core::ids::TxnId;
 use pwsr_core::monitor::AdmissionLevel;
-use pwsr_core::op::Operation;
-use pwsr_core::schedule::Schedule;
 use pwsr_core::state::DbState;
 use pwsr_tplang::ast::Program;
-use pwsr_tplang::session::{Pending, ProgramSession};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
-/// SGT statistics.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct SgtStats {
-    /// Cycle certifications that failed (each aborts a transaction).
-    pub certification_failures: u64,
-}
+/// Neither locks nor blocks nor buffers: every answer is the
+/// [`Discipline`]'s default.
+struct Certifying;
 
-/// Outcome of an SGT run.
-#[derive(Clone, Debug)]
-pub struct SgtOutcome {
-    /// Committed schedule, final state, generic metrics.
-    pub exec: ExecOutcome,
-    /// SGT counters.
-    pub sgt: SgtStats,
-}
+impl Discipline for Certifying {}
 
 /// Run the programs under per-space SGT certification. Only the
 /// policy's item→space map is used (early release and DR flags do not
@@ -60,151 +45,24 @@ pub fn run_sgt(
     initial: &DbState,
     policy: &PolicySpec,
     cfg: &ExecConfig,
-) -> Result<SgtOutcome> {
-    struct Rt<'a> {
-        txn: TxnId,
-        session: ProgramSession<'a>,
-        done: bool,
-        restarts: u32,
-    }
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let mut rts: Vec<Rt<'_>> = programs
-        .iter()
-        .enumerate()
-        .map(|(k, p)| {
-            let txn = TxnId(k as u32 + 1);
-            Rt {
-                txn,
-                session: ProgramSession::new(p, catalog, txn),
-                done: false,
-                restarts: 0,
-            }
-        })
-        .collect();
-    let mut db = initial.clone();
-    let mut trace: Vec<Operation> = Vec::new();
-    let mut metrics = Metrics::default();
-    let mut sgt = SgtStats::default();
+) -> Result<ExecOutcome> {
+    let mut run = Run::new(programs, catalog, initial, policy, cfg);
     // Per-space acyclicity is exactly the monitor's PWSR floor over
     // the space partition of the catalog.
-    let mut certifier = MonitorAdmission::for_spaces(catalog, policy, AdmissionLevel::Pwsr);
-
-    while !rts.iter().all(|rt| rt.done) {
-        if metrics.steps >= cfg.max_steps {
-            return Err(SchedError::StepBudgetExhausted {
-                max_steps: cfg.max_steps,
-                pending: rts.iter().filter(|rt| !rt.done).map(|rt| rt.txn).collect(),
-            });
-        }
-        let live: Vec<usize> = rts
-            .iter()
-            .enumerate()
-            .filter(|(_, rt)| !rt.done)
-            .map(|(i, _)| i)
-            .collect();
-        let pick = live[rng.random_range(0..live.len())];
-        metrics.steps += 1;
-        let txn = rts[pick].txn;
-        let tentative = match rts[pick].session.pending()? {
-            Pending::Done => {
-                rts[pick].done = true;
-                continue;
-            }
-            Pending::NeedRead(item) => {
-                let value = db.require(item)?.clone();
-                Operation::read(txn, item, value)
-            }
-            Pending::Write(op) => op,
-        };
-        if !certifier.would_admit(tentative.txn, tentative.item, tentative.is_write()) {
-            // Certification failure: cascade-abort this transaction.
-            sgt.certification_failures += 1;
-            let aborted = abort_with_dirty_readers(
-                &[txn],
-                &mut trace,
-                initial,
-                &mut db,
-                Some(&mut certifier),
-            )?;
-            metrics.aborts += aborted.len() as u64;
-            metrics.restarts += aborted.len() as u64;
-            for rt in rts.iter_mut() {
-                if aborted.contains(&rt.txn) {
-                    rt.session.restart();
-                    rt.done = false;
-                    rt.restarts += 1;
-                    if rt.restarts > cfg.max_restarts {
-                        return Err(SchedError::RestartLimit {
-                            txn: rt.txn,
-                            restarts: rt.restarts,
-                        });
-                    }
-                }
-            }
-            continue;
-        }
-        // Certified: perform the operation (and record it with the
-        // incremental certifier, keeping it exactly in step with the
-        // trace).
-        match &tentative {
-            op if op.is_read() => {
-                let emitted = rts[pick].session.feed_read(op.value.clone())?;
-                certifier.push(&emitted);
-                trace.push(emitted);
-            }
-            op => {
-                db.set(op.item, op.value.clone());
-                rts[pick].session.advance_write()?;
-                certifier.push(op);
-                trace.push(op.clone());
-            }
-        }
-    }
-
-    metrics.monitor_undone_ops = certifier.undone_ops();
-    metrics.committed_ops = trace.len() as u64;
-    let schedule = Schedule::new(trace)?;
-    Ok(SgtOutcome {
-        exec: ExecOutcome {
-            schedule,
-            final_state: db,
-            metrics,
-            rejected: Vec::new(),
-        },
-        sgt,
-    })
+    let certifier = MonitorAdmission::for_spaces(catalog, policy, AdmissionLevel::Pwsr);
+    run.admission = Some(certifier);
+    run.run(&mut Certifying)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pwsr_core::constraint::{Conjunct, Formula, IntegrityConstraint, Term};
+    use crate::fixtures::setup;
     use pwsr_core::pwsr::is_pwsr;
     use pwsr_core::serializability::is_conflict_serializable;
     use pwsr_core::solver::Solver;
     use pwsr_core::strong::check_strong_correctness;
-    use pwsr_core::value::{Domain, Value};
     use pwsr_tplang::parser::parse_program;
-
-    fn setup() -> (Catalog, IntegrityConstraint, DbState) {
-        let mut cat = Catalog::new();
-        let a0 = cat.add_item("a0", Domain::int_range(-100, 100));
-        let b0 = cat.add_item("b0", Domain::int_range(-100, 100));
-        let a1 = cat.add_item("a1", Domain::int_range(-100, 100));
-        let b1 = cat.add_item("b1", Domain::int_range(-100, 100));
-        let ic = IntegrityConstraint::new(vec![
-            Conjunct::new(0, Formula::le(Term::var(a0), Term::var(b0))),
-            Conjunct::new(1, Formula::le(Term::var(a1), Term::var(b1))),
-        ])
-        .unwrap();
-        let initial = DbState::from_pairs([
-            (a0, Value::Int(0)),
-            (b0, Value::Int(10)),
-            (a1, Value::Int(0)),
-            (b1, Value::Int(10)),
-        ]);
-        (cat, ic, initial)
-    }
 
     fn programs() -> Vec<Program> {
         vec![
@@ -225,11 +83,11 @@ mod tests {
             };
             let out =
                 run_sgt(&programs(), &cat, &initial, &PolicySpec::global_2pl(), &cfg).unwrap();
-            out.exec.schedule.check_read_coherence(&initial).unwrap();
+            out.schedule.check_read_coherence(&initial).unwrap();
             assert!(
-                is_conflict_serializable(&out.exec.schedule),
+                is_conflict_serializable(&out.schedule),
                 "seed {seed}: {}",
-                out.exec.schedule
+                out.schedule
             );
         }
     }
@@ -245,11 +103,11 @@ mod tests {
             };
             let policy = PolicySpec::predicate_wise_2pl(&ic); // spaces only
             let out = run_sgt(&programs(), &cat, &initial, &policy, &cfg).unwrap();
-            out.exec.schedule.check_read_coherence(&initial).unwrap();
-            assert!(is_pwsr(&out.exec.schedule, &ic).ok(), "seed {seed}");
+            out.schedule.check_read_coherence(&initial).unwrap();
+            assert!(is_pwsr(&out.schedule, &ic).ok(), "seed {seed}");
             // Templates are fixed-structure ⇒ Theorem 1.
             assert!(
-                check_strong_correctness(&out.exec.schedule, &solver, &initial).ok(),
+                check_strong_correctness(&out.schedule, &solver, &initial).ok(),
                 "seed {seed}"
             );
         }
@@ -271,8 +129,8 @@ mod tests {
                 ..ExecConfig::default()
             };
             let out = run_sgt(&hot, &cat, &initial, &PolicySpec::global_2pl(), &cfg).unwrap();
-            failures += out.sgt.certification_failures;
-            assert!(is_conflict_serializable(&out.exec.schedule));
+            failures += out.metrics.monitor_rejections;
+            assert!(is_conflict_serializable(&out.schedule));
         }
         assert!(
             failures > 0,
@@ -291,7 +149,7 @@ mod tests {
         };
         let policy = PolicySpec::predicate_wise_2pl(&ic);
         let out = run_sgt(&programs(), &cat, &initial, &policy, &cfg).unwrap();
-        assert_eq!(out.exec.metrics.waits, 0);
+        assert_eq!(out.metrics.waits, 0);
     }
 
     #[test]
@@ -304,8 +162,8 @@ mod tests {
         };
         let a = run_sgt(&programs(), &cat, &initial, &policy, &cfg).unwrap();
         let b = run_sgt(&programs(), &cat, &initial, &policy, &cfg).unwrap();
-        assert_eq!(a.exec.schedule, b.exec.schedule);
+        assert_eq!(a.schedule, b.schedule);
         let empty = run_sgt(&[], &cat, &initial, &policy, &cfg).unwrap();
-        assert!(empty.exec.schedule.is_empty());
+        assert!(empty.schedule.is_empty());
     }
 }

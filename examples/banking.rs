@@ -72,14 +72,14 @@ fn main() {
         )
         .expect("occ completes");
         let d = diagnose(
-            &out.exec.schedule,
+            &out.schedule,
             &w.ic,
             &w.catalog,
             Some(&w.programs),
             Some(&w.initial),
         );
         assert!(d.verdict.pwsr.ok() && d.correct(), "seed {seed}:\n{d}");
-        restarts += out.exec.metrics.restarts;
+        restarts += out.metrics.restarts;
     }
     println!(
         "20/20 OCC runs were PWSR and strongly correct ({restarts} optimistic restarts in total).\n\

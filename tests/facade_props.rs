@@ -7,9 +7,12 @@ use pwsr::core::solver::Solver;
 use pwsr::core::strong::check_strong_correctness;
 use pwsr::gen::workloads::{random_workload, WorkloadConfig};
 use pwsr::prelude::*;
-use pwsr::scheduler::exec::{run_workload, ExecConfig};
+use pwsr::scheduler::error::SchedError;
+use pwsr::scheduler::exec::{run_workload, ExecConfig, ExecOutcome};
+use pwsr::scheduler::occ::run_occ;
 use pwsr::scheduler::plan::PlanMode;
 use pwsr::scheduler::policy::PolicySpec;
+use pwsr::scheduler::sgt::run_sgt;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -37,22 +40,30 @@ proptest! {
         cfg in small_cfg(),
         wseed in any::<u64>(),
         eseed in any::<u64>(),
-        policy_pick in 0u8..4,
+        policy_pick in 0u8..7,
     ) {
         let mut rng = StdRng::seed_from_u64(wseed);
         let w = random_workload(&mut rng, &cfg);
-        let policy = match policy_pick {
-            0 => PolicySpec::global_2pl(),
-            1 => PolicySpec::predicate_wise_2pl(&w.ic),
-            2 => PolicySpec::predicate_wise_2pl_early(&w.ic),
-            _ => PolicySpec::predicate_wise_2pl_early(&w.ic).dr_blocking(),
+        // All three disciplines of the seeded runner: locking (four
+        // policies), certification, validation (held to the end and
+        // early).
+        type Runner = fn(&[Program], &Catalog, &DbState, &PolicySpec, &ExecConfig)
+            -> Result<ExecOutcome, SchedError>;
+        let (run, policy): (Runner, PolicySpec) = match policy_pick {
+            0 => (run_workload, PolicySpec::global_2pl()),
+            1 => (run_workload, PolicySpec::predicate_wise_2pl(&w.ic)),
+            2 => (run_workload, PolicySpec::predicate_wise_2pl_early(&w.ic)),
+            3 => (run_workload, PolicySpec::predicate_wise_2pl_early(&w.ic).dr_blocking()),
+            4 => (run_sgt, PolicySpec::predicate_wise_2pl(&w.ic)),
+            5 => (run_occ, PolicySpec::predicate_wise_2pl(&w.ic)),
+            _ => (run_occ, PolicySpec::predicate_wise_2pl_early(&w.ic)),
         };
         let exec_cfg = ExecConfig {
             seed: eseed,
             plan_mode: PlanMode::ExactIfFixed,
             ..ExecConfig::default()
         };
-        let out = run_workload(&w.programs, &w.catalog, &w.initial, &policy, &exec_cfg).unwrap();
+        let out = run(&w.programs, &w.catalog, &w.initial, &policy, &exec_cfg).unwrap();
         out.schedule.check_read_coherence(&w.initial).unwrap();
         prop_assert_eq!(out.schedule.apply(&w.initial), out.final_state.clone());
         // Every transaction committed exactly once.

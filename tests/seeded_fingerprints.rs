@@ -166,11 +166,11 @@ fn table() -> Vec<(String, u64, u64)> {
         for seed in 1..=5 {
             let cfg = cfg(seed, DeadlockPolicy::Detect);
             match run_occ(programs, catalog, initial, &policy, &cfg) {
-                Ok(out) => occ.eat_schedule(&out.exec.schedule),
+                Ok(out) => occ.eat_schedule(&out.schedule),
                 Err(e) => occ.eat(format!("{e:?}").as_bytes()),
             }
             match run_sgt(programs, catalog, initial, &policy, &cfg) {
-                Ok(out) => sgt.eat_schedule(&out.exec.schedule),
+                Ok(out) => sgt.eat_schedule(&out.schedule),
                 Err(e) => sgt.eat(format!("{e:?}").as_bytes()),
             }
         }
@@ -207,11 +207,11 @@ fn wider_table() -> Vec<(String, u64, u64)> {
             for seed in 1..=5 {
                 let cfg = cfg(seed, DeadlockPolicy::Detect);
                 match run_occ(programs, catalog, initial, policy, &cfg) {
-                    Ok(out) => occ.eat_outcome(&out.exec),
+                    Ok(out) => occ.eat_outcome(&out),
                     Err(e) => occ.eat(format!("{e:?}").as_bytes()),
                 }
                 match run_sgt(programs, catalog, initial, policy, &cfg) {
-                    Ok(out) => sgt.eat_outcome(&out.exec),
+                    Ok(out) => sgt.eat_outcome(&out),
                     Err(e) => sgt.eat(format!("{e:?}").as_bytes()),
                 }
             }
