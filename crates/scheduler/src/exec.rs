@@ -23,7 +23,7 @@
 use crate::error::{Result, SchedError};
 use crate::lock::{LockMode, LockTable, SpaceId};
 use crate::metrics::Metrics;
-use crate::plan::{access_plan, PlanMode};
+use crate::plan::access_plan;
 use crate::policy::{MonitorAdmission, PolicySpec};
 use pwsr_core::catalog::Catalog;
 use pwsr_core::dag::OnlineAccessDag;
@@ -61,9 +61,6 @@ pub struct ExecConfig {
     pub seed: u64,
     /// Step budget (livelock guard).
     pub max_steps: u64,
-    /// Access-plan production (enables early release when the policy
-    /// asks for it).
-    pub plan_mode: PlanMode,
     /// Per-transaction restart cap (starvation guard).
     pub max_restarts: u32,
     /// Deadlock handling: detection or prevention.
@@ -75,7 +72,6 @@ impl Default for ExecConfig {
         ExecConfig {
             seed: 0xC0FFEE,
             max_steps: 1_000_000,
-            plan_mode: PlanMode::ExactIfFixed,
             max_restarts: 64,
             deadlock: DeadlockPolicy::Detect,
         }
@@ -376,7 +372,7 @@ impl<'a> Run<'a> {
             TxnRt {
                 txn,
                 session: ProgramSession::new(p, catalog, txn),
-                plan: access_plan(p, catalog, cfg.plan_mode),
+                plan: access_plan(p, catalog),
                 done: false,
                 blocked: None,
                 restarts: 0,

@@ -56,7 +56,7 @@ pub mod prelude {
     pub use crate::mdbs::{run_mdbs, MdbsOutcome, Site};
     pub use crate::metrics::Metrics;
     pub use crate::occ::run_occ;
-    pub use crate::plan::{access_plan, PlanMode};
+    pub use crate::plan::access_plan;
     pub use crate::policy::{MonitorAdmission, MonitorSpec, PolicySpec};
     pub use crate::sgt::run_sgt;
     pub use pwsr_core::monitor::AdmissionLevel;

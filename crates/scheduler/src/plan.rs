@@ -15,33 +15,19 @@ use pwsr_core::state::DbState;
 use pwsr_tplang::analysis::{static_structure, structure_of};
 use pwsr_tplang::ast::Program;
 
-/// How plans are produced.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum PlanMode {
-    /// No plans: every policy holds locks to transaction end.
-    None,
-    /// Exact plans for programs the static prover certifies as
-    /// fixed-structure; `None` for the rest.
-    ExactIfFixed,
-}
-
-/// The access plan for `program`, per `mode`. A plan is the program's
-/// (state-independent) operation structure.
-pub fn access_plan(program: &Program, catalog: &Catalog, mode: PlanMode) -> Option<Vec<OpStruct>> {
-    match mode {
-        PlanMode::None => None,
-        PlanMode::ExactIfFixed => {
-            if !static_structure(program, catalog).is_fixed() {
-                return None;
-            }
-            // Fixed structure: any total probe state gives the plan.
-            let mut probe = DbState::new();
-            for item in catalog.items() {
-                probe.set(item, catalog.domain(item).any_value());
-            }
-            structure_of(program, catalog, &probe).ok()
-        }
+/// The access plan for `program`: its (state-independent) operation
+/// structure, exact for programs the static prover certifies as
+/// fixed-structure; `None` for the rest.
+pub fn access_plan(program: &Program, catalog: &Catalog) -> Option<Vec<OpStruct>> {
+    if !static_structure(program, catalog).is_fixed() {
+        return None;
     }
+    // Fixed structure: any total probe state gives the plan.
+    let mut probe = DbState::new();
+    for item in catalog.items() {
+        probe.set(item, catalog.domain(item).any_value());
+    }
+    structure_of(program, catalog, &probe).ok()
 }
 
 #[cfg(test)]
@@ -63,7 +49,7 @@ mod tests {
     fn fixed_program_gets_exact_plan() {
         let cat = catalog();
         let p = parse_program("P", "b := c - 1;").unwrap();
-        let plan = access_plan(&p, &cat, PlanMode::ExactIfFixed).unwrap();
+        let plan = access_plan(&p, &cat).unwrap();
         assert_eq!(plan.len(), 2);
         assert_eq!(plan[0].action, Action::Read);
         assert_eq!(plan[1].action, Action::Write);
@@ -73,14 +59,7 @@ mod tests {
     fn non_fixed_program_gets_none() {
         let cat = catalog();
         let p = parse_program("P", "if (c > 0) then b := 1;").unwrap();
-        assert!(access_plan(&p, &cat, PlanMode::ExactIfFixed).is_none());
-    }
-
-    #[test]
-    fn mode_none_disables_plans() {
-        let cat = catalog();
-        let p = parse_program("P", "b := 1;").unwrap();
-        assert!(access_plan(&p, &cat, PlanMode::None).is_none());
+        assert!(access_plan(&p, &cat).is_none());
     }
 
     #[test]
@@ -88,7 +67,7 @@ mod tests {
         // The plan equals the structure from *any* state.
         let cat = catalog();
         let p = parse_program("P", "if (c > 0) then { b := 1; } else { b := 2; }").unwrap();
-        let plan = access_plan(&p, &cat, PlanMode::ExactIfFixed).unwrap();
+        let plan = access_plan(&p, &cat).unwrap();
         use pwsr_core::value::Value;
         for cv in [-2i64, 0, 2] {
             let st = DbState::from_pairs([

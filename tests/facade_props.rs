@@ -10,7 +10,6 @@ use pwsr::prelude::*;
 use pwsr::scheduler::error::SchedError;
 use pwsr::scheduler::exec::{run_workload, ExecConfig, ExecOutcome};
 use pwsr::scheduler::occ::run_occ;
-use pwsr::scheduler::plan::PlanMode;
 use pwsr::scheduler::policy::PolicySpec;
 use pwsr::scheduler::sgt::run_sgt;
 use rand::rngs::StdRng;
@@ -60,7 +59,6 @@ proptest! {
         };
         let exec_cfg = ExecConfig {
             seed: eseed,
-            plan_mode: PlanMode::ExactIfFixed,
             ..ExecConfig::default()
         };
         let out = run(&w.programs, &w.catalog, &w.initial, &policy, &exec_cfg).unwrap();
