@@ -167,7 +167,7 @@ pub fn run_threaded_certified(
         monitor = monitor.with_journal(Box::new(wal.clone()));
     }
     let db = StripedDb::new(initial, 16);
-    let certificate = certificate_of(policy);
+    let certificate = policy.monitor.as_ref().and_then(certificate_of);
     // Side trace for statically-certified transactions: a plain mutex
     // push, no graph maintenance, no pipeline stages.
     let side: Mutex<Vec<Operation>> = Mutex::new(Vec::new());
@@ -253,17 +253,10 @@ pub fn run_threaded_certified(
 
     let (monitored, verdict) = monitor.into_parts();
     let schedule = splice_side_trace(monitored, side.into_inner())?;
-    // Make the journaled tail durable before reporting success — and
-    // refuse to report success at all if the WAL's error policy could
-    // not heal an I/O failure (fail-stop): the schedule would claim a
-    // durability the log cannot back.
+    // This path reports no metrics; the seal is for the tail and the
+    // verdict on the log.
     if let Some(wal) = policy.monitor.as_ref().and_then(|s| s.wal.as_ref()) {
-        wal.sync();
-        if let Some(error) = wal.take_error() {
-            return Err(SchedError::WalFailed {
-                error: error.to_string(),
-            });
-        }
+        Metrics::default().seal_wal(wal)?;
     }
     Ok((schedule, db.into_state(), verdict))
 }
@@ -275,11 +268,9 @@ pub fn run_threaded_certified(
 /// honest).
 ///
 /// [`PolicySpec::certified`]: crate::policy::PolicySpec::certified
-fn certificate_of(policy: &PolicySpec) -> Option<&StaticCertificate> {
-    let spec = policy.monitor.as_ref()?;
-    spec.certificate
-        .as_ref()
-        .filter(|c| c.satisfies(spec.level))
+fn certificate_of(spec: &MonitorSpec) -> Option<&StaticCertificate> {
+    let holds = |c: &&StaticCertificate| c.satisfies(spec.level);
+    spec.certificate.as_ref().filter(holds)
 }
 
 /// Append the certified side trace after the monitored schedule.
@@ -593,7 +584,7 @@ pub fn run_threaded_occ_tuned(
     }
     let monitor = monitor;
     let level = spec.level;
-    let certificate = spec.certificate.as_ref().filter(|c| c.satisfies(level));
+    let certificate = certificate_of(spec);
     let db = OccStripedDb::new(initial, 16);
     let next = AtomicUsize::new(0);
     let threads = threads.max(1);
@@ -726,29 +717,15 @@ pub fn run_threaded_occ_tuned(
         ..Metrics::default()
     };
     // When one `FaultPlan` instruments both the executor and the WAL,
-    // `FaultPlan::injected` is the authoritative total; with faults
-    // armed only beneath the WAL, its stats carry the count.
-    if let Some(faults) = &tuning.faults {
-        metrics.injected_faults = faults.injected();
-    }
+    // `FaultPlan::injected` (read before the seal's sync, as ever) is
+    // the authoritative total; with faults armed only beneath the WAL,
+    // its stats carry the count.
+    let planned = tuning.faults.as_ref().map(|faults| faults.injected());
     if let Some(wal) = &spec.wal {
-        wal.sync();
-        let ws = wal.stats();
-        metrics.wal_appends = ws.appends;
-        metrics.wal_bytes = ws.bytes;
-        metrics.wal_fsyncs = ws.fsyncs;
-        metrics.wal_io_errors = ws.io_errors;
-        if tuning.faults.is_none() {
-            metrics.injected_faults = ws.injected_faults;
-        }
-        // Self-healing policies (retry/degrade) leave no sticky error
-        // behind; under fail-stop a surviving error means durable
-        // history is incomplete and the run must not report success.
-        if let Some(error) = wal.take_error() {
-            return Err(SchedError::WalFailed {
-                error: error.to_string(),
-            });
-        }
+        metrics.seal_wal(wal)?;
+    }
+    if let Some(planned) = planned {
+        metrics.injected_faults = planned;
     }
     // The promise every per-push `breaches` check exists to keep,
     // checked once on the quiescent verdict: a run that committed

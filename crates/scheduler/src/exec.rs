@@ -444,24 +444,7 @@ impl<'a> Run<'a> {
             metrics.monitor_log_floor = mon.log_floor() as u64;
             metrics.monitor_skipped_ops = mon.skipped_ops();
             if let Some(wal) = mon.wal() {
-                // Make the tail durable before reporting: a crash after
-                // this point loses nothing.
-                wal.sync();
-                let ws = wal.stats();
-                metrics.wal_appends = ws.appends;
-                metrics.wal_bytes = ws.bytes;
-                metrics.wal_fsyncs = ws.fsyncs;
-                metrics.wal_io_errors = ws.io_errors;
-                metrics.injected_faults = ws.injected_faults;
-            }
-            // A sticky (unhealed) WAL error means durable history is
-            // incomplete: refuse to report the run as successful. Healed
-            // incidents (retry/degrade policies) pass through with only
-            // `wal_io_errors` raised.
-            if let Some(error) = mon.take_wal_error() {
-                return Err(SchedError::WalFailed {
-                    error: error.to_string(),
-                });
+                metrics.seal_wal(wal)?;
             }
         }
         metrics.committed_ops = self.trace.len() as u64;

@@ -1,5 +1,7 @@
 //! Execution metrics collected by the executor.
 
+use crate::error::{Result, SchedError};
+use pwsr_durability::wal::SharedWal;
 use std::fmt;
 
 /// Counters describing one workload execution.
@@ -76,6 +78,29 @@ pub struct Metrics {
 }
 
 impl Metrics {
+    /// Seal a journaled run: make the WAL's tail durable before
+    /// reporting (a crash after this point loses nothing), copy its
+    /// counters, and refuse to report success over a sticky (unhealed)
+    /// I/O error — durable history is incomplete, the schedule would
+    /// claim a durability the log cannot back. Incidents the log's
+    /// policy healed (retry / degrade) pass with only `wal_io_errors`
+    /// raised.
+    pub(crate) fn seal_wal(&mut self, wal: &SharedWal) -> Result<()> {
+        wal.sync();
+        let ws = wal.stats();
+        self.wal_appends = ws.appends;
+        self.wal_bytes = ws.bytes;
+        self.wal_fsyncs = ws.fsyncs;
+        self.wal_io_errors = ws.io_errors;
+        self.injected_faults = ws.injected_faults;
+        match wal.take_error() {
+            Some(error) => Err(SchedError::WalFailed {
+                error: error.to_string(),
+            }),
+            None => Ok(()),
+        }
+    }
+
     /// Blocked-step fraction: waits per step (0 when no steps ran).
     pub fn wait_ratio(&self) -> f64 {
         if self.steps == 0 {

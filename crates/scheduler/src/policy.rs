@@ -22,7 +22,7 @@ use pwsr_core::ids::{ItemId, TxnId};
 use pwsr_core::monitor::{AdmissionLevel, CompactStats, OnlineMonitor, Verdict};
 use pwsr_core::op::Operation;
 use pwsr_core::state::ItemSet;
-use pwsr_durability::wal::{SharedWal, Wal, WalRecord, WalStats};
+use pwsr_durability::wal::{SharedWal, Wal, WalRecord};
 use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 
@@ -155,12 +155,13 @@ impl MonitorAdmission {
 
     /// Journal WAL transitions. An I/O error the log's policy could
     /// not heal (fail-stop, or an exhausted retry) stays in the log,
-    /// sticky, until the executor's [`take_wal_error`] turns it into a
-    /// refusal to report success; self-healing policies (retry,
-    /// degrade-to-memory) leave none and the run proceeds — the
-    /// incident stays visible in `WalStats::io_errors`.
+    /// sticky, until the executor seals the log at the end of the run
+    /// and turns it into [`SchedError::WalFailed`], a refusal to report
+    /// success; self-healing policies (retry, degrade-to-memory) leave
+    /// none and the run proceeds — the incident stays visible in
+    /// `WalStats::io_errors`.
     ///
-    /// [`take_wal_error`]: MonitorAdmission::take_wal_error
+    /// [`SchedError::WalFailed`]: crate::error::SchedError::WalFailed
     fn journal(&self, f: impl FnOnce(&mut Wal)) {
         if let Some(wal) = &self.wal {
             wal.with(f);
@@ -429,18 +430,6 @@ impl MonitorAdmission {
     /// The attached write-ahead log, if any.
     pub fn wal(&self) -> Option<&SharedWal> {
         self.wal.as_ref()
-    }
-
-    /// Take the WAL's sticky I/O error, if any, clearing it — the
-    /// executor's final sync turns `Some` into
-    /// [`SchedError::WalFailed`](crate::error::SchedError::WalFailed).
-    pub fn take_wal_error(&mut self) -> Option<std::io::Error> {
-        self.wal().and_then(SharedWal::take_error)
-    }
-
-    /// WAL counters (append/byte/fsync), when a WAL is attached.
-    pub fn wal_stats(&self) -> Option<WalStats> {
-        self.wal().map(SharedWal::stats)
     }
 }
 
