@@ -16,9 +16,15 @@
 //! * [`plan`] — access plans: exact operation structures for
 //!   fixed-structure programs (Theorem 1's class), enabling sound early
 //!   release.
-//! * [`exec`] — a deterministic, seeded, discrete-event executor with
-//!   waits-for deadlock detection, victim selection, cascading aborts
-//!   and restarts; produces the committed schedule plus metrics.
+//! * [`exec`] — the one deterministic, seeded, discrete-event runner:
+//!   transaction table, pick, step budget, monitor admission, cascading
+//!   aborts, restarts, the committed schedule plus metrics — and its
+//!   *locking* discipline ([`exec::run_workload`]: waits, waits-for
+//!   deadlock detection or prevention, victim selection).
+//! * [`occ`] — the same runner's *validation* discipline: buffered
+//!   writes, per-space backward validation, publish on success.
+//! * [`sgt`] — its *certification* discipline: nothing but the
+//!   admission probe, over the policy's space partition.
 //! * [`dag_admission`] — static Theorem-3 admission: conjunct access
 //!   ordering from the program set's syntactic read/write sets.
 //! * [`mdbs`] — the §4 multidatabase scenario: each site is a lock
