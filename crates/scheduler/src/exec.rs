@@ -120,8 +120,8 @@ pub(crate) enum Write {
 /// One row of the transaction table.
 pub(crate) struct TxnRt<'a> {
     pub(crate) txn: TxnId,
-    pub(crate) session: ProgramSession<'a>,
-    pub(crate) plan: Option<Vec<OpStruct>>,
+    session: ProgramSession<'a>,
+    plan: Option<Vec<OpStruct>>,
     pub(crate) done: bool,
     blocked: Option<Block>,
     restarts: u32,

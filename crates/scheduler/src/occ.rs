@@ -73,12 +73,6 @@ impl Discipline for Validating {
         else {
             return false;
         };
-        // As the old loop had it (the buffered writes counted twice);
-        // the next commit takes it out.
-        let counted = rt.session.emitted() + attempt.write_buffer.len();
-        if !rt.done && rt.plan.as_ref().is_some_and(|p| counted > p.len()) {
-            return false;
-        }
         let touched: BTreeSet<SpaceId> = attempt
             .read_versions
             .keys()
@@ -148,7 +142,7 @@ mod tests {
     use pwsr_core::serializability::is_conflict_serializable;
     use pwsr_core::solver::Solver;
     use pwsr_core::strong::check_strong_correctness;
-    use pwsr_core::value::Value;
+    use pwsr_core::value::{Domain, Value};
     use pwsr_tplang::parser::parse_program;
 
     fn programs() -> Vec<Program> {
@@ -216,6 +210,41 @@ mod tests {
         assert!(
             non_dr > 0,
             "expected some non-DR schedules from early publishing"
+        );
+    }
+
+    /// Early validation follows the access plan to the end of the
+    /// transaction: each conjunct is published as the plan leaves it.
+    /// (A guard that counted buffered writes twice used to stop it once
+    /// reads + 2·writes passed the plan's length — this transaction then
+    /// committed `… r(a2) r(a3) w(a2) w(a3)`, conjunct 2 held back to
+    /// `Done`.)
+    #[test]
+    fn early_validation_publishes_each_space_as_its_plan_leaves_it() {
+        use pwsr_core::constraint::{Conjunct, Formula, IntegrityConstraint, Term};
+        let mut cat = Catalog::new();
+        let items: Vec<ItemId> = (0..4)
+            .map(|k| cat.add_item(&format!("a{k}"), Domain::int_range(-100, 100)))
+            .collect();
+        let conjunct = |(k, &a): (usize, &ItemId)| {
+            Conjunct::new(k as u32, Formula::le(Term::var(a), Term::int(50)))
+        };
+        let ic =
+            IntegrityConstraint::new(items.iter().enumerate().map(conjunct).collect()).unwrap();
+        let initial = DbState::from_pairs(items.iter().map(|&a| (a, Value::Int(0))));
+        let program = "a0 := a0 + 1; a1 := a1 + 1; a2 := a2 + 1; a3 := a3 + 1;";
+        let out = run_occ(
+            &[parse_program("T1", program).unwrap()],
+            &cat,
+            &initial,
+            &PolicySpec::predicate_wise_2pl_early(&ic),
+            &ExecConfig::default(),
+        )
+        .unwrap();
+        let shown: Vec<String> = out.schedule.ops().iter().map(|o| o.display(&cat)).collect();
+        assert_eq!(
+            shown.join(" "),
+            "r1(a0, 0) w1(a0, 1) r1(a1, 0) w1(a1, 1) r1(a2, 0) w1(a2, 1) r1(a3, 0) w1(a3, 1)"
         );
     }
 
