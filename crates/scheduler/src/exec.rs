@@ -122,7 +122,7 @@ pub(crate) struct TxnRt<'a> {
     pub(crate) txn: TxnId,
     session: ProgramSession<'a>,
     plan: Option<Vec<OpStruct>>,
-    pub(crate) done: bool,
+    done: bool,
     blocked: Option<Block>,
     restarts: u32,
     backoff: u32,
@@ -439,7 +439,7 @@ impl<'a> Run<'a> {
         }
 
         let mut metrics = self.metrics;
-        if let Some(mon) = self.admission.as_mut() {
+        if let Some(mon) = &self.admission {
             metrics.monitor_undone_ops = mon.undone_ops();
             metrics.monitor_log_floor = mon.log_floor() as u64;
             metrics.monitor_skipped_ops = mon.skipped_ops();

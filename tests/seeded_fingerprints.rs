@@ -467,6 +467,6 @@ fn seeded_executors_commit_the_recorded_schedules_and_wals() {
 }
 
 #[test]
-fn seeded_executors_commit_the_recorded_schedules_off_the_first_table() {
+fn seeded_executors_commit_the_recorded_outcomes_of_the_wider_table() {
     assert_recorded(&wider_table(), WIDER, &[], &[]);
 }
