@@ -101,6 +101,40 @@ impl Metrics {
         }
     }
 
+    /// Fold another worker's counters in: every count sums, and the
+    /// two levels — `monitor_log_floor`, `max_batch` — take the larger.
+    pub(crate) fn absorb(&mut self, other: &Metrics) {
+        let counts = [
+            (&mut self.steps, other.steps),
+            (&mut self.committed_ops, other.committed_ops),
+            (&mut self.waits, other.waits),
+            (&mut self.deadlocks, other.deadlocks),
+            (&mut self.aborts, other.aborts),
+            (&mut self.restarts, other.restarts),
+            (&mut self.lock_acquisitions, other.lock_acquisitions),
+            (&mut self.monitor_rejections, other.monitor_rejections),
+            (&mut self.monitor_undone_ops, other.monitor_undone_ops),
+            (&mut self.monitor_skipped_ops, other.monitor_skipped_ops),
+            (&mut self.occ_aborts, other.occ_aborts),
+            (&mut self.occ_retries, other.occ_retries),
+            (&mut self.wal_appends, other.wal_appends),
+            (&mut self.wal_bytes, other.wal_bytes),
+            (&mut self.wal_fsyncs, other.wal_fsyncs),
+            (&mut self.wal_io_errors, other.wal_io_errors),
+            (&mut self.injected_faults, other.injected_faults),
+            (&mut self.txn_timeouts, other.txn_timeouts),
+            (&mut self.zombie_reaps, other.zombie_reaps),
+            (&mut self.worker_panics, other.worker_panics),
+            (&mut self.batch_pushes, other.batch_pushes),
+            (&mut self.batched_ops, other.batched_ops),
+        ];
+        for (mine, theirs) in counts {
+            *mine += theirs;
+        }
+        self.monitor_log_floor = self.monitor_log_floor.max(other.monitor_log_floor);
+        self.max_batch = self.max_batch.max(other.max_batch);
+    }
+
     /// Blocked-step fraction: waits per step (0 when no steps ran).
     pub fn wait_ratio(&self) -> f64 {
         if self.steps == 0 {
@@ -174,6 +208,34 @@ mod tests {
         let z = Metrics::default();
         assert_eq!(z.wait_ratio(), 0.0);
         assert_eq!(z.goodput(), 0.0);
+    }
+
+    #[test]
+    fn absorb_sums_counts_and_keeps_the_larger_level() {
+        let mut total = Metrics {
+            waits: 2,
+            occ_aborts: 1,
+            max_batch: 8,
+            monitor_log_floor: 3,
+            ..Metrics::default()
+        };
+        total.absorb(&Metrics {
+            waits: 5,
+            occ_aborts: 1,
+            batch_pushes: 4,
+            max_batch: 6,
+            monitor_log_floor: 7,
+            ..Metrics::default()
+        });
+        let expected = Metrics {
+            waits: 7,
+            occ_aborts: 2,
+            batch_pushes: 4,
+            max_batch: 8,
+            monitor_log_floor: 7,
+            ..Metrics::default()
+        };
+        assert_eq!(total, expected);
     }
 
     #[test]
