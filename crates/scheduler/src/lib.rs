@@ -30,10 +30,11 @@
 //! * [`mdbs`] — the §4 multidatabase scenario: each site is a lock
 //!   space; local serializability everywhere ⇒ the global schedule is
 //!   PWSR over the site partition.
-//! * [`concurrent`] — a genuinely threaded executor (parking_lot) for
+//! * [`concurrent`] — genuinely threaded executors (parking_lot) for
 //!   demonstration that the discrete-event results are not an artifact
-//!   of simulation; its certified path runs on the sharded concurrent
-//!   monitor with an item-striped database — no global mutex.
+//!   of simulation: 2PL and optimistic, two disciplines on one worker
+//!   pool, one item-striped database (no global mutex) and one commit
+//!   step, certified by the sharded concurrent monitor.
 
 pub mod concurrent;
 pub mod dag_admission;
