@@ -9,6 +9,11 @@
 //! fires the same faults at the same logical instants, no matter how
 //! the OS schedules the worker threads.
 //!
+//! A WAL invocation is one *attempt* at its site: the first, and every
+//! re-attempt the WAL's error policy makes after a failure (a retry, or
+//! the one attempt on memory after degrading). A failed append retried
+//! twice therefore consumes three append indices.
+//!
 //! Each point fires **at most once** (firing consumes it). Without
 //! this, a stall registered at `(txn 3, access 1)` would re-fire on
 //! every retry of transaction 3 and livelock the executor; with it, a
@@ -51,11 +56,11 @@ pub enum WalFault {
 /// Where in the WAL a fault point sits.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum WalSite {
-    /// `Wal::append` — indexed by frame-write invocation.
+    /// `Wal::append` — indexed by frame-write attempt.
     Append,
-    /// `Wal::sync` — indexed by durability-barrier invocation.
+    /// `Wal::sync` — indexed by durability-barrier attempt.
     Sync,
-    /// `Wal::restart` — indexed by rotation invocation.
+    /// `Wal::restart` — indexed by rotation attempt.
     Rotate,
 }
 
@@ -130,7 +135,7 @@ impl FaultPlan {
     }
 
     /// Consult-and-consume the fault point for the next invocation of
-    /// `site`. Called by the WAL on every append/sync/rotate; each
+    /// `site`. Called by the WAL on every append/sync/rotate attempt; each
     /// call advances the site's invocation counter whether or not a
     /// point fires.
     pub fn fire_wal(&self, site: WalSite) -> Option<WalFault> {
