@@ -34,6 +34,7 @@ use pwsr_core::constraint::{Conjunct, Formula, IntegrityConstraint, Term};
 use pwsr_core::ids::TxnId;
 use pwsr_core::monitor::{AdmissionLevel, OnlineMonitor};
 use pwsr_core::op::Operation;
+use pwsr_core::schedule::Schedule;
 use pwsr_core::state::{DbState, ItemSet};
 use pwsr_core::value::{Domain, Value};
 use pwsr_durability::advance_frontier;
@@ -297,9 +298,9 @@ fn exec_baseline(ctx: &Ctx, salt: u64, notes: &mut Vec<String>) -> Option<ExecBa
     }
 }
 
-/// One WAL fault point: the `nth` append is torn short, or the `nth`
-/// fsync fails.
-fn wal_point(kind: usize, nth_append: u64, nth_sync: u64, r2: u64) -> FaultPlan {
+/// One WAL fault: the `nth` append is torn short, or the `nth` fsync
+/// fails.
+fn wal_plan(kind: usize, nth_append: u64, nth_sync: u64, r2: u64) -> FaultPlan {
     if kind == 0 {
         FaultPlan::new().on_wal(
             WalSite::Append,
@@ -313,17 +314,125 @@ fn wal_point(kind: usize, nth_append: u64, nth_sync: u64, r2: u64) -> FaultPlan 
     }
 }
 
+/// `n` WAL points whose fault-free baseline failed: none is contained.
+fn lost(n: u64, tally: &mut Tally, s: &mut ChaosStats) {
+    for _ in 0..n {
+        tally.point(false);
+    }
+    s.fault_points += n;
+    s.wal_fault_points += n;
+}
+
 /// Did the plan's single point fire, and only it?
 fn fired(plan: &FaultHandle) -> bool {
     plan.remaining() == 0 && plan.injected() == 1
 }
 
+/// Does every transaction of `progs` (but `skip`) replay its own
+/// subsequence of `schedule`?
+fn replays(ctx: &Ctx, progs: &[Program], schedule: &Schedule, skip: Option<TxnId>) -> bool {
+    (0..progs.len()).all(|k| {
+        let txn = TxnId(k as u32 + 1);
+        let sub: Vec<Operation> = schedule
+            .ops()
+            .iter()
+            .filter(|o| o.txn == txn)
+            .cloned()
+            .collect();
+        skip == Some(txn) || replay_matches(&progs[k], &ctx.cat, txn, &sub)
+    })
+}
+
+/// One fault point of a WAL leg (`exec+wal`, `2pl-mt+wal`,
+/// `occ+wal`): the file WAL it arms and what it is checked against.
+struct WalPoint<'a> {
+    leg: &'static str,
+    pid: u64,
+    /// Names the WAL file.
+    salt: u64,
+    sync: SyncPolicy,
+    policy: WalErrorPolicy,
+    plan: FaultHandle,
+    /// The fault-free twin's record stream, where the leg has one: a
+    /// fail-stopped log must be a clean prefix of it.
+    twin_records: Option<&'a [WalRecord]>,
+}
+
+/// Run one WAL fault point and hold it to the containment contract.
+/// `run` drives the leg's executor over the armed WAL and returns the
+/// committed schedule with whether it passed the leg's parity test.
+/// Fail-stop must surface `WalFailed` and leave a log that recovers
+/// cleanly; a healing policy must drop nothing, pass parity, degrade
+/// exactly when it is `DegradeToMemory`, and recover exactly the
+/// committed schedule.
+fn wal_point(
+    ctx: &Ctx,
+    point: WalPoint<'_>,
+    run: impl FnOnce(SharedWal) -> Result<(Schedule, bool), SchedError>,
+    tally: &mut Tally,
+    s: &mut ChaosStats,
+    notes: &mut Vec<String>,
+) {
+    let WalPoint {
+        leg,
+        pid,
+        salt,
+        sync,
+        policy,
+        plan,
+        twin_records,
+    } = point;
+    let (wal, path) = file_wal(leg, salt, sync, policy, Some(plan.clone()));
+    let res = run(wal.clone());
+    let ws = wal.stats();
+    let dump = wal.dump_bytes().unwrap_or_default();
+    let _ = std::fs::remove_file(&path);
+    s.fault_points += 1;
+    s.wal_fault_points += 1;
+    s.wal_io_errors += ws.io_errors;
+    s.injected_faults += plan.injected();
+    let recovered = recover(ctx.scopes(), None, &dump)
+        .ok()
+        .filter(|r| r.corruption.is_none());
+    let mut ok = fired(&plan);
+    match (policy, &res) {
+        (WalErrorPolicy::FailStop, _) => {
+            ok &= matches!(res, Err(SchedError::WalFailed { .. }));
+            let prefix = twin_records.is_none_or(|twin| {
+                let got = scan(&dump);
+                got.corruption.is_none() && twin.starts_with(&got.records)
+            });
+            ok &= tally.recover(prefix && recovered.is_some());
+        }
+        (_, Ok((schedule, parity))) => {
+            ok &= ws.dropped_records == 0;
+            ok &= ws.degraded == (policy == WalErrorPolicy::DegradeToMemory);
+            ok &= tally.parity(*parity);
+            ok &= tally
+                .recover(recovered.is_some_and(|r| r.monitor.schedule().ops() == schedule.ops()));
+        }
+        (_, Err(e)) => {
+            notes.push(format!(
+                "{leg} {} point {pid}: healed policy still failed: {e}",
+                policy_label(policy)
+            ));
+            ok = false;
+        }
+    }
+    if !ok && notes.len() < 8 {
+        notes.push(format!(
+            "{leg} {} point {pid} not contained",
+            policy_label(policy)
+        ));
+    }
+    tally.point(ok);
+}
+
 /// Leg 1 (48 points): the deterministic lock-based executor over a
 /// file-backed WAL, three error policies × {torn append, failed fsync}
-/// × 8 seeded indices. Fail-stop must surface `WalFailed` and leave a
-/// recoverable baseline prefix; retry/degrade must reproduce the
-/// fault-free schedule and recover it byte-for-byte.
-#[allow(clippy::too_many_lines)]
+/// × 8 seeded indices. Fail-stop must leave a clean prefix of the
+/// fault-free twin's log; retry/degrade must reproduce the fault-free
+/// schedule.
 fn leg_exec_wal(
     ctx: &Ctx,
     ts: u64,
@@ -333,12 +442,7 @@ fn leg_exec_wal(
     notes: &mut Vec<String>,
 ) {
     let Some(base) = exec_baseline(ctx, ts, notes) else {
-        for _ in 0..48 {
-            tally.point(false);
-            s.fault_points += 1;
-            s.wal_fault_points += 1;
-        }
-        return;
+        return lost(48, tally, s);
     };
     for policy in POLICIES {
         for kind in 0..2 {
@@ -346,73 +450,27 @@ fn leg_exec_wal(
                 *pid += 1;
                 let r1 = mix(ts, *pid * 2);
                 let r2 = mix(ts, *pid * 2 + 1);
-                let plan = wal_point(kind, r1 % base.appends, r1 % base.fsyncs, r2).share();
-                let (wal, path) = file_wal(
-                    "a",
-                    mix(ts, *pid),
-                    SyncPolicy::PerRecord,
+                let point = WalPoint {
+                    leg: "exec+wal",
+                    pid: *pid,
+                    salt: mix(ts, *pid),
+                    sync: SyncPolicy::PerRecord,
                     policy,
-                    Some(plan.clone()),
-                );
-                let res = run_workload(
-                    &ctx.progs,
-                    &ctx.cat,
-                    &ctx.initial,
-                    &ctx.wal_policy(wal.clone()),
-                    &ExecConfig::default(),
-                );
-                let ws = wal.stats();
-                let dump = wal.dump_bytes().unwrap_or_default();
-                let _ = std::fs::remove_file(&path);
-                s.fault_points += 1;
-                s.wal_fault_points += 1;
-                s.wal_io_errors += ws.io_errors;
-                s.injected_faults += plan.injected();
-                let mut ok = fired(&plan);
-                match policy {
-                    WalErrorPolicy::FailStop => {
-                        ok &= matches!(&res, Err(SchedError::WalFailed { .. }));
-                        // The surviving log is a clean prefix of the
-                        // fault-free twin's record stream.
-                        let got = scan(&dump);
-                        let rok = got.corruption.is_none()
-                            && base.recs.starts_with(&got.records)
-                            && recover(ctx.scopes(), None, &dump)
-                                .map(|r| r.corruption.is_none())
-                                .unwrap_or(false);
-                        ok &= tally.recover(rok);
-                    }
-                    _ => match &res {
-                        Ok(out) => {
-                            if matches!(policy, WalErrorPolicy::DegradeToMemory) {
-                                ok &= ws.degraded;
-                            }
-                            ok &= ws.dropped_records == 0;
-                            ok &= tally.parity(out.schedule.ops() == base.ops.as_slice());
-                            let rok = recover(ctx.scopes(), None, &dump)
-                                .map(|r| {
-                                    r.corruption.is_none()
-                                        && r.monitor.schedule().ops() == out.schedule.ops()
-                                })
-                                .unwrap_or(false);
-                            ok &= tally.recover(rok);
-                        }
-                        Err(e) => {
-                            notes.push(format!(
-                                "exec+wal {} point {pid}: healed policy still failed: {e}",
-                                policy_label(policy)
-                            ));
-                            ok = false;
-                        }
-                    },
-                }
-                if !ok && notes.len() < 8 {
-                    notes.push(format!(
-                        "exec+wal {} kind {kind} point {pid} not contained",
-                        policy_label(policy)
-                    ));
-                }
-                tally.point(ok);
+                    plan: wal_plan(kind, r1 % base.appends, r1 % base.fsyncs, r2).share(),
+                    twin_records: Some(&base.recs),
+                };
+                let run = |wal| {
+                    let out = run_workload(
+                        &ctx.progs,
+                        &ctx.cat,
+                        &ctx.initial,
+                        &ctx.wal_policy(wal),
+                        &ExecConfig::default(),
+                    )?;
+                    let parity = out.schedule.ops() == base.ops.as_slice();
+                    Ok((out.schedule, parity))
+                };
+                wal_point(ctx, point, run, tally, s, notes);
             }
         }
     }
@@ -441,70 +499,28 @@ fn leg_threaded_wal(
                 *pid += 1;
                 let r1 = mix(ts, *pid * 2);
                 let r2 = mix(ts, *pid * 2 + 1);
-                let plan = wal_point(kind, r1 % 4, r1 % 4, r2).share();
-                let (wal, path) = file_wal(
-                    "b",
-                    mix(ts, *pid),
-                    SyncPolicy::PerRecord,
+                let point = WalPoint {
+                    leg: "2pl-mt+wal",
+                    pid: *pid,
+                    salt: mix(ts, *pid),
+                    sync: SyncPolicy::PerRecord,
                     policy,
-                    Some(plan.clone()),
-                );
-                let res = run_threaded_certified(
-                    &ctx.progs,
-                    &ctx.cat,
-                    &ctx.initial,
-                    &ctx.wal_policy(wal.clone()),
-                    ctx.scopes(),
-                );
-                let ws = wal.stats();
-                let dump = wal.dump_bytes().unwrap_or_default();
-                let _ = std::fs::remove_file(&path);
-                s.fault_points += 1;
-                s.wal_fault_points += 1;
-                s.wal_io_errors += ws.io_errors;
-                s.injected_faults += plan.injected();
-                let mut ok = fired(&plan);
-                match policy {
-                    WalErrorPolicy::FailStop => {
-                        ok &= matches!(&res, Err(SchedError::WalFailed { .. }));
-                        let rok = recover(ctx.scopes(), None, &dump)
-                            .map(|r| r.corruption.is_none())
-                            .unwrap_or(false);
-                        ok &= tally.recover(rok);
-                    }
-                    _ => match &res {
-                        Ok((schedule, final_state, _)) => {
-                            ok &= ws.dropped_records == 0;
-                            let replays = (0..ctx.progs.len()).all(|k| {
-                                let txn = TxnId(k as u32 + 1);
-                                let sub: Vec<Operation> = schedule
-                                    .ops()
-                                    .iter()
-                                    .filter(|o| o.txn == txn)
-                                    .cloned()
-                                    .collect();
-                                replay_matches(&ctx.progs[k], &ctx.cat, txn, &sub)
-                            });
-                            ok &= tally
-                                .parity(replays && *final_state == schedule.apply(&ctx.initial));
-                            let rok = recover(ctx.scopes(), None, &dump)
-                                .map(|r| {
-                                    r.corruption.is_none()
-                                        && r.monitor.schedule().ops() == schedule.ops()
-                                })
-                                .unwrap_or(false);
-                            ok &= tally.recover(rok);
-                        }
-                        Err(e) => {
-                            notes.push(format!(
-                                "2pl-mt+wal {} point {pid}: healed policy still failed: {e}",
-                                policy_label(policy)
-                            ));
-                            ok = false;
-                        }
-                    },
-                }
-                tally.point(ok);
+                    plan: wal_plan(kind, r1 % 4, r1 % 4, r2).share(),
+                    twin_records: None,
+                };
+                let run = |wal| {
+                    let (schedule, final_state, _) = run_threaded_certified(
+                        &ctx.progs,
+                        &ctx.cat,
+                        &ctx.initial,
+                        &ctx.wal_policy(wal),
+                        ctx.scopes(),
+                    )?;
+                    let parity = replays(ctx, &ctx.progs, &schedule, None)
+                        && final_state == schedule.apply(&ctx.initial);
+                    Ok((schedule, parity))
+                };
+                wal_point(ctx, point, run, tally, s, notes);
             }
         }
     }
@@ -524,12 +540,7 @@ fn leg_rotate(
     notes: &mut Vec<String>,
 ) {
     let Some(base) = exec_baseline(ctx, mix(ts, 0xB0), notes) else {
-        for _ in 0..12 {
-            tally.point(false);
-            s.fault_points += 1;
-            s.wal_fault_points += 1;
-        }
-        return;
+        return lost(12, tally, s);
     };
     let n = base.ops.len();
     let bound = |j: usize| j * n / 4;
@@ -684,22 +695,9 @@ fn leg_occ_exec(
                         ok &= out.metrics.worker_panics == 1;
                         ok &= !out.schedule.ops().iter().any(|o| o.txn == TxnId(victim));
                     }
-                    let replays = (0..hot.len()).all(|k| {
-                        let txn = TxnId(k as u32 + 1);
-                        if fault_kind != 0 && txn == TxnId(victim) {
-                            return true;
-                        }
-                        let sub: Vec<Operation> = out
-                            .schedule
-                            .ops()
-                            .iter()
-                            .filter(|o| o.txn == txn)
-                            .cloned()
-                            .collect();
-                        replay_matches(&hot[k], &ctx.cat, txn, &sub)
-                    });
+                    let dead = (fault_kind != 0).then_some(TxnId(victim));
                     ok &= tally.parity(
-                        replays
+                        replays(ctx, &hot, &out.schedule, dead)
                             && out.schedule.check_read_coherence(&ctx.initial).is_ok()
                             && out.final_state == out.schedule.apply(&ctx.initial),
                     );
@@ -753,69 +751,29 @@ fn leg_occ_wal(
             *pid += 1;
             let r1 = mix(ts, *pid * 2);
             let r2 = mix(ts, *pid * 2 + 1);
-            let plan = FaultPlan::new()
-                .on_wal(
-                    WalSite::Append,
-                    r1 % 8,
-                    WalFault::ShortWrite {
-                        keep: (r2 % 7) as usize,
-                    },
-                )
-                .share();
-            let (wal, path) = file_wal(
-                "d",
-                mix(ts, *pid),
-                SyncPolicy::Off,
+            let point = WalPoint {
+                leg: "occ+wal",
+                pid: *pid,
+                salt: mix(ts, *pid),
+                sync: SyncPolicy::Off,
                 policy,
-                Some(plan.clone()),
-            );
-            let res = run_threaded_occ_tuned(
-                &progs,
-                &ctx.cat,
-                &ctx.initial,
-                &occ_spec(ctx, Some(wal.clone())),
-                4,
-                10_000,
-                &occ_tuning(0, FaultPlan::new().share()),
-            );
-            let ws = wal.stats();
-            let dump = wal.dump_bytes().unwrap_or_default();
-            let _ = std::fs::remove_file(&path);
-            s.fault_points += 1;
-            s.wal_fault_points += 1;
-            s.wal_io_errors += ws.io_errors;
-            s.injected_faults += plan.injected();
-            let mut ok = fired(&plan);
-            match policy {
-                WalErrorPolicy::FailStop => {
-                    ok &= matches!(&res, Err(SchedError::WalFailed { .. }));
-                    let rok = recover(ctx.scopes(), None, &dump)
-                        .map(|r| r.corruption.is_none())
-                        .unwrap_or(false);
-                    ok &= tally.recover(rok);
-                }
-                _ => match &res {
-                    Ok(out) => {
-                        ok &= ws.dropped_records == 0;
-                        ok &= tally.parity(out.final_state == out.schedule.apply(&ctx.initial));
-                        let rok = recover(ctx.scopes(), None, &dump)
-                            .map(|r| {
-                                r.corruption.is_none()
-                                    && r.monitor.schedule().ops() == out.schedule.ops()
-                            })
-                            .unwrap_or(false);
-                        ok &= tally.recover(rok);
-                    }
-                    Err(e) => {
-                        notes.push(format!(
-                            "occ+wal {} point {pid}: healed policy still failed: {e}",
-                            policy_label(policy)
-                        ));
-                        ok = false;
-                    }
-                },
-            }
-            tally.point(ok);
+                plan: wal_plan(0, r1 % 8, 0, r2).share(),
+                twin_records: None,
+            };
+            let run = |wal| {
+                let out = run_threaded_occ_tuned(
+                    &progs,
+                    &ctx.cat,
+                    &ctx.initial,
+                    &occ_spec(ctx, Some(wal)),
+                    4,
+                    10_000,
+                    &occ_tuning(0, FaultPlan::new().share()),
+                )?;
+                let parity = out.final_state == out.schedule.apply(&ctx.initial);
+                Ok((out.schedule, parity))
+            };
+            wal_point(ctx, point, run, tally, s, notes);
         }
     }
 }
