@@ -242,10 +242,10 @@ mod tests {
             Some(z),
             "T",
         );
-        let (reads, writes) = pwsr_scheduler::dag_admission::may_access_sets(&p, &g.catalog);
-        assert!(reads.contains(z));
+        let fp = pwsr_tplang::analysis::rw_footprint(&p, &g.catalog);
+        assert!(fp.reads.contains(z));
         let c0_items: pwsr_core::state::ItemSet = g.shapes[0].items().into_iter().collect();
-        assert!(!writes.intersection(&c0_items).is_empty());
+        assert!(!fp.writes.intersection(&c0_items).is_empty());
     }
 
     #[test]

@@ -52,6 +52,7 @@ use pwsr_core::schedule::Schedule;
 use pwsr_core::state::{DbState, ItemSet};
 use pwsr_core::value::Value;
 use pwsr_durability::fault::{ExecFault, FaultHandle};
+use pwsr_tplang::analysis::rw_footprint;
 use pwsr_tplang::ast::Program;
 use pwsr_tplang::interp::{run_with_reads, RunOutcome};
 use pwsr_tplang::session::{Pending, ProgramSession};
@@ -180,8 +181,8 @@ pub fn run_threaded_certified(
     let spaces: Vec<BTreeSet<u32>> = programs
         .iter()
         .map(|p| {
-            let (r, w) = crate::dag_admission::may_access_sets(p, catalog);
-            r.union(&w).iter().map(|i| policy.space_of(i).0).collect()
+            let fp = rw_footprint(p, catalog);
+            fp.items().iter().map(|i| policy.space_of(i).0).collect()
         })
         .collect();
     let n_spaces = spaces.iter().flatten().max().map_or(1, |&s| s as usize + 1);
