@@ -564,8 +564,13 @@ impl ProjGraph {
     }
 }
 
-/// The verdict ladder after a push, strongest guarantee first.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+/// The verdict ladder after a push, strongest guarantee first. The
+/// declaration order is the ladder's: a worse rung compares greater,
+/// and `level as u8` (0…3) is the byte the state hash absorbs and the
+/// sharded monitor's lock-free floor holds (between retractions the
+/// ladder only worsens, so `fetch_max` on it is exact).
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+#[repr(u8)]
 pub enum VerdictLevel {
     /// The global conflict graph is acyclic: conflict-serializable.
     Serializable,
@@ -580,6 +585,16 @@ pub enum VerdictLevel {
 }
 
 impl VerdictLevel {
+    /// Decode the lock-free floor's byte (`level as u8`).
+    pub(crate) fn from_floor(byte: u8) -> VerdictLevel {
+        match byte {
+            0 => VerdictLevel::Serializable,
+            1 => VerdictLevel::DrPreserving,
+            2 => VerdictLevel::Pwsr,
+            _ => VerdictLevel::Violation,
+        }
+    }
+
     /// Compose the ladder from its three (monotonically worsening)
     /// components — the only composition point, behind every verdict
     /// and the sharded monitor's lock-free floor.

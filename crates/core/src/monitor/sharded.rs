@@ -450,26 +450,6 @@ struct Shard {
     state: RankedRwLock<ShardState>,
 }
 
-/// Ladder rank for the lock-free floor (higher = worse; between
-/// retractions the ladder only ever worsens, so `fetch_max` is exact).
-fn rank(level: VerdictLevel) -> u8 {
-    match level {
-        VerdictLevel::Serializable => 0,
-        VerdictLevel::DrPreserving => 1,
-        VerdictLevel::Pwsr => 2,
-        VerdictLevel::Violation => 3,
-    }
-}
-
-fn level_of(rank: u8) -> VerdictLevel {
-    match rank {
-        0 => VerdictLevel::Serializable,
-        1 => VerdictLevel::DrPreserving,
-        2 => VerdictLevel::Pwsr,
-        _ => VerdictLevel::Violation,
-    }
-}
-
 /// Spin with bounded exponential backoff, then yield: shard turns are
 /// short, so the first probes re-check almost immediately, but each
 /// miss doubles the `spin_loop` burst (1, 2, 4, … capped at 64 hints)
@@ -567,8 +547,8 @@ pub struct ShardedMonitor {
     gserving: AtomicU32,
     gstate: RankedRwLock<GlobalState>,
     shards: Vec<Shard>,
-    /// Lock-free verdict floor: worst ladder rank any push computed
-    /// (recomputed exactly by retraction).
+    /// Lock-free verdict floor: the worst `VerdictLevel as u8` any
+    /// push computed (recomputed exactly by retraction).
     floor: AtomicU8,
     /// Lock-free min over conjunct cycle positions (`NO_POS` = none).
     first_violation: AtomicU32,
@@ -938,12 +918,12 @@ impl ShardedMonitor {
         for outcome in outcomes.iter_mut() {
             violated |= outcome.caused_violation;
             let mine = if violated {
-                rank(VerdictLevel::Violation)
+                VerdictLevel::Violation
             } else {
-                rank(outcome.floor)
+                outcome.floor
             };
-            let prev = self.floor.fetch_max(mine, Ordering::AcqRel);
-            outcome.floor = level_of(prev.max(mine));
+            let prev = self.floor.fetch_max(mine as u8, Ordering::AcqRel);
+            outcome.floor = VerdictLevel::from_floor(prev).max(mine);
         }
     }
 
@@ -1242,7 +1222,7 @@ impl ShardedMonitor {
         }
         self.first_violation.store(fv, Ordering::Release);
         let level = self.gstate.read().level(fv == NO_POS);
-        self.floor.store(rank(level), Ordering::Release);
+        self.floor.store(level as u8, Ordering::Release);
     }
 
     /// Abort `txn`: truncate to its first operation and re-push the
@@ -1315,7 +1295,7 @@ impl ShardedMonitor {
 
     /// The current lock-free verdict floor — no locks taken.
     pub fn floor(&self) -> VerdictLevel {
-        level_of(self.floor.load(Ordering::Acquire))
+        VerdictLevel::from_floor(self.floor.load(Ordering::Acquire))
     }
 
     /// Would admitting this access keep `level`? Read-only on the
@@ -1452,7 +1432,7 @@ mod tests {
                     let v = single.push(op).unwrap();
                     assert_eq!(sharded.verdict(), v);
                     // The floor is sound: never better than the truth.
-                    assert!(rank(floor) >= rank(v.level));
+                    assert!(floor >= v.level);
                 }
             }
         }
@@ -1507,11 +1487,11 @@ mod tests {
     #[test]
     fn floor_is_monotone_and_reaches_the_verdict() {
         let m = ShardedMonitor::new(example2_scopes());
-        let mut worst = 0u8;
+        let mut worst = VerdictLevel::Serializable;
         for op in example2_ops() {
             let floor = m.push(op).unwrap();
-            assert!(rank(floor) >= worst, "floor regressed");
-            worst = rank(floor);
+            assert!(floor >= worst, "floor regressed");
+            worst = floor;
         }
         assert_eq!(m.floor(), VerdictLevel::Pwsr);
         assert_eq!(m.verdict().level, VerdictLevel::Pwsr);
@@ -1750,7 +1730,7 @@ mod tests {
         }
         let v = m.verdict();
         assert!(v.meets(level), "every told transaction retracted: {v:?}");
-        assert!(rank(m.floor()) <= rank(v.level), "floor is a lower bound");
+        assert!(m.floor() <= v.level, "floor is a lower bound");
     }
 
     /// T1 closes a T1/T2 cycle over items 0 and 1; then, with T1 not

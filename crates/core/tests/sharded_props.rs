@@ -224,7 +224,7 @@ proptest! {
             let v = single.push(op).expect("valid interleaving");
             prop_assert_eq!(sharded.verdict(), v, "prefix verdict diverged");
             // Floors only worsen and never overstate the guarantee.
-            prop_assert!(floor_rank(floor) >= floor_rank(v.level));
+            prop_assert!(floor >= v.level);
         }
         check_against_oracles(single.schedule(), &scopes, &sharded)?;
     }
@@ -345,15 +345,5 @@ proptest! {
                 );
             }
         }
-    }
-}
-
-fn floor_rank(level: pwsr_core::monitor::VerdictLevel) -> u8 {
-    use pwsr_core::monitor::VerdictLevel::*;
-    match level {
-        Serializable => 0,
-        DrPreserving => 1,
-        Pwsr => 2,
-        Violation => 3,
     }
 }

@@ -15,7 +15,7 @@
 
 use std::fmt;
 
-use pwsr_core::monitor::{OnlineMonitor, Verdict, VerdictLevel};
+use pwsr_core::monitor::{OnlineMonitor, Verdict};
 use pwsr_core::op::Operation;
 
 use crate::crc32::crc32;
@@ -40,15 +40,6 @@ impl fmt::Display for StateHash {
             write!(f, "{b:02x}")?;
         }
         Ok(())
-    }
-}
-
-fn level_rank(level: VerdictLevel) -> u8 {
-    match level {
-        VerdictLevel::Serializable => 0,
-        VerdictLevel::DrPreserving => 1,
-        VerdictLevel::Pwsr => 2,
-        VerdictLevel::Violation => 3,
     }
 }
 
@@ -97,7 +88,7 @@ pub(crate) fn hash_ops(ops: &[Operation]) -> Sha256 {
 pub(crate) fn seal(mut h: Sha256, v: Verdict, floor: usize) -> StateHash {
     h.update(&(v.len as u64).to_le_bytes());
     h.update(&[
-        level_rank(v.level),
+        v.level as u8,
         v.serializable as u8,
         v.dr as u8,
         v.lemma2_certified as u8,
