@@ -210,7 +210,7 @@ pub fn an1(trials: u64, seed: u64) -> (bool, String, AnalysisStats) {
     let mut monitored_admits = true;
     for op in trace.ops() {
         monitored_admits &= adm.would_admit(op.txn, op.item, op.is_write());
-        adm.push(op);
+        adm.push_logged(op);
     }
     ok &= monitored_admits;
 
@@ -226,7 +226,7 @@ pub fn an1(trials: u64, seed: u64) -> (bool, String, AnalysisStats) {
         }
     }
     ok &= certified_admits;
-    ok &= fast.skipped_ops() == (reps as usize * n) as u64 && fast.is_empty();
+    ok &= fast.skipped_ops() == (reps as usize * n) as u64 && fast.monitor().is_empty();
 
     let mut fastpath = Table::new(
         "AN-1  Admission paths on the certified workload",
@@ -244,7 +244,7 @@ pub fn an1(trials: u64, seed: u64) -> (bool, String, AnalysisStats) {
         "1".to_owned(),
         n.to_string(),
         monitored_admits.to_string(),
-        adm.len().to_string(),
+        adm.monitor().len().to_string(),
         adm.skipped_ops().to_string(),
     ]);
     fastpath.row(&[
@@ -252,7 +252,7 @@ pub fn an1(trials: u64, seed: u64) -> (bool, String, AnalysisStats) {
         reps.to_string(),
         n.to_string(),
         certified_admits.to_string(),
-        fast.len().to_string(),
+        fast.monitor().len().to_string(),
         fast.skipped_ops().to_string(),
     ]);
 

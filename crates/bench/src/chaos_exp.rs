@@ -558,12 +558,11 @@ fn leg_rotate(
                 policy,
                 Some(plan.clone()),
             );
-            let mut monitor = OnlineMonitor::new(ctx.scopes());
+            let mut monitor = OnlineMonitor::new(ctx.scopes()).with_journal(Box::new(wal.clone()));
             let mut pushed_ok = true;
             for j in 0..4 {
                 for op in &base.ops[bound(j)..bound(j + 1)] {
                     pushed_ok &= monitor.push_logged(op.clone()).is_ok();
-                    wal.with(|w| w.append_op(op));
                 }
                 let _ = advance_frontier(&mut monitor, &wal, None);
             }

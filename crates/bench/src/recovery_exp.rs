@@ -172,21 +172,7 @@ impl WalOracle {
         let mut bounds = vec![0usize];
         let mut snaps = vec![(state_hash(&monitor), monitor.verdict(), 0, 0)];
         for rec in &s.records {
-            match rec {
-                WalRecord::Op(op) => {
-                    monitor.push_logged(op.clone()).expect("oracle replay");
-                }
-                WalRecord::Truncate(n) => {
-                    monitor.truncate_to(*n as usize);
-                }
-                WalRecord::Floor(f) => {
-                    monitor.checkpoint(*f as usize);
-                }
-                WalRecord::OpBatch(ops) => {
-                    monitor.push_batch_logged(ops).expect("oracle replay");
-                }
-                WalRecord::Reset => monitor = OnlineMonitor::new(scopes.to_vec()),
-            }
+            apply(&mut monitor, scopes, rec);
             bounds.push(bounds.last().unwrap() + rec.encode_frame().len());
             snaps.push((
                 state_hash(&monitor),
@@ -226,23 +212,21 @@ impl WalOracle {
     fn monitor_at(&self, scopes: &[ItemSet], i: usize) -> OnlineMonitor {
         let mut monitor = OnlineMonitor::new(scopes.to_vec());
         for rec in &self.records[..i] {
-            match rec {
-                WalRecord::Op(op) => {
-                    monitor.push_logged(op.clone()).expect("oracle replay");
-                }
-                WalRecord::Truncate(n) => {
-                    monitor.truncate_to(*n as usize);
-                }
-                WalRecord::Floor(f) => {
-                    monitor.checkpoint(*f as usize);
-                }
-                WalRecord::OpBatch(ops) => {
-                    monitor.push_batch_logged(ops).expect("oracle replay");
-                }
-                WalRecord::Reset => monitor = OnlineMonitor::new(scopes.to_vec()),
-            }
+            apply(&mut monitor, scopes, rec);
         }
         monitor
+    }
+}
+
+/// Apply one record of the journal language to `monitor` — the
+/// oracle's own replay step, written apart from `recover`'s.
+fn apply(monitor: &mut OnlineMonitor, scopes: &[ItemSet], rec: &WalRecord) {
+    match rec {
+        WalRecord::Op(op) => drop(monitor.push_logged(op.clone()).expect("oracle replay")),
+        WalRecord::OpBatch(ops) => drop(monitor.push_batch_logged(ops).expect("oracle replay")),
+        WalRecord::Truncate(n) => drop(monitor.truncate_to(*n as usize)),
+        WalRecord::Floor(f) => drop(monitor.checkpoint(*f as usize)),
+        WalRecord::Reset => *monitor = OnlineMonitor::new(scopes.to_vec()),
     }
 }
 
@@ -400,7 +384,7 @@ pub fn rec2(seed: u64) -> (bool, String, RecoveryStats) {
     let quiescent = oracle.quiescent_points();
     for _ in 0..REC2_CKPS {
         let i = quiescent[rng.random_range(0..quiescent.len())];
-        let ckp = Checkpoint::capture(&oracle.monitor_at(&scopes, i));
+        let ckp = Checkpoint::capture(&oracle.monitor_at(&scopes, i), None);
         let cut = rng.random_range(oracle.bounds[i]..=bytes.len());
         let j = oracle.prefix_at(cut);
         crash_points += 1;

@@ -9,13 +9,17 @@
 //! implementation (`pwsr_durability`'s WAL) lives downstream — core
 //! has no I/O dependency.
 //!
+//! Both drivers journal what they apply, at the same points
+//! (`OnlineMonitor::with_journal`, `ShardedMonitor::with_journal`):
+//! after a run passes the §2.2 checks and before it is applied, when a
+//! truncation undoes anything, and when a checkpoint raises the floor.
+//! Each driver is its log's one writer.
+//!
 //! Ordering contract: the sharded monitor invokes the journal **under
 //! its order-claiming sequence mutex**, so journal order IS claimed
 //! schedule order even under concurrent pushes — the property that
 //! makes single-threaded replay of a concurrently-written log exact.
-//! Single-writer callers (the scheduler's `MonitorAdmission`, which
-//! writes the same records to its WAL directly) satisfy the contract
-//! trivially.
+//! The single writer satisfies the contract trivially.
 //!
 //! The three transitions form a tiny replay language:
 //!
@@ -26,12 +30,14 @@
 //! | [`floor_raised`](MonitorJournal::floor_raised) | `checkpoint(floor)` |
 //!
 //! A transaction abort (`ShardedMonitor::retract_txn` /
-//! `MonitorAdmission::retract`) needs no record of its own: it
+//! `OnlineMonitor::retract_txns`) needs no record of its own: it
 //! decomposes into one truncation plus re-appends of the surviving
 //! suffix, and both drivers emit exactly that decomposition. (The WAL
 //! has a fourth record, `Reset` — fresh monitor, same scopes — that no
-//! monitor emits: `MonitorAdmission::retract` writes it when an abort
-//! reaches below the checkpoint floor and the admission starts over.)
+//! monitor emits: it is the scheduler's `MonitorAdmission`'s own
+//! record, written by `retract_txns` when an abort reaches below the
+//! checkpoint floor and the admission starts over with a fresh monitor
+//! journaling into the same WAL.)
 
 use crate::op::Operation;
 

@@ -95,8 +95,9 @@
 //! * a full [`Verdict`] after every operation, where the pipeline
 //!   returns a lock-free floor and causality flags.
 //!
-//! Tickets, the durability journal call and the atomic floor are the
-//! pipeline's; see [`sharded`].
+//! Tickets and the atomic floor are the pipeline's; see [`sharded`].
+//! The durability journal ([`journal::MonitorJournal`]) is both
+//! drivers': each reports what it applies, at the same points.
 
 pub mod journal;
 pub mod sharded;
@@ -113,6 +114,7 @@ use crate::schedule::Schedule;
 use crate::state::ItemSet;
 use crate::theorems::{Guarantee, ProgramTraits};
 use crate::viewset::inclusion_holds_everywhere;
+use journal::MonitorJournal;
 use stages::{GlobalState, SeqState, ShardState, TxnTotals};
 use undo::{GraphDelta, Tape, UndoLog};
 
@@ -732,7 +734,7 @@ pub struct CompactStats {
 /// single writer maintains — the per-slot §2.2 totals, the live data
 /// access graph (Theorem 3) with the log its undo frames ride, and the
 /// static [`ProgramTraits`] (Theorem 1).
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct OnlineMonitor {
     /// The conjunct data sets `d_e` (projection scopes).
     scopes: Vec<ItemSet>,
@@ -766,6 +768,9 @@ pub struct OnlineMonitor {
     rf_slots: Vec<Option<usize>>,
     /// The verdict after each operation of the last admitted run.
     verdicts: Vec<Verdict>,
+    /// Durability journal: hears every append, truncation and floor
+    /// raise before it is applied.
+    journal: Option<Box<dyn MonitorJournal>>,
 }
 
 impl OnlineMonitor {
@@ -801,7 +806,21 @@ impl OnlineMonitor {
             dag_log: UndoLog::new(0),
             rf_slots: Vec::new(),
             verdicts: Vec::new(),
+            journal: None,
         }
+    }
+
+    /// Attach a durability journal: every append, truncation and
+    /// checkpoint-floor raise is reported to `journal` before it is
+    /// applied — the single-writer twin of
+    /// [`sharded::ShardedMonitor::with_journal`], with the same calls
+    /// at the same points, so a WAL written here replays into a fresh
+    /// monitor (see [`MonitorJournal`]). An unlogged push is journaled
+    /// as its append alone. Attach before the first push, or where the
+    /// journal's own history ends.
+    pub fn with_journal(mut self, journal: Box<dyn MonitorJournal>) -> OnlineMonitor {
+        self.journal = Some(journal);
+        self
     }
 
     /// A monitor over the conjunct scopes of an integrity constraint —
@@ -822,13 +841,15 @@ impl OnlineMonitor {
     /// An unlogged push is permanent: it raises the floor below which
     /// [`OnlineMonitor::truncate_to`] can retract to the new length.
     pub fn push(&mut self, op: Operation) -> Result<Verdict> {
-        self.admit(std::slice::from_ref(&op), false).map(|v| v[0])
+        self.admit(std::slice::from_ref(&op), false, false)
+            .map(|v| v[0])
     }
 
     /// [`OnlineMonitor::push`] recording undo-log entries, so the
     /// push can later be retracted by [`OnlineMonitor::truncate_to`].
     pub fn push_logged(&mut self, op: Operation) -> Result<Verdict> {
-        self.admit(std::slice::from_ref(&op), true).map(|v| v[0])
+        self.admit(std::slice::from_ref(&op), true, false)
+            .map(|v| v[0])
     }
 
     /// **Batch admission**: append one transaction's program-ordered
@@ -842,11 +863,11 @@ impl OnlineMonitor {
     /// monitor untouched (no partial prefix is admitted). Verdicts,
     /// certificates and undo behaviour are byte-identical to pushing
     /// the operations one at a time; the batch boundary only matters
-    /// to journaling callers (the scheduler's admission layer frames
-    /// the run as one WAL record). An empty slice returns an empty
-    /// vector.
+    /// to an attached journal, which hears the run as one
+    /// `appended_batch` (the WAL frames it as one record). An empty
+    /// slice returns an empty vector.
     pub fn push_batch(&mut self, ops: &[Operation]) -> Result<Vec<Verdict>> {
-        self.admit(ops, false).map(<[Verdict]>::to_vec)
+        self.admit(ops, false, true).map(<[Verdict]>::to_vec)
     }
 
     /// [`OnlineMonitor::push_batch`] recording undo-log entries per
@@ -854,16 +875,17 @@ impl OnlineMonitor {
     /// through [`OnlineMonitor::truncate_to`] exactly like singleton
     /// [`OnlineMonitor::push_logged`] calls.
     pub fn push_batch_logged(&mut self, ops: &[Operation]) -> Result<Vec<Verdict>> {
-        self.admit(ops, true).map(<[Verdict]>::to_vec)
+        self.admit(ops, true, true).map(<[Verdict]>::to_vec)
     }
 
     /// The one admission path: validate the run against its
-    /// transaction's totals, claim its segment (stage 1), then take
-    /// each operation through the global stage, the stage of every
-    /// conjunct containing its item, and the data access graph —
-    /// journaling all of it when `logged`. Returns the verdict after
-    /// each operation.
-    fn admit(&mut self, ops: &[Operation], logged: bool) -> Result<&[Verdict]> {
+    /// transaction's totals, report it to the journal (as one
+    /// `appended_batch` when `framed`), claim its segment (stage 1),
+    /// then take each operation through the global stage, the stage of
+    /// every conjunct containing its item, and the data access graph —
+    /// recording undo entries for all of it when `logged`. Returns the
+    /// verdict after each operation.
+    fn admit(&mut self, ops: &[Operation], logged: bool, framed: bool) -> Result<&[Verdict]> {
         self.verdicts.clear();
         let Some(first) = ops.first() else {
             return Ok(&self.verdicts);
@@ -885,6 +907,13 @@ impl OnlineMonitor {
                 self.spare_totals.extend(self.totals.pop());
             }
             return Err(e);
+        }
+        if let Some(journal) = self.journal.as_deref_mut() {
+            if framed {
+                journal.appended_batch(ops);
+            } else {
+                journal.appended(first);
+            }
         }
         self.rf_slots.clear();
         let (p0, slot) = self.seq.apply(ops, existing, logged, &mut self.rf_slots);
@@ -943,6 +972,9 @@ impl OnlineMonitor {
             self.log_floor()
         );
         let undone = self.len() - n;
+        if let Some(journal) = self.journal.as_deref_mut().filter(|_| undone > 0) {
+            journal.truncated(n);
+        }
         for _ in 0..undone {
             let u = self.seq.undo();
             self.dag_log.pop();
@@ -990,7 +1022,7 @@ impl OnlineMonitor {
         };
         let undone = self.truncate_to(first);
         for op in &survivors {
-            self.admit(std::slice::from_ref(op), true)
+            self.admit(std::slice::from_ref(op), true, false)
                 .expect("a survivor was admitted after the same predecessors before");
         }
         Ok((undone, survivors.len()))
@@ -1019,6 +1051,9 @@ impl OnlineMonitor {
         let before = self.log_floor();
         let floor = self.seq.raise_floor(floor);
         if floor > before {
+            if let Some(journal) = self.journal.as_deref_mut() {
+                journal.floor_raised(floor);
+            }
             self.global.raise_floor(floor);
             self.conjuncts.iter_mut().for_each(|c| c.raise_floor(floor));
             self.dag_log.checkpoint(floor);

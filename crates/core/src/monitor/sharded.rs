@@ -1007,8 +1007,9 @@ impl ShardedMonitor {
             .filter_map(|t| s.state.first_op_of(t))
             .min()
             .unwrap_or(s.state.schedule.len());
+        let before = s.state.log.base();
         let floor = s.state.raise_floor(floor);
-        if let Some(journal) = s.journal.as_deref_mut() {
+        if let Some(journal) = s.journal.as_deref_mut().filter(|_| floor > before) {
             journal.floor_raised(floor);
         }
         self.gstate.write().raise_floor(floor);
@@ -1685,6 +1686,10 @@ mod tests {
         );
         assert_eq!(m.checkpoint([]), 4);
         assert_eq!(heard.lock().last(), Some(&Heard::Floor(4)));
+        // A checkpoint that raises nothing journals nothing.
+        let before = heard.lock().len();
+        assert_eq!(m.checkpoint([]), 4);
+        assert_eq!(heard.lock().len(), before);
     }
 
     /// The non-DR causality flag: the writer's next operation

@@ -18,19 +18,28 @@
 //! in lockstep on the same actions, so the property also holds them to
 //! each other: the same pushes are told, a retraction costs the same.
 //!
+//! Each driver also journals what it applies, and at quiescence its
+//! journal, replayed into a fresh single writer, must rebuild that
+//! driver's schedule and verdict. The streams need not agree: the
+//! single writer retracts a set in one truncation, the pipeline one
+//! victim at a time.
+//!
 //! [`PushOutcome::breaches`]: pwsr_core::monitor::sharded::PushOutcome::breaches
 
 mod common;
 
 use common::{arb_transactions, MAX_ITEMS};
+use parking_lot::Mutex;
 use proptest::prelude::*;
 use pwsr_core::ids::{ItemId, TxnId};
+use pwsr_core::monitor::journal::MonitorJournal;
 use pwsr_core::monitor::sharded::ShardedMonitor;
 use pwsr_core::monitor::{AdmissionLevel, OnlineMonitor};
 use pwsr_core::op::Operation;
 use pwsr_core::serializability::precedence_graph_proj;
 use pwsr_core::state::ItemSet;
 use pwsr_core::txn::Transaction;
+use std::sync::Arc;
 
 /// `n` scopes carved out of the item universe: item `i` belongs to
 /// conjunct `assign[i]`, or to none when that is `n` or more.
@@ -45,6 +54,55 @@ fn scopes_from_assignment(n: usize, assign: &[u8]) -> Vec<ItemSet> {
         .collect()
 }
 
+/// One journal call, as a driver made it.
+#[derive(Debug)]
+enum Heard {
+    Op(Operation),
+    Batch(Vec<Operation>),
+    Truncate(usize),
+}
+
+/// A journal that keeps what it hears where the test can read it.
+#[derive(Clone, Debug, Default)]
+struct Recorder(Arc<Mutex<Vec<Heard>>>);
+
+impl Recorder {
+    fn hear(&self, heard: Heard) {
+        self.0.lock().push(heard);
+    }
+
+    /// What was heard, replayed into a fresh single writer.
+    fn replay(&self, scopes: &[ItemSet]) -> OnlineMonitor {
+        let mut m = OnlineMonitor::new(scopes.to_vec());
+        for heard in self.0.lock().iter() {
+            match heard {
+                Heard::Op(op) => drop(m.push_logged(op.clone()).expect("journaled op")),
+                Heard::Batch(ops) => drop(m.push_batch_logged(ops).expect("journaled run")),
+                Heard::Truncate(n) => drop(m.truncate_to(*n)),
+            }
+        }
+        m
+    }
+}
+
+impl MonitorJournal for Recorder {
+    fn appended(&mut self, op: &Operation) {
+        self.hear(Heard::Op(op.clone()));
+    }
+
+    fn appended_batch(&mut self, ops: &[Operation]) {
+        self.hear(Heard::Batch(ops.to_vec()));
+    }
+
+    fn truncated(&mut self, new_len: usize) {
+        self.hear(Heard::Truncate(new_len));
+    }
+
+    fn floor_raised(&mut self, _: usize) {
+        unreachable!("the run never checkpoints");
+    }
+}
+
 /// How often a transaction is restarted after a retraction before it
 /// gives up for good (so every run ends).
 const LIVES: u8 = 2;
@@ -56,6 +114,9 @@ struct Run<'a> {
     level: AdmissionLevel,
     sharded: ShardedMonitor,
     single: OnlineMonitor,
+    /// What each driver journaled.
+    sharded_heard: Recorder,
+    single_heard: Recorder,
     /// The surviving operations, in order: what a fresh monitor is fed.
     live: Vec<Operation>,
     /// Per transaction: operations pushed in its current attempt.
@@ -149,7 +210,8 @@ impl Run<'_> {
     }
 
     /// Quiescence: nobody told is left. The verdict meets the level,
-    /// and both drivers equal a monitor that only ever saw `live`.
+    /// both drivers equal a monitor that only ever saw `live`, and
+    /// each driver's journal replays to that driver.
     fn check_quiescent(&self) -> Result<(), TestCaseError> {
         prop_assert!(self.told.is_empty());
         let mut fresh = OnlineMonitor::new(self.single.scopes().to_vec());
@@ -158,6 +220,20 @@ impl Run<'_> {
                 .push_logged(op.clone())
                 .expect("survivors are §2.2-valid");
         }
+        let replay = self.single_heard.replay(fresh.scopes());
+        prop_assert_eq!(
+            replay.schedule(),
+            self.single.schedule(),
+            "single writer's journal"
+        );
+        prop_assert_eq!(replay.verdict(), self.single.verdict());
+        let replay = self.sharded_heard.replay(fresh.scopes());
+        prop_assert_eq!(
+            replay.schedule(),
+            &self.sharded.snapshot_schedule(),
+            "pipeline's journal"
+        );
+        prop_assert_eq!(replay.verdict(), self.sharded.verdict());
         let v = fresh.verdict();
         prop_assert!(v.meets(self.level), "{:?} below {:?}", v, self.level);
         prop_assert_eq!(self.single.verdict(), v, "single writer vs fresh replay");
@@ -233,11 +309,16 @@ proptest! {
             AdmissionLevel::Pwsr,
             AdmissionLevel::PwsrDr,
         ] {
+            let (sharded_heard, single_heard) = (Recorder::default(), Recorder::default());
             let mut run = Run {
                 txns,
                 level,
-                sharded: ShardedMonitor::new_logged(scopes.clone()),
-                single: OnlineMonitor::new(scopes.clone()),
+                sharded: ShardedMonitor::new_logged(scopes.clone())
+                    .with_journal(Box::new(sharded_heard.clone())),
+                single: OnlineMonitor::new(scopes.clone())
+                    .with_journal(Box::new(single_heard.clone())),
+                sharded_heard,
+                single_heard,
                 live: Vec::new(),
                 cursor: vec![0; n_txns],
                 lives: vec![LIVES; n_txns],

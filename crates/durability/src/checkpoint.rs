@@ -162,68 +162,40 @@ impl fmt::Display for CheckpointError {
 impl std::error::Error for CheckpointError {}
 
 impl Checkpoint {
-    /// Capture the permanent prefix of `monitor`. The hash is computed
-    /// by replaying the prefix into a fresh twin — O(floor), and
-    /// self-validating: capture fails loudly (panics) if the prefix
-    /// does not replay, which would indicate monitor corruption.
-    ///
-    /// # Panics
-    ///
-    /// If the monitor has already **compacted** part of its schedule
-    /// away (`schedule().base() > 0`) the summarized operations no
-    /// longer exist to snapshot; chain from the checkpoint that covers
-    /// them with [`Checkpoint::capture_after`] instead.
-    pub fn capture(monitor: &OnlineMonitor) -> Checkpoint {
-        assert_eq!(
-            monitor.schedule().base(),
-            0,
-            "monitor has compacted its prefix away; chain from the \
-             previous checkpoint with Checkpoint::capture_after"
-        );
-        let floor = monitor.log_floor();
-        let ops = monitor.schedule().ops()[..floor].to_vec();
-        let twin = replay_prefix(monitor.scopes().to_vec(), &ops, floor)
-            .expect("a monitor's own permanent prefix must replay");
-        Checkpoint {
-            floor,
-            ops,
-            hash: state_hash(&twin),
-        }
-    }
-
-    /// Capture the permanent prefix of a monitor that may already have
-    /// **compacted** ([`OnlineMonitor::compact`]) part of that prefix
-    /// away, by chaining from the previous checkpoint: `prev` supplies
-    /// the operations below its own floor (which by the frontier
-    /// invariant covers everything the monitor summarized), and the
-    /// monitor's live tail supplies the rest up to the current floor.
-    /// The stored hash is, as in [`Checkpoint::capture`], that of the
-    /// *uncompacted* floor-prefix twin — so recovery validates it the
-    /// same way whether or not compaction ever ran.
+    /// Capture the permanent prefix of `monitor`, chained from `prev`,
+    /// the previous checkpoint taken from it (`None` stands for an
+    /// empty one at floor 0): `prev` supplies the operations below its
+    /// own floor — which by the frontier invariant covers everything
+    /// the monitor **compacted** ([`OnlineMonitor::compact`]) away —
+    /// and the monitor's live tail the rest up to the current floor.
+    /// The hash is that of the *uncompacted* floor-prefix twin, so
+    /// recovery validates it the same way whether or not compaction
+    /// ever ran. It is computed by replaying the prefix into a fresh
+    /// twin — O(floor), and self-validating: capture panics if the
+    /// prefix does not replay, which would indicate monitor corruption.
     ///
     /// # Panics
     ///
     /// If `prev` does not reach the monitor's compaction point
-    /// (`prev.floor < schedule().base()`), or the floor regressed
-    /// below `prev.floor` — both impossible for checkpoints taken from
-    /// this monitor in order.
-    pub fn capture_after(prev: &Checkpoint, monitor: &OnlineMonitor) -> Checkpoint {
+    /// (`schedule().base()`; with `None`, if the monitor compacted at
+    /// all), or the floor regressed below `prev`'s — both impossible
+    /// for checkpoints taken from this monitor in order.
+    pub fn capture(monitor: &OnlineMonitor, prev: Option<&Checkpoint>) -> Checkpoint {
+        let (prev_floor, prev_ops) = prev.map_or((0, &[][..]), |p| (p.floor, &p.ops[..]));
         let floor = monitor.log_floor();
         let base = monitor.schedule().base();
         assert!(
-            prev.floor >= base,
-            "previous checkpoint (floor {}) does not cover the \
-             summarized prefix (base {base})",
-            prev.floor
+            prev_floor >= base,
+            "previous checkpoint (floor {prev_floor}) does not cover the \
+             summarized prefix (base {base})"
         );
         assert!(
-            floor >= prev.floor,
+            floor >= prev_floor,
             "retraction floor {floor} regressed below the previous \
-             checkpoint's floor {}",
-            prev.floor
+             checkpoint's floor {prev_floor}"
         );
-        let mut ops = prev.ops.clone();
-        ops.extend_from_slice(&monitor.schedule().ops()[prev.floor - base..floor - base]);
+        let mut ops = prev_ops.to_vec();
+        ops.extend_from_slice(&monitor.schedule().ops()[prev_floor - base..floor - base]);
         let twin = replay_prefix(monitor.scopes().to_vec(), &ops, floor)
             .expect("a monitor's own permanent prefix must replay");
         Checkpoint {
@@ -297,9 +269,8 @@ impl Checkpoint {
 /// Advance the shared durable frontier in one motion — the
 /// checkpoint / WAL-truncation / compaction pairing PR 7 deferred:
 ///
-/// 1. **Checkpoint** the permanent prefix (chained via
-///    [`Checkpoint::capture_after`] when `prev` is supplied, so the
-///    monitor may already be compacted);
+/// 1. **Checkpoint** the permanent prefix ([`Checkpoint::capture`],
+///    chained from `prev`, so the monitor may already be compacted);
 /// 2. **Restart the WAL** ([`Wal::restart`](crate::wal::Wal::restart))
 ///    and re-journal the live tail above the floor, so
 ///    `checkpoint + WAL` still reconstructs the exact monitor state —
@@ -325,10 +296,7 @@ pub fn advance_frontier(
     wal: &crate::wal::SharedWal,
     prev: Option<&Checkpoint>,
 ) -> (Checkpoint, pwsr_core::monitor::CompactStats) {
-    let ckp = match prev {
-        Some(p) => Checkpoint::capture_after(p, monitor),
-        None => Checkpoint::capture(monitor),
-    };
+    let ckp = Checkpoint::capture(monitor, prev);
     let base = monitor.schedule().base();
     let tail = &monitor.schedule().ops()[ckp.floor - base..];
     wal.with(|w| {
@@ -476,7 +444,7 @@ mod tests {
     #[test]
     fn capture_roundtrip() {
         let m = sample_monitor();
-        let ckp = Checkpoint::capture(&m);
+        let ckp = Checkpoint::capture(&m, None);
         assert_eq!(ckp.floor, 2);
         assert_eq!(ckp.ops.len(), 2);
         let bytes = ckp.to_bytes();
@@ -486,7 +454,7 @@ mod tests {
 
     #[test]
     fn corruption_rejected() {
-        let bytes = Checkpoint::capture(&sample_monitor()).to_bytes();
+        let bytes = Checkpoint::capture(&sample_monitor(), None).to_bytes();
         assert_eq!(
             Checkpoint::from_bytes(&bytes[..10]),
             Err(CheckpointError::Truncated)

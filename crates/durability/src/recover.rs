@@ -250,38 +250,19 @@ mod tests {
     #[test]
     fn recover_exact_after_abort_and_floor() {
         let wal = SharedWal::in_memory(SyncPolicy::Off);
-        let mut journal: Box<dyn MonitorJournal> = Box::new(wal.clone());
-        let mut live = OnlineMonitor::new(scopes());
-
-        let push = |m: &mut OnlineMonitor, j: &mut Box<dyn MonitorJournal>, op: Operation| {
-            j.appended(&op);
-            m.push_logged(op).unwrap();
-        };
-        push(
-            &mut live,
-            &mut journal,
+        let mut live = OnlineMonitor::new(scopes()).with_journal(Box::new(wal.clone()));
+        for op in [
             Operation::write(TxnId(1), ItemId(0), Value::Int(1)),
-        );
-        push(
-            &mut live,
-            &mut journal,
             Operation::read(TxnId(2), ItemId(0), Value::Int(1)),
-        );
-        push(
-            &mut live,
-            &mut journal,
             Operation::write(TxnId(2), ItemId(2), Value::Int(2)),
-        );
+        ] {
+            live.push_logged(op).unwrap();
+        }
         // Abort T2: truncate to 1, then T1 continues.
-        journal.truncated(1);
         live.truncate_to(1);
-        push(
-            &mut live,
-            &mut journal,
-            Operation::read(TxnId(1), ItemId(3), Value::Int(0)),
-        );
+        live.push_logged(Operation::read(TxnId(1), ItemId(3), Value::Int(0)))
+            .unwrap();
         // Floor rises to 1.
-        journal.floor_raised(1);
         live.checkpoint(1);
 
         let bytes = wal.snapshot().unwrap();
@@ -299,8 +280,7 @@ mod tests {
     #[test]
     fn batch_records_recover_identically() {
         let wal = SharedWal::in_memory(SyncPolicy::Off);
-        let mut journal: Box<dyn MonitorJournal> = Box::new(wal.clone());
-        let mut live = OnlineMonitor::new(scopes());
+        let mut live = OnlineMonitor::new(scopes()).with_journal(Box::new(wal.clone()));
         let b1 = vec![
             Operation::write(TxnId(1), ItemId(0), Value::Int(1)),
             Operation::write(TxnId(1), ItemId(2), Value::Int(2)),
@@ -310,7 +290,6 @@ mod tests {
             Operation::write(TxnId(2), ItemId(3), Value::Int(7)),
         ];
         for batch in [&b1, &b2] {
-            journal.appended_batch(batch);
             live.push_batch_logged(batch).unwrap();
         }
         // The shared WAL framed each batch as one multi-op record.
@@ -327,9 +306,9 @@ mod tests {
         // A singleton-journaled twin of the same history recovers to
         // the same state hash — the two wire forms are equivalent.
         let wal2 = SharedWal::in_memory(SyncPolicy::Off);
-        let mut j2: Box<dyn MonitorJournal> = Box::new(wal2.clone());
+        let mut twin = OnlineMonitor::new(scopes()).with_journal(Box::new(wal2.clone()));
         for op in b1.iter().chain(&b2) {
-            j2.appended(op);
+            twin.push_logged(op.clone()).unwrap();
         }
         let rec2 = recover(scopes(), None, &wal2.snapshot().unwrap()).unwrap();
         assert_eq!(state_hash(&rec2.monitor), state_hash(&live));
@@ -343,14 +322,13 @@ mod tests {
         live.push_logged(Operation::read(TxnId(2), ItemId(0), Value::Int(1)))
             .unwrap();
         live.checkpoint(2);
-        let ckp = Checkpoint::capture(&live);
+        let ckp = Checkpoint::capture(&live, None);
 
         // Tail written after the checkpoint.
         let wal = SharedWal::in_memory(SyncPolicy::Off);
-        let mut journal: Box<dyn MonitorJournal> = Box::new(wal.clone());
-        let tail_op = Operation::write(TxnId(2), ItemId(3), Value::Int(7));
-        journal.appended(&tail_op);
-        live.push_logged(tail_op).unwrap();
+        let mut live = live.with_journal(Box::new(wal.clone()));
+        live.push_logged(Operation::write(TxnId(2), ItemId(3), Value::Int(7)))
+            .unwrap();
 
         let rec = recover(scopes(), Some(&ckp), &wal.snapshot().unwrap()).unwrap();
         assert_eq!(rec.records_applied, 1);
@@ -363,7 +341,7 @@ mod tests {
         live.push_logged(Operation::write(TxnId(1), ItemId(0), Value::Int(1)))
             .unwrap();
         live.checkpoint(1);
-        let mut ckp = Checkpoint::capture(&live);
+        let mut ckp = Checkpoint::capture(&live, None);
         ckp.hash.0[0] ^= 0xFF;
         match recover(scopes(), Some(&ckp), &[]) {
             Err(RecoverError::Checkpoint(CheckpointError::HashMismatch { .. })) => {}
@@ -443,16 +421,11 @@ mod tests {
         let w = |t, i, v| Operation::write(TxnId(t), ItemId(i), Value::Int(v));
         let r = |t, i, v| Operation::read(TxnId(t), ItemId(i), Value::Int(v));
         let wal = SharedWal::in_memory(SyncPolicy::Off);
-        let mut journal = wal.clone();
-        let mut live = OnlineMonitor::new(scopes());
-        let batch = |m: &mut OnlineMonitor, ops: &[Operation]| {
-            wal.clone().appended_batch(ops);
-            m.push_batch_logged(ops).unwrap();
-        };
-        batch(&mut live, &[w(1, 0, 1), w(1, 2, 2)]);
-        batch(&mut live, &[r(2, 0, 1), w(2, 3, 3)]);
-        batch(&mut live, &[r(3, 2, 2)]);
-        batch(&mut live, &[r(1, 3, 3)]);
+        let mut live = OnlineMonitor::new(scopes()).with_journal(Box::new(wal.clone()));
+        live.push_batch_logged(&[w(1, 0, 1), w(1, 2, 2)]).unwrap();
+        live.push_batch_logged(&[r(2, 0, 1), w(2, 3, 3)]).unwrap();
+        live.push_batch_logged(&[r(3, 2, 2)]).unwrap();
+        live.push_batch_logged(&[r(1, 3, 3)]).unwrap();
         live.finish_txn(TxnId(1));
         live.finish_txn(TxnId(2));
         live.checkpoint(4);
@@ -460,15 +433,13 @@ mod tests {
         // the head of the restarted WAL.
         let (ckp, _) = advance_frontier(&mut live, &wal, None);
         assert_eq!((ckp.floor, ckp.ops.len(), live.len()), (4, 4, 6));
-        batch(&mut live, &[w(3, 1, 4), w(3, 0, 5)]);
-        batch(&mut live, &[r(4, 1, 4), w(4, 2, 6)]);
+        live.push_batch_logged(&[w(3, 1, 4), w(3, 0, 5)]).unwrap();
+        live.push_batch_logged(&[r(4, 1, 4), w(4, 2, 6)]).unwrap();
         // Abort T4, then it runs again; the floor follows.
-        journal.truncated(8);
         live.truncate_to(8);
-        batch(&mut live, &[r(4, 0, 5), w(4, 1, 7)]);
-        journal.floor_raised(8);
+        live.push_batch_logged(&[r(4, 0, 5), w(4, 1, 7)]).unwrap();
         live.checkpoint(8);
-        batch(&mut live, &[w(5, 3, 8)]);
+        live.push_batch_logged(&[w(5, 3, 8)]).unwrap();
         let bytes = wal.snapshot().unwrap();
         let rec = recover(scopes(), Some(&ckp), &bytes).unwrap();
         assert_eq!(rec.monitor.verdict(), live.verdict());
@@ -562,46 +533,28 @@ mod tests {
 
     /// The shared-frontier pairing end-to-end: a journaled monitor
     /// advances the durable frontier twice (checkpoint → WAL restart →
-    /// compact, the second advance chaining via `capture_after`), then
-    /// "crashes". Recovery from `checkpoint + truncated WAL` rebuilds
-    /// the uncompacted state; re-compacting it to the same frontier
-    /// converges on the live monitor's exact resident shape, and both
-    /// twins stay verdict-identical on subsequent pushes.
+    /// compact, the second capture chained from the first checkpoint),
+    /// then "crashes". Recovery from `checkpoint + truncated WAL`
+    /// rebuilds the uncompacted state; re-compacting it to the same
+    /// frontier converges on the live monitor's exact resident shape,
+    /// and both twins stay verdict-identical on subsequent pushes.
     #[test]
     fn compaction_recovery_round_trip() {
         use crate::checkpoint::advance_frontier;
 
         let wal = SharedWal::in_memory(SyncPolicy::Off);
-        let mut journal: Box<dyn MonitorJournal> = Box::new(wal.clone());
-        let mut live = OnlineMonitor::new(scopes());
-        let push = |m: &mut OnlineMonitor, j: &mut Box<dyn MonitorJournal>, op: Operation| {
-            j.appended(&op);
-            m.push_logged(op).unwrap();
-        };
+        let mut live = OnlineMonitor::new(scopes()).with_journal(Box::new(wal.clone()));
         // Ops 0..3 belong to T1/T2 (which settle); op 3 opens T3.
-        push(
-            &mut live,
-            &mut journal,
+        for op in [
             Operation::write(TxnId(1), ItemId(0), Value::Int(1)),
-        );
-        push(
-            &mut live,
-            &mut journal,
             Operation::read(TxnId(2), ItemId(0), Value::Int(1)),
-        );
-        push(
-            &mut live,
-            &mut journal,
             Operation::write(TxnId(2), ItemId(2), Value::Int(2)),
-        );
-        push(
-            &mut live,
-            &mut journal,
             Operation::write(TxnId(3), ItemId(3), Value::Int(3)),
-        );
+        ] {
+            live.push_logged(op).unwrap();
+        }
         live.finish_txn(TxnId(1));
         live.finish_txn(TxnId(2));
-        journal.floor_raised(3);
         live.checkpoint(3);
 
         let (ckp1, stats1) = advance_frontier(&mut live, &wal, None);
@@ -617,18 +570,11 @@ mod tests {
         // summarized boundary (its writer was compacted away), T4
         // opens, and the frontier advances again — chained from ckp1,
         // since ops below base 3 no longer exist to snapshot.
-        push(
-            &mut live,
-            &mut journal,
-            Operation::read(TxnId(3), ItemId(2), Value::Int(2)),
-        );
-        push(
-            &mut live,
-            &mut journal,
-            Operation::write(TxnId(4), ItemId(1), Value::Int(9)),
-        );
+        live.push_logged(Operation::read(TxnId(3), ItemId(2), Value::Int(2)))
+            .unwrap();
+        live.push_logged(Operation::write(TxnId(4), ItemId(1), Value::Int(9)))
+            .unwrap();
         live.finish_txn(TxnId(3));
-        journal.floor_raised(5);
         live.checkpoint(5);
         let (ckp2, stats2) = advance_frontier(&mut live, &wal, Some(&ckp1));
         assert_eq!(ckp2.floor, 5);

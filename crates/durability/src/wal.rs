@@ -716,9 +716,8 @@ impl Wal {
 /// A clonable, thread-safe handle to a [`Wal`] — the concrete
 /// [`MonitorJournal`] implementation the monitors and schedulers hook.
 ///
-/// Keeping this a concrete type (rather than a trait object field)
-/// lets `MonitorAdmission` retain its `Clone`/`Debug` derives; clones
-/// share the underlying log.
+/// Clones share the underlying log: a monitor journals into one clone
+/// while its owner keeps another to sync, seal and recover from.
 #[derive(Clone)]
 pub struct SharedWal(Arc<Mutex<Wal>>);
 

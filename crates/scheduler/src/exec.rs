@@ -432,7 +432,7 @@ impl<'a> Run<'a> {
             // transaction's first operation can never be rewritten by an
             // abort, so their undo deltas are dropped. (A cascade that
             // aborts an already-finished transaction is the one case
-            // `MonitorAdmission::retract` starts over for.)
+            // `MonitorAdmission::retract_txns` starts over for.)
             if let Some(mon) = self.admission.as_mut() {
                 mon.checkpoint(self.rts.iter().filter(live).map(|rt| rt.txn));
             }
@@ -441,7 +441,7 @@ impl<'a> Run<'a> {
         let mut metrics = self.metrics;
         if let Some(mon) = &self.admission {
             metrics.monitor_undone_ops = mon.undone_ops();
-            metrics.monitor_log_floor = mon.log_floor() as u64;
+            metrics.monitor_log_floor = mon.monitor().log_floor() as u64;
             metrics.monitor_skipped_ops = mon.skipped_ops();
             if let Some(wal) = mon.wal() {
                 metrics.seal_wal(wal)?;
@@ -629,7 +629,7 @@ impl<'a> Run<'a> {
             }
         }
         if let Some(mon) = self.admission.as_mut() {
-            mon.retract(&aborted)?;
+            mon.retract_txns(&aborted)?;
         }
         if let Some(guard) = self.dag_guard.as_mut() {
             guard.aborted();
@@ -1183,7 +1183,7 @@ mod tests {
         let mut model = MonitorAdmission::for_constraint(&ic, AdmissionLevel::Pwsr);
         model.observe(&Operation::read(TxnId(2), a0, Value::Int(0)));
         model.observe(&Operation::read(TxnId(3), a0, Value::Int(0)));
-        let (set_cost, repushed) = model.retract(&[TxnId(2), TxnId(3)]).unwrap();
+        let (set_cost, repushed) = model.retract_txns(&[TxnId(2), TxnId(3)]).unwrap();
         assert_eq!((set_cost, repushed), (2, 0));
         for (seed, committed) in [
             (2, "w1(a0, 7) r3(a0, 7) r2(a0, 7) w3(b1, 7) w2(b0, 7)"),

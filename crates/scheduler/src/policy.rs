@@ -22,7 +22,7 @@ use pwsr_core::ids::{ItemId, TxnId};
 use pwsr_core::monitor::{AdmissionLevel, CompactStats, OnlineMonitor, Verdict};
 use pwsr_core::op::Operation;
 use pwsr_core::state::ItemSet;
-use pwsr_durability::wal::{SharedWal, Wal, WalRecord};
+use pwsr_durability::wal::{SharedWal, WalRecord};
 use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 
@@ -113,14 +113,13 @@ impl StaticCertificate {
 ///
 /// The speculative test ([`MonitorAdmission::would_admit`]) never
 /// mutates; an executor that aborts says whom
-/// ([`MonitorAdmission::retract`]) and the monitor takes their
+/// ([`MonitorAdmission::retract_txns`]) and the monitor takes their
 /// operations back through its undo-log — `O(ops undone + ops
 /// re-pushed)` graph work, so every step stays on the incremental
 /// path.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct MonitorAdmission {
     monitor: OnlineMonitor,
-    scopes: Vec<ItemSet>,
     level: AdmissionLevel,
     /// Statically-certified fast path: transactions the certificate
     /// covers bypass the monitor entirely (admitted unconditionally,
@@ -130,12 +129,8 @@ pub struct MonitorAdmission {
     skipped_ops: u64,
     /// Operations retracted via the undo-log across all retractions.
     undone_ops: u64,
-    /// Optional write-ahead log: every monitored state transition
-    /// (push / truncate / floor raise / reset) is appended as a
-    /// checksummed record, so a crash recovers to exactly this
-    /// admission's monitor state (see `pwsr_durability::recover`).
-    /// Clones share the log, so clone-and-diverge admissions should
-    /// not both stay journaled.
+    /// Optional write-ahead log, the monitor's journal; the admission
+    /// itself writes only the `Reset` of a start-over.
     wal: Option<SharedWal>,
 }
 
@@ -143,8 +138,7 @@ impl MonitorAdmission {
     /// Admission over explicit projection scopes.
     pub fn new(scopes: Vec<ItemSet>, level: AdmissionLevel) -> MonitorAdmission {
         MonitorAdmission {
-            monitor: OnlineMonitor::new(scopes.clone()),
-            scopes,
+            monitor: OnlineMonitor::new(scopes),
             level,
             certificate: None,
             skipped_ops: 0,
@@ -153,33 +147,27 @@ impl MonitorAdmission {
         }
     }
 
-    /// Journal WAL transitions. An I/O error the log's policy could
-    /// not heal (fail-stop, or an exhausted retry) stays in the log,
-    /// sticky, until the executor seals the log at the end of the run
-    /// and turns it into [`SchedError::WalFailed`], a refusal to report
-    /// success; self-healing policies (retry, degrade-to-memory) leave
-    /// none and the run proceeds — the incident stays visible in
-    /// `WalStats::io_errors`.
+    /// Attach a write-ahead log as the monitor's journal
+    /// ([`OnlineMonitor::with_journal`]): every monitored transition
+    /// is journaled *before* it is applied, so a crash recovers to
+    /// exactly this admission's monitor state (see
+    /// `pwsr_durability::recover`). Certified skips are not journaled —
+    /// replay reconstructs the monitored sub-trace, which is the whole
+    /// monitor state. An I/O error the log's policy could not heal
+    /// stays in the log, sticky, until the executor seals it at the end
+    /// of the run and turns it into [`SchedError::WalFailed`].
     ///
     /// [`SchedError::WalFailed`]: crate::error::SchedError::WalFailed
-    fn journal(&self, f: impl FnOnce(&mut Wal)) {
-        if let Some(wal) = &self.wal {
-            wal.with(f);
-        }
-    }
-
-    /// Attach a write-ahead log. Every subsequent monitored
-    /// transition is journaled *before* it is applied (write-ahead
-    /// discipline); certified skips are not journaled — replay
-    /// reconstructs the monitored sub-trace, which is the whole
-    /// monitor state.
-    pub fn with_wal(mut self, wal: SharedWal) -> MonitorAdmission {
+    pub fn with_wal(self, wal: SharedWal) -> MonitorAdmission {
         debug_assert!(
-            self.is_empty(),
+            self.monitor.is_empty(),
             "attach the WAL before recording operations"
         );
-        self.wal = Some(wal);
-        self
+        MonitorAdmission {
+            monitor: self.monitor.with_journal(Box::new(wal.clone())),
+            wal: Some(wal),
+            ..self
+        }
     }
 
     /// Attach a static safety certificate: covered transactions are
@@ -189,7 +177,7 @@ impl MonitorAdmission {
     /// rejected and admission falls back to full monitoring.
     pub fn with_certificate(mut self, certificate: StaticCertificate) -> MonitorAdmission {
         debug_assert!(
-            self.is_empty(),
+            self.monitor.is_empty(),
             "attach certificates before recording operations"
         );
         if certificate.satisfies(self.level) {
@@ -231,16 +219,6 @@ impl MonitorAdmission {
         self.level
     }
 
-    /// Operations recorded so far.
-    pub fn len(&self) -> usize {
-        self.monitor.len()
-    }
-
-    /// Has nothing been recorded?
-    pub fn is_empty(&self) -> bool {
-        self.monitor.is_empty()
-    }
-
     /// Would this access keep the configured verdict level? Read-only.
     /// Statically-certified transactions are admitted without touching
     /// the monitor — the zero-cost fast path.
@@ -258,8 +236,7 @@ impl MonitorAdmission {
 
     /// Record an admitted (or already-committed) operation. Logged, so
     /// an abort can retract it through the undo-log.
-    pub fn push(&mut self, op: &Operation) -> Verdict {
-        self.journal(|w| w.append_op(op));
+    pub fn push_logged(&mut self, op: &Operation) -> Verdict {
         self.monitor
             .push_logged(op.clone())
             .expect("executor traces satisfy the §2.2 transaction rules")
@@ -273,14 +250,9 @@ impl MonitorAdmission {
             self.skipped_ops += 1;
             false
         } else {
-            self.push(op);
+            self.push_logged(op);
             true
         }
-    }
-
-    /// The current verdict over the recorded trace.
-    pub fn verdict(&self) -> Verdict {
-        self.monitor.verdict()
     }
 
     /// The underlying monitor (orders, certificates, index queries).
@@ -294,27 +266,26 @@ impl MonitorAdmission {
     /// re-push every other transaction's operation from there on —
     /// `O(ops undone + ops re-pushed)`, not `O(n)`: an abort of a
     /// late-starting transaction leaves the long head untouched. The
-    /// WAL hears `Truncate(first)`, then one `Op` per survivor. A
-    /// certified victim has nothing recorded and costs nothing.
-    /// Returns `(ops undone, ops re-pushed)`.
+    /// WAL hears what the monitor applies: `Truncate(first)`, then one
+    /// `Op` per survivor. A certified victim has nothing recorded and
+    /// costs nothing. Returns `(ops undone, ops re-pushed)`.
     ///
     /// One case cannot go through the undo-log: a cascade that reaches
     /// a transaction which had *finished*, and so was not in the live
     /// set of the last [`checkpoint`](Self::checkpoint) — its first
     /// operation lies below the floor, where the deltas are gone. The
     /// admission then starts over: `Reset` in the WAL, a fresh
-    /// monitor, and its own surviving operations pushed again. (Panics
-    /// there if the admission was also compacted — a summarized prefix
-    /// cannot be pushed again.) Above the floor, a summarized victim is
-    /// rejected with [`CoreError::SummarizedTransaction`], nothing
-    /// retracted.
-    pub fn retract(&mut self, victims: &[TxnId]) -> Result<(usize, usize), CoreError> {
+    /// monitor journaling into the same WAL, and its own surviving
+    /// operations pushed again. (Panics there if the admission was
+    /// also compacted — a summarized prefix cannot be pushed again.)
+    /// Above the floor, a summarized victim is rejected with
+    /// [`CoreError::SummarizedTransaction`], nothing retracted.
+    pub fn retract_txns(&mut self, victims: &[TxnId]) -> Result<(usize, usize), CoreError> {
         let first = victims
             .iter()
             .filter_map(|&t| self.monitor.first_op_of(t))
             .min();
-        let len = self.monitor.len();
-        let cost = if first.is_some_and(|p| p.0 < self.log_floor()) {
+        let cost = if first.is_some_and(|p| p.0 < self.monitor.log_floor()) {
             let schedule = self.monitor.schedule();
             assert_eq!(schedule.base(), 0, "compacted: cannot start over");
             let survivors: Vec<Operation> = schedule
@@ -323,24 +294,19 @@ impl MonitorAdmission {
                 .filter(|o| !victims.contains(&o.txn))
                 .cloned()
                 .collect();
-            self.journal(|w| w.append(&WalRecord::Reset));
-            self.monitor = OnlineMonitor::new(self.scopes.clone());
+            let len = self.monitor.len();
+            let mut fresh = OnlineMonitor::new(self.monitor.scopes().to_vec());
+            if let Some(wal) = &self.wal {
+                wal.with(|w| w.append(&WalRecord::Reset));
+                fresh = fresh.with_journal(Box::new(wal.clone()));
+            }
+            self.monitor = fresh;
             for op in &survivors {
-                self.push(op);
+                self.push_logged(op);
             }
             (len, survivors.len())
         } else {
-            let (undone, repushed) = self.monitor.retract_txns(victims)?;
-            let ops = self.monitor.schedule().ops();
-            self.journal(|w| {
-                if undone > 0 {
-                    w.append(&WalRecord::Truncate((len - undone) as u64));
-                }
-                for op in &ops[ops.len() - repushed..] {
-                    w.append_op(op);
-                }
-            });
-            (undone, repushed)
+            self.monitor.retract_txns(victims)?
         };
         self.undone_ops += cost.0 as u64;
         Ok(cost)
@@ -351,26 +317,15 @@ impl MonitorAdmission {
     /// everything before that point can never be rewritten by an
     /// abort, so its per-push deltas are dropped — the long-run
     /// memory bound for the admission log ([`OnlineMonitor`] keeps
-    /// one delta per logged push otherwise). Returns the new floor.
+    /// one delta per logged push otherwise). Only an actual raise is
+    /// journaled. Returns the new floor.
     pub fn checkpoint<I: IntoIterator<Item = TxnId>>(&mut self, live: I) -> usize {
         let floor = live
             .into_iter()
             .filter_map(|t| self.monitor.first_op_of(t).map(|p| p.0))
             .min()
             .unwrap_or(self.monitor.len());
-        let before = self.monitor.log_floor();
-        let after = self.monitor.checkpoint(floor);
-        // Journal only actual raises: the executor checkpoints every
-        // step, and a no-op raise would bloat the log.
-        if after > before {
-            self.journal(|w| w.append(&WalRecord::Floor(after as u64)));
-        }
-        after
-    }
-
-    /// The monitor undo-log's current retraction floor.
-    pub fn log_floor(&self) -> usize {
-        self.monitor.log_floor()
+        self.monitor.checkpoint(floor)
     }
 
     /// Declare `txn` finished (it will issue no further operations),
@@ -392,24 +347,6 @@ impl MonitorAdmission {
     /// [`Checkpoint`]: pwsr_durability::checkpoint::Checkpoint
     pub fn compact(&mut self) -> CompactStats {
         self.monitor.compact()
-    }
-
-    /// The compaction frontier the next [`MonitorAdmission::compact`]
-    /// would collapse to.
-    pub fn compaction_frontier(&self) -> usize {
-        self.monitor.compaction_frontier()
-    }
-
-    /// Structural resident-memory estimate of the underlying monitor
-    /// (the `compact` experiment's plateau metric).
-    pub fn resident_bytes_estimate(&self) -> usize {
-        self.monitor.resident_bytes_estimate()
-    }
-
-    /// Undo-log entries currently held (bounded by
-    /// `len() - log_floor()` — the checkpoint test pins this).
-    pub fn log_len(&self) -> usize {
-        self.monitor.logged_len()
     }
 
     /// Operations retracted through the undo-log across all aborts.
@@ -782,7 +719,7 @@ mod tests {
         );
         // Conjunct spaces {a,b} and {c}, plus z's private space.
         assert_eq!(adm.monitor().scopes().len(), 3);
-        assert!(adm.is_empty());
+        assert!(adm.monitor().is_empty());
         assert_eq!(adm.level(), AdmissionLevel::Pwsr);
     }
 
@@ -798,14 +735,14 @@ mod tests {
         ];
         for op in &ops {
             assert!(adm.would_admit(op.txn, op.item, op.is_write()));
-            adm.push(op);
+            adm.push_logged(op);
         }
         // r1(b) closes the {a,b} cycle: rejected.
         assert!(!adm.would_admit(TxnId(1), ItemId(1), false));
         // Roll T2 back, by name: its two operations go, and the
         // previously rejected access becomes admissible.
-        assert_eq!(adm.retract(&[TxnId(2)]).unwrap(), (2, 0));
-        assert_eq!(adm.len(), 1);
+        assert_eq!(adm.retract_txns(&[TxnId(2)]).unwrap(), (2, 0));
+        assert_eq!(adm.monitor().len(), 1);
         assert!(adm.would_admit(TxnId(1), ItemId(1), false));
     }
 
@@ -835,10 +772,10 @@ mod tests {
 
         let mut adm = MonitorAdmission::for_constraint(&ic, AdmissionLevel::Pwsr);
         for op in &trace {
-            adm.push(op);
+            adm.push_logged(op);
         }
         // Only the suffix from the victim's first op was touched.
-        let (undone, repushed) = adm.retract(&[victim]).unwrap();
+        let (undone, repushed) = adm.retract_txns(&[victim]).unwrap();
         assert_eq!(undone, 3, "undone must be the rewritten suffix, not O(n)");
         assert_eq!(repushed, 1);
         assert!((undone + repushed) * 10 < n);
@@ -849,10 +786,10 @@ mod tests {
             &trace,
             &[victim],
         );
-        assert_eq!(adm.verdict(), fresh.verdict());
+        assert_eq!(adm.monitor().verdict(), fresh.monitor().verdict());
         assert_eq!(adm.monitor().schedule(), fresh.monitor().schedule());
         // The victim holds nothing any more: naming it again is free.
-        assert_eq!(adm.retract(&[victim]).unwrap(), (0, 0));
+        assert_eq!(adm.retract_txns(&[victim]).unwrap(), (0, 0));
         assert_eq!(adm.undone_ops(), 3);
     }
 
@@ -876,16 +813,20 @@ mod tests {
         for victim in (1..=3).map(TxnId) {
             let mut adm = MonitorAdmission::for_constraint(&ic, AdmissionLevel::PwsrDr);
             for op in &ops {
-                adm.push(op);
+                adm.push_logged(op);
             }
-            adm.retract(&[victim]).unwrap();
+            adm.retract_txns(&[victim]).unwrap();
             let fresh = fed_survivors(
                 MonitorAdmission::for_constraint(&ic, AdmissionLevel::PwsrDr),
                 &ops,
                 &[victim],
             );
-            assert_eq!(adm.verdict(), fresh.verdict(), "victim {victim}");
-            assert_eq!(adm.len(), fresh.len());
+            assert_eq!(
+                adm.monitor().verdict(),
+                fresh.monitor().verdict(),
+                "victim {victim}"
+            );
+            assert_eq!(adm.monitor().len(), fresh.monitor().len());
             // The retracted monitor keeps certifying correctly.
             assert!(adm.monitor().certify_prefix());
         }
@@ -904,16 +845,16 @@ mod tests {
         let mut adm =
             MonitorAdmission::for_constraint(&ic, AdmissionLevel::Pwsr).with_wal(wal.clone());
         for op in &ops {
-            adm.push(op);
+            adm.push_logged(op);
         }
         let victims = [TxnId(3), TxnId(2)];
-        assert_eq!(adm.retract(&victims).unwrap(), (5, 1));
+        assert_eq!(adm.retract_txns(&victims).unwrap(), (5, 1));
         let fresh = fed_survivors(
             MonitorAdmission::for_constraint(&ic, AdmissionLevel::Pwsr),
             &ops,
             &victims,
         );
-        assert_eq!(adm.verdict(), fresh.verdict());
+        assert_eq!(adm.monitor().verdict(), fresh.monitor().verdict());
         assert_eq!(adm.monitor().schedule(), fresh.monitor().schedule());
         let records = scan(&wal.snapshot().unwrap()).records;
         assert_eq!(
@@ -956,13 +897,13 @@ mod tests {
             let admitted = adm.would_admit(op.txn, op.item, op.is_write());
             if k < 5 {
                 assert!(admitted, "op {k} is still PWSR-safe");
-                adm.push(op);
+                adm.push_logged(op);
             } else {
                 assert!(!admitted, "w1(b) closes the d1 cycle and must be rejected");
             }
         }
-        assert_eq!(adm.len(), 5);
-        assert!(adm.verdict().pwsr());
+        assert_eq!(adm.monitor().len(), 5);
+        assert!(adm.monitor().verdict().pwsr());
     }
 
     /// `checkpoint` raises the undo-log floor to the oldest live
@@ -991,44 +932,52 @@ mod tests {
         let live = TxnId(500);
         trace.push(Operation::read(live, ItemId(0), Value::Int(1)));
         for op in &trace {
-            adm.push(op);
+            adm.push_logged(op);
         }
         // Unbounded log: one delta per push.
-        assert_eq!(adm.log_len(), trace.len());
-        assert_eq!(adm.log_floor(), 0);
+        assert_eq!(adm.monitor().logged_len(), trace.len());
+        assert_eq!(adm.monitor().log_floor(), 0);
         // Checkpoint at the live set {500}: the floor jumps to its
         // first operation and the log shrinks to the live suffix.
         let floor = adm.checkpoint([live]);
         assert_eq!(floor, 100, "oldest live txn's first op");
-        assert_eq!(adm.log_floor(), 100);
-        assert_eq!(adm.log_len(), 1);
-        assert_eq!(adm.len(), trace.len(), "checkpoint retracts nothing");
+        assert_eq!(adm.monitor().log_floor(), 100);
+        assert_eq!(adm.monitor().logged_len(), 1);
+        assert_eq!(
+            adm.monitor().len(),
+            trace.len(),
+            "checkpoint retracts nothing"
+        );
         // The live suffix still aborts incrementally.
-        assert_eq!(adm.retract(&[live]).unwrap(), (1, 0));
+        assert_eq!(adm.retract_txns(&[live]).unwrap(), (1, 0));
         // A checkpoint with nothing live drains the whole log.
         let floor = adm.checkpoint([]);
-        assert_eq!(floor, adm.len());
-        assert_eq!(adm.log_len(), 0);
+        assert_eq!(floor, adm.monitor().len());
+        assert_eq!(adm.monitor().logged_len(), 0);
         // Retracting below the floor (a cascade aborted a "settled"
         // transaction) starts over: everything is taken back, the 99
         // survivors are pushed again — same observables as an
         // admission that never saw the two victims, and the log
         // (… `Reset`, 99 × `Op`) recovers to the same monitor.
         let settled = trace[0].txn;
-        assert_eq!(adm.retract(&[settled]).unwrap(), (100, 99));
+        assert_eq!(adm.retract_txns(&[settled]).unwrap(), (100, 99));
         let fresh = fed_survivors(
             MonitorAdmission::for_constraint(&ic, AdmissionLevel::Pwsr),
             &trace,
             &[live, settled],
         );
-        assert_eq!(adm.verdict(), fresh.verdict());
+        assert_eq!(adm.monitor().verdict(), fresh.monitor().verdict());
         assert_eq!(adm.monitor().schedule(), fresh.monitor().schedule());
-        assert_eq!(adm.log_floor(), 0, "the fresh monitor's pushes are logged");
+        assert_eq!(
+            adm.monitor().log_floor(),
+            0,
+            "the fresh monitor's pushes are logged"
+        );
         let scopes = adm.monitor().scopes().to_vec();
         let rec = recover(scopes, None, &wal.snapshot().unwrap()).unwrap();
-        assert_eq!(rec.monitor.verdict(), adm.verdict());
+        assert_eq!(rec.monitor.verdict(), adm.monitor().verdict());
         assert_eq!(rec.monitor.schedule(), adm.monitor().schedule());
-        assert_eq!(rec.monitor.log_floor(), adm.log_floor());
+        assert_eq!(rec.monitor.log_floor(), adm.monitor().log_floor());
     }
 
     /// Compaction composes with retraction: settle a long head,
@@ -1051,34 +1000,38 @@ mod tests {
         let live = TxnId(500);
         trace.push(Operation::read(live, ItemId(0), Value::Int(1)));
         for op in &trace {
-            adm.push(op);
+            adm.push_logged(op);
             if op.txn != live {
                 adm.finish_txn(op.txn);
             }
         }
         assert_eq!(adm.checkpoint([live]), 100);
-        assert_eq!(adm.compaction_frontier(), 100);
+        assert_eq!(adm.monitor().compaction_frontier(), 100);
         let stats = adm.compact();
         assert_eq!((stats.frontier, stats.txns_summarized), (100, 100));
-        assert_eq!(adm.len(), trace.len(), "compaction drops no positions");
+        assert_eq!(
+            adm.monitor().len(),
+            trace.len(),
+            "compaction drops no positions"
+        );
         // Summarized transactions are flatly refused.
         assert!(!adm.would_admit(TxnId(10), ItemId(5), true));
         // Abort the live straggler: the incremental path retracts only
         // its operation — the compacted head is never revisited.
-        assert_eq!(adm.retract(&[live]).unwrap(), (1, 0));
+        assert_eq!(adm.retract_txns(&[live]).unwrap(), (1, 0));
         let fresh = fed_survivors(
             MonitorAdmission::for_constraint(&ic, AdmissionLevel::Pwsr),
             &trace,
             &[live],
         );
-        assert_eq!(adm.verdict(), fresh.verdict());
+        assert_eq!(adm.monitor().verdict(), fresh.monitor().verdict());
         assert!(
-            adm.resident_bytes_estimate() < fresh.resident_bytes_estimate(),
+            adm.monitor().resident_bytes_estimate() < fresh.monitor().resident_bytes_estimate(),
             "the compacted admission must be smaller than the uncompacted one"
         );
         // A victim in the compacted prefix can no longer be retracted.
         assert_eq!(
-            adm.retract(&[TxnId(10)]),
+            adm.retract_txns(&[TxnId(10)]),
             Err(CoreError::SummarizedTransaction { txn: TxnId(10) })
         );
     }
@@ -1183,12 +1136,12 @@ mod tests {
             pushed += usize::from(adm.observe(op));
         }
         assert_eq!(pushed, 3, "only uncertified ops reach the monitor");
-        assert_eq!(adm.len(), 3);
+        assert_eq!(adm.monitor().len(), 3);
         assert_eq!(adm.skipped_ops(), 2);
         // Abort T3: the monitor retracts only its ops; parity with a
         // fresh, equally certified admission over the surviving trace.
-        assert_eq!(adm.retract(&[TxnId(3)]).unwrap(), (2, 0));
-        assert_eq!(adm.len(), 1);
+        assert_eq!(adm.retract_txns(&[TxnId(3)]).unwrap(), (2, 0));
+        assert_eq!(adm.monitor().len(), 1);
         let fresh = fed_survivors(
             MonitorAdmission::for_constraint(&ic, AdmissionLevel::Pwsr).with_certificate(
                 StaticCertificate::new(AdmissionLevel::Pwsr, [TxnId(1)].into_iter().collect()),
@@ -1196,12 +1149,12 @@ mod tests {
             &trace,
             &[TxnId(3)],
         );
-        assert_eq!(adm.verdict(), fresh.verdict());
+        assert_eq!(adm.monitor().verdict(), fresh.monitor().verdict());
         assert_eq!(adm.monitor().schedule(), fresh.monitor().schedule());
         assert_eq!(fresh.skipped_ops(), 2, "T1's ops skipped there too");
         assert_eq!(adm.skipped_ops(), 2);
         // Aborting the certified T1 finds nothing of it to retract.
-        assert_eq!(adm.retract(&[TxnId(1)]).unwrap(), (0, 0));
-        assert_eq!(adm.len(), 1);
+        assert_eq!(adm.retract_txns(&[TxnId(1)]).unwrap(), (0, 0));
+        assert_eq!(adm.monitor().len(), 1);
     }
 }

@@ -95,14 +95,14 @@ fn main() {
     let mut adm = MonitorAdmission::for_constraint(&ic, AdmissionLevel::Pwsr).with_wal(wal.clone());
     for op in &ops {
         if adm.would_admit(op.txn, op.item, op.is_write()) {
-            adm.push(op);
+            adm.push_logged(op);
         }
     }
     wal.sync();
     let live_hash = state_hash(adm.monitor());
     println!(
         "  journaled {} admitted ops to {}",
-        adm.len(),
+        adm.monitor().len(),
         path.display()
     );
     // "Crash": forget the live monitor, keep only the file on disk.
@@ -126,7 +126,7 @@ fn main() {
 fn stream(catalog: &Catalog, adm: &mut MonitorAdmission, ops: &[Operation]) {
     for op in ops {
         if adm.would_admit(op.txn, op.item, op.is_write()) {
-            adm.push(op);
+            adm.push_logged(op);
             println!("  admit  {}", op.display(catalog));
         } else {
             println!(
@@ -135,10 +135,10 @@ fn stream(catalog: &Catalog, adm: &mut MonitorAdmission, ops: &[Operation]) {
             );
         }
     }
-    let v = adm.verdict();
+    let v = adm.monitor().verdict();
     println!(
         "  committed {} ops; verdict {:?}, dr={}",
-        adm.len(),
+        adm.monitor().len(),
         v.level,
         v.dr
     );
