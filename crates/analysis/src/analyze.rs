@@ -356,6 +356,5 @@ pub fn analyze_constraint(
     level: AdmissionLevel,
     cfg: &AnalyzerConfig,
 ) -> WorkloadAnalysis {
-    let scopes: Vec<ItemSet> = ic.conjuncts().iter().map(|c| c.items().clone()).collect();
-    analyze(programs, catalog, &scopes, initial, level, cfg)
+    analyze(programs, catalog, &ic.scopes(), initial, level, cfg)
 }

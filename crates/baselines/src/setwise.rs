@@ -47,7 +47,7 @@ impl AtomicDataSets {
     /// The atomic data sets induced by a (disjoint) constraint: one per
     /// conjunct, as the paper observes when relating PWSR to \[14\].
     pub fn from_constraint(ic: &IntegrityConstraint) -> Result<AtomicDataSets> {
-        AtomicDataSets::new(ic.conjuncts().iter().map(|c| c.items().clone()).collect())
+        AtomicDataSets::new(ic.scopes())
     }
 
     /// The sets.

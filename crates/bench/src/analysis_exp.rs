@@ -291,7 +291,7 @@ mod tests {
         // check a handful of random interleavings through the monitor.
         use pwsr_core::monitor::OnlineMonitor;
         let (cat, ic, programs, initial) = unknown_workload(4);
-        let scopes: Vec<_> = ic.conjuncts().iter().map(|c| c.items().clone()).collect();
+        let scopes = ic.scopes();
         let mut rng = StdRng::seed_from_u64(99);
         for _ in 0..40 {
             let s = random_execution(&programs, &cat, &initial, &mut rng).unwrap();

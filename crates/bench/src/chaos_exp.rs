@@ -35,7 +35,7 @@ use pwsr_core::ids::TxnId;
 use pwsr_core::monitor::{AdmissionLevel, OnlineMonitor};
 use pwsr_core::op::Operation;
 use pwsr_core::schedule::Schedule;
-use pwsr_core::state::{DbState, ItemSet};
+use pwsr_core::state::DbState;
 use pwsr_core::value::{Domain, Value};
 use pwsr_durability::advance_frontier;
 use pwsr_durability::fault::{mix, ExecFault, FaultHandle, FaultPlan, WalFault, WalSite};
@@ -192,14 +192,6 @@ impl Ctx {
             initial,
             progs,
         }
-    }
-
-    fn scopes(&self) -> Vec<ItemSet> {
-        self.ic
-            .conjuncts()
-            .iter()
-            .map(|c| c.items().clone())
-            .collect()
     }
 
     fn wal_policy(&self, wal: SharedWal) -> PolicySpec {
@@ -391,7 +383,7 @@ fn wal_point(
     s.wal_fault_points += 1;
     s.wal_io_errors += ws.io_errors;
     s.injected_faults += plan.injected();
-    let recovered = recover(ctx.scopes(), None, &dump)
+    let recovered = recover(ctx.ic.scopes(), None, &dump)
         .ok()
         .filter(|r| r.corruption.is_none());
     let mut ok = fired(&plan);
@@ -514,7 +506,7 @@ fn leg_threaded_wal(
                         &ctx.cat,
                         &ctx.initial,
                         &ctx.wal_policy(wal),
-                        ctx.scopes(),
+                        ctx.ic.scopes(),
                     )?;
                     let parity = replays(ctx, &ctx.progs, &schedule, None)
                         && final_state == schedule.apply(&ctx.initial);
@@ -558,7 +550,8 @@ fn leg_rotate(
                 policy,
                 Some(plan.clone()),
             );
-            let mut monitor = OnlineMonitor::new(ctx.scopes()).with_journal(Box::new(wal.clone()));
+            let mut monitor =
+                OnlineMonitor::new(ctx.ic.scopes()).with_journal(Box::new(wal.clone()));
             let mut pushed_ok = true;
             for j in 0..4 {
                 for op in &base.ops[bound(j)..bound(j + 1)] {
@@ -591,11 +584,11 @@ fn leg_rotate(
                     &base.ops[..]
                 }
             };
-            let mut twin = OnlineMonitor::new(ctx.scopes());
+            let mut twin = OnlineMonitor::new(ctx.ic.scopes());
             let twin_ok = expected
                 .iter()
                 .all(|op| twin.push_logged(op.clone()).is_ok());
-            match recover(ctx.scopes(), None, &dump) {
+            match recover(ctx.ic.scopes(), None, &dump) {
                 Ok(rec) => {
                     ok &= tally.recover(
                         rec.corruption.is_none() && rec.monitor.schedule().ops() == expected,
@@ -629,7 +622,7 @@ fn occ_tuning(deadline_us: u64, faults: FaultHandle) -> OccTuning {
 fn occ_spec(ctx: &Ctx, wal: Option<SharedWal>) -> MonitorSpec {
     MonitorSpec {
         wal,
-        ..MonitorSpec::new(ctx.scopes(), AdmissionLevel::Pwsr)
+        ..MonitorSpec::new(ctx.ic.scopes(), AdmissionLevel::Pwsr)
     }
 }
 

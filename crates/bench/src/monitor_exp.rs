@@ -72,8 +72,7 @@ pub fn tier_workload(
     let mut rng = StdRng::seed_from_u64(seed_base + target as u64);
     let w = sized_workload(&mut rng, target, conjuncts);
     let s = random_execution(&w.programs, &w.catalog, &w.initial, &mut rng).ok()?;
-    let scopes = w.ic.conjuncts().iter().map(|c| c.items().clone()).collect();
-    (!s.is_empty()).then_some((s, scopes))
+    (!s.is_empty()).then_some((s, w.ic.scopes()))
 }
 
 /// One full batch verification of the grown prefix — what each
@@ -259,10 +258,7 @@ pub fn mon3(trials: u64, seed: u64) -> (bool, String) {
     let (target, conjuncts, _) = TIERS[0];
     let mut rng = StdRng::seed_from_u64(seed);
     let w = sized_workload(&mut rng, target, conjuncts);
-    let spec = MonitorSpec::new(
-        w.ic.conjuncts().iter().map(|c| c.items().clone()).collect(),
-        AdmissionLevel::Pwsr,
-    );
+    let spec = MonitorSpec::new(w.ic.scopes(), AdmissionLevel::Pwsr);
     // What went wrong, beyond the table cell: the committed schedule
     // of a run that landed below the admission floor.
     let mut witnesses = String::new();

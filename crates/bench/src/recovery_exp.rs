@@ -275,7 +275,7 @@ fn journaled_execution(seed: u64) -> (Workload, Vec<ItemSet>, Vec<u8>) {
         {
             continue;
         }
-        let scopes: Vec<ItemSet> = w.ic.conjuncts().iter().map(|c| c.items().clone()).collect();
+        let scopes = w.ic.scopes();
         wal.sync();
         let bytes = std::fs::read(&path).expect("read temp WAL back");
         if scan(&bytes).records.len() >= 40 {

@@ -474,6 +474,13 @@ impl IntegrityConstraint {
         out
     }
 
+    /// The projection scopes `d_1 … d_l`: one conjunct data set per
+    /// projection, Definition 2's decomposition — what the monitors
+    /// certify and recovery replays over.
+    pub fn scopes(&self) -> Vec<ItemSet> {
+        self.conjuncts.iter().map(|c| c.items().clone()).collect()
+    }
+
     /// The conjunct whose data set contains `item` (the first match if
     /// conjuncts overlap), if any.
     pub fn conjunct_of(&self, item: ItemId) -> Option<&Conjunct> {
@@ -619,6 +626,14 @@ mod tests {
         let ic = IntegrityConstraint::new_unchecked(vec![c1, c2]).unwrap();
         assert!(!ic.is_disjoint());
         assert_eq!(ic.conjuncts_of(id(0)).count(), 2);
+        // One scope per conjunct, in order, overlap kept.
+        assert_eq!(
+            ic.scopes(),
+            [
+                ItemSet::from_iter([id(0), id(1)]),
+                ItemSet::from_iter([id(0), id(2)])
+            ]
+        );
     }
 
     #[test]

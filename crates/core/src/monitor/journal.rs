@@ -32,12 +32,12 @@
 //! A transaction abort (`ShardedMonitor::retract_txn` /
 //! `OnlineMonitor::retract_txns`) needs no record of its own: it
 //! decomposes into one truncation plus re-appends of the surviving
-//! suffix, and both drivers emit exactly that decomposition. (The WAL
-//! has a fourth record, `Reset` — fresh monitor, same scopes — that no
-//! monitor emits: it is the scheduler's `MonitorAdmission`'s own
-//! record, written by `retract_txns` when an abort reaches below the
-//! checkpoint floor and the admission starts over with a fresh monitor
-//! journaling into the same WAL.)
+//! suffix, and both monitors emit exactly that decomposition. An abort
+//! never reaches below the floor: every executor checkpoints only past
+//! transactions no abort can take back. (The WAL also decodes a fourth
+//! record, `Reset` — fresh monitor, same scopes — and recovery replays
+//! it for logs that hold one, but neither monitor nor any executor
+//! writes it.)
 
 use crate::op::Operation;
 

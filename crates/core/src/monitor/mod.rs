@@ -826,7 +826,7 @@ impl OnlineMonitor {
     /// A monitor over the conjunct scopes of an integrity constraint —
     /// one projection per `d_e`, exactly Definition 2's decomposition.
     pub fn for_constraint(ic: &IntegrityConstraint) -> OnlineMonitor {
-        OnlineMonitor::new(ic.conjuncts().iter().map(|c| c.items().clone()).collect())
+        OnlineMonitor::new(ic.scopes())
     }
 
     /// Append one operation and return the updated verdict.
@@ -1634,9 +1634,7 @@ mod tests {
             ProgramTraits::not_fixed_structure(),
         ] {
             for ops in &runs {
-                let scopes: Vec<ItemSet> =
-                    ic.conjuncts().iter().map(|c| c.items().clone()).collect();
-                let mut m = OnlineMonitor::with_traits(scopes, traits);
+                let mut m = OnlineMonitor::with_traits(ic.scopes(), traits);
                 assert!(m.scopes_disjoint());
                 for k in 0..ops.len() {
                     m.push(ops[k].clone()).unwrap();

@@ -632,7 +632,7 @@ impl ShardedMonitor {
 
     /// A sharded monitor over an integrity constraint's conjuncts.
     pub fn for_constraint(ic: &crate::constraint::IntegrityConstraint) -> ShardedMonitor {
-        ShardedMonitor::new(ic.conjuncts().iter().map(|c| c.items().clone()).collect())
+        ShardedMonitor::new(ic.scopes())
     }
 
     /// Attach a durability journal: every append, truncation and

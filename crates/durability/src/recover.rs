@@ -265,7 +265,7 @@ mod tests {
         // Floor rises to 1.
         live.checkpoint(1);
 
-        let bytes = wal.snapshot().unwrap();
+        let bytes = wal.dump_bytes().unwrap();
         let rec = recover(scopes(), None, &bytes).unwrap();
         assert_eq!(rec.corruption, None);
         assert_eq!(rec.valid_bytes, bytes.len());
@@ -298,7 +298,7 @@ mod tests {
         assert_eq!(stats.batch_pushes, 2);
         assert_eq!(stats.batched_ops, 4);
         assert_eq!(stats.max_batch, 2);
-        let rec = recover(scopes(), None, &wal.snapshot().unwrap()).unwrap();
+        let rec = recover(scopes(), None, &wal.dump_bytes().unwrap()).unwrap();
         assert_eq!(rec.records_applied, 2);
         assert_eq!(state_hash(&rec.monitor), state_hash(&live));
         assert_eq!(rec.monitor.verdict(), live.verdict());
@@ -310,7 +310,7 @@ mod tests {
         for op in b1.iter().chain(&b2) {
             twin.push_logged(op.clone()).unwrap();
         }
-        let rec2 = recover(scopes(), None, &wal2.snapshot().unwrap()).unwrap();
+        let rec2 = recover(scopes(), None, &wal2.dump_bytes().unwrap()).unwrap();
         assert_eq!(state_hash(&rec2.monitor), state_hash(&live));
     }
 
@@ -330,7 +330,7 @@ mod tests {
         live.push_logged(Operation::write(TxnId(2), ItemId(3), Value::Int(7)))
             .unwrap();
 
-        let rec = recover(scopes(), Some(&ckp), &wal.snapshot().unwrap()).unwrap();
+        let rec = recover(scopes(), Some(&ckp), &wal.dump_bytes().unwrap()).unwrap();
         assert_eq!(rec.records_applied, 1);
         assert_eq!(state_hash(&rec.monitor), state_hash(&live));
     }
@@ -440,7 +440,7 @@ mod tests {
         live.push_batch_logged(&[r(4, 0, 5), w(4, 1, 7)]).unwrap();
         live.checkpoint(8);
         live.push_batch_logged(&[w(5, 3, 8)]).unwrap();
-        let bytes = wal.snapshot().unwrap();
+        let bytes = wal.dump_bytes().unwrap();
         let rec = recover(scopes(), Some(&ckp), &bytes).unwrap();
         assert_eq!(rec.monitor.verdict(), live.verdict());
         assert_eq!((rec.records_applied, rec.corruption), (8, None));
@@ -523,7 +523,7 @@ mod tests {
         let bytes = {
             let wal = SharedWal::in_memory(SyncPolicy::Off);
             wal.with(|w| w.append(&WalRecord::Truncate(5)));
-            wal.snapshot().unwrap()
+            wal.dump_bytes().unwrap()
         };
         match recover(scopes(), None, &bytes) {
             Err(RecoverError::InconsistentRecord { index: 0, .. }) => {}
@@ -562,7 +562,7 @@ mod tests {
         assert_eq!((stats1.frontier, stats1.txns_summarized), (3, 2));
         assert_eq!(live.schedule().base(), 3);
         // Checkpoint + truncated WAL already reconstruct this state.
-        let rec = recover(scopes(), Some(&ckp1), &wal.snapshot().unwrap()).unwrap();
+        let rec = recover(scopes(), Some(&ckp1), &wal.dump_bytes().unwrap()).unwrap();
         assert_eq!(rec.monitor.len(), 4);
         assert_eq!(rec.monitor.verdict(), live.verdict());
 
@@ -583,7 +583,7 @@ mod tests {
         assert_eq!(live.schedule().base(), 5);
 
         // Crash. Recovery rebuilds the uncompacted state...
-        let rec = recover(scopes(), Some(&ckp2), &wal.snapshot().unwrap()).unwrap();
+        let rec = recover(scopes(), Some(&ckp2), &wal.dump_bytes().unwrap()).unwrap();
         assert_eq!(rec.corruption, None);
         assert_eq!(rec.records_applied, 1, "only the live tail replays");
         let mut twin = rec.monitor;
@@ -613,7 +613,7 @@ mod tests {
         let mut journal: Box<dyn MonitorJournal> = Box::new(wal.clone());
         journal.appended(&Operation::write(TxnId(1), ItemId(0), Value::Int(1)));
         journal.appended(&Operation::read(TxnId(2), ItemId(0), Value::Int(1)));
-        let mut bytes = wal.snapshot().unwrap();
+        let mut bytes = wal.dump_bytes().unwrap();
         bytes.truncate(bytes.len() - 3); // torn final record
         let rec = recover(scopes(), None, &bytes).unwrap();
         assert_eq!(rec.records_applied, 1);

@@ -23,6 +23,10 @@
 //! | 2 | `Truncate` | new length `u64` LE |
 //! | 3 | `Floor` | floor `u64` LE |
 //! | 4 | `Reset` | (empty) |
+//! | 5 | `OpBatch` | one or more `Op` bodies back to back, never empty |
+//!
+//! `Reset` is replayed (recovery starts a fresh monitor there), but
+//! nothing writes it: both monitors retract through their undo-logs.
 //!
 //! Value encoding: tag `u8` — 0 = `Int` + `i64` LE, 1 = `Bool` + `u8`,
 //! 2 = `Str` + `u32` LE byte length + UTF-8 bytes.
@@ -60,7 +64,8 @@ pub enum WalRecord {
     Truncate(u64),
     /// The retraction floor rose to `floor`.
     Floor(u64),
-    /// The monitor was rebuilt from scratch; appends follow.
+    /// The monitor was replaced by a fresh one; appends follow.
+    /// Replayed for logs that hold it, but nothing writes it.
     Reset,
 }
 
@@ -676,14 +681,6 @@ impl Wal {
         self.io_error.take()
     }
 
-    /// The raw logged bytes (in-memory sink only).
-    pub fn mem_bytes(&self) -> Option<&[u8]> {
-        match &self.sink {
-            Sink::Mem(buf) => Some(buf),
-            Sink::File { .. } => None,
-        }
-    }
-
     /// The full logical log: the valid frame prefix of the current
     /// sink, preceded by the surviving file prefix if this WAL
     /// degraded to memory mid-run. Works for both sinks (file sinks
@@ -758,11 +755,6 @@ impl SharedWal {
         self.0.lock().sync();
     }
 
-    /// Copy of the logged bytes (in-memory sink only).
-    pub fn snapshot(&self) -> Option<Vec<u8>> {
-        self.0.lock().mem_bytes().map(<[u8]>::to_vec)
-    }
-
     /// Take the sticky (unhealed) I/O error, clearing it. Admission
     /// paths call this at their sync points: `Some` means durable
     /// history was lost and the run must not be reported successful.
@@ -833,8 +825,8 @@ mod tests {
         for r in &records {
             wal.append(r);
         }
-        let bytes = wal.mem_bytes().unwrap();
-        let s = scan(bytes);
+        let bytes = wal.dump_bytes().unwrap();
+        let s = scan(&bytes);
         assert_eq!(s.records, records);
         assert_eq!(s.valid_bytes, bytes.len());
         assert_eq!(s.corruption, None);
@@ -849,7 +841,7 @@ mod tests {
         for r in &records {
             wal.append(r);
         }
-        let bytes = wal.mem_bytes().unwrap().to_vec();
+        let bytes = wal.dump_bytes().unwrap();
         // Frame boundaries.
         let mut bounds = vec![0usize];
         for r in &records {
@@ -871,7 +863,7 @@ mod tests {
         for r in &records {
             wal.append(r);
         }
-        let clean = wal.mem_bytes().unwrap().to_vec();
+        let clean = wal.dump_bytes().unwrap();
         let mut bounds = vec![0usize];
         for r in &records {
             bounds.push(bounds.last().unwrap() + r.encode_frame().len());
@@ -919,7 +911,7 @@ mod tests {
         // Batched(4) counts records, not carried ops: two records are
         // below the threshold, so no fsync yet.
         assert_eq!(stats.fsyncs, 0);
-        let s = scan(wal.mem_bytes().unwrap());
+        let s = scan(&wal.dump_bytes().unwrap());
         assert_eq!(
             s.records,
             vec![
@@ -1006,10 +998,10 @@ mod tests {
         let mut wal = Wal::in_memory(SyncPolicy::Off);
         wal.append(&WalRecord::Reset);
         wal.restart();
-        assert!(wal.mem_bytes().unwrap().is_empty());
+        assert!(wal.dump_bytes().unwrap().is_empty());
         wal.append(&WalRecord::Floor(3));
         assert_eq!(
-            scan(wal.mem_bytes().unwrap()).records,
+            scan(&wal.dump_bytes().unwrap()).records,
             vec![WalRecord::Floor(3)]
         );
     }
@@ -1436,7 +1428,7 @@ mod tests {
         journal.appended(&op(0, 0, false, Value::Int(1)));
         journal.truncated(0);
         journal.floor_raised(0);
-        let s = scan(&shared.snapshot().unwrap());
+        let s = scan(&shared.dump_bytes().unwrap());
         assert_eq!(s.records.len(), 3);
         assert_eq!(s.records[1], WalRecord::Truncate(0));
         assert_eq!(s.records[2], WalRecord::Floor(0));

@@ -136,7 +136,7 @@ fn build_session(seed: u64, steps: usize) -> Session {
             );
         }
     }
-    let bytes = wal.snapshot().unwrap();
+    let bytes = wal.dump_bytes().unwrap();
     let mut bounds = vec![0usize];
     for r in &records {
         bounds.push(bounds.last().unwrap() + r.encode_frame().len());

@@ -1120,16 +1120,11 @@ pub fn replay_matches(program: &Program, catalog: &Catalog, txn: TxnId, ops: &[O
 mod tests {
     use super::*;
     use crate::fixtures::setup;
-    use pwsr_core::constraint::IntegrityConstraint;
     use pwsr_core::ids::ItemId;
     use pwsr_core::monitor::OnlineMonitor;
     use pwsr_core::pwsr::is_pwsr;
     use pwsr_core::value::Value;
     use pwsr_tplang::parser::parse_program;
-
-    fn scopes_of(ic: &IntegrityConstraint) -> Vec<ItemSet> {
-        ic.conjuncts().iter().map(|c| c.items().clone()).collect()
-    }
 
     #[test]
     fn threaded_run_is_pwsr_and_coherent() {
@@ -1143,7 +1138,7 @@ mod tests {
         let policy = PolicySpec::predicate_wise_2pl(&ic);
         for _ in 0..5 {
             let (schedule, final_state, verdict) =
-                run_threaded_certified(&programs, &cat, &initial, &policy, scopes_of(&ic)).unwrap();
+                run_threaded_certified(&programs, &cat, &initial, &policy, ic.scopes()).unwrap();
             schedule.check_read_coherence(&initial).unwrap();
             assert!(is_pwsr(&schedule, &ic).ok());
             assert!(verdict.pwsr() && verdict.len == schedule.len());
@@ -1169,7 +1164,7 @@ mod tests {
             parse_program("T3", "b1 := b1 + 1; a1 := a1 + 2;").unwrap(),
         ];
         let policy = PolicySpec::predicate_wise_2pl(&ic);
-        let scopes = scopes_of(&ic);
+        let scopes = ic.scopes();
         for _ in 0..5 {
             let (schedule, _, verdict) =
                 run_threaded_certified(&programs, &cat, &initial, &policy, scopes.clone()).unwrap();
@@ -1200,7 +1195,7 @@ mod tests {
             parse_program("T4", "a0 := a0 + 2;").unwrap(),
         ];
         let policy = PolicySpec::predicate_wise_2pl(&ic);
-        let scopes = scopes_of(&ic);
+        let scopes = ic.scopes();
         for _ in 0..10 {
             let (schedule, final_state, verdict) =
                 run_threaded_certified(&programs, &cat, &initial, &policy, scopes.clone()).unwrap();
@@ -1225,7 +1220,7 @@ mod tests {
         ];
         let policy = PolicySpec::predicate_wise_2pl(&ic);
         let (schedule, _, verdict) =
-            run_threaded_certified(&programs, &cat, &initial, &policy, scopes_of(&ic)).unwrap();
+            run_threaded_certified(&programs, &cat, &initial, &policy, ic.scopes()).unwrap();
         assert!(verdict.pwsr() && verdict.len == schedule.len());
         for (k, p) in programs.iter().enumerate() {
             let txn = TxnId(k as u32 + 1);
@@ -1276,9 +1271,9 @@ mod tests {
         ];
         let refused = |r: Result<()>| matches!(r, Err(SchedError::Program(TpError::DoubleWrite(i))) if i == a0);
         let policy = PolicySpec::predicate_wise_2pl(&ic);
-        let locked = run_threaded_certified(&programs, &cat, &initial, &policy, scopes_of(&ic));
+        let locked = run_threaded_certified(&programs, &cat, &initial, &policy, ic.scopes());
         assert!(refused(locked.map(|_| ())));
-        let spec = MonitorSpec::new(scopes_of(&ic), AdmissionLevel::Pwsr);
+        let spec = MonitorSpec::new(ic.scopes(), AdmissionLevel::Pwsr);
         for threads in [1, 4] {
             let tuning = OccTuning::default();
             let occ =
@@ -1301,7 +1296,7 @@ mod tests {
             parse_program("T3", "b1 := b1 + 7; a1 := a1 + 2;").unwrap(),
             parse_program("T4", "a0 := a0 + 3; b0 := b0 + 2;").unwrap(),
         ];
-        let scopes = scopes_of(&ic);
+        let scopes = ic.scopes();
         for level in [
             AdmissionLevel::Serializable,
             AdmissionLevel::Pwsr,
@@ -1381,7 +1376,7 @@ mod tests {
                 AdmissionLevel::Pwsr,
                 programs.len(),
             ));
-        let scopes = scopes_of(&ic);
+        let scopes = ic.scopes();
         for _ in 0..5 {
             let (schedule, final_state, verdict) =
                 run_threaded_certified(&programs, &cat, &initial, &policy, scopes.clone()).unwrap();
@@ -1422,7 +1417,7 @@ mod tests {
         let policy = PolicySpec::predicate_wise_2pl(&ic)
             .monitor_admission(&ic, AdmissionLevel::Pwsr)
             .certified(cert);
-        let scopes = scopes_of(&ic);
+        let scopes = ic.scopes();
         for _ in 0..5 {
             let (schedule, final_state, verdict) =
                 run_threaded_certified(&programs, &cat, &initial, &policy, scopes.clone()).unwrap();
@@ -1458,7 +1453,7 @@ mod tests {
             parse_program("T3", "a0 := a0 + 1;").unwrap(), // monitored
             parse_program("T4", "a0 := a0 + 2; b0 := b0 + 1;").unwrap(), // monitored
         ];
-        let scopes = scopes_of(&ic);
+        let scopes = ic.scopes();
         let spec = MonitorSpec {
             certificate: Some(StaticCertificate::new(
                 AdmissionLevel::Pwsr,
@@ -1511,7 +1506,7 @@ mod tests {
         let hot: Vec<Program> = (0..6)
             .map(|k| parse_program(&format!("H{k}"), "a0 := a0 + 1;").unwrap())
             .collect();
-        let scopes = scopes_of(&ic);
+        let scopes = ic.scopes();
         for _ in 0..10 {
             let out = run_threaded_occ_tuned(
                 &hot,
@@ -1549,7 +1544,7 @@ mod tests {
         let hot: Vec<Program> = (0..8)
             .map(|k| parse_program(&format!("H{k}"), "a0 := a0 + 1; a1 := a1 + 1;").unwrap())
             .collect();
-        let scopes = scopes_of(&ic);
+        let scopes = ic.scopes();
 
         // Lock-based certified path: cadence carried by the policy.
         let policy = PolicySpec::predicate_wise_2pl(&ic)

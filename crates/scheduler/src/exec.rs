@@ -428,13 +428,16 @@ impl<'a> Run<'a> {
             let pick = runnable[rng.random_range(0..runnable.len())];
             self.metrics.steps += 1;
             self.step(d, pick)?;
-            // Bound the admission log's memory: ops before every live
-            // transaction's first operation can never be rewritten by an
-            // abort, so their undo deltas are dropped. (A cascade that
-            // aborts an already-finished transaction is the one case
-            // `MonitorAdmission::retract_txns` starts over for.)
-            if let Some(mon) = self.admission.as_mut() {
-                mon.checkpoint(self.rts.iter().filter(live).map(|rt| rt.txn));
+            // Bound the admission log's memory: an abort can take back
+            // the running transactions and, by cascade, every finished
+            // one that read from them (a read from an unfinished writer
+            // is not a delayed read); ops before all their first
+            // operations are permanent, so their undo deltas are dropped.
+            if self.admission.is_some() {
+                let reach = self.reach(self.rts.iter().filter(live).map(|rt| rt.txn));
+                if let Some(mon) = self.admission.as_mut() {
+                    mon.checkpoint(reach);
+                }
             }
         }
 
@@ -605,29 +608,36 @@ impl<'a> Run<'a> {
         Ok(true)
     }
 
-    /// Abort `victims` plus every transaction that (transitively) read
-    /// one of an aborted transaction's writes — the one cascade: tell
-    /// the admission who, once, as one set; drop their operations from
-    /// the trace; rebuild the store by replaying what is left over
-    /// `initial`; restart them.
-    fn abort_cascading(&mut self, d: &mut dyn Discipline, victims: &[usize]) -> Result<()> {
-        // Transitive closure of dirty readers.
-        let mut aborted: Vec<TxnId> = victims.iter().map(|&i| self.rts[i].txn).collect();
+    /// `seeds` plus every transaction that read a write of one of them,
+    /// directly or through other readers: what an abort of `seeds`
+    /// takes back. Forward passes over the trace, each with a per-item
+    /// last-writer map, until one adds nobody — a reader found late in
+    /// a pass may have written what an earlier read took.
+    fn reach(&self, seeds: impl IntoIterator<Item = TxnId>) -> BTreeSet<TxnId> {
+        let mut reach: BTreeSet<TxnId> = seeds.into_iter().collect();
         loop {
-            let mut grew = false;
-            for (i, op) in self.trace.iter().enumerate() {
-                if !op.is_read() || aborted.contains(&op.txn) {
-                    continue;
-                }
-                if last_writer(&self.trace[..i], op.item).is_some_and(|w| aborted.contains(&w)) {
-                    aborted.push(op.txn);
-                    grew = true;
+            let before = reach.len();
+            let mut last: HashMap<ItemId, TxnId> = HashMap::new();
+            for op in &self.trace {
+                if op.is_write() {
+                    last.insert(op.item, op.txn);
+                } else if last.get(&op.item).is_some_and(|w| reach.contains(w)) {
+                    reach.insert(op.txn);
                 }
             }
-            if !grew {
-                break;
+            if reach.len() == before {
+                return reach;
             }
         }
+    }
+
+    /// Abort `victims` and their [`reach`](Self::reach) — the one
+    /// cascade: tell the admission who, once, as one set; drop their
+    /// operations from the trace; rebuild the store by replaying what
+    /// is left over `initial`; restart them.
+    fn abort_cascading(&mut self, d: &mut dyn Discipline, victims: &[usize]) -> Result<()> {
+        let reach = self.reach(victims.iter().map(|&i| self.rts[i].txn));
+        let aborted: Vec<TxnId> = reach.into_iter().collect();
         if let Some(mon) = self.admission.as_mut() {
             mon.retract_txns(&aborted)?;
         }

@@ -22,7 +22,7 @@ use pwsr_core::ids::{ItemId, TxnId};
 use pwsr_core::monitor::{AdmissionLevel, CompactStats, OnlineMonitor, Verdict};
 use pwsr_core::op::Operation;
 use pwsr_core::state::ItemSet;
-use pwsr_durability::wal::{SharedWal, WalRecord};
+use pwsr_durability::wal::SharedWal;
 use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 
@@ -129,8 +129,9 @@ pub struct MonitorAdmission {
     skipped_ops: u64,
     /// Operations retracted via the undo-log across all retractions.
     undone_ops: u64,
-    /// Optional write-ahead log, the monitor's journal; the admission
-    /// itself writes only the `Reset` of a start-over.
+    /// Optional write-ahead log, the monitor's journal. The admission
+    /// writes nothing into it; it keeps the handle so that the executor
+    /// can seal the log at the end of the run.
     wal: Option<SharedWal>,
 }
 
@@ -188,10 +189,7 @@ impl MonitorAdmission {
 
     /// Admission over an integrity constraint's conjunct scopes.
     pub fn for_constraint(ic: &IntegrityConstraint, level: AdmissionLevel) -> MonitorAdmission {
-        MonitorAdmission::new(
-            ic.conjuncts().iter().map(|c| c.items().clone()).collect(),
-            level,
-        )
+        MonitorAdmission::new(ic.scopes(), level)
     }
 
     /// Admission over a policy's lock-space partition of `catalog` —
@@ -268,57 +266,34 @@ impl MonitorAdmission {
     /// late-starting transaction leaves the long head untouched. The
     /// WAL hears what the monitor applies: `Truncate(first)`, then one
     /// `Op` per survivor. A certified victim has nothing recorded and
-    /// costs nothing. Returns `(ops undone, ops re-pushed)`.
+    /// costs nothing; a summarized one is rejected with
+    /// [`CoreError::SummarizedTransaction`], nothing retracted. Returns
+    /// `(ops undone, ops re-pushed)`.
     ///
-    /// One case cannot go through the undo-log: a cascade that reaches
-    /// a transaction which had *finished*, and so was not in the live
-    /// set of the last [`checkpoint`](Self::checkpoint) — its first
-    /// operation lies below the floor, where the deltas are gone. The
-    /// admission then starts over: `Reset` in the WAL, a fresh
-    /// monitor journaling into the same WAL, and its own surviving
-    /// operations pushed again. (Panics there if the admission was
-    /// also compacted — a summarized prefix cannot be pushed again.)
-    /// Above the floor, a summarized victim is rejected with
-    /// [`CoreError::SummarizedTransaction`], nothing retracted.
+    /// Panics if a victim's first operation lies below the undo-log
+    /// floor: the caller's [`checkpoint`](Self::checkpoint) must have
+    /// named every transaction an abort can still take back.
     pub fn retract_txns(&mut self, victims: &[TxnId]) -> Result<(usize, usize), CoreError> {
-        let first = victims
-            .iter()
-            .filter_map(|&t| self.monitor.first_op_of(t))
-            .min();
-        let cost = if first.is_some_and(|p| p.0 < self.monitor.log_floor()) {
-            let schedule = self.monitor.schedule();
-            assert_eq!(schedule.base(), 0, "compacted: cannot start over");
-            let survivors: Vec<Operation> = schedule
-                .ops()
-                .iter()
-                .filter(|o| !victims.contains(&o.txn))
-                .cloned()
-                .collect();
-            let len = self.monitor.len();
-            let mut fresh = OnlineMonitor::new(self.monitor.scopes().to_vec());
-            if let Some(wal) = &self.wal {
-                wal.with(|w| w.append(&WalRecord::Reset));
-                fresh = fresh.with_journal(Box::new(wal.clone()));
-            }
-            self.monitor = fresh;
-            for op in &survivors {
-                self.push_logged(op);
-            }
-            (len, survivors.len())
-        } else {
-            self.monitor.retract_txns(victims)?
-        };
+        let cost = self.monitor.retract_txns(victims)?;
         self.undone_ops += cost.0 as u64;
         Ok(cost)
     }
 
-    /// Raise the undo-log floor to the oldest *live* transaction's
-    /// first operation (or the whole trace when none are live):
-    /// everything before that point can never be rewritten by an
-    /// abort, so its per-push deltas are dropped — the long-run
-    /// memory bound for the admission log ([`OnlineMonitor`] keeps
-    /// one delta per logged push otherwise). Only an actual raise is
-    /// journaled. Returns the new floor.
+    /// Raise the undo-log floor to the first operation of the oldest
+    /// transaction in `live` (or the whole trace when `live` is empty):
+    /// everything before that point is permanent, so its per-push
+    /// deltas are dropped — the long-run memory bound for the
+    /// admission log ([`OnlineMonitor`] keeps one delta per logged push
+    /// otherwise). Only an actual raise is journaled. Returns the new
+    /// floor.
+    ///
+    /// The contract is [`ShardedMonitor::checkpoint`]'s: after the
+    /// checkpoint, [`retract_txns`](Self::retract_txns) panics if asked
+    /// to reach below the floor, so `live` must include every
+    /// transaction that may still abort — under a cascade, that is also
+    /// every finished transaction that read a write of one that may.
+    ///
+    /// [`ShardedMonitor::checkpoint`]: pwsr_core::monitor::sharded::ShardedMonitor::checkpoint
     pub fn checkpoint<I: IntoIterator<Item = TxnId>>(&mut self, live: I) -> usize {
         let floor = live
             .into_iter()
@@ -538,10 +513,7 @@ impl PolicySpec {
         ic: &IntegrityConstraint,
         level: AdmissionLevel,
     ) -> PolicySpec {
-        self.monitor = Some(MonitorSpec::new(
-            ic.conjuncts().iter().map(|c| c.items().clone()).collect(),
-            level,
-        ));
+        self.monitor = Some(MonitorSpec::new(ic.scopes(), level));
         self.name = format!(
             "{}+MON({})",
             self.name,
@@ -838,7 +810,7 @@ mod tests {
     /// WAL hears that one truncation and then the one survivor.
     #[test]
     fn retract_of_a_set_truncates_to_its_earliest_member() {
-        use pwsr_durability::wal::{scan, SyncPolicy};
+        use pwsr_durability::wal::{scan, SyncPolicy, WalRecord};
         let ic = two_conjunct_ic();
         let ops = tangle();
         let wal = SharedWal::in_memory(SyncPolicy::Off);
@@ -856,7 +828,7 @@ mod tests {
         );
         assert_eq!(adm.monitor().verdict(), fresh.monitor().verdict());
         assert_eq!(adm.monitor().schedule(), fresh.monitor().schedule());
-        let records = scan(&wal.snapshot().unwrap()).records;
+        let records = scan(&wal.dump_bytes().unwrap()).records;
         assert_eq!(
             records[ops.len()..],
             [WalRecord::Truncate(1), WalRecord::Op(ops[5].clone())]
@@ -908,9 +880,9 @@ mod tests {
 
     /// `checkpoint` raises the undo-log floor to the oldest live
     /// transaction's first operation, bounding the log's memory to the
-    /// live suffix; a retraction that reaches below a raised floor
-    /// starts over (`Reset`, fresh monitor, the admission's own
-    /// survivors again), stays observably correct, and recovers.
+    /// live suffix; the live suffix still retracts, and the log, floor
+    /// raises included, recovers. (A retraction below the floor panics:
+    /// `truncate_below_floor_panics` in `pwsr_core`'s monitor.)
     #[test]
     fn checkpoint_bounds_the_log_to_the_live_suffix() {
         use pwsr_core::value::Value;
@@ -954,27 +926,10 @@ mod tests {
         let floor = adm.checkpoint([]);
         assert_eq!(floor, adm.monitor().len());
         assert_eq!(adm.monitor().logged_len(), 0);
-        // Retracting below the floor (a cascade aborted a "settled"
-        // transaction) starts over: everything is taken back, the 99
-        // survivors are pushed again — same observables as an
-        // admission that never saw the two victims, and the log
-        // (… `Reset`, 99 × `Op`) recovers to the same monitor.
-        let settled = trace[0].txn;
-        assert_eq!(adm.retract_txns(&[settled]).unwrap(), (100, 99));
-        let fresh = fed_survivors(
-            MonitorAdmission::for_constraint(&ic, AdmissionLevel::Pwsr),
-            &trace,
-            &[live, settled],
-        );
-        assert_eq!(adm.monitor().verdict(), fresh.monitor().verdict());
-        assert_eq!(adm.monitor().schedule(), fresh.monitor().schedule());
-        assert_eq!(
-            adm.monitor().log_floor(),
-            0,
-            "the fresh monitor's pushes are logged"
-        );
+        // The log (100 × `Op`, `Floor`, `Op`, `Truncate`, `Floor`)
+        // recovers to the same monitor, floor included.
         let scopes = adm.monitor().scopes().to_vec();
-        let rec = recover(scopes, None, &wal.snapshot().unwrap()).unwrap();
+        let rec = recover(scopes, None, &wal.dump_bytes().unwrap()).unwrap();
         assert_eq!(rec.monitor.verdict(), adm.monitor().verdict());
         assert_eq!(rec.monitor.schedule(), adm.monitor().schedule());
         assert_eq!(rec.monitor.log_floor(), adm.monitor().log_floor());

@@ -33,10 +33,6 @@ fn setup() -> (Catalog, IntegrityConstraint, DbState) {
     (cat, ic, initial)
 }
 
-fn scopes_of(ic: &IntegrityConstraint) -> Vec<ItemSet> {
-    ic.conjuncts().iter().map(|c| c.items().clone()).collect()
-}
-
 /// `n` transactions all incrementing the same hot item: every pair
 /// conflicts, so one stalled writer blocks everyone behind it.
 fn hot_increments(n: usize) -> Vec<Program> {
@@ -48,7 +44,7 @@ fn hot_increments(n: usize) -> Vec<Program> {
 fn occ_spec(ic: &IntegrityConstraint, wal: Option<SharedWal>) -> MonitorSpec {
     MonitorSpec {
         wal,
-        ..MonitorSpec::new(scopes_of(ic), AdmissionLevel::Pwsr)
+        ..MonitorSpec::new(ic.scopes(), AdmissionLevel::Pwsr)
     }
 }
 
@@ -405,7 +401,7 @@ fn fail_stop_surfaces_through_executor() {
     // torn frame itself is detected, not replayed.
     wal.sync();
     let disk = std::fs::read(&path).unwrap();
-    let rec = recover(scopes_of(&ic), None, &disk).unwrap();
+    let rec = recover(ic.scopes(), None, &disk).unwrap();
     assert!(rec.corruption.is_some(), "the torn frame is detected");
     assert_eq!(rec.records_applied, 3, "exactly the intact prefix");
     let _ = std::fs::remove_file(&path);
@@ -445,7 +441,7 @@ fn retry_policy_heals_through_executor() {
     assert!(out.metrics.wal_io_errors >= 1, "the incident is counted");
     assert!(out.metrics.injected_faults >= 1);
     let bytes = wal.dump_bytes().unwrap();
-    let rec = recover(scopes_of(&ic), None, &bytes).unwrap();
+    let rec = recover(ic.scopes(), None, &bytes).unwrap();
     assert!(rec.corruption.is_none(), "the heal leaves no torn frame");
     assert_eq!(
         rec.monitor.schedule().ops(),
@@ -486,7 +482,7 @@ fn degrade_policy_loses_nothing_through_executor() {
     assert!(wal.stats().degraded, "the sink degraded to memory");
     assert!(out.metrics.wal_io_errors >= 1);
     let bytes = wal.dump_bytes().unwrap();
-    let rec = recover(scopes_of(&ic), None, &bytes).unwrap();
+    let rec = recover(ic.scopes(), None, &bytes).unwrap();
     assert!(rec.corruption.is_none());
     assert_eq!(
         rec.monitor.schedule().ops(),

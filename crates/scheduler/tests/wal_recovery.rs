@@ -12,7 +12,7 @@ use pwsr_core::state::{DbState, ItemSet};
 use pwsr_core::value::{Domain, Value};
 use pwsr_durability::checkpoint::state_hash;
 use pwsr_durability::recover::recover;
-use pwsr_durability::wal::{SharedWal, SyncPolicy, Wal};
+use pwsr_durability::wal::{scan, SharedWal, SyncPolicy, Wal, WalRecord};
 use pwsr_scheduler::concurrent::{run_threaded_certified, run_threaded_occ_tuned, OccTuning};
 use pwsr_scheduler::exec::{run_workload, ExecConfig};
 use pwsr_scheduler::policy::{MonitorSpec, PolicySpec};
@@ -38,10 +38,6 @@ fn setup() -> (Catalog, IntegrityConstraint, DbState) {
         (b1, Value::Int(100)),
     ]);
     (cat, ic, initial)
-}
-
-fn scopes_of(ic: &IntegrityConstraint) -> Vec<ItemSet> {
-    ic.conjuncts().iter().map(|c| c.items().clone()).collect()
 }
 
 fn programs() -> Vec<Program> {
@@ -107,7 +103,7 @@ fn exec_wal_recovers_monitored_trace() {
     assert!(out.metrics.wal_fsyncs > 0);
     assert_eq!(out.metrics.wal_io_errors, 0, "healthy file WAL");
     assert_recovery_matches(
-        scopes_of(&ic),
+        ic.scopes(),
         &wal,
         out.schedule.ops(),
         out.metrics.monitor_log_floor as usize,
@@ -115,9 +111,55 @@ fn exec_wal_recovers_monitored_trace() {
     // The on-disk bytes themselves (not the dump) must also replay.
     wal.sync();
     let disk = std::fs::read(&path).expect("read WAL file");
-    let rec = recover(scopes_of(&ic), None, &disk).expect("recover from disk bytes");
+    let rec = recover(ic.scopes(), None, &disk).expect("recover from disk bytes");
     assert_eq!(rec.monitor.schedule().ops(), out.schedule.ops());
     let _ = std::fs::remove_file(&path);
+}
+
+/// A read from an unfinished writer is not a delayed read, and it lets
+/// an abort cascade into a transaction that has already finished: under
+/// early release `T1` can read `x` from `W` while `W` still runs, finish,
+/// and then fall with `W` when admission at PWSR+DR refuses `W`'s next
+/// write. The runner checkpoints every transaction an abort can reach,
+/// so such a reader stays above the floor and the cascade retracts
+/// through the undo-log like any other abort: no run writes `Reset`,
+/// and every log recovers to the committed schedule and floor.
+#[test]
+fn cascade_into_a_finished_reader_stays_above_the_floor() {
+    let mut cat = Catalog::new();
+    let x = cat.add_item("x", Domain::int_range(-1000, 1000));
+    let y = cat.add_item("y", Domain::int_range(-1000, 1000));
+    let c = cat.add_item("c", Domain::int_range(-1000, 1000));
+    let ic = IntegrityConstraint::new(vec![
+        Conjunct::new(0, Formula::ge(Term::var(x), Term::int(0))),
+        Conjunct::new(1, Formula::le(Term::var(y), Term::var(c))),
+    ])
+    .unwrap();
+    let initial =
+        DbState::from_pairs([(x, Value::Int(0)), (y, Value::Int(0)), (c, Value::Int(10))]);
+    let programs = vec![
+        parse_program("T1", "t := c; u := x;").unwrap(),
+        parse_program("W", "x := 1; y := 1;").unwrap(),
+    ];
+    for seed in 0..64 {
+        let wal = SharedWal::in_memory(SyncPolicy::Off);
+        let policy = PolicySpec::predicate_wise_2pl_early(&ic)
+            .monitor_admission(&ic, AdmissionLevel::PwsrDr)
+            .durable(wal.clone());
+        let cfg = ExecConfig {
+            seed,
+            ..ExecConfig::default()
+        };
+        let out = run_workload(&programs, &cat, &initial, &policy, &cfg).unwrap();
+        let records = scan(&wal.dump_bytes().unwrap()).records;
+        assert!(!records.contains(&WalRecord::Reset), "seed {seed}");
+        assert_recovery_matches(
+            ic.scopes(),
+            &wal,
+            out.schedule.ops(),
+            out.metrics.monitor_log_floor as usize,
+        );
+    }
 }
 
 /// The certified threaded executor journals under the monitor's
@@ -132,14 +174,14 @@ fn threaded_certified_wal_recovers_monitored_trace() {
             .monitor_admission(&ic, AdmissionLevel::Pwsr)
             .durable(wal.clone());
         let (schedule, _, _) =
-            run_threaded_certified(&programs(), &cat, &initial, &policy, scopes_of(&ic)).unwrap();
+            run_threaded_certified(&programs(), &cat, &initial, &policy, ic.scopes()).unwrap();
         // Batched admission journals one framed multi-op record per
         // transaction; the WAL's batch counters must say exactly that.
         let ws = wal.stats();
         assert_eq!(ws.batch_pushes, 4, "one OpBatch record per transaction");
         assert_eq!(ws.batched_ops, schedule.len() as u64);
         assert_eq!(ws.max_batch, 4, "T1/T3 carry four operations each");
-        assert_recovery_matches(scopes_of(&ic), &wal, schedule.ops(), 0);
+        assert_recovery_matches(ic.scopes(), &wal, schedule.ops(), 0);
         let _ = std::fs::remove_file(&path);
     }
 }
@@ -166,7 +208,7 @@ fn occ_tuned_parking_and_wal_survive_contention() {
         let (wal, path) = file_wal(&format!("occ{round}"), SyncPolicy::Off);
         let spec = MonitorSpec {
             wal: Some(wal.clone()),
-            ..MonitorSpec::new(scopes_of(&ic), AdmissionLevel::Pwsr)
+            ..MonitorSpec::new(ic.scopes(), AdmissionLevel::Pwsr)
         };
         let out = run_threaded_occ_tuned(&hot, &cat, &initial, &spec, 4, 10_000, &tuning).unwrap();
         out.schedule.check_read_coherence(&initial).unwrap();
@@ -185,7 +227,7 @@ fn occ_tuned_parking_and_wal_survive_contention() {
         assert!(ws.batch_pushes > 0);
         assert!(ws.batched_ops >= out.schedule.len() as u64);
         assert!(ws.max_batch >= 1);
-        assert_recovery_matches(scopes_of(&ic), &wal, out.schedule.ops(), 0);
+        assert_recovery_matches(ic.scopes(), &wal, out.schedule.ops(), 0);
         let _ = std::fs::remove_file(&path);
     }
 }
@@ -204,7 +246,7 @@ fn occ_backoff_cap_preserves_outcomes() {
             backoff_cap: cap,
             ..OccTuning::default()
         };
-        let spec = MonitorSpec::new(scopes_of(&ic), AdmissionLevel::Pwsr);
+        let spec = MonitorSpec::new(ic.scopes(), AdmissionLevel::Pwsr);
         let out = run_threaded_occ_tuned(&hot, &cat, &initial, &spec, 4, 10_000, &tuning).unwrap();
         assert_eq!(
             out.final_state.get(cat.lookup("a0").unwrap()),

@@ -17,7 +17,6 @@
 //! ```
 
 use pwsr::core::monitor::{AdmissionLevel, OnlineMonitor};
-use pwsr::core::state::ItemSet;
 use pwsr::durability::checkpoint::state_hash;
 use pwsr::durability::recover::recover;
 use pwsr::durability::wal::{SharedWal, SyncPolicy, Wal};
@@ -88,7 +87,7 @@ fn main() {
     println!("verdict floor admits — certification at admission time, per op.");
 
     println!("\n== Durable admission: file-backed WAL + crash recovery ==");
-    let scopes: Vec<ItemSet> = ic.conjuncts().iter().map(|c| c.items().clone()).collect();
+    let scopes = ic.scopes();
     let path = std::env::temp_dir().join(format!("pwsr_online_monitor_{}.wal", std::process::id()));
     let wal =
         SharedWal::new(Wal::create(&path, SyncPolicy::PerRecord).expect("create temp WAL file"));

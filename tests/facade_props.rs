@@ -3,8 +3,11 @@
 //! policies.
 
 use proptest::prelude::*;
+use pwsr::core::monitor::AdmissionLevel;
 use pwsr::core::solver::Solver;
 use pwsr::core::strong::check_strong_correctness;
+use pwsr::durability::recover::recover;
+use pwsr::durability::wal::{scan, SharedWal, SyncPolicy, WalRecord};
 use pwsr::gen::workloads::{random_workload, WorkloadConfig};
 use pwsr::prelude::*;
 use pwsr::scheduler::error::SchedError;
@@ -39,15 +42,16 @@ proptest! {
         cfg in small_cfg(),
         wseed in any::<u64>(),
         eseed in any::<u64>(),
-        policy_pick in 0u8..7,
+        policy_pick in 0u8..8,
     ) {
         let mut rng = StdRng::seed_from_u64(wseed);
         let w = random_workload(&mut rng, &cfg);
         // All three disciplines of the seeded runner: locking (four
-        // policies), certification, validation (held to the end and
-        // early).
+        // policies, and early release under durable PWSR+DR admission),
+        // certification, validation (held to the end and early).
         type Runner = fn(&[Program], &Catalog, &DbState, &PolicySpec, &ExecConfig)
             -> Result<ExecOutcome, SchedError>;
+        let wal = SharedWal::in_memory(SyncPolicy::Off);
         let (run, policy): (Runner, PolicySpec) = match policy_pick {
             0 => (run_workload, PolicySpec::global_2pl()),
             1 => (run_workload, PolicySpec::predicate_wise_2pl(&w.ic)),
@@ -55,7 +59,10 @@ proptest! {
             3 => (run_workload, PolicySpec::predicate_wise_2pl_early(&w.ic).dr_blocking()),
             4 => (run_sgt, PolicySpec::predicate_wise_2pl(&w.ic)),
             5 => (run_occ, PolicySpec::predicate_wise_2pl(&w.ic)),
-            _ => (run_occ, PolicySpec::predicate_wise_2pl_early(&w.ic)),
+            6 => (run_occ, PolicySpec::predicate_wise_2pl_early(&w.ic)),
+            _ => (run_workload, PolicySpec::predicate_wise_2pl_early(&w.ic)
+                .monitor_admission(&w.ic, AdmissionLevel::PwsrDr)
+                .durable(wal.clone())),
         };
         let exec_cfg = ExecConfig {
             seed: eseed,
@@ -72,6 +79,14 @@ proptest! {
                 let t = out.schedule.transaction(txn);
                 !t.is_empty() || p.body.is_empty()
             }).filter(|(_, p)| !p.body.is_empty()).count());
+        // The durable pick: every abort retracted through the undo-log,
+        // and the log alone rebuilds the committed schedule.
+        if policy.monitor.is_some() {
+            let bytes = wal.dump_bytes().unwrap();
+            prop_assert!(!scan(&bytes).records.contains(&WalRecord::Reset));
+            let rec = recover(w.ic.scopes(), None, &bytes).unwrap();
+            prop_assert_eq!(rec.monitor.schedule().ops(), out.schedule.ops());
+        }
     }
 
     /// Policy guarantees: global 2PL ⇒ CSR; predicate-wise ⇒ PWSR;

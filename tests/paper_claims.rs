@@ -203,7 +203,7 @@ fn threaded_executor_agrees_with_checkers() {
     );
     let policy = PolicySpec::predicate_wise_2pl(&w.ic);
     let solver = Solver::new(&w.catalog, &w.ic);
-    let scopes: Vec<_> = w.ic.conjuncts().iter().map(|c| c.items().clone()).collect();
+    let scopes = w.ic.scopes();
     for _ in 0..3 {
         let (schedule, final_state, verdict) =
             run_threaded_certified(&w.programs, &w.catalog, &w.initial, &policy, scopes.clone())
