@@ -178,12 +178,6 @@ impl WorkloadAnalysis {
     }
 }
 
-/// Does `verdict` breach `level`? (The same floor test the OCC
-/// executor applies per push.)
-pub fn breaches(verdict: &Verdict, level: AdmissionLevel) -> bool {
-    !verdict.meets(level)
-}
-
 /// Replay a schedule through a fresh monitor, returning the final
 /// verdict (breach fields are sticky, so the final verdict reflects
 /// any prefix breach).
@@ -305,7 +299,7 @@ pub fn analyze(
                     let verdict = replay(&s, scopes);
                     (s, verdict)
                 })
-                .find(|(_, v)| breaches(v, level));
+                .find(|(_, v)| !v.meets(level));
             safety = match breach {
                 Some((schedule, verdict)) => {
                     StaticSafety::Unsafe(Counterexample { schedule, verdict })
@@ -328,7 +322,7 @@ pub fn analyze(
                     continue;
                 };
                 let verdict = replay(&schedule, scopes);
-                if breaches(&verdict, level) {
+                if !verdict.meets(level) {
                     safety = StaticSafety::Unsafe(Counterexample { schedule, verdict });
                     break;
                 }

@@ -37,8 +37,8 @@ pub mod analyze;
 pub mod graph;
 
 pub use analyze::{
-    analyze, analyze_constraint, breaches, AnalyzerConfig, Counterexample, SafetyWitness,
-    StaticSafety, WorkloadAnalysis,
+    analyze, analyze_constraint, AnalyzerConfig, Counterexample, SafetyWitness, StaticSafety,
+    WorkloadAnalysis,
 };
 pub use graph::{has_cross_reads_from, ConflictEdge, StaticConflictGraph};
 
@@ -130,7 +130,7 @@ mod tests {
         let StaticSafety::Unsafe(cex) = &analysis.safety else {
             panic!("expected Unsafe, got {:?}", analysis.safety);
         };
-        assert!(breaches(&cex.verdict, AdmissionLevel::Serializable));
+        assert!(!cex.verdict.meets(AdmissionLevel::Serializable));
         assert!(!cex.verdict.serializable);
         assert_eq!(cex.schedule.len(), 4);
         assert!(analysis.certified().is_empty());

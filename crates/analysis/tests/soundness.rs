@@ -9,7 +9,7 @@
 //! [`OnlineMonitor`]: pwsr_core::monitor::OnlineMonitor
 
 use proptest::prelude::*;
-use pwsr_analysis::{analyze, breaches, AnalyzerConfig, StaticSafety};
+use pwsr_analysis::{analyze, AnalyzerConfig, StaticSafety};
 use pwsr_core::catalog::Catalog;
 use pwsr_core::ids::TxnId;
 use pwsr_core::monitor::{AdmissionLevel, OnlineMonitor, Verdict};
@@ -100,7 +100,7 @@ proptest! {
         let all = enumerate_executions(&programs, &cat, &initial, 60_000)
             .unwrap()
             .expect("pool workloads stay under the enumeration cap");
-        let any_breach = all.iter().any(|s| breaches(&replay(s, &scopes), level));
+        let any_breach = all.iter().any(|s| !replay(s, &scopes).meets(level));
 
         match &analysis.safety {
             StaticSafety::Safe(witness) => {
@@ -110,11 +110,11 @@ proptest! {
                 );
             }
             StaticSafety::Unsafe(cex) => {
-                prop_assert!(breaches(&cex.verdict, level));
+                prop_assert!(!cex.verdict.meets(level));
                 // Re-confirm independently: the schedule really is an
                 // execution, and really breaches.
                 cex.schedule.check_read_coherence(&initial).unwrap();
-                prop_assert!(breaches(&replay(&cex.schedule, &scopes), level));
+                prop_assert!(!replay(&cex.schedule, &scopes).meets(level));
                 prop_assert!(any_breach, "the oracle must agree a breach exists");
             }
             StaticSafety::Unknown => {
@@ -156,7 +156,7 @@ proptest! {
             .expect("sub-mixes stay under the enumeration cap");
         for s in &all {
             prop_assert!(
-                !breaches(&replay(s, &scopes), level),
+                replay(s, &scopes).meets(level),
                 "certified sub-mix breached {level:?}: {picks:?}"
             );
         }

@@ -169,7 +169,7 @@ pub fn an1(trials: u64, seed: u64) -> (bool, String, AnalysisStats) {
         &cfg,
     );
     let refuted = match &mixed_a.safety {
-        StaticSafety::Unsafe(cex) => pwsr_analysis::breaches(&cex.verdict, level),
+        StaticSafety::Unsafe(cex) => !cex.verdict.meets(level),
         _ => false,
     };
     ok &= refuted && mixed_a.certified().len() == 16 && mixed_a.monitored().len() == 4;

@@ -9,12 +9,13 @@
 
 use crate::report::Table;
 use pwsr_core::ids::TxnId;
-use pwsr_core::index::ScheduleIndex;
 use pwsr_core::op;
 use pwsr_core::solver::Solver;
 use pwsr_core::state::DbState;
 use pwsr_core::txstate::transaction_states;
-use pwsr_core::viewset::{view_sets_dr, view_sets_general};
+use pwsr_core::viewset::{
+    lemma2_inclusion_holds, lemma6_inclusion_holds, view_sets_dr, view_sets_general,
+};
 use pwsr_gen::chaos::random_execution;
 use pwsr_gen::constraints::{random_ic, IcConfig};
 use pwsr_gen::templates::{correct_chain_program, TemplateKind};
@@ -131,9 +132,6 @@ pub fn viewset_lemmas(trials: u64, seed: u64) -> (LemmaOutcome, LemmaOutcome, St
         };
         let is_dr = pwsr_core::dr::is_delayed_read(&s);
         dr_schedules += u64::from(is_dr);
-        // One index per schedule; every (conjunct, p) query below is
-        // then O(|order|) set operations instead of a schedule rescan.
-        let ix = ScheduleIndex::new(&s);
         for c in w.ic.conjuncts() {
             let Some(order) = pwsr_core::serializability::serialization_order_proj(&s, c.items())
             else {
@@ -141,12 +139,12 @@ pub fn viewset_lemmas(trials: u64, seed: u64) -> (LemmaOutcome, LemmaOutcome, St
             };
             for p in s.positions() {
                 gen_out.checks += 1;
-                if !ix.lemma2_inclusion_holds(c.items(), &order, p) {
+                if !lemma2_inclusion_holds(&s, c.items(), &order, p) {
                     gen_out.violations += 1;
                 }
                 if is_dr {
                     dr_out.checks += 1;
-                    if !ix.lemma6_inclusion_holds(c.items(), &order, p) {
+                    if !lemma6_inclusion_holds(&s, c.items(), &order, p) {
                         dr_out.violations += 1;
                     }
                 }

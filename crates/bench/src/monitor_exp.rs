@@ -14,8 +14,8 @@
 //!
 //! A scheduler that wants a live verdict after every emitted operation
 //! has two options: re-run the batch pipeline on the grown prefix
-//! (`Schedule::new` + `ScheduleIndex` + the serializability / PWSR /
-//! DR checkers — `O(n)` *per operation*), or maintain the
+//! (`Schedule::new` + the serializability / PWSR / DR checkers —
+//! `O(n)` *per operation*), or maintain the
 //! [`OnlineMonitor`] incrementally (`O(words)` amortized per push).
 //! MON-1 replays the PR-2 tiers (571 ops / 2 conjuncts and 2488 ops /
 //! 4 conjuncts) through both; the shape check asserts the two paths

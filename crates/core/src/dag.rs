@@ -6,7 +6,8 @@
 //! graph is strongly correct — the topological order of conjuncts gives
 //! the induction order for the proof, and an operational scheduler can
 //! enforce it by ordering data accesses (see
-//! `pwsr-scheduler::dag_order`).
+//! `pwsr_scheduler::dag_admission::check_static_dag` and
+//! `PolicySpec::dag_guarded`).
 
 use crate::constraint::IntegrityConstraint;
 use crate::graph::{DiGraph, IncrementalDag};

@@ -84,7 +84,6 @@ pub mod error;
 pub mod graph;
 pub mod history;
 pub mod ids;
-pub mod index;
 pub mod monitor;
 pub mod notation;
 pub mod op;
@@ -109,7 +108,6 @@ pub mod prelude {
     pub use crate::error::CoreError;
     pub use crate::history::{Event, History, HistoryClass, Outcome};
     pub use crate::ids::{ConjunctId, ItemId, OpIndex, TxnId};
-    pub use crate::index::ScheduleIndex;
     pub use crate::monitor::{AdmissionLevel, OnlineMonitor, VerdictLevel};
     pub use crate::notation::{parse_history, parse_schedule};
     pub use crate::op::{Action, OpStruct, Operation};

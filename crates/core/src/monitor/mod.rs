@@ -2,12 +2,11 @@
 //! growing schedule, one operation (or one transaction's run of them)
 //! at a time.
 //!
-//! The batch deciders answer the paper's questions from tables built
-//! once per schedule ([`ScheduleIndex`](crate::index::ScheduleIndex));
-//! but what the *verdicts* depend on — each item's latest write
-//! (reads-from), each transaction's running `RS`/`WS` totals (§2.2),
-//! the conflict edges an access adds — changes by `O(1)` words when
-//! one operation is appended. The certifier is that observation as a
+//! The batch deciders answer the paper's questions by scanning the
+//! whole schedule; but what the *verdicts* depend on — each item's
+//! latest write (reads-from), each transaction's running `RS`/`WS`
+//! totals (§2.2), the conflict edges an access adds — changes by
+//! `O(1)` words when one operation is appended. The certifier is that observation as a
 //! state machine, written once in the private `stages` module: the
 //! order-defining sequence tables, the total-order-dependent state and
 //! one conflict graph per conjunct, each with its own undo journal.
@@ -795,7 +794,7 @@ impl OnlineMonitor {
             scope_index: ScopeIndex::new(&scopes),
             scopes,
             seq: SeqState::default(),
-            global: GlobalState::new(n),
+            global: GlobalState::new(),
             conjuncts: vec![ShardState::default(); n],
             first_violation: None,
             totals: Vec::new(),

@@ -595,7 +595,7 @@ impl ShardedMonitor {
                 },
             ),
             gserving: AtomicU32::new(0),
-            gstate: RankedRwLock::new(RANK_GLOBAL, GlobalState::new(n)),
+            gstate: RankedRwLock::new(RANK_GLOBAL, GlobalState::new()),
             shards: (0..n)
                 .map(|k| Shard {
                     serving: AtomicU32::new(0),

@@ -375,21 +375,21 @@ pub(super) struct GlobalState {
     /// Rows `dirty_reads` gave up, reused by the slots created next.
     spare_sets: SetPool,
     first_non_dr: Option<OpIndex>,
-    /// Per conjunct: first in-scope dirty-read materialization (kills
-    /// the Lemma 6 certificate for that scope).
-    conjunct_non_dr: Vec<Option<OpIndex>>,
+    /// Conjunct ids (as bits) in whose scope a dirty read has
+    /// materialized — each kills the Lemma 6 certificate for its scope.
+    lemma6_killed: ItemSet,
     /// Global-half undo journal (entries only for logged pushes).
     pub(super) log: UndoLog<GlobalDelta>,
 }
 
 impl GlobalState {
-    pub(super) fn new(conjuncts: usize) -> GlobalState {
+    pub(super) fn new() -> GlobalState {
         GlobalState {
             graph: ProjGraph::default(),
             dirty_reads: Vec::new(),
             spare_sets: SetPool::default(),
             first_non_dr: None,
-            conjunct_non_dr: vec![None; conjuncts],
+            lemma6_killed: ItemSet::new(),
             log: UndoLog::new(0),
         }
     }
@@ -424,9 +424,9 @@ impl GlobalState {
                 delta.set_first_non_dr = true;
             }
             for (k, scope) in scopes.iter().enumerate() {
-                if self.conjunct_non_dr[k].is_none() && !scope.is_disjoint(&self.dirty_reads[slot])
+                if !scope.is_disjoint(&self.dirty_reads[slot])
+                    && self.lemma6_killed.insert(ItemId(k as u32))
                 {
-                    self.conjunct_non_dr[k] = Some(p);
                     if let Some(tape) = tape.as_deref_mut() {
                         tape.push(k as u32);
                         delta.n_kills += 1;
@@ -459,7 +459,7 @@ impl GlobalState {
             self.dirty_reads[gd.dr_mark as usize].remove(item);
         }
         for _ in 0..gd.n_kills {
-            self.conjunct_non_dr[tape.pop() as usize] = None;
+            self.lemma6_killed.remove(ItemId(tape.pop()));
         }
         if gd.set_first_non_dr {
             self.first_non_dr = None;
@@ -503,7 +503,7 @@ impl GlobalState {
 
     /// Has no in-scope dirty read of conjunct `k` materialized?
     pub(super) fn lemma6_clean(&self, k: usize) -> bool {
-        self.conjunct_non_dr[k].is_none()
+        !self.lemma6_killed.contains(ItemId(k as u32))
     }
 
     /// The full verdict over a prefix of `len` operations, given the
@@ -520,7 +520,7 @@ impl GlobalState {
             first_non_serializable: self.graph.cyclic_at,
             first_non_dr: self.first_non_dr,
             lemma2_certified: pwsr,
-            lemma6_certified: pwsr && self.conjunct_non_dr.iter().all(Option::is_none),
+            lemma6_certified: pwsr && self.lemma6_killed.is_empty(),
         }
     }
 }

@@ -249,8 +249,8 @@ pub(crate) struct SeqDelta {
 }
 
 /// The total-order-dependent deltas of one push: delayed-read tracking
-/// (the global stage). Its tape words: the ids of the conjuncts whose
-/// `conjunct_non_dr` the push set, then the global graph's frame.
+/// (the global stage). Its tape words: the ids of the conjuncts the
+/// push newly added to `lemma6_killed`, then the global graph's frame.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct GlobalDelta {
     /// The writer slot a dirty-read mark was freshly set on

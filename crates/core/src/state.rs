@@ -271,57 +271,6 @@ impl ItemSet {
                 .all(|(&a, &b)| a & !b == 0)
     }
 
-    /// In-place `self ∪= other ∩ mask` in one word-wise pass (the
-    /// Lemma 6 update for a completed predecessor).
-    pub fn union_with_masked(&mut self, other: &ItemSet, mask: &ItemSet) {
-        self.word0 |= other.word0 & mask.word0;
-        let n = other.rest.len().min(mask.rest.len());
-        if n > self.rest.len() {
-            self.rest.resize(n, 0);
-        }
-        for i in 0..n {
-            self.rest[i] |= other.rest[i] & mask.rest[i];
-        }
-        self.normalize();
-    }
-
-    /// In-place `self −= other ∩ mask` in one word-wise pass (the
-    /// Lemma 6 update for an incomplete predecessor).
-    pub fn difference_with_masked(&mut self, other: &ItemSet, mask: &ItemSet) {
-        self.word0 &= !(other.word0 & mask.word0);
-        for (i, w) in self.rest.iter_mut().enumerate() {
-            let o = other.rest.get(i).copied().unwrap_or(0);
-            let m = mask.rest.get(i).copied().unwrap_or(0);
-            *w &= !(o & m);
-        }
-        self.normalize();
-    }
-
-    /// In-place `self −= (a − b) ∩ mask` in one word-wise pass — the
-    /// Lemma 2 update `VS −= WS(after(T^d, p, S))` with the suffix
-    /// write set expressed as total − prefix.
-    pub fn difference_with_masked_diff(&mut self, a: &ItemSet, b: &ItemSet, mask: &ItemSet) {
-        self.word0 &= !(a.word0 & !b.word0 & mask.word0);
-        for (i, w) in self.rest.iter_mut().enumerate() {
-            let aw = a.rest.get(i).copied().unwrap_or(0);
-            let bw = b.rest.get(i).copied().unwrap_or(0);
-            let m = mask.rest.get(i).copied().unwrap_or(0);
-            *w &= !(aw & !bw & m);
-        }
-        self.normalize();
-    }
-
-    /// Is `self ∩ mask ⊆ other`? The projected-subset test the lemma
-    /// checkers run on their hot path, fused into one word-wise pass.
-    pub fn masked_subset(&self, mask: &ItemSet, other: &ItemSet) -> bool {
-        self.word0 & mask.word0 & !other.word0 == 0
-            && self.rest.iter().enumerate().all(|(i, &a)| {
-                let m = mask.rest.get(i).copied().unwrap_or(0);
-                let o = other.rest.get(i).copied().unwrap_or(0);
-                a & m & !o == 0
-            })
-    }
-
     /// An arbitrary element shared with `other`, if any.
     pub fn common_item(&self, other: &ItemSet) -> Option<ItemId> {
         let both0 = self.word0 & other.word0;
@@ -592,40 +541,6 @@ mod tests {
         let mut d = a.clone();
         d.difference_with(&b);
         assert_eq!(d, a.difference(&b));
-    }
-
-    #[test]
-    fn itemset_fused_masked_ops_match_composed_ops() {
-        let base = ItemSet::from_iter([id(0), id(2), id(70), id(200)]);
-        let other = ItemSet::from_iter([id(0), id(70), id(130)]);
-        let mask = ItemSet::from_iter([id(0), id(1), id(70), id(130), id(200)]);
-        let b = ItemSet::from_iter([id(0)]);
-
-        let mut fused = base.clone();
-        fused.union_with_masked(&other, &mask);
-        assert_eq!(fused, base.union(&other.intersection(&mask)));
-
-        let mut fused = base.clone();
-        fused.difference_with_masked(&other, &mask);
-        assert_eq!(fused, base.difference(&other.intersection(&mask)));
-
-        let mut fused = base.clone();
-        fused.difference_with_masked_diff(&other, &b, &mask);
-        assert_eq!(
-            fused,
-            base.difference(&other.difference(&b).intersection(&mask))
-        );
-    }
-
-    #[test]
-    fn itemset_masked_subset() {
-        let a = ItemSet::from_iter([id(1), id(2), id(80)]);
-        let mask = ItemSet::from_iter([id(1), id(80)]);
-        let big = ItemSet::from_iter([id(1), id(80), id(99)]);
-        let small = ItemSet::from_iter([id(1)]);
-        assert!(a.masked_subset(&mask, &big)); // {1,80} ⊆ {1,80,99}
-        assert!(!a.masked_subset(&mask, &small)); // 80 escapes
-        assert!(a.masked_subset(&ItemSet::new(), &ItemSet::new()));
     }
 
     #[test]

@@ -23,16 +23,16 @@
 //!
 //! Every entry point reduces the schedule to four per-transaction
 //! quantities (all projected to `d`): `RS(before)`, `WS(after)`,
-//! `WS(T^d)` and whether the transaction has finished by `p`. The free
-//! functions gather them in **one** pass over the operation sequence;
-//! the [`ScheduleIndex`] methods answer the same queries from prefix
-//! tables built once per schedule; and
-//! [`inclusion_holds_everywhere`] maintains them **incrementally**
-//! while sweeping `p`, so the full induction sweep is `O(n·|order|)`
-//! word operations instead of the old `O(n²·|order|)` rescans.
+//! `WS(T^d)` and whether the transaction has finished by `p`. They are
+//! computed two ways. The per-position functions gather them in
+//! **one** pass over the operation sequence, then run the recurrence as
+//! the lemma states it. [`inclusion_holds_everywhere`] maintains them
+//! **incrementally** while sweeping `p` (the
+//! [`certify_prefix`](crate::monitor::OnlineMonitor::certify_prefix)
+//! audit), so the full induction sweep is `O(n·|order|)` word
+//! operations instead of `O(n²·|order|)` rescans.
 
 use crate::ids::{OpIndex, TxnId};
-use crate::index::ScheduleIndex;
 use crate::schedule::Schedule;
 use crate::state::ItemSet;
 use std::collections::HashMap;
@@ -192,81 +192,6 @@ pub fn lemma6_inclusion_holds(
 ) -> bool {
     let mut current = ItemSet::new();
     check_dr(d, &PerTxn::by_scan(schedule, d, order, p), &mut current)
-}
-
-impl ScheduleIndex<'_> {
-    /// [`view_sets_general`] answered from the prefix tables:
-    /// `O(|order|)` word operations and exactly one allocation (the
-    /// returned vector) for small item universes — no schedule rescan.
-    pub fn view_sets_general(&self, d: &ItemSet, order: &[TxnId], p: OpIndex) -> Vec<ItemSet> {
-        let mut out = Vec::with_capacity(order.len());
-        let mut current = d.clone();
-        for (i, _) in order.iter().enumerate() {
-            if i > 0 {
-                if let Some((total, before)) = self.ws_total_and_before(order[i - 1], p) {
-                    current.difference_with_masked_diff(total, before, d);
-                }
-            }
-            out.push(current.clone());
-        }
-        out
-    }
-
-    /// [`view_sets_dr`] answered from the prefix tables.
-    pub fn view_sets_dr(&self, d: &ItemSet, order: &[TxnId], p: OpIndex) -> Vec<ItemSet> {
-        let mut out = Vec::with_capacity(order.len());
-        let mut current = d.clone();
-        for (i, _) in order.iter().enumerate() {
-            if i > 0 {
-                let prev = order[i - 1];
-                let total = self.write_set_total(prev);
-                if self.txn_finished_by(prev, p) {
-                    current.union_with_masked(total, d);
-                } else {
-                    current.difference_with_masked(total, d);
-                }
-            }
-            out.push(current.clone());
-        }
-        out
-    }
-
-    /// [`lemma2_inclusion_holds`] answered from the prefix tables —
-    /// allocation-free for small item universes.
-    pub fn lemma2_inclusion_holds(&self, d: &ItemSet, order: &[TxnId], p: OpIndex) -> bool {
-        let mut current = d.clone();
-        for (i, &t) in order.iter().enumerate() {
-            if i > 0 {
-                if let Some((total, before)) = self.ws_total_and_before(order[i - 1], p) {
-                    current.difference_with_masked_diff(total, before, d);
-                }
-            }
-            if !self.read_set_before(t, p).masked_subset(d, &current) {
-                return false;
-            }
-        }
-        true
-    }
-
-    /// [`lemma6_inclusion_holds`] answered from the prefix tables.
-    pub fn lemma6_inclusion_holds(&self, d: &ItemSet, order: &[TxnId], p: OpIndex) -> bool {
-        let mut current = d.clone();
-        for (i, &t) in order.iter().enumerate() {
-            if i > 0 {
-                let prev = order[i - 1];
-                let total = self.write_set_total(prev);
-                if self.txn_finished_by(prev, p) {
-                    current.union_with_masked(total, d);
-                } else {
-                    current.difference_with_masked(total, d);
-                }
-            }
-            if !self.read_set_before(t, p).masked_subset(d, &current) {
-                return false;
-            }
-        }
-        true
-    }
 }
 
 /// Check a lemma's inclusion at **every** operation of the schedule —
@@ -465,43 +390,6 @@ mod tests {
         let order = serialization_order(&s).unwrap();
         assert!(inclusion_holds_everywhere(&s, &d, &order, false));
         assert!(inclusion_holds_everywhere(&s, &d, &order, true));
-    }
-
-    #[test]
-    fn indexed_lemmas_match_scan_implementations() {
-        let s = example2();
-        let ix = ScheduleIndex::new(&s);
-        let orders = [
-            vec![TxnId(1), TxnId(2)],
-            vec![TxnId(2), TxnId(1)],
-            vec![TxnId(2)],
-        ];
-        for d in [
-            ItemSet::from_iter([ItemId(0), ItemId(1)]),
-            ItemSet::from_iter([ItemId(2)]),
-            ItemSet::from_iter([ItemId(0), ItemId(1), ItemId(2)]),
-        ] {
-            for order in &orders {
-                for p in s.positions() {
-                    assert_eq!(
-                        ix.view_sets_general(&d, order, p),
-                        view_sets_general(&s, &d, order, p)
-                    );
-                    assert_eq!(
-                        ix.view_sets_dr(&d, order, p),
-                        view_sets_dr(&s, &d, order, p)
-                    );
-                    assert_eq!(
-                        ix.lemma2_inclusion_holds(&d, order, p),
-                        lemma2_inclusion_holds(&s, &d, order, p)
-                    );
-                    assert_eq!(
-                        ix.lemma6_inclusion_holds(&d, order, p),
-                        lemma6_inclusion_holds(&s, &d, order, p)
-                    );
-                }
-            }
-        }
     }
 
     #[test]

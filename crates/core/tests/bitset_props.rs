@@ -1,11 +1,11 @@
 //! Property tests for the dense-bitset [`ItemSet`] (against a
-//! `BTreeSet` reference model) and for the indexed lemma checkers
-//! (against the naive projection-based recomputation the paper's
-//! recurrences read as).
+//! `BTreeSet` reference model) and for the scan-based Lemma 2/6
+//! checkers — the only per-position view-set implementation — against
+//! the naive projection-based recomputation the paper's recurrences
+//! read as.
 
 use proptest::prelude::*;
 use pwsr_core::ids::{ItemId, OpIndex, TxnId};
-use pwsr_core::index::ScheduleIndex;
 use pwsr_core::op::{self, Operation};
 use pwsr_core::schedule::Schedule;
 use pwsr_core::state::ItemSet;
@@ -97,9 +97,9 @@ proptest! {
 
     /// The relational queries agree with the model on arbitrary pairs.
     #[test]
-    fn itemset_relations_match_model(a in arb_ids(), b in arb_ids(), mask in arb_ids()) {
-        let (sa, sb, sm) = (item_set(&a), item_set(&b), item_set(&mask));
-        let (ma, mb, mm) = (model_set(&a), model_set(&b), model_set(&mask));
+    fn itemset_relations_match_model(a in arb_ids(), b in arb_ids()) {
+        let (sa, sb) = (item_set(&a), item_set(&b));
+        let (ma, mb) = (model_set(&a), model_set(&b));
         prop_assert_eq!(sa.is_subset(&sb), ma.is_subset(&mb));
         prop_assert_eq!(sa.is_disjoint(&sb), ma.is_disjoint(&mb));
         prop_assert_eq!(
@@ -109,27 +109,11 @@ proptest! {
         for &i in &a {
             prop_assert!(sa.contains(ItemId(i)));
         }
-        // masked_subset(a, mask, b) ⟺ (a ∩ mask) ⊆ b.
-        let inter: BTreeSet<u32> = ma.intersection(&mm).copied().collect();
-        prop_assert_eq!(sa.masked_subset(&sm, &sb), inter.is_subset(&mb));
-        // Fused in-place ops match their composed counterparts.
-        let mut fused = sa.clone();
-        fused.union_with_masked(&sb, &sm);
-        prop_assert_eq!(fused, sa.union(&sb.intersection(&sm)));
-        let mut fused = sa.clone();
-        fused.difference_with_masked(&sb, &sm);
-        prop_assert_eq!(fused, sa.difference(&sb.intersection(&sm)));
-        let mut fused = sa.clone();
-        fused.difference_with_masked_diff(&sb, &sm, &sm);
-        prop_assert_eq!(
-            fused,
-            sa.difference(&sb.difference(&sm).intersection(&sm))
-        );
     }
 }
 
 // ---------------------------------------------------------------------
-// Indexed lemma checkers vs naive projection-based recomputation
+// Lemma checkers vs naive projection-based recomputation
 // ---------------------------------------------------------------------
 
 fn arb_transactions(n_txns: u32, max_items: u32) -> impl Strategy<Value = Vec<Transaction>> {
@@ -180,8 +164,8 @@ fn interleave_random(txns: &[Transaction], mix: &[u8]) -> Schedule {
 }
 
 /// Lemma 2's view sets computed exactly as the recurrence reads —
-/// `Vec<Operation>` projections and all. The reference the fast paths
-/// must match.
+/// `Vec<Operation>` projections and all. The reference the scan-based
+/// checkers must match.
 fn naive_view_sets_general(s: &Schedule, d: &ItemSet, order: &[TxnId], p: OpIndex) -> Vec<ItemSet> {
     let mut out = Vec::new();
     let mut current = d.clone();
@@ -228,12 +212,11 @@ fn naive_inclusion(s: &Schedule, d: &ItemSet, order: &[TxnId], p: OpIndex, dr: b
 }
 
 proptest! {
-    /// The scan-based free functions, the [`ScheduleIndex`] queries and
-    /// the naive recomputation all agree on random schedules, data
-    /// sets, orders (any permutation — the computation is defined for
-    /// arbitrary orders) and positions.
+    /// The scan-based free functions and the naive recomputation agree
+    /// on random schedules, data sets, orders (any permutation — the
+    /// computation is defined for arbitrary orders) and positions.
     #[test]
-    fn indexed_checkers_match_naive_recomputation(
+    fn view_set_checkers_match_naive_recomputation(
         txns in arb_transactions(3, 5),
         mix in proptest::collection::vec(any::<u8>(), 0..48),
         d_bits in 0u32..32,
@@ -245,28 +228,21 @@ proptest! {
         let mut order: Vec<TxnId> = s.txn_ids().to_vec();
         let shift = rot.min(order.len().saturating_sub(1));
         order.rotate_left(shift);
-        let ix = ScheduleIndex::new(&s);
         for p in s.positions() {
-            let naive_gen = naive_view_sets_general(&s, &d, &order, p);
-            let naive_dr = naive_view_sets_dr(&s, &d, &order, p);
-            prop_assert_eq!(&view_sets_general(&s, &d, &order, p), &naive_gen);
-            prop_assert_eq!(&view_sets_dr(&s, &d, &order, p), &naive_dr);
-            prop_assert_eq!(&ix.view_sets_general(&d, &order, p), &naive_gen);
-            prop_assert_eq!(&ix.view_sets_dr(&d, &order, p), &naive_dr);
+            prop_assert_eq!(
+                view_sets_general(&s, &d, &order, p),
+                naive_view_sets_general(&s, &d, &order, p)
+            );
+            prop_assert_eq!(
+                view_sets_dr(&s, &d, &order, p),
+                naive_view_sets_dr(&s, &d, &order, p)
+            );
             prop_assert_eq!(
                 lemma2_inclusion_holds(&s, &d, &order, p),
                 naive_inclusion(&s, &d, &order, p, false)
             );
             prop_assert_eq!(
                 lemma6_inclusion_holds(&s, &d, &order, p),
-                naive_inclusion(&s, &d, &order, p, true)
-            );
-            prop_assert_eq!(
-                ix.lemma2_inclusion_holds(&d, &order, p),
-                naive_inclusion(&s, &d, &order, p, false)
-            );
-            prop_assert_eq!(
-                ix.lemma6_inclusion_holds(&d, &order, p),
                 naive_inclusion(&s, &d, &order, p, true)
             );
         }
