@@ -9,14 +9,15 @@
 //! implementation (`pwsr_durability`'s WAL) lives downstream — core
 //! has no I/O dependency.
 //!
-//! Both drivers journal what they apply, at the same points
-//! (`OnlineMonitor::with_journal`, `ShardedMonitor::with_journal`):
-//! after a run passes the §2.2 checks and before it is applied, when a
-//! truncation undoes anything, and when a checkpoint raises the floor.
-//! Each driver is its log's one writer.
+//! Both drivers attach a journal the same way
+//! (`OnlineMonitor::with_journal`, `ShardedMonitor::with_journal`), and
+//! it has one caller under either: the monitor's stage-1 state
+//! (`SeqState`, shared code), which owns it. It reports a run after the
+//! §2.2 checks and before the run is applied, a truncation when it
+//! undoes anything, and a checkpoint when it raises the floor.
 //!
-//! Ordering contract: the sharded monitor invokes the journal **under
-//! its order-claiming sequence mutex**, so journal order IS claimed
+//! Ordering contract: in the sharded monitor `SeqState` sits **under
+//! the order-claiming sequence mutex**, so journal order IS claimed
 //! schedule order even under concurrent pushes — the property that
 //! makes single-threaded replay of a concurrently-written log exact.
 //! The single writer satisfies the contract trivially.

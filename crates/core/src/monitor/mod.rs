@@ -72,8 +72,11 @@
 //! Everything a push does to the certified state, how it is retracted
 //! ([`undo`]: per-stage LIFO journals over side tapes, bounded by
 //! [`OnlineMonitor::checkpoint`]) and how the committed prefix is
-//! collapsed ([`OnlineMonitor::compact`]) is stage code, shared. The
-//! single writer adds, and only it maintains:
+//! collapsed ([`OnlineMonitor::compact`]) is stage code, shared — and
+//! stage 1 decides, bounds and journals ([`journal::MonitorJournal`])
+//! each of its transitions for either driver, which hands it a closure
+//! over its other stages. The single writer adds, and only it
+//! maintains:
 //!
 //! * the **§2.2 totals per slot** — it has the transaction's slot in
 //!   hand, so a run is validated against a row of a plain vector (the
@@ -95,8 +98,6 @@
 //!   returns a lock-free floor and causality flags.
 //!
 //! Tickets and the atomic floor are the pipeline's; see [`sharded`].
-//! The durability journal ([`journal::MonitorJournal`]) is both
-//! drivers': each reports what it applies, at the same points.
 
 pub mod journal;
 pub mod sharded;
@@ -767,9 +768,6 @@ pub struct OnlineMonitor {
     rf_slots: Vec<Option<usize>>,
     /// The verdict after each operation of the last admitted run.
     verdicts: Vec<Verdict>,
-    /// Durability journal: hears every append, truncation and floor
-    /// raise before it is applied.
-    journal: Option<Box<dyn MonitorJournal>>,
 }
 
 impl OnlineMonitor {
@@ -805,7 +803,6 @@ impl OnlineMonitor {
             dag_log: UndoLog::new(0),
             rf_slots: Vec::new(),
             verdicts: Vec::new(),
-            journal: None,
         }
     }
 
@@ -818,7 +815,7 @@ impl OnlineMonitor {
     /// as its append alone. Attach before the first push, or where the
     /// journal's own history ends.
     pub fn with_journal(mut self, journal: Box<dyn MonitorJournal>) -> OnlineMonitor {
-        self.journal = Some(journal);
+        self.seq.journal = Some(journal);
         self
     }
 
@@ -878,8 +875,8 @@ impl OnlineMonitor {
     }
 
     /// The one admission path: validate the run against its
-    /// transaction's totals, report it to the journal (as one
-    /// `appended_batch` when `framed`), claim its segment (stage 1),
+    /// transaction's totals, claim its segment (stage 1, which reports
+    /// it to the journal — as one `appended_batch` when `framed`),
     /// then take each operation through the global stage, the stage of
     /// every conjunct containing its item, and the data access graph —
     /// recording undo entries for all of it when `logged`. Returns the
@@ -907,15 +904,10 @@ impl OnlineMonitor {
             }
             return Err(e);
         }
-        if let Some(journal) = self.journal.as_deref_mut() {
-            if framed {
-                journal.appended_batch(ops);
-            } else {
-                journal.appended(first);
-            }
-        }
         self.rf_slots.clear();
-        let (p0, slot) = self.seq.apply(ops, existing, logged, &mut self.rf_slots);
+        let (p0, slot) = self
+            .seq
+            .apply(ops, existing, logged, framed, &mut self.rf_slots);
         for (i, op) in ops.iter().enumerate() {
             let p = OpIndex(p0 + i);
             self.global
@@ -939,15 +931,14 @@ impl OnlineMonitor {
                 .push(self.global.verdict(p.0 + 1, self.first_violation));
         }
         if !logged {
-            // Permanent, and so is everything before it: the journals
-            // restart empty at the new length.
-            let len = self.seq.schedule.len();
-            if self.seq.log.len() > 0 {
-                self.conjuncts.iter_mut().for_each(|c| c.log.reset(len));
+            // Stage 1 made the run permanent, and everything before it:
+            // the other journals restart empty at its floor too.
+            let floor = self.log_floor();
+            if self.global.log.len() > 0 {
+                self.conjuncts.iter_mut().for_each(|c| c.log.reset(floor));
             }
-            self.seq.log.reset(len);
-            self.global.log.reset(len);
-            self.dag_log.reset(len);
+            self.global.log.reset(floor);
+            self.dag_log.reset(floor);
         }
         Ok(&self.verdicts)
     }
@@ -957,25 +948,10 @@ impl OnlineMonitor {
     /// after a scheduler abort rewrote the trace. Returns the number
     /// of operations undone.
     ///
-    /// Panics if `n` exceeds the current length or undercuts the
-    /// logged floor (unlogged pushes are permanent).
+    /// Panics if `n` exceeds the current length or lies below the
+    /// retraction floor (unlogged pushes are permanent).
     pub fn truncate_to(&mut self, n: usize) -> usize {
-        assert!(
-            n <= self.len(),
-            "truncate_to({n}) beyond length {}",
-            self.len()
-        );
-        assert!(
-            n >= self.log_floor(),
-            "truncate_to({n}) undercuts the undo-log floor {}",
-            self.log_floor()
-        );
-        let undone = self.len() - n;
-        if let Some(journal) = self.journal.as_deref_mut().filter(|_| undone > 0) {
-            journal.truncated(n);
-        }
-        for _ in 0..undone {
-            let u = self.seq.undo();
+        let undone = self.seq.truncate(n, |u| {
             self.dag_log.pop();
             // Reverse application order within the push.
             for &k in self.scope_index.of(u.op.item).iter().rev() {
@@ -989,7 +965,7 @@ impl OnlineMonitor {
             } else {
                 self.totals[u.slot].strip(&u.op);
             }
-        }
+        });
         // Every conjunct that went cyclic at or after `n` is acyclic
         // again, and the minimum over the others is unchanged.
         if self.first_violation.is_some_and(|p| p.0 >= n) {
@@ -1047,17 +1023,11 @@ impl OnlineMonitor {
     /// `floor` has settled, nothing can force a retraction below it.
     /// Returns the new floor.
     pub fn checkpoint(&mut self, floor: usize) -> usize {
-        let before = self.log_floor();
-        let floor = self.seq.raise_floor(floor);
-        if floor > before {
-            if let Some(journal) = self.journal.as_deref_mut() {
-                journal.floor_raised(floor);
-            }
+        self.seq.raise_floor(floor, |floor| {
             self.global.raise_floor(floor);
             self.conjuncts.iter_mut().for_each(|c| c.raise_floor(floor));
             self.dag_log.checkpoint(floor);
-        }
-        floor
+        })
     }
 
     /// Declare `txn` finished: it will issue no further operations.
@@ -1083,7 +1053,7 @@ impl OnlineMonitor {
     /// frontier-safety condition shared with checkpointing and WAL
     /// truncation).
     pub fn compaction_frontier(&self) -> usize {
-        self.seq.frontier(self.log_floor())
+        self.seq.frontier()
     }
 
     /// **Committed-prefix compaction**: collapse the prefix below
@@ -1106,17 +1076,14 @@ impl OnlineMonitor {
     ///
     /// [`CoreError::SummarizedTransaction`]: crate::error::CoreError::SummarizedTransaction
     pub fn compact(&mut self) -> CompactStats {
-        let (stats, _) = self.seq.compact(self.log_floor());
-        let s_cut = stats.txns_summarized;
-        if stats.ops_reclaimed > 0 {
-            self.global.compact(s_cut, &mut self.seq.maps);
+        self.seq.compact(|s_cut, maps, _| {
+            self.global.compact(s_cut, maps);
             for c in &mut self.conjuncts {
-                c.compact(s_cut, &mut self.seq.maps);
+                c.compact(s_cut, maps);
             }
             self.access_dag.compact_entities(s_cut);
             self.spare_totals.extend(self.totals.drain(..s_cut));
-        }
-        stats
+        })
     }
 
     /// Compaction calls that actually advanced the frontier.
@@ -1595,7 +1562,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "undercuts the undo-log floor")]
+    #[should_panic(expected = "below the retraction floor")]
     fn truncate_below_floor_panics() {
         let mut m = OnlineMonitor::new(example2_scopes());
         m.push(wr(1, 0, 1)).unwrap();

@@ -84,11 +84,11 @@
 //! holds the sequence mutex (no new positions can be claimed), waits
 //! for the in-flight pipeline to drain (bounded by the ops already
 //! ticketed — they complete without needing the sequence mutex), then
-//! has each stage undo its last entry, newest position first, handing
-//! each turnstile its ticket back. A shard is locked only while *its
-//! own* entries pop — a shard untouched by the suffix is never locked
-//! at all — so the cost is `O(ops undone)` counted per shard, not
-//! `O(schedule)`.
+//! hands `SeqState::truncate` (which bounds, journals and pops the
+//! schedule) a closure that has each other stage undo its last entry
+//! and hands each turnstile its ticket back. A shard is locked only
+//! while *its own* entries pop, so the cost is `O(ops undone)` counted
+//! per shard, not `O(schedule)`.
 //! [`ShardedMonitor::retract_txn`] is the abort primitive on top, and
 //! has the one shape retraction has under either driver: truncate to
 //! the victim's first operation, then re-push the survivors through
@@ -102,8 +102,9 @@
 //!
 //! [`ShardedMonitor::checkpoint`] bounds the journals' memory over a
 //! long run: once the caller knows which transactions may still
-//! abort, every stage's floor rises to the oldest live transaction's
-//! first operation and the per-push deltas below it are reclaimed.
+//! abort, stage 1's floor rises to the oldest live transaction's first
+//! operation (an unlogged monitor's is always its length) and, if it
+//! moved, every stage drops its deltas below it.
 //! [`ShardedMonitor::compact`] then collapses the finished prefix
 //! below that floor, stage by stage in lock-rank order.
 //!
@@ -422,8 +423,9 @@ fn with_lane_scratch<R>(f: impl FnOnce(&mut LaneScratch) -> R) -> R {
     out
 }
 
-/// What the order-claiming sequence mutex guards: the stage-1 state
-/// plus what only a pipeline needs beside it.
+/// What the order-claiming sequence mutex guards: the stage-1 state,
+/// whose journal therefore hears in claimed order (see
+/// [`MonitorJournal`]), plus what only a pipeline needs beside it.
 #[derive(Debug)]
 struct Sequencer {
     state: SeqState,
@@ -433,10 +435,6 @@ struct Sequencer {
     gticket: u32,
     /// Next ticket per conjunct shard.
     tickets: Vec<u32>,
-    /// Durability journal: receives appends/truncations/floor raises
-    /// under this mutex, so journal order is claimed schedule order
-    /// (see [`MonitorJournal`]'s ordering contract).
-    journal: Option<Box<dyn MonitorJournal>>,
     /// The survivors a [`ShardedMonitor::retract_txn`] re-pushes.
     survivors: Vec<Operation>,
 }
@@ -590,7 +588,6 @@ impl ShardedMonitor {
                     state: SeqState::default(),
                     gticket: 0,
                     tickets: vec![0; n],
-                    journal: None,
                     survivors: Vec::new(),
                 },
             ),
@@ -644,7 +641,7 @@ impl ShardedMonitor {
     /// the first push; the builder style mirrors
     /// [`ShardedMonitor::with_serial_timing`].
     pub fn with_journal(self, journal: Box<dyn MonitorJournal>) -> ShardedMonitor {
-        self.seq.lock().journal = Some(journal);
+        self.seq.lock().state.journal = Some(journal);
         self
     }
 
@@ -810,13 +807,13 @@ impl ShardedMonitor {
     }
 
     /// The first half of an admission, under the (held) sequence lock:
-    /// report the run to the durability journal, claim its segment
-    /// ([`SeqState::apply`]) and with it, atomically and in program
-    /// order, every global and per-shard ticket. `existing` is the
-    /// transaction's slot as [`SeqState::slot`] reports it. Leaves the
-    /// claimed shard turns and the resolved reads-from slots in
-    /// `scratch`; returns the first position, the transaction's slot
-    /// and the first global ticket — what [`serve`](Self::serve) takes.
+    /// claim the run's segment ([`SeqState::apply`], which journals it)
+    /// and with it, atomically and in program order, every global and
+    /// per-shard ticket. `existing` is the transaction's slot as
+    /// [`SeqState::slot`] reports it. Leaves the claimed shard turns
+    /// and the resolved reads-from slots in `scratch`; returns the
+    /// first position, the transaction's slot and the first global
+    /// ticket — what [`serve`](Self::serve) takes.
     fn claim(
         &self,
         s: &mut Sequencer,
@@ -825,18 +822,11 @@ impl ShardedMonitor {
         existing: Option<usize>,
         scratch: &mut LaneScratch,
     ) -> (usize, usize, u32) {
-        if let Some(journal) = s.journal.as_deref_mut() {
-            if framed {
-                journal.appended_batch(ops);
-            } else {
-                journal.appended(&ops[0]);
-            }
-        }
         scratch.turns.clear();
         scratch.rf_slots.clear();
         let (p0, slot) = s
             .state
-            .apply(ops, existing, self.logging, &mut scratch.rf_slots);
+            .apply(ops, existing, self.logging, framed, &mut scratch.rf_slots);
         for (i, op) in ops.iter().enumerate() {
             for &k in self.scope_index.of(op.item) {
                 let ticket = &mut s.tickets[k as usize];
@@ -967,7 +957,7 @@ impl ShardedMonitor {
     ///
     /// Panics if the monitor does not journal
     /// ([`ShardedMonitor::new_logged`]), `n` exceeds the current
-    /// length, or `n` undercuts a [`ShardedMonitor::checkpoint`]ed
+    /// length, or `n` lies below a [`ShardedMonitor::checkpoint`]ed
     /// floor (those entries were reclaimed as permanent).
     pub fn truncate_to(&self, n: usize) -> usize {
         let mut s = self.seq.lock();
@@ -994,47 +984,29 @@ impl ShardedMonitor {
     /// checkpoint, [`ShardedMonitor::truncate_to`] and
     /// [`ShardedMonitor::retract_txn`] **panic** if asked to reach
     /// below the floor, so `live` must include every transaction that
-    /// may yet abort. An unlogged monitor has nothing to reclaim and
-    /// reports its current length.
+    /// may yet abort. An unlogged monitor has nothing to reclaim: its
+    /// floor is already its length.
     pub fn checkpoint<I: IntoIterator<Item = TxnId>>(&self, live: I) -> usize {
         let mut s = self.seq.lock();
         self.drain(&s);
-        if !self.logging {
-            return s.state.schedule.len();
-        }
         let floor = live
             .into_iter()
             .filter_map(|t| s.state.first_op_of(t))
             .min()
             .unwrap_or(s.state.schedule.len());
-        let before = s.state.log.base();
-        let floor = s.state.raise_floor(floor);
-        if let Some(journal) = s.journal.as_deref_mut().filter(|_| floor > before) {
-            journal.floor_raised(floor);
-        }
-        self.gstate.write().raise_floor(floor);
-        for shard in &self.shards {
-            shard.state.write().raise_floor(floor);
-        }
-        floor
+        s.state.raise_floor(floor, |floor| {
+            self.gstate.write().raise_floor(floor);
+            for shard in &self.shards {
+                shard.state.write().raise_floor(floor);
+            }
+        })
     }
 
     /// The journals' retraction floor: the prefix length below which
     /// pushes are permanent (0 until a checkpoint raises it; equal to
     /// [`ShardedMonitor::len`] on an unlogged monitor).
     pub fn log_floor(&self) -> usize {
-        self.floor_locked(&self.seq.lock())
-    }
-
-    /// The retraction floor, under the held sequence lock. On a logged
-    /// monitor that is the checkpoint floor (`log.base()`); an
-    /// unlogged monitor's pushes are all permanent.
-    fn floor_locked(&self, s: &Sequencer) -> usize {
-        if self.logging {
-            s.state.log.base()
-        } else {
-            s.state.schedule.len()
-        }
+        self.seq.lock().state.log.base()
     }
 
     /// Sequence-journal entries currently held — one per retractable
@@ -1060,8 +1032,7 @@ impl ShardedMonitor {
     /// the frontier-safety condition shared with
     /// [`ShardedMonitor::checkpoint`] and WAL truncation).
     pub fn compaction_frontier(&self) -> usize {
-        let s = self.seq.lock();
-        s.state.frontier(self.floor_locked(&s))
+        self.seq.lock().state.frontier()
     }
 
     /// **Committed-prefix compaction**, sharded: collapse the prefix
@@ -1088,25 +1059,20 @@ impl ShardedMonitor {
     pub fn compact(&self) -> CompactStats {
         let mut s = self.seq.lock();
         self.drain(&s);
-        let limit = self.floor_locked(&s);
-        let (stats, summarized) = s.state.compact(limit);
-        if stats.ops_reclaimed == 0 {
-            return stats;
-        }
-        // Every graph is condensed in its own storage, through the one
-        // pair of node tables this lock guards: global stage first,
-        // then the conjunct shards in ascending rank.
-        let s_cut = stats.txns_summarized;
-        self.gstate.write().compact(s_cut, &mut s.state.maps);
-        for shard in &self.shards {
-            shard.state.write().compact(s_cut, &mut s.state.maps);
-        }
-        // The summarized transactions can never push again, so their
-        // §2.2 totals are dead weight — reclaim them.
-        for t in summarized {
-            self.totals.forget(t);
-        }
-        stats
+        s.state.compact(|s_cut, maps, summarized| {
+            // Every graph is condensed in its own storage, through the
+            // one pair of node tables this lock guards: global stage
+            // first, then the conjunct shards in ascending rank.
+            self.gstate.write().compact(s_cut, maps);
+            for shard in &self.shards {
+                shard.state.write().compact(s_cut, maps);
+            }
+            // The summarized transactions can never push again, so
+            // their §2.2 totals are dead weight — reclaim them.
+            for &t in summarized {
+                self.totals.forget(t);
+            }
+        })
     }
 
     /// Compaction calls that actually advanced the frontier.
@@ -1160,28 +1126,7 @@ impl ShardedMonitor {
     /// thread's row under it).
     fn truncate_locked(&self, s: &mut Sequencer, n: usize, victim: Option<TxnId>) -> usize {
         assert!(self.logging, "truncate_to on an unlogged ShardedMonitor");
-        let len = s.state.schedule.len();
-        assert!(n <= len, "truncate_to({n}) beyond length {len}");
-        assert!(
-            n >= s.state.log.base(),
-            "truncate_to({n}) below the checkpoint floor {} (those deltas were reclaimed; \
-             the checkpoint's live set must cover every transaction that may abort, and the \
-             compaction frontier — which never exceeds this floor — is permanent)",
-            s.state.log.base()
-        );
-        debug_assert!(
-            n >= s.state.schedule.base(),
-            "truncate_to({n}) below the compaction frontier {}",
-            s.state.schedule.base()
-        );
-        let undone = len - n;
-        if undone > 0 {
-            if let Some(journal) = s.journal.as_deref_mut() {
-                journal.truncated(n);
-            }
-        }
-        for _ in 0..undone {
-            let u = s.state.undo();
+        let undone = s.state.truncate(n, |u| {
             // Shards in reverse of push order; every turnstile rolls
             // back one step so re-claimed tickets line up.
             for &k in self.scope_index.of(u.op.item).iter().rev() {
@@ -1203,7 +1148,7 @@ impl ShardedMonitor {
                     self.totals.strip(u.op.txn, [&u.op]);
                 }
             }
-        }
+        });
         if undone > 0 {
             self.recompute_floor();
         }
@@ -1637,43 +1582,71 @@ mod tests {
         assert_eq!(m.len(), 3);
     }
 
-    /// What the durability journal hears of one `retract_txn`: the
+    /// One monitor transition, as a [`Recorder`] heard it.
+    #[derive(Debug, PartialEq)]
+    enum Heard {
+        Op(Operation),
+        Truncate(usize),
+        Floor(usize),
+    }
+
+    /// A journal that keeps what it hears where the test can read it.
+    #[derive(Debug)]
+    struct Recorder(Arc<Mutex<Vec<Heard>>>);
+
+    impl Recorder {
+        fn new() -> (Box<Recorder>, Arc<Mutex<Vec<Heard>>>) {
+            let heard = Arc::new(Mutex::new(Vec::new()));
+            (Box::new(Recorder(Arc::clone(&heard))), heard)
+        }
+    }
+
+    impl MonitorJournal for Recorder {
+        fn appended(&mut self, op: &Operation) {
+            self.0.lock().push(Heard::Op(op.clone()));
+        }
+        fn truncated(&mut self, new_len: usize) {
+            self.0.lock().push(Heard::Truncate(new_len));
+        }
+        fn floor_raised(&mut self, floor: usize) {
+            self.0.lock().push(Heard::Floor(floor));
+        }
+    }
+
+    /// What the durability journal hears of one retraction: the
     /// truncation to the victim's first operation, then one `appended`
     /// per survivor in its original order — the decomposition a log
-    /// replays — and nothing for a transaction that holds no position.
+    /// replays — and nothing for a transaction that holds no position;
+    /// then one floor raise for two checkpoints to the same length.
+    /// Both drivers hear the identical sequence.
     #[test]
     fn retract_txn_journals_one_truncation_then_each_survivor() {
-        #[derive(Debug, PartialEq)]
-        enum Heard {
-            Op(Operation),
-            Truncate(usize),
-            Floor(usize),
-        }
-        #[derive(Debug)]
-        struct Recorder(Arc<Mutex<Vec<Heard>>>);
-        impl MonitorJournal for Recorder {
-            fn appended(&mut self, op: &Operation) {
-                self.0.lock().push(Heard::Op(op.clone()));
-            }
-            fn truncated(&mut self, new_len: usize) {
-                self.0.lock().push(Heard::Truncate(new_len));
-            }
-            fn floor_raised(&mut self, floor: usize) {
-                self.0.lock().push(Heard::Floor(floor));
-            }
-        }
-        let heard = Arc::new(Mutex::new(Vec::new()));
-        let m = ShardedMonitor::new_logged(example2_scopes())
-            .with_journal(Box::new(Recorder(Arc::clone(&heard))));
-        m.push(wr(3, 2, 0)).unwrap();
-        m.push(wr(1, 0, 1)).unwrap();
+        let (journal, heard) = Recorder::new();
+        let m = ShardedMonitor::new_logged(example2_scopes()).with_journal(journal);
+        let (journal, heard_online) = Recorder::new();
+        let mut online = OnlineMonitor::new(example2_scopes()).with_journal(journal);
         let t2 = [rd(2, 0, 1), wr(2, 1, 2)];
-        m.push_batch(&t2).unwrap();
-        m.push(rd(1, 1, 2)).unwrap();
-        m.push(rd(3, 1, 2)).unwrap();
+        let runs: [&[Operation]; 5] = [
+            &[wr(3, 2, 0)],
+            &[wr(1, 0, 1)],
+            &t2,
+            &[rd(1, 1, 2)],
+            &[rd(3, 1, 2)],
+        ];
+        for run in runs {
+            m.push_batch(run).unwrap();
+            online.push_batch_logged(run).unwrap();
+        }
         heard.lock().clear();
+        heard_online.lock().clear();
         assert_eq!(m.retract_txn(TxnId(1)).unwrap(), (5, 3));
         assert_eq!(m.retract_txn(TxnId(9)).unwrap(), (0, 0));
+        assert_eq!(online.retract_txns(&[TxnId(1)]).unwrap(), (5, 3));
+        assert_eq!(online.retract_txns(&[TxnId(9)]).unwrap(), (0, 0));
+        for _ in 0..2 {
+            assert_eq!(m.checkpoint([]), 4);
+            assert_eq!(online.checkpoint(online.len()), 4);
+        }
         let [r2, w2] = t2;
         assert_eq!(
             *heard.lock(),
@@ -1682,14 +1655,10 @@ mod tests {
                 Heard::Op(r2),
                 Heard::Op(w2),
                 Heard::Op(rd(3, 1, 2)),
+                Heard::Floor(4),
             ]
         );
-        assert_eq!(m.checkpoint([]), 4);
-        assert_eq!(heard.lock().last(), Some(&Heard::Floor(4)));
-        // A checkpoint that raises nothing journals nothing.
-        let before = heard.lock().len();
-        assert_eq!(m.checkpoint([]), 4);
-        assert_eq!(heard.lock().len(), before);
+        assert_eq!(*heard_online.lock(), *heard.lock());
     }
 
     /// The non-DR causality flag: the writer's next operation
@@ -1857,18 +1826,21 @@ mod tests {
         // A transaction the schedule has never seen does not lower
         // the floor (it contributes no first-op position).
         assert_eq!(m.checkpoint([TxnId(9999)]), m.len());
-        // Unlogged monitors have nothing to reclaim.
-        let u = ShardedMonitor::new(example2_scopes());
+        // Unlogged monitors have nothing to reclaim, and so nothing to
+        // journal: their floor is already their length.
+        let (journal, heard) = Recorder::new();
+        let u = ShardedMonitor::new(example2_scopes()).with_journal(journal);
         u.push(wr(1, 0, 1)).unwrap();
         assert_eq!(u.checkpoint([]), 1);
         assert_eq!(u.log_floor(), 1);
+        assert_eq!(*heard.lock(), [Heard::Op(wr(1, 0, 1))]);
     }
 
     /// Reaching below a checkpointed floor is a caller bug (the live
     /// set under-approximated the abortable transactions) and fails
     /// loudly rather than corrupting state.
     #[test]
-    #[should_panic(expected = "below the checkpoint floor")]
+    #[should_panic(expected = "below the retraction floor")]
     fn truncating_below_the_floor_panics() {
         let m = ShardedMonitor::new_logged(example2_scopes());
         m.push(wr(1, 0, 1)).unwrap();
@@ -2043,7 +2015,7 @@ mod tests {
     /// checkpoint floor, so the floor assert fires first and names the
     /// compacted prefix as permanent.
     #[test]
-    #[should_panic(expected = "below the checkpoint floor")]
+    #[should_panic(expected = "below the retraction floor")]
     fn truncating_below_the_compaction_frontier_panics() {
         let m = ShardedMonitor::new_logged(example2_scopes());
         m.push(wr(1, 0, 1)).unwrap();

@@ -19,7 +19,7 @@
 //! Each part owns its undo journal (see [`undo`](super::undo)) and its
 //! `apply` / `undo` / `raise_floor` / `compact` / `resident_bytes`.
 //! Nothing here takes a lock, touches an atomic or knows a ticket: the
-//! parts are plain `Clone` data, and the two drivers differ only in
+//! parts are plain data, and the two drivers differ only in
 //! how they hold them. [`OnlineMonitor`](super::OnlineMonitor) owns
 //! one of each (and one [`ShardState`] per conjunct) and walks a run
 //! operation by operation; [`ShardedMonitor`](super::sharded::ShardedMonitor)
@@ -28,10 +28,18 @@
 //! operations in position order under either driver, the two reach the
 //! same state on the same interleaving by construction.
 //!
+//! Stage 1 also **decides and journals** each of its transitions for
+//! both drivers: [`SeqState`] is the one caller of the durability
+//! journal ([`MonitorJournal`]), bounds a truncation, decides whether a
+//! floor rose, and keeps the retraction floor (`log.base()`; an
+//! unlogged run moves it to the new length) that compaction stops at.
+//! A driver hands each call a closure that walks its other stages.
+//!
 //! The §2.2 totals ([`TxnTotals`]), the full [`Verdict`] assembly
 //! ([`GlobalState::verdict`]) and the admission probe ([`admits`]) sit
 //! here for the same reason: one definition, two callers.
 
+use super::journal::MonitorJournal;
 use super::undo::{GlobalDelta, SeqDelta, UndoLog};
 use super::{
     AdmissionLevel, Applied, CompactStats, FinishedFlags, NodeMaps, ProjGraph, ScopeIndex,
@@ -116,7 +124,8 @@ impl TxnTotals {
     }
 }
 
-/// What [`SeqState::undo`] took back.
+/// One operation [`SeqState::truncate`] took back, handed to the
+/// driver to undo its other stages with.
 pub(super) struct Undone {
     pub(super) op: Operation,
     /// The position the operation held.
@@ -126,8 +135,9 @@ pub(super) struct Undone {
     pub(super) new_slot: bool,
 }
 
-/// Stage-1 state: the order-defining tables.
-#[derive(Clone, Debug, Default)]
+/// Stage-1 state: the order-defining tables, and the one owner of the
+/// durability journal.
+#[derive(Debug, Default)]
 pub(super) struct SeqState {
     /// The growing schedule — the interleaving being certified.
     pub(super) schedule: Schedule,
@@ -135,8 +145,12 @@ pub(super) struct SeqState {
     last_write: Vec<u32>,
     /// Per slot: position of the transaction's first operation.
     first_op: Vec<u32>,
-    /// Sequence-half undo journal (entries only for logged pushes).
+    /// Sequence-half undo journal (entries only for logged pushes);
+    /// its base is the retraction floor.
     pub(super) log: UndoLog<SeqDelta>,
+    /// Durability journal: hears every append, truncation and floor
+    /// raise before it is applied.
+    pub(super) journal: Option<Box<dyn MonitorJournal>>,
     /// Transactions declared finished but not yet summarized.
     finished: FinishedFlags,
     /// Transactions collapsed into the permanent prefix: pushes and
@@ -148,7 +162,7 @@ pub(super) struct SeqState {
     pub(super) ops_reclaimed: u64,
     /// The node tables a compaction sweep works in, one graph at a
     /// time.
-    pub(super) maps: NodeMaps,
+    maps: NodeMaps,
 }
 
 impl SeqState {
@@ -203,15 +217,17 @@ impl SeqState {
         }
     }
 
-    /// Stage 1: reserve the segment `[len, len + k)` for one
-    /// transaction's validated run in one `Schedule` append and, when
+    /// Stage 1: report one transaction's validated run to the journal
+    /// (as one `appended_batch` when `framed`), reserve the segment
+    /// `[len, len + k)` for it in one `Schedule` append and, when
     /// `logged`, record one [`SeqDelta`] per operation (computed
     /// arithmetically from the pre-run snapshot — within a
     /// single-transaction run, operation `i`'s previous-slot-last is
     /// simply `p0 + i - 1`, and §2.2's read-after-write rejection
     /// guarantees no read in the run resolves against a writer inside
     /// the run), so retraction stays one pop per operation whatever
-    /// the run's length. `existing` is the transaction's slot as
+    /// the run's length; unlogged, the run is permanent and the floor
+    /// moves past it. `existing` is the transaction's slot as
     /// [`SeqState::slot`] just reported it. Appends to `rf_slots`, per
     /// operation, the slot of the writer a read takes its value from;
     /// returns the first position and the transaction's slot.
@@ -220,8 +236,16 @@ impl SeqState {
         ops: &[Operation],
         existing: Option<usize>,
         logged: bool,
+        framed: bool,
         rf_slots: &mut Vec<Option<usize>>,
     ) -> (usize, usize) {
+        if let Some(journal) = self.journal.as_deref_mut() {
+            if framed {
+                journal.appended_batch(ops);
+            } else {
+                journal.appended(&ops[0]);
+            }
+        }
         let p0 = self.schedule.len();
         let base = self.schedule.base();
         let pre_slot_last = existing.map_or(0, |sl| self.schedule.slot_last_raw(sl));
@@ -264,13 +288,36 @@ impl SeqState {
             self.first_op.push(p0 as u32);
             self.finished.slot_created(ops[0].txn);
         }
+        if !logged {
+            self.log.reset(self.schedule.len());
+        }
         (p0, slot)
     }
 
+    /// Retract logged operations until the schedule is `n` long, newest
+    /// first, handing each to `undo_rest` to undo the driver's other
+    /// stages; the journal hears of it if anything is undone. Returns
+    /// the number undone. Panics if `n` is beyond the length or below
+    /// the retraction floor, whose pushes are permanent: unlogged,
+    /// checkpointed, or compacted (the frontier never passes the floor).
+    pub(super) fn truncate(&mut self, n: usize, mut undo_rest: impl FnMut(Undone)) -> usize {
+        let (len, floor) = (self.schedule.len(), self.log.base());
+        assert!(
+            (floor..=len).contains(&n),
+            "truncate_to({n}) beyond length {len} or below the retraction floor {floor}"
+        );
+        if let Some(journal) = self.journal.as_deref_mut().filter(|_| n < len) {
+            journal.truncated(n);
+        }
+        for _ in n..len {
+            undo_rest(self.undo());
+        }
+        len - n
+    }
+
     /// Retract the last logged operation from the schedule and the
-    /// tables; the caller undoes the other stages with what comes
-    /// back.
-    pub(super) fn undo(&mut self) -> Undone {
+    /// tables.
+    fn undo(&mut self) -> Undone {
         let sd = self.log.pop().expect("one sequence entry per logged push");
         let pos = OpIndex(self.schedule.len() - 1);
         let slot = self.schedule.slot_of_op(pos);
@@ -293,17 +340,27 @@ impl SeqState {
     }
 
     /// Make the pushes below `floor` (clamped to the logged range)
-    /// permanent, dropping their deltas. Returns the new floor.
-    pub(super) fn raise_floor(&mut self, floor: usize) -> usize {
-        self.log.checkpoint(floor)
+    /// permanent, dropping their deltas; only if the floor rose, the
+    /// journal hears of it and `raise_rest` raises the driver's other
+    /// stages. Returns the new floor.
+    pub(super) fn raise_floor(&mut self, floor: usize, raise_rest: impl FnOnce(usize)) -> usize {
+        let before = self.log.base();
+        let floor = self.log.checkpoint(floor);
+        if floor > before {
+            if let Some(journal) = self.journal.as_deref_mut() {
+                journal.floor_raised(floor);
+            }
+            raise_rest(floor);
+        }
+        floor
     }
 
     /// The compaction frontier: the longest prefix of the schedule
-    /// below `limit` (the prefix that is already permanent) in which
-    /// every operation belongs to a finished transaction whose *last*
-    /// operation also lies in that prefix.
-    pub(super) fn frontier(&self, limit: usize) -> usize {
-        let schedule = &self.schedule;
+    /// below the retraction floor (the prefix that is already
+    /// permanent) in which every operation belongs to a finished
+    /// transaction whose *last* operation also lies in that prefix.
+    pub(super) fn frontier(&self) -> usize {
+        let (schedule, limit) = (&self.schedule, self.log.base());
         let mut hi = schedule.base();
         let mut frontier = schedule.base();
         for p in schedule.base()..limit {
@@ -323,20 +380,22 @@ impl SeqState {
         frontier
     }
 
-    /// Collapse the prefix below [`SeqState::frontier`]`(limit)` out
-    /// of the schedule and the per-slot tables. Returns what was
-    /// reclaimed and the summarized transactions, in slot order; when
-    /// nothing was (`ops_reclaimed == 0`) the other stages have
-    /// nothing to compact either.
-    pub(super) fn compact(&mut self, limit: usize) -> (CompactStats, Vec<TxnId>) {
-        let frontier = self.frontier(limit);
+    /// Collapse the prefix below [`SeqState::frontier`] out of the
+    /// schedule and the per-slot tables; if anything moved, hand
+    /// `compact_rest` the summarized slot count, the sweep's node tables
+    /// and the summarized transactions (in slot order) for the driver's
+    /// other stages. Returns what was reclaimed.
+    pub(super) fn compact(
+        &mut self,
+        compact_rest: impl FnOnce(usize, &mut NodeMaps, &[TxnId]),
+    ) -> CompactStats {
+        let frontier = self.frontier();
         let base = self.schedule.base();
         if frontier <= base {
-            let unmoved = CompactStats {
+            return CompactStats {
                 frontier: base,
                 ..CompactStats::default()
             };
-            return (unmoved, Vec::new());
         }
         let summarized = self.schedule.compact_prefix(frontier);
         let s_cut = summarized.len();
@@ -347,12 +406,12 @@ impl SeqState {
         }
         self.compactions += 1;
         self.ops_reclaimed += (frontier - base) as u64;
-        let stats = CompactStats {
+        compact_rest(s_cut, &mut self.maps, &summarized);
+        CompactStats {
             frontier,
             ops_reclaimed: frontier - base,
             txns_summarized: s_cut,
-        };
-        (stats, summarized)
+        }
     }
 
     pub(super) fn resident_bytes(&self) -> usize {
