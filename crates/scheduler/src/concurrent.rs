@@ -297,13 +297,16 @@ fn splice_side_trace(monitored: Schedule, side: Vec<Operation>) -> Result<Schedu
     Ok(Schedule::new(ops)?)
 }
 
-/// One stripe of the store: the values plus the claiming transaction
-/// of every uncommitted optimistic write (the 2PL path never sets a
-/// mark). Dirty items block other transactions' accesses until the
-/// writer commits or rolls back — which is what keeps a rollback
-/// invisible (nobody can have read the squashed value) and the
-/// recorded schedule read-coherent without any cascade. No per-item
-/// version counters: the monitor certifies the *actual* recorded
+/// One stripe of the store: the values plus a dirty mark on every
+/// uncommitted optimistic write (the 2PL path never sets one). The
+/// mark is the write's only undo record: its holder and the value the
+/// write displaced, set together with the new value under one latch
+/// hold, so a rollback can never find a write without its undo.
+/// Dirty items block other transactions' accesses until the writer
+/// commits or rolls back — which is what keeps a rollback invisible
+/// (nobody can have read the squashed value) and the recorded
+/// schedule read-coherent without any cascade. No per-item version
+/// counters: the monitor certifies the *actual* recorded
 /// interleaving, so there is no read-set validation for versions to
 /// back (classical backward validation would re-reject the
 /// non-serializable-but-PWSR interleavings the optimistic executor
@@ -311,8 +314,9 @@ fn splice_side_trace(monitored: Schedule, side: Vec<Operation>) -> Result<Schedu
 #[derive(Default)]
 struct Stripe {
     db: DbState,
-    /// Item → transaction currently holding an uncommitted write.
-    dirty: HashMap<ItemId, TxnId>,
+    /// Item → (transaction holding an uncommitted write, the value
+    /// that write displaced; `None` when the item was unset).
+    dirty: HashMap<ItemId, (TxnId, Option<Value>)>,
 }
 
 /// One stripe plus its parking spot: waiters blocked on a dirty item
@@ -327,13 +331,16 @@ struct StripeCell {
 }
 
 impl StripeCell {
-    /// Run `clear` — something that takes dirty marks off — under the
-    /// stripe latch, then wake the waiters parked on the stripe: the
-    /// one way a mark is cleared, so no site can forget the wake-up.
-    fn clear_marks<T>(&self, clear: impl FnOnce(&mut Stripe) -> T) -> T {
-        let out = clear(&mut self.state.lock());
-        self.cv.notify_all();
-        out
+    /// Run `clear` — something that takes dirty marks off and says
+    /// whether it removed any — under the stripe latch, then wake the
+    /// waiters parked on the stripe if it did: the one way a mark is
+    /// cleared, so no site can forget the wake-up. A stripe that lost
+    /// no mark has nobody to wake, which spares the sweep's scan of
+    /// every stripe a broadcast per stripe.
+    fn clear_marks(&self, clear: impl FnOnce(&mut Stripe) -> bool) {
+        if clear(&mut self.state.lock()) {
+            self.cv.notify_all();
+        }
     }
 }
 
@@ -360,10 +367,14 @@ impl StripedStore {
         &self.stripes[item.index() % self.stripes.len()]
     }
 
+    /// The published store. Every attempt ends by committing or being
+    /// swept, and both take its marks off, so no mark outlives a run.
     fn into_state(self) -> DbState {
         let mut out = DbState::new();
         for cell in self.stripes {
-            for (item, value) in cell.state.into_inner().db.iter() {
+            let stripe = cell.state.into_inner();
+            assert!(stripe.dirty.is_empty(), "a dirty mark outlived the run");
+            for (item, value) in stripe.db.iter() {
                 out.set(item, value.clone());
             }
         }
@@ -632,45 +643,20 @@ pub fn run_threaded_occ_tuned(
     })
 }
 
-/// Lifecycle of one transaction's current attempt, as owner and
-/// reaper see it through the slot mutex.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum SlotState {
-    /// No attempt in flight (initial; also post-abort, between
-    /// retries).
-    Idle,
-    /// An attempt is executing; `started` anchors its deadline.
-    Running,
-    /// A reaper aborted the attempt from outside. The owner discovers
-    /// this at its next slot touch and retries.
-    Reaped,
-    /// The transaction died to a contained panic; it never runs again.
-    Dead,
-    /// The attempt committed.
-    Committed,
-}
-
-/// One transaction's shared attempt state. The store-undo journal
-/// lives here — not on the worker's stack — precisely so a *reaper on
-/// another thread* can roll the attempt back; the slot mutex is the
-/// synchronization point between owner and reaper. Lock ordering:
-/// slot → stripe/monitor, never the reverse (`with_clean_stripe`
-/// drops its stripe guard before reaping, and no stripe action ever
-/// touches a slot).
+/// One transaction's liveness, as owner and reaper see it through the
+/// slot mutex. The undo of the attempt's writes is not here: it sits
+/// in the dirty marks, where a *reaper on another thread* finds it
+/// just as the owner does. The slot decides who ends an attempt —
+/// whoever flips `running` off under the lock sweeps it or commits
+/// it. Lock ordering: slot → stripe/monitor, never the reverse
+/// (`with_clean_stripe` drops its stripe guard before reaping, and no
+/// stripe action ever touches a slot).
 struct TxnSlot {
-    state: SlotState,
+    /// An attempt is executing: not yet committed, aborted, reaped or
+    /// dead.
+    running: bool,
+    /// When the current attempt began; anchors its deadline.
     started: Instant,
-    /// Store-undo journal of the attempt: `(item, displaced value)`
-    /// per registered write, oldest first.
-    applied: Vec<(ItemId, Option<Value>)>,
-}
-
-impl TxnSlot {
-    /// Is the attempt still running — not reaped, aborted, dead or
-    /// committed?
-    fn running(&self) -> bool {
-        self.state == SlotState::Running
-    }
 }
 
 /// One slot per transaction (`TxnId(k+1)` ↔ index `k`).
@@ -684,9 +670,8 @@ impl TxnRegistry {
             slots: (0..n)
                 .map(|_| {
                     Mutex::new(TxnSlot {
-                        state: SlotState::Idle,
+                        running: false,
                         started: Instant::now(),
-                        applied: Vec::new(),
                     })
                 })
                 .collect(),
@@ -697,13 +682,11 @@ impl TxnRegistry {
         &self.slots[txn.0 as usize - 1]
     }
 
-    /// Open a fresh attempt: clear the undo journal, restart the
-    /// deadline clock.
+    /// Open a fresh attempt and restart the deadline clock.
     fn begin(&self, txn: TxnId) {
         let mut slot = self.slot(txn).lock();
-        slot.state = SlotState::Running;
+        slot.running = true;
         slot.started = Instant::now();
-        slot.applied.clear();
     }
 }
 
@@ -731,27 +714,31 @@ impl<'a> OccCtx<'a> {
     }
 }
 
-/// Sweep `txn`'s attempt off the shared state and leave its slot in
-/// `to`, under the slot lock the caller holds (so owner and reaper
+/// Sweep `txn`'s attempt off the shared state and mark its slot not
+/// running, under the slot lock the caller holds (so owner and reaper
 /// cannot interleave): retract the recorded suffix — from the monitor,
-/// or from the side trace on the static fast path — THEN put back
-/// every journalled write, newest first, draining the journal. The
-/// order is load-bearing: while the dirty marks still stand, no reader
-/// can record a read against either the doomed write or the restored
-/// value, which is what keeps reads-from assignments stable across the
-/// abort (a read admitted in between would be recorded against the
-/// victim's write and then silently reassigned to the earlier writer
-/// by the retraction's re-push, potentially minting a delayed-read
-/// break no `PushOutcome` ever reported).
+/// or from the side trace on the static fast path — THEN, stripe by
+/// stripe, put back the value each of `txn`'s dirty marks displaced
+/// and remove the mark. The order is load-bearing: while the dirty
+/// marks still stand, no reader can record a read against either the
+/// doomed write or the restored value, which is what keeps reads-from
+/// assignments stable across the abort (a read admitted in between
+/// would be recorded against the victim's write and then silently
+/// reassigned to the earlier writer by the retraction's re-push,
+/// potentially minting a delayed-read break no `PushOutcome` ever
+/// reported).
 ///
-/// Self-abort, error cleanup and the reaper all end an attempt here.
-/// After a reap the owner sweeps once more when it notices: what is
-/// left then is exactly what one access in flight during the reap
-/// recorded or wrote, which the reaper could not see — the access
-/// registers its write in the journal the reaper drained, and a
-/// transaction never writes one item twice (`TpError::DoubleWrite`),
-/// so the put-back restores what that write displaced.
-fn sweep(ctx: &OccCtx<'_>, txn: TxnId, slot: &mut TxnSlot, to: SlotState, m: &mut Metrics) {
+/// Self-abort, error and panic cleanup and the reaper all end an
+/// attempt here. After a reap the owner sweeps once more when it
+/// notices: what is left then is exactly what one access in flight
+/// during the reap recorded or wrote. A write sets its value and its
+/// mark under one latch hold, so each mark is put back exactly once —
+/// by the reaper if the write landed before the reaper scanned its
+/// stripe, by the owner otherwise — and a transaction never writes one
+/// item twice (`TpError::DoubleWrite`), so a mark's displaced value is
+/// what the item held before the attempt.
+fn sweep(ctx: &OccCtx<'_>, txn: TxnId, slot: &mut TxnSlot, m: &mut Metrics) {
+    slot.running = false;
     let undone = match ctx.fast_of(txn) {
         Some(side) => {
             let mut ops = side.lock();
@@ -766,29 +753,34 @@ fn sweep(ctx: &OccCtx<'_>, txn: TxnId, slot: &mut TxnSlot, to: SlotState, m: &mu
         }
     };
     m.monitor_undone_ops += undone as u64;
-    for (item, old) in slot.applied.drain(..).rev() {
-        ctx.db.cell(item).clear_marks(|stripe| {
-            // `None`: the write found the item unset.
-            match old {
-                Some(v) => stripe.db.set(item, v),
-                None => stripe.db.unset(item),
-            };
-            stripe.dirty.remove(&item);
+    for cell in &ctx.db.stripes {
+        cell.clear_marks(|Stripe { db, dirty }| {
+            let before = dirty.len();
+            dirty.retain(|&item, (holder, displaced)| {
+                if *holder != txn {
+                    return true;
+                }
+                match displaced.take() {
+                    Some(v) => db.set(item, v),
+                    None => db.unset(item),
+                };
+                false
+            });
+            dirty.len() < before
         });
     }
-    slot.state = to;
 }
 
 /// [`sweep`] under a fresh hold of `txn`'s slot lock.
-fn end_attempt(ctx: &OccCtx<'_>, txn: TxnId, to: SlotState, m: &mut Metrics) {
-    sweep(ctx, txn, &mut ctx.registry.slot(txn).lock(), to, m);
+fn end_attempt(ctx: &OccCtx<'_>, txn: TxnId, m: &mut Metrics) {
+    sweep(ctx, txn, &mut ctx.registry.slot(txn).lock(), m);
 }
 
 /// Abort `txn`'s current attempt: sweep it — a no-op beyond the
 /// counters if a reaper already did and nothing was in flight — and
 /// count the abort under its cause.
 fn abort(ctx: &OccCtx<'_>, txn: TxnId, cause: Abort, m: &mut Metrics) -> Result<AttemptEnd> {
-    end_attempt(ctx, txn, SlotState::Idle, m);
+    end_attempt(ctx, txn, m);
     m.occ_aborts += 1;
     match cause {
         Abort::Conflict => {}
@@ -799,14 +791,14 @@ fn abort(ctx: &OccCtx<'_>, txn: TxnId, cause: Abort, m: &mut Metrics) -> Result<
 }
 
 /// Reap `victim` if its current attempt has outlived the deadline:
-/// sweep it into `Reaped` (the victim discovers this at its next slot
-/// touch and aborts) — retraction first, exactly as in a self-abort,
-/// so reads-from assignments stay stable while the dirty marks still
-/// stand.
+/// sweep it (the victim finds its slot not running at its next
+/// liveness check and aborts) — retraction first, exactly as in a
+/// self-abort, so reads-from assignments stay stable while the dirty
+/// marks still stand.
 fn try_reap(ctx: &OccCtx<'_>, victim: TxnId, deadline: Duration, m: &mut Metrics) {
     let mut slot = ctx.registry.slot(victim).lock();
-    if slot.running() && slot.started.elapsed() >= deadline {
-        sweep(ctx, victim, &mut slot, SlotState::Reaped, m);
+    if slot.running && slot.started.elapsed() >= deadline {
+        sweep(ctx, victim, &mut slot, m);
         m.zombie_reaps += 1;
     }
 }
@@ -837,7 +829,7 @@ fn with_clean_stripe<T>(
     action: impl FnOnce(&mut Stripe, &mut Metrics) -> Result<T>,
 ) -> Result<Option<T>> {
     let (cell, tuning) = (ctx.db.cell(item), ctx.tuning);
-    let clean = |stripe: &Stripe| stripe.dirty.get(&item).is_none_or(|&w| w == txn);
+    let clean = |stripe: &Stripe| stripe.dirty.get(&item).is_none_or(|(w, _)| *w == txn);
     // Phase 1: spin fast path.
     let mut stripe = cell.state.lock();
     let mut spins = 0u32;
@@ -855,7 +847,7 @@ fn with_clean_stripe<T>(
     let mut parks = 0u32;
     while !clean(&stripe) {
         if let Some(deadline) = ctx.deadline {
-            let victim = stripe.dirty[&item];
+            let victim = stripe.dirty[&item].0;
             drop(stripe);
             try_reap(ctx, victim, deadline, m);
             stripe = cell.state.lock();
@@ -895,20 +887,12 @@ fn occ_attempt(
             // An error must not strand dirty marks: other workers
             // would spin out their whole wait/retry budget on them
             // before the error surfaces through the join.
-            end_attempt(ctx, txn, SlotState::Idle, m);
+            end_attempt(ctx, txn, m);
             Err(e)
         }
         Ok(end) => end,
         Err(payload) => {
-            end_attempt(ctx, txn, SlotState::Dead, m);
-            // Injected panics fire outside mutation windows and never
-            // strand a mark, but an arbitrary mid-mutation panic must
-            // not leave one that wedges every waiter (it forfeits the
-            // displaced value — the price of containment for panics
-            // the fault plane did not choreograph).
-            for cell in &ctx.db.stripes {
-                cell.clear_marks(|stripe| stripe.dirty.retain(|_, w| *w != txn));
-            }
+            end_attempt(ctx, txn, m);
             m.worker_panics += 1;
             let what = payload
                 .downcast_ref::<&str>()
@@ -918,21 +902,6 @@ fn occ_attempt(
             eprintln!("occ worker panic contained: {txn} died: {what}");
             Ok(AttemptEnd::Died)
         }
-    }
-}
-
-/// Post-access fault actions, run once the access has registered but
-/// *before* the breach check (a stall or panic choreographed "after
-/// access k" must happen even when that access would also abort): a
-/// stall sleeps with dirty marks held but no locks — the reaper's
-/// prey — and a panic dies mid-transaction, containment's worst case.
-fn apply_fault(fault: &Option<ExecFault>, txn: TxnId, access: u32) {
-    match fault {
-        Some(ExecFault::Stall { ms }) => std::thread::sleep(Duration::from_millis(*ms)),
-        Some(ExecFault::Panic) => {
-            panic!("injected worker panic ({txn}, access {access})");
-        }
-        _ => {}
     }
 }
 
@@ -970,20 +939,28 @@ fn occ_attempt_inner(
         Ok(outcomes)
     };
 
+    // The items this attempt wrote, whose marks its commit clears.
+    let mut written: Vec<ItemId> = Vec::new();
+    let mut breach = false;
     let mut access: u32 = 0;
     loop {
-        // Deadline bookkeeping before each access: discover a reap
-        // (everything already rolled back), or self-abort an attempt
-        // that outlived its own deadline. Either way the retry gets a
-        // fresh clock.
-        if let Some(deadline) = ctx.deadline {
-            let expired = {
-                let slot = ctx.registry.slot(txn).lock();
-                !slot.running() || slot.started.elapsed() > deadline
-            };
-            if expired {
-                return abort(ctx, txn, Abort::Timeout, m);
-            }
+        // The one liveness check per access, after the last access and
+        // its fault, under one slot-lock hold when deadlines are armed
+        // (only then can a reaper exist). A reap comes first: it
+        // already swept the attempt, so the last access's outcome
+        // predates the retraction and must not be read as a breach —
+        // whatever that access recorded or wrote after the reaper's
+        // scan, the abort's sweep removes. Then the breach, then the
+        // attempt's own deadline. Every retry gets a fresh clock.
+        let live = ctx.deadline.map(|deadline| {
+            let slot = ctx.registry.slot(txn).lock();
+            (slot.running, slot.started.elapsed() <= deadline)
+        });
+        match live {
+            Some((false, _)) => return abort(ctx, txn, Abort::Timeout, m),
+            _ if breach => return abort(ctx, txn, Abort::Breach, m),
+            Some((_, false)) => return abort(ctx, txn, Abort::Timeout, m),
+            _ => {}
         }
         let pending = session.pending()?;
         let item = match &pending {
@@ -1004,18 +981,20 @@ fn occ_attempt_inner(
             if matches!(fault, Some(ExecFault::PanicInStripe)) {
                 panic!("injected panic under stripe latch ({txn}, access {access})");
             }
-            let (op, undo) = match pending {
+            let (op, write) = match pending {
                 // Value and claimed position under one latch:
                 // same-item accesses serialize through the stripe, so
                 // the recorded schedule is read-coherent per item.
                 Pending::NeedRead(_) => {
-                    (session.feed_read(stripe.db.require(item)?.clone())?, None)
+                    (session.feed_read(stripe.db.require(item)?.clone())?, false)
                 }
+                // The value and its undo under one latch hold.
                 Pending::Write(op) => {
-                    let old = stripe.db.set(item, op.value.clone());
-                    stripe.dirty.insert(item, txn);
+                    let displaced = stripe.db.set(item, op.value.clone());
+                    stripe.dirty.insert(item, (txn, displaced));
+                    written.push(item);
                     session.advance_write()?;
-                    (op, Some((item, old)))
+                    (op, true)
                 }
                 Pending::Done => unreachable!("handled above"),
             };
@@ -1023,64 +1002,44 @@ fn occ_attempt_inner(
             // still serialized by the latch), no outcome to consult.
             // Monitored path: defer a write, flush the buffer with a
             // read.
-            let outcomes = match fast {
+            Ok(match fast {
                 Some(side) => {
                     side.lock().push(op);
                     m.monitor_skipped_ops += 1;
-                    None
-                }
-                None if undo.is_some() => {
-                    deferred.push(op);
-                    None
+                    false
                 }
                 None => {
                     deferred.push(op);
-                    Some(flush(&mut deferred, m)?)
+                    !write && breached(&flush(&mut deferred, m)?)
                 }
-            };
-            Ok((undo, outcomes))
+            })
         })?;
-        let Some((undo, outcomes)) = accessed else {
-            return abort(ctx, txn, Abort::Conflict, m);
-        };
-        // Registration and liveness under the slot lock — writes
-        // always, reads only when a reaper may exist (deadlines
-        // armed). A reaper that swept the attempt while the access was
-        // in flight could not see what it recorded or wrote; the
-        // abort's sweep removes exactly that.
-        if undo.is_some() || ctx.deadline.is_some() {
-            let running = {
-                let mut slot = ctx.registry.slot(txn).lock();
-                slot.applied.extend(undo);
-                slot.running()
-            };
-            if !running {
-                return abort(ctx, txn, Abort::Timeout, m);
-            }
+        match accessed {
+            Some(breached_here) => breach = breached_here,
+            None => return abort(ctx, txn, Abort::Conflict, m),
         }
-        apply_fault(&fault, txn, access);
-        // A stall fault may have parked us long enough to be reaped;
-        // the reaper saw this access (registered before the fault), so
-        // its sweep was complete — exit through the timeout path, not
-        // the breach check, whose outcome predates the retraction.
-        if ctx.deadline.is_some() && !ctx.registry.slot(txn).lock().running() {
-            return abort(ctx, txn, Abort::Timeout, m);
-        }
-        if outcomes.is_some_and(|os| breached(&os)) {
-            return abort(ctx, txn, Abort::Breach, m);
+        // The access's fault, before the liveness check (a stall or
+        // panic placed "after access k" happens even when access k
+        // would also abort): a stall sleeps with dirty marks held but
+        // no locks — the reaper's prey — and a panic dies
+        // mid-transaction, containment's worst case.
+        match fault {
+            Some(ExecFault::Stall { ms }) => std::thread::sleep(Duration::from_millis(ms)),
+            Some(ExecFault::Panic) => panic!("injected worker panic ({txn}, access {access})"),
+            _ => {}
         }
         access += 1;
     }
-    // Commit: flush the deferred write tail and flip the slot to
-    // `Committed` under one hold of the slot lock. A reaper's sweep
+    // Commit: flush the deferred write tail and flip the slot off
+    // `running` under one hold of the slot lock. A reaper's sweep
     // takes the same lock, so the flushed ops can never land after a
     // retraction, and a reap racing the commit is decided by the slot.
     // The dirty marks still stand, so the claimed positions are
     // indistinguishable from pushes at write time; a breach found
     // here aborts the attempt like any other.
-    let applied = {
+    {
         let mut slot = ctx.registry.slot(txn).lock();
-        if !slot.running() {
+        if !slot.running {
             // Reaped before the tail could flush: everything already
             // rolled back (the unpushed tail never reached the monitor).
             drop(slot);
@@ -1090,14 +1049,13 @@ fn occ_attempt_inner(
             drop(slot);
             return abort(ctx, txn, Abort::Breach, m);
         }
-        slot.state = SlotState::Committed;
-        std::mem::take(&mut slot.applied)
-    };
+        slot.running = false;
+    }
     // Then clear the dirty marks, waking parked waiters.
-    for (item, _) in applied {
+    for item in written {
         ctx.db
             .cell(item)
-            .clear_marks(|stripe| stripe.dirty.remove(&item));
+            .clear_marks(|stripe| stripe.dirty.remove(&item).is_some());
     }
     Ok(AttemptEnd::Committed)
 }

@@ -10,10 +10,11 @@ use pwsr::durability::recover::recover;
 use pwsr::durability::wal::{scan, SharedWal, SyncPolicy, WalRecord};
 use pwsr::gen::workloads::{random_workload, WorkloadConfig};
 use pwsr::prelude::*;
+use pwsr::scheduler::concurrent::{replay_matches, run_threaded_occ_tuned, OccTuning};
 use pwsr::scheduler::error::SchedError;
 use pwsr::scheduler::exec::{run_workload, ExecConfig, ExecOutcome};
 use pwsr::scheduler::occ::run_occ;
-use pwsr::scheduler::policy::PolicySpec;
+use pwsr::scheduler::policy::{MonitorSpec, PolicySpec};
 use pwsr::scheduler::sgt::run_sgt;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -121,5 +122,33 @@ proptest! {
         let solver = Solver::new(&w.catalog, &w.ic);
         prop_assert!(check_strong_correctness(&p.schedule, &solver, &w.initial).ok());
         prop_assert!(check_strong_correctness(&e.schedule, &solver, &w.initial).ok());
+    }
+
+    /// The paper's end-to-end claim on the threaded optimistic
+    /// executor: at the PWSR+DR floor, whatever the threads
+    /// interleaved, the committed schedule is a coherent execution
+    /// whose every transaction replays its program, it meets the
+    /// floor, and from a consistent initial state it is strongly
+    /// correct (Theorem 2).
+    #[test]
+    fn threaded_occ_at_pwsr_dr_is_strongly_correct(
+        cfg in small_cfg(),
+        wseed in any::<u64>(),
+    ) {
+        let mut rng = StdRng::seed_from_u64(wseed);
+        let w = random_workload(&mut rng, &cfg);
+        let spec = MonitorSpec::new(w.ic.scopes(), AdmissionLevel::PwsrDr);
+        let out = run_threaded_occ_tuned(&w.programs, &w.catalog, &w.initial, &spec,
+            2, 10_000, &OccTuning::default()).unwrap();
+        out.schedule.check_read_coherence(&w.initial).unwrap();
+        prop_assert_eq!(out.schedule.apply(&w.initial), out.final_state.clone());
+        for (k, program) in w.programs.iter().enumerate() {
+            let txn = TxnId(k as u32 + 1);
+            let mine = out.schedule.transaction(txn);
+            prop_assert!(replay_matches(program, &w.catalog, txn, mine.ops()), "{}", txn);
+        }
+        prop_assert!(out.verdict.meets(AdmissionLevel::PwsrDr));
+        let solver = Solver::new(&w.catalog, &w.ic);
+        prop_assert!(check_strong_correctness(&out.schedule, &solver, &w.initial).ok());
     }
 }
