@@ -6,7 +6,9 @@
 //! [`Catalog`](crate::catalog::Catalog) side table), per the usual
 //! database-engine idiom.
 
+use std::collections::HashMap;
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Identifier of a data item (a variable of the database, §2.1).
 ///
@@ -63,6 +65,33 @@ impl OpIndex {
         self.0
     }
 }
+
+/// A one-multiply (Fx-style) hasher for the `u32` ids above, for the
+/// maps the monitors probe inside their serial sections, in place of
+/// SipHash. Ids are counters the program assigns, not adversarial
+/// keys, and an odd multiplier is a bijection on the low bits, so
+/// dense ids land in distinct buckets.
+#[derive(Clone, Copy, Default)]
+pub(crate) struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    #[inline]
+    fn write_u32(&mut self, id: u32) {
+        self.0 = (self.0.rotate_left(5) ^ u64::from(id)).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        bytes.iter().for_each(|&b| self.write_u32(b.into()));
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// A map keyed by an id newtype, hashed with [`IdHasher`].
+pub(crate) type IdMap<K, V> = HashMap<K, V, BuildHasherDefault<IdHasher>>;
 
 impl fmt::Debug for ItemId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {

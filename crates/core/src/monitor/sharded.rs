@@ -69,7 +69,10 @@
 //! answer mid-flight; the exact `Verdict` is assembled by
 //! [`ShardedMonitor::verdict`] (exact at quiescence). The floor only
 //! worsens between retractions; [`ShardedMonitor::truncate_to`] and
-//! [`ShardedMonitor::retract_txn`] recompute it exactly.
+//! [`ShardedMonitor::retract_txn`] recompute it exactly. A push loads
+//! the floor first and calls `fetch_max` only when its own rung would
+//! raise it, so lanes whose rung is already met share the floor's
+//! cache line without writing it.
 //!
 //! ## Retraction
 //!
@@ -107,6 +110,11 @@
 //! moved, every stage drops its deltas below it.
 //! [`ShardedMonitor::compact`] then collapses the finished prefix
 //! below that floor, stage by stage in lock-rank order.
+//! [`ShardedMonitor::finish_txn`] takes no sequence lock: it records
+//! the id in the transaction's §2.2-totals stripe, and whatever next
+//! reads or moves the finished flags (a frontier, a sweep, a
+//! truncation) applies the recorded ids first, under the sequence lock
+//! it holds anyway.
 //!
 //! ## Lock discipline
 //!
@@ -119,19 +127,20 @@
 //! lock-order regression fails deterministically in tests — the
 //! bounded exhaustive-interleaving model test below drives every
 //! lock-taking entry point through every interleaving of a small
-//! workload.
+//! workload. The §2.2-totals stripes stand outside the ranks: a thread
+//! holds at most one and takes no other lock while it does, so one may
+//! be taken under the sequence mutex.
 
 use super::journal::MonitorJournal;
 use super::stages::{self, GlobalState, SeqState, ShardState, TxnTotals};
 use super::{AdmissionLevel, Applied, CompactStats, ScopeIndex, Verdict, VerdictLevel};
 use crate::error::Result;
-use crate::ids::{ItemId, OpIndex, TxnId};
+use crate::ids::{IdMap, ItemId, OpIndex, TxnId};
 use crate::op::Operation;
 use crate::schedule::Schedule;
 use crate::state::ItemSet;
 use parking_lot::{Mutex, RwLock};
 use std::cell::Cell;
-use std::collections::HashMap;
 use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicU32, AtomicU64, AtomicU8, Ordering};
 use std::time::Instant;
@@ -303,15 +312,17 @@ impl<G> Drop for RankedGuard<G> {
 const TOTALS_STRIPES: usize = 16;
 const _: () = assert!(TOTALS_STRIPES.is_power_of_two());
 
-/// The §2.2 totals of every live transaction. Lives *outside* the
+/// The §2.2 totals of every live transaction, and the finishes
+/// declared since the sequence stage last looked. Lives *outside* the
 /// sequence mutex: the push contract (one thread pushes a given
 /// transaction's operations, in program order) makes each entry
 /// effectively thread-private, so validating against it costs no
 /// shared serial time. The entries sit in a few hash maps, each behind
 /// its own lock that is held only while one run is validated or
-/// stripped; a transaction's entry is a row of its stripe's map, not a
-/// heap cell of its own, and the rows of forgotten transactions are
-/// handed to the next new ones with their spill buffers.
+/// stripped, or one finish recorded; a transaction's entry is a row of
+/// its stripe's map, not a heap cell of its own, and the rows of
+/// forgotten transactions are handed to the next new ones with their
+/// spill buffers.
 #[derive(Debug)]
 struct TotalsTable {
     stripes: Vec<Mutex<TotalsStripe>>,
@@ -319,8 +330,12 @@ struct TotalsTable {
 
 #[derive(Debug, Default)]
 struct TotalsStripe {
-    live: HashMap<TxnId, TxnTotals>,
+    live: IdMap<TxnId, TxnTotals>,
     spare: Vec<TxnTotals>,
+    /// Transactions declared finished ([`ShardedMonitor::finish_txn`])
+    /// whose declaration stage 1 has not applied yet. Drained in
+    /// place, so the buffer keeps its capacity.
+    finished: Vec<TxnId>,
 }
 
 impl TotalsTable {
@@ -373,6 +388,24 @@ impl TotalsTable {
         }
     }
 
+    /// Record that `txn` is finished, for stage 1 to apply later.
+    fn finish(&self, txn: TxnId) {
+        self.stripe(txn).lock().finished.push(txn);
+    }
+
+    /// Apply every recorded finish to the stage-1 state: called under
+    /// the sequence lock by whatever reads or moves the finished flags
+    /// — before a frontier is computed and before a truncation pops a
+    /// slot (a popped finished slot parks its id; a recorded one would
+    /// find no slot to mark and be lost).
+    fn apply_finished(&self, state: &mut SeqState) {
+        for stripe in &self.stripes {
+            for txn in stripe.lock().finished.drain(..) {
+                state.finish(txn);
+            }
+        }
+    }
+
     fn resident_bytes(&self) -> usize {
         use std::mem::size_of;
         self.stripes
@@ -384,6 +417,7 @@ impl TotalsTable {
                     .values()
                     .map(|t| size_of::<(TxnId, TxnTotals)>() + 1 + t.heap_bytes())
                     .sum::<usize>()
+                    + stripe.finished.len() * size_of::<TxnId>()
             })
             .sum::<usize>()
     }
@@ -904,6 +938,10 @@ impl ShardedMonitor {
         }
 
         // --- lock-free floor, per op in program order -------------------
+        // The floor only rises while this push is in flight (a
+        // retraction drains first), so a load that already meets this
+        // operation's rung reads what `fetch_max` would have returned,
+        // without taking the shared line exclusive.
         let mut violated = viol_pre;
         for outcome in outcomes.iter_mut() {
             violated |= outcome.caused_violation;
@@ -912,7 +950,10 @@ impl ShardedMonitor {
             } else {
                 outcome.floor
             };
-            let prev = self.floor.fetch_max(mine as u8, Ordering::AcqRel);
+            let mut prev = self.floor.load(Ordering::Acquire);
+            if prev < mine as u8 {
+                prev = self.floor.fetch_max(mine as u8, Ordering::AcqRel);
+            }
             outcome.floor = VerdictLevel::from_floor(prev).max(mine);
         }
     }
@@ -1021,8 +1062,15 @@ impl ShardedMonitor {
     /// advances over finished transactions. Advisory until the
     /// transaction is summarized — a later push for it is still
     /// accepted and simply holds the frontier back.
+    ///
+    /// Takes no sequence lock: the id is recorded in the transaction's
+    /// §2.2-totals stripe, and the next call that reads the finished
+    /// flags — [`ShardedMonitor::compaction_frontier`],
+    /// [`ShardedMonitor::compact`], or a truncation — applies it under
+    /// the sequence lock it holds anyway (and, like the single
+    /// writer's, ignores a transaction that holds no position by then).
     pub fn finish_txn(&self, txn: TxnId) {
-        self.seq.lock().state.finish(txn);
+        self.totals.finish(txn);
     }
 
     /// The **compaction frontier**: the longest prefix in which every
@@ -1030,9 +1078,13 @@ impl ShardedMonitor {
     /// operation also lies in that prefix, clamped to the journals'
     /// retraction floor (a compacted push must already be permanent —
     /// the frontier-safety condition shared with
-    /// [`ShardedMonitor::checkpoint`] and WAL truncation).
+    /// [`ShardedMonitor::checkpoint`] and WAL truncation). Every
+    /// [`ShardedMonitor::finish_txn`] that returned before this call
+    /// counts.
     pub fn compaction_frontier(&self) -> usize {
-        self.seq.lock().state.frontier()
+        let mut s = self.seq.lock();
+        self.totals.apply_finished(&mut s.state);
+        s.state.frontier()
     }
 
     /// **Committed-prefix compaction**, sharded: collapse the prefix
@@ -1059,6 +1111,7 @@ impl ShardedMonitor {
     pub fn compact(&self) -> CompactStats {
         let mut s = self.seq.lock();
         self.drain(&s);
+        self.totals.apply_finished(&mut s.state);
         s.state.compact(|s_cut, maps, summarized| {
             // Every graph is condensed in its own storage, through the
             // one pair of node tables this lock guards: global stage
@@ -1126,6 +1179,7 @@ impl ShardedMonitor {
     /// thread's row under it).
     fn truncate_locked(&self, s: &mut Sequencer, n: usize, victim: Option<TxnId>) -> usize {
         assert!(self.logging, "truncate_to on an unlogged ShardedMonitor");
+        self.totals.apply_finished(&mut s.state);
         let undone = s.state.truncate(n, |u| {
             // Shards in reverse of push order; every turnstile rolls
             // back one step so re-claimed tickets line up.
@@ -2008,6 +2062,87 @@ mod tests {
         // The live transaction still aborts incrementally.
         assert_eq!(m.retract_txn(TxnId(2)).unwrap(), (1, 0));
         assert_eq!(m.len(), 1);
+    }
+
+    /// A finish recorded in its stripe outlives a retraction that pops
+    /// the transaction's slot, as a declaration does in the single
+    /// writer: T2 opens at position 0 and T1 finishes after it, so
+    /// retracting T2 pops T1's slot and re-pushes it (the detached
+    /// path); then T3 finishes, is retracted itself, a frontier is
+    /// computed while it has no slot, and it pushes again. Both
+    /// drivers run the script and agree on every frontier and sweep.
+    #[test]
+    fn a_recorded_finish_survives_a_retraction_that_pops_its_slot() {
+        let m = ShardedMonitor::new_logged(example2_scopes());
+        let mut online = OnlineMonitor::new(example2_scopes());
+        let push = |m: &ShardedMonitor, online: &mut OnlineMonitor, run: &[Operation]| {
+            m.push_batch(run).unwrap();
+            online.push_batch_logged(run).unwrap();
+        };
+        push(&m, &mut online, &[wr(2, 0, 1)]);
+        push(&m, &mut online, &[rd(1, 1, 0), wr(1, 2, 1)]);
+        let before = m.resident_bytes_estimate();
+        m.finish_txn(TxnId(1));
+        online.finish_txn(TxnId(1));
+        assert_eq!(
+            m.resident_bytes_estimate(),
+            before + std::mem::size_of::<TxnId>(),
+            "the recorded id is resident"
+        );
+        assert_eq!(m.retract_txn(TxnId(2)).unwrap(), (3, 2));
+        assert_eq!(online.retract_txns(&[TxnId(2)]).unwrap(), (3, 2));
+        assert_eq!(m.checkpoint([]), 2);
+        assert_eq!(online.checkpoint(online.len()), 2);
+        assert_eq!(m.compaction_frontier(), 2);
+        assert_eq!(online.compaction_frontier(), 2);
+        assert_eq!(m.compact(), online.compact());
+        assert!(m.is_summarized(TxnId(1)) && online.is_summarized(TxnId(1)));
+
+        let t3 = [wr(3, 0, 2)];
+        push(&m, &mut online, &t3);
+        m.finish_txn(TxnId(3));
+        online.finish_txn(TxnId(3));
+        assert_eq!(m.retract_txn(TxnId(3)).unwrap(), (1, 0));
+        assert_eq!(online.retract_txns(&[TxnId(3)]).unwrap(), (1, 0));
+        assert_eq!(m.compaction_frontier(), online.compaction_frontier());
+        push(&m, &mut online, &t3);
+        assert_eq!(m.checkpoint([]), 3);
+        assert_eq!(online.checkpoint(online.len()), 3);
+        assert_eq!(m.compaction_frontier(), 3);
+        assert_eq!(online.compaction_frontier(), 3);
+        assert_eq!(m.compact(), online.compact());
+        assert!(m.is_summarized(TxnId(3)) && online.is_summarized(TxnId(3)));
+    }
+
+    /// Finishes recorded from every lane reach the frontier: lanes on
+    /// disjoint conjuncts push, finish and compact as they go, and one
+    /// more sweep at quiescence reclaims the whole stream.
+    #[test]
+    fn finishes_from_every_lane_reach_the_frontier() {
+        const LANES: u32 = 3;
+        const TXNS: u32 = 200;
+        let scopes = (0..LANES)
+            .map(|k| ItemSet::from_iter((0..4).map(|i| ItemId(4 * k + i))))
+            .collect();
+        let m = ShardedMonitor::new(scopes);
+        std::thread::scope(|scope| {
+            for k in 0..LANES {
+                let m = &m;
+                scope.spawn(move || {
+                    for j in 0..TXNS {
+                        let (txn, x) = (1 + k + LANES * j, 4 * k + j % 4);
+                        m.push_batch(&[rd(txn, x, 0), wr(txn, x, 1)]).unwrap();
+                        m.finish_txn(TxnId(txn));
+                        if j % 8 == 7 {
+                            m.compact();
+                        }
+                    }
+                });
+            }
+        });
+        m.compact();
+        assert_eq!(m.len(), (2 * LANES * TXNS) as usize);
+        assert_eq!(m.ops_reclaimed(), m.len() as u64);
     }
 
     /// Satellite regression: reaching below the compaction frontier is

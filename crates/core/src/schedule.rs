@@ -15,11 +15,11 @@
 
 use crate::catalog::Catalog;
 use crate::error::{CoreError, Result};
-use crate::ids::{OpIndex, TxnId};
+use crate::ids::{IdMap, OpIndex, TxnId};
 use crate::op::{Action, Operation};
 use crate::state::{DbState, ItemSet};
 use crate::txn::Transaction;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::fmt;
 
 /// A schedule: the total order `≺_S` over all operations.
@@ -45,7 +45,7 @@ pub struct Schedule {
     /// Transaction ids in order of first appearance.
     txns: Vec<TxnId>,
     /// Transaction id → dense slot (index into `txns`).
-    slot_of: HashMap<TxnId, u32>,
+    slot_of: IdMap<TxnId, u32>,
     /// Per live operation (tail-relative): the dense slot of its
     /// transaction.
     op_slot: Vec<u32>,
@@ -60,7 +60,7 @@ impl Schedule {
     /// Derive the positional tables from a validated operation
     /// sequence plus its first-appearance transaction order.
     fn finish(ops: Vec<Operation>, txns: Vec<TxnId>) -> Schedule {
-        let slot_of: HashMap<TxnId, u32> = txns
+        let slot_of: IdMap<TxnId, u32> = txns
             .iter()
             .enumerate()
             .map(|(i, &t)| (t, i as u32))
