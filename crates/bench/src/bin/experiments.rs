@@ -52,11 +52,6 @@ impl Trials {
 /// the table to print.
 type Row = (&'static str, &'static str, fn(Trials) -> (bool, String));
 
-/// Drop the counts an experiment hands its unit tests.
-fn shape<S>((ok, text, _): (bool, String, S)) -> (bool, String) {
-    (ok, text)
-}
-
 /// Every experiment, in the order `all` runs them.
 const REGISTRY: &[Row] = &[
     ("ex1", "examples", |_| examples_exp::ex1()),
@@ -65,31 +60,24 @@ const REGISTRY: &[Row] = &[
     ("ex4", "examples", |_| examples_exp::ex4()),
     ("ex5", "examples", |_| examples_exp::ex5()),
     ("fig3", "examples", |_| examples_exp::fig3()),
-    ("lemma1", "lemmas", |n| {
-        let (o, t) = lemmas_exp::lemma1(n.or(2_000), 11);
-        (o.clean(), t)
-    }),
+    ("lemma1", "lemmas", |n| lemmas_exp::lemma1(n.or(2_000), 11)),
     ("viewsets", "lemmas", |n| {
-        let (l2, l6, t) = lemmas_exp::viewset_lemmas(n.or(150), 12);
-        let ok = l2.clean() && l6.clean() && l2.checks > 0 && l6.checks > 0;
-        (ok, t)
+        lemmas_exp::viewset_lemmas(n.or(150), 12)
     }),
-    ("lemma3", "lemmas", |n| {
-        let (fixed, _ctrl, t) = lemmas_exp::lemma3(n.or(200), 13);
-        (fixed.clean() && fixed.checks > 0, t)
-    }),
+    ("lemma3", "lemmas", |n| lemmas_exp::lemma3(n.or(200), 13)),
     ("lemma4", "lemmas", |n| {
-        let (l4, l8, t) = lemmas_exp::lemma4_and_8(n.or(60), 14);
-        let ok = l4.clean() && l8.clean() && l4.checks > 0 && l8.checks > 0;
-        (ok, t)
+        lemmas_exp::lemma4_and_8(n.or(60), 14)
     }),
-    ("lemma7", "lemmas", |n| {
-        let (o, t) = lemmas_exp::lemma7(n.or(500), 15);
-        (o.clean() && o.checks > 0, t)
+    ("lemma7", "lemmas", |n| lemmas_exp::lemma7(n.or(500), 15)),
+    ("thm1", "theorems", |n| {
+        theorems_exp::theorem(1, n.or(30), 8, 101)
     }),
-    ("thm1", "theorems", |n| theorem(1, n, 101)),
-    ("thm2", "theorems", |n| theorem(2, n, 102)),
-    ("thm3", "theorems", |n| theorem(3, n, 103)),
+    ("thm2", "theorems", |n| {
+        theorems_exp::theorem(2, n.or(30), 8, 102)
+    }),
+    ("thm3", "theorems", |n| {
+        theorems_exp::theorem(3, n.or(30), 8, 103)
+    }),
     ("perf1", "perf", |n| perf_exp::perf1(n.or(24), 400)),
     ("perf2", "perf", |_| perf_exp::perf2(401)),
     ("perf3", "perf", |n| perf_exp::perf3(n.or(5), 402)),
@@ -98,25 +86,13 @@ const REGISTRY: &[Row] = &[
     ("base1", "base", |n| base_exp::base1(n.or(80), 600)),
     ("bank1", "bank", |n| bank_exp::bank1(n.or(200), 700)),
     ("rec1", "recovery", |n| recovery_exp::rec1(n.or(600), 800)),
-    ("rec2", "recovery", |_| shape(recovery_exp::rec2(801))),
+    ("rec2", "recovery", |_| recovery_exp::rec2(801)),
     ("exh1", "exhaustive", |_| exhaustive_exp::exh1()),
-    ("mon1", "monitor", |_| monitor_exp::mon1()),
-    ("mon2", "monitor", |n| monitor_exp::mon2(n.or(5))),
     ("mon3", "monitor", |n| monitor_exp::mon3(n.or(5), 902)),
-    ("mon4", "monitor", |n| monitor_exp::mon4(n.or(5))),
-    ("an1", "analysis", |n| {
-        shape(analysis_exp::an1(n.or(5), 0xA11))
-    }),
-    ("cmp1", "compact", |n| {
-        shape(compact_exp::cmp1(n.or(10), 0xC01))
-    }),
-    ("cha1", "chaos", |n| shape(chaos_exp::cha1(n.or(2), 0xC4A1))),
+    ("an1", "analysis", |n| analysis_exp::an1(n.or(5), 0xA11)),
+    ("cmp1", "compact", |n| compact_exp::cmp1(n.or(10), 0xC01)),
+    ("cha1", "chaos", |n| chaos_exp::cha1(n.or(2), 0xC4A1)),
 ];
-
-fn theorem(which: u8, n: Trials, seed: u64) -> (bool, String) {
-    let (o, t) = theorems_exp::theorem(which, n.or(30), 8, seed);
-    (o.matches_paper(), t)
-}
 
 /// What the command line may select, read off the registry.
 fn usage(rows: &[Row]) -> String {

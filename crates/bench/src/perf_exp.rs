@@ -27,7 +27,9 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 /// PERF-1: CAD long transactions. Sweeps the long-transaction span and
-/// compares policies by accumulated waits and goodput.
+/// compares policies by accumulated waits and goodput. Shape: every
+/// span completes a run, and from span 4 up the early-release policy
+/// waits no more than global 2PL.
 pub fn perf1(seeds: u64, seed0: u64) -> (bool, String) {
     let mut t = Table::new(
         "PERF-1  CAD long transactions: waits by policy (lower is better)",
@@ -97,7 +99,7 @@ pub fn perf1(seeds: u64, seed0: u64) -> (bool, String) {
         // for *long* transactions (its CAD motivation). Short spans are
         // dominated by restart overhead and sampling noise, so the
         // wait reduction is only asserted from span 4 up.
-        shape_holds &= span < 4 || wearly <= w2pl;
+        shape_holds &= runs > 0 && (span < 4 || wearly <= w2pl);
         t.row(&[
             span.to_string(),
             w2pl.to_string(),
@@ -114,7 +116,7 @@ pub fn perf1(seeds: u64, seed0: u64) -> (bool, String) {
 /// interleaving of a small mix and count how many each criterion
 /// admits. Expected: CSR ⊆ PWSR (= setwise on conjunct sets), with a
 /// strict gap; some PWSR interleavings of the gadget violate strong
-/// correctness.
+/// correctness. A mix that fails to enumerate deviates.
 pub fn perf2(seed: u64) -> (bool, String) {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut t = Table::new(
@@ -157,6 +159,7 @@ pub fn perf2(seed: u64) -> (bool, String) {
     for (name, w) in [("gadget", &wa), ("background", &wb)] {
         let Ok(Some(all)) = enumerate_executions(&w.programs, &w.catalog, &w.initial, 1_000_000)
         else {
+            shape = false;
             continue;
         };
         let solver = Solver::new(&w.catalog, &w.ic);
@@ -200,7 +203,9 @@ pub fn perf2(seed: u64) -> (bool, String) {
 /// PERF-3: the MDBS scenario over a site-count sweep. Locals must stay
 /// serializable (autonomy preserved); global serializability decays;
 /// strong correctness holds throughout (fixed-structure programs +
-/// PWSR — Theorem 1).
+/// PWSR — Theorem 1). Shape: at every site count some run completes,
+/// and every run keeps its locals serializable, is PWSR and is
+/// strongly correct.
 pub fn perf3(seeds: u64, seed0: u64) -> (bool, String) {
     let mut t = Table::new(
         "PERF-3  MDBS: local autonomy vs global serializability",
@@ -244,7 +249,7 @@ pub fn perf3(seeds: u64, seed0: u64) -> (bool, String) {
                 check_strong_correctness(&out.exec.schedule, &solver, &w.initial).violation(),
             );
         }
-        shape &= locals_ok == runs && global_pwsr == runs && violations == 0;
+        shape &= runs > 0 && locals_ok == runs && global_pwsr == runs && violations == 0;
         t.row(&[
             k.to_string(),
             runs.to_string(),
@@ -435,6 +440,13 @@ mod tests {
     fn perf1_shape() {
         let (ok, text) = perf1(4, 400);
         assert!(ok, "{text}");
+    }
+
+    /// A sweep that ran nothing has not shown the shape.
+    #[test]
+    fn perf1_and_perf3_without_seeds_deviate() {
+        assert!(!perf1(0, 400).0);
+        assert!(!perf3(0, 402).0);
     }
 
     #[test]

@@ -28,28 +28,28 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 /// Counters for one theorem experiment.
-#[derive(Clone, Debug, Default)]
-pub struct TheoremOutcome {
+#[derive(Default)]
+struct TheoremOutcome {
     /// Positive-arm executions satisfying all hypotheses.
-    pub qualifying: u64,
+    qualifying: u64,
     /// Positive-arm strong-correctness failures (must be 0).
-    pub violations: u64,
+    violations: u64,
     /// Control-arm executions (PWSR, hypothesis dropped).
-    pub control_qualifying: u64,
+    control_qualifying: u64,
     /// Control-arm violations (expected > 0 overall).
-    pub control_violations: u64,
+    control_violations: u64,
     /// Scheduler-arm runs.
-    pub scheduler_runs: u64,
+    scheduler_runs: u64,
     /// Scheduler-arm violations (must be 0).
-    pub scheduler_violations: u64,
+    scheduler_violations: u64,
     /// Was the guaranteed gadget witness confirmed?
-    pub witness_confirmed: bool,
+    witness_confirmed: bool,
 }
 
 impl TheoremOutcome {
     /// The theorem's prediction holds: clean positive & scheduler arms,
     /// and the control arm produced at least one witness.
-    pub fn matches_paper(&self) -> bool {
+    fn matches_paper(&self) -> bool {
         self.violations == 0
             && self.scheduler_violations == 0
             && self.qualifying > 0
@@ -93,13 +93,10 @@ fn gadget_witness(rng: &mut StdRng) -> bool {
         && strong_violation(&w, &s)
 }
 
-/// Run one theorem experiment. `which` ∈ {1, 2, 3}.
-pub fn theorem(
-    which: u8,
-    trials: u64,
-    execs_per_trial: u64,
-    seed: u64,
-) -> (TheoremOutcome, String) {
+/// Run one theorem experiment. `which` ∈ {1, 2, 3}. Shape: clean
+/// positive and scheduler arms, at least one qualifying execution, and
+/// the gadget witness confirmed.
+pub fn theorem(which: u8, trials: u64, execs_per_trial: u64, seed: u64) -> (bool, String) {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut out = TheoremOutcome::default();
 
@@ -220,7 +217,7 @@ pub fn theorem(
         out.scheduler_violations.to_string(),
         (out.scheduler_violations == 0).to_string(),
     ]);
-    (out, t.render())
+    (out.matches_paper(), t.render())
 }
 
 #[cfg(test)]
@@ -229,20 +226,20 @@ mod tests {
 
     #[test]
     fn thm1_matches_paper() {
-        let (out, text) = theorem(1, 12, 6, 101);
-        assert!(out.matches_paper(), "{text}\n{out:?}");
+        let (ok, text) = theorem(1, 12, 6, 101);
+        assert!(ok, "{text}");
     }
 
     #[test]
     fn thm2_matches_paper() {
-        let (out, text) = theorem(2, 12, 6, 102);
-        assert!(out.matches_paper(), "{text}\n{out:?}");
+        let (ok, text) = theorem(2, 12, 6, 102);
+        assert!(ok, "{text}");
     }
 
     #[test]
     fn thm3_matches_paper() {
-        let (out, text) = theorem(3, 12, 6, 103);
-        assert!(out.matches_paper(), "{text}\n{out:?}");
+        let (ok, text) = theorem(3, 12, 6, 103);
+        assert!(ok, "{text}");
     }
 
     #[test]

@@ -171,15 +171,17 @@ proptest! {
     }
 
     /// N real threads, each pushing its own transactions in program
-    /// order: whatever interleaving the OS produced, the recorded
-    /// schedule's sharded verdict equals the single-writer replay and
-    /// the batch checkers.
+    /// order — the transactions `batch_mask` picks as one `push_batch`
+    /// run each, the rest op by op with `push`: whatever interleaving
+    /// the OS produced, the recorded schedule's sharded verdict equals
+    /// the single-writer replay and the batch checkers.
     #[test]
     fn threaded_runs_match_replay_and_batch(
         txns in arb_transactions(4),
         d1_bits in 0u32..64,
         d2_bits in 0u32..64,
         n_threads in 2usize..4,
+        batch_mask in 0u32..16,
     ) {
         let scopes = scopes_from_bits(d1_bits, d2_bits);
         let monitor = Arc::new(ShardedMonitor::new(scopes.clone()));
@@ -188,8 +190,12 @@ proptest! {
                 let monitor = Arc::clone(&monitor);
                 scope.spawn(move || {
                     for t in chunk {
-                        for op in t.ops() {
-                            monitor.push(op.clone()).expect("well-formed transactions");
+                        if batch_mask & (1 << (t.id().0 - 1)) != 0 {
+                            monitor.push_batch(t.ops()).expect("well-formed transactions");
+                        } else {
+                            for op in t.ops() {
+                                monitor.push(op.clone()).expect("well-formed transactions");
+                            }
                         }
                         // Encourage cross-thread interleaving.
                         if w % 2 == 0 {
