@@ -30,14 +30,30 @@
 //!
 //! Value encoding: tag `u8` — 0 = `Int` + `i64` LE, 1 = `Bool` + `u8`,
 //! 2 = `Str` + `u32` LE byte length + UTF-8 bytes.
+//!
+//! # Where the fsync runs
+//!
+//! [`SyncPolicy::PerRecord`] and every explicit [`Wal::sync`] call
+//! `sync_data` on the calling thread. A [`SyncPolicy::Batched`] due
+//! point on a file sink does not: the appending thread consults the
+//! fault plane and flushes the `BufWriter`, then hands the `sync_data`
+//! to the WAL's own sync thread and returns. That thread, started at
+//! the first hand-off, calls `sync_data` once per hand-off, in order,
+//! on a cloned descriptor of the same file. A failed hand-off or
+//! background fsync is recorded, and the WAL's next call applies it
+//! through the error policy as a failed sync step. [`Wal::sync`]
+//! first waits for every handed-off fsync, and dropping the WAL joins
+//! the thread after every one has completed.
 
 use std::fmt;
 use std::fs::File;
 use std::io::{BufWriter, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::thread::JoinHandle;
 
-use parking_lot::Mutex;
+use parking_lot::{Condvar, Mutex};
 use pwsr_core::ids::{ItemId, TxnId};
 use pwsr_core::monitor::journal::MonitorJournal;
 use pwsr_core::op::{Action, Operation};
@@ -325,9 +341,14 @@ pub fn scan(bytes: &[u8]) -> WalScan {
 /// When the WAL forces written bytes down to stable storage.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum SyncPolicy {
-    /// `fsync` after every record — maximum durability, slowest.
+    /// `fsync` after every record, on the appending thread: an append
+    /// returns once its record is durable. Maximum durability, slowest.
     PerRecord,
-    /// `fsync` once every `n` records.
+    /// `fsync` once every `n` records. The appending thread flushes the
+    /// records to the file and hands the `fsync` to the WAL's sync
+    /// thread without waiting for it. [`Wal::sync`] waits for every
+    /// handed-off `fsync`, then syncs on the calling thread. A failed
+    /// one is applied by the WAL's next call, as a failed sync.
     Batched(usize),
     /// Never `fsync` (the OS flushes on its own schedule); still
     /// flushed on [`Wal::sync`] and drop.
@@ -344,7 +365,9 @@ pub struct WalStats {
     /// Frame bytes written (header + payload).
     pub bytes: u64,
     /// Explicit syncs issued (counted even for the in-memory sink, so
-    /// policy behaviour is testable without touching a filesystem).
+    /// policy behaviour is testable without touching a filesystem). A
+    /// `Batched` one counts when handed to the sync thread, and stops
+    /// counting if it fails there, as a failed sync never counts.
     pub fsyncs: u64,
     /// I/O errors observed (including ones the error policy healed).
     pub io_errors: u64,
@@ -436,6 +459,101 @@ impl fmt::Debug for Sink {
     }
 }
 
+/// The WAL's sync thread: one `sync_data` per [`Syncer::request`], in
+/// request order, on its own descriptor of the sink's file.
+#[derive(Debug)]
+struct Syncer {
+    queue: Arc<SyncQueue>,
+    thread: Option<JoinHandle<()>>,
+}
+
+#[derive(Debug, Default)]
+struct SyncQueue {
+    state: Mutex<SyncState>,
+    /// Signalled on a request, a completion and the close.
+    changed: Condvar,
+    /// Raised after a push to `state.failures`, so the WAL's calls
+    /// look for one without the lock; the failures are read under it.
+    failed: AtomicBool,
+}
+
+#[derive(Debug, Default)]
+struct SyncState {
+    requested: u64,
+    done: u64,
+    failures: Vec<std::io::Error>,
+    closed: bool,
+}
+
+impl Syncer {
+    fn start(file: File) -> std::io::Result<Syncer> {
+        let queue = Arc::new(SyncQueue::default());
+        let served = Arc::clone(&queue);
+        let thread = std::thread::Builder::new()
+            .name("wal-sync".into())
+            .spawn(move || served.serve(&file))?;
+        Ok(Syncer {
+            queue,
+            thread: Some(thread),
+        })
+    }
+
+    fn request(&self) {
+        self.queue.state.lock().requested += 1;
+        self.queue.changed.notify_all();
+    }
+
+    /// Block until every requested `sync_data` has returned.
+    fn wait_idle(&self) {
+        let mut state = self.queue.state.lock();
+        while state.done < state.requested {
+            state = self.queue.changed.wait(state);
+        }
+    }
+
+    fn take_failures(&self) -> Vec<std::io::Error> {
+        if !self.queue.failed.load(Ordering::Relaxed) {
+            return Vec::new();
+        }
+        self.queue.failed.store(false, Ordering::Relaxed);
+        std::mem::take(&mut self.queue.state.lock().failures)
+    }
+}
+
+impl SyncQueue {
+    fn serve(&self, file: &File) {
+        let mut state = self.state.lock();
+        loop {
+            if state.done < state.requested {
+                drop(state);
+                let synced = file.sync_data();
+                state = self.state.lock();
+                state.done += 1;
+                if let Err(e) = synced {
+                    state.failures.push(e);
+                    self.failed.store(true, Ordering::Relaxed);
+                }
+                self.changed.notify_all();
+            } else if state.closed {
+                return;
+            } else {
+                state = self.changed.wait(state);
+            }
+        }
+    }
+}
+
+impl Drop for Syncer {
+    fn drop(&mut self) {
+        self.queue.state.lock().closed = true;
+        self.queue.changed.notify_all();
+        if let Some(thread) = self.thread.take() {
+            // The thread serves every request before it sees the close.
+            let _ = thread.join();
+        }
+    }
+}
+
 /// An append-only write-ahead log over an in-memory buffer or a file.
 ///
 /// I/O errors are handled by the configured [`WalErrorPolicy`]; an
@@ -444,7 +562,9 @@ impl fmt::Debug for Sink {
 /// append is dropped *and counted* ([`WalStats::dropped_records`]) —
 /// the journal callbacks have no error channel, so the owner polls at
 /// sync points and must refuse to report durable success while an
-/// error is pending.
+/// error is pending. A `Batched` fsync failure surfaces at the call
+/// after it (see the module docs); after [`Wal::sync`] none is left
+/// unapplied.
 #[derive(Debug)]
 pub struct Wal {
     sink: Sink,
@@ -461,6 +581,12 @@ pub struct Wal {
     /// Set when a file sink degraded to memory: the abandoned path and
     /// the length of its surviving valid prefix.
     degraded_prefix: Option<(PathBuf, u64)>,
+    /// A `Batched` due point's failure on the appending thread
+    /// (injected, or met flushing or handing off), waiting for the
+    /// next call.
+    deferred: Option<std::io::Error>,
+    /// Started at the first `Batched` hand-off on a file sink.
+    syncer: Option<Syncer>,
 }
 
 impl Wal {
@@ -475,6 +601,8 @@ impl Wal {
             io_error: None,
             good_len: 0,
             degraded_prefix: None,
+            deferred: None,
+            syncer: None,
         }
     }
 
@@ -517,11 +645,37 @@ impl Wal {
             SyncPolicy::PerRecord => self.sync(),
             SyncPolicy::Batched(n) => {
                 if self.pending >= n.max(1) {
-                    self.sync();
+                    self.sync_behind();
                 }
             }
             SyncPolicy::Off => {}
         }
+    }
+
+    /// A `Batched` due point: consult the fault plane and flush here,
+    /// and hand the `sync_data` to the sync thread. A failure here
+    /// waits in `deferred` for the next call.
+    fn sync_behind(&mut self) {
+        let handed = self.inject(WalSite::Sync, &[]).and_then(|()| {
+            let Sink::File { writer, .. } = &mut self.sink else {
+                return Ok(());
+            };
+            writer.flush()?;
+            if self.syncer.is_none() {
+                self.syncer = Some(Syncer::start(writer.get_ref().try_clone()?)?);
+            }
+            self.syncer.as_ref().expect("started above").request();
+            Ok(())
+        });
+        match handed {
+            Ok(()) => self.synced(),
+            Err(e) => self.deferred = Some(e),
+        }
+    }
+
+    fn synced(&mut self) {
+        self.stats.fsyncs += 1;
+        self.pending = 0;
     }
 
     /// Append an operation record without constructing a `WalRecord`.
@@ -549,11 +703,15 @@ impl Wal {
         }
     }
 
-    /// Flush buffered bytes and force them to stable storage.
+    /// Flush buffered bytes and force them to stable storage on the
+    /// calling thread, after every fsync handed to the sync thread has
+    /// returned; a failed one is applied first.
     pub fn sync(&mut self) {
+        if let Some(syncer) = &self.syncer {
+            syncer.wait_idle();
+        }
         if self.io(WalSite::Sync, &[]) {
-            self.stats.fsyncs += 1;
-            self.pending = 0;
+            self.synced();
         }
     }
 
@@ -571,15 +729,41 @@ impl Wal {
     }
 
     /// One I/O step at `site` (`frame` is empty except for appends),
-    /// and the only place the error policy is applied. Returns whether
-    /// the step took effect; if it did not, an error is now sticky.
+    /// after applying any recorded `Batched` fsync failure. Returns
+    /// whether the step took effect; if it did not, an error is now
+    /// sticky.
     fn io(&mut self, site: WalSite, frame: &[u8]) -> bool {
+        self.settle();
         if self.io_error.is_some() {
             return false;
         }
-        let Err(first) = self.attempt(site, frame) else {
-            return true;
-        };
+        match self.attempt(site, frame) {
+            Ok(()) => true,
+            Err(first) => self.heal(site, frame, first),
+        }
+    }
+
+    /// Apply every recorded `Batched` fsync failure, oldest first, as
+    /// a sync step that failed with it.
+    fn settle(&mut self) {
+        let mut failures = self
+            .syncer
+            .as_ref()
+            .map_or_else(Vec::new, Syncer::take_failures);
+        // The hand-off counted these fsyncs.
+        self.stats.fsyncs -= failures.len() as u64;
+        failures.extend(self.deferred.take());
+        for first in failures {
+            if self.io_error.is_none() && self.heal(WalSite::Sync, &[], first) {
+                self.synced();
+            }
+        }
+    }
+
+    /// The only place the error policy is applied: the step at `site`
+    /// failed with `first`. Returns whether the policy healed it; if
+    /// not, `first` is now sticky.
+    fn heal(&mut self, site: WalSite, frame: &[u8], first: std::io::Error) -> bool {
         self.stats.io_errors += 1;
         let healed = match self.error_policy {
             WalErrorPolicy::FailStop => false,
@@ -621,20 +805,7 @@ impl Wal {
     /// One invocation of `site`: consult the chaos plane, then append
     /// `frame` to, force, or rotate the sink.
     fn attempt(&mut self, site: WalSite, frame: &[u8]) -> std::io::Result<()> {
-        if let Some(fault) = self.faults.as_ref().and_then(|p| p.fire_wal(site)) {
-            self.stats.injected_faults += 1;
-            if let WalFault::ShortWrite { keep } = fault {
-                // A torn write: part of the frame lands, then the error.
-                let keep = keep.min(frame.len().saturating_sub(1));
-                match &mut self.sink {
-                    Sink::Mem(buf) => buf.extend_from_slice(&frame[..keep]),
-                    Sink::File { writer, .. } => writer.write_all(&frame[..keep])?,
-                }
-            }
-            return Err(std::io::Error::other(format!(
-                "injected {fault:?} at {site:?}"
-            )));
-        }
+        self.inject(site, frame)?;
         match (site, &mut self.sink) {
             (WalSite::Append, Sink::Mem(buf)) => {
                 buf.extend_from_slice(frame);
@@ -647,6 +818,26 @@ impl Wal {
             }
             (WalSite::Rotate, sink) => sink.truncate(0),
         }
+    }
+
+    /// Consult the chaos plane at `site`: a fault that fires is this
+    /// invocation's error (a torn write lands part of `frame` first).
+    fn inject(&mut self, site: WalSite, frame: &[u8]) -> std::io::Result<()> {
+        let Some(fault) = self.faults.as_ref().and_then(|p| p.fire_wal(site)) else {
+            return Ok(());
+        };
+        self.stats.injected_faults += 1;
+        if let WalFault::ShortWrite { keep } = fault {
+            // A torn write: part of the frame lands, then the error.
+            let keep = keep.min(frame.len().saturating_sub(1));
+            match &mut self.sink {
+                Sink::Mem(buf) => buf.extend_from_slice(&frame[..keep]),
+                Sink::File { writer, .. } => writer.write_all(&frame[..keep])?,
+            }
+        }
+        Err(std::io::Error::other(format!(
+            "injected {fault:?} at {site:?}"
+        )))
     }
 
     /// Abandon a failing file sink for an in-memory one, remembering
@@ -671,13 +862,17 @@ impl Wal {
         self.stats
     }
 
-    /// First unhealed I/O error, if any (sticky).
-    pub fn io_error(&self) -> Option<&std::io::Error> {
+    /// First unhealed I/O error, if any (sticky), after applying any
+    /// recorded `Batched` fsync failure.
+    pub fn io_error(&mut self) -> Option<&std::io::Error> {
+        self.settle();
         self.io_error.as_ref()
     }
 
-    /// Take the sticky I/O error, clearing it.
+    /// Take the sticky I/O error, clearing it, after applying any
+    /// recorded `Batched` fsync failure.
     pub fn take_io_error(&mut self) -> Option<std::io::Error> {
+        self.settle();
         self.io_error.take()
     }
 
@@ -957,19 +1152,154 @@ mod tests {
     #[test]
     fn sync_policy_counts() {
         let records = sample_records();
-        let mut per = Wal::in_memory(SyncPolicy::PerRecord);
-        let mut batched = Wal::in_memory(SyncPolicy::Batched(3));
-        let mut off = Wal::in_memory(SyncPolicy::Off);
-        for r in &records {
-            per.append(r);
-            batched.append(r);
-            off.append(r);
+        let dir = std::env::temp_dir().join("pwsr_wal_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = |name: &str| dir.join(format!("wal_counts_{name}_{}.log", std::process::id()));
+        for file in [false, true] {
+            let open = |name, policy| {
+                if file {
+                    Wal::create(&path(name), policy).unwrap()
+                } else {
+                    Wal::in_memory(policy)
+                }
+            };
+            let mut per = open("per", SyncPolicy::PerRecord);
+            let mut batched = open("batched", SyncPolicy::Batched(3));
+            let mut off = open("off", SyncPolicy::Off);
+            for r in &records {
+                per.append(r);
+                batched.append(r);
+                off.append(r);
+            }
+            assert_eq!(per.stats().fsyncs, records.len() as u64, "file {file}");
+            assert_eq!(
+                batched.stats().fsyncs,
+                (records.len() / 3) as u64,
+                "file {file}"
+            );
+            assert_eq!(off.stats().fsyncs, 0, "file {file}");
+            off.sync();
+            assert_eq!(off.stats().fsyncs, 1, "file {file}");
+            drop((per, batched, off));
+            if file {
+                for name in ["per", "batched", "off"] {
+                    let s = scan(&std::fs::read(path(name)).unwrap());
+                    assert_eq!(s.records, records, "{name}");
+                    assert_eq!(s.corruption, None, "{name}");
+                    std::fs::remove_file(path(name)).unwrap();
+                }
+            }
         }
-        assert_eq!(per.stats().fsyncs, records.len() as u64);
-        assert_eq!(batched.stats().fsyncs, (records.len() / 3) as u64);
-        assert_eq!(off.stats().fsyncs, 0);
-        off.sync();
-        assert_eq!(off.stats().fsyncs, 1);
+    }
+
+    /// `Batched(2)` with the first sync failing, on both sinks under
+    /// each policy. The script appends 2 (the due point fails), 1
+    /// more, 1 more (the next due point), then syncs. The failure is
+    /// not applied at its due point but by the next call, and from
+    /// there on the stats, the pending error and the records equal
+    /// those of a failed sync on the calling thread.
+    #[test]
+    fn batched_sync_failure_surfaces_at_the_next_call() {
+        let retry = WalErrorPolicy::RetryBackoff {
+            attempts: 2,
+            cap_us: 10,
+        };
+        let due = WalStats {
+            appends: 2,
+            bytes: 34,
+            injected_faults: 1,
+            ..WalStats::default()
+        };
+        // (policy, stats after the next append, stats at the end,
+        // error pending, floors of the surviving records)
+        let cells: [(_, _, _, _, &[u64]); 3] = [
+            (
+                WalErrorPolicy::FailStop,
+                WalStats {
+                    io_errors: 1,
+                    dropped_records: 1,
+                    ..due
+                },
+                WalStats {
+                    io_errors: 1,
+                    dropped_records: 2,
+                    ..due
+                },
+                true,
+                &[0, 1],
+            ),
+            (
+                retry,
+                WalStats {
+                    appends: 3,
+                    bytes: 51,
+                    fsyncs: 1,
+                    io_errors: 1,
+                    retries: 1,
+                    ..due
+                },
+                WalStats {
+                    appends: 4,
+                    bytes: 68,
+                    fsyncs: 3,
+                    io_errors: 1,
+                    retries: 1,
+                    ..due
+                },
+                false,
+                &[0, 1, 2, 3],
+            ),
+            (
+                WalErrorPolicy::DegradeToMemory,
+                WalStats {
+                    appends: 3,
+                    bytes: 51,
+                    fsyncs: 1,
+                    io_errors: 1,
+                    degraded: true,
+                    ..due
+                },
+                WalStats {
+                    appends: 4,
+                    bytes: 68,
+                    fsyncs: 3,
+                    io_errors: 1,
+                    degraded: true,
+                    ..due
+                },
+                false,
+                &[0, 1, 2, 3],
+            ),
+        ];
+        let dir = std::env::temp_dir().join("pwsr_wal_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        for (cell, (policy, next, end, pending, floors)) in cells.into_iter().enumerate() {
+            let path = dir.join(format!("wal_behind_{}_{cell}.log", std::process::id()));
+            for file in [false, true] {
+                let plan = FaultPlan::new().on_wal(WalSite::Sync, 0, WalFault::SyncFail);
+                let wal = if file {
+                    Wal::create(&path, SyncPolicy::Batched(2)).unwrap()
+                } else {
+                    Wal::in_memory(SyncPolicy::Batched(2))
+                };
+                let mut wal = wal.with_faults(plan.share()).with_error_policy(policy);
+                let at = format!("{policy:?}, file sink {file}");
+                wal.append(&WalRecord::Floor(0));
+                wal.append(&WalRecord::Floor(1));
+                assert_eq!(wal.stats(), due, "{at}: applied at its due point");
+                wal.append(&WalRecord::Floor(2));
+                assert_eq!(wal.stats(), next, "{at}: not applied by the next call");
+                wal.append(&WalRecord::Floor(3));
+                wal.sync();
+                assert_eq!(wal.stats(), end, "{at}");
+                assert_eq!(wal.io_error().is_some(), pending, "{at}");
+                let want: Vec<WalRecord> = floors.iter().map(|&f| WalRecord::Floor(f)).collect();
+                let s = scan(&wal.dump_bytes().unwrap());
+                assert_eq!(s.records, want, "{at}");
+                assert_eq!(s.corruption, None, "{at}");
+            }
+            std::fs::remove_file(&path).unwrap();
+        }
     }
 
     #[test]
