@@ -13,10 +13,11 @@
 //! edges per transaction, so creating a node and giving it edges calls
 //! no allocator. Iteration is **ascending by node id** — part of the
 //! contract, not an accident of the container: the traversals below
-//! push neighbours in that order, and the order
-//! [`IncrementalDag::retain_condensed`] replays its condensed edges in
-//! (hence the maintained topological order after a compaction) follows
-//! from it.
+//! push neighbours in that order, and a compaction's
+//! `IncrementalDag::retain_induced` relies on it to rename a row in
+//! place without re-sorting it. What a compaction may drop from a
+//! monitor's conflict graph, and why, is stated once, at
+//! `ProjGraph::condense` in [`crate::monitor`].
 
 use std::collections::BTreeSet;
 use std::sync::Mutex;
@@ -106,13 +107,25 @@ impl AdjList {
         true
     }
 
-    /// Empty the list (a heap buffer is kept for the row's next
-    /// tenant: the rows that survive a condensation are the ones whose
-    /// lists it tends to lengthen).
-    fn clear(&mut self) {
+    /// Keep the members `map` does not send to `u32::MAX`, each
+    /// replaced by its image. `map` increases on the kept members, so
+    /// the list stays sorted.
+    fn retain_renamed(&mut self, map: &[u32]) {
+        let members = match self {
+            AdjList::Inline { len, items } => &mut items[..*len as usize],
+            AdjList::Heap(v) => v.as_mut_slice(),
+        };
+        let mut kept = 0;
+        for i in 0..members.len() {
+            let new = map[members[i] as usize];
+            if new != u32::MAX {
+                members[kept] = new;
+                kept += 1;
+            }
+        }
         match self {
-            AdjList::Inline { len, .. } => *len = 0,
-            AdjList::Heap(v) => v.clear(),
+            AdjList::Inline { len, .. } => *len = kept as u8,
+            AdjList::Heap(v) => v.truncate(kept),
         }
     }
 
@@ -369,8 +382,6 @@ struct Scratch {
     delta_b: Vec<u32>,
     /// The positions the affected region occupies.
     slots: Vec<u32>,
-    /// The condensed edges of a [`IncrementalDag::retain_condensed`].
-    pairs: Vec<(u32, u32)>,
 }
 
 impl Scratch {
@@ -522,79 +533,52 @@ impl IncrementalDag {
         self.ord.pop();
     }
 
-    /// Collapse the graph onto the `kept` nodes, preserving
-    /// reachability **among kept nodes**: for every kept pair `u`, `v`
-    /// with a directed path `u ⇝ v` whose intermediate nodes are all
-    /// dropped, the rebuilt graph carries the condensed edge `u → v`.
-    /// The condensed graph is a subgraph of the old graph's transitive
-    /// closure, hence still acyclic.
+    /// Cut the graph down, in its own storage, to the subgraph induced
+    /// by the `kept` nodes, writing the old→new numbering into `map`
+    /// (one entry per old node; dropped nodes map to `u32::MAX`).
     ///
-    /// Kept nodes are renumbered **monotonically in their old ids**
-    /// (`map[old] = new`; dropped nodes map to `u32::MAX`), which
-    /// preserves the undo layer's LIFO `remove_last_node` contract:
-    /// the youngest surviving node stays the highest-numbered one.
-    pub fn retain_condensed(&mut self, kept: &[bool]) -> Vec<u32> {
-        let mut map = vec![0; kept.len()];
-        self.retain_condensed_into(kept, &mut map);
-        map
-    }
-
-    /// [`IncrementalDag::retain_condensed`] writing the old→new map
-    /// into a buffer the caller keeps (one entry per old node). The graph is rebuilt **in its
-    /// own storage**: the condensed edges are collected (per kept
-    /// source in ascending id order, a DFS through the dropped region
-    /// only), the rows are cut down to the kept count and emptied, the
-    /// order restarts as the identity, and the edges are inserted in
-    /// the order collected — the same insertions, in the same order,
-    /// as building a fresh graph, so the maintained order afterwards is
-    /// the same too.
-    pub(crate) fn retain_condensed_into(&mut self, kept: &[bool], map: &mut [u32]) {
+    /// Kept nodes are renumbered **monotonically in their old ids**,
+    /// which preserves the undo layer's LIFO `remove_last_node`
+    /// contract — the youngest surviving node stays the
+    /// highest-numbered one — and lets each kept row be filtered and
+    /// renamed in place without re-sorting. The maintained order is the
+    /// old one restricted to the kept nodes: still topological, since
+    /// every kept edge was already there.
+    pub(crate) fn retain_induced(&mut self, kept: &[bool], map: &mut [u32]) {
         let n = self.len();
-        assert_eq!(kept.len(), n, "retain_condensed: kept mask size");
-        assert_eq!(map.len(), n, "retain_condensed: map size");
-        const GONE: u32 = u32::MAX;
+        assert_eq!(kept.len(), n, "retain_induced: kept mask size");
+        assert_eq!(map.len(), n, "retain_induced: map size");
         let mut next = 0u32;
         for (u, &k) in kept.iter().enumerate() {
             map[u] = if k {
                 next += 1;
                 next - 1
             } else {
-                GONE
+                u32::MAX
             };
         }
-        let sc = self.scratch.get_mut().unwrap_or_else(|e| e.into_inner());
-        let mut pairs = std::mem::take(&mut sc.pairs);
-        pairs.clear();
+        // A kept row moves down to its new id, whose old tenant was
+        // dropped or has already moved further down.
         for u in (0..n).filter(|&u| kept[u]) {
-            sc.begin(n);
-            sc.stack.extend_from_slice(self.succ[u].as_slice());
-            while let Some(x) = sc.stack.pop() {
-                if !sc.visit(x) {
-                    continue;
-                }
-                if kept[x as usize] {
-                    pairs.push((map[u], map[x as usize]));
-                } else {
-                    sc.stack.extend_from_slice(self.succ[x as usize].as_slice());
-                }
-            }
+            let new = map[u] as usize;
+            self.succ.swap(new, u);
+            self.pred.swap(new, u);
+            self.succ[new].retain_renamed(map);
+            self.pred[new].retain_renamed(map);
         }
         self.succ.truncate(next as usize);
         self.pred.truncate(next as usize);
-        self.succ.iter_mut().for_each(AdjList::clear);
-        self.pred.iter_mut().for_each(AdjList::clear);
-        self.ord.clear();
-        self.ord.extend(0..next);
-        self.node_at.clear();
-        self.node_at.extend(0..next);
-        for &(u, v) in &pairs {
-            self.add_edge(u, v)
-                .expect("condensed closure of a DAG stays acyclic");
+        let mut at = 0;
+        for k in 0..n {
+            let new = map[self.node_at[k] as usize];
+            if new != u32::MAX {
+                self.node_at[at] = new;
+                self.ord[new as usize] = at as u32;
+                at += 1;
+            }
         }
-        self.scratch
-            .get_mut()
-            .unwrap_or_else(|e| e.into_inner())
-            .pairs = pairs;
+        self.node_at.truncate(at);
+        self.ord.truncate(at);
     }
 
     /// Would inserting every edge `s → target` (for `s` in `sources`)
@@ -912,9 +896,9 @@ mod tests {
     }
 
     #[test]
-    fn retain_condensed_collapses_dropped_paths() {
+    fn retain_induced_keeps_only_edges_among_kept_nodes() {
         // 0 → 1 → 2 → 3, plus 0 → 4; keep {0, 2, 4}: the path 0 ⇝ 2
-        // through dropped node 1 must become a direct edge.
+        // through dropped node 1 leaves no edge behind.
         let mut g = IncrementalDag::new();
         for _ in 0..5 {
             g.add_node();
@@ -923,20 +907,21 @@ mod tests {
         g.add_edge(1, 2).unwrap();
         g.add_edge(2, 3).unwrap();
         g.add_edge(0, 4).unwrap();
-        let map = g.retain_condensed(&[true, false, true, false, true]);
+        let mut map = vec![0; 5];
+        g.retain_induced(&[true, false, true, false, true], &mut map);
         assert_eq!(map, vec![0, u32::MAX, 1, u32::MAX, 2]);
         assert_eq!(g.len(), 3);
-        assert!(g.has_edge(0, 1), "0 ⇝ 2 condensed through dropped 1");
-        assert!(g.has_edge(0, 2), "direct surviving edge kept");
-        assert_eq!(g.edge_count(), 2);
+        assert!(!g.has_edge(0, 1), "0 ⇝ 2 ran through dropped 1");
+        assert!(g.has_edge(0, 2), "the edge between kept 0 and 4 stays");
+        assert_eq!(g.edge_count(), 1);
         assert!(order_valid(&g));
     }
 
-    /// Model test: condensation preserves reachability exactly on the
-    /// kept pairs (paths through kept intermediates compose from the
-    /// condensed segments).
+    /// Model test: the retained edges are exactly the old edges between
+    /// kept nodes, renamed; the renaming is monotone; and the order is
+    /// the old order restricted to the kept nodes, still valid.
     #[test]
-    fn retain_condensed_matches_reachability_model() {
+    fn retain_induced_matches_induced_subgraph_model() {
         let mut state = 0xABCDEF0123456789u64;
         let mut next = move || {
             state ^= state << 13;
@@ -944,10 +929,8 @@ mod tests {
             state ^= state << 17;
             state
         };
-        // a ⇝ b (a ≠ b) iff inserting b → a would close a cycle.
-        let reaches = |g: &IncrementalDag, a: u32, b: u32| a != b && !g.admits_edges_into(&[b], a);
         for round in 0..40 {
-            let n = 4 + (next() % 8) as usize;
+            let n = 4 + (next() % 12) as usize;
             let mut g = IncrementalDag::new();
             for _ in 0..n {
                 g.add_node();
@@ -958,22 +941,37 @@ mod tests {
                 let _ = g.add_edge(u, v);
             }
             let kept: Vec<bool> = (0..n).map(|_| next() % 2 == 0).collect();
-            let old_reach: Vec<Vec<bool>> = (0..n as u32)
-                .map(|a| (0..n as u32).map(|b| reaches(&g, a, b)).collect())
-                .collect();
-            let map = g.retain_condensed(&kept);
-            assert!(order_valid(&g), "round {round}: rebuilt order broken");
-            for a in 0..n {
-                for b in 0..n {
-                    if kept[a] && kept[b] {
-                        assert_eq!(
-                            reaches(&g, map[a], map[b]),
-                            old_reach[a][b],
-                            "round {round}: kept-pair reachability {a}⇝{b} diverged"
-                        );
-                    }
+            let old = g.clone();
+            let mut map = vec![0; n];
+            g.retain_induced(&kept, &mut map);
+            let kept_ids: Vec<usize> = (0..n).filter(|&u| kept[u]).collect();
+            for (new, &u) in kept_ids.iter().enumerate() {
+                assert_eq!(map[u], new as u32, "round {round}: map not monotone");
+            }
+            assert!((0..n).all(|u| kept[u] || map[u] == u32::MAX));
+            assert_eq!(g.len(), kept_ids.len());
+            let mut induced = 0;
+            for &a in &kept_ids {
+                for &b in &kept_ids {
+                    let had = old.has_edge(a as u32, b as u32);
+                    induced += had as usize;
+                    assert_eq!(
+                        (
+                            g.has_edge(map[a], map[b]),
+                            g.pred[map[b] as usize].contains(map[a])
+                        ),
+                        (had, had),
+                        "round {round}: edge {a}→{b} not induced"
+                    );
                 }
             }
+            assert_eq!(g.edge_count(), induced, "round {round}: stray edges");
+            let restricted: Vec<u32> = (old.order().iter())
+                .filter(|&&u| kept[u as usize])
+                .map(|&u| map[u as usize])
+                .collect();
+            assert_eq!(g.order(), restricted.as_slice(), "round {round}");
+            assert!(order_valid(&g), "round {round}: order broken");
         }
     }
 

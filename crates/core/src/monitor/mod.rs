@@ -226,7 +226,7 @@ impl FinishedFlags {
 /// The two per-node tables a compaction sweep works in — which nodes
 /// must survive, and the old→new numbering — for one graph at a time.
 /// The monitor keeps them between sweeps, so a sweep allocates nothing
-/// however many graphs it condenses.
+/// however many graphs it cuts down.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct NodeMaps {
     kept: Vec<bool>,
@@ -438,11 +438,11 @@ impl ProjGraph {
     }
 
     /// Committed-prefix compaction of one projection and the journal
-    /// that retracts it. Nodes a retained journal entry mentions must
-    /// survive the condensation (the entry has to stay replayable in
-    /// LIFO order) and are renamed afterwards; each entry's tape words
-    /// end with its graph frame, and `renumber` adjusts whatever the
-    /// record itself names.
+    /// that retracts it ([`ProjGraph::condense`] says what stays and
+    /// why). Nodes a retained journal entry mentions are marked to
+    /// stay and renamed afterwards; each entry's tape words end with
+    /// its graph frame, and `renumber` adjusts whatever the record
+    /// itself names.
     fn compact<D>(
         &mut self,
         log: &mut UndoLog<D>,
@@ -461,31 +461,40 @@ impl ProjGraph {
         });
     }
 
-    /// The condensation itself, in the graph's own storage. The
-    /// `s_cut` summarized transaction slots occupy the
-    /// node-id prefix (node ids follow first-access order, and every
-    /// summarized access precedes every survivor access in the
-    /// schedule); their nodes are dropped except the **boundary
-    /// facts** — each item's last writer and readers-since-last-write
-    /// — plus any node a retained undo entry references (the caller
-    /// has marked those in `kept`), with reachability among all kept
-    /// nodes condensed exactly
-    /// ([`IncrementalDag::retain_condensed`]). Kept summarized nodes
-    /// lose their slot (they are pure summary — `ABSENT` in
-    /// `slot_of_node`, skipped by [`ProjGraph::order`]); survivor slots
-    /// shift down by `s_cut`. Fills `map` with the old→new node
-    /// numbering (`ABSENT` = dropped) so undo entries can be renamed.
+    /// The sweep of the graph itself, in its own storage: the graph
+    /// keeps its subgraph *induced* by the surviving transactions'
+    /// nodes plus the nodes a retained undo frame names (the caller has
+    /// marked those in `kept`), through
+    /// [`IncrementalDag::retain_induced`]. The `s_cut` summarized slots
+    /// occupy the node-id prefix (node ids follow first-access order),
+    /// so the renumbering is monotone. Survivor slots shift down by
+    /// `s_cut`; a kept summarized node loses its slot (`ABSENT` in
+    /// `slot_of_node`, skipped by [`ProjGraph::order`]). An item whose
+    /// last writer was dropped holds `ABSENT`, and its reader list
+    /// loses its dropped members, the rest keeping their order. Fills
+    /// `map` with the old→new node numbering (`ABSENT` = dropped) so
+    /// undo entries can be renamed.
     ///
-    /// Verdict parity: `admits`/`apply` consult only `last_writer`,
-    /// `readers` and reachability between their nodes — all preserved
-    /// exactly — and `cyclic_at` is an absolute position, so every
-    /// future verdict equals the uncompacted twin's.
+    /// **Why that is all a later cycle can use.** The frontier never
+    /// splits a transaction, so every summarized operation comes before
+    /// every surviving one. A conflict edge points from the earlier
+    /// access to the later one, so edges between the two sides only go
+    /// from a summarized node to a survivor. Therefore no surviving or
+    /// future transaction reaches a summarized node, and no cycle
+    /// closed later passes through one: `admits`/`apply` ask only
+    /// whether the accessing node reaches one of the edge sources, so
+    /// a dropped source, and every edge out of it, changes no answer,
+    /// and `cyclic_at` is an absolute position — every future verdict
+    /// equals the uncompacted twin's. The nodes a retained frame names
+    /// stay so that LIFO undo finds the edges the frame inserted. The
+    /// maintained order restricted to the kept nodes is still a valid
+    /// serialization order of the live tail, not necessarily the one a
+    /// fresh rebuild would choose.
     fn condense(&mut self, s_cut: usize, kept: &mut [bool], map: &mut [u32]) {
         debug_assert_eq!(kept.len(), self.dag.len());
-        // The to-be-summarized prefix: slot-less summary nodes from
-        // earlier compactions (kept back then only for boundary facts
-        // or undo references — re-evaluated below, so stale ones are
-        // finally dropped) plus the nodes of slots `0..s_cut`.
+        // The to-be-summarized prefix: slot-less nodes kept by earlier
+        // compactions for undo frames (re-evaluated here, so stale ones
+        // are finally dropped) plus the nodes of slots `0..s_cut`.
         let b = self
             .slot_of_node
             .iter()
@@ -497,17 +506,7 @@ impl ProjGraph {
         for k in kept.iter_mut().skip(b) {
             *k = true; // survivors always stay
         }
-        for &w in &self.last_writer {
-            if w != ABSENT {
-                kept[w as usize] = true;
-            }
-        }
-        for rs in &self.readers {
-            for &r in rs {
-                kept[r as usize] = true;
-            }
-        }
-        self.dag.retain_condensed_into(kept, map);
+        self.dag.retain_induced(kept, map);
         // `map` is monotone, so a kept node's new row never lies
         // beyond its old one: the table can be rewritten front to back.
         for (old, &new) in map.iter().enumerate() {
@@ -530,11 +529,16 @@ impl ProjGraph {
         };
         self.node_of_slot.iter_mut().for_each(renumber);
         self.last_writer.iter_mut().for_each(renumber);
-        self.readers.iter_mut().flatten().for_each(renumber);
+        for rs in &mut self.readers {
+            rs.retain_mut(|r| {
+                *r = map[*r as usize];
+                *r != ABSENT
+            });
+        }
     }
 
     /// Bytes of the graph, the slot↔node tables and the per-item
-    /// boundary facts.
+    /// last writers and reader lists.
     fn resident_bytes(&self) -> usize {
         use std::mem::size_of;
         self.dag.resident_bytes()
@@ -1057,14 +1061,13 @@ impl OnlineMonitor {
     }
 
     /// **Committed-prefix compaction**: collapse the prefix below
-    /// [`OnlineMonitor::compaction_frontier`] into a summary —
-    /// per-item last-writer/last-reader boundary facts plus the
-    /// condensed reachability of each conflict graph — reclaiming
-    /// schedule segments, graph nodes, Pearce–Kelly order slots,
-    /// delayed-read rows and §2.2 totals. Every structure is cut down
-    /// in its own storage, and the tables the sweep works in are the
-    /// monitor's own: its allocations do not grow with the prefix or
-    /// with the number of conjuncts.
+    /// [`OnlineMonitor::compaction_frontier`] — each conflict graph
+    /// keeps only what a later cycle can use (`ProjGraph::condense`
+    /// states the lemma) — reclaiming schedule segments, graph nodes,
+    /// Pearce–Kelly order slots, delayed-read rows and §2.2 totals.
+    /// Every structure is cut down in its own storage, and the tables
+    /// the sweep works in are the monitor's own: its allocations do not
+    /// grow with the prefix or with the number of conjuncts.
     ///
     /// Every verdict, certificate and admission decision after the
     /// call is byte-identical to an uncompacted twin's (pinned by the
@@ -1671,6 +1674,59 @@ mod tests {
         assert_eq!(m.verdict(), twin.verdict());
         assert_eq!(m.compactions(), 2);
         assert_eq!(m.ops_reclaimed(), 8);
+    }
+
+    /// Does every node of `g` belong to a live slot or appear in a
+    /// frame `log` retains?
+    fn nodes_live_or_named<D: Clone>(g: &ProjGraph, log: &UndoLog<D>) -> bool {
+        let mut named = vec![false; g.dag.len()];
+        log.clone()
+            .walk_back(|_, cursor| GraphDelta::visit_nodes(cursor, |n| named[*n as usize] = true));
+        (0..g.dag.len()).all(|n| g.slot_of_node[n] != ABSENT || named[n])
+    }
+
+    /// The lemma at `ProjGraph::condense`, by counts. A stream over
+    /// four conjuncts, with a cross-conjunct read per round and a fresh
+    /// unscoped item per transaction, is swept 64 times, each time with
+    /// one transaction left running. After every sweep each node of
+    /// every graph is a survivor's or named by a retained undo frame,
+    /// and the global graph stays within that bound instead of growing
+    /// with the items touched.
+    #[test]
+    fn a_sweep_keeps_only_survivors_and_undo_named_nodes() {
+        let scopes: Vec<ItemSet> = (0..4u32)
+            .map(|k| (4 * k..4 * k + 4).map(ItemId).collect())
+            .collect();
+        let mut m = OnlineMonitor::new(scopes);
+        let mut t = 0u32;
+        let mut running: Option<TxnId> = None;
+        for round in 0..64u32 {
+            for j in 0..8u32 {
+                t += 1;
+                let k = j % 4;
+                let home = 4 * k + round % 4;
+                let mut ops = Vec::new();
+                if j == 0 {
+                    ops.push(rd(t, 4 * ((k + 1) % 4), 0));
+                }
+                ops.extend([rd(t, home, 0), wr(t, home, t as i64), wr(t, 100 + t, 0)]);
+                m.push_batch_logged(&ops).unwrap();
+                if j < 7 {
+                    m.finish_txn(TxnId(t));
+                }
+            }
+            if let Some(prev) = running.replace(TxnId(t)) {
+                m.finish_txn(prev);
+            }
+            m.checkpoint(m.first_op_of(TxnId(t)).unwrap().0);
+            assert!(m.compact().txns_summarized >= 7, "round {round}");
+            assert!(nodes_live_or_named(&m.global.graph, &m.global.log));
+            for c in &m.conjuncts {
+                assert!(nodes_live_or_named(&c.graph, &c.log), "round {round}");
+            }
+            let nodes = m.global.graph.dag.len();
+            assert!(nodes <= 8, "round {round}: {nodes} global nodes");
+        }
     }
 
     #[test]

@@ -1088,14 +1088,14 @@ impl ShardedMonitor {
     }
 
     /// **Committed-prefix compaction**, sharded: collapse the prefix
-    /// below [`ShardedMonitor::compaction_frontier`] into a summary —
-    /// per-item last-writer/last-reader boundary facts plus the
-    /// condensed reachability of the global and per-conjunct conflict
-    /// graphs — reclaiming schedule segments, graph nodes,
-    /// Pearce–Kelly order slots, delayed-read rows and the summarized
-    /// transactions' §2.2 totals. Every graph is condensed in its own
-    /// storage through one pair of node tables the monitor keeps, so a
-    /// sweep's allocations do not grow with the number of shards.
+    /// below [`ShardedMonitor::compaction_frontier`] — the global and
+    /// per-conjunct conflict graphs keep only what a later cycle can use
+    /// (`ProjGraph::condense` states the lemma) — reclaiming schedule
+    /// segments, graph nodes, Pearce–Kelly order slots, delayed-read
+    /// rows and the summarized transactions' §2.2 totals. Every graph
+    /// is cut down in its own storage through one pair of node tables
+    /// the monitor keeps, so a sweep's allocations do not grow with the
+    /// number of shards.
     ///
     /// Quiesces the pipeline for the duration (sequence mutex held,
     /// in-flight pushes drained), then walks the stages in lock-rank
@@ -1113,7 +1113,7 @@ impl ShardedMonitor {
         self.drain(&s);
         self.totals.apply_finished(&mut s.state);
         s.state.compact(|s_cut, maps, summarized| {
-            // Every graph is condensed in its own storage, through the
+            // Every graph is cut down in its own storage, through the
             // one pair of node tables this lock guards: global stage
             // first, then the conjunct shards in ascending rank.
             self.gstate.write().compact(s_cut, maps);
@@ -1361,6 +1361,16 @@ impl ShardedMonitor {
     /// Does the Lemma 6 certificate hold for conjunct `k`?
     pub fn lemma6_holds(&self, k: usize) -> bool {
         self.lemma2_holds(k) && self.gstate.read().lemma6_clean(k)
+    }
+
+    /// The maintained serialization order of conjunct `k`'s projection,
+    /// or `None` once it is non-serializable — as
+    /// [`OnlineMonitor::conjunct_order`](super::OnlineMonitor::conjunct_order),
+    /// and exact at quiescence.
+    pub fn conjunct_order(&self, k: usize) -> Option<Vec<TxnId>> {
+        let s = self.seq.lock();
+        let shard = self.shards[k].state.read();
+        shard.graph.order(s.state.schedule.txn_ids())
     }
 
     /// A snapshot of the certified interleaving so far.

@@ -535,9 +535,9 @@ impl GlobalState {
         self.log.checkpoint(floor);
     }
 
-    /// Drop the first `s_cut` (summarized) slots: condense the global
-    /// graph, shift the slots retained journal entries name, recycle
-    /// the delayed-read rows.
+    /// Drop the first `s_cut` (summarized) slots: cut the global graph
+    /// down (`ProjGraph::condense`), shift the slots retained journal
+    /// entries name, recycle the delayed-read rows.
     pub(super) fn compact(&mut self, s_cut: usize, maps: &mut NodeMaps) {
         self.graph.compact(&mut self.log, s_cut, maps, |delta| {
             delta.shift_slots(s_cut as u32)

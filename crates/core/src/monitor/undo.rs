@@ -218,9 +218,9 @@ impl GraphDelta {
     /// endpoints, drained readers and the displaced writer (the
     /// `u32::MAX` "no previous writer" sentinel is skipped).
     /// Committed-prefix compaction calls this twice per retained
-    /// frame: once to mark the nodes that must survive the
-    /// condensation (a retained entry has to stay replayable in LIFO
-    /// order), once to renumber them.
+    /// frame: once to mark the nodes that must survive the sweep (a
+    /// retained entry has to stay replayable in LIFO order), once to
+    /// renumber them.
     pub(crate) fn visit_nodes(cursor: &mut TapeCursor<'_>, mut visit: impl FnMut(&mut u32)) {
         let _flags = cursor.pop();
         let n_edges = cursor.pop() as usize;

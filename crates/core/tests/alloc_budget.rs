@@ -268,7 +268,8 @@ fn truncating_an_admitted_suffix_allocates_nothing() {
     }
 }
 
-/// A compaction sweep condenses every graph in its own storage and
+/// A compaction sweep cuts every graph down to what a later cycle can
+/// use (the lemma at `ProjGraph::condense`) in its own storage and
 /// works in tables the monitor keeps, so what it asks of the allocator
 /// does not grow with the number of shards it walks: once the buffers
 /// have reached their working size, a sweep over 64 shards makes a

@@ -66,6 +66,22 @@ pub fn interleave_random(txns: &[Transaction], mix: &[u8]) -> Vec<Operation> {
     ops
 }
 
+/// Does `order` put the earlier transaction of every conflicting pair
+/// of `ops` on an item of `scope` first? A transaction the order leaves
+/// out fails the check.
+pub fn order_respects_conflicts(ops: &[Operation], scope: &ItemSet, order: &[TxnId]) -> bool {
+    let pos = |t: TxnId| order.iter().position(|&x| x == t);
+    ops.iter().enumerate().all(|(i, a)| {
+        ops[i + 1..].iter().all(|b| {
+            let conflict = a.txn != b.txn
+                && a.item == b.item
+                && scope.contains(a.item)
+                && (a.is_write() || b.is_write());
+            !conflict || matches!((pos(a.txn), pos(b.txn)), (Some(x), Some(y)) if x < y)
+        })
+    })
+}
+
 /// Two scopes carved out of the item universe by a bitmask (items
 /// whose bit is unset fall outside every scope).
 pub fn scopes_from_bits(d1_bits: u32, d2_bits: u32) -> Vec<ItemSet> {

@@ -10,7 +10,9 @@
 
 mod common;
 
-use common::{arb_transactions, interleave_random, scopes_from_bits, MAX_ITEMS};
+use common::{
+    arb_transactions, interleave_random, order_respects_conflicts, scopes_from_bits, MAX_ITEMS,
+};
 use proptest::prelude::*;
 use pwsr_core::dr::is_delayed_read;
 use pwsr_core::ids::{ItemId, TxnId};
@@ -175,6 +177,26 @@ proptest! {
                         twin.checkpoint(floor);
                     }
                     compacting.compact();
+                    // The orders a sweep leaves are still serialization
+                    // orders of the live tail, and the certificates the
+                    // monitor still grants hold there under them. (Not
+                    // `certify_prefix`'s equality: a dirty read in the
+                    // summarized prefix withdrew Lemma 6 for good, which
+                    // the tail alone cannot show.)
+                    let tail = compacting.schedule();
+                    for (k, d) in scopes.iter().enumerate() {
+                        if let Some(order) = compacting.conjunct_order(k) {
+                            prop_assert!(
+                                order_respects_conflicts(tail.ops(), d, &order),
+                                "conjunct {} order {:?} after a sweep", k, order
+                            );
+                            prop_assert!(inclusion_holds_everywhere(tail, d, &order, false));
+                            prop_assert!(
+                                !compacting.lemma6_holds(k)
+                                    || inclusion_holds_everywhere(tail, d, &order, true)
+                            );
+                        }
+                    }
                 }
             }
             // Probes agree after every push/compaction — except that a

@@ -20,7 +20,9 @@
 
 mod common;
 
-use common::{arb_transactions, interleave_random, scopes_from_bits, MAX_ITEMS};
+use common::{
+    arb_transactions, interleave_random, order_respects_conflicts, scopes_from_bits, MAX_ITEMS,
+};
 use proptest::prelude::*;
 use pwsr_core::dr::is_delayed_read;
 use pwsr_core::ids::{ItemId, TxnId};
@@ -271,6 +273,17 @@ proptest! {
                 completed += 1;
                 if completed.is_multiple_of(stride) {
                     compacting.compact();
+                    // The orders a sweep leaves are still serialization
+                    // orders of the live tail.
+                    let tail = compacting.snapshot_schedule();
+                    for (k, d) in scopes.iter().enumerate() {
+                        if let Some(order) = compacting.conjunct_order(k) {
+                            prop_assert!(
+                                order_respects_conflicts(tail.ops(), d, &order),
+                                "conjunct {} order {:?} after a sweep", k, order
+                            );
+                        }
+                    }
                 }
             }
         }

@@ -56,35 +56,37 @@ use pwsr_tplang::analysis::rw_footprint;
 use pwsr_tplang::ast::Program;
 use pwsr_tplang::interp::{run_with_reads, RunOutcome};
 use pwsr_tplang::session::{Pending, ProgramSession};
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeSet, HashMap};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 /// The pool both threaded executors run on: `workers` scoped threads
 /// claim the transaction indices `0..n` from one shared counter and
-/// run `work` on each. A worker counts into a [`Metrics`] of its own —
-/// nothing shared, so counting costs no atomic and moves no cache line
+/// run `work(worker, index, metrics)` on each, `worker` numbering the
+/// thread in `0..workers`. A worker counts into a [`Metrics`] of its
+/// own — nothing shared, so counting costs no atomic and moves no cache line
 /// between cores — and the pool sums them at the join. A worker that
 /// panics outside what `work` contains surfaces as
 /// [`SchedError::Stalled`].
 fn run_pool(
     n: usize,
     workers: usize,
-    work: impl Fn(usize, &mut Metrics) -> Result<()> + Sync,
+    work: impl Fn(usize, usize, &mut Metrics) -> Result<()> + Sync,
 ) -> Result<Metrics> {
     let next = AtomicUsize::new(0);
     std::thread::scope(|scope| {
         let mut handles = Vec::new();
-        for _ in 0..workers.min(n) {
-            handles.push(scope.spawn(|| -> Result<Metrics> {
+        for w in 0..workers.min(n) {
+            let (next, work) = (&next, &work);
+            handles.push(scope.spawn(move || -> Result<Metrics> {
                 let mut metrics = Metrics::default();
                 loop {
                     let k = next.fetch_add(1, Ordering::Relaxed);
                     if k >= n {
                         return Ok(metrics);
                     }
-                    work(k, &mut metrics)?;
+                    work(w, k, &mut metrics)?;
                 }
             }));
         }
@@ -99,30 +101,46 @@ fn run_pool(
 /// The end of a committed transaction, shared by both threaded
 /// executors: declare it finished (monitored transactions only — a
 /// certified one never reaches the monitor, so it cannot pin the
-/// frontier), drop it from `live`, and on the
-/// `MonitorSpec::compact_every` cadence checkpoint past every live
-/// transaction, then compact. A commit is final on both paths — 2PL
-/// admits no aborts, and a committed optimistic transaction is never
-/// resurrected — so the frontier may advance over it. The optimistic
-/// monitor is *logged* (aborts retract), so its frontier is gated by
-/// the undo-log floor the checkpoint raises; `live` starts as the whole
-/// workload — a transaction not yet claimed is conservatively live, so
-/// its future pushes always land above any floor computed meanwhile.
-/// On the 2PL path's unlogged monitor the checkpoint is a no-op.
+/// frontier), and on the `MonitorSpec::compact_every` cadence
+/// checkpoint past every running transaction, then compact. A commit
+/// is final on both paths — 2PL admits no aborts, and a committed
+/// optimistic transaction is never resurrected — so the frontier may
+/// advance over it.
+///
+/// The optimistic monitor is *logged* (aborts retract), so its
+/// frontier is gated by the undo-log floor the checkpoint raises. Each
+/// of its workers owns one slot in `running`: it stores the
+/// transaction it claims there before the first push and clears it
+/// when the transaction commits or dies. The checkpoint reads the
+/// slots lazily, once it holds the sequence lock with the pipeline
+/// drained, so every transaction holding a position is named, and a
+/// push that comes later lands above the new floor. The 2PL path's
+/// monitor is unlogged: it has no slots, and its checkpoint is a no-op.
+/// Without a cadence nothing reads the slots, so there are none.
 struct CommitStep<'a> {
     monitor: &'a ShardedMonitor,
-    live: Mutex<HashSet<TxnId>>,
+    /// Per optimistic worker: the id of the transaction it runs, `0`
+    /// when none.
+    running: Vec<AtomicU32>,
     every: u64,
     commits: AtomicU64,
 }
 
 impl<'a> CommitStep<'a> {
-    fn new(monitor: &'a ShardedMonitor, n: usize, every: u64) -> CommitStep<'a> {
+    fn new(monitor: &'a ShardedMonitor, slots: usize, every: u64) -> CommitStep<'a> {
+        let slots = if every > 0 { slots } else { 0 };
         CommitStep {
             monitor,
-            live: Mutex::new((1..=n as u32).map(TxnId).collect()),
+            running: (0..slots).map(|_| AtomicU32::new(0)).collect(),
             every,
             commits: AtomicU64::new(0),
+        }
+    }
+
+    /// Worker `w` now runs `txn` (`None`: nothing).
+    fn run(&self, w: usize, txn: Option<TxnId>) {
+        if let Some(slot) = self.running.get(w) {
+            slot.store(txn.map_or(0, |t| t.0), Ordering::Release);
         }
     }
 
@@ -130,12 +148,14 @@ impl<'a> CommitStep<'a> {
         if monitored {
             self.monitor.finish_txn(txn);
         }
-        self.live.lock().remove(&txn);
         if self.every > 0 {
             let n = self.commits.fetch_add(1, Ordering::Relaxed) + 1;
             if n.is_multiple_of(self.every) {
-                let live: Vec<TxnId> = self.live.lock().iter().copied().collect();
-                self.monitor.checkpoint(live);
+                let running = (self.running.iter())
+                    .map(|slot| slot.load(Ordering::Acquire))
+                    .filter(|&t| t != 0)
+                    .map(TxnId);
+                self.monitor.checkpoint(running);
                 self.monitor.compact();
             }
         }
@@ -201,13 +221,9 @@ pub fn run_threaded_certified(
     // Side trace for statically-certified transactions: a plain mutex
     // push, no graph maintenance, no pipeline stages.
     let side: Mutex<Vec<Operation>> = Mutex::new(Vec::new());
-    let commit = CommitStep::new(
-        &monitor,
-        programs.len(),
-        spec.map_or(0, |s| s.compact_every),
-    );
+    let commit = CommitStep::new(&monitor, 0, spec.map_or(0, |s| s.compact_every));
 
-    run_pool(programs.len(), programs.len(), |k, _| {
+    run_pool(programs.len(), programs.len(), |_, k, _| {
         let txn = TxnId(k as u32 + 1);
         let fast = certificate.is_some_and(|c| c.covers(txn));
         let guards: Vec<_> = spaces[k]
@@ -563,10 +579,12 @@ pub fn run_threaded_occ_tuned(
         deadline: (tuning.txn_deadline_us > 0)
             .then(|| Duration::from_micros(tuning.txn_deadline_us)),
     };
-    let commit = CommitStep::new(&monitor, programs.len(), spec.compact_every);
+    let workers = threads.max(1);
+    let commit = CommitStep::new(&monitor, workers, spec.compact_every);
 
-    let counts = run_pool(programs.len(), threads.max(1), |k, m| {
+    let counts = run_pool(programs.len(), workers, |w, k, m| {
         let txn = TxnId(k as u32 + 1);
+        commit.run(w, Some(txn));
         // Compiled once, here; every retry runs a fresh machine over
         // the same code.
         let mut session = ProgramSession::new(&programs[k], catalog, txn);
@@ -574,6 +592,7 @@ pub fn run_threaded_occ_tuned(
         loop {
             match occ_attempt(&ctx, &mut session, m)? {
                 AttemptEnd::Committed => {
+                    commit.run(w, None);
                     commit.commit(txn, ctx.fast_of(txn).is_none());
                     return Ok(());
                 }
@@ -594,12 +613,12 @@ pub fn run_threaded_occ_tuned(
                 AttemptEnd::Died => {
                     // Contained worker panic: the transaction's suffix
                     // is retracted and its writes rolled back — it is
-                    // gone for good, never retried. Removing it from
-                    // `live` lets the compaction frontier advance past
-                    // its (absent) operations; deliberately no
-                    // abort/retry counting (nothing will re-run),
-                    // preserving `aborts == retries` for the survivors.
-                    commit.live.lock().remove(&txn);
+                    // gone for good, never retried. Clearing its slot
+                    // lets the compaction frontier advance past its
+                    // (absent) operations; deliberately no abort/retry
+                    // counting (nothing will re-run), preserving
+                    // `aborts == retries` for the survivors.
+                    commit.run(w, None);
                     return Ok(());
                 }
             }

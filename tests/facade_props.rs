@@ -6,6 +6,7 @@ use proptest::prelude::*;
 use pwsr::core::monitor::AdmissionLevel;
 use pwsr::core::solver::Solver;
 use pwsr::core::strong::check_strong_correctness;
+use pwsr::durability::fault::{ExecFault, FaultPlan};
 use pwsr::durability::recover::recover;
 use pwsr::durability::wal::{scan, SharedWal, SyncPolicy, WalRecord};
 use pwsr::gen::workloads::{random_workload, WorkloadConfig};
@@ -150,5 +151,76 @@ proptest! {
         prop_assert!(out.verdict.meets(AdmissionLevel::PwsrDr));
         let solver = Solver::new(&w.catalog, &w.ic);
         prop_assert!(check_strong_correctness(&out.schedule, &solver, &w.initial).ok());
+    }
+}
+
+/// The threaded optimistic executor checkpoints past the transactions
+/// its workers are running, and no others. At `compact_every` 1 every
+/// commit raises the floor and sweeps; a stall after the first access
+/// of every other transaction lets those sweeps land between a claim
+/// and the transaction's first push, or just after it. On a hot input
+/// (one conjunct over two items, so aborts are common) over 200 runs, no
+/// retraction reaches below the floor — it would panic in a worker —
+/// and the committed schedule, rebuilt from the WAL because the monitor
+/// keeps only its live tail, passes the oracles of
+/// `threaded_occ_at_pwsr_dr_is_strongly_correct`.
+#[test]
+fn threaded_occ_checkpoints_name_running_transactions_only() {
+    let cfg = WorkloadConfig {
+        conjuncts: 1,
+        items_per_conjunct: 2,
+        n_background: 6,
+        cross_read_prob: 0.5,
+        fixed_only: false,
+        gadgets: 0,
+        domain_width: 40,
+    };
+    for seed in 0..200u64 {
+        let w = random_workload(&mut StdRng::seed_from_u64(seed), &cfg);
+        let wal = SharedWal::in_memory(SyncPolicy::Off);
+        let spec = MonitorSpec {
+            wal: Some(wal.clone()),
+            compact_every: 1,
+            ..MonitorSpec::new(w.ic.scopes(), AdmissionLevel::PwsrDr)
+        };
+        let plan = (1..=w.programs.len() as u32)
+            .step_by(2)
+            .fold(FaultPlan::new(), |plan, txn| {
+                plan.on_access(txn, 0, ExecFault::Stall { ms: 1 })
+            });
+        let tuning = OccTuning {
+            faults: Some(plan.share()),
+            ..OccTuning::default()
+        };
+        let out = run_threaded_occ_tuned(
+            &w.programs,
+            &w.catalog,
+            &w.initial,
+            &spec,
+            2,
+            10_000,
+            &tuning,
+        )
+        .unwrap();
+        assert_eq!(out.metrics.worker_panics, 0, "seed {seed}");
+        assert!(out.verdict.meets(AdmissionLevel::PwsrDr), "seed {seed}");
+        let bytes = wal.dump_bytes().unwrap();
+        let committed = recover(w.ic.scopes(), None, &bytes).unwrap().monitor;
+        let committed = committed.schedule();
+        committed.check_read_coherence(&w.initial).unwrap();
+        assert_eq!(committed.apply(&w.initial), out.final_state, "seed {seed}");
+        for (k, program) in w.programs.iter().enumerate() {
+            let txn = TxnId(k as u32 + 1);
+            let mine = committed.transaction(txn);
+            assert!(
+                replay_matches(program, &w.catalog, txn, mine.ops()),
+                "seed {seed}: {txn}"
+            );
+        }
+        let solver = Solver::new(&w.catalog, &w.ic);
+        assert!(
+            check_strong_correctness(committed, &solver, &w.initial).ok(),
+            "seed {seed}"
+        );
     }
 }
