@@ -12,7 +12,6 @@
 use crate::constraint::IntegrityConstraint;
 use crate::graph::{DiGraph, IncrementalDag};
 use crate::ids::{ConjunctId, OpIndex};
-use crate::monitor::undo::Tape;
 use crate::schedule::Schedule;
 use crate::state::ItemSet;
 
@@ -109,16 +108,20 @@ pub fn data_access_graph(schedule: &Schedule, ic: &IntegrityConstraint) -> DataA
     DataAccessGraph { graph }
 }
 
-/// `DAG(S, IC)` maintained **incrementally**, one access at a time.
+/// `DAG(S, IC)` maintained **incrementally**, one access at a time —
+/// the structure behind the seeded runner's Theorem-3 guard
+/// (`DagGuard` in `pwsr_scheduler`), its only user. Batch
+/// [`classify`](crate::theorems::classify) decides the same hypothesis
+/// over [`data_access_graph`]; the monitors keep no copy of it.
 ///
-/// Nodes are `l` fixed *units* (conjuncts here; the scheduler reuses
-/// this with guarded lock spaces as units). Per accessing entity
-/// (transaction slot) the unit read/write sets are kept as bitsets;
-/// a new access adds exactly the §3.3 edges it induces — read of unit
-/// `i` by an entity that writes units `J` adds `i → j` for `j ∈ J`,
-/// write of `j` by an entity that reads `I` adds `i → j` for `i ∈ I`
-/// — into an [`IncrementalDag`], so Theorem 3's hypothesis is decided
-/// per access instead of by an `O(n)` rebuild from the trace.
+/// Nodes are `l` fixed *units* (the guard's lock spaces, one per
+/// conjunct). Per accessing entity (transaction slot) the unit
+/// read/write sets are kept as bitsets; a new access adds exactly the
+/// §3.3 edges it induces — read of unit `i` by an entity that writes
+/// units `J` adds `i → j` for `j ∈ J`, write of `j` by an entity that
+/// reads `I` adds `i → j` for `i ∈ I` — into an [`IncrementalDag`], so
+/// Theorem 3's hypothesis is decided per access instead of by an
+/// `O(n)` rebuild from the trace.
 ///
 /// Two modes share the structure:
 ///
@@ -128,8 +131,7 @@ pub fn data_access_graph(schedule: &Schedule, ic: &IntegrityConstraint) -> DataA
 ///   forward execution) and pins [`OnlineAccessDag::first_cycle`];
 /// * **preventive** ([`OnlineAccessDag::admits`]): a probe inserts
 ///   the candidate edges and retracts them LIFO, deciding whether the
-///   access would keep the graph acyclic without committing it — the
-///   scheduler's runtime Theorem-3 guard.
+///   access would keep the graph acyclic without committing it.
 #[derive(Clone, Debug, Default)]
 pub struct OnlineAccessDag {
     dag: IncrementalDag,
@@ -179,11 +181,6 @@ impl OnlineAccessDag {
         }
     }
 
-    /// Number of units.
-    pub fn units(&self) -> usize {
-        self.dag.len()
-    }
-
     /// Is the maintained graph still acyclic?
     pub fn is_acyclic(&self) -> bool {
         self.cyclic_at.is_none()
@@ -194,31 +191,10 @@ impl OnlineAccessDag {
         self.cyclic_at
     }
 
-    /// A topological order of the units while acyclic (Theorem 3's
-    /// induction order), `None` once cyclic.
-    pub fn unit_order(&self) -> Option<Vec<ConjunctId>> {
-        self.is_acyclic()
-            .then(|| self.dag.order().iter().map(|&u| ConjunctId(u)).collect())
-    }
-
     /// Drop all recorded accesses (the scheduler's DAG guard, told of
     /// an abort, folds the surviving trace in again from its start).
     pub fn clear(&mut self) {
-        *self = OnlineAccessDag::new(self.units());
-    }
-
-    /// Drop the per-entity unit-access rows of the first `s_cut`
-    /// (summarized) transaction slots, shifting surviving entities
-    /// down to match a compacted schedule's slot numbering. The unit
-    /// DAG and its edges are untouched: §3.3 edges are facts of the
-    /// permanent prefix and `DAG(S, IC)` cyclicity is monotone, so
-    /// `admits`/`record` decisions for surviving entities are
-    /// unchanged — a summarized transaction is finished and can never
-    /// access again, so its rows can no longer induce new edges.
-    pub fn compact_entities(&mut self, s_cut: usize) {
-        let cut = s_cut.min(self.rs.len());
-        self.rs.drain(..cut);
-        self.ws.drain(..cut.min(self.ws.len()));
+        *self = OnlineAccessDag::new(self.dag.len());
     }
 
     fn grow(&mut self, entity: usize) {
@@ -258,96 +234,24 @@ impl OnlineAccessDag {
     /// `tag` as the witness. Returns whether the graph is still
     /// acyclic afterwards.
     pub fn record(&mut self, entity: usize, unit: u32, is_write: bool, tag: OpIndex) -> bool {
-        self.record_inner(entity, unit, is_write, tag, None);
-        self.is_acyclic()
-    }
-
-    /// [`OnlineAccessDag::record`] journaling exactly what it applied
-    /// as one frame on `tape`, for LIFO retraction by
-    /// [`OnlineAccessDag::undo`]: the unit edges freshly inserted, in
-    /// insertion order (two words each), then one trailer word —
-    /// `edges << 2 | froze << 1 | fresh_bit`, where `fresh_bit` says
-    /// the entity's read- or write-unit bit was newly set and `froze`
-    /// that this access closed the first cycle. An access to a frozen
-    /// graph applies nothing and writes the trailer `0`.
-    pub fn record_logged(
-        &mut self,
-        entity: usize,
-        unit: u32,
-        is_write: bool,
-        tag: OpIndex,
-        tape: &mut Tape,
-    ) {
-        self.record_inner(entity, unit, is_write, tag, Some(tape));
-    }
-
-    fn record_inner(
-        &mut self,
-        entity: usize,
-        unit: u32,
-        is_write: bool,
-        tag: OpIndex,
-        mut tape: Option<&mut Tape>,
-    ) {
-        let mut trailer = 0u32;
-        if self.cyclic_at.is_none() {
+        if self.cyclic_at.is_some() {
             // Cyclicity is monotone: a frozen graph records nothing.
-            for (u, v) in induced_edges(&self.rs, &self.ws, entity, unit, is_write) {
-                match self.dag.insert_edge(u, v) {
-                    Ok(true) => {
-                        if let Some(tape) = tape.as_deref_mut() {
-                            tape.push(u);
-                            tape.push(v);
-                            trailer += 1 << 2;
-                        }
-                    }
-                    Ok(false) => {}
-                    Err(_) => {
-                        self.cyclic_at = Some(tag);
-                        trailer |= 2;
-                        break;
-                    }
-                }
+            return false;
+        }
+        for (u, v) in induced_edges(&self.rs, &self.ws, entity, unit, is_write) {
+            if self.dag.insert_edge(u, v).is_err() {
+                self.cyclic_at = Some(tag);
+                break;
             }
-            self.grow(entity);
-            let set = if is_write {
-                &mut self.ws[entity]
-            } else {
-                &mut self.rs[entity]
-            };
-            trailer |= u32::from(set.insert(crate::ids::ItemId(unit)));
         }
-        if let Some(tape) = tape {
-            tape.push(trailer);
-        }
-    }
-
-    /// Retract one recorded access by consuming its frame from the end
-    /// of `tape`. Sound only in LIFO (journal) order relative to other
-    /// `record_logged` calls.
-    pub fn undo(&mut self, entity: usize, unit: u32, is_write: bool, tape: &mut Tape) {
-        let trailer = tape.pop();
-        if trailer & 2 != 0 {
-            self.cyclic_at = None;
-        }
-        for _ in 0..trailer >> 2 {
-            let v = tape.pop();
-            let u = tape.pop();
-            self.dag.remove_edge(u, v);
-        }
-        if trailer & 1 != 0 {
-            let set = if is_write {
-                &mut self.ws[entity]
-            } else {
-                &mut self.rs[entity]
-            };
-            set.remove(crate::ids::ItemId(unit));
-        }
-    }
-
-    /// Bytes of the unit graph and the per-entity rows.
-    pub(crate) fn resident_bytes(&self) -> usize {
-        self.dag.resident_bytes() + ItemSet::rows_bytes(self.rs.iter().chain(&self.ws))
+        self.grow(entity);
+        let set = if is_write {
+            &mut self.ws[entity]
+        } else {
+            &mut self.rs[entity]
+        };
+        set.insert(crate::ids::ItemId(unit));
+        self.is_acyclic()
     }
 }
 
@@ -499,7 +403,6 @@ mod tests {
         let online = replay_online(&ops, &ic);
         assert!(!online.is_acyclic());
         assert_eq!(online.first_cycle(), Some(OpIndex(3)));
-        assert!(online.unit_order().is_none());
     }
 
     #[test]
@@ -515,27 +418,5 @@ mod tests {
         assert!(online.admits(1, 0, true));
         assert!(online.admits(2, 1, true));
         assert!(online.is_acyclic());
-    }
-
-    #[test]
-    fn online_access_dag_undo_roundtrip() {
-        let ic = example2_ic();
-        let mut online = OnlineAccessDag::new(ic.len());
-        online.record(0, 1, false, OpIndex(0)); // T1 reads C2
-        online.record(0, 0, true, OpIndex(1)); // T1 writes C1 → edge 1→0
-        let mut tape = Tape::default();
-        online.record_logged(1, 0, false, OpIndex(2), &mut tape); // T2 reads C1
-        online.record_logged(1, 1, true, OpIndex(3), &mut tape); // closes the cycle
-        assert!(!online.is_acyclic());
-        // LIFO retraction restores acyclicity and admissibility.
-        online.undo(1, 1, true, &mut tape);
-        online.undo(1, 0, false, &mut tape);
-        assert!(tape.is_empty());
-        assert!(online.is_acyclic());
-        assert!(online.admits(1, 0, false));
-        // Re-recording reproduces the cycle at the new tag.
-        online.record(1, 0, false, OpIndex(7));
-        online.record(1, 1, true, OpIndex(8));
-        assert_eq!(online.first_cycle(), Some(OpIndex(8)));
     }
 }

@@ -30,10 +30,9 @@
 //!   whose serializability / PWSR / delayed-read verdicts and Lemma 2/6
 //!   certificates are maintained incrementally per appended operation,
 //!   with admission-time rejection of verdict-breaking operations, an
-//!   undo-log for `O(ops undone)` abort re-sync, live Theorem 1/3
-//!   hypotheses, and a sharded concurrent variant
-//!   ([`monitor::sharded`]) that certifies under real OS-thread
-//!   parallelism.
+//!   undo-log for `O(ops undone)` abort re-sync, and a sharded
+//!   concurrent variant ([`monitor::sharded`]) that certifies under
+//!   real OS-thread parallelism.
 //!
 //! The crate is deliberately minimal — its only dependency is the
 //! workspace's vendored `parking_lot` stand-in (the sharded monitor's

@@ -82,22 +82,22 @@
 //!   hand, so a run is validated against a row of a plain vector (the
 //!   pipeline keeps the same rows in striped maps outside its
 //!   sequence lock);
-//! * the **Theorem 1/3 hypotheses live**
-//!   ([`OnlineMonitor::guarantees`]): fixed structure is a property of
-//!   the *programs* ([`ProgramTraits`], supplied once at
-//!   construction), scope disjointness is checked once at
-//!   construction, and `DAG(S, IC)` acyclicity rides an incremental
-//!   [`OnlineAccessDag`] instead of being rebuilt from the trace. The
-//!   access graph's probe inserts and retracts edges, so it wants one
-//!   writer; its undo frames ride a journal of the monitor's own, in
-//!   step with the stage journals;
 //! * **per-call logging**: [`OnlineMonitor::push_logged`] journals,
 //!   [`OnlineMonitor::push`] does not and thereby makes everything so
 //!   far permanent (a pipeline is built logged or unlogged);
 //! * a full [`Verdict`] after every operation, where the pipeline
 //!   returns a lock-free floor and causality flags.
 //!
+//! Its retraction state is the stage journals — the sequence journal,
+//! the global one and one per conjunct — with nothing beside them.
 //! Tickets and the atomic floor are the pipeline's; see [`sharded`].
+//!
+//! Neither driver decides Theorem 1 or 3. Batch
+//! [`classify`](crate::theorems::classify) does, over
+//! [`data_access_graph`](crate::dag::data_access_graph), and the seeded
+//! runner's Theorem-3 guard (`DagGuard` in `pwsr_scheduler`, over an
+//! [`OnlineAccessDag`](crate::dag::OnlineAccessDag)) enforces
+//! acyclicity per access.
 
 pub mod journal;
 pub mod sharded;
@@ -105,14 +105,12 @@ mod stages;
 pub mod undo;
 
 use crate::constraint::IntegrityConstraint;
-use crate::dag::OnlineAccessDag;
 use crate::error::Result;
 use crate::graph::IncrementalDag;
 use crate::ids::{ItemId, OpIndex, TxnId};
 use crate::op::Operation;
 use crate::schedule::Schedule;
 use crate::state::ItemSet;
-use crate::theorems::{Guarantee, ProgramTraits};
 use crate::viewset::inclusion_holds_everywhere;
 use journal::MonitorJournal;
 use stages::{GlobalState, SeqState, ShardState, TxnTotals};
@@ -734,10 +732,8 @@ pub struct CompactStats {
 ///
 /// The single-writer driver of the certifier in `stages`: it owns
 /// the three stage states directly and walks each admitted run through
-/// them operation by operation. Beside them it keeps what only a
-/// single writer maintains — the per-slot §2.2 totals, the live data
-/// access graph (Theorem 3) with the log its undo frames ride, and the
-/// static [`ProgramTraits`] (Theorem 1).
+/// them operation by operation. Beside them it keeps only the per-slot
+/// §2.2 totals; the stage journals are its whole retraction state.
 #[derive(Debug)]
 pub struct OnlineMonitor {
     /// The conjunct data sets `d_e` (projection scopes).
@@ -755,18 +751,6 @@ pub struct OnlineMonitor {
     /// Rows `totals` gave up (retraction, compaction), emptied and
     /// reused by the slots created next.
     spare_totals: Vec<TxnTotals>,
-    /// What is known about the generating programs (Theorem 1 input;
-    /// static, supplied at construction).
-    traits: ProgramTraits,
-    /// Are the scopes pairwise disjoint? Every theorem requires it;
-    /// checked once at construction — it never changes.
-    scopes_disjoint: bool,
-    /// `DAG(S, IC)` maintained live (Theorem 3's hypothesis).
-    access_dag: OnlineAccessDag,
-    /// One entry per logged push, in step with the stage journals: its
-    /// tape carries the push's data-access-graph frames, one per
-    /// conjunct containing the item, ascending.
-    dag_log: UndoLog<()>,
     /// Per operation of the run being admitted: its reads-from writer
     /// slot, as the sequence stage resolved it.
     rf_slots: Vec<Option<usize>>,
@@ -775,23 +759,9 @@ pub struct OnlineMonitor {
 }
 
 impl OnlineMonitor {
-    /// A monitor over explicit projection scopes, with nothing assumed
-    /// about the generating programs.
+    /// A monitor over explicit projection scopes.
     pub fn new(scopes: Vec<ItemSet>) -> OnlineMonitor {
-        OnlineMonitor::with_traits(scopes, ProgramTraits::unknown())
-    }
-
-    /// A monitor over explicit projection scopes, given what is known
-    /// about the generating programs (Theorem 1's hypothesis is a
-    /// property of programs, not schedules — it is prechecked here,
-    /// once, rather than per push). Scope disjointness — required by
-    /// every theorem — is also decided here: both inputs are static.
-    pub fn with_traits(scopes: Vec<ItemSet>, traits: ProgramTraits) -> OnlineMonitor {
         let n = scopes.len();
-        let scopes_disjoint = scopes
-            .iter()
-            .enumerate()
-            .all(|(i, a)| scopes[i + 1..].iter().all(|b| a.is_disjoint(b)));
         OnlineMonitor {
             scope_index: ScopeIndex::new(&scopes),
             scopes,
@@ -801,10 +771,6 @@ impl OnlineMonitor {
             first_violation: None,
             totals: Vec::new(),
             spare_totals: Vec::new(),
-            traits,
-            scopes_disjoint,
-            access_dag: OnlineAccessDag::new(n),
-            dag_log: UndoLog::new(0),
             rf_slots: Vec::new(),
             verdicts: Vec::new(),
         }
@@ -881,10 +847,10 @@ impl OnlineMonitor {
     /// The one admission path: validate the run against its
     /// transaction's totals, claim its segment (stage 1, which reports
     /// it to the journal — as one `appended_batch` when `framed`),
-    /// then take each operation through the global stage, the stage of
-    /// every conjunct containing its item, and the data access graph —
-    /// recording undo entries for all of it when `logged`. Returns the
-    /// verdict after each operation.
+    /// then take each operation through the global stage and the stage
+    /// of every conjunct containing its item — recording undo entries
+    /// for all of it when `logged`. Returns the verdict after each
+    /// operation.
     fn admit(&mut self, ops: &[Operation], logged: bool, framed: bool) -> Result<&[Verdict]> {
         self.verdicts.clear();
         let Some(first) = ops.first() else {
@@ -920,16 +886,6 @@ impl OnlineMonitor {
                 if self.conjuncts[k as usize].apply(slot, op, p, logged) == Applied::Closed {
                     self.first_violation.get_or_insert(p);
                 }
-                if logged {
-                    let tape = self.dag_log.tape();
-                    self.access_dag
-                        .record_logged(slot, k, op.is_write(), p, tape);
-                } else {
-                    self.access_dag.record(slot, k, op.is_write(), p);
-                }
-            }
-            if logged {
-                self.dag_log.record(());
             }
             self.verdicts
                 .push(self.global.verdict(p.0 + 1, self.first_violation));
@@ -942,7 +898,6 @@ impl OnlineMonitor {
                 self.conjuncts.iter_mut().for_each(|c| c.log.reset(floor));
             }
             self.global.log.reset(floor);
-            self.dag_log.reset(floor);
         }
         Ok(&self.verdicts)
     }
@@ -956,11 +911,8 @@ impl OnlineMonitor {
     /// retraction floor (unlogged pushes are permanent).
     pub fn truncate_to(&mut self, n: usize) -> usize {
         let undone = self.seq.truncate(n, |u| {
-            self.dag_log.pop();
             // Reverse application order within the push.
             for &k in self.scope_index.of(u.op.item).iter().rev() {
-                let tape = self.dag_log.tape();
-                self.access_dag.undo(u.slot, k, u.op.is_write(), tape);
                 self.conjuncts[k as usize].undo(u.slot, u.op.item, u.pos);
             }
             self.global.undo(u.slot, u.op.item, u.new_slot);
@@ -1030,7 +982,6 @@ impl OnlineMonitor {
         self.seq.raise_floor(floor, |floor| {
             self.global.raise_floor(floor);
             self.conjuncts.iter_mut().for_each(|c| c.raise_floor(floor));
-            self.dag_log.checkpoint(floor);
         })
     }
 
@@ -1084,7 +1035,6 @@ impl OnlineMonitor {
             for c in &mut self.conjuncts {
                 c.compact(s_cut, maps);
             }
-            self.access_dag.compact_entities(s_cut);
             self.spare_totals.extend(self.totals.drain(..s_cut));
         })
     }
@@ -1133,8 +1083,6 @@ impl OnlineMonitor {
                 .iter()
                 .map(|t| size_of::<TxnTotals>() + t.heap_bytes())
                 .sum::<usize>()
-            + self.access_dag.resident_bytes()
-            + self.dag_log.resident_bytes()
     }
 
     /// Would admitting this access keep `level`? Read-only — the
@@ -1232,58 +1180,6 @@ impl OnlineMonitor {
             }
         }
         true
-    }
-
-    /// What is known about the generating programs (Theorem 1 input).
-    pub fn program_traits(&self) -> ProgramTraits {
-        self.traits
-    }
-
-    /// Are the projection scopes pairwise disjoint? Required by every
-    /// theorem (Example 5); decided once at construction.
-    pub fn scopes_disjoint(&self) -> bool {
-        self.scopes_disjoint
-    }
-
-    /// Is the live `DAG(S, IC)` still acyclic (Theorem 3's
-    /// hypothesis)? Maintained incrementally per push — no trace
-    /// rebuild.
-    pub fn dag_acyclic(&self) -> bool {
-        self.access_dag.is_acyclic()
-    }
-
-    /// First position whose access closed a `DAG(S, IC)` cycle.
-    pub fn first_dag_cycle(&self) -> Option<OpIndex> {
-        self.access_dag.first_cycle()
-    }
-
-    /// The theorems whose hypotheses hold **live** on the current
-    /// prefix — the incremental counterpart of
-    /// [`classify`](crate::theorems::classify): Theorem 1 from the
-    /// static program traits, Theorem 2 from the maintained
-    /// delayed-read flag, Theorem 3 from the live access DAG; all
-    /// void unless the prefix is PWSR over disjoint scopes.
-    pub fn guarantees(&self) -> Vec<Guarantee> {
-        let mut out = Vec::new();
-        let v = self.verdict();
-        if self.scopes_disjoint && v.pwsr() {
-            if self.traits.all_fixed_structure == Some(true) {
-                out.push(Guarantee::Theorem1FixedStructure);
-            }
-            if v.dr {
-                out.push(Guarantee::Theorem2DelayedRead);
-            }
-            if self.access_dag.is_acyclic() {
-                out.push(Guarantee::Theorem3AcyclicDag);
-            }
-        }
-        out
-    }
-
-    /// Does some theorem certify strong correctness of the current
-    /// prefix, live?
-    pub fn strongly_correct_guaranteed(&self) -> bool {
-        !self.guarantees().is_empty()
     }
 }
 
@@ -1534,7 +1430,6 @@ mod tests {
                 }
                 assert_eq!(m.verdict(), fresh.verdict(), "cut {cut}");
                 assert_eq!(m.schedule(), fresh.schedule());
-                assert_eq!(m.guarantees(), fresh.guarantees());
                 assert!(m.certify_prefix());
                 // The truncated monitor keeps working: admission and
                 // further pushes agree with the fresh monitor.
@@ -1571,61 +1466,6 @@ mod tests {
         m.push(wr(1, 0, 1)).unwrap();
         m.push_logged(rd(2, 0, 1)).unwrap();
         m.truncate_to(0);
-    }
-
-    /// The live Theorem 1/2/3 hypotheses equal the batch classifier at
-    /// every prefix, for each program-trait assumption.
-    #[test]
-    fn live_guarantees_match_batch_classify() {
-        use crate::theorems::classify;
-        let ic = {
-            use crate::constraint::{Conjunct, Formula, Term};
-            IntegrityConstraint::new(vec![
-                Conjunct::new(
-                    0,
-                    Formula::implies(
-                        Formula::gt(Term::var(ItemId(0)), Term::int(0)),
-                        Formula::gt(Term::var(ItemId(1)), Term::int(0)),
-                    ),
-                ),
-                Conjunct::new(1, Formula::gt(Term::var(ItemId(2)), Term::int(0))),
-            ])
-            .unwrap()
-        };
-        let runs = [
-            example2_ops(),                                           // cyclic DAG, non-DR
-            vec![rd(1, 0, 1), wr(1, 2, 1), rd(2, 1, 1), wr(2, 2, 2)], // acyclic DAG
-            vec![wr(1, 0, 1), rd(2, 0, 1), wr(2, 1, 2), rd(1, 1, 2)], // non-PWSR
-        ];
-        for traits in [
-            ProgramTraits::unknown(),
-            ProgramTraits::fixed_structure(),
-            ProgramTraits::not_fixed_structure(),
-        ] {
-            for ops in &runs {
-                let mut m = OnlineMonitor::with_traits(ic.scopes(), traits);
-                assert!(m.scopes_disjoint());
-                for k in 0..ops.len() {
-                    m.push(ops[k].clone()).unwrap();
-                    let prefix = Schedule::new(ops[..=k].to_vec()).unwrap();
-                    let batch = classify(&prefix, &ic, traits);
-                    assert_eq!(
-                        m.dag_acyclic(),
-                        batch.dag.is_acyclic(),
-                        "DAG acyclicity diverged at prefix {k}"
-                    );
-                    assert_eq!(
-                        m.guarantees(),
-                        batch.guarantees,
-                        "guarantees diverged at prefix {k}"
-                    );
-                    assert_eq!(
-                        m.strongly_correct_guaranteed(),
-                        batch.strongly_correct_guaranteed()
-                    );
-                }
-            }
-        }
     }
 
     #[test]
@@ -1665,7 +1505,6 @@ mod tests {
                 twin.push(op.clone()).unwrap(),
                 "post-compaction push diverged"
             );
-            assert_eq!(m.guarantees(), twin.guarantees());
         }
         // A second compaction over the survivors also matches.
         m.finish_txn(TxnId(3));
@@ -1745,23 +1584,5 @@ mod tests {
         l.checkpoint(1);
         assert_eq!(l.compaction_frontier(), 1);
         assert_eq!(l.compact().ops_reclaimed, 1);
-    }
-
-    #[test]
-    fn overlapping_scopes_void_every_guarantee() {
-        // Example 5's lesson, live: non-disjoint scopes yield no
-        // guarantee regardless of the other hypotheses.
-        let scopes = vec![
-            ItemSet::from_iter([ItemId(0), ItemId(1)]),
-            ItemSet::from_iter([ItemId(1), ItemId(2)]),
-        ];
-        let mut m = OnlineMonitor::with_traits(scopes, ProgramTraits::fixed_structure());
-        assert!(!m.scopes_disjoint());
-        m.push(rd(1, 0, 10)).unwrap();
-        m.push(wr(1, 1, 0)).unwrap();
-        let v = m.verdict();
-        assert!(v.pwsr() && v.dr && m.dag_acyclic());
-        assert!(m.guarantees().is_empty());
-        assert!(!m.strongly_correct_guaranteed());
     }
 }

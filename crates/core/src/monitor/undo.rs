@@ -24,12 +24,11 @@
 //!   insertion order; the reader list a write drained, last reader
 //!   first; then the trailer — the displaced writer, the two counts,
 //!   and flags for node creation, the reader push of a read, and
-//!   whether the access froze the projection (first cycle);
-//! * a **data-access-graph frame**
-//!   ([`OnlineAccessDag::record_logged`]) — the unit edges freshly
-//!   inserted, then one trailer word. Only the single writer keeps the
-//!   access graph; its frames ride an `UndoLog<()>` of the monitor's
-//!   own, one entry per push.
+//!   whether the access froze the projection (first cycle).
+//!
+//! Nothing else is journaled: the data access graph of Theorem 3 is
+//! not monitor state (batch `classify` and the seeded runner's guard
+//! decide it), so neither driver keeps a journal beside its stages'.
 //!
 //! A frame is written front to back while the push runs and read back
 //! to front when it is retracted: the trailer comes off first and says
@@ -89,7 +88,6 @@
 //! [`OnlineMonitor`]: super::OnlineMonitor
 //! [`ShardedMonitor`]: super::sharded::ShardedMonitor
 //! [`IncrementalDag::remove_edge`]: crate::graph::IncrementalDag::remove_edge
-//! [`OnlineAccessDag::record_logged`]: crate::dag::OnlineAccessDag::record_logged
 
 use std::collections::VecDeque;
 
@@ -495,7 +493,8 @@ mod tests {
 
     #[test]
     fn graph_frame_round_trip_and_node_visit() {
-        let mut log: UndoLog<()> = UndoLog::new(0);
+        // A conjunct stage's log: the record is the push's position.
+        let mut log: UndoLog<u32> = UndoLog::new(0);
         let tape = log.tape();
         // Two edges (5→9, 7→9), readers [7, 8] written last first.
         for w in [5, 9, 7, 9, 8, 7] {
@@ -508,9 +507,9 @@ mod tests {
             prev_writer: ABSENT,
         };
         delta.seal(tape);
-        log.record(());
+        log.record(0);
         let mut nodes = Vec::new();
-        log.walk_back(|(), cursor| {
+        log.walk_back(|_, cursor| {
             GraphDelta::visit_nodes(cursor, |n| {
                 nodes.push(*n);
                 *n += 1;

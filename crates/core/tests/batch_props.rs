@@ -11,7 +11,7 @@
 
 mod common;
 
-use common::{arb_transactions, scopes_from_bits};
+use common::{arb_transactions, scopes_from_bits, MAX_ITEMS};
 use proptest::prelude::*;
 use pwsr_core::ids::TxnId;
 use pwsr_core::monitor::sharded::ShardedMonitor;
@@ -101,7 +101,7 @@ proptest! {
     /// every boundary.
     #[test]
     fn sharded_batch_twin_matches_singleton(
-        txns in arb_transactions(5),
+        txns in arb_transactions(5, MAX_ITEMS),
         sizes in proptest::collection::vec(any::<u8>(), 0..48),
         mix in proptest::collection::vec(any::<u8>(), 0..48),
         events in proptest::collection::vec(any::<u8>(), 0..48),
@@ -224,7 +224,7 @@ proptest! {
     /// checkpoint-driven compactions splitting the batches.
     #[test]
     fn online_batch_twin_matches_singleton(
-        txns in arb_transactions(4),
+        txns in arb_transactions(4, MAX_ITEMS),
         sizes in proptest::collection::vec(any::<u8>(), 0..32),
         mix in proptest::collection::vec(any::<u8>(), 0..32),
         events in proptest::collection::vec(any::<u8>(), 0..32),

@@ -4,13 +4,14 @@
 //! the naive projection-based recomputation the paper's recurrences
 //! read as.
 
+mod common;
+
+use common::{arb_transactions, interleave_random};
 use proptest::prelude::*;
 use pwsr_core::ids::{ItemId, OpIndex, TxnId};
-use pwsr_core::op::{self, Operation};
+use pwsr_core::op;
 use pwsr_core::schedule::Schedule;
 use pwsr_core::state::ItemSet;
-use pwsr_core::txn::Transaction;
-use pwsr_core::value::Value;
 use pwsr_core::viewset::{
     lemma2_inclusion_holds, lemma6_inclusion_holds, view_sets_dr, view_sets_general,
 };
@@ -115,54 +116,6 @@ proptest! {
 // ---------------------------------------------------------------------
 // Lemma checkers vs naive projection-based recomputation
 // ---------------------------------------------------------------------
-
-fn arb_transactions(n_txns: u32, max_items: u32) -> impl Strategy<Value = Vec<Transaction>> {
-    let per_txn = proptest::collection::btree_map(
-        0..max_items,
-        (any::<bool>(), any::<bool>(), -20i64..20),
-        1..=max_items as usize,
-    );
-    proptest::collection::vec(per_txn, n_txns as usize).prop_map(move |txn_specs| {
-        txn_specs
-            .into_iter()
-            .enumerate()
-            .map(|(k, spec)| {
-                let txn = TxnId(k as u32 + 1);
-                let mut ops = Vec::new();
-                for (item, (do_read, do_write, v)) in spec {
-                    if do_read {
-                        ops.push(Operation::read(txn, ItemId(item), Value::Int(v)));
-                    }
-                    if do_write || !do_read {
-                        ops.push(Operation::write(txn, ItemId(item), Value::Int(v + 1)));
-                    }
-                }
-                Transaction::new(txn, ops).expect("construction respects §2.2")
-            })
-            .collect()
-    })
-}
-
-fn interleave_random(txns: &[Transaction], mix: &[u8]) -> Schedule {
-    let mut cursors: Vec<usize> = vec![0; txns.len()];
-    let mut ops = Vec::new();
-    let total: usize = txns.iter().map(Transaction::len).sum();
-    let mut mi = 0;
-    while ops.len() < total {
-        let pick = (mix.get(mi).copied().unwrap_or(0) as usize) % txns.len();
-        mi += 1;
-        for off in 0..txns.len() {
-            let k = (pick + off) % txns.len();
-            if cursors[k] < txns[k].len() {
-                ops.push(txns[k].ops()[cursors[k]].clone());
-                cursors[k] += 1;
-                break;
-            }
-        }
-    }
-    Schedule::new(ops).expect("interleaving of valid transactions is valid")
-}
-
 /// Lemma 2's view sets computed exactly as the recurrence reads —
 /// `Vec<Operation>` projections and all. The reference the scan-based
 /// checkers must match.
@@ -222,7 +175,7 @@ proptest! {
         d_bits in 0u32..32,
         rot in 0usize..3,
     ) {
-        let s = interleave_random(&txns, &mix);
+        let s = Schedule::new(interleave_random(&txns, &mix)).unwrap();
         let d: ItemSet = (0..5).filter(|i| d_bits & (1 << i) != 0).map(ItemId).collect();
         // An arbitrary transaction order (rotation of the schedule's).
         let mut order: Vec<TxnId> = s.txn_ids().to_vec();
@@ -258,7 +211,7 @@ proptest! {
         dr in any::<bool>(),
     ) {
         use pwsr_core::viewset::inclusion_holds_everywhere;
-        let s = interleave_random(&txns, &mix);
+        let s = Schedule::new(interleave_random(&txns, &mix)).unwrap();
         let d: ItemSet = (0..4).filter(|i| d_bits & (1 << i) != 0).map(ItemId).collect();
         let order: Vec<TxnId> = s.txn_ids().to_vec();
         let naive = s.positions().all(|p| naive_inclusion(&s, &d, &order, p, dr));
@@ -272,7 +225,7 @@ proptest! {
         txns in arb_transactions(3, 4),
         mix in proptest::collection::vec(any::<u8>(), 0..48),
     ) {
-        let s = interleave_random(&txns, &mix);
+        let s = Schedule::new(interleave_random(&txns, &mix)).unwrap();
         for &t in s.txn_ids() {
             let scan_last = s.ops().iter().rposition(|o| o.txn == t);
             prop_assert_eq!(s.last_op_of(t), scan_last.map(OpIndex));

@@ -1,5 +1,6 @@
-//! Generators shared by the monitor property suites (`monitor_props`,
-//! `sharded_props`, `batch_props`): random well-formed transactions,
+//! Generators shared by the core property suites (`proptests`,
+//! `bitset_props`, `lemma_props`, `monitor_props`, `sharded_props`,
+//! `batch_props`, `retract_props`): random well-formed transactions,
 //! random interleavings of them, and two-scope carvings of the item
 //! universe.
 
@@ -15,14 +16,14 @@ use pwsr_core::value::Value;
 
 pub const MAX_ITEMS: u32 = 6;
 
-/// Random well-formed transactions over items `0..MAX_ITEMS`: per item
+/// Random well-formed transactions over items `0..max_items`: per item
 /// at most one read then one write, so every suffix of a transaction
 /// is §2.2-valid even after a truncation removed its prefix.
-pub fn arb_transactions(n_txns: u32) -> impl Strategy<Value = Vec<Transaction>> {
+pub fn arb_transactions(n_txns: u32, max_items: u32) -> impl Strategy<Value = Vec<Transaction>> {
     let per_txn = proptest::collection::btree_map(
-        0..MAX_ITEMS,
+        0..max_items,
         (any::<bool>(), any::<bool>(), -20i64..20),
-        1..=MAX_ITEMS as usize,
+        1..=max_items as usize,
     );
     proptest::collection::vec(per_txn, n_txns as usize).prop_map(move |txn_specs| {
         txn_specs

@@ -1,63 +1,17 @@
 //! Property-based tests for the paper's proof artifacts: view sets
 //! (Lemmas 2 and 6) and transaction states (Definition 4).
 
+mod common;
+
+use common::{arb_transactions, interleave_random};
 use proptest::prelude::*;
 use pwsr_core::ids::{ItemId, TxnId};
-use pwsr_core::op::Operation;
 use pwsr_core::schedule::Schedule;
 use pwsr_core::serializability::all_serialization_orders;
 use pwsr_core::state::{DbState, ItemSet};
-use pwsr_core::txn::Transaction;
 use pwsr_core::txstate::{final_state_on, transaction_states};
 use pwsr_core::value::Value;
 use pwsr_core::viewset::{lemma2_inclusion_holds, lemma6_inclusion_holds};
-
-fn arb_transactions(n_txns: u32, max_items: u32) -> impl Strategy<Value = Vec<Transaction>> {
-    let per_txn = proptest::collection::btree_map(
-        0..max_items,
-        (any::<bool>(), any::<bool>(), -20i64..20),
-        1..=max_items as usize,
-    );
-    proptest::collection::vec(per_txn, n_txns as usize).prop_map(move |txn_specs| {
-        txn_specs
-            .into_iter()
-            .enumerate()
-            .map(|(k, spec)| {
-                let txn = TxnId(k as u32 + 1);
-                let mut ops = Vec::new();
-                for (item, (do_read, do_write, v)) in spec {
-                    if do_read {
-                        ops.push(Operation::read(txn, ItemId(item), Value::Int(v)));
-                    }
-                    if do_write || !do_read {
-                        ops.push(Operation::write(txn, ItemId(item), Value::Int(v + 1)));
-                    }
-                }
-                Transaction::new(txn, ops).expect("respects §2.2")
-            })
-            .collect()
-    })
-}
-
-fn interleave_random(txns: &[Transaction], mix: &[u8]) -> Schedule {
-    let mut cursors: Vec<usize> = vec![0; txns.len()];
-    let mut ops = Vec::new();
-    let total: usize = txns.iter().map(Transaction::len).sum();
-    let mut mi = 0;
-    while ops.len() < total {
-        let pick = (mix.get(mi).copied().unwrap_or(0) as usize) % txns.len();
-        mi += 1;
-        for off in 0..txns.len() {
-            let k = (pick + off) % txns.len();
-            if cursors[k] < txns[k].len() {
-                ops.push(txns[k].ops()[cursors[k]].clone());
-                cursors[k] += 1;
-                break;
-            }
-        }
-    }
-    Schedule::new(ops).expect("valid interleaving")
-}
 
 fn full_state(max_items: u32) -> DbState {
     DbState::from_pairs((0..max_items).map(|i| (ItemId(i), Value::Int(-(i as i64)))))
@@ -72,7 +26,7 @@ proptest! {
         mix in proptest::collection::vec(any::<u8>(), 0..64),
         d_bits in 0u32..16,
     ) {
-        let s = interleave_random(&txns, &mix);
+        let s = Schedule::new(interleave_random(&txns, &mix)).unwrap();
         let d: ItemSet = (0..4).filter(|i| d_bits & (1 << i) != 0).map(ItemId).collect();
         let proj = s.project(&d);
         if let Some(orders) = all_serialization_orders(&proj, 6) {
@@ -94,7 +48,7 @@ proptest! {
         mix in proptest::collection::vec(any::<u8>(), 0..64),
         d_bits in 0u32..16,
     ) {
-        let s = interleave_random(&txns, &mix);
+        let s = Schedule::new(interleave_random(&txns, &mix)).unwrap();
         if !pwsr_core::dr::is_delayed_read(&s) {
             return Ok(());
         }
@@ -121,7 +75,7 @@ proptest! {
         mix in proptest::collection::vec(any::<u8>(), 0..64),
         d_bits in 0u32..16,
     ) {
-        let s = interleave_random(&txns, &mix);
+        let s = Schedule::new(interleave_random(&txns, &mix)).unwrap();
         let d: ItemSet = (0..4).filter(|i| d_bits & (1 << i) != 0).map(ItemId).collect();
         let initial = full_state(4);
         let ds2 = s.apply(&initial);
@@ -148,7 +102,7 @@ proptest! {
         mix in proptest::collection::vec(any::<u8>(), 0..48),
         d_bits in 0u32..16,
     ) {
-        let s = interleave_random(&txns, &mix);
+        let s = Schedule::new(interleave_random(&txns, &mix)).unwrap();
         let d: ItemSet = (0..4).filter(|i| d_bits & (1 << i) != 0).map(ItemId).collect();
         let initial = full_state(4);
         let order: Vec<TxnId> = s.txn_ids().to_vec();
@@ -166,7 +120,7 @@ proptest! {
         d_bits in 0u32..16,
     ) {
         use pwsr_core::viewset::view_sets_general;
-        let s = interleave_random(&txns, &mix);
+        let s = Schedule::new(interleave_random(&txns, &mix)).unwrap();
         let d: ItemSet = (0..4).filter(|i| d_bits & (1 << i) != 0).map(ItemId).collect();
         let proj = s.project(&d);
         if let Some(order) = pwsr_core::serializability::serialization_order(&proj) {

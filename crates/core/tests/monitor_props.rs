@@ -32,7 +32,7 @@ proptest! {
     /// maintained serialization orders.
     #[test]
     fn verdicts_match_batch_at_every_prefix(
-        txns in arb_transactions(3),
+        txns in arb_transactions(3, MAX_ITEMS),
         mix in proptest::collection::vec(any::<u8>(), 0..64),
         d1_bits in 0u32..64,
         d2_bits in 0u32..64,
@@ -93,7 +93,7 @@ proptest! {
     /// final state as never having truncated.
     #[test]
     fn undo_log_truncation_equals_fresh_replay(
-        txns in arb_transactions(3),
+        txns in arb_transactions(3, MAX_ITEMS),
         mix in proptest::collection::vec(any::<u8>(), 0..48),
         d1_bits in 0u32..64,
         d2_bits in 0u32..64,
@@ -135,7 +135,7 @@ proptest! {
     /// reject further pushes.
     #[test]
     fn compaction_twin_parity_at_every_push(
-        txns in arb_transactions(4),
+        txns in arb_transactions(4, MAX_ITEMS),
         mix in proptest::collection::vec(any::<u8>(), 0..64),
         d1_bits in 0u32..64,
         d2_bits in 0u32..64,
@@ -236,7 +236,7 @@ proptest! {
     /// through the batch checkers.
     #[test]
     fn pwsr_admission_is_exact(
-        txns in arb_transactions(3),
+        txns in arb_transactions(3, MAX_ITEMS),
         mix in proptest::collection::vec(any::<u8>(), 0..48),
         d1_bits in 0u32..64,
         d2_bits in 0u32..64,

@@ -1,14 +1,18 @@
 //! Property-based tests for the core model's algebraic invariants.
 
+mod common;
+
+use common::{arb_transactions, interleave_random, MAX_ITEMS};
 use proptest::prelude::*;
-use pwsr_core::ids::{ItemId, TxnId};
+use pwsr_core::constraint::{Conjunct, Formula, IntegrityConstraint, Term};
+use pwsr_core::dag::{data_access_graph, OnlineAccessDag};
+use pwsr_core::ids::{ItemId, OpIndex, TxnId};
 use pwsr_core::op::{self, Operation};
 use pwsr_core::schedule::Schedule;
 use pwsr_core::serializability::{
     is_conflict_serializable, is_view_serializable, serialization_order,
 };
 use pwsr_core::state::{DbState, ItemSet};
-use pwsr_core::txn::Transaction;
 use pwsr_core::value::Value;
 
 // ---------------------------------------------------------------------
@@ -25,56 +29,23 @@ fn arb_itemset(max_items: u32) -> impl Strategy<Value = ItemSet> {
         .prop_map(|s| s.into_iter().map(ItemId).collect())
 }
 
-/// Per-transaction op scripts that respect the §2.2 rules by
-/// construction: for each item, at most one read followed (optionally)
-/// by at most one write.
-fn arb_transactions(n_txns: u32, max_items: u32) -> impl Strategy<Value = Vec<Transaction>> {
-    let per_txn = proptest::collection::btree_map(
-        0..max_items,
-        (any::<bool>(), any::<bool>(), -20i64..20),
-        1..=max_items as usize,
-    );
-    proptest::collection::vec(per_txn, n_txns as usize).prop_map(move |txn_specs| {
-        txn_specs
-            .into_iter()
-            .enumerate()
-            .map(|(k, spec)| {
-                let txn = TxnId(k as u32 + 1);
-                let mut ops = Vec::new();
-                for (item, (do_read, do_write, v)) in spec {
-                    if do_read {
-                        ops.push(Operation::read(txn, ItemId(item), Value::Int(v)));
-                    }
-                    if do_write || !do_read {
-                        ops.push(Operation::write(txn, ItemId(item), Value::Int(v + 1)));
-                    }
-                }
-                Transaction::new(txn, ops).expect("construction respects §2.2")
-            })
-            .collect()
-    })
-}
-
-/// A random interleaving of the given transactions.
-fn interleave_random(txns: &[Transaction], mix: &[u8]) -> Schedule {
-    let mut cursors: Vec<usize> = vec![0; txns.len()];
-    let mut ops = Vec::new();
-    let total: usize = txns.iter().map(Transaction::len).sum();
-    let mut mi = 0;
-    while ops.len() < total {
-        let pick = (mix.get(mi).copied().unwrap_or(0) as usize) % txns.len();
-        mi += 1;
-        // Find the next transaction with ops remaining, starting at pick.
-        for off in 0..txns.len() {
-            let k = (pick + off) % txns.len();
-            if cursors[k] < txns[k].len() {
-                ops.push(txns[k].ops()[cursors[k]].clone());
-                cursors[k] += 1;
-                break;
-            }
-        }
-    }
-    Schedule::new(ops).expect("interleaving of valid transactions is valid")
+/// An integrity constraint of `n_conj` disjoint conjuncts over items
+/// `0..MAX_ITEMS`, built as `dag.rs`'s Example 2 fixture is: item
+/// `k < n_conj` seeds conjunct `k`, and every other item joins the
+/// conjunct `assign` names for it, or none when that is `n_conj` or
+/// more.
+fn disjoint_ic(n_conj: u32, assign: &[u32]) -> IntegrityConstraint {
+    let conjunct_of = |i: u32| if i < n_conj { i } else { assign[i as usize] };
+    let conjuncts = (0..n_conj)
+        .map(|k| {
+            let parts = (0..MAX_ITEMS)
+                .filter(|&i| conjunct_of(i) == k)
+                .map(|i| Formula::gt(Term::var(ItemId(i)), Term::int(0)))
+                .collect();
+            Conjunct::new(k, Formula::and(parts))
+        })
+        .collect();
+    IntegrityConstraint::new(conjuncts).expect("the scopes are disjoint by construction")
 }
 
 proptest! {
@@ -177,7 +148,7 @@ proptest! {
         txns in arb_transactions(3, 4),
         mix in proptest::collection::vec(any::<u8>(), 0..64),
     ) {
-        let s = interleave_random(&txns, &mix);
+        let s = Schedule::new(interleave_random(&txns, &mix)).unwrap();
         if is_conflict_serializable(&s) {
             // CSR ⊆ VSR (classical).
             prop_assert_eq!(is_view_serializable(&s), Some(true));
@@ -190,7 +161,7 @@ proptest! {
         mix in proptest::collection::vec(any::<u8>(), 0..64),
         d in arb_itemset(5),
     ) {
-        let s = interleave_random(&txns, &mix);
+        let s = Schedule::new(interleave_random(&txns, &mix)).unwrap();
         if is_conflict_serializable(&s) {
             // Conflict edges only disappear under projection.
             prop_assert!(is_conflict_serializable(&s.project(&d)));
@@ -203,7 +174,7 @@ proptest! {
         mix in proptest::collection::vec(any::<u8>(), 0..32),
         initial in arb_state(5),
     ) {
-        let s = interleave_random(&txns, &mix);
+        let s = Schedule::new(interleave_random(&txns, &mix)).unwrap();
         let writes_only: Vec<Operation> =
             s.ops().iter().filter(|o| o.is_write()).cloned().collect();
         let s2 = Schedule::new(writes_only).unwrap();
@@ -216,7 +187,7 @@ proptest! {
         mix in proptest::collection::vec(any::<u8>(), 0..32),
         initial in arb_state(5),
     ) {
-        let s = interleave_random(&txns, &mix);
+        let s = Schedule::new(interleave_random(&txns, &mix)).unwrap();
         let out = s.apply(&initial);
         // Every item written somewhere ends with the last write's value.
         let effects = op::write_state(s.ops());
@@ -228,7 +199,7 @@ proptest! {
         txns in arb_transactions(2, 4),
         mix in proptest::collection::vec(any::<u8>(), 0..32),
     ) {
-        let s = interleave_random(&txns, &mix);
+        let s = Schedule::new(interleave_random(&txns, &mix)).unwrap();
         for (i, p) in s.positions().enumerate() {
             prop_assert_eq!(s.depth(p), i);
         }
@@ -239,7 +210,7 @@ proptest! {
         txns in arb_transactions(2, 4),
         mix in proptest::collection::vec(any::<u8>(), 0..32),
     ) {
-        let s = interleave_random(&txns, &mix);
+        let s = Schedule::new(interleave_random(&txns, &mix)).unwrap();
         for p in s.positions() {
             for &t in s.txn_ids() {
                 let before = s.before_txn(t, p);
@@ -260,7 +231,7 @@ proptest! {
         txns in arb_transactions(3, 4),
         mix in proptest::collection::vec(any::<u8>(), 0..64),
     ) {
-        let s = interleave_random(&txns, &mix);
+        let s = Schedule::new(interleave_random(&txns, &mix)).unwrap();
         for (reader, writer) in s.reads_from_pairs() {
             prop_assert!(writer < reader);
             let r = s.op(reader);
@@ -284,13 +255,77 @@ proptest! {
         );
     }
 
+    // -----------------------------------------------------------------
+    // The data access graph (Theorem 3)
+    // -----------------------------------------------------------------
+
+    /// The seeded runner's Theorem-3 guard rides `OnlineAccessDag`; at
+    /// every prefix its acyclicity equals the batch `DAG(S, IC)`'s, its
+    /// first cycle is the first prefix at which the batch graph turns
+    /// cyclic, and a probe (`admits`) of every access any transaction
+    /// could make next answers what recording that access on a clone
+    /// answers — without committing anything, or the unprobed graph
+    /// would part from the batch one.
+    #[test]
+    fn access_dag_matches_batch_at_every_prefix(
+        txns in arb_transactions(4, MAX_ITEMS),
+        mix in proptest::collection::vec(any::<u8>(), 0..64),
+        n_conj in 2u32..=3,
+        assign in proptest::collection::vec(0u32..4, MAX_ITEMS as usize),
+    ) {
+        let ic = disjoint_ic(n_conj, &assign);
+        let s = Schedule::new(interleave_random(&txns, &mix)).unwrap();
+        let mut online = OnlineAccessDag::new(ic.len());
+        let mut slots: Vec<TxnId> = Vec::new();
+        let mut first_cycle = None;
+        for (p, op) in s.ops().iter().enumerate() {
+            let slot = match slots.iter().position(|&t| t == op.txn) {
+                Some(slot) => slot,
+                None => {
+                    slots.push(op.txn);
+                    slots.len() - 1
+                }
+            };
+            for (k, c) in ic.conjuncts().iter().enumerate() {
+                if c.items().contains(op.item) {
+                    online.record(slot, k as u32, op.is_write(), OpIndex(p));
+                }
+            }
+            let prefix = Schedule::new(s.ops()[..=p].to_vec()).unwrap();
+            let batch_acyclic = data_access_graph(&prefix, &ic).is_acyclic();
+            if !batch_acyclic {
+                first_cycle.get_or_insert(OpIndex(p));
+            }
+            prop_assert_eq!(online.is_acyclic(), batch_acyclic, "prefix {}", p + 1);
+            prop_assert_eq!(online.first_cycle(), first_cycle);
+            for entity in 0..=slots.len() {
+                for unit in 0..n_conj {
+                    for is_write in [false, true] {
+                        let recorded = online
+                            .clone()
+                            .record(entity, unit, is_write, OpIndex(p + 1));
+                        prop_assert_eq!(
+                            online.admits(entity, unit, is_write),
+                            recorded,
+                            "prefix {}: entity {} unit {} write {}",
+                            p + 1,
+                            entity,
+                            unit,
+                            is_write
+                        );
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn recovery_hierarchy(
         txns in arb_transactions(3, 4),
         mix in proptest::collection::vec(any::<u8>(), 0..64),
     ) {
         use pwsr_core::dr::{is_aca, is_delayed_read, is_strict};
-        let s = interleave_random(&txns, &mix);
+        let s = Schedule::new(interleave_random(&txns, &mix)).unwrap();
         // strict ⇒ ACA ⇒ DR.
         if is_strict(&s) {
             prop_assert!(is_aca(&s));

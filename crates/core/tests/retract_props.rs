@@ -296,7 +296,7 @@ proptest! {
     /// the way too, whenever a retraction leaves nobody told.
     #[test]
     fn told_transactions_retracted_leaves_a_certified_replay(
-        all_txns in arb_transactions(6),
+        all_txns in arb_transactions(6, MAX_ITEMS),
         n_txns in 3usize..=6,
         n_scopes in 1usize..=3,
         assign in proptest::collection::vec(0u8..4, MAX_ITEMS as usize),

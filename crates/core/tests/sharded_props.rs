@@ -89,7 +89,7 @@ proptest! {
     /// certificates, and the batch checkers.
     #[test]
     fn threaded_abort_storms_match_replay_and_batch(
-        txns in arb_transactions(6),
+        txns in arb_transactions(6, MAX_ITEMS),
         abort_mask in 0u32..64,
         d1_bits in 0u32..64,
         d2_bits in 0u32..64,
@@ -145,7 +145,7 @@ proptest! {
     /// the truncated suffix at all.
     #[test]
     fn sequential_truncate_matches_fresh_replay(
-        txns in arb_transactions(3),
+        txns in arb_transactions(3, MAX_ITEMS),
         mix in proptest::collection::vec(any::<u8>(), 0..32),
         d1_bits in 0u32..64,
         d2_bits in 0u32..64,
@@ -179,7 +179,7 @@ proptest! {
     /// the single-writer replay and the batch checkers.
     #[test]
     fn threaded_runs_match_replay_and_batch(
-        txns in arb_transactions(4),
+        txns in arb_transactions(4, MAX_ITEMS),
         d1_bits in 0u32..64,
         d2_bits in 0u32..64,
         n_threads in 2usize..4,
@@ -218,7 +218,7 @@ proptest! {
     /// never claims a better rung than the truth.
     #[test]
     fn sequential_pushes_match_at_every_prefix(
-        txns in arb_transactions(3),
+        txns in arb_transactions(3, MAX_ITEMS),
         mix in proptest::collection::vec(any::<u8>(), 0..48),
         d1_bits in 0u32..64,
         d2_bits in 0u32..64,
@@ -246,7 +246,7 @@ proptest! {
     /// retractions.
     #[test]
     fn sharded_compaction_twin_parity(
-        txns in arb_transactions(5),
+        txns in arb_transactions(5, MAX_ITEMS),
         mix in proptest::collection::vec(any::<u8>(), 0..48),
         d1_bits in 0u32..64,
         d2_bits in 0u32..64,
@@ -306,7 +306,7 @@ proptest! {
     /// monitor is quiescent (the binding situation for executors).
     #[test]
     fn quiescent_probes_match_single_writer(
-        txns in arb_transactions(3),
+        txns in arb_transactions(3, MAX_ITEMS),
         mix in proptest::collection::vec(any::<u8>(), 0..32),
         d1_bits in 0u32..64,
         d2_bits in 0u32..64,
@@ -342,7 +342,7 @@ proptest! {
     /// those that meet a rung some earlier push already broke.
     #[test]
     fn outcome_breaches_iff_probe_would_refuse(
-        txns in arb_transactions(5),
+        txns in arb_transactions(5, MAX_ITEMS),
         mix in proptest::collection::vec(any::<u8>(), 0..48),
         d1_bits in 0u32..64,
         d2_bits in 0u32..64,
