@@ -404,20 +404,11 @@ impl IntegrityConstraint {
     /// disjoint (the paper's standing assumption, needed by Lemma 1 and
     /// all three theorems).
     pub fn new(conjuncts: Vec<Conjunct>) -> Result<IntegrityConstraint> {
-        if conjuncts.is_empty() {
-            return Err(CoreError::EmptyConstraint);
+        let ic = IntegrityConstraint::new_unchecked(conjuncts)?;
+        match ic.shared_item() {
+            Some(item) => Err(CoreError::OverlappingConjuncts { item }),
+            None => Ok(ic),
         }
-        for i in 0..conjuncts.len() {
-            for j in (i + 1)..conjuncts.len() {
-                if let Some(item) = conjuncts[i].items().common_item(conjuncts[j].items()) {
-                    return Err(CoreError::OverlappingConjuncts { item });
-                }
-            }
-        }
-        Ok(IntegrityConstraint {
-            conjuncts,
-            disjoint: true,
-        })
     }
 
     /// Build an IC *without* the disjointness check — needed to express
@@ -427,27 +418,28 @@ impl IntegrityConstraint {
         if conjuncts.is_empty() {
             return Err(CoreError::EmptyConstraint);
         }
-        let disjoint = {
-            let mut ok = true;
-            'outer: for i in 0..conjuncts.len() {
-                for j in (i + 1)..conjuncts.len() {
-                    if !conjuncts[i].items().is_disjoint(conjuncts[j].items()) {
-                        ok = false;
-                        break 'outer;
-                    }
-                }
-            }
-            ok
-        };
-        Ok(IntegrityConstraint {
+        let mut ic = IntegrityConstraint {
             conjuncts,
-            disjoint,
-        })
+            disjoint: true,
+        };
+        ic.disjoint = ic.shared_item().is_none();
+        Ok(ic)
     }
 
     /// Are the conjunct data sets pairwise disjoint?
     pub fn is_disjoint(&self) -> bool {
         self.disjoint
+    }
+
+    /// An item two conjuncts share (from the first such pair), or
+    /// `None` when the data sets are pairwise disjoint.
+    pub fn shared_item(&self) -> Option<ItemId> {
+        let cs = &self.conjuncts;
+        (0..cs.len()).find_map(|i| {
+            cs[i + 1..]
+                .iter()
+                .find_map(|cj| cs[i].items().common_item(cj.items()))
+        })
     }
 
     /// The conjuncts `C_1 … C_l`.

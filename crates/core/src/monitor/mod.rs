@@ -95,9 +95,9 @@
 //! Neither driver decides Theorem 1 or 3. Batch
 //! [`classify`](crate::theorems::classify) does, over
 //! [`data_access_graph`](crate::dag::data_access_graph), and the seeded
-//! runner's Theorem-3 guard (`DagGuard` in `pwsr_scheduler`, over an
-//! [`OnlineAccessDag`](crate::dag::OnlineAccessDag)) enforces
-//! acyclicity per access.
+//! runner's Theorem-3 guard (`DagGuard` in `pwsr_scheduler`) enforces
+//! acyclicity per access on the same
+//! [`DataAccessGraph`](crate::dag::DataAccessGraph), probing a copy.
 
 pub mod journal;
 pub mod sharded;

@@ -487,12 +487,6 @@ fn domain_interval(domain: &Domain) -> Option<(i64, i64)> {
     }
 }
 
-/// Convenience: is `value` even expressible for `item`? Used by
-/// generators to keep written values inside domains.
-pub fn value_in_domain(catalog: &Catalog, item: ItemId, value: &Value) -> bool {
-    catalog.in_domain(item, value)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

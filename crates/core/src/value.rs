@@ -43,23 +43,6 @@ impl Value {
             _ => None,
         }
     }
-
-    /// The boolean payload, if this is a [`Value::Bool`].
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Value::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
-    /// Human-readable name of the value's type (for error messages).
-    pub fn type_name(&self) -> &'static str {
-        match self {
-            Value::Int(_) => "int",
-            Value::Bool(_) => "bool",
-            Value::Str(_) => "str",
-        }
-    }
 }
 
 impl fmt::Debug for Value {

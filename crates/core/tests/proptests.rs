@@ -2,11 +2,9 @@
 
 mod common;
 
-use common::{arb_transactions, interleave_random, MAX_ITEMS};
+use common::{arb_transactions, interleave_random};
 use proptest::prelude::*;
-use pwsr_core::constraint::{Conjunct, Formula, IntegrityConstraint, Term};
-use pwsr_core::dag::{data_access_graph, OnlineAccessDag};
-use pwsr_core::ids::{ItemId, OpIndex, TxnId};
+use pwsr_core::ids::ItemId;
 use pwsr_core::op::{self, Operation};
 use pwsr_core::schedule::Schedule;
 use pwsr_core::serializability::{
@@ -27,25 +25,6 @@ fn arb_state(max_items: u32) -> impl Strategy<Value = DbState> {
 fn arb_itemset(max_items: u32) -> impl Strategy<Value = ItemSet> {
     proptest::collection::btree_set(0..max_items, 0..max_items as usize)
         .prop_map(|s| s.into_iter().map(ItemId).collect())
-}
-
-/// An integrity constraint of `n_conj` disjoint conjuncts over items
-/// `0..MAX_ITEMS`, built as `dag.rs`'s Example 2 fixture is: item
-/// `k < n_conj` seeds conjunct `k`, and every other item joins the
-/// conjunct `assign` names for it, or none when that is `n_conj` or
-/// more.
-fn disjoint_ic(n_conj: u32, assign: &[u32]) -> IntegrityConstraint {
-    let conjunct_of = |i: u32| if i < n_conj { i } else { assign[i as usize] };
-    let conjuncts = (0..n_conj)
-        .map(|k| {
-            let parts = (0..MAX_ITEMS)
-                .filter(|&i| conjunct_of(i) == k)
-                .map(|i| Formula::gt(Term::var(ItemId(i)), Term::int(0)))
-                .collect();
-            Conjunct::new(k, Formula::and(parts))
-        })
-        .collect();
-    IntegrityConstraint::new(conjuncts).expect("the scopes are disjoint by construction")
 }
 
 proptest! {
@@ -253,70 +232,6 @@ proptest! {
             pwsr_core::dr::classify_recovery(&s),
             pwsr_core::dr::RecoveryClass::Strict
         );
-    }
-
-    // -----------------------------------------------------------------
-    // The data access graph (Theorem 3)
-    // -----------------------------------------------------------------
-
-    /// The seeded runner's Theorem-3 guard rides `OnlineAccessDag`; at
-    /// every prefix its acyclicity equals the batch `DAG(S, IC)`'s, its
-    /// first cycle is the first prefix at which the batch graph turns
-    /// cyclic, and a probe (`admits`) of every access any transaction
-    /// could make next answers what recording that access on a clone
-    /// answers — without committing anything, or the unprobed graph
-    /// would part from the batch one.
-    #[test]
-    fn access_dag_matches_batch_at_every_prefix(
-        txns in arb_transactions(4, MAX_ITEMS),
-        mix in proptest::collection::vec(any::<u8>(), 0..64),
-        n_conj in 2u32..=3,
-        assign in proptest::collection::vec(0u32..4, MAX_ITEMS as usize),
-    ) {
-        let ic = disjoint_ic(n_conj, &assign);
-        let s = Schedule::new(interleave_random(&txns, &mix)).unwrap();
-        let mut online = OnlineAccessDag::new(ic.len());
-        let mut slots: Vec<TxnId> = Vec::new();
-        let mut first_cycle = None;
-        for (p, op) in s.ops().iter().enumerate() {
-            let slot = match slots.iter().position(|&t| t == op.txn) {
-                Some(slot) => slot,
-                None => {
-                    slots.push(op.txn);
-                    slots.len() - 1
-                }
-            };
-            for (k, c) in ic.conjuncts().iter().enumerate() {
-                if c.items().contains(op.item) {
-                    online.record(slot, k as u32, op.is_write(), OpIndex(p));
-                }
-            }
-            let prefix = Schedule::new(s.ops()[..=p].to_vec()).unwrap();
-            let batch_acyclic = data_access_graph(&prefix, &ic).is_acyclic();
-            if !batch_acyclic {
-                first_cycle.get_or_insert(OpIndex(p));
-            }
-            prop_assert_eq!(online.is_acyclic(), batch_acyclic, "prefix {}", p + 1);
-            prop_assert_eq!(online.first_cycle(), first_cycle);
-            for entity in 0..=slots.len() {
-                for unit in 0..n_conj {
-                    for is_write in [false, true] {
-                        let recorded = online
-                            .clone()
-                            .record(entity, unit, is_write, OpIndex(p + 1));
-                        prop_assert_eq!(
-                            online.admits(entity, unit, is_write),
-                            recorded,
-                            "prefix {}: entity {} unit {} write {}",
-                            p + 1,
-                            entity,
-                            unit,
-                            is_write
-                        );
-                    }
-                }
-            }
-        }
     }
 
     #[test]

@@ -4,76 +4,41 @@
 //! so that no transaction reads a higher-numbered conjunct and writes a
 //! lower-numbered one; then every PWSR schedule over those transactions
 //! is strongly correct. Operationally this is an **admission** check on
-//! the program set: build the conjunct graph from each program's
+//! the program set: build the data access graph from each program's
 //! syntactic read/write footprint ([`rw_footprint`]; a sound
 //! over-approximation of any execution's `DAG(S, IC)`), test
-//! acyclicity, and expose the
-//! topological conjunct order. A program mix that passes may run under
-//! plain predicate-wise 2PL with early release — no DR blocking, no
-//! fixed-structure requirement — and still carry a Theorem 3 guarantee.
+//! acyclicity, and read off the topological conjunct order. Theorem 3
+//! also needs disjoint conjuncts, so an IC whose conjuncts share an item
+//! is refused outright — Example 5's programs have an acyclic graph and
+//! a PWSR schedule that is not strongly correct. A program mix with an
+//! acyclic graph over a disjoint IC may run under plain predicate-wise
+//! 2PL with early release — no DR blocking, no fixed-structure
+//! requirement — and still carry a Theorem 3 guarantee.
 
 use pwsr_core::catalog::Catalog;
 use pwsr_core::constraint::IntegrityConstraint;
-use pwsr_core::graph::DiGraph;
-use pwsr_core::ids::ConjunctId;
+use pwsr_core::dag::{access_graph_of, DataAccessGraph};
+use pwsr_core::error::CoreError;
 use pwsr_tplang::analysis::rw_footprint;
 use pwsr_tplang::ast::Program;
 
-/// The static conjunct-access graph of a program set.
-#[derive(Clone, Debug)]
-pub struct StaticDag {
-    graph: DiGraph,
-}
-
-impl StaticDag {
-    /// Is the static graph acyclic? If so, every runtime
-    /// `DAG(S, IC)` of these programs is acyclic too (the runtime graph
-    /// is a subgraph of the static one).
-    pub fn is_acyclic(&self) -> bool {
-        !self.graph.has_cycle()
-    }
-
-    /// A topological conjunct order witnessing admissibility.
-    pub fn order(&self) -> Option<Vec<ConjunctId>> {
-        self.graph
-            .topo_sort()
-            .map(|o| o.into_iter().map(|k| ConjunctId(k as u32)).collect())
-    }
-
-    /// A conjunct cycle witnessing refusal.
-    pub fn cycle(&self) -> Option<Vec<ConjunctId>> {
-        self.graph
-            .find_cycle()
-            .map(|c| c.into_iter().map(|k| ConjunctId(k as u32)).collect())
-    }
-
-    /// Number of edges in the static graph.
-    pub fn edge_count(&self) -> usize {
-        self.graph.edge_count()
-    }
-}
-
-/// Build the static conjunct graph for a program mix and constraint.
+/// The data access graph of a program mix's footprints under `ic`
+/// (every runtime `DAG(S, IC)` of these programs is a subgraph of it),
+/// or [`CoreError::OverlappingConjuncts`] when `ic`'s conjuncts share
+/// an item and Theorem 3 promises nothing.
 pub fn check_static_dag(
     programs: &[Program],
     catalog: &Catalog,
     ic: &IntegrityConstraint,
-) -> StaticDag {
-    let mut graph = DiGraph::new(ic.len());
-    for p in programs {
-        let fp = rw_footprint(p, catalog);
-        for (i, ci) in ic.conjuncts().iter().enumerate() {
-            if fp.reads.intersection(ci.items()).is_empty() {
-                continue;
-            }
-            for (j, cj) in ic.conjuncts().iter().enumerate() {
-                if i != j && !fp.writes.intersection(cj.items()).is_empty() {
-                    graph.add_edge(i, j);
-                }
-            }
-        }
+) -> Result<DataAccessGraph, CoreError> {
+    if let Some(item) = ic.shared_item() {
+        return Err(CoreError::OverlappingConjuncts { item });
     }
-    StaticDag { graph }
+    let footprints = programs.iter().map(|p| {
+        let fp = rw_footprint(p, catalog);
+        (fp.reads, fp.writes)
+    });
+    Ok(access_graph_of(ic, footprints))
 }
 
 #[cfg(test)]
@@ -81,7 +46,7 @@ mod tests {
     use super::*;
     use pwsr_core::constraint::{Conjunct, Formula, Term};
     use pwsr_core::dag::data_access_graph;
-    use pwsr_core::ids::ItemId;
+    use pwsr_core::ids::{ConjunctId, ItemId};
     use pwsr_core::value::{Domain, Value};
     use pwsr_tplang::parser::parse_program;
 
@@ -113,10 +78,21 @@ mod tests {
             parse_program("TP1", "a := 1; if (c > 0) then b := abs(b) + 1;").unwrap(),
             parse_program("TP2", "if (a > 0) then c := b;").unwrap(),
         ];
-        let dag = check_static_dag(&programs, &cat, &ic);
+        let dag = check_static_dag(&programs, &cat, &ic).unwrap();
         assert!(!dag.is_acyclic());
         assert!(dag.cycle().is_some());
-        assert!(dag.order().is_none());
+        assert!(dag.topological_order().is_none());
+    }
+
+    #[test]
+    fn example5_overlapping_ic_is_refused() {
+        // Example 5's programs have an acyclic graph, yet its PWSR
+        // schedule is not strongly correct: Theorem 3 needs disjoint
+        // conjuncts, and C1 and C2 share `a`.
+        let sc = pwsr_tplang::programs::example5();
+        let a = sc.catalog.lookup("a").unwrap();
+        let refused = check_static_dag(&sc.programs, &sc.catalog, &sc.ic).unwrap_err();
+        assert!(matches!(refused, CoreError::OverlappingConjuncts { item } if item == a));
     }
 
     #[test]
@@ -126,9 +102,12 @@ mod tests {
             parse_program("P1", "c := a + b;").unwrap(),
             parse_program("P2", "c := a * 2;").unwrap(),
         ];
-        let dag = check_static_dag(&programs, &cat, &ic);
+        let dag = check_static_dag(&programs, &cat, &ic).unwrap();
         assert!(dag.is_acyclic());
-        assert_eq!(dag.order().unwrap(), vec![ConjunctId(0), ConjunctId(1)]);
+        assert_eq!(
+            dag.topological_order().unwrap(),
+            vec![ConjunctId(0), ConjunctId(1)]
+        );
     }
 
     #[test]
@@ -138,7 +117,7 @@ mod tests {
         let (cat, ic) = setup();
         let p = parse_program("P", "if (a > 0) then c := b; else b := 1;").unwrap();
         let programs = vec![p.clone()];
-        let static_dag = check_static_dag(&programs, &cat, &ic);
+        let static_dag = check_static_dag(&programs, &cat, &ic).unwrap();
         for av in [-1i64, 1] {
             let st = pwsr_core::state::DbState::from_pairs([
                 (cat.lookup("a").unwrap(), Value::Int(av)),
@@ -148,13 +127,10 @@ mod tests {
             let t = pwsr_tplang::interp::execute(&p, &cat, pwsr_core::ids::TxnId(1), &st).unwrap();
             let s = pwsr_core::schedule::Schedule::new(t.ops().to_vec()).unwrap();
             let runtime = data_access_graph(&s, &ic);
-            for i in 0..ic.len() {
-                for j in 0..ic.len() {
-                    if runtime.has_edge(ConjunctId(i as u32), ConjunctId(j as u32)) {
-                        assert!(
-                            static_dag.graph.has_edge(i, j),
-                            "missing static edge {i}→{j}"
-                        );
+            for i in (0..ic.len() as u32).map(ConjunctId) {
+                for j in (0..ic.len() as u32).map(ConjunctId) {
+                    if runtime.has_edge(i, j) {
+                        assert!(static_dag.has_edge(i, j), "missing static edge {i}→{j}");
                     }
                 }
             }

@@ -26,9 +26,9 @@ use crate::metrics::Metrics;
 use crate::plan::access_plan;
 use crate::policy::{MonitorAdmission, PolicySpec};
 use pwsr_core::catalog::Catalog;
-use pwsr_core::dag::OnlineAccessDag;
+use pwsr_core::dag::DataAccessGraph;
 use pwsr_core::graph::DiGraph;
-use pwsr_core::ids::{ItemId, OpIndex, TxnId};
+use pwsr_core::ids::{ConjunctId, ItemId, TxnId};
 use pwsr_core::op::{OpStruct, Operation};
 use pwsr_core::schedule::Schedule;
 use pwsr_core::state::DbState;
@@ -294,16 +294,16 @@ impl Discipline for Locking {
     }
 }
 
-/// The runtime Theorem-3 guard, incremental: the conjunct access
-/// graph (`DAG(S, IC)` with lock spaces `0..l` as units) rides
-/// [`OnlineAccessDag`] instead of being rebuilt from the trace on
-/// every step — `O(new ops)` catch-up per step, a probe per intent,
-/// and a full replay only after an abort rewrote the trace.
+/// The runtime Theorem-3 guard: `DAG(S, IC)` of the trace, with the
+/// lock spaces `0..l` as its conjuncts, kept up to date as the trace
+/// grows. An intent is probed by adding the transaction's would-be sets
+/// to a copy of the `l`-node graph; an abort rewrote the trace, so the
+/// graph is built again from what survived.
 struct DagGuard {
     l: u32,
-    dag: OnlineAccessDag,
-    /// Transaction → dense entity slot for the access DAG.
-    slots: HashMap<TxnId, usize>,
+    dag: DataAccessGraph,
+    /// Per transaction: the spaces it has read, and those it has written.
+    sets: HashMap<TxnId, [BTreeSet<ConjunctId>; 2]>,
     /// Trace length already folded into the graph.
     synced: usize,
 }
@@ -312,42 +312,38 @@ impl DagGuard {
     fn new(l: u32) -> DagGuard {
         DagGuard {
             l,
-            dag: OnlineAccessDag::new(l as usize),
-            slots: HashMap::new(),
+            dag: DataAccessGraph::new(l as usize),
+            sets: HashMap::new(),
             synced: 0,
         }
-    }
-
-    fn slot(&mut self, txn: TxnId) -> usize {
-        let next = self.slots.len();
-        *self.slots.entry(txn).or_insert(next)
     }
 
     /// An abort rewrote the trace: forget it all, so that the next
     /// [`sync`](Self::sync) folds the surviving trace from its start.
     fn aborted(&mut self) {
-        self.dag.clear();
-        self.slots.clear();
-        self.synced = 0;
+        *self = DagGuard::new(self.l);
     }
 
     /// Fold trace growth into the graph.
     fn sync(&mut self, trace: &[Operation], policy: &PolicySpec) {
-        for (k, op) in trace.iter().enumerate().skip(self.synced) {
-            let sp = policy.space_of(op.item).0;
-            if sp < self.l {
-                let slot = self.slot(op.txn);
-                self.dag.record(slot, sp, op.is_write(), OpIndex(k));
+        for op in &trace[self.synced..] {
+            let space = policy.space_of(op.item).0;
+            if space < self.l {
+                let sets = self.sets.entry(op.txn).or_default();
+                sets[op.is_write() as usize].insert(ConjunctId(space));
+                self.dag.add_transaction(&sets[0], &sets[1]);
             }
         }
         self.synced = trace.len();
     }
 
-    /// Would this access close a conjunct cycle? (Read-only in
-    /// effect: the probe retracts its tentative edges.)
-    fn rejects(&mut self, txn: TxnId, space: u32, is_write: bool) -> bool {
-        let slot = self.slot(txn);
-        !self.dag.admits(slot, space, is_write)
+    /// Would this access close a conjunct cycle?
+    fn rejects(&self, txn: TxnId, space: u32, is_write: bool) -> bool {
+        let mut sets = self.sets.get(&txn).cloned().unwrap_or_default();
+        sets[is_write as usize].insert(ConjunctId(space));
+        let mut probe = self.dag.clone();
+        probe.add_transaction(&sets[0], &sets[1]);
+        !probe.is_acyclic()
     }
 }
 
@@ -484,8 +480,8 @@ impl<'a> Run<'a> {
         // Runtime Theorem-3 guard: refuse the access that would close a
         // conjunct cycle, rejecting the transaction outright (a retry
         // could never commit — committed edges persist in DAG(S, IC)).
-        // Incremental: the guard folds trace growth into a live access
-        // DAG and answers with a retracting probe — no per-step rebuild.
+        // The guard folds trace growth into its graph and probes a copy
+        // — no per-step rebuild.
         if let Some(guard) = self.dag_guard.as_mut() {
             guard.sync(&self.trace, policy);
             if let Some((item, is_write)) = intent {
@@ -989,6 +985,43 @@ mod tests {
             rejections += out.rejected.len() as u32;
         }
         assert!(rejections > 0, "the cyclic pair must trigger rejections");
+    }
+
+    /// Example 2's IC under its guarded policy, and a guard synced to
+    /// `r1(c) w1(a) r2(a)`: T1 has put the edge C2 → C1 in place.
+    fn guard_after_r1c_w1a_r2a() -> (DagGuard, PolicySpec, [ItemId; 2]) {
+        let sc = pwsr_tplang::programs::example2();
+        let policy = PolicySpec::predicate_wise_2pl_early(&sc.ic).dag_guarded(&sc.ic);
+        let [a, c] = ["a", "c"].map(|name| sc.catalog.lookup(name).unwrap());
+        let trace = [
+            Operation::read(TxnId(1), c, Value::Int(1)),
+            Operation::write(TxnId(1), a, Value::Int(1)),
+            Operation::read(TxnId(2), a, Value::Int(1)),
+        ];
+        let mut guard = DagGuard::new(policy.dag_guard.unwrap());
+        guard.sync(&trace, &policy);
+        (guard, policy, [a, c])
+    }
+
+    #[test]
+    fn dag_guard_rejects_the_closing_access() {
+        // T2 has read C1; its write of c would add C1 → C2.
+        let (guard, policy, [_, c]) = guard_after_r1c_w1a_r2a();
+        assert!(guard.rejects(TxnId(2), policy.space_of(c).0, true));
+    }
+
+    #[test]
+    fn dag_guard_probe_commits_nothing() {
+        let (guard, policy, [a, c]) = guard_after_r1c_w1a_r2a();
+        let (c1, c2) = (policy.space_of(a).0, policy.space_of(c).0);
+        assert!(guard.rejects(TxnId(2), c2, true));
+        // The refused probe left the graph as it was: T2 writing into
+        // C1 adds no edge, and a third transaction may write anywhere.
+        assert!(!guard.rejects(TxnId(2), c1, true));
+        for space in [c1, c2] {
+            assert!(!guard.rejects(TxnId(3), space, true));
+        }
+        assert!(guard.dag.is_acyclic());
     }
 
     #[test]

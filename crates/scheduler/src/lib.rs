@@ -56,7 +56,7 @@ pub mod prelude {
         replay_matches, run_threaded_certified, run_threaded_occ_tuned, OccThreadedOutcome,
         OccTuning,
     };
-    pub use crate::dag_admission::{check_static_dag, StaticDag};
+    pub use crate::dag_admission::check_static_dag;
     pub use crate::error::SchedError;
     pub use crate::exec::{run_workload, ExecConfig, ExecOutcome};
     pub use crate::lock::{LockMode, LockTable, SpaceId};

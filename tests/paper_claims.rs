@@ -106,7 +106,7 @@ fn theorem3_end_to_end_via_admission() {
         parse_program("P1", "c := max(a, 1);").unwrap(),
         parse_program("P2", "c := abs(b) + 1;").unwrap(),
     ];
-    let dag = check_static_dag(&mix, &sc.catalog, &sc.ic);
+    let dag = check_static_dag(&mix, &sc.catalog, &sc.ic).unwrap();
     assert!(
         dag.is_acyclic(),
         "admission accepts the one-directional mix"
@@ -125,7 +125,7 @@ fn theorem3_end_to_end_via_admission() {
     }
 
     // The Example 2 mix is refused by the same admission check.
-    let refused = check_static_dag(&sc.programs, &sc.catalog, &sc.ic);
+    let refused = check_static_dag(&sc.programs, &sc.catalog, &sc.ic).unwrap();
     assert!(!refused.is_acyclic());
 }
 
