@@ -156,12 +156,11 @@ impl WorkloadAnalysis {
     }
 
     /// The admission certificate for the certified subset, ready for
-    /// [`PolicySpec::certified`] /
-    /// [`MonitorAdmission::with_certificate`] — `None` when nothing
-    /// was certified.
+    /// [`PolicySpec::certified`] or a [`MonitorSpec`]'s `certificate`
+    /// — `None` when nothing was certified.
     ///
     /// [`PolicySpec::certified`]: pwsr_scheduler::policy::PolicySpec::certified
-    /// [`MonitorAdmission::with_certificate`]: pwsr_scheduler::policy::MonitorAdmission::with_certificate
+    /// [`MonitorSpec`]: pwsr_scheduler::policy::MonitorSpec
     pub fn certificate(&self) -> Option<StaticCertificate> {
         if self.certified.is_empty() {
             return None;

@@ -42,7 +42,7 @@ use pwsr_core::state::DbState;
 use pwsr_core::value::{Domain, Value};
 use pwsr_gen::chaos::random_execution;
 use pwsr_gen::workloads::{analyzer_workload, AnalyzerWorkloadConfig, Workload};
-use pwsr_scheduler::policy::MonitorAdmission;
+use pwsr_scheduler::policy::{MonitorAdmission, MonitorSpec};
 use pwsr_tplang::ast::Program;
 use pwsr_tplang::parser::parse_program;
 use rand::rngs::StdRng;
@@ -190,7 +190,8 @@ pub fn an1(trials: u64, seed: u64) -> (bool, String) {
     // Monitored: speculative probe + monitor push per op. A
     // statically-safe workload is admissible in EVERY interleaving —
     // the monitored run must never want to reject.
-    let mut adm = MonitorAdmission::for_constraint(&safe_w.ic, level);
+    let spec = MonitorSpec::new(safe_w.ic.scopes(), level);
+    let mut adm = MonitorAdmission::new(&spec);
     let mut monitored_admits = true;
     for op in trace.ops() {
         monitored_admits &= adm.would_admit(op.txn, op.item, op.is_write());
@@ -201,7 +202,10 @@ pub fn an1(trials: u64, seed: u64) -> (bool, String) {
     // Certified: probe = certificate lookup, observe = counter bump.
     // The certificate bypasses the monitor: every operation of every
     // pass is counted as skipped and the monitor stays empty.
-    let mut fast = MonitorAdmission::for_constraint(&safe_w.ic, level).with_certificate(cert);
+    let mut fast = MonitorAdmission::new(&MonitorSpec {
+        certificate: Some(cert),
+        ..spec
+    });
     let mut certified_admits = true;
     for _ in 0..reps {
         for op in trace.ops() {

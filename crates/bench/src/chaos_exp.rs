@@ -499,12 +499,13 @@ fn leg_threaded_wal(
                     twin_records: None,
                 };
                 let run = |wal| {
+                    let policy = ctx.wal_policy(wal);
                     let (schedule, final_state, _) = run_threaded_certified(
                         &ctx.progs,
                         &ctx.cat,
                         &ctx.initial,
-                        &ctx.wal_policy(wal),
-                        ctx.ic.scopes(),
+                        &policy,
+                        policy.monitor.as_ref().expect("the WAL policy monitors"),
                     )?;
                     let parity = replays(ctx, &ctx.progs, &schedule, None)
                         && final_state == schedule.apply(&ctx.initial);

@@ -43,9 +43,10 @@ impl CommitPoints {
         self.0.get(&txn).copied()
     }
 
-    /// Is `txn` committed at (i.e. at or before) position `p`?
+    /// Is `txn` committed by the time position `p` runs, i.e. is its
+    /// commit point strictly before `p`?
     pub fn committed_by(&self, txn: TxnId, p: OpIndex) -> bool {
-        self.get(txn).is_some_and(|c| c.0 <= p.0)
+        self.get(txn).is_some_and(|c| c.0 < p.0)
     }
 }
 

@@ -434,9 +434,22 @@ mod tests {
         let (s, commits) = h.as_schedule_with_commits();
         assert_eq!(s.len(), 2);
         // T1's commit point covers its write (position 0).
-        assert!(commits.committed_by(TxnId(1), OpIndex(0)));
+        assert_eq!(commits.get(TxnId(1)), Some(OpIndex(0)));
         // ACA under the explicit points matches the history's own test.
         assert_eq!(crate::dr::is_aca_with(&s, &commits), h.is_aca());
+    }
+
+    /// A commit point is the position *after which* its transaction is
+    /// committed. In `w1(x) r2(x) c1 c2` T1's commit point falls on
+    /// r2's position, so r2 read before c1: dirty under the explicit
+    /// points as in the history.
+    #[test]
+    fn read_at_the_commit_point_is_dirty() {
+        let h = History::new(vec![wr(1, 0, 1), rd(2, 0, 1), c(1), c(2)]).unwrap();
+        let (s, commits) = h.as_schedule_with_commits();
+        assert_eq!(commits.get(TxnId(1)), Some(OpIndex(1)));
+        assert!(!h.is_aca());
+        assert!(!crate::dr::is_aca_with(&s, &commits));
     }
 
     #[test]

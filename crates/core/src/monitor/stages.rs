@@ -35,9 +35,11 @@
 //! unlogged run moves it to the new length) that compaction stops at.
 //! A driver hands each call a closure that walks its other stages.
 //!
-//! The §2.2 totals ([`TxnTotals`]), the full [`Verdict`] assembly
-//! ([`GlobalState::verdict`]) and the admission probe ([`admits`]) sit
-//! here for the same reason: one definition, two callers.
+//! The §2.2 totals ([`TxnTotals`], applying the rule
+//! [`Transaction::new`](crate::txn::Transaction::new) applies), the full
+//! [`Verdict`] assembly ([`GlobalState::verdict`]) and the admission
+//! probe ([`admits`]) sit here for the same reason: one definition, two
+//! callers.
 
 use super::journal::MonitorJournal;
 use super::undo::{GlobalDelta, SeqDelta, UndoLog};
@@ -45,33 +47,15 @@ use super::{
     AdmissionLevel, Applied, CompactStats, FinishedFlags, NodeMaps, ProjGraph, ScopeIndex,
     SummarizedSet, Verdict, VerdictLevel,
 };
-use crate::error::{CoreError, MalformedKind, Result};
+use crate::error::{CoreError, Result};
 use crate::ids::{ItemId, OpIndex, TxnId};
-use crate::op::{Action, Operation};
+use crate::op::Operation;
 use crate::schedule::Schedule;
 use crate::state::{ItemSet, SetPool};
+use crate::txn::validate_22;
 use std::ops::Deref;
 
 const NO_POS: u32 = u32::MAX;
-
-/// The §2.2 admissibility of `op` against its transaction's current
-/// read/write totals.
-fn validate_22(rs: &ItemSet, ws: &ItemSet, op: &Operation) -> Result<()> {
-    let reason = match op.action {
-        Action::Read if rs.contains(op.item) => Some(MalformedKind::DuplicateRead),
-        Action::Read if ws.contains(op.item) => Some(MalformedKind::ReadAfterWrite),
-        Action::Write if ws.contains(op.item) => Some(MalformedKind::DuplicateWrite),
-        _ => None,
-    };
-    match reason {
-        Some(reason) => Err(CoreError::MalformedTransaction {
-            txn: op.txn,
-            reason,
-            item: op.item,
-        }),
-        None => Ok(()),
-    }
-}
 
 /// One transaction's running §2.2 read/write totals. Where the rows
 /// live is the driver's business (per slot for the single writer, in

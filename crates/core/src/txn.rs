@@ -9,9 +9,29 @@
 use crate::catalog::Catalog;
 use crate::error::{CoreError, MalformedKind, Result};
 use crate::ids::{ItemId, TxnId};
-use crate::op::{self, OpStruct, Operation};
+use crate::op::{self, Action, OpStruct, Operation};
 use crate::state::{DbState, ItemSet};
 use std::fmt;
+
+/// The §2.2 admissibility of `op` against its transaction's read set
+/// `rs` and write set `ws` so far: no second read, no read after a
+/// write, no second write of one item — checked in that order.
+pub(crate) fn validate_22(rs: &ItemSet, ws: &ItemSet, op: &Operation) -> Result<()> {
+    let reason = match op.action {
+        Action::Read if rs.contains(op.item) => Some(MalformedKind::DuplicateRead),
+        Action::Read if ws.contains(op.item) => Some(MalformedKind::ReadAfterWrite),
+        Action::Write if ws.contains(op.item) => Some(MalformedKind::DuplicateWrite),
+        _ => None,
+    };
+    match reason {
+        Some(reason) => Err(CoreError::MalformedTransaction {
+            txn: op.txn,
+            reason,
+            item: op.item,
+        }),
+        None => Ok(()),
+    }
+}
 
 /// A transaction: an id plus its totally ordered operations.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -33,34 +53,11 @@ impl Transaction {
                     o.txn
                 )));
             }
-            match o.action {
-                crate::op::Action::Read => {
-                    if read.contains(o.item) {
-                        return Err(CoreError::MalformedTransaction {
-                            txn: id,
-                            reason: MalformedKind::DuplicateRead,
-                            item: o.item,
-                        });
-                    }
-                    if written.contains(o.item) {
-                        return Err(CoreError::MalformedTransaction {
-                            txn: id,
-                            reason: MalformedKind::ReadAfterWrite,
-                            item: o.item,
-                        });
-                    }
-                    read.insert(o.item);
-                }
-                crate::op::Action::Write => {
-                    if written.contains(o.item) {
-                        return Err(CoreError::MalformedTransaction {
-                            txn: id,
-                            reason: MalformedKind::DuplicateWrite,
-                            item: o.item,
-                        });
-                    }
-                    written.insert(o.item);
-                }
+            validate_22(&read, &written, o)?;
+            if o.is_write() {
+                written.insert(o.item);
+            } else {
+                read.insert(o.item);
             }
         }
         Ok(Transaction { id, ops })

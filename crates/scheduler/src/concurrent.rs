@@ -7,8 +7,9 @@
 //! Two recording paths, both certified live. They share everything
 //! that is not their discipline: one pool of scoped workers claiming
 //! transactions from one counter, one item-striped store, one commit
-//! step (finish, then checkpoint and compact on cadence) and
-//! [`Metrics`] as the only counter.
+//! step (finish, then checkpoint and compact on cadence), one
+//! description of the monitor half ([`MonitorSpec`], whose seal ends
+//! both runs against its floor) and [`Metrics`] as the only counter.
 //!
 //! * [`run_threaded_certified`] — lock-based, with no global database
 //!   lock: one worker per program, and each transaction acquires its
@@ -49,7 +50,7 @@ use pwsr_core::monitor::sharded::{PushOutcome, ShardedMonitor};
 use pwsr_core::monitor::{AdmissionLevel, Verdict};
 use pwsr_core::op::Operation;
 use pwsr_core::schedule::Schedule;
-use pwsr_core::state::{DbState, ItemSet};
+use pwsr_core::state::DbState;
 use pwsr_core::value::Value;
 use pwsr_durability::fault::{ExecFault, FaultHandle};
 use pwsr_tplang::analysis::rw_footprint;
@@ -165,36 +166,41 @@ impl<'a> CommitStep<'a> {
 /// Run each program on a worker of its own under conservative
 /// per-space two-phase locking: a transaction locks its syntactic
 /// space set in ascending order, executes, then releases — with a
-/// [`ShardedMonitor`] certifying the verdict live, operation
-/// by operation. The database is striped by item (no global lock);
-/// the interleaving is whatever order the threads' pushes claim inside
-/// the monitor's sequence stage, and the returned verdict is the
+/// [`ShardedMonitor`] over `spec.scopes` certifying the verdict live,
+/// operation by operation. The database is striped by item (no global
+/// lock); the interleaving is whatever order the threads' pushes claim
+/// inside the monitor's sequence stage, and the returned verdict is the
 /// monitor's exact (quiescent) verdict over exactly that interleaving.
 /// Returns the recorded (committed) schedule, the final state and that
-/// verdict.
+/// verdict. Only `policy`'s item→space map is read; `spec` is the
+/// monitor half, as for [`run_threaded_occ_tuned`].
 ///
-/// When `policy.monitor` carries a [`StaticCertificate`] (see
-/// [`PolicySpec::certified`]), transactions the certificate covers
-/// **bypass the monitor pipeline entirely**: their operations are
-/// recorded into a cheap side trace instead of being pushed through
-/// the three-stage certification pipeline. The returned verdict then
-/// covers only the *monitored* suffix of the workload (its `len` is
-/// the number of monitored operations, not the schedule length); the
-/// overall guarantee is the conjunction of the certificate's static
-/// level over the certified subset and the live verdict over the
-/// rest. Soundness rests on the analyzer's contract that certified
-/// transactions form conflict-closed components — they never conflict
-/// with monitored transactions, so same-item operation order (and
-/// hence reads-from and coherence) is unaffected by splicing the side
-/// trace after the monitored schedule.
+/// When `spec` carries a trusted [`StaticCertificate`], transactions
+/// the certificate covers **bypass the monitor pipeline entirely**:
+/// their operations are recorded into a cheap side trace instead of
+/// being pushed through the three-stage certification pipeline. The
+/// returned verdict then covers only the *monitored* suffix of the
+/// workload (its `len` is the number of monitored operations, not the
+/// schedule length); the overall guarantee is the conjunction of the
+/// certificate's static level over the certified subset and the live
+/// verdict over the rest. Soundness rests on the analyzer's contract
+/// that certified transactions form conflict-closed components — they
+/// never conflict with monitored transactions, so same-item operation
+/// order (and hence reads-from and coherence) is unaffected by splicing
+/// the side trace after the monitored schedule.
 ///
-/// [`PolicySpec::certified`]: crate::policy::PolicySpec::certified
+/// When `spec.wal` is set, the monitor journals every claimed operation
+/// into it (under its sequence mutex, so log order is claimed schedule
+/// order). Errors with [`SchedError::FloorBreached`] — carrying the
+/// committed schedule — when the quiescent verdict ends below
+/// `spec.level`: `Ok` means the committed schedule
+/// [meets](Verdict::meets) the floor.
 pub fn run_threaded_certified(
     programs: &[Program],
     catalog: &Catalog,
     initial: &DbState,
     policy: &PolicySpec,
-    scopes: Vec<ItemSet>,
+    spec: &MonitorSpec,
 ) -> Result<(Schedule, DbState, Verdict)> {
     // Each program's conservative space set, computed once; the lock
     // table covers them all.
@@ -207,23 +213,18 @@ pub fn run_threaded_certified(
         .collect();
     let n_spaces = spaces.iter().flatten().max().map_or(1, |&s| s as usize + 1);
     let space_locks: Vec<Mutex<()>> = (0..n_spaces).map(|_| Mutex::new(())).collect();
-    let spec = policy.monitor.as_ref();
-    let wal = spec.and_then(|s| s.wal.as_ref());
-    let mut monitor = ShardedMonitor::new(scopes);
-    // Durable admission: journal every claimed operation into the
-    // policy's WAL (the journal hook runs under the monitor's
-    // sequence mutex, so log order is claimed schedule order).
-    if let Some(wal) = wal {
+    let mut monitor = ShardedMonitor::new(spec.scopes.clone());
+    if let Some(wal) = &spec.wal {
         monitor = monitor.with_journal(Box::new(wal.clone()));
     }
     let db = StripedStore::new(initial, 16);
-    let certificate = spec.and_then(certificate_of);
+    let certificate = spec.trusted_certificate();
     // Side trace for statically-certified transactions: a plain mutex
     // push, no graph maintenance, no pipeline stages.
     let side: Mutex<Vec<Operation>> = Mutex::new(Vec::new());
-    let commit = CommitStep::new(&monitor, 0, spec.map_or(0, |s| s.compact_every));
+    let commit = CommitStep::new(&monitor, 0, spec.compact_every);
 
-    run_pool(programs.len(), programs.len(), |_, k, _| {
+    let mut metrics = run_pool(programs.len(), programs.len(), |_, k, _| {
         let txn = TxnId(k as u32 + 1);
         let fast = certificate.is_some_and(|c| c.covers(txn));
         let guards: Vec<_> = spaces[k]
@@ -273,24 +274,10 @@ pub fn run_threaded_certified(
 
     let (monitored, verdict) = monitor.into_parts();
     let schedule = splice_side_trace(monitored, side.into_inner())?;
-    // This path reports no metrics; the seal is for the tail and the
-    // verdict on the log.
-    if let Some(wal) = wal {
-        Metrics::default().seal_wal(wal)?;
-    }
+    // This path reports no metrics; the seal is for the tail of the
+    // log and the floor.
+    spec.seal(&mut metrics, verdict, &schedule)?;
     Ok((schedule, db.into_state(), verdict))
-}
-
-/// The validated certificate a policy carries, if any: present only
-/// when the policy has a monitor half and the certificate's level
-/// implies the monitor's floor ([`PolicySpec::certified`] refuses
-/// weaker attachments, but re-checking here keeps hand-built specs
-/// honest).
-///
-/// [`PolicySpec::certified`]: crate::policy::PolicySpec::certified
-fn certificate_of(spec: &MonitorSpec) -> Option<&StaticCertificate> {
-    let holds = |c: &&StaticCertificate| c.satisfies(spec.level);
-    spec.certificate.as_ref().filter(holds)
 }
 
 /// Append the certified side trace after the monitored schedule.
@@ -573,7 +560,7 @@ pub fn run_threaded_occ_tuned(
         db: &db,
         registry: &registry,
         side: &side,
-        certificate: certificate_of(spec),
+        certificate: spec.trusted_certificate(),
         level,
         tuning,
         deadline: (tuning.txn_deadline_us > 0)
@@ -638,21 +625,9 @@ pub fn run_threaded_occ_tuned(
     // the authoritative total; with faults armed only beneath the WAL,
     // its stats carry the count.
     let planned = tuning.faults.as_ref().map(|faults| faults.injected());
-    if let Some(wal) = &spec.wal {
-        metrics.seal_wal(wal)?;
-    }
+    spec.seal(&mut metrics, verdict, &schedule)?;
     if let Some(planned) = planned {
         metrics.injected_faults = planned;
-    }
-    // The promise every per-push `breaches` check exists to keep,
-    // checked once on the quiescent verdict: a run that committed
-    // below its floor is a bug report, not a result.
-    if !verdict.meets(level) {
-        return Err(SchedError::FloorBreached {
-            level,
-            verdict,
-            schedule: Box::new(schedule),
-        });
     }
     Ok(OccThreadedOutcome {
         schedule,
@@ -1113,9 +1088,10 @@ mod tests {
             parse_program("T4", "a0 := a0 + 3;").unwrap(),
         ];
         let policy = PolicySpec::predicate_wise_2pl(&ic);
+        let spec = MonitorSpec::new(ic.scopes(), AdmissionLevel::Pwsr);
         for _ in 0..5 {
             let (schedule, final_state, verdict) =
-                run_threaded_certified(&programs, &cat, &initial, &policy, ic.scopes()).unwrap();
+                run_threaded_certified(&programs, &cat, &initial, &policy, &spec).unwrap();
             schedule.check_read_coherence(&initial).unwrap();
             assert!(is_pwsr(&schedule, &ic).ok());
             assert!(verdict.pwsr() && verdict.len == schedule.len());
@@ -1141,10 +1117,10 @@ mod tests {
             parse_program("T3", "b1 := b1 + 1; a1 := a1 + 2;").unwrap(),
         ];
         let policy = PolicySpec::predicate_wise_2pl(&ic);
-        let scopes = ic.scopes();
+        let spec = MonitorSpec::new(ic.scopes(), AdmissionLevel::Pwsr);
         for _ in 0..5 {
             let (schedule, _, verdict) =
-                run_threaded_certified(&programs, &cat, &initial, &policy, scopes.clone()).unwrap();
+                run_threaded_certified(&programs, &cat, &initial, &policy, &spec).unwrap();
             // Conservative per-space 2PL holds every touched space for
             // the transaction's lifetime: the live verdict must land at
             // PWSR-or-better with DR preserved, and agree with the
@@ -1173,9 +1149,10 @@ mod tests {
         ];
         let policy = PolicySpec::predicate_wise_2pl(&ic);
         let scopes = ic.scopes();
+        let spec = MonitorSpec::new(scopes.clone(), AdmissionLevel::Pwsr);
         for _ in 0..10 {
             let (schedule, final_state, verdict) =
-                run_threaded_certified(&programs, &cat, &initial, &policy, scopes.clone()).unwrap();
+                run_threaded_certified(&programs, &cat, &initial, &policy, &spec).unwrap();
             schedule.check_read_coherence(&initial).unwrap();
             assert_eq!(schedule.apply(&initial), final_state);
             let mut replay = OnlineMonitor::new(scopes.clone());
@@ -1196,8 +1173,9 @@ mod tests {
             parse_program("T2", "a0 := a0 + 1;").unwrap(),
         ];
         let policy = PolicySpec::predicate_wise_2pl(&ic);
+        let spec = MonitorSpec::new(ic.scopes(), AdmissionLevel::Pwsr);
         let (schedule, _, verdict) =
-            run_threaded_certified(&programs, &cat, &initial, &policy, ic.scopes()).unwrap();
+            run_threaded_certified(&programs, &cat, &initial, &policy, &spec).unwrap();
         assert!(verdict.pwsr() && verdict.len == schedule.len());
         for (k, p) in programs.iter().enumerate() {
             let txn = TxnId(k as u32 + 1);
@@ -1209,22 +1187,14 @@ mod tests {
     #[test]
     fn empty_program_set() {
         let (cat, _ic, initial) = setup();
+        let spec = MonitorSpec::new(Vec::new(), AdmissionLevel::Pwsr);
         let (schedule, final_state, verdict) =
-            run_threaded_certified(&[], &cat, &initial, &PolicySpec::global_2pl(), Vec::new())
-                .unwrap();
+            run_threaded_certified(&[], &cat, &initial, &PolicySpec::global_2pl(), &spec).unwrap();
         assert!(schedule.is_empty());
         assert_eq!(final_state, initial);
         assert_eq!(verdict.len, 0);
-        let out = run_threaded_occ_tuned(
-            &[],
-            &cat,
-            &initial,
-            &MonitorSpec::new(Vec::new(), AdmissionLevel::Pwsr),
-            4,
-            10,
-            &OccTuning::default(),
-        )
-        .unwrap();
+        let out = run_threaded_occ_tuned(&[], &cat, &initial, &spec, 4, 10, &OccTuning::default())
+            .unwrap();
         assert!(out.schedule.is_empty());
         assert_eq!(out.final_state, initial);
         assert_eq!(out.metrics.occ_aborts, 0);
@@ -1248,9 +1218,9 @@ mod tests {
         ];
         let refused = |r: Result<()>| matches!(r, Err(SchedError::Program(TpError::DoubleWrite(i))) if i == a0);
         let policy = PolicySpec::predicate_wise_2pl(&ic);
-        let locked = run_threaded_certified(&programs, &cat, &initial, &policy, ic.scopes());
-        assert!(refused(locked.map(|_| ())));
         let spec = MonitorSpec::new(ic.scopes(), AdmissionLevel::Pwsr);
+        let locked = run_threaded_certified(&programs, &cat, &initial, &policy, &spec);
+        assert!(refused(locked.map(|_| ())));
         for threads in [1, 4] {
             let tuning = OccTuning::default();
             let occ =
@@ -1347,16 +1317,17 @@ mod tests {
             parse_program("T3", "a1 := a1 + 5;").unwrap(),
             parse_program("T4", "b1 := b1 + 7;").unwrap(),
         ];
-        let policy = PolicySpec::predicate_wise_2pl(&ic)
-            .monitor_admission(&ic, AdmissionLevel::Pwsr)
-            .certified(StaticCertificate::full(
+        let policy = PolicySpec::predicate_wise_2pl(&ic);
+        let spec = MonitorSpec {
+            certificate: Some(StaticCertificate::full(
                 AdmissionLevel::Pwsr,
                 programs.len(),
-            ));
-        let scopes = ic.scopes();
+            )),
+            ..MonitorSpec::new(ic.scopes(), AdmissionLevel::Pwsr)
+        };
         for _ in 0..5 {
             let (schedule, final_state, verdict) =
-                run_threaded_certified(&programs, &cat, &initial, &policy, scopes.clone()).unwrap();
+                run_threaded_certified(&programs, &cat, &initial, &policy, &spec).unwrap();
             assert_eq!(verdict.len, 0, "no operation may reach the monitor");
             assert_eq!(schedule.len(), 8);
             schedule.check_read_coherence(&initial).unwrap();
@@ -1391,13 +1362,14 @@ mod tests {
             AdmissionLevel::Pwsr,
             [TxnId(1), TxnId(2)].into_iter().collect(),
         );
-        let policy = PolicySpec::predicate_wise_2pl(&ic)
-            .monitor_admission(&ic, AdmissionLevel::Pwsr)
-            .certified(cert);
-        let scopes = ic.scopes();
+        let policy = PolicySpec::predicate_wise_2pl(&ic);
+        let spec = MonitorSpec {
+            certificate: Some(cert),
+            ..MonitorSpec::new(ic.scopes(), AdmissionLevel::Pwsr)
+        };
         for _ in 0..5 {
             let (schedule, final_state, verdict) =
-                run_threaded_certified(&programs, &cat, &initial, &policy, scopes.clone()).unwrap();
+                run_threaded_certified(&programs, &cat, &initial, &policy, &spec).unwrap();
             // T3+T4 contribute 2+4 monitored ops; T1+T2 skip with 4.
             assert_eq!(verdict.len, 6);
             assert_eq!(schedule.len(), 10);
@@ -1523,13 +1495,15 @@ mod tests {
             .collect();
         let scopes = ic.scopes();
 
-        // Lock-based certified path: cadence carried by the policy.
-        let policy = PolicySpec::predicate_wise_2pl(&ic)
-            .monitor_admission(&ic, AdmissionLevel::Pwsr)
-            .compacting(2);
+        // Lock-based certified path.
+        let policy = PolicySpec::predicate_wise_2pl(&ic);
+        let spec = MonitorSpec {
+            compact_every: 2,
+            ..MonitorSpec::new(scopes.clone(), AdmissionLevel::Pwsr)
+        };
         for _ in 0..5 {
             let (schedule, final_state, verdict) =
-                run_threaded_certified(&hot, &cat, &initial, &policy, scopes.clone()).unwrap();
+                run_threaded_certified(&hot, &cat, &initial, &policy, &spec).unwrap();
             assert!(verdict.meets(AdmissionLevel::Pwsr));
             assert_eq!(
                 verdict.len,
@@ -1548,9 +1522,9 @@ mod tests {
             );
         }
 
-        // OCC certified path: cadence carried by the spec; the logged
-        // monitor needs the checkpoint-then-compact pairing because
-        // in-flight transactions may yet abort and retract.
+        // OCC certified path: the logged monitor needs the
+        // checkpoint-then-compact pairing because in-flight
+        // transactions may yet abort and retract.
         let spec = MonitorSpec {
             compact_every: 1,
             ..MonitorSpec::new(scopes.clone(), AdmissionLevel::Pwsr)

@@ -15,7 +15,8 @@
 //! runtime DAG guard, *cascading* aborts (any transaction that read
 //! from an aborted write) rolled back by trace filtering, restart
 //! accounting, and the outcome — the **committed** schedule, a valid
-//! [`Schedule`] in the paper's sense, plus execution metrics.
+//! [`Schedule`] in the paper's sense, plus execution metrics — which
+//! an admitted run returns only when it meets the admission's floor.
 //!
 //! The executor is fully deterministic for a fixed seed, making every
 //! experiment reproducible.
@@ -206,10 +207,7 @@ pub fn run_workload(
     policy: &PolicySpec,
     cfg: &ExecConfig,
 ) -> Result<ExecOutcome> {
-    let mut run = Run::new(programs, catalog, initial, policy, cfg);
-    run.admission = policy.monitor.as_ref().map(|m| m.admission());
-    run.dag_guard = policy.dag_guard.map(DagGuard::new);
-    run.run(&mut Locking::default())
+    Run::new(programs, catalog, initial, policy, cfg).run(&mut Locking::default())
 }
 
 /// The locking discipline: shared/exclusive locks per (space, item),
@@ -355,7 +353,8 @@ fn last_writer(before: &[Operation], item: ItemId) -> Option<TxnId> {
 }
 
 impl<'a> Run<'a> {
-    /// The table and the store at the start: no admission, no guard.
+    /// The table and the store at the start, with the policy's
+    /// admission and DAG guard.
     pub(crate) fn new(
         programs: &'a [Program],
         catalog: &Catalog,
@@ -384,8 +383,8 @@ impl<'a> Run<'a> {
             trace: Vec::new(),
             metrics: Metrics::default(),
             rejected: Vec::new(),
-            admission: None,
-            dag_guard: None,
+            admission: policy.monitor.as_ref().map(MonitorAdmission::new),
+            dag_guard: policy.dag_guard.map(DagGuard::new),
         }
     }
 
@@ -438,17 +437,17 @@ impl<'a> Run<'a> {
         }
 
         let mut metrics = self.metrics;
+        metrics.committed_ops = self.trace.len() as u64;
+        let schedule = Schedule::new(self.trace)?;
         if let Some(mon) = &self.admission {
             metrics.monitor_undone_ops = mon.undone_ops();
             metrics.monitor_log_floor = mon.monitor().log_floor() as u64;
             metrics.monitor_skipped_ops = mon.skipped_ops();
-            if let Some(wal) = mon.wal() {
-                metrics.seal_wal(wal)?;
-            }
+            mon.spec()
+                .seal(&mut metrics, mon.monitor().verdict(), &schedule)?;
         }
-        metrics.committed_ops = self.trace.len() as u64;
         Ok(ExecOutcome {
-            schedule: Schedule::new(self.trace)?,
+            schedule,
             final_state: self.db,
             metrics,
             rejected: self.rejected,
@@ -1215,6 +1214,7 @@ mod tests {
     /// either way: these are the ones the per-victim loop committed.
     #[test]
     fn wound_wait_retracts_its_victims_as_one_set() {
+        use crate::policy::MonitorSpec;
         use pwsr_core::monitor::AdmissionLevel;
         let (cat, ic, initial) = setup();
         let programs = vec![
@@ -1223,7 +1223,7 @@ mod tests {
             parse_program("T3", "b1 := a0;").unwrap(),
         ];
         let a0 = cat.lookup("a0").unwrap();
-        let mut model = MonitorAdmission::for_constraint(&ic, AdmissionLevel::Pwsr);
+        let mut model = MonitorAdmission::new(&MonitorSpec::new(ic.scopes(), AdmissionLevel::Pwsr));
         model.observe(&Operation::read(TxnId(2), a0, Value::Int(0)));
         model.observe(&Operation::read(TxnId(3), a0, Value::Int(0)));
         let (set_cost, repushed) = model.retract_txns(&[TxnId(2), TxnId(3)]).unwrap();

@@ -6,6 +6,10 @@
 //! (*early release* — the long-transaction benefit §1 motivates), and
 //! (c) whether reads of items last written by an unfinished transaction
 //! must block (*DR blocking*, the operational form of Theorem 2).
+//! Runtime certification is described once, by a [`MonitorSpec`]: the
+//! seeded runner reads it from [`PolicySpec::monitor`], the threaded
+//! executors take it as an argument, and [`MonitorAdmission::new`]
+//! builds the admission from it.
 //!
 //! | constructor | spaces | guarantees on the committed schedule |
 //! |---|---|---|
@@ -14,16 +18,19 @@
 //! | [`PolicySpec::predicate_wise_2pl_early`] | per conjunct | PWSR, more interleaving |
 //! | [`PolicySpec::dr_blocking`] (wrapper) | unchanged | + delayed-read |
 
+use crate::error::SchedError;
 use crate::lock::SpaceId;
+use crate::metrics::Metrics;
 use pwsr_core::catalog::Catalog;
 use pwsr_core::constraint::IntegrityConstraint;
 use pwsr_core::error::CoreError;
 use pwsr_core::ids::{ItemId, TxnId};
 use pwsr_core::monitor::{AdmissionLevel, CompactStats, OnlineMonitor, Verdict};
 use pwsr_core::op::Operation;
+use pwsr_core::schedule::Schedule;
 use pwsr_core::state::ItemSet;
 use pwsr_durability::wal::SharedWal;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;
 
 /// Does holding verdict level `a` on a schedule imply level `b`?
@@ -107,7 +114,7 @@ impl StaticCertificate {
 
 /// Monitor-backed admission control: an [`OnlineMonitor`] tracking the
 /// executor's trace, consulted before every operation. An operation
-/// whose admission would sink the verdict below the configured
+/// whose admission would sink the verdict below the spec's
 /// [`AdmissionLevel`] is rejected — the paper's verdicts driving
 /// scheduling decisions instead of describing finished histories.
 ///
@@ -120,101 +127,42 @@ impl StaticCertificate {
 #[derive(Debug)]
 pub struct MonitorAdmission {
     monitor: OnlineMonitor,
-    level: AdmissionLevel,
-    /// Statically-certified fast path: transactions the certificate
-    /// covers bypass the monitor entirely (admitted unconditionally,
-    /// their operations never pushed).
-    certificate: Option<StaticCertificate>,
+    /// What this admission was built from: scopes, floor, certificate,
+    /// WAL.
+    spec: MonitorSpec,
     /// Operations skipped via the certificate.
     skipped_ops: u64,
     /// Operations retracted via the undo-log across all retractions.
     undone_ops: u64,
-    /// Optional write-ahead log, the monitor's journal. The admission
-    /// writes nothing into it; it keeps the handle so that the executor
-    /// can seal the log at the end of the run.
-    wal: Option<SharedWal>,
 }
 
 impl MonitorAdmission {
-    /// Admission over explicit projection scopes.
-    pub fn new(scopes: Vec<ItemSet>, level: AdmissionLevel) -> MonitorAdmission {
+    /// The admission `spec` describes: a monitor over its scopes at its
+    /// floor. Transactions its [trusted
+    /// certificate](MonitorSpec::trusted_certificate) covers are
+    /// admitted without consulting the monitor and their operations are
+    /// never pushed. Its WAL becomes the monitor's journal
+    /// ([`OnlineMonitor::with_journal`]): every monitored transition is
+    /// journaled *before* it is applied, so a crash recovers to exactly
+    /// this admission's monitor state (see `pwsr_durability::recover`).
+    /// Certified skips are not journaled — replay reconstructs the
+    /// monitored sub-trace, which is the whole monitor state.
+    pub fn new(spec: &MonitorSpec) -> MonitorAdmission {
+        let mut monitor = OnlineMonitor::new(spec.scopes.clone());
+        if let Some(wal) = &spec.wal {
+            monitor = monitor.with_journal(Box::new(wal.clone()));
+        }
         MonitorAdmission {
-            monitor: OnlineMonitor::new(scopes),
-            level,
-            certificate: None,
+            monitor,
+            spec: spec.clone(),
             skipped_ops: 0,
             undone_ops: 0,
-            wal: None,
         }
     }
 
-    /// Attach a write-ahead log as the monitor's journal
-    /// ([`OnlineMonitor::with_journal`]): every monitored transition
-    /// is journaled *before* it is applied, so a crash recovers to
-    /// exactly this admission's monitor state (see
-    /// `pwsr_durability::recover`). Certified skips are not journaled —
-    /// replay reconstructs the monitored sub-trace, which is the whole
-    /// monitor state. An I/O error the log's policy could not heal
-    /// stays in the log, sticky, until the executor seals it at the end
-    /// of the run and turns it into [`SchedError::WalFailed`].
-    ///
-    /// [`SchedError::WalFailed`]: crate::error::SchedError::WalFailed
-    pub fn with_wal(self, wal: SharedWal) -> MonitorAdmission {
-        debug_assert!(
-            self.monitor.is_empty(),
-            "attach the WAL before recording operations"
-        );
-        MonitorAdmission {
-            monitor: self.monitor.with_journal(Box::new(wal.clone())),
-            wal: Some(wal),
-            ..self
-        }
-    }
-
-    /// Attach a static safety certificate: covered transactions are
-    /// admitted without consulting the monitor and their operations
-    /// are never certified at run time. A certificate weaker than the
-    /// admission floor (see [`StaticCertificate::satisfies`]) is
-    /// rejected and admission falls back to full monitoring.
-    pub fn with_certificate(mut self, certificate: StaticCertificate) -> MonitorAdmission {
-        debug_assert!(
-            self.monitor.is_empty(),
-            "attach certificates before recording operations"
-        );
-        if certificate.satisfies(self.level) {
-            self.certificate = Some(certificate);
-        }
-        self
-    }
-
-    /// Admission over an integrity constraint's conjunct scopes.
-    pub fn for_constraint(ic: &IntegrityConstraint, level: AdmissionLevel) -> MonitorAdmission {
-        MonitorAdmission::new(ic.scopes(), level)
-    }
-
-    /// Admission over a policy's lock-space partition of `catalog` —
-    /// one scope per space, so per-space SGT certification and the
-    /// monitor agree on what "serializable per unit" means.
-    pub fn for_spaces(
-        catalog: &Catalog,
-        policy: &PolicySpec,
-        level: AdmissionLevel,
-    ) -> MonitorAdmission {
-        let mut by_space: HashMap<u32, ItemSet> = HashMap::new();
-        for item in catalog.items() {
-            by_space
-                .entry(policy.space_of(item).0)
-                .or_default()
-                .insert(item);
-        }
-        let mut spaces: Vec<(u32, ItemSet)> = by_space.into_iter().collect();
-        spaces.sort_by_key(|(s, _)| *s);
-        MonitorAdmission::new(spaces.into_iter().map(|(_, d)| d).collect(), level)
-    }
-
-    /// The configured verdict floor.
-    pub fn level(&self) -> AdmissionLevel {
-        self.level
+    /// The spec this admission was built from.
+    pub fn spec(&self) -> &MonitorSpec {
+        &self.spec
     }
 
     /// Would this access keep the configured verdict level? Read-only.
@@ -224,12 +172,14 @@ impl MonitorAdmission {
         if self.covers(txn) {
             return true;
         }
-        self.monitor.admits(txn, item, is_write, self.level)
+        self.monitor.admits(txn, item, is_write, self.spec.level)
     }
 
     /// Is `txn` on the certified fast path?
     pub fn covers(&self, txn: TxnId) -> bool {
-        self.certificate.as_ref().is_some_and(|c| c.covers(txn))
+        self.spec
+            .trusted_certificate()
+            .is_some_and(|c| c.covers(txn))
     }
 
     /// Record an admitted (or already-committed) operation. Logged, so
@@ -333,41 +283,39 @@ impl MonitorAdmission {
     pub fn skipped_ops(&self) -> u64 {
         self.skipped_ops
     }
-
-    /// The attached certificate, if any survived validation.
-    pub fn certificate(&self) -> Option<&StaticCertificate> {
-        self.certificate.as_ref()
-    }
-
-    /// The attached write-ahead log, if any.
-    pub fn wal(&self) -> Option<&SharedWal> {
-        self.wal.as_ref()
-    }
 }
 
-/// The monitor-admission half of a policy: which projection scopes to
-/// certify and the verdict floor to hold.
+/// The monitor-admission half of a policy — which projection scopes to
+/// certify, the verdict floor to hold, an optional certificate and WAL,
+/// and the compaction cadence — and the one description every executor
+/// is configured by.
 #[derive(Clone, Debug)]
 pub struct MonitorSpec {
     /// Projection scopes (conjunct data sets).
     pub scopes: Vec<ItemSet>,
-    /// The verdict floor admitted operations must preserve.
+    /// The verdict floor admitted operations must preserve; an executor
+    /// whose committed schedule ends below it returns
+    /// [`SchedError::FloorBreached`] instead of `Ok`.
     pub level: AdmissionLevel,
     /// Optional static fast path: certified transactions skip runtime
-    /// certification (see [`StaticCertificate`]).
+    /// certification (see [`StaticCertificate`]). Only a
+    /// [trusted](Self::trusted_certificate) one is used.
     pub certificate: Option<StaticCertificate>,
     /// Optional durability: a shared write-ahead log the admission
     /// journals every monitored transition into (the handle is shared,
-    /// so the caller keeps recovery access to the same log).
+    /// so the caller keeps recovery access to the same log). An I/O
+    /// error the log's policy could not heal stays in the log, sticky,
+    /// until the executor seals it at the end of the run and turns it
+    /// into [`SchedError::WalFailed`].
     pub wal: Option<SharedWal>,
-    /// Committed-prefix compaction cadence for the certified threaded
-    /// executors: `0` (the default) disables compaction; `n > 0` makes
-    /// the executor declare each transaction finished at commit and,
-    /// after every `n` commits, checkpoint past the finished prefix
-    /// and [`compact`] the monitor. The verdict is unaffected (the
-    /// twin-harness property), but the returned schedule then retains
-    /// only the live tail — its [`base`] reports how many operations
-    /// were summarized away.
+    /// Committed-prefix compaction cadence, read by the two threaded
+    /// executors (the seeded runner does not compact): `0` (the
+    /// default) disables compaction; `n > 0` makes the executor declare
+    /// each transaction finished at commit and, after every `n`
+    /// commits, checkpoint past the finished prefix and [`compact`] the
+    /// monitor. The verdict is unaffected (the twin-harness property),
+    /// but the returned schedule then retains only the live tail — its
+    /// [`base`] reports how many operations were summarized away.
     ///
     /// [`compact`]: pwsr_core::monitor::sharded::ShardedMonitor::compact
     /// [`base`]: pwsr_core::schedule::Schedule::base
@@ -387,17 +335,52 @@ impl MonitorSpec {
         }
     }
 
-    /// Build the admission state this spec describes, certificate and
-    /// WAL attached.
-    pub fn admission(&self) -> MonitorAdmission {
-        let mut adm = MonitorAdmission::new(self.scopes.clone(), self.level);
-        if let Some(cert) = &self.certificate {
-            adm = adm.with_certificate(cert.clone());
-        }
+    /// The certificate, if it may stand in for runtime certification:
+    /// one whose level implies the floor
+    /// ([`StaticCertificate::satisfies`]). A weaker one is ignored and
+    /// every transaction is monitored.
+    pub fn trusted_certificate(&self) -> Option<&StaticCertificate> {
+        self.certificate
+            .as_ref()
+            .filter(|c| c.satisfies(self.level))
+    }
+
+    /// The end of every executor's run: make the WAL's tail durable
+    /// (a crash after this point loses nothing) and copy its counters
+    /// into `metrics`; refuse to report success over a sticky (unhealed)
+    /// I/O error — durable history is incomplete — with
+    /// [`SchedError::WalFailed`]; then refuse it over a committed
+    /// `schedule` whose quiescent `verdict` misses the floor, with
+    /// [`SchedError::FloorBreached`]. Incidents the log's policy healed
+    /// (retry / degrade) pass with only `wal_io_errors` raised.
+    pub(crate) fn seal(
+        &self,
+        metrics: &mut Metrics,
+        verdict: Verdict,
+        schedule: &Schedule,
+    ) -> crate::error::Result<()> {
         if let Some(wal) = &self.wal {
-            adm = adm.with_wal(wal.clone());
+            wal.sync();
+            let ws = wal.stats();
+            metrics.wal_appends = ws.appends;
+            metrics.wal_bytes = ws.bytes;
+            metrics.wal_fsyncs = ws.fsyncs;
+            metrics.wal_io_errors = ws.io_errors;
+            metrics.injected_faults = ws.injected_faults;
+            if let Some(error) = wal.take_error() {
+                return Err(SchedError::WalFailed {
+                    error: error.to_string(),
+                });
+            }
         }
-        adm
+        if !verdict.meets(self.level) {
+            return Err(SchedError::FloorBreached {
+                level: self.level,
+                verdict,
+                schedule: Box::new(schedule.clone()),
+            });
+        }
+        Ok(())
     }
 }
 
@@ -419,9 +402,12 @@ pub struct PolicySpec {
     /// ordering as runtime admission). Only meaningful for
     /// conjunct-aligned policies.
     pub dag_guard: Option<u32>,
-    /// When set, the executor keeps a [`MonitorAdmission`] over its
-    /// trace and aborts (for restart) any transaction whose next
-    /// operation would sink the verdict below `level`.
+    /// When set, the seeded runner keeps a [`MonitorAdmission`] over
+    /// its trace and aborts (for restart) any transaction whose next
+    /// operation would sink the verdict below `level` — under every
+    /// discipline, except that SGT certifies its own space partition
+    /// instead. The threaded executors take their [`MonitorSpec`] as an
+    /// argument and do not read this.
     pub monitor: Option<MonitorSpec>,
 }
 
@@ -527,48 +513,51 @@ impl PolicySpec {
     }
 
     /// Attach a static safety certificate to the monitor-admission
-    /// half of the policy ([`PolicySpec::monitor_admission`] must come
-    /// first): transactions the certificate covers skip runtime
-    /// certification entirely. A certificate weaker than the
-    /// admission floor is ignored (the name is only tagged when the
-    /// fast path is actually active).
+    /// half of the policy: transactions the certificate covers skip
+    /// runtime certification entirely. A certificate weaker than the
+    /// admission floor is not [trusted](MonitorSpec::trusted_certificate)
+    /// and is dropped (the name is only tagged when the fast path is
+    /// actually active).
+    ///
+    /// Panics unless [`PolicySpec::monitor_admission`] came first.
     pub fn certified(mut self, certificate: StaticCertificate) -> PolicySpec {
-        if let Some(spec) = &mut self.monitor {
-            if certificate.satisfies(spec.level) {
-                self.name = format!("{}+CERT({})", self.name, certificate.len());
-                spec.certificate = Some(certificate);
-            }
+        let spec = (self.monitor.as_mut())
+            .expect("PolicySpec::certified needs PolicySpec::monitor_admission first");
+        spec.certificate = Some(certificate);
+        match spec.trusted_certificate().map(StaticCertificate::len) {
+            Some(n) => self.name = format!("{}+CERT({n})", self.name),
+            None => spec.certificate = None,
         }
         self
     }
 
     /// Attach a write-ahead log to the monitor-admission half of the
-    /// policy ([`PolicySpec::monitor_admission`] must come first):
-    /// every admitted operation and every retraction is journaled
-    /// into `wal`, making the run crash-recoverable. The caller keeps
-    /// a clone of the handle for recovery.
+    /// policy: every admitted operation and every retraction is
+    /// journaled into `wal`, making the run crash-recoverable. The
+    /// caller keeps a clone of the handle for recovery.
+    ///
+    /// Panics unless [`PolicySpec::monitor_admission`] came first.
     pub fn durable(mut self, wal: SharedWal) -> PolicySpec {
-        if let Some(spec) = &mut self.monitor {
-            self.name = format!("{}+WAL", self.name);
-            spec.wal = Some(wal);
-        }
+        let spec = (self.monitor.as_mut())
+            .expect("PolicySpec::durable needs PolicySpec::monitor_admission first");
+        spec.wal = Some(wal);
+        self.name = format!("{}+WAL", self.name);
         self
     }
 
-    /// Enable committed-prefix compaction in the certified threaded
-    /// executors ([`PolicySpec::monitor_admission`] must come first):
-    /// after every `every` commits the monitor checkpoints past the
-    /// finished prefix and compacts it, bounding resident memory for
-    /// long streams. See [`MonitorSpec::compact_every`] for the
-    /// schedule-tail caveat. `every == 0` leaves compaction off.
-    pub fn compacting(mut self, every: u64) -> PolicySpec {
-        if let Some(spec) = &mut self.monitor {
-            if every > 0 {
-                self.name = format!("{}+COMPACT({every})", self.name);
-            }
-            spec.compact_every = every;
+    /// The policy's lock-space partition of `catalog`, one scope per
+    /// space in space order — what per-space certification monitors,
+    /// so that it and the lock layout agree on what "serializable per
+    /// unit" means.
+    pub fn space_scopes(&self, catalog: &Catalog) -> Vec<ItemSet> {
+        let mut by_space: BTreeMap<SpaceId, ItemSet> = BTreeMap::new();
+        for item in catalog.items() {
+            by_space
+                .entry(self.space_of(item))
+                .or_default()
+                .insert(item);
         }
-        self
+        by_space.into_values().collect()
     }
 
     /// A policy with an explicit item→space table (used by the MDBS
@@ -677,29 +666,24 @@ mod tests {
     }
 
     #[test]
-    fn for_spaces_partitions_the_catalog() {
+    fn space_scopes_partitions_the_catalog() {
         use pwsr_core::value::Domain;
         let ic = two_conjunct_ic();
         let mut cat = pwsr_core::catalog::Catalog::new();
         for name in ["a", "b", "c", "z"] {
             cat.add_item(name, Domain::int_range(0, 1));
         }
-        let adm = MonitorAdmission::for_spaces(
-            &cat,
-            &PolicySpec::predicate_wise_2pl(&ic),
-            AdmissionLevel::Pwsr,
-        );
+        let scopes = PolicySpec::predicate_wise_2pl(&ic).space_scopes(&cat);
         // Conjunct spaces {a,b} and {c}, plus z's private space.
-        assert_eq!(adm.monitor().scopes().len(), 3);
-        assert!(adm.monitor().is_empty());
-        assert_eq!(adm.level(), AdmissionLevel::Pwsr);
+        let set = |items: &[u32]| items.iter().map(|&i| ItemId(i)).collect::<ItemSet>();
+        assert_eq!(scopes, [set(&[0, 1]), set(&[2]), set(&[3])]);
     }
 
     #[test]
     fn admission_rejects_then_syncs_after_rollback() {
         use pwsr_core::value::Value;
         let ic = two_conjunct_ic();
-        let mut adm = MonitorAdmission::for_constraint(&ic, AdmissionLevel::Pwsr);
+        let mut adm = MonitorAdmission::new(&MonitorSpec::new(ic.scopes(), AdmissionLevel::Pwsr));
         let ops = [
             Operation::write(TxnId(1), ItemId(0), Value::Int(1)),
             Operation::read(TxnId(2), ItemId(0), Value::Int(1)),
@@ -742,7 +726,7 @@ mod tests {
         trace.push(Operation::write(victim, ItemId(2), Value::Int(7)));
         let n = trace.len();
 
-        let mut adm = MonitorAdmission::for_constraint(&ic, AdmissionLevel::Pwsr);
+        let mut adm = MonitorAdmission::new(&MonitorSpec::new(ic.scopes(), AdmissionLevel::Pwsr));
         for op in &trace {
             adm.push_logged(op);
         }
@@ -754,7 +738,7 @@ mod tests {
         assert_eq!(adm.undone_ops(), 3);
         // Observable parity with an admission that never saw the victim.
         let fresh = fed_survivors(
-            MonitorAdmission::for_constraint(&ic, AdmissionLevel::Pwsr),
+            MonitorAdmission::new(&MonitorSpec::new(ic.scopes(), AdmissionLevel::Pwsr)),
             &trace,
             &[victim],
         );
@@ -783,13 +767,14 @@ mod tests {
         let ic = two_conjunct_ic();
         let ops = tangle();
         for victim in (1..=3).map(TxnId) {
-            let mut adm = MonitorAdmission::for_constraint(&ic, AdmissionLevel::PwsrDr);
+            let mut adm =
+                MonitorAdmission::new(&MonitorSpec::new(ic.scopes(), AdmissionLevel::PwsrDr));
             for op in &ops {
                 adm.push_logged(op);
             }
             adm.retract_txns(&[victim]).unwrap();
             let fresh = fed_survivors(
-                MonitorAdmission::for_constraint(&ic, AdmissionLevel::PwsrDr),
+                MonitorAdmission::new(&MonitorSpec::new(ic.scopes(), AdmissionLevel::PwsrDr)),
                 &ops,
                 &[victim],
             );
@@ -814,15 +799,17 @@ mod tests {
         let ic = two_conjunct_ic();
         let ops = tangle();
         let wal = SharedWal::in_memory(SyncPolicy::Off);
-        let mut adm =
-            MonitorAdmission::for_constraint(&ic, AdmissionLevel::Pwsr).with_wal(wal.clone());
+        let mut adm = MonitorAdmission::new(&MonitorSpec {
+            wal: Some(wal.clone()),
+            ..MonitorSpec::new(ic.scopes(), AdmissionLevel::Pwsr)
+        });
         for op in &ops {
             adm.push_logged(op);
         }
         let victims = [TxnId(3), TxnId(2)];
         assert_eq!(adm.retract_txns(&victims).unwrap(), (5, 1));
         let fresh = fed_survivors(
-            MonitorAdmission::for_constraint(&ic, AdmissionLevel::Pwsr),
+            MonitorAdmission::new(&MonitorSpec::new(ic.scopes(), AdmissionLevel::Pwsr)),
             &ops,
             &victims,
         );
@@ -864,7 +851,7 @@ mod tests {
             Operation::read(TxnId(1), c, Value::Int(-1)),
             Operation::write(TxnId(1), b, Value::Int(-1)), // TP1′'s else-branch write
         ];
-        let mut adm = MonitorAdmission::for_constraint(&ic, AdmissionLevel::Pwsr);
+        let mut adm = MonitorAdmission::new(&MonitorSpec::new(ic.scopes(), AdmissionLevel::Pwsr));
         for (k, op) in ops.iter().enumerate() {
             let admitted = adm.would_admit(op.txn, op.item, op.is_write());
             if k < 5 {
@@ -890,8 +877,10 @@ mod tests {
         use pwsr_durability::wal::SyncPolicy;
         let ic = two_conjunct_ic();
         let wal = SharedWal::in_memory(SyncPolicy::Off);
-        let mut adm =
-            MonitorAdmission::for_constraint(&ic, AdmissionLevel::Pwsr).with_wal(wal.clone());
+        let mut adm = MonitorAdmission::new(&MonitorSpec {
+            wal: Some(wal.clone()),
+            ..MonitorSpec::new(ic.scopes(), AdmissionLevel::Pwsr)
+        });
         // 100 settled single-op transactions, then one live straggler.
         let mut trace: Vec<Operation> = Vec::new();
         for k in 0..100u32 {
@@ -943,7 +932,7 @@ mod tests {
     fn retract_after_compaction_touches_only_the_live_suffix() {
         use pwsr_core::value::Value;
         let ic = two_conjunct_ic();
-        let mut adm = MonitorAdmission::for_constraint(&ic, AdmissionLevel::Pwsr);
+        let mut adm = MonitorAdmission::new(&MonitorSpec::new(ic.scopes(), AdmissionLevel::Pwsr));
         let mut trace: Vec<Operation> = Vec::new();
         for k in 0..100u32 {
             trace.push(Operation::write(
@@ -975,7 +964,7 @@ mod tests {
         // its operation — the compacted head is never revisited.
         assert_eq!(adm.retract_txns(&[live]).unwrap(), (1, 0));
         let fresh = fed_survivors(
-            MonitorAdmission::for_constraint(&ic, AdmissionLevel::Pwsr),
+            MonitorAdmission::new(&MonitorSpec::new(ic.scopes(), AdmissionLevel::Pwsr)),
             &trace,
             &[live],
         );
@@ -1036,14 +1025,17 @@ mod tests {
     }
 
     /// A certificate weaker than the admission floor must not attach —
-    /// neither via `with_certificate` nor the policy builder.
+    /// neither in a spec an admission is built from nor via the policy
+    /// builder.
     #[test]
     fn weak_certificate_is_rejected() {
         let ic = two_conjunct_ic();
         let weak = StaticCertificate::full(AdmissionLevel::Pwsr, 2);
-        let adm = MonitorAdmission::for_constraint(&ic, AdmissionLevel::PwsrDr)
-            .with_certificate(weak.clone());
-        assert!(adm.certificate().is_none());
+        let adm = MonitorAdmission::new(&MonitorSpec {
+            certificate: Some(weak.clone()),
+            ..MonitorSpec::new(ic.scopes(), AdmissionLevel::PwsrDr)
+        });
+        assert!(adm.spec().trusted_certificate().is_none());
         assert!(!adm.covers(TxnId(1)));
         let p = PolicySpec::predicate_wise_2pl(&ic)
             .monitor_admission(&ic, AdmissionLevel::PwsrDr)
@@ -1058,7 +1050,22 @@ mod tests {
         let spec = p.monitor.as_ref().unwrap();
         assert!(spec.certificate.is_some());
         assert!(p.name.ends_with("+CERT(2)"));
-        assert!(spec.admission().covers(TxnId(2)));
+        assert!(MonitorAdmission::new(spec).covers(TxnId(2)));
+    }
+
+    #[test]
+    #[should_panic(expected = "monitor_admission")]
+    fn certified_before_monitor_admission_panics() {
+        let cert = StaticCertificate::full(AdmissionLevel::Pwsr, 2);
+        let _ = PolicySpec::predicate_wise_2pl(&two_conjunct_ic()).certified(cert);
+    }
+
+    #[test]
+    #[should_panic(expected = "monitor_admission")]
+    fn durable_before_monitor_admission_panics() {
+        use pwsr_durability::wal::SyncPolicy;
+        let wal = SharedWal::in_memory(SyncPolicy::Off);
+        let _ = PolicySpec::predicate_wise_2pl(&two_conjunct_ic()).durable(wal);
     }
 
     /// Certified transactions are admitted unconditionally and their
@@ -1074,8 +1081,11 @@ mod tests {
         // others — a conflict-closed singleton component); T2/T3
         // tangle on items 0/1 and stay monitored.
         let cert = StaticCertificate::new(AdmissionLevel::Pwsr, [TxnId(1)].into_iter().collect());
-        let mut adm =
-            MonitorAdmission::for_constraint(&ic, AdmissionLevel::Pwsr).with_certificate(cert);
+        let spec = MonitorSpec {
+            certificate: Some(cert),
+            ..MonitorSpec::new(ic.scopes(), AdmissionLevel::Pwsr)
+        };
+        let mut adm = MonitorAdmission::new(&spec);
         let trace = [
             Operation::write(TxnId(1), ItemId(2), Value::Int(1)),
             Operation::write(TxnId(2), ItemId(0), Value::Int(1)),
@@ -1097,13 +1107,7 @@ mod tests {
         // fresh, equally certified admission over the surviving trace.
         assert_eq!(adm.retract_txns(&[TxnId(3)]).unwrap(), (2, 0));
         assert_eq!(adm.monitor().len(), 1);
-        let fresh = fed_survivors(
-            MonitorAdmission::for_constraint(&ic, AdmissionLevel::Pwsr).with_certificate(
-                StaticCertificate::new(AdmissionLevel::Pwsr, [TxnId(1)].into_iter().collect()),
-            ),
-            &trace,
-            &[TxnId(3)],
-        );
+        let fresh = fed_survivors(MonitorAdmission::new(&spec), &trace, &[TxnId(3)]);
         assert_eq!(adm.monitor().verdict(), fresh.monitor().verdict());
         assert_eq!(adm.monitor().schedule(), fresh.monitor().schedule());
         assert_eq!(fresh.skipped_ops(), 2, "T1's ops skipped there too");

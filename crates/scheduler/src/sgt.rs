@@ -24,7 +24,7 @@
 
 use crate::error::Result;
 use crate::exec::{Discipline, ExecConfig, ExecOutcome, Run};
-use crate::policy::{MonitorAdmission, PolicySpec};
+use crate::policy::{MonitorAdmission, MonitorSpec, PolicySpec};
 use pwsr_core::catalog::Catalog;
 use pwsr_core::monitor::AdmissionLevel;
 use pwsr_core::state::DbState;
@@ -36,9 +36,11 @@ struct Certifying;
 
 impl Discipline for Certifying {}
 
-/// Run the programs under per-space SGT certification. Only the
-/// policy's item→space map is used (early release and DR flags do not
-/// apply — SGT neither locks nor blocks).
+/// Run the programs under per-space SGT certification. The policy's
+/// item→space map picks the spaces, and its monitor half is replaced by
+/// their certification at the PWSR floor; its DAG guard applies as
+/// under any discipline (early release and DR flags do not — SGT
+/// neither locks nor blocks).
 pub fn run_sgt(
     programs: &[Program],
     catalog: &Catalog,
@@ -49,8 +51,8 @@ pub fn run_sgt(
     let mut run = Run::new(programs, catalog, initial, policy, cfg);
     // Per-space acyclicity is exactly the monitor's PWSR floor over
     // the space partition of the catalog.
-    let certifier = MonitorAdmission::for_spaces(catalog, policy, AdmissionLevel::Pwsr);
-    run.admission = Some(certifier);
+    let spec = MonitorSpec::new(policy.space_scopes(catalog), AdmissionLevel::Pwsr);
+    run.admission = Some(MonitorAdmission::new(&spec));
     run.run(&mut Certifying)
 }
 

@@ -170,11 +170,13 @@ fn threaded_certified_wal_recovers_monitored_trace() {
     let (cat, ic, initial) = setup();
     for round in 0..5 {
         let (wal, path) = file_wal(&format!("cert{round}"), SyncPolicy::Batched(8));
-        let policy = PolicySpec::predicate_wise_2pl(&ic)
-            .monitor_admission(&ic, AdmissionLevel::Pwsr)
-            .durable(wal.clone());
+        let policy = PolicySpec::predicate_wise_2pl(&ic);
+        let spec = MonitorSpec {
+            wal: Some(wal.clone()),
+            ..MonitorSpec::new(ic.scopes(), AdmissionLevel::Pwsr)
+        };
         let (schedule, _, _) =
-            run_threaded_certified(&programs(), &cat, &initial, &policy, ic.scopes()).unwrap();
+            run_threaded_certified(&programs(), &cat, &initial, &policy, &spec).unwrap();
         // Batched admission journals one framed multi-op record per
         // transaction; the WAL's batch counters must say exactly that.
         let ws = wal.stats();

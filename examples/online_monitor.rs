@@ -21,7 +21,7 @@ use pwsr::durability::checkpoint::state_hash;
 use pwsr::durability::recover::recover;
 use pwsr::durability::wal::{SharedWal, SyncPolicy, Wal};
 use pwsr::prelude::*;
-use pwsr::scheduler::policy::MonitorAdmission;
+use pwsr::scheduler::policy::{MonitorAdmission, MonitorSpec};
 
 /// Example 2's schedule: w1(a,1), r2(a,1), r2(b,−1), w2(c,−1), r1(c,−1).
 fn example2_ops() -> (Catalog, IntegrityConstraint, Vec<Operation>) {
@@ -78,10 +78,11 @@ fn main() {
     );
 
     println!("== Monitor-backed admission: level Serializable ==");
-    let mut adm = MonitorAdmission::for_constraint(&ic, AdmissionLevel::Serializable);
+    let spec = |level| MonitorSpec::new(ic.scopes(), level);
+    let mut adm = MonitorAdmission::new(&spec(AdmissionLevel::Serializable));
     stream(&catalog, &mut adm, &ops);
     println!("\n== Monitor-backed admission: level PWSR+DR ==");
-    let mut adm = MonitorAdmission::for_constraint(&ic, AdmissionLevel::PwsrDr);
+    let mut adm = MonitorAdmission::new(&spec(AdmissionLevel::PwsrDr));
     stream(&catalog, &mut adm, &ops);
     println!("\nThe committed prefix is exactly the largest one the configured");
     println!("verdict floor admits — certification at admission time, per op.");
@@ -91,7 +92,10 @@ fn main() {
     let path = std::env::temp_dir().join(format!("pwsr_online_monitor_{}.wal", std::process::id()));
     let wal =
         SharedWal::new(Wal::create(&path, SyncPolicy::PerRecord).expect("create temp WAL file"));
-    let mut adm = MonitorAdmission::for_constraint(&ic, AdmissionLevel::Pwsr).with_wal(wal.clone());
+    let mut adm = MonitorAdmission::new(&MonitorSpec {
+        wal: Some(wal.clone()),
+        ..spec(AdmissionLevel::Pwsr)
+    });
     for op in &ops {
         if adm.would_admit(op.txn, op.item, op.is_write()) {
             adm.push_logged(op);

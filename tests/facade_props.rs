@@ -11,7 +11,9 @@ use pwsr::durability::recover::recover;
 use pwsr::durability::wal::{scan, SharedWal, SyncPolicy, WalRecord};
 use pwsr::gen::workloads::{random_workload, WorkloadConfig};
 use pwsr::prelude::*;
-use pwsr::scheduler::concurrent::{replay_matches, run_threaded_occ_tuned, OccTuning};
+use pwsr::scheduler::concurrent::{
+    replay_matches, run_threaded_certified, run_threaded_occ_tuned, OccTuning,
+};
 use pwsr::scheduler::error::SchedError;
 use pwsr::scheduler::exec::{run_workload, ExecConfig, ExecOutcome};
 use pwsr::scheduler::occ::run_occ;
@@ -151,6 +153,38 @@ proptest! {
         prop_assert!(out.verdict.meets(AdmissionLevel::PwsrDr));
         let solver = Solver::new(&w.catalog, &w.ic);
         prop_assert!(check_strong_correctness(&out.schedule, &solver, &w.initial).ok());
+    }
+
+    /// The floor contract on the threaded 2PL executor: under global
+    /// spaces (serializable and delayed-read) at every level, and under
+    /// predicate-wise spaces (PWSR and delayed-read) at the two levels
+    /// they guarantee, the run returns `Ok` — so the committed schedule
+    /// meets the level — and that schedule is a coherent execution
+    /// whose every transaction replays its program.
+    #[test]
+    fn threaded_2pl_meets_its_floor(
+        cfg in small_cfg(),
+        wseed in any::<u64>(),
+        pick in 0u8..5,
+    ) {
+        let mut rng = StdRng::seed_from_u64(wseed);
+        let w = random_workload(&mut rng, &cfg);
+        let levels = [AdmissionLevel::Serializable, AdmissionLevel::Pwsr, AdmissionLevel::PwsrDr];
+        let (policy, level) = match pick {
+            0..=2 => (PolicySpec::global_2pl(), levels[pick as usize]),
+            _ => (PolicySpec::predicate_wise_2pl(&w.ic), levels[pick as usize - 2]),
+        };
+        let spec = MonitorSpec::new(w.ic.scopes(), level);
+        let (schedule, final_state, verdict) =
+            run_threaded_certified(&w.programs, &w.catalog, &w.initial, &policy, &spec).unwrap();
+        prop_assert!(verdict.meets(level));
+        schedule.check_read_coherence(&w.initial).unwrap();
+        prop_assert_eq!(schedule.apply(&w.initial), final_state);
+        for (k, program) in w.programs.iter().enumerate() {
+            let txn = TxnId(k as u32 + 1);
+            let mine = schedule.transaction(txn);
+            prop_assert!(replay_matches(program, &w.catalog, txn, mine.ops()), "{}", txn);
+        }
     }
 }
 

@@ -184,7 +184,7 @@ fn restrictions_are_mutually_independent() {
 fn threaded_executor_agrees_with_checkers() {
     use pwsr::gen::workloads::{random_workload, WorkloadConfig};
     use pwsr::scheduler::concurrent::run_threaded_certified;
-    use pwsr::scheduler::policy::PolicySpec;
+    use pwsr::scheduler::policy::{MonitorSpec, PolicySpec};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -203,11 +203,10 @@ fn threaded_executor_agrees_with_checkers() {
     );
     let policy = PolicySpec::predicate_wise_2pl(&w.ic);
     let solver = Solver::new(&w.catalog, &w.ic);
-    let scopes = w.ic.scopes();
+    let spec = MonitorSpec::new(w.ic.scopes(), AdmissionLevel::Pwsr);
     for _ in 0..3 {
         let (schedule, final_state, verdict) =
-            run_threaded_certified(&w.programs, &w.catalog, &w.initial, &policy, scopes.clone())
-                .unwrap();
+            run_threaded_certified(&w.programs, &w.catalog, &w.initial, &policy, &spec).unwrap();
         schedule.check_read_coherence(&w.initial).unwrap();
         assert!(is_pwsr(&schedule, &w.ic).ok());
         assert!(verdict.pwsr() && verdict.len == schedule.len());
