@@ -23,7 +23,11 @@
 //!   global graph, under Pearce–Kelly incremental topological ordering
 //!   ([`IncrementalDag`]) — serializability and PWSR are certified (or
 //!   refuted, with the first offending prefix) the moment the closing
-//!   conflict edge arrives, classical SGT-style;
+//!   conflict edge arrives, classical SGT-style. The global graph is
+//!   kept only from the first transaction that spans two conjuncts (or
+//!   touches an item outside every scope): before it, with disjoint
+//!   scopes, it would be the conjunct graphs' disjoint union, so the
+//!   conjunct graphs decide serializability too;
 //! * the **delayed-read** status (Definition 5): a read records a
 //!   pending dirty-read mark on its reads-from writer; the writer's
 //!   next operation — the first prefix that is not DR — trips it;
@@ -127,6 +131,8 @@ pub(crate) struct ScopeIndex {
     /// containing item `i`, ascending.
     starts: Vec<u32>,
     conjuncts: Vec<u32>,
+    /// How many scopes there are.
+    len: usize,
 }
 
 impl ScopeIndex {
@@ -152,7 +158,21 @@ impl ScopeIndex {
                 fill[item.index()] += 1;
             }
         }
-        ScopeIndex { starts, conjuncts }
+        ScopeIndex {
+            starts,
+            conjuncts,
+            len: scopes.len(),
+        }
+    }
+
+    /// How many scopes there are.
+    pub(crate) fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Is every item in at most one scope?
+    pub(crate) fn disjoint(&self) -> bool {
+        self.starts.windows(2).all(|w| w[1] - w[0] <= 1)
     }
 
     /// The conjuncts containing `item`, ascending (none for an item no
@@ -488,6 +508,23 @@ impl ProjGraph {
     /// maintained order restricted to the kept nodes is still a valid
     /// serialization order of the live tail, not necessarily the one a
     /// fresh rebuild would choose.
+    ///
+    /// **Why the global graph can wait for a spanning transaction.**
+    /// Let the scopes be pairwise disjoint, and let every transaction
+    /// keep to the items of one scope, its home. A conflict joins two
+    /// accesses of one item, hence two transactions with the same home,
+    /// and conjunct `k`'s projection holds every operation of the
+    /// transactions homed at `k`. So the global reduced conflict graph
+    /// is the disjoint union of the conjunct graphs: it has a cycle
+    /// exactly when one of them has, its first cycle closes at the
+    /// first conjunct cycle, and the conjunct orders one after another
+    /// are a serialization order. A probe of an access that would span
+    /// can close no cycle either: its edges run into the accessing
+    /// transaction from another component, which that transaction does
+    /// not reach. This lemma and the one above are what
+    /// `GlobalState::build_graph` rests on: it replays only the
+    /// retained schedule, and freezes the graph where a summarized
+    /// conjunct cycle closed.
     fn condense(&mut self, s_cut: usize, kept: &mut [bool], map: &mut [u32]) {
         debug_assert_eq!(kept.len(), self.dag.len());
         // The to-be-summarized prefix: slot-less nodes kept by earlier
@@ -762,11 +799,13 @@ impl OnlineMonitor {
     /// A monitor over explicit projection scopes.
     pub fn new(scopes: Vec<ItemSet>) -> OnlineMonitor {
         let n = scopes.len();
+        let scope_index = ScopeIndex::new(&scopes);
+        let disjoint = scope_index.disjoint();
         OnlineMonitor {
-            scope_index: ScopeIndex::new(&scopes),
+            scope_index,
             scopes,
-            seq: SeqState::default(),
-            global: GlobalState::new(),
+            seq: SeqState::new(disjoint),
+            global: GlobalState::new(disjoint),
             conjuncts: vec![ShardState::default(); n],
             first_violation: None,
             totals: Vec::new(),
@@ -875,9 +914,17 @@ impl OnlineMonitor {
             return Err(e);
         }
         self.rf_slots.clear();
-        let (p0, slot) = self
-            .seq
-            .apply(ops, existing, logged, framed, &mut self.rf_slots);
+        let (p0, slot, first_span) = self.seq.apply(
+            &self.scope_index,
+            ops,
+            existing,
+            logged,
+            framed,
+            &mut self.rf_slots,
+        );
+        if first_span {
+            self.global.build_graph(&self.seq, p0, self.first_violation);
+        }
         for (i, op) in ops.iter().enumerate() {
             let p = OpIndex(p0 + i);
             self.global
@@ -895,7 +942,8 @@ impl OnlineMonitor {
             // the other journals restart empty at its floor too.
             let floor = self.log_floor();
             if self.global.log.len() > 0 {
-                self.conjuncts.iter_mut().for_each(|c| c.log.reset(floor));
+                let graphs = self.conjuncts.iter_mut().chain(self.global.graph.as_mut());
+                graphs.for_each(|c| c.log.reset(floor));
             }
             self.global.log.reset(floor);
         }
@@ -915,7 +963,7 @@ impl OnlineMonitor {
             for &k in self.scope_index.of(u.op.item).iter().rev() {
                 self.conjuncts[k as usize].undo(u.slot, u.op.item, u.pos);
             }
-            self.global.undo(u.slot, u.op.item, u.new_slot);
+            self.global.undo(u.slot, u.op.item, u.pos, u.new_slot);
             if u.new_slot {
                 self.spare_totals.extend(self.totals.pop());
             } else {
@@ -1140,9 +1188,19 @@ impl OnlineMonitor {
         self.conjuncts[k].graph.order(self.seq.schedule.txn_ids())
     }
 
-    /// The maintained global serialization order, or `None`.
+    /// The maintained global serialization order, or `None`. In the
+    /// disjoint phase, the conjunct orders one after another: every
+    /// transaction is in exactly one of them, and no conflict edge
+    /// joins two.
     pub fn serialization_order(&self) -> Option<Vec<TxnId>> {
-        self.global.graph.order(self.seq.schedule.txn_ids())
+        let txns = self.seq.schedule.txn_ids();
+        match &self.global.graph {
+            Some(g) => g.graph.order(txns),
+            None => (0..self.conjuncts.len())
+                .map(|k| self.conjunct_order(k))
+                .collect::<Option<Vec<_>>>()
+                .map(|orders| orders.concat()),
+        }
     }
 
     /// Does the Lemma 2 certificate hold for conjunct `k`?
@@ -1559,11 +1617,11 @@ mod tests {
             }
             m.checkpoint(m.first_op_of(TxnId(t)).unwrap().0);
             assert!(m.compact().txns_summarized >= 7, "round {round}");
-            assert!(nodes_live_or_named(&m.global.graph, &m.global.log));
-            for c in &m.conjuncts {
+            let global = m.global.graph.as_ref().expect("the stream spans");
+            for c in m.conjuncts.iter().chain([global]) {
                 assert!(nodes_live_or_named(&c.graph, &c.log), "round {round}");
             }
-            let nodes = m.global.graph.dag.len();
+            let nodes = global.graph.dag.len();
             assert!(nodes <= 8, "round {round}: {nodes} global nodes");
         }
     }

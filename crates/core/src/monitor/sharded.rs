@@ -39,10 +39,15 @@
 //!    order claimed order.
 //! 2. **global** (ticketed, `GlobalState` behind its own lock):
 //!    delayed-read tracking (Definition 5 marks, the first-non-DR
-//!    prefix, the per-conjunct Lemma-6 kills) and the global reduced
-//!    conflict graph under Pearce–Kelly. Tickets are served in claim
-//!    order, so this state evolves in exactly the claimed
-//!    interleaving.
+//!    prefix, the per-conjunct Lemma-6 kills) and — only after the
+//!    first run that spans two conjuncts — the global reduced conflict
+//!    graph under Pearce–Kelly. Before that run the graph would be the
+//!    shards' disjoint union, so the shards decide serializability and
+//!    this stage does no graph work; the spanning run's claim drains
+//!    the pipeline under the sequence lock, as a truncation does, and
+//!    has this stage build the graph from the retained schedule.
+//!    Tickets are served in claim order, so this state evolves in
+//!    exactly the claimed interleaving.
 //! 3. **shards** (ticketed, one `ShardState` per conjunct behind an
 //!    `RwLock`): each touched conjunct's reduced conflict graph.
 //!    Operations on *different* conjuncts proceed through different
@@ -521,7 +526,12 @@ pub struct PushOutcome {
     /// The lock-free verdict floor after this push.
     pub floor: VerdictLevel,
     /// The global conflict graph would not have admitted this push:
-    /// it closed the first cycle, or the graph was already frozen.
+    /// it closed the first cycle, or the graph was already frozen. In
+    /// the disjoint phase, where no global graph is kept, it is the
+    /// violation flag the floor publication computes for this push:
+    /// every global cycle is then a conjunct cycle, and an access in
+    /// one conjunct cannot close a cycle in another, so
+    /// [`PushOutcome::breaches`] at `Serializable` stays safe.
     pub caused_non_serializable: bool,
     /// Some conjunct projection would not have admitted this push: it
     /// closed that projection's first cycle, or met it frozen.
@@ -612,21 +622,23 @@ impl ShardedMonitor {
 
     fn build(scopes: Vec<ItemSet>, logging: bool) -> ShardedMonitor {
         let n = scopes.len();
+        let scope_index = ScopeIndex::new(&scopes);
+        let disjoint = scope_index.disjoint();
         ShardedMonitor {
-            scope_index: ScopeIndex::new(&scopes),
+            scope_index,
             scopes,
             totals: TotalsTable::new(),
             seq: RankedMutex::new(
                 RANK_SEQ,
                 Sequencer {
-                    state: SeqState::default(),
+                    state: SeqState::new(disjoint),
                     gticket: 0,
                     tickets: vec![0; n],
                     survivors: Vec::new(),
                 },
             ),
             gserving: AtomicU32::new(0),
-            gstate: RankedRwLock::new(RANK_GLOBAL, GlobalState::new()),
+            gstate: RankedRwLock::new(RANK_GLOBAL, GlobalState::new(disjoint)),
             shards: (0..n)
                 .map(|k| Shard {
                     serving: AtomicU32::new(0),
@@ -844,7 +856,9 @@ impl ShardedMonitor {
     /// claim the run's segment ([`SeqState::apply`], which journals it)
     /// and with it, atomically and in program order, every global and
     /// per-shard ticket. `existing` is the transaction's slot as
-    /// [`SeqState::slot`] reports it. Leaves the claimed shard turns
+    /// [`SeqState::slot`] reports it. The first spanning run drains
+    /// the pipeline here and has the global stage build its graph
+    /// before it claims a ticket. Leaves the claimed shard turns
     /// and the resolved reads-from slots in `scratch`; returns the
     /// first position, the transaction's slot and the first global
     /// ticket — what [`serve`](Self::serve) takes.
@@ -858,9 +872,23 @@ impl ShardedMonitor {
     ) -> (usize, usize, u32) {
         scratch.turns.clear();
         scratch.rf_slots.clear();
-        let (p0, slot) = s
-            .state
-            .apply(ops, existing, self.logging, framed, &mut scratch.rf_slots);
+        let (p0, slot, first_span) = s.state.apply(
+            &self.scope_index,
+            ops,
+            existing,
+            self.logging,
+            framed,
+            &mut scratch.rf_slots,
+        );
+        if first_span {
+            // Every earlier push leaves the pipeline first, so the
+            // graph is built over stage states that stand still, and
+            // the violation mirror is exact.
+            self.drain(s);
+            let fv = self.first_violation.load(Ordering::Acquire);
+            let fv = (fv != NO_POS).then_some(OpIndex(fv as usize));
+            self.gstate.write().build_graph(&s.state, p0, fv);
+        }
         for (i, op) in ops.iter().enumerate() {
             for &k in self.scope_index.of(op.item) {
                 let ticket = &mut s.tickets[k as usize];
@@ -890,7 +918,7 @@ impl ShardedMonitor {
         // write-lock hold, so each operation's (serializable, dr)
         // snapshot is prefix-exact — identical to singleton pushes.
         wait_turn(&self.gserving, g0);
-        {
+        let disjoint = {
             let mut g = self.gstate.write();
             for (i, op) in ops.iter().enumerate() {
                 let p = OpIndex(p0 + i);
@@ -899,16 +927,18 @@ impl ShardedMonitor {
                 // The outcome as far as this stage knows it: as
                 // `floor`, the rung the prefix holds *if no conjunct
                 // is violated* (stage 3 and the floor publication
-                // settle that).
+                // settle that, and in the disjoint phase also
+                // `caused_non_serializable`).
                 outcomes[i] = PushOutcome {
                     pos: p,
                     floor: g.level(true),
-                    caused_non_serializable: !g.graph.serializable(),
+                    caused_non_serializable: g.serializable() == Some(false),
                     caused_violation: false,
                     caused_non_dr,
                 };
             }
-        }
+            g.graph.is_none()
+        };
         self.gserving
             .store(g0.wrapping_add(ops.len() as u32), Ordering::Release);
 
@@ -945,6 +975,9 @@ impl ShardedMonitor {
         let mut violated = viol_pre;
         for outcome in outcomes.iter_mut() {
             violated |= outcome.caused_violation;
+            // The disjoint phase: the global graph would be the shards'
+            // disjoint union, cyclic exactly when one of them is.
+            outcome.caused_non_serializable |= disjoint && violated;
             let mine = if violated {
                 VerdictLevel::Violation
             } else {
@@ -1191,7 +1224,9 @@ impl ShardedMonitor {
                     .serving
                     .store(s.tickets[k], Ordering::Release);
             }
-            self.gstate.write().undo(u.slot, u.op.item, u.new_slot);
+            self.gstate
+                .write()
+                .undo(u.slot, u.op.item, u.pos, u.new_slot);
             s.gticket = s.gticket.wrapping_sub(1);
             self.gserving.store(s.gticket, Ordering::Release);
             // §2.2 totals (see the `victim` contract above).

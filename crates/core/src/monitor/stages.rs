@@ -10,11 +10,26 @@
 //! * [`SeqState`] — the growing [`Schedule`], the per-item latest
 //!   write (reads-from), each transaction's first position, the
 //!   finished flags and the summarized set: everything that *defines*
-//!   the total order;
+//!   the total order — and, during the disjoint phase, each
+//!   transaction's home conjunct;
 //! * [`GlobalState`] — what needs the whole order: delayed-read marks
 //!   (Definition 5), the first non-DR prefix, the per-conjunct Lemma-6
-//!   kills and the global reduced conflict graph;
+//!   kills, and the global reduced conflict graph once some
+//!   transaction has spanned two conjuncts;
 //! * [`ShardState`] — one conjunct's reduced conflict graph.
+//!
+//! **The disjoint phase.** On a monitor whose scopes are pairwise
+//! disjoint, until the first run that *spans* — touches items of two
+//! scopes, or an item outside every scope — the global conflict graph
+//! is the disjoint union of the conjunct graphs (the lemma is at
+//! `ProjGraph::condense`). Stage 2 keeps none then: serializability is
+//! PWSR, its first failure is the first conjunct cycle, and the
+//! `Serializable` probe asks the shards. Stage 1 detects the first
+//! spanning run, and the driver has [`GlobalState::build_graph`]
+//! replay the retained schedule into the graph before the run reaches
+//! stage 2; from then on the graph is kept per push, as one more
+//! [`ShardState`] whose scope is every item. Monitors whose scopes
+//! overlap keep it from the start.
 //!
 //! Each part owns its undo journal (see [`undo`](super::undo)) and its
 //! `apply` / `undo` / `raise_floor` / `compact` / `resident_bytes`.
@@ -56,6 +71,8 @@ use crate::txn::validate_22;
 use std::ops::Deref;
 
 const NO_POS: u32 = u32::MAX;
+/// A home not yet drawn (only while a new slot's run is checked).
+const NO_HOME: u32 = u32::MAX;
 
 /// One transaction's running §2.2 read/write totals. Where the rows
 /// live is the driver's business (per slot for the single writer, in
@@ -129,6 +146,11 @@ pub(super) struct SeqState {
     last_write: Vec<u32>,
     /// Per slot: position of the transaction's first operation.
     first_op: Vec<u32>,
+    /// Per slot, during the disjoint phase: the one conjunct the
+    /// transaction's operations stay in. `None` once a run spanned (or
+    /// from the start, if two scopes overlap): stage 2 keeps the global
+    /// graph from then on.
+    home: Option<Vec<u32>>,
     /// Sequence-half undo journal (entries only for logged pushes);
     /// its base is the retraction floor.
     pub(super) log: UndoLog<SeqDelta>,
@@ -150,6 +172,15 @@ pub(super) struct SeqState {
 }
 
 impl SeqState {
+    /// Stage-1 state for a monitor whose scopes are pairwise
+    /// `disjoint` (which starts it in the disjoint phase) or not.
+    pub(super) fn new(disjoint: bool) -> SeqState {
+        SeqState {
+            home: disjoint.then(Vec::new),
+            ..SeqState::default()
+        }
+    }
+
     /// `txn`'s slot, if it has pushed anything; an error if it was
     /// summarized (its push or retraction must be refused).
     pub(super) fn slot(&self, txn: TxnId) -> Result<Option<usize>> {
@@ -214,15 +245,36 @@ impl SeqState {
     /// moves past it. `existing` is the transaction's slot as
     /// [`SeqState::slot`] just reported it. Appends to `rf_slots`, per
     /// operation, the slot of the writer a read takes its value from;
-    /// returns the first position and the transaction's slot.
+    /// returns the first position, the transaction's slot, and whether
+    /// this run ends the disjoint phase — it is the first to *span*:
+    /// its transaction touches items of two scopes, or an item outside
+    /// every scope. The driver then has stage 2 build the global graph
+    /// ([`GlobalState::build_graph`]) before the run reaches it.
     pub(super) fn apply(
         &mut self,
+        scope_index: &ScopeIndex,
         ops: &[Operation],
         existing: Option<usize>,
         logged: bool,
         framed: bool,
         rf_slots: &mut Vec<Option<usize>>,
-    ) -> (usize, usize) {
+    ) -> (usize, usize, bool) {
+        let mut first_span = false;
+        if let Some(home) = self.home.as_mut() {
+            let mut k = existing.map_or(NO_HOME, |sl| home[sl]);
+            first_span = ops.iter().any(|op| match *scope_index.of(op.item) {
+                [c] if k == NO_HOME || k == c => {
+                    k = c;
+                    false
+                }
+                _ => true,
+            });
+            if first_span {
+                self.home = None;
+            } else if existing.is_none() {
+                home.push(k);
+            }
+        }
         if let Some(journal) = self.journal.as_deref_mut() {
             if framed {
                 journal.appended_batch(ops);
@@ -275,7 +327,7 @@ impl SeqState {
         if !logged {
             self.log.reset(self.schedule.len());
         }
-        (p0, slot)
+        (p0, slot, first_span)
     }
 
     /// Retract logged operations until the schedule is `n` long, newest
@@ -313,6 +365,9 @@ impl SeqState {
         }
         if sd.new_slot {
             self.first_op.pop();
+            if let Some(home) = self.home.as_mut() {
+                home.pop();
+            }
             self.finished.slot_popped(op.txn);
         }
         Undone {
@@ -384,6 +439,9 @@ impl SeqState {
         let summarized = self.schedule.compact_prefix(frontier);
         let s_cut = summarized.len();
         self.first_op.drain(..s_cut);
+        if let Some(home) = self.home.as_mut() {
+            home.drain(..s_cut);
+        }
         self.finished.compact(s_cut);
         for t in &summarized {
             self.summarized.insert(*t);
@@ -400,7 +458,8 @@ impl SeqState {
 
     pub(super) fn resident_bytes(&self) -> usize {
         self.schedule.resident_bytes()
-            + (self.last_write.len() + self.first_op.len()) * std::mem::size_of::<u32>()
+            + (self.last_write.len() + self.first_op.len() + self.home.as_ref().map_or(0, Vec::len))
+                * std::mem::size_of::<u32>()
             + self.log.resident_bytes()
             + self.finished.resident_bytes()
             + self.summarized.resident_bytes()
@@ -410,8 +469,11 @@ impl SeqState {
 /// Stage-2 state: everything that needs the full total order.
 #[derive(Clone, Debug)]
 pub(super) struct GlobalState {
-    /// The global reduced conflict graph (serializability).
-    pub(super) graph: ProjGraph,
+    /// The global reduced conflict graph (serializability): a conjunct
+    /// whose scope is every item, with its own position-keyed journal.
+    /// `None` in the disjoint phase, where the shards decide instead —
+    /// the graph would be their disjoint union (see the module docs).
+    pub(super) graph: Option<ShardState>,
     /// Per slot: items written that someone else has read — the
     /// writer's next operation materializes the dirty read.
     dirty_reads: Vec<ItemSet>,
@@ -426,9 +488,11 @@ pub(super) struct GlobalState {
 }
 
 impl GlobalState {
-    pub(super) fn new() -> GlobalState {
+    /// Stage-2 state, in the disjoint phase if the scopes are pairwise
+    /// `disjoint` (as [`SeqState::new`] is told), else with its graph.
+    pub(super) fn new(disjoint: bool) -> GlobalState {
         GlobalState {
-            graph: ProjGraph::default(),
+            graph: (!disjoint).then(ShardState::default),
             dirty_reads: Vec::new(),
             spare_sets: SetPool::default(),
             first_non_dr: None,
@@ -437,13 +501,40 @@ impl GlobalState {
         }
     }
 
-    /// Stage 2: delayed-read tracking and the global conflict graph
-    /// for the operation at `p`, whose reads-from writer slot stage 1
-    /// resolved as `rf_slot`. Exact for the prefix ending at `p`
-    /// provided operations arrive in position order. Returns whether
-    /// this operation materialized a dirty read — it belongs to a
-    /// dirtily-read transaction, first such operation or not — which
-    /// is exactly when [`admits`] would have refused it at `PwsrDr`.
+    /// End the disjoint phase: build the global graph over the retained
+    /// schedule below `p`, the first position of the spanning run, by
+    /// replaying it in position order — logged from the retraction
+    /// floor up, so the graph retracts like one kept all along. The
+    /// summarized prefix is not replayed: `ProjGraph::condense`'s lemma
+    /// says no later cycle can use it. But a cycle closed there froze a
+    /// conjunct for good, and every conjunct cycle is a global one, so
+    /// the graph starts frozen at `first_violation` when that lies
+    /// below the base. The pipeline must be drained.
+    pub(super) fn build_graph(
+        &mut self,
+        seq: &SeqState,
+        p: usize,
+        first_violation: Option<OpIndex>,
+    ) {
+        let schedule = &seq.schedule;
+        let (base, floor) = (schedule.base(), seq.log.base());
+        let mut graph = ShardState::default();
+        graph.graph.cyclic_at = first_violation.filter(|q| q.0 < base);
+        for (pos, op) in (base..p).zip(schedule.ops()) {
+            let at = OpIndex(pos);
+            graph.apply(schedule.slot_of_op(at), op, at, pos >= floor);
+        }
+        self.graph = Some(graph);
+    }
+
+    /// Stage 2: delayed-read tracking, and the global conflict graph
+    /// once it is kept, for the operation at `p`, whose reads-from
+    /// writer slot stage 1 resolved as `rf_slot`. Exact for the prefix
+    /// ending at `p` provided operations arrive in position order.
+    /// Returns whether this operation materialized a dirty read — it
+    /// belongs to a dirtily-read transaction, first such operation or
+    /// not — which is exactly when [`admits`] would have refused it at
+    /// `PwsrDr`.
     pub(super) fn apply(
         &mut self,
         scopes: &[ItemSet],
@@ -454,7 +545,7 @@ impl GlobalState {
         logged: bool,
     ) -> bool {
         let mut delta = GlobalDelta::default();
-        let mut tape = logged.then(|| self.log.tape());
+        let tape = self.log.tape();
         while self.dirty_reads.len() <= slot {
             self.dirty_reads.push(self.spare_sets.take());
         }
@@ -469,11 +560,10 @@ impl GlobalState {
             for (k, scope) in scopes.iter().enumerate() {
                 if !scope.is_disjoint(&self.dirty_reads[slot])
                     && self.lemma6_killed.insert(ItemId(k as u32))
+                    && logged
                 {
-                    if let Some(tape) = tape.as_deref_mut() {
-                        tape.push(k as u32);
-                        delta.n_kills += 1;
-                    }
+                    tape.push(k as u32);
+                    delta.n_kills += 1;
                 }
             }
         }
@@ -484,23 +574,26 @@ impl GlobalState {
                 delta.dr_mark = w_slot as u32;
             }
         }
-        self.graph
-            .apply(slot, op.item.index(), op.is_write(), p, tape);
+        if let Some(graph) = self.graph.as_mut() {
+            graph.apply(slot, op, p, logged);
+        }
         if logged {
             self.log.record(delta);
         }
         caused_non_dr
     }
 
-    /// Retract the last logged operation's stage-2 effects.
-    /// `new_slot`: the operation had created `slot`.
-    pub(super) fn undo(&mut self, slot: usize, item: ItemId, new_slot: bool) {
+    /// Retract the last logged operation's stage-2 effects; it was at
+    /// `p`. `new_slot`: the operation had created `slot`.
+    pub(super) fn undo(&mut self, slot: usize, item: ItemId, p: OpIndex, new_slot: bool) {
         let gd = self.log.pop().expect("one global entry per logged push");
-        let tape = self.log.tape();
-        self.graph.undo(slot, item.index(), tape);
+        if let Some(graph) = self.graph.as_mut() {
+            graph.undo(slot, item, p);
+        }
         if gd.dr_mark != NO_POS {
             self.dirty_reads[gd.dr_mark as usize].remove(item);
         }
+        let tape = self.log.tape();
         for _ in 0..gd.n_kills {
             self.lemma6_killed.remove(ItemId(tape.pop()));
         }
@@ -517,15 +610,20 @@ impl GlobalState {
 
     pub(super) fn raise_floor(&mut self, floor: usize) {
         self.log.checkpoint(floor);
+        if let Some(graph) = self.graph.as_mut() {
+            graph.raise_floor(floor);
+        }
     }
 
-    /// Drop the first `s_cut` (summarized) slots: cut the global graph
-    /// down (`ProjGraph::condense`), shift the slots retained journal
-    /// entries name, recycle the delayed-read rows.
+    /// Drop the first `s_cut` (summarized) slots: shift the slots
+    /// retained journal entries name, cut the global graph down
+    /// (`ProjGraph::condense`), recycle the delayed-read rows.
     pub(super) fn compact(&mut self, s_cut: usize, maps: &mut NodeMaps) {
-        self.graph.compact(&mut self.log, s_cut, maps, |delta| {
-            delta.shift_slots(s_cut as u32)
-        });
+        self.log
+            .walk_back(|delta, _| delta.shift_slots(s_cut as u32));
+        if let Some(graph) = self.graph.as_mut() {
+            graph.compact(s_cut, maps);
+        }
         let rows = self.dirty_reads.len();
         for row in self.dirty_reads.drain(..s_cut.min(rows)) {
             self.spare_sets.give(row);
@@ -533,15 +631,22 @@ impl GlobalState {
     }
 
     pub(super) fn resident_bytes(&self) -> usize {
-        self.graph.resident_bytes()
+        self.graph.as_ref().map_or(0, ShardState::resident_bytes)
             + ItemSet::rows_bytes(&self.dirty_reads)
             + self.log.resident_bytes()
+    }
+
+    /// What the global graph says of serializability — `None` in the
+    /// disjoint phase, where it is exactly PWSR.
+    pub(super) fn serializable(&self) -> Option<bool> {
+        self.graph.as_ref().map(|g| g.graph.serializable())
     }
 
     /// The ladder rung given whether every conjunct projection is
     /// still serializable.
     pub(super) fn level(&self, pwsr: bool) -> VerdictLevel {
-        VerdictLevel::compose(self.graph.serializable(), self.first_non_dr.is_none(), pwsr)
+        let serializable = self.serializable().unwrap_or(pwsr);
+        VerdictLevel::compose(serializable, self.first_non_dr.is_none(), pwsr)
     }
 
     /// Has no in-scope dirty read of conjunct `k` materialized?
@@ -551,16 +656,21 @@ impl GlobalState {
 
     /// The full verdict over a prefix of `len` operations, given the
     /// first position at which some conjunct projection went cyclic
-    /// (the minimum over the shards' `cyclic_at`).
+    /// (the minimum over the shards' `cyclic_at`) — in the disjoint
+    /// phase also the first non-serializable prefix.
     pub(super) fn verdict(&self, len: usize, first_violation: Option<OpIndex>) -> Verdict {
         let pwsr = first_violation.is_none();
+        let first_non_serializable = self
+            .graph
+            .as_ref()
+            .map_or(first_violation, |g| g.graph.cyclic_at);
         Verdict {
             len,
             level: self.level(pwsr),
-            serializable: self.graph.serializable(),
+            serializable: first_non_serializable.is_none(),
             dr: self.first_non_dr.is_none(),
             first_violation,
-            first_non_serializable: self.graph.cyclic_at,
+            first_non_serializable,
             first_non_dr: self.first_non_dr,
             lemma2_certified: pwsr,
             lemma6_certified: pwsr && self.lemma6_killed.is_empty(),
@@ -646,7 +756,17 @@ where
             .all(|&k| shard(k as usize).graph.admits(slot, item.index(), is_write))
     };
     match level {
-        AdmissionLevel::Serializable => global().graph.admits(slot, item.index(), is_write),
+        AdmissionLevel::Serializable => {
+            let graph = global()
+                .graph
+                .as_ref()
+                .map(|g| g.graph.admits(slot, item.index(), is_write));
+            // The disjoint phase: a cycle the access could close lies in
+            // one conjunct (a spanning access only links components).
+            graph.unwrap_or_else(|| {
+                (0..scope_index.len()).all(|k| shard(k).graph.serializable()) && conjuncts()
+            })
+        }
         AdmissionLevel::Pwsr => conjuncts(),
         AdmissionLevel::PwsrDr => {
             // Any operation of a dirtily-read transaction materializes

@@ -16,9 +16,11 @@
 //!   state: the delayed-read mark freshly set on the reads-from
 //!   writer, whether the push set `first_non_dr`, and how many
 //!   per-conjunct Lemma-6 kills it made. On the tape: the killed
-//!   conjunct ids, then the global reduced conflict graph's frame;
+//!   conjunct ids;
 //! * a position (a conjunct stage's record, one per push that touched
-//!   the conjunct) with that conjunct's graph frame on the tape;
+//!   the conjunct) with that conjunct's graph frame on the tape. The
+//!   global reduced conflict graph, once the global stage keeps it, is
+//!   one more such journal, with a record for every push;
 //! * a **graph frame** (`GraphDelta` is its trailer) — one
 //!   projection-graph access: the conflict edges freshly inserted, in
 //!   insertion order; the reader list a write drained, last reader
@@ -78,7 +80,8 @@
 //!
 //! The layout is the same under both drivers, because the journals
 //! belong to the stage state, not to the driver: one sequence journal,
-//! one global journal, one journal per conjunct. [`ShardedMonitor`]
+//! one global journal (and the global graph's), one journal per
+//! conjunct. [`ShardedMonitor`]
 //! reaches each behind its stage's lock, so a truncate touches each
 //! shard for `O(ops undone in that shard)` and unaffected shards not at
 //! all; [`OnlineMonitor`] reaches them directly, and a push it is told
@@ -248,7 +251,7 @@ pub(crate) struct SeqDelta {
 
 /// The total-order-dependent deltas of one push: delayed-read tracking
 /// (the global stage). Its tape words: the ids of the conjuncts the
-/// push newly added to `lemma6_killed`, then the global graph's frame.
+/// push newly added to `lemma6_killed`.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct GlobalDelta {
     /// The writer slot a dirty-read mark was freshly set on

@@ -1,8 +1,8 @@
 //! Generators shared by the core property suites (`proptests`,
 //! `bitset_props`, `lemma_props`, `monitor_props`, `sharded_props`,
 //! `batch_props`, `retract_props`): random well-formed transactions,
-//! random interleavings of them, and two-scope carvings of the item
-//! universe.
+//! random interleavings of them, two-scope carvings of the item
+//! universe, and lane-partitioned workloads.
 
 // Each suite is its own crate and uses a subset of these.
 #![allow(dead_code)]
@@ -95,4 +95,63 @@ pub fn scopes_from_bits(d1_bits: u32, d2_bits: u32) -> Vec<ItemSet> {
         .map(ItemId)
         .collect();
     vec![d1, d2]
+}
+
+/// A lane-partitioned workload: the items `0..MAX_ITEMS` dealt
+/// round-robin into one to three disjoint scopes, and `n_txns`
+/// transactions that each keep to the items of one scope, its lane.
+/// In half the cases one of the first three transactions *spans*
+/// instead: at a drawn point of its run it also reads or writes an
+/// item of the next lane — or, with one scope, the item `MAX_ITEMS`,
+/// outside every scope. So half the cases stay in a monitor's disjoint
+/// phase throughout, and the other half leave it at that transaction.
+pub fn arb_lanes(n_txns: u32) -> impl Strategy<Value = (Vec<ItemSet>, Vec<Transaction>)> {
+    (
+        1usize..=3,
+        arb_transactions(n_txns, MAX_ITEMS),
+        proptest::collection::vec(0usize..3, n_txns as usize),
+        (any::<bool>(), 0usize..3, any::<bool>(), 0usize..8),
+    )
+        .prop_map(move |(n_scopes, txns, lanes, spanning)| {
+            let (span, span_at, span_write, span_pos) = spanning;
+            let lane_of = |item: ItemId| item.index() % n_scopes;
+            let scopes = (0..n_scopes)
+                .map(|k| {
+                    (0..MAX_ITEMS)
+                        .map(ItemId)
+                        .filter(|&i| lane_of(i) == k)
+                        .collect()
+                })
+                .collect();
+            let txns = txns
+                .into_iter()
+                .zip(lanes)
+                .enumerate()
+                .map(|(j, (t, lane))| {
+                    let (txn, lane) = (t.id(), lane % n_scopes);
+                    let mut ops: Vec<Operation> = t
+                        .ops()
+                        .iter()
+                        .filter(|o| lane_of(o.item) == lane)
+                        .cloned()
+                        .collect();
+                    if ops.is_empty() {
+                        ops.push(Operation::write(txn, ItemId(lane as u32), Value::Int(0)));
+                    }
+                    if span && j == span_at % n_txns as usize {
+                        let other = match n_scopes {
+                            1 => ItemId(MAX_ITEMS),
+                            _ => ItemId(((lane + 1) % n_scopes) as u32),
+                        };
+                        let op = match span_write {
+                            true => Operation::write(txn, other, Value::Int(0)),
+                            false => Operation::read(txn, other, Value::Int(0)),
+                        };
+                        ops.insert(span_pos % (ops.len() + 1), op);
+                    }
+                    Transaction::new(txn, ops).expect("respects §2.2")
+                })
+                .collect();
+            (scopes, txns)
+        })
 }

@@ -34,6 +34,7 @@ use pwsr_core::op::{OpStruct, Operation};
 use pwsr_core::schedule::Schedule;
 use pwsr_core::state::DbState;
 use pwsr_tplang::ast::Program;
+use pwsr_tplang::error::TpError;
 use pwsr_tplang::session::{Pending, ProgramSession};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -457,7 +458,10 @@ impl<'a> Run<'a> {
     fn step(&mut self, d: &mut dyn Discipline, pick: usize) -> Result<()> {
         let policy = self.policy;
         let txn = self.rts[pick].txn;
-        let pending = self.rts[pick].session.pending()?;
+        let pending = match self.rts[pick].session.pending() {
+            Ok(pending) => pending,
+            Err(e) => return self.program_error(d, pick, e),
+        };
         // The access `pending` is about to make, if any.
         let intent = match &pending {
             Pending::NeedRead(item) => Some((*item, false)),
@@ -500,7 +504,10 @@ impl<'a> Run<'a> {
                     return self.block(d, pick, why);
                 }
                 let value = self.db.require(item)?.clone();
-                let op = self.rts[pick].session.feed_read(value)?;
+                let op = match self.rts[pick].session.feed_read(value) {
+                    Ok(op) => op,
+                    Err(e) => return self.program_error(d, pick, e),
+                };
                 self.record(op);
             }
             Pending::Write(op) => match d.write(self, &op) {
@@ -517,6 +524,36 @@ impl<'a> Run<'a> {
             self.abort_cascading(d, &[pick])?;
         }
         Ok(())
+    }
+
+    /// `rts[pick]`'s program ran into `e`. It is the program's own
+    /// error, and ends the run, only if the transaction's view is clean
+    /// ([`view_is_clean`](Self::view_is_clean)). Otherwise the attempt
+    /// may be doomed — a zombie that read a state no serial execution
+    /// produces, and may loop or fault on it — so it aborts and
+    /// restarts like any other abort (`max_restarts` bounds it).
+    fn program_error(&mut self, d: &mut dyn Discipline, pick: usize, e: TpError) -> Result<()> {
+        if self.view_is_clean(self.rts[pick].txn) {
+            return Err(e.into());
+        }
+        self.abort_cascading(d, &[pick])
+    }
+
+    /// Did every value `txn` read in this attempt come from a finished
+    /// writer (or the initial state), and is it still the latest value
+    /// of its item? The trace holds the attempt's reads, and every
+    /// write in the order the store took it.
+    fn view_is_clean(&self, txn: TxnId) -> bool {
+        let finished = |w: TxnId| self.rts.iter().any(|rt| rt.txn == w && rt.done);
+        let overwrites =
+            |r: &Operation, w: &Operation| w.is_write() && w.item == r.item && w.txn != txn;
+        self.trace.iter().enumerate().all(|(i, r)| {
+            let (before, after) = self.trace.split_at(i);
+            r.txn != txn
+                || r.is_write()
+                || (last_writer(before, r.item).is_none_or(finished)
+                    && !after.iter().any(|w| overwrites(r, w)))
+        })
     }
 
     /// `op` happened (its effect is in the store): show it to the
@@ -676,8 +713,11 @@ impl<'a> Run<'a> {
 mod tests {
     use super::*;
     use crate::fixtures::setup;
+    use pwsr_core::constraint::{Conjunct, Formula, IntegrityConstraint, Term};
     use pwsr_core::pwsr::is_pwsr;
     use pwsr_core::serializability::is_conflict_serializable;
+    use pwsr_core::solver::Solver;
+    use pwsr_core::strong::check_strong_correctness;
     use pwsr_core::value::{Domain, Value};
     use pwsr_tplang::parser::parse_program;
 
@@ -1203,6 +1243,95 @@ mod tests {
                 Some(&Value::Int(11))
             );
         }
+    }
+
+    /// Two programs over one conjunct {a0, b0}, both at 0: R loops
+    /// unless it sees a0 = b0, W moves both by one. Either serial order
+    /// runs clean, but an attempt of R that reads a0 before W and b0
+    /// after it is doomed, and loops.
+    fn zombie_prone() -> (Catalog, IntegrityConstraint, DbState, Vec<Program>) {
+        let mut cat = Catalog::new();
+        let a0 = cat.add_item("a0", Domain::int_range(-100, 100));
+        let b0 = cat.add_item("b0", Domain::int_range(-100, 100));
+        let ic = IntegrityConstraint::new(vec![Conjunct::new(
+            0,
+            Formula::le(Term::var(a0), Term::var(b0)),
+        )])
+        .unwrap();
+        let initial = DbState::from_pairs([(a0, Value::Int(0)), (b0, Value::Int(0))]);
+        let programs = vec![
+            parse_program("R", "x := a0; y := b0; while (x != y) do x := x;").unwrap(),
+            parse_program("W", "a0 := a0 + 1; b0 := b0 + 1;").unwrap(),
+        ];
+        (cat, ic, initial, programs)
+    }
+
+    type Executor =
+        fn(&[Program], &Catalog, &DbState, &PolicySpec, &ExecConfig) -> Result<ExecOutcome>;
+
+    /// The three seeded disciplines.
+    const EXECUTORS: [(&str, Executor); 3] = [
+        ("2pl", run_workload),
+        ("occ", crate::occ::run_occ),
+        ("sgt", crate::sgt::run_sgt),
+    ];
+
+    /// A program error in a doomed attempt restarts the transaction;
+    /// it never ends the run. Validation (R reads the published a0,
+    /// then b0 after W published both) and certification (R reads W's
+    /// unfinished a0, then the initial b0) both let R compute on such
+    /// a view on some seeds.
+    #[test]
+    fn a_doomed_attempt_never_ends_the_run() {
+        let (cat, ic, initial, programs) = zombie_prone();
+        let solver = Solver::new(&cat, &ic);
+        for (name, exec) in EXECUTORS {
+            for policy in [
+                PolicySpec::global_2pl(),
+                PolicySpec::predicate_wise_2pl(&ic),
+            ] {
+                for seed in 0..200 {
+                    let cfg = ExecConfig {
+                        seed,
+                        ..ExecConfig::default()
+                    };
+                    let out = exec(&programs, &cat, &initial, &policy, &cfg)
+                        .unwrap_or_else(|e| panic!("{name}, seed {seed}: {e}"));
+                    assert_eq!(out.schedule.len(), 6, "{name}, seed {seed}");
+                    let report = check_strong_correctness(&out.schedule, &solver, &initial);
+                    assert!(report.ok(), "{name}, seed {seed}: {}", out.schedule);
+                }
+            }
+        }
+    }
+
+    /// A program that fails from every state — its view is clean, the
+    /// error is its own — still ends the run, under every seeded
+    /// discipline and both threaded executors.
+    #[test]
+    fn an_error_in_a_clean_view_ends_the_run() {
+        use crate::concurrent::{run_threaded_certified, run_threaded_occ_tuned, OccTuning};
+        use crate::policy::MonitorSpec;
+        use pwsr_core::monitor::AdmissionLevel;
+        let (cat, ic, initial, _) = zombie_prone();
+        let programs = vec![parse_program("L", "while (true) do x := x;").unwrap()];
+        let program_error = |r: Result<()>| matches!(r, Err(SchedError::Program(_)));
+        for (name, exec) in EXECUTORS {
+            for policy in [
+                PolicySpec::global_2pl(),
+                PolicySpec::predicate_wise_2pl(&ic),
+            ] {
+                let out = exec(&programs, &cat, &initial, &policy, &ExecConfig::default());
+                assert!(program_error(out.map(drop)), "{name}");
+            }
+        }
+        let spec = MonitorSpec::new(ic.scopes(), AdmissionLevel::Pwsr);
+        let policy = PolicySpec::predicate_wise_2pl(&ic);
+        let out = run_threaded_certified(&programs, &cat, &initial, &policy, &spec);
+        assert!(program_error(out.map(drop)), "threaded 2PL");
+        let tuning = OccTuning::default();
+        let out = run_threaded_occ_tuned(&programs, &cat, &initial, &spec, 2, 3, &tuning);
+        assert!(program_error(out.map(drop)), "threaded OCC");
     }
 
     /// One elder, one step, two wounded: T1's write of `a0` meets the

@@ -293,6 +293,57 @@ fn frozen_window_held_open_by_a_stall_stays_above_the_floor() {
     );
 }
 
+/// A doomed attempt never ends the run, on threads either. R loops
+/// unless it sees a0 = b0 and W moves both; R stalls between its two
+/// reads, so W can commit in between. The optimistic executor checks
+/// the last push's breach before the program's error surfaces, so at
+/// every floor R is aborted and retried instead: no run errs, and R
+/// replays its program over what it finally read.
+#[test]
+fn a_doomed_reader_stalled_between_its_reads_is_retried() {
+    let mut cat = Catalog::new();
+    let (a0, b0) = (
+        cat.add_item("a0", Domain::int_range(-1000, 1000)),
+        cat.add_item("b0", Domain::int_range(-1000, 1000)),
+    );
+    let initial = DbState::from_pairs([(a0, Value::Int(0)), (b0, Value::Int(0))]);
+    let programs = [
+        ("R", "x := a0; y := b0; while (x != y) do x := x;"),
+        ("W", "a0 := a0 + 1; b0 := b0 + 1;"),
+    ]
+    .map(|(name, src)| parse_program(name, src).unwrap());
+    let scope = ItemSet::from_iter([a0, b0]);
+    for level in [
+        AdmissionLevel::Serializable,
+        AdmissionLevel::Pwsr,
+        AdmissionLevel::PwsrDr,
+    ] {
+        let spec = MonitorSpec::new(vec![scope.clone()], level);
+        for _ in 0..10 {
+            let tuning = OccTuning {
+                faults: Some(
+                    FaultPlan::new()
+                        .on_access(1, 0, ExecFault::Stall { ms: 20 })
+                        .share(),
+                ),
+                ..OccTuning::default()
+            };
+            let out = run_threaded_occ_tuned(&programs, &cat, &initial, &spec, 2, 64, &tuning)
+                .unwrap_or_else(|e| panic!("{level:?}: {e}"));
+            assert_eq!(out.schedule.len(), 6, "{level:?}: {}", out.schedule);
+            let r: Vec<_> = (out.schedule.ops().iter())
+                .filter(|o| o.txn == TxnId(1))
+                .cloned()
+                .collect();
+            assert!(
+                replay_matches(&programs[0], &cat, TxnId(1), &r),
+                "{}",
+                out.schedule
+            );
+        }
+    }
+}
+
 /// A worker panic mid-transaction is contained: the dead transaction's
 /// operations vanish (suffix retracted, writes rolled back), every
 /// surviving transaction's subsequence still replays its program, and
