@@ -131,8 +131,6 @@ pub(crate) struct ScopeIndex {
     /// containing item `i`, ascending.
     starts: Vec<u32>,
     conjuncts: Vec<u32>,
-    /// How many scopes there are.
-    len: usize,
 }
 
 impl ScopeIndex {
@@ -158,16 +156,7 @@ impl ScopeIndex {
                 fill[item.index()] += 1;
             }
         }
-        ScopeIndex {
-            starts,
-            conjuncts,
-            len: scopes.len(),
-        }
-    }
-
-    /// How many scopes there are.
-    pub(crate) fn len(&self) -> usize {
-        self.len
+        ScopeIndex { starts, conjuncts }
     }
 
     /// Is every item in at most one scope?
@@ -1144,15 +1133,14 @@ impl OnlineMonitor {
         let Ok(slot) = self.seq.slot(txn) else {
             return false;
         };
-        let (global, conjunct) = (|| &self.global, |k: usize| &self.conjuncts[k]);
         stages::admits(
             &self.scope_index,
             slot,
             item,
             is_write,
             level,
-            global,
-            conjunct,
+            &self.global,
+            &self.conjuncts,
         )
     }
 
@@ -1446,6 +1434,25 @@ mod tests {
             AdmissionLevel::Serializable
         ));
         assert!(m.admits(last.txn, last.item, last.is_write(), AdmissionLevel::Pwsr));
+    }
+
+    #[test]
+    fn admission_refuses_a_summarized_transaction() {
+        // T1's one write is compacted into the permanent prefix: the
+        // graphs would take another access of T1 at every level, but
+        // its push would be rejected, so the probe refuses it.
+        let mut m = OnlineMonitor::new(example2_scopes());
+        m.push(wr(1, 0, 1)).unwrap();
+        m.finish_txn(TxnId(1));
+        assert_eq!(m.compact().txns_summarized, 1);
+        for level in [
+            AdmissionLevel::Serializable,
+            AdmissionLevel::Pwsr,
+            AdmissionLevel::PwsrDr,
+        ] {
+            assert!(!m.admits(TxnId(1), ItemId(2), true, level), "{level:?}");
+            assert!(m.admits(TxnId(2), ItemId(2), true, level), "{level:?}");
+        }
     }
 
     #[test]

@@ -48,8 +48,8 @@
 //!    has this stage build the graph from the retained schedule.
 //!    Tickets are served in claim order, so this state evolves in
 //!    exactly the claimed interleaving.
-//! 3. **shards** (ticketed, one `ShardState` per conjunct behind an
-//!    `RwLock`): each touched conjunct's reduced conflict graph.
+//! 3. **shards** (ticketed, one `ShardState` per conjunct behind its
+//!    own lock): each touched conjunct's reduced conflict graph.
 //!    Operations on *different* conjuncts proceed through different
 //!    shards concurrently — this is where the parallelism the single
 //!    writer forfeits comes back.
@@ -123,28 +123,34 @@
 //!
 //! ## Lock discipline
 //!
-//! The pipeline's locks carry fixed *ranks* — sequence mutex (0),
-//! global stage (1), conjunct shard `k` (2 + k) — and every code path
-//! acquires strictly ascending (holding a lock, only higher ranks may
-//! be taken), which rules out deadlock by resource ordering. Debug
-//! builds track held ranks per thread and assert the discipline on
-//! every acquisition (the private `lock_order` tracker), so a
-//! lock-order regression fails deterministically in tests — the
-//! bounded exhaustive-interleaving model test below drives every
-//! lock-taking entry point through every interleaving of a small
-//! workload. The §2.2-totals stripes stand outside the ranks: a thread
-//! holds at most one and takes no other lock while it does, so one may
-//! be taken under the sequence mutex.
+//! The pipeline has one lock kind: every stage sits behind an
+//! exclusive mutex, the quiescent readers (`verdict`, the certificates,
+//! `conjunct_order`, the resident estimate) included — nothing asks the
+//! stages a read-only question while pushes are in flight. The locks
+//! carry fixed *ranks* — sequence mutex (0), global stage (1),
+//! conjunct shard `k` (2 + k) — and every code path acquires strictly
+//! ascending (holding a lock, only higher ranks may be taken), which
+//! rules out deadlock by resource ordering. Debug builds track held
+//! ranks per thread and assert the discipline on every acquisition
+//! (the private `lock_order` tracker), so a lock-order regression
+//! fails deterministically in tests — the bounded
+//! exhaustive-interleaving model test below drives every lock-taking
+//! entry point (push, the quiescent readers, retraction, truncation,
+//! checkpoint, compaction) through every interleaving of a small
+//! workload. The §2.2-totals
+//! stripes stand outside the ranks: a thread holds at most one and
+//! takes no other lock while it does, so one may be taken under the
+//! sequence mutex.
 
 use super::journal::MonitorJournal;
-use super::stages::{self, GlobalState, SeqState, ShardState, TxnTotals};
+use super::stages::{GlobalState, SeqState, ShardState, TxnTotals};
 use super::{AdmissionLevel, Applied, CompactStats, ScopeIndex, Verdict, VerdictLevel};
 use crate::error::Result;
-use crate::ids::{IdMap, ItemId, OpIndex, TxnId};
+use crate::ids::{IdMap, OpIndex, TxnId};
 use crate::op::Operation;
 use crate::schedule::Schedule;
 use crate::state::ItemSet;
-use parking_lot::{Mutex, RwLock};
+use parking_lot::Mutex;
 use std::cell::Cell;
 use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicU32, AtomicU64, AtomicU8, Ordering};
@@ -249,41 +255,6 @@ impl<T> RankedMutex<T> {
 
     fn into_inner(self) -> T {
         self.inner.into_inner()
-    }
-}
-
-/// A [`RwLock`] that checks the [`lock_order`] discipline in debug
-/// builds (both reader and writer acquisitions must be ascending —
-/// reader/reader sharing never deadlocks by itself, but a reader that
-/// acquires against rank order can still complete a writer cycle).
-#[derive(Debug)]
-struct RankedRwLock<T> {
-    rank: u32,
-    inner: RwLock<T>,
-}
-
-impl<T> RankedRwLock<T> {
-    fn new(rank: u32, value: T) -> RankedRwLock<T> {
-        RankedRwLock {
-            rank,
-            inner: RwLock::new(value),
-        }
-    }
-
-    fn read(&self) -> RankedGuard<impl Deref<Target = T> + '_> {
-        lock_order::acquire(self.rank);
-        RankedGuard {
-            rank: self.rank,
-            guard: self.inner.read(),
-        }
-    }
-
-    fn write(&self) -> RankedGuard<impl DerefMut<Target = T> + '_> {
-        lock_order::acquire(self.rank);
-        RankedGuard {
-            rank: self.rank,
-            guard: self.inner.write(),
-        }
     }
 }
 
@@ -479,12 +450,10 @@ struct Sequencer {
 }
 
 /// One conjunct shard: a ticket turnstile plus the guarded state.
-/// `RwLock` (not `Mutex`) so read-mostly admission probes
-/// ([`ShardedMonitor::would_admit`]) never take the shard exclusively.
 #[derive(Debug)]
 struct Shard {
     serving: AtomicU32,
-    state: RankedRwLock<ShardState>,
+    state: RankedMutex<ShardState>,
 }
 
 /// Spin with bounded exponential backoff, then yield: shard turns are
@@ -511,7 +480,8 @@ fn wait_turn(serving: &AtomicU32, ticket: u32) {
 /// What one [`ShardedMonitor::push_outcome`] observed — the lock-free
 /// floor plus one flag per rung: whether **this** push, against the
 /// state just before it, *would not have been admitted* at that rung
-/// (what [`ShardedMonitor::would_admit`] answers, taken at the push).
+/// (what [`OnlineMonitor::admits`](super::OnlineMonitor::admits)
+/// answers on the same prefix, taken just before the push).
 /// That covers the push that broke the rung and every push that met it
 /// already broken: an operation pushed into a frozen graph was never
 /// certified, and the retraction that heals the rung must not leave it
@@ -587,7 +557,7 @@ pub struct ShardedMonitor {
     totals: TotalsTable,
     seq: RankedMutex<Sequencer>,
     gserving: AtomicU32,
-    gstate: RankedRwLock<GlobalState>,
+    gstate: RankedMutex<GlobalState>,
     shards: Vec<Shard>,
     /// Lock-free verdict floor: the worst `VerdictLevel as u8` any
     /// push computed (recomputed exactly by retraction).
@@ -638,11 +608,11 @@ impl ShardedMonitor {
                 },
             ),
             gserving: AtomicU32::new(0),
-            gstate: RankedRwLock::new(RANK_GLOBAL, GlobalState::new(disjoint)),
+            gstate: RankedMutex::new(RANK_GLOBAL, GlobalState::new(disjoint)),
             shards: (0..n)
                 .map(|k| Shard {
                     serving: AtomicU32::new(0),
-                    state: RankedRwLock::new(shard_rank(k), ShardState::default()),
+                    state: RankedMutex::new(shard_rank(k), ShardState::default()),
                 })
                 .collect(),
             floor: AtomicU8::new(0),
@@ -671,11 +641,6 @@ impl ShardedMonitor {
             shard.serving.store(first, Ordering::Release);
         }
         self
-    }
-
-    /// A sharded monitor over an integrity constraint's conjuncts.
-    pub fn for_constraint(ic: &crate::constraint::IntegrityConstraint) -> ShardedMonitor {
-        ShardedMonitor::new(ic.scopes())
     }
 
     /// Attach a durability journal: every append, truncation and
@@ -709,11 +674,6 @@ impl ShardedMonitor {
         } else {
             self.serial_ns.load(Ordering::Relaxed) as f64 / ops as f64
         }
-    }
-
-    /// Does this monitor journal pushes for retraction?
-    pub fn logging(&self) -> bool {
-        self.logging
     }
 
     /// The projection scopes.
@@ -760,8 +720,8 @@ impl ShardedMonitor {
     /// claims a contiguous segment of positions `[p0, p0 + k)` (a
     /// segment-reserved `Schedule` append) together with the whole
     /// run's global and per-shard tickets, one global-turnstile wait
-    /// plus one `gstate` write lock for all `k` operations, and one
-    /// turnstile wait plus one write lock per **touched conjunct
+    /// plus one `gstate` lock for all `k` operations, and one
+    /// turnstile wait plus one lock per **touched conjunct
     /// shard** rather than per operation. Ticket *numbering* is
     /// unchanged — every operation still owns one global ticket and
     /// one ticket per touched shard, claimed atomically in program
@@ -887,7 +847,7 @@ impl ShardedMonitor {
             self.drain(s);
             let fv = self.first_violation.load(Ordering::Acquire);
             let fv = (fv != NO_POS).then_some(OpIndex(fv as usize));
-            self.gstate.write().build_graph(&s.state, p0, fv);
+            self.gstate.lock().build_graph(&s.state, p0, fv);
         }
         for (i, op) in ops.iter().enumerate() {
             for &k in self.scope_index.of(op.item) {
@@ -915,11 +875,11 @@ impl ShardedMonitor {
     ) {
         // --- stage 2: one global turn for the run -----------------------
         // Per-op results are captured in program order inside the one
-        // write-lock hold, so each operation's (serializable, dr)
+        // lock hold, so each operation's (serializable, dr)
         // snapshot is prefix-exact — identical to singleton pushes.
         wait_turn(&self.gserving, g0);
         let disjoint = {
-            let mut g = self.gstate.write();
+            let mut g = self.gstate.lock();
             for (i, op) in ops.iter().enumerate() {
                 let p = OpIndex(p0 + i);
                 let caused_non_dr =
@@ -955,7 +915,7 @@ impl ShardedMonitor {
             let shard = &self.shards[k as usize];
             wait_turn(&shard.serving, t0k);
             {
-                let mut sh = shard.state.write();
+                let mut sh = shard.state.lock();
                 for &(_, i, _) in turns {
                     let i = i as usize;
                     outcomes[i].caused_violation |=
@@ -991,7 +951,7 @@ impl ShardedMonitor {
         }
     }
 
-    /// Stage 3 against an already write-locked shard (the caller holds
+    /// Stage 3 against an already locked shard (the caller holds
     /// its ticket). Returns whether this access breached the conjunct
     /// — closed its first cycle, or met it already frozen — mirroring
     /// a closed cycle into the lock-free violation floor.
@@ -1069,9 +1029,9 @@ impl ShardedMonitor {
             .min()
             .unwrap_or(s.state.schedule.len());
         s.state.raise_floor(floor, |floor| {
-            self.gstate.write().raise_floor(floor);
+            self.gstate.lock().raise_floor(floor);
             for shard in &self.shards {
-                shard.state.write().raise_floor(floor);
+                shard.state.lock().raise_floor(floor);
             }
         })
     }
@@ -1149,9 +1109,9 @@ impl ShardedMonitor {
             // Every graph is cut down in its own storage, through the
             // one pair of node tables this lock guards: global stage
             // first, then the conjunct shards in ascending rank.
-            self.gstate.write().compact(s_cut, maps);
+            self.gstate.lock().compact(s_cut, maps);
             for shard in &self.shards {
-                shard.state.write().compact(s_cut, maps);
+                shard.state.lock().compact(s_cut, maps);
             }
             // The summarized transactions can never push again, so
             // their §2.2 totals are dead weight — reclaim them.
@@ -1192,9 +1152,9 @@ impl ShardedMonitor {
             + self.shards.len() * size_of::<Shard>()
             + s.state.resident_bytes()
             + s.tickets.len() * size_of::<u32>();
-        total += self.gstate.read().resident_bytes();
+        total += self.gstate.lock().resident_bytes();
         for shard in &self.shards {
-            total += shard.state.read().resident_bytes();
+            total += shard.state.lock().resident_bytes();
         }
         total + self.totals.resident_bytes()
     }
@@ -1218,14 +1178,14 @@ impl ShardedMonitor {
             // back one step so re-claimed tickets line up.
             for &k in self.scope_index.of(u.op.item).iter().rev() {
                 let k = k as usize;
-                self.shards[k].state.write().undo(u.slot, u.op.item, u.pos);
+                self.shards[k].state.lock().undo(u.slot, u.op.item, u.pos);
                 s.tickets[k] = s.tickets[k].wrapping_sub(1);
                 self.shards[k]
                     .serving
                     .store(s.tickets[k], Ordering::Release);
             }
             self.gstate
-                .write()
+                .lock()
                 .undo(u.slot, u.op.item, u.pos, u.new_slot);
             s.gticket = s.gticket.wrapping_sub(1);
             self.gserving.store(s.gticket, Ordering::Release);
@@ -1251,12 +1211,12 @@ impl ShardedMonitor {
     fn recompute_floor(&self) {
         let mut fv = NO_POS;
         for shard in &self.shards {
-            if let Some(c) = shard.state.read().graph.cyclic_at {
+            if let Some(c) = shard.state.lock().graph.cyclic_at {
                 fv = fv.min(c.0 as u32);
             }
         }
         self.first_violation.store(fv, Ordering::Release);
-        let level = self.gstate.read().level(fv == NO_POS);
+        let level = self.gstate.lock().level(fv == NO_POS);
         self.floor.store(level as u8, Ordering::Release);
     }
 
@@ -1333,42 +1293,6 @@ impl ShardedMonitor {
         VerdictLevel::from_floor(self.floor.load(Ordering::Acquire))
     }
 
-    /// Would admitting this access keep `level`? Read-only on the
-    /// shards (`RwLock::read`), exclusive nowhere. Like the
-    /// single-writer probe this is exact against the *current* state;
-    /// under concurrent pushes the caller must hold the item's
-    /// conflict domain (as the lock-based executors do) for the
-    /// answer to stay binding. A summarized transaction is never
-    /// admitted: its push would be rejected
-    /// ([`CoreError::SummarizedTransaction`]) regardless of what the
-    /// graphs say.
-    ///
-    /// [`CoreError::SummarizedTransaction`]: crate::error::CoreError::SummarizedTransaction
-    pub fn would_admit(
-        &self,
-        txn: TxnId,
-        item: ItemId,
-        is_write: bool,
-        level: AdmissionLevel,
-    ) -> bool {
-        let Ok(slot) = self.seq.lock().state.slot(txn) else {
-            return false;
-        };
-        let (global, shard) = (
-            || self.gstate.read(),
-            |k: usize| self.shards[k].state.read(),
-        );
-        stages::admits(
-            &self.scope_index,
-            slot,
-            item,
-            is_write,
-            level,
-            global,
-            shard,
-        )
-    }
-
     /// The full verdict, assembled from every stage's state. **Exact
     /// at quiescence** (no push in flight — e.g. after joining the
     /// worker threads); mid-flight it is a consistent lower bound in
@@ -1378,11 +1302,11 @@ impl ShardedMonitor {
     /// interleaving.
     pub fn verdict(&self) -> Verdict {
         let len = self.seq.lock().state.schedule.len();
-        let g = self.gstate.read();
+        let g = self.gstate.lock();
         let first_violation = self
             .shards
             .iter()
-            .filter_map(|shard| shard.state.read().graph.cyclic_at)
+            .filter_map(|shard| shard.state.lock().graph.cyclic_at)
             .min();
         g.verdict(len, first_violation)
     }
@@ -1390,12 +1314,12 @@ impl ShardedMonitor {
     /// Does the Lemma 2 certificate hold for conjunct `k` (module
     /// equivalence: the projection is still serializable)?
     pub fn lemma2_holds(&self, k: usize) -> bool {
-        self.shards[k].state.read().graph.cyclic_at.is_none()
+        self.shards[k].state.lock().graph.cyclic_at.is_none()
     }
 
     /// Does the Lemma 6 certificate hold for conjunct `k`?
     pub fn lemma6_holds(&self, k: usize) -> bool {
-        self.lemma2_holds(k) && self.gstate.read().lemma6_clean(k)
+        self.lemma2_holds(k) && self.gstate.lock().lemma6_clean(k)
     }
 
     /// The maintained serialization order of conjunct `k`'s projection,
@@ -1404,7 +1328,7 @@ impl ShardedMonitor {
     /// and exact at quiescence.
     pub fn conjunct_order(&self, k: usize) -> Option<Vec<TxnId>> {
         let s = self.seq.lock();
-        let shard = self.shards[k].state.read();
+        let shard = self.shards[k].state.lock();
         shard.graph.order(s.state.schedule.txn_ids())
     }
 
@@ -1427,6 +1351,7 @@ mod tests {
     use super::super::OnlineMonitor;
     use super::*;
     use crate::error::CoreError;
+    use crate::ids::ItemId;
     use crate::value::Value;
     use std::sync::Arc;
 
@@ -1541,33 +1466,6 @@ mod tests {
         assert_eq!(m.floor(), VerdictLevel::Pwsr);
         assert_eq!(m.verdict().level, VerdictLevel::Pwsr);
         assert!(!m.verdict().dr && !m.verdict().serializable);
-    }
-
-    #[test]
-    fn would_admit_matches_single_writer_semantics() {
-        // Same scenario as the single-writer test: the cycle in {a, b}
-        // closes at r1(b); admission at Pwsr must reject exactly it.
-        let ops = [wr(1, 0, 1), rd(2, 0, 1), wr(2, 1, 2), rd(1, 1, 2)];
-        let m = ShardedMonitor::new(example2_scopes());
-        for (k, op) in ops.iter().enumerate() {
-            let ok = m.would_admit(op.txn, op.item, op.is_write(), AdmissionLevel::Pwsr);
-            if k < 3 {
-                assert!(ok, "op {k} must be admitted");
-                m.push(op.clone()).unwrap();
-            } else {
-                assert!(!ok, "the cycle-closing read must be rejected");
-            }
-        }
-        assert_eq!(m.len(), 3);
-        assert!(m.verdict().pwsr());
-        // DR probe: after w1(a), r2(a), T1's next op materializes the
-        // dirty read; PwsrDr rejects it.
-        let m = ShardedMonitor::new(example2_scopes());
-        m.push(wr(1, 0, 1)).unwrap();
-        m.push(rd(2, 0, 1)).unwrap();
-        assert!(!m.would_admit(TxnId(1), ItemId(2), false, AdmissionLevel::PwsrDr));
-        assert!(m.would_admit(TxnId(1), ItemId(2), false, AdmissionLevel::Pwsr));
-        assert!(m.would_admit(TxnId(3), ItemId(2), true, AdmissionLevel::PwsrDr));
     }
 
     #[test]
@@ -1901,14 +1799,14 @@ mod tests {
         assert_eq!(m.logged_len(), 1);
         assert_eq!(m.len(), 31, "checkpoint retracts nothing");
         for shard in &m.shards {
-            let sh = shard.state.read();
+            let sh = shard.state.lock();
             assert_eq!(
                 sh.log.count_front(|&pos| (pos as usize) < 30),
                 0,
                 "below-floor shard deltas must be reclaimed"
             );
         }
-        assert_eq!(m.gstate.read().log.base(), 30);
+        assert_eq!(m.gstate.lock().log.base(), 30);
         // The live suffix still aborts incrementally, and the monitor
         // stays parity-exact with a fresh single-writer replay.
         let (undone, repushed) = m.retract_txn(live).unwrap();
@@ -1950,8 +1848,9 @@ mod tests {
 
     /// Every interleaving (bounded, exhaustive) of a small
     /// three-transaction workload, driven through every lock-taking
-    /// entry point — push, admission probe, verdict, retraction,
-    /// checkpoint — under the debug lock-rank asserts: a lock-order
+    /// entry point — push, the quiescent readers, retraction,
+    /// checkpoint, truncation, compaction — under the debug lock-rank
+    /// asserts: a lock-order
     /// regression anywhere in the pipeline fails this test
     /// deterministically, and each surviving state stays
     /// parity-exact with the single-writer monitor.
@@ -1992,13 +1891,16 @@ mod tests {
             let m = ShardedMonitor::new_logged(example2_scopes());
             let mut single = OnlineMonitor::new(example2_scopes());
             for op in ops {
-                // Admission probes nest global + shard read locks.
-                m.would_admit(op.txn, op.item, op.is_write(), AdmissionLevel::PwsrDr);
                 m.push(op.clone()).unwrap();
                 single.push(op.clone()).unwrap();
                 // `verdict` holds the global lock across ascending
-                // shard reads — the deepest read-side nesting.
+                // shard locks — the deepest reader nesting;
+                // `conjunct_order` holds seq, then one shard.
                 assert_eq!(m.verdict(), single.verdict());
+                for k in 0..2 {
+                    assert_eq!(m.lemma6_holds(k), single.lemma6_holds(k));
+                    assert_eq!(m.conjunct_order(k), single.conjunct_order(k));
+                }
             }
             // Retraction nests seq → global → shards (pops descend,
             // but locks are taken one at a time under seq).
@@ -2007,6 +1909,11 @@ mod tests {
             let floor = m.checkpoint([TxnId(1), TxnId(3)]);
             assert!(floor <= m.len());
             assert_eq!(m.truncate_to(m.len()), 0);
+            // Compaction and the resident estimate walk every stage
+            // in rank order under seq.
+            m.finish_txn(TxnId(1));
+            m.compact();
+            assert!(m.resident_bytes_estimate() > 0);
         }
     }
 

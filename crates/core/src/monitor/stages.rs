@@ -51,10 +51,12 @@
 //! A driver hands each call a closure that walks its other stages.
 //!
 //! The §2.2 totals ([`TxnTotals`], applying the rule
-//! [`Transaction::new`](crate::txn::Transaction::new) applies), the full
-//! [`Verdict`] assembly ([`GlobalState::verdict`]) and the admission
-//! probe ([`admits`]) sit here for the same reason: one definition, two
-//! callers.
+//! [`Transaction::new`](crate::txn::Transaction::new) applies) and the
+//! full [`Verdict`] assembly ([`GlobalState::verdict`]) sit here for
+//! the same reason: one definition, two callers. So does the admission
+//! probe ([`admits`]), whose one caller is
+//! [`OnlineMonitor::admits`](super::OnlineMonitor::admits): it reads
+//! the stage states, so it lives beside them.
 
 use super::journal::MonitorJournal;
 use super::undo::{GlobalDelta, SeqDelta, UndoLog};
@@ -68,7 +70,6 @@ use crate::op::Operation;
 use crate::schedule::Schedule;
 use crate::state::{ItemSet, SetPool};
 use crate::txn::validate_22;
-use std::ops::Deref;
 
 const NO_POS: u32 = u32::MAX;
 /// A home not yet drawn (only while a new slot's run is checked).
@@ -732,47 +733,40 @@ impl ShardState {
 }
 
 /// Would admitting this access by the transaction in `slot` keep
-/// `level`? Read-only and exact against the current state. `global`
-/// and `shard` hand out the stage states however the driver holds them
-/// — plain references, or read guards taken in rank order and released
-/// before the next is asked for.
-pub(super) fn admits<G, S>(
+/// `level`? Read-only and exact against the current state of `global`
+/// and the conjunct `shards`.
+pub(super) fn admits(
     scope_index: &ScopeIndex,
     slot: Option<usize>,
     item: ItemId,
     is_write: bool,
     level: AdmissionLevel,
-    global: impl Fn() -> G,
-    shard: impl Fn(usize) -> S,
-) -> bool
-where
-    G: Deref<Target = GlobalState>,
-    S: Deref<Target = ShardState>,
-{
+    global: &GlobalState,
+    shards: &[ShardState],
+) -> bool {
     let conjuncts = || {
-        scope_index
-            .of(item)
-            .iter()
-            .all(|&k| shard(k as usize).graph.admits(slot, item.index(), is_write))
+        scope_index.of(item).iter().all(|&k| {
+            shards[k as usize]
+                .graph
+                .admits(slot, item.index(), is_write)
+        })
     };
     match level {
         AdmissionLevel::Serializable => {
-            let graph = global()
+            let graph = global
                 .graph
                 .as_ref()
                 .map(|g| g.graph.admits(slot, item.index(), is_write));
             // The disjoint phase: a cycle the access could close lies in
             // one conjunct (a spanning access only links components).
-            graph.unwrap_or_else(|| {
-                (0..scope_index.len()).all(|k| shard(k).graph.serializable()) && conjuncts()
-            })
+            graph.unwrap_or_else(|| shards.iter().all(|sh| sh.graph.serializable()) && conjuncts())
         }
         AdmissionLevel::Pwsr => conjuncts(),
         AdmissionLevel::PwsrDr => {
             // Any operation of a dirtily-read transaction materializes
             // the DR violation.
             let clean = slot
-                .and_then(|s| global().dirty_reads.get(s).map(ItemSet::is_empty))
+                .and_then(|s| global.dirty_reads.get(s).map(ItemSet::is_empty))
                 .unwrap_or(true);
             clean && conjuncts()
         }

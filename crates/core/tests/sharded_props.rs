@@ -303,44 +303,11 @@ proptest! {
         }
     }
 
-    /// Admission probes agree with the single-writer monitor when the
-    /// monitor is quiescent (the binding situation for executors).
-    #[test]
-    fn quiescent_probes_match_single_writer(
-        txns in arb_transactions(3, MAX_ITEMS),
-        mix in proptest::collection::vec(any::<u8>(), 0..32),
-        d1_bits in 0u32..64,
-        d2_bits in 0u32..64,
-        probe_item in 0..MAX_ITEMS,
-        probe_txn in 1u32..5,
-        probe_write in any::<bool>(),
-    ) {
-        use pwsr_core::monitor::AdmissionLevel;
-        let ops = interleave_random(&txns, &mix);
-        let scopes = scopes_from_bits(d1_bits, d2_bits);
-        let sharded = ShardedMonitor::new(scopes.clone());
-        let mut single = OnlineMonitor::new(scopes);
-        for op in ops {
-            sharded.push(op.clone()).expect("valid");
-            single.push(op).expect("valid");
-        }
-        for level in [
-            AdmissionLevel::Serializable,
-            AdmissionLevel::Pwsr,
-            AdmissionLevel::PwsrDr,
-        ] {
-            prop_assert_eq!(
-                sharded.would_admit(TxnId(probe_txn), ItemId(probe_item), probe_write, level),
-                single.admits(TxnId(probe_txn), ItemId(probe_item), probe_write, level),
-                "probe diverged at {:?}", level
-            );
-        }
-    }
-
     /// The pointwise retraction contract: a push reports a breach of
     /// a rung exactly when the probe, asked just before it, would not
     /// have admitted the operation at that rung — on every push, also
-    /// those that meet a rung some earlier push already broke.
+    /// those that meet a rung some earlier push already broke. The
+    /// probe is the single writer's, fed the same pushes.
     #[test]
     fn outcome_breaches_iff_probe_would_refuse(
         txns in arb_transactions(5, MAX_ITEMS),
@@ -354,9 +321,12 @@ proptest! {
             AdmissionLevel::Pwsr,
             AdmissionLevel::PwsrDr,
         ];
-        let sharded = ShardedMonitor::new_logged(scopes_from_bits(d1_bits, d2_bits));
+        let scopes = scopes_from_bits(d1_bits, d2_bits);
+        let sharded = ShardedMonitor::new_logged(scopes.clone());
+        let mut single = OnlineMonitor::new(scopes);
         for (p, op) in interleave_random(&txns, &mix).into_iter().enumerate() {
-            let admitted = levels.map(|l| sharded.would_admit(op.txn, op.item, op.is_write(), l));
+            let admitted = levels.map(|l| single.admits(op.txn, op.item, op.is_write(), l));
+            single.push_logged(op.clone()).expect("valid");
             let outcome = sharded.push_outcome(op).expect("valid");
             for (level, admitted) in levels.into_iter().zip(admitted) {
                 prop_assert_eq!(

@@ -20,7 +20,7 @@
 //!   transaction table, pick, step budget, monitor admission, cascading
 //!   aborts, restarts, the committed schedule plus metrics — and its
 //!   *locking* discipline ([`exec::run_workload`]: waits, waits-for
-//!   deadlock detection or prevention, victim selection).
+//!   deadlock detection, victim selection).
 //! * [`occ`] — the same runner's *validation* discipline: buffered
 //!   writes, per-space backward validation, publish on success.
 //! * [`sgt`] — its *certification* discipline: nothing but the

@@ -822,6 +822,29 @@ mod tests {
         );
     }
 
+    /// Two readers of one item retracted as one set cost their two
+    /// reads and nothing re-pushed; one retraction per victim takes
+    /// three off (T3's read goes back in after T2's retraction and
+    /// comes off again).
+    #[test]
+    fn a_set_retraction_takes_each_operation_off_once() {
+        use pwsr_core::value::Value;
+        let ic = two_conjunct_ic();
+        let reads = [TxnId(2), TxnId(3)].map(|t| Operation::read(t, ItemId(0), Value::Int(0)));
+        let spec = MonitorSpec::new(ic.scopes(), AdmissionLevel::Pwsr);
+        let (mut set, mut one_by_one) =
+            (MonitorAdmission::new(&spec), MonitorAdmission::new(&spec));
+        for op in &reads {
+            set.observe(op);
+            one_by_one.observe(op);
+        }
+        assert_eq!(set.retract_txns(&[TxnId(2), TxnId(3)]).unwrap(), (2, 0));
+        assert_eq!(one_by_one.retract_txns(&[TxnId(2)]).unwrap(), (2, 1));
+        assert_eq!(one_by_one.retract_txns(&[TxnId(3)]).unwrap(), (1, 0));
+        assert_eq!(set.undone_ops(), 2);
+        assert_eq!(one_by_one.undone_ops(), 3);
+    }
+
     /// §3.1's canonical non-PWSR interleaving: Example 2's schedule
     /// with fixed-structure TP1′ writing `b` on the else branch. The
     /// projection on d1 = {a, b} becomes w1(a), r2(a), r2(b), w1(b) —
