@@ -19,6 +19,7 @@
 //! monitor's conflict graph, and why, is stated once, at
 //! `ProjGraph::condense` in [`crate::monitor`].
 
+use crate::pick::{Explore, Pick};
 use std::collections::BTreeSet;
 use std::sync::Mutex;
 
@@ -219,51 +220,33 @@ impl DiGraph {
     }
 
     /// All topological orders, up to `cap` of them (the count can be
-    /// factorial). Returns `None` if cyclic.
+    /// factorial), in lexicographic order. Returns `None` if cyclic.
     pub fn all_topo_sorts(&self, cap: usize) -> Option<Vec<Vec<usize>>> {
-        if self.has_cycle() {
-            return None;
-        }
         let n = self.len();
-        let mut indeg = vec![0usize; n];
-        for (_, v) in self.edges() {
-            indeg[v] += 1;
-        }
+        let mut explore = Explore::default();
         let mut out = Vec::new();
-        let mut current = Vec::with_capacity(n);
-        let mut used = vec![false; n];
-        self.topo_rec(&mut indeg, &mut used, &mut current, &mut out, cap);
-        Some(out)
-    }
-
-    fn topo_rec(
-        &self,
-        indeg: &mut Vec<usize>,
-        used: &mut Vec<bool>,
-        current: &mut Vec<usize>,
-        out: &mut Vec<Vec<usize>>,
-        cap: usize,
-    ) {
-        if out.len() >= cap {
-            return;
-        }
-        if current.len() == self.len() {
-            out.push(current.clone());
-            return;
-        }
-        for u in 0..self.len() {
-            if !used[u] && indeg[u] == 0 {
-                used[u] = true;
-                current.push(u);
+        loop {
+            let mut indeg = vec![0usize; n];
+            self.edges().for_each(|(_, v)| indeg[v] += 1);
+            let mut ready: Vec<usize> = (0..n).filter(|&u| indeg[u] == 0).collect();
+            let mut order = Vec::with_capacity(n);
+            while !ready.is_empty() {
+                let u = ready.swap_remove(explore.pick(&ready));
+                order.push(u);
                 for v in self.successors(u) {
                     indeg[v] -= 1;
+                    if indeg[v] == 0 {
+                        ready.push(v);
+                    }
                 }
-                self.topo_rec(indeg, used, current, out, cap);
-                for v in self.successors(u) {
-                    indeg[v] += 1;
-                }
-                current.pop();
-                used[u] = false;
+            }
+            if order.len() < n {
+                return None;
+            }
+            out.push(order);
+            if out.len() >= cap || !explore.advance() {
+                out.truncate(cap);
+                return Some(out);
             }
         }
     }

@@ -86,6 +86,7 @@ pub mod ids;
 pub mod monitor;
 pub mod notation;
 pub mod op;
+pub mod pick;
 pub mod pwsr;
 pub mod schedule;
 pub mod serializability;

@@ -1352,6 +1352,7 @@ mod tests {
     use super::*;
     use crate::error::CoreError;
     use crate::ids::ItemId;
+    use crate::pick::{Explore, Pick};
     use crate::value::Value;
     use std::sync::Arc;
 
@@ -1864,35 +1865,28 @@ mod tests {
             vec![rd(2, 0, 1), wr(2, 1, 2)],
             vec![wr(3, 2, 3), rd(3, 1, 2)],
         ];
-        fn merges(
-            queues: &mut Vec<std::collections::VecDeque<Operation>>,
-            current: &mut Vec<Operation>,
-            out: &mut Vec<Vec<Operation>>,
-        ) {
-            if queues.iter().all(std::collections::VecDeque::is_empty) {
-                out.push(current.clone());
-                return;
-            }
-            for i in 0..queues.len() {
-                if let Some(op) = queues[i].pop_front() {
-                    current.push(op.clone());
-                    merges(queues, current, out);
-                    current.pop();
-                    queues[i].push_front(op);
-                }
-            }
-        }
-        let mut queues: Vec<std::collections::VecDeque<Operation>> =
-            seqs.into_iter().map(Into::into).collect();
-        let mut all = Vec::new();
-        merges(&mut queues, &mut Vec::new(), &mut all);
-        assert_eq!(all.len(), 90, "6! / (2!)^3 interleavings");
-        for ops in &all {
+        // Every merge of the three sequences, by replay: each run
+        // starts fresh monitors and pushes the next operation of the
+        // sequence the explorer picks.
+        let mut explore = Explore::default();
+        let mut runs = 0;
+        loop {
+            runs += 1;
             let m = ShardedMonitor::new_logged(example2_scopes());
             let mut single = OnlineMonitor::new(example2_scopes());
-            for op in ops {
+            let mut next = vec![0; seqs.len()];
+            loop {
+                let open: Vec<usize> = (0..seqs.len())
+                    .filter(|&k| next[k] < seqs[k].len())
+                    .collect();
+                if open.is_empty() {
+                    break;
+                }
+                let k = open[explore.pick(&open)];
+                let op = seqs[k][next[k]].clone();
+                next[k] += 1;
                 m.push(op.clone()).unwrap();
-                single.push(op.clone()).unwrap();
+                single.push(op).unwrap();
                 // `verdict` holds the global lock across ascending
                 // shard locks — the deepest reader nesting;
                 // `conjunct_order` holds seq, then one shard.
@@ -1914,7 +1908,11 @@ mod tests {
             m.finish_txn(TxnId(1));
             m.compact();
             assert!(m.resident_bytes_estimate() > 0);
+            if !explore.advance() {
+                break;
+            }
         }
+        assert_eq!(runs, 90, "6! / (2!)^3 interleavings");
     }
 
     /// The rank tracker itself rejects out-of-order acquisition — the

@@ -190,35 +190,6 @@ impl Schedule {
         Schedule::new(ops)
     }
 
-    /// Interleave complete transactions according to `picks`: entry `k`
-    /// names the transaction whose next unconsumed operation comes `k`th.
-    ///
-    /// Errors if `picks` doesn't exactly consume every transaction.
-    pub fn interleave(txns: &[Transaction], picks: &[TxnId]) -> Result<Schedule> {
-        let mut cursors: BTreeMap<TxnId, (usize, &Transaction)> =
-            txns.iter().map(|t| (t.id(), (0usize, t))).collect();
-        let mut ops = Vec::with_capacity(picks.len());
-        for &pick in picks {
-            let (cursor, t) = cursors.get_mut(&pick).ok_or_else(|| {
-                CoreError::MalformedSchedule(format!("pick of unknown transaction {pick}"))
-            })?;
-            let op = t.ops().get(*cursor).ok_or_else(|| {
-                CoreError::MalformedSchedule(format!("transaction {pick} exhausted"))
-            })?;
-            ops.push(op.clone());
-            *cursor += 1;
-        }
-        for (id, (cursor, t)) in &cursors {
-            if *cursor != t.len() {
-                return Err(CoreError::MalformedSchedule(format!(
-                    "transaction {id} has {} unconsumed operations",
-                    t.len() - cursor
-                )));
-            }
-        }
-        Schedule::new(ops)
-    }
-
     /// The live operation sequence — positions `[base, len)`. Before
     /// any compaction (`base == 0`) this is the whole schedule.
     pub fn ops(&self) -> &[Operation] {
@@ -662,23 +633,12 @@ mod tests {
     }
 
     #[test]
-    fn serial_and_interleave_constructors() {
+    fn serial_constructor_concatenates_in_order() {
         let t1 = Transaction::new(TxnId(1), vec![rd(1, 0, 0), wr(1, 1, 5)]).unwrap();
         let t2 = Transaction::new(TxnId(2), vec![wr(2, 2, 7)]).unwrap();
-        let serial = Schedule::serial(&[t1.clone(), t2.clone()]).unwrap();
+        let serial = Schedule::serial(&[t1, t2]).unwrap();
         assert_eq!(serial.len(), 3);
         assert_eq!(serial.ops()[2].txn, TxnId(2));
-
-        let picks = [TxnId(1), TxnId(2), TxnId(1)];
-        let inter = Schedule::interleave(&[t1.clone(), t2.clone()], &picks).unwrap();
-        assert_eq!(inter.ops()[1].txn, TxnId(2));
-
-        // Under-consumption errors.
-        let err = Schedule::interleave(&[t1.clone(), t2.clone()], &[TxnId(1), TxnId(1)]);
-        assert!(err.is_err());
-        // Over-consumption errors.
-        let err = Schedule::interleave(&[t2], &[TxnId(2), TxnId(2)]);
-        assert!(err.is_err());
     }
 
     #[test]

@@ -11,6 +11,7 @@
 
 use crate::graph::DiGraph;
 use crate::ids::TxnId;
+use crate::pick::{Explore, Pick};
 use crate::schedule::Schedule;
 use crate::state::ItemSet;
 use std::collections::HashMap;
@@ -188,13 +189,20 @@ pub fn is_view_serializable(schedule: &Schedule) -> Option<bool> {
         return None;
     }
     let target = view_signature(schedule);
-    let mut ids: Vec<usize> = (0..txns.len()).collect();
-    let found = permute_until(&mut ids, 0, &mut |perm| {
-        let serial = Schedule::serial(&perm.iter().map(|&k| txns[k].clone()).collect::<Vec<_>>())
-            .expect("serial composition of valid transactions is valid");
-        view_signature(&serial) == target
-    });
-    Some(found)
+    let mut explore = Explore::default();
+    loop {
+        let mut left: Vec<usize> = (0..txns.len()).collect();
+        let mut order = Vec::with_capacity(left.len());
+        while !left.is_empty() {
+            order.push(txns[left.swap_remove(explore.pick(&left))].clone());
+        }
+        let serial =
+            Schedule::serial(&order).expect("serial composition of valid transactions is valid");
+        let found = view_signature(&serial) == target;
+        if found || !explore.advance() {
+            return Some(found);
+        }
+    }
 }
 
 /// The view-equivalence signature: for every read, which write (txn) it
@@ -224,21 +232,6 @@ fn view_signature(schedule: &Schedule) -> ViewSig {
 struct ViewSig {
     reads: Vec<(TxnId, crate::ids::ItemId, Option<TxnId>)>,
     finals: Vec<(crate::ids::ItemId, TxnId)>,
-}
-
-fn permute_until(ids: &mut Vec<usize>, k: usize, f: &mut impl FnMut(&[usize]) -> bool) -> bool {
-    if k == ids.len() {
-        return f(ids);
-    }
-    for i in k..ids.len() {
-        ids.swap(k, i);
-        if permute_until(ids, k + 1, f) {
-            ids.swap(k, i);
-            return true;
-        }
-        ids.swap(k, i);
-    }
-    false
 }
 
 #[cfg(test)]

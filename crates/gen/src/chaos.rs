@@ -1,46 +1,67 @@
 //! Unconstrained executions: every interleaving is possible.
 //!
-//! The "chaos scheduler" applies no concurrency control at all: at each
-//! step an arbitrary live program performs its next operation against
-//! the evolving database. Seeded sampling ([`random_execution`])
-//! provides the randomized populations for the theorem experiments;
-//! exhaustive enumeration ([`enumerate_executions`]) provides exact
-//! interleaving counts for the small instances of the PERF-2
-//! (admissibility head-room) experiment. [`execute_with_picks`] replays
-//! one specific interleaving — e.g. the paper's Example 2 sequence.
+//! The "chaos scheduler" applies no concurrency control: in one stepping
+//! loop, the live program a [`Pick`] chooses performs its next operation
+//! on the evolving database. [`random_execution`] passes a seeded draw
+//! (the theorem experiments' populations); [`enumerate_executions`] runs
+//! the loop once per path of an [`Explore`], replaying from the initial
+//! state instead of cloning sessions (PERF-2's exact counts); and
+//! [`execute_with_picks`] follows one given interleaving, e.g. Example 2.
 
 use pwsr_core::catalog::Catalog;
+use pwsr_core::error::CoreError;
 use pwsr_core::ids::TxnId;
-use pwsr_core::op::Operation;
+use pwsr_core::pick::{Explore, Pick};
 use pwsr_core::schedule::Schedule;
 use pwsr_core::state::DbState;
 use pwsr_tplang::ast::Program;
-use pwsr_tplang::error::{Result, TpError};
+use pwsr_tplang::error::Result;
 use pwsr_tplang::session::{Pending, ProgramSession};
 use rand::Rng;
 
-/// Step one session against the database, appending the produced
-/// operation. Returns false if the session was already done.
-fn step_session(
-    session: &mut ProgramSession<'_>,
-    db: &mut DbState,
-    trace: &mut Vec<Operation>,
-) -> Result<bool> {
-    match session.pending()? {
-        Pending::NeedRead(item) => {
-            let v = db.require(item)?.clone();
-            let op = session.feed_read(v)?;
-            trace.push(op);
-            Ok(true)
+/// The stepping loop: until every program is done, `picks` chooses
+/// among the live transactions which one performs its next operation
+/// (program `k` runs as transaction `k+1`).
+fn interleave(
+    programs: &[Program],
+    catalog: &Catalog,
+    initial: &DbState,
+    picks: &mut impl Pick<TxnId>,
+) -> Result<Schedule> {
+    let mut sessions: Vec<ProgramSession<'_>> = programs
+        .iter()
+        .enumerate()
+        .map(|(k, p)| ProgramSession::new(p, catalog, TxnId(k as u32 + 1)))
+        .collect();
+    let mut live: Vec<TxnId> = sessions.iter().map(ProgramSession::txn).collect();
+    // Drop sessions that are done before emitting anything.
+    let mut i = 0;
+    while i < live.len() {
+        if sessions[live[i].0 as usize - 1].is_done()? {
+            live.swap_remove(i);
+        } else {
+            i += 1;
         }
-        Pending::Write(op) => {
-            db.set(op.item, op.value.clone());
-            session.advance_write()?;
-            trace.push(op);
-            Ok(true)
-        }
-        Pending::Done => Ok(false),
     }
+    let mut db = initial.clone();
+    let mut trace = Vec::new();
+    while !live.is_empty() {
+        let li = picks.pick(&live);
+        let session = &mut sessions[live[li].0 as usize - 1];
+        match session.pending()? {
+            Pending::NeedRead(item) => trace.push(session.feed_read(db.require(item)?.clone())?),
+            Pending::Write(op) => {
+                db.set(op.item, op.value.clone());
+                session.advance_write()?;
+                trace.push(op);
+            }
+            Pending::Done => unreachable!("only live sessions step"),
+        }
+        if session.is_done()? {
+            live.swap_remove(li);
+        }
+    }
+    Ok(Schedule::new(trace)?)
 }
 
 /// Execute the programs under a uniformly random interleaving (program
@@ -51,137 +72,89 @@ pub fn random_execution<R: Rng>(
     initial: &DbState,
     rng: &mut R,
 ) -> Result<Schedule> {
-    let mut sessions: Vec<ProgramSession<'_>> = programs
-        .iter()
-        .enumerate()
-        .map(|(k, p)| ProgramSession::new(p, catalog, TxnId(k as u32 + 1)))
-        .collect();
-    let mut live: Vec<usize> = (0..sessions.len()).collect();
-    // Drop sessions that are done before emitting anything.
-    let mut i = 0;
-    while i < live.len() {
-        if sessions[live[i]].is_done()? {
-            live.swap_remove(i);
-        } else {
-            i += 1;
+    let mut draw = |n| rng.random_range(0..n);
+    interleave(programs, catalog, initial, &mut draw)
+}
+
+/// A pick sequence, followed while it can be; `strayed` says where it
+/// first could not be, and the loop then runs on with choice 0.
+#[derive(Default)]
+struct Script<'a> {
+    picks: &'a [TxnId],
+    next: usize,
+    strayed: Option<String>,
+}
+
+fn not_running(k: usize, t: &TxnId) -> String {
+    format!("pick {k} names {t}, which is not running")
+}
+
+impl Pick<TxnId> for Script<'_> {
+    fn pick(&mut self, live: &[TxnId]) -> usize {
+        let (k, t) = (self.next, self.picks.get(self.next));
+        self.next += 1;
+        let at = t.and_then(|t| live.iter().position(|l| l == t));
+        if at.is_none() && self.strayed.is_none() {
+            let unfinished = format!("{live:?} unfinished after the last pick");
+            self.strayed = Some(t.map_or(unfinished, |t| not_running(k, t)));
         }
+        at.unwrap_or(0)
     }
-    let mut db = initial.clone();
-    let mut trace = Vec::new();
-    while !live.is_empty() {
-        let li = rng.random_range(0..live.len());
-        let idx = live[li];
-        step_session(&mut sessions[idx], &mut db, &mut trace)?;
-        if sessions[idx].is_done()? {
-            live.swap_remove(li);
-        }
-    }
-    Ok(Schedule::new(trace)?)
 }
 
 /// Execute one specific interleaving given as a pick sequence (each
-/// entry: which transaction performs its next operation). Errors if a
-/// picked transaction is already done or picks remain unconsumed.
+/// entry: which transaction performs its next operation). A pick of a
+/// transaction that is not running, or a transaction left unfinished,
+/// is a [`CoreError::MalformedSchedule`] naming it.
 pub fn execute_with_picks(
     programs: &[Program],
     catalog: &Catalog,
     initial: &DbState,
     picks: &[TxnId],
 ) -> Result<Schedule> {
-    let mut sessions: Vec<ProgramSession<'_>> = programs
-        .iter()
-        .enumerate()
-        .map(|(k, p)| ProgramSession::new(p, catalog, TxnId(k as u32 + 1)))
-        .collect();
-    let mut db = initial.clone();
-    let mut trace = Vec::new();
-    for &pick in picks {
-        let idx = sessions
-            .iter()
-            .position(|s| s.txn() == pick)
-            .ok_or_else(|| TpError::Parse {
-                at: 0,
-                msg: format!("pick of unknown transaction {pick}"),
-            })?;
-        if !step_session(&mut sessions[idx], &mut db, &mut trace)? {
-            return Err(TpError::Parse {
-                at: 0,
-                msg: format!("transaction {pick} picked after completion"),
-            });
-        }
+    let mut script = Script {
+        picks,
+        ..Script::default()
+    };
+    let run = interleave(programs, catalog, initial, &mut script);
+    if let (None, Ok(_), Some(t)) = (&script.strayed, &run, picks.get(script.next)) {
+        script.strayed = Some(not_running(script.next, t));
     }
-    for s in &sessions {
-        if !s.is_done()? {
-            return Err(TpError::Parse {
-                at: 0,
-                msg: format!("transaction {} has unconsumed operations", s.txn()),
-            });
-        }
+    match script.strayed {
+        Some(msg) => Err(CoreError::MalformedSchedule(msg).into()),
+        None => run,
     }
-    Ok(Schedule::new(trace)?)
 }
 
 /// Enumerate **every** interleaving of the programs (up to `cap`
-/// schedules). The number of interleavings is the multinomial
-/// coefficient of the op counts, so keep instances tiny. Returns `None`
-/// if the cap is hit.
+/// schedules), in lexicographic order of their pick sequences. The
+/// number of interleavings is the multinomial coefficient of the op
+/// counts, so keep instances tiny. Returns `None` if the cap is hit.
 pub fn enumerate_executions(
     programs: &[Program],
     catalog: &Catalog,
     initial: &DbState,
     cap: usize,
 ) -> Result<Option<Vec<Schedule>>> {
+    let mut explore = Explore::default();
     let mut out = Vec::new();
-    let sessions: Vec<ProgramSession<'_>> = programs
-        .iter()
-        .enumerate()
-        .map(|(k, p)| ProgramSession::new(p, catalog, TxnId(k as u32 + 1)))
-        .collect();
-    let db = initial.clone();
-    let complete = enumerate_rec(&sessions, &db, &mut Vec::new(), &mut out, cap)?;
-    if complete {
-        Ok(Some(out))
-    } else {
-        Ok(None)
-    }
-}
-
-fn enumerate_rec(
-    sessions: &[ProgramSession<'_>],
-    db: &DbState,
-    trace: &mut Vec<Operation>,
-    out: &mut Vec<Schedule>,
-    cap: usize,
-) -> Result<bool> {
-    let mut any_live = false;
-    for idx in 0..sessions.len() {
-        if sessions[idx].is_done()? {
-            continue;
-        }
-        any_live = true;
-        // Branch: session idx takes the next step.
-        let mut sessions2: Vec<ProgramSession<'_>> = sessions.to_vec();
-        let mut db2 = db.clone();
-        step_session(&mut sessions2[idx], &mut db2, trace)?;
-        let complete = enumerate_rec(&sessions2, &db2, trace, out, cap)?;
-        trace.pop();
-        if !complete {
-            return Ok(false);
-        }
-    }
-    if !any_live {
+    loop {
+        let schedule = interleave(programs, catalog, initial, &mut explore)?;
         if out.len() >= cap {
-            return Ok(false);
+            return Ok(None);
         }
-        out.push(Schedule::new(trace.clone())?);
+        out.push(schedule);
+        if !explore.advance() {
+            return Ok(Some(out));
+        }
     }
-    Ok(true)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use pwsr_core::value::{Domain, Value};
+    use pwsr_tplang::error::TpError;
     use pwsr_tplang::parser::parse_program;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -271,12 +244,52 @@ mod tests {
         .unwrap();
         // T2 read a before T1's increment: b := 0.
         assert_eq!(s.ops()[3].value, Value::Int(0));
-        // Errors on bad picks.
-        assert!(execute_with_picks(&programs, &cat, &initial, &[TxnId(9)]).is_err());
-        assert!(
-            execute_with_picks(&programs, &cat, &initial, &[TxnId(1), TxnId(1)]).is_err(),
-            "unconsumed T2 must error"
-        );
+        // A pick that strays, or a transaction left unfinished, is a
+        // malformed schedule naming it.
+        let full = [TxnId(1), TxnId(1), TxnId(2), TxnId(2)];
+        for (picks, named) in [
+            (&[TxnId(9)][..], "pick 0 names T9, which is not running"),
+            (
+                &[&full[..], &[TxnId(1)]].concat(),
+                "pick 4 names T1, which is not running",
+            ),
+            (&full[..2], "[T2] unfinished after the last pick"),
+        ] {
+            match execute_with_picks(&programs, &cat, &initial, picks) {
+                Err(TpError::Core(CoreError::MalformedSchedule(msg))) => {
+                    assert!(msg.contains(named), "{picks:?}: {msg}")
+                }
+                other => panic!("{picks:?}: {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn a_seeded_draw_answers_random_range() {
+        // One `random_range(0..live)` per operation, so a seed lands on
+        // the same transactions however the loop is written.
+        let (cat, initial, programs) = setup();
+        for seed in 0..20 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut widths = Vec::new();
+            let mut draw = |n: usize| {
+                widths.push(n);
+                rng.random_range(0..n)
+            };
+            let s = interleave(&programs, &cat, &initial, &mut draw).unwrap();
+            let live_at = |i: usize| {
+                let mut txns: Vec<TxnId> = s.ops()[i..].iter().map(|o| o.txn).collect();
+                txns.sort_unstable();
+                txns.dedup();
+                txns.len()
+            };
+            assert_eq!(widths, (0..s.len()).map(live_at).collect::<Vec<_>>());
+            let mut rng = StdRng::seed_from_u64(seed);
+            assert_eq!(
+                random_execution(&programs, &cat, &initial, &mut rng).unwrap(),
+                s
+            );
+        }
     }
 
     #[test]

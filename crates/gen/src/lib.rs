@@ -13,9 +13,9 @@
 //!   isolation yet breaks consistency under the right PWSR
 //!   interleaving.
 //! * **Executions** ([`chaos`]) — unconstrained interleavings of
-//!   program mixes: seeded random executions for sampling and full
-//!   enumeration for small instances (used to count which interleavings
-//!   each criterion admits).
+//!   program mixes from one stepping loop: seeded random executions for
+//!   sampling, and full enumeration of small instances by replay (used
+//!   to count which interleavings each criterion admits).
 //!
 //! [`workloads`] assembles these into the scenario families the paper
 //! motivates: CAD long transactions, course registration (§2.3) and

@@ -3,14 +3,16 @@
 
 use proptest::prelude::*;
 use pwsr_core::ids::TxnId;
+use pwsr_core::op::Operation;
 use pwsr_core::pwsr::is_pwsr;
 use pwsr_core::serializability::is_conflict_serializable;
 use pwsr_core::solver::Solver;
 use pwsr_core::strong::check_strong_correctness;
-use pwsr_gen::chaos::random_execution;
+use pwsr_gen::chaos::{enumerate_executions, execute_with_picks, random_execution};
 use pwsr_gen::workloads::{random_workload, WorkloadConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::collections::HashSet;
 
 fn config_strategy() -> impl Strategy<Value = WorkloadConfig> {
     (1usize..4, 1usize..4, 1usize..6, any::<bool>(), 0u8..2).prop_map(
@@ -116,6 +118,36 @@ proptest! {
         let solver = Solver::new(&w.catalog, &w.ic);
         let report = check_strong_correctness(&s, &solver, &w.initial);
         prop_assert!(report.ok(), "Theorem 3 violated: {s}");
+    }
+
+    /// Exhaustive enumeration yields each interleaving once, and each is
+    /// the execution its own transaction sequence picks.
+    #[test]
+    fn enumerated_executions_are_distinct_and_replay(
+        n_background in 0usize..3,
+        gadgets in 0usize..2,
+        seed in any::<u64>(),
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let w = random_workload(&mut rng, &WorkloadConfig {
+            conjuncts: 1,
+            items_per_conjunct: 2,
+            n_background: n_background.min(2 - gadgets),
+            cross_read_prob: 0.5,
+            fixed_only: false,
+            gadgets,
+            domain_width: 40,
+        });
+        let all = enumerate_executions(&w.programs, &w.catalog, &w.initial, 2_000).unwrap();
+        prop_assume!(all.is_some());
+        let all = all.unwrap();
+        let distinct: HashSet<&[Operation]> = all.iter().map(|s| s.ops()).collect();
+        prop_assert_eq!(distinct.len(), all.len());
+        for s in &all {
+            let picks: Vec<TxnId> = s.ops().iter().map(|o| o.txn).collect();
+            let replay = execute_with_picks(&w.programs, &w.catalog, &w.initial, &picks).unwrap();
+            prop_assert_eq!(&replay, s);
+        }
     }
 
     /// Gadget workloads always admit their violating interleaving.

@@ -2,16 +2,17 @@
 //! disciplines.
 //!
 //! Drives a set of transaction programs against one database under a
-//! [`PolicySpec`]: each step, a seeded RNG picks a runnable transaction
-//! and attempts its next operation (via [`ProgramSession`]). What
-//! happens at a read, at a write, after a step and on an abort is the
-//! `Discipline`'s: *locking* (here, [`run_workload`]) blocks on lock
-//! and delayed-read conflicts, and a block triggers waits-for deadlock
-//! detection; *validation* ([`crate::occ`]) buffers
-//! writes and checks read versions space by space; *certification*
+//! [`PolicySpec`]: each step, a [`Pick`] (the seed's draw) chooses a
+//! runnable transaction to attempt its next operation (via
+//! [`ProgramSession`]). What happens at a read, at a write, after a step
+//! and on an abort is the `Discipline`'s: *locking* (here,
+//! [`run_workload`]) blocks on lock and delayed-read conflicts, and a
+//! block triggers waits-for deadlock detection; *validation*
+//! ([`crate::occ`]) buffers writes and checks read versions space by
+//! space; *certification*
 //! ([`crate::sgt`]) lets the admission probe every step makes decide.
 //! Everything else is written once, in `Run`: the transaction table,
-//! the pick, the step budget, the online-monitor admission and the
+//! the step loop and its budget, the online-monitor admission and the
 //! runtime DAG guard, *cascading* aborts (any transaction that read
 //! from an aborted write) rolled back by trace filtering, restart
 //! accounting, and the outcome — the **committed** schedule, a valid
@@ -31,6 +32,7 @@ use pwsr_core::dag::DataAccessGraph;
 use pwsr_core::graph::DiGraph;
 use pwsr_core::ids::{ConjunctId, ItemId, TxnId};
 use pwsr_core::op::{OpStruct, Operation};
+use pwsr_core::pick::Pick;
 use pwsr_core::schedule::Schedule;
 use pwsr_core::state::DbState;
 use pwsr_tplang::ast::Program;
@@ -189,7 +191,13 @@ pub fn run_workload(
     policy: &PolicySpec,
     cfg: &ExecConfig,
 ) -> Result<ExecOutcome> {
-    Run::new(programs, catalog, initial, policy, cfg).run(&mut Locking::default())
+    Run::new(programs, catalog, initial, policy, cfg).run(&mut Locking::default(), &mut draw(cfg))
+}
+
+/// The seed's draw: one `random_range` per pick, so a seed is a run.
+pub(crate) fn draw(cfg: &ExecConfig) -> impl FnMut(usize) -> usize {
+    let mut rng = StdRng::seed_from_u64(cfg.seed);
+    move |n| rng.random_range(0..n)
 }
 
 /// The locking discipline: shared/exclusive locks per (space, item),
@@ -370,10 +378,13 @@ impl<'a> Run<'a> {
         }
     }
 
-    /// The seeded loop: one RNG draw per step over the runnable
-    /// transactions until all are done.
-    pub(crate) fn run(mut self, d: &mut dyn Discipline) -> Result<ExecOutcome> {
-        let mut rng = StdRng::seed_from_u64(self.cfg.seed);
+    /// The loop: one pick per step over the runnable transactions until
+    /// all are done.
+    pub(crate) fn run(
+        mut self,
+        d: &mut dyn Discipline,
+        picks: &mut impl Pick<usize>,
+    ) -> Result<ExecOutcome> {
         let live = |rt: &&TxnRt<'_>| !rt.done;
         while self.rts.iter().any(|rt| !rt.done) {
             if self.metrics.steps >= self.cfg.max_steps {
@@ -402,7 +413,7 @@ impl<'a> Run<'a> {
                 }
                 continue;
             }
-            let pick = runnable[rng.random_range(0..runnable.len())];
+            let pick = runnable[picks.pick(&runnable)];
             self.metrics.steps += 1;
             self.step(d, pick)?;
             // Bound the admission log's memory: an abort can take back
@@ -664,6 +675,7 @@ mod tests {
     use super::*;
     use crate::fixtures::setup;
     use pwsr_core::constraint::{Conjunct, Formula, IntegrityConstraint, Term};
+    use pwsr_core::pick::Explore;
     use pwsr_core::pwsr::is_pwsr;
     use pwsr_core::serializability::is_conflict_serializable;
     use pwsr_core::solver::Solver;
@@ -740,8 +752,8 @@ mod tests {
 
     #[test]
     fn deadlock_detected_and_resolved() {
-        // Opposite lock orders on x and y force a deadlock for some
-        // schedule draws; the run must nonetheless complete.
+        // Opposite lock orders on x and y deadlock under some
+        // interleavings; every interleaving must nonetheless complete.
         let mut cat = Catalog::new();
         cat.add_item("x", Domain::int_range(-100, 100));
         cat.add_item("y", Domain::int_range(-100, 100));
@@ -753,29 +765,32 @@ mod tests {
             parse_program("T1", "x := x + 1; y := y + 1;").unwrap(),
             parse_program("T2", "y := y + 10; x := x + 10;").unwrap(),
         ];
-        let mut saw_deadlock = false;
-        for seed in 0..40 {
-            let cfg = ExecConfig {
-                seed,
-                ..ExecConfig::default()
-            };
-            let out =
-                run_workload(&programs, &cat, &initial, &PolicySpec::global_2pl(), &cfg).unwrap();
-            saw_deadlock |= out.metrics.deadlocks > 0;
+        let policy = PolicySpec::global_2pl();
+        let cfg = ExecConfig::default();
+        let mut explore = Explore::default();
+        let (mut runs, mut deadlocked) = (0, 0);
+        loop {
+            let run = Run::new(&programs, &cat, &initial, &policy, &cfg);
+            let out = run.run(&mut Locking::default(), &mut explore).unwrap();
+            let path = explore.path();
+            runs += 1;
+            deadlocked += usize::from(out.metrics.deadlocks > 0);
             // Both increments survive restarts: x = y = 11 always.
-            assert_eq!(
-                out.final_state.get(cat.lookup("x").unwrap()),
-                Some(&Value::Int(11)),
-                "seed {seed}"
-            );
-            assert_eq!(
-                out.final_state.get(cat.lookup("y").unwrap()),
-                Some(&Value::Int(11))
-            );
-            assert!(is_conflict_serializable(&out.schedule));
+            for item in ["x", "y"] {
+                let value = out.final_state.get(cat.lookup(item).unwrap());
+                assert_eq!(value, Some(&Value::Int(11)), "{item} after {path:?}");
+            }
+            assert!(is_conflict_serializable(&out.schedule), "{path:?}");
             out.schedule.check_read_coherence(&initial).unwrap();
+            if !explore.advance() {
+                break;
+            }
         }
-        assert!(saw_deadlock, "expected at least one seed to deadlock");
+        assert_eq!(
+            (runs, deadlocked),
+            (32, 28),
+            "interleavings, of them deadlocked"
+        );
     }
 
     #[test]

@@ -19,7 +19,7 @@
 //! Theorem-2 one (tests check both facts).
 
 use crate::error::Result;
-use crate::exec::{Block, Discipline, ExecConfig, ExecOutcome, Run, Write};
+use crate::exec::{draw, Block, Discipline, ExecConfig, ExecOutcome, Run, Write};
 use crate::lock::SpaceId;
 use crate::policy::PolicySpec;
 use pwsr_core::catalog::Catalog;
@@ -131,7 +131,8 @@ pub fn run_occ(
     policy: &PolicySpec,
     cfg: &ExecConfig,
 ) -> Result<ExecOutcome> {
-    Run::new(programs, catalog, initial, policy, cfg).run(&mut Validating::default())
+    Run::new(programs, catalog, initial, policy, cfg)
+        .run(&mut Validating::default(), &mut draw(cfg))
 }
 
 #[cfg(test)]

@@ -23,7 +23,7 @@
 //! conflict-serializability.
 
 use crate::error::Result;
-use crate::exec::{Discipline, ExecConfig, ExecOutcome, Run};
+use crate::exec::{draw, Discipline, ExecConfig, ExecOutcome, Run};
 use crate::policy::{MonitorAdmission, MonitorSpec, PolicySpec};
 use pwsr_core::catalog::Catalog;
 use pwsr_core::monitor::AdmissionLevel;
@@ -53,7 +53,7 @@ pub fn run_sgt(
     // the space partition of the catalog.
     let spec = MonitorSpec::new(policy.space_scopes(catalog), AdmissionLevel::Pwsr);
     run.admission = Some(MonitorAdmission::new(&spec));
-    run.run(&mut Certifying)
+    run.run(&mut Certifying, &mut draw(cfg))
 }
 
 #[cfg(test)]
