@@ -75,6 +75,11 @@
 
 #![warn(missing_docs)]
 
+// The pipeline explorer includes the integration suites' shared
+// generators, which name this crate.
+#[cfg(test)]
+extern crate self as pwsr_core;
+
 pub mod catalog;
 pub mod constraint;
 pub mod dag;

@@ -59,9 +59,13 @@
 //! equals the single-writer monitor's on the same interleaving — the
 //! final [`ShardedMonitor::verdict`] is **byte-identical** to
 //! replaying the recorded schedule through an `OnlineMonitor`. What
-//! `tests/sharded_props.rs` stresses is therefore this module's own
-//! part: that the turnstiles really do serve in claimed order under
-//! real threads, aborts and compactions. The stages form a pipeline:
+//! the pipeline explorer (the test-only `explore` module) checks is
+//! therefore this module's own part: that the turnstiles serve in
+//! claimed order in whatever order threads reach them, under aborts
+//! and compactions. It runs the entry points on real threads, one at a
+//! time, and picks who goes next at every lock, unserved turn and
+//! turnstile release — every schedule of the smallest instances, a
+//! seeded sample of larger ones. The stages form a pipeline:
 //! while one thread runs its global stage for position `p`, another
 //! can run the sequence stage for `p+1` and a third a shard stage for
 //! `p-1`, so throughput is bounded by the *widest stage*, not by the
@@ -103,8 +107,9 @@
 //! the ordinary admission path (the same claim and serve as a push,
 //! under the sequence lock the truncation already holds). Both leave
 //! the monitor byte-identical to a single-writer replay of the
-//! surviving schedule — pinned under real-thread abort storms by
-//! `tests/sharded_props.rs`; what a re-push may and may not be assumed
+//! surviving schedule — pinned by the explorer's schedules, in which
+//! transactions retract themselves while others push; what a re-push
+//! may and may not be assumed
 //! to preserve is `retract_txn`'s doc comment, and
 //! `tests/retract_props.rs` holds both drivers to it.
 //!
@@ -133,11 +138,11 @@
 //! rules out deadlock by resource ordering. Debug builds track held
 //! ranks per thread and assert the discipline on every acquisition
 //! (the private `lock_order` tracker), so a lock-order regression
-//! fails deterministically in tests — the bounded
-//! exhaustive-interleaving model test below drives every lock-taking
-//! entry point (push, the quiescent readers, retraction, truncation,
-//! checkpoint, compaction) through every interleaving of a small
-//! workload. The §2.2-totals
+//! fails deterministically in tests — the pipeline explorer runs
+//! every lock-taking entry point (pushes singly and as runs, the
+//! quiescent readers, retraction, checkpoint, compaction) as
+//! concurrent workers of a small workload, one schedule after another,
+//! under the asserts. The §2.2-totals
 //! stripes stand outside the ranks: a thread holds at most one and
 //! takes no other lock while it does, so one may be taken under the
 //! sequence mutex.
@@ -158,6 +163,13 @@ use std::time::Instant;
 
 const NO_POS: u32 = u32::MAX;
 
+/// The pipeline explorer: threads run one at a time, handing over at
+/// the hook calls below (a ranked lock, an unserved turn, a turnstile
+/// release).
+#[cfg(test)]
+#[path = "explore.rs"]
+mod explore;
+
 /// The pipeline's deadlock-freedom discipline, made checkable: every
 /// lock carries a numeric *rank* — sequence mutex [`RANK_SEQ`] = 0,
 /// global stage [`RANK_GLOBAL`] = 1, shard `k` [`shard_rank`] = 2 + k
@@ -169,8 +181,8 @@ const NO_POS: u32 = u32::MAX;
 ///
 /// Debug builds maintain a thread-local stack of held ranks and
 /// assert the discipline on every acquisition, so a lock-order
-/// regression fails deterministically in tests (see the bounded
-/// exhaustive-interleaving model test); release builds compile the
+/// regression fails deterministically in tests (the pipeline explorer
+/// takes every entry point through them); release builds compile the
 /// tracking away entirely.
 mod lock_order {
     #[cfg(debug_assertions)]
@@ -247,6 +259,8 @@ impl<T> RankedMutex<T> {
 
     fn lock(&self) -> RankedGuard<impl DerefMut<Target = T> + '_> {
         lock_order::acquire(self.rank);
+        #[cfg(test)]
+        explore::lock(self.rank);
         RankedGuard {
             rank: self.rank,
             guard: self.inner.lock(),
@@ -281,6 +295,8 @@ impl<G: DerefMut> DerefMut for RankedGuard<G> {
 impl<G> Drop for RankedGuard<G> {
     fn drop(&mut self) {
         lock_order::release(self.rank);
+        #[cfg(test)]
+        explore::unlock(self.rank);
     }
 }
 
@@ -466,6 +482,8 @@ struct Shard {
 fn wait_turn(serving: &AtomicU32, ticket: u32) {
     let mut round = 0u32;
     while serving.load(Ordering::Acquire) != ticket {
+        #[cfg(test)]
+        explore::turn(serving, ticket);
         if round < 12 {
             for _ in 0..(1u32 << round.min(6)) {
                 std::hint::spin_loop();
@@ -479,16 +497,28 @@ fn wait_turn(serving: &AtomicU32, ticket: u32) {
 
 /// What one [`ShardedMonitor::push_outcome`] observed — the lock-free
 /// floor plus one flag per rung: whether **this** push, against the
-/// state just before it, *would not have been admitted* at that rung
-/// (what [`OnlineMonitor::admits`](super::OnlineMonitor::admits)
-/// answers on the same prefix, taken just before the push).
+/// state just before it, *would not have been admitted* at that rung.
 /// That covers the push that broke the rung and every push that met it
 /// already broken: an operation pushed into a frozen graph was never
 /// certified, and the retraction that heals the rung must not leave it
-/// behind. An optimistic executor aborts the pushing transaction
-/// exactly when its own operation breached the configured admission
-/// floor ([`PushOutcome::breaches`]); once every transaction so told
-/// has been retracted, the verdict meets that floor again.
+/// behind. What each flag guarantees, against
+/// [`OnlineMonitor::admits`](super::OnlineMonitor::admits) asked on the
+/// same prefix just before the push:
+///
+/// - `caused_violation` and `caused_non_dr` — and so
+///   [`PushOutcome::breaches`] at `Pwsr` and `PwsrDr` — equal its
+///   refusal on every push;
+/// - `caused_non_serializable` is never set on a push the single writer
+///   would admit. Once the global graph is kept it equals the refusal;
+///   in the disjoint phase it can **miss** a conjunct cycle that an
+///   earlier position closed while that position's shard stage was
+///   still pending. The miss is safe: the push that closed the cycle
+///   reported `caused_violation`.
+///
+/// An optimistic executor aborts the pushing transaction when its own
+/// operation breached the configured admission floor
+/// ([`PushOutcome::breaches`]); once every transaction so told has been
+/// retracted, the verdict meets that floor again.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct PushOutcome {
     /// The claimed position of the pushed operation.
@@ -497,11 +527,13 @@ pub struct PushOutcome {
     pub floor: VerdictLevel,
     /// The global conflict graph would not have admitted this push:
     /// it closed the first cycle, or the graph was already frozen. In
-    /// the disjoint phase, where no global graph is kept, it is the
-    /// violation flag the floor publication computes for this push:
-    /// every global cycle is then a conjunct cycle, and an access in
-    /// one conjunct cannot close a cycle in another, so
-    /// [`PushOutcome::breaches`] at `Serializable` stays safe.
+    /// the disjoint phase, where no global graph is kept, it is set
+    /// when this push closed a conjunct cycle or the violation mirror
+    /// held one when its global turn ended: every global cycle is then
+    /// a conjunct cycle, and an access in one conjunct cannot close a
+    /// cycle in another, so [`PushOutcome::breaches`] at
+    /// `Serializable` stays safe. A cycle whose closing push had not
+    /// reached the mirror yet is missed (see the type's docs).
     pub caused_non_serializable: bool,
     /// Some conjunct projection would not have admitted this push: it
     /// closed that projection's first cycle, or met it frozen.
@@ -732,10 +764,11 @@ impl ShardedMonitor {
     ///
     /// Returns one [`PushOutcome`] per operation, in program order,
     /// byte-identical to what `k` singleton [`ShardedMonitor::push_outcome`]
-    /// calls would have returned for the same interleaving (pinned by
-    /// the twin-harness proptests in `tests/batch_props.rs`): per-op
+    /// calls would have returned for the same interleaving: per-op
     /// positions, causality flags, and floors — an executor's culprit
     /// identification and abort decisions need no batch-size cases.
+    /// (The pipeline explorer holds each operation's flags to the
+    /// single writer's `admits`, runs and singletons alike.)
     /// An attached [`MonitorJournal`] receives the run as **one**
     /// `appended_batch` call under the sequence mutex (the WAL frames
     /// it as a single multi-op record).
@@ -899,16 +932,21 @@ impl ShardedMonitor {
             }
             g.graph.is_none()
         };
+        // The violation mirror as the earlier positions left it, read
+        // while this run still holds the global turn, so no later
+        // position can have closed a cycle in it yet. An earlier
+        // position whose shard stage is still pending is missed; that
+        // is safe, because the push closing a cycle is told through its
+        // own `caused_violation`. Within the run, prefix-OR-ing the
+        // per-op flags below gives each operation what a singleton push
+        // would have seen after its own shard stages.
+        let viol_pre = self.first_violation.load(Ordering::Acquire) != NO_POS;
         self.gserving
             .store(g0.wrapping_add(ops.len() as u32), Ordering::Release);
+        #[cfg(test)]
+        explore::released(None);
 
         // --- stage 3: one turn per touched shard ------------------------
-        // The lock-free violation floor moves only through this run's
-        // own `caused` flags in a single-writer interleaving, so
-        // capturing it before the shard turns and prefix-OR-ing the
-        // per-op flags reproduces exactly what each singleton push
-        // would have loaded after its own shard stages.
-        let viol_pre = self.first_violation.load(Ordering::Acquire) != NO_POS;
         scratch.turns.sort_unstable();
         for turns in scratch.turns.chunk_by(|a, b| a.0 == b.0) {
             let (k, _, t0k) = turns[0];
@@ -925,6 +963,8 @@ impl ShardedMonitor {
             shard
                 .serving
                 .store(t0k.wrapping_add(turns.len() as u32), Ordering::Release);
+            #[cfg(test)]
+            explore::released(Some(k));
         }
 
         // --- lock-free floor, per op in program order -------------------
@@ -1095,10 +1135,11 @@ impl ShardedMonitor {
     /// order — global, then each shard ascending — so the discipline
     /// that rules out deadlock covers compaction too. Every verdict,
     /// certificate and [`PushOutcome`] after the call is
-    /// byte-identical to an uncompacted twin's (pinned by the twin
-    /// harness in `tests/sharded_props.rs`); pushes and retractions
-    /// for summarized transactions are rejected with
-    /// [`CoreError::SummarizedTransaction`].
+    /// byte-identical to an uncompacted twin's (pinned by
+    /// `sharded_compaction_twin_parity` in `tests/sharded_props.rs`,
+    /// and by the explorer, whose sweeper compacts while others push);
+    /// pushes and retractions for summarized transactions are rejected
+    /// with [`CoreError::SummarizedTransaction`].
     ///
     /// [`CoreError::SummarizedTransaction`]: crate::error::CoreError::SummarizedTransaction
     pub fn compact(&self) -> CompactStats {
@@ -1352,19 +1393,18 @@ mod tests {
     use super::*;
     use crate::error::CoreError;
     use crate::ids::ItemId;
-    use crate::pick::{Explore, Pick};
     use crate::value::Value;
     use std::sync::Arc;
 
-    fn rd(t: u32, i: u32, v: i64) -> Operation {
+    pub(super) fn rd(t: u32, i: u32, v: i64) -> Operation {
         Operation::read(TxnId(t), ItemId(i), Value::Int(v))
     }
 
-    fn wr(t: u32, i: u32, v: i64) -> Operation {
+    pub(super) fn wr(t: u32, i: u32, v: i64) -> Operation {
         Operation::write(TxnId(t), ItemId(i), Value::Int(v))
     }
 
-    fn example2_scopes() -> Vec<ItemSet> {
+    pub(super) fn example2_scopes() -> Vec<ItemSet> {
         vec![
             ItemSet::from_iter([ItemId(0), ItemId(1)]),
             ItemSet::from_iter([ItemId(2)]),
@@ -1407,39 +1447,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn threaded_pushes_are_certified_and_parity_checked() {
-        // Three transactions on three disjoint items, one thread each:
-        // any interleaving is serializable; the recorded schedule must
-        // replay to the identical verdict.
-        let scopes: Vec<ItemSet> = (0..3u32).map(|i| ItemSet::from_iter([ItemId(i)])).collect();
-        let monitor = Arc::new(ShardedMonitor::new(scopes.clone()));
-        std::thread::scope(|scope| {
-            for t in 1..=3u32 {
-                let monitor = Arc::clone(&monitor);
-                scope.spawn(move || {
-                    for step in 0..20i64 {
-                        // §2.2: one read and one write per (txn, item);
-                        // use per-step fresh transactions.
-                        let txn = t + 3 * step as u32;
-                        monitor.push(rd(txn, t - 1, step)).unwrap();
-                        monitor.push(wr(txn, t - 1, step + 1)).unwrap();
-                    }
-                });
-            }
-        });
-        let monitor = Arc::try_unwrap(monitor).expect("threads joined");
-        let (schedule, verdict) = monitor.into_parts();
-        assert_eq!(schedule.len(), 3 * 20 * 2);
-        assert_eq!(verdict.level, VerdictLevel::Serializable);
-        let mut replay = OnlineMonitor::new(scopes);
-        let mut last = None;
-        for op in schedule.ops() {
-            last = Some(replay.push(op.clone()).unwrap());
-        }
-        assert_eq!(last.unwrap(), verdict);
     }
 
     #[test]
@@ -1845,74 +1852,6 @@ mod tests {
         m.push(wr(2, 1, 1)).unwrap();
         assert_eq!(m.checkpoint([TxnId(2)]), 1);
         m.truncate_to(0);
-    }
-
-    /// Every interleaving (bounded, exhaustive) of a small
-    /// three-transaction workload, driven through every lock-taking
-    /// entry point — push, the quiescent readers, retraction,
-    /// checkpoint, truncation, compaction — under the debug lock-rank
-    /// asserts: a lock-order
-    /// regression anywhere in the pipeline fails this test
-    /// deterministically, and each surviving state stays
-    /// parity-exact with the single-writer monitor.
-    #[test]
-    fn exhaustive_interleavings_exercise_the_lock_discipline() {
-        // Three 2-op transactions spanning both scopes ({0,1} and
-        // {2}): writes and reads cross conjuncts so the global stage,
-        // both shards, and the DR tracking all participate.
-        let seqs: Vec<Vec<Operation>> = vec![
-            vec![wr(1, 0, 1), rd(1, 2, 3)],
-            vec![rd(2, 0, 1), wr(2, 1, 2)],
-            vec![wr(3, 2, 3), rd(3, 1, 2)],
-        ];
-        // Every merge of the three sequences, by replay: each run
-        // starts fresh monitors and pushes the next operation of the
-        // sequence the explorer picks.
-        let mut explore = Explore::default();
-        let mut runs = 0;
-        loop {
-            runs += 1;
-            let m = ShardedMonitor::new_logged(example2_scopes());
-            let mut single = OnlineMonitor::new(example2_scopes());
-            let mut next = vec![0; seqs.len()];
-            loop {
-                let open: Vec<usize> = (0..seqs.len())
-                    .filter(|&k| next[k] < seqs[k].len())
-                    .collect();
-                if open.is_empty() {
-                    break;
-                }
-                let k = open[explore.pick(&open)];
-                let op = seqs[k][next[k]].clone();
-                next[k] += 1;
-                m.push(op.clone()).unwrap();
-                single.push(op).unwrap();
-                // `verdict` holds the global lock across ascending
-                // shard locks — the deepest reader nesting;
-                // `conjunct_order` holds seq, then one shard.
-                assert_eq!(m.verdict(), single.verdict());
-                for k in 0..2 {
-                    assert_eq!(m.lemma6_holds(k), single.lemma6_holds(k));
-                    assert_eq!(m.conjunct_order(k), single.conjunct_order(k));
-                }
-            }
-            // Retraction nests seq → global → shards (pops descend,
-            // but locks are taken one at a time under seq).
-            m.retract_txn(TxnId(2)).unwrap();
-            // Checkpoint nests seq → global → each shard ascending.
-            let floor = m.checkpoint([TxnId(1), TxnId(3)]);
-            assert!(floor <= m.len());
-            assert_eq!(m.truncate_to(m.len()), 0);
-            // Compaction and the resident estimate walk every stage
-            // in rank order under seq.
-            m.finish_txn(TxnId(1));
-            m.compact();
-            assert!(m.resident_bytes_estimate() > 0);
-            if !explore.advance() {
-                break;
-            }
-        }
-        assert_eq!(runs, 90, "6! / (2!)^3 interleavings");
     }
 
     /// The rank tracker itself rejects out-of-order acquisition — the

@@ -1,18 +1,28 @@
-//! Generators shared by the core property suites (`proptests`,
-//! `bitset_props`, `lemma_props`, `monitor_props`, `sharded_props`,
-//! `batch_props`, `retract_props`): random well-formed transactions,
-//! random interleavings of them, two-scope carvings of the item
-//! universe, and lane-partitioned workloads.
+//! Generators and oracles shared by the core property suites
+//! (`proptests`, `bitset_props`, `lemma_props`, `monitor_props`,
+//! `sharded_props`, `batch_props`, `retract_props`) and by the
+//! pipeline explorer (`monitor::sharded::explore`, which includes this
+//! file): random well-formed transactions, random interleavings of
+//! them or of runs cut from them, two-scope carvings of the item universe, lane-partitioned
+//! workloads, a journal that keeps the full schedule, and the oracle
+//! battery a sharded monitor's recorded schedule must pass.
 
 // Each suite is its own crate and uses a subset of these.
 #![allow(dead_code)]
 
 use proptest::prelude::*;
+use pwsr_core::dr::is_delayed_read;
 use pwsr_core::ids::{ItemId, TxnId};
+use pwsr_core::monitor::journal::MonitorJournal;
+use pwsr_core::monitor::sharded::ShardedMonitor;
+use pwsr_core::monitor::OnlineMonitor;
 use pwsr_core::op::Operation;
+use pwsr_core::schedule::Schedule;
+use pwsr_core::serializability::{is_conflict_serializable, is_conflict_serializable_proj};
 use pwsr_core::state::ItemSet;
 use pwsr_core::txn::Transaction;
 use pwsr_core::value::Value;
+use std::sync::Arc;
 
 pub const MAX_ITEMS: u32 = 6;
 
@@ -48,23 +58,45 @@ pub fn arb_transactions(n_txns: u32, max_items: u32) -> impl Strategy<Value = Ve
 
 /// Interleave complete transactions by a byte stream of picks.
 pub fn interleave_random(txns: &[Transaction], mix: &[u8]) -> Vec<Operation> {
-    let mut cursors: Vec<usize> = vec![0; txns.len()];
-    let mut ops = Vec::new();
-    let total: usize = txns.iter().map(Transaction::len).sum();
-    let mut mi = 0;
-    while ops.len() < total {
-        let pick = (mix.get(mi).copied().unwrap_or(0) as usize) % txns.len();
+    interleaved_runs(txns, &[], mix).concat()
+}
+
+/// Split each transaction into contiguous program-order runs (batch
+/// sizes 1..=4 drawn from `sizes`), then interleave the runs across
+/// transactions by the `mix` byte stream — per-transaction run order
+/// is preserved, which is exactly what the executors guarantee.
+pub fn interleaved_runs(txns: &[Transaction], sizes: &[u8], mix: &[u8]) -> Vec<Vec<Operation>> {
+    let mut si = 0usize;
+    let mut queues: Vec<Vec<Vec<Operation>>> = txns
+        .iter()
+        .map(|t| {
+            let mut runs = Vec::new();
+            let mut rest = t.ops();
+            while !rest.is_empty() {
+                let k = (1 + (sizes.get(si).copied().unwrap_or(0) as usize) % 4).min(rest.len());
+                si += 1;
+                runs.push(rest[..k].to_vec());
+                rest = &rest[k..];
+            }
+            runs.reverse(); // pop() yields program order
+            runs
+        })
+        .collect();
+    let total: usize = queues.iter().map(Vec::len).sum();
+    let mut out = Vec::with_capacity(total);
+    let mut mi = 0usize;
+    while out.len() < total {
+        let pick = (mix.get(mi).copied().unwrap_or(0) as usize) % queues.len();
         mi += 1;
-        for off in 0..txns.len() {
-            let k = (pick + off) % txns.len();
-            if cursors[k] < txns[k].len() {
-                ops.push(txns[k].ops()[cursors[k]].clone());
-                cursors[k] += 1;
+        for off in 0..queues.len() {
+            let k = (pick + off) % queues.len();
+            if let Some(run) = queues[k].pop() {
+                out.push(run);
                 break;
             }
         }
     }
-    ops
+    out
 }
 
 /// Does `order` put the earlier transaction of every conflicting pair
@@ -154,4 +186,70 @@ pub fn arb_lanes(n_txns: u32) -> impl Strategy<Value = (Vec<ItemSet>, Vec<Transa
                 .collect();
             (scopes, txns)
         })
+}
+
+/// A journal that keeps the full recorded schedule, whatever a sweep
+/// drops from the monitor's own.
+#[derive(Clone, Debug, Default)]
+pub struct Trail(Arc<parking_lot::Mutex<Vec<Operation>>>);
+
+impl Trail {
+    /// The schedule recorded so far.
+    pub fn schedule(&self) -> Schedule {
+        Schedule::new(self.0.lock().clone()).expect("a recorded schedule is valid")
+    }
+}
+
+impl MonitorJournal for Trail {
+    fn appended(&mut self, op: &Operation) {
+        self.0.lock().push(op.clone());
+    }
+
+    fn truncated(&mut self, new_len: usize) {
+        self.0.lock().truncate(new_len);
+    }
+
+    fn floor_raised(&mut self, _: usize) {}
+}
+
+/// The full oracle battery over a recorded schedule: single-writer
+/// replay parity (final verdict + per-conjunct certificates) and
+/// batch re-verification.
+pub fn check_against_oracles(
+    schedule: &Schedule,
+    scopes: &[ItemSet],
+    sharded: &ShardedMonitor,
+) -> std::result::Result<(), TestCaseError> {
+    let verdict = sharded.verdict();
+    let mut replay = OnlineMonitor::new(scopes.to_vec());
+    let mut last = replay.verdict();
+    for op in schedule.ops() {
+        last = replay.push(op.clone()).expect("recorded schedule is valid");
+    }
+    prop_assert_eq!(last, verdict, "sharded verdict != single-writer replay");
+    for k in 0..scopes.len() {
+        prop_assert_eq!(
+            sharded.lemma2_holds(k),
+            replay.lemma2_holds(k),
+            "Lemma 2, scope {}",
+            k
+        );
+        prop_assert_eq!(
+            sharded.lemma6_holds(k),
+            replay.lemma6_holds(k),
+            "Lemma 6, scope {}",
+            k
+        );
+    }
+    prop_assert!(replay.certify_prefix(), "Lemma 2/6 audit failed");
+    // Batch re-verification of the recorded schedule.
+    prop_assert_eq!(verdict.serializable, is_conflict_serializable(schedule));
+    prop_assert_eq!(verdict.dr, is_delayed_read(schedule));
+    prop_assert_eq!(
+        verdict.pwsr(),
+        scopes
+            .iter()
+            .all(|d| is_conflict_serializable_proj(schedule, d))
+    );
+    Ok(())
 }

@@ -1,7 +1,7 @@
-//! Stress and interleaving properties for the sharded concurrent
+//! Sequential and real-thread properties for the sharded concurrent
 //! monitor.
 //!
-//! Two oracles pin [`ShardedMonitor`]:
+//! Two oracles pin [`ShardedMonitor`] (`common::check_against_oracles`):
 //!
 //! * **single-writer replay** — the interleaving the sharded monitor
 //!   recorded, replayed through an [`OnlineMonitor`], must produce a
@@ -13,150 +13,52 @@
 //!   batch checkers, and the replayed monitor must survive the
 //!   `certify_prefix` audit (the full Lemma 2/6 inclusion sweeps).
 //!
-//! The threaded cases run real OS threads, each pushing its own
-//! transactions' operations in program order — the interleaving is
-//! whatever the scheduler produced, which is exactly the situation
-//! the sharded monitor exists for.
+//! The turnstiles, retractions under concurrent pushes and the
+//! per-push breach flags are the pipeline explorer's
+//! (`monitor::sharded::explore`): it runs the entry points on threads
+//! one at a time and picks every hand-over. What stays here on real
+//! OS threads is what only they can show — the memory ordering of the
+//! floor publication and of the §2.2 totals stripes, on the stream
+//! shape.
 
 mod common;
 
 use common::{
-    arb_transactions, interleave_random, order_respects_conflicts, scopes_from_bits, MAX_ITEMS,
+    arb_transactions, check_against_oracles, interleave_random, interleaved_runs,
+    order_respects_conflicts, scopes_from_bits, Trail, MAX_ITEMS,
 };
 use proptest::prelude::*;
 use pwsr_core::dr::is_delayed_read;
 use pwsr_core::ids::{ItemId, OpIndex, TxnId};
-use pwsr_core::monitor::journal::MonitorJournal;
 use pwsr_core::monitor::sharded::ShardedMonitor;
 use pwsr_core::monitor::{OnlineMonitor, Verdict, VerdictLevel};
 use pwsr_core::op::Operation;
 use pwsr_core::schedule::Schedule;
 use pwsr_core::serializability::{is_conflict_serializable, is_conflict_serializable_proj};
 use pwsr_core::state::ItemSet;
-use pwsr_core::txn::Transaction;
 use pwsr_core::value::Value;
-use std::sync::Arc;
-
-/// The full oracle battery over a recorded schedule: single-writer
-/// replay parity (final verdict + per-conjunct certificates) and
-/// batch re-verification.
-fn check_against_oracles(
-    schedule: &Schedule,
-    scopes: &[ItemSet],
-    sharded: &ShardedMonitor,
-) -> std::result::Result<(), TestCaseError> {
-    let verdict = sharded.verdict();
-    let mut replay = OnlineMonitor::new(scopes.to_vec());
-    let mut last = replay.verdict();
-    for op in schedule.ops() {
-        last = replay.push(op.clone()).expect("recorded schedule is valid");
-    }
-    prop_assert_eq!(last, verdict, "sharded verdict != single-writer replay");
-    for k in 0..scopes.len() {
-        prop_assert_eq!(
-            sharded.lemma2_holds(k),
-            replay.lemma2_holds(k),
-            "Lemma 2, scope {}",
-            k
-        );
-        prop_assert_eq!(
-            sharded.lemma6_holds(k),
-            replay.lemma6_holds(k),
-            "Lemma 6, scope {}",
-            k
-        );
-    }
-    prop_assert!(replay.certify_prefix(), "Lemma 2/6 audit failed");
-    // Batch re-verification of the recorded schedule.
-    prop_assert_eq!(verdict.serializable, is_conflict_serializable(schedule));
-    prop_assert_eq!(verdict.dr, is_delayed_read(schedule));
-    prop_assert_eq!(
-        verdict.pwsr(),
-        scopes
-            .iter()
-            .all(|d| is_conflict_serializable_proj(schedule, d))
-    );
-    Ok(())
-}
 
 proptest! {
-    /// The **abort storm**: N real threads interleave pushes and
-    /// per-transaction retractions (`retract_txn`) on a *logged*
-    /// sharded monitor. Whatever interleaving of pushes and truncates
-    /// the OS produced, the surviving schedule must contain exactly
-    /// the non-aborted transactions' operations in program order, and
-    /// the monitor must be byte-identical to a single-writer replay
-    /// of that surviving schedule — verdict, per-conjunct Lemma 2/6
-    /// certificates, and the batch checkers.
-    #[test]
-    fn threaded_abort_storms_match_replay_and_batch(
-        txns in arb_transactions(6, MAX_ITEMS),
-        abort_mask in 0u32..64,
-        d1_bits in 0u32..64,
-        d2_bits in 0u32..64,
-        n_threads in 2usize..4,
-    ) {
-        let scopes = scopes_from_bits(d1_bits, d2_bits);
-        let monitor = Arc::new(ShardedMonitor::new_logged(scopes.clone()));
-        std::thread::scope(|scope| {
-            for (w, chunk) in txns.chunks(txns.len().div_ceil(n_threads)).enumerate() {
-                let monitor = Arc::clone(&monitor);
-                scope.spawn(move || {
-                    for t in chunk {
-                        for op in t.ops() {
-                            monitor.push(op.clone()).expect("well-formed transactions");
-                        }
-                        // Abort the masked transactions after their
-                        // last push — a retraction racing against the
-                        // other threads' pushes.
-                        if abort_mask & (1 << (t.id().0 - 1)) != 0 {
-                            let (undone, _) = monitor
-                                .retract_txn(t.id())
-                                .expect("a live transaction is never summarized");
-                            assert!(undone >= t.len(), "at least its own ops undone");
-                        }
-                        if w % 2 == 0 {
-                            std::thread::yield_now();
-                        }
-                    }
-                });
-            }
-        });
-        let monitor = Arc::try_unwrap(monitor).expect("threads joined");
-        let schedule = monitor.snapshot_schedule();
-        // Exactly the survivors' operations, in program order.
-        let survivors: Vec<&Transaction> = txns
-            .iter()
-            .filter(|t| abort_mask & (1 << (t.id().0 - 1)) == 0)
-            .collect();
-        prop_assert_eq!(
-            schedule.len(),
-            survivors.iter().map(|t| t.len()).sum::<usize>()
-        );
-        for t in survivors {
-            let recorded = schedule.transaction(t.id());
-            prop_assert_eq!(recorded.ops(), t.ops());
-        }
-        check_against_oracles(&schedule, &scopes, &monitor)?;
-    }
-
-    /// Sequential truncation parity: push everything logged, truncate
-    /// to a random cut, keep pushing — at the cut and at the end the
-    /// sharded monitor equals a single-writer monitor that never saw
-    /// the truncated suffix at all.
+    /// Sequential truncation parity: push everything logged, as
+    /// `push_batch` runs cut from the transactions, truncate to a
+    /// random cut (which may split a run), keep pushing — at the cut
+    /// and at the end the sharded monitor equals a single-writer
+    /// monitor that never saw the truncated suffix at all.
     #[test]
     fn sequential_truncate_matches_fresh_replay(
         txns in arb_transactions(3, MAX_ITEMS),
+        sizes in proptest::collection::vec(any::<u8>(), 0..32),
         mix in proptest::collection::vec(any::<u8>(), 0..32),
         d1_bits in 0u32..64,
         d2_bits in 0u32..64,
         cut_pct in 0usize..=100,
     ) {
-        let ops = interleave_random(&txns, &mix);
+        let runs = interleaved_runs(&txns, &sizes, &mix);
+        let ops = runs.concat();
         let scopes = scopes_from_bits(d1_bits, d2_bits);
         let sharded = ShardedMonitor::new_logged(scopes.clone());
-        for op in &ops {
-            sharded.push(op.clone()).expect("valid interleaving");
+        for run in &runs {
+            sharded.push_batch(run).expect("valid interleaving");
         }
         let cut = cut_pct * ops.len() / 100;
         prop_assert_eq!(sharded.truncate_to(cut), ops.len() - cut);
@@ -171,47 +73,6 @@ proptest! {
             single.push(op.clone()).expect("valid");
         }
         check_against_oracles(single.schedule(), &scopes, &sharded)?;
-    }
-
-    /// N real threads, each pushing its own transactions in program
-    /// order — the transactions `batch_mask` picks as one `push_batch`
-    /// run each, the rest op by op with `push`: whatever interleaving
-    /// the OS produced, the recorded schedule's sharded verdict equals
-    /// the single-writer replay and the batch checkers.
-    #[test]
-    fn threaded_runs_match_replay_and_batch(
-        txns in arb_transactions(4, MAX_ITEMS),
-        d1_bits in 0u32..64,
-        d2_bits in 0u32..64,
-        n_threads in 2usize..4,
-        batch_mask in 0u32..16,
-    ) {
-        let scopes = scopes_from_bits(d1_bits, d2_bits);
-        let monitor = Arc::new(ShardedMonitor::new(scopes.clone()));
-        std::thread::scope(|scope| {
-            for (w, chunk) in txns.chunks(txns.len().div_ceil(n_threads)).enumerate() {
-                let monitor = Arc::clone(&monitor);
-                scope.spawn(move || {
-                    for t in chunk {
-                        if batch_mask & (1 << (t.id().0 - 1)) != 0 {
-                            monitor.push_batch(t.ops()).expect("well-formed transactions");
-                        } else {
-                            for op in t.ops() {
-                                monitor.push(op.clone()).expect("well-formed transactions");
-                            }
-                        }
-                        // Encourage cross-thread interleaving.
-                        if w % 2 == 0 {
-                            std::thread::yield_now();
-                        }
-                    }
-                });
-            }
-        });
-        let monitor = Arc::try_unwrap(monitor).expect("threads joined");
-        let schedule = monitor.snapshot_schedule();
-        prop_assert_eq!(schedule.len(), txns.iter().map(Transaction::len).sum::<usize>());
-        check_against_oracles(&schedule, &scopes, &monitor)?;
     }
 
     /// Sequential pushes (small cases): the sharded verdict equals the
@@ -296,43 +157,10 @@ proptest! {
         // Summarized transactions are sealed off.
         for t in &txns {
             if compacting.is_summarized(t.id()) {
-                prop_assert!(compacting.push(Operation::write(
-                    t.id(), ItemId(MAX_ITEMS), Value::Int(0))).is_err());
+                let op = Operation::write(t.id(), ItemId(MAX_ITEMS), Value::Int(0));
+                prop_assert!(compacting.push(op.clone()).is_err());
+                prop_assert!(compacting.push_batch(&[op]).is_err());
                 prop_assert!(compacting.retract_txn(t.id()).is_err());
-            }
-        }
-    }
-
-    /// The pointwise retraction contract: a push reports a breach of
-    /// a rung exactly when the probe, asked just before it, would not
-    /// have admitted the operation at that rung — on every push, also
-    /// those that meet a rung some earlier push already broke. The
-    /// probe is the single writer's, fed the same pushes.
-    #[test]
-    fn outcome_breaches_iff_probe_would_refuse(
-        txns in arb_transactions(5, MAX_ITEMS),
-        mix in proptest::collection::vec(any::<u8>(), 0..48),
-        d1_bits in 0u32..64,
-        d2_bits in 0u32..64,
-    ) {
-        use pwsr_core::monitor::AdmissionLevel;
-        let levels = [
-            AdmissionLevel::Serializable,
-            AdmissionLevel::Pwsr,
-            AdmissionLevel::PwsrDr,
-        ];
-        let scopes = scopes_from_bits(d1_bits, d2_bits);
-        let sharded = ShardedMonitor::new_logged(scopes.clone());
-        let mut single = OnlineMonitor::new(scopes);
-        for (p, op) in interleave_random(&txns, &mix).into_iter().enumerate() {
-            let admitted = levels.map(|l| single.admits(op.txn, op.item, op.is_write(), l));
-            single.push_logged(op.clone()).expect("valid");
-            let outcome = sharded.push_outcome(op).expect("valid");
-            for (level, admitted) in levels.into_iter().zip(admitted) {
-                prop_assert_eq!(
-                    outcome.breaches(level), !admitted,
-                    "op {} at {:?}: {:?}", p, level, outcome
-                );
             }
         }
     }
@@ -374,23 +202,6 @@ enum Plant {
     /// The spanning transaction is retracted right after it pushed,
     /// then pushed again.
     RetractSpan,
-}
-
-/// A journal that keeps the full recorded schedule, whatever a sweep
-/// drops from the monitor's own.
-#[derive(Clone, Debug, Default)]
-struct Trail(Arc<parking_lot::Mutex<Vec<Operation>>>);
-
-impl MonitorJournal for Trail {
-    fn appended(&mut self, op: &Operation) {
-        self.0.lock().push(op.clone());
-    }
-
-    fn truncated(&mut self, new_len: usize) {
-        self.0.lock().truncate(new_len);
-    }
-
-    fn floor_raised(&mut self, _: usize) {}
 }
 
 /// The shortest prefix of `schedule` that `holds` fails on (a property
@@ -490,7 +301,7 @@ fn run_stream(m: &ShardedMonitor, trail: &Trail, plant: Plant, sweep: bool) -> S
             });
         }
     });
-    Schedule::new(trail.0.lock().clone()).expect("a recorded schedule is valid")
+    trail.schedule()
 }
 
 /// The `Serializable` rung on the benchmark's stream shape, against
