@@ -117,18 +117,6 @@ pub enum StaticSafety {
     Unknown,
 }
 
-impl StaticSafety {
-    /// Proven robust?
-    pub fn is_safe(&self) -> bool {
-        matches!(self, StaticSafety::Safe(_))
-    }
-
-    /// Refuted with a confirmed counterexample?
-    pub fn is_unsafe(&self) -> bool {
-        matches!(self, StaticSafety::Unsafe(_))
-    }
-}
-
 /// Everything [`analyze`] computed about one workload.
 #[derive(Clone, Debug)]
 pub struct WorkloadAnalysis {

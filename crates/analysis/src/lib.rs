@@ -216,7 +216,7 @@ mod tests {
         );
         // Overall the mix breaches (T1/T2's RMW race): Unsafe with a
         // confirmed counterexample.
-        assert!(analysis.safety.is_unsafe());
+        assert!(matches!(analysis.safety, StaticSafety::Unsafe(_)));
         // …but the clean component is certified.
         let cert = analysis.certificate().unwrap();
         assert!(!cert.covers(TxnId(1)) && !cert.covers(TxnId(2)));
@@ -301,7 +301,7 @@ mod tests {
             &AnalyzerConfig::default(),
         );
         assert!(
-            analysis.safety.is_unsafe(),
+            matches!(analysis.safety, StaticSafety::Unsafe(_)),
             "the lost-update pair must be refuted: {:?}",
             analysis.safety
         );
@@ -349,7 +349,7 @@ mod tests {
             AdmissionLevel::PwsrDr,
             &AnalyzerConfig::default(),
         );
-        assert!(analysis.safety.is_safe());
+        assert!(matches!(analysis.safety, StaticSafety::Safe(_)));
         assert!(analysis.certificate().is_none(), "nothing to certify");
     }
 }

@@ -25,12 +25,6 @@ impl Table {
         self
     }
 
-    /// Convenience for `&str` cells.
-    pub fn row_str(&mut self, cells: &[&str]) -> &mut Self {
-        let owned: Vec<String> = cells.iter().map(|s| s.to_string()).collect();
-        self.row(&owned)
-    }
-
     /// Number of data rows.
     pub fn len(&self) -> usize {
         self.rows.len()
@@ -85,8 +79,8 @@ mod tests {
     #[test]
     fn renders_aligned() {
         let mut t = Table::new("demo", &["name", "value"]);
-        t.row_str(&["x", "1"]);
-        t.row_str(&["longer-name", "222"]);
+        t.row(&["x".into(), "1".into()]);
+        t.row(&["longer-name".into(), "222".into()]);
         let s = t.render();
         assert!(s.contains("== demo =="));
         assert!(s.contains("longer-name  222"));
@@ -97,6 +91,6 @@ mod tests {
     #[should_panic]
     fn arity_mismatch_panics() {
         let mut t = Table::new("demo", &["a", "b"]);
-        t.row_str(&["only-one"]);
+        t.row(&["only-one".into()]);
     }
 }

@@ -39,13 +39,6 @@ impl Catalog {
         id
     }
 
-    /// Register `n` items named `prefix0 … prefix{n-1}` sharing a domain.
-    pub fn add_items(&mut self, prefix: &str, n: usize, domain: Domain) -> Vec<ItemId> {
-        (0..n)
-            .map(|i| self.add_item(&format!("{prefix}{i}"), domain.clone()))
-            .collect()
-    }
-
     /// The id of the item called `name`, if there is one. Allocates
     /// nothing: a miss is an answer, not an error (it is how `tplang`
     /// tells a local variable from a data item).
@@ -74,18 +67,6 @@ impl Catalog {
         self.domain(id).contains(value)
     }
 
-    /// Validate that a value is in the item's domain.
-    pub fn check_domain(&self, id: ItemId, value: &Value) -> Result<()> {
-        if self.in_domain(id, value) {
-            Ok(())
-        } else {
-            Err(CoreError::OutOfDomain {
-                item: id,
-                value: value.clone(),
-            })
-        }
-    }
-
     /// Number of registered items (`|D|`).
     pub fn len(&self) -> usize {
         self.names.len()
@@ -110,7 +91,7 @@ mod tests {
     fn intern_and_lookup() {
         let mut cat = Catalog::new();
         let a = cat.add_item("a", Domain::int_range(0, 3));
-        let b = cat.add_item("b", Domain::bools());
+        let b = cat.add_item("b", Domain::Bools);
         assert_ne!(a, b);
         assert_eq!(cat.lookup("a").unwrap(), a);
         assert_eq!(cat.name(b), "b");
@@ -133,7 +114,9 @@ mod tests {
     #[test]
     fn bulk_items() {
         let mut cat = Catalog::new();
-        let ids = cat.add_items("x", 4, Domain::int_range(-1, 1));
+        let ids: Vec<_> = (0..4)
+            .map(|i| cat.add_item(&format!("x{i}"), Domain::int_range(-1, 1)))
+            .collect();
         assert_eq!(ids.len(), 4);
         assert_eq!(cat.name(ids[2]), "x2");
         assert_eq!(cat.items().count(), 4);
@@ -143,8 +126,7 @@ mod tests {
     fn domain_checks() {
         let mut cat = Catalog::new();
         let a = cat.add_item("a", Domain::int_range(0, 3));
-        assert!(cat.check_domain(a, &Value::Int(2)).is_ok());
-        let err = cat.check_domain(a, &Value::Int(9)).unwrap_err();
-        assert!(matches!(err, CoreError::OutOfDomain { .. }));
+        assert!(cat.in_domain(a, &Value::Int(2)));
+        assert!(!cat.in_domain(a, &Value::Int(9)));
     }
 }

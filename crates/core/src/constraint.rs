@@ -473,19 +473,6 @@ impl IntegrityConstraint {
         self.conjuncts.iter().map(|c| c.items().clone()).collect()
     }
 
-    /// The conjunct whose data set contains `item` (the first match if
-    /// conjuncts overlap), if any.
-    pub fn conjunct_of(&self, item: ItemId) -> Option<&Conjunct> {
-        self.conjuncts.iter().find(|c| c.items().contains(item))
-    }
-
-    /// Every conjunct containing `item` (≥ 2 only when overlapping).
-    pub fn conjuncts_of(&self, item: ItemId) -> impl Iterator<Item = &Conjunct> + '_ {
-        self.conjuncts
-            .iter()
-            .filter(move |c| c.items().contains(item))
-    }
-
     /// `DS ⊨ IC`: evaluate the whole conjunction on a state that must
     /// assign every constrained item.
     pub fn eval(&self, state: &DbState) -> Result<bool> {
@@ -604,8 +591,7 @@ mod tests {
         let ic = IntegrityConstraint::new(vec![c1, c2]).unwrap();
         assert!(ic.is_disjoint());
         assert_eq!(ic.len(), 2);
-        assert_eq!(ic.conjunct_of(id(1)).unwrap().id(), ConjunctId(1));
-        assert!(ic.conjunct_of(id(7)).is_none());
+        assert_eq!(ic.conjuncts()[1].id(), ConjunctId(1));
     }
 
     #[test]
@@ -617,7 +603,6 @@ mod tests {
         assert!(matches!(err, CoreError::OverlappingConjuncts { item } if item == id(0)));
         let ic = IntegrityConstraint::new_unchecked(vec![c1, c2]).unwrap();
         assert!(!ic.is_disjoint());
-        assert_eq!(ic.conjuncts_of(id(0)).count(), 2);
         // One scope per conjunct, in order, overlap kept.
         assert_eq!(
             ic.scopes(),

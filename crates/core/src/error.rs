@@ -52,13 +52,6 @@ pub enum CoreError {
         /// An item shared by two conjuncts.
         item: ItemId,
     },
-    /// A value outside the item's declared domain was used.
-    OutOfDomain {
-        /// Item whose domain was violated.
-        item: ItemId,
-        /// The offending value.
-        value: Value,
-    },
     /// An integrity constraint had no conjuncts.
     EmptyConstraint,
     /// The transaction was summarized by committed-prefix compaction:
@@ -117,9 +110,6 @@ impl fmt::Display for CoreError {
                 f,
                 "conjuncts share item {item:?}; the paper's theorems require disjoint data sets"
             ),
-            CoreError::OutOfDomain { item, value } => {
-                write!(f, "value {value} is outside the domain of item {item:?}")
-            }
             CoreError::EmptyConstraint => write!(f, "integrity constraint has no conjuncts"),
             CoreError::SummarizedTransaction { txn } => write!(
                 f,

@@ -124,16 +124,6 @@ impl History {
         Ok(History { events, outcomes })
     }
 
-    /// Wrap a plain schedule, committing every transaction at the end
-    /// in first-appearance order.
-    pub fn commit_all(schedule: &Schedule) -> History {
-        let mut events: Vec<Event> = schedule.ops().iter().cloned().map(Event::Op).collect();
-        for &t in schedule.txn_ids() {
-            events.push(Event::Commit(t));
-        }
-        History::new(events).expect("a valid schedule commits cleanly")
-    }
-
     /// The events.
     pub fn events(&self) -> &[Event] {
         &self.events
@@ -348,12 +338,7 @@ mod tests {
 
     #[test]
     fn commit_all_is_strict_for_serial() {
-        let s = Schedule::new(vec![
-            Operation::write(TxnId(1), ItemId(0), Value::Int(1)),
-            Operation::read(TxnId(2), ItemId(0), Value::Int(1)),
-        ])
-        .unwrap();
-        let h = History::commit_all(&s);
+        let h = History::new(vec![wr(1, 0, 1), rd(2, 0, 1), c(1), c(2)]).unwrap();
         // Commits at the end: T2 read T1's value before T1 committed —
         // not ACA, but recoverable (commit order T1 before T2? No:
         // first-appearance order commits T1 first ⇒ RC holds).

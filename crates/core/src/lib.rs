@@ -26,6 +26,9 @@
 //!   ([`txstate`]) are first-class, so the paper's operation-indexed
 //!   induction can be *checked* on any schedule.
 //! * **Theorems 1–3** as a verdict engine ([`theorems`]).
+//! * **An order verifier** ([`verify`]) that shares no code with the
+//!   certifier: is a claimed commit order a serialization order of a
+//!   projection? The test oracles hold every order a monitor offers to it.
 //! * **Online certification** ([`monitor`]): a growing indexed schedule
 //!   whose serializability / PWSR / delayed-read verdicts and Lemma 2/6
 //!   certificates are maintained incrementally per appended operation,
@@ -102,6 +105,7 @@ pub mod theorems;
 pub mod txn;
 pub mod txstate;
 pub mod value;
+pub mod verify;
 pub mod viewset;
 
 /// Convenience re-exports of the most frequently used items.

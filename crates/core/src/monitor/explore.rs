@@ -288,8 +288,8 @@ fn bit(mask: u32, t: TxnId) -> bool {
     mask & 1 << (t.0 - 1) != 0
 }
 
-/// Run `case` once under `picks`, then every oracle.
-fn run_case(case: &Case, picks: &mut dyn Pick<usize>) -> Result<(), String> {
+/// Run `case` once under `picks`, then every oracle; the steps taken.
+fn run_case(case: &Case, picks: &mut dyn Pick<usize>) -> Result<Vec<String>, String> {
     let trail = Trail::default();
     let m = match case.abort {
         0 => ShardedMonitor::new(case.scopes.clone()),
@@ -334,7 +334,7 @@ fn run_case(case: &Case, picks: &mut dyn Pick<usize>) -> Result<(), String> {
     let mut outcomes = std::mem::take(&mut *outcomes.lock());
     outcomes.sort_by_key(|o| o.pos);
     let result = result.and_then(|()| check(case, m, &trail.schedule(), &outcomes));
-    result.map_err(|e| {
+    result.map(|()| steps.clone()).map_err(|e| {
         let steps = steps.iter().enumerate();
         let steps = steps.map(|(n, step)| format!("\n  {:>3}. {step}", n + 1));
         format!("{e}\nsteps:{}", steps.collect::<String>())
@@ -344,9 +344,10 @@ fn run_case(case: &Case, picks: &mut dyn Pick<usize>) -> Result<(), String> {
 /// The oracles over a finished run:
 /// - *schedule*: the journal holds exactly the survivors' operations,
 ///   each transaction's in program order;
-/// - *single writer*: [`check_against_oracles`] — verdict and
-///   certificates equal an [`OnlineMonitor`] replay's, and the batch
-///   deciders agree;
+/// - *batch and verifier*: [`check_against_oracles`] — every verdict
+///   field and certificate equals what the batch deciders give the
+///   recorded schedule, and every conjunct order passes the order
+///   verifier on the live tail;
 /// - *breach flags*, without retractions: at each position the `Pwsr`
 ///   and `PwsrDr` flags equal the single writer's refusal on the prefix
 ///   before it, and a `Serializable` breach comes only with a refusal.
@@ -482,8 +483,9 @@ fn explore_the_lock_discipline_on_every_entry_point() {
 /// turn while T1's push at p@3 closes the `{d2}` cycle of
 /// `r1(d2) w2(d2) w3(d0) w1(d2)`. The prefix before p@2 is serializable,
 /// so T3 must not be told of a `Serializable` breach; it was while the
-/// violation mirror was read after the release. Seed 419 is the first
-/// to reach that window with the hand-over points as they stand.
+/// violation mirror was read after the release. Seed 419 reaches that
+/// window with the hand-over points as they stand, and the step list
+/// must show it did: a moved hook fails here rather than test nothing.
 #[test]
 fn explore_a_later_cycle_is_not_an_earlier_push_breach() {
     let ops = vec![
@@ -491,7 +493,20 @@ fn explore_a_later_cycle_is_not_an_earlier_push_breach() {
         vec![wr(2, 2, 2)],
         vec![wr(3, 0, 3)],
     ];
-    sample(&case(example2_scopes(), ops), 419..420);
+    let steps = run_case(&case(example2_scopes(), ops), &mut seeded(419));
+    let steps = steps.unwrap_or_else(|e| panic!("{e}"));
+    let at =
+        |step: &str| -> Vec<usize> { (0..steps.len()).filter(|&n| steps[n] == step).collect() };
+    let [t1, t2, t3] = [0, 1, 2].map(|w| at(&format!("worker {w}: lock sequence")));
+    let [global, resumed] = ["worker 2: lock global", "worker 2: after global turn"].map(at);
+    let shard = at("worker 0: lock shard 1");
+    // T1 claims p@0 and p@3 around T2's p@1 and T3's p@2. T3 takes the
+    // global lock, releases its turn and parks; T1's p@3 takes shard 1,
+    // where it closes the cycle, before T3 resumes.
+    let claims = [t1.first(), t2.first(), t3.first(), t1.get(1)];
+    let window = [global.first(), shard.get(1), resumed.first()];
+    let reached = |w: &[Option<&usize>]| w.iter().all(Option::is_some) && w.is_sorted();
+    assert!(reached(&claims) && reached(&window), "{}", steps.join("\n"));
 }
 
 proptest! {

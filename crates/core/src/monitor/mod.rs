@@ -1201,11 +1201,6 @@ impl OnlineMonitor {
         self.lemma2_holds(k) && self.global.lemma6_clean(k)
     }
 
-    /// First position whose projection on conjunct `k` is cyclic.
-    pub fn conjunct_first_cycle(&self, k: usize) -> Option<OpIndex> {
-        self.conjuncts[k].graph.cyclic_at
-    }
-
     /// Re-derive every certificate with the batch machinery and compare
     /// against the incremental flags: for each serializable conjunct,
     /// the full `inclusion_holds_everywhere` sweep (Lemma 2, and
@@ -1346,7 +1341,6 @@ mod tests {
                 assert_eq!(v.first_violation, Some(OpIndex(3)));
             }
         }
-        assert_eq!(m.conjunct_first_cycle(0), Some(OpIndex(3)));
         assert!(m.conjunct_order(0).is_none());
         assert!(m.conjunct_order(1).is_some());
     }

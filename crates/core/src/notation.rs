@@ -199,7 +199,7 @@ mod tests {
             "name",
             Domain::explicit(vec![Value::str("Jim"), Value::str("Ann")]),
         );
-        cat.add_item("flag", Domain::bools());
+        cat.add_item("flag", Domain::Bools);
         let s = parse_schedule(&cat, r#"w1(name, "Jim"), w1(flag, true)"#).unwrap();
         assert_eq!(s.ops()[0].value, Value::str("Jim"));
         assert_eq!(s.ops()[1].value, Value::Bool(true));

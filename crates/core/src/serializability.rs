@@ -38,33 +38,28 @@ fn proj_txns(schedule: &Schedule, d: Option<&ItemSet>) -> (Vec<TxnId>, Vec<u32>)
     (txns, map)
 }
 
-/// The **full** conflict graph restricted to items in `d` (`None` = no
-/// restriction): every conflicting operation pair contributes its edge,
-/// exactly as the classical definition reads. Operations are grouped
-/// per item (only same-item pairs can conflict), so the pairwise scan
-/// runs within each item's access list instead of over all `O(n²)`
-/// operation pairs.
-fn conflict_graph_full(schedule: &Schedule, d: Option<&ItemSet>) -> (DiGraph, Vec<TxnId>) {
-    let (txns, map) = proj_txns(schedule, d);
-    let mut per_item: Vec<Vec<(u32, bool)>> = vec![Vec::new(); schedule.item_ub()];
+/// The **full** conflict graph: every conflicting operation pair
+/// contributes its edge, exactly as the classical definition reads.
+/// Operations are grouped per item (only same-item pairs can conflict),
+/// so the pairwise scan runs within each item's access list instead of
+/// over all `O(n²)` operation pairs.
+fn conflict_graph_full(schedule: &Schedule) -> DiGraph {
+    let mut per_item: Vec<Vec<(usize, bool)>> = vec![Vec::new(); schedule.item_ub()];
     for (p, o) in schedule.ops().iter().enumerate() {
-        if d.is_some_and(|d| !d.contains(o.item)) {
-            continue;
-        }
-        let t = map[schedule.slot_of_op(crate::ids::OpIndex(p))];
+        let t = schedule.slot_of_op(crate::ids::OpIndex(p));
         per_item[o.item.index()].push((t, o.is_write()));
     }
-    let mut g = DiGraph::new(txns.len());
+    let mut g = DiGraph::new(schedule.txn_ids().len());
     for accesses in &per_item {
         for (j, &(tj, wj)) in accesses.iter().enumerate() {
             for &(ti, wi) in &accesses[..j] {
                 if ti != tj && (wi || wj) {
-                    g.add_edge(ti as usize, tj as usize);
+                    g.add_edge(ti, tj);
                 }
             }
         }
     }
-    (g, txns)
+    g
 }
 
 /// The **reduced** conflict graph: each operation only records edges
@@ -108,15 +103,7 @@ fn conflict_graph_reduced(schedule: &Schedule, d: Option<&ItemSet>) -> (DiGraph,
 /// The precedence (conflict) graph of a schedule, with node `k`
 /// representing `schedule.txn_ids()[k]`.
 pub fn precedence_graph(schedule: &Schedule) -> DiGraph {
-    // Unrestricted first-appearance order coincides with txn_ids().
-    conflict_graph_full(schedule, None).0
-}
-
-/// The precedence graph of the projection `S^d`, without materializing
-/// the projected schedule. Node `k` of the graph represents the `k`-th
-/// returned transaction id (first-appearance order within `S^d`).
-pub fn precedence_graph_proj(schedule: &Schedule, d: &ItemSet) -> (DiGraph, Vec<TxnId>) {
-    conflict_graph_full(schedule, Some(d))
+    conflict_graph_full(schedule)
 }
 
 /// Is the schedule conflict-serializable?
@@ -170,13 +157,6 @@ pub fn all_serialization_orders(schedule: &Schedule, cap: usize) -> Option<Vec<V
                 .map(|o| o.into_iter().map(|k| txns[k]).collect())
                 .collect()
         })
-}
-
-/// A conflict cycle witnessing non-serializability, as transaction ids.
-pub fn conflict_cycle(schedule: &Schedule) -> Option<Vec<TxnId>> {
-    let (g, txns) = conflict_graph_reduced(schedule, None);
-    g.find_cycle()
-        .map(|c| c.into_iter().map(|k| txns[k]).collect())
 }
 
 /// Is the schedule *view-serializable*? Brute force over all
@@ -270,7 +250,8 @@ mod tests {
         .unwrap();
         assert!(!is_conflict_serializable(&s));
         assert!(serialization_order(&s).is_none());
-        let cycle = conflict_cycle(&s).unwrap();
+        let everything = ItemSet::from_iter([ItemId(0), ItemId(1), ItemId(2)]);
+        let cycle = conflict_cycle_proj(&s, &everything).unwrap();
         assert_eq!(cycle.len(), 2);
         assert!(cycle.contains(&TxnId(1)) && cycle.contains(&TxnId(2)));
         assert_eq!(is_view_serializable(&s), Some(false));
@@ -366,7 +347,7 @@ mod tests {
             );
             assert_eq!(
                 conflict_cycle_proj(&s, &d).is_some(),
-                conflict_cycle(&proj).is_some()
+                !is_conflict_serializable(&proj)
             );
         }
     }

@@ -106,11 +106,6 @@ impl Domain {
         Domain::IntRange { lo, hi }
     }
 
-    /// The boolean domain.
-    pub fn bools() -> Self {
-        Domain::Bools
-    }
-
     /// An explicit domain from a list of values (deduplicated, sorted).
     pub fn explicit(mut values: Vec<Value>) -> Self {
         values.sort();
@@ -278,7 +273,7 @@ mod tests {
 
     #[test]
     fn bool_domain() {
-        let d = Domain::bools();
+        let d = Domain::Bools;
         assert_eq!(d.size(), 2);
         let vals: Vec<Value> = d.iter().collect();
         assert_eq!(vals, vec![Value::Bool(false), Value::Bool(true)]);
@@ -306,7 +301,7 @@ mod tests {
     fn any_value_is_member() {
         for d in [
             Domain::int_range(-5, 5),
-            Domain::bools(),
+            Domain::Bools,
             Domain::explicit(vec![Value::str("x"), Value::str("y")]),
         ] {
             assert!(d.contains(&d.any_value()));

@@ -9,8 +9,8 @@
 //! split by truncation and by checkpoint-driven compaction. The sharded
 //! monitor's batches are the pipeline explorer's
 //! (`monitor::sharded::explore`): a `push_batch` run through the real
-//! turnstiles, held to a single-writer replay and, per operation, to
-//! the single writer's `admits`.
+//! turnstiles, held to the batch deciders and the order verifier and,
+//! per operation, to the single writer's `admits`.
 
 mod common;
 

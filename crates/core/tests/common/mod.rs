@@ -4,24 +4,29 @@
 //! pipeline explorer (`monitor::sharded::explore`, which includes this
 //! file): random well-formed transactions, random interleavings of
 //! them or of runs cut from them, two-scope carvings of the item universe, lane-partitioned
-//! workloads, a journal that keeps the full schedule, and the oracle
-//! battery a sharded monitor's recorded schedule must pass.
+//! workloads, a journal that keeps the full schedule, the verdict the
+//! batch deciders give a schedule, and the oracles a sharded monitor
+//! must pass against them and the order verifier.
 
 // Each suite is its own crate and uses a subset of these.
 #![allow(dead_code)]
 
 use proptest::prelude::*;
 use pwsr_core::dr::is_delayed_read;
-use pwsr_core::ids::{ItemId, TxnId};
+use pwsr_core::ids::{ItemId, OpIndex, TxnId};
 use pwsr_core::monitor::journal::MonitorJournal;
 use pwsr_core::monitor::sharded::ShardedMonitor;
-use pwsr_core::monitor::OnlineMonitor;
+use pwsr_core::monitor::{AdmissionLevel, OnlineMonitor, Verdict, VerdictLevel};
 use pwsr_core::op::Operation;
 use pwsr_core::schedule::Schedule;
-use pwsr_core::serializability::{is_conflict_serializable, is_conflict_serializable_proj};
+use pwsr_core::serializability::{
+    is_conflict_serializable, is_conflict_serializable_proj, serialization_order_proj,
+};
 use pwsr_core::state::ItemSet;
 use pwsr_core::txn::Transaction;
 use pwsr_core::value::Value;
+use pwsr_core::verify::verify;
+use pwsr_core::viewset::inclusion_holds_everywhere;
 use std::sync::Arc;
 
 pub const MAX_ITEMS: u32 = 6;
@@ -97,22 +102,6 @@ pub fn interleaved_runs(txns: &[Transaction], sizes: &[u8], mix: &[u8]) -> Vec<V
         }
     }
     out
-}
-
-/// Does `order` put the earlier transaction of every conflicting pair
-/// of `ops` on an item of `scope` first? A transaction the order leaves
-/// out fails the check.
-pub fn order_respects_conflicts(ops: &[Operation], scope: &ItemSet, order: &[TxnId]) -> bool {
-    let pos = |t: TxnId| order.iter().position(|&x| x == t);
-    ops.iter().enumerate().all(|(i, a)| {
-        ops[i + 1..].iter().all(|b| {
-            let conflict = a.txn != b.txn
-                && a.item == b.item
-                && scope.contains(a.item)
-                && (a.is_write() || b.is_write());
-            !conflict || matches!((pos(a.txn), pos(b.txn)), (Some(x), Some(y)) if x < y)
-        })
-    })
 }
 
 /// Two scopes carved out of the item universe by a bitmask (items
@@ -212,44 +201,125 @@ impl MonitorJournal for Trail {
     fn floor_raised(&mut self, _: usize) {}
 }
 
-/// The full oracle battery over a recorded schedule: single-writer
-/// replay parity (final verdict + per-conjunct certificates) and
-/// batch re-verification.
-pub fn check_against_oracles(
-    schedule: &Schedule,
-    scopes: &[ItemSet],
-    sharded: &ShardedMonitor,
-) -> std::result::Result<(), TestCaseError> {
-    let verdict = sharded.verdict();
-    let mut replay = OnlineMonitor::new(scopes.to_vec());
-    let mut last = replay.verdict();
-    for op in schedule.ops() {
-        last = replay.push(op.clone()).expect("recorded schedule is valid");
+/// The first `n` operations of `schedule`.
+fn prefix(schedule: &Schedule, n: usize) -> Schedule {
+    Schedule::new(schedule.ops()[..n].to_vec()).expect("valid prefix")
+}
+
+/// The shortest prefix of `schedule` that `holds` fails on (a property
+/// that, once lost, stays lost), by bisection.
+fn first_failing(schedule: &Schedule, holds: impl Fn(&Schedule) -> bool) -> Option<OpIndex> {
+    if holds(schedule) {
+        return None;
     }
-    prop_assert_eq!(last, verdict, "sharded verdict != single-writer replay");
-    for k in 0..scopes.len() {
-        prop_assert_eq!(
-            sharded.lemma2_holds(k),
-            replay.lemma2_holds(k),
-            "Lemma 2, scope {}",
-            k
-        );
-        prop_assert_eq!(
-            sharded.lemma6_holds(k),
-            replay.lemma6_holds(k),
-            "Lemma 6, scope {}",
-            k
-        );
+    let (mut lo, mut hi) = (0, schedule.len());
+    while hi - lo > 1 {
+        let mid = (lo + hi) / 2;
+        if holds(&prefix(schedule, mid)) {
+            lo = mid;
+        } else {
+            hi = mid;
+        }
     }
-    prop_assert!(replay.certify_prefix(), "Lemma 2/6 audit failed");
-    // Batch re-verification of the recorded schedule.
-    prop_assert_eq!(verdict.serializable, is_conflict_serializable(schedule));
-    prop_assert_eq!(verdict.dr, is_delayed_read(schedule));
-    prop_assert_eq!(
-        verdict.pwsr(),
-        scopes
-            .iter()
-            .all(|d| is_conflict_serializable_proj(schedule, d))
-    );
+    Some(OpIndex(hi - 1))
+}
+
+/// Lemma 6's inclusion on conjunct `d`, swept in full under the batch
+/// decider's order; `false` when `S^d` has none.
+pub fn lemma6_batch(schedule: &Schedule, d: &ItemSet) -> bool {
+    serialization_order_proj(schedule, d)
+        .is_some_and(|order| inclusion_holds_everywhere(schedule, d, &order, true))
+}
+
+/// The [`Verdict`]s the batch deciders give `schedule`, every field
+/// and position: entry `n` is its first `n` operations', what either
+/// monitor driver must report after them. Each rung, once lost on a
+/// growing schedule, stays lost, so one bisection per rung over the
+/// whole schedule places it in every prefix.
+pub fn batch_verdicts(schedule: &Schedule, scopes: &[ItemSet]) -> Vec<Verdict> {
+    let pwsr = |s: &Schedule| scopes.iter().all(|d| is_conflict_serializable_proj(s, d));
+    let lemma6 = |s: &Schedule| scopes.iter().all(|d| lemma6_batch(s, d));
+    let first_non_serializable = first_failing(schedule, is_conflict_serializable);
+    let first_violation = first_failing(schedule, pwsr);
+    let first_non_dr = first_failing(schedule, is_delayed_read);
+    // With a conjunct cyclic there is no order to sweep under: Lemma 6
+    // is lost by the first violation at the latest.
+    let upto = first_violation.map(|v| prefix(schedule, v.0 + 1));
+    let lemma6_lost = first_failing(upto.as_ref().unwrap_or(schedule), lemma6);
+    let verdict = |len: usize| {
+        let before = |p: Option<OpIndex>| p.filter(|p| p.0 < len);
+        let [violation, non_serializable, non_dr] =
+            [first_violation, first_non_serializable, first_non_dr].map(before);
+        let level = match (violation, non_serializable, non_dr) {
+            (Some(_), _, _) => VerdictLevel::Violation,
+            (None, None, _) => VerdictLevel::Serializable,
+            (None, Some(_), None) => VerdictLevel::DrPreserving,
+            (None, Some(_), Some(_)) => VerdictLevel::Pwsr,
+        };
+        Verdict {
+            len,
+            level,
+            serializable: non_serializable.is_none(),
+            dr: non_dr.is_none(),
+            first_violation: violation,
+            first_non_serializable: non_serializable,
+            first_non_dr: non_dr,
+            lemma2_certified: violation.is_none(),
+            lemma6_certified: before(lemma6_lost).is_none(),
+        }
+    };
+    (0..=schedule.len()).map(verdict).collect()
+}
+
+/// What a property returns: `Err` names the first check that failed.
+pub type Checked = std::result::Result<(), TestCaseError>;
+
+/// The three admission levels.
+pub const LEVELS: [AdmissionLevel; 3] = [
+    AdmissionLevel::Serializable,
+    AdmissionLevel::Pwsr,
+    AdmissionLevel::PwsrDr,
+];
+
+/// Push `op` into the pipeline: each rung's breach flag must equal
+/// `single`'s refusal on the prefix before it (pushes one at a time
+/// leave no stage pending, so the `Serializable` flag cannot miss).
+pub fn push_told(sharded: &ShardedMonitor, single: &OnlineMonitor, op: &Operation) -> Checked {
+    let outcome = sharded.push_outcome(op.clone()).expect("§2.2-valid");
+    for level in LEVELS {
+        let refused = !single.admits(op.txn, op.item, op.is_write(), level);
+        let told = outcome.breaches(level);
+        prop_assert_eq!(told, refused, "{:?} at {:?}: {:?}", op, level, outcome);
+    }
+    Ok(())
+}
+
+/// The oracles a sharded monitor that recorded `s` must pass,
+/// none of them certifier code: its verdict is the batch deciders'
+/// (every field, positions included), and [`check_lemmas_and_orders`].
+pub fn check_against_oracles(s: &Schedule, scopes: &[ItemSet], m: &ShardedMonitor) -> Checked {
+    prop_assert_eq!(m.verdict(), batch_verdicts(s, scopes)[s.len()], "verdict");
+    check_lemmas_and_orders(s, scopes, m)
+}
+
+/// Per conjunct of a sharded monitor that recorded `s`: its
+/// Lemma 2 certificate is the projection's serializability, its
+/// Lemma 6 certificate the full inclusion sweep under the batch
+/// decider's order, and the order it offers passes [`verify`] on its
+/// live tail (a sweep keeps only the tail).
+pub fn check_lemmas_and_orders(s: &Schedule, scopes: &[ItemSet], m: &ShardedMonitor) -> Checked {
+    let tail = m.snapshot_schedule();
+    for (k, d) in scopes.iter().enumerate() {
+        let serializable = is_conflict_serializable_proj(s, d);
+        prop_assert_eq!(m.lemma2_holds(k), serializable, "Lemma 2, scope {}", k);
+        let lemma6 = lemma6_batch(s, d);
+        prop_assert_eq!(m.lemma6_holds(k), lemma6, "Lemma 6, scope {}", k);
+        let order = m.conjunct_order(k);
+        prop_assert_eq!(order.is_some(), serializable, "scope {} offers an order", k);
+        if let Some(order) = order {
+            let verified = verify(&tail, Some(d), &order);
+            prop_assert_eq!(verified, Ok(()), "scope {} order {:?}", k, order);
+        }
+    }
     Ok(())
 }

@@ -1,37 +1,39 @@
-//! Prefix-parity property tests for the online verdict monitor.
+//! Prefix-parity property tests for the two monitor drivers.
 //!
 //! The contract under test: pushing a schedule's operations one at a
 //! time through [`OnlineMonitor`] must yield, at **every** prefix,
-//! exactly the verdicts obtained by building a fresh [`Schedule`] and
-//! running the batch checkers — serializability,
-//! per-scope PWSR, delayed-read, and the Lemma 2/6 inclusion sweeps
-//! (the expensive recomputation is the oracle; the monitor's
-//! incremental flags are the implementation under test).
+//! exactly the `Verdict` the batch deciders give a fresh [`Schedule`]
+//! (every field, positions included), Lemma 2/6 certificates equal to
+//! the inclusion sweeps under the monitor's own orders, and orders the
+//! order verifier accepts: the expensive recomputation is the oracle.
+//! The sharded pipeline, pushed the same operations, is held to the
+//! same oracles (`common::check_lemmas_and_orders`) and its per-push
+//! flags to the single writer's `admits` on the prefix before the push,
+//! never to the other driver's state.
 
 mod common;
 
 use common::{
-    arb_lanes, arb_transactions, interleave_random, order_respects_conflicts, scopes_from_bits,
-    MAX_ITEMS,
+    arb_lanes, arb_transactions, batch_verdicts, check_lemmas_and_orders, interleave_random,
+    push_told, scopes_from_bits, LEVELS, MAX_ITEMS,
 };
 use proptest::prelude::*;
-use pwsr_core::dr::is_delayed_read;
 use pwsr_core::ids::{ItemId, TxnId};
+use pwsr_core::monitor::sharded::ShardedMonitor;
 use pwsr_core::monitor::{AdmissionLevel, OnlineMonitor};
 use pwsr_core::op::Operation;
 use pwsr_core::schedule::Schedule;
-use pwsr_core::serializability::{
-    is_conflict_serializable, is_conflict_serializable_proj, precedence_graph_proj,
-};
-use pwsr_core::state::ItemSet;
+use pwsr_core::serializability::is_conflict_serializable_proj;
 use pwsr_core::value::Value;
+use pwsr_core::verify::verify;
 use pwsr_core::viewset::inclusion_holds_everywhere;
 
 proptest! {
-    /// The monitor's verdict equals batch recomputation at EVERY prefix:
-    /// serializability, per-scope serializability (PWSR), delayed-read,
-    /// and the Lemma 2/6 inclusion sweeps under the monitor's own
-    /// maintained serialization orders. Half the cases are
+    /// Both drivers' verdicts equal batch recomputation at EVERY prefix
+    /// (and the pipeline's lock-free floor its level); the single
+    /// writer's Lemma 2/6 certificates equal the inclusion sweeps under
+    /// its own maintained serialization orders; every order either
+    /// offers passes the verifier. Half the cases are
     /// lane-partitioned (`arb_lanes`). Counted over 3000 cases at the
     /// default seed: 26 % never leave the disjoint phase, where
     /// serializability is read off the conjunct graphs; the rest build
@@ -50,34 +52,28 @@ proptest! {
             false => (scopes_from_bits(d1_bits, d2_bits), txns),
         };
         let ops = interleave_random(&txns, &mix);
+        let schedule = Schedule::new(ops.clone()).expect("valid interleaving");
+        let verdicts = batch_verdicts(&schedule, &scopes);
         let mut monitor = OnlineMonitor::new(scopes.clone());
+        let sharded = ShardedMonitor::new(scopes.clone());
         for k in 0..ops.len() {
-            let v = monitor.push(ops[k].clone()).expect("valid interleaving");
+            push_told(&sharded, &monitor, &ops[k])?;
+            let (v, want) = (monitor.push(ops[k].clone()).expect("valid"), verdicts[k + 1]);
+            prop_assert_eq!(v, want, "prefix {}", k);
+            prop_assert_eq!(sharded.verdict(), want, "pipeline at prefix {}", k);
+            prop_assert_eq!(sharded.floor(), want.level, "lock-free floor");
             let prefix = Schedule::new(ops[..=k].to_vec()).expect("valid prefix");
-            prop_assert_eq!(v.len, prefix.len());
-            prop_assert_eq!(v.serializable, is_conflict_serializable(&prefix));
-            prop_assert_eq!(v.dr, is_delayed_read(&prefix));
             for (e, d) in scopes.iter().enumerate() {
-                let batch_ok = is_conflict_serializable_proj(&prefix, d);
-                prop_assert_eq!(
-                    monitor.conjunct_order(e).is_some(),
-                    batch_ok,
-                    "scope {} serializability diverged at prefix {}",
-                    e, k
-                );
-                if let Some(order) = monitor.conjunct_order(e) {
-                    // The maintained order must respect every conflict
-                    // edge of the projection…
-                    let (g, proj_txns) = precedence_graph_proj(&prefix, d);
-                    let pos = |t: TxnId| order.iter().position(|&x| x == t).unwrap();
-                    for (u, w) in g.edges() {
-                        prop_assert!(
-                            pos(proj_txns[u]) < pos(proj_txns[w]),
-                            "order violates conflict edge at prefix {}", k
-                        );
+                let serializable = is_conflict_serializable_proj(&prefix, d);
+                for order in [sharded.conjunct_order(e), monitor.conjunct_order(e)] {
+                    prop_assert_eq!(order.is_some(), serializable, "scope {}", e);
+                    if let Some(order) = order {
+                        prop_assert_eq!(verify(&prefix, Some(d), &order), Ok(()), "scope {}", e);
                     }
-                    // …and the incremental Lemma 2/6 certificates must
-                    // equal the full batch sweeps under that order.
+                }
+                // The incremental Lemma 2/6 certificates equal the full
+                // sweeps under the maintained order.
+                if let Some(order) = monitor.conjunct_order(e) {
                     prop_assert_eq!(
                         inclusion_holds_everywhere(&prefix, d, &order, false),
                         monitor.lemma2_holds(e),
@@ -90,18 +86,15 @@ proptest! {
                     );
                 }
             }
-            prop_assert_eq!(
-                v.pwsr(),
-                scopes.iter().all(|d| is_conflict_serializable_proj(&prefix, d))
-            );
-            prop_assert!(monitor.certify_prefix());
             // The global order, read off the conjunct orders in the
-            // disjoint phase, respects every conflict of the prefix.
-            if let Some(order) = monitor.serialization_order() {
-                let everything: ItemSet = prefix.ops().iter().map(|o| o.item).collect();
-                prop_assert!(order_respects_conflicts(prefix.ops(), &everything, &order));
+            // disjoint phase, is one of the whole prefix.
+            let order = monitor.serialization_order();
+            prop_assert_eq!(order.is_some(), v.serializable);
+            if let Some(order) = order {
+                prop_assert_eq!(verify(&prefix, None, &order), Ok(()), "global order");
             }
         }
+        check_lemmas_and_orders(&schedule, &scopes, &sharded)?;
     }
 
     /// The undo-log is exact: logged pushes truncated to any cut equal
@@ -149,9 +142,12 @@ proptest! {
     /// stride of completed transactions. At every push the verdict
     /// (including Lemma 2/6 certificates) and every admission probe
     /// must stay byte-identical, and summarized transactions must
-    /// reject further pushes. Half the workloads are lane-partitioned (`arb_lanes`), so a
-    /// sweep can summarize a prefix — a conjunct cycle in it, too —
-    /// before the first spanning transaction builds the global graph.
+    /// reject further pushes. A compacting pipeline runs beside them,
+    /// held at every push to the batch deciders and the verifier and
+    /// told what the twin refuses. Half the workloads are
+    /// lane-partitioned (`arb_lanes`), so a sweep can summarize a
+    /// prefix — a conjunct cycle in it, too — before the first spanning
+    /// transaction builds the global graph.
     #[test]
     fn compaction_twin_parity_at_every_push(
         txns in arb_transactions(4, MAX_ITEMS),
@@ -168,12 +164,19 @@ proptest! {
             false => (scopes_from_bits(d1_bits, d2_bits), txns),
         };
         let ops = interleave_random(&txns, &mix);
+        let schedule = Schedule::new(ops.clone()).expect("valid interleaving");
+        let verdicts = batch_verdicts(&schedule, &scopes);
         let mut compacting = OnlineMonitor::new(scopes.clone());
         let mut twin = OnlineMonitor::new(scopes.clone());
+        let sharded = match logged {
+            true => ShardedMonitor::new_logged(scopes.clone()),
+            false => ShardedMonitor::new(scopes.clone()),
+        };
         let mut remaining: std::collections::HashMap<TxnId, usize> =
             txns.iter().map(|t| (t.id(), t.len())).collect();
         let mut completed = 0usize;
-        for op in &ops {
+        for (p, op) in ops.iter().enumerate() {
+            push_told(&sharded, &twin, op)?;
             let (a, b) = if logged {
                 (
                     compacting.push_logged(op.clone()).expect("valid interleaving"),
@@ -186,10 +189,12 @@ proptest! {
                 )
             };
             prop_assert_eq!(a, b, "verdict diverged");
+            prop_assert_eq!(sharded.verdict(), verdicts[p + 1], "pipeline at {}", p);
             let left = remaining.get_mut(&op.txn).unwrap();
             *left -= 1;
             if *left == 0 {
                 compacting.finish_txn(op.txn);
+                sharded.finish_txn(op.txn);
                 completed += 1;
                 if completed.is_multiple_of(stride) {
                     if logged {
@@ -199,21 +204,25 @@ proptest! {
                         let floor = compacting.len();
                         compacting.checkpoint(floor);
                         twin.checkpoint(floor);
+                        sharded.checkpoint([]);
                     }
                     compacting.compact();
+                    sharded.compact();
                     // The orders a sweep leaves are still serialization
                     // orders of the live tail, and the certificates the
-                    // monitor still grants hold there under them. (Not
-                    // `certify_prefix`'s equality: a dirty read in the
-                    // summarized prefix withdrew Lemma 6 for good, which
-                    // the tail alone cannot show.)
-                    let tail = compacting.schedule();
+                    // single writer still grants hold there under them.
+                    // (Not `certify_prefix`'s equality: a dirty read in
+                    // the summarized prefix withdrew Lemma 6 for good,
+                    // which the tail alone cannot show.)
+                    let (tail, sharded_tail) = (compacting.schedule(), sharded.snapshot_schedule());
                     for (k, d) in scopes.iter().enumerate() {
+                        if let Some(order) = sharded.conjunct_order(k) {
+                            let verified = verify(&sharded_tail, Some(d), &order);
+                            prop_assert_eq!(verified, Ok(()), "pipeline conjunct {} {:?}", k, order);
+                        }
                         if let Some(order) = compacting.conjunct_order(k) {
-                            prop_assert!(
-                                order_respects_conflicts(tail.ops(), d, &order),
-                                "conjunct {} order {:?} after a sweep", k, order
-                            );
+                            let verified = verify(tail, Some(d), &order);
+                            prop_assert_eq!(verified, Ok(()), "conjunct {} order {:?}", k, order);
                             prop_assert!(inclusion_holds_everywhere(tail, d, &order, false));
                             prop_assert!(
                                 !compacting.lemma6_holds(k)
@@ -226,7 +235,7 @@ proptest! {
             // Probes agree after every push/compaction — except that a
             // summarized transaction is flatly refused (its push would
             // be rejected no matter what the graphs say).
-            for level in [AdmissionLevel::Serializable, AdmissionLevel::Pwsr, AdmissionLevel::PwsrDr] {
+            for level in LEVELS {
                 let probe = compacting.admits(op.txn, op.item, op.is_write(), level);
                 if compacting.is_summarized(op.txn) {
                     prop_assert!(!probe, "summarized transactions are never admitted");
@@ -236,20 +245,27 @@ proptest! {
             }
         }
         compacting.compact();
+        sharded.compact();
         prop_assert_eq!(compacting.verdict(), twin.verdict());
         for k in 0..scopes.len() {
             prop_assert_eq!(compacting.lemma2_holds(k), twin.lemma2_holds(k));
             prop_assert_eq!(compacting.lemma6_holds(k), twin.lemma6_holds(k));
         }
+        check_lemmas_and_orders(&schedule, &scopes, &sharded)?;
         prop_assert!(
             compacting.resident_bytes_estimate() <= twin.resident_bytes_estimate()
                 || compacting.compactions() == 0
         );
+        // Summarized transactions are sealed off.
         for t in &txns {
+            let op = Operation::write(t.id(), ItemId(MAX_ITEMS), Value::Int(0));
             if compacting.is_summarized(t.id()) {
-                prop_assert!(compacting
-                    .push(Operation::write(t.id(), ItemId(MAX_ITEMS), Value::Int(0)))
-                    .is_err());
+                prop_assert!(compacting.push(op.clone()).is_err());
+            }
+            if sharded.is_summarized(t.id()) {
+                prop_assert!(sharded.push(op.clone()).is_err());
+                prop_assert!(sharded.push_batch(&[op]).is_err());
+                prop_assert!(sharded.retract_txn(t.id()).is_err());
             }
         }
     }

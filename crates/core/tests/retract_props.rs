@@ -28,7 +28,7 @@
 
 mod common;
 
-use common::{arb_lanes, arb_transactions, MAX_ITEMS};
+use common::{arb_lanes, arb_transactions, push_told, MAX_ITEMS};
 use parking_lot::Mutex;
 use proptest::prelude::*;
 use pwsr_core::ids::{ItemId, TxnId};
@@ -36,9 +36,9 @@ use pwsr_core::monitor::journal::MonitorJournal;
 use pwsr_core::monitor::sharded::ShardedMonitor;
 use pwsr_core::monitor::{AdmissionLevel, OnlineMonitor};
 use pwsr_core::op::Operation;
-use pwsr_core::serializability::precedence_graph_proj;
 use pwsr_core::state::ItemSet;
 use pwsr_core::txn::Transaction;
+use pwsr_core::verify::verify;
 use std::sync::Arc;
 
 /// `n` scopes carved out of the item universe: item `i` belongs to
@@ -171,16 +171,8 @@ impl Run<'_> {
         let refused = !self
             .single
             .admits(op.txn, op.item, op.is_write(), self.level);
+        push_told(&self.sharded, &self.single, &op)?;
         self.single.push_logged(op.clone()).expect("§2.2-valid");
-        let outcome = self.sharded.push_outcome(op.clone()).expect("§2.2-valid");
-        prop_assert_eq!(
-            outcome.breaches(self.level),
-            refused,
-            "{:?} at {:?}: {:?}",
-            op,
-            self.level,
-            outcome
-        );
         if refused {
             self.told.push(op.txn);
         }
@@ -253,22 +245,21 @@ impl Run<'_> {
                 (self.sharded.lemma2_holds(k), self.sharded.lemma6_holds(k)),
                 lemmas
             );
-            prop_assert_eq!(
-                self.single.conjunct_first_cycle(k),
-                fresh.conjunct_first_cycle(k)
-            );
             // Undo keeps the Pearce–Kelly order it has (it satisfies a
             // superset of the surviving constraints), so the maintained
             // order need not be the one a fresh replay arrives at; it
-            // must be *a* serialization order of the same projection.
-            let order = self.single.conjunct_order(k);
-            prop_assert_eq!(order.is_some(), fresh.conjunct_order(k).is_some());
-            if let Some(order) = order {
-                let (g, proj_txns) = precedence_graph_proj(fresh.schedule(), d);
-                prop_assert_eq!(order.len(), fresh.conjunct_order(k).unwrap().len());
-                let pos = |t: TxnId| order.iter().position(|&x| x == t).unwrap();
-                for (u, w) in g.edges() {
-                    prop_assert!(pos(proj_txns[u]) < pos(proj_txns[w]), "scope {}", k);
+            // must be *a* serialization order of the survivors.
+            let fresh_order = fresh.conjunct_order(k);
+            let orders = [
+                self.single.conjunct_order(k),
+                self.sharded.conjunct_order(k),
+            ];
+            for order in orders {
+                prop_assert_eq!(order.is_some(), fresh_order.is_some());
+                if let Some(order) = order {
+                    prop_assert_eq!(order.len(), fresh_order.as_ref().map_or(0, Vec::len));
+                    let verified = verify(fresh.schedule(), Some(d), &order);
+                    prop_assert_eq!(verified, Ok(()), "scope {}", k);
                 }
             }
         }

@@ -52,7 +52,8 @@ impl LockTable {
     }
 
     /// The mode `txn` holds on `key`, if any.
-    pub fn held_mode(&self, txn: TxnId, space: SpaceId, item: ItemId) -> Option<LockMode> {
+    #[cfg(test)]
+    fn held_mode(&self, txn: TxnId, space: SpaceId, item: ItemId) -> Option<LockMode> {
         let h = self.locks.get(&(space, item))?;
         if h.exclusive == Some(txn) {
             Some(LockMode::Exclusive)
@@ -183,11 +184,6 @@ impl LockTable {
             .map(|keys| keys.iter().map(|(s, _)| *s).collect())
             .unwrap_or_default()
     }
-
-    /// Number of locks currently held (all transactions).
-    pub fn total_held(&self) -> usize {
-        self.locks.len()
-    }
 }
 
 #[cfg(test)]
@@ -289,7 +285,7 @@ mod tests {
         lt.try_acquire(TxnId(1), S1, item(1), LockMode::Shared)
             .unwrap();
         lt.release_all(TxnId(1));
-        assert_eq!(lt.total_held(), 0);
+        assert!(lt.locks.is_empty());
         assert!(lt
             .try_acquire(TxnId(2), S0, item(0), LockMode::Exclusive)
             .is_ok());

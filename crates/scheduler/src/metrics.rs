@@ -110,15 +110,6 @@ impl Metrics {
         self.max_batch = self.max_batch.max(other.max_batch);
     }
 
-    /// Blocked-step fraction: waits per step (0 when no steps ran).
-    pub fn wait_ratio(&self) -> f64 {
-        if self.steps == 0 {
-            0.0
-        } else {
-            self.waits as f64 / self.steps as f64
-        }
-    }
-
     /// Useful-work fraction: committed operations per step.
     pub fn goodput(&self) -> f64 {
         if self.steps == 0 {
@@ -178,10 +169,8 @@ mod tests {
             waits: 2,
             ..Metrics::default()
         };
-        assert!((m.wait_ratio() - 0.2).abs() < 1e-9);
         assert!((m.goodput() - 0.5).abs() < 1e-9);
         let z = Metrics::default();
-        assert_eq!(z.wait_ratio(), 0.0);
         assert_eq!(z.goodput(), 0.0);
     }
 

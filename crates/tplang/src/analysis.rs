@@ -110,13 +110,6 @@ impl RwFootprint {
         self.reads.union_with(&other.reads);
         self.writes.union_with(&other.writes);
     }
-
-    /// Could an operation of `self` conflict with one of `other` on
-    /// `item` (read-write, write-read, or write-write)?
-    pub fn conflicts_on(&self, other: &RwFootprint, item: ItemId) -> bool {
-        (self.writes.contains(item) && (other.reads.contains(item) || other.writes.contains(item)))
-            || (self.reads.contains(item) && other.writes.contains(item))
-    }
 }
 
 /// Read/write footprint of a whole program (union over all branches).
@@ -731,11 +724,6 @@ mod tests {
         assert!(fp.writes.contains(b) && fp.writes.contains(c));
         assert!(!fp.writes.contains(a));
         assert_eq!(fp.items().len(), 3);
-        // Conflict predicate: W b vs R/W b; no conflict on a (read-read).
-        let q = parse_program("Q", "b := a;").unwrap();
-        let fq = rw_footprint(&q, &cat);
-        assert!(fp.conflicts_on(&fq, b));
-        assert!(!fp.conflicts_on(&fq, a));
     }
 
     #[test]

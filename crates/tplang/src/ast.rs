@@ -226,24 +226,6 @@ impl Stmt {
             expr,
         }
     }
-
-    /// `if cond then { … }` with an empty else.
-    pub fn if_then(cond: Cond, then_branch: Vec<Stmt>) -> Stmt {
-        Stmt::If {
-            cond,
-            then_branch,
-            else_branch: Vec::new(),
-        }
-    }
-
-    /// `if cond then { … } else { … }`.
-    pub fn if_then_else(cond: Cond, then_branch: Vec<Stmt>, else_branch: Vec<Stmt>) -> Stmt {
-        Stmt::If {
-            cond,
-            then_branch,
-            else_branch,
-        }
-    }
 }
 
 fn fmt_block(f: &mut fmt::Formatter<'_>, stmts: &[Stmt], indent: usize) -> fmt::Result {
@@ -351,10 +333,11 @@ mod tests {
         assert!(!straight.has_control_flow());
         let branching = Program::new(
             "Q",
-            vec![Stmt::if_then(
-                Cond::True,
-                vec![Stmt::assign("a", Expr::int(1))],
-            )],
+            vec![Stmt::If {
+                cond: Cond::True,
+                then_branch: vec![Stmt::assign("a", Expr::int(1))],
+                else_branch: Vec::new(),
+            }],
         );
         assert!(branching.has_control_flow());
     }
@@ -365,11 +348,11 @@ mod tests {
             "TP1",
             vec![
                 Stmt::assign("a", Expr::int(1)),
-                Stmt::if_then_else(
-                    Cond::gt(Expr::var("c"), Expr::int(0)),
-                    vec![Stmt::assign("b", Expr::var("b").abs().add(Expr::int(1)))],
-                    vec![Stmt::assign("b", Expr::var("b"))],
-                ),
+                Stmt::If {
+                    cond: Cond::gt(Expr::var("c"), Expr::int(0)),
+                    then_branch: vec![Stmt::assign("b", Expr::var("b").abs().add(Expr::int(1)))],
+                    else_branch: vec![Stmt::assign("b", Expr::var("b"))],
+                },
             ],
         );
         let text = p.to_string();

@@ -45,13 +45,6 @@ pub struct PaperScenario {
     pub schedule: Option<Schedule>,
 }
 
-impl PaperScenario {
-    /// The transaction id assigned to program index `k`.
-    pub fn txn_of(&self, k: usize) -> TxnId {
-        TxnId(k as u32 + 1)
-    }
-}
-
 fn wide_domain() -> Domain {
     Domain::int_range(-100, 100)
 }
@@ -418,7 +411,7 @@ mod tests {
         let solver = Solver::new(&sc.catalog, &sc.ic);
         for (k, p) in sc.programs.iter().enumerate() {
             let (_, out) =
-                crate::interp::execute_and_apply(p, &sc.catalog, sc.txn_of(k), &sc.initial)
+                crate::interp::execute_and_apply(p, &sc.catalog, TxnId(k as u32 + 1), &sc.initial)
                     .unwrap();
             assert!(
                 solver.is_consistent(&out),

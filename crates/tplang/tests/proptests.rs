@@ -72,11 +72,11 @@ fn arb_program() -> impl Strategy<Value = Program> {
             if with_if {
                 if let Some(t) = targets.next() {
                     let name = ITEMS[t];
-                    body.push(Stmt::if_then_else(
+                    body.push(Stmt::If {
                         cond,
-                        vec![Stmt::assign(name, Expr::var(name).add(Expr::int(1)))],
-                        vec![Stmt::assign(name, Expr::var(name))],
-                    ));
+                        then_branch: vec![Stmt::assign(name, Expr::var(name).add(Expr::int(1)))],
+                        else_branch: vec![Stmt::assign(name, Expr::var(name))],
+                    });
                 }
             }
             Program::new("P", body)
@@ -152,8 +152,13 @@ fn arb_wide_block() -> BoxedStrategy<Vec<Stmt>> {
     let leaf = proptest::collection::vec(simple, 0..4);
     leaf.prop_recursive(2, 8, 3, |inner| {
         let nested = prop_oneof![
-            (arb_wide_cond(), inner.clone(), inner.clone())
-                .prop_map(|(c, t, e)| Stmt::if_then_else(c, t, e)),
+            (arb_wide_cond(), inner.clone(), inner.clone()).prop_map(
+                |(cond, then_branch, else_branch)| Stmt::If {
+                    cond,
+                    then_branch,
+                    else_branch,
+                }
+            ),
             (arb_wide_cond(), inner.clone(), 0u32..4)
                 .prop_map(|(cond, body, limit)| { Stmt::While { cond, body, limit } }),
             // The counting loop of `while_loop_runs_on_locals`, so that
