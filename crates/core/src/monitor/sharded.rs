@@ -1136,7 +1136,7 @@ impl ShardedMonitor {
     /// that rules out deadlock covers compaction too. Every verdict,
     /// certificate and [`PushOutcome`] after the call is
     /// byte-identical to an uncompacted twin's (pinned by
-    /// `compaction_twin_parity_at_every_push` in `tests/monitor_props.rs`,
+    /// `sharded_compaction_twin_parity` in `tests/sharded_props.rs`,
     /// and by the explorer, whose sweeper compacts while others push);
     /// pushes and retractions for summarized transactions are rejected
     /// with [`CoreError::SummarizedTransaction`].

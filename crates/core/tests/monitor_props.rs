@@ -1,4 +1,4 @@
-//! Prefix-parity property tests for the two monitor drivers.
+//! Prefix-parity property tests for the online verdict monitor.
 //!
 //! The contract under test: pushing a schedule's operations one at a
 //! time through [`OnlineMonitor`] must yield, at **every** prefix,
@@ -6,20 +6,16 @@
 //! (every field, positions included), Lemma 2/6 certificates equal to
 //! the inclusion sweeps under the monitor's own orders, and orders the
 //! order verifier accepts: the expensive recomputation is the oracle.
-//! The sharded pipeline, pushed the same operations, is held to the
-//! same oracles (`common::check_lemmas_and_orders`) and its per-push
-//! flags to the single writer's `admits` on the prefix before the push,
-//! never to the other driver's state.
+//! The sharded pipeline is held to the same oracles in `sharded_props`.
 
 mod common;
 
 use common::{
-    arb_lanes, arb_transactions, batch_verdicts, check_lemmas_and_orders, interleave_random,
-    push_told, scopes_from_bits, LEVELS, MAX_ITEMS,
+    arb_lanes, arb_transactions, batch_verdicts, interleave_random, scopes_from_bits, LEVELS,
+    MAX_ITEMS,
 };
 use proptest::prelude::*;
 use pwsr_core::ids::{ItemId, TxnId};
-use pwsr_core::monitor::sharded::ShardedMonitor;
 use pwsr_core::monitor::{AdmissionLevel, OnlineMonitor};
 use pwsr_core::op::Operation;
 use pwsr_core::schedule::Schedule;
@@ -29,15 +25,14 @@ use pwsr_core::verify::verify;
 use pwsr_core::viewset::inclusion_holds_everywhere;
 
 proptest! {
-    /// Both drivers' verdicts equal batch recomputation at EVERY prefix
-    /// (and the pipeline's lock-free floor its level); the single
-    /// writer's Lemma 2/6 certificates equal the inclusion sweeps under
-    /// its own maintained serialization orders; every order either
-    /// offers passes the verifier. Half the cases are
-    /// lane-partitioned (`arb_lanes`). Counted over 3000 cases at the
-    /// default seed: 26 % never leave the disjoint phase, where
-    /// serializability is read off the conjunct graphs; the rest build
-    /// the global graph at their first spanning push.
+    /// The monitor's verdict equals batch recomputation at EVERY prefix;
+    /// its Lemma 2/6 certificates equal the inclusion sweeps under its
+    /// own maintained serialization orders, and every order it offers
+    /// passes the verifier. Half the cases are lane-partitioned
+    /// (`arb_lanes`). Counted over 3000 cases at the default seed: 26 %
+    /// never leave the disjoint phase, where serializability is read
+    /// off the conjunct graphs; the rest build the global graph at
+    /// their first spanning push.
     #[test]
     fn verdicts_match_batch_at_every_prefix(
         txns in arb_transactions(3, MAX_ITEMS),
@@ -55,25 +50,21 @@ proptest! {
         let schedule = Schedule::new(ops.clone()).expect("valid interleaving");
         let verdicts = batch_verdicts(&schedule, &scopes);
         let mut monitor = OnlineMonitor::new(scopes.clone());
-        let sharded = ShardedMonitor::new(scopes.clone());
         for k in 0..ops.len() {
-            push_told(&sharded, &monitor, &ops[k])?;
-            let (v, want) = (monitor.push(ops[k].clone()).expect("valid"), verdicts[k + 1]);
-            prop_assert_eq!(v, want, "prefix {}", k);
-            prop_assert_eq!(sharded.verdict(), want, "pipeline at prefix {}", k);
-            prop_assert_eq!(sharded.floor(), want.level, "lock-free floor");
+            let v = monitor.push(ops[k].clone()).expect("valid interleaving");
+            prop_assert_eq!(v, verdicts[k + 1], "prefix {}", k);
             let prefix = Schedule::new(ops[..=k].to_vec()).expect("valid prefix");
             for (e, d) in scopes.iter().enumerate() {
-                let serializable = is_conflict_serializable_proj(&prefix, d);
-                for order in [sharded.conjunct_order(e), monitor.conjunct_order(e)] {
-                    prop_assert_eq!(order.is_some(), serializable, "scope {}", e);
-                    if let Some(order) = order {
-                        prop_assert_eq!(verify(&prefix, Some(d), &order), Ok(()), "scope {}", e);
-                    }
-                }
-                // The incremental Lemma 2/6 certificates equal the full
-                // sweeps under the maintained order.
-                if let Some(order) = monitor.conjunct_order(e) {
+                let order = monitor.conjunct_order(e);
+                prop_assert_eq!(
+                    order.is_some(),
+                    is_conflict_serializable_proj(&prefix, d),
+                    "scope {} serializability diverged at prefix {}", e, k
+                );
+                if let Some(order) = order {
+                    prop_assert_eq!(verify(&prefix, Some(d), &order), Ok(()), "scope {}", e);
+                    // The incremental Lemma 2/6 certificates equal the
+                    // full sweeps under the maintained order.
                     prop_assert_eq!(
                         inclusion_holds_everywhere(&prefix, d, &order, false),
                         monitor.lemma2_holds(e),
@@ -94,7 +85,6 @@ proptest! {
                 prop_assert_eq!(verify(&prefix, None, &order), Ok(()), "global order");
             }
         }
-        check_lemmas_and_orders(&schedule, &scopes, &sharded)?;
     }
 
     /// The undo-log is exact: logged pushes truncated to any cut equal
@@ -142,12 +132,10 @@ proptest! {
     /// stride of completed transactions. At every push the verdict
     /// (including Lemma 2/6 certificates) and every admission probe
     /// must stay byte-identical, and summarized transactions must
-    /// reject further pushes. A compacting pipeline runs beside them,
-    /// held at every push to the batch deciders and the verifier and
-    /// told what the twin refuses. Half the workloads are
-    /// lane-partitioned (`arb_lanes`), so a sweep can summarize a
-    /// prefix — a conjunct cycle in it, too — before the first spanning
-    /// transaction builds the global graph.
+    /// reject further pushes. Half the workloads are lane-partitioned
+    /// (`arb_lanes`), so a sweep can summarize a prefix — a conjunct
+    /// cycle in it, too — before the first spanning transaction builds
+    /// the global graph.
     #[test]
     fn compaction_twin_parity_at_every_push(
         txns in arb_transactions(4, MAX_ITEMS),
@@ -164,19 +152,12 @@ proptest! {
             false => (scopes_from_bits(d1_bits, d2_bits), txns),
         };
         let ops = interleave_random(&txns, &mix);
-        let schedule = Schedule::new(ops.clone()).expect("valid interleaving");
-        let verdicts = batch_verdicts(&schedule, &scopes);
         let mut compacting = OnlineMonitor::new(scopes.clone());
         let mut twin = OnlineMonitor::new(scopes.clone());
-        let sharded = match logged {
-            true => ShardedMonitor::new_logged(scopes.clone()),
-            false => ShardedMonitor::new(scopes.clone()),
-        };
         let mut remaining: std::collections::HashMap<TxnId, usize> =
             txns.iter().map(|t| (t.id(), t.len())).collect();
         let mut completed = 0usize;
-        for (p, op) in ops.iter().enumerate() {
-            push_told(&sharded, &twin, op)?;
+        for op in &ops {
             let (a, b) = if logged {
                 (
                     compacting.push_logged(op.clone()).expect("valid interleaving"),
@@ -189,12 +170,10 @@ proptest! {
                 )
             };
             prop_assert_eq!(a, b, "verdict diverged");
-            prop_assert_eq!(sharded.verdict(), verdicts[p + 1], "pipeline at {}", p);
             let left = remaining.get_mut(&op.txn).unwrap();
             *left -= 1;
             if *left == 0 {
                 compacting.finish_txn(op.txn);
-                sharded.finish_txn(op.txn);
                 completed += 1;
                 if completed.is_multiple_of(stride) {
                     if logged {
@@ -204,22 +183,16 @@ proptest! {
                         let floor = compacting.len();
                         compacting.checkpoint(floor);
                         twin.checkpoint(floor);
-                        sharded.checkpoint([]);
                     }
                     compacting.compact();
-                    sharded.compact();
                     // The orders a sweep leaves are still serialization
                     // orders of the live tail, and the certificates the
-                    // single writer still grants hold there under them.
-                    // (Not `certify_prefix`'s equality: a dirty read in
-                    // the summarized prefix withdrew Lemma 6 for good,
-                    // which the tail alone cannot show.)
-                    let (tail, sharded_tail) = (compacting.schedule(), sharded.snapshot_schedule());
+                    // monitor still grants hold there under them. (Not
+                    // `certify_prefix`'s equality: a dirty read in the
+                    // summarized prefix withdrew Lemma 6 for good, which
+                    // the tail alone cannot show.)
+                    let tail = compacting.schedule();
                     for (k, d) in scopes.iter().enumerate() {
-                        if let Some(order) = sharded.conjunct_order(k) {
-                            let verified = verify(&sharded_tail, Some(d), &order);
-                            prop_assert_eq!(verified, Ok(()), "pipeline conjunct {} {:?}", k, order);
-                        }
                         if let Some(order) = compacting.conjunct_order(k) {
                             let verified = verify(tail, Some(d), &order);
                             prop_assert_eq!(verified, Ok(()), "conjunct {} order {:?}", k, order);
@@ -245,27 +218,20 @@ proptest! {
             }
         }
         compacting.compact();
-        sharded.compact();
         prop_assert_eq!(compacting.verdict(), twin.verdict());
         for k in 0..scopes.len() {
             prop_assert_eq!(compacting.lemma2_holds(k), twin.lemma2_holds(k));
             prop_assert_eq!(compacting.lemma6_holds(k), twin.lemma6_holds(k));
         }
-        check_lemmas_and_orders(&schedule, &scopes, &sharded)?;
         prop_assert!(
             compacting.resident_bytes_estimate() <= twin.resident_bytes_estimate()
                 || compacting.compactions() == 0
         );
-        // Summarized transactions are sealed off.
         for t in &txns {
-            let op = Operation::write(t.id(), ItemId(MAX_ITEMS), Value::Int(0));
             if compacting.is_summarized(t.id()) {
-                prop_assert!(compacting.push(op.clone()).is_err());
-            }
-            if sharded.is_summarized(t.id()) {
-                prop_assert!(sharded.push(op.clone()).is_err());
-                prop_assert!(sharded.push_batch(&[op]).is_err());
-                prop_assert!(sharded.retract_txn(t.id()).is_err());
+                prop_assert!(compacting
+                    .push(Operation::write(t.id(), ItemId(MAX_ITEMS), Value::Int(0)))
+                    .is_err());
             }
         }
     }
