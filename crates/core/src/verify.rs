@@ -12,18 +12,16 @@
 //! sharing a flaw with them. An order may also list transactions with
 //! no operation in the projection: a swept monitor keeps the nodes
 //! that retained undo frames name. The delayed-read rung
-//! (Definition 5) is a property of the schedule, not of an order;
-//! [`delayed_read`] states it through [`dr_violation`].
+//! (Definition 5) is a property of the schedule, not of an order:
+//! [`crate::dr::is_delayed_read`] decides it.
 
-use crate::dr::dr_violation;
 use crate::ids::{ItemId, OpIndex, TxnId};
-use crate::pick::{Explore, Pick};
 use crate::schedule::Schedule;
 use crate::state::ItemSet;
 use std::collections::HashMap;
 
-/// Why an order, or the schedule, was refused. Positions are absolute
-/// schedule positions.
+/// Why an order was refused. Positions are absolute schedule
+/// positions.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Refusal {
     /// `Missing(t, p)`: `t` has an operation in the projection, the
@@ -35,9 +33,6 @@ pub enum Refusal {
     /// on item `x` with an earlier one of `t1`, but the order puts `t2`
     /// first.
     Inverted(ItemId, TxnId, TxnId, OpIndex),
-    /// `DirtyRead(x, w, r, p)`: the read of `x` by `r` at `p` reads from
-    /// `w`, which had not finished.
-    DirtyRead(ItemId, TxnId, TxnId, OpIndex),
 }
 
 /// Is `order` a serialization order of the projection of `schedule` on
@@ -70,40 +65,6 @@ pub fn verify(s: &Schedule, scope: Option<&ItemSet>, order: &[TxnId]) -> Result<
     Ok(())
 }
 
-/// Is `s` delayed-read (Definition 5)? Otherwise the first read
-/// [`dr_violation`] finds from a writer that had not finished.
-pub fn delayed_read(s: &Schedule) -> Result<(), Refusal> {
-    match dr_violation(s) {
-        None => Ok(()),
-        Some((r, w)) => Err(Refusal::DirtyRead(
-            s.op(r).item,
-            s.op(w).txn,
-            s.op(r).txn,
-            r,
-        )),
-    }
-}
-
-/// The first order of the transactions of `s`, in lexicographic order
-/// of ids, that [`verify`] accepts on `scope`, or `None` if it refuses
-/// every permutation. Exponential: for schedules of a few transactions.
-pub fn find_order(s: &Schedule, scope: Option<&ItemSet>) -> Option<Vec<TxnId>> {
-    let mut explore = Explore::default();
-    loop {
-        let mut left = s.txn_ids().to_vec();
-        let mut order = Vec::with_capacity(left.len());
-        while !left.is_empty() {
-            order.push(left.remove(explore.pick(&left)));
-        }
-        if verify(s, scope, &order).is_ok() {
-            return Some(order);
-        }
-        if !explore.advance() {
-            return None;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -112,6 +73,19 @@ mod tests {
     use crate::value::Value;
     use proptest::prelude::*;
     use std::collections::HashSet;
+
+    /// The first sequence of `n` of the `n` transactions of `s`, in
+    /// lexicographic order, that [`verify`] accepts on `scope`, or
+    /// `None`: every permutation is among them, and a sequence that
+    /// lists a transaction twice is refused.
+    fn find_order(s: &Schedule, scope: Option<&ItemSet>) -> Option<Vec<TxnId>> {
+        let (ids, n) = (s.txn_ids(), s.txn_ids().len());
+        let digit = |k: usize, i: usize| ids[k / n.pow((n - 1 - i) as u32) % n];
+        let sequence = |k: usize| (0..n).map(|i| digit(k, i)).collect::<Vec<_>>();
+        (0..n.pow(n as u32))
+            .map(sequence)
+            .find(|order| verify(s, scope, order).is_ok())
+    }
 
     /// `(t, i, true)` is `w_t(i)`, `(t, i, false)` is `r_t(i)`.
     fn schedule(ops: &[(u32, u32, bool)]) -> Schedule {
@@ -193,15 +167,5 @@ mod tests {
         assert_eq!(find_order(&s, None), None);
         let acyclic = find_order(&s, Some(&items(&[0, 1])));
         assert_eq!(acyclic, Some(txns(&[1, 2, 3, 4])));
-    }
-
-    /// `w1(x) r2(x) w1(y)`: T2 read x from T1 before T1 finished.
-    #[test]
-    fn names_the_dirty_read_of_a_schedule_that_is_not_delayed_read() {
-        let s = schedule(&[(1, 0, true), (2, 0, false), (1, 1, true)]);
-        let refusal = Refusal::DirtyRead(ItemId(0), TxnId(1), TxnId(2), OpIndex(1));
-        assert_eq!(delayed_read(&s), Err(refusal));
-        let s = schedule(&[(1, 0, true), (2, 0, false)]);
-        assert_eq!(delayed_read(&s), Ok(()));
     }
 }

@@ -14,7 +14,7 @@
 
 mod common;
 
-use common::{arb_transactions, interleaved_runs, scopes_from_bits, MAX_ITEMS};
+use common::{arb_workload, interleaved_runs};
 use proptest::prelude::*;
 use pwsr_core::ids::TxnId;
 use pwsr_core::monitor::OnlineMonitor;
@@ -26,14 +26,11 @@ proptest! {
     /// checkpoint-driven compactions splitting the batches.
     #[test]
     fn online_batch_twin_matches_singleton(
-        txns in arb_transactions(4, MAX_ITEMS),
+        (scopes, txns) in arb_workload(4),
         sizes in proptest::collection::vec(any::<u8>(), 0..32),
         mix in proptest::collection::vec(any::<u8>(), 0..32),
         events in proptest::collection::vec(any::<u8>(), 0..32),
-        d1_bits in 0u32..64,
-        d2_bits in 0u32..64,
     ) {
-        let scopes = scopes_from_bits(d1_bits, d2_bits);
         let runs = interleaved_runs(&txns, &sizes, &mix);
         let mut batched = OnlineMonitor::new(scopes.clone());
         let mut singleton = OnlineMonitor::new(scopes.clone());

@@ -3,10 +3,13 @@
 //! `sharded_props`, `batch_props`, `retract_props`) and by the
 //! pipeline explorer (`monitor::sharded::explore`, which includes this
 //! file): random well-formed transactions, random interleavings of
-//! them or of runs cut from them, two-scope carvings of the item universe, lane-partitioned
-//! workloads, a journal that keeps the full schedule, the verdict the
-//! batch deciders give a schedule, and the oracles a sharded monitor
-//! must pass against them and the order verifier.
+//! them or of runs cut from them, two-scope carvings of the item
+//! universe, lane-partitioned workloads, a journal that keeps the full
+//! schedule, the verdict the batch deciders give a schedule, and the
+//! oracles a monitor must pass against them and the order verifier.
+//! The prefix and compaction properties are written once here, over a
+//! [`Driver`]: `monitor_props` runs them on the single writer,
+//! `sharded_props` on the sharded pipeline.
 
 // Each suite is its own crate and uses a subset of these.
 #![allow(dead_code)]
@@ -15,7 +18,7 @@ use proptest::prelude::*;
 use pwsr_core::dr::is_delayed_read;
 use pwsr_core::ids::{ItemId, OpIndex, TxnId};
 use pwsr_core::monitor::journal::MonitorJournal;
-use pwsr_core::monitor::sharded::ShardedMonitor;
+use pwsr_core::monitor::sharded::{PushOutcome, ShardedMonitor};
 use pwsr_core::monitor::{AdmissionLevel, OnlineMonitor, Verdict, VerdictLevel};
 use pwsr_core::op::Operation;
 use pwsr_core::schedule::Schedule;
@@ -177,6 +180,15 @@ pub fn arb_lanes(n_txns: u32) -> impl Strategy<Value = (Vec<ItemSet>, Vec<Transa
         })
 }
 
+/// A workload of `n_txns` transactions: half the time over two scopes
+/// carved out by bitmasks ([`scopes_from_bits`]), half the time
+/// lane-partitioned ([`arb_lanes`]).
+pub fn arb_workload(n_txns: u32) -> impl Strategy<Value = (Vec<ItemSet>, Vec<Transaction>)> {
+    let carved = (0u32..64, 0u32..64, arb_transactions(n_txns, MAX_ITEMS));
+    let carved = carved.prop_map(|(d1, d2, txns)| (scopes_from_bits(d1, d2), txns));
+    prop_oneof![carved, arb_lanes(n_txns)]
+}
+
 /// A journal that keeps the full recorded schedule, whatever a sweep
 /// drops from the monitor's own.
 #[derive(Clone, Debug, Default)]
@@ -207,15 +219,16 @@ fn prefix(schedule: &Schedule, n: usize) -> Schedule {
 }
 
 /// The shortest prefix of `schedule` that `holds` fails on (a property
-/// that, once lost, stays lost), by bisection.
-fn first_failing(schedule: &Schedule, holds: impl Fn(&Schedule) -> bool) -> Option<OpIndex> {
-    if holds(schedule) {
+/// that, once lost, stays lost), by bisection above the first `lo`
+/// operations, on which it is known to hold.
+fn first_failing(s: &Schedule, lo: usize, holds: impl Fn(&Schedule) -> bool) -> Option<OpIndex> {
+    if holds(s) {
         return None;
     }
-    let (mut lo, mut hi) = (0, schedule.len());
+    let (mut lo, mut hi) = (lo, s.len());
     while hi - lo > 1 {
         let mid = (lo + hi) / 2;
-        if holds(&prefix(schedule, mid)) {
+        if holds(&prefix(s, mid)) {
             lo = mid;
         } else {
             hi = mid;
@@ -239,13 +252,15 @@ pub fn lemma6_batch(schedule: &Schedule, d: &ItemSet) -> bool {
 pub fn batch_verdicts(schedule: &Schedule, scopes: &[ItemSet]) -> Vec<Verdict> {
     let pwsr = |s: &Schedule| scopes.iter().all(|d| is_conflict_serializable_proj(s, d));
     let lemma6 = |s: &Schedule| scopes.iter().all(|d| lemma6_batch(s, d));
-    let first_non_serializable = first_failing(schedule, is_conflict_serializable);
-    let first_violation = first_failing(schedule, pwsr);
-    let first_non_dr = first_failing(schedule, is_delayed_read);
+    let first_non_serializable = first_failing(schedule, 0, is_conflict_serializable);
+    // A conjunct cycle is a cycle of the whole schedule: PWSR holds
+    // until serializability is lost.
+    let first_violation = first_non_serializable.and_then(|p| first_failing(schedule, p.0, pwsr));
+    let first_non_dr = first_failing(schedule, 0, is_delayed_read);
     // With a conjunct cyclic there is no order to sweep under: Lemma 6
     // is lost by the first violation at the latest.
     let upto = first_violation.map(|v| prefix(schedule, v.0 + 1));
-    let lemma6_lost = first_failing(upto.as_ref().unwrap_or(schedule), lemma6);
+    let lemma6_lost = first_failing(upto.as_ref().unwrap_or(schedule), 0, lemma6);
     let verdict = |len: usize| {
         let before = |p: Option<OpIndex>| p.filter(|p| p.0 < len);
         let [violation, non_serializable, non_dr] =
@@ -281,45 +296,238 @@ pub const LEVELS: [AdmissionLevel; 3] = [
     AdmissionLevel::PwsrDr,
 ];
 
-/// Push `op` into the pipeline: each rung's breach flag must equal
-/// `single`'s refusal on the prefix before it (pushes one at a time
-/// leave no stage pending, so the `Serializable` flag cannot miss).
-pub fn push_told(sharded: &ShardedMonitor, single: &OnlineMonitor, op: &Operation) -> Checked {
-    let outcome = sharded.push_outcome(op.clone()).expect("§2.2-valid");
-    for level in LEVELS {
-        let refused = !single.admits(op.txn, op.item, op.is_write(), level);
-        let told = outcome.breaches(level);
-        prop_assert_eq!(told, refused, "{:?} at {:?}: {:?}", op, level, outcome);
+/// Did a transaction other than `txn` read, in `before`, a value `txn`
+/// wrote? Then `txn`'s next operation shows it was still running at
+/// that read: a dirty read (Definition 5).
+fn read_while_running(before: &[Operation], txn: TxnId) -> bool {
+    let mut writer = std::collections::HashMap::new();
+    before.iter().any(|o| {
+        let dirty = !o.is_write() && o.txn != txn && writer.get(&o.item) == Some(&txn);
+        if o.is_write() {
+            writer.insert(o.item, o.txn);
+        }
+        dirty
+    })
+}
+
+/// A monitor driver — the single writer ([`Single`]) or the sharded
+/// pipeline — as the shared prefix and compaction properties drive it.
+pub trait Driver: Sized {
+    /// A fresh driver over `scopes`, journaling undo frames if `logged`.
+    fn start(scopes: &[ItemSet], logged: bool) -> Self;
+    /// Push `op` and check what the push reports against `want`, the
+    /// batch deciders' verdict on the prefix it ends, and against
+    /// `single`, an uncompacted single writer that holds the prefix
+    /// before it.
+    fn push_checked(&mut self, op: &Operation, want: Verdict, single: &OnlineMonitor) -> Checked;
+    /// Declare `txn` finished; if `sweep`, raise the undo floor over
+    /// everything pushed (nothing live may abort in these runs) and
+    /// sweep.
+    fn finish(&mut self, txn: TxnId, sweep: bool);
+    /// What the oracles read.
+    fn state(&self) -> State;
+    /// Is `txn`, if summarized, refused whatever it tries next?
+    fn sealed(&mut self, txn: TxnId) -> bool;
+}
+
+/// A driver's state as the oracles read it: its verdict, its live tail
+/// (what a sweep left of the schedule) and per conjunct the order it
+/// offers and its Lemma 2 and Lemma 6 certificates.
+pub struct State(
+    pub Verdict,
+    pub Schedule,
+    pub Vec<(Option<Vec<TxnId>>, bool, bool)>,
+);
+
+/// The single writer as a [`Driver`]; its pushes are logged if `.1`.
+pub struct Single(pub OnlineMonitor, bool);
+
+impl Driver for Single {
+    fn start(scopes: &[ItemSet], logged: bool) -> Self {
+        Single(OnlineMonitor::new(scopes.to_vec()), logged)
     }
-    Ok(())
+
+    /// Before the push every admission probe is `single`'s; the push
+    /// returns `want`; after it the global order, read off the conjunct
+    /// orders in the disjoint phase, passes the verifier on the live
+    /// tail.
+    fn push_checked(&mut self, op: &Operation, want: Verdict, single: &OnlineMonitor) -> Checked {
+        for level in LEVELS {
+            let probe = |m: &OnlineMonitor| m.admits(op.txn, op.item, op.is_write(), level);
+            prop_assert_eq!(probe(&self.0), probe(single), "{:?} at {:?}", op, level);
+        }
+        let pushed = match self.1 {
+            true => self.0.push_logged(op.clone()),
+            false => self.0.push(op.clone()),
+        };
+        prop_assert_eq!(pushed.expect("§2.2-valid"), want, "{:?}", op);
+        let order = self.0.serialization_order();
+        prop_assert_eq!(order.is_some(), want.serializable, "global order");
+        if let Some(order) = order {
+            let verified = verify(self.0.schedule(), None, &order);
+            prop_assert_eq!(verified, Ok(()), "global order {:?}", order);
+        }
+        Ok(())
+    }
+
+    fn finish(&mut self, txn: TxnId, sweep: bool) {
+        self.0.finish_txn(txn);
+        if sweep {
+            self.0.checkpoint(self.0.len());
+            self.0.compact();
+        }
+    }
+
+    fn state(&self) -> State {
+        let m = &self.0;
+        let conjunct = |k| (m.conjunct_order(k), m.lemma2_holds(k), m.lemma6_holds(k));
+        let conjuncts = (0..m.scopes().len()).map(conjunct).collect();
+        State(m.verdict(), m.schedule().clone(), conjuncts)
+    }
+
+    /// Every probe of it is refused, and so is its push.
+    fn sealed(&mut self, txn: TxnId) -> bool {
+        let op = Operation::write(txn, ItemId(MAX_ITEMS), Value::Int(0));
+        let admitted = |level| self.0.admits(txn, op.item, true, level);
+        let probed = !LEVELS.into_iter().any(admitted);
+        !self.0.is_summarized(txn) || (probed && self.0.push(op).is_err())
+    }
+}
+
+impl Driver for ShardedMonitor {
+    fn start(scopes: &[ItemSet], logged: bool) -> Self {
+        match logged {
+            true => ShardedMonitor::new_logged(scopes.to_vec()),
+            false => ShardedMonitor::new(scopes.to_vec()),
+        }
+    }
+
+    /// The push's whole [`PushOutcome`] is what `single` and the batch
+    /// deciders give it: its position; as its floor, and the lock-free
+    /// floor after it, `want`'s level; `single`'s refusal at
+    /// `Serializable` and at `Pwsr` (pushes one at a time leave no
+    /// stage pending, so the first cannot miss); and whether another
+    /// transaction read from its own while it ran.
+    fn push_checked(&mut self, op: &Operation, want: Verdict, single: &OnlineMonitor) -> Checked {
+        let refused = |level| !single.admits(op.txn, op.item, op.is_write(), level);
+        let before = single.schedule().ops();
+        let told = PushOutcome {
+            pos: OpIndex(before.len()),
+            floor: want.level,
+            caused_non_serializable: refused(AdmissionLevel::Serializable),
+            caused_violation: refused(AdmissionLevel::Pwsr),
+            caused_non_dr: read_while_running(before, op.txn),
+        };
+        let outcome = self.push_outcome(op.clone()).expect("§2.2-valid");
+        prop_assert_eq!(outcome, told, "{:?}", op);
+        prop_assert_eq!(self.floor(), want.level, "lock-free floor");
+        Ok(())
+    }
+
+    fn finish(&mut self, txn: TxnId, sweep: bool) {
+        self.finish_txn(txn);
+        if sweep {
+            self.checkpoint([]);
+            self.compact();
+        }
+    }
+
+    fn state(&self) -> State {
+        let m = self;
+        let conjunct = |k| (m.conjunct_order(k), m.lemma2_holds(k), m.lemma6_holds(k));
+        let conjuncts = (0..m.scopes().len()).map(conjunct).collect();
+        State(m.verdict(), m.snapshot_schedule(), conjuncts)
+    }
+
+    /// Its push, its batch push and its retraction are all refused.
+    fn sealed(&mut self, txn: TxnId) -> bool {
+        let op = Operation::write(txn, ItemId(MAX_ITEMS), Value::Int(0));
+        !self.is_summarized(txn)
+            || (self.push(op.clone()).is_err()
+                && self.push_batch(&[op]).is_err()
+                && self.retract_txn(txn).is_err())
+    }
 }
 
 /// The oracles a sharded monitor that recorded `s` must pass,
 /// none of them certifier code: its verdict is the batch deciders'
 /// (every field, positions included), and [`check_lemmas_and_orders`].
 pub fn check_against_oracles(s: &Schedule, scopes: &[ItemSet], m: &ShardedMonitor) -> Checked {
-    prop_assert_eq!(m.verdict(), batch_verdicts(s, scopes)[s.len()], "verdict");
-    check_lemmas_and_orders(s, scopes, m)
+    let state = m.state();
+    prop_assert_eq!(state.0, batch_verdicts(s, scopes)[s.len()], "verdict");
+    check_lemmas_and_orders(s, scopes, &state)
 }
 
-/// Per conjunct of a sharded monitor that recorded `s`: its
-/// Lemma 2 certificate is the projection's serializability, its
-/// Lemma 6 certificate the full inclusion sweep under the batch
-/// decider's order, and the order it offers passes [`verify`] on its
-/// live tail (a sweep keeps only the tail).
-pub fn check_lemmas_and_orders(s: &Schedule, scopes: &[ItemSet], m: &ShardedMonitor) -> Checked {
-    let tail = m.snapshot_schedule();
-    for (k, d) in scopes.iter().enumerate() {
+/// Per conjunct of a driver that recorded `s`: its Lemma 2 certificate
+/// is the projection's serializability; the order it offers passes
+/// [`verify`] on its live tail, and under that order the tail passes
+/// the Lemma 2 inclusion sweep. Its Lemma 6 certificate is the Lemma 6
+/// sweep under that order while nothing is swept; after a sweep it is
+/// the sweep of all of `s` under the batch decider's order, and grants
+/// nothing the tail refuses (a dirty read in the summarized prefix
+/// withdrew it for good, which the tail alone cannot show).
+pub fn check_lemmas_and_orders(s: &Schedule, scopes: &[ItemSet], state: &State) -> Checked {
+    let State(_, tail, conjuncts) = state;
+    for (k, (d, (order, lemma2, lemma6))) in scopes.iter().zip(conjuncts).enumerate() {
         let serializable = is_conflict_serializable_proj(s, d);
-        prop_assert_eq!(m.lemma2_holds(k), serializable, "Lemma 2, scope {}", k);
-        let lemma6 = lemma6_batch(s, d);
-        prop_assert_eq!(m.lemma6_holds(k), lemma6, "Lemma 6, scope {}", k);
-        let order = m.conjunct_order(k);
+        prop_assert_eq!(*lemma2, serializable, "Lemma 2, scope {}", k);
         prop_assert_eq!(order.is_some(), serializable, "scope {} offers an order", k);
-        if let Some(order) = order {
-            let verified = verify(&tail, Some(d), &order);
-            prop_assert_eq!(verified, Ok(()), "scope {} order {:?}", k, order);
-        }
+        let Some(order) = order else {
+            prop_assert!(!lemma6, "Lemma 6 without an order, scope {}", k);
+            continue;
+        };
+        let verified = verify(tail, Some(d), order);
+        prop_assert_eq!(verified, Ok(()), "scope {} order {:?}", k, order);
+        let [two, six] = [false, true].map(|dr| inclusion_holds_everywhere(tail, d, order, dr));
+        prop_assert!(two, "Lemma 2 sweep under scope {}'s order", k);
+        let want = match tail.base() {
+            0 => six,
+            _ => lemma6_batch(s, d),
+        };
+        prop_assert_eq!(*lemma6, want, "Lemma 6, scope {}", k);
+        prop_assert!(six || !lemma6, "Lemma 6 on the tail, scope {}", k);
     }
     Ok(())
+}
+
+/// Push `txns`, interleaved by `mix`, one at a time into a fresh `D`
+/// (`logged` or not). Given a `stride`, `D` sweeps after every
+/// `stride`-th completed transaction and after the last push. Every
+/// push passes [`Driver::push_checked`] and leaves the batch deciders'
+/// verdict, and so does every sweep; every prefix — given a stride,
+/// every prefix a sweep ends — passes [`check_lemmas_and_orders`];
+/// summarized transactions are sealed off. Returns `D` and the
+/// uncompacted single writer that held each push's prefix.
+pub fn check_pushes<D: Driver>(
+    (scopes, txns): &(Vec<ItemSet>, Vec<Transaction>),
+    mix: &[u8],
+    stride: Option<usize>,
+    logged: bool,
+) -> Result<(D, OnlineMonitor), TestCaseError> {
+    let schedule = Schedule::new(interleave_random(txns, mix)).expect("valid interleaving");
+    let verdicts = batch_verdicts(&schedule, scopes);
+    let mut m = D::start(scopes, logged);
+    let mut single = OnlineMonitor::new(scopes.to_vec());
+    let mut completed = 0usize;
+    for (p, op) in schedule.ops().iter().enumerate() {
+        m.push_checked(op, verdicts[p + 1], &single)?;
+        single.push(op.clone()).expect("valid interleaving");
+        let last = schedule.last_op_of(op.txn) == Some(OpIndex(p));
+        completed += usize::from(last);
+        // The last push completes a transaction too.
+        let end = p + 1 == schedule.len();
+        let sweep = last && stride.is_some_and(|n| end || completed.is_multiple_of(n));
+        if last {
+            m.finish(op.txn, sweep);
+        }
+        let state = m.state();
+        prop_assert_eq!(state.0, verdicts[p + 1], "prefix {}", p + 1);
+        if sweep || stride.is_none() {
+            check_lemmas_and_orders(&prefix(&schedule, p + 1), scopes, &state)?;
+        }
+    }
+    for t in txns {
+        prop_assert!(m.sealed(t.id()), "{:?} not sealed off", t.id());
+    }
+    Ok((m, single))
 }

@@ -4,87 +4,35 @@
 //! time through [`OnlineMonitor`] must yield, at **every** prefix,
 //! exactly the `Verdict` the batch deciders give a fresh [`Schedule`]
 //! (every field, positions included), Lemma 2/6 certificates equal to
-//! the inclusion sweeps under the monitor's own orders, and orders the
-//! order verifier accepts: the expensive recomputation is the oracle.
-//! The sharded pipeline is held to the same oracles in `sharded_props`.
+//! the inclusion sweeps, and orders the order verifier accepts: the
+//! expensive recomputation is the oracle. The prefix and compaction
+//! properties are `common::check_pushes`, which `sharded_props` runs on
+//! the sharded pipeline.
 
 mod common;
 
-use common::{
-    arb_lanes, arb_transactions, batch_verdicts, interleave_random, scopes_from_bits, LEVELS,
-    MAX_ITEMS,
-};
+use common::{arb_workload, check_pushes, interleave_random, Single};
 use proptest::prelude::*;
-use pwsr_core::ids::{ItemId, TxnId};
 use pwsr_core::monitor::{AdmissionLevel, OnlineMonitor};
 use pwsr_core::op::Operation;
 use pwsr_core::schedule::Schedule;
 use pwsr_core::serializability::is_conflict_serializable_proj;
-use pwsr_core::value::Value;
-use pwsr_core::verify::verify;
-use pwsr_core::viewset::inclusion_holds_everywhere;
 
 proptest! {
-    /// The monitor's verdict equals batch recomputation at EVERY prefix;
-    /// its Lemma 2/6 certificates equal the inclusion sweeps under its
-    /// own maintained serialization orders, and every order it offers
-    /// passes the verifier. Half the cases are lane-partitioned
-    /// (`arb_lanes`). Counted over 3000 cases at the default seed: 26 %
-    /// never leave the disjoint phase, where serializability is read
-    /// off the conjunct graphs; the rest build the global graph at
-    /// their first spanning push.
+    /// The single writer's verdict equals batch recomputation at EVERY
+    /// prefix; its certificates equal the inclusion sweeps, under the
+    /// batch decider's orders and under its own; every order it
+    /// offers, the global one too, passes the verifier. Half the cases
+    /// are lane-partitioned (`arb_workload`). Counted over 3000 cases
+    /// at the default seed: 25 % never leave the disjoint phase, where
+    /// serializability is read off the conjunct graphs; the rest build
+    /// the global graph at their first spanning push.
     #[test]
     fn verdicts_match_batch_at_every_prefix(
-        txns in arb_transactions(3, MAX_ITEMS),
-        lanes in arb_lanes(3),
-        use_lanes in any::<bool>(),
+        workload in arb_workload(3),
         mix in proptest::collection::vec(any::<u8>(), 0..64),
-        d1_bits in 0u32..64,
-        d2_bits in 0u32..64,
     ) {
-        let (scopes, txns) = match use_lanes {
-            true => lanes,
-            false => (scopes_from_bits(d1_bits, d2_bits), txns),
-        };
-        let ops = interleave_random(&txns, &mix);
-        let schedule = Schedule::new(ops.clone()).expect("valid interleaving");
-        let verdicts = batch_verdicts(&schedule, &scopes);
-        let mut monitor = OnlineMonitor::new(scopes.clone());
-        for k in 0..ops.len() {
-            let v = monitor.push(ops[k].clone()).expect("valid interleaving");
-            prop_assert_eq!(v, verdicts[k + 1], "prefix {}", k);
-            let prefix = Schedule::new(ops[..=k].to_vec()).expect("valid prefix");
-            for (e, d) in scopes.iter().enumerate() {
-                let order = monitor.conjunct_order(e);
-                prop_assert_eq!(
-                    order.is_some(),
-                    is_conflict_serializable_proj(&prefix, d),
-                    "scope {} serializability diverged at prefix {}", e, k
-                );
-                if let Some(order) = order {
-                    prop_assert_eq!(verify(&prefix, Some(d), &order), Ok(()), "scope {}", e);
-                    // The incremental Lemma 2/6 certificates equal the
-                    // full sweeps under the maintained order.
-                    prop_assert_eq!(
-                        inclusion_holds_everywhere(&prefix, d, &order, false),
-                        monitor.lemma2_holds(e),
-                        "Lemma 2 certificate diverged at prefix {}", k
-                    );
-                    prop_assert_eq!(
-                        inclusion_holds_everywhere(&prefix, d, &order, true),
-                        monitor.lemma6_holds(e),
-                        "Lemma 6 certificate diverged at prefix {}", k
-                    );
-                }
-            }
-            // The global order, read off the conjunct orders in the
-            // disjoint phase, is one of the whole prefix.
-            let order = monitor.serialization_order();
-            prop_assert_eq!(order.is_some(), v.serializable);
-            if let Some(order) = order {
-                prop_assert_eq!(verify(&prefix, None, &order), Ok(()), "global order");
-            }
-        }
+        check_pushes::<Single>(&workload, &mix, None, false)?;
     }
 
     /// The undo-log is exact: logged pushes truncated to any cut equal
@@ -93,14 +41,11 @@ proptest! {
     /// final state as never having truncated.
     #[test]
     fn undo_log_truncation_equals_fresh_replay(
-        txns in arb_transactions(3, MAX_ITEMS),
+        (scopes, txns) in arb_workload(3),
         mix in proptest::collection::vec(any::<u8>(), 0..48),
-        d1_bits in 0u32..64,
-        d2_bits in 0u32..64,
         cut_pick in any::<u16>(),
     ) {
         let ops = interleave_random(&txns, &mix);
-        let scopes = scopes_from_bits(d1_bits, d2_bits);
         let mut logged = OnlineMonitor::new(scopes.clone());
         for op in &ops {
             logged.push_logged(op.clone()).expect("valid interleaving");
@@ -108,13 +53,13 @@ proptest! {
         let full_verdict = logged.verdict();
         let cut = (cut_pick as usize) % (ops.len() + 1);
         prop_assert_eq!(logged.truncate_to(cut), ops.len() - cut);
-        let mut fresh = OnlineMonitor::new(scopes);
+        let mut fresh = OnlineMonitor::new(scopes.clone());
         for op in &ops[..cut] {
             fresh.push(op.clone()).expect("valid prefix");
         }
         prop_assert_eq!(logged.verdict(), fresh.verdict(), "cut {}", cut);
         prop_assert_eq!(logged.schedule(), fresh.schedule());
-        for k in 0..2 {
+        for k in 0..scopes.len() {
             prop_assert_eq!(logged.lemma2_holds(k), fresh.lemma2_holds(k));
             prop_assert_eq!(logged.lemma6_holds(k), fresh.lemma6_holds(k));
         }
@@ -127,113 +72,28 @@ proptest! {
         prop_assert!(logged.certify_prefix());
     }
 
-    /// **Twin harness**: every workload runs through a compacting
-    /// monitor and an uncompacted twin, compacting after a random
-    /// stride of completed transactions. At every push the verdict
-    /// (including Lemma 2/6 certificates) and every admission probe
-    /// must stay byte-identical, and summarized transactions must
-    /// reject further pushes. Half the workloads are lane-partitioned
-    /// (`arb_lanes`), so a sweep can summarize a prefix — a conjunct
+    /// **Twin harness**: a compacting single writer, logged or not,
+    /// sweeps after a random stride of completed transactions. Before
+    /// every push its admission probes are an uncompacted twin's, and
+    /// after it its verdict is the batch deciders'; after every sweep
+    /// its certificates and orders pass the oracles on what is left;
+    /// summarized transactions are refused every push and probe; and
+    /// it holds no more than the twin. Half the workloads are
+    /// lane-partitioned, so a sweep can summarize a prefix — a conjunct
     /// cycle in it, too — before the first spanning transaction builds
     /// the global graph.
     #[test]
     fn compaction_twin_parity_at_every_push(
-        txns in arb_transactions(4, MAX_ITEMS),
-        lanes in arb_lanes(4),
-        use_lanes in any::<bool>(),
+        workload in arb_workload(4),
         mix in proptest::collection::vec(any::<u8>(), 0..64),
-        d1_bits in 0u32..64,
-        d2_bits in 0u32..64,
         stride in 1usize..4,
         logged in any::<bool>(),
     ) {
-        let (scopes, txns) = match use_lanes {
-            true => lanes,
-            false => (scopes_from_bits(d1_bits, d2_bits), txns),
-        };
-        let ops = interleave_random(&txns, &mix);
-        let mut compacting = OnlineMonitor::new(scopes.clone());
-        let mut twin = OnlineMonitor::new(scopes.clone());
-        let mut remaining: std::collections::HashMap<TxnId, usize> =
-            txns.iter().map(|t| (t.id(), t.len())).collect();
-        let mut completed = 0usize;
-        for op in &ops {
-            let (a, b) = if logged {
-                (
-                    compacting.push_logged(op.clone()).expect("valid interleaving"),
-                    twin.push_logged(op.clone()).expect("valid interleaving"),
-                )
-            } else {
-                (
-                    compacting.push(op.clone()).expect("valid interleaving"),
-                    twin.push(op.clone()).expect("valid interleaving"),
-                )
-            };
-            prop_assert_eq!(a, b, "verdict diverged");
-            let left = remaining.get_mut(&op.txn).unwrap();
-            *left -= 1;
-            if *left == 0 {
-                compacting.finish_txn(op.txn);
-                completed += 1;
-                if completed.is_multiple_of(stride) {
-                    if logged {
-                        // A logged monitor's frontier is clamped to the
-                        // undo floor; raise it over the settled prefix
-                        // first (nothing live may abort in this run).
-                        let floor = compacting.len();
-                        compacting.checkpoint(floor);
-                        twin.checkpoint(floor);
-                    }
-                    compacting.compact();
-                    // The orders a sweep leaves are still serialization
-                    // orders of the live tail, and the certificates the
-                    // monitor still grants hold there under them. (Not
-                    // `certify_prefix`'s equality: a dirty read in the
-                    // summarized prefix withdrew Lemma 6 for good, which
-                    // the tail alone cannot show.)
-                    let tail = compacting.schedule();
-                    for (k, d) in scopes.iter().enumerate() {
-                        if let Some(order) = compacting.conjunct_order(k) {
-                            let verified = verify(tail, Some(d), &order);
-                            prop_assert_eq!(verified, Ok(()), "conjunct {} order {:?}", k, order);
-                            prop_assert!(inclusion_holds_everywhere(tail, d, &order, false));
-                            prop_assert!(
-                                !compacting.lemma6_holds(k)
-                                    || inclusion_holds_everywhere(tail, d, &order, true)
-                            );
-                        }
-                    }
-                }
-            }
-            // Probes agree after every push/compaction — except that a
-            // summarized transaction is flatly refused (its push would
-            // be rejected no matter what the graphs say).
-            for level in LEVELS {
-                let probe = compacting.admits(op.txn, op.item, op.is_write(), level);
-                if compacting.is_summarized(op.txn) {
-                    prop_assert!(!probe, "summarized transactions are never admitted");
-                } else {
-                    prop_assert_eq!(probe, twin.admits(op.txn, op.item, op.is_write(), level));
-                }
-            }
-        }
-        compacting.compact();
-        prop_assert_eq!(compacting.verdict(), twin.verdict());
-        for k in 0..scopes.len() {
-            prop_assert_eq!(compacting.lemma2_holds(k), twin.lemma2_holds(k));
-            prop_assert_eq!(compacting.lemma6_holds(k), twin.lemma6_holds(k));
-        }
+        let (compacting, twin) = check_pushes::<Single>(&workload, &mix, Some(stride), logged)?;
         prop_assert!(
-            compacting.resident_bytes_estimate() <= twin.resident_bytes_estimate()
-                || compacting.compactions() == 0
+            compacting.0.resident_bytes_estimate() <= twin.resident_bytes_estimate()
+                || compacting.0.compactions() == 0
         );
-        for t in &txns {
-            if compacting.is_summarized(t.id()) {
-                prop_assert!(compacting
-                    .push(Operation::write(t.id(), ItemId(MAX_ITEMS), Value::Int(0)))
-                    .is_err());
-            }
-        }
     }
 
     /// Admission is exact: an operation is rejected at level Pwsr iff
@@ -242,13 +102,10 @@ proptest! {
     /// through the batch checkers.
     #[test]
     fn pwsr_admission_is_exact(
-        txns in arb_transactions(3, MAX_ITEMS),
+        (scopes, txns) in arb_workload(3),
         mix in proptest::collection::vec(any::<u8>(), 0..48),
-        d1_bits in 0u32..64,
-        d2_bits in 0u32..64,
     ) {
         let ops = interleave_random(&txns, &mix);
-        let scopes = scopes_from_bits(d1_bits, d2_bits);
         let mut monitor = OnlineMonitor::new(scopes.clone());
         let mut accepted: Vec<Operation> = Vec::new();
         for op in ops {

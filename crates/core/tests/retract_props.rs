@@ -28,7 +28,7 @@
 
 mod common;
 
-use common::{arb_lanes, arb_transactions, push_told, MAX_ITEMS};
+use common::{arb_lanes, arb_transactions, LEVELS, MAX_ITEMS};
 use parking_lot::Mutex;
 use proptest::prelude::*;
 use pwsr_core::ids::{ItemId, TxnId};
@@ -164,14 +164,17 @@ impl Run<'_> {
         Some(op)
     }
 
-    /// Push `k`'s next operation through both drivers; both must say
-    /// the same about whether it would have been admitted.
+    /// Push `k`'s next operation through both drivers; at every level
+    /// the pipeline's breach flag must be the single writer's refusal.
     fn push(&mut self, k: usize) -> Result<(), TestCaseError> {
         let op = self.next_op(k).expect("chosen because it can push").clone();
-        let refused = !self
-            .single
-            .admits(op.txn, op.item, op.is_write(), self.level);
-        push_told(&self.sharded, &self.single, &op)?;
+        let refused = |l| !self.single.admits(op.txn, op.item, op.is_write(), l);
+        let outcome = self.sharded.push_outcome(op.clone()).expect("§2.2-valid");
+        for level in LEVELS {
+            let (told, refused) = (outcome.breaches(level), refused(level));
+            prop_assert_eq!(told, refused, "{:?} at {:?}: {:?}", op, level, outcome);
+        }
+        let refused = refused(self.level);
         self.single.push_logged(op.clone()).expect("§2.2-valid");
         if refused {
             self.told.push(op.txn);
@@ -307,11 +310,7 @@ proptest! {
             false => (scopes_from_assignment(n_scopes, &assign), all_txns),
         };
         let txns = &all_txns[..n_txns];
-        for level in [
-            AdmissionLevel::Serializable,
-            AdmissionLevel::Pwsr,
-            AdmissionLevel::PwsrDr,
-        ] {
+        for level in LEVELS {
             let (sharded_heard, single_heard) = (Recorder::default(), Recorder::default());
             let mut run = Run {
                 txns,

@@ -1,132 +1,58 @@
 //! Sequential and real-thread properties for the sharded concurrent
-//! monitor, held by `common::check_against_oracles` to oracles that
-//! share no code with the certifier: the batch deciders and the order
-//! verifier. Each push's flags are held to the single writer's
-//! `admits` on the prefix before it, never to the other driver's
-//! state. Its turnstiles and concurrent retractions are the pipeline
-//! explorer's (`monitor::sharded::explore`). What stays here on real
-//! OS threads is what only they show: the memory ordering of the floor
+//! monitor, held to oracles that share no code with the certifier: the
+//! batch deciders and the order verifier, and for each push's flags
+//! the single writer's `admits` on the prefix before it — never the
+//! other driver's state. The prefix and compaction properties are
+//! `common::check_pushes`, which `monitor_props` runs on the single
+//! writer; the rest go through `common::check_against_oracles`.
+//! Turnstiles and concurrent retractions are the pipeline explorer's
+//! (`monitor::sharded::explore`). What stays here on real OS threads
+//! is what only they show: the memory ordering of the floor
 //! publication and of the §2.2 totals stripes, on the stream shape.
 
 mod common;
 
 use common::{
-    arb_lanes, arb_transactions, batch_verdicts, check_against_oracles, check_lemmas_and_orders,
-    interleave_random, interleaved_runs, push_told, scopes_from_bits, Trail, MAX_ITEMS,
+    arb_workload, batch_verdicts, check_against_oracles, check_pushes, interleaved_runs, Trail,
 };
 use proptest::prelude::*;
 use pwsr_core::ids::{ItemId, TxnId};
 use pwsr_core::monitor::sharded::ShardedMonitor;
-use pwsr_core::monitor::{OnlineMonitor, VerdictLevel};
+use pwsr_core::monitor::VerdictLevel;
 use pwsr_core::op::Operation;
 use pwsr_core::schedule::Schedule;
 use pwsr_core::state::ItemSet;
 use pwsr_core::value::Value;
 
 proptest! {
-    /// Sequential pushes: at EVERY prefix the verdict is what the batch
-    /// deciders give it, the lock-free floor is that verdict's level,
-    /// the certificates are the batch sweeps' and each conjunct order
-    /// passes the verifier; each push's flags are what the single
-    /// writer refuses. Half the cases are lane-partitioned
-    /// (`arb_lanes`).
+    /// Sequential pushes: at EVERY prefix the pipeline's verdict is
+    /// the batch deciders', each push's whole `PushOutcome` is what the
+    /// single writer's probes and the batch deciders give it, and its
+    /// certificates and orders pass the oracles
+    /// (`common::check_pushes`).
     #[test]
     fn sequential_pushes_match_at_every_prefix(
-        txns in arb_transactions(3, MAX_ITEMS),
-        lanes in arb_lanes(3),
-        use_lanes in any::<bool>(),
+        workload in arb_workload(3),
         mix in proptest::collection::vec(any::<u8>(), 0..64),
-        d1_bits in 0u32..64,
-        d2_bits in 0u32..64,
     ) {
-        let (scopes, txns) = match use_lanes {
-            true => lanes,
-            false => (scopes_from_bits(d1_bits, d2_bits), txns),
-        };
-        let ops = interleave_random(&txns, &mix);
-        let schedule = Schedule::new(ops.clone()).expect("valid interleaving");
-        let verdicts = batch_verdicts(&schedule, &scopes);
-        let sharded = ShardedMonitor::new(scopes.clone());
-        let mut single = OnlineMonitor::new(scopes.clone());
-        for k in 0..ops.len() {
-            push_told(&sharded, &single, &ops[k])?;
-            single.push(ops[k].clone()).expect("valid interleaving");
-            prop_assert_eq!(sharded.verdict(), verdicts[k + 1], "prefix {}", k);
-            prop_assert_eq!(sharded.floor(), verdicts[k + 1].level, "lock-free floor");
-            let prefix = Schedule::new(ops[..=k].to_vec()).expect("valid prefix");
-            check_lemmas_and_orders(&prefix, &scopes, &sharded)?;
-        }
+        check_pushes::<ShardedMonitor>(&workload, &mix, None, false)?;
     }
 
     /// Compaction: a compacting pipeline, logged or not, sweeps after a
-    /// random stride of completed transactions. At every push its
-    /// verdict is the batch deciders' and its flags are what an
-    /// uncompacted single writer refuses; after every sweep its
-    /// certificates are the batch sweeps' over everything pushed and
-    /// its orders pass the verifier on the live tail; summarized
-    /// transactions are sealed off. Half the workloads are lane-partitioned, so a
-    /// sweep can summarize a conjunct cycle before the first spanning
-    /// transaction builds the global graph.
+    /// random stride of completed transactions, held to the same
+    /// oracles at every push and after every sweep; summarized
+    /// transactions are refused pushes, batch pushes and retractions
+    /// (`common::check_pushes`). Half the workloads are
+    /// lane-partitioned, so a sweep can summarize a conjunct cycle
+    /// before the first spanning transaction builds the global graph.
     #[test]
     fn sharded_compaction_twin_parity(
-        txns in arb_transactions(4, MAX_ITEMS),
-        lanes in arb_lanes(4),
-        use_lanes in any::<bool>(),
+        workload in arb_workload(5),
         mix in proptest::collection::vec(any::<u8>(), 0..64),
-        d1_bits in 0u32..64,
-        d2_bits in 0u32..64,
         stride in 1usize..4,
         logged in any::<bool>(),
     ) {
-        let (scopes, txns) = match use_lanes {
-            true => lanes,
-            false => (scopes_from_bits(d1_bits, d2_bits), txns),
-        };
-        let ops = interleave_random(&txns, &mix);
-        let schedule = Schedule::new(ops.clone()).expect("valid interleaving");
-        let verdicts = batch_verdicts(&schedule, &scopes);
-        let compacting = match logged {
-            true => ShardedMonitor::new_logged(scopes.clone()),
-            false => ShardedMonitor::new(scopes.clone()),
-        };
-        let mut twin = OnlineMonitor::new(scopes.clone());
-        // Count down each transaction's remaining ops so we can mark
-        // it finished at its last push.
-        let mut remaining: std::collections::HashMap<TxnId, usize> =
-            txns.iter().map(|t| (t.id(), t.len())).collect();
-        let mut completed = 0usize;
-        for (p, op) in ops.iter().enumerate() {
-            push_told(&compacting, &twin, op)?;
-            twin.push(op.clone()).expect("valid interleaving");
-            prop_assert_eq!(compacting.verdict(), verdicts[p + 1], "verdict at {}", p);
-            let left = remaining.get_mut(&op.txn).unwrap();
-            *left -= 1;
-            if *left == 0 {
-                compacting.finish_txn(op.txn);
-                completed += 1;
-                if completed.is_multiple_of(stride) {
-                    if logged {
-                        // Raise the undo floor over the settled prefix
-                        // (nothing live may abort in this run).
-                        compacting.checkpoint([]);
-                    }
-                    compacting.compact();
-                    let pushed = Schedule::new(ops[..=p].to_vec()).expect("valid prefix");
-                    check_lemmas_and_orders(&pushed, &scopes, &compacting)?;
-                }
-            }
-        }
-        compacting.compact();
-        check_lemmas_and_orders(&schedule, &scopes, &compacting)?;
-        // Summarized transactions are sealed off.
-        for t in &txns {
-            if compacting.is_summarized(t.id()) {
-                let op = Operation::write(t.id(), ItemId(MAX_ITEMS), Value::Int(0));
-                prop_assert!(compacting.push(op.clone()).is_err());
-                prop_assert!(compacting.push_batch(&[op]).is_err());
-                prop_assert!(compacting.retract_txn(t.id()).is_err());
-            }
-        }
+        check_pushes::<ShardedMonitor>(&workload, &mix, Some(stride), logged)?;
     }
 
     /// Sequential truncation: push everything logged, as `push_batch`
@@ -136,17 +62,14 @@ proptest! {
     /// schedule it holds, as if the truncated suffix never was.
     #[test]
     fn sequential_truncate_matches_fresh_replay(
-        txns in arb_transactions(3, MAX_ITEMS),
+        (scopes, txns) in arb_workload(3),
         sizes in proptest::collection::vec(any::<u8>(), 0..32),
         mix in proptest::collection::vec(any::<u8>(), 0..32),
-        d1_bits in 0u32..64,
-        d2_bits in 0u32..64,
         cut_pct in 0usize..=100,
     ) {
         let runs = interleaved_runs(&txns, &sizes, &mix);
         let schedule = Schedule::new(runs.concat()).expect("valid interleaving");
         let ops = schedule.ops();
-        let scopes = scopes_from_bits(d1_bits, d2_bits);
         let sharded = ShardedMonitor::new_logged(scopes.clone());
         for run in &runs {
             sharded.push_batch(run).expect("valid interleaving");
