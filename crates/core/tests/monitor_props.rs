@@ -20,9 +20,9 @@ use pwsr_core::serializability::is_conflict_serializable_proj;
 
 proptest! {
     /// The single writer's verdict equals batch recomputation at EVERY
-    /// prefix; its certificates equal the inclusion sweeps, under the
-    /// batch decider's orders and under its own; every order it
-    /// offers, the global one too, passes the verifier. Half the cases
+    /// prefix; each conjunct's certificates equal the inclusion sweeps
+    /// under the order it offers; every order it offers, the global one
+    /// too, passes the verifier. Half the cases
     /// are lane-partitioned (`arb_workload`). Counted over 3000 cases
     /// at the default seed: 25 % never leave the disjoint phase, where
     /// serializability is read off the conjunct graphs; the rest build
