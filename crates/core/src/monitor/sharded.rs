@@ -1421,34 +1421,6 @@ mod tests {
         ]
     }
 
-    /// Sequential pushes: the sharded verdict equals the single-writer
-    /// verdict at every prefix (same interleaving by construction) —
-    /// with and without logging.
-    #[test]
-    fn sequential_parity_at_every_prefix() {
-        for logged in [false, true] {
-            for ops in [
-                example2_ops(),
-                vec![wr(1, 0, 1), rd(2, 0, 1), wr(2, 1, 2), rd(1, 1, 2)],
-                vec![wr(1, 0, 1), rd(1, 2, 1), rd(2, 0, 1), wr(2, 2, 2)],
-            ] {
-                let sharded = if logged {
-                    ShardedMonitor::new_logged(example2_scopes())
-                } else {
-                    ShardedMonitor::new(example2_scopes())
-                };
-                let mut single = OnlineMonitor::new(example2_scopes());
-                for op in ops {
-                    let floor = sharded.push(op.clone()).unwrap();
-                    let v = single.push(op).unwrap();
-                    assert_eq!(sharded.verdict(), v);
-                    // The floor is sound: never better than the truth.
-                    assert!(floor >= v.level);
-                }
-            }
-        }
-    }
-
     #[test]
     fn sharded_rejects_malformed_transactions_untouched() {
         let m = ShardedMonitor::new(example2_scopes());
@@ -1485,51 +1457,6 @@ mod tests {
         assert!(v.dr && v.lemma2_certified && v.lemma6_certified);
         assert!(m.lemma2_holds(0) && m.lemma6_holds(1));
         assert!(m.snapshot_schedule().is_empty());
-    }
-
-    /// Push every op logged, truncate back to every length, and check
-    /// the monitor equals a fresh single-writer replay of the
-    /// shortened prefix — verdict, certificates, and future behaviour.
-    #[test]
-    fn truncate_to_equals_fresh_replay() {
-        let runs = [
-            example2_ops(),
-            vec![wr(1, 0, 1), rd(2, 0, 1), wr(2, 1, 2), rd(1, 1, 2)],
-            vec![
-                wr(1, 1, 1),
-                wr(2, 1, 2),
-                rd(2, 0, 0),
-                rd(3, 1, 2),
-                rd(1, 0, 0),
-            ],
-        ];
-        for ops in runs {
-            for cut in 0..=ops.len() {
-                let m = ShardedMonitor::new_logged(example2_scopes());
-                for op in &ops {
-                    m.push(op.clone()).unwrap();
-                }
-                assert_eq!(m.truncate_to(cut), ops.len() - cut);
-                let mut fresh = OnlineMonitor::new(example2_scopes());
-                for op in &ops[..cut] {
-                    fresh.push(op.clone()).unwrap();
-                }
-                assert_eq!(m.verdict(), fresh.verdict(), "cut {cut}");
-                assert_eq!(m.snapshot_schedule(), *fresh.schedule());
-                for k in 0..2 {
-                    assert_eq!(m.lemma2_holds(k), fresh.lemma2_holds(k));
-                    assert_eq!(m.lemma6_holds(k), fresh.lemma6_holds(k));
-                }
-                // The truncated monitor keeps working: floor resets
-                // and further pushes agree with the fresh monitor.
-                assert_eq!(m.floor(), fresh.verdict().level);
-                for op in &ops[cut..] {
-                    m.push(op.clone()).unwrap();
-                    fresh.push(op.clone()).unwrap();
-                }
-                assert_eq!(m.verdict(), fresh.verdict());
-            }
-        }
     }
 
     /// Aborting a transaction removes exactly its operations; the

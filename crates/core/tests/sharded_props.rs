@@ -57,9 +57,10 @@ proptest! {
 
     /// Sequential truncation: push everything logged, as `push_batch`
     /// runs cut from the transactions, truncate to a random cut (which
-    /// may split a run), keep pushing — at the cut and at the end the
-    /// sharded monitor reports what the batch deciders give the
-    /// schedule it holds, as if the truncated suffix never was.
+    /// may split a run), keep pushing — at the cut the monitor holds
+    /// the prefix and reports, verdict and lock-free floor, what the
+    /// batch deciders give it, and at the end it passes the oracles,
+    /// as if the truncated suffix never was.
     #[test]
     fn sequential_truncate_matches_fresh_replay(
         (scopes, txns) in arb_workload(3),
@@ -78,6 +79,9 @@ proptest! {
         prop_assert_eq!(sharded.truncate_to(cut), ops.len() - cut);
         let want = batch_verdicts(&schedule, &scopes)[cut];
         prop_assert_eq!(sharded.verdict(), want, "post-cut verdict");
+        prop_assert_eq!(sharded.floor(), want.level, "post-cut floor");
+        let held = sharded.snapshot_schedule();
+        prop_assert_eq!(held.ops(), &ops[..cut], "post-cut schedule");
         // The truncated monitor keeps certifying: replay the suffix.
         for op in &ops[cut..] {
             sharded.push(op.clone()).expect("valid");

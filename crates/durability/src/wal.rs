@@ -31,6 +31,12 @@
 //! Value encoding: tag `u8` — 0 = `Int` + `i64` LE, 1 = `Bool` + `u8`,
 //! 2 = `Str` + `u32` LE byte length + UTF-8 bytes.
 //!
+//! A [`Wal`] frames every append straight from the caller's record or
+//! operations into one buffer it keeps: the header's room first, then
+//! the payload, then the length and checksum over that room. After
+//! warm-up an append allocates nothing. [`WalRecord::encode_frame`]
+//! runs the same framing into a fresh buffer.
+//!
 //! # Where the fsync runs
 //!
 //! [`SyncPolicy::PerRecord`] and every explicit [`Wal::sync`] call
@@ -165,22 +171,42 @@ fn decode_op(body: &[u8]) -> Option<(Operation, usize)> {
     ))
 }
 
+/// Frame the payload `encode` writes: clear `buf`, reserve the
+/// `[len][crc]` header, let `encode` append the payload behind it, and
+/// write the header over the reservation. The one framing routine: a
+/// [`Wal`] frames every append into the buffer it keeps, and
+/// [`WalRecord::encode_frame`] into a fresh one.
+fn frame_into(buf: &mut Vec<u8>, encode: impl FnOnce(&mut Vec<u8>)) {
+    buf.clear();
+    buf.extend_from_slice(&[0; FRAME_HEADER]);
+    encode(buf);
+    let (header, payload) = buf.split_at_mut(FRAME_HEADER);
+    header[..4].copy_from_slice(&(payload.len() as u32).to_le_bytes());
+    header[4..].copy_from_slice(&crc32(payload).to_le_bytes());
+}
+
+/// The payload of a [`WalRecord::Op`] holding `op`.
+fn op_payload(buf: &mut Vec<u8>, op: &Operation) {
+    buf.push(TAG_OP);
+    encode_op_into(buf, op);
+}
+
+/// The payload of a [`WalRecord::OpBatch`] holding `ops`. Op bodies
+/// are self-delimiting, so the batch needs no count prefix — decode
+/// consumes bodies to exhaustion.
+fn batch_payload(buf: &mut Vec<u8>, ops: &[Operation]) {
+    buf.push(TAG_OP_BATCH);
+    for op in ops {
+        encode_op_into(buf, op);
+    }
+}
+
 impl WalRecord {
     /// Encode this record's payload (tag + body) into `buf`.
-    pub fn encode_payload_into(&self, buf: &mut Vec<u8>) {
+    fn encode_payload_into(&self, buf: &mut Vec<u8>) {
         match self {
-            WalRecord::Op(op) => {
-                buf.push(TAG_OP);
-                encode_op_into(buf, op);
-            }
-            WalRecord::OpBatch(ops) => {
-                // Op bodies are self-delimiting, so the batch needs no
-                // count prefix — decode consumes bodies to exhaustion.
-                buf.push(TAG_OP_BATCH);
-                for op in ops {
-                    encode_op_into(buf, op);
-                }
-            }
+            WalRecord::Op(op) => op_payload(buf, op),
+            WalRecord::OpBatch(ops) => batch_payload(buf, ops),
             WalRecord::Truncate(n) => {
                 buf.push(TAG_TRUNCATE);
                 buf.extend_from_slice(&n.to_le_bytes());
@@ -193,14 +219,11 @@ impl WalRecord {
         }
     }
 
-    /// Encode this record as a complete checksummed frame.
+    /// Encode this record as a complete checksummed frame, in a fresh
+    /// buffer: the bytes [`Wal::append`] writes for it.
     pub fn encode_frame(&self) -> Vec<u8> {
-        let mut payload = Vec::with_capacity(32);
-        self.encode_payload_into(&mut payload);
-        let mut frame = Vec::with_capacity(FRAME_HEADER + payload.len());
-        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        frame.extend_from_slice(&crc32(&payload).to_le_bytes());
-        frame.extend_from_slice(&payload);
+        let mut frame = Vec::new();
+        frame_into(&mut frame, |buf| self.encode_payload_into(buf));
         frame
     }
 
@@ -587,6 +610,9 @@ pub struct Wal {
     deferred: Option<std::io::Error>,
     /// Started at the first `Batched` hand-off on a file sink.
     syncer: Option<Syncer>,
+    /// The frame of the latest append, kept so that framing allocates
+    /// nothing once the buffer has grown to the largest record.
+    frame: Vec<u8>,
 }
 
 impl Wal {
@@ -603,6 +629,7 @@ impl Wal {
             degraded_prefix: None,
             deferred: None,
             syncer: None,
+            frame: Vec::new(),
         }
     }
 
@@ -632,14 +659,28 @@ impl Wal {
 
     /// Append one record, applying the sync policy.
     pub fn append(&mut self, record: &WalRecord) {
-        let frame = record.encode_frame();
-        if !self.io(WalSite::Append, &frame) {
+        self.append_with(|buf| record.encode_payload_into(buf));
+    }
+
+    /// Append the record whose payload `encode` writes, framed in the
+    /// buffer this WAL keeps, and apply the sync policy. Returns
+    /// whether the record landed (it is dropped, and counted, under a
+    /// sticky I/O error).
+    fn append_with(&mut self, encode: impl FnOnce(&mut Vec<u8>)) -> bool {
+        // Taken out for the I/O step, which borrows the whole WAL, and
+        // put back with its capacity.
+        let mut frame = std::mem::take(&mut self.frame);
+        frame_into(&mut frame, encode);
+        let landed = self.io(WalSite::Append, &frame);
+        let len = frame.len() as u64;
+        self.frame = frame;
+        if !landed {
             self.stats.dropped_records += 1;
-            return;
+            return false;
         }
         self.stats.appends += 1;
-        self.stats.bytes += frame.len() as u64;
-        self.good_len += frame.len() as u64;
+        self.stats.bytes += len;
+        self.good_len += len;
         self.pending += 1;
         match self.policy {
             SyncPolicy::PerRecord => self.sync(),
@@ -650,6 +691,7 @@ impl Wal {
             }
             SyncPolicy::Off => {}
         }
+        true
     }
 
     /// A `Batched` due point: consult the fault plane and flush here,
@@ -678,10 +720,9 @@ impl Wal {
         self.pending = 0;
     }
 
-    /// Append an operation record without constructing a `WalRecord`.
+    /// Append `op` as a [`WalRecord::Op`] record.
     pub fn append_op(&mut self, op: &Operation) {
-        // Cheap: `Operation` is a few words plus an `Arc<str>` bump.
-        self.append(&WalRecord::Op(op.clone()));
+        self.append_with(|buf| op_payload(buf, op));
     }
 
     /// Append a contiguous batch of operations as one framed
@@ -694,9 +735,7 @@ impl Wal {
         if ops.is_empty() {
             return;
         }
-        let before = self.stats.appends;
-        self.append(&WalRecord::OpBatch(ops.to_vec()));
-        if self.stats.appends > before {
+        if self.append_with(|buf| batch_payload(buf, ops)) {
             self.stats.batch_pushes += 1;
             self.stats.batched_ops += ops.len() as u64;
             self.stats.max_batch = self.stats.max_batch.max(ops.len() as u64);

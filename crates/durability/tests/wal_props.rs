@@ -9,6 +9,10 @@
 //! the **live** monitor's state hash and verdict after every journal
 //! record, and recovery at a k-record prefix must reproduce
 //! snapshot `k` exactly.
+//!
+//! The round trip also pins the frame bytes: whichever call appends a
+//! record — `Wal::append`, `append_batch` or `append_op` — the sink
+//! holds exactly what `WalRecord::encode_frame` gives for it.
 
 use proptest::prelude::*;
 use pwsr_core::ids::{ItemId, TxnId};
@@ -19,9 +23,10 @@ use pwsr_core::state::ItemSet;
 use pwsr_core::value::Value;
 use pwsr_durability::checkpoint::{state_hash, StateHash};
 use pwsr_durability::recover::recover;
-use pwsr_durability::wal::{scan, SharedWal, SyncPolicy, WalRecord};
+use pwsr_durability::wal::{scan, SharedWal, SyncPolicy, Wal, WalRecord};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::sync::Arc;
 
 const N_ITEMS: u32 = 6;
 const N_TXNS: u32 = 6;
@@ -151,6 +156,29 @@ fn build_session(seed: u64, steps: usize) -> Session {
     }
 }
 
+/// A value of each kind; strings run past ASCII, so some characters
+/// take two bytes.
+fn arb_value() -> impl Strategy<Value = Value> {
+    prop_oneof![
+        any::<i64>().prop_map(Value::Int),
+        any::<bool>().prop_map(Value::Bool),
+        proptest::collection::vec(any::<u8>(), 0..12)
+            .prop_map(|b| Value::Str(Arc::from(b.into_iter().map(char::from).collect::<String>()))),
+    ]
+}
+
+/// Runs of one to five operations, as one batch admission journals.
+fn arb_runs() -> impl Strategy<Value = Vec<Vec<Operation>>> {
+    let op = (1..=N_TXNS, 0..N_ITEMS, any::<bool>(), arb_value()).prop_map(|(t, i, w, v)| {
+        let (txn, item) = (TxnId(t), ItemId(i));
+        match w {
+            true => Operation::write(txn, item, v),
+            false => Operation::read(txn, item, v),
+        }
+    });
+    proptest::collection::vec(proptest::collection::vec(op, 1..6), 0..6)
+}
+
 /// Recovery at `bytes` must yield exactly `k` records and reproduce
 /// snapshot `k`.
 fn assert_recovers_prefix(s: &Session, bytes: &[u8], k: usize, ctx: &str) {
@@ -172,14 +200,32 @@ fn assert_recovers_prefix(s: &Session, bytes: &[u8], k: usize, ctx: &str) {
 }
 
 proptest! {
-    /// A clean log replays completely and byte-identically.
+    /// A clean log replays completely and byte-identically, and every
+    /// append call frames a record as `encode_frame` does: each of the
+    /// session's records through `Wal::append`, then each run through
+    /// `append_batch` and each of its operations through `append_op`.
     #[test]
-    fn clean_log_recovers_exactly(seed in 0u64..1_000_000, steps in 10usize..80) {
+    fn clean_log_recovers_exactly(seed in 0u64..1_000_000, steps in 10usize..80, runs in arb_runs()) {
         let s = build_session(seed, steps);
         let scanned = scan(&s.bytes);
         prop_assert_eq!(&scanned.records, &s.records);
         prop_assert_eq!(scanned.corruption, None);
         assert_recovers_prefix(&s, &s.bytes, s.records.len(), "clean");
+        let mut wal = Wal::in_memory(SyncPolicy::Off);
+        let mut framed = Vec::new();
+        for record in &s.records {
+            wal.append(record);
+            framed.extend(record.encode_frame());
+        }
+        for run in &runs {
+            wal.append_batch(run);
+            framed.extend(WalRecord::OpBatch(run.clone()).encode_frame());
+            for op in run {
+                wal.append_op(op);
+                framed.extend(WalRecord::Op(op.clone()).encode_frame());
+            }
+        }
+        prop_assert_eq!(wal.dump_bytes().unwrap(), framed);
     }
 
     /// Truncating the log at ANY byte recovers exactly the records

@@ -339,7 +339,9 @@ impl StripeCell {
     /// waiters parked on the stripe if it did: the one way a mark is
     /// cleared, so no site can forget the wake-up. A stripe that lost
     /// no mark has nobody to wake, which spares the sweep's scan of
-    /// every stripe a broadcast per stripe.
+    /// every stripe a broadcast per stripe. A broadcast with nobody
+    /// parked returns at once (the condvar counts its waiters), so
+    /// the commit path pays for a wake-up only when a waiter is there.
     fn clear_marks(&self, clear: impl FnOnce(&mut Stripe) -> bool) {
         if clear(&mut self.state.lock()) {
             self.cv.notify_all();
