@@ -604,15 +604,10 @@ fn leg_rotate(
     }
 }
 
-/// The OCC tuning the chaos legs share: aggressive parking so dirty
-/// waits exercise the condvar path, plus whatever deadline/faults the
+/// The OCC tuning the chaos legs share: the deadline and faults the
 /// leg supplies.
 fn occ_tuning(deadline_us: u64, faults: FaultHandle) -> OccTuning {
     OccTuning {
-        dirty_spin: 4,
-        park_budget: 4096,
-        park_timeout_us: 200,
-        backoff_cap: 8,
         txn_deadline_us: deadline_us,
         faults: Some(faults),
     }

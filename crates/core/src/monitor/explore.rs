@@ -1,5 +1,6 @@
 //! The **pipeline explorer**: the real [`ShardedMonitor`] entry points
-//! on real threads, only one of them running at a time.
+//! on real threads, only one of them running at a time, under the
+//! hand-over driver of `pwsr_turns`.
 //!
 //! A worker runs until the pipeline could block or race — before a
 //! ranked lock, at a turnstile that does not serve its ticket yet, right
@@ -8,11 +9,11 @@
 //! in a window, waiting for a lock no other worker holds, or at a
 //! turnstile that now serves their ticket. None runnable while one is
 //! unfinished is a **deadlock**; a worker's panic (the debug lock-rank
-//! asserts included) ends the run too. One runnable thread at a time
-//! makes a run as deterministic as one thread would, and what runs is
-//! the pipeline's own claim-and-serve control flow, not a driver's copy
-//! of it. A failure lists every step, with the seed or the
-//! [`Explore::path`] that reproduces it.
+//! asserts included) ends the run too. What runs is the pipeline's own
+//! claim-and-serve control flow, not a driver's copy of it. This module
+//! names the pipeline's hand-over points and its oracles; a failure
+//! lists every step, with the pick list, seed or [`Explore::path`] that
+//! reproduces it.
 
 use super::tests::{example2_scopes, rd, wr};
 use super::{PushOutcome, ShardedMonitor, RANK_GLOBAL, RANK_SEQ};
@@ -24,20 +25,17 @@ use crate::schedule::Schedule;
 use crate::state::ItemSet;
 use crate::txn::Transaction;
 use common::{arb_transactions, check_against_oracles, scopes_from_bits, Trail, MAX_ITEMS};
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
+use proptest::collection::vec;
 use proptest::prelude::*;
-use std::cell::RefCell;
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU32, Ordering};
-use std::sync::Arc;
 
 #[path = "../../tests/common/mod.rs"]
 mod common;
 
-/// Where a parked worker waits.
+/// Where a worker of the pipeline hands over.
 #[derive(Clone, Copy)]
-enum Wait {
-    Start,
+enum Site {
     /// Before taking the ranked lock of this rank.
     Lock(u32),
     /// At a turnstile (its address, only compared) not yet serving
@@ -45,89 +43,27 @@ enum Wait {
     Turn(usize, u32),
     /// Right after releasing the global turnstile (`None`) or shard k's.
     Released(Option<u32>),
-    Done,
-}
-
-#[derive(Default)]
-struct State {
-    /// Per worker: where it is parked; `None` while it runs.
-    at: Vec<Option<Wait>>,
-    running: Option<usize>,
-    /// `(rank, worker)` per ranked lock a worker holds.
-    held: Vec<(u32, usize)>,
-    /// The run is over: parked workers unwind.
-    abort: bool,
-    panic: Option<String>,
-}
-
-struct Ctl {
-    state: Mutex<State>,
-    /// The driver waits here for the running worker to park.
-    driver: Condvar,
-    /// Worker `w` waits on `wake[w]` to be picked.
-    wake: Vec<Condvar>,
-}
-
-/// What a parked worker unwinds with once the run is over.
-struct Aborted;
-
-/// Ends the run when the driver returns or panics.
-struct AbortOnDrop<'a>(&'a Ctl);
-
-impl Drop for AbortOnDrop<'_> {
-    fn drop(&mut self) {
-        self.0.state.lock().abort = true;
-        self.0.wake.iter().for_each(Condvar::notify_one);
-    }
-}
-
-thread_local! {
-    /// The run this thread works for, and its index there; unset on
-    /// every other thread, where the hooks do nothing.
-    static WORKER: RefCell<Option<(Arc<Ctl>, usize)>> = const { RefCell::new(None) };
-}
-
-fn with_worker(f: impl FnOnce(&Ctl, usize)) {
-    if let Some((ctl, me)) = WORKER.with(|w| w.borrow().clone()) {
-        f(&ctl, me);
-    }
-}
-
-/// Hand control to the driver and wait to be picked.
-fn park(wait: Wait) {
-    with_worker(|ctl, me| {
-        let mut st = ctl.state.lock();
-        (st.at[me], st.running) = (Some(wait), None);
-        ctl.driver.notify_one();
-        while st.running != Some(me) && !st.abort {
-            st = ctl.wake[me].wait(st);
-        }
-        if st.abort {
-            drop(st);
-            resume_unwind(Box::new(Aborted));
-        }
-    });
 }
 
 /// Hook: before taking the ranked lock of `rank`.
 pub(super) fn lock(rank: u32) {
-    park(Wait::Lock(rank));
+    pwsr_turns::lock(rank.into(), Site::Lock(rank));
 }
 
 /// Hook: the ranked lock of `rank` was released (no hand-over).
 pub(super) fn unlock(rank: u32) {
-    with_worker(|ctl, me| ctl.state.lock().held.retain(|&h| h != (rank, me)));
+    pwsr_turns::unlock(rank.into());
 }
 
 /// Hook: `serving` does not serve `ticket` yet.
 pub(super) fn turn(serving: &AtomicU32, ticket: u32) {
-    park(Wait::Turn(serving as *const AtomicU32 as usize, ticket));
+    pwsr_turns::park(Site::Turn(serving as *const AtomicU32 as usize, ticket));
 }
 
 /// Hook: right after the release of the global turnstile (`None`) or
 /// of shard `k`'s.
 pub(super) fn released(shard: Option<u32>) {
-    park(Wait::Released(shard));
+    pwsr_turns::park(Site::Released(shard));
 }
 
 /// The turnstiles of `m` and their names: global, each shard's, and
@@ -140,16 +76,14 @@ fn turnstiles(m: &ShardedMonitor) -> impl Iterator<Item = (&AtomicU32, String)> 
     std::iter::once(global).chain(shards).chain([inflight])
 }
 
-fn describe(m: &ShardedMonitor, wait: Wait) -> String {
-    match wait {
-        Wait::Start => "start".into(),
-        Wait::Lock(RANK_SEQ) => "lock sequence".into(),
-        Wait::Lock(RANK_GLOBAL) => "lock global".into(),
-        Wait::Lock(rank) => format!("lock shard {}", rank - RANK_GLOBAL - 1),
-        Wait::Turn(at, ticket) => format!("turn {} #{ticket}", turnstile(m, at).1),
-        Wait::Released(None) => "after global turn".into(),
-        Wait::Released(Some(k)) => format!("after shard {k} turn"),
-        Wait::Done => unreachable!("a finished worker is neither blocked nor picked"),
+fn describe(m: &ShardedMonitor, site: Site) -> String {
+    match site {
+        Site::Lock(RANK_SEQ) => "lock sequence".into(),
+        Site::Lock(RANK_GLOBAL) => "lock global".into(),
+        Site::Lock(rank) => format!("lock shard {}", rank - RANK_GLOBAL - 1),
+        Site::Turn(at, ticket) => format!("turn {} #{ticket}", turnstile(m, at).1),
+        Site::Released(None) => "after global turn".into(),
+        Site::Released(Some(k)) => format!("after shard {k} turn"),
     }
 }
 
@@ -159,89 +93,27 @@ fn turnstile(m: &ShardedMonitor, at: usize) -> (&AtomicU32, String) {
         .expect("a turnstile of the monitor under test")
 }
 
-/// Run each of `workers` on a thread of its own, one at a time, with
-/// `picks` choosing at every hand-over. Returns the steps taken and,
-/// unless every worker finished and the pipeline came to rest, what
-/// went wrong. The driver takes no monitor lock until the run is over:
-/// a parked worker may hold one.
+/// Run each of `workers` under the hand-over driver, with `picks`
+/// choosing at every hand-over: a turnstile wait can go on once it
+/// serves its ticket. Returns the steps taken and, unless every worker
+/// finished and the pipeline came to rest, what went wrong. The driver
+/// takes no monitor lock until the run is over: a parked worker may
+/// hold one.
 fn run<'a>(
     m: &ShardedMonitor,
     workers: Vec<Box<dyn FnOnce() + Send + 'a>>,
     picks: &mut dyn Pick<usize>,
 ) -> (Vec<String>, Result<(), String>) {
-    let at = vec![None; workers.len()];
-    let ctl = Arc::new(Ctl {
-        state: Mutex::new(State {
-            at,
-            ..State::default()
-        }),
-        driver: Condvar::new(),
-        wake: workers.iter().map(|_| Condvar::new()).collect(),
-    });
-    let mut steps = Vec::new();
-    let result = std::thread::scope(|scope| {
-        for (me, work) in workers.into_iter().enumerate() {
-            let ctl = Arc::clone(&ctl);
-            scope.spawn(move || {
-                WORKER.with(|w| *w.borrow_mut() = Some((Arc::clone(&ctl), me)));
-                let out = catch_unwind(AssertUnwindSafe(|| {
-                    park(Wait::Start);
-                    work();
-                }));
-                WORKER.with(|w| w.borrow_mut().take());
-                let mut st = ctl.state.lock();
-                if let Some(p) = out.err().filter(|p| !p.is::<Aborted>()) {
-                    let text = p.downcast_ref::<&str>().map(|s| s.to_string());
-                    st.panic = text.or(p.downcast_ref::<String>().cloned());
-                    st.panic.get_or_insert_default();
-                }
-                (st.at[me], st.running) = (Some(Wait::Done), None);
-                ctl.driver.notify_one();
-            });
-        }
-        let _abort = AbortOnDrop(&ctl);
-        let mut st = ctl.state.lock();
-        loop {
-            while st.at.iter().any(Option::is_none) {
-                st = ctl.driver.wait(st);
-            }
-            if let Some(panic) = st.panic.take() {
-                return Err(format!("a worker panicked: {panic}"));
-            }
-            let (mut runnable, mut blocked) = (Vec::new(), Vec::new());
-            for (w, wait) in st.at.iter().map(|w| w.expect("parked")).enumerate() {
-                let why = match wait {
-                    Wait::Start | Wait::Released(_) => None,
-                    Wait::Lock(rank) => (st.held.iter())
-                        .find(|&&(r, o)| r == rank && o != w)
-                        .map(|(_, o)| format!(", held by worker {o}")),
-                    Wait::Turn(at, ticket) => match turnstile(m, at).0.load(Ordering::Acquire) {
-                        serving if serving == ticket => None,
-                        serving => Some(format!(", serving #{serving}")),
-                    },
-                    Wait::Done => continue,
-                };
-                match why {
-                    None => runnable.push(w),
-                    Some(why) => blocked.push(format!("worker {w}: {}{why}", describe(m, wait))),
-                }
-            }
-            if runnable.is_empty() {
-                return match blocked.is_empty() {
-                    true => Ok(()),
-                    false => Err(format!("deadlock: {}", blocked.join("; "))),
-                };
-            }
-            let w = runnable[picks.pick(&runnable)];
-            let wait = st.at[w].take().expect("parked");
-            steps.push(format!("worker {w}: {}", describe(m, wait)));
-            if let Wait::Lock(rank) = wait {
-                st.held.push((rank, w));
-            }
-            st.running = Some(w);
-            ctl.wake[w].notify_one();
-        }
-    });
+    let blocked = |site: &Site| match *site {
+        Site::Turn(at, ticket) => match turnstile(m, at).0.load(Ordering::Acquire) {
+            serving if serving == ticket => None,
+            serving => Some(format!(", serving #{serving}")),
+        },
+        _ => None,
+    };
+    let describe = |site: &Site| describe(m, *site);
+    let mut pick = |workers: &[usize], _: &dyn Fn(usize) -> String| picks.pick(workers);
+    let (steps, result) = pwsr_turns::run(workers, &blocked, &describe, &mut pick);
     (steps, result.and_then(|()| at_rest(m)))
 }
 
@@ -414,6 +286,15 @@ fn seeded(mut x: u64) -> impl FnMut(usize) -> usize {
     }
 }
 
+/// Picks read off a list: the `i`-th choice is `v[i] % n`, and 0 — the
+/// first runnable worker — once `v` is spent. A failing list shrinks
+/// by the test runner's own rules (drop elements, lower each toward 0),
+/// so it shrinks toward the schedule that always runs the first.
+fn listed(v: &[u8]) -> impl FnMut(usize) -> usize + '_ {
+    let mut v = v.iter();
+    move |n| v.next().map_or(0, |&c| usize::from(c) % n)
+}
+
 /// Every schedule of `case`, by replay; returns how many ran.
 fn explore_all(case: &Case) -> usize {
     let mut explore = Explore::default();
@@ -511,8 +392,9 @@ fn explore_a_later_cycle_is_not_an_earlier_push_breach() {
 
 proptest! {
     /// Up to four transactions over two scopes, with batch and abort
-    /// masks (no aborts in half the cases) and an optional sweeper: a
-    /// few seeded schedules per case, each through every oracle.
+    /// masks (no aborts in half the cases) and an optional sweeper:
+    /// three schedules per case, each picked from a list of its own and
+    /// run through every oracle.
     #[test]
     fn explore_seeded_schedules_pass_every_oracle(
         txns in arb_transactions(4, MAX_ITEMS),
@@ -522,10 +404,14 @@ proptest! {
         batch in 0u32..16,
         abort in 0u32..32,
         sweeper in any::<bool>(),
-        seed in 0u64..1 << 48,
+        // 60 is a multiple of every worker count, so `% n` is uniform.
+        lists in vec(vec(0u8..60, 0..160), 3),
     ) {
         let (scopes, txns) = (scopes_from_bits(d1_bits, d2_bits), txns[..n].to_vec());
         let abort = if abort < 16 { abort } else { 0 };
-        sample(&Case { scopes, txns, batch, abort, sweeper, reader: false }, seed..seed + 3);
+        let case = Case { scopes, txns, batch, abort, sweeper, reader: false };
+        for v in &lists {
+            run_case(&case, &mut listed(v)).unwrap_or_else(|e| panic!("picks {v:?}: {e}"));
+        }
     }
 }

@@ -1391,7 +1391,6 @@ impl ShardedMonitor {
 mod tests {
     use super::super::OnlineMonitor;
     use super::*;
-    use crate::error::CoreError;
     use crate::ids::ItemId;
     use crate::value::Value;
     use std::sync::Arc;
@@ -1789,67 +1788,6 @@ mod tests {
     fn out_of_order_acquisition_is_rejected() {
         super::lock_order::acquire(shard_rank(1));
         super::lock_order::acquire(RANK_GLOBAL);
-    }
-
-    /// Committed-prefix compaction on the sharded monitor: the
-    /// compacted monitor's verdicts, certificates and `PushOutcome`s
-    /// stay byte-identical to an uncompacted twin's, summarized
-    /// transactions are rejected, and the resident footprint shrinks.
-    #[test]
-    fn sharded_compaction_matches_uncompacted_twin() {
-        let ops1 = [wr(1, 0, 1), rd(2, 0, 1), wr(2, 2, 5), rd(1, 2, 5)];
-        let ops2 = [wr(3, 1, 7), rd(4, 1, 7), wr(4, 2, 8), rd(3, 2, 8)];
-        let m = ShardedMonitor::new(example2_scopes());
-        let twin = ShardedMonitor::new(example2_scopes());
-        for op in &ops1 {
-            assert_eq!(
-                m.push_outcome(op.clone()).unwrap(),
-                twin.push_outcome(op.clone()).unwrap()
-            );
-        }
-        m.finish_txn(TxnId(1));
-        m.finish_txn(TxnId(2));
-        assert_eq!(m.compaction_frontier(), 4);
-        let stats = m.compact();
-        assert_eq!(
-            stats,
-            CompactStats {
-                frontier: 4,
-                ops_reclaimed: 4,
-                txns_summarized: 2
-            }
-        );
-        assert!(m.is_summarized(TxnId(1)) && !m.is_summarized(TxnId(3)));
-        assert_eq!(m.verdict(), twin.verdict());
-        assert!(m.resident_bytes_estimate() < twin.resident_bytes_estimate());
-        // A summarized transaction can no longer push — twice, to
-        // prove the §2.2 totals bit of the rejected push rolled back
-        // (a leaked bit would turn the second try into a
-        // well-formedness error).
-        for _ in 0..2 {
-            assert!(matches!(
-                m.push(wr(1, 5, 9)),
-                Err(CoreError::SummarizedTransaction { txn: TxnId(1) })
-            ));
-        }
-        // Fresh transactions continue with full parity.
-        for op in &ops2 {
-            assert_eq!(
-                m.push_outcome(op.clone()).unwrap(),
-                twin.push_outcome(op.clone()).unwrap()
-            );
-            assert_eq!(m.verdict(), twin.verdict());
-        }
-        for k in 0..2 {
-            assert_eq!(m.lemma2_holds(k), twin.lemma2_holds(k));
-            assert_eq!(m.lemma6_holds(k), twin.lemma6_holds(k));
-        }
-        // Second compaction (exercises the kept-summary-node path).
-        m.finish_txn(TxnId(3));
-        m.finish_txn(TxnId(4));
-        m.compact();
-        assert_eq!((m.compactions(), m.ops_reclaimed()), (2, 8));
-        assert_eq!(m.verdict(), twin.verdict());
     }
 
     /// On a logged monitor the frontier is clamped to the checkpoint

@@ -16,10 +16,11 @@
 
 use proptest::prelude::*;
 use pwsr_core::dr::is_delayed_read;
+use pwsr_core::error::CoreError;
 use pwsr_core::ids::{ItemId, OpIndex, TxnId};
 use pwsr_core::monitor::journal::MonitorJournal;
 use pwsr_core::monitor::sharded::{PushOutcome, ShardedMonitor};
-use pwsr_core::monitor::{AdmissionLevel, OnlineMonitor, Verdict, VerdictLevel};
+use pwsr_core::monitor::{AdmissionLevel, CompactStats, OnlineMonitor, Verdict, VerdictLevel};
 use pwsr_core::op::Operation;
 use pwsr_core::schedule::Schedule;
 use pwsr_core::serializability::{
@@ -322,12 +323,23 @@ pub trait Driver: Sized {
     fn push_checked(&mut self, op: &Operation, want: Verdict, single: &OnlineMonitor) -> Checked;
     /// Declare `txn` finished; if `sweep`, raise the undo floor over
     /// everything pushed (nothing live may abort in these runs) and
-    /// sweep.
-    fn finish(&mut self, txn: TxnId, sweep: bool);
+    /// sweep, returning what the sweep reports.
+    fn finish(&mut self, txn: TxnId, sweep: bool) -> Option<CompactStats>;
     /// What the oracles read.
     fn state(&self) -> State;
-    /// Is `txn`, if summarized, refused whatever it tries next?
+    /// The sweeps that reclaimed something, the operations they
+    /// reclaimed in all, and the resident estimate.
+    fn reclaimed(&self) -> (u64, u64, usize);
+    /// Is `txn`, if summarized, refused whatever it tries next? A push
+    /// is refused as [`CoreError::SummarizedTransaction`] twice over: a
+    /// refused push leaves no §2.2 totals bit behind.
     fn sealed(&mut self, txn: TxnId) -> bool;
+}
+
+/// Twice refused as summarized.
+fn refused_twice<T>(txn: TxnId, mut push: impl FnMut() -> Result<T, CoreError>) -> bool {
+    let summarized = |r: Result<T, CoreError>| matches!(r, Err(CoreError::SummarizedTransaction { txn: t }) if t == txn);
+    summarized(push()) && summarized(push())
 }
 
 /// A driver's state as the oracles read it: its verdict, its live tail
@@ -370,12 +382,12 @@ impl Driver for Single {
         Ok(())
     }
 
-    fn finish(&mut self, txn: TxnId, sweep: bool) {
+    fn finish(&mut self, txn: TxnId, sweep: bool) -> Option<CompactStats> {
         self.0.finish_txn(txn);
-        if sweep {
+        sweep.then(|| {
             self.0.checkpoint(self.0.len());
-            self.0.compact();
-        }
+            self.0.compact()
+        })
     }
 
     fn state(&self) -> State {
@@ -385,12 +397,21 @@ impl Driver for Single {
         State(m.verdict(), m.schedule().clone(), conjuncts)
     }
 
+    fn reclaimed(&self) -> (u64, u64, usize) {
+        let m = &self.0;
+        (
+            m.compactions(),
+            m.ops_reclaimed(),
+            m.resident_bytes_estimate(),
+        )
+    }
+
     /// Every probe of it is refused, and so is its push.
     fn sealed(&mut self, txn: TxnId) -> bool {
         let op = Operation::write(txn, ItemId(MAX_ITEMS), Value::Int(0));
         let admitted = |level| self.0.admits(txn, op.item, true, level);
         let probed = !LEVELS.into_iter().any(admitted);
-        !self.0.is_summarized(txn) || (probed && self.0.push(op).is_err())
+        !self.0.is_summarized(txn) || (probed && refused_twice(txn, || self.0.push(op.clone())))
     }
 }
 
@@ -424,12 +445,12 @@ impl Driver for ShardedMonitor {
         Ok(())
     }
 
-    fn finish(&mut self, txn: TxnId, sweep: bool) {
+    fn finish(&mut self, txn: TxnId, sweep: bool) -> Option<CompactStats> {
         self.finish_txn(txn);
-        if sweep {
+        sweep.then(|| {
             self.checkpoint([]);
-            self.compact();
-        }
+            self.compact()
+        })
     }
 
     fn state(&self) -> State {
@@ -439,11 +460,19 @@ impl Driver for ShardedMonitor {
         State(m.verdict(), m.snapshot_schedule(), conjuncts)
     }
 
+    fn reclaimed(&self) -> (u64, u64, usize) {
+        (
+            self.compactions(),
+            self.ops_reclaimed(),
+            self.resident_bytes_estimate(),
+        )
+    }
+
     /// Its push, its batch push and its retraction are all refused.
     fn sealed(&mut self, txn: TxnId) -> bool {
         let op = Operation::write(txn, ItemId(MAX_ITEMS), Value::Int(0));
         !self.is_summarized(txn)
-            || (self.push(op.clone()).is_err()
+            || (refused_twice(txn, || self.push(op.clone()))
                 && self.push_batch(&[op]).is_err()
                 && self.retract_txn(txn).is_err())
     }
@@ -496,8 +525,10 @@ pub fn check_lemmas_and_orders(s: &Schedule, scopes: &[ItemSet], state: &State) 
 /// push passes [`Driver::push_checked`] and leaves the batch deciders'
 /// verdict, and so does every sweep; every prefix — given a stride,
 /// every prefix a sweep ends — passes [`check_lemmas_and_orders`];
-/// summarized transactions are sealed off. Returns `D` and the
-/// uncompacted single writer that held each push's prefix.
+/// every sweep reports exactly [`swept`], counts only if it reclaimed
+/// something, and then lowers the resident estimate; summarized
+/// transactions are sealed off. Returns `D` and the uncompacted single
+/// writer that held each push's prefix.
 pub fn check_pushes<D: Driver>(
     (scopes, txns): &(Vec<ItemSet>, Vec<Transaction>),
     mix: &[u8],
@@ -518,7 +549,17 @@ pub fn check_pushes<D: Driver>(
         let end = p + 1 == schedule.len();
         let sweep = last && stride.is_some_and(|n| end || completed.is_multiple_of(n));
         if last {
-            m.finish(op.txn, sweep);
+            let (compactions, ops, resident) = m.reclaimed();
+            let base = m.state().1.base();
+            if let Some(stats) = m.finish(op.txn, sweep) {
+                let want = swept(&schedule, base, p + 1);
+                prop_assert_eq!(stats, want, "sweep after prefix {}", p + 1);
+                let moved = want.ops_reclaimed > 0;
+                let (now_compactions, now_ops, now_resident) = m.reclaimed();
+                prop_assert_eq!(now_compactions, compactions + u64::from(moved));
+                prop_assert_eq!(now_ops, ops + want.ops_reclaimed as u64);
+                prop_assert!(!moved || now_resident < resident, "resident estimate kept");
+            }
         }
         let state = m.state();
         prop_assert_eq!(state.0, verdicts[p + 1], "prefix {}", p + 1);
@@ -530,4 +571,27 @@ pub fn check_pushes<D: Driver>(
         prop_assert!(m.sealed(t.id()), "{:?} not sealed off", t.id());
     }
     Ok((m, single))
+}
+
+/// What a sweep of the first `len` operations of `s` must report when
+/// every transaction that ended in them is finished and past the undo
+/// floor, and `base` operations were summarized before: the longest
+/// prefix that holds every operation of each transaction it touches is
+/// the new frontier, and the transactions with an operation in
+/// `[base, frontier)` are summarized.
+fn swept(s: &Schedule, base: usize, len: usize) -> CompactStats {
+    let (mut hi, mut frontier) = (0, base);
+    for (p, op) in s.ops()[..len].iter().enumerate() {
+        hi = hi.max(s.last_op_of(op.txn).expect("in s").0 + 1);
+        if hi == p + 1 {
+            frontier = frontier.max(p + 1);
+        }
+    }
+    let txns: std::collections::HashSet<_> =
+        s.ops()[base..frontier].iter().map(|o| o.txn).collect();
+    CompactStats {
+        frontier,
+        ops_reclaimed: frontier - base,
+        txns_summarized: txns.len(),
+    }
 }

@@ -58,9 +58,30 @@ use pwsr_tplang::ast::Program;
 use pwsr_tplang::interp::{run_with_reads, RunOutcome};
 use pwsr_tplang::session::{Pending, ProgramSession};
 use std::collections::{BTreeSet, HashMap};
+use std::ops::DerefMut;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
+
+/// Probes of a dirty item (latch, look, yield) before its waiter parks.
+const DIRTY_SPIN: u32 = 64;
+/// Parks on a dirty item before its waiter aborts itself, which breaks
+/// write-write wait cycles.
+const PARK_BUDGET: u32 = 256;
+/// Each park's timeout: a missed wake-up costs one, never a deadlock.
+const PARK_TIMEOUT: Duration = Duration::from_micros(500);
+/// Cap on the abort backoff's yields, which grow with the restarts.
+const BACKOFF_CAP: u32 = 24;
+
+/// The attempt clock: the host's, or under the turn driver (unit tests)
+/// the driver's, which moves only when the driver times a park out.
+fn now() -> Instant {
+    #[cfg(test)]
+    if let Some(now) = pwsr_turns::now() {
+        return now;
+    }
+    Instant::now()
+}
 
 /// The pool both threaded executors run on: `workers` scoped threads
 /// claim the transaction indices `0..n` from one shared counter and
@@ -69,34 +90,38 @@ use std::time::{Duration, Instant};
 /// own — nothing shared, so counting costs no atomic and moves no cache line
 /// between cores — and the pool sums them at the join. A worker that
 /// panics outside what `work` contains surfaces as
-/// [`SchedError::Stalled`].
+/// [`SchedError::Stalled`]. A unit test can run the workers under the
+/// turn driver instead.
 fn run_pool(
     n: usize,
     workers: usize,
     work: impl Fn(usize, usize, &mut Metrics) -> Result<()> + Sync,
 ) -> Result<Metrics> {
     let next = AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for w in 0..workers.min(n) {
-            let (next, work) = (&next, &work);
-            handles.push(scope.spawn(move || -> Result<Metrics> {
-                let mut metrics = Metrics::default();
-                loop {
-                    let k = next.fetch_add(1, Ordering::Relaxed);
-                    if k >= n {
-                        return Ok(metrics);
-                    }
-                    work(w, k, &mut metrics)?;
-                }
-            }));
+    let claims = || std::iter::repeat_with(|| next.fetch_add(1, Ordering::Relaxed));
+    let worker = &|w: usize| -> Result<Metrics> {
+        let mut metrics = Metrics::default();
+        for k in claims().take_while(|&k| k < n) {
+            work(w, k, &mut metrics)?;
         }
-        let mut total = Metrics::default();
-        for h in handles {
-            total.absorb(&h.join().map_err(|_| SchedError::Stalled)??);
-        }
-        Ok(total)
-    })
+        Ok(metrics)
+    };
+    let workers = workers.min(n);
+    let joined = || -> Vec<Option<Result<Metrics>>> {
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..workers)
+                .map(|w| scope.spawn(move || worker(w)))
+                .collect();
+            handles.into_iter().map(|h| h.join().ok()).collect()
+        })
+    };
+    #[cfg(test)]
+    let joined = || tests::drive(workers, worker).unwrap_or_else(joined);
+    let mut total = Metrics::default();
+    for out in joined() {
+        total.absorb(&out.ok_or(SchedError::Stalled)??);
+    }
+    Ok(total)
 }
 
 /// The end of a committed transaction, shared by both threaded
@@ -343,7 +368,11 @@ impl StripeCell {
     /// parked returns at once (the condvar counts its waiters), so
     /// the commit path pays for a wake-up only when a waiter is there.
     fn clear_marks(&self, clear: impl FnOnce(&mut Stripe) -> bool) {
+        #[cfg(test)]
+        tests::latch();
         if clear(&mut self.state.lock()) {
+            #[cfg(test)]
+            tests::wake(&self.cv);
             self.cv.notify_all();
         }
     }
@@ -430,28 +459,10 @@ enum Abort {
     Breach,
 }
 
-/// Executor knobs for the OCC path, all with conservative defaults
+/// The optimistic executor's settings, both off by default
 /// ([`OccTuning::default`]); see [`run_threaded_occ_tuned`].
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct OccTuning {
-    /// Short spin fast path: lock-probe/yield rounds on a dirty item
-    /// before parking on the stripe's condvar. Spinning wins when the
-    /// writer commits within a few scheduler quanta (the common case);
-    /// parking wins under sustained contention.
-    pub dirty_spin: u32,
-    /// Timed condvar parks before the waiter gives up and aborts
-    /// itself (the conflict-abort escape hatch that breaks write-write
-    /// wait cycles — parking must not remove it).
-    pub park_budget: u32,
-    /// Timeout of each individual park, in microseconds. Bounds the
-    /// cost of a missed wakeup to one timeout instead of a deadlock.
-    pub park_timeout_us: u64,
-    /// Cap on the abort-backoff yield count. The backoff grows with
-    /// the restart count (plus a per-transaction jitter keyed on the
-    /// txn id); uncapped growth overshoots badly on long conflict
-    /// chains — a hot transaction that lost 50 races would sleep
-    /// ~50 yields even though the conflict window is 2–3 ops wide.
-    pub backoff_cap: u32,
     /// Attempt deadline in microseconds; `0` disables deadlines (the
     /// default). When armed, an attempt that outlives the deadline is
     /// aborted — by itself at its next access, or by a **zombie
@@ -467,19 +478,6 @@ pub struct OccTuning {
     /// default) means no instrumentation and no overhead beyond one
     /// `Option` check per access.
     pub faults: Option<FaultHandle>,
-}
-
-impl Default for OccTuning {
-    fn default() -> OccTuning {
-        OccTuning {
-            dirty_spin: 64,
-            park_budget: 256,
-            park_timeout_us: 500,
-            backoff_cap: 24,
-            txn_deadline_us: 0,
-            faults: None,
-        }
-    }
 }
 
 /// Run the programs under **certified optimistic concurrency**: a
@@ -530,10 +528,10 @@ impl Default for OccTuning {
 /// The access loop itself never yields the processor: a worker gives
 /// it up only where somebody is actually waited for — between probes
 /// of a dirty item and parked on its stripe (`with_clean_stripe`), and
-/// in the backoff after an abort. [`OccTuning`] carries the dirty-wait
-/// spin/park budgets and the abort-backoff cap. When `spec.wal` is set, the sharded monitor
-/// journals every claimed operation (and every abort's retraction)
-/// into it, and the returned metrics carry the WAL counters.
+/// in the backoff after an abort. [`OccTuning`] arms the attempt
+/// deadline and the fault plane. When `spec.wal` is set, the sharded
+/// monitor journals every claimed operation (and every abort's
+/// retraction) into it, and the returned metrics carry the WAL counters.
 ///
 /// Errors with [`SchedError::RestartLimit`] when one transaction
 /// aborts more than `max_restarts` times, and with
@@ -564,7 +562,7 @@ pub fn run_threaded_occ_tuned(
         side: &side,
         certificate: spec.trusted_certificate(),
         level,
-        tuning,
+        faults: tuning.faults.as_ref(),
         deadline: (tuning.txn_deadline_us > 0)
             .then(|| Duration::from_micros(tuning.txn_deadline_us)),
     };
@@ -595,7 +593,7 @@ pub fn run_threaded_occ_tuned(
                     // longer, so colliding retries separate even on a
                     // single core — capped so a long restart chain
                     // never degrades into unbounded yield storms.
-                    for _ in 0..(restarts + txn.0 % 7).min(tuning.backoff_cap) {
+                    for _ in 0..(restarts + txn.0 % 7).min(BACKOFF_CAP) {
                         std::thread::yield_now();
                     }
                 }
@@ -667,22 +665,29 @@ impl TxnRegistry {
                 .map(|_| {
                     Mutex::new(TxnSlot {
                         running: false,
-                        started: Instant::now(),
+                        started: now(),
                     })
                 })
                 .collect(),
         }
     }
 
-    fn slot(&self, txn: TxnId) -> &Mutex<TxnSlot> {
-        &self.slots[txn.0 as usize - 1]
+    /// Lock `txn`'s slot: under the turn driver (unit tests), a lock
+    /// the driver sees.
+    fn lock(&self, txn: TxnId) -> impl DerefMut<Target = TxnSlot> + '_ {
+        let slot = &self.slots[txn.0 as usize - 1];
+        #[cfg(test)]
+        let slot = tests::lock_slot(txn, slot);
+        #[cfg(not(test))]
+        let slot = slot.lock();
+        slot
     }
 
     /// Open a fresh attempt and restart the deadline clock.
     fn begin(&self, txn: TxnId) {
-        let mut slot = self.slot(txn).lock();
+        let mut slot = self.lock(txn);
         slot.running = true;
-        slot.started = Instant::now();
+        slot.started = now();
     }
 }
 
@@ -695,7 +700,7 @@ struct OccCtx<'a> {
     side: &'a Mutex<Vec<Operation>>,
     certificate: Option<&'a StaticCertificate>,
     level: AdmissionLevel,
-    tuning: &'a OccTuning,
+    faults: Option<&'a FaultHandle>,
     deadline: Option<Duration>,
 }
 
@@ -769,7 +774,7 @@ fn sweep(ctx: &OccCtx<'_>, txn: TxnId, slot: &mut TxnSlot, m: &mut Metrics) {
 
 /// [`sweep`] under a fresh hold of `txn`'s slot lock.
 fn end_attempt(ctx: &OccCtx<'_>, txn: TxnId, m: &mut Metrics) {
-    sweep(ctx, txn, &mut ctx.registry.slot(txn).lock(), m);
+    sweep(ctx, txn, &mut ctx.registry.lock(txn), m);
 }
 
 /// Abort `txn`'s current attempt: sweep it — a no-op beyond the
@@ -792,8 +797,8 @@ fn abort(ctx: &OccCtx<'_>, txn: TxnId, cause: Abort, m: &mut Metrics) -> Result<
 /// self-abort, so reads-from assignments stay stable while the dirty
 /// marks still stand.
 fn try_reap(ctx: &OccCtx<'_>, victim: TxnId, deadline: Duration, m: &mut Metrics) {
-    let mut slot = ctx.registry.slot(victim).lock();
-    if slot.running && slot.started.elapsed() >= deadline {
+    let mut slot = ctx.registry.lock(victim);
+    if slot.running && now().duration_since(slot.started) >= deadline {
         sweep(ctx, victim, &mut slot, m);
         m.zombie_reaps += 1;
     }
@@ -801,15 +806,14 @@ fn try_reap(ctx: &OccCtx<'_>, victim: TxnId, deadline: Duration, m: &mut Metrics
 
 /// Latch `item`'s stripe once it is not dirty under another
 /// transaction and run `action` under the latch. Two phases: a short
-/// spin fast path (`tuning.dirty_spin` probe/yield rounds — the
-/// common sub-quantum commit resolves here without a syscall), then
-/// **condvar parking**: the waiter sleeps on the stripe's condvar and
-/// is broadcast awake whenever a dirty mark clears (commit or
-/// rollback). Each park is timed, so the conflict-abort escape hatch
-/// survives: `Ok(None)` after `tuning.park_budget` parks means a
-/// possible write-write wait cycle — the caller aborts itself to
-/// break it — and a hypothetically lost wakeup costs one timeout,
-/// never a deadlock.
+/// spin fast path ([`DIRTY_SPIN`] probe/yield rounds — the common
+/// sub-quantum commit resolves here without a syscall), then **condvar
+/// parking**: the waiter sleeps on the stripe's condvar and is
+/// broadcast awake whenever a dirty mark clears (commit or rollback).
+/// Each park is timed, so the conflict-abort escape hatch survives:
+/// `Ok(None)` after [`PARK_BUDGET`] parks means a possible write-write
+/// wait cycle — the caller aborts itself to break it — and a
+/// hypothetically lost wakeup costs one timeout, never a deadlock.
 ///
 /// When deadlines are armed, the park loop doubles as the **zombie
 /// reaper**: before each park the waiter checks whether the dirty
@@ -817,6 +821,8 @@ fn try_reap(ctx: &OccCtx<'_>, victim: TxnId, deadline: Duration, m: &mut Metrics
 /// ([`try_reap`]) instead of burning the whole park budget on a
 /// stalled or dead writer. The stripe guard is dropped across the
 /// reap — slot locks are always taken before stripe locks.
+/// Under the turn driver (unit tests) a latch is a hand-over and a park
+/// waits for a wake or a driver-fired timeout; none happens under a latch.
 fn with_clean_stripe<T>(
     ctx: &OccCtx<'_>,
     txn: TxnId,
@@ -824,20 +830,25 @@ fn with_clean_stripe<T>(
     m: &mut Metrics,
     action: impl FnOnce(&mut Stripe, &mut Metrics) -> Result<T>,
 ) -> Result<Option<T>> {
-    let (cell, tuning) = (ctx.db.cell(item), ctx.tuning);
+    let cell = ctx.db.cell(item);
     let clean = |stripe: &Stripe| stripe.dirty.get(&item).is_none_or(|(w, _)| *w == txn);
+    let latch = move || {
+        #[cfg(test)]
+        tests::latch();
+        cell.state.lock()
+    };
     // Phase 1: spin fast path.
-    let mut stripe = cell.state.lock();
+    let mut stripe = latch();
     let mut spins = 0u32;
     while !clean(&stripe) {
         m.waits += 1;
         spins += 1;
-        if spins >= tuning.dirty_spin {
+        if spins >= DIRTY_SPIN {
             break;
         }
         drop(stripe);
         std::thread::yield_now();
-        stripe = cell.state.lock();
+        stripe = latch();
     }
     // Phase 2: park until the dirty mark clears (timed, bounded).
     let mut parks = 0u32;
@@ -846,18 +857,24 @@ fn with_clean_stripe<T>(
             let victim = stripe.dirty[&item].0;
             drop(stripe);
             try_reap(ctx, victim, deadline, m);
-            stripe = cell.state.lock();
+            stripe = latch();
             if clean(&stripe) {
                 break;
             }
         }
-        if parks >= tuning.park_budget {
+        if parks >= PARK_BUDGET {
             return Ok(None);
         }
         parks += 1;
         m.waits += 1;
-        let park = Duration::from_micros(tuning.park_timeout_us.max(1));
-        stripe = cell.cv.wait_timeout(stripe, park).0;
+        #[cfg(test)]
+        if pwsr_turns::driven() {
+            drop(stripe);
+            tests::park(&cell.cv);
+            stripe = cell.state.lock();
+            continue;
+        }
+        stripe = cell.cv.wait_timeout(stripe, PARK_TIMEOUT).0;
     }
     action(&mut stripe, m).map(Some)
 }
@@ -906,7 +923,7 @@ fn occ_attempt_inner(
     session: &mut ProgramSession<'_>,
     m: &mut Metrics,
 ) -> Result<AttemptEnd> {
-    let (monitor, faults, txn) = (ctx.monitor, ctx.tuning.faults.as_ref(), session.txn());
+    let (monitor, faults, txn) = (ctx.monitor, ctx.faults, session.txn());
     let fast = ctx.fast_of(txn);
     // A retry starts the program over. (An attempt that gave up before
     // its first access left the machine where a fresh one stands.)
@@ -949,8 +966,8 @@ fn occ_attempt_inner(
         // scan, the abort's sweep removes. Then the breach, then the
         // attempt's own deadline. Every retry gets a fresh clock.
         let live = ctx.deadline.map(|deadline| {
-            let slot = ctx.registry.slot(txn).lock();
-            (slot.running, slot.started.elapsed() <= deadline)
+            let slot = ctx.registry.lock(txn);
+            (slot.running, now().duration_since(slot.started) <= deadline)
         });
         match live {
             Some((false, _)) => return abort(ctx, txn, Abort::Timeout, m),
@@ -1034,7 +1051,7 @@ fn occ_attempt_inner(
     // indistinguishable from pushes at write time; a breach found
     // here aborts the attempt like any other.
     {
-        let mut slot = ctx.registry.slot(txn).lock();
+        let mut slot = ctx.registry.lock(txn);
         if !slot.running {
             // Reaped before the tail could flush: everything already
             // rolled back (the unpushed tail never reached the monitor).
@@ -1077,8 +1094,10 @@ mod tests {
     use pwsr_core::ids::ItemId;
     use pwsr_core::monitor::OnlineMonitor;
     use pwsr_core::pwsr::is_pwsr;
-    use pwsr_core::value::Value;
+    use pwsr_core::state::ItemSet;
+    use pwsr_core::value::{Domain, Value};
     use pwsr_tplang::parser::parse_program;
+    use std::cell::RefCell;
 
     #[test]
     fn threaded_run_is_pwsr_and_coherent() {
@@ -1557,6 +1576,336 @@ mod tests {
                     "threads={threads}"
                 );
             }
+        }
+    }
+
+    /// Where an optimistic worker hands over to the turn driver.
+    enum Site {
+        Latch,
+        Slot(TxnId),
+        Park,
+        Wake,
+    }
+
+    fn describe(site: &Site) -> String {
+        match site {
+            Site::Latch => "latch".into(),
+            Site::Slot(txn) => format!("slot {txn}"),
+            Site::Park => "park".into(),
+            Site::Wake => "wake".into(),
+        }
+    }
+
+    /// Hook: before a stripe latch. No hand-over happens while a latch
+    /// is held, so the driver need not track it.
+    pub(super) fn latch() {
+        pwsr_turns::park(Site::Latch);
+    }
+
+    /// Hook: lock `txn`'s slot after a hand-over; the driver sees it
+    /// held until the guard drops.
+    pub(super) fn lock_slot(
+        txn: TxnId,
+        slot: &Mutex<TxnSlot>,
+    ) -> Held<impl DerefMut<Target = TxnSlot> + '_> {
+        pwsr_turns::lock(txn.0.into(), Site::Slot(txn));
+        Held(slot.lock(), txn)
+    }
+
+    pub(super) struct Held<G>(G, TxnId);
+
+    impl<G: DerefMut<Target = TxnSlot>> std::ops::Deref for Held<G> {
+        type Target = TxnSlot;
+        fn deref(&self) -> &TxnSlot {
+            &self.0
+        }
+    }
+
+    impl<G: DerefMut<Target = TxnSlot>> DerefMut for Held<G> {
+        fn deref_mut(&mut self) -> &mut TxnSlot {
+            &mut self.0
+        }
+    }
+
+    impl<G> Drop for Held<G> {
+        fn drop(&mut self) {
+            pwsr_turns::unlock(self.1 .0.into());
+        }
+    }
+
+    fn key(cv: &Condvar) -> u64 {
+        cv as *const Condvar as u64
+    }
+
+    /// Hook: a park on the stripe condvar `cv`, until a wake of it or
+    /// until the driver times it out.
+    pub(super) fn park(cv: &Condvar) {
+        pwsr_turns::wait(key(cv), PARK_TIMEOUT, Site::Park);
+    }
+
+    /// Hook: the wake of every worker parked on `cv`, then a hand-over.
+    pub(super) fn wake(cv: &Condvar) {
+        pwsr_turns::notify(key(cv));
+        pwsr_turns::park(Site::Wake);
+    }
+
+    thread_local! {
+        /// The plan the next pool on this thread runs under.
+        static PLAN: RefCell<Option<Vec<(usize, &'static str)>>> = const { RefCell::new(None) };
+        /// The steps that pool took.
+        static STEPS: RefCell<Vec<String>> = const { RefCell::new(Vec::new()) };
+    }
+
+    /// The pool's hook: with a plan set on this thread, run the
+    /// workers under the turn driver and return what each returned;
+    /// a deadlock or an uncontained panic fails the test.
+    pub(super) fn drive(
+        workers: usize,
+        worker: &(dyn Fn(usize) -> Result<Metrics> + Sync),
+    ) -> Option<Vec<Option<Result<Metrics>>>> {
+        let plan = PLAN.with(|p| p.borrow_mut().take())?;
+        let outs: Vec<Mutex<Option<Result<Metrics>>>> =
+            (0..workers).map(|_| Mutex::new(None)).collect();
+        let jobs = (outs.iter().enumerate())
+            .map(|(w, out)| Box::new(move || *out.lock() = Some(worker(w))) as Box<_>)
+            .collect();
+        let (steps, result) =
+            pwsr_turns::run(jobs, &|_: &Site| None, &describe, &mut by_plan(&plan));
+        if let Err(e) = result {
+            panic!("{e}\nsteps:\n{}", steps.join("\n"));
+        }
+        STEPS.with(|s| *s.borrow_mut() = steps);
+        Some(outs.into_iter().map(Mutex::into_inner).collect())
+    }
+
+    /// Picks by `plan`: each `(w, at)` runs worker `w` on — one step at
+    /// least — until it next waits at a site that starts with `at`, or
+    /// cannot go on (`end`, which starts no site, runs it to the end);
+    /// past the plan, the first worker that can.
+    fn by_plan<'p>(
+        plan: &'p [(usize, &str)],
+    ) -> impl FnMut(&[usize], &dyn Fn(usize) -> String) -> usize + 'p {
+        let (mut plan, mut moved) = (plan.iter(), false);
+        let mut phase = plan.next();
+        move |workers, from| {
+            while let Some(&(w, at)) = phase {
+                match workers.iter().position(|&c| c == w) {
+                    Some(i) if !moved || !from(i).starts_with(at) => {
+                        moved = true;
+                        return i;
+                    }
+                    _ => (phase, moved) = (plan.next(), false),
+                }
+            }
+            0
+        }
+    }
+
+    /// Run `f` with the pool of the executor it calls under the turn
+    /// driver, picking by `plan`, where pool worker `w` runs `T{w+1}`
+    /// when the plan starts them in order; the steps, and `f`'s result.
+    fn driven<R>(plan: &[(usize, &'static str)], f: impl FnOnce() -> R) -> (Vec<String>, R) {
+        PLAN.with(|p| *p.borrow_mut() = Some(plan.to_vec()));
+        let out = f();
+        (STEPS.with(RefCell::take), out)
+    }
+
+    /// The positions of `step` in `steps`.
+    fn at(steps: &[String], step: &str) -> Vec<usize> {
+        (0..steps.len()).filter(|&n| steps[n] == step).collect()
+    }
+
+    /// A commit wakes the waiter parked on its mark. T1 writes `a0` and
+    /// is held short of its commit; T2 reads `b0`, meets T1's mark on
+    /// `a0`, probes it `DIRTY_SPIN` times and parks; then T1 commits,
+    /// and the wake in `clear_marks` (the one way a mark is cleared)
+    /// lets T2 go on and read T1's write. Without that wake T2 would go
+    /// on only when the driver timed its park out.
+    #[test]
+    fn commit_wakes_the_parked_waiter() {
+        let (cat, ic, initial) = setup();
+        let programs = [("T1", "a0 := 5;"), ("T2", "b0 := b0 + a0;")]
+            .map(|(name, src)| parse_program(name, src).unwrap());
+        let spec = MonitorSpec::new(ic.scopes(), AdmissionLevel::Pwsr);
+        let plan = [(0, "latch"), (0, "slot"), (1, "park"), (0, "end")];
+        let (steps, out) = driven(&plan, || {
+            run_threaded_occ_tuned(
+                &programs,
+                &cat,
+                &initial,
+                &spec,
+                2,
+                3,
+                &OccTuning::default(),
+            )
+        });
+        let out = out.unwrap();
+        // T1's commit wakes the stripe, then T2 goes on from its park.
+        let (wake, woken) = (
+            at(&steps, "worker 0: wake"),
+            at(&steps, "worker 1: park, woken"),
+        );
+        let window = [wake.first(), woken.first()];
+        assert!(
+            window.iter().all(Option::is_some)
+                && window.is_sorted()
+                && !steps.iter().any(|s| s.ends_with("timed out")),
+            "T2 was not woken by T1's commit:\n{}",
+            steps.join("\n")
+        );
+        let m = &out.metrics;
+        assert_eq!((m.occ_aborts, m.waits), (0, u64::from(DIRTY_SPIN) + 1));
+        let b0 = out.final_state.get(cat.lookup("b0").unwrap());
+        assert_eq!(
+            b0,
+            Some(&Value::Int(15)),
+            "T2 read T1's write: {}",
+            out.schedule
+        );
+        out.schedule.check_read_coherence(&initial).unwrap();
+    }
+
+    /// With deadlines armed, a waiter reaps a writer held past its
+    /// deadline. T1 reads and writes `a0` and is held at its next
+    /// liveness check; T2 meets the mark and parks, and each park the
+    /// driver times out moves the clock by `PARK_TIMEOUT`, until T1's
+    /// 3 ms have passed and T2's look at T1's slot sweeps it. T1 then
+    /// finds itself reaped, aborts, and its retry still lands.
+    #[test]
+    fn zombie_reap_restores_progress() {
+        let (cat, ic, initial) = setup();
+        let programs = ["T1", "T2"].map(|name| parse_program(name, "a0 := a0 + 1;").unwrap());
+        let spec = MonitorSpec::new(ic.scopes(), AdmissionLevel::Pwsr);
+        let tuning = OccTuning {
+            txn_deadline_us: 3_000,
+            ..OccTuning::default()
+        };
+        // T1 claims and begins, checks, reads, checks, writes, and waits
+        // at its check; T2 runs on until its reap wakes the stripe.
+        let plan = [
+            (0, "slot"),
+            (0, "slot"),
+            (0, "slot"),
+            (0, "slot"),
+            (1, "wake"),
+        ];
+        let (steps, out) = driven(&plan, || {
+            run_threaded_occ_tuned(&programs, &cat, &initial, &spec, 2, 3, &tuning)
+        });
+        let out = out.unwrap();
+        let timeouts = at(&steps, "worker 1: park, timed out");
+        let reap = at(&steps, "worker 1: slot T1");
+        let woke = at(&steps, "worker 1: wake");
+        let window = [timeouts.get(5), reap.last(), woke.first()];
+        assert!(
+            timeouts.len() == 6 && window.iter().all(Option::is_some) && window.is_sorted(),
+            "T2 did not reap T1 after six timeouts:\n{}",
+            steps.join("\n")
+        );
+        let m = &out.metrics;
+        assert_eq!(
+            (m.zombie_reaps, m.txn_timeouts, m.occ_aborts),
+            (1, 1, 1),
+            "{m}"
+        );
+        let a0 = out.final_state.get(cat.lookup("a0").unwrap());
+        assert_eq!(
+            a0,
+            Some(&Value::Int(2)),
+            "reap + retry loses no update: {}",
+            out.schedule
+        );
+        out.schedule.check_read_coherence(&initial).unwrap();
+        assert_eq!(out.final_state, out.schedule.apply(&initial));
+    }
+
+    /// The frozen-projection window, held open by the driver. Four
+    /// programs over one conjunct {a0, b0, c0, d0}, one worker each,
+    /// deadlines unarmed:
+    ///
+    /// ```text
+    /// r1(a) r2(a) r3(c) r4(c)
+    /// w2(a) r2(b) w2(b), T2 commits
+    /// r1(b)  — closes the T1/T2 cycle; T1 is told, and held before its abort
+    /// w4(c) r4(d) … — T4 pushes into the frozen graph
+    /// r3(d)  — so does T3: a second, disjoint cycle T3/T4
+    /// T1 aborts and retracts; the rest run on
+    /// ```
+    ///
+    /// A certifier that tells only the push that *first* broke the rung
+    /// tells T1 alone; T3 and T4 commit, T1's retraction un-freezes the
+    /// graph over their cycle, and the run ends `FloorBreached` (the
+    /// executor before `05f0d7a` did). Every push into a frozen rung is
+    /// told, so T3 and T4 retry and the run stays above its floor.
+    #[test]
+    fn frozen_window_held_open_stays_above_the_floor() {
+        let mut cat = Catalog::new();
+        let items =
+            ["a0", "b0", "c0", "d0"].map(|n| cat.add_item(n, Domain::int_range(-1000, 1000)));
+        let initial = DbState::from_pairs(items.map(|i| (i, Value::Int(0))));
+        let spec = MonitorSpec::new(vec![ItemSet::from_iter(items)], AdmissionLevel::Pwsr);
+        let programs = [
+            ("T1", "touch a0; touch b0;"),
+            ("T2", "a0 := a0 + 1; b0 := b0 + 1;"),
+            ("T3", "touch c0; touch d0;"),
+            ("T4", "c0 := c0 + 1; d0 := d0 + 1;"),
+        ]
+        .map(|(name, src)| parse_program(name, src).unwrap());
+        let begin = [(0, "latch"), (1, "latch"), (2, "latch"), (3, "latch")];
+        let plan: Vec<_> = (begin.iter().chain(&begin).copied())
+            .chain([
+                (1, "end"),
+                (0, "slot"),
+                (3, "slot"),
+                (3, "slot"),
+                (2, "slot"),
+            ])
+            .collect();
+        let (steps, out) = driven(&plan, || {
+            run_threaded_occ_tuned(
+                &programs,
+                &cat,
+                &initial,
+                &spec,
+                4,
+                64,
+                &OccTuning::default(),
+            )
+        });
+        let out = out.unwrap_or_else(|e| {
+            panic!(
+                "the run must stay above its floor: {e}\n{}",
+                steps.join("\n")
+            )
+        });
+        // T1's read of b0 is its second latch; its abort takes its slot
+        // a second time. T4 and T3 pushed in between.
+        let t1 = [
+            at(&steps, "worker 0: latch")[1],
+            at(&steps, "worker 0: slot T1")[1],
+        ];
+        let pushed = |w: usize| {
+            at(&steps, &format!("worker {w}: latch"))
+                .iter()
+                .any(|&n| t1[0] < n && n < t1[1])
+        };
+        assert!(
+            pushed(3) && pushed(2),
+            "the window was never held open:\n{}",
+            steps.join("\n")
+        );
+        assert!(out.metrics.occ_aborts >= 2, "{}", out.metrics);
+        assert!(out.verdict.meets(spec.level), "{:?}", out.verdict);
+        out.schedule.check_read_coherence(&initial).unwrap();
+        assert_eq!(out.final_state, out.schedule.apply(&initial));
+        for (k, program) in programs.iter().enumerate() {
+            let txn = TxnId(k as u32 + 1);
+            let t = out.schedule.transaction(txn);
+            assert!(
+                replay_matches(program, &cat, txn, t.ops()),
+                "{txn} must replay: {}",
+                out.schedule
+            );
         }
     }
 }
