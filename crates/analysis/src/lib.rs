@@ -2,8 +2,8 @@
 //!
 //! Decides **before execution** whether a workload of transaction
 //! programs can ever breach a verdict floor, and mints
-//! [`StaticCertificate`]s the schedulers consume as a zero-cost
-//! admission fast path.
+//! [`StaticCertificate`]s the seeded runner's admission consumes as a
+//! zero-cost fast path.
 //!
 //! The pipeline, mirroring the paper's layers:
 //!
@@ -27,10 +27,13 @@
 //!    alarm.
 //! 5. **Certificates** — `Safe` workloads (and the structurally-safe
 //!    conflict-closed components of unsafe ones) become
-//!    [`StaticCertificate`]s: [`pwsr_scheduler`]'s admission skips
-//!    runtime certification for covered transactions entirely.
+//!    [`StaticCertificate`]s: [`pwsr_scheduler`]'s seeded-runner
+//!    admission ([`MonitorAdmission`]) skips runtime certification for
+//!    covered transactions entirely; the threaded executors read no
+//!    certificate.
 //!
 //! [`OnlineMonitor`]: pwsr_core::monitor::OnlineMonitor
+//! [`MonitorAdmission`]: pwsr_scheduler::policy::MonitorAdmission
 //! [`StaticCertificate`]: pwsr_scheduler::policy::StaticCertificate
 
 pub mod analyze;

@@ -4,12 +4,15 @@
 //! instrument; this module shows the same policies working under real
 //! OS-thread parallelism with `parking_lot` locks.
 //!
-//! Two recording paths, both certified live. They share everything
-//! that is not their discipline: one pool of scoped workers claiming
-//! transactions from one counter, one item-striped store, one commit
-//! step (finish, then checkpoint and compact on cadence), one
-//! description of the monitor half ([`MonitorSpec`], whose seal ends
-//! both runs against its floor) and [`Metrics`] as the only counter.
+//! Two executors, both certified live: every transaction is pushed
+//! through one [`ShardedMonitor`], so the returned verdict covers the
+//! whole committed schedule. They share everything that is not their
+//! discipline: one pool of scoped workers claiming transactions from
+//! one counter, one item-striped store, one commit step (finish, then
+//! checkpoint and compact on cadence), one description of the monitor
+//! half ([`MonitorSpec`], whose seal ends both runs against its floor;
+//! its certificate is read only by the seeded runner's admission) and
+//! [`Metrics`] as the only counter.
 //!
 //! * [`run_threaded_certified`] — lock-based, with no global database
 //!   lock: one worker per program, and each transaction acquires its
@@ -42,7 +45,7 @@
 
 use crate::error::{Result, SchedError};
 use crate::metrics::Metrics;
-use crate::policy::{MonitorSpec, PolicySpec, StaticCertificate};
+use crate::policy::{MonitorSpec, PolicySpec};
 use parking_lot::{Condvar, Mutex};
 use pwsr_core::catalog::Catalog;
 use pwsr_core::ids::{ItemId, TxnId};
@@ -125,13 +128,11 @@ fn run_pool(
 }
 
 /// The end of a committed transaction, shared by both threaded
-/// executors: declare it finished (monitored transactions only — a
-/// certified one never reaches the monitor, so it cannot pin the
-/// frontier), and on the `MonitorSpec::compact_every` cadence
-/// checkpoint past every running transaction, then compact. A commit
-/// is final on both paths — 2PL admits no aborts, and a committed
-/// optimistic transaction is never resurrected — so the frontier may
-/// advance over it.
+/// executors: declare it finished, and on the
+/// `MonitorSpec::compact_every` cadence checkpoint past every running
+/// transaction, then compact. A commit is final on both paths — 2PL
+/// admits no aborts, and a committed optimistic transaction is never
+/// resurrected — so the frontier may advance over it.
 ///
 /// The optimistic monitor is *logged* (aborts retract), so its
 /// frontier is gated by the undo-log floor the checkpoint raises. Each
@@ -170,10 +171,8 @@ impl<'a> CommitStep<'a> {
         }
     }
 
-    fn commit(&self, txn: TxnId, monitored: bool) {
-        if monitored {
-            self.monitor.finish_txn(txn);
-        }
+    fn commit(&self, txn: TxnId) {
+        self.monitor.finish_txn(txn);
         if self.every > 0 {
             let n = self.commits.fetch_add(1, Ordering::Relaxed) + 1;
             if n.is_multiple_of(self.every) {
@@ -198,21 +197,9 @@ impl<'a> CommitStep<'a> {
 /// monitor's exact (quiescent) verdict over exactly that interleaving.
 /// Returns the recorded (committed) schedule, the final state and that
 /// verdict. Only `policy`'s item→space map is read; `spec` is the
-/// monitor half, as for [`run_threaded_occ_tuned`].
-///
-/// When `spec` carries a trusted [`StaticCertificate`], transactions
-/// the certificate covers **bypass the monitor pipeline entirely**:
-/// their operations are recorded into a cheap side trace instead of
-/// being pushed through the three-stage certification pipeline. The
-/// returned verdict then covers only the *monitored* suffix of the
-/// workload (its `len` is the number of monitored operations, not the
-/// schedule length); the overall guarantee is the conjunction of the
-/// certificate's static level over the certified subset and the live
-/// verdict over the rest. Soundness rests on the analyzer's contract
-/// that certified transactions form conflict-closed components — they
-/// never conflict with monitored transactions, so same-item operation
-/// order (and hence reads-from and coherence) is unaffected by splicing
-/// the side trace after the monitored schedule.
+/// monitor half, as for [`run_threaded_occ_tuned`]. Every transaction
+/// is pushed through the monitor, so the verdict's `len` is the
+/// schedule's; `spec.certificate` is not read.
 ///
 /// When `spec.wal` is set, the monitor journals every claimed operation
 /// into it (under its sequence mutex, so log order is claimed schedule
@@ -243,15 +230,10 @@ pub fn run_threaded_certified(
         monitor = monitor.with_journal(Box::new(wal.clone()));
     }
     let db = StripedStore::new(initial, 16);
-    let certificate = spec.trusted_certificate();
-    // Side trace for statically-certified transactions: a plain mutex
-    // push, no graph maintenance, no pipeline stages.
-    let side: Mutex<Vec<Operation>> = Mutex::new(Vec::new());
     let commit = CommitStep::new(&monitor, 0, spec.compact_every);
 
     let mut metrics = run_pool(programs.len(), programs.len(), |_, k, _| {
         let txn = TxnId(k as u32 + 1);
-        let fast = certificate.is_some_and(|c| c.covers(txn));
         let guards: Vec<_> = spaces[k]
             .iter()
             .map(|&s| space_locks[s as usize].lock())
@@ -283,46 +265,21 @@ pub fn run_threaded_certified(
                 }
                 Pending::Done => break,
             };
-            if fast {
-                side.lock().push(op);
-            } else {
-                batch.push(op);
-            }
+            batch.push(op);
         }
         if !batch.is_empty() {
             monitor.push_batch(&batch)?;
         }
         drop(guards);
-        commit.commit(txn, !fast);
+        commit.commit(txn);
         Ok(())
     })?;
 
-    let (monitored, verdict) = monitor.into_parts();
-    let schedule = splice_side_trace(monitored, side.into_inner())?;
+    let (schedule, verdict) = monitor.into_parts();
     // This path reports no metrics; the seal is for the tail of the
     // log and the floor.
     spec.seal(&mut metrics, verdict, &schedule)?;
     Ok((schedule, db.into_state(), verdict))
-}
-
-/// Append the certified side trace after the monitored schedule.
-///
-/// Certified transactions never share an item with monitored ones
-/// (conflict-closed components), and the side trace preserves its own
-/// internal push order — so every per-item operation sequence survives
-/// the splice intact, and read-coherence / reads-from assignments are
-/// exactly those of the live interleaving. When committed-prefix
-/// compaction ran (`MonitorSpec::compact_every > 0`), the monitored
-/// schedule is already only the live tail; the splice then covers the
-/// tail plus the side trace, and a tail read whose writer was
-/// summarized away reports no `reads_from` writer.
-fn splice_side_trace(monitored: Schedule, side: Vec<Operation>) -> Result<Schedule> {
-    if side.is_empty() {
-        return Ok(monitored);
-    }
-    let mut ops: Vec<Operation> = monitored.ops().to_vec();
-    ops.extend(side);
-    Ok(Schedule::new(ops)?)
 }
 
 /// One stripe of the store: the values plus a dirty mark on every
@@ -512,18 +469,9 @@ pub struct OccTuning {
 ///   commits the non-serializable-but-PWSR interleavings a
 ///   serializability-validating OCC would abort.
 ///
-/// Driven by a full [`MonitorSpec`], so it honours a
-/// [`StaticCertificate`]. Transactions the certificate covers run
-/// **without the monitor**: their accesses still respect the
-/// dirty-item discipline (store correctness and read-coherence among
-/// certified transactions need it), but each operation lands in a
-/// cheap side trace instead of the logged pipeline, and no admission
-/// floor is ever checked for them — a statically-safe transaction
-/// cannot be certification-aborted. The returned verdict covers only
-/// the monitored operations; the overall guarantee is the
-/// certificate's static level over the certified subset conjoined
-/// with the verdict over the rest (sound because certified
-/// transactions form conflict-closed components).
+/// Every transaction goes through the monitor, so the returned verdict
+/// covers the whole committed schedule; `spec.certificate` is not
+/// read.
 ///
 /// The access loop itself never yields the processor: a worker gives
 /// it up only where somebody is actually waited for — between probes
@@ -553,14 +501,11 @@ pub fn run_threaded_occ_tuned(
     }
     let level = spec.level;
     let db = StripedStore::new(initial, 16);
-    let side: Mutex<Vec<Operation>> = Mutex::new(Vec::new());
     let registry = TxnRegistry::new(programs.len());
     let ctx = OccCtx {
         monitor: &monitor,
         db: &db,
         registry: &registry,
-        side: &side,
-        certificate: spec.trusted_certificate(),
         level,
         faults: tuning.faults.as_ref(),
         deadline: (tuning.txn_deadline_us > 0)
@@ -580,7 +525,7 @@ pub fn run_threaded_occ_tuned(
             match occ_attempt(&ctx, &mut session, m)? {
                 AttemptEnd::Committed => {
                     commit.run(w, None);
-                    commit.commit(txn, ctx.fast_of(txn).is_none());
+                    commit.commit(txn);
                     return Ok(());
                 }
                 AttemptEnd::Aborted => {
@@ -612,8 +557,7 @@ pub fn run_threaded_occ_tuned(
         }
     })?;
 
-    let (monitored, verdict) = monitor.into_parts();
-    let schedule = splice_side_trace(monitored, side.into_inner())?;
+    let (schedule, verdict) = monitor.into_parts();
     let mut metrics = Metrics {
         committed_ops: schedule.len() as u64,
         aborts: counts.occ_aborts,
@@ -697,32 +641,18 @@ struct OccCtx<'a> {
     monitor: &'a ShardedMonitor,
     db: &'a StripedStore,
     registry: &'a TxnRegistry,
-    side: &'a Mutex<Vec<Operation>>,
-    certificate: Option<&'a StaticCertificate>,
     level: AdmissionLevel,
     faults: Option<&'a FaultHandle>,
     deadline: Option<Duration>,
 }
 
-impl<'a> OccCtx<'a> {
-    /// `Some(side trace)` when a static certificate covers `txn` —
-    /// needed both for the worker's own transaction and for a reap
-    /// victim's (whose recording target may differ from the reaper's).
-    fn fast_of(&self, txn: TxnId) -> Option<&'a Mutex<Vec<Operation>>> {
-        self.certificate
-            .is_some_and(|c| c.covers(txn))
-            .then_some(self.side)
-    }
-}
-
 /// Sweep `txn`'s attempt off the shared state and mark its slot not
 /// running, under the slot lock the caller holds (so owner and reaper
-/// cannot interleave): retract the recorded suffix — from the monitor,
-/// or from the side trace on the static fast path — THEN, stripe by
-/// stripe, put back the value each of `txn`'s dirty marks displaced
-/// and remove the mark. The order is load-bearing: while the dirty
-/// marks still stand, no reader can record a read against either the
-/// doomed write or the restored value, which is what keeps reads-from
+/// cannot interleave): retract its suffix from the monitor, THEN,
+/// stripe by stripe, put back the value each of `txn`'s dirty marks
+/// displaced and remove the mark. The order is load-bearing: while the
+/// dirty marks still stand, no reader can record a read against either
+/// the doomed write or the restored value, which is what keeps reads-from
 /// assignments stable across the abort (a read admitted in between
 /// would be recorded against the victim's write and then silently
 /// reassigned to the earlier writer by the retraction's re-push,
@@ -740,19 +670,8 @@ impl<'a> OccCtx<'a> {
 /// what the item held before the attempt.
 fn sweep(ctx: &OccCtx<'_>, txn: TxnId, slot: &mut TxnSlot, m: &mut Metrics) {
     slot.running = false;
-    let undone = match ctx.fast_of(txn) {
-        Some(side) => {
-            let mut ops = side.lock();
-            let before = ops.len();
-            ops.retain(|o| o.txn != txn);
-            before - ops.len()
-        }
-        None => {
-            (ctx.monitor.retract_txn(txn))
-                .expect("an in-flight transaction is never summarized")
-                .0
-        }
-    };
+    let (undone, _) =
+        (ctx.monitor.retract_txn(txn)).expect("an in-flight transaction is never summarized");
     m.monitor_undone_ops += undone as u64;
     for cell in &ctx.db.stripes {
         cell.clear_marks(|Stripe { db, dirty }| {
@@ -880,8 +799,8 @@ fn with_clean_stripe<T>(
 }
 
 /// One speculative attempt of `txn`, with panic containment. On abort
-/// — and on any error — the recorded suffix (monitor or side trace)
-/// is retracted first and every store write then restored, so the
+/// — and on any error — the monitor's suffix of the attempt is
+/// retracted first and every store write then restored, so the
 /// shared state is as if the attempt never ran (except the attempt's
 /// waits and abort counters). A panic anywhere in the attempt
 /// (injected or genuine) is caught here: the same sweep runs, the
@@ -924,7 +843,6 @@ fn occ_attempt_inner(
     m: &mut Metrics,
 ) -> Result<AttemptEnd> {
     let (monitor, faults, txn) = (ctx.monitor, ctx.faults, session.txn());
-    let fast = ctx.fast_of(txn);
     // A retry starts the program over. (An attempt that gave up before
     // its first access left the machine where a fresh one stands.)
     if session.emitted() > 0 {
@@ -1011,21 +929,9 @@ fn occ_attempt_inner(
                 }
                 Pending::Done => unreachable!("handled above"),
             };
-            // Fast path: append to the side trace (same-item order
-            // still serialized by the latch), no outcome to consult.
-            // Monitored path: defer a write, flush the buffer with a
-            // read.
-            Ok(match fast {
-                Some(side) => {
-                    side.lock().push(op);
-                    m.monitor_skipped_ops += 1;
-                    false
-                }
-                None => {
-                    deferred.push(op);
-                    !write && breached(&flush(&mut deferred, m)?)
-                }
-            })
+            // Defer a write; flush the buffer with a read.
+            deferred.push(op);
+            Ok(!write && breached(&flush(&mut deferred, m)?))
         })?;
         match accessed {
             Some(breached_here) => breach = breached_here,
@@ -1323,145 +1229,76 @@ mod tests {
         }
     }
 
-    /// A certificate covering every program routes the whole workload
-    /// around the monitor: the verdict covers zero operations, yet the
-    /// spliced schedule is coherent, PWSR, and loses no effects.
+    /// A certificate in the spec changes nothing in either threaded
+    /// executor: every transaction goes through the monitor, so the
+    /// verdict covers the whole schedule, compacted or not, and a run
+    /// gives the schedule length, base and final state of the same run
+    /// without the certificate. Under the turn driver (an empty plan:
+    /// the first worker that can go on) both runs take one
+    /// interleaving, so the bases compare exactly; on real threads the
+    /// lengths and final states still do.
     #[test]
-    fn certified_threaded_full_certificate_bypasses_monitor() {
+    fn a_certificate_leaves_both_threaded_runs_unchanged() {
         use crate::policy::StaticCertificate;
         let (cat, ic, initial) = setup();
-        // A statically-safe mix: each program touches its own item
-        // (empty conflict graph — trivially a forest at every level).
-        let programs = vec![
-            parse_program("T1", "a0 := a0 + 1;").unwrap(),
-            parse_program("T2", "b0 := b0 + 1;").unwrap(),
-            parse_program("T3", "a1 := a1 + 5;").unwrap(),
-            parse_program("T4", "b1 := b1 + 7;").unwrap(),
-        ];
+        let programs = [
+            ("T1", "a1 := a1 + 5;"),
+            ("T2", "b1 := b1 + 7;"),
+            ("T3", "a0 := a0 + 1;"),
+            ("T4", "a0 := a0 + 2; b0 := b0 + 1;"),
+        ]
+        .map(|(name, src)| parse_program(name, src).unwrap());
         let policy = PolicySpec::predicate_wise_2pl(&ic);
-        let spec = MonitorSpec {
-            certificate: Some(StaticCertificate::full(
-                AdmissionLevel::Pwsr,
-                programs.len(),
-            )),
-            ..MonitorSpec::new(ic.scopes(), AdmissionLevel::Pwsr)
-        };
-        for _ in 0..5 {
+        let covered = [TxnId(1), TxnId(2)].into_iter().collect();
+        let certificate = StaticCertificate::new(AdmissionLevel::Pwsr, covered);
+        let locked = |spec: &MonitorSpec| {
             let (schedule, final_state, verdict) =
-                run_threaded_certified(&programs, &cat, &initial, &policy, &spec).unwrap();
-            assert_eq!(verdict.len, 0, "no operation may reach the monitor");
-            assert_eq!(schedule.len(), 8);
-            schedule.check_read_coherence(&initial).unwrap();
-            assert_eq!(schedule.apply(&initial), final_state);
-            assert!(is_pwsr(&schedule, &ic).ok());
-            assert_eq!(
-                final_state.get(cat.lookup("a0").unwrap()),
-                Some(&Value::Int(1))
-            );
-            assert_eq!(
-                final_state.get(cat.lookup("b1").unwrap()),
-                Some(&Value::Int(17))
-            );
-        }
-    }
-
-    /// A mixed workload: the certified component (disjoint items)
-    /// bypasses the monitor while the conflicting remainder is still
-    /// certified live — the verdict covers exactly the monitored ops
-    /// and the spliced whole stays coherent and PWSR.
-    #[test]
-    fn certified_threaded_mixed_workload_monitors_only_the_rest() {
-        use crate::policy::StaticCertificate;
-        let (cat, ic, initial) = setup();
-        let programs = vec![
-            parse_program("T1", "a1 := a1 + 5;").unwrap(), // certified
-            parse_program("T2", "b1 := b1 + 7;").unwrap(), // certified
-            parse_program("T3", "a0 := a0 + 1;").unwrap(), // monitored
-            parse_program("T4", "a0 := a0 + 2; b0 := b0 + 1;").unwrap(), // monitored
-        ];
-        let cert = StaticCertificate::new(
-            AdmissionLevel::Pwsr,
-            [TxnId(1), TxnId(2)].into_iter().collect(),
-        );
-        let policy = PolicySpec::predicate_wise_2pl(&ic);
-        let spec = MonitorSpec {
-            certificate: Some(cert),
-            ..MonitorSpec::new(ic.scopes(), AdmissionLevel::Pwsr)
+                run_threaded_certified(&programs, &cat, &initial, &policy, spec).unwrap();
+            (schedule, final_state, verdict, None)
         };
-        for _ in 0..5 {
-            let (schedule, final_state, verdict) =
-                run_threaded_certified(&programs, &cat, &initial, &policy, &spec).unwrap();
-            // T3+T4 contribute 2+4 monitored ops; T1+T2 skip with 4.
-            assert_eq!(verdict.len, 6);
-            assert_eq!(schedule.len(), 10);
-            assert!(verdict.pwsr());
-            schedule.check_read_coherence(&initial).unwrap();
-            assert_eq!(schedule.apply(&initial), final_state);
-            assert!(is_pwsr(&schedule, &ic).ok());
-            assert_eq!(
-                final_state.get(cat.lookup("a0").unwrap()),
-                Some(&Value::Int(3))
-            );
-            assert_eq!(
-                final_state.get(cat.lookup("a1").unwrap()),
-                Some(&Value::Int(5))
-            );
-        }
-    }
-
-    /// The OCC fast path: certified transactions skip certification
-    /// (zero monitored ops, `monitor_skipped_ops` accounts for every
-    /// access) while still obeying the dirty-item store discipline;
-    /// mixed runs monitor only the uncertified remainder.
-    #[test]
-    fn occ_spec_certificate_skips_certification() {
-        use crate::policy::{MonitorSpec, StaticCertificate};
-        let (cat, ic, initial) = setup();
-        let programs = vec![
-            parse_program("T1", "a1 := a1 + 5;").unwrap(), // certified
-            parse_program("T2", "b1 := b1 + 7;").unwrap(), // certified
-            parse_program("T3", "a0 := a0 + 1;").unwrap(), // monitored
-            parse_program("T4", "a0 := a0 + 2; b0 := b0 + 1;").unwrap(), // monitored
-        ];
-        let scopes = ic.scopes();
-        let spec = MonitorSpec {
-            certificate: Some(StaticCertificate::new(
-                AdmissionLevel::Pwsr,
-                [TxnId(1), TxnId(2)].into_iter().collect(),
-            )),
-            ..MonitorSpec::new(scopes.clone(), AdmissionLevel::Pwsr)
+        let occ = |spec: &MonitorSpec, threads: usize| {
+            let tuning = OccTuning::default();
+            let out =
+                run_threaded_occ_tuned(&programs, &cat, &initial, spec, threads, 1_000, &tuning)
+                    .unwrap();
+            (
+                out.schedule,
+                out.final_state,
+                out.verdict,
+                Some(out.metrics),
+            )
         };
-        for threads in [1, 4] {
-            for _ in 0..5 {
-                let out = run_threaded_occ_tuned(
-                    &programs,
-                    &cat,
-                    &initial,
-                    &spec,
-                    threads,
-                    10_000,
-                    &OccTuning::default(),
-                )
-                .unwrap();
-                assert_eq!(out.verdict.len, 6, "only T3/T4 ops are monitored");
-                assert_eq!(out.schedule.len(), 10);
-                assert!(out.metrics.monitor_skipped_ops >= 4);
-                out.schedule.check_read_coherence(&initial).unwrap();
-                assert_eq!(out.schedule.apply(&initial), out.final_state);
-                assert!(is_pwsr(&out.schedule, &ic).ok());
-                assert_eq!(
-                    out.final_state.get(cat.lookup("a0").unwrap()),
-                    Some(&Value::Int(3))
-                );
-                assert_eq!(
-                    out.final_state.get(cat.lookup("a1").unwrap()),
-                    Some(&Value::Int(5))
-                );
-                // Per-transaction traces still replay in program order.
-                for (k, p) in programs.iter().enumerate() {
-                    let txn = TxnId(k as u32 + 1);
-                    let t = out.schedule.transaction(txn);
-                    assert!(replay_matches(p, &cat, txn, t.ops()), "{txn:?}");
+        for compact_every in [0, 1] {
+            let plain = MonitorSpec {
+                compact_every,
+                ..MonitorSpec::new(ic.scopes(), AdmissionLevel::Pwsr)
+            };
+            let certified = MonitorSpec {
+                certificate: Some(certificate.clone()),
+                ..plain.clone()
+            };
+            // (what, whether it ran under the driver, the run)
+            let runs = |spec: &MonitorSpec| {
+                [
+                    ("2PL, driven", true, driven(&[], || locked(spec)).1),
+                    ("OCC, driven", true, driven(&[], || occ(spec, 2)).1),
+                    ("2PL", false, locked(spec)),
+                    ("OCC", false, occ(spec, 4)),
+                ]
+            };
+            for ((_, _, plain), (what, exact, run)) in runs(&plain).iter().zip(runs(&certified)) {
+                let what = format!("{what}, compact_every {compact_every}");
+                let (schedule, final_state, verdict, metrics) = run;
+                assert_eq!(verdict.len, schedule.len(), "{what}: {schedule}");
+                assert_eq!(schedule.len(), plain.0.len(), "{what}");
+                if exact {
+                    assert_eq!(schedule.base(), plain.0.base(), "{what}");
+                    assert_eq!(schedule.base() > 0, compact_every > 0, "{what}");
+                }
+                assert_eq!(final_state, plain.1, "{what}");
+                if let Some(m) = metrics {
+                    assert_eq!(m.committed_ops, schedule.len() as u64, "{what}");
+                    assert_eq!(m.monitor_skipped_ops, 0, "{what}");
                 }
             }
         }

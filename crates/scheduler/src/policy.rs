@@ -297,8 +297,10 @@ pub struct MonitorSpec {
     /// whose committed schedule ends below it returns
     /// [`SchedError::FloorBreached`] instead of `Ok`.
     pub level: AdmissionLevel,
-    /// Optional static fast path: certified transactions skip runtime
-    /// certification (see [`StaticCertificate`]). Only a
+    /// Optional static fast path, read by the seeded runner's admission
+    /// ([`MonitorAdmission`]; the threaded executors push every
+    /// transaction through the monitor): the transactions it covers
+    /// skip runtime certification (see [`StaticCertificate`]). Only a
     /// [trusted](Self::trusted_certificate) one is used.
     pub certificate: Option<StaticCertificate>,
     /// Optional durability: a shared write-ahead log the admission
