@@ -27,8 +27,8 @@
 //! components of the global conflict graph that are structurally safe
 //! at the level. These transactions can skip runtime certification
 //! even when the rest of the mix cannot — the mixed-workload fast
-//! path ([`WorkloadAnalysis::certificate`] plugs straight into
-//! [`pwsr_scheduler::policy::PolicySpec::certified`]).
+//! path ([`WorkloadAnalysis::certificate`] plugs straight into a
+//! [`pwsr_scheduler::policy::MonitorSpec`]'s `certificate`).
 
 use crate::graph::{has_cross_reads_from, has_cross_reads_from_within, StaticConflictGraph};
 use pwsr_core::catalog::Catalog;
@@ -121,13 +121,9 @@ pub enum StaticSafety {
 #[derive(Clone, Debug)]
 pub struct WorkloadAnalysis {
     /// The level analyzed against.
-    pub level: AdmissionLevel,
+    pub(crate) level: AdmissionLevel,
     /// Sound over-approximate read/write footprints, one per program.
-    pub footprints: Vec<RwFootprint>,
-    /// The global (all-items) static conflict graph.
-    pub global: StaticConflictGraph,
-    /// One restricted graph per conjunct scope.
-    pub per_conjunct: Vec<StaticConflictGraph>,
+    pub(crate) footprints: Vec<RwFootprint>,
     /// The workload-level verdict.
     pub safety: StaticSafety,
     /// Transactions proven safe (certified components; all of them
@@ -143,11 +139,10 @@ impl WorkloadAnalysis {
         &self.certified
     }
 
-    /// The admission certificate for the certified subset, ready for
-    /// [`PolicySpec::certified`] or a [`MonitorSpec`]'s `certificate`
-    /// — `None` when nothing was certified.
+    /// The admission certificate for the certified subset, ready for a
+    /// [`MonitorSpec`]'s `certificate` — `None` when nothing was
+    /// certified.
     ///
-    /// [`PolicySpec::certified`]: pwsr_scheduler::policy::PolicySpec::certified
     /// [`MonitorSpec`]: pwsr_scheduler::policy::MonitorSpec
     pub fn certificate(&self) -> Option<StaticCertificate> {
         if self.certified.is_empty() {
@@ -263,8 +258,6 @@ pub fn analyze(
         return WorkloadAnalysis {
             level,
             footprints,
-            global,
-            per_conjunct,
             safety,
             certified,
         };
@@ -320,8 +313,6 @@ pub fn analyze(
     WorkloadAnalysis {
         level,
         footprints,
-        global,
-        per_conjunct,
         safety,
         certified,
     }

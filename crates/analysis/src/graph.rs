@@ -10,7 +10,7 @@
 //! 0 or 1 and the per-item count is exact over the footprint
 //! over-approximation.
 //!
-//! The safety criterion ([`StaticConflictGraph::is_forest`]) is the
+//! The safety criterion (`StaticConflictGraph::is_forest`) is the
 //! multigraph analogue of acyclicity: **no pair carries two or more
 //! instances** (two instances between the same pair can order into an
 //! antiparallel two-cycle) **and the simple pair graph is acyclic**
@@ -29,21 +29,21 @@ use pwsr_tplang::analysis::RwFootprint;
 /// indices, not transaction ids) with `instances` potential conflict
 /// instances across `items`.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ConflictEdge {
+pub(crate) struct ConflictEdge {
     /// Lower program index.
-    pub a: usize,
+    pub(crate) a: usize,
     /// Higher program index.
-    pub b: usize,
+    pub(crate) b: usize,
     /// Total potential conflict instances between the two programs.
-    pub instances: usize,
+    pub(crate) instances: usize,
     /// The items contributing at least one instance.
-    pub items: Vec<ItemId>,
+    pub(crate) items: Vec<ItemId>,
 }
 
 /// The static (undirected) conflict multigraph of a program mix,
 /// optionally restricted to a projection scope.
 #[derive(Clone, Debug)]
-pub struct StaticConflictGraph {
+pub(crate) struct StaticConflictGraph {
     n: usize,
     edges: Vec<ConflictEdge>,
 }
@@ -60,7 +60,10 @@ fn instances_on(a: &RwFootprint, b: &RwFootprint, item: ItemId) -> usize {
 impl StaticConflictGraph {
     /// Build the graph over `footprints`, counting only items inside
     /// `scope` (`None` = all items — the global graph).
-    pub fn build(footprints: &[RwFootprint], scope: Option<&ItemSet>) -> StaticConflictGraph {
+    pub(crate) fn build(
+        footprints: &[RwFootprint],
+        scope: Option<&ItemSet>,
+    ) -> StaticConflictGraph {
         let n = footprints.len();
         let mut edges = Vec::new();
         for a in 0..n {
@@ -91,24 +94,14 @@ impl StaticConflictGraph {
         StaticConflictGraph { n, edges }
     }
 
-    /// Number of programs (nodes).
-    pub fn len(&self) -> usize {
-        self.n
-    }
-
-    /// Is the workload empty?
-    pub fn is_empty(&self) -> bool {
-        self.n == 0
-    }
-
     /// The conflict edges, lexicographic by `(a, b)`.
-    pub fn edges(&self) -> &[ConflictEdge] {
+    pub(crate) fn edges(&self) -> &[ConflictEdge] {
         &self.edges
     }
 
     /// The first pair carrying two or more conflict instances (the
     /// pairs a 2-cycle could form between), if any.
-    pub fn tangled_pair(&self) -> Option<&ConflictEdge> {
+    pub(crate) fn tangled_pair(&self) -> Option<&ConflictEdge> {
         self.edges.iter().find(|e| e.instances >= 2)
     }
 
@@ -116,7 +109,7 @@ impl StaticConflictGraph {
     /// simple pair graph acyclic? This is the robustness criterion:
     /// a forest admits no directed serialization-graph cycle under
     /// any interleaving (see the module docs).
-    pub fn is_forest(&self) -> bool {
+    pub(crate) fn is_forest(&self) -> bool {
         if self.tangled_pair().is_some() {
             return false;
         }
@@ -128,7 +121,7 @@ impl StaticConflictGraph {
     /// isolated programs appear as singleton components. Components
     /// are conflict-closed: no edge crosses two components, so a
     /// component's robustness composes with any schedule of the rest.
-    pub fn components(&self) -> Vec<Vec<usize>> {
+    pub(crate) fn components(&self) -> Vec<Vec<usize>> {
         let mut uf = UnionFind::new(self.n);
         for e in &self.edges {
             uf.union(e.a, e.b);
@@ -144,7 +137,7 @@ impl StaticConflictGraph {
     /// in `members` (edges with both endpoints inside). For a
     /// connected component this equals the forest check of the
     /// induced subgraph.
-    pub fn is_forest_within(&self, members: &[usize]) -> bool {
+    pub(crate) fn is_forest_within(&self, members: &[usize]) -> bool {
         let inside = |v: usize| members.contains(&v);
         let mut uf = UnionFind::new(self.n);
         self.edges
@@ -159,7 +152,7 @@ impl StaticConflictGraph {
 /// read in every interleaving is served by the initial state (the
 /// interpreter serves own-writes from its write buffer without
 /// emitting a read), so delayed-read holds trivially.
-pub fn has_cross_reads_from(footprints: &[RwFootprint]) -> bool {
+pub(crate) fn has_cross_reads_from(footprints: &[RwFootprint]) -> bool {
     footprints.iter().enumerate().any(|(i, a)| {
         footprints
             .iter()
@@ -169,7 +162,7 @@ pub fn has_cross_reads_from(footprints: &[RwFootprint]) -> bool {
 }
 
 /// [`has_cross_reads_from`] restricted to a member subset.
-pub fn has_cross_reads_from_within(footprints: &[RwFootprint], members: &[usize]) -> bool {
+pub(crate) fn has_cross_reads_from_within(footprints: &[RwFootprint], members: &[usize]) -> bool {
     members.iter().any(|&i| {
         members
             .iter()

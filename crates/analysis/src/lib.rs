@@ -10,7 +10,7 @@
 //! 1. **Footprints** — sound over-approximate read/write sets per
 //!    program ([`pwsr_tplang::analysis::rw_footprint`]), branch
 //!    arms unioned.
-//! 2. **Static conflict graph** ([`graph`]) — potential conflict
+//! 2. **Static conflict graph** (`graph`) — potential conflict
 //!    instances per program pair, globally and per conjunct scope,
 //!    exact over the footprints thanks to the §2.2 one-read/one-write
 //!    per item bound.
@@ -36,14 +36,12 @@
 //! [`MonitorAdmission`]: pwsr_scheduler::policy::MonitorAdmission
 //! [`StaticCertificate`]: pwsr_scheduler::policy::StaticCertificate
 
-pub mod analyze;
-pub mod graph;
+mod analyze;
+mod graph;
 
 pub use analyze::{
-    analyze, analyze_constraint, AnalyzerConfig, Counterexample, SafetyWitness, StaticSafety,
-    WorkloadAnalysis,
+    analyze, analyze_constraint, AnalyzerConfig, SafetyWitness, StaticSafety, WorkloadAnalysis,
 };
-pub use graph::{has_cross_reads_from, ConflictEdge, StaticConflictGraph};
 
 #[cfg(test)]
 mod tests {

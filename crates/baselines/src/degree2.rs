@@ -22,7 +22,7 @@ use pwsr_core::value::{Domain, Value};
 /// Does the schedule satisfy degree-2 consistency: no transaction reads
 /// another transaction's uncommitted write? With default commit points
 /// this is exactly the ACA test.
-pub fn satisfies_degree2(schedule: &Schedule, commits: &CommitPoints) -> bool {
+pub(crate) fn satisfies_degree2(schedule: &Schedule, commits: &CommitPoints) -> bool {
     is_aca_with(schedule, commits)
 }
 

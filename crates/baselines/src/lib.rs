@@ -13,9 +13,3 @@
 
 pub mod degree2;
 pub mod setwise;
-
-/// Convenience re-exports.
-pub mod prelude {
-    pub use crate::degree2::satisfies_degree2;
-    pub use crate::setwise::{is_setwise_serializable, AtomicDataSets};
-}

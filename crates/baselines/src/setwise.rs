@@ -12,7 +12,7 @@
 //! transactions preserve consistency; the paper's §3.1 critique is that
 //! \[14\]'s per-data-set induction cannot carry the proof (a transaction
 //! first in one set's serialization order need not be first in
-//! another's). [`per_set_serialization_positions`] computes exactly the
+//! another's). `per_set_serialization_positions` computes exactly the
 //! object that breaks that induction; the `induction_gap` test pins the
 //! phenomenon on the paper's Example 2.
 
@@ -33,7 +33,7 @@ pub struct AtomicDataSets {
 
 impl AtomicDataSets {
     /// Build from disjoint item sets; errors on overlap.
-    pub fn new(sets: Vec<ItemSet>) -> Result<AtomicDataSets> {
+    pub(crate) fn new(sets: Vec<ItemSet>) -> Result<AtomicDataSets> {
         for i in 0..sets.len() {
             for j in (i + 1)..sets.len() {
                 if let Some(item) = sets[i].common_item(&sets[j]) {
@@ -49,19 +49,17 @@ impl AtomicDataSets {
     pub fn from_constraint(ic: &IntegrityConstraint) -> Result<AtomicDataSets> {
         AtomicDataSets::new(ic.scopes())
     }
+}
 
-    /// The sets.
-    pub fn sets(&self) -> &[ItemSet] {
-        &self.sets
-    }
-
+#[cfg(test)]
+impl AtomicDataSets {
     /// Number of atomic data sets.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.sets.len()
     }
 
     /// Is the partition empty?
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.sets.is_empty()
     }
 }
@@ -92,7 +90,8 @@ pub fn coincides_with_pwsr(schedule: &Schedule, ic: &IntegrityConstraint) -> (bo
 /// positions across the sets it touches; Example 2 gives `T1` position
 /// 0 on `d1` but 1 on `d2` — the divergence the paper's §3.1 critique
 /// turns on.
-pub fn per_set_serialization_positions(
+#[cfg(test)]
+pub(crate) fn per_set_serialization_positions(
     schedule: &Schedule,
     ads: &AtomicDataSets,
 ) -> Option<Vec<HashMap<TxnId, usize>>> {

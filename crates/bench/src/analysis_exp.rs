@@ -51,7 +51,7 @@ use rand::SeedableRng;
 /// The provably-safe fixture: 8 conjuncts × 16-program blind-write
 /// chains (128 programs, 256-op executions), analyzed at
 /// `PwsrDr`, plus one random execution of the workload.
-pub fn certified_fixture(seed: u64) -> (Workload, WorkloadAnalysis, Schedule) {
+pub(crate) fn certified_fixture(seed: u64) -> (Workload, WorkloadAnalysis, Schedule) {
     let mut rng = StdRng::seed_from_u64(seed);
     let w = analyzer_workload(
         &mut rng,

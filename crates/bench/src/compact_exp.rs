@@ -67,7 +67,7 @@ impl CompactExpStats {
 
 /// The workload's conjunct scopes: `SCOPES` disjoint windows of
 /// `ITEMS / SCOPES` items.
-pub fn scopes() -> Vec<ItemSet> {
+pub(crate) fn scopes() -> Vec<ItemSet> {
     (0..SCOPES)
         .map(|s| {
             let mut set = ItemSet::new();

@@ -28,21 +28,21 @@ use pwsr_tplang::programs::{example2, example2_with_tp1_prime};
 
 /// Tallies from one exhaustive sweep.
 #[derive(Clone, Debug, Default)]
-pub struct ExhaustiveOutcome {
+pub(crate) struct ExhaustiveOutcome {
     /// Consistent initial states enumerated.
-    pub states: u64,
+    pub(crate) states: u64,
     /// Total executions checked.
-    pub executions: u64,
+    pub(crate) executions: u64,
     /// Executions that were PWSR.
-    pub pwsr: u64,
+    pub(crate) pwsr: u64,
     /// Strong-correctness violations found.
-    pub violations: u64,
+    pub(crate) violations: u64,
     /// PWSR executions with ≥ 1 theorem hypothesis that were violated
     /// (**must be 0** — this is the theorems' claim).
-    pub covered_violations: u64,
+    pub(crate) covered_violations: u64,
     /// Violations whose three hypotheses were all false (must equal
     /// `violations`).
-    pub uncovered_violations: u64,
+    pub(crate) uncovered_violations: u64,
 }
 
 fn narrowed_catalog(catalog: &Catalog) -> Catalog {

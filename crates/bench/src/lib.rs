@@ -19,5 +19,5 @@ pub mod lemmas_exp;
 pub mod monitor_exp;
 pub mod perf_exp;
 pub mod recovery_exp;
-pub mod report;
+mod report;
 pub mod theorems_exp;

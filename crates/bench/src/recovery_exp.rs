@@ -34,7 +34,10 @@ use rand::{Rng, SeedableRng};
 
 /// Build a history from a schedule by inserting each transaction's
 /// commit at a uniformly random position after its last operation.
-pub fn randomly_committed(schedule: &pwsr_core::schedule::Schedule, rng: &mut StdRng) -> History {
+pub(crate) fn randomly_committed(
+    schedule: &pwsr_core::schedule::Schedule,
+    rng: &mut StdRng,
+) -> History {
     let mut events: Vec<Event> = schedule.ops().iter().cloned().map(Event::Op).collect();
     // Insert commits one txn at a time; each insertion position is
     // anywhere from just-after-last-op to the very end.

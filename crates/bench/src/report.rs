@@ -2,7 +2,7 @@
 
 /// A simple aligned-column table.
 #[derive(Clone, Debug, Default)]
-pub struct Table {
+pub(crate) struct Table {
     title: String,
     header: Vec<String>,
     rows: Vec<Vec<String>>,
@@ -10,7 +10,7 @@ pub struct Table {
 
 impl Table {
     /// A table with a title and column headers.
-    pub fn new(title: &str, header: &[&str]) -> Table {
+    pub(crate) fn new(title: &str, header: &[&str]) -> Table {
         Table {
             title: title.to_owned(),
             header: header.iter().map(|s| s.to_string()).collect(),
@@ -19,24 +19,14 @@ impl Table {
     }
 
     /// Append a row (stringified cells).
-    pub fn row(&mut self, cells: &[String]) -> &mut Self {
+    pub(crate) fn row(&mut self, cells: &[String]) -> &mut Self {
         assert_eq!(cells.len(), self.header.len(), "row arity mismatch");
         self.rows.push(cells.to_vec());
         self
     }
 
-    /// Number of data rows.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// Is the table empty?
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
-
     /// Render with aligned columns.
-    pub fn render(&self) -> String {
+    pub(crate) fn render(&self) -> String {
         let ncols = self.header.len();
         let mut widths: Vec<usize> = self.header.iter().map(String::len).collect();
         for row in &self.rows {
@@ -69,6 +59,14 @@ impl Table {
             out.push('\n');
         }
         out
+    }
+}
+
+#[cfg(test)]
+impl Table {
+    /// Number of data rows.
+    pub(crate) fn len(&self) -> usize {
+        self.rows.len()
     }
 }
 

@@ -6,7 +6,7 @@
 
 use crate::error::{CoreError, Result};
 use crate::ids::ItemId;
-use crate::value::{Domain, Value};
+use crate::value::Domain;
 use std::collections::HashMap;
 
 /// The set `D` of data items: name ↔ id interning plus per-item domains.
@@ -62,11 +62,6 @@ impl Catalog {
         &self.domains[id.index()]
     }
 
-    /// Does `value` belong to `id`'s domain?
-    pub fn in_domain(&self, id: ItemId, value: &Value) -> bool {
-        self.domain(id).contains(value)
-    }
-
     /// Number of registered items (`|D|`).
     pub fn len(&self) -> usize {
         self.names.len()
@@ -84,8 +79,17 @@ impl Catalog {
 }
 
 #[cfg(test)]
+impl Catalog {
+    /// Does `value` belong to `id`'s domain?
+    pub(crate) fn in_domain(&self, id: ItemId, value: &crate::value::Value) -> bool {
+        self.domain(id).contains(value)
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
+    use crate::value::Value;
 
     #[test]
     fn intern_and_lookup() {

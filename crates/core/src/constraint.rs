@@ -48,11 +48,6 @@ impl Term {
         Term::Const(Value::Int(v))
     }
 
-    /// String constant shorthand.
-    pub fn str(s: &str) -> Term {
-        Term::Const(Value::str(s))
-    }
-
     /// Variable shorthand.
     pub fn var(item: ItemId) -> Term {
         Term::Var(item)
@@ -64,41 +59,8 @@ impl Term {
         Term::Add(Box::new(self), Box::new(rhs))
     }
 
-    /// `self − rhs`.
-    #[allow(clippy::should_implement_trait)] // fluent builder, not operator overloading
-    pub fn sub(self, rhs: Term) -> Term {
-        Term::Sub(Box::new(self), Box::new(rhs))
-    }
-
-    /// `self × rhs`.
-    #[allow(clippy::should_implement_trait)] // fluent builder, not operator overloading
-    pub fn mul(self, rhs: Term) -> Term {
-        Term::Mul(Box::new(self), Box::new(rhs))
-    }
-
-    /// `−self`.
-    #[allow(clippy::should_implement_trait)] // fluent builder, not operator overloading
-    pub fn neg(self) -> Term {
-        Term::Neg(Box::new(self))
-    }
-
-    /// `|self|`.
-    pub fn abs(self) -> Term {
-        Term::Abs(Box::new(self))
-    }
-
-    /// `min(self, rhs)`.
-    pub fn min(self, rhs: Term) -> Term {
-        Term::Min(Box::new(self), Box::new(rhs))
-    }
-
-    /// `max(self, rhs)`.
-    pub fn max(self, rhs: Term) -> Term {
-        Term::Max(Box::new(self), Box::new(rhs))
-    }
-
     /// Evaluate under the assignment `state`.
-    pub fn eval(&self, state: &DbState) -> Result<Value> {
+    pub(crate) fn eval(&self, state: &DbState) -> Result<Value> {
         fn int_of(v: Value, context: &'static str) -> Result<i64> {
             v.as_int().ok_or(CoreError::TypeError {
                 expected: "int",
@@ -147,7 +109,7 @@ impl Term {
     }
 
     /// Collect the data items (free variables) of the term into `out`.
-    pub fn collect_vars(&self, out: &mut ItemSet) {
+    pub(crate) fn collect_vars(&self, out: &mut ItemSet) {
         match self {
             Term::Const(_) => {}
             Term::Var(item) => {
@@ -163,6 +125,42 @@ impl Term {
             }
             Term::Neg(t) | Term::Abs(t) => t.collect_vars(out),
         }
+    }
+}
+
+#[cfg(test)]
+impl Term {
+    /// `self − rhs`.
+    #[allow(clippy::should_implement_trait)] // fluent builder, not operator overloading
+    pub(crate) fn sub(self, rhs: Term) -> Term {
+        Term::Sub(Box::new(self), Box::new(rhs))
+    }
+
+    /// `self × rhs`.
+    #[allow(clippy::should_implement_trait)] // fluent builder, not operator overloading
+    pub(crate) fn mul(self, rhs: Term) -> Term {
+        Term::Mul(Box::new(self), Box::new(rhs))
+    }
+
+    /// `−self`.
+    #[allow(clippy::should_implement_trait)] // fluent builder, not operator overloading
+    pub(crate) fn neg(self) -> Term {
+        Term::Neg(Box::new(self))
+    }
+
+    /// `|self|`.
+    pub(crate) fn abs(self) -> Term {
+        Term::Abs(Box::new(self))
+    }
+
+    /// `min(self, rhs)`.
+    pub(crate) fn min(self, rhs: Term) -> Term {
+        Term::Min(Box::new(self), Box::new(rhs))
+    }
+
+    /// `max(self, rhs)`.
+    pub(crate) fn max(self, rhs: Term) -> Term {
+        Term::Max(Box::new(self), Box::new(rhs))
     }
 }
 
@@ -250,16 +248,6 @@ impl Formula {
         Formula::Atom(l, Cmp::Eq, r)
     }
 
-    /// `t1 ≠ t2`.
-    pub fn ne(l: Term, r: Term) -> Formula {
-        Formula::Atom(l, Cmp::Ne, r)
-    }
-
-    /// `t1 < t2`.
-    pub fn lt(l: Term, r: Term) -> Formula {
-        Formula::Atom(l, Cmp::Lt, r)
-    }
-
     /// `t1 ≤ t2`.
     pub fn le(l: Term, r: Term) -> Formula {
         Formula::Atom(l, Cmp::Le, r)
@@ -278,17 +266,6 @@ impl Formula {
     /// `p ∧ q ∧ …`.
     pub fn and(parts: Vec<Formula>) -> Formula {
         Formula::And(parts)
-    }
-
-    /// `p ∨ q ∨ …`.
-    pub fn or(parts: Vec<Formula>) -> Formula {
-        Formula::Or(parts)
-    }
-
-    /// `¬p`.
-    #[allow(clippy::should_implement_trait)] // fluent builder, not operator overloading
-    pub fn not(p: Formula) -> Formula {
-        Formula::Not(Box::new(p))
     }
 
     /// `p → q`.
@@ -324,7 +301,7 @@ impl Formula {
     }
 
     /// The set of data items the formula mentions.
-    pub fn vars(&self) -> ItemSet {
+    pub(crate) fn vars(&self) -> ItemSet {
         let mut out = ItemSet::new();
         self.collect_vars(&mut out);
         out
@@ -351,6 +328,20 @@ impl Formula {
     }
 }
 
+#[cfg(test)]
+impl Formula {
+    /// `p ∨ q ∨ …`.
+    pub(crate) fn or(parts: Vec<Formula>) -> Formula {
+        Formula::Or(parts)
+    }
+
+    /// `¬p`.
+    #[allow(clippy::should_implement_trait)] // fluent builder, not operator overloading
+    pub(crate) fn not(p: Formula) -> Formula {
+        Formula::Not(Box::new(p))
+    }
+}
+
 /// One conjunct `C_e` of the integrity constraint, with its data set
 /// `d_e` (= the formula's free variables) cached.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -372,12 +363,12 @@ impl Conjunct {
     }
 
     /// The conjunct's identifier.
-    pub fn id(&self) -> ConjunctId {
+    pub(crate) fn id(&self) -> ConjunctId {
         self.id
     }
 
     /// The conjunct's formula `C_e`.
-    pub fn formula(&self) -> &Formula {
+    pub(crate) fn formula(&self) -> &Formula {
         &self.formula
     }
 
@@ -387,7 +378,7 @@ impl Conjunct {
     }
 
     /// Evaluate `C_e` under `state`.
-    pub fn eval(&self, state: &DbState) -> Result<bool> {
+    pub(crate) fn eval(&self, state: &DbState) -> Result<bool> {
         self.formula.eval(state)
     }
 }
@@ -458,7 +449,7 @@ impl IntegrityConstraint {
     }
 
     /// The union `d_1 ∪ … ∪ d_l` of all constrained items.
-    pub fn all_items(&self) -> ItemSet {
+    pub(crate) fn all_items(&self) -> ItemSet {
         let mut out = ItemSet::new();
         for c in &self.conjuncts {
             out = out.union(c.items());
@@ -475,7 +466,7 @@ impl IntegrityConstraint {
 
     /// `DS ⊨ IC`: evaluate the whole conjunction on a state that must
     /// assign every constrained item.
-    pub fn eval(&self, state: &DbState) -> Result<bool> {
+    pub(crate) fn eval(&self, state: &DbState) -> Result<bool> {
         for c in &self.conjuncts {
             if !c.eval(state)? {
                 return Ok(false);

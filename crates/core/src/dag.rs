@@ -75,9 +75,12 @@ impl DataAccessGraph {
     pub fn has_edge(&self, i: ConjunctId, j: ConjunctId) -> bool {
         self.graph.has_edge(i.index(), j.index())
     }
+}
 
+#[cfg(test)]
+impl DataAccessGraph {
     /// Number of edges.
-    pub fn edge_count(&self) -> usize {
+    pub(crate) fn edge_count(&self) -> usize {
         self.graph.edge_count()
     }
 }

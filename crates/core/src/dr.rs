@@ -39,13 +39,13 @@ impl CommitPoints {
     }
 
     /// The commit point of `txn`, if known.
-    pub fn get(&self, txn: TxnId) -> Option<OpIndex> {
+    pub(crate) fn get(&self, txn: TxnId) -> Option<OpIndex> {
         self.0.get(&txn).copied()
     }
 
     /// Is `txn` committed by the time position `p` runs, i.e. is its
     /// commit point strictly before `p`?
-    pub fn committed_by(&self, txn: TxnId, p: OpIndex) -> bool {
+    pub(crate) fn committed_by(&self, txn: TxnId, p: OpIndex) -> bool {
         self.get(txn).is_some_and(|c| c.0 < p.0)
     }
 }
@@ -64,7 +64,7 @@ pub fn is_delayed_read(schedule: &Schedule) -> bool {
 /// One pass over dense tables: track the latest writer position per
 /// item; the writer's completion is an O(1) lookup against the
 /// schedule's last-position table. `O(n)`, no hashing, no rescans.
-pub fn dr_violation(schedule: &Schedule) -> Option<(OpIndex, OpIndex)> {
+pub(crate) fn dr_violation(schedule: &Schedule) -> Option<(OpIndex, OpIndex)> {
     const NONE: u32 = u32::MAX;
     let mut last_write = vec![NONE; schedule.item_ub()];
     for (p, o) in schedule.ops().iter().enumerate() {
@@ -103,7 +103,7 @@ pub fn is_aca(schedule: &Schedule) -> bool {
 /// Is the schedule *strict* under the given commit points: no item is
 /// read **or overwritten** while a preceding writer of it is
 /// uncommitted?
-pub fn is_strict_with(schedule: &Schedule, commits: &CommitPoints) -> bool {
+pub(crate) fn is_strict_with(schedule: &Schedule, commits: &CommitPoints) -> bool {
     // Per item, the latest write (`mru1`) and the latest write by a
     // transaction other than `mru1`'s (`mru2`): together they answer
     // "latest preceding write by a transaction ≠ T" in O(1), replacing

@@ -155,13 +155,8 @@ impl DiGraph {
     }
 
     /// Number of nodes.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.succ.len()
-    }
-
-    /// Is the graph empty (no nodes)?
-    pub fn is_empty(&self) -> bool {
-        self.succ.is_empty()
     }
 
     /// Add the edge `u → v` (self-loops allowed; duplicates ignored).
@@ -171,22 +166,17 @@ impl DiGraph {
     }
 
     /// Is `u → v` present?
-    pub fn has_edge(&self, u: usize, v: usize) -> bool {
+    pub(crate) fn has_edge(&self, u: usize, v: usize) -> bool {
         u32::try_from(v).is_ok_and(|v| self.succ[u].contains(v))
     }
 
     /// Successors of `u` in ascending order.
-    pub fn successors(&self, u: usize) -> impl Iterator<Item = usize> + '_ {
+    pub(crate) fn successors(&self, u: usize) -> impl Iterator<Item = usize> + '_ {
         self.succ[u].as_slice().iter().map(|&v| v as usize)
     }
 
-    /// Total number of edges.
-    pub fn edge_count(&self) -> usize {
-        self.succ.iter().map(AdjList::len).sum()
-    }
-
     /// All edges `(u, v)`.
-    pub fn edges(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
+    pub(crate) fn edges(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
         (0..self.len()).flat_map(move |u| self.successors(u).map(move |v| (u, v)))
     }
 
@@ -197,7 +187,7 @@ impl DiGraph {
 
     /// One topological order (smallest-index-first, i.e. deterministic),
     /// or `None` if the graph is cyclic.
-    pub fn topo_sort(&self) -> Option<Vec<usize>> {
+    pub(crate) fn topo_sort(&self) -> Option<Vec<usize>> {
         let n = self.len();
         let mut indeg = vec![0usize; n];
         for (_, v) in self.edges() {
@@ -221,7 +211,7 @@ impl DiGraph {
 
     /// All topological orders, up to `cap` of them (the count can be
     /// factorial), in lexicographic order. Returns `None` if cyclic.
-    pub fn all_topo_sorts(&self, cap: usize) -> Option<Vec<Vec<usize>>> {
+    pub(crate) fn all_topo_sorts(&self, cap: usize) -> Option<Vec<Vec<usize>>> {
         let n = self.len();
         let mut explore = Explore::default();
         let mut out = Vec::new();
@@ -303,6 +293,19 @@ impl DiGraph {
     }
 }
 
+#[cfg(test)]
+impl DiGraph {
+    /// Is the graph empty (no nodes)?
+    pub(crate) fn is_empty(&self) -> bool {
+        self.succ.is_empty()
+    }
+
+    /// Total number of edges.
+    pub(crate) fn edge_count(&self) -> usize {
+        self.succ.iter().map(AdjList::len).sum()
+    }
+}
+
 /// A dynamically growing DAG with **incremental cycle detection**, via
 /// the Pearce–Kelly algorithm (*A dynamic topological sort algorithm
 /// for directed acyclic graphs*, JEA 2006).
@@ -318,7 +321,7 @@ impl DiGraph {
 /// operations arrive, and the first edge whose insertion fails
 /// pinpoints the offending operation.
 #[derive(Debug, Default)]
-pub struct IncrementalDag {
+pub(crate) struct IncrementalDag {
     /// `succ[u]` = ordered successor list of `u` (deduplicated).
     succ: Vec<AdjList>,
     /// `pred[v]` = ordered predecessor list of `v`.
@@ -394,26 +397,16 @@ impl Scratch {
 
 /// Witness that an edge insertion would have closed a directed cycle.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct WouldCycle;
+pub(crate) struct WouldCycle;
 
 impl IncrementalDag {
-    /// An empty DAG.
-    pub fn new() -> IncrementalDag {
-        IncrementalDag::default()
-    }
-
     /// Number of nodes.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.succ.len()
     }
 
-    /// Is the graph empty (no nodes)?
-    pub fn is_empty(&self) -> bool {
-        self.succ.is_empty()
-    }
-
     /// Add a fresh node at the end of the topological order.
-    pub fn add_node(&mut self) -> u32 {
+    pub(crate) fn add_node(&mut self) -> u32 {
         let u = self.succ.len() as u32;
         self.succ.push(AdjList::default());
         self.pred.push(AdjList::default());
@@ -422,38 +415,16 @@ impl IncrementalDag {
         u
     }
 
-    /// Is `u → v` present?
-    pub fn has_edge(&self, u: u32, v: u32) -> bool {
-        self.succ[u as usize].contains(v)
-    }
-
-    /// Total number of edges.
-    pub fn edge_count(&self) -> usize {
-        self.succ.iter().map(AdjList::len).sum()
-    }
-
-    /// The maintained topological order's position of `u`.
-    pub fn position(&self, u: u32) -> u32 {
-        self.ord[u as usize]
-    }
-
     /// The nodes in topological order (a valid serialization order
     /// when nodes are transactions and edges are conflicts).
-    pub fn order(&self) -> &[u32] {
+    pub(crate) fn order(&self) -> &[u32] {
         &self.node_at
-    }
-
-    /// Insert `u → v`, restoring the topological order. Returns
-    /// [`WouldCycle`] — with the graph **unchanged** — if the edge
-    /// would close a cycle (including the self-loop `u → u`).
-    pub fn add_edge(&mut self, u: u32, v: u32) -> Result<(), WouldCycle> {
-        self.insert_edge(u, v).map(|_| ())
     }
 
     /// [`IncrementalDag::add_edge`] that also says whether the edge is
     /// new (`Ok(false)`: it was already present) — what a journaling
     /// caller must know to retract exactly its own insertions.
-    pub fn insert_edge(&mut self, u: u32, v: u32) -> Result<bool, WouldCycle> {
+    pub(crate) fn insert_edge(&mut self, u: u32, v: u32) -> Result<bool, WouldCycle> {
         if u == v {
             return Err(WouldCycle);
         }
@@ -490,7 +461,7 @@ impl IncrementalDag {
     /// in LIFO order.
     ///
     /// Panics if the edge is absent (the journal guarantees presence).
-    pub fn remove_edge(&mut self, u: u32, v: u32) {
+    pub(crate) fn remove_edge(&mut self, u: u32, v: u32) {
         let removed = self.succ[u as usize].remove(v) && self.pred[v as usize].remove(u);
         assert!(removed, "remove_edge({u}, {v}): edge not present");
     }
@@ -500,7 +471,7 @@ impl IncrementalDag {
     /// highest-numbered node (LIFO again). Its slot in the maintained
     /// order is compacted away in `O(n)`; every other node keeps its
     /// relative position, so the order stays topological.
-    pub fn remove_last_node(&mut self) {
+    pub(crate) fn remove_last_node(&mut self) {
         let u = (self.succ.len() - 1) as u32;
         assert!(
             self.succ[u as usize].is_empty() && self.pred[u as usize].is_empty(),
@@ -619,6 +590,31 @@ impl IncrementalDag {
                 .chain(&self.pred)
                 .map(AdjList::spill_bytes)
                 .sum::<usize>()
+    }
+}
+
+#[cfg(test)]
+impl IncrementalDag {
+    /// Is `u → v` present?
+    pub(crate) fn has_edge(&self, u: u32, v: u32) -> bool {
+        self.succ[u as usize].contains(v)
+    }
+
+    /// Total number of edges.
+    pub(crate) fn edge_count(&self) -> usize {
+        self.succ.iter().map(AdjList::len).sum()
+    }
+
+    /// The maintained topological order's position of `u`.
+    pub(crate) fn position(&self, u: u32) -> u32 {
+        self.ord[u as usize]
+    }
+
+    /// Insert `u → v`, restoring the topological order. Returns
+    /// [`WouldCycle`] — with the graph **unchanged** — if the edge
+    /// would close a cycle (including the self-loop `u → u`).
+    pub(crate) fn add_edge(&mut self, u: u32, v: u32) -> Result<(), WouldCycle> {
+        self.insert_edge(u, v).map(|_| ())
     }
 }
 
@@ -787,7 +783,7 @@ mod tests {
 
     #[test]
     fn incremental_dag_fast_path_and_reorder() {
-        let mut g = IncrementalDag::new();
+        let mut g = IncrementalDag::default();
         for _ in 0..4 {
             g.add_node();
         }
@@ -810,7 +806,7 @@ mod tests {
 
     #[test]
     fn incremental_dag_admits_edges_into() {
-        let mut g = IncrementalDag::new();
+        let mut g = IncrementalDag::default();
         for _ in 0..3 {
             g.add_node();
         }
@@ -838,7 +834,7 @@ mod tests {
 
     #[test]
     fn lifo_edge_removal_keeps_order_valid() {
-        let mut g = IncrementalDag::new();
+        let mut g = IncrementalDag::default();
         for _ in 0..4 {
             g.add_node();
         }
@@ -858,7 +854,7 @@ mod tests {
 
     #[test]
     fn remove_last_node_compacts_the_order() {
-        let mut g = IncrementalDag::new();
+        let mut g = IncrementalDag::default();
         for _ in 0..3 {
             g.add_node();
         }
@@ -883,7 +879,7 @@ mod tests {
     fn retain_induced_keeps_only_edges_among_kept_nodes() {
         // 0 → 1 → 2 → 3, plus 0 → 4; keep {0, 2, 4}: the path 0 ⇝ 2
         // through dropped node 1 leaves no edge behind.
-        let mut g = IncrementalDag::new();
+        let mut g = IncrementalDag::default();
         for _ in 0..5 {
             g.add_node();
         }
@@ -915,7 +911,7 @@ mod tests {
         };
         for round in 0..40 {
             let n = 4 + (next() % 12) as usize;
-            let mut g = IncrementalDag::new();
+            let mut g = IncrementalDag::default();
             for _ in 0..n {
                 g.add_node();
             }
@@ -973,7 +969,7 @@ mod tests {
         };
         for round in 0..40 {
             let n = 3 + (next() % 6) as usize;
-            let mut inc = IncrementalDag::new();
+            let mut inc = IncrementalDag::default();
             for _ in 0..n {
                 inc.add_node();
             }
@@ -1025,7 +1021,7 @@ mod tests {
         };
         for round in 0..50 {
             let n = 2 + (next() % 9) as usize;
-            let mut inc = IncrementalDag::new();
+            let mut inc = IncrementalDag::default();
             for _ in 0..n {
                 inc.add_node();
             }

@@ -18,7 +18,6 @@
 //! * the bridge lemma the paper relies on: an ACA history's committed
 //!   projection is a DR schedule.
 
-use crate::dr::CommitPoints;
 use crate::error::{CoreError, Result};
 use crate::ids::{OpIndex, TxnId};
 use crate::op::Operation;
@@ -39,7 +38,7 @@ pub enum Event {
 
 impl Event {
     /// The transaction the event belongs to.
-    pub fn txn(&self) -> TxnId {
+    pub(crate) fn txn(&self) -> TxnId {
         match self {
             Event::Op(o) => o.txn,
             Event::Commit(t) | Event::Abort(t) => *t,
@@ -59,7 +58,7 @@ impl fmt::Display for Event {
 
 /// How a transaction ended in a history.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Outcome {
+pub(crate) enum Outcome {
     /// Committed at the given position.
     Committed(OpIndex),
     /// Aborted at the given position.
@@ -124,33 +123,9 @@ impl History {
         Ok(History { events, outcomes })
     }
 
-    /// The events.
-    pub fn events(&self) -> &[Event] {
-        &self.events
-    }
-
-    /// Number of events.
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// Is the history empty?
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-
     /// The outcome of `txn`.
-    pub fn outcome(&self, txn: TxnId) -> Outcome {
+    pub(crate) fn outcome(&self, txn: TxnId) -> Outcome {
         self.outcomes.get(&txn).copied().unwrap_or(Outcome::Active)
-    }
-
-    /// Transactions with a commit event.
-    pub fn committed(&self) -> Vec<TxnId> {
-        self.outcomes
-            .iter()
-            .filter(|(_, o)| matches!(o, Outcome::Committed(_)))
-            .map(|(&t, _)| t)
-            .collect()
     }
 
     /// The **committed projection**: data operations of committed
@@ -167,36 +142,6 @@ impl History {
             })
             .collect();
         Schedule::new(ops).expect("projection of a valid history is valid")
-    }
-
-    /// All data operations (committed or not) as a schedule, plus the
-    /// corresponding explicit commit points for the DR/ACA machinery.
-    /// Uncommitted transactions get no commit point.
-    pub fn as_schedule_with_commits(&self) -> (Schedule, CommitPoints) {
-        let mut ops = Vec::new();
-        // Map event index → op index for commit positioning.
-        let mut op_positions: BTreeMap<usize, usize> = BTreeMap::new();
-        for (i, e) in self.events.iter().enumerate() {
-            if let Event::Op(o) = e {
-                op_positions.insert(i, ops.len());
-                ops.push(o.clone());
-            }
-        }
-        let schedule = Schedule::new(ops).expect("valid history");
-        let mut commits = CommitPoints::default();
-        for (&t, &o) in &self.outcomes {
-            if let Outcome::Committed(at) = o {
-                // Commit "covers" every op before the commit event: the
-                // last op position strictly before `at`.
-                let pos = op_positions
-                    .range(..at.0)
-                    .next_back()
-                    .map(|(_, &p)| p)
-                    .unwrap_or(0);
-                commits.set(t, OpIndex(pos));
-            }
-        }
-        (schedule, commits)
     }
 
     /// The reads-from pairs among data operations, as event indices
@@ -286,6 +231,53 @@ impl History {
         } else {
             HistoryClass::Unrecoverable
         }
+    }
+}
+
+#[cfg(test)]
+impl History {
+    /// Number of events.
+    pub(crate) fn len(&self) -> usize {
+        self.events.len()
+    }
+
+    /// Transactions with a commit event.
+    pub(crate) fn committed(&self) -> Vec<TxnId> {
+        self.outcomes
+            .iter()
+            .filter(|(_, o)| matches!(o, Outcome::Committed(_)))
+            .map(|(&t, _)| t)
+            .collect()
+    }
+
+    /// All data operations (committed or not) as a schedule, plus the
+    /// corresponding explicit commit points for the DR/ACA machinery.
+    /// Uncommitted transactions get no commit point.
+    pub(crate) fn as_schedule_with_commits(&self) -> (Schedule, crate::dr::CommitPoints) {
+        let mut ops = Vec::new();
+        // Map event index → op index for commit positioning.
+        let mut op_positions: BTreeMap<usize, usize> = BTreeMap::new();
+        for (i, e) in self.events.iter().enumerate() {
+            if let Event::Op(o) = e {
+                op_positions.insert(i, ops.len());
+                ops.push(o.clone());
+            }
+        }
+        let schedule = Schedule::new(ops).expect("valid history");
+        let mut commits = crate::dr::CommitPoints::default();
+        for (&t, &o) in &self.outcomes {
+            if let Outcome::Committed(at) = o {
+                // Commit "covers" every op before the commit event: the
+                // last op position strictly before `at`.
+                let pos = op_positions
+                    .range(..at.0)
+                    .next_back()
+                    .map(|(_, &p)| p)
+                    .unwrap_or(0);
+                commits.set(t, OpIndex(pos));
+            }
+        }
+        (schedule, commits)
     }
 }
 

@@ -53,7 +53,7 @@ impl TxnId {
 impl ConjunctId {
     /// Index into dense per-conjunct tables.
     #[inline]
-    pub fn index(self) -> usize {
+    pub(crate) fn index(self) -> usize {
         self.0 as usize
     }
 }
@@ -61,7 +61,7 @@ impl ConjunctId {
 impl OpIndex {
     /// `depth(p, S)`: number of operations strictly preceding `p`.
     #[inline]
-    pub fn depth(self) -> usize {
+    pub(crate) fn depth(self) -> usize {
         self.0
     }
 }

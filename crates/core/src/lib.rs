@@ -16,7 +16,7 @@
 //!   attribute the paper adds to the classical model, plus the derived
 //!   notions `RS`, `WS`, `read`, `write`, projections `S^d`,
 //!   `before`/`after`, and `depth` ([`op`], [`txn`], [`schedule`]).
-//! * **Correctness criteria**: conflict/view serializability
+//! * **Correctness criteria**: conflict serializability
 //!   ([`serializability`]), PWSR (Definition 2, [`pwsr`]), strong
 //!   correctness (Definition 1, [`strong`]), delayed-read and ACA
 //!   schedules (Definition 5, [`dr`]), and the data access graph of §3.3
@@ -108,30 +108,18 @@ pub mod value;
 pub mod verify;
 pub mod viewset;
 
-/// Convenience re-exports of the most frequently used items.
+/// The items the facade's `pwsr::prelude` passes on to the examples
+/// and tests that import it by glob.
 pub mod prelude {
     pub use crate::catalog::Catalog;
     pub use crate::constraint::{Conjunct, Formula, IntegrityConstraint, Term};
-    pub use crate::dag::{data_access_graph, DataAccessGraph};
-    pub use crate::dr::{is_aca, is_delayed_read, is_strict, RecoveryClass};
-    pub use crate::error::CoreError;
-    pub use crate::history::{Event, History, HistoryClass, Outcome};
-    pub use crate::ids::{ConjunctId, ItemId, OpIndex, TxnId};
-    pub use crate::monitor::{AdmissionLevel, OnlineMonitor, VerdictLevel};
-    pub use crate::notation::{parse_history, parse_schedule};
-    pub use crate::op::{Action, OpStruct, Operation};
-    pub use crate::pwsr::{is_pwsr, PwsrReport};
+    pub use crate::ids::{ItemId, TxnId};
+    pub use crate::monitor::AdmissionLevel;
+    pub use crate::op::Operation;
+    pub use crate::pwsr::is_pwsr;
     pub use crate::schedule::Schedule;
-    pub use crate::serializability::{
-        is_conflict_serializable, is_conflict_serializable_proj, is_view_serializable,
-        precedence_graph, serialization_order, serialization_order_proj,
-    };
-    pub use crate::solver::Solver;
-    pub use crate::state::{DbState, ItemSet};
-    pub use crate::strong::{check_strong_correctness, StrongReport};
+    pub use crate::serializability::is_conflict_serializable;
+    pub use crate::state::DbState;
     pub use crate::theorems::{classify, Guarantee, ProgramTraits, Verdict};
-    pub use crate::txn::Transaction;
-    pub use crate::txstate::transaction_states;
     pub use crate::value::{Domain, Value};
-    pub use crate::viewset::{view_sets_dr, view_sets_general};
 }

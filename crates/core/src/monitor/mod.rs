@@ -21,7 +21,7 @@
 //!
 //! * a **reduced conflict graph** per conjunct scope `d_e` plus one
 //!   global graph, under Pearce–Kelly incremental topological ordering
-//!   ([`IncrementalDag`]) — serializability and PWSR are certified (or
+//!   (`IncrementalDag`) — serializability and PWSR are certified (or
 //!   refuted, with the first offending prefix) the moment the closing
 //!   conflict edge arrives, classical SGT-style. The global graph is
 //!   kept only from the first transaction that spans two conjuncts (or
@@ -74,7 +74,7 @@
 //! ## What a driver adds
 //!
 //! Everything a push does to the certified state, how it is retracted
-//! ([`undo`]: per-stage LIFO journals over side tapes, bounded by
+//! (`undo`: per-stage LIFO journals over side tapes, bounded by
 //! [`OnlineMonitor::checkpoint`]) and how the committed prefix is
 //! collapsed ([`OnlineMonitor::compact`]) is stage code, shared — and
 //! stage 1 decides, bounds and journals ([`journal::MonitorJournal`])
@@ -106,7 +106,7 @@
 pub mod journal;
 pub mod sharded;
 mod stages;
-pub mod undo;
+mod undo;
 
 use crate::constraint::IntegrityConstraint;
 use crate::error::Result;

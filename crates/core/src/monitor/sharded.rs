@@ -86,7 +86,7 @@
 //! ## Retraction
 //!
 //! A monitor built with [`ShardedMonitor::new_logged`] has every stage
-//! journal what it applies ([`undo`](super::undo)): each stage state
+//! journal what it applies (`monitor::undo`): each stage state
 //! owns its journal, so the journal sits *behind the stage's existing
 //! lock*, and because each stage serves tickets in claimed order each
 //! journal is automatically in position order — the LIFO retraction
@@ -1083,13 +1083,6 @@ impl ShardedMonitor {
         self.seq.lock().state.log.base()
     }
 
-    /// Sequence-journal entries currently held — one per retractable
-    /// push, bounded by `len() - log_floor()` (the checkpoint test
-    /// pins this).
-    pub fn logged_len(&self) -> usize {
-        self.seq.lock().state.log.len()
-    }
-
     /// Declare `txn` finished: it will issue no further operations.
     /// Committed-prefix compaction ([`ShardedMonitor::compact`]) only
     /// advances over finished transactions. Advisory until the
@@ -1098,7 +1091,7 @@ impl ShardedMonitor {
     ///
     /// Takes no sequence lock: the id is recorded in the transaction's
     /// §2.2-totals stripe, and the next call that reads the finished
-    /// flags — [`ShardedMonitor::compaction_frontier`],
+    /// flags — `ShardedMonitor::compaction_frontier`,
     /// [`ShardedMonitor::compact`], or a truncation — applies it under
     /// the sequence lock it holds anyway (and, like the single
     /// writer's, ignores a transaction that holds no position by then).
@@ -1106,22 +1099,8 @@ impl ShardedMonitor {
         self.totals.finish(txn);
     }
 
-    /// The **compaction frontier**: the longest prefix in which every
-    /// operation belongs to a finished transaction whose *last*
-    /// operation also lies in that prefix, clamped to the journals'
-    /// retraction floor (a compacted push must already be permanent —
-    /// the frontier-safety condition shared with
-    /// [`ShardedMonitor::checkpoint`] and WAL truncation). Every
-    /// [`ShardedMonitor::finish_txn`] that returned before this call
-    /// counts.
-    pub fn compaction_frontier(&self) -> usize {
-        let mut s = self.seq.lock();
-        self.totals.apply_finished(&mut s.state);
-        s.state.frontier()
-    }
-
     /// **Committed-prefix compaction**, sharded: collapse the prefix
-    /// below [`ShardedMonitor::compaction_frontier`] — the global and
+    /// below `ShardedMonitor::compaction_frontier` — the global and
     /// per-conjunct conflict graphs keep only what a later cycle can use
     /// (`ProjGraph::condense` states the lemma) — reclaiming schedule
     /// segments, graph nodes, Pearce–Kelly order slots, delayed-read
@@ -1384,6 +1363,30 @@ impl ShardedMonitor {
     pub fn into_parts(self) -> (Schedule, Verdict) {
         let verdict = self.verdict();
         (self.seq.into_inner().state.schedule, verdict)
+    }
+}
+
+#[cfg(test)]
+impl ShardedMonitor {
+    /// Sequence-journal entries currently held — one per retractable
+    /// push, bounded by `len() - log_floor()` (the checkpoint test
+    /// pins this).
+    pub(crate) fn logged_len(&self) -> usize {
+        self.seq.lock().state.log.len()
+    }
+
+    /// The **compaction frontier**: the longest prefix in which every
+    /// operation belongs to a finished transaction whose *last*
+    /// operation also lies in that prefix, clamped to the journals'
+    /// retraction floor (a compacted push must already be permanent —
+    /// the frontier-safety condition shared with
+    /// [`ShardedMonitor::checkpoint`] and WAL truncation). Every
+    /// [`ShardedMonitor::finish_txn`] that returned before this call
+    /// counts.
+    pub(crate) fn compaction_frontier(&self) -> usize {
+        let mut s = self.seq.lock();
+        self.totals.apply_finished(&mut s.state);
+        s.state.frontier()
     }
 }
 

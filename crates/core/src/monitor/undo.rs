@@ -5,7 +5,7 @@
 //! *logged push* captures in it, before mutating anything
 //! destructively, exactly the deltas it is about to apply. Each
 //! journal entry is a **fixed-size record** — nothing in it owns heap
-//! memory — plus a run of `u32` words on the journal's [`Tape`]:
+//! memory — plus a run of `u32` words on the journal's `Tape`:
 //!
 //! * `SeqDelta` (the sequence stage's record) — the order-defining
 //!   table rows: the displaced `last_write` entry, the schedule's
@@ -45,7 +45,7 @@
 //! 1. **Pearce–Kelly stays valid without reordering.** Removing the
 //!    most recently inserted edges first means the maintained
 //!    topological order always satisfies a *superset* of the surviving
-//!    constraints ([`IncrementalDag::remove_edge`] relies on this);
+//!    constraints (`IncrementalDag::remove_edge` relies on this);
 //!    removing an arbitrary older edge would leave the affected-region
 //!    bookkeeping of later insertions dangling.
 //! 2. **Monotone state has a unique pre-image.** `first_violation`,
@@ -90,7 +90,6 @@
 //!
 //! [`OnlineMonitor`]: super::OnlineMonitor
 //! [`ShardedMonitor`]: super::sharded::ShardedMonitor
-//! [`IncrementalDag::remove_edge`]: crate::graph::IncrementalDag::remove_edge
 
 use std::collections::VecDeque;
 
@@ -100,31 +99,34 @@ const ABSENT: u32 = u32::MAX;
 /// frames, oldest entry first. Writers [`Tape::push`] while a push
 /// runs; a retraction [`Tape::pop`]s the same words back, last first.
 #[derive(Clone, Debug, Default)]
-pub struct Tape {
+pub(crate) struct Tape {
     words: VecDeque<u32>,
 }
 
 impl Tape {
     /// Append one word.
-    pub fn push(&mut self, word: u32) {
+    pub(crate) fn push(&mut self, word: u32) {
         self.words.push_back(word);
     }
 
     /// Take the last word back. Panics on an empty tape: a trailer
     /// promised words that were never written.
-    pub fn pop(&mut self) -> u32 {
+    pub(crate) fn pop(&mut self) -> u32 {
         self.words
             .pop_back()
             .expect("side tape underflow: frame trailer and tape out of step")
     }
 
     /// Words currently on the tape.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.words.len()
     }
+}
 
+#[cfg(test)]
+impl Tape {
     /// Is the tape empty?
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.words.is_empty()
     }
 }

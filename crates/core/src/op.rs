@@ -28,7 +28,7 @@ pub enum Action {
 
 impl Action {
     /// `"r"` or `"w"`.
-    pub fn letter(self) -> char {
+    pub(crate) fn letter(self) -> char {
         match self {
             Action::Read => 'r',
             Action::Write => 'w',
@@ -84,17 +84,11 @@ impl Operation {
     }
 
     /// The paper's `struct(o)`: drop the value attribute.
-    pub fn structure(&self) -> OpStruct {
+    pub(crate) fn structure(&self) -> OpStruct {
         OpStruct {
             action: self.action,
             item: self.item,
         }
-    }
-
-    /// Do two operations *conflict* (same item, different transactions,
-    /// at least one write)? The basis of conflict serializability.
-    pub fn conflicts_with(&self, other: &Operation) -> bool {
-        self.item == other.item && self.txn != other.txn && (self.is_write() || other.is_write())
     }
 
     /// Render like the paper: `r1(a, 0)`.
@@ -106,6 +100,15 @@ impl Operation {
             catalog.name(self.item),
             self.value
         )
+    }
+}
+
+#[cfg(test)]
+impl Operation {
+    /// Do two operations *conflict* (same item, different transactions,
+    /// at least one write)? The basis of conflict serializability.
+    pub(crate) fn conflicts_with(&self, other: &Operation) -> bool {
+        self.item == other.item && self.txn != other.txn && (self.is_write() || other.is_write())
     }
 }
 
@@ -184,12 +187,12 @@ pub fn write_state(seq: &[Operation]) -> DbState {
 }
 
 /// `seq^d`: the subsequence of operations on items in `d`.
-pub fn project(seq: &[Operation], d: &ItemSet) -> Vec<Operation> {
+pub(crate) fn project(seq: &[Operation], d: &ItemSet) -> Vec<Operation> {
     seq.iter().filter(|o| d.contains(o.item)).cloned().collect()
 }
 
 /// `struct(seq)`: the sequence of operation structures.
-pub fn structure(seq: &[Operation]) -> Vec<OpStruct> {
+pub(crate) fn structure(seq: &[Operation]) -> Vec<OpStruct> {
     seq.iter().map(Operation::structure).collect()
 }
 

@@ -10,7 +10,7 @@
 use crate::constraint::IntegrityConstraint;
 use crate::ids::{ConjunctId, TxnId};
 use crate::schedule::Schedule;
-use crate::serializability::{conflict_cycle_proj, is_view_serializable, serialization_order_proj};
+use crate::serializability::{conflict_cycle_proj, serialization_order_proj};
 
 /// Per-conjunct outcome of the PWSR test.
 #[derive(Clone, Debug)]
@@ -25,7 +25,7 @@ pub struct ConjunctVerdict {
 
 impl ConjunctVerdict {
     /// Is `S^{d_e}` serializable?
-    pub fn serializable(&self) -> bool {
+    pub(crate) fn serializable(&self) -> bool {
         self.order.is_some()
     }
 }
@@ -42,14 +42,17 @@ impl PwsrReport {
     pub fn ok(&self) -> bool {
         self.per_conjunct.iter().all(ConjunctVerdict::serializable)
     }
+}
 
+#[cfg(test)]
+impl PwsrReport {
     /// The verdict for a specific conjunct.
-    pub fn conjunct(&self, id: ConjunctId) -> Option<&ConjunctVerdict> {
+    pub(crate) fn conjunct(&self, id: ConjunctId) -> Option<&ConjunctVerdict> {
         self.per_conjunct.iter().find(|v| v.conjunct == id)
     }
 
     /// Conjuncts whose projections are *not* serializable.
-    pub fn failing(&self) -> impl Iterator<Item = &ConjunctVerdict> {
+    pub(crate) fn failing(&self) -> impl Iterator<Item = &ConjunctVerdict> {
         self.per_conjunct.iter().filter(|v| !v.serializable())
     }
 }
@@ -78,29 +81,6 @@ pub fn is_pwsr(schedule: &Schedule, ic: &IntegrityConstraint) -> PwsrReport {
         })
         .collect();
     PwsrReport { per_conjunct }
-}
-
-/// Predicate-wise **view** serializability: every projection
-/// view-serializable. Since VSR ⊋ CSR, PW-VSR ⊇ PWSR; the containment
-/// is strict exactly when some projection is view- but not
-/// conflict-serializable (blind writes). Returns `None` when any
-/// non-CSR projection is too large for the brute-force view test.
-pub fn is_pw_view_serializable(schedule: &Schedule, ic: &IntegrityConstraint) -> Option<bool> {
-    let mut ok = true;
-    for c in ic.conjuncts() {
-        if serialization_order_proj(schedule, c.items()).is_some() {
-            continue; // CSR ⇒ VSR
-        }
-        // Only the rare non-CSR projection pays for materialization
-        // (the brute-force view test permutes actual transactions).
-        let proj = schedule.project(c.items());
-        match is_view_serializable(&proj) {
-            Some(true) => {}
-            Some(false) => ok = false,
-            None => return None,
-        }
-    }
-    Some(ok)
 }
 
 #[cfg(test)]
@@ -194,40 +174,6 @@ mod tests {
         let s = Schedule::new(vec![wr(1, 0, 1), wr(1, 2, 1), rd(2, 0, 1), rd(2, 2, 1)]).unwrap();
         assert!(crate::serializability::is_conflict_serializable(&s));
         assert!(is_pwsr(&s, &ic).ok());
-    }
-
-    #[test]
-    fn pw_vsr_contains_pwsr() {
-        let ic = example2_ic();
-        let s = example2_schedule();
-        assert!(is_pwsr(&s, &ic).ok());
-        assert_eq!(is_pw_view_serializable(&s, &ic), Some(true));
-    }
-
-    #[test]
-    fn pw_vsr_strictly_larger_with_blind_writes() {
-        // Blind-write pattern inside conjunct 0 ({a, b}): the classic
-        // VSR-not-CSR triple on items a and b.
-        let ic = example2_ic();
-        let s = Schedule::new(vec![
-            wr(1, 0, 1),
-            wr(2, 0, 2),
-            wr(2, 1, 2),
-            wr(1, 1, 1),
-            wr(3, 0, 3),
-            wr(3, 1, 3),
-        ])
-        .unwrap();
-        let report = is_pwsr(&s, &ic);
-        assert!(!report.ok(), "not conflict-PWSR");
-        assert_eq!(is_pw_view_serializable(&s, &ic), Some(true));
-    }
-
-    #[test]
-    fn pw_vsr_rejects_genuine_cycles() {
-        let ic = example2_ic();
-        let s = Schedule::new(vec![wr(1, 0, 1), rd(2, 0, 1), wr(2, 1, 2), rd(1, 1, 2)]).unwrap();
-        assert_eq!(is_pw_view_serializable(&s, &ic), Some(false));
     }
 
     #[test]

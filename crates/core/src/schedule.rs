@@ -372,7 +372,7 @@ impl Schedule {
     }
 
     /// The dense slot of `txn` (its index in [`Schedule::txn_ids`]).
-    pub fn txn_slot(&self, txn: TxnId) -> Option<usize> {
+    pub(crate) fn txn_slot(&self, txn: TxnId) -> Option<usize> {
         self.slot_of.get(&txn).map(|&s| s as usize)
     }
 
@@ -384,7 +384,7 @@ impl Schedule {
 
     /// One past the largest item id accessed by any operation (0 when
     /// the schedule is empty) — sizes dense per-item scratch tables.
-    pub fn item_ub(&self) -> usize {
+    pub(crate) fn item_ub(&self) -> usize {
         self.item_ub
     }
 
@@ -404,24 +404,8 @@ impl Schedule {
 
     /// Has the transaction owning the operation at `op_pos` finished by
     /// `p`? O(1) and hash-free (both positions index dense tables).
-    pub fn op_txn_finished_by(&self, op_pos: OpIndex, p: OpIndex) -> bool {
+    pub(crate) fn op_txn_finished_by(&self, op_pos: OpIndex, p: OpIndex) -> bool {
         self.slot_last[self.op_slot[op_pos.0 - self.base] as usize] as usize <= p.0
-    }
-
-    /// The §3.2 *reads-from* relation: the write operation that read
-    /// `p` takes its value from — the latest write to the same item
-    /// strictly before `p` (with no intervening write, which "latest"
-    /// guarantees). `None` if `p` is not a read or reads the initial
-    /// state.
-    pub fn reads_from(&self, p: OpIndex) -> Option<OpIndex> {
-        let o = &self.ops[p.0 - self.base];
-        if o.action != Action::Read {
-            return None;
-        }
-        self.ops[..p.0 - self.base]
-            .iter()
-            .rposition(|w| w.action == Action::Write && w.item == o.item)
-            .map(|i| OpIndex(self.base + i))
     }
 
     /// All `(reader, writer)` position pairs of the reads-from relation,
@@ -487,6 +471,25 @@ impl Schedule {
     pub fn display(&self, catalog: &Catalog) -> String {
         let body: Vec<String> = self.ops.iter().map(|o| o.display(catalog)).collect();
         body.join(", ")
+    }
+}
+
+#[cfg(test)]
+impl Schedule {
+    /// The §3.2 *reads-from* relation: the write operation that read
+    /// `p` takes its value from — the latest write to the same item
+    /// strictly before `p` (with no intervening write, which "latest"
+    /// guarantees). `None` if `p` is not a read or reads the initial
+    /// state.
+    pub(crate) fn reads_from(&self, p: OpIndex) -> Option<OpIndex> {
+        let o = &self.ops[p.0 - self.base];
+        if o.action != Action::Read {
+            return None;
+        }
+        self.ops[..p.0 - self.base]
+            .iter()
+            .rposition(|w| w.action == Action::Write && w.item == o.item)
+            .map(|i| OpIndex(self.base + i))
     }
 }
 

@@ -1,20 +1,15 @@
-//! Conflict (and view) serializability.
+//! Conflict serializability.
 //!
 //! The paper's footnote 2: *"by serializability we refer to conflict
 //! serializability (CSR)"*. The classical test: build the precedence
 //! graph (one node per transaction, an edge `T_i → T_j` whenever an
 //! operation of `T_i` conflicts with and precedes one of `T_j`), and
 //! check acyclicity; every topological order is a serialization order.
-//!
-//! View serializability is provided as a brute-force reference for small
-//! inputs (used by property tests to cross-check CSR ⊆ VSR).
 
 use crate::graph::DiGraph;
 use crate::ids::TxnId;
-use crate::pick::{Explore, Pick};
 use crate::schedule::Schedule;
 use crate::state::ItemSet;
-use std::collections::HashMap;
 
 const ABSENT: u32 = u32::MAX;
 
@@ -102,7 +97,7 @@ fn conflict_graph_reduced(schedule: &Schedule, d: Option<&ItemSet>) -> (DiGraph,
 
 /// The precedence (conflict) graph of a schedule, with node `k`
 /// representing `schedule.txn_ids()[k]`.
-pub fn precedence_graph(schedule: &Schedule) -> DiGraph {
+pub(crate) fn precedence_graph(schedule: &Schedule) -> DiGraph {
     conflict_graph_full(schedule)
 }
 
@@ -136,7 +131,7 @@ pub fn serialization_order_proj(schedule: &Schedule, d: &ItemSet) -> Option<Vec<
 }
 
 /// A conflict cycle in the projection `S^d`, if any.
-pub fn conflict_cycle_proj(schedule: &Schedule, d: &ItemSet) -> Option<Vec<TxnId>> {
+pub(crate) fn conflict_cycle_proj(schedule: &Schedule, d: &ItemSet) -> Option<Vec<TxnId>> {
     let (g, txns) = conflict_graph_reduced(schedule, Some(d));
     g.find_cycle()
         .map(|c| c.into_iter().map(|k| txns[k]).collect())
@@ -157,61 +152,6 @@ pub fn all_serialization_orders(schedule: &Schedule, cap: usize) -> Option<Vec<V
                 .map(|o| o.into_iter().map(|k| txns[k]).collect())
                 .collect()
         })
-}
-
-/// Is the schedule *view-serializable*? Brute force over all
-/// permutations of the transactions — exponential, only for small
-/// schedules (≤ `MAX_VSR_TXNS` transactions).
-pub fn is_view_serializable(schedule: &Schedule) -> Option<bool> {
-    const MAX_VSR_TXNS: usize = 8;
-    let txns = schedule.transactions();
-    if txns.len() > MAX_VSR_TXNS {
-        return None;
-    }
-    let target = view_signature(schedule);
-    let mut explore = Explore::default();
-    loop {
-        let mut left: Vec<usize> = (0..txns.len()).collect();
-        let mut order = Vec::with_capacity(left.len());
-        while !left.is_empty() {
-            order.push(txns[left.swap_remove(explore.pick(&left))].clone());
-        }
-        let serial =
-            Schedule::serial(&order).expect("serial composition of valid transactions is valid");
-        let found = view_signature(&serial) == target;
-        if found || !explore.advance() {
-            return Some(found);
-        }
-    }
-}
-
-/// The view-equivalence signature: for every read, which write (txn) it
-/// reads from (`None` = initial state), plus the final writer per item.
-fn view_signature(schedule: &Schedule) -> ViewSig {
-    let mut reads = Vec::new();
-    for p in schedule.positions() {
-        let o = schedule.op(p);
-        if o.is_read() {
-            let src = schedule.reads_from(p).map(|w| schedule.op(w).txn);
-            reads.push((o.txn, o.item, src));
-        }
-    }
-    reads.sort();
-    let mut final_writer: HashMap<crate::ids::ItemId, TxnId> = HashMap::new();
-    for o in schedule.ops() {
-        if o.is_write() {
-            final_writer.insert(o.item, o.txn);
-        }
-    }
-    let mut finals: Vec<_> = final_writer.into_iter().collect();
-    finals.sort();
-    ViewSig { reads, finals }
-}
-
-#[derive(PartialEq, Eq)]
-struct ViewSig {
-    reads: Vec<(TxnId, crate::ids::ItemId, Option<TxnId>)>,
-    finals: Vec<(crate::ids::ItemId, TxnId)>,
 }
 
 #[cfg(test)]
@@ -254,7 +194,6 @@ mod tests {
         let cycle = conflict_cycle_proj(&s, &everything).unwrap();
         assert_eq!(cycle.len(), 2);
         assert!(cycle.contains(&TxnId(1)) && cycle.contains(&TxnId(2)));
-        assert_eq!(is_view_serializable(&s), Some(false));
     }
 
     #[test]
@@ -272,41 +211,6 @@ mod tests {
         assert!(is_conflict_serializable(&s));
         let orders = all_serialization_orders(&s, 10).unwrap();
         assert_eq!(orders.len(), 2);
-    }
-
-    #[test]
-    fn csr_implies_vsr() {
-        let s = Schedule::new(vec![wr(1, 0, 1), rd(2, 0, 1), wr(2, 1, 2)]).unwrap();
-        assert!(is_conflict_serializable(&s));
-        assert_eq!(is_view_serializable(&s), Some(true));
-    }
-
-    #[test]
-    fn classic_vsr_not_csr_with_blind_writes() {
-        // The textbook example needs a txn writing without reading:
-        // w1(x), w2(x), w2(y), w1(y), w3(x), w3(y) is VSR (= T1 T2 T3)
-        // but not CSR.
-        let s = Schedule::new(vec![
-            wr(1, 0, 1),
-            wr(2, 0, 2),
-            wr(2, 1, 2),
-            wr(1, 1, 1),
-            wr(3, 0, 3),
-            wr(3, 1, 3),
-        ])
-        .unwrap();
-        assert!(!is_conflict_serializable(&s));
-        assert_eq!(is_view_serializable(&s), Some(true));
-    }
-
-    #[test]
-    fn vsr_gives_up_on_large_inputs() {
-        let mut ops = Vec::new();
-        for t in 0..9 {
-            ops.push(wr(t, t, 0));
-        }
-        let s = Schedule::new(ops).unwrap();
-        assert_eq!(is_view_serializable(&s), None);
     }
 
     #[test]

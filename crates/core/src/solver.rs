@@ -26,7 +26,7 @@ type RestrictionKey = (u32, Vec<(ItemId, Value)>);
 
 /// Three-valued evaluation: `Some(b)` when the partial assignment
 /// already determines the formula, `None` when unknown.
-pub fn eval3(formula: &Formula, state: &DbState) -> Option<bool> {
+pub(crate) fn eval3(formula: &Formula, state: &DbState) -> Option<bool> {
     match formula {
         Formula::True => Some(true),
         Formula::False => Some(false),
@@ -134,26 +134,6 @@ impl<'a> Solver<'a> {
     /// are ignored (any domain value extends them).
     pub fn is_consistent(&self, partial: &DbState) -> bool {
         self.find_extension_internal(partial, false).is_some()
-    }
-
-    /// A consistent extension of `partial` over all constrained items,
-    /// if one exists (unconstrained items are left untouched).
-    pub fn find_consistent_extension(&self, partial: &DbState) -> Option<DbState> {
-        self.find_extension_internal(partial, true)
-    }
-
-    /// A consistent state assigning *every* item of the catalog
-    /// (constrained items via search, unconstrained ones with an
-    /// arbitrary domain member). `None` if the IC is unsatisfiable
-    /// within the domains.
-    pub fn any_consistent_total(&self) -> Option<DbState> {
-        let mut base = self.find_consistent_extension(&DbState::new())?;
-        for item in self.catalog.items() {
-            if base.get(item).is_none() {
-                base.set(item, self.catalog.domain(item).any_value());
-            }
-        }
-        Some(base)
     }
 
     /// Enumerate consistent total states over the *constrained* items,
@@ -507,6 +487,29 @@ fn domain_interval(domain: &Domain) -> Option<(i64, i64)> {
                 Some((lo, hi))
             }
         }
+    }
+}
+
+#[cfg(test)]
+impl<'a> Solver<'a> {
+    /// A consistent extension of `partial` over all constrained items,
+    /// if one exists (unconstrained items are left untouched).
+    pub(crate) fn find_consistent_extension(&self, partial: &DbState) -> Option<DbState> {
+        self.find_extension_internal(partial, true)
+    }
+
+    /// A consistent state assigning *every* item of the catalog
+    /// (constrained items via search, unconstrained ones with an
+    /// arbitrary domain member). `None` if the IC is unsatisfiable
+    /// within the domains.
+    pub(crate) fn any_consistent_total(&self) -> Option<DbState> {
+        let mut base = self.find_consistent_extension(&DbState::new())?;
+        for item in self.catalog.items() {
+            if base.get(item).is_none() {
+                base.set(item, self.catalog.domain(item).any_value());
+            }
+        }
+        Some(base)
     }
 }
 

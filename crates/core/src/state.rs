@@ -86,7 +86,7 @@ impl ItemSet {
 
     /// Build from anything yielding [`ItemId`]s.
     #[allow(clippy::should_implement_trait)] // also provided via FromIterator
-    pub fn from_iter<I: IntoIterator<Item = ItemId>>(iter: I) -> Self {
+    pub(crate) fn from_iter<I: IntoIterator<Item = ItemId>>(iter: I) -> Self {
         let mut out = ItemSet::new();
         for id in iter {
             out.insert(id);
@@ -145,7 +145,7 @@ impl ItemSet {
     }
 
     /// Remove every item (keeps the spill allocation for reuse).
-    pub fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         self.word0 = 0;
         self.rest.clear();
     }
@@ -236,7 +236,7 @@ impl ItemSet {
     }
 
     /// In-place `self ∩= other`.
-    pub fn intersect_with(&mut self, other: &ItemSet) {
+    pub(crate) fn intersect_with(&mut self, other: &ItemSet) {
         self.word0 &= other.word0;
         self.rest.truncate(other.rest.len());
         for (w, &o) in self.rest.iter_mut().zip(&other.rest) {
@@ -246,7 +246,7 @@ impl ItemSet {
     }
 
     /// In-place `self −= other`.
-    pub fn difference_with(&mut self, other: &ItemSet) {
+    pub(crate) fn difference_with(&mut self, other: &ItemSet) {
         self.word0 &= !other.word0;
         for (w, &o) in self.rest.iter_mut().zip(&other.rest) {
             *w &= !o;
@@ -364,13 +364,8 @@ impl DbState {
     }
 
     /// Number of assigned items.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.0.len()
-    }
-
-    /// Is nothing assigned?
-    pub fn is_empty(&self) -> bool {
-        self.0.is_empty()
     }
 
     /// The set of assigned items.
@@ -461,15 +456,23 @@ impl DbState {
             .all(|(id, v)| large.get(id).is_none_or(|w| w == v))
     }
 
-    /// Is the state total for the given item set (assigns all of `d`)?
-    pub fn is_total_for(&self, d: &ItemSet) -> bool {
-        d.iter().all(|id| self.0.contains_key(&id))
-    }
-
     /// Does `self` extend `other` (assign everything `other` does, with
     /// equal values)?
     pub fn extends(&self, other: &DbState) -> bool {
         other.iter().all(|(id, v)| self.get(id) == Some(v))
+    }
+}
+
+#[cfg(test)]
+impl DbState {
+    /// Is nothing assigned?
+    pub(crate) fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+
+    /// Is the state total for the given item set (assigns all of `d`)?
+    pub(crate) fn is_total_for(&self, d: &ItemSet) -> bool {
+        d.iter().all(|id| self.0.contains_key(&id))
     }
 }
 

@@ -30,7 +30,7 @@ pub struct StrongReport {
     pub final_consistent: bool,
     /// Per transaction: is `read(T_i)` consistent (as a restriction,
     /// i.e. extensible to a consistent total state)?
-    pub txn_reads: Vec<(TxnId, bool)>,
+    pub(crate) txn_reads: Vec<(TxnId, bool)>,
 }
 
 impl StrongReport {

@@ -27,7 +27,7 @@ use crate::schedule::Schedule;
 pub struct ProgramTraits {
     /// `Some(true)` if every generating program is fixed-structure,
     /// `Some(false)` if some is not, `None` if unknown.
-    pub all_fixed_structure: Option<bool>,
+    pub(crate) all_fixed_structure: Option<bool>,
 }
 
 impl ProgramTraits {

@@ -6,9 +6,8 @@
 //! an item at most once, and (3) never reads an item after writing it;
 //! [`Transaction::new`] enforces all three.
 
-use crate::catalog::Catalog;
 use crate::error::{CoreError, MalformedKind, Result};
-use crate::ids::{ItemId, TxnId};
+use crate::ids::TxnId;
 use crate::op::{self, Action, OpStruct, Operation};
 use crate::state::{DbState, ItemSet};
 use std::fmt;
@@ -119,16 +118,13 @@ impl Transaction {
     pub fn structure(&self) -> Vec<OpStruct> {
         op::structure(&self.ops)
     }
+}
 
+#[cfg(test)]
+impl Transaction {
     /// Does the transaction access (read or write) `item`?
-    pub fn accesses(&self, item: ItemId) -> bool {
+    pub(crate) fn accesses(&self, item: crate::ids::ItemId) -> bool {
         self.ops.iter().any(|o| o.item == item)
-    }
-
-    /// Render like the paper: `T1: r1(a, 0), r1(c, 5), w1(b, 5)`.
-    pub fn display(&self, catalog: &Catalog) -> String {
-        let body: Vec<String> = self.ops.iter().map(|o| o.display(catalog)).collect();
-        format!("{}: {}", self.id, body.join(", "))
     }
 }
 
@@ -148,6 +144,7 @@ impl fmt::Display for Transaction {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ids::ItemId;
     use crate::value::Value;
 
     fn rd(t: u32, i: u32, v: i64) -> Operation {

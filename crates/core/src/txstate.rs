@@ -77,7 +77,8 @@ pub fn final_state_on(
 /// Does `read(T_i^d) ⊆ state(T_i, d, S, DS)` hold for every transaction
 /// (as values, not just items)? True whenever `order` is a genuine
 /// serialization order of a read-coherent `S^d`.
-pub fn reads_contained_in_states(
+#[cfg(test)]
+pub(crate) fn reads_contained_in_states(
     schedule: &Schedule,
     d: &ItemSet,
     order: &[TxnId],

@@ -25,12 +25,6 @@ pub enum Value {
 }
 
 impl Value {
-    /// Shorthand for an integer value.
-    #[inline]
-    pub fn int(v: i64) -> Self {
-        Value::Int(v)
-    }
-
     /// Shorthand for a string value.
     pub fn str(s: &str) -> Self {
         Value::Str(Arc::from(s))
@@ -106,23 +100,6 @@ impl Domain {
         Domain::IntRange { lo, hi }
     }
 
-    /// An explicit domain from a list of values (deduplicated, sorted).
-    pub fn explicit(mut values: Vec<Value>) -> Self {
-        values.sort();
-        values.dedup();
-        assert!(!values.is_empty(), "explicit domain must be non-empty");
-        Domain::Explicit(values)
-    }
-
-    /// Does the domain contain `v`?
-    pub fn contains(&self, v: &Value) -> bool {
-        match self {
-            Domain::IntRange { lo, hi } => matches!(v, Value::Int(x) if lo <= x && x <= hi),
-            Domain::Bools => matches!(v, Value::Bool(_)),
-            Domain::Explicit(vals) => vals.binary_search(v).is_ok(),
-        }
-    }
-
     /// Number of values in the domain.
     pub fn size(&self) -> u64 {
         match self {
@@ -148,6 +125,26 @@ impl Domain {
     /// An arbitrary member of the domain (the smallest).
     pub fn any_value(&self) -> Value {
         self.iter().next().expect("domains are non-empty")
+    }
+}
+
+#[cfg(test)]
+impl Domain {
+    /// An explicit domain from a list of values (deduplicated, sorted).
+    pub(crate) fn explicit(mut values: Vec<Value>) -> Self {
+        values.sort();
+        values.dedup();
+        assert!(!values.is_empty(), "explicit domain must be non-empty");
+        Domain::Explicit(values)
+    }
+
+    /// Does the domain contain `v`?
+    pub(crate) fn contains(&self, v: &Value) -> bool {
+        match self {
+            Domain::IntRange { lo, hi } => matches!(v, Value::Int(x) if lo <= x && x <= hi),
+            Domain::Bools => matches!(v, Value::Bool(_)),
+            Domain::Explicit(vals) => vals.binary_search(v).is_ok(),
+        }
     }
 }
 

@@ -7,9 +7,7 @@ use proptest::prelude::*;
 use pwsr_core::ids::ItemId;
 use pwsr_core::op::{self, Operation};
 use pwsr_core::schedule::Schedule;
-use pwsr_core::serializability::{
-    is_conflict_serializable, is_view_serializable, serialization_order,
-};
+use pwsr_core::serializability::{is_conflict_serializable, serialization_order};
 use pwsr_core::state::{DbState, ItemSet};
 use pwsr_core::value::Value;
 
@@ -120,18 +118,6 @@ proptest! {
         prop_assert!(is_conflict_serializable(&s));
         let order = serialization_order(&s).unwrap();
         prop_assert_eq!(order.len(), 3);
-    }
-
-    #[test]
-    fn csr_implies_vsr(
-        txns in arb_transactions(3, 4),
-        mix in proptest::collection::vec(any::<u8>(), 0..64),
-    ) {
-        let s = Schedule::new(interleave_random(&txns, &mix)).unwrap();
-        if is_conflict_serializable(&s) {
-            // CSR ⊆ VSR (classical).
-            prop_assert_eq!(is_view_serializable(&s), Some(true));
-        }
     }
 
     #[test]

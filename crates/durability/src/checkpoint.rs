@@ -26,7 +26,7 @@ const MAGIC: &[u8; 8] = b"PWSRCKP1";
 
 /// A 32-byte state digest, hex-printable.
 #[derive(Clone, Copy, PartialEq, Eq, Hash)]
-pub struct StateHash(pub [u8; 32]);
+pub struct StateHash(pub(crate) [u8; 32]);
 
 impl fmt::Debug for StateHash {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -115,7 +115,7 @@ pub struct Checkpoint {
     /// The schedule prefix `[0, floor)`.
     pub ops: Vec<Operation>,
     /// State hash of the floor-prefix monitor (see [`state_hash`]).
-    pub hash: StateHash,
+    pub(crate) hash: StateHash,
 }
 
 /// Why a checkpoint failed to decode or validate.
@@ -271,7 +271,7 @@ impl Checkpoint {
 ///
 /// 1. **Checkpoint** the permanent prefix ([`Checkpoint::capture`],
 ///    chained from `prev`, so the monitor may already be compacted);
-/// 2. **Restart the WAL** ([`Wal::restart`](crate::wal::Wal::restart))
+/// 2. **Restart the WAL** (`Wal::restart`)
 ///    and re-journal the live tail above the floor, so
 ///    `checkpoint + WAL` still reconstructs the exact monitor state —
 ///    everything below the floor now lives only in the checkpoint;

@@ -51,7 +51,7 @@ const fn build_tables() -> [[u32; 256]; 8] {
 static TABLES: [[u32; 256]; 8] = build_tables();
 
 /// CRC-32 of `data` (init `0xFFFF_FFFF`, reflected, final xor).
-pub fn crc32(data: &[u8]) -> u32 {
+pub(crate) fn crc32(data: &[u8]) -> u32 {
     let mut crc = 0xFFFF_FFFFu32;
     let mut chunks = data.chunks_exact(8);
     for c in &mut chunks {

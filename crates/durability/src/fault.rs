@@ -138,7 +138,7 @@ impl FaultPlan {
     /// `site`. Called by the WAL on every append/sync/rotate attempt; each
     /// call advances the site's invocation counter whether or not a
     /// point fires.
-    pub fn fire_wal(&self, site: WalSite) -> Option<WalFault> {
+    pub(crate) fn fire_wal(&self, site: WalSite) -> Option<WalFault> {
         let counter = match site {
             WalSite::Append => &self.append_seen,
             WalSite::Sync => &self.sync_seen,

@@ -16,7 +16,7 @@
 //! checkpoint runs in two lanes: the journal scan and the schedule
 //! half of the checkpoint's state hash on a scoped helper thread, the
 //! prefix replay on the caller's (see [`mod@recover`]). The CRC-32
-//! folds eight bytes per step ([`crc32`]), and the checkpoint prefix
+//! folds eight bytes per step (`crc32`), and the checkpoint prefix
 //! is replayed in whole-transaction runs. None of it is observable:
 //! digests, verdicts and refusals are those of doing every step in
 //! sequence, one byte and one operation at a time.
@@ -30,21 +30,18 @@
 //! | [`wal`] | frame format, [`Wal`]/[`SharedWal`], sync/error policies, corruption-detecting scan |
 //! | [`checkpoint`] | [`state_hash`] (schedule half + verdict seal), the `PWSRCKP1` checkpoint format, [`advance_frontier`] |
 //! | [`mod@recover`] | [`recover`](recover::recover): checkpoint replay beside scan + hash, then tail replay |
-//! | [`fault`] | the deterministic chaos plane: [`FaultPlan`] and its fault points |
-//! | [`crc32`], [`sha256`] | the hand-rolled checksums (CRC-32 slicing-by-8) |
+//! | [`fault`] | the deterministic chaos plane: `FaultPlan` and its fault points |
+//! | `crc32`, `sha256` | the hand-rolled checksums (CRC-32 slicing-by-8) |
 
 #![warn(missing_docs)]
 
 pub mod checkpoint;
-pub mod crc32;
+mod crc32;
 pub mod fault;
 pub mod recover;
-pub mod sha256;
+mod sha256;
 pub mod wal;
 
-pub use checkpoint::{advance_frontier, state_hash, Checkpoint, CheckpointError, StateHash};
-pub use fault::{ExecFault, FaultHandle, FaultPlan, WalFault, WalSite};
-pub use recover::{recover, RecoverError, Recovered};
-pub use wal::{
-    scan, SharedWal, SyncPolicy, Wal, WalCorruption, WalErrorPolicy, WalRecord, WalScan, WalStats,
-};
+pub use checkpoint::{advance_frontier, state_hash, Checkpoint, StateHash};
+pub use recover::recover;
+pub use wal::{scan, SharedWal, SyncPolicy, Wal, WalRecord, WalScan};

@@ -19,7 +19,7 @@ const H0: [u32; 8] = [
 
 /// Incremental SHA-256 hasher.
 #[derive(Clone)]
-pub struct Sha256 {
+pub(crate) struct Sha256 {
     state: [u32; 8],
     buf: [u8; 64],
     buf_len: usize,
@@ -39,12 +39,12 @@ impl Default for Sha256 {
 
 impl Sha256 {
     /// A fresh hasher in the standard initial state.
-    pub fn new() -> Sha256 {
+    pub(crate) fn new() -> Sha256 {
         Sha256::default()
     }
 
     /// Absorb `data` into the running digest.
-    pub fn update(&mut self, mut data: &[u8]) {
+    pub(crate) fn update(&mut self, mut data: &[u8]) {
         self.total_len = self.total_len.wrapping_add(data.len() as u64);
         if self.buf_len > 0 {
             let take = (64 - self.buf_len).min(data.len());
@@ -71,7 +71,7 @@ impl Sha256 {
     }
 
     /// Pad, process the final block, and return the 32-byte digest.
-    pub fn finalize(mut self) -> [u8; 32] {
+    pub(crate) fn finalize(mut self) -> [u8; 32] {
         let bit_len = self.total_len.wrapping_mul(8);
         self.update(&[0x80]);
         while self.buf_len != 56 {
@@ -132,7 +132,8 @@ impl Sha256 {
 }
 
 /// One-shot SHA-256 of `data`.
-pub fn sha256(data: &[u8]) -> [u8; 32] {
+#[cfg(test)]
+pub(crate) fn sha256(data: &[u8]) -> [u8; 32] {
     let mut h = Sha256::new();
     h.update(data);
     h.finalize()

@@ -69,7 +69,7 @@ use crate::crc32::crc32;
 use crate::fault::{FaultHandle, WalFault, WalSite};
 
 /// Bytes of the `[len][crc]` frame header.
-pub const FRAME_HEADER: usize = 8;
+pub(crate) const FRAME_HEADER: usize = 8;
 
 /// One logical WAL record — the replay language of
 /// [`MonitorJournal`].
@@ -230,7 +230,7 @@ impl WalRecord {
     /// Decode an operation body as produced by [`encode_op_into`],
     /// requiring full consumption (the checkpoint format stores bare
     /// op bodies with their own length prefixes).
-    pub fn decode_op_body(body: &[u8]) -> Option<Operation> {
+    pub(crate) fn decode_op_body(body: &[u8]) -> Option<Operation> {
         let (op, used) = decode_op(body)?;
         (used == body.len()).then_some(op)
     }
@@ -267,7 +267,7 @@ impl WalRecord {
 /// record prefix; bytes past it are discarded, never replayed.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum WalCorruption {
-    /// Fewer than [`FRAME_HEADER`] bytes remained at offset `at`.
+    /// Fewer than `FRAME_HEADER` bytes remained at offset `at`.
     TornHeader {
         /// Byte offset of the torn header.
         at: usize,
@@ -581,7 +581,7 @@ impl Drop for Syncer {
 ///
 /// I/O errors are handled by the configured [`WalErrorPolicy`]; an
 /// error the policy cannot heal becomes sticky, is reported by
-/// [`Wal::io_error`] / [`Wal::take_io_error`], and every subsequent
+/// [`Wal::io_error`] / `Wal::take_io_error`, and every subsequent
 /// append is dropped *and counted* ([`WalStats::dropped_records`]) —
 /// the journal callbacks have no error channel, so the owner polls at
 /// sync points and must refuse to report durable success while an
@@ -757,7 +757,7 @@ impl Wal {
     /// Discard all logged records (checkpoint rotation: once a
     /// checkpoint covers the prefix below the floor, the tail restarts
     /// from the checkpoint state).
-    pub fn restart(&mut self) {
+    pub(crate) fn restart(&mut self) {
         if self.io(WalSite::Rotate, &[]) {
             self.pending = 0;
             self.good_len = 0;
@@ -910,7 +910,7 @@ impl Wal {
 
     /// Take the sticky I/O error, clearing it, after applying any
     /// recorded `Batched` fsync failure.
-    pub fn take_io_error(&mut self) -> Option<std::io::Error> {
+    pub(crate) fn take_io_error(&mut self) -> Option<std::io::Error> {
         self.settle();
         self.io_error.take()
     }

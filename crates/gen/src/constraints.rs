@@ -56,7 +56,7 @@ impl ConjunctShape {
     }
 
     /// The shape's formula.
-    pub fn formula(&self) -> Formula {
+    pub(crate) fn formula(&self) -> Formula {
         match self {
             ConjunctShape::Chain { items } => Formula::And(
                 items

@@ -12,7 +12,7 @@
 
 use pwsr_core::catalog::Catalog;
 use pwsr_core::constraint::Conjunct;
-use pwsr_core::ids::{ItemId, TxnId};
+use pwsr_core::ids::TxnId;
 use pwsr_core::state::DbState;
 use pwsr_core::value::{Domain, Value};
 use pwsr_tplang::ast::Program;
@@ -21,16 +21,10 @@ use pwsr_tplang::parser::parse_program;
 /// One instantiated Example-2 gadget.
 #[derive(Clone, Debug)]
 pub struct Example2Gadget {
-    /// The antecedent item `p`.
-    pub p: ItemId,
-    /// The consequent item `q`.
-    pub q: ItemId,
-    /// The trigger item `r`.
-    pub r: ItemId,
     /// `TP1`-analogue.
     pub g1: Program,
     /// `TP2`-analogue.
-    pub g2: Program,
+    pub(crate) g2: Program,
     /// The two conjuncts to append to the workload's constraint.
     pub conjuncts: Vec<Conjunct>,
 }
@@ -71,14 +65,7 @@ pub fn example2_gadget(
         ),
         Conjunct::new(next_conjunct + 1, Formula::gt(Term::var(r), Term::int(0))),
     ];
-    Example2Gadget {
-        p,
-        q,
-        r,
-        g1,
-        g2,
-        conjuncts,
-    }
+    Example2Gadget { g1, g2, conjuncts }
 }
 
 /// The paper's violating interleaving for a gadget run as transactions

@@ -27,16 +27,3 @@ pub mod constraints;
 pub mod gadgets;
 pub mod templates;
 pub mod workloads;
-
-/// Convenience re-exports.
-pub mod prelude {
-    pub use crate::chaos::{enumerate_executions, random_execution};
-    pub use crate::constraints::{
-        banking_ic, random_ic, BankConfig, ConjunctShape, GeneratedIc, IcConfig,
-    };
-    pub use crate::gadgets::example2_gadget;
-    pub use crate::templates::{
-        audit_program, correct_chain_program, transfer_program, TemplateKind,
-    };
-    pub use crate::workloads::{banking_workload, random_workload, Workload, WorkloadConfig};
-}

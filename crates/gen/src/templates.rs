@@ -47,7 +47,7 @@ impl TemplateKind {
     ];
 
     /// Kinds that always produce fixed-structure programs.
-    pub fn is_fixed_structure(self) -> bool {
+    pub(crate) fn is_fixed_structure(self) -> bool {
         !matches!(self, TemplateKind::CondGrowUnbalanced)
     }
 }
@@ -122,7 +122,7 @@ pub fn correct_chain_program<R: Rng>(
 /// selects the overdraft-checked variant (`if (src >= d) …`), which is
 /// correct but **not** fixed-structure unless `balanced` pads the else
 /// branch with identity writes.
-pub fn transfer_program<R: Rng>(
+pub(crate) fn transfer_program<R: Rng>(
     rng: &mut R,
     catalog: &Catalog,
     shape: &ConjunctShape,
@@ -157,7 +157,7 @@ pub fn transfer_program<R: Rng>(
 
 /// A read-only audit of a conserved-sum conjunct: sums every account
 /// into a local (no writes — useful for read-heavy mixes).
-pub fn audit_program(catalog: &Catalog, shape: &ConjunctShape, name: &str) -> Program {
+pub(crate) fn audit_program(catalog: &Catalog, shape: &ConjunctShape, name: &str) -> Program {
     let ConjunctShape::ConservedSum { items, .. } = shape else {
         panic!("audit_program requires a conserved-sum shape");
     };

@@ -490,7 +490,7 @@ pub fn analyzer_workload<R: Rng>(rng: &mut R, cfg: &AnalyzerWorkloadConfig) -> W
 /// The banking scenario: branches with conserved-sum invariants,
 /// transfer transactions within each branch and read-only audits.
 /// `guarded`/`balanced` select the transfer variant (see
-/// [`transfer_program`]); plain and balanced transfers are
+/// `transfer_program`); plain and balanced transfers are
 /// fixed-structure, guarded-unbalanced ones are not.
 pub fn banking_workload<R: Rng>(
     rng: &mut R,

@@ -12,7 +12,7 @@
 //! checkpoint and compact on cadence), one description of the monitor
 //! half ([`MonitorSpec`], whose seal ends both runs against its floor;
 //! its certificate is read only by the seeded runner's admission) and
-//! [`Metrics`] as the only counter.
+//! `Metrics` as the only counter.
 //!
 //! * [`run_threaded_certified`] — lock-based, with no global database
 //!   lock: one worker per program, and each transaction acquires its
@@ -425,7 +425,7 @@ pub struct OccTuning {
     /// aborted — by itself at its next access, or by a **zombie
     /// reaper**: any worker parked on one of the zombie's dirty items
     /// retracts the zombie's monitor suffix and rolls its writes back
-    /// ([`Metrics::zombie_reaps`]), so one stalled worker cannot wedge
+    /// (`Metrics::zombie_reaps`), so one stalled worker cannot wedge
     /// the pool. The reaped transaction retries with a fresh deadline.
     pub txn_deadline_us: u64,
     /// Deterministic fault plane

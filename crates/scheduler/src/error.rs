@@ -114,7 +114,7 @@ impl From<CoreError> for SchedError {
 }
 
 /// Result alias.
-pub type Result<T> = std::result::Result<T, SchedError>;
+pub(crate) type Result<T> = std::result::Result<T, SchedError>;
 
 #[cfg(test)]
 mod tests {

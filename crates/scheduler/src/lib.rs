@@ -6,14 +6,14 @@
 //! This crate makes that comparison measurable by *generating* schedules
 //! under lock-based policies:
 //!
-//! * [`lock`] — a shared/exclusive lock table partitioned into lock
+//! * `lock` — a shared/exclusive lock table partitioned into lock
 //!   *spaces* (one space = one unit of serializability).
 //! * [`policy`] — policy specifications: global strict 2PL (the
 //!   serializability baseline), predicate-wise 2PL (one lock space per
 //!   conjunct — Definition 2 made operational), optional early
 //!   per-conjunct lock release (the long-transaction win), and optional
 //!   delayed-read blocking (Theorem 2 made operational).
-//! * [`plan`] — access plans: exact operation structures for
+//! * `plan` — access plans: exact operation structures for
 //!   fixed-structure programs (Theorem 1's class), enabling sound early
 //!   release.
 //! * [`exec`] — the one deterministic, seeded, discrete-event runner:
@@ -42,29 +42,10 @@ pub mod error;
 pub mod exec;
 #[cfg(test)]
 mod fixtures;
-pub mod lock;
+mod lock;
 pub mod mdbs;
-pub mod metrics;
+mod metrics;
 pub mod occ;
-pub mod plan;
+mod plan;
 pub mod policy;
 pub mod sgt;
-
-/// Convenience re-exports.
-pub mod prelude {
-    pub use crate::concurrent::{
-        replay_matches, run_threaded_certified, run_threaded_occ_tuned, OccThreadedOutcome,
-        OccTuning,
-    };
-    pub use crate::dag_admission::check_static_dag;
-    pub use crate::error::SchedError;
-    pub use crate::exec::{run_workload, ExecConfig, ExecOutcome};
-    pub use crate::lock::{LockMode, LockTable, SpaceId};
-    pub use crate::mdbs::{run_mdbs, MdbsOutcome, Site};
-    pub use crate::metrics::Metrics;
-    pub use crate::occ::run_occ;
-    pub use crate::plan::access_plan;
-    pub use crate::policy::{MonitorAdmission, MonitorSpec, PolicySpec};
-    pub use crate::sgt::run_sgt;
-    pub use pwsr_core::monitor::AdmissionLevel;
-}

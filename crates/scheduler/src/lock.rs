@@ -13,11 +13,11 @@ use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 /// A lock space (partition of the lock name space).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct SpaceId(pub u32);
+pub(crate) struct SpaceId(pub(crate) u32);
 
 /// Lock modes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum LockMode {
+pub(crate) enum LockMode {
     /// Shared (read) lock.
     Shared,
     /// Exclusive (write) lock.
@@ -33,7 +33,7 @@ struct Holders {
 
 /// The lock table.
 #[derive(Clone, Debug, Default)]
-pub struct LockTable {
+pub(crate) struct LockTable {
     locks: HashMap<(SpaceId, ItemId), Holders>,
     /// Per-transaction held keys (for O(holdings) release).
     held: BTreeMap<TxnId, BTreeSet<(SpaceId, ItemId)>>,
@@ -41,13 +41,8 @@ pub struct LockTable {
 }
 
 impl LockTable {
-    /// An empty table.
-    pub fn new() -> LockTable {
-        LockTable::default()
-    }
-
     /// Total successful acquisitions (metric).
-    pub fn acquisitions(&self) -> u64 {
+    pub(crate) fn acquisitions(&self) -> u64 {
         self.acquisitions
     }
 
@@ -66,7 +61,7 @@ impl LockTable {
 
     /// Try to acquire (or upgrade to) `mode` on `(space, item)` for
     /// `txn`. On conflict, returns the blocking holders.
-    pub fn try_acquire(
+    pub(crate) fn try_acquire(
         &mut self,
         txn: TxnId,
         space: SpaceId,
@@ -111,7 +106,7 @@ impl LockTable {
     }
 
     /// The holders currently conflicting with `txn` acquiring `mode`.
-    pub fn conflicting_holders(
+    pub(crate) fn conflicting_holders(
         &self,
         txn: TxnId,
         space: SpaceId,
@@ -139,7 +134,7 @@ impl LockTable {
     }
 
     /// Release every lock held by `txn`.
-    pub fn release_all(&mut self, txn: TxnId) {
+    pub(crate) fn release_all(&mut self, txn: TxnId) {
         if let Some(keys) = self.held.remove(&txn) {
             for key in keys {
                 if let Some(h) = self.locks.get_mut(&key) {
@@ -157,7 +152,7 @@ impl LockTable {
 
     /// Release only `txn`'s locks inside `space` (early per-conjunct
     /// release for long transactions).
-    pub fn release_space(&mut self, txn: TxnId, space: SpaceId) {
+    pub(crate) fn release_space(&mut self, txn: TxnId, space: SpaceId) {
         let Some(keys) = self.held.get_mut(&txn) else {
             return;
         };
@@ -178,7 +173,7 @@ impl LockTable {
     }
 
     /// The spaces in which `txn` currently holds at least one lock.
-    pub fn spaces_held(&self, txn: TxnId) -> BTreeSet<SpaceId> {
+    pub(crate) fn spaces_held(&self, txn: TxnId) -> BTreeSet<SpaceId> {
         self.held
             .get(&txn)
             .map(|keys| keys.iter().map(|(s, _)| *s).collect())
@@ -199,7 +194,7 @@ mod tests {
 
     #[test]
     fn shared_locks_coexist() {
-        let mut lt = LockTable::new();
+        let mut lt = LockTable::default();
         assert!(lt
             .try_acquire(TxnId(1), S0, item(0), LockMode::Shared)
             .is_ok());
@@ -211,7 +206,7 @@ mod tests {
 
     #[test]
     fn exclusive_excludes() {
-        let mut lt = LockTable::new();
+        let mut lt = LockTable::default();
         lt.try_acquire(TxnId(1), S0, item(0), LockMode::Exclusive)
             .unwrap();
         let err = lt
@@ -226,7 +221,7 @@ mod tests {
 
     #[test]
     fn upgrade_when_sole_shared_holder() {
-        let mut lt = LockTable::new();
+        let mut lt = LockTable::default();
         lt.try_acquire(TxnId(1), S0, item(0), LockMode::Shared)
             .unwrap();
         assert!(lt
@@ -240,7 +235,7 @@ mod tests {
 
     #[test]
     fn upgrade_blocked_by_other_readers() {
-        let mut lt = LockTable::new();
+        let mut lt = LockTable::default();
         lt.try_acquire(TxnId(1), S0, item(0), LockMode::Shared)
             .unwrap();
         lt.try_acquire(TxnId(2), S0, item(0), LockMode::Shared)
@@ -253,7 +248,7 @@ mod tests {
 
     #[test]
     fn x_holder_gets_shared_for_free() {
-        let mut lt = LockTable::new();
+        let mut lt = LockTable::default();
         lt.try_acquire(TxnId(1), S0, item(0), LockMode::Exclusive)
             .unwrap();
         assert!(lt
@@ -268,7 +263,7 @@ mod tests {
 
     #[test]
     fn spaces_are_independent() {
-        let mut lt = LockTable::new();
+        let mut lt = LockTable::default();
         lt.try_acquire(TxnId(1), S0, item(0), LockMode::Exclusive)
             .unwrap();
         // Same item id, different space: no conflict.
@@ -279,7 +274,7 @@ mod tests {
 
     #[test]
     fn release_all_clears() {
-        let mut lt = LockTable::new();
+        let mut lt = LockTable::default();
         lt.try_acquire(TxnId(1), S0, item(0), LockMode::Exclusive)
             .unwrap();
         lt.try_acquire(TxnId(1), S1, item(1), LockMode::Shared)
@@ -293,7 +288,7 @@ mod tests {
 
     #[test]
     fn release_space_is_partial() {
-        let mut lt = LockTable::new();
+        let mut lt = LockTable::default();
         lt.try_acquire(TxnId(1), S0, item(0), LockMode::Exclusive)
             .unwrap();
         lt.try_acquire(TxnId(1), S1, item(1), LockMode::Exclusive)
@@ -310,7 +305,7 @@ mod tests {
 
     #[test]
     fn conflicting_holders_reports_without_mutating() {
-        let mut lt = LockTable::new();
+        let mut lt = LockTable::default();
         lt.try_acquire(TxnId(1), S0, item(0), LockMode::Shared)
             .unwrap();
         lt.try_acquire(TxnId(2), S0, item(0), LockMode::Shared)
@@ -325,7 +320,7 @@ mod tests {
 
     #[test]
     fn acquisition_counter_counts_new_grants_only() {
-        let mut lt = LockTable::new();
+        let mut lt = LockTable::default();
         lt.try_acquire(TxnId(1), S0, item(0), LockMode::Shared)
             .unwrap();
         lt.try_acquire(TxnId(1), S0, item(0), LockMode::Shared)

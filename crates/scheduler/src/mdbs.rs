@@ -24,22 +24,18 @@ use pwsr_core::state::{DbState, ItemSet};
 use pwsr_tplang::ast::Program;
 use std::collections::HashMap;
 
-/// One autonomous site: a name and the items it owns.
+/// One autonomous site: the items it owns.
 #[derive(Clone, Debug)]
 pub struct Site {
-    /// Display name.
-    pub name: String,
     /// The items stored at this site (must be disjoint across sites).
-    pub items: ItemSet,
+    pub(crate) items: ItemSet,
 }
 
 impl Site {
-    /// Build a site.
-    pub fn new(name: &str, items: ItemSet) -> Site {
-        Site {
-            name: name.to_owned(),
-            items,
-        }
+    /// Build a site. The name labels it for the caller; the site keeps
+    /// only its items.
+    pub fn new(_name: &str, items: ItemSet) -> Site {
+        Site { items }
     }
 }
 
@@ -50,7 +46,7 @@ pub struct MdbsOutcome {
     pub exec: ExecOutcome,
     /// Per site: is the local projection conflict-serializable?
     /// (Always true under per-site strict 2PL; asserted, not assumed.)
-    pub local_serializable: Vec<bool>,
+    pub(crate) local_serializable: Vec<bool>,
     /// Is the *global* schedule conflict-serializable? Typically false
     /// once global transactions interleave — the point of the exercise.
     pub globally_serializable: bool,

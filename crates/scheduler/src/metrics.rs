@@ -18,10 +18,10 @@ pub struct Metrics {
     /// Transaction restarts performed.
     pub restarts: u64,
     /// Lock acquisitions granted.
-    pub lock_acquisitions: u64,
+    pub(crate) lock_acquisitions: u64,
     /// Operations rejected by the online verdict monitor (each rejection
     /// aborts and restarts the requesting transaction).
-    pub monitor_rejections: u64,
+    pub(crate) monitor_rejections: u64,
     /// Operations the monitor's undo-log retracted across all aborts
     /// (the abort cost that used to be an `O(n)` rebuild each time).
     pub monitor_undone_ops: u64,
@@ -30,7 +30,7 @@ pub struct Metrics {
     pub monitor_log_floor: u64,
     /// Operations that bypassed runtime certification because their
     /// transaction held a static safety certificate.
-    pub monitor_skipped_ops: u64,
+    pub(crate) monitor_skipped_ops: u64,
     /// OCC aborts: transactions rolled back by a failed backward
     /// validation or a certification breach (victims + cascades) —
     /// the same counter whichever OCC path (single-threaded or
@@ -72,7 +72,7 @@ pub struct Metrics {
     /// pushes are not counted here).
     pub batched_ops: u64,
     /// Largest single batch admitted.
-    pub max_batch: u64,
+    pub(crate) max_batch: u64,
 }
 
 impl Metrics {

@@ -18,7 +18,7 @@ use pwsr_tplang::ast::Program;
 /// The access plan for `program`: its (state-independent) operation
 /// structure, exact for programs the static prover certifies as
 /// fixed-structure; `None` for the rest.
-pub fn access_plan(program: &Program, catalog: &Catalog) -> Option<Vec<OpStruct>> {
+pub(crate) fn access_plan(program: &Program, catalog: &Catalog) -> Option<Vec<OpStruct>> {
     if !static_structure(program, catalog).is_fixed() {
         return None;
     }

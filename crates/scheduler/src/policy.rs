@@ -25,7 +25,7 @@ use pwsr_core::catalog::Catalog;
 use pwsr_core::constraint::IntegrityConstraint;
 use pwsr_core::error::CoreError;
 use pwsr_core::ids::{ItemId, TxnId};
-use pwsr_core::monitor::{AdmissionLevel, CompactStats, OnlineMonitor, Verdict};
+use pwsr_core::monitor::{AdmissionLevel, OnlineMonitor, Verdict};
 use pwsr_core::op::Operation;
 use pwsr_core::schedule::Schedule;
 use pwsr_core::state::ItemSet;
@@ -38,7 +38,7 @@ use std::sync::Arc;
 /// projection acyclic) and `PwsrDr ⇒ Pwsr`; `Serializable` and
 /// `PwsrDr` are incomparable (serializability says nothing about
 /// delayed reads).
-pub fn level_implies(a: AdmissionLevel, b: AdmissionLevel) -> bool {
+pub(crate) fn level_implies(a: AdmissionLevel, b: AdmissionLevel) -> bool {
     a == b
         || matches!(
             (a, b),
@@ -70,15 +70,6 @@ impl StaticCertificate {
         StaticCertificate { level, certified }
     }
 
-    /// Certificate covering transactions `1..=n` (program `k` runs as
-    /// transaction `k+1` in the executors).
-    pub fn full(level: AdmissionLevel, n: usize) -> StaticCertificate {
-        StaticCertificate {
-            level,
-            certified: (1..=n as u32).map(TxnId).collect(),
-        }
-    }
-
     /// The level every interleaving of the certified set is proven to
     /// hold.
     pub fn level(&self) -> AdmissionLevel {
@@ -92,7 +83,7 @@ impl StaticCertificate {
 
     /// Is the certificate strong enough to stand in for runtime
     /// certification at `floor`?
-    pub fn satisfies(&self, floor: AdmissionLevel) -> bool {
+    pub(crate) fn satisfies(&self, floor: AdmissionLevel) -> bool {
         level_implies(self.level, floor)
     }
 
@@ -105,9 +96,21 @@ impl StaticCertificate {
     pub fn is_empty(&self) -> bool {
         self.certified.is_empty()
     }
+}
+
+#[cfg(test)]
+impl StaticCertificate {
+    /// Certificate covering transactions `1..=n` (program `k` runs as
+    /// transaction `k+1` in the executors).
+    pub(crate) fn full(level: AdmissionLevel, n: usize) -> StaticCertificate {
+        StaticCertificate {
+            level,
+            certified: (1..=n as u32).map(TxnId).collect(),
+        }
+    }
 
     /// The certified transactions, ascending.
-    pub fn txns(&self) -> impl Iterator<Item = TxnId> + '_ {
+    pub(crate) fn txns(&self) -> impl Iterator<Item = TxnId> + '_ {
         self.certified.iter().copied()
     }
 }
@@ -120,7 +123,7 @@ impl StaticCertificate {
 ///
 /// The speculative test ([`MonitorAdmission::would_admit`]) never
 /// mutates; an executor that aborts says whom
-/// ([`MonitorAdmission::retract_txns`]) and the monitor takes their
+/// (`MonitorAdmission::retract_txns`) and the monitor takes their
 /// operations back through its undo-log — `O(ops undone + ops
 /// re-pushed)` graph work, so every step stays on the incremental
 /// path.
@@ -138,8 +141,8 @@ pub struct MonitorAdmission {
 
 impl MonitorAdmission {
     /// The admission `spec` describes: a monitor over its scopes at its
-    /// floor. Transactions its [trusted
-    /// certificate](MonitorSpec::trusted_certificate) covers are
+    /// floor. Transactions its trusted
+    /// certificate covers are
     /// admitted without consulting the monitor and their operations are
     /// never pushed. Its WAL becomes the monitor's journal
     /// ([`OnlineMonitor::with_journal`]): every monitored transition is
@@ -161,7 +164,7 @@ impl MonitorAdmission {
     }
 
     /// The spec this admission was built from.
-    pub fn spec(&self) -> &MonitorSpec {
+    pub(crate) fn spec(&self) -> &MonitorSpec {
         &self.spec
     }
 
@@ -176,7 +179,7 @@ impl MonitorAdmission {
     }
 
     /// Is `txn` on the certified fast path?
-    pub fn covers(&self, txn: TxnId) -> bool {
+    pub(crate) fn covers(&self, txn: TxnId) -> bool {
         self.spec
             .trusted_certificate()
             .is_some_and(|c| c.covers(txn))
@@ -223,7 +226,7 @@ impl MonitorAdmission {
     /// Panics if a victim's first operation lies below the undo-log
     /// floor: the caller's [`checkpoint`](Self::checkpoint) must have
     /// named every transaction an abort can still take back.
-    pub fn retract_txns(&mut self, victims: &[TxnId]) -> Result<(usize, usize), CoreError> {
+    pub(crate) fn retract_txns(&mut self, victims: &[TxnId]) -> Result<(usize, usize), CoreError> {
         let cost = self.monitor.retract_txns(victims)?;
         self.undone_ops += cost.0 as u64;
         Ok(cost)
@@ -244,7 +247,7 @@ impl MonitorAdmission {
     /// every finished transaction that read a write of one that may.
     ///
     /// [`ShardedMonitor::checkpoint`]: pwsr_core::monitor::sharded::ShardedMonitor::checkpoint
-    pub fn checkpoint<I: IntoIterator<Item = TxnId>>(&mut self, live: I) -> usize {
+    pub(crate) fn checkpoint<I: IntoIterator<Item = TxnId>>(&mut self, live: I) -> usize {
         let floor = live
             .into_iter()
             .filter_map(|t| self.monitor.first_op_of(t).map(|p| p.0))
@@ -253,11 +256,24 @@ impl MonitorAdmission {
         self.monitor.checkpoint(floor)
     }
 
+    /// Operations retracted through the undo-log across all aborts.
+    pub(crate) fn undone_ops(&self) -> u64 {
+        self.undone_ops
+    }
+
+    /// Operations skipped via the static certificate.
+    pub fn skipped_ops(&self) -> u64 {
+        self.skipped_ops
+    }
+}
+
+#[cfg(test)]
+impl MonitorAdmission {
     /// Declare `txn` finished (it will issue no further operations),
     /// making its operations eligible for committed-prefix compaction.
     /// Certified transactions are never monitored, so there is nothing
     /// to finish for them.
-    pub fn finish_txn(&mut self, txn: TxnId) {
+    pub(crate) fn finish_txn(&mut self, txn: TxnId) {
         self.monitor.finish_txn(txn);
     }
 
@@ -270,18 +286,8 @@ impl MonitorAdmission {
     /// `pwsr_durability` ([`Checkpoint`]-then-restart), not here.
     ///
     /// [`Checkpoint`]: pwsr_durability::checkpoint::Checkpoint
-    pub fn compact(&mut self) -> CompactStats {
+    pub(crate) fn compact(&mut self) -> pwsr_core::monitor::CompactStats {
         self.monitor.compact()
-    }
-
-    /// Operations retracted through the undo-log across all aborts.
-    pub fn undone_ops(&self) -> u64 {
-        self.undone_ops
-    }
-
-    /// Operations skipped via the static certificate.
-    pub fn skipped_ops(&self) -> u64 {
-        self.skipped_ops
     }
 }
 
@@ -301,7 +307,7 @@ pub struct MonitorSpec {
     /// ([`MonitorAdmission`]; the threaded executors push every
     /// transaction through the monitor): the transactions it covers
     /// skip runtime certification (see [`StaticCertificate`]). Only a
-    /// [trusted](Self::trusted_certificate) one is used.
+    /// trusted one (`MonitorSpec::trusted_certificate`) is used.
     pub certificate: Option<StaticCertificate>,
     /// Optional durability: a shared write-ahead log the admission
     /// journals every monitored transition into (the handle is shared,
@@ -341,7 +347,7 @@ impl MonitorSpec {
     /// one whose level implies the floor
     /// ([`StaticCertificate::satisfies`]). A weaker one is ignored and
     /// every transaction is monitored.
-    pub fn trusted_certificate(&self) -> Option<&StaticCertificate> {
+    pub(crate) fn trusted_certificate(&self) -> Option<&StaticCertificate> {
         self.certificate
             .as_ref()
             .filter(|c| c.satisfies(self.level))
@@ -395,15 +401,15 @@ pub struct PolicySpec {
     /// Release a space's locks once the access plan shows no further
     /// accesses there (requires plans; without a plan the executor
     /// holds to end).
-    pub early_release: bool,
+    pub(crate) early_release: bool,
     /// Block reads of items whose latest writer has not finished.
-    pub dr_block: bool,
+    pub(crate) dr_block: bool,
     /// When `Some(l)`, spaces `0..l` are conjuncts and the executor
     /// enforces Theorem 3 at run time: a transaction whose accesses
     /// would make `DAG(S, IC)` cyclic is rejected (§3.3's data-access
     /// ordering as runtime admission). Only meaningful for
     /// conjunct-aligned policies.
-    pub dag_guard: Option<u32>,
+    pub(crate) dag_guard: Option<u32>,
     /// When set, the seeded runner keeps a [`MonitorAdmission`] over
     /// its trace and aborts (for restart) any transaction whose next
     /// operation would sink the verdict below `level` — under every
@@ -425,7 +431,7 @@ impl std::fmt::Debug for PolicySpec {
 
 impl PolicySpec {
     /// The lock space of `item`.
-    pub fn space_of(&self, item: ItemId) -> SpaceId {
+    pub(crate) fn space_of(&self, item: ItemId) -> SpaceId {
         (self.space_of)(item)
     }
 
@@ -514,25 +520,6 @@ impl PolicySpec {
         self
     }
 
-    /// Attach a static safety certificate to the monitor-admission
-    /// half of the policy: transactions the certificate covers skip
-    /// runtime certification entirely. A certificate weaker than the
-    /// admission floor is not [trusted](MonitorSpec::trusted_certificate)
-    /// and is dropped (the name is only tagged when the fast path is
-    /// actually active).
-    ///
-    /// Panics unless [`PolicySpec::monitor_admission`] came first.
-    pub fn certified(mut self, certificate: StaticCertificate) -> PolicySpec {
-        let spec = (self.monitor.as_mut())
-            .expect("PolicySpec::certified needs PolicySpec::monitor_admission first");
-        spec.certificate = Some(certificate);
-        match spec.trusted_certificate().map(StaticCertificate::len) {
-            Some(n) => self.name = format!("{}+CERT({n})", self.name),
-            None => spec.certificate = None,
-        }
-        self
-    }
-
     /// Attach a write-ahead log to the monitor-admission half of the
     /// policy: every admitted operation and every retraction is
     /// journaled into `wal`, making the run crash-recoverable. The
@@ -551,7 +538,7 @@ impl PolicySpec {
     /// space in space order — what per-space certification monitors,
     /// so that it and the lock layout agree on what "serializable per
     /// unit" means.
-    pub fn space_scopes(&self, catalog: &Catalog) -> Vec<ItemSet> {
+    pub(crate) fn space_scopes(&self, catalog: &Catalog) -> Vec<ItemSet> {
         let mut by_space: BTreeMap<SpaceId, ItemSet> = BTreeMap::new();
         for item in catalog.items() {
             by_space
@@ -564,7 +551,7 @@ impl PolicySpec {
 
     /// A policy with an explicit item→space table (used by the MDBS
     /// simulation, where spaces are *sites*).
-    pub fn from_table(
+    pub(crate) fn from_table(
         name: &str,
         table: HashMap<ItemId, SpaceId>,
         fallback_base: u32,
@@ -582,6 +569,28 @@ impl PolicySpec {
             dag_guard: None,
             monitor: None,
         }
+    }
+}
+
+#[cfg(test)]
+impl PolicySpec {
+    /// Attach a static safety certificate to the monitor-admission
+    /// half of the policy: transactions the certificate covers skip
+    /// runtime certification entirely. A certificate weaker than the
+    /// admission floor is not [trusted](MonitorSpec::trusted_certificate)
+    /// and is dropped (the name is only tagged when the fast path is
+    /// actually active).
+    ///
+    /// Panics unless [`PolicySpec::monitor_admission`] came first.
+    pub(crate) fn certified(mut self, certificate: StaticCertificate) -> PolicySpec {
+        let spec = (self.monitor.as_mut())
+            .expect("PolicySpec::certified needs PolicySpec::monitor_admission first");
+        spec.certificate = Some(certificate);
+        match spec.trusted_certificate().map(StaticCertificate::len) {
+            Some(n) => self.name = format!("{}+CERT({n})", self.name),
+            None => spec.certificate = None,
+        }
+        self
     }
 }
 

@@ -8,18 +8,17 @@
 //! Three flavours are provided:
 //!
 //! * [`structure_of`] — the structure of one execution.
-//! * [`fixed_structure_over`] / [`is_fixed_structure_exhaustive`] —
-//!   ground truth by executing over supplied / all enumerable states.
+//! * `fixed_structure_over` / `is_fixed_structure_exhaustive` (test
+//!   only) — ground truth by executing over supplied / all enumerable
+//!   states, the oracle the prover's tests are held to.
 //! * [`static_structure`] — a conservative *prover*: a `Fixed` verdict
 //!   is sound (no execution can deviate), `Unknown` means the program
 //!   may or may not be fixed (e.g. branches with different footprints
 //!   that are never both reachable).
 //!
-//! [`rw_footprint`] separates the syntactic over-approximation of
-//! [`accessed_items`] into read and write sides, and
-//! [`branch_footprints`] exposes the per-arm footprints of every `if`
-//! — the raw material for the static robustness analyzer in
-//! `pwsr_analysis`.
+//! [`rw_footprint`] is the syntactic over-approximation of the items a
+//! program may read and write — the raw material for the static
+//! robustness analyzer in `pwsr_analysis`.
 //!
 //! [`is_straight_line`] recognizes the transaction class of the
 //! Sha–Lehoczky–Jensen baseline \[14\]: no control flow at all. Every
@@ -47,7 +46,12 @@ pub fn structure_of(
 
 /// Is the structure identical across all the given states (pairwise
 /// Definition 3 over a finite family)?
-pub fn fixed_structure_over<'a, I>(program: &Program, catalog: &Catalog, states: I) -> Result<bool>
+#[cfg(test)]
+pub(crate) fn fixed_structure_over<'a, I>(
+    program: &Program,
+    catalog: &Catalog,
+    states: I,
+) -> Result<bool>
 where
     I: IntoIterator<Item = &'a DbState>,
 {
@@ -66,7 +70,8 @@ where
 /// The data items a program can possibly access: every identifier in
 /// the program text that names a catalog item (a syntactic
 /// over-approximation of `RS ∪ WS` across all executions).
-pub fn accessed_items(program: &Program, catalog: &Catalog) -> ItemSet {
+#[cfg(test)]
+pub(crate) fn accessed_items(program: &Program, catalog: &Catalog) -> ItemSet {
     let fp = rw_footprint(program, catalog);
     let mut all = fp.reads;
     all.union_with(&fp.writes);
@@ -99,16 +104,13 @@ impl RwFootprint {
         all.union_with(&self.writes);
         all
     }
+}
 
+#[cfg(test)]
+impl RwFootprint {
     /// No accesses at all?
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.reads.is_empty() && self.writes.is_empty()
-    }
-
-    /// Absorb another footprint (e.g. the other arm of a branch).
-    pub fn union_with(&mut self, other: &RwFootprint) {
-        self.reads.union_with(&other.reads);
-        self.writes.union_with(&other.writes);
     }
 }
 
@@ -119,7 +121,7 @@ pub fn rw_footprint(program: &Program, catalog: &Catalog) -> RwFootprint {
 
 /// Read/write footprint of one statement block — use on a single
 /// branch arm for per-branch footprints.
-pub fn block_rw_footprint(stmts: &[Stmt], catalog: &Catalog) -> RwFootprint {
+pub(crate) fn block_rw_footprint(stmts: &[Stmt], catalog: &Catalog) -> RwFootprint {
     let mut fp = RwFootprint::default();
     walk_rw(stmts, catalog, &mut fp);
     fp
@@ -127,7 +129,11 @@ pub fn block_rw_footprint(stmts: &[Stmt], catalog: &Catalog) -> RwFootprint {
 
 /// The per-arm footprints of every `if` in the program, in pre-order:
 /// one `(then, else)` pair per `if` statement (at any nesting depth).
-pub fn branch_footprints(program: &Program, catalog: &Catalog) -> Vec<(RwFootprint, RwFootprint)> {
+#[cfg(test)]
+pub(crate) fn branch_footprints(
+    program: &Program,
+    catalog: &Catalog,
+) -> Vec<(RwFootprint, RwFootprint)> {
     fn collect(stmts: &[Stmt], catalog: &Catalog, out: &mut Vec<(RwFootprint, RwFootprint)>) {
         for s in stmts {
             match s {
@@ -201,7 +207,8 @@ fn walk_rw(stmts: &[Stmt], catalog: &Catalog, fp: &mut RwFootprint) {
 /// Enumerate every total state over the program's accessible items (up
 /// to `cap` states) and compare structures. Returns `None` if the state
 /// space exceeds `cap` — fall back to sampling in that case.
-pub fn is_fixed_structure_exhaustive(
+#[cfg(test)]
+pub(crate) fn is_fixed_structure_exhaustive(
     program: &Program,
     catalog: &Catalog,
     cap: u64,

@@ -69,19 +69,13 @@ impl Expr {
         Expr::Binary(BinOp::Sub, Box::new(self), Box::new(rhs))
     }
 
-    /// `self × rhs`.
-    #[allow(clippy::should_implement_trait)] // fluent builder, not operator overloading
-    pub fn mul(self, rhs: Expr) -> Expr {
-        Expr::Binary(BinOp::Mul, Box::new(self), Box::new(rhs))
-    }
-
     /// `abs(self)`.
     pub fn abs(self) -> Expr {
         Expr::Unary(UnOp::Abs, Box::new(self))
     }
 
     /// Variable names referenced, in evaluation order (with duplicates).
-    pub fn var_names(&self, out: &mut Vec<String>) {
+    pub(crate) fn var_names(&self, out: &mut Vec<String>) {
         match self {
             Expr::Const(_) => {}
             Expr::Var(name) => out.push(name.clone()),
@@ -154,7 +148,7 @@ impl Cond {
     }
 
     /// Variable names referenced, in evaluation order.
-    pub fn var_names(&self, out: &mut Vec<String>) {
+    pub(crate) fn var_names(&self, out: &mut Vec<String>) {
         match self {
             Cond::True | Cond::False => {}
             Cond::Cmp(_, l, r) => {
@@ -285,7 +279,7 @@ impl Program {
 
     /// Does any statement (recursively) use `if` or `while`? If not,
     /// the program is *straight-line* in the sense of Sha et al. \[14\].
-    pub fn has_control_flow(&self) -> bool {
+    pub(crate) fn has_control_flow(&self) -> bool {
         fn check(stmts: &[Stmt]) -> bool {
             stmts.iter().any(|s| match s {
                 Stmt::Assign { .. } | Stmt::Touch(_) => false,

@@ -14,8 +14,8 @@
 //!
 //! ## One interpreter
 //!
-//! The model lives in [`crate::machine`]: the program is compiled once
-//! and a [`Machine`] runs it from read to read. The functions here drive
+//! The model lives in `crate::machine`: the program is compiled once
+//! and a `Machine` runs it from read to read. The functions here drive
 //! one — [`run_with_reads`] from a log of read values, reporting where
 //! it stands when the log runs out; [`execute`] from a database state.
 //! Schedulers, which decide *when* each read happens, hold the same

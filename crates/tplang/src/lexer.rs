@@ -4,7 +4,7 @@ use crate::error::{Result, TpError};
 
 /// A lexical token.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub enum Token {
+pub(crate) enum Token {
     /// Identifier or keyword candidate.
     Ident(String),
     /// Integer literal.
@@ -52,7 +52,7 @@ pub enum Token {
 }
 
 /// Tokenize program source text. `#`-comments run to end of line.
-pub fn tokenize(src: &str) -> Result<Vec<Token>> {
+pub(crate) fn tokenize(src: &str) -> Result<Vec<Token>> {
     let bytes = src.as_bytes();
     let mut out = Vec::new();
     let mut i = 0;

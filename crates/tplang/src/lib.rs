@@ -10,9 +10,9 @@
 //! * [`ast`] — programs with assignments, `if`/`else`, bounded `while`,
 //!   local (`temp`) variables and `touch` (a value-discarding read used
 //!   for structure padding).
-//! * [`lexer`] / [`parser`] — a small concrete syntax close to the
+//! * `lexer` / [`parser`] — a small concrete syntax close to the
 //!   paper's (`a := 1; if (c > 0) then { b := abs(b) + 1; }`).
-//! * [`machine`] — the one interpreter: a program compiled once into a
+//! * `machine` — the one interpreter: a program compiled once into a
 //!   flat instruction vector, and a resumable machine that runs it from
 //!   read to read. The §2.2 assumptions are realized operationally:
 //!   repeated reads are served from a read cache (one read operation
@@ -36,20 +36,15 @@ pub mod analysis;
 pub mod ast;
 pub mod error;
 pub mod interp;
-pub mod lexer;
-pub mod machine;
+mod lexer;
+mod machine;
 pub mod parser;
 pub mod programs;
 pub mod session;
 pub mod transform;
 
-/// Convenience re-exports.
+/// The items the facade's `pwsr::prelude` passes on to the examples
+/// and tests that import it by glob.
 pub mod prelude {
-    pub use crate::analysis::{is_straight_line, static_structure, structure_of, StaticVerdict};
-    pub use crate::ast::{BinOp, Cond, Expr, Program, Stmt, UnOp};
-    pub use crate::error::TpError;
-    pub use crate::interp::{execute, execute_and_apply};
-    pub use crate::parser::parse_program;
-    pub use crate::session::{Pending, ProgramSession};
-    pub use crate::transform::fix_structure;
+    pub use crate::ast::Program;
 }

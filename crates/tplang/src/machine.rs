@@ -1,9 +1,9 @@
 //! The one interpreter: a program compiled once, run from read to read.
 //!
-//! [`Code::compile`] flattens a [`Program`] into an instruction vector:
+//! `Code::compile` flattens a [`Program`] into an instruction vector:
 //! every name a slot — a data item if the catalog knows it, a local
 //! otherwise — and every condition jumps (short-circuit `and` / `or`).
-//! A [`Machine`] is one execution over that code: program counter,
+//! A `Machine` is one execution over that code: program counter,
 //! operand stack, loop counters, a cell per slot (for an item, §2.2's
 //! read-once cache and write buffer) and the queue of writes it has
 //! passed. It runs from where it stopped to the next read it cannot
@@ -25,11 +25,11 @@ use std::collections::VecDeque;
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Pending {
     /// The next operation is a read of this item; the scheduler must
-    /// supply the current value ([`Machine::feed`]; a session's
+    /// supply the current value (`Machine::feed`; a session's
     /// `feed_read`).
     NeedRead(ItemId),
     /// The next operation is this write; apply it and take it
-    /// ([`Machine::pop_write`]; a session's `advance_write`).
+    /// (`Machine::pop_write`; a session's `advance_write`).
     Write(Operation),
     /// The program has no further operations.
     Done,
@@ -61,7 +61,7 @@ enum Ins {
 
 /// A compiled program (borrowing only its names).
 #[derive(Clone, Debug, Default)]
-pub struct Code<'p> {
+pub(crate) struct Code<'p> {
     ins: Vec<Ins>,
     /// Slot → its name and, for a data item, its id.
     slots: Vec<(&'p str, Option<ItemId>)>,
@@ -80,7 +80,7 @@ impl<'p> Code<'p> {
     /// Compile `program` against `catalog`. Never fails: unbound locals,
     /// double writes, type errors, overflow and loop limits depend on
     /// the values read and surface when the machine runs.
-    pub fn compile(program: &'p Program, catalog: &Catalog) -> Code<'p> {
+    pub(crate) fn compile(program: &'p Program, catalog: &Catalog) -> Code<'p> {
         let mut c = Compiler {
             catalog,
             code: Code::default(),
@@ -227,7 +227,7 @@ struct Cell {
 /// One execution of a [`Code`]. Every method that takes the code must
 /// be given the one the machine was started over.
 #[derive(Clone, Debug)]
-pub struct Machine {
+pub(crate) struct Machine {
     txn: TxnId,
     pc: usize,
     stack: Vec<Value>,
@@ -249,7 +249,7 @@ fn int_of(v: &Value, context: &'static str) -> Result<i64> {
 
 impl Machine {
     /// Start `code` as transaction `txn` and run to the first stop.
-    pub fn start(code: &Code<'_>, txn: TxnId) -> Machine {
+    pub(crate) fn start(code: &Code<'_>, txn: TxnId) -> Machine {
         let mut machine = Machine {
             txn,
             pc: 0,
@@ -264,14 +264,14 @@ impl Machine {
     }
 
     /// The transaction this machine runs as.
-    pub fn txn(&self) -> TxnId {
+    pub(crate) fn txn(&self) -> TxnId {
         self.txn
     }
 
     /// The next operation: the oldest write passed and not yet taken,
     /// else the read the machine stands at. An error met on the way to
     /// that read is reported ahead of the writes before it.
-    pub fn pending(&self) -> Result<Pending> {
+    pub(crate) fn pending(&self) -> Result<Pending> {
         Ok(match (&self.at, self.writes.front()) {
             (Err(e), _) => return Err(e.clone()),
             (_, Some(op)) => Pending::Write(op.clone()),
@@ -281,14 +281,14 @@ impl Machine {
     }
 
     /// Take the pending write; `None` unless a write is pending.
-    pub fn pop_write(&mut self) -> Option<Operation> {
+    pub(crate) fn pop_write(&mut self) -> Option<Operation> {
         self.at.as_ref().ok().and_then(|_| self.writes.pop_front())
     }
 
     /// Supply the pending read's value and run on to the next stop;
     /// returns the read operation, or `None` (having done nothing)
     /// unless a read is pending.
-    pub fn feed(&mut self, code: &Code<'_>, value: Value) -> Option<Operation> {
+    pub(crate) fn feed(&mut self, code: &Code<'_>, value: Value) -> Option<Operation> {
         let (Ok(Some(item)), None) = (&self.at, self.writes.front()) else {
             return None;
         };

@@ -21,7 +21,7 @@
 //!           | "max" "(" expr "," expr ")" | "(" expr ")"
 //! ```
 //!
-//! The default `while` iteration limit is [`DEFAULT_LOOP_LIMIT`].
+//! The default `while` iteration limit is `DEFAULT_LOOP_LIMIT`.
 
 use crate::ast::{BinOp, Cond, Expr, Program, Stmt, UnOp};
 use crate::error::{Result, TpError};
@@ -30,7 +30,7 @@ use pwsr_core::constraint::Cmp;
 use pwsr_core::value::Value;
 
 /// Iteration cap applied to parsed `while` loops.
-pub const DEFAULT_LOOP_LIMIT: u32 = 10_000;
+pub(crate) const DEFAULT_LOOP_LIMIT: u32 = 10_000;
 
 /// Parse a named program from source text.
 pub fn parse_program(name: &str, src: &str) -> Result<Program> {

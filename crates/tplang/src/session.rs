@@ -21,8 +21,8 @@
 //! }
 //! ```
 //!
-//! The session compiles its program once ([`Code`]) and owns one
-//! [`Machine`] over it, which always stands at a stop — the next read it
+//! The session compiles its program once (`Code`) and owns one
+//! `Machine` over it, which always stands at a stop — the next read it
 //! needs, the end, or an error — with the writes it passed on the way
 //! queued: [`ProgramSession::pending`] only looks,
 //! [`ProgramSession::advance_write`] pops the queue, and
@@ -42,7 +42,6 @@ use pwsr_core::value::Value;
 /// A resumable execution of one program as one transaction.
 #[derive(Clone, Debug)]
 pub struct ProgramSession<'p> {
-    program: &'p Program,
     code: Code<'p>,
     machine: Machine,
     /// Operations already handed to the scheduler.
@@ -55,7 +54,6 @@ impl<'p> ProgramSession<'p> {
         let code = Code::compile(program, catalog);
         let machine = Machine::start(&code, txn);
         ProgramSession {
-            program,
             code,
             machine,
             emitted: 0,
@@ -72,11 +70,6 @@ impl<'p> ProgramSession<'p> {
     /// The transaction id this session runs under.
     pub fn txn(&self) -> TxnId {
         self.machine.txn()
-    }
-
-    /// The program being executed.
-    pub fn program(&self) -> &Program {
-        self.program
     }
 
     /// Number of operations already emitted to the scheduler.

@@ -192,7 +192,7 @@ pub fn driven() -> bool {
 /// The choice at a hand-over: given the workers that can go on and a
 /// way to ask where the `i`-th of them would go on from, the index of
 /// the one to run.
-pub type Choose<'p> = dyn FnMut(&[usize], &dyn Fn(usize) -> String) -> usize + 'p;
+pub(crate) type Choose<'p> = dyn FnMut(&[usize], &dyn Fn(usize) -> String) -> usize + 'p;
 
 /// Run each of `workers` on a thread of its own, one at a time. At
 /// every hand-over `pick` gets the workers that can go on, in index

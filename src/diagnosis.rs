@@ -30,16 +30,16 @@ pub struct Diagnosis {
     /// PWSR / DR / DAG / theorem-guarantee verdict.
     pub verdict: Verdict,
     /// Recovery classification (strict / ACA / DR / unrestricted).
-    pub recovery: RecoveryClass,
+    pub(crate) recovery: RecoveryClass,
     /// Setwise serializability over conjunct-aligned atomic data sets
     /// (`None` when conjuncts overlap, since \[14\] requires disjoint
     /// sets).
-    pub setwise: Option<bool>,
+    pub(crate) setwise: Option<bool>,
     /// Per-program fixed-structure verdicts, when programs were given.
-    pub program_fixedness: Option<Vec<(String, bool)>>,
+    pub(crate) program_fixedness: Option<Vec<(String, bool)>>,
     /// Strong correctness of this execution, when an initial state was
     /// given.
-    pub strong: Option<StrongReport>,
+    pub(crate) strong: Option<StrongReport>,
 }
 
 impl Diagnosis {

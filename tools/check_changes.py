@@ -4,8 +4,9 @@
 An entry starts at a line ``- PR <n>: ...`` and runs on through the
 indented lines below it, up to the next unindented or blank line. Each
 line counts as many lines as it wraps to at 100 columns. The check
-fails when an entry with ``n > 40`` comes to more than 15; earlier
-entries predate the rule and are not checked.
+fails when an entry with ``n >= 1`` comes to more than 15, so every
+entry is held to the cap; an entry's measurements and series live in
+``docs/bench/PR<n>.md``.
 
 Run from the repo root (the path defaults to ``CHANGES.md``):
 
@@ -18,7 +19,7 @@ import textwrap
 
 COLUMNS = 100
 MAX_LINES = 15
-FIRST_CHECKED = 41
+FIRST_CHECKED = 1
 ENTRY_RE = re.compile(r"^- PR (\d+):")
 
 
@@ -55,7 +56,7 @@ def main():
         print(f"{path}: {line}", file=sys.stderr)
     if bad:
         return 1
-    print(f"every entry after PR {FIRST_CHECKED - 1} fits in {MAX_LINES} lines")
+    print(f"every entry from PR {FIRST_CHECKED} on fits in {MAX_LINES} lines")
     return 0
 
 

@@ -33,10 +33,15 @@ def run(text):
 
 
 class CheckChangesTest(unittest.TestCase):
-    def test_short_entries_and_old_long_ones_pass(self):
-        text = "# Changes\n\n" + entry(40, 30) + entry(41, 15) + entry(42, 1)
+    def test_short_entries_pass(self):
+        text = "# Changes\n\n" + entry(1, 15) + entry(41, 15) + entry(42, 1)
         result = run(text)
         self.assertEqual(result.returncode, 0, result.stderr)
+
+    def test_an_early_long_entry_fails_too(self):
+        result = run(entry(1, 16) + entry(2, 3))
+        self.assertEqual(result.returncode, 1)
+        self.assertIn("line 1: PR 1 wraps to 16 lines", result.stderr)
 
     def test_a_long_recent_entry_fails_and_is_named(self):
         result = run(entry(41, 2) + entry(44, 16))

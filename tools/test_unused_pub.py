@@ -44,6 +44,12 @@ class Workspace:
         self.dir.cleanup()
 
 
+def run(files):
+    """The scan run as a script over a workspace of `files`."""
+    with Workspace(files) as root:
+        return subprocess.run([sys.executable, SCRIPT, root], capture_output=True, text=True)
+
+
 def names(files):
     with Workspace(files) as root:
         return sorted(name for _, _, name in unused_pub.scan(root))
@@ -123,17 +129,47 @@ class UnusedPubTest(unittest.TestCase):
                 impl T {
                     pub fn lone() {}
                 }
-            """
+            """,
+            "tools/unused_pub_allow.txt": "T::lone — kept for the test\n",
         }
-        with Workspace(files) as root:
-            result = subprocess.run(
-                [sys.executable, SCRIPT, root], capture_output=True, text=True
-            )
+        result = run(files)
         self.assertEqual(result.returncode, 0, result.stderr)
         self.assertEqual(
             result.stdout,
             "src/lib.rs:5: T::lone\n1 public functions have no caller outside tests\n",
         )
+
+    def test_an_unlisted_item_fails_and_is_named(self):
+        files = {
+            "src/lib.rs": "pub fn kept() {}\npub fn orphan() {}\n",
+            "tools/unused_pub_allow.txt": "# why each stays\nkept — a reason\n",
+        }
+        result = run(files)
+        self.assertEqual(result.returncode, 1)
+        self.assertIn("orphan has no caller outside tests", result.stderr)
+        self.assertNotIn("kept", result.stderr)
+
+    def test_a_stale_or_reasonless_entry_fails(self):
+        files = {
+            "src/lib.rs": "pub fn kept() {}\npub fn caller() { kept(); }\npub fn bare() {}\n",
+            "tools/unused_pub_allow.txt": (
+                "kept — once had no caller\ncaller — the entry point\nbare\n"
+            ),
+        }
+        result = run(files)
+        self.assertEqual(result.returncode, 1)
+        self.assertIn("stale entry in tools/unused_pub_allow.txt: kept", result.stderr)
+        self.assertIn("gives no reason: bare", result.stderr)
+        self.assertNotIn("caller is not listed", result.stderr)
+
+    def test_a_fully_listed_workspace_passes(self):
+        files = {
+            "src/lib.rs": "pub fn a() {}\npub fn b() {}\n",
+            "tools/unused_pub_allow.txt": "a — first reason\nb — second reason\n",
+        }
+        result = run(files)
+        self.assertEqual(result.returncode, 0, result.stderr)
+        self.assertEqual(result.stderr, "")
 
 
 if __name__ == "__main__":

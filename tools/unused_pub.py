@@ -7,7 +7,9 @@ another crate, not in an example or the benchmark. Test code is
 ``#[cfg(test)]`` items (a ``mod`` declared that way pulls in its whole
 file), files under a ``tests/`` directory, and every crate that other
 crates take only as a dev-dependency. Comments, string literals and
-``use`` lines are not callers.
+``use`` lines are not callers. Only ``pub`` functions are scanned: an
+item nothing outside its crate names is ``pub(crate)`` or narrower,
+and rustc's ``dead_code`` lint already reports those.
 
 The scan matches names, not paths, so a call of another function of
 the same name hides a caller-less one: what it lists has no caller,
@@ -15,8 +17,13 @@ but it may miss some that have none. It walks every ``*.rs`` file
 under the root, skipping ``target/``, ``vendor/`` and hidden
 directories.
 
-Run from the repo root (the root defaults to ``.``); it lists
-``path:line: Owner::name`` and always exits 0:
+Every listed item must have an entry in ``tools/unused_pub_allow.txt``
+under the root, one ``Owner::name — reason`` per line (a line that
+starts with ``#`` is a comment). The scan exits 1 when it lists an item the allowlist lacks,
+when an entry matches no listed item (a stale entry), or when an entry
+gives no reason; otherwise it exits 0. Run from the repo root (the
+root defaults to ``.``); it lists ``path:line: Owner::name`` on stdout
+and each failure on stderr:
 
     python3 tools/unused_pub.py [root]
 """
@@ -27,6 +34,7 @@ import sys
 import tomllib
 
 SKIP_DIRS = {"target", "vendor"}
+ALLOWLIST = os.path.join("tools", "unused_pub_allow.txt")
 IDENT = r"[A-Za-z_][A-Za-z0-9_]*"
 PUB_FN_RE = re.compile(
     r"\bpub\s+(?:const\s+)?(?:async\s+)?(?:unsafe\s+)?(?:extern\s+\"\s*\"\s+)?fn\s+(" + IDENT + ")"
@@ -269,13 +277,51 @@ def scan(root):
     return sorted(unused)
 
 
+def allowlist(root):
+    """``{Owner::name: reason}`` from the root's allowlist (empty if it
+    has none); an entry without a reason maps to ``""``."""
+    path = os.path.join(root, ALLOWLIST)
+    if not os.path.exists(path):
+        return {}
+    entries = {}
+    with open(path, encoding="utf-8") as fh:
+        for line in fh:
+            line = line.strip()
+            if line and not line.startswith("#"):
+                name, _, reason = line.partition("—")
+                entries[name.strip()] = reason.strip()
+    return entries
+
+
+def failures(unused, allowed):
+    """What the allowlist gets wrong about the scan's listing."""
+    listed = {name for _, _, name in unused}
+    out = [
+        f"{name} has no caller outside tests and no entry in {ALLOWLIST}"
+        for name in sorted(listed - set(allowed))
+    ]
+    out += [
+        f"stale entry in {ALLOWLIST}: {name} is not listed"
+        for name in sorted(set(allowed) - listed)
+    ]
+    out += [
+        f"entry in {ALLOWLIST} gives no reason: {name}"
+        for name, why in allowed.items()
+        if not why
+    ]
+    return out
+
+
 def main():
     root = os.path.abspath(sys.argv[1] if len(sys.argv) > 1 else ".")
     unused = scan(root)
     for path, line, name in unused:
         print(f"{path}:{line}: {name}")
     print(f"{len(unused)} public functions have no caller outside tests")
-    return 0
+    bad = failures(unused, allowlist(root))
+    for line in bad:
+        print(f"unused_pub: {line}", file=sys.stderr)
+    return 1 if bad else 0
 
 
 if __name__ == "__main__":
