@@ -228,11 +228,7 @@ pub fn perf3(seeds: u64, seed0: u64) -> (bool, String) {
         for s in 0..seeds {
             let mut rng = StdRng::seed_from_u64(seed0 + s);
             let (w, site_sets) = mdbs_workload(&mut rng, k, 2, k * 2, 2, 2.min(k));
-            let sites: Vec<Site> = site_sets
-                .iter()
-                .enumerate()
-                .map(|(i, items)| Site::new(&format!("site{i}"), items.clone()))
-                .collect();
+            let sites: Vec<Site> = site_sets.iter().cloned().map(Site::new).collect();
             let cfg = ExecConfig {
                 seed: seed0 + s,
                 ..ExecConfig::default()

@@ -117,7 +117,7 @@ use crate::schedule::Schedule;
 use crate::state::ItemSet;
 use crate::viewset::inclusion_holds_everywhere;
 use journal::MonitorJournal;
-use stages::{GlobalState, SeqState, ShardState, TxnTotals};
+use stages::{GlobalState, Marks, SeqState, ShardState, TxnTotals};
 use undo::{GraphDelta, Tape, UndoLog};
 
 const ABSENT: u32 = u32::MAX;
@@ -772,6 +772,9 @@ pub struct OnlineMonitor {
     /// First prefix with a non-serializable conjunct projection: the
     /// minimum over the conjuncts' first cycles.
     first_violation: Option<OpIndex>,
+    /// First prefix that is not delayed-read: the first operation a
+    /// stage found materializing a dirty read.
+    first_non_dr: Option<OpIndex>,
     /// Per slot: the transaction's running §2.2 read/write totals.
     totals: Vec<TxnTotals>,
     /// Rows `totals` gave up (retraction, compaction), emptied and
@@ -797,6 +800,7 @@ impl OnlineMonitor {
             global: GlobalState::new(disjoint),
             conjuncts: vec![ShardState::default(); n],
             first_violation: None,
+            first_non_dr: None,
             totals: Vec::new(),
             spare_totals: Vec::new(),
             rf_slots: Vec::new(),
@@ -875,10 +879,10 @@ impl OnlineMonitor {
     /// The one admission path: validate the run against its
     /// transaction's totals, claim its segment (stage 1, which reports
     /// it to the journal — as one `appended_batch` when `framed`),
-    /// then take each operation through the global stage and the stage
-    /// of every conjunct containing its item — recording undo entries
-    /// for all of it when `logged`. Returns the verdict after each
-    /// operation.
+    /// then take each operation through the global stage (not in the
+    /// disjoint phase) and the stage of every conjunct containing its
+    /// item — recording undo entries for all of it when `logged`.
+    /// Returns the verdict after each operation.
     fn admit(&mut self, ops: &[Operation], logged: bool, framed: bool) -> Result<&[Verdict]> {
         self.verdicts.clear();
         let Some(first) = ops.first() else {
@@ -903,6 +907,7 @@ impl OnlineMonitor {
             return Err(e);
         }
         self.rf_slots.clear();
+        let had_log = self.seq.log.len() > 0;
         let (p0, slot, first_span) = self.seq.apply(
             &self.scope_index,
             ops,
@@ -912,27 +917,50 @@ impl OnlineMonitor {
             &mut self.rf_slots,
         );
         if first_span {
-            self.global.build_graph(&self.seq, p0, self.first_violation);
-        }
-        for (i, op) in ops.iter().enumerate() {
-            let p = OpIndex(p0 + i);
+            let homes = self
+                .conjuncts
+                .iter_mut()
+                .map(ShardState::end_disjoint_phase);
+            let fv = self.first_violation;
             self.global
-                .apply(&self.scopes, slot, op, self.rf_slots[i], p, logged);
+                .build_graph(&self.scopes, &self.seq, p0, fv, homes);
+        }
+        let home = self.seq.in_disjoint_phase();
+        for (i, op) in ops.iter().enumerate() {
+            let (p, rf_slot) = (OpIndex(p0 + i), self.rf_slots[i]);
+            let mut caused_non_dr = false;
+            let marks = match home {
+                true => Marks::Home(rf_slot),
+                false => {
+                    caused_non_dr = self
+                        .global
+                        .apply(&self.scopes, slot, op, rf_slot, p, logged);
+                    Marks::Global
+                }
+            };
             for &k in self.scope_index.of(op.item) {
-                if self.conjuncts[k as usize].apply(slot, op, p, logged) == Applied::Closed {
+                let (applied, dr) = self.conjuncts[k as usize].apply(slot, op, marks, p, logged);
+                if applied == Applied::Closed {
                     self.first_violation.get_or_insert(p);
                 }
+                caused_non_dr |= dr;
             }
-            self.verdicts
-                .push(self.global.verdict(p.0 + 1, self.first_violation));
+            if caused_non_dr {
+                self.first_non_dr.get_or_insert(p);
+            }
+            self.verdicts.push(self.global.verdict(
+                p.0 + 1,
+                self.first_violation,
+                self.first_non_dr,
+            ));
         }
         if !logged {
             // Stage 1 made the run permanent, and everything before it:
             // the other journals restart empty at its floor too.
             let floor = self.log_floor();
-            if self.global.log.len() > 0 {
+            if had_log {
                 let graphs = self.conjuncts.iter_mut().chain(self.global.graph.as_mut());
-                graphs.for_each(|c| c.log.reset(floor));
+                graphs.for_each(|c| c.reset_log(floor));
             }
             self.global.log.reset(floor);
         }
@@ -947,12 +975,15 @@ impl OnlineMonitor {
     /// Panics if `n` exceeds the current length or lies below the
     /// retraction floor (unlogged pushes are permanent).
     pub fn truncate_to(&mut self, n: usize) -> usize {
+        let global = !self.seq.in_disjoint_phase();
         let undone = self.seq.truncate(n, |u| {
             // Reverse application order within the push.
             for &k in self.scope_index.of(u.op.item).iter().rev() {
-                self.conjuncts[k as usize].undo(u.slot, u.op.item, u.pos);
+                self.conjuncts[k as usize].undo(u.slot, u.op.item, u.pos, u.new_slot);
             }
-            self.global.undo(u.slot, u.op.item, u.pos, u.new_slot);
+            if global {
+                self.global.undo(u.slot, u.op.item, u.pos, u.new_slot);
+            }
             if u.new_slot {
                 self.spare_totals.extend(self.totals.pop());
             } else {
@@ -960,9 +991,12 @@ impl OnlineMonitor {
             }
         });
         // Every conjunct that went cyclic at or after `n` is acyclic
-        // again, and the minimum over the others is unchanged.
-        if self.first_violation.is_some_and(|p| p.0 >= n) {
-            self.first_violation = None;
+        // again, and the minimum over the others is unchanged; so for
+        // the first dirty read to materialize.
+        for first in [&mut self.first_violation, &mut self.first_non_dr] {
+            if first.is_some_and(|p| p.0 >= n) {
+                *first = None;
+            }
         }
         undone
     }
@@ -1135,7 +1169,7 @@ impl OnlineMonitor {
         };
         stages::admits(
             &self.scope_index,
-            slot,
+            slot.map(|s| (s, self.seq.home_of(s))),
             item,
             is_write,
             level,
@@ -1146,7 +1180,8 @@ impl OnlineMonitor {
 
     /// The current verdict (what the last `push` returned).
     pub fn verdict(&self) -> Verdict {
-        self.global.verdict(self.len(), self.first_violation)
+        self.global
+            .verdict(self.len(), self.first_violation, self.first_non_dr)
     }
 
     /// The current prefix.
@@ -1198,7 +1233,7 @@ impl OnlineMonitor {
 
     /// Does the Lemma 6 certificate hold for conjunct `k`?
     pub fn lemma6_holds(&self, k: usize) -> bool {
-        self.lemma2_holds(k) && self.global.lemma6_clean(k)
+        self.lemma2_holds(k) && self.global.lemma6_clean(k, &self.conjuncts[k])
     }
 
     /// Re-derive every certificate with the batch machinery and compare

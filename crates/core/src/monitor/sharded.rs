@@ -27,32 +27,37 @@
 //! 1. **sequence** (one short mutex around `SeqState`): append the run
 //!    to the growing [`Schedule`], update the `last_write`/reads-from
 //!    entries, and claim *tickets* — one per operation for the global
-//!    stage and one per conjunct shard whose scope contains its item
-//!    (looked up in the scopes' item → conjunct index, built once at
-//!    construction). This section is `O(words)` with **no graph work
-//!    and no §2.2 scans** — the per-transaction read/write totals that
-//!    back the §2.2 validation live *outside* the mutex, in a striped
-//!    table (each transaction's row is touched only by the thread
-//!    pushing that transaction, per the program-order contract), so
-//!    the order-claiming region is the thinnest it can be. The
-//!    durability journal hears of the run here, which makes journal
-//!    order claimed order.
-//! 2. **global** (ticketed, `GlobalState` behind its own lock):
-//!    delayed-read tracking (Definition 5 marks, the first-non-DR
-//!    prefix, the per-conjunct Lemma-6 kills) and — only after the
-//!    first run that spans two conjuncts — the global reduced conflict
-//!    graph under Pearce–Kelly. Before that run the graph would be the
-//!    shards' disjoint union, so the shards decide serializability and
-//!    this stage does no graph work; the spanning run's claim drains
-//!    the pipeline under the sequence lock, as a truncation does, and
-//!    has this stage build the graph from the retained schedule.
-//!    Tickets are served in claim order, so this state evolves in
-//!    exactly the claimed interleaving.
+//!    stage once it is kept, and one per conjunct shard whose scope
+//!    contains its item (looked up in the scopes' item → conjunct
+//!    index, built once at construction). This section is `O(words)`
+//!    with **no graph work and no §2.2 scans** — the per-transaction
+//!    read/write totals that back the §2.2 validation live *outside*
+//!    the mutex, in a striped table (each transaction's row is touched
+//!    only by the thread pushing that transaction, per the
+//!    program-order contract), so the order-claiming region is the
+//!    thinnest it can be. The durability journal hears of the run
+//!    here, which makes journal order claimed order.
+//! 2. **global** (ticketed, `GlobalState` behind its own lock), only
+//!    from the first run that spans two conjuncts (from the start, if
+//!    two scopes overlap): delayed-read tracking (Definition 5 marks,
+//!    the first-non-DR prefix, the per-conjunct Lemma-6 kills) and the
+//!    global reduced conflict graph under Pearce–Kelly. Before that run
+//!    — the disjoint phase — a push takes no global ticket and never
+//!    touches this stage: the graph would be the shards' disjoint
+//!    union, so the shards decide serializability, and each
+//!    transaction's delayed-read marks live in its home shard (see the
+//!    stage module's docs). The spanning run's claim drains the
+//!    pipeline under the sequence lock, as a truncation does, and has
+//!    this stage rebuild the graph and the marks from the retained
+//!    schedule, taking what a summarized prefix decided from the
+//!    shards. Tickets are served in claim order, so this state evolves
+//!    in exactly the claimed interleaving.
 //! 3. **shards** (ticketed, one `ShardState` per conjunct behind its
-//!    own lock): each touched conjunct's reduced conflict graph.
-//!    Operations on *different* conjuncts proceed through different
-//!    shards concurrently — this is where the parallelism the single
-//!    writer forfeits comes back.
+//!    own lock): each touched conjunct's reduced conflict graph and, in
+//!    the disjoint phase, the delayed-read marks of the transactions
+//!    homed in it. Operations on *different* conjuncts proceed through
+//!    different shards concurrently — this is where the parallelism
+//!    the single writer forfeits comes back.
 //!
 //! Every stage sees its operations in claimed-position order, and the
 //! stage code is the single writer's, so each component's state
@@ -73,7 +78,8 @@
 //!
 //! The verdict ladder is additionally mirrored into a **lock-free
 //! atomic floor** (`fetch_max` over the ladder rank, `fetch_min` over
-//! first-violation positions): `push` returns the floor without
+//! first-violation and first-non-DR positions, the rung composed from
+//! the two position mirrors): `push` returns the floor without
 //! taking any further lock, and readers get a sound "no better than"
 //! answer mid-flight; the exact `Verdict` is assembled by
 //! [`ShardedMonitor::verdict`] (exact at quiescence). The floor only
@@ -97,10 +103,11 @@
 //! for the in-flight pipeline to drain (bounded by the ops already
 //! ticketed — they complete without needing the sequence mutex), then
 //! hands `SeqState::truncate` (which bounds, journals and pops the
-//! schedule) a closure that has each other stage undo its last entry
-//! and hands each turnstile its ticket back. A shard is locked only
-//! while *its own* entries pop, so the cost is `O(ops undone)` counted
-//! per shard, not `O(schedule)`.
+//! schedule) a closure that has each other stage undo its last entry.
+//! The turnstiles are left alone: drained, each serves its next ticket,
+//! and equality is all a turn compares. A shard is locked only while
+//! *its own* entries pop, so the cost is `O(ops undone)` counted per
+//! shard, not `O(schedule)`.
 //! [`ShardedMonitor::retract_txn`] is the abort primitive on top, and
 //! has the one shape retraction has under either driver: truncate to
 //! the victim's first operation, then re-push the survivors through
@@ -148,7 +155,7 @@
 //! sequence mutex.
 
 use super::journal::MonitorJournal;
-use super::stages::{GlobalState, SeqState, ShardState, TxnTotals};
+use super::stages::{GlobalState, Marks, SeqState, ShardState, TxnTotals};
 use super::{AdmissionLevel, Applied, CompactStats, ScopeIndex, Verdict, VerdictLevel};
 use crate::error::Result;
 use crate::ids::{IdMap, OpIndex, TxnId};
@@ -162,6 +169,11 @@ use std::sync::atomic::{AtomicU32, AtomicU64, AtomicU8, Ordering};
 use std::time::Instant;
 
 const NO_POS: u32 = u32::MAX;
+
+/// The earlier of two optional positions.
+fn earliest(a: Option<OpIndex>, b: Option<OpIndex>) -> Option<OpIndex> {
+    a.into_iter().chain(b).min()
+}
 
 /// The pipeline explorer: threads run one at a time, handing over at
 /// the hook calls below (a ranked lock, an unserved turn, a turnstile
@@ -455,9 +467,9 @@ fn with_lane_scratch<R>(f: impl FnOnce(&mut LaneScratch) -> R) -> R {
 #[derive(Debug)]
 struct Sequencer {
     state: SeqState,
-    /// Next global-stage ticket. Tickets are compared for equality
-    /// only and all their arithmetic wraps, so a stream may run past
-    /// 2³² operations.
+    /// Next global-stage ticket (none is claimed in the disjoint
+    /// phase). Tickets are compared for equality only and all their
+    /// arithmetic wraps, so a stream may run past 2³² operations.
     gticket: u32,
     /// Next ticket per conjunct shard.
     tickets: Vec<u32>,
@@ -515,6 +527,12 @@ fn wait_turn(serving: &AtomicU32, ticket: u32) {
 ///   still pending. The miss is safe: the push that closed the cycle
 ///   reported `caused_violation`.
 ///
+/// The `floor` composes the rung from the position mirrors as they
+/// stand once the push's own stages are done, counting only positions
+/// up to its own; like `caused_non_serializable` in the disjoint
+/// phase, it can miss what an earlier position still pending would
+/// add, never what a later one did.
+///
 /// An optimistic executor aborts the pushing transaction when its own
 /// operation breached the configured admission floor
 /// ([`PushOutcome::breaches`]); once every transaction so told has been
@@ -528,12 +546,13 @@ pub struct PushOutcome {
     /// The global conflict graph would not have admitted this push:
     /// it closed the first cycle, or the graph was already frozen. In
     /// the disjoint phase, where no global graph is kept, it is set
-    /// when this push closed a conjunct cycle or the violation mirror
-    /// held one when its global turn ended: every global cycle is then
-    /// a conjunct cycle, and an access in one conjunct cannot close a
-    /// cycle in another, so [`PushOutcome::breaches`] at
-    /// `Serializable` stays safe. A cycle whose closing push had not
-    /// reached the mirror yet is missed (see the type's docs).
+    /// when the violation mirror, read once this push's shard stages
+    /// are done, holds a conjunct cycle at or before its position:
+    /// every global cycle is then a conjunct cycle, and an access in
+    /// one conjunct cannot close a cycle in another, so
+    /// [`PushOutcome::breaches`] at `Serializable` stays safe. A cycle
+    /// whose closing push had not reached the mirror yet is missed
+    /// (see the type's docs).
     pub caused_non_serializable: bool,
     /// Some conjunct projection would not have admitted this push: it
     /// closed that projection's first cycle, or met it frozen.
@@ -596,6 +615,9 @@ pub struct ShardedMonitor {
     floor: AtomicU8,
     /// Lock-free min over conjunct cycle positions (`NO_POS` = none).
     first_violation: AtomicU32,
+    /// Lock-free min over the positions that materialized a dirty read
+    /// (`NO_POS` = none), from whichever stage keeps the marks.
+    first_non_dr: AtomicU32,
     /// Pushes past the sequence stage that have not yet published
     /// their floor rank — the drain waits on this as well as the
     /// ticket turnstiles, so a retraction's exact floor recompute can
@@ -649,6 +671,7 @@ impl ShardedMonitor {
                 .collect(),
             floor: AtomicU8::new(0),
             first_violation: AtomicU32::new(NO_POS),
+            first_non_dr: AtomicU32::new(NO_POS),
             inflight: AtomicU32::new(0),
             logging,
             time_serial: false,
@@ -752,12 +775,13 @@ impl ShardedMonitor {
     /// claims a contiguous segment of positions `[p0, p0 + k)` (a
     /// segment-reserved `Schedule` append) together with the whole
     /// run's global and per-shard tickets, one global-turnstile wait
-    /// plus one `gstate` lock for all `k` operations, and one
-    /// turnstile wait plus one lock per **touched conjunct
-    /// shard** rather than per operation. Ticket *numbering* is
-    /// unchanged — every operation still owns one global ticket and
-    /// one ticket per touched shard, claimed atomically in program
-    /// order — so the undo journals stay per-op LIFO and
+    /// plus one `gstate` lock for all `k` operations (none in the
+    /// disjoint phase), and one turnstile wait plus one lock per
+    /// **touched conjunct shard** rather than per operation. Ticket
+    /// *numbering* is unchanged — every operation still owns one
+    /// global ticket (once the global stage is kept) and one ticket
+    /// per touched shard, claimed atomically in program order — so the
+    /// undo journals stay per-op LIFO and
     /// [`ShardedMonitor::truncate_to`] / [`ShardedMonitor::retract_txn`]
     /// retract batch-admitted operations individually, exactly as if
     /// they had been pushed one by one.
@@ -847,14 +871,15 @@ impl ShardedMonitor {
 
     /// The first half of an admission, under the (held) sequence lock:
     /// claim the run's segment ([`SeqState::apply`], which journals it)
-    /// and with it, atomically and in program order, every global and
-    /// per-shard ticket. `existing` is the transaction's slot as
-    /// [`SeqState::slot`] reports it. The first spanning run drains
-    /// the pipeline here and has the global stage build its graph
-    /// before it claims a ticket. Leaves the claimed shard turns
-    /// and the resolved reads-from slots in `scratch`; returns the
-    /// first position, the transaction's slot and the first global
-    /// ticket — what [`serve`](Self::serve) takes.
+    /// and with it, atomically and in program order, every per-shard
+    /// ticket and — once the global stage is kept — every global one.
+    /// `existing` is the transaction's slot as [`SeqState::slot`]
+    /// reports it. The first spanning run drains the pipeline here and
+    /// has the global stage build its state before it claims a ticket.
+    /// Leaves the claimed shard turns and the resolved reads-from slots
+    /// in `scratch`; returns the first position, the transaction's slot
+    /// and the first global ticket (`None` in the disjoint phase) —
+    /// what [`serve`](Self::serve) takes.
     fn claim(
         &self,
         s: &mut Sequencer,
@@ -862,7 +887,7 @@ impl ShardedMonitor {
         framed: bool,
         existing: Option<usize>,
         scratch: &mut LaneScratch,
-    ) -> (usize, usize, u32) {
+    ) -> (usize, usize, Option<u32>) {
         scratch.turns.clear();
         scratch.rf_slots.clear();
         let (p0, slot, first_span) = s.state.apply(
@@ -875,12 +900,17 @@ impl ShardedMonitor {
         );
         if first_span {
             // Every earlier push leaves the pipeline first, so the
-            // graph is built over stage states that stand still, and
-            // the violation mirror is exact.
+            // global state is built over stage states that stand still,
+            // and the violation mirror is exact.
             self.drain(s);
             let fv = self.first_violation.load(Ordering::Acquire);
             let fv = (fv != NO_POS).then_some(OpIndex(fv as usize));
-            self.gstate.lock().build_graph(&s.state, p0, fv);
+            let homes = self.shards.iter();
+            let homes = homes.map(|shard| shard.state.lock().end_disjoint_phase());
+            let scopes = &self.scopes;
+            self.gstate
+                .lock()
+                .build_graph(scopes, &s.state, p0, fv, homes);
         }
         for (i, op) in ops.iter().enumerate() {
             for &k in self.scope_index.of(op.item) {
@@ -889,62 +919,52 @@ impl ShardedMonitor {
                 *ticket = ticket.wrapping_add(1);
             }
         }
+        if s.state.in_disjoint_phase() {
+            return (p0, slot, None);
+        }
         let g0 = s.gticket;
         s.gticket = g0.wrapping_add(ops.len() as u32);
-        (p0, slot, g0)
+        (p0, slot, Some(g0))
     }
 
     /// The second half: take the claimed run through its global turn
-    /// and one turn per touched shard, then publish the lock-free
-    /// floor, filling `outcomes`. Needs no sequence lock — an ordinary
-    /// push has released it; a retraction re-pushing a survivor still
-    /// holds it, drained, so every turn is already the caller's.
+    /// (none in the disjoint phase) and one turn per touched shard,
+    /// then publish the lock-free floor, filling `outcomes`. Needs no
+    /// sequence lock — an ordinary push has released it; a retraction
+    /// re-pushing a survivor still holds it, drained, so every turn is
+    /// already the caller's.
     fn serve(
         &self,
         ops: &[Operation],
-        (p0, slot, g0): (usize, usize, u32),
+        (p0, slot, g0): (usize, usize, Option<u32>),
         scratch: &mut LaneScratch,
         outcomes: &mut [PushOutcome],
     ) {
         // --- stage 2: one global turn for the run -----------------------
         // Per-op results are captured in program order inside the one
-        // lock hold, so each operation's (serializable, dr)
-        // snapshot is prefix-exact — identical to singleton pushes.
-        wait_turn(&self.gserving, g0);
-        let disjoint = {
-            let mut g = self.gstate.lock();
-            for (i, op) in ops.iter().enumerate() {
-                let p = OpIndex(p0 + i);
-                let caused_non_dr =
-                    g.apply(&self.scopes, slot, op, scratch.rf_slots[i], p, self.logging);
-                // The outcome as far as this stage knows it: as
-                // `floor`, the rung the prefix holds *if no conjunct
-                // is violated* (stage 3 and the floor publication
-                // settle that, and in the disjoint phase also
-                // `caused_non_serializable`).
-                outcomes[i] = PushOutcome {
-                    pos: p,
-                    floor: g.level(true),
-                    caused_non_serializable: g.serializable() == Some(false),
-                    caused_violation: false,
-                    caused_non_dr,
-                };
+        // lock hold, so each operation's snapshot is prefix-exact —
+        // identical to singleton pushes — and so is the first-non-DR
+        // mirror each later position reads.
+        if let Some(g0) = g0 {
+            wait_turn(&self.gserving, g0);
+            {
+                let mut g = self.gstate.lock();
+                for (i, op) in ops.iter().enumerate() {
+                    let p = OpIndex(p0 + i);
+                    let rf_slot = scratch.rf_slots[i];
+                    let caused_non_dr = g.apply(&self.scopes, slot, op, rf_slot, p, self.logging);
+                    if caused_non_dr {
+                        self.first_non_dr.fetch_min(p.0 as u32, Ordering::AcqRel);
+                    }
+                    outcomes[i].caused_non_serializable = g.serializable() == Some(false);
+                    outcomes[i].caused_non_dr = caused_non_dr;
+                }
             }
-            g.graph.is_none()
-        };
-        // The violation mirror as the earlier positions left it, read
-        // while this run still holds the global turn, so no later
-        // position can have closed a cycle in it yet. An earlier
-        // position whose shard stage is still pending is missed; that
-        // is safe, because the push closing a cycle is told through its
-        // own `caused_violation`. Within the run, prefix-OR-ing the
-        // per-op flags below gives each operation what a singleton push
-        // would have seen after its own shard stages.
-        let viol_pre = self.first_violation.load(Ordering::Acquire) != NO_POS;
-        self.gserving
-            .store(g0.wrapping_add(ops.len() as u32), Ordering::Release);
-        #[cfg(test)]
-        explore::released(None);
+            self.gserving
+                .store(g0.wrapping_add(ops.len() as u32), Ordering::Release);
+            #[cfg(test)]
+            explore::released(None);
+        }
 
         // --- stage 3: one turn per touched shard ------------------------
         scratch.turns.sort_unstable();
@@ -956,8 +976,14 @@ impl ShardedMonitor {
                 let mut sh = shard.state.lock();
                 for &(_, i, _) in turns {
                     let i = i as usize;
-                    outcomes[i].caused_violation |=
-                        self.stage_shard(&mut sh, slot, &ops[i], OpIndex(p0 + i));
+                    let marks = match g0 {
+                        None => Marks::Home(scratch.rf_slots[i]),
+                        Some(_) => Marks::Global,
+                    };
+                    let (violated, non_dr) =
+                        self.stage_shard(&mut sh, slot, &ops[i], marks, OpIndex(p0 + i));
+                    outcomes[i].caused_violation |= violated;
+                    outcomes[i].caused_non_dr |= non_dr;
                 }
             }
             shard
@@ -968,22 +994,27 @@ impl ShardedMonitor {
         }
 
         // --- lock-free floor, per op in program order -------------------
-        // The floor only rises while this push is in flight (a
-        // retraction drains first), so a load that already meets this
-        // operation's rung reads what `fetch_max` would have returned,
-        // without taking the shared line exclusive.
-        let mut violated = viol_pre;
-        for outcome in outcomes.iter_mut() {
-            violated |= outcome.caused_violation;
+        // The rung each operation's prefix holds, from the two position
+        // mirrors as the run's own stages left them: a position up to
+        // this one counts, a later one's never does. An earlier position
+        // whose stage is still pending is missed; that is safe, because
+        // the push that closes a cycle or materializes a dirty read is
+        // told through its own flags. The floor only rises while this
+        // push is in flight (a retraction drains first), so a value that
+        // already meets this operation's rung is what `fetch_max` would
+        // have returned, without taking the shared line exclusive.
+        let fv = self.first_violation.load(Ordering::Acquire);
+        let fnd = self.first_non_dr.load(Ordering::Acquire);
+        let mut prev = self.floor.load(Ordering::Acquire);
+        for (p, outcome) in (p0..).zip(outcomes.iter_mut()) {
+            outcome.pos = OpIndex(p);
+            let p = p as u32;
+            let violated = fv <= p;
             // The disjoint phase: the global graph would be the shards'
             // disjoint union, cyclic exactly when one of them is.
-            outcome.caused_non_serializable |= disjoint && violated;
-            let mine = if violated {
-                VerdictLevel::Violation
-            } else {
-                outcome.floor
-            };
-            let mut prev = self.floor.load(Ordering::Acquire);
+            outcome.caused_non_serializable |= g0.is_none() && violated;
+            let serializable = !outcome.caused_non_serializable;
+            let mine = VerdictLevel::compose(serializable, fnd > p, !violated);
             if prev < mine as u8 {
                 prev = self.floor.fetch_max(mine as u8, Ordering::AcqRel);
             }
@@ -993,14 +1024,25 @@ impl ShardedMonitor {
 
     /// Stage 3 against an already locked shard (the caller holds
     /// its ticket). Returns whether this access breached the conjunct
-    /// — closed its first cycle, or met it already frozen — mirroring
-    /// a closed cycle into the lock-free violation floor.
-    fn stage_shard(&self, sh: &mut ShardState, slot: usize, op: &Operation, p: OpIndex) -> bool {
-        let applied = sh.apply(slot, op, p, self.logging);
+    /// — closed its first cycle, or met it already frozen — and
+    /// whether it materialized a dirty read the shard keeps the marks
+    /// of, mirroring either position into its lock-free mirror.
+    fn stage_shard(
+        &self,
+        sh: &mut ShardState,
+        slot: usize,
+        op: &Operation,
+        marks: Marks,
+        p: OpIndex,
+    ) -> (bool, bool) {
+        let (applied, caused_non_dr) = sh.apply(slot, op, marks, p, self.logging);
         if applied == Applied::Closed {
             self.first_violation.fetch_min(p.0 as u32, Ordering::AcqRel);
         }
-        applied != Applied::Clean
+        if caused_non_dr {
+            self.first_non_dr.fetch_min(p.0 as u32, Ordering::AcqRel);
+        }
+        (applied != Applied::Clean, caused_non_dr)
     }
 
     /// Wait for every in-flight push to clear the pipeline *and*
@@ -1193,22 +1235,20 @@ impl ShardedMonitor {
     fn truncate_locked(&self, s: &mut Sequencer, n: usize, victim: Option<TxnId>) -> usize {
         assert!(self.logging, "truncate_to on an unlogged ShardedMonitor");
         self.totals.apply_finished(&mut s.state);
+        let global = !s.state.in_disjoint_phase();
         let undone = s.state.truncate(n, |u| {
-            // Shards in reverse of push order; every turnstile rolls
-            // back one step so re-claimed tickets line up.
+            // Shards in reverse of push order.
             for &k in self.scope_index.of(u.op.item).iter().rev() {
-                let k = k as usize;
-                self.shards[k].state.lock().undo(u.slot, u.op.item, u.pos);
-                s.tickets[k] = s.tickets[k].wrapping_sub(1);
-                self.shards[k]
-                    .serving
-                    .store(s.tickets[k], Ordering::Release);
+                let shard = &self.shards[k as usize];
+                shard
+                    .state
+                    .lock()
+                    .undo(u.slot, u.op.item, u.pos, u.new_slot);
             }
-            self.gstate
-                .lock()
-                .undo(u.slot, u.op.item, u.pos, u.new_slot);
-            s.gticket = s.gticket.wrapping_sub(1);
-            self.gserving.store(s.gticket, Ordering::Release);
+            if global {
+                let mut g = self.gstate.lock();
+                g.undo(u.slot, u.op.item, u.pos, u.new_slot);
+            }
             // §2.2 totals (see the `victim` contract above).
             if victim.is_none_or(|v| v == u.op.txn) {
                 if u.new_slot {
@@ -1224,20 +1264,31 @@ impl ShardedMonitor {
         undone
     }
 
-    /// Recompute the lock-free floor and first-violation mirror from
+    /// Recompute the lock-free floor and the two position mirrors from
     /// the per-stage state (retraction can *improve* the verdict, so
     /// the monotone `fetch_max`/`fetch_min` floors must be reset).
     /// Requires the pipeline to be quiescent under the sequence lock.
     fn recompute_floor(&self) {
-        let mut fv = NO_POS;
-        for shard in &self.shards {
-            if let Some(c) = shard.state.lock().graph.cyclic_at {
-                fv = fv.min(c.0 as u32);
-            }
-        }
-        self.first_violation.store(fv, Ordering::Release);
-        let level = self.gstate.lock().level(fv == NO_POS);
+        let g = self.gstate.lock();
+        let (fv, fnd) = self.firsts(&g);
+        let level = g.level(fv.is_none(), fnd.is_none());
+        let raw = |q: Option<OpIndex>| q.map_or(NO_POS, |q| q.0 as u32);
+        self.first_violation.store(raw(fv), Ordering::Release);
+        self.first_non_dr.store(raw(fnd), Ordering::Release);
         self.floor.store(level as u8, Ordering::Release);
+    }
+
+    /// The first position at which a conjunct projection went cyclic,
+    /// and the first non-DR prefix, read off the stage states (`g` is
+    /// the locked global stage; each shard is locked in turn).
+    fn firsts(&self, g: &GlobalState) -> (Option<OpIndex>, Option<OpIndex>) {
+        let (mut fv, mut homes) = (None, None);
+        for shard in &self.shards {
+            let sh = shard.state.lock();
+            fv = earliest(fv, sh.graph.cyclic_at);
+            homes = earliest(homes, sh.first_non_dr());
+        }
+        (fv, g.first_non_dr(homes))
     }
 
     /// Abort `txn`: truncate to its first operation and re-push the
@@ -1323,12 +1374,8 @@ impl ShardedMonitor {
     pub fn verdict(&self) -> Verdict {
         let len = self.seq.lock().state.schedule.len();
         let g = self.gstate.lock();
-        let first_violation = self
-            .shards
-            .iter()
-            .filter_map(|shard| shard.state.lock().graph.cyclic_at)
-            .min();
-        g.verdict(len, first_violation)
+        let (first_violation, first_non_dr) = self.firsts(&g);
+        g.verdict(len, first_violation, first_non_dr)
     }
 
     /// Does the Lemma 2 certificate hold for conjunct `k` (module
@@ -1339,7 +1386,11 @@ impl ShardedMonitor {
 
     /// Does the Lemma 6 certificate hold for conjunct `k`?
     pub fn lemma6_holds(&self, k: usize) -> bool {
-        self.lemma2_holds(k) && self.gstate.lock().lemma6_clean(k)
+        self.lemma2_holds(k) && {
+            let g = self.gstate.lock();
+            let home = self.shards[k].state.lock();
+            g.lemma6_clean(k, &home)
+        }
     }
 
     /// The maintained serialization order of conjunct `k`'s projection,
@@ -1743,7 +1794,8 @@ mod tests {
                 "below-floor shard deltas must be reclaimed"
             );
         }
-        assert_eq!(m.gstate.lock().log.base(), 30);
+        // Stage 2 journals nothing in the disjoint phase.
+        assert_eq!(m.gstate.lock().log.len(), 0);
         // The live suffix still aborts incrementally, and the monitor
         // stays parity-exact with a fresh single-writer replay.
         let (undone, repushed) = m.retract_txn(live).unwrap();
@@ -1952,7 +2004,7 @@ mod tests {
         kept.push(wr(3, 1, 2));
         kept.extend(t4.iter().cloned());
         check(&m, &kept, "singleton and batch past the wrap");
-        // Abort T3: four tickets are handed back and T4's two re-claimed.
+        // Abort T3: T4's two operations claim fresh tickets.
         assert_eq!(m.retract_txn(TxnId(3)).unwrap(), (3, 2));
         kept.retain(|o| o.txn != TxnId(3));
         check(&m, &kept, "retract_txn past the wrap");

@@ -12,24 +12,33 @@
 //!   finished flags and the summarized set: everything that *defines*
 //!   the total order — and, during the disjoint phase, each
 //!   transaction's home conjunct;
-//! * [`GlobalState`] — what needs the whole order: delayed-read marks
+//! * [`GlobalState`] — what needs the whole order once some
+//!   transaction has spanned two conjuncts: delayed-read marks
 //!   (Definition 5), the first non-DR prefix, the per-conjunct Lemma-6
-//!   kills, and the global reduced conflict graph once some
-//!   transaction has spanned two conjuncts;
-//! * [`ShardState`] — one conjunct's reduced conflict graph.
+//!   kills, and the global reduced conflict graph;
+//! * [`ShardState`] — one conjunct's reduced conflict graph and, until
+//!   then, the delayed-read state of the transactions homed in it.
 //!
 //! **The disjoint phase.** On a monitor whose scopes are pairwise
 //! disjoint, until the first run that *spans* — touches items of two
-//! scopes, or an item outside every scope — the global conflict graph
-//! is the disjoint union of the conjunct graphs (the lemma is at
-//! `ProjGraph::condense`). Stage 2 keeps none then: serializability is
-//! PWSR, its first failure is the first conjunct cycle, and the
-//! `Serializable` probe asks the shards. Stage 1 detects the first
-//! spanning run, and the driver has [`GlobalState::build_graph`]
-//! replay the retained schedule into the graph before the run reaches
-//! stage 2; from then on the graph is kept per push, as one more
+//! scopes, or an item outside every scope — every transaction keeps to
+//! the items of one conjunct, its home. The global conflict graph is
+//! then the disjoint union of the conjunct graphs (the lemma is at
+//! `ProjGraph::condense`), so serializability is PWSR, its first
+//! failure is the first conjunct cycle, and the `Serializable` probe
+//! asks the shards. Definition 5's test stays home too: a read and the
+//! write it reads from touch one item, hence one conjunct, and the
+//! writer's next operation is in that conjunct as well. So stage 2
+//! does nothing in the phase: each conjunct stage keeps the marks of
+//! the transactions homed in it, one flag per transaction, with its
+//! own first non-DR position — which is also where its Lemma 6
+//! certificate died, every mark being in its scope. Stage 1 detects
+//! the first spanning run, and the driver has
+//! [`GlobalState::build_graph`] replay the retained schedule into the
+//! global graph and delayed-read state before the run reaches stage 2;
+//! from then on stage 2 keeps both per push, the graph as one more
 //! [`ShardState`] whose scope is every item. Monitors whose scopes
-//! overlap keep it from the start.
+//! overlap keep them from the start.
 //!
 //! Each part owns its undo journal (see [`undo`](super::undo)) and its
 //! `apply` / `undo` / `raise_floor` / `compact` / `resident_bytes`.
@@ -70,6 +79,7 @@ use crate::op::Operation;
 use crate::schedule::Schedule;
 use crate::state::{ItemSet, SetPool};
 use crate::txn::validate_22;
+use std::collections::VecDeque;
 
 const NO_POS: u32 = u32::MAX;
 /// A home not yet drawn (only while a new slot's run is checked).
@@ -193,6 +203,18 @@ impl SeqState {
 
     pub(super) fn is_summarized(&self, txn: TxnId) -> bool {
         self.summarized.contains(txn)
+    }
+
+    /// Does every transaction so far keep to one conjunct of pairwise
+    /// disjoint scopes (see the module docs)?
+    pub(super) fn in_disjoint_phase(&self) -> bool {
+        self.home.is_some()
+    }
+
+    /// The home conjunct of the transaction in `slot`, in the disjoint
+    /// phase.
+    pub(super) fn home_of(&self, slot: usize) -> Option<usize> {
+        self.home.as_ref().map(|home| home[slot] as usize)
     }
 
     /// The position of `txn`'s first live operation, `O(1)`.
@@ -467,7 +489,10 @@ impl SeqState {
     }
 }
 
-/// Stage-2 state: everything that needs the full total order.
+/// Stage-2 state: everything that needs the full total order once a
+/// transaction has spanned two conjuncts (from the start, if two
+/// scopes overlap). In the disjoint phase it is empty: the conjunct
+/// stages keep what it would (see the module docs).
 #[derive(Clone, Debug)]
 pub(super) struct GlobalState {
     /// The global reduced conflict graph (serializability): a conjunct
@@ -502,34 +527,62 @@ impl GlobalState {
         }
     }
 
-    /// End the disjoint phase: build the global graph over the retained
-    /// schedule below `p`, the first position of the spanning run, by
-    /// replaying it in position order — logged from the retraction
-    /// floor up, so the graph retracts like one kept all along. The
-    /// summarized prefix is not replayed: `ProjGraph::condense`'s lemma
-    /// says no later cycle can use it. But a cycle closed there froze a
-    /// conjunct for good, and every conjunct cycle is a global one, so
-    /// the graph starts frozen at `first_violation` when that lies
-    /// below the base. The pipeline must be drained.
+    /// End the disjoint phase: build the global graph and delayed-read
+    /// state over the retained schedule below `p`, the first position
+    /// of the spanning run, by replaying it through [`GlobalState::apply`]
+    /// in position order — logged from the retraction floor up, so the
+    /// state retracts like one kept all along. The summarized prefix is
+    /// not replayed: `ProjGraph::condense`'s lemma says no later cycle
+    /// can use it, and its writers are finished, so no mark on them can
+    /// trip. What it decided for good is taken from the conjunct
+    /// stages instead: a conjunct cycle closed there froze the graph
+    /// (every conjunct cycle is a global one), so the graph starts
+    /// frozen at `first_violation` when that lies below the base; and a
+    /// conjunct whose first non-DR position (`homes`, conjunct by
+    /// conjunct) lies below the base had its Lemma 6 certificate killed
+    /// there, the earliest of them being the first non-DR prefix. The
+    /// pipeline must be drained.
     pub(super) fn build_graph(
         &mut self,
+        scopes: &[ItemSet],
         seq: &SeqState,
         p: usize,
         first_violation: Option<OpIndex>,
+        homes: impl IntoIterator<Item = Option<OpIndex>>,
     ) {
         let schedule = &seq.schedule;
         let (base, floor) = (schedule.base(), seq.log.base());
-        let mut graph = ShardState::default();
-        graph.graph.cyclic_at = first_violation.filter(|q| q.0 < base);
-        for (pos, op) in (base..p).zip(schedule.ops()) {
-            let at = OpIndex(pos);
-            graph.apply(schedule.slot_of_op(at), op, at, pos >= floor);
+        let below = |q: Option<OpIndex>| q.filter(|q| q.0 < base);
+        for (k, q) in homes.into_iter().enumerate() {
+            if let Some(q) = below(q) {
+                self.lemma6_killed.insert(ItemId(k as u32));
+                self.first_non_dr = Some(self.first_non_dr.map_or(q, |f| f.min(q)));
+            }
         }
+        let mut graph = ShardState::default();
+        graph.graph.cyclic_at = below(first_violation);
         self.graph = Some(graph);
+        self.log.reset(floor);
+        // Stage 1's reads-from resolution, replayed: a writer below the
+        // base is summarized, and resolves to none.
+        let mut last_write = vec![NO_POS; schedule.item_ub()];
+        for (pos, op) in (base..p).zip(schedule.ops()) {
+            let (at, idx) = (OpIndex(pos), op.item.index());
+            let w = last_write[idx];
+            let rf_slot = match op.is_write() {
+                true => {
+                    last_write[idx] = pos as u32;
+                    None
+                }
+                false => (w != NO_POS).then(|| schedule.slot_of_op(OpIndex(w as usize))),
+            };
+            let slot = schedule.slot_of_op(at);
+            self.apply(scopes, slot, op, rf_slot, at, pos >= floor);
+        }
     }
 
-    /// Stage 2: delayed-read tracking, and the global conflict graph
-    /// once it is kept, for the operation at `p`, whose reads-from
+    /// Stage 2 after the disjoint phase: delayed-read tracking and the
+    /// global conflict graph for the operation at `p`, whose reads-from
     /// writer slot stage 1 resolved as `rf_slot`. Exact for the prefix
     /// ending at `p` provided operations arrive in position order.
     /// Returns whether this operation materialized a dirty read — it
@@ -576,7 +629,7 @@ impl GlobalState {
             }
         }
         if let Some(graph) = self.graph.as_mut() {
-            graph.apply(slot, op, p, logged);
+            graph.apply(slot, op, Marks::Global, p, logged);
         }
         if logged {
             self.log.record(delta);
@@ -589,7 +642,7 @@ impl GlobalState {
     pub(super) fn undo(&mut self, slot: usize, item: ItemId, p: OpIndex, new_slot: bool) {
         let gd = self.log.pop().expect("one global entry per logged push");
         if let Some(graph) = self.graph.as_mut() {
-            graph.undo(slot, item, p);
+            graph.undo(slot, item, p, new_slot);
         }
         if gd.dr_mark != NO_POS {
             self.dirty_reads[gd.dr_mark as usize].remove(item);
@@ -643,64 +696,121 @@ impl GlobalState {
         self.graph.as_ref().map(|g| g.graph.serializable())
     }
 
-    /// The ladder rung given whether every conjunct projection is
-    /// still serializable.
-    pub(super) fn level(&self, pwsr: bool) -> VerdictLevel {
-        let serializable = self.serializable().unwrap_or(pwsr);
-        VerdictLevel::compose(serializable, self.first_non_dr.is_none(), pwsr)
+    /// The first non-DR prefix, given the earliest of the conjunct
+    /// stages' own (`homes`, what the disjoint phase keeps).
+    pub(super) fn first_non_dr(&self, homes: Option<OpIndex>) -> Option<OpIndex> {
+        match self.graph {
+            None => homes,
+            Some(_) => self.first_non_dr,
+        }
     }
 
-    /// Has no in-scope dirty read of conjunct `k` materialized?
-    pub(super) fn lemma6_clean(&self, k: usize) -> bool {
-        !self.lemma6_killed.contains(ItemId(k as u32))
+    /// The ladder rung given whether every conjunct projection is
+    /// still serializable and whether the prefix is still DR.
+    pub(super) fn level(&self, pwsr: bool, dr: bool) -> VerdictLevel {
+        let serializable = self.serializable().unwrap_or(pwsr);
+        VerdictLevel::compose(serializable, dr, pwsr)
+    }
+
+    /// Has no in-scope dirty read of conjunct `k` materialized? In the
+    /// disjoint phase its own stage, `home`, knows: every mark there is
+    /// in its scope, so its first non-DR position is the kill.
+    pub(super) fn lemma6_clean(&self, k: usize, home: &ShardState) -> bool {
+        match self.graph {
+            None => home.first_non_dr().is_none(),
+            Some(_) => !self.lemma6_killed.contains(ItemId(k as u32)),
+        }
     }
 
     /// The full verdict over a prefix of `len` operations, given the
     /// first position at which some conjunct projection went cyclic
     /// (the minimum over the shards' `cyclic_at`) — in the disjoint
-    /// phase also the first non-serializable prefix.
-    pub(super) fn verdict(&self, len: usize, first_violation: Option<OpIndex>) -> Verdict {
+    /// phase also the first non-serializable prefix — and the first
+    /// non-DR prefix ([`GlobalState::first_non_dr`]).
+    pub(super) fn verdict(
+        &self,
+        len: usize,
+        first_violation: Option<OpIndex>,
+        first_non_dr: Option<OpIndex>,
+    ) -> Verdict {
         let pwsr = first_violation.is_none();
         let first_non_serializable = self
             .graph
             .as_ref()
             .map_or(first_violation, |g| g.graph.cyclic_at);
+        // In the disjoint phase every mark lies in its home's scope, so
+        // a dirty read kills a certificate exactly when it materializes.
+        let killed = match self.graph {
+            None => first_non_dr.is_some(),
+            Some(_) => !self.lemma6_killed.is_empty(),
+        };
         Verdict {
             len,
-            level: self.level(pwsr),
+            level: self.level(pwsr, first_non_dr.is_none()),
             serializable: first_non_serializable.is_none(),
-            dr: self.first_non_dr.is_none(),
+            dr: first_non_dr.is_none(),
             first_violation,
             first_non_serializable,
-            first_non_dr: self.first_non_dr,
+            first_non_dr,
             lemma2_certified: pwsr,
-            lemma6_certified: pwsr && self.lemma6_killed.is_empty(),
+            lemma6_certified: pwsr && !killed,
         }
     }
 }
 
+/// Who keeps an operation's delayed-read marks.
+#[derive(Clone, Copy, Debug)]
+pub(super) enum Marks {
+    /// Stage 2: the operation's conjunct stages keep only their graphs.
+    Global,
+    /// The disjoint phase: the transaction's home conjunct, the one
+    /// stage the operation reaches, given the slot of the writer a read
+    /// takes its value from.
+    Home(Option<usize>),
+}
+
 /// Stage-3 state: one conjunct's reduced conflict graph plus its own
 /// undo journal — one record (the position) and one graph frame per
-/// logged push that touched the conjunct, in position order.
+/// logged push that touched the conjunct, in position order — and, in
+/// the disjoint phase, the delayed-read state of the transactions homed
+/// in it, with a journal of the marks it set.
 #[derive(Clone, Debug, Default)]
 pub(super) struct ShardState {
     pub(super) graph: ProjGraph,
     pub(super) log: UndoLog<u32>,
+    /// Disjoint phase, per slot: has another transaction read a value
+    /// the slot's transaction (homed here) wrote? Its next operation
+    /// then materializes a dirty read. What stage 2 keeps as a row of
+    /// marked items is one flag here, every mark being in this scope.
+    /// Empty once stage 2 keeps the marks.
+    read_from: Vec<bool>,
+    /// The position and writer slot of each flag a logged push set, in
+    /// position order: what retracting that push clears.
+    marked: VecDeque<(u32, u32)>,
+    /// The first position at which a transaction homed here
+    /// materialized a dirty read: where this conjunct's Lemma 6
+    /// certificate died. Set by the push at that position only, so
+    /// retracting it needs no record.
+    first_non_dr: Option<OpIndex>,
 }
 
 impl ShardState {
     /// Stage 3: the conjunct's conflict graph for the operation at
-    /// `p`. Anything but [`Applied::Clean`] is a breach of the PWSR
-    /// rung — this access would not have been admitted — but only
-    /// [`Applied::Closed`] moves the conjunct's first-violation
-    /// position.
+    /// `p` and, if the conjunct is the transaction's home in the
+    /// disjoint phase, its delayed-read marks. Anything but
+    /// [`Applied::Clean`] is a breach of the PWSR rung — this access
+    /// would not have been admitted — but only [`Applied::Closed`]
+    /// moves the conjunct's first-violation position. The flag is
+    /// whether the operation materialized a dirty read (always `false`
+    /// under [`Marks::Global`]; stage 2 answers then).
     pub(super) fn apply(
         &mut self,
         slot: usize,
         op: &Operation,
+        marks: Marks,
         p: OpIndex,
         logged: bool,
-    ) -> Applied {
+    ) -> (Applied, bool) {
         let tape = logged.then(|| self.log.tape());
         let applied = self
             .graph
@@ -708,42 +818,122 @@ impl ShardState {
         if logged {
             self.log.record(p.0 as u32);
         }
-        applied
+        let Marks::Home(rf_slot) = marks else {
+            return (applied, false);
+        };
+        let caused_non_dr = self.was_read_from(slot);
+        if caused_non_dr && self.first_non_dr.is_none() {
+            self.first_non_dr = Some(p);
+        }
+        if let (false, Some(w_slot)) = (op.is_write(), rf_slot) {
+            if w_slot != slot && !self.was_read_from(w_slot) {
+                if self.read_from.len() <= w_slot {
+                    self.read_from.resize(w_slot + 1, false);
+                }
+                self.read_from[w_slot] = true;
+                if logged {
+                    self.marked.push_back((p.0 as u32, w_slot as u32));
+                }
+            }
+        }
+        (applied, caused_non_dr)
+    }
+
+    /// Has another transaction read from the one in `slot` (disjoint
+    /// phase)?
+    fn was_read_from(&self, slot: usize) -> bool {
+        self.read_from.get(slot) == Some(&true)
     }
 
     /// Retract the conjunct's last logged access, which was at `p`.
-    pub(super) fn undo(&mut self, slot: usize, item: ItemId, p: OpIndex) {
+    /// `new_slot`: the access had created `slot`.
+    pub(super) fn undo(&mut self, slot: usize, item: ItemId, p: OpIndex, new_slot: bool) {
         let pos = self.log.pop().expect("one shard entry per touched push");
         debug_assert_eq!(pos as usize, p.0);
         self.graph.undo(slot, item.index(), self.log.tape());
+        if self.marked.back().is_some_and(|&(q, _)| q == pos) {
+            let (_, w_slot) = self.marked.pop_back().expect("just seen");
+            // Gone with the disjoint phase, or with a summarized slot.
+            if let Some(flag) = self.read_from.get_mut(w_slot as usize) {
+                *flag = false;
+            }
+        }
+        if self.first_non_dr == Some(p) {
+            self.first_non_dr = None;
+        }
+        if new_slot {
+            // Every mark on it came later, and is retracted already.
+            self.read_from.truncate(slot);
+        }
     }
 
     pub(super) fn raise_floor(&mut self, floor: usize) {
         let below = self.log.count_front(|&pos| (pos as usize) < floor);
         self.log.drop_oldest(below);
+        let below = self.marked.partition_point(|&(q, _)| (q as usize) < floor);
+        self.marked.drain(..below);
     }
 
+    /// Drop every journal entry and restart the floor at `floor` (an
+    /// unlogged push made everything before it permanent).
+    pub(super) fn reset_log(&mut self, floor: usize) {
+        self.log.reset(floor);
+        self.marked.clear();
+    }
+
+    /// Drop the first `s_cut` (summarized) slots: cut the graph down
+    /// (`ProjGraph::condense`) and the delayed-read flags with it. A
+    /// journaled mark on a summarized writer is dropped: that writer
+    /// is finished, so the mark can never trip again.
     pub(super) fn compact(&mut self, s_cut: usize, maps: &mut NodeMaps) {
         self.graph.compact(&mut self.log, s_cut, maps, |_| {});
+        let cut = s_cut.min(self.read_from.len());
+        self.read_from.drain(..cut);
+        for (_, w_slot) in &mut self.marked {
+            *w_slot = match *w_slot {
+                w if w != NO_POS && w as usize >= s_cut => w - s_cut as u32,
+                _ => NO_POS,
+            };
+        }
+    }
+
+    /// This conjunct's first non-DR position, as its own stage kept it
+    /// (the disjoint phase's; see [`GlobalState::first_non_dr`]).
+    pub(super) fn first_non_dr(&self) -> Option<OpIndex> {
+        self.first_non_dr
+    }
+
+    /// The disjoint phase ends: stage 2 rebuilds the marks by replay
+    /// ([`GlobalState::build_graph`]), so drop the flags and their
+    /// journal and hand over the first non-DR position.
+    pub(super) fn end_disjoint_phase(&mut self) -> Option<OpIndex> {
+        self.read_from.clear();
+        self.marked.clear();
+        self.first_non_dr
     }
 
     pub(super) fn resident_bytes(&self) -> usize {
-        self.graph.resident_bytes() + self.log.resident_bytes()
+        self.graph.resident_bytes()
+            + self.log.resident_bytes()
+            + self.read_from.len()
+            + self.marked.len() * std::mem::size_of::<(u32, u32)>()
     }
 }
 
 /// Would admitting this access by the transaction in `slot` keep
 /// `level`? Read-only and exact against the current state of `global`
-/// and the conjunct `shards`.
+/// and the conjunct `shards`. `slot` comes with the transaction's home
+/// conjunct in the disjoint phase, whose stage keeps its marks.
 pub(super) fn admits(
     scope_index: &ScopeIndex,
-    slot: Option<usize>,
+    slot: Option<(usize, Option<usize>)>,
     item: ItemId,
     is_write: bool,
     level: AdmissionLevel,
     global: &GlobalState,
     shards: &[ShardState],
 ) -> bool {
+    let (slot, home) = slot.map_or((None, None), |(s, home)| (Some(s), home));
     let conjuncts = || {
         scope_index.of(item).iter().all(|&k| {
             shards[k as usize]
@@ -765,9 +955,11 @@ pub(super) fn admits(
         AdmissionLevel::PwsrDr => {
             // Any operation of a dirtily-read transaction materializes
             // the DR violation.
-            let clean = slot
-                .and_then(|s| global.dirty_reads.get(s).map(ItemSet::is_empty))
-                .unwrap_or(true);
+            let clean = match (slot, home) {
+                (None, _) => true,
+                (Some(s), None) => global.dirty_reads.get(s).is_none_or(ItemSet::is_empty),
+                (Some(s), Some(k)) => !shards[k].was_read_from(s),
+            };
             clean && conjuncts()
         }
     }

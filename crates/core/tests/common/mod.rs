@@ -334,6 +334,13 @@ pub trait Driver: Sized {
     /// is refused as [`CoreError::SummarizedTransaction`] twice over: a
     /// refused push leaves no §2.2 totals bit behind.
     fn sealed(&mut self, txn: TxnId) -> bool;
+    /// Abort `txn` (a logged driver): truncate to its first operation
+    /// and re-push the survivors; the operations undone and re-pushed.
+    fn retract(&mut self, txn: TxnId) -> (usize, usize);
+    /// Retract the logged suffix down to `n` operations.
+    fn truncate(&mut self, n: usize);
+    /// The rung the driver reports without a full verdict.
+    fn floor(&self) -> VerdictLevel;
 }
 
 /// Twice refused as summarized.
@@ -413,6 +420,19 @@ impl Driver for Single {
         let probed = !LEVELS.into_iter().any(admitted);
         !self.0.is_summarized(txn) || (probed && refused_twice(txn, || self.0.push(op.clone())))
     }
+
+    fn retract(&mut self, txn: TxnId) -> (usize, usize) {
+        self.0.retract_txns(&[txn]).expect("never summarized")
+    }
+
+    fn truncate(&mut self, n: usize) {
+        self.0.truncate_to(n);
+    }
+
+    /// The verdict's own rung.
+    fn floor(&self) -> VerdictLevel {
+        self.0.verdict().level
+    }
 }
 
 impl Driver for ShardedMonitor {
@@ -475,6 +495,19 @@ impl Driver for ShardedMonitor {
             || (refused_twice(txn, || self.push(op.clone()))
                 && self.push_batch(&[op]).is_err()
                 && self.retract_txn(txn).is_err())
+    }
+
+    fn retract(&mut self, txn: TxnId) -> (usize, usize) {
+        self.retract_txn(txn).expect("never summarized")
+    }
+
+    fn truncate(&mut self, n: usize) {
+        self.truncate_to(n);
+    }
+
+    /// The lock-free floor.
+    fn floor(&self) -> VerdictLevel {
+        ShardedMonitor::floor(self)
     }
 }
 
@@ -571,6 +604,57 @@ pub fn check_pushes<D: Driver>(
         prop_assert!(m.sealed(t.id()), "{:?} not sealed off", t.id());
     }
     Ok((m, single))
+}
+
+/// Push `ops` one at a time into a fresh logged `D`, each push passing
+/// [`Driver::push_checked`] against the batch deciders and a single
+/// writer that holds the prefix before it; then retract `victim` and
+/// truncate to `cut`, after each holding `D` — verdict, floor,
+/// certificates and orders — to what the batch deciders and a fresh
+/// single writer give the operations left; then push the truncated
+/// operations again, each checked as before. Built for a schedule that
+/// leaves the disjoint phase part way, with `victim` and `cut` before
+/// that point, so both retractions reach back across it.
+pub fn check_retracted_pushes<D: Driver>(
+    scopes: &[ItemSet],
+    ops: &[Operation],
+    victim: TxnId,
+    cut: usize,
+) -> Checked {
+    let mut m = D::start(scopes, true);
+    let push_all = |m: &mut D, done: &[Operation], todo: &[Operation]| -> Checked {
+        let all: Vec<Operation> = done.iter().chain(todo).cloned().collect();
+        let verdicts = batch_verdicts(&Schedule::new(all).expect("valid"), scopes);
+        let mut single = OnlineMonitor::new(scopes.to_vec());
+        for op in done {
+            single.push(op.clone()).expect("valid");
+        }
+        for (p, op) in (done.len()..).zip(todo) {
+            m.push_checked(op, verdicts[p + 1], &single)?;
+            single.push(op.clone()).expect("valid");
+        }
+        Ok(())
+    };
+    let held = |m: &D, kept: &[Operation], what: &str| -> Checked {
+        let s = Schedule::new(kept.to_vec()).expect("valid");
+        let mut fresh = OnlineMonitor::new(scopes.to_vec());
+        for op in kept {
+            fresh.push(op.clone()).expect("valid");
+        }
+        let state = m.state();
+        prop_assert_eq!(state.0, fresh.verdict(), "{} vs a fresh replay", what);
+        prop_assert_eq!(state.0, batch_verdicts(&s, scopes)[s.len()], "{}", what);
+        prop_assert_eq!(m.floor(), state.0.level, "{}: floor", what);
+        prop_assert_eq!(&state.1, &s, "{}: schedule", what);
+        check_lemmas_and_orders(&s, scopes, &state)
+    };
+    push_all(&mut m, &[], ops)?;
+    m.retract(victim);
+    let kept: Vec<Operation> = ops.iter().filter(|o| o.txn != victim).cloned().collect();
+    held(&m, &kept, "after the retraction")?;
+    m.truncate(cut);
+    held(&m, &kept[..cut], "after the truncation")?;
+    push_all(&mut m, &kept[..cut], &kept[cut..])
 }
 
 /// What a sweep of the first `len` operations of `s` must report when

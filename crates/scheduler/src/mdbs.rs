@@ -32,9 +32,8 @@ pub struct Site {
 }
 
 impl Site {
-    /// Build a site. The name labels it for the caller; the site keeps
-    /// only its items.
-    pub fn new(_name: &str, items: ItemSet) -> Site {
+    /// A site owning `items`.
+    pub fn new(items: ItemSet) -> Site {
         Site { items }
     }
 }
@@ -119,8 +118,8 @@ mod tests {
         ])
         .unwrap();
         let sites = vec![
-            Site::new("site0", ItemSet::from_iter([x0, y0])),
-            Site::new("site1", ItemSet::from_iter([x1, y1])),
+            Site::new(ItemSet::from_iter([x0, y0])),
+            Site::new(ItemSet::from_iter([x1, y1])),
         ];
         let initial = DbState::from_pairs([
             (x0, Value::Int(0)),

@@ -37,11 +37,7 @@ fn main() {
         .push(parse_program("GA", "x0_1 := x0_1 + 1; touch x1_0;").expect("GA parses"));
     w.programs
         .push(parse_program("GB", "x1_0 := x1_0 - 1; touch x0_1;").expect("GB parses"));
-    let sites: Vec<Site> = site_sets
-        .iter()
-        .enumerate()
-        .map(|(i, items)| Site::new(&format!("site{i}"), items.clone()))
-        .collect();
+    let sites: Vec<Site> = site_sets.iter().cloned().map(Site::new).collect();
     println!("== MDBS (§4): 2 autonomous sites, 4 local + 2 global transactions ==\n");
 
     let solver = Solver::new(&w.catalog, &w.ic);
