@@ -117,7 +117,7 @@ use crate::schedule::Schedule;
 use crate::state::ItemSet;
 use crate::viewset::inclusion_holds_everywhere;
 use journal::MonitorJournal;
-use stages::{GlobalState, Marks, SeqState, ShardState, TxnTotals};
+use stages::{GlobalState, SeqState, ShardState, TxnTotals};
 use undo::{GraphDelta, Tape, UndoLog};
 
 const ABSENT: u32 = u32::MAX;
@@ -772,8 +772,10 @@ pub struct OnlineMonitor {
     /// First prefix with a non-serializable conjunct projection: the
     /// minimum over the conjuncts' first cycles.
     first_violation: Option<OpIndex>,
-    /// First prefix that is not delayed-read: the first operation a
-    /// stage found materializing a dirty read.
+    /// The earliest of the conjuncts' own first non-DR positions, what
+    /// they keep in the disjoint phase; stage 2 keeps the first non-DR
+    /// prefix after it, and [`GlobalState::verdict`] picks between the
+    /// two.
     first_non_dr: Option<OpIndex>,
     /// Per slot: the transaction's running §2.2 read/write totals.
     totals: Vec<TxnTotals>,
@@ -798,7 +800,7 @@ impl OnlineMonitor {
             scopes,
             seq: SeqState::new(disjoint),
             global: GlobalState::new(disjoint),
-            conjuncts: vec![ShardState::default(); n],
+            conjuncts: vec![ShardState::conjunct(disjoint); n],
             first_violation: None,
             first_non_dr: None,
             totals: Vec::new(),
@@ -925,28 +927,18 @@ impl OnlineMonitor {
             self.global
                 .build_graph(&self.scopes, &self.seq, p0, fv, homes);
         }
-        let home = self.seq.in_disjoint_phase();
         for (i, op) in ops.iter().enumerate() {
             let (p, rf_slot) = (OpIndex(p0 + i), self.rf_slots[i]);
-            let mut caused_non_dr = false;
-            let marks = match home {
-                true => Marks::Home(rf_slot),
-                false => {
-                    caused_non_dr = self
-                        .global
-                        .apply(&self.scopes, slot, op, rf_slot, p, logged);
-                    Marks::Global
-                }
-            };
+            self.global
+                .apply(&self.scopes, slot, op, rf_slot, p, logged);
             for &k in self.scope_index.of(op.item) {
-                let (applied, dr) = self.conjuncts[k as usize].apply(slot, op, marks, p, logged);
+                let (applied, dr) = self.conjuncts[k as usize].apply(slot, op, rf_slot, p, logged);
                 if applied == Applied::Closed {
                     self.first_violation.get_or_insert(p);
                 }
-                caused_non_dr |= dr;
-            }
-            if caused_non_dr {
-                self.first_non_dr.get_or_insert(p);
+                if dr {
+                    self.first_non_dr.get_or_insert(p);
+                }
             }
             self.verdicts.push(self.global.verdict(
                 p.0 + 1,
@@ -975,15 +967,12 @@ impl OnlineMonitor {
     /// Panics if `n` exceeds the current length or lies below the
     /// retraction floor (unlogged pushes are permanent).
     pub fn truncate_to(&mut self, n: usize) -> usize {
-        let global = !self.seq.in_disjoint_phase();
         let undone = self.seq.truncate(n, |u| {
             // Reverse application order within the push.
             for &k in self.scope_index.of(u.op.item).iter().rev() {
                 self.conjuncts[k as usize].undo(u.slot, u.op.item, u.pos, u.new_slot);
             }
-            if global {
-                self.global.undo(u.slot, u.op.item, u.pos, u.new_slot);
-            }
+            self.global.undo(u.slot, u.op.item, u.pos, u.new_slot);
             if u.new_slot {
                 self.spare_totals.extend(self.totals.pop());
             } else {
@@ -992,7 +981,7 @@ impl OnlineMonitor {
         });
         // Every conjunct that went cyclic at or after `n` is acyclic
         // again, and the minimum over the others is unchanged; so for
-        // the first dirty read to materialize.
+        // the conjuncts' first dirty reads.
         for first in [&mut self.first_violation, &mut self.first_non_dr] {
             if first.is_some_and(|p| p.0 >= n) {
                 *first = None;
@@ -1169,12 +1158,11 @@ impl OnlineMonitor {
         };
         stages::admits(
             &self.scope_index,
-            slot.map(|s| (s, self.seq.home_of(s))),
+            slot,
             item,
             is_write,
             level,
-            &self.global,
-            &self.conjuncts,
+            (&self.seq, &self.global, &self.conjuncts),
         )
     }
 

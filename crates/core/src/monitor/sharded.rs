@@ -105,9 +105,10 @@
 //! hands `SeqState::truncate` (which bounds, journals and pops the
 //! schedule) a closure that has each other stage undo its last entry.
 //! The turnstiles are left alone: drained, each serves its next ticket,
-//! and equality is all a turn compares. A shard is locked only while
-//! *its own* entries pop, so the cost is `O(ops undone)` counted per
-//! shard, not `O(schedule)`.
+//! and equality is all a turn compares. The global stage stays locked
+//! for the whole truncation (it undoes nothing in the disjoint phase);
+//! a shard is locked only while *its own* entries pop, so the cost is
+//! `O(ops undone)` counted per shard, not `O(schedule)`.
 //! [`ShardedMonitor::retract_txn`] is the abort primitive on top, and
 //! has the one shape retraction has under either driver: truncate to
 //! the victim's first operation, then re-push the survivors through
@@ -155,7 +156,7 @@
 //! sequence mutex.
 
 use super::journal::MonitorJournal;
-use super::stages::{GlobalState, Marks, SeqState, ShardState, TxnTotals};
+use super::stages::{GlobalState, SeqState, ShardState, TxnTotals};
 use super::{AdmissionLevel, Applied, CompactStats, ScopeIndex, Verdict, VerdictLevel};
 use crate::error::Result;
 use crate::ids::{IdMap, OpIndex, TxnId};
@@ -666,7 +667,7 @@ impl ShardedMonitor {
             shards: (0..n)
                 .map(|k| Shard {
                     serving: AtomicU32::new(0),
-                    state: RankedMutex::new(shard_rank(k), ShardState::default()),
+                    state: RankedMutex::new(shard_rank(k), ShardState::conjunct(disjoint)),
                 })
                 .collect(),
             floor: AtomicU8::new(0),
@@ -976,12 +977,9 @@ impl ShardedMonitor {
                 let mut sh = shard.state.lock();
                 for &(_, i, _) in turns {
                     let i = i as usize;
-                    let marks = match g0 {
-                        None => Marks::Home(scratch.rf_slots[i]),
-                        Some(_) => Marks::Global,
-                    };
+                    let rf_slot = scratch.rf_slots[i];
                     let (violated, non_dr) =
-                        self.stage_shard(&mut sh, slot, &ops[i], marks, OpIndex(p0 + i));
+                        self.stage_shard(&mut sh, slot, &ops[i], rf_slot, OpIndex(p0 + i));
                     outcomes[i].caused_violation |= violated;
                     outcomes[i].caused_non_dr |= non_dr;
                 }
@@ -1032,10 +1030,10 @@ impl ShardedMonitor {
         sh: &mut ShardState,
         slot: usize,
         op: &Operation,
-        marks: Marks,
+        rf_slot: Option<usize>,
         p: OpIndex,
     ) -> (bool, bool) {
-        let (applied, caused_non_dr) = sh.apply(slot, op, marks, p, self.logging);
+        let (applied, caused_non_dr) = sh.apply(slot, op, rf_slot, p, self.logging);
         if applied == Applied::Closed {
             self.first_violation.fetch_min(p.0 as u32, Ordering::AcqRel);
         }
@@ -1235,9 +1233,10 @@ impl ShardedMonitor {
     fn truncate_locked(&self, s: &mut Sequencer, n: usize, victim: Option<TxnId>) -> usize {
         assert!(self.logging, "truncate_to on an unlogged ShardedMonitor");
         self.totals.apply_finished(&mut s.state);
-        let global = !s.state.in_disjoint_phase();
+        let mut g = self.gstate.lock();
         let undone = s.state.truncate(n, |u| {
-            // Shards in reverse of push order.
+            // Shards in reverse of push order, above the global stage's
+            // rank.
             for &k in self.scope_index.of(u.op.item).iter().rev() {
                 let shard = &self.shards[k as usize];
                 shard
@@ -1245,10 +1244,7 @@ impl ShardedMonitor {
                     .lock()
                     .undo(u.slot, u.op.item, u.pos, u.new_slot);
             }
-            if global {
-                let mut g = self.gstate.lock();
-                g.undo(u.slot, u.op.item, u.pos, u.new_slot);
-            }
+            g.undo(u.slot, u.op.item, u.pos, u.new_slot);
             // §2.2 totals (see the `victim` contract above).
             if victim.is_none_or(|v| v == u.op.txn) {
                 if u.new_slot {
@@ -1258,6 +1254,7 @@ impl ShardedMonitor {
                 }
             }
         });
+        drop(g);
         if undone > 0 {
             self.recompute_floor();
         }
@@ -1270,7 +1267,8 @@ impl ShardedMonitor {
     /// Requires the pipeline to be quiescent under the sequence lock.
     fn recompute_floor(&self) {
         let g = self.gstate.lock();
-        let (fv, fnd) = self.firsts(&g);
+        let (fv, homes) = self.firsts();
+        let fnd = g.first_non_dr(homes);
         let level = g.level(fv.is_none(), fnd.is_none());
         let raw = |q: Option<OpIndex>| q.map_or(NO_POS, |q| q.0 as u32);
         self.first_violation.store(raw(fv), Ordering::Release);
@@ -1279,16 +1277,16 @@ impl ShardedMonitor {
     }
 
     /// The first position at which a conjunct projection went cyclic,
-    /// and the first non-DR prefix, read off the stage states (`g` is
-    /// the locked global stage; each shard is locked in turn).
-    fn firsts(&self, g: &GlobalState) -> (Option<OpIndex>, Option<OpIndex>) {
+    /// and the earliest of the conjuncts' own first non-DR positions,
+    /// read off the shard states (each locked in turn).
+    fn firsts(&self) -> (Option<OpIndex>, Option<OpIndex>) {
         let (mut fv, mut homes) = (None, None);
         for shard in &self.shards {
             let sh = shard.state.lock();
             fv = earliest(fv, sh.graph.cyclic_at);
             homes = earliest(homes, sh.first_non_dr());
         }
-        (fv, g.first_non_dr(homes))
+        (fv, homes)
     }
 
     /// Abort `txn`: truncate to its first operation and re-push the
@@ -1374,8 +1372,8 @@ impl ShardedMonitor {
     pub fn verdict(&self) -> Verdict {
         let len = self.seq.lock().state.schedule.len();
         let g = self.gstate.lock();
-        let (first_violation, first_non_dr) = self.firsts(&g);
-        g.verdict(len, first_violation, first_non_dr)
+        let (first_violation, homes) = self.firsts();
+        g.verdict(len, first_violation, homes)
     }
 
     /// Does the Lemma 2 certificate hold for conjunct `k` (module
@@ -1770,9 +1768,17 @@ mod tests {
     #[test]
     fn checkpoint_bounds_journals_to_the_live_suffix() {
         let m = ShardedMonitor::new_logged(example2_scopes());
-        // 30 settled single-op transactions across both scopes, then
-        // one live straggler.
-        for k in 0..30u32 {
+        // 30 settled single-op transactions, then one live straggler.
+        // The first two stay in one scope each: the disjoint phase, in
+        // which stage 2 journals nothing. The third writes an item
+        // outside every scope, so stage 2 rebuilds its state from the
+        // two before it, journaled, and journals every push after.
+        m.push(wr(10, 0, 1)).unwrap();
+        m.push(wr(11, 2, 1)).unwrap();
+        assert_eq!(m.gstate.lock().log.len(), 0);
+        m.push(wr(12, 5, 1)).unwrap();
+        assert_eq!(m.gstate.lock().log.len(), 3);
+        for k in 3..30u32 {
             m.push(wr(k + 10, k % 3, 1)).unwrap();
         }
         let live = TxnId(500);
@@ -1794,8 +1800,9 @@ mod tests {
                 "below-floor shard deltas must be reclaimed"
             );
         }
-        // Stage 2 journals nothing in the disjoint phase.
-        assert_eq!(m.gstate.lock().log.len(), 0);
+        let g = m.gstate.lock();
+        assert_eq!((g.log.base(), g.log.len()), (30, 1));
+        drop(g);
         // The live suffix still aborts incrementally, and the monitor
         // stays parity-exact with a fresh single-writer replay.
         let (undone, repushed) = m.retract_txn(live).unwrap();

@@ -38,7 +38,13 @@
 //! global graph and delayed-read state before the run reaches stage 2;
 //! from then on stage 2 keeps both per push, the graph as one more
 //! [`ShardState`] whose scope is every item. Monitors whose scopes
-//! overlap keep them from the start.
+//! overlap keep them from the start. Which stage owns the marks is
+//! decided here alone: a conjunct stage keeps them until
+//! [`ShardState::end_disjoint_phase`], [`GlobalState::apply`] and
+//! `undo` do nothing before it, and [`GlobalState::verdict`] picks the
+//! first non-DR prefix from the conjunct stages or its own, so a
+//! driver passes state through. Only the pipeline's choice to skip
+//! stage 2's turn in the phase is its own.
 //!
 //! Each part owns its undo journal (see [`undo`](super::undo)) and its
 //! `apply` / `undo` / `raise_floor` / `compact` / `resident_bytes`.
@@ -581,14 +587,15 @@ impl GlobalState {
         }
     }
 
-    /// Stage 2 after the disjoint phase: delayed-read tracking and the
-    /// global conflict graph for the operation at `p`, whose reads-from
-    /// writer slot stage 1 resolved as `rf_slot`. Exact for the prefix
-    /// ending at `p` provided operations arrive in position order.
-    /// Returns whether this operation materialized a dirty read — it
-    /// belongs to a dirtily-read transaction, first such operation or
-    /// not — which is exactly when [`admits`] would have refused it at
-    /// `PwsrDr`.
+    /// Stage 2: delayed-read tracking and the global conflict graph
+    /// for the operation at `p`, whose reads-from writer slot stage 1
+    /// resolved as `rf_slot`. Exact for the prefix ending at `p`
+    /// provided operations arrive in position order. Returns whether
+    /// this operation materialized a dirty read — it belongs to a
+    /// dirtily-read transaction, first such operation or not — which
+    /// is exactly when [`admits`] would have refused it at `PwsrDr`.
+    /// Does nothing in the disjoint phase, whose conjunct stages keep
+    /// the marks (they answer then).
     pub(super) fn apply(
         &mut self,
         scopes: &[ItemSet],
@@ -598,6 +605,10 @@ impl GlobalState {
         p: OpIndex,
         logged: bool,
     ) -> bool {
+        let Some(graph) = self.graph.as_mut() else {
+            return false;
+        };
+        graph.apply(slot, op, None, p, logged);
         let mut delta = GlobalDelta::default();
         let tape = self.log.tape();
         while self.dirty_reads.len() <= slot {
@@ -628,9 +639,6 @@ impl GlobalState {
                 delta.dr_mark = w_slot as u32;
             }
         }
-        if let Some(graph) = self.graph.as_mut() {
-            graph.apply(slot, op, Marks::Global, p, logged);
-        }
         if logged {
             self.log.record(delta);
         }
@@ -638,12 +646,14 @@ impl GlobalState {
     }
 
     /// Retract the last logged operation's stage-2 effects; it was at
-    /// `p`. `new_slot`: the operation had created `slot`.
+    /// `p`. `new_slot`: the operation had created `slot`. Nothing was
+    /// journaled in the disjoint phase, so nothing is undone there.
     pub(super) fn undo(&mut self, slot: usize, item: ItemId, p: OpIndex, new_slot: bool) {
+        let Some(graph) = self.graph.as_mut() else {
+            return;
+        };
+        graph.undo(slot, item, p, new_slot);
         let gd = self.log.pop().expect("one global entry per logged push");
-        if let Some(graph) = self.graph.as_mut() {
-            graph.undo(slot, item, p, new_slot);
-        }
         if gd.dr_mark != NO_POS {
             self.dirty_reads[gd.dr_mark as usize].remove(item);
         }
@@ -696,8 +706,10 @@ impl GlobalState {
         self.graph.as_ref().map(|g| g.graph.serializable())
     }
 
-    /// The first non-DR prefix, given the earliest of the conjunct
-    /// stages' own (`homes`, what the disjoint phase keeps).
+    /// The first non-DR prefix, given `homes`, the earliest first
+    /// non-DR position the conjunct stages keep: theirs is the answer in
+    /// the disjoint phase, stage 2's own after it. The one place that
+    /// picks between the two, for both drivers.
     pub(super) fn first_non_dr(&self, homes: Option<OpIndex>) -> Option<OpIndex> {
         match self.graph {
             None => homes,
@@ -722,17 +734,19 @@ impl GlobalState {
         }
     }
 
-    /// The full verdict over a prefix of `len` operations, given the
-    /// first position at which some conjunct projection went cyclic
-    /// (the minimum over the shards' `cyclic_at`) — in the disjoint
-    /// phase also the first non-serializable prefix — and the first
-    /// non-DR prefix ([`GlobalState::first_non_dr`]).
+    /// The full verdict over a prefix of `len` operations, given what
+    /// the conjunct stages keep: the first position at which one of
+    /// their projections went cyclic (the minimum over their
+    /// `cyclic_at`) — in the disjoint phase also the first
+    /// non-serializable prefix — and `homes`, the earliest of their
+    /// first non-DR positions (see [`GlobalState::first_non_dr`]).
     pub(super) fn verdict(
         &self,
         len: usize,
         first_violation: Option<OpIndex>,
-        first_non_dr: Option<OpIndex>,
+        homes: Option<OpIndex>,
     ) -> Verdict {
+        let first_non_dr = self.first_non_dr(homes);
         let pwsr = first_violation.is_none();
         let first_non_serializable = self
             .graph
@@ -758,17 +772,6 @@ impl GlobalState {
     }
 }
 
-/// Who keeps an operation's delayed-read marks.
-#[derive(Clone, Copy, Debug)]
-pub(super) enum Marks {
-    /// Stage 2: the operation's conjunct stages keep only their graphs.
-    Global,
-    /// The disjoint phase: the transaction's home conjunct, the one
-    /// stage the operation reaches, given the slot of the writer a read
-    /// takes its value from.
-    Home(Option<usize>),
-}
-
 /// Stage-3 state: one conjunct's reduced conflict graph plus its own
 /// undo journal — one record (the position) and one graph frame per
 /// logged push that touched the conjunct, in position order — and, in
@@ -778,6 +781,10 @@ pub(super) enum Marks {
 pub(super) struct ShardState {
     pub(super) graph: ProjGraph,
     pub(super) log: UndoLog<u32>,
+    /// Does this stage keep the delayed-read state of the transactions
+    /// homed in it? Set for a conjunct of pairwise disjoint scopes
+    /// until the disjoint phase ends; never for stage 2's graph.
+    keeps_marks: bool,
     /// Disjoint phase, per slot: has another transaction read a value
     /// the slot's transaction (homed here) wrote? Its next operation
     /// then materializes a dirty read. What stage 2 keeps as a row of
@@ -795,19 +802,30 @@ pub(super) struct ShardState {
 }
 
 impl ShardState {
+    /// The stage of one conjunct, which keeps the marks of the
+    /// transactions homed in it while the scopes are `disjoint` (the
+    /// disjoint phase).
+    pub(super) fn conjunct(disjoint: bool) -> ShardState {
+        ShardState {
+            keeps_marks: disjoint,
+            ..ShardState::default()
+        }
+    }
+
     /// Stage 3: the conjunct's conflict graph for the operation at
-    /// `p` and, if the conjunct is the transaction's home in the
-    /// disjoint phase, its delayed-read marks. Anything but
+    /// `p` and, in the disjoint phase, where the conjunct is the
+    /// transaction's home, its delayed-read marks, given the slot of
+    /// the writer a read takes its value from. Anything but
     /// [`Applied::Clean`] is a breach of the PWSR rung — this access
     /// would not have been admitted — but only [`Applied::Closed`]
     /// moves the conjunct's first-violation position. The flag is
     /// whether the operation materialized a dirty read (always `false`
-    /// under [`Marks::Global`]; stage 2 answers then).
+    /// once stage 2 keeps the marks; it answers then).
     pub(super) fn apply(
         &mut self,
         slot: usize,
         op: &Operation,
-        marks: Marks,
+        rf_slot: Option<usize>,
         p: OpIndex,
         logged: bool,
     ) -> (Applied, bool) {
@@ -818,9 +836,9 @@ impl ShardState {
         if logged {
             self.log.record(p.0 as u32);
         }
-        let Marks::Home(rf_slot) = marks else {
+        if !self.keeps_marks {
             return (applied, false);
-        };
+        }
         let caused_non_dr = self.was_read_from(slot);
         if caused_non_dr && self.first_non_dr.is_none() {
             self.first_non_dr = Some(p);
@@ -904,9 +922,11 @@ impl ShardState {
     }
 
     /// The disjoint phase ends: stage 2 rebuilds the marks by replay
-    /// ([`GlobalState::build_graph`]), so drop the flags and their
-    /// journal and hand over the first non-DR position.
+    /// ([`GlobalState::build_graph`]), so stop keeping them, drop the
+    /// flags and their journal and hand over the first non-DR position
+    /// (which stays this stage's record of the phase).
     pub(super) fn end_disjoint_phase(&mut self) -> Option<OpIndex> {
+        self.keeps_marks = false;
         self.read_from.clear();
         self.marked.clear();
         self.first_non_dr
@@ -921,19 +941,16 @@ impl ShardState {
 }
 
 /// Would admitting this access by the transaction in `slot` keep
-/// `level`? Read-only and exact against the current state of `global`
-/// and the conjunct `shards`. `slot` comes with the transaction's home
-/// conjunct in the disjoint phase, whose stage keeps its marks.
+/// `level`? Read-only and exact against the current state of `seq`,
+/// `global` and the conjunct `shards`.
 pub(super) fn admits(
     scope_index: &ScopeIndex,
-    slot: Option<(usize, Option<usize>)>,
+    slot: Option<usize>,
     item: ItemId,
     is_write: bool,
     level: AdmissionLevel,
-    global: &GlobalState,
-    shards: &[ShardState],
+    (seq, global, shards): (&SeqState, &GlobalState, &[ShardState]),
 ) -> bool {
-    let (slot, home) = slot.map_or((None, None), |(s, home)| (Some(s), home));
     let conjuncts = || {
         scope_index.of(item).iter().all(|&k| {
             shards[k as usize]
@@ -955,10 +972,12 @@ pub(super) fn admits(
         AdmissionLevel::PwsrDr => {
             // Any operation of a dirtily-read transaction materializes
             // the DR violation.
-            let clean = match (slot, home) {
-                (None, _) => true,
-                (Some(s), None) => global.dirty_reads.get(s).is_none_or(ItemSet::is_empty),
-                (Some(s), Some(k)) => !shards[k].was_read_from(s),
+            // In the disjoint phase the transaction's home keeps its
+            // marks.
+            let clean = match slot.map(|s| (s, seq.home_of(s))) {
+                None => true,
+                Some((s, None)) => global.dirty_reads.get(s).is_none_or(ItemSet::is_empty),
+                Some((s, Some(k))) => !shards[k].was_read_from(s),
             };
             clean && conjuncts()
         }
