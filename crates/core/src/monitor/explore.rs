@@ -16,18 +16,22 @@
 //! reproduces it.
 
 use super::tests::{example2_scopes, rd, wr};
-use super::{PushOutcome, ShardedMonitor, RANK_GLOBAL, RANK_SEQ};
+use super::{shard_rank, PushOutcome, ShardedMonitor, RANK_GLOBAL, RANK_SEQ};
 use crate::ids::{ItemId, TxnId};
-use crate::monitor::{AdmissionLevel, OnlineMonitor, ScopeIndex};
+use crate::monitor::ScopeIndex;
 use crate::op::Operation;
 use crate::pick::{Explore, Pick};
 use crate::schedule::Schedule;
 use crate::state::ItemSet;
 use crate::txn::Transaction;
-use common::{arb_transactions, check_against_oracles, scopes_from_bits, Trail, MAX_ITEMS};
+use common::{
+    arb_transactions, check_against_oracles, check_flags, scopes_from_bits, Trail, MAX_ITEMS,
+};
 use parking_lot::Mutex;
 use proptest::collection::vec;
 use proptest::prelude::*;
+use std::cell::RefCell;
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU32, Ordering};
 
 #[path = "../../tests/common/mod.rs"]
@@ -45,9 +49,41 @@ enum Site {
     Released(Option<u32>),
 }
 
+/// What one thread took, as the hooks count it: ranked-lock
+/// acquisitions by rank, and the global and shard tickets it claimed.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+struct Counts {
+    locks: BTreeMap<u32, u32>,
+    global_tickets: usize,
+    shard_tickets: usize,
+}
+
+thread_local! {
+    /// The calling thread's counts since [`counted`] last reset them.
+    static COUNTS: RefCell<Counts> = RefCell::default();
+}
+
+/// Run `f`, counting what the calling thread takes meanwhile.
+fn counted<R>(f: impl FnOnce() -> R) -> (R, Counts) {
+    COUNTS.with(RefCell::take);
+    let out = f();
+    (out, COUNTS.with(RefCell::take))
+}
+
 /// Hook: before taking the ranked lock of `rank`.
 pub(super) fn lock(rank: u32) {
+    COUNTS.with(|c| *c.borrow_mut().locks.entry(rank).or_default() += 1);
     pwsr_turns::lock(rank.into(), Site::Lock(rank));
+}
+
+/// Hook: a run claimed `global` global tickets (none in the disjoint
+/// phase) and `shard` shard tickets.
+pub(super) fn claimed(global: Option<usize>, shard: usize) {
+    COUNTS.with(|c| {
+        let mut c = c.borrow_mut();
+        c.global_tickets += global.unwrap_or(0);
+        c.shard_tickets += shard;
+    });
 }
 
 /// Hook: the ranked lock of `rank` was released (no hand-over).
@@ -155,7 +191,10 @@ fn at_rest(m: &ShardedMonitor) -> Result<(), String> {
 /// retracts itself if its bit of `abort` is set, else it is declared
 /// finished. `sweeper` adds a worker that checkpoints past the aborting
 /// transactions and then compacts; `reader` one that asks every
-/// quiescent reader.
+/// quiescent reader. The monitor keeps a journal, the oracles' record
+/// of the schedule, unless `lanes` is set (and nothing aborts): it then
+/// runs in lane mode until the first spanning run, and the schedule is
+/// read off the pushes' positions.
 #[derive(Default)]
 struct Case {
     scopes: Vec<ItemSet>,
@@ -165,34 +204,58 @@ struct Case {
     abort: u32,
     sweeper: bool,
     reader: bool,
+    lanes: bool,
+}
+
+/// What one run of a case did: its steps, and per transaction what
+/// each of its pushes took, in push order (the lead's first).
+struct Ran {
+    steps: Vec<String>,
+    counts: Vec<(TxnId, Counts)>,
 }
 
 fn bit(mask: u32, t: TxnId) -> bool {
     mask & 1 << (t.0 - 1) != 0
 }
 
-/// Run `case` once under `picks`, then every oracle; the steps taken.
-fn run_case(case: &Case, picks: &mut dyn Pick<usize>) -> Result<Vec<String>, String> {
+/// Run `case` once under `picks`, then every oracle.
+fn run_case(case: &Case, picks: &mut dyn Pick<usize>) -> Result<Ran, String> {
+    assert!(
+        !case.lanes || case.abort == 0,
+        "a retraction needs the journal"
+    );
     let trail = Trail::default();
     let m = match case.abort {
         0 => ShardedMonitor::new(case.scopes.clone()),
         _ => ShardedMonitor::new_logged(case.scopes.clone()),
-    }
-    .with_journal(Box::new(trail.clone()));
-    let push = |op: &Operation| m.push_outcome(op.clone());
-    let lead: Result<Vec<_>, _> = case.lead.iter().map(push).collect();
-    let (m, outcomes) = (&m, &Mutex::new(lead.expect("well-formed")));
+    };
+    let m = match case.lanes {
+        true => m,
+        false => m.with_journal(Box::new(trail.clone())),
+    };
+    let (m, pushed, counts) = (&m, &Mutex::new(Vec::new()), &Mutex::new(Vec::new()));
+    // One push of `run` (a singleton unless `batch`): its operations
+    // with their outcomes, and what it took.
+    let push = move |run: &[Operation], batch: bool| {
+        let (out, took) = counted(|| match batch {
+            true => m.push_batch(run).expect("well-formed"),
+            false => vec![m.push_outcome(run[0].clone()).expect("well-formed")],
+        });
+        pushed.lock().extend(run.iter().cloned().zip(out));
+        counts.lock().push((run[0].txn, took));
+    };
+    case.lead
+        .iter()
+        .for_each(|op| push(std::slice::from_ref(op), false));
     let mut workers: Vec<Box<dyn FnOnce() + Send + '_>> = Vec::new();
     for t in &case.txns {
         let led = case.lead.iter().filter(|o| o.txn == t.id()).count();
         let rest = &t.ops()[led..];
         workers.push(Box::new(move || {
-            let push = |op: &Operation| m.push_outcome(op.clone());
-            let out = match bit(case.batch, t.id()) {
-                true => m.push_batch(rest),
-                false => rest.iter().map(push).collect(),
-            };
-            outcomes.lock().extend(out.expect("well-formed"));
+            match bit(case.batch, t.id()) {
+                true if !rest.is_empty() => push(rest, true),
+                _ => rest.chunks(1).for_each(|op| push(op, false)),
+            }
             if bit(case.abort, t.id()) {
                 m.retract_txn(t.id()).expect("never summarized");
             } else {
@@ -218,19 +281,35 @@ fn run_case(case: &Case, picks: &mut dyn Pick<usize>) -> Result<Vec<String>, Str
         }));
     }
     let (steps, result) = run(m, workers, picks);
-    let mut outcomes = std::mem::take(&mut *outcomes.lock());
-    outcomes.sort_by_key(|o| o.pos);
-    let result = result.and_then(|()| check(case, m, &trail.schedule(), &outcomes));
-    result.map(|()| steps.clone()).map_err(|e| {
-        let steps = steps.iter().enumerate();
-        let steps = steps.map(|(n, step)| format!("\n  {:>3}. {step}", n + 1));
-        format!("{e}\nsteps:{}", steps.collect::<String>())
-    })
+    let mut pushed = std::mem::take(&mut *pushed.lock());
+    pushed.sort_by_key(|(_, o)| o.pos);
+    let (ops, outcomes): (Vec<_>, Vec<_>) = pushed.into_iter().unzip();
+    let schedule = match case.lanes {
+        _ if outcomes.iter().enumerate().any(|(p, o)| o.pos.0 != p) && case.abort == 0 => {
+            Err(format!("positions not 0..{}: {outcomes:?}", outcomes.len()))
+        }
+        true => Schedule::new(ops).map_err(|e| format!("not in program order: {e:?}")),
+        false => Ok(trail.schedule()),
+    };
+    let result = result.and_then(|()| check(case, m, &schedule?, &outcomes));
+    let mut counts = std::mem::take(&mut *counts.lock());
+    counts.sort_by_key(|(t, _)| *t);
+    result
+        .map(|()| Ran {
+            steps: steps.clone(),
+            counts,
+        })
+        .map_err(|e| {
+            let steps = steps.iter().enumerate();
+            let steps = steps.map(|(n, step)| format!("\n  {:>3}. {step}", n + 1));
+            format!("{e}\nsteps:{}", steps.collect::<String>())
+        })
 }
 
 /// The oracles over a finished run:
-/// - *schedule*: the journal holds exactly the survivors' operations,
-///   each transaction's in program order;
+/// - *schedule*: the journal (or, in lane mode, the pushes' positions)
+///   holds exactly the survivors' operations, each transaction's in
+///   program order, and the monitor's own schedule from its base on;
 /// - *batch and verifier*: [`check_against_oracles`] — every verdict
 ///   field and certificate equals what the batch deciders give the
 ///   recorded schedule, and every conjunct order passes the order
@@ -247,6 +326,10 @@ fn check(case: &Case, m: &ShardedMonitor, s: &Schedule, out: &[PushOutcome]) -> 
         || survivors().any(|t| s.transaction(t.id()).ops() != t.ops())
     {
         return Err(format!("not the survivors' operations:\n{s}"));
+    }
+    let held = m.snapshot_schedule();
+    if held.ops() != &s.ops()[held.base()..] {
+        return Err(format!("the monitor holds another schedule:\n{held}\n{s}"));
     }
     check_against_oracles(s, &case.scopes, m).map_err(|e| format!("{e:?}\n{s}"))?;
     if case.abort != 0 {
@@ -268,27 +351,7 @@ fn check(case: &Case, m: &ShardedMonitor, s: &Schedule, out: &[PushOutcome]) -> 
         }
         Some(p) => p,
     };
-    let mut single = OnlineMonitor::new(case.scopes.clone());
-    for (p, (op, o)) in ops.iter().zip(out).enumerate() {
-        let refused = |l| !single.admits(op.txn, op.item, op.is_write(), l);
-        let flags = |l| (o.breaches(l), refused(l));
-        let pwsr = [AdmissionLevel::Pwsr, AdmissionLevel::PwsrDr].map(flags);
-        let (breach, refusal) = flags(AdmissionLevel::Serializable);
-        let fv = single.verdict().first_violation;
-        let told = p < phase_end && fv.is_some_and(|q| out[q.0].caused_violation);
-        let wrong = if pwsr.iter().any(|(b, r)| b != r) {
-            "a PWSR flag differs from the single writer's refusal"
-        } else if breach && !refusal {
-            "a Serializable breach where the single writer admits"
-        } else if refusal && !breach && !told {
-            "a Serializable refusal the push was not told of"
-        } else {
-            single.push(op.clone()).expect("recorded schedule is valid");
-            continue;
-        };
-        return Err(format!("{wrong} at p@{p}: {o:?}\n{s}"));
-    }
-    Ok(())
+    check_flags(&case.scopes, ops, out, phase_end).map_err(|e| format!("{e}\n{s}"))
 }
 
 /// A seeded draw (splitmix64).
@@ -340,6 +403,97 @@ fn case(scopes: Vec<ItemSet>, ops: Vec<Vec<Operation>>) -> Case {
         txns,
         ..Case::default()
     }
+}
+
+/// Lane mode: two pushers of one operation each into the lane of
+/// conjunct 0 — one ranked lock each, no turn — every schedule, then
+/// with a reader, sampled. A position claimed before the lock is taken
+/// can reach the lane out of position order, which the conjunct order
+/// then betrays.
+#[test]
+fn explore_two_pushers_in_one_lane() {
+    let mut c = case(
+        example2_scopes(),
+        vec![vec![wr(1, 0, 1)], vec![rd(2, 0, 1)]],
+    );
+    c.lanes = true;
+    assert_eq!(explore_all(&c), 6);
+    c.reader = true;
+    sample(&c, 0..300);
+}
+
+/// Lane mode, every schedule: two pushers on two conjuncts and a
+/// sweeper whose sweep drains both lanes, merges them into one
+/// frontier and summarizes what each finished.
+#[test]
+fn explore_two_lanes_and_a_sweeper() {
+    let mut c = case(
+        example2_scopes(),
+        vec![vec![wr(1, 0, 1), rd(1, 1, 0)], vec![wr(2, 2, 1)]],
+    );
+    (c.lanes, c.sweeper) = (true, true);
+    assert_eq!(explore_all(&c), 1620);
+}
+
+/// Leaving lane mode. Every schedule: T1's write of `d0` is pushed in
+/// lane mode; then T1's write of `d2`, the first spanning run, races
+/// T2's read of `d0` in the lane, a mark on T1. The spanning run drains
+/// the lanes and pushes what they retain again through the pipeline; a
+/// lane push that meets its lane gone takes the pipeline as well.
+/// Sampled: the same race beside T3, whose one write leads at `p@0`,
+/// and a sweeper that may summarize T3 before the spanning run or
+/// after it. Two runs of one schedule count the same locks and tickets
+/// for every push.
+#[test]
+fn explore_the_first_spanning_run_against_a_lane_push_and_a_sweep() {
+    let mut c = case(
+        example2_scopes(),
+        vec![vec![wr(1, 0, 1), wr(1, 2, 1)], vec![rd(2, 0, 1)]],
+    );
+    (c.lead, c.lanes) = (vec![wr(1, 0, 1)], true);
+    assert_eq!(explore_all(&c), 3786);
+    c.txns
+        .push(Transaction::new(TxnId(3), vec![wr(3, 0, 5)]).expect("well-formed"));
+    (c.lead, c.sweeper) = (vec![wr(3, 0, 5), wr(1, 0, 1)], true);
+    sample(&c, 0..300);
+    for seed in 0..20 {
+        let counts = || {
+            run_case(&c, &mut seeded(seed))
+                .unwrap_or_else(|e| panic!("{e}"))
+                .counts
+        };
+        assert_eq!(counts(), counts(), "seed {seed}");
+    }
+}
+
+/// What a push takes, as the hooks count it. In lane mode: one ranked
+/// lock, its home shard's, and no ticket, singly or as a run. After
+/// the first spanning run: the sequence lock once and one global ticket
+/// per operation (beside the global lock and one lock and ticket per
+/// touched shard).
+#[test]
+fn a_push_takes_one_lock_in_lane_mode_and_the_pipeline_after() {
+    let m = ShardedMonitor::new(example2_scopes());
+    let took = |run: &[Operation]| counted(|| m.push_batch(run).expect("well-formed")).1;
+    let home = |k| Counts {
+        locks: BTreeMap::from([(shard_rank(k), 1)]),
+        ..Counts::default()
+    };
+    assert_eq!(took(&[wr(1, 0, 1)]), home(0));
+    assert_eq!(took(&[wr(2, 2, 1)]), home(1));
+    assert_eq!(took(&[rd(3, 0, 1), rd(3, 1, 0)]), home(0));
+    took(&[wr(1, 2, 2)]);
+    let after = Counts {
+        locks: BTreeMap::from([
+            (RANK_SEQ, 1),
+            (RANK_GLOBAL, 1),
+            (shard_rank(0), 1),
+            (shard_rank(1), 1),
+        ]),
+        global_tickets: 2,
+        shard_tickets: 2,
+    };
+    assert_eq!(took(&[rd(4, 0, 1), wr(4, 2, 3)]), after);
 }
 
 /// Two pushers of one operation each, every schedule: on one shard,
@@ -426,8 +580,8 @@ fn explore_a_later_cycle_is_not_an_earlier_push_breach() {
         vec![wr(2, 2, 2)],
         vec![wr(3, 0, 3)],
     ];
-    let steps = run_case(&case(example2_scopes(), ops), &mut seeded(81));
-    let steps = steps.unwrap_or_else(|e| panic!("{e}"));
+    let ran = run_case(&case(example2_scopes(), ops), &mut seeded(81));
+    let steps = ran.unwrap_or_else(|e| panic!("{e}")).steps;
     assert!(
         reaches_the_later_cycle_window(&steps),
         "{}",
@@ -467,16 +621,19 @@ proptest! {
         batch in 0u32..16,
         abort in 0u32..32,
         sweeper in any::<bool>(),
+        lanes in any::<bool>(),
         // 60 is a multiple of every worker count, so `% n` is uniform.
         lead in 0usize..3,
         lists in vec(vec(0u8..60, 0..160), 3),
     ) {
         let (scopes, txns) = (scopes_from_bits(d1_bits, d2_bits), txns[..n].to_vec());
         let abort = if abort < 16 { abort } else { 0 };
+        // Lane mode (no journal) in half the cases without aborts.
+        let lanes = lanes && abort == 0;
         // The first operation of each of the first `lead` transactions
         // is pushed before the workers race.
         let lead = txns.iter().take(lead).map(|t| t.ops()[0].clone()).collect();
-        let case = Case { scopes, lead, txns, batch, abort, sweeper, reader: false };
+        let case = Case { scopes, lead, txns, batch, abort, sweeper, reader: false, lanes };
         for v in &lists {
             run_case(&case, &mut listed(v)).unwrap_or_else(|e| panic!("picks {v:?}: {e}"));
         }

@@ -21,8 +21,8 @@
 //! ## The ticketed pipeline
 //!
 //! A monitored prefix is a *total order*, so something must define it.
-//! [`ShardedMonitor::push_batch`] takes one transaction's run through
-//! three stages:
+//! Outside lane mode (next section), [`ShardedMonitor::push_batch`]
+//! takes one transaction's run through three stages:
 //!
 //! 1. **sequence** (one short mutex around `SeqState`): append the run
 //!    to the growing [`Schedule`], update the `last_write`/reads-from
@@ -75,6 +75,69 @@
 //! can run the sequence stage for `p+1` and a third a shard stage for
 //! `p-1`, so throughput is bounded by the *widest stage*, not by the
 //! sum.
+//!
+//! ## Lane mode
+//!
+//! On a monitor whose scopes are pairwise disjoint and that keeps no
+//! journal of either kind ([`ShardedMonitor::new`] without
+//! [`ShardedMonitor::with_journal`]), the disjoint phase runs without
+//! the pipeline. Each conjunct keeps a *lane* beside its shard state,
+//! behind the shard's lock: a stage-1 state of its own (schedule,
+//! reads-from, first positions, finished flags), whose positions and
+//! slots are the lane's, and where each of its retained operations
+//! stands in the whole order. In the phase every conflict, reads-from
+//! pair and delayed-read test stays inside one conjunct (the stage
+//! module's docs), so every merge of the lanes in position order is
+//! what the single writer would certify, and each lane's state is the
+//! single writer's restricted to the lane.
+//!
+//! - *A push.* It validates its §2.2 totals, takes its home shard's
+//!   lock, and there calls the lane's `SeqState::apply`, claims its
+//!   positions with one `fetch_add` on a shared counter, and calls
+//!   `ShardState::apply` at them; it publishes the floor once the lock
+//!   is released. No sequence lock, no ticket, no turn. Positions are
+//!   claimed under the lock and filled before its release, so each
+//!   lane and shard sees its operations in position order, and a drain
+//!   never finds a claimed position empty.
+//! - *The home check.* A run that keeps to one conjunct still spans if
+//!   an earlier run of its transaction went to another one. The
+//!   transaction's §2.2 totals row, which the push locks anyway, holds
+//!   its home, so the check needs no sequence lock.
+//! - *Summarized transactions* are refused in every lane: there is one
+//!   summarized set, kept in the stage-1 state of the whole order (its
+//!   ranges coalesce across ids that interleave between lanes), and
+//!   each lane reads a copy, refreshed at each sweep under the drain.
+//! - *Compaction* drains the lanes by taking every shard's lock in rank
+//!   order under the sequence lock, hands each recorded finish to its
+//!   transaction's lane, computes one frontier over all lanes (the
+//!   single writer's, found over the lanes' transactions in order of
+//!   their first positions) and sweeps each lane below it.
+//! - *Readers* combine the lanes without leaving lane mode: `len`,
+//!   `verdict`, `log_floor` (an unjournaled monitor's is its length),
+//!   `resident_bytes_estimate`, `compactions`, `ops_reclaimed`,
+//!   `is_summarized`, `conjunct_order` (through the lane's own slots)
+//!   and the Lemma 2/6 readers. [`ShardedMonitor::snapshot_schedule`]
+//!   and [`ShardedMonitor::into_parts`] build the lanes' merge in
+//!   position order, drained, and stay in lane mode.
+//! - *Leaving lane mode* is for good. The first spanning run (or a
+//!   retraction) takes the sequence lock, drains the lanes, takes each
+//!   out and gives its conjunct a fresh shard state that keeps what the
+//!   summarized prefix decided for good — a cycle closed there and the
+//!   first non-DR position — as `GlobalState::build_graph` does for the
+//!   global graph. Then, still under the sequence lock, it pushes the
+//!   lanes' retained operations again, in position order, through
+//!   `claim` and `serve` into the stage-1 state of the whole order
+//!   (which stood empty at the sweeps' base), carries the finished
+//!   flags over, and claims its own run as the pipeline's first
+//!   spanning run. A lane push that finds its lane gone takes the
+//!   pipeline behind it.
+//! - *Who keeps the pipeline.* The optimistic executors' logged
+//!   monitors and every WAL-backed run need positions in journal order,
+//!   which the sequence lock gives. The threaded two-phase-locking
+//!   executor's monitor without a WAL runs in lane mode. Of the
+//!   benchmark's workloads, `stream_local` is the one that stays in
+//!   lane mode; `stream_cross` leaves it within eight transactions per
+//!   lane, and `occ_*` and `recover_replay` never enter it.
 //!
 //! The verdict ladder is additionally mirrored into a **lock-free
 //! atomic floor** (`fetch_max` over the ladder rank, `fetch_min` over
@@ -143,7 +206,13 @@
 //! carry fixed *ranks* — sequence mutex (0), global stage (1),
 //! conjunct shard `k` (2 + k) — and every code path acquires strictly
 //! ascending (holding a lock, only higher ranks may be taken), which
-//! rules out deadlock by resource ordering. Debug builds track held
+//! rules out deadlock by resource ordering. A lane-mode push takes one
+//! ranked lock, its home shard's, and holds nothing else. A lane-mode
+//! sweep, the merged snapshot and the end of lane mode hold the
+//! sequence lock and then every shard's lock at once, in rank order:
+//! that is the drain, since a lane push claims and fills its positions
+//! under its one lock. The sequence lock is what keeps lane mode from
+//! ending under a reader. Debug builds track held
 //! ranks per thread and assert the discipline on every acquisition
 //! (the private `lock_order` tracker), so a lock-order regression
 //! fails deterministically in tests — the pipeline explorer runs
@@ -166,10 +235,12 @@ use crate::state::ItemSet;
 use parking_lot::Mutex;
 use std::cell::Cell;
 use std::ops::{Deref, DerefMut};
-use std::sync::atomic::{AtomicU32, AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::time::Instant;
 
 const NO_POS: u32 = u32::MAX;
+/// No conjunct: a home not drawn yet, or a position no lane holds.
+const NO_LANE: u32 = u32::MAX;
 
 /// The earlier of two optional positions.
 fn earliest(a: Option<OpIndex>, b: Option<OpIndex>) -> Option<OpIndex> {
@@ -283,6 +354,10 @@ impl<T> RankedMutex<T> {
     fn into_inner(self) -> T {
         self.inner.into_inner()
     }
+
+    fn get_mut(&mut self) -> &mut T {
+        self.inner.get_mut()
+    }
 }
 
 /// RAII pairing of a lock guard with its rank: releases the rank in
@@ -335,12 +410,30 @@ struct TotalsTable {
 
 #[derive(Debug, Default)]
 struct TotalsStripe {
-    live: IdMap<TxnId, TxnTotals>,
-    spare: Vec<TxnTotals>,
+    live: IdMap<TxnId, Row>,
+    spare: Vec<Row>,
     /// Transactions declared finished ([`ShardedMonitor::finish_txn`])
     /// whose declaration stage 1 has not applied yet. Drained in
     /// place, so the buffer keeps its capacity.
     finished: Vec<TxnId>,
+}
+
+/// One transaction's row: its §2.2 totals and, in lane mode, its home —
+/// the conjunct its runs keep to ([`NO_LANE`] until a lane-mode run
+/// draws it).
+#[derive(Debug)]
+struct Row {
+    totals: TxnTotals,
+    home: u32,
+}
+
+impl Default for Row {
+    fn default() -> Row {
+        Row {
+            totals: TxnTotals::default(),
+            home: NO_LANE,
+        }
+    }
 }
 
 impl TotalsTable {
@@ -362,34 +455,45 @@ impl TotalsTable {
     /// §2.2-validate `ops` (one transaction's run, in program order)
     /// against the transaction's totals and record them, atomically
     /// ([`TxnTotals::admit`] — the single writer's check, by the same
-    /// code).
-    fn admit(&self, txn: TxnId, ops: &[Operation]) -> Result<()> {
+    /// code). In lane mode, given the conjunct `lane` the run keeps to,
+    /// returns it if the transaction keeps to it as well — its first
+    /// run makes it its home — and `None` if the run spans: a later run
+    /// into another conjunct is a spanning one. The row is the one
+    /// place that knows, and the push locks it anyway.
+    fn admit(&self, txn: TxnId, ops: &[Operation], lane: Option<u32>) -> Result<Option<u32>> {
         let mut stripe = self.stripe(txn).lock();
         let stripe = &mut *stripe;
-        stripe
+        let row = stripe
             .live
             .entry(txn)
-            .or_insert_with(|| stripe.spare.pop().unwrap_or_default())
-            .admit(ops)
+            .or_insert_with(|| stripe.spare.pop().unwrap_or_default());
+        row.totals.admit(ops)?;
+        Ok(lane.filter(|&k| {
+            if row.home == NO_LANE {
+                row.home = k;
+            }
+            row.home == k
+        }))
     }
 
     /// Clear the bits `ops` set in `txn`'s totals: the run never
     /// claimed a position, or its operations were retracted.
     fn strip<'a>(&self, txn: TxnId, ops: impl IntoIterator<Item = &'a Operation>) {
         let mut stripe = self.stripe(txn).lock();
-        let t = stripe
+        let row = stripe
             .live
             .get_mut(&txn)
             .expect("totals exist for a pushed transaction");
-        ops.into_iter().for_each(|op| t.strip(op));
+        ops.into_iter().for_each(|op| row.totals.strip(op));
     }
 
     /// Drop `txn`'s totals: it was retracted whole, or summarized.
     fn forget(&self, txn: TxnId) {
         let mut stripe = self.stripe(txn).lock();
-        if let Some(mut t) = stripe.live.remove(&txn) {
-            t.clear();
-            stripe.spare.push(t);
+        if let Some(mut row) = stripe.live.remove(&txn) {
+            row.totals.clear();
+            row.home = NO_LANE;
+            stripe.spare.push(row);
         }
     }
 
@@ -398,15 +502,18 @@ impl TotalsTable {
         self.stripe(txn).lock().finished.push(txn);
     }
 
-    /// Apply every recorded finish to the stage-1 state: called under
-    /// the sequence lock by whatever reads or moves the finished flags
-    /// — before a frontier is computed and before a truncation pops a
-    /// slot (a popped finished slot parks its id; a recorded one would
-    /// find no slot to mark and be lost).
-    fn apply_finished(&self, state: &mut SeqState) {
+    /// Hand every recorded finish to `apply`, with the rows of its
+    /// stripe (where a lane-mode sweep finds the transaction's home),
+    /// to apply to the stage-1 state: called under the sequence lock by
+    /// whatever reads or moves the finished flags — before a frontier
+    /// is computed and before a truncation pops a slot (a popped
+    /// finished slot parks its id; a recorded one would find no slot to
+    /// mark and be lost).
+    fn apply_finished(&self, mut apply: impl FnMut(TxnId, &IdMap<TxnId, Row>)) {
         for stripe in &self.stripes {
-            for txn in stripe.lock().finished.drain(..) {
-                state.finish(txn);
+            let stripe = &mut *stripe.lock();
+            for txn in stripe.finished.drain(..) {
+                apply(txn, &stripe.live);
             }
         }
     }
@@ -420,7 +527,7 @@ impl TotalsTable {
                 stripe
                     .live
                     .values()
-                    .map(|t| size_of::<(TxnId, TxnTotals)>() + 1 + t.heap_bytes())
+                    .map(|row| size_of::<(TxnId, Row)>() + 1 + row.totals.heap_bytes())
                     .sum::<usize>()
                     + stripe.finished.len() * size_of::<TxnId>()
             })
@@ -429,9 +536,10 @@ impl TotalsTable {
 }
 
 /// What one admission call needs between its stages, kept per thread
-/// so that a lane reuses its own buffers and shares them with nobody.
+/// so that a pushing thread reuses its own buffers and shares them with
+/// nobody.
 #[derive(Default)]
-struct LaneScratch {
+struct PushScratch {
     /// One entry per (operation, conjunct containing its item):
     /// `(shard, index of the operation in the run, ticket)`. Filled in
     /// program order under the sequence lock — so each shard's tickets
@@ -443,22 +551,22 @@ struct LaneScratch {
 }
 
 thread_local! {
-    static LANE_SCRATCH: Cell<LaneScratch> = const {
-        Cell::new(LaneScratch {
+    static PUSH_SCRATCH: Cell<PushScratch> = const {
+        Cell::new(PushScratch {
             turns: Vec::new(),
             rf_slots: Vec::new(),
         })
     };
 }
 
-/// Run `f` with the calling thread's [`LaneScratch`] (each claim
+/// Run `f` with the calling thread's [`PushScratch`] (each claim
 /// empties it). The scratch is taken out of its cell for the duration,
 /// so a re-entrant call (a journal that pushes) finds a fresh one
 /// instead of a borrow conflict.
-fn with_lane_scratch<R>(f: impl FnOnce(&mut LaneScratch) -> R) -> R {
-    let mut scratch = LANE_SCRATCH.with(Cell::take);
+fn with_scratch<R>(f: impl FnOnce(&mut PushScratch) -> R) -> R {
+    let mut scratch = PUSH_SCRATCH.with(Cell::take);
     let out = f(&mut scratch);
-    LANE_SCRATCH.with(|cell| cell.set(scratch));
+    PUSH_SCRATCH.with(|cell| cell.set(scratch));
     out
 }
 
@@ -478,12 +586,98 @@ struct Sequencer {
     survivors: Vec<Operation>,
 }
 
-/// One conjunct shard: a ticket turnstile plus the guarded state.
+/// One conjunct shard: a ticket turnstile plus the guarded state, on
+/// cache lines of its own, so that lanes on neighbouring shards write
+/// no line in common.
 #[derive(Debug)]
+#[repr(align(128))]
 struct Shard {
     serving: AtomicU32,
-    state: RankedMutex<ShardState>,
+    state: RankedMutex<Conjunct>,
 }
+
+/// What a shard's lock guards: the conjunct's stage state and, in lane
+/// mode, its lane (on the heap, so that the pipeline's shards keep
+/// their size once it is gone).
+#[derive(Debug)]
+struct Conjunct {
+    stage: ShardState,
+    lane: Option<Box<Lane>>,
+}
+
+/// One conjunct's part of the order in lane mode: a stage-1 state of
+/// its own, whose positions and slots are the lane's, and where each of
+/// its retained operations stands in the whole order (ascending: they
+/// are claimed under the shard's lock).
+#[derive(Debug, Default)]
+struct Lane {
+    seq: SeqState,
+    pos: Vec<u32>,
+}
+
+impl Lane {
+    fn resident_bytes(&self) -> usize {
+        self.seq.resident_bytes() + self.pos.len() * std::mem::size_of::<u32>()
+    }
+}
+
+/// The lanes' retained operations in position order, from `base` up to
+/// `len`, as `(lane, index among that lane's retained operations)`.
+/// Taken with every lane drained: each position in between is claimed
+/// under its lane's lock and filled before that lock is released, so
+/// exactly one lane holds it.
+fn in_position_order(
+    lanes: &[&Lane],
+    base: usize,
+    len: usize,
+) -> impl Iterator<Item = (usize, usize)> {
+    let mut owners = vec![NO_LANE; len - base];
+    for (k, lane) in lanes.iter().enumerate() {
+        for &p in &lane.pos {
+            owners[p as usize - base] = k as u32;
+        }
+    }
+    let mut next = vec![0; lanes.len()];
+    owners.into_iter().map(move |k| {
+        assert_ne!(k, NO_LANE, "a claimed position left unfilled");
+        let k = k as usize;
+        next[k] += 1;
+        (k, next[k] - 1)
+    })
+}
+
+/// The compaction frontier of the whole order in lane mode, from
+/// `base`: [`SeqState::frontier`]'s longest prefix that holds every
+/// operation of each transaction it touches, all of them finished (an
+/// unlogged lane is permanent up to its length). Found per transaction
+/// rather than per operation: in order of first positions, each start
+/// that no earlier transaction reaches past ends such a prefix, up to
+/// the first transaction not finished.
+fn frontier_of(lanes: &[&Lane], base: usize) -> usize {
+    let mut spans = Vec::new();
+    for lane in lanes {
+        let at = |p: usize| lane.pos[p - lane.seq.schedule.base()] as usize;
+        let lane_spans = lane.seq.txn_spans();
+        spans.extend(lane_spans.map(|(first, last)| (at(first), last.map(at))));
+    }
+    spans.sort_unstable();
+    let (mut hi, mut frontier) = (base, base);
+    for (first, last) in spans {
+        if hi == first {
+            frontier = first;
+        }
+        let Some(last) = last else {
+            return frontier;
+        };
+        hi = hi.max(last + 1);
+    }
+    hi
+}
+
+/// A value on cache lines of its own.
+#[derive(Debug, Default)]
+#[repr(align(128))]
+struct Padded<T>(T);
 
 /// Spin with bounded exponential backoff, then yield: shard turns are
 /// short, so the first probes re-check almost immediately, but each
@@ -624,6 +818,14 @@ pub struct ShardedMonitor {
     /// ticket turnstiles, so a retraction's exact floor recompute can
     /// never be clobbered by a stale in-flight `fetch_max`.
     inflight: AtomicU32,
+    /// Lane mode (see the module docs): set until the first spanning
+    /// run on a monitor whose scopes are pairwise disjoint and that
+    /// keeps no journal of either kind. Only a hint for which path a
+    /// push takes: whether a conjunct's lane is there, read under its
+    /// lock, decides.
+    lanes: AtomicBool,
+    /// The next position lane mode hands out.
+    next_pos: Padded<AtomicUsize>,
     /// Journal pushes for retraction?
     logging: bool,
     /// Measure time spent inside the order-claiming mutex?
@@ -649,6 +851,7 @@ impl ShardedMonitor {
         let n = scopes.len();
         let scope_index = ScopeIndex::new(&scopes);
         let disjoint = scope_index.disjoint();
+        let lanes = disjoint && !logging;
         ShardedMonitor {
             scope_index,
             scopes,
@@ -667,13 +870,21 @@ impl ShardedMonitor {
             shards: (0..n)
                 .map(|k| Shard {
                     serving: AtomicU32::new(0),
-                    state: RankedMutex::new(shard_rank(k), ShardState::conjunct(disjoint)),
+                    state: RankedMutex::new(
+                        shard_rank(k),
+                        Conjunct {
+                            stage: ShardState::conjunct(disjoint),
+                            lane: lanes.then(Box::default),
+                        },
+                    ),
                 })
                 .collect(),
             floor: AtomicU8::new(0),
             first_violation: AtomicU32::new(NO_POS),
             first_non_dr: AtomicU32::new(NO_POS),
             inflight: AtomicU32::new(0),
+            lanes: AtomicBool::new(lanes),
+            next_pos: Padded::default(),
             logging,
             time_serial: false,
             serial_ns: AtomicU64::new(0),
@@ -707,22 +918,33 @@ impl ShardedMonitor {
     /// single-writer monitor (see [`MonitorJournal`]). Attach before
     /// the first push; the builder style mirrors
     /// [`ShardedMonitor::with_serial_timing`].
-    pub fn with_journal(self, journal: Box<dyn MonitorJournal>) -> ShardedMonitor {
+    pub fn with_journal(mut self, journal: Box<dyn MonitorJournal>) -> ShardedMonitor {
+        debug_assert_eq!(self.len(), 0, "a journal attached after a push");
+        // A journal hears in claimed order, so the pipeline claims.
+        *self.lanes.get_mut() = false;
+        for shard in &mut self.shards {
+            shard.state.get_mut().lane = None;
+        }
         self.seq.lock().state.journal = Some(journal);
         self
     }
 
     /// Enable serial-stage timing: every push accumulates the
-    /// nanoseconds it spent inside the order-claiming mutex, read back
-    /// by [`ShardedMonitor::serial_ns_per_op`]. Costs two clock reads
+    /// nanoseconds of its stage-1 section, read back by
+    /// [`ShardedMonitor::serial_ns_per_op`]. Through the pipeline that
+    /// is the time spent inside the order-claiming mutex; in lane mode,
+    /// which has no sequence section, it is the lane's stage-1 section
+    /// under its home shard's lock — the lane's `SeqState::apply` and
+    /// the `fetch_add` that claims the positions. Costs two clock reads
     /// per push — a measurement mode, not the deployment default.
     pub fn with_serial_timing(mut self) -> ShardedMonitor {
         self.time_serial = true;
         self
     }
 
-    /// Mean nanoseconds per push spent inside the order-claiming
-    /// mutex (0.0 unless built [`ShardedMonitor::with_serial_timing`]).
+    /// Mean nanoseconds per pushed operation spent in the stage-1
+    /// section (0.0 unless built [`ShardedMonitor::with_serial_timing`],
+    /// which says what that section is in either mode).
     pub fn serial_ns_per_op(&self) -> f64 {
         let ops = self.serial_ops.load(Ordering::Relaxed);
         if ops == 0 {
@@ -739,7 +961,33 @@ impl ShardedMonitor {
 
     /// Operations pushed so far.
     pub fn len(&self) -> usize {
-        self.seq.lock().state.schedule.len()
+        self.len_locked(&self.seq.lock())
+    }
+
+    /// [`ShardedMonitor::len`] under the held sequence lock, which keeps
+    /// lane mode from ending: in it, the positions handed out.
+    fn len_locked(&self, s: &Sequencer) -> usize {
+        match self.lanes.load(Ordering::Relaxed) {
+            true => self.next_pos.0.load(Ordering::Acquire),
+            false => s.state.schedule.len(),
+        }
+    }
+
+    /// Every shard's lock, taken in rank order: the lanes drained.
+    fn lock_shards(&self) -> Vec<RankedGuard<impl DerefMut<Target = Conjunct> + '_>> {
+        self.shards.iter().map(|shard| shard.state.lock()).collect()
+    }
+
+    /// The conjunct every operation of `ops` keeps to, if one does.
+    fn lane_of(&self, ops: &[Operation]) -> Option<u32> {
+        let mut lane = None;
+        for op in ops {
+            match *self.scope_index.of(op.item) {
+                [k] if lane.is_none_or(|l| l == k) => lane = Some(k),
+                _ => return None,
+            }
+        }
+        lane
     }
 
     /// Has nothing been pushed yet?
@@ -820,22 +1068,35 @@ impl ShardedMonitor {
         Ok(outcomes)
     }
 
-    /// The admission pipeline for one transaction's nonempty run,
-    /// filling `outcomes[i]` for `ops[i]`: §2.2 validation, then
-    /// [`claim`](Self::claim) under the sequence lock, then
+    /// The admission of one transaction's nonempty run, filling
+    /// `outcomes[i]` for `ops[i]`: §2.2 validation, then in lane mode,
+    /// if the run and its transaction keep to one conjunct, the lane's
+    /// [`admit_in_lane`](Self::admit_in_lane); else, leaving lane mode if
+    /// it is on, [`claim`](Self::claim) under the sequence lock and
     /// [`serve`](Self::serve) with the lock released. `framed` says how
     /// a journal hears of it: as one `appended_batch`, or (a run of
     /// one from [`ShardedMonitor::push_outcome`]) as `appended`.
     fn admit(&self, ops: &[Operation], framed: bool, outcomes: &mut [PushOutcome]) -> Result<()> {
         let txn = ops[0].txn;
+        let lane = match self.lanes.load(Ordering::Relaxed) {
+            true => self.lane_of(ops),
+            false => None,
+        };
         // The whole run, atomically, outside the serial section. The
         // totals belong to this thread by the program-order contract,
         // so no ordering is lost by validating before the positions
         // are claimed.
-        self.totals.admit(txn, ops)?;
-        with_lane_scratch(|scratch| {
+        if let Some(k) = self.totals.admit(txn, ops, lane)? {
+            if let Some(admitted) = self.admit_in_lane(k as usize, ops, framed, outcomes) {
+                return admitted;
+            }
+        }
+        with_scratch(|scratch| {
             let claimed = {
                 let mut s = self.seq.lock();
+                if self.lanes.load(Ordering::Relaxed) && !s.state.is_summarized(txn) {
+                    self.leave_lanes(&mut s, scratch);
+                }
                 let existing = match s.state.slot(txn) {
                     Ok(existing) => existing,
                     Err(summarized) => {
@@ -856,18 +1117,111 @@ impl ShardedMonitor {
                 // drain only needs to know the pipeline has
                 // unpublished floors, not how many.
                 self.inflight.fetch_add(1, Ordering::AcqRel);
-                if let Some(t0) = t0 {
-                    self.serial_ns
-                        .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-                    self.serial_ops
-                        .fetch_add(ops.len() as u64, Ordering::Relaxed);
-                }
+                self.timed(t0, ops.len());
                 claimed
             };
             self.serve(ops, claimed, scratch, outcomes);
             self.inflight.fetch_sub(1, Ordering::AcqRel);
             Ok(())
         })
+    }
+
+    /// Count a stage-1 section that began at `t0` (if timed) and
+    /// admitted `ops` operations.
+    fn timed(&self, t0: Option<Instant>, ops: usize) {
+        if let Some(t0) = t0 {
+            self.serial_ns
+                .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
+            self.serial_ops.fetch_add(ops as u64, Ordering::Relaxed);
+        }
+    }
+
+    /// An admission in lane mode, into the lane of conjunct `k`, to
+    /// which the run and its transaction keep: under that shard's lock
+    /// alone, stage 1 on the lane's own state, one `fetch_add` on the
+    /// shared counter for the positions, then stage 3 at them, and the
+    /// floor published once the lock is released — no sequence lock, no
+    /// ticket, no turn. `None` if lane mode ended before the lock was
+    /// taken: the caller goes through the pipeline instead.
+    fn admit_in_lane(
+        &self,
+        k: usize,
+        ops: &[Operation],
+        framed: bool,
+        outcomes: &mut [PushOutcome],
+    ) -> Option<Result<()>> {
+        let txn = ops[0].txn;
+        let mut held = self.shards[k].state.lock();
+        let Conjunct { stage, lane } = &mut *held;
+        let lane = lane.as_mut()?;
+        let existing = match lane.seq.slot(txn) {
+            Ok(existing) => existing,
+            Err(summarized) => {
+                drop(held);
+                self.totals.forget(txn);
+                return Some(Err(summarized));
+            }
+        };
+        let p0 = with_scratch(|scratch| {
+            scratch.rf_slots.clear();
+            let t0 = self.time_serial.then(Instant::now);
+            let scopes = &self.scope_index;
+            let rf_slots = &mut scratch.rf_slots;
+            let (_, slot, _) = lane
+                .seq
+                .apply(scopes, ops, existing, false, framed, rf_slots);
+            // Claimed under the lock and filled before its release, so
+            // the lane holds its positions in order and a drain finds
+            // every claimed position filled.
+            let p0 = self.next_pos.0.fetch_add(ops.len(), Ordering::AcqRel);
+            lane.pos.extend((p0..p0 + ops.len()).map(|p| p as u32));
+            self.timed(t0, ops.len());
+            for (i, op) in ops.iter().enumerate() {
+                let p = OpIndex(p0 + i);
+                let (violated, non_dr) = self.stage_shard(stage, slot, op, rf_slots[i], p);
+                outcomes[i].caused_violation = violated;
+                outcomes[i].caused_non_dr = non_dr;
+            }
+            p0
+        });
+        drop(held);
+        self.publish(p0, true, outcomes);
+        Some(Ok(()))
+    }
+
+    /// End lane mode for good, under the held sequence lock: drain the
+    /// lanes by taking every shard's lock in rank order, take each lane
+    /// out and give its conjunct a fresh stage that keeps what the
+    /// swept prefix decided ([`ShardState::resume`]); then, with the
+    /// shard locks released, push the lanes' retained operations again
+    /// through [`claim`](Self::claim) and [`serve`](Self::serve), in
+    /// position order, into the stage-1 state of the whole order (which
+    /// stood empty at the sweeps' base), and carry their finished flags
+    /// over. A push that meets its lane gone goes through the pipeline,
+    /// behind this lock.
+    fn leave_lanes(&self, s: &mut Sequencer, scratch: &mut PushScratch) {
+        let base = s.state.schedule.base();
+        let (len, lanes): (usize, Vec<Box<Lane>>) = {
+            let mut held = self.lock_shards();
+            let len = self.len_locked(s);
+            self.lanes.store(false, Ordering::Relaxed);
+            let taken = held.iter_mut().map(|c| {
+                c.stage = c.stage.resume(base);
+                c.lane.take().expect("every lane is there in lane mode")
+            });
+            (len, taken.collect())
+        };
+        let refs: Vec<&Lane> = lanes.iter().map(|lane| &**lane).collect();
+        for (k, i) in in_position_order(&refs, base, len) {
+            let run = std::slice::from_ref(&lanes[k].seq.schedule.ops()[i]);
+            let existing = s.state.schedule.txn_slot(run[0].txn);
+            let claimed = self.claim(s, run, false, existing, scratch);
+            self.serve(run, claimed, scratch, &mut [PushOutcome::PENDING]);
+        }
+        for lane in &lanes {
+            s.state.finish_from(&lane.seq);
+        }
+        debug_assert_eq!(s.state.schedule.len(), len);
     }
 
     /// The first half of an admission, under the (held) sequence lock:
@@ -887,7 +1241,7 @@ impl ShardedMonitor {
         ops: &[Operation],
         framed: bool,
         existing: Option<usize>,
-        scratch: &mut LaneScratch,
+        scratch: &mut PushScratch,
     ) -> (usize, usize, Option<u32>) {
         scratch.turns.clear();
         scratch.rf_slots.clear();
@@ -907,7 +1261,7 @@ impl ShardedMonitor {
             let fv = self.first_violation.load(Ordering::Acquire);
             let fv = (fv != NO_POS).then_some(OpIndex(fv as usize));
             let homes = self.shards.iter();
-            let homes = homes.map(|shard| shard.state.lock().end_disjoint_phase());
+            let homes = homes.map(|shard| shard.state.lock().stage.end_disjoint_phase());
             let scopes = &self.scopes;
             self.gstate
                 .lock()
@@ -920,7 +1274,10 @@ impl ShardedMonitor {
                 *ticket = ticket.wrapping_add(1);
             }
         }
-        if s.state.in_disjoint_phase() {
+        let global = !s.state.in_disjoint_phase();
+        #[cfg(test)]
+        explore::claimed(global.then_some(ops.len()), scratch.turns.len());
+        if !global {
             return (p0, slot, None);
         }
         let g0 = s.gticket;
@@ -938,7 +1295,7 @@ impl ShardedMonitor {
         &self,
         ops: &[Operation],
         (p0, slot, g0): (usize, usize, Option<u32>),
-        scratch: &mut LaneScratch,
+        scratch: &mut PushScratch,
         outcomes: &mut [PushOutcome],
     ) {
         // --- stage 2: one global turn for the run -----------------------
@@ -979,7 +1336,7 @@ impl ShardedMonitor {
                     let i = i as usize;
                     let rf_slot = scratch.rf_slots[i];
                     let (violated, non_dr) =
-                        self.stage_shard(&mut sh, slot, &ops[i], rf_slot, OpIndex(p0 + i));
+                        self.stage_shard(&mut sh.stage, slot, &ops[i], rf_slot, OpIndex(p0 + i));
                     outcomes[i].caused_violation |= violated;
                     outcomes[i].caused_non_dr |= non_dr;
                 }
@@ -990,8 +1347,13 @@ impl ShardedMonitor {
             #[cfg(test)]
             explore::released(Some(k));
         }
+        self.publish(p0, g0.is_none(), outcomes);
+    }
 
-        // --- lock-free floor, per op in program order -------------------
+    /// The lock-free floor, per operation of the run at `p0` in program
+    /// order, each outcome given its position once the run's stages are
+    /// done; `disjoint` says no global graph is kept.
+    fn publish(&self, p0: usize, disjoint: bool, outcomes: &mut [PushOutcome]) {
         // The rung each operation's prefix holds, from the two position
         // mirrors as the run's own stages left them: a position up to
         // this one counts, a later one's never does. An earlier position
@@ -1010,7 +1372,7 @@ impl ShardedMonitor {
             let violated = fv <= p;
             // The disjoint phase: the global graph would be the shards'
             // disjoint union, cyclic exactly when one of them is.
-            outcome.caused_non_serializable |= g0.is_none() && violated;
+            outcome.caused_non_serializable |= disjoint && violated;
             let serializable = !outcome.caused_non_serializable;
             let mine = VerdictLevel::compose(serializable, fnd > p, !violated);
             if prev < mine as u8 {
@@ -1102,6 +1464,9 @@ impl ShardedMonitor {
     /// floor is already its length.
     pub fn checkpoint<I: IntoIterator<Item = TxnId>>(&self, live: I) -> usize {
         let mut s = self.seq.lock();
+        if self.lanes.load(Ordering::Relaxed) {
+            return self.len_locked(&s);
+        }
         self.drain(&s);
         let floor = live
             .into_iter()
@@ -1111,7 +1476,7 @@ impl ShardedMonitor {
         s.state.raise_floor(floor, |floor| {
             self.gstate.lock().raise_floor(floor);
             for shard in &self.shards {
-                shard.state.lock().raise_floor(floor);
+                shard.state.lock().stage.raise_floor(floor);
             }
         })
     }
@@ -1120,7 +1485,11 @@ impl ShardedMonitor {
     /// pushes are permanent (0 until a checkpoint raises it; equal to
     /// [`ShardedMonitor::len`] on an unlogged monitor).
     pub fn log_floor(&self) -> usize {
-        self.seq.lock().state.log.base()
+        let s = self.seq.lock();
+        match self.lanes.load(Ordering::Relaxed) {
+            true => self.len_locked(&s),
+            false => s.state.log.base(),
+        }
     }
 
     /// Declare `txn` finished: it will issue no further operations.
@@ -1152,7 +1521,9 @@ impl ShardedMonitor {
     /// Quiesces the pipeline for the duration (sequence mutex held,
     /// in-flight pushes drained), then walks the stages in lock-rank
     /// order — global, then each shard ascending — so the discipline
-    /// that rules out deadlock covers compaction too. Every verdict,
+    /// that rules out deadlock covers compaction too. In lane mode it
+    /// drains the lanes instead and sweeps each below one frontier (see
+    /// the module docs). Every verdict,
     /// certificate and [`PushOutcome`] after the call is
     /// byte-identical to an uncompacted twin's (pinned by
     /// `sharded_compaction_twin_parity` in `tests/sharded_props.rs`,
@@ -1163,15 +1534,18 @@ impl ShardedMonitor {
     /// [`CoreError::SummarizedTransaction`]: crate::error::CoreError::SummarizedTransaction
     pub fn compact(&self) -> CompactStats {
         let mut s = self.seq.lock();
+        if self.lanes.load(Ordering::Relaxed) {
+            return self.compact_lanes(&mut s);
+        }
         self.drain(&s);
-        self.totals.apply_finished(&mut s.state);
+        self.totals.apply_finished(|txn, _| s.state.finish(txn));
         s.state.compact(|s_cut, maps, summarized| {
             // Every graph is cut down in its own storage, through the
             // one pair of node tables this lock guards: global stage
             // first, then the conjunct shards in ascending rank.
             self.gstate.lock().compact(s_cut, maps);
             for shard in &self.shards {
-                shard.state.lock().compact(s_cut, maps);
+                shard.state.lock().stage.compact(s_cut, maps);
             }
             // The summarized transactions can never push again, so
             // their §2.2 totals are dead weight — reclaim them.
@@ -1179,6 +1553,69 @@ impl ShardedMonitor {
                 self.totals.forget(t);
             }
         })
+    }
+
+    /// [`ShardedMonitor::compact`] in lane mode, under the held sequence
+    /// lock: drain the lanes by taking every shard's lock in rank order,
+    /// hand each recorded finish to its transaction's lane (the home its
+    /// totals row names), compute one frontier over all lanes and sweep
+    /// each lane below it, stage 1 and its conjunct's graph together.
+    /// The transactions summarized join the one summarized set, of
+    /// which every lane then reads a fresh copy.
+    fn compact_lanes(&self, s: &mut Sequencer) -> CompactStats {
+        let mut held = self.lock_shards();
+        let base = s.state.schedule.base();
+        let frontier = self.lanes_frontier(s, &mut held);
+        if frontier <= base {
+            return CompactStats {
+                frontier: base,
+                ..CompactStats::default()
+            };
+        }
+        let mut summarized = Vec::new();
+        for c in &mut held {
+            let Conjunct { stage, lane } = &mut **c;
+            let lane = lane.as_mut().expect("lane mode");
+            let cut = lane.pos.partition_point(|&p| (p as usize) < frontier);
+            let swept = lane.seq.schedule.base() + cut;
+            lane.seq.compact_to(swept, false, |s_cut, maps, txns| {
+                stage.compact(s_cut, maps);
+                summarized.extend_from_slice(txns);
+            });
+            lane.pos.drain(..cut);
+        }
+        // Lane by lane, the ids would split and merge the set's ranges.
+        summarized.sort_unstable();
+        summarized.iter().for_each(|&t| self.totals.forget(t));
+        s.state.swept_to(frontier, &summarized);
+        for c in &mut held {
+            let lane = c.lane.as_mut().expect("lane mode");
+            lane.seq.share_summarized(&s.state);
+        }
+        CompactStats {
+            frontier,
+            ops_reclaimed: frontier - base,
+            txns_summarized: summarized.len(),
+        }
+    }
+
+    /// The compaction frontier in lane mode, under the held sequence
+    /// lock and every shard's (`held`): each recorded finish goes to its
+    /// transaction's lane, the home its totals row names (a transaction
+    /// with no row holds no position), then [`frontier_of`].
+    fn lanes_frontier<G: DerefMut<Target = Conjunct>>(
+        &self,
+        s: &Sequencer,
+        held: &mut [G],
+    ) -> usize {
+        self.totals.apply_finished(|txn, rows| {
+            let home = rows.get(&txn).map_or(NO_LANE, |row| row.home);
+            if let Some(lane) = held.get_mut(home as usize).and_then(|c| c.lane.as_mut()) {
+                lane.seq.finish(txn);
+            }
+        });
+        let lanes = held.iter().map(|c| c.lane.as_deref().expect("lane mode"));
+        frontier_of(&lanes.collect::<Vec<_>>(), s.state.schedule.base())
     }
 
     /// Compaction calls that actually advanced the frontier.
@@ -1214,7 +1651,8 @@ impl ShardedMonitor {
             + s.tickets.len() * size_of::<u32>();
         total += self.gstate.lock().resident_bytes();
         for shard in &self.shards {
-            total += shard.state.lock().resident_bytes();
+            let c = shard.state.lock();
+            total += c.stage.resident_bytes() + c.lane.as_deref().map_or(0, Lane::resident_bytes);
         }
         total + self.totals.resident_bytes()
     }
@@ -1232,7 +1670,7 @@ impl ShardedMonitor {
     /// thread's row under it).
     fn truncate_locked(&self, s: &mut Sequencer, n: usize, victim: Option<TxnId>) -> usize {
         assert!(self.logging, "truncate_to on an unlogged ShardedMonitor");
-        self.totals.apply_finished(&mut s.state);
+        self.totals.apply_finished(|txn, _| s.state.finish(txn));
         let mut g = self.gstate.lock();
         let undone = s.state.truncate(n, |u| {
             // Shards in reverse of push order, above the global stage's
@@ -1242,6 +1680,7 @@ impl ShardedMonitor {
                 shard
                     .state
                     .lock()
+                    .stage
                     .undo(u.slot, u.op.item, u.pos, u.new_slot);
             }
             g.undo(u.slot, u.op.item, u.pos, u.new_slot);
@@ -1282,7 +1721,7 @@ impl ShardedMonitor {
     fn firsts(&self) -> (Option<OpIndex>, Option<OpIndex>) {
         let (mut fv, mut homes) = (None, None);
         for shard in &self.shards {
-            let sh = shard.state.lock();
+            let sh = &shard.state.lock().stage;
             fv = earliest(fv, sh.graph.cyclic_at);
             homes = earliest(homes, sh.first_non_dr());
         }
@@ -1327,6 +1766,11 @@ impl ShardedMonitor {
     /// [`CoreError::SummarizedTransaction`]: crate::error::CoreError::SummarizedTransaction
     pub fn retract_txn(&self, txn: TxnId) -> Result<(usize, usize)> {
         let mut s = self.seq.lock();
+        if self.lanes.load(Ordering::Relaxed) && !s.state.is_summarized(txn) {
+            // Unlogged: what the schedule holds cannot be retracted, and
+            // the truncation below says so.
+            with_scratch(|scratch| self.leave_lanes(&mut s, scratch));
+        }
         let mut survivors = std::mem::take(&mut s.survivors);
         survivors.clear();
         let plan = s.state.retraction(&[txn], &mut survivors);
@@ -1344,7 +1788,7 @@ impl ShardedMonitor {
             // ticket claimed is served at once, the journals stay in
             // position order and the floor the truncation recomputed
             // stays exact.
-            with_lane_scratch(|scratch| {
+            with_scratch(|scratch| {
                 for op in &survivors {
                     let run = std::slice::from_ref(op);
                     let existing = s.state.schedule.txn_slot(op.txn);
@@ -1370,7 +1814,7 @@ impl ShardedMonitor {
     /// [`OnlineMonitor`](super::OnlineMonitor) fed the same
     /// interleaving.
     pub fn verdict(&self) -> Verdict {
-        let len = self.seq.lock().state.schedule.len();
+        let len = self.len();
         let g = self.gstate.lock();
         let (first_violation, homes) = self.firsts();
         g.verdict(len, first_violation, homes)
@@ -1379,7 +1823,7 @@ impl ShardedMonitor {
     /// Does the Lemma 2 certificate hold for conjunct `k` (module
     /// equivalence: the projection is still serializable)?
     pub fn lemma2_holds(&self, k: usize) -> bool {
-        self.shards[k].state.lock().graph.cyclic_at.is_none()
+        self.shards[k].state.lock().stage.graph.cyclic_at.is_none()
     }
 
     /// Does the Lemma 6 certificate hold for conjunct `k`?
@@ -1387,7 +1831,7 @@ impl ShardedMonitor {
         self.lemma2_holds(k) && {
             let g = self.gstate.lock();
             let home = self.shards[k].state.lock();
-            g.lemma6_clean(k, &home)
+            g.lemma6_clean(k, &home.stage)
         }
     }
 
@@ -1397,21 +1841,45 @@ impl ShardedMonitor {
     /// and exact at quiescence.
     pub fn conjunct_order(&self, k: usize) -> Option<Vec<TxnId>> {
         let s = self.seq.lock();
-        let shard = self.shards[k].state.lock();
-        shard.graph.order(s.state.schedule.txn_ids())
+        let c = self.shards[k].state.lock();
+        // A lane numbers its transactions' slots itself.
+        let seq = c.lane.as_ref().map_or(&s.state, |lane| &lane.seq);
+        c.stage.graph.order(seq.schedule.txn_ids())
     }
 
-    /// A snapshot of the certified interleaving so far.
+    /// A snapshot of the certified interleaving so far. In lane mode it
+    /// is the lanes' retained operations merged in position order,
+    /// built with the lanes drained; lane mode goes on.
     pub fn snapshot_schedule(&self) -> Schedule {
-        self.seq.lock().state.schedule.clone()
+        let s = self.seq.lock();
+        if !self.lanes.load(Ordering::Relaxed) {
+            return s.state.schedule.clone();
+        }
+        let held = self.lock_shards();
+        let lanes: Vec<&Lane> = held
+            .iter()
+            .map(|c| c.lane.as_deref().expect("lane mode"))
+            .collect();
+        let (base, len) = (s.state.schedule.base(), self.len_locked(&s));
+        let mut schedule = Schedule::starting_at(base);
+        for (k, i) in in_position_order(&lanes, base, len) {
+            let run = std::slice::from_ref(&lanes[k].seq.schedule.ops()[i]);
+            let existing = schedule.txn_slot(run[0].txn);
+            schedule.push_segment_unchecked(run, existing);
+        }
+        schedule
     }
 
-    /// Consume the monitor: the certified interleaving plus the final
+    /// Consume the monitor: the certified interleaving (in lane mode,
+    /// [`ShardedMonitor::snapshot_schedule`]'s merge) plus the final
     /// (exact — the monitor is owned, so necessarily quiescent)
     /// verdict.
     pub fn into_parts(self) -> (Schedule, Verdict) {
         let verdict = self.verdict();
-        (self.seq.into_inner().state.schedule, verdict)
+        match self.lanes.load(Ordering::Relaxed) {
+            true => (self.snapshot_schedule(), verdict),
+            false => (self.seq.into_inner().state.schedule, verdict),
+        }
     }
 }
 
@@ -1434,7 +1902,10 @@ impl ShardedMonitor {
     /// counts.
     pub(crate) fn compaction_frontier(&self) -> usize {
         let mut s = self.seq.lock();
-        self.totals.apply_finished(&mut s.state);
+        if self.lanes.load(Ordering::Relaxed) {
+            return self.lanes_frontier(&s, &mut self.lock_shards());
+        }
+        self.totals.apply_finished(|txn, _| s.state.finish(txn));
         s.state.frontier()
     }
 }
@@ -1741,13 +2212,25 @@ mod tests {
         assert_told_transactions_heal(scopes, two_disjoint_cycles(), AdmissionLevel::Serializable);
     }
 
+    /// Serial-stage timing in both modes: a lane-mode push times its
+    /// lane's stage-1 section under the home shard's lock, a push
+    /// through the pipeline its hold of the sequence mutex (the first
+    /// spanning run's push, T2's write of `d2`, included); every
+    /// operation counts once. An untimed monitor reads 0.
     #[test]
     fn serial_timing_accumulates() {
         let m = ShardedMonitor::new(example2_scopes()).with_serial_timing();
-        for op in example2_ops() {
-            m.push(op).unwrap();
+        let ops = example2_ops();
+        m.push(ops[0].clone()).unwrap();
+        assert!(m.lanes.load(Ordering::Relaxed), "lane mode");
+        let in_lanes = m.serial_ns.load(Ordering::Relaxed);
+        assert!(in_lanes > 0 && m.serial_ns_per_op() > 0.0);
+        for op in &ops[1..] {
+            m.push(op.clone()).unwrap();
         }
-        assert!(m.serial_ns_per_op() > 0.0);
+        assert!(!m.lanes.load(Ordering::Relaxed), "the pipeline");
+        assert!(m.serial_ns.load(Ordering::Relaxed) > in_lanes);
+        assert_eq!(m.serial_ops.load(Ordering::Relaxed), ops.len() as u64);
         let untimed = ShardedMonitor::new(example2_scopes());
         untimed.push(wr(1, 0, 1)).unwrap();
         assert_eq!(untimed.serial_ns_per_op(), 0.0);
@@ -1795,7 +2278,7 @@ mod tests {
         for shard in &m.shards {
             let sh = shard.state.lock();
             assert_eq!(
-                sh.log.count_front(|&pos| (pos as usize) < 30),
+                sh.stage.log.count_front(|&pos| (pos as usize) < 30),
                 0,
                 "below-floor shard deltas must be reclaimed"
             );

@@ -46,6 +46,19 @@
 //! driver passes state through. Only the pipeline's choice to skip
 //! stage 2's turn in the phase is its own.
 //!
+//! The same locality lets the pipeline keep stage 1 per conjunct in the
+//! phase (its *lane mode*, on a monitor with no journal): each conjunct
+//! then has a [`SeqState`] of its own, a lane, whose schedule holds the
+//! conjunct's operations — with its own positions and slots, which the
+//! conjunct stage keys its graph and marks by — while the one
+//! [`SeqState`] of the whole order holds none and keeps the summarized
+//! set and the sweep counts ([`SeqState::swept_to`]). A lane resolves
+//! every reads-from pair the whole order would, since a read and its
+//! writer share an item. Leaving lane mode pushes the lanes' retained
+//! operations again, in position order, into the whole order's state
+//! and fresh conjunct stages ([`ShardState::resume`]), before the first
+//! spanning run has [`GlobalState::build_graph`] build stage 2.
+//!
 //! Each part owns its undo journal (see [`undo`](super::undo)) and its
 //! `apply` / `undo` / `raise_floor` / `compact` / `resident_bytes`.
 //! Nothing here takes a lock, touches an atomic or knows a ticket: the
@@ -448,6 +461,17 @@ impl SeqState {
         frontier
     }
 
+    /// Per live transaction, in slot (first-appearance) order: the
+    /// position of its first operation and, if it was declared
+    /// finished, that of its last.
+    pub(super) fn txn_spans(&self) -> impl Iterator<Item = (usize, Option<usize>)> + '_ {
+        self.first_op.iter().enumerate().map(|(slot, &first)| {
+            let finished = self.finished.is_finished(slot);
+            let last = finished.then(|| self.schedule.slot_last_raw(slot) as usize);
+            (first as usize, last)
+        })
+    }
+
     /// Collapse the prefix below [`SeqState::frontier`] out of the
     /// schedule and the per-slot tables; if anything moved, hand
     /// `compact_rest` the summarized slot count, the sweep's node tables
@@ -457,7 +481,20 @@ impl SeqState {
         &mut self,
         compact_rest: impl FnOnce(usize, &mut NodeMaps, &[TxnId]),
     ) -> CompactStats {
-        let frontier = self.frontier();
+        self.compact_to(self.frontier(), true, compact_rest)
+    }
+
+    /// [`SeqState::compact`] to a `frontier` the driver computed: a
+    /// prefix of the permanent one that holds every operation of each
+    /// transaction it touches. `refuse`: this state's own summarized
+    /// set takes the summarized transactions (a lane's copy is
+    /// refreshed from the whole order's instead).
+    pub(super) fn compact_to(
+        &mut self,
+        frontier: usize,
+        refuse: bool,
+        compact_rest: impl FnOnce(usize, &mut NodeMaps, &[TxnId]),
+    ) -> CompactStats {
         let base = self.schedule.base();
         if frontier <= base {
             return CompactStats {
@@ -472,7 +509,7 @@ impl SeqState {
             home.drain(..s_cut);
         }
         self.finished.compact(s_cut);
-        for t in &summarized {
+        for t in summarized.iter().filter(|_| refuse) {
             self.summarized.insert(*t);
         }
         self.compactions += 1;
@@ -482,6 +519,42 @@ impl SeqState {
             frontier,
             ops_reclaimed: frontier - base,
             txns_summarized: s_cut,
+        }
+    }
+
+    /// Lane mode (see the `sharded` module) keeps each conjunct's
+    /// operations in a stage-1 state of its own, a *lane*; this state
+    /// then stands for the whole order and holds none of them. Count a
+    /// sweep of the lanes that moved the frontier of the whole order to
+    /// `frontier` and `summarized` the transactions given (ascending,
+    /// so that they join the set's ranges at its end); the schedule
+    /// restarts empty there.
+    pub(super) fn swept_to(&mut self, frontier: usize, summarized: &[TxnId]) {
+        debug_assert!(
+            self.schedule.ops().is_empty(),
+            "no operation outside the lanes"
+        );
+        summarized.iter().for_each(|&t| self.summarized.insert(t));
+        self.compactions += 1;
+        self.ops_reclaimed += (frontier - self.schedule.base()) as u64;
+        self.schedule = Schedule::starting_at(frontier);
+        self.log.reset(frontier);
+    }
+
+    /// Refresh a lane's copy of the summarized set from `whole`, the
+    /// state that stands for the whole order, so that a transaction
+    /// summarized in any lane is refused in every lane.
+    pub(super) fn share_summarized(&mut self, whole: &SeqState) {
+        self.summarized.clone_from(&whole.summarized);
+    }
+
+    /// Mark finished every transaction `lane` holds as finished: lane
+    /// mode ended and its operations were pushed again here.
+    pub(super) fn finish_from(&mut self, lane: &SeqState) {
+        for (slot, &txn) in lane.schedule.txn_ids().iter().enumerate() {
+            if lane.finished.is_finished(slot) {
+                self.finish(txn);
+            }
         }
     }
 
@@ -810,6 +883,20 @@ impl ShardState {
             keeps_marks: disjoint,
             ..ShardState::default()
         }
+    }
+
+    /// A fresh stage for this conjunct in the disjoint phase, to push
+    /// the retained schedule from `base` into again: it keeps only
+    /// what the summarized prefix below `base` decided for good — a
+    /// cycle closed there (the graph starts frozen) and the first
+    /// non-DR position — as [`GlobalState::build_graph`] does for the
+    /// global graph, by the same lemma.
+    pub(super) fn resume(&self, base: usize) -> ShardState {
+        let below = |q: Option<OpIndex>| q.filter(|q| q.0 < base);
+        let mut fresh = ShardState::conjunct(true);
+        fresh.graph.cyclic_at = below(self.graph.cyclic_at);
+        fresh.first_non_dr = below(self.first_non_dr);
+        fresh
     }
 
     /// Stage 3: the conjunct's conflict graph for the operation at

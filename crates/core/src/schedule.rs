@@ -85,6 +85,15 @@ impl Schedule {
         }
     }
 
+    /// An empty schedule whose first position is `base`: what is left
+    /// of one whose first `base` operations were compacted away.
+    pub(crate) fn starting_at(base: usize) -> Schedule {
+        Schedule {
+            base,
+            ..Schedule::default()
+        }
+    }
+
     /// Append a contiguous **segment** of operations, all from one
     /// transaction, paying the positional-table bookkeeping once for
     /// the whole run instead of per operation — the monitors' only

@@ -520,6 +520,46 @@ pub fn check_against_oracles(s: &Schedule, scopes: &[ItemSet], m: &ShardedMonito
     check_lemmas_and_orders(s, scopes, &state)
 }
 
+/// The breach flags of pushes that recorded `ops` (`out[p]` for the
+/// operation at `p`), against the single writer's refusal on the prefix
+/// before each: the `Pwsr` and `PwsrDr` flags equal it, and a
+/// `Serializable` breach comes only with a refusal. A refusal without
+/// that breach — a miss — is allowed only before `phase_end`, the first
+/// position of the first spanning run, after a conjunct cycle whose
+/// closing push was told (see `PushOutcome`'s docs). `caused_non_dr`
+/// is also held to the prefix itself, which shares no code with the
+/// stages: another transaction read from the pushing one while it ran.
+pub fn check_flags(
+    scopes: &[ItemSet],
+    ops: &[Operation],
+    out: &[PushOutcome],
+    phase_end: usize,
+) -> Result<(), String> {
+    let mut single = OnlineMonitor::new(scopes.to_vec());
+    for (p, (op, o)) in ops.iter().zip(out).enumerate() {
+        let refused = |l| !single.admits(op.txn, op.item, op.is_write(), l);
+        let flags = |l| (o.breaches(l), refused(l));
+        let pwsr = [AdmissionLevel::Pwsr, AdmissionLevel::PwsrDr].map(flags);
+        let (breach, refusal) = flags(AdmissionLevel::Serializable);
+        let fv = single.verdict().first_violation;
+        let told = p < phase_end && fv.is_some_and(|q| out[q.0].caused_violation);
+        let wrong = if pwsr.iter().any(|(b, r)| b != r) {
+            "a PWSR flag differs from the single writer's refusal"
+        } else if o.caused_non_dr != read_while_running(&ops[..p], op.txn) {
+            "caused_non_dr differs from the prefix's dirty reads"
+        } else if breach && !refusal {
+            "a Serializable breach where the single writer admits"
+        } else if refusal && !breach && !told {
+            "a Serializable refusal the push was not told of"
+        } else {
+            single.push(op.clone()).expect("recorded schedule is valid");
+            continue;
+        };
+        return Err(format!("{wrong} at p@{p}: {o:?}"));
+    }
+    Ok(())
+}
+
 /// Per conjunct of a driver that recorded `s`: its Lemma 2 certificate
 /// is the projection's serializability; the order it offers passes
 /// [`verify`] on its live tail, and under that order the tail passes

@@ -13,15 +13,18 @@
 mod common;
 
 use common::{
-    arb_workload, batch_verdicts, check_against_oracles, check_pushes, interleaved_runs, Trail,
+    arb_transactions, arb_workload, batch_verdicts, check_against_oracles, check_flags,
+    check_pushes, interleaved_runs, Trail,
 };
+use proptest::collection::vec;
 use proptest::prelude::*;
 use pwsr_core::ids::{ItemId, TxnId};
-use pwsr_core::monitor::sharded::ShardedMonitor;
-use pwsr_core::monitor::VerdictLevel;
+use pwsr_core::monitor::sharded::{PushOutcome, ShardedMonitor};
+use pwsr_core::monitor::{CompactStats, OnlineMonitor, VerdictLevel};
 use pwsr_core::op::Operation;
 use pwsr_core::schedule::Schedule;
 use pwsr_core::state::ItemSet;
+use pwsr_core::txn::Transaction;
 use pwsr_core::value::Value;
 
 proptest! {
@@ -87,6 +90,140 @@ proptest! {
             sharded.push(op.clone()).expect("valid");
         }
         check_against_oracles(&schedule, &scopes, &sharded)?;
+    }
+}
+
+/// Transaction `j` of `txns`, moved onto lane `k`: its items shifted
+/// into conjunct `k` (four items each), its id made the lane's own.
+fn on_lane(k: u32, txns: &[Transaction]) -> Vec<Transaction> {
+    let on = |j: usize, t: &Transaction| {
+        let txn = TxnId(1 + k + LANES * j as u32);
+        let item = |o: &Operation| ItemId(4 * k + o.item.0);
+        let op = |o: &Operation| Operation {
+            txn,
+            item: item(o),
+            ..o.clone()
+        };
+        Transaction::new(txn, t.ops().iter().map(op).collect()).expect("respects §2.2")
+    };
+    txns.iter().enumerate().map(|(j, t)| on(j, t)).collect()
+}
+
+/// What one pushing thread saw: each operation with its outcome, in push
+/// order, and what each of its sweeps reported.
+type Pushed = (Vec<(Operation, PushOutcome)>, Vec<CompactStats>);
+
+/// Push `runs` in order, declaring each transaction finished after its
+/// last run and sweeping after every `stride`-th finish.
+fn push_runs(m: &ShardedMonitor, runs: &[Vec<Operation>], stride: usize) -> Pushed {
+    let (mut pushed, mut sweeps, mut finished) = (Vec::new(), Vec::new(), 0);
+    for (r, run) in runs.iter().enumerate() {
+        let out = m.push_batch(run).expect("§2.2-valid");
+        pushed.extend(run.iter().cloned().zip(out));
+        let txn = run[0].txn;
+        if runs[r + 1..].iter().all(|later| later[0].txn != txn) {
+            m.finish_txn(txn);
+            finished += 1;
+            if finished % stride == 0 {
+                sweeps.push(m.compact());
+            }
+        }
+    }
+    (pushed, sweeps)
+}
+
+proptest! {
+    /// Lane mode on real threads. A monitor without journals, on two
+    /// disjoint conjuncts, starts in lane mode: each lane's thread
+    /// pushes runs of its own transactions — interleaved, so a lane sees
+    /// dirty reads and cycles — finishes them and sweeps every `stride`
+    /// finishes. Then transaction S, whose first run went to conjunct 0
+    /// before the threads started, pushes a run into conjunct 1: the
+    /// first spanning run, known as one by S's totals row alone. It
+    /// ends lane mode and the threads push their second halves through
+    /// the pipeline. Then the positions are `0..len`, and increase
+    /// within each conjunct; every outcome's flags are what the single
+    /// writer's probes give its prefix (`common::check_flags`), its
+    /// floor is no better than its own flags say; the verdict, the
+    /// certificates and the orders pass the oracles, and equal a replay
+    /// of the schedule, which `snapshot_schedule` holds from its base;
+    /// and `ops_reclaimed` counts what every sweep of both modes
+    /// reported, the whole stream once a last sweep has run.
+    #[test]
+    fn lane_mode_runs_then_a_spanning_run_match_the_single_writer(
+        txns in vec(arb_transactions(6, 4), LANES as usize),
+        sizes in vec(any::<u8>(), 0..32),
+        mix in vec(any::<u8>(), 0..32),
+        stride in 1usize..4,
+    ) {
+        let scopes = lane_scopes();
+        let m = ShardedMonitor::new(scopes.clone());
+        let lanes: Vec<_> = (0..LANES).map(|k| on_lane(k, &txns[k as usize])).collect();
+        let half = |k: usize, second: bool| {
+            let (first, rest) = lanes[k].split_at(3);
+            interleaved_runs(if second { rest } else { first }, &sizes, &mix)
+        };
+        let s = TxnId(999);
+        let span = [
+            Operation::read(s, ItemId(0), Value::Int(0)),
+            Operation::write(s, ItemId(4), Value::Int(9)),
+        ];
+        let phase = |second: bool| -> Vec<Pushed> {
+            std::thread::scope(|scope| {
+                let threads: Vec<_> = (0..LANES as usize)
+                    .map(|k| {
+                        let (m, runs) = (&m, half(k, second));
+                        scope.spawn(move || push_runs(m, &runs, stride))
+                    })
+                    .collect();
+                threads.into_iter().map(|t| t.join().expect("no panic")).collect()
+            })
+        };
+        let mut pushed = vec![(span[0].clone(), m.push_outcome(span[0].clone()).expect("valid"))];
+        let mut lanes_pushed = phase(false);
+        let swept: u64 = lanes_pushed.iter().flat_map(|l| &l.1).map(|c| c.ops_reclaimed as u64).sum();
+        prop_assert_eq!(m.ops_reclaimed(), swept, "lane-mode sweeps");
+        let spanning = m.push_outcome(span[1].clone()).expect("valid");
+        pushed.push((span[1].clone(), spanning));
+        lanes_pushed.extend(phase(true));
+        m.finish_txn(s);
+        let last = m.compact();
+
+        for (k, (lane, _)) in lanes_pushed.iter().enumerate() {
+            let at: Vec<usize> = lane.iter().map(|(_, o)| o.pos.0).collect();
+            prop_assert!(at.is_sorted(), "positions in conjunct {} out of order: {:?}", k % 2, at);
+            pushed.extend(lane.iter().cloned());
+        }
+        pushed.sort_by_key(|(_, o)| o.pos);
+        let (ops, out): (Vec<_>, Vec<_>) = pushed.into_iter().unzip();
+        prop_assert!(out.iter().enumerate().all(|(p, o)| o.pos.0 == p), "positions not 0..len");
+        let schedule = Schedule::new(ops.clone()).expect("each transaction in program order");
+        let phase_end = spanning.pos.0;
+        check_flags(&scopes, &ops, &out, phase_end).map_err(TestCaseError::fail)?;
+        for o in &out {
+            let own = match (o.caused_violation, o.caused_non_serializable, o.caused_non_dr) {
+                (true, _, _) => VerdictLevel::Violation,
+                (false, true, true) => VerdictLevel::Pwsr,
+                (false, true, false) => VerdictLevel::DrPreserving,
+                (false, false, _) => VerdictLevel::Serializable,
+            };
+            prop_assert!(o.floor >= own, "floor better than its own flags: {:?}", o);
+        }
+        check_against_oracles(&schedule, &scopes, &m)?;
+        let mut replay = OnlineMonitor::new(scopes.clone());
+        for op in schedule.ops() {
+            replay.push(op.clone()).expect("valid");
+        }
+        prop_assert_eq!(m.verdict(), replay.verdict(), "replay");
+        prop_assert_eq!(m.floor(), replay.verdict().level, "floor at rest");
+        let tail = m.snapshot_schedule();
+        prop_assert_eq!(tail.ops(), &schedule.ops()[tail.base()..], "snapshot");
+        let sweeps = lanes_pushed.iter().flat_map(|l| &l.1).chain([&last]);
+        let (moved, reclaimed) = sweeps.fold((0, 0), |(n, ops), c| {
+            (n + u64::from(c.ops_reclaimed > 0), ops + c.ops_reclaimed as u64)
+        });
+        prop_assert_eq!((m.compactions(), m.ops_reclaimed()), (moved, reclaimed), "sweeps");
+        prop_assert_eq!(m.ops_reclaimed(), schedule.len() as u64, "the last sweep");
     }
 }
 
