@@ -76,12 +76,12 @@ pub(super) fn lock(rank: u32) {
     pwsr_turns::lock(rank.into(), Site::Lock(rank));
 }
 
-/// Hook: a run claimed `global` global tickets (none in the disjoint
-/// phase) and `shard` shard tickets.
-pub(super) fn claimed(global: Option<usize>, shard: usize) {
+/// Hook: a run claimed `global` global tickets and `shard` shard
+/// tickets.
+pub(super) fn claimed(global: usize, shard: usize) {
     COUNTS.with(|c| {
         let mut c = c.borrow_mut();
-        c.global_tickets += global.unwrap_or(0);
+        c.global_tickets += global;
         c.shard_tickets += shard;
     });
 }
@@ -192,9 +192,10 @@ fn at_rest(m: &ShardedMonitor) -> Result<(), String> {
 /// finished. `sweeper` adds a worker that checkpoints past the aborting
 /// transactions and then compacts; `reader` one that asks every
 /// quiescent reader. The monitor keeps a journal, the oracles' record
-/// of the schedule, unless `lanes` is set (and nothing aborts): it then
-/// runs in lane mode until the first spanning run, and the schedule is
-/// read off the pushes' positions.
+/// of the schedule, and with it the pipeline from its first push,
+/// unless `lanes` is set (and nothing aborts): it then runs in lane
+/// mode until the first spanning run, and the schedule is read off the
+/// pushes' positions.
 #[derive(Default)]
 struct Case {
     scopes: Vec<ItemSet>,
@@ -317,9 +318,9 @@ fn run_case(case: &Case, picks: &mut dyn Pick<usize>) -> Result<Ran, String> {
 /// - *breach flags*, without retractions: at each position the `Pwsr`
 ///   and `PwsrDr` flags equal the single writer's refusal on the prefix
 ///   before it, and a `Serializable` breach comes only with a refusal.
-///   A refusal without that breach — a miss — is allowed only in the
-///   disjoint phase, after a conjunct cycle whose closing push was
-///   told.
+///   A refusal without that breach — a miss — is allowed only in lane
+///   mode, after a conjunct cycle whose closing push was told; the
+///   pipeline's flags are exact.
 fn check(case: &Case, m: &ShardedMonitor, s: &Schedule, out: &[PushOutcome]) -> Result<(), String> {
     let survivors = || case.txns.iter().filter(|t| !bit(case.abort, t.id()));
     if s.len() != survivors().map(Transaction::len).sum::<usize>()
@@ -335,23 +336,24 @@ fn check(case: &Case, m: &ShardedMonitor, s: &Schedule, out: &[PushOutcome]) -> 
     if case.abort != 0 {
         return Ok(());
     }
-    // The disjoint phase ends at the run holding the first operation
-    // that makes its transaction span: two scopes, or none.
+    // Lane mode ends at the run holding the first operation that makes
+    // its transaction span: two scopes, or none. It never starts on
+    // overlapping scopes or with a journal.
     let (index, ops) = (ScopeIndex::new(&case.scopes), s.ops());
     let mut home = std::collections::HashMap::new();
     let spans = |op: &Operation| match *index.of(op.item) {
         [k] => *home.entry(op.txn).or_insert(k) != k,
         _ => true,
     };
-    let phase_end = match ops.iter().position(spans) {
-        _ if !index.disjoint() => 0,
+    let lanes_end = match ops.iter().position(spans) {
+        _ if !case.lanes || !index.disjoint() => 0,
         None => ops.len(),
         Some(p) if bit(case.batch, ops[p].txn) => {
             ops.iter().position(|o| o.txn == ops[p].txn).unwrap_or(p)
         }
         Some(p) => p,
     };
-    check_flags(&case.scopes, ops, out, phase_end).map_err(|e| format!("{e}\n{s}"))
+    check_flags(&case.scopes, ops, out, lanes_end).map_err(|e| format!("{e}\n{s}"))
 }
 
 /// A seeded draw (splitmix64).
@@ -409,7 +411,10 @@ fn case(scopes: Vec<ItemSet>, ops: Vec<Vec<Operation>>) -> Case {
 /// conjunct 0 — one ranked lock each, no turn — every schedule, then
 /// with a reader, sampled. A position claimed before the lock is taken
 /// can reach the lane out of position order, which the conjunct order
-/// then betrays.
+/// then betrays. Then, every schedule, T1's write of `d0` pushed first
+/// and its write of `d1` racing T2's read of `d0`: read first, the
+/// lane's conjunct stage marks T1, and T1's next write, in the same
+/// lane, materializes the dirty read there.
 #[test]
 fn explore_two_pushers_in_one_lane() {
     let mut c = case(
@@ -420,6 +425,12 @@ fn explore_two_pushers_in_one_lane() {
     assert_eq!(explore_all(&c), 6);
     c.reader = true;
     sample(&c, 0..300);
+    let mut c = case(
+        example2_scopes(),
+        vec![vec![wr(1, 0, 1), wr(1, 1, 1)], vec![rd(2, 0, 1)]],
+    );
+    (c.lead, c.lanes) = (vec![wr(1, 0, 1)], true);
+    assert_eq!(explore_all(&c), 6);
 }
 
 /// Lane mode, every schedule: two pushers on two conjuncts and a
@@ -451,7 +462,7 @@ fn explore_the_first_spanning_run_against_a_lane_push_and_a_sweep() {
         vec![vec![wr(1, 0, 1), wr(1, 2, 1)], vec![rd(2, 0, 1)]],
     );
     (c.lead, c.lanes) = (vec![wr(1, 0, 1)], true);
-    assert_eq!(explore_all(&c), 3786);
+    assert_eq!(explore_all(&c), 3874);
     c.txns
         .push(Transaction::new(TxnId(3), vec![wr(3, 0, 5)]).expect("well-formed"));
     (c.lead, c.sweeper) = (vec![wr(3, 0, 5), wr(1, 0, 1)], true);
@@ -467,39 +478,48 @@ fn explore_the_first_spanning_run_against_a_lane_push_and_a_sweep() {
 }
 
 /// What a push takes, as the hooks count it. In lane mode: one ranked
-/// lock, its home shard's, and no ticket, singly or as a run. After
-/// the first spanning run: the sequence lock once and one global ticket
-/// per operation (beside the global lock and one lock and ticket per
-/// touched shard).
+/// lock, its home shard's, and no ticket, singly or as a run. Through
+/// the pipeline: the sequence lock once and one global ticket per
+/// operation, beside the global lock and one lock and ticket per
+/// touched shard. A monitor with a journal, or a logged one, takes the
+/// pipeline from its first push, on disjoint scopes too.
 #[test]
 fn a_push_takes_one_lock_in_lane_mode_and_the_pipeline_after() {
+    let through = |shards: &[usize], ops| Counts {
+        locks: [RANK_SEQ, RANK_GLOBAL]
+            .into_iter()
+            .chain(shards.iter().map(|&k| shard_rank(k)))
+            .map(|rank| (rank, 1))
+            .collect(),
+        global_tickets: ops,
+        shard_tickets: ops,
+    };
     let m = ShardedMonitor::new(example2_scopes());
-    let took = |run: &[Operation]| counted(|| m.push_batch(run).expect("well-formed")).1;
+    let took = |m: &ShardedMonitor, run: &[Operation]| {
+        counted(|| m.push_batch(run).expect("well-formed")).1
+    };
     let home = |k| Counts {
         locks: BTreeMap::from([(shard_rank(k), 1)]),
         ..Counts::default()
     };
-    assert_eq!(took(&[wr(1, 0, 1)]), home(0));
-    assert_eq!(took(&[wr(2, 2, 1)]), home(1));
-    assert_eq!(took(&[rd(3, 0, 1), rd(3, 1, 0)]), home(0));
-    took(&[wr(1, 2, 2)]);
-    let after = Counts {
-        locks: BTreeMap::from([
-            (RANK_SEQ, 1),
-            (RANK_GLOBAL, 1),
-            (shard_rank(0), 1),
-            (shard_rank(1), 1),
-        ]),
-        global_tickets: 2,
-        shard_tickets: 2,
-    };
-    assert_eq!(took(&[rd(4, 0, 1), wr(4, 2, 3)]), after);
+    assert_eq!(took(&m, &[wr(1, 0, 1)]), home(0));
+    assert_eq!(took(&m, &[wr(2, 2, 1)]), home(1));
+    assert_eq!(took(&m, &[rd(3, 0, 1), rd(3, 1, 0)]), home(0));
+    took(&m, &[wr(1, 2, 2)]);
+    assert_eq!(took(&m, &[rd(4, 0, 1), wr(4, 2, 3)]), through(&[0, 1], 2));
+    let journaled = ShardedMonitor::new(example2_scopes()).with_journal(Box::new(Trail::default()));
+    for m in [journaled, ShardedMonitor::new_logged(example2_scopes())] {
+        assert_eq!(took(&m, &[wr(1, 0, 1)]), through(&[0], 1));
+        assert_eq!(took(&m, &[wr(2, 2, 1)]), through(&[1], 1));
+        assert_eq!(took(&m, &[rd(3, 0, 1), rd(3, 1, 0)]), through(&[0], 2));
+    }
 }
 
 /// Two pushers of one operation each, every schedule: on one shard,
-/// and on two, where one item lies in both scopes and takes two shard
-/// turns. A serve that skips a turnstile leaves it behind its ticket,
-/// or deadlocks. The counts are those of the hand-over points.
+/// through the global turnstile and the shard's, and on two, where one
+/// item lies in both scopes and takes two shard turns. A serve that
+/// skips a turnstile leaves it behind its ticket, or deadlocks. The
+/// counts are those of the hand-over points.
 #[test]
 fn explore_two_pushers_through_the_turnstiles() {
     let scope = |items: [u32; 2]| items.map(ItemId).into_iter().collect();
@@ -507,7 +527,7 @@ fn explore_two_pushers_through_the_turnstiles() {
         vec![scope([0, 1])],
         vec![vec![wr(1, 0, 1)], vec![rd(2, 0, 1)]],
     );
-    assert_eq!(explore_all(&one_shard), 58);
+    assert_eq!(explore_all(&one_shard), 668);
     let scopes = vec![scope([0, 1]), scope([1, 2])];
     let two_shards = case(scopes, vec![vec![wr(1, 1, 1)], vec![wr(2, 2, 1)]]);
     assert_eq!(explore_all(&two_shards), 1948);
@@ -529,47 +549,13 @@ fn explore_the_lock_discipline_on_every_entry_point() {
     sample(&c, 0..500);
 }
 
-/// The end of the disjoint phase under a dirty read, every schedule:
-/// T1's write of `d0` is pushed first; then T1's write of `d2`, the
-/// first spanning run, races T2's read of `d0`, which leaves a mark on
-/// T1 in shard 0. Read first, the mark trips at the spanning push,
-/// which drains the read out of the pipeline and rebuilds it into the
-/// global stage; spanning first, the read takes the first global
-/// ticket after the drain. The count is that of the hand-over points.
-#[test]
-fn explore_the_first_spanning_run_against_a_dirty_read() {
-    let mut c = case(
-        example2_scopes(),
-        vec![vec![wr(1, 0, 1), wr(1, 2, 1)], vec![rd(2, 0, 1)]],
-    );
-    c.lead = vec![wr(1, 0, 1)];
-    assert_eq!(explore_all(&c), 771);
-}
-
-/// The same race with more around it, sampled: T3 reads T2's write
-/// while T2 may still run, T2 pushes as one run, and in the second
-/// half T2 retracts itself while a sweeper checkpoints and compacts.
-#[test]
-fn explore_the_transition_with_retractions_and_sweeps() {
-    let ops = vec![
-        vec![wr(1, 0, 1), wr(1, 2, 1)],
-        vec![rd(2, 0, 1), wr(2, 1, 2)],
-        vec![rd(3, 1, 2), wr(3, 0, 3)],
-    ];
-    let mut c = case(example2_scopes(), ops);
-    (c.lead, c.batch) = (vec![wr(1, 0, 1)], 0b010);
-    sample(&c, 0..300);
-    (c.abort, c.sweeper) = (0b010, true);
-    sample(&c, 300..600);
-}
-
 /// Regression: T3's push at p@2 waits in the window after its shard 0
 /// turn while T1's push at p@3 closes the `{d2}` cycle of
 /// `r1(d2) w2(d2) w3(d0) w1(d2)`. The prefix before p@2 is
 /// serializable, so T3 must not be told of a `Serializable` breach; it
 /// was while a push read the violation mirror after its global turn
 /// whatever position had closed the cycle, and would be again if the
-/// floor publication stopped filtering by position. Seed 81 reaches
+/// floor publication stopped filtering by position. Seed 64 reaches
 /// that window with the hand-over points as they stand, and the step
 /// list must show it did: a moved hook fails here rather than test
 /// nothing.
@@ -580,7 +566,7 @@ fn explore_a_later_cycle_is_not_an_earlier_push_breach() {
         vec![wr(2, 2, 2)],
         vec![wr(3, 0, 3)],
     ];
-    let ran = run_case(&case(example2_scopes(), ops), &mut seeded(81));
+    let ran = run_case(&case(example2_scopes(), ops), &mut seeded(64));
     let steps = ran.unwrap_or_else(|e| panic!("{e}")).steps;
     assert!(
         reaches_the_later_cycle_window(&steps),

@@ -23,11 +23,11 @@
 //!   global graph, under Pearce–Kelly incremental topological ordering
 //!   (`IncrementalDag`) — serializability and PWSR are certified (or
 //!   refuted, with the first offending prefix) the moment the closing
-//!   conflict edge arrives, classical SGT-style. The global graph is
-//!   kept only from the first transaction that spans two conjuncts (or
-//!   touches an item outside every scope): before it, with disjoint
-//!   scopes, it would be the conjunct graphs' disjoint union, so the
-//!   conjunct graphs decide serializability too;
+//!   conflict edge arrives, classical SGT-style. Only the pipeline's
+//!   lane mode leaves the global graph idle: while every transaction
+//!   keeps to one conjunct of pairwise disjoint scopes it would be the
+//!   conjunct graphs' disjoint union, so the conjunct graphs decide
+//!   serializability too;
 //! * the **delayed-read** status (Definition 5): a read records a
 //!   pending dirty-read mark on its reads-from writer; the writer's
 //!   next operation — the first prefix that is not DR — trips it;
@@ -498,21 +498,17 @@ impl ProjGraph {
     /// serialization order of the live tail, not necessarily the one a
     /// fresh rebuild would choose.
     ///
-    /// **Why the global graph can wait for a spanning transaction.**
-    /// Let the scopes be pairwise disjoint, and let every transaction
-    /// keep to the items of one scope, its home. A conflict joins two
-    /// accesses of one item, hence two transactions with the same home,
-    /// and conjunct `k`'s projection holds every operation of the
-    /// transactions homed at `k`. So the global reduced conflict graph
-    /// is the disjoint union of the conjunct graphs: it has a cycle
-    /// exactly when one of them has, its first cycle closes at the
-    /// first conjunct cycle, and the conjunct orders one after another
-    /// are a serialization order. A probe of an access that would span
-    /// can close no cycle either: its edges run into the accessing
-    /// transaction from another component, which that transaction does
-    /// not reach. This lemma and the one above are what
-    /// `GlobalState::build_graph` rests on: it replays only the
-    /// retained schedule, and freezes the graph where a summarized
+    /// **Why lane mode needs no global graph.** Let the scopes be
+    /// pairwise disjoint, and let every transaction keep to the items of
+    /// one scope, its home. A conflict joins two accesses of one item,
+    /// hence two transactions with the same home, and conjunct `k`'s
+    /// projection holds every operation of the transactions homed at
+    /// `k`. So the global reduced conflict graph is the disjoint union
+    /// of the conjunct graphs: it has a cycle exactly when one of them
+    /// has, and its first cycle closes at the first conjunct cycle. This
+    /// lemma and the one above are what lane mode's end
+    /// (`GlobalState::resume`) rests on: the global graph is built from
+    /// the retained operations alone, frozen where a summarized
     /// conjunct cycle closed.
     fn condense(&mut self, s_cut: usize, kept: &mut [bool], map: &mut [u32]) {
         debug_assert_eq!(kept.len(), self.dag.len());
@@ -772,11 +768,6 @@ pub struct OnlineMonitor {
     /// First prefix with a non-serializable conjunct projection: the
     /// minimum over the conjuncts' first cycles.
     first_violation: Option<OpIndex>,
-    /// The earliest of the conjuncts' own first non-DR positions, what
-    /// they keep in the disjoint phase; stage 2 keeps the first non-DR
-    /// prefix after it, and [`GlobalState::verdict`] picks between the
-    /// two.
-    first_non_dr: Option<OpIndex>,
     /// Per slot: the transaction's running §2.2 read/write totals.
     totals: Vec<TxnTotals>,
     /// Rows `totals` gave up (retraction, compaction), emptied and
@@ -793,16 +784,13 @@ impl OnlineMonitor {
     /// A monitor over explicit projection scopes.
     pub fn new(scopes: Vec<ItemSet>) -> OnlineMonitor {
         let n = scopes.len();
-        let scope_index = ScopeIndex::new(&scopes);
-        let disjoint = scope_index.disjoint();
         OnlineMonitor {
-            scope_index,
+            scope_index: ScopeIndex::new(&scopes),
             scopes,
-            seq: SeqState::new(disjoint),
-            global: GlobalState::new(disjoint),
-            conjuncts: vec![ShardState::conjunct(disjoint); n],
+            seq: SeqState::default(),
+            global: GlobalState::new(false),
+            conjuncts: vec![ShardState::default(); n],
             first_violation: None,
-            first_non_dr: None,
             totals: Vec::new(),
             spare_totals: Vec::new(),
             rf_slots: Vec::new(),
@@ -881,9 +869,9 @@ impl OnlineMonitor {
     /// The one admission path: validate the run against its
     /// transaction's totals, claim its segment (stage 1, which reports
     /// it to the journal — as one `appended_batch` when `framed`),
-    /// then take each operation through the global stage (not in the
-    /// disjoint phase) and the stage of every conjunct containing its
-    /// item — recording undo entries for all of it when `logged`.
+    /// then take each operation through the global stage and the stage
+    /// of every conjunct containing its item — recording undo entries
+    /// for all of it when `logged`.
     /// Returns the verdict after each operation.
     fn admit(&mut self, ops: &[Operation], logged: bool, framed: bool) -> Result<&[Verdict]> {
         self.verdicts.clear();
@@ -910,41 +898,21 @@ impl OnlineMonitor {
         }
         self.rf_slots.clear();
         let had_log = self.seq.log.len() > 0;
-        let (p0, slot, first_span) = self.seq.apply(
-            &self.scope_index,
-            ops,
-            existing,
-            logged,
-            framed,
-            &mut self.rf_slots,
-        );
-        if first_span {
-            let homes = self
-                .conjuncts
-                .iter_mut()
-                .map(ShardState::end_disjoint_phase);
-            let fv = self.first_violation;
-            self.global
-                .build_graph(&self.scopes, &self.seq, p0, fv, homes);
-        }
+        let (p0, slot) = self
+            .seq
+            .apply(ops, existing, logged, framed, &mut self.rf_slots);
         for (i, op) in ops.iter().enumerate() {
             let (p, rf_slot) = (OpIndex(p0 + i), self.rf_slots[i]);
             self.global
                 .apply(&self.scopes, slot, op, rf_slot, p, logged);
             for &k in self.scope_index.of(op.item) {
-                let (applied, dr) = self.conjuncts[k as usize].apply(slot, op, rf_slot, p, logged);
+                let (applied, _) = self.conjuncts[k as usize].apply(slot, op, rf_slot, p, logged);
                 if applied == Applied::Closed {
                     self.first_violation.get_or_insert(p);
                 }
-                if dr {
-                    self.first_non_dr.get_or_insert(p);
-                }
             }
-            self.verdicts.push(self.global.verdict(
-                p.0 + 1,
-                self.first_violation,
-                self.first_non_dr,
-            ));
+            let verdict = self.global.verdict(p.0 + 1, self.first_violation, None);
+            self.verdicts.push(verdict);
         }
         if !logged {
             // Stage 1 made the run permanent, and everything before it:
@@ -952,7 +920,7 @@ impl OnlineMonitor {
             let floor = self.log_floor();
             if had_log {
                 let graphs = self.conjuncts.iter_mut().chain(self.global.graph.as_mut());
-                graphs.for_each(|c| c.reset_log(floor));
+                graphs.for_each(|c| c.log.reset(floor));
             }
             self.global.log.reset(floor);
         }
@@ -970,7 +938,7 @@ impl OnlineMonitor {
         let undone = self.seq.truncate(n, |u| {
             // Reverse application order within the push.
             for &k in self.scope_index.of(u.op.item).iter().rev() {
-                self.conjuncts[k as usize].undo(u.slot, u.op.item, u.pos, u.new_slot);
+                self.conjuncts[k as usize].undo(u.slot, u.op.item, u.pos);
             }
             self.global.undo(u.slot, u.op.item, u.pos, u.new_slot);
             if u.new_slot {
@@ -980,12 +948,9 @@ impl OnlineMonitor {
             }
         });
         // Every conjunct that went cyclic at or after `n` is acyclic
-        // again, and the minimum over the others is unchanged; so for
-        // the conjuncts' first dirty reads.
-        for first in [&mut self.first_violation, &mut self.first_non_dr] {
-            if first.is_some_and(|p| p.0 >= n) {
-                *first = None;
-            }
+        // again, and the minimum over the others is unchanged.
+        if self.first_violation.is_some_and(|p| p.0 >= n) {
+            self.first_violation = None;
         }
         undone
     }
@@ -1162,14 +1127,13 @@ impl OnlineMonitor {
             item,
             is_write,
             level,
-            (&self.seq, &self.global, &self.conjuncts),
+            (&self.global, &self.conjuncts),
         )
     }
 
     /// The current verdict (what the last `push` returned).
     pub fn verdict(&self) -> Verdict {
-        self.global
-            .verdict(self.len(), self.first_violation, self.first_non_dr)
+        self.global.verdict(self.len(), self.first_violation, None)
     }
 
     /// The current prefix.
@@ -1199,19 +1163,9 @@ impl OnlineMonitor {
         self.conjuncts[k].graph.order(self.seq.schedule.txn_ids())
     }
 
-    /// The maintained global serialization order, or `None`. In the
-    /// disjoint phase, the conjunct orders one after another: every
-    /// transaction is in exactly one of them, and no conflict edge
-    /// joins two.
+    /// The maintained global serialization order, or `None`.
     pub fn serialization_order(&self) -> Option<Vec<TxnId>> {
-        let txns = self.seq.schedule.txn_ids();
-        match &self.global.graph {
-            Some(g) => g.graph.order(txns),
-            None => (0..self.conjuncts.len())
-                .map(|k| self.conjunct_order(k))
-                .collect::<Option<Vec<_>>>()
-                .map(|orders| orders.concat()),
-        }
+        self.global.order(self.seq.schedule.txn_ids())
     }
 
     /// Does the Lemma 2 certificate hold for conjunct `k`?

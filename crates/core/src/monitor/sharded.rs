@@ -27,7 +27,7 @@
 //! 1. **sequence** (one short mutex around `SeqState`): append the run
 //!    to the growing [`Schedule`], update the `last_write`/reads-from
 //!    entries, and claim *tickets* — one per operation for the global
-//!    stage once it is kept, and one per conjunct shard whose scope
+//!    stage, and one per conjunct shard whose scope
 //!    contains its item (looked up in the scopes' item → conjunct
 //!    index, built once at construction). This section is `O(words)`
 //!    with **no graph work and no §2.2 scans** — the per-transaction
@@ -37,27 +37,18 @@
 //!    program-order contract), so the order-claiming region is the
 //!    thinnest it can be. The durability journal hears of the run
 //!    here, which makes journal order claimed order.
-//! 2. **global** (ticketed, `GlobalState` behind its own lock), only
-//!    from the first run that spans two conjuncts (from the start, if
-//!    two scopes overlap): delayed-read tracking (Definition 5 marks,
-//!    the first-non-DR prefix, the per-conjunct Lemma-6 kills) and the
-//!    global reduced conflict graph under Pearce–Kelly. Before that run
-//!    — the disjoint phase — a push takes no global ticket and never
-//!    touches this stage: the graph would be the shards' disjoint
-//!    union, so the shards decide serializability, and each
-//!    transaction's delayed-read marks live in its home shard (see the
-//!    stage module's docs). The spanning run's claim drains the
-//!    pipeline under the sequence lock, as a truncation does, and has
-//!    this stage rebuild the graph and the marks from the retained
-//!    schedule, taking what a summarized prefix decided from the
-//!    shards. Tickets are served in claim order, so this state evolves
-//!    in exactly the claimed interleaving.
+//! 2. **global** (ticketed, `GlobalState` behind its own lock):
+//!    delayed-read tracking (Definition 5 marks, the first-non-DR
+//!    prefix, the per-conjunct Lemma-6 kills) and the global reduced
+//!    conflict graph under Pearce–Kelly, from the pipeline's first
+//!    push, as the single writer keeps them. Tickets are served in
+//!    claim order, so this state evolves in exactly the claimed
+//!    interleaving. Only lane mode leaves it idle.
 //! 3. **shards** (ticketed, one `ShardState` per conjunct behind its
-//!    own lock): each touched conjunct's reduced conflict graph and, in
-//!    the disjoint phase, the delayed-read marks of the transactions
-//!    homed in it. Operations on *different* conjuncts proceed through
-//!    different shards concurrently — this is where the parallelism
-//!    the single writer forfeits comes back.
+//!    own lock): each touched conjunct's reduced conflict graph.
+//!    Operations on *different* conjuncts proceed through different
+//!    shards concurrently — this is where the parallelism the single
+//!    writer forfeits comes back.
 //!
 //! Every stage sees its operations in claimed-position order, and the
 //! stage code is the single writer's, so each component's state
@@ -80,16 +71,19 @@
 //!
 //! On a monitor whose scopes are pairwise disjoint and that keeps no
 //! journal of either kind ([`ShardedMonitor::new`] without
-//! [`ShardedMonitor::with_journal`]), the disjoint phase runs without
-//! the pipeline. Each conjunct keeps a *lane* beside its shard state,
-//! behind the shard's lock: a stage-1 state of its own (schedule,
-//! reads-from, first positions, finished flags), whose positions and
-//! slots are the lane's, and where each of its retained operations
-//! stands in the whole order. In the phase every conflict, reads-from
-//! pair and delayed-read test stays inside one conjunct (the stage
-//! module's docs), so every merge of the lanes in position order is
-//! what the single writer would certify, and each lane's state is the
-//! single writer's restricted to the lane.
+//! [`ShardedMonitor::with_journal`]), every push runs without the
+//! pipeline until the first run that spans two conjuncts (or touches an
+//! item outside every scope): the disjoint phase. Each conjunct keeps a
+//! *lane* beside its shard state, behind the shard's lock: a stage-1
+//! state of its own (schedule, reads-from, first positions, finished
+//! flags), whose positions and slots are the lane's, and where each of
+//! its retained operations stands in the whole order. In the phase
+//! every conflict, reads-from pair and delayed-read test stays inside
+//! one conjunct (the stage module's docs), so every merge of the lanes
+//! in position order is what the single writer would certify, and each
+//! lane's state is the single writer's restricted to the lane. The
+//! shard state keeps the delayed-read marks of the lane's transactions,
+//! and the global stage stays idle: the shards decide serializability.
 //!
 //! - *A push.* It validates its §2.2 totals, takes its home shard's
 //!   lock, and there calls the lane's `SeqState::apply`, claims its
@@ -121,23 +115,25 @@
 //!   position order, drained, and stay in lane mode.
 //! - *Leaving lane mode* is for good. The first spanning run (or a
 //!   retraction) takes the sequence lock, drains the lanes, takes each
-//!   out and gives its conjunct a fresh shard state that keeps what the
-//!   summarized prefix decided for good — a cycle closed there and the
-//!   first non-DR position — as `GlobalState::build_graph` does for the
-//!   global graph. Then, still under the sequence lock, it pushes the
-//!   lanes' retained operations again, in position order, through
-//!   `claim` and `serve` into the stage-1 state of the whole order
-//!   (which stood empty at the sweeps' base), carries the finished
-//!   flags over, and claims its own run as the pipeline's first
-//!   spanning run. A lane push that finds its lane gone takes the
-//!   pipeline behind it.
+//!   out and gives the global stage and each conjunct's a fresh state
+//!   that keeps only what the summarized prefix decided for good: a
+//!   cycle closed there and, for the global stage, the first non-DR
+//!   position and the Lemma 6 kills. Then, still under the sequence
+//!   lock, it pushes the lanes' retained operations again, in position
+//!   order, through `claim` and `serve` into the stage-1 state of the
+//!   whole order (which stood empty at the sweeps' base) and every
+//!   other stage, carries the finished flags over, and claims its own
+//!   run as the pipeline's first spanning run. A lane push that finds
+//!   its lane gone takes the pipeline behind it.
 //! - *Who keeps the pipeline.* The optimistic executors' logged
 //!   monitors and every WAL-backed run need positions in journal order,
 //!   which the sequence lock gives. The threaded two-phase-locking
 //!   executor's monitor without a WAL runs in lane mode. Of the
 //!   benchmark's workloads, `stream_local` is the one that stays in
 //!   lane mode; `stream_cross` leaves it within eight transactions per
-//!   lane, and `occ_*` and `recover_replay` never enter it.
+//!   lane, and `occ_*` and `recover_replay` never enter it. Outside
+//!   lane mode there is no disjoint phase: the pipeline keeps every
+//!   stage from its first push.
 //!
 //! The verdict ladder is additionally mirrored into a **lock-free
 //! atomic floor** (`fetch_max` over the ladder rank, `fetch_min` over
@@ -169,8 +165,8 @@
 //! schedule) a closure that has each other stage undo its last entry.
 //! The turnstiles are left alone: drained, each serves its next ticket,
 //! and equality is all a turn compares. The global stage stays locked
-//! for the whole truncation (it undoes nothing in the disjoint phase);
-//! a shard is locked only while *its own* entries pop, so the cost is
+//! for the whole truncation; a shard is locked only while *its own*
+//! entries pop, so the cost is
 //! `O(ops undone)` counted per shard, not `O(schedule)`.
 //! [`ShardedMonitor::retract_txn`] is the abort primitive on top, and
 //! has the one shape retraction has under either driver: truncate to
@@ -209,9 +205,11 @@
 //! rules out deadlock by resource ordering. A lane-mode push takes one
 //! ranked lock, its home shard's, and holds nothing else. A lane-mode
 //! sweep, the merged snapshot and the end of lane mode hold the
-//! sequence lock and then every shard's lock at once, in rank order:
-//! that is the drain, since a lane push claims and fills its positions
-//! under its one lock. The sequence lock is what keeps lane mode from
+//! sequence lock and then every shard's lock at once, in rank order
+//! (the end of lane mode takes the global lock between them, to hand
+//! the global stage what the sweeps decided): that is the drain, since
+//! a lane push claims and fills its positions under its one lock. The
+//! sequence lock is what keeps lane mode from
 //! ending under a reader. Debug builds track held
 //! ranks per thread and assert the discipline on every acquisition
 //! (the private `lock_order` tracker), so a lock-order regression
@@ -225,7 +223,7 @@
 //! sequence mutex.
 
 use super::journal::MonitorJournal;
-use super::stages::{GlobalState, SeqState, ShardState, TxnTotals};
+use super::stages::{earliest, GlobalState, SeqState, ShardState, TxnTotals};
 use super::{AdmissionLevel, Applied, CompactStats, ScopeIndex, Verdict, VerdictLevel};
 use crate::error::Result;
 use crate::ids::{IdMap, OpIndex, TxnId};
@@ -241,11 +239,6 @@ use std::time::Instant;
 const NO_POS: u32 = u32::MAX;
 /// No conjunct: a home not drawn yet, or a position no lane holds.
 const NO_LANE: u32 = u32::MAX;
-
-/// The earlier of two optional positions.
-fn earliest(a: Option<OpIndex>, b: Option<OpIndex>) -> Option<OpIndex> {
-    a.into_iter().chain(b).min()
-}
 
 /// The pipeline explorer: threads run one at a time, handing over at
 /// the hook calls below (a ranked lock, an unserved turn, a turnstile
@@ -576,9 +569,9 @@ fn with_scratch<R>(f: impl FnOnce(&mut PushScratch) -> R) -> R {
 #[derive(Debug)]
 struct Sequencer {
     state: SeqState,
-    /// Next global-stage ticket (none is claimed in the disjoint
-    /// phase). Tickets are compared for equality only and all their
-    /// arithmetic wraps, so a stream may run past 2³² operations.
+    /// Next global-stage ticket. Tickets are compared for equality only
+    /// and all their arithmetic wraps, so a stream may run past 2³²
+    /// operations.
     gticket: u32,
     /// Next ticket per conjunct shard.
     tickets: Vec<u32>,
@@ -716,17 +709,17 @@ fn wait_turn(serving: &AtomicU32, ticket: u32) {
 ///   [`PushOutcome::breaches`] at `Pwsr` and `PwsrDr` — equal its
 ///   refusal on every push;
 /// - `caused_non_serializable` is never set on a push the single writer
-///   would admit. Once the global graph is kept it equals the refusal;
-///   in the disjoint phase it can **miss** a conjunct cycle that an
-///   earlier position closed while that position's shard stage was
-///   still pending. The miss is safe: the push that closed the cycle
-///   reported `caused_violation`.
+///   would admit. Through the pipeline it equals the refusal; in lane
+///   mode, where no global graph is kept, it can **miss** a conjunct
+///   cycle that an earlier position closed while that position's lane
+///   push was still pending. The miss is safe: the push that closed the
+///   cycle reported `caused_violation`.
 ///
 /// The `floor` composes the rung from the position mirrors as they
 /// stand once the push's own stages are done, counting only positions
-/// up to its own; like `caused_non_serializable` in the disjoint
-/// phase, it can miss what an earlier position still pending would
-/// add, never what a later one did.
+/// up to its own; like `caused_non_serializable` in lane mode, it can
+/// miss what an earlier position still pending would add, never what a
+/// later one did.
 ///
 /// An optimistic executor aborts the pushing transaction when its own
 /// operation breached the configured admission floor
@@ -740,9 +733,9 @@ pub struct PushOutcome {
     pub floor: VerdictLevel,
     /// The global conflict graph would not have admitted this push:
     /// it closed the first cycle, or the graph was already frozen. In
-    /// the disjoint phase, where no global graph is kept, it is set
-    /// when the violation mirror, read once this push's shard stages
-    /// are done, holds a conjunct cycle at or before its position:
+    /// lane mode, where no global graph is kept, it is set when the
+    /// violation mirror, read once this push's shard stage is done,
+    /// holds a conjunct cycle at or before its position:
     /// every global cycle is then a conjunct cycle, and an access in
     /// one conjunct cannot close a cycle in another, so
     /// [`PushOutcome::breaches`] at `Serializable` stays safe. A cycle
@@ -850,8 +843,7 @@ impl ShardedMonitor {
     fn build(scopes: Vec<ItemSet>, logging: bool) -> ShardedMonitor {
         let n = scopes.len();
         let scope_index = ScopeIndex::new(&scopes);
-        let disjoint = scope_index.disjoint();
-        let lanes = disjoint && !logging;
+        let lanes = scope_index.disjoint() && !logging;
         ShardedMonitor {
             scope_index,
             scopes,
@@ -859,21 +851,21 @@ impl ShardedMonitor {
             seq: RankedMutex::new(
                 RANK_SEQ,
                 Sequencer {
-                    state: SeqState::new(disjoint),
+                    state: SeqState::default(),
                     gticket: 0,
                     tickets: vec![0; n],
                     survivors: Vec::new(),
                 },
             ),
             gserving: AtomicU32::new(0),
-            gstate: RankedMutex::new(RANK_GLOBAL, GlobalState::new(disjoint)),
+            gstate: RankedMutex::new(RANK_GLOBAL, GlobalState::new(lanes)),
             shards: (0..n)
                 .map(|k| Shard {
                     serving: AtomicU32::new(0),
                     state: RankedMutex::new(
                         shard_rank(k),
                         Conjunct {
-                            stage: ShardState::conjunct(disjoint),
+                            stage: ShardState::conjunct(lanes),
                             lane: lanes.then(Box::default),
                         },
                     ),
@@ -920,10 +912,15 @@ impl ShardedMonitor {
     /// [`ShardedMonitor::with_serial_timing`].
     pub fn with_journal(mut self, journal: Box<dyn MonitorJournal>) -> ShardedMonitor {
         debug_assert_eq!(self.len(), 0, "a journal attached after a push");
-        // A journal hears in claimed order, so the pipeline claims.
+        // A journal hears in claimed order, so the pipeline claims,
+        // with every stage kept from the first push.
         *self.lanes.get_mut() = false;
+        *self.gstate.get_mut() = GlobalState::new(false);
         for shard in &mut self.shards {
-            shard.state.get_mut().lane = None;
+            *shard.state.get_mut() = Conjunct {
+                stage: ShardState::default(),
+                lane: None,
+            };
         }
         self.seq.lock().state.journal = Some(journal);
         self
@@ -1024,13 +1021,13 @@ impl ShardedMonitor {
     /// claims a contiguous segment of positions `[p0, p0 + k)` (a
     /// segment-reserved `Schedule` append) together with the whole
     /// run's global and per-shard tickets, one global-turnstile wait
-    /// plus one `gstate` lock for all `k` operations (none in the
-    /// disjoint phase), and one turnstile wait plus one lock per
-    /// **touched conjunct shard** rather than per operation. Ticket
+    /// plus one `gstate` lock for all `k` operations, and one turnstile
+    /// wait plus one lock per **touched conjunct shard** rather than
+    /// per operation (in lane mode, one lock in all). Ticket
     /// *numbering* is unchanged — every operation still owns one
-    /// global ticket (once the global stage is kept) and one ticket
-    /// per touched shard, claimed atomically in program order — so the
-    /// undo journals stay per-op LIFO and
+    /// global ticket and one ticket per touched shard, claimed
+    /// atomically in program order — so the undo journals stay per-op
+    /// LIFO and
     /// [`ShardedMonitor::truncate_to`] / [`ShardedMonitor::retract_txn`]
     /// retract batch-admitted operations individually, exactly as if
     /// they had been pushed one by one.
@@ -1165,11 +1162,8 @@ impl ShardedMonitor {
         let p0 = with_scratch(|scratch| {
             scratch.rf_slots.clear();
             let t0 = self.time_serial.then(Instant::now);
-            let scopes = &self.scope_index;
             let rf_slots = &mut scratch.rf_slots;
-            let (_, slot, _) = lane
-                .seq
-                .apply(scopes, ops, existing, false, framed, rf_slots);
+            let (_, slot) = lane.seq.apply(ops, existing, false, framed, rf_slots);
             // Claimed under the lock and filled before its release, so
             // the lane holds its positions in order and a drain finds
             // every claimed position filled.
@@ -1191,20 +1185,23 @@ impl ShardedMonitor {
 
     /// End lane mode for good, under the held sequence lock: drain the
     /// lanes by taking every shard's lock in rank order, take each lane
-    /// out and give its conjunct a fresh stage that keeps what the
-    /// swept prefix decided ([`ShardState::resume`]); then, with the
-    /// shard locks released, push the lanes' retained operations again
-    /// through [`claim`](Self::claim) and [`serve`](Self::serve), in
-    /// position order, into the stage-1 state of the whole order (which
-    /// stood empty at the sweeps' base), and carry their finished flags
-    /// over. A push that meets its lane gone goes through the pipeline,
-    /// behind this lock.
+    /// out and give the global stage ([`GlobalState::resume`]) and each
+    /// conjunct's ([`ShardState::resume`]) a fresh state that keeps what
+    /// the swept prefix decided; then, with the stage locks released,
+    /// push the lanes' retained operations again through
+    /// [`claim`](Self::claim) and [`serve`](Self::serve), in position
+    /// order, into the stage-1 state of the whole order (which stood
+    /// empty at the sweeps' base) and every other stage, and carry their
+    /// finished flags over. A push that meets its lane gone goes through
+    /// the pipeline, behind this lock.
     fn leave_lanes(&self, s: &mut Sequencer, scratch: &mut PushScratch) {
         let base = s.state.schedule.base();
         let (len, lanes): (usize, Vec<Box<Lane>>) = {
+            let mut g = self.gstate.lock();
             let mut held = self.lock_shards();
             let len = self.len_locked(s);
             self.lanes.store(false, Ordering::Relaxed);
+            g.resume(base, held.iter().map(|c| &c.stage));
             let taken = held.iter_mut().map(|c| {
                 c.stage = c.stage.resume(base);
                 c.lane.take().expect("every lane is there in lane mode")
@@ -1226,14 +1223,11 @@ impl ShardedMonitor {
 
     /// The first half of an admission, under the (held) sequence lock:
     /// claim the run's segment ([`SeqState::apply`], which journals it)
-    /// and with it, atomically and in program order, every per-shard
-    /// ticket and — once the global stage is kept — every global one.
-    /// `existing` is the transaction's slot as [`SeqState::slot`]
-    /// reports it. The first spanning run drains the pipeline here and
-    /// has the global stage build its state before it claims a ticket.
-    /// Leaves the claimed shard turns and the resolved reads-from slots
-    /// in `scratch`; returns the first position, the transaction's slot
-    /// and the first global ticket (`None` in the disjoint phase) —
+    /// and with it, atomically and in program order, every global and
+    /// per-shard ticket. `existing` is the transaction's slot as
+    /// [`SeqState::slot`] reports it. Leaves the claimed shard turns and
+    /// the resolved reads-from slots in `scratch`; returns the first
+    /// position, the transaction's slot and the first global ticket —
     /// what [`serve`](Self::serve) takes.
     fn claim(
         &self,
@@ -1242,31 +1236,11 @@ impl ShardedMonitor {
         framed: bool,
         existing: Option<usize>,
         scratch: &mut PushScratch,
-    ) -> (usize, usize, Option<u32>) {
+    ) -> (usize, usize, u32) {
         scratch.turns.clear();
         scratch.rf_slots.clear();
-        let (p0, slot, first_span) = s.state.apply(
-            &self.scope_index,
-            ops,
-            existing,
-            self.logging,
-            framed,
-            &mut scratch.rf_slots,
-        );
-        if first_span {
-            // Every earlier push leaves the pipeline first, so the
-            // global state is built over stage states that stand still,
-            // and the violation mirror is exact.
-            self.drain(s);
-            let fv = self.first_violation.load(Ordering::Acquire);
-            let fv = (fv != NO_POS).then_some(OpIndex(fv as usize));
-            let homes = self.shards.iter();
-            let homes = homes.map(|shard| shard.state.lock().stage.end_disjoint_phase());
-            let scopes = &self.scopes;
-            self.gstate
-                .lock()
-                .build_graph(scopes, &s.state, p0, fv, homes);
-        }
+        let rf_slots = &mut scratch.rf_slots;
+        let (p0, slot) = s.state.apply(ops, existing, self.logging, framed, rf_slots);
         for (i, op) in ops.iter().enumerate() {
             for &k in self.scope_index.of(op.item) {
                 let ticket = &mut s.tickets[k as usize];
@@ -1274,27 +1248,23 @@ impl ShardedMonitor {
                 *ticket = ticket.wrapping_add(1);
             }
         }
-        let global = !s.state.in_disjoint_phase();
         #[cfg(test)]
-        explore::claimed(global.then_some(ops.len()), scratch.turns.len());
-        if !global {
-            return (p0, slot, None);
-        }
+        explore::claimed(ops.len(), scratch.turns.len());
         let g0 = s.gticket;
         s.gticket = g0.wrapping_add(ops.len() as u32);
-        (p0, slot, Some(g0))
+        (p0, slot, g0)
     }
 
     /// The second half: take the claimed run through its global turn
-    /// (none in the disjoint phase) and one turn per touched shard,
-    /// then publish the lock-free floor, filling `outcomes`. Needs no
+    /// and one turn per touched shard, then publish the lock-free
+    /// floor, filling `outcomes`. Needs no
     /// sequence lock — an ordinary push has released it; a retraction
     /// re-pushing a survivor still holds it, drained, so every turn is
     /// already the caller's.
     fn serve(
         &self,
         ops: &[Operation],
-        (p0, slot, g0): (usize, usize, Option<u32>),
+        (p0, slot, g0): (usize, usize, u32),
         scratch: &mut PushScratch,
         outcomes: &mut [PushOutcome],
     ) {
@@ -1303,26 +1273,24 @@ impl ShardedMonitor {
         // lock hold, so each operation's snapshot is prefix-exact —
         // identical to singleton pushes — and so is the first-non-DR
         // mirror each later position reads.
-        if let Some(g0) = g0 {
-            wait_turn(&self.gserving, g0);
-            {
-                let mut g = self.gstate.lock();
-                for (i, op) in ops.iter().enumerate() {
-                    let p = OpIndex(p0 + i);
-                    let rf_slot = scratch.rf_slots[i];
-                    let caused_non_dr = g.apply(&self.scopes, slot, op, rf_slot, p, self.logging);
-                    if caused_non_dr {
-                        self.first_non_dr.fetch_min(p.0 as u32, Ordering::AcqRel);
-                    }
-                    outcomes[i].caused_non_serializable = g.serializable() == Some(false);
-                    outcomes[i].caused_non_dr = caused_non_dr;
+        wait_turn(&self.gserving, g0);
+        {
+            let mut g = self.gstate.lock();
+            for (i, op) in ops.iter().enumerate() {
+                let p = OpIndex(p0 + i);
+                let rf_slot = scratch.rf_slots[i];
+                let caused_non_dr = g.apply(&self.scopes, slot, op, rf_slot, p, self.logging);
+                if caused_non_dr {
+                    self.first_non_dr.fetch_min(p.0 as u32, Ordering::AcqRel);
                 }
+                outcomes[i].caused_non_serializable = g.serializable() == Some(false);
+                outcomes[i].caused_non_dr = caused_non_dr;
             }
-            self.gserving
-                .store(g0.wrapping_add(ops.len() as u32), Ordering::Release);
-            #[cfg(test)]
-            explore::released(None);
         }
+        self.gserving
+            .store(g0.wrapping_add(ops.len() as u32), Ordering::Release);
+        #[cfg(test)]
+        explore::released(None);
 
         // --- stage 3: one turn per touched shard ------------------------
         scratch.turns.sort_unstable();
@@ -1335,10 +1303,9 @@ impl ShardedMonitor {
                 for &(_, i, _) in turns {
                     let i = i as usize;
                     let rf_slot = scratch.rf_slots[i];
-                    let (violated, non_dr) =
+                    let (violated, _) =
                         self.stage_shard(&mut sh.stage, slot, &ops[i], rf_slot, OpIndex(p0 + i));
                     outcomes[i].caused_violation |= violated;
-                    outcomes[i].caused_non_dr |= non_dr;
                 }
             }
             shard
@@ -1347,13 +1314,13 @@ impl ShardedMonitor {
             #[cfg(test)]
             explore::released(Some(k));
         }
-        self.publish(p0, g0.is_none(), outcomes);
+        self.publish(p0, false, outcomes);
     }
 
     /// The lock-free floor, per operation of the run at `p0` in program
     /// order, each outcome given its position once the run's stages are
-    /// done; `disjoint` says no global graph is kept.
-    fn publish(&self, p0: usize, disjoint: bool, outcomes: &mut [PushOutcome]) {
+    /// done; `in_lane` says no global graph is kept.
+    fn publish(&self, p0: usize, in_lane: bool, outcomes: &mut [PushOutcome]) {
         // The rung each operation's prefix holds, from the two position
         // mirrors as the run's own stages left them: a position up to
         // this one counts, a later one's never does. An earlier position
@@ -1370,9 +1337,9 @@ impl ShardedMonitor {
             outcome.pos = OpIndex(p);
             let p = p as u32;
             let violated = fv <= p;
-            // The disjoint phase: the global graph would be the shards'
-            // disjoint union, cyclic exactly when one of them is.
-            outcome.caused_non_serializable |= disjoint && violated;
+            // Lane mode: the global graph would be the shards' disjoint
+            // union, cyclic exactly when one of them is.
+            outcome.caused_non_serializable |= in_lane && violated;
             let serializable = !outcome.caused_non_serializable;
             let mine = VerdictLevel::compose(serializable, fnd > p, !violated);
             if prev < mine as u8 {
@@ -1677,11 +1644,7 @@ impl ShardedMonitor {
             // rank.
             for &k in self.scope_index.of(u.op.item).iter().rev() {
                 let shard = &self.shards[k as usize];
-                shard
-                    .state
-                    .lock()
-                    .stage
-                    .undo(u.slot, u.op.item, u.pos, u.new_slot);
+                shard.state.lock().stage.undo(u.slot, u.op.item, u.pos);
             }
             g.undo(u.slot, u.op.item, u.pos, u.new_slot);
             // §2.2 totals (see the `victim` contract above).
@@ -1723,7 +1686,7 @@ impl ShardedMonitor {
         for shard in &self.shards {
             let sh = &shard.state.lock().stage;
             fv = earliest(fv, sh.graph.cyclic_at);
-            homes = earliest(homes, sh.first_non_dr());
+            homes = earliest(homes, sh.first_non_dr);
         }
         (fv, homes)
     }
@@ -2251,17 +2214,9 @@ mod tests {
     #[test]
     fn checkpoint_bounds_journals_to_the_live_suffix() {
         let m = ShardedMonitor::new_logged(example2_scopes());
-        // 30 settled single-op transactions, then one live straggler.
-        // The first two stay in one scope each: the disjoint phase, in
-        // which stage 2 journals nothing. The third writes an item
-        // outside every scope, so stage 2 rebuilds its state from the
-        // two before it, journaled, and journals every push after.
-        m.push(wr(10, 0, 1)).unwrap();
-        m.push(wr(11, 2, 1)).unwrap();
-        assert_eq!(m.gstate.lock().log.len(), 0);
-        m.push(wr(12, 5, 1)).unwrap();
-        assert_eq!(m.gstate.lock().log.len(), 3);
-        for k in 3..30u32 {
+        // 30 settled single-op transactions across both scopes, then
+        // one live straggler.
+        for k in 0..30u32 {
             m.push(wr(k + 10, k % 3, 1)).unwrap();
         }
         let live = TxnId(500);

@@ -10,54 +10,46 @@
 //! * [`SeqState`] — the growing [`Schedule`], the per-item latest
 //!   write (reads-from), each transaction's first position, the
 //!   finished flags and the summarized set: everything that *defines*
-//!   the total order — and, during the disjoint phase, each
-//!   transaction's home conjunct;
-//! * [`GlobalState`] — what needs the whole order once some
-//!   transaction has spanned two conjuncts: delayed-read marks
+//!   the total order;
+//! * [`GlobalState`] — what needs the whole order: delayed-read marks
 //!   (Definition 5), the first non-DR prefix, the per-conjunct Lemma-6
-//!   kills, and the global reduced conflict graph;
-//! * [`ShardState`] — one conjunct's reduced conflict graph and, until
-//!   then, the delayed-read state of the transactions homed in it.
+//!   kills, and the global reduced conflict graph, kept as one more
+//!   [`ShardState`] whose scope is every item;
+//! * [`ShardState`] — one conjunct's reduced conflict graph and, in the
+//!   pipeline's lane mode, the delayed-read state of the transactions
+//!   homed in it.
 //!
-//! **The disjoint phase.** On a monitor whose scopes are pairwise
-//! disjoint, until the first run that *spans* — touches items of two
-//! scopes, or an item outside every scope — every transaction keeps to
-//! the items of one conjunct, its home. The global conflict graph is
-//! then the disjoint union of the conjunct graphs (the lemma is at
-//! `ProjGraph::condense`), so serializability is PWSR, its first
-//! failure is the first conjunct cycle, and the `Serializable` probe
-//! asks the shards. Definition 5's test stays home too: a read and the
-//! write it reads from touch one item, hence one conjunct, and the
-//! writer's next operation is in that conjunct as well. So stage 2
-//! does nothing in the phase: each conjunct stage keeps the marks of
-//! the transactions homed in it, one flag per transaction, with its
-//! own first non-DR position — which is also where its Lemma 6
-//! certificate died, every mark being in its scope. Stage 1 detects
-//! the first spanning run, and the driver has
-//! [`GlobalState::build_graph`] replay the retained schedule into the
-//! global graph and delayed-read state before the run reaches stage 2;
-//! from then on stage 2 keeps both per push, the graph as one more
-//! [`ShardState`] whose scope is every item. Monitors whose scopes
-//! overlap keep them from the start. Which stage owns the marks is
-//! decided here alone: a conjunct stage keeps them until
-//! [`ShardState::end_disjoint_phase`], [`GlobalState::apply`] and
-//! `undo` do nothing before it, and [`GlobalState::verdict`] picks the
-//! first non-DR prefix from the conjunct stages or its own, so a
-//! driver passes state through. Only the pipeline's choice to skip
-//! stage 2's turn in the phase is its own.
+//! The single writer, and the pipeline outside lane mode, keep all
+//! three from the first push.
 //!
-//! The same locality lets the pipeline keep stage 1 per conjunct in the
-//! phase (its *lane mode*, on a monitor with no journal): each conjunct
-//! then has a [`SeqState`] of its own, a lane, whose schedule holds the
-//! conjunct's operations — with its own positions and slots, which the
-//! conjunct stage keys its graph and marks by — while the one
-//! [`SeqState`] of the whole order holds none and keeps the summarized
-//! set and the sweep counts ([`SeqState::swept_to`]). A lane resolves
-//! every reads-from pair the whole order would, since a read and its
-//! writer share an item. Leaving lane mode pushes the lanes' retained
-//! operations again, in position order, into the whole order's state
-//! and fresh conjunct stages ([`ShardState::resume`]), before the first
-//! spanning run has [`GlobalState::build_graph`] build stage 2.
+//! **The disjoint phase is lane mode's.** On a monitor whose scopes are
+//! pairwise disjoint, until the first run that *spans* — touches items
+//! of two scopes, or an item outside every scope — every transaction
+//! keeps to the items of one conjunct, its home. The global conflict
+//! graph is then the disjoint union of the conjunct graphs (the lemma
+//! is at `ProjGraph::condense`), so serializability is PWSR and its
+//! first failure is the first conjunct cycle. Definition 5's test stays
+//! home too: a read and the write it reads from touch one item, hence
+//! one conjunct, and the writer's next operation is in that conjunct as
+//! well. The pipeline's *lane mode* (on a monitor with no journal)
+//! rests on this locality. Each conjunct then has a [`SeqState`] of its
+//! own, a lane, whose schedule holds the conjunct's operations — with
+//! its own positions and slots, which the conjunct stage keys its graph
+//! and marks by — while the one [`SeqState`] of the whole order holds
+//! none and keeps the summarized set and the sweep counts
+//! ([`SeqState::swept_to`]). A lane resolves every reads-from pair the
+//! whole order would, since a read and its writer share an item. The
+//! conjunct stage keeps the marks of its transactions, one flag per
+//! transaction, with its own first non-DR position — which is also
+//! where its Lemma 6 certificate died, every mark being in its scope —
+//! and stage 2 stays idle. Leaving lane mode gives stage 2
+//! ([`GlobalState::resume`]) and each conjunct ([`ShardState::resume`])
+//! what the swept prefix decided for good, then pushes the lanes'
+//! retained operations again, in position order, through every stage.
+//! Which stage owns the marks is decided here alone: a conjunct stage
+//! built for a lane ([`ShardState::conjunct`]) keeps them, and
+//! [`GlobalState::verdict`] picks the first non-DR prefix from the
+//! conjunct stages while stage 2 is idle, its own otherwise.
 //!
 //! Each part owns its undo journal (see [`undo`](super::undo)) and its
 //! `apply` / `undo` / `raise_floor` / `compact` / `resident_bytes`.
@@ -98,11 +90,8 @@ use crate::op::Operation;
 use crate::schedule::Schedule;
 use crate::state::{ItemSet, SetPool};
 use crate::txn::validate_22;
-use std::collections::VecDeque;
 
 const NO_POS: u32 = u32::MAX;
-/// A home not yet drawn (only while a new slot's run is checked).
-const NO_HOME: u32 = u32::MAX;
 
 /// One transaction's running §2.2 read/write totals. Where the rows
 /// live is the driver's business (per slot for the single writer, in
@@ -176,11 +165,6 @@ pub(super) struct SeqState {
     last_write: Vec<u32>,
     /// Per slot: position of the transaction's first operation.
     first_op: Vec<u32>,
-    /// Per slot, during the disjoint phase: the one conjunct the
-    /// transaction's operations stay in. `None` once a run spanned (or
-    /// from the start, if two scopes overlap): stage 2 keeps the global
-    /// graph from then on.
-    home: Option<Vec<u32>>,
     /// Sequence-half undo journal (entries only for logged pushes);
     /// its base is the retraction floor.
     pub(super) log: UndoLog<SeqDelta>,
@@ -202,15 +186,6 @@ pub(super) struct SeqState {
 }
 
 impl SeqState {
-    /// Stage-1 state for a monitor whose scopes are pairwise
-    /// `disjoint` (which starts it in the disjoint phase) or not.
-    pub(super) fn new(disjoint: bool) -> SeqState {
-        SeqState {
-            home: disjoint.then(Vec::new),
-            ..SeqState::default()
-        }
-    }
-
     /// `txn`'s slot, if it has pushed anything; an error if it was
     /// summarized (its push or retraction must be refused).
     pub(super) fn slot(&self, txn: TxnId) -> Result<Option<usize>> {
@@ -222,18 +197,6 @@ impl SeqState {
 
     pub(super) fn is_summarized(&self, txn: TxnId) -> bool {
         self.summarized.contains(txn)
-    }
-
-    /// Does every transaction so far keep to one conjunct of pairwise
-    /// disjoint scopes (see the module docs)?
-    pub(super) fn in_disjoint_phase(&self) -> bool {
-        self.home.is_some()
-    }
-
-    /// The home conjunct of the transaction in `slot`, in the disjoint
-    /// phase.
-    pub(super) fn home_of(&self, slot: usize) -> Option<usize> {
-        self.home.as_ref().map(|home| home[slot] as usize)
     }
 
     /// The position of `txn`'s first live operation, `O(1)`.
@@ -287,36 +250,15 @@ impl SeqState {
     /// moves past it. `existing` is the transaction's slot as
     /// [`SeqState::slot`] just reported it. Appends to `rf_slots`, per
     /// operation, the slot of the writer a read takes its value from;
-    /// returns the first position, the transaction's slot, and whether
-    /// this run ends the disjoint phase — it is the first to *span*:
-    /// its transaction touches items of two scopes, or an item outside
-    /// every scope. The driver then has stage 2 build the global graph
-    /// ([`GlobalState::build_graph`]) before the run reaches it.
+    /// returns the first position and the transaction's slot.
     pub(super) fn apply(
         &mut self,
-        scope_index: &ScopeIndex,
         ops: &[Operation],
         existing: Option<usize>,
         logged: bool,
         framed: bool,
         rf_slots: &mut Vec<Option<usize>>,
-    ) -> (usize, usize, bool) {
-        let mut first_span = false;
-        if let Some(home) = self.home.as_mut() {
-            let mut k = existing.map_or(NO_HOME, |sl| home[sl]);
-            first_span = ops.iter().any(|op| match *scope_index.of(op.item) {
-                [c] if k == NO_HOME || k == c => {
-                    k = c;
-                    false
-                }
-                _ => true,
-            });
-            if first_span {
-                self.home = None;
-            } else if existing.is_none() {
-                home.push(k);
-            }
-        }
+    ) -> (usize, usize) {
         if let Some(journal) = self.journal.as_deref_mut() {
             if framed {
                 journal.appended_batch(ops);
@@ -369,7 +311,7 @@ impl SeqState {
         if !logged {
             self.log.reset(self.schedule.len());
         }
-        (p0, slot, first_span)
+        (p0, slot)
     }
 
     /// Retract logged operations until the schedule is `n` long, newest
@@ -407,9 +349,6 @@ impl SeqState {
         }
         if sd.new_slot {
             self.first_op.pop();
-            if let Some(home) = self.home.as_mut() {
-                home.pop();
-            }
             self.finished.slot_popped(op.txn);
         }
         Undone {
@@ -505,9 +444,6 @@ impl SeqState {
         let summarized = self.schedule.compact_prefix(frontier);
         let s_cut = summarized.len();
         self.first_op.drain(..s_cut);
-        if let Some(home) = self.home.as_mut() {
-            home.drain(..s_cut);
-        }
         self.finished.compact(s_cut);
         for t in summarized.iter().filter(|_| refuse) {
             self.summarized.insert(*t);
@@ -522,8 +458,8 @@ impl SeqState {
         }
     }
 
-    /// Lane mode (see the `sharded` module) keeps each conjunct's
-    /// operations in a stage-1 state of its own, a *lane*; this state
+    /// Lane mode (see the module docs) keeps each conjunct's operations
+    /// in a stage-1 state of its own, a *lane*; this state
     /// then stands for the whole order and holds none of them. Count a
     /// sweep of the lanes that moved the frontier of the whole order to
     /// `frontier` and `summarized` the transactions given (ascending,
@@ -560,24 +496,24 @@ impl SeqState {
 
     pub(super) fn resident_bytes(&self) -> usize {
         self.schedule.resident_bytes()
-            + (self.last_write.len() + self.first_op.len() + self.home.as_ref().map_or(0, Vec::len))
-                * std::mem::size_of::<u32>()
+            + (self.last_write.len() + self.first_op.len()) * std::mem::size_of::<u32>()
             + self.log.resident_bytes()
             + self.finished.resident_bytes()
             + self.summarized.resident_bytes()
     }
 }
 
-/// Stage-2 state: everything that needs the full total order once a
-/// transaction has spanned two conjuncts (from the start, if two
-/// scopes overlap). In the disjoint phase it is empty: the conjunct
-/// stages keep what it would (see the module docs).
+/// Stage-2 state: everything that needs the full total order. Idle
+/// in lane mode, whose conjunct stages keep what it would (see the
+/// module docs); kept from the first push everywhere else.
 #[derive(Clone, Debug)]
 pub(super) struct GlobalState {
     /// The global reduced conflict graph (serializability): a conjunct
     /// whose scope is every item, with its own position-keyed journal.
-    /// `None` in the disjoint phase, where the shards decide instead —
-    /// the graph would be their disjoint union (see the module docs).
+    /// `None` while idle in lane mode, where the conjunct stages decide
+    /// instead — the graph would be their disjoint union. Only the
+    /// readers ask; nothing in lane mode applies, undoes, raises or
+    /// compacts this stage.
     pub(super) graph: Option<ShardState>,
     /// Per slot: items written that someone else has read — the
     /// writer's next operation materializes the dirty read.
@@ -593,11 +529,10 @@ pub(super) struct GlobalState {
 }
 
 impl GlobalState {
-    /// Stage-2 state, in the disjoint phase if the scopes are pairwise
-    /// `disjoint` (as [`SeqState::new`] is told), else with its graph.
-    pub(super) fn new(disjoint: bool) -> GlobalState {
+    /// Stage-2 state, idle if its driver starts in lane mode.
+    pub(super) fn new(in_lanes: bool) -> GlobalState {
         GlobalState {
-            graph: (!disjoint).then(ShardState::default),
+            graph: (!in_lanes).then(ShardState::default),
             dirty_reads: Vec::new(),
             spare_sets: SetPool::default(),
             first_non_dr: None,
@@ -606,58 +541,40 @@ impl GlobalState {
         }
     }
 
-    /// End the disjoint phase: build the global graph and delayed-read
-    /// state over the retained schedule below `p`, the first position
-    /// of the spanning run, by replaying it through [`GlobalState::apply`]
-    /// in position order — logged from the retraction floor up, so the
-    /// state retracts like one kept all along. The summarized prefix is
-    /// not replayed: `ProjGraph::condense`'s lemma says no later cycle
-    /// can use it, and its writers are finished, so no mark on them can
-    /// trip. What it decided for good is taken from the conjunct
-    /// stages instead: a conjunct cycle closed there froze the graph
-    /// (every conjunct cycle is a global one), so the graph starts
-    /// frozen at `first_violation` when that lies below the base; and a
-    /// conjunct whose first non-DR position (`homes`, conjunct by
-    /// conjunct) lies below the base had its Lemma 6 certificate killed
-    /// there, the earliest of them being the first non-DR prefix. The
-    /// pipeline must be drained.
-    pub(super) fn build_graph(
+    /// Lane mode ends: keep stage 2 from `base`, the sweeps' base, on,
+    /// starting from what the summarized prefix below it decided for
+    /// good in the `conjuncts`' stages, as [`ShardState::resume`] does
+    /// for each of them. A conjunct cycle closed there froze the global
+    /// graph (every conjunct cycle is a global one), so the graph starts
+    /// frozen at the earliest; and a conjunct whose first non-DR
+    /// position lies there had its Lemma 6 certificate killed, the
+    /// earliest of them being the first non-DR prefix. Nothing else of
+    /// the prefix matters: `ProjGraph::condense`'s lemma says no later
+    /// cycle can use it, and its writers are finished, so no mark on
+    /// them can trip. The driver then pushes the retained operations
+    /// through this stage again.
+    pub(super) fn resume<'a>(
         &mut self,
-        scopes: &[ItemSet],
-        seq: &SeqState,
-        p: usize,
-        first_violation: Option<OpIndex>,
-        homes: impl IntoIterator<Item = Option<OpIndex>>,
+        base: usize,
+        conjuncts: impl IntoIterator<Item = &'a ShardState>,
     ) {
-        let schedule = &seq.schedule;
-        let (base, floor) = (schedule.base(), seq.log.base());
         let below = |q: Option<OpIndex>| q.filter(|q| q.0 < base);
-        for (k, q) in homes.into_iter().enumerate() {
-            if let Some(q) = below(q) {
+        let mut graph = ShardState::default();
+        for (k, c) in conjuncts.into_iter().enumerate() {
+            graph.graph.cyclic_at = earliest(graph.graph.cyclic_at, below(c.graph.cyclic_at));
+            if let Some(q) = below(c.first_non_dr) {
                 self.lemma6_killed.insert(ItemId(k as u32));
-                self.first_non_dr = Some(self.first_non_dr.map_or(q, |f| f.min(q)));
+                self.first_non_dr = earliest(self.first_non_dr, Some(q));
             }
         }
-        let mut graph = ShardState::default();
-        graph.graph.cyclic_at = below(first_violation);
         self.graph = Some(graph);
-        self.log.reset(floor);
-        // Stage 1's reads-from resolution, replayed: a writer below the
-        // base is summarized, and resolves to none.
-        let mut last_write = vec![NO_POS; schedule.item_ub()];
-        for (pos, op) in (base..p).zip(schedule.ops()) {
-            let (at, idx) = (OpIndex(pos), op.item.index());
-            let w = last_write[idx];
-            let rf_slot = match op.is_write() {
-                true => {
-                    last_write[idx] = pos as u32;
-                    None
-                }
-                false => (w != NO_POS).then(|| schedule.slot_of_op(OpIndex(w as usize))),
-            };
-            let slot = schedule.slot_of_op(at);
-            self.apply(scopes, slot, op, rf_slot, at, pos >= floor);
-        }
+    }
+
+    /// The global graph; stage 2 is kept wherever this is called.
+    fn kept(&mut self) -> &mut ShardState {
+        self.graph
+            .as_mut()
+            .expect("stage 2 idles only in lane mode")
     }
 
     /// Stage 2: delayed-read tracking and the global conflict graph
@@ -667,8 +584,6 @@ impl GlobalState {
     /// this operation materialized a dirty read — it belongs to a
     /// dirtily-read transaction, first such operation or not — which
     /// is exactly when [`admits`] would have refused it at `PwsrDr`.
-    /// Does nothing in the disjoint phase, whose conjunct stages keep
-    /// the marks (they answer then).
     pub(super) fn apply(
         &mut self,
         scopes: &[ItemSet],
@@ -678,10 +593,7 @@ impl GlobalState {
         p: OpIndex,
         logged: bool,
     ) -> bool {
-        let Some(graph) = self.graph.as_mut() else {
-            return false;
-        };
-        graph.apply(slot, op, None, p, logged);
+        self.kept().apply(slot, op, None, p, logged);
         let mut delta = GlobalDelta::default();
         let tape = self.log.tape();
         while self.dirty_reads.len() <= slot {
@@ -719,13 +631,9 @@ impl GlobalState {
     }
 
     /// Retract the last logged operation's stage-2 effects; it was at
-    /// `p`. `new_slot`: the operation had created `slot`. Nothing was
-    /// journaled in the disjoint phase, so nothing is undone there.
+    /// `p`. `new_slot`: the operation had created `slot`.
     pub(super) fn undo(&mut self, slot: usize, item: ItemId, p: OpIndex, new_slot: bool) {
-        let Some(graph) = self.graph.as_mut() else {
-            return;
-        };
-        graph.undo(slot, item, p, new_slot);
+        self.kept().undo(slot, item, p);
         let gd = self.log.pop().expect("one global entry per logged push");
         if gd.dr_mark != NO_POS {
             self.dirty_reads[gd.dr_mark as usize].remove(item);
@@ -747,9 +655,7 @@ impl GlobalState {
 
     pub(super) fn raise_floor(&mut self, floor: usize) {
         self.log.checkpoint(floor);
-        if let Some(graph) = self.graph.as_mut() {
-            graph.raise_floor(floor);
-        }
+        self.kept().raise_floor(floor);
     }
 
     /// Drop the first `s_cut` (summarized) slots: shift the slots
@@ -758,9 +664,7 @@ impl GlobalState {
     pub(super) fn compact(&mut self, s_cut: usize, maps: &mut NodeMaps) {
         self.log
             .walk_back(|delta, _| delta.shift_slots(s_cut as u32));
-        if let Some(graph) = self.graph.as_mut() {
-            graph.compact(s_cut, maps);
-        }
+        self.kept().compact(s_cut, maps);
         let rows = self.dirty_reads.len();
         for row in self.dirty_reads.drain(..s_cut.min(rows)) {
             self.spare_sets.give(row);
@@ -773,16 +677,22 @@ impl GlobalState {
             + self.log.resident_bytes()
     }
 
-    /// What the global graph says of serializability — `None` in the
-    /// disjoint phase, where it is exactly PWSR.
+    /// What the global graph says of serializability — `None` while
+    /// idle in lane mode, where it is exactly PWSR.
     pub(super) fn serializable(&self) -> Option<bool> {
         self.graph.as_ref().map(|g| g.graph.serializable())
     }
 
+    /// The maintained global serialization order over `txns` (the
+    /// slots' transactions), or `None` once the graph is cyclic.
+    pub(super) fn order(&self, txns: &[TxnId]) -> Option<Vec<TxnId>> {
+        self.graph.as_ref()?.graph.order(txns)
+    }
+
     /// The first non-DR prefix, given `homes`, the earliest first
-    /// non-DR position the conjunct stages keep: theirs is the answer in
-    /// the disjoint phase, stage 2's own after it. The one place that
-    /// picks between the two, for both drivers.
+    /// non-DR position the conjunct stages keep: theirs is the answer
+    /// while stage 2 idles in lane mode, stage 2's own otherwise. The
+    /// one place that picks between the two.
     pub(super) fn first_non_dr(&self, homes: Option<OpIndex>) -> Option<OpIndex> {
         match self.graph {
             None => homes,
@@ -797,12 +707,12 @@ impl GlobalState {
         VerdictLevel::compose(serializable, dr, pwsr)
     }
 
-    /// Has no in-scope dirty read of conjunct `k` materialized? In the
-    /// disjoint phase its own stage, `home`, knows: every mark there is
-    /// in its scope, so its first non-DR position is the kill.
+    /// Has no in-scope dirty read of conjunct `k` materialized? In lane
+    /// mode its own stage, `home`, knows: every mark there is in its
+    /// scope, so its first non-DR position is the kill.
     pub(super) fn lemma6_clean(&self, k: usize, home: &ShardState) -> bool {
         match self.graph {
-            None => home.first_non_dr().is_none(),
+            None => home.first_non_dr.is_none(),
             Some(_) => !self.lemma6_killed.contains(ItemId(k as u32)),
         }
     }
@@ -810,9 +720,9 @@ impl GlobalState {
     /// The full verdict over a prefix of `len` operations, given what
     /// the conjunct stages keep: the first position at which one of
     /// their projections went cyclic (the minimum over their
-    /// `cyclic_at`) — in the disjoint phase also the first
-    /// non-serializable prefix — and `homes`, the earliest of their
-    /// first non-DR positions (see [`GlobalState::first_non_dr`]).
+    /// `cyclic_at`) — in lane mode also the first non-serializable
+    /// prefix — and `homes`, the earliest of their first non-DR
+    /// positions (see [`GlobalState::first_non_dr`]).
     pub(super) fn verdict(
         &self,
         len: usize,
@@ -825,8 +735,8 @@ impl GlobalState {
             .graph
             .as_ref()
             .map_or(first_violation, |g| g.graph.cyclic_at);
-        // In the disjoint phase every mark lies in its home's scope, so
-        // a dirty read kills a certificate exactly when it materializes.
+        // In lane mode every mark lies in its home's scope, so a dirty
+        // read kills a certificate exactly when it materializes.
         let killed = match self.graph {
             None => first_non_dr.is_some(),
             Some(_) => !self.lemma6_killed.is_empty(),
@@ -848,66 +758,56 @@ impl GlobalState {
 /// Stage-3 state: one conjunct's reduced conflict graph plus its own
 /// undo journal — one record (the position) and one graph frame per
 /// logged push that touched the conjunct, in position order — and, in
-/// the disjoint phase, the delayed-read state of the transactions homed
-/// in it, with a journal of the marks it set.
+/// lane mode, the delayed-read state of the transactions homed in it.
 #[derive(Clone, Debug, Default)]
 pub(super) struct ShardState {
     pub(super) graph: ProjGraph,
     pub(super) log: UndoLog<u32>,
     /// Does this stage keep the delayed-read state of the transactions
-    /// homed in it? Set for a conjunct of pairwise disjoint scopes
-    /// until the disjoint phase ends; never for stage 2's graph.
+    /// homed in it? Set for a lane's conjunct only, and lane mode is
+    /// unlogged, so no mark is journaled.
     keeps_marks: bool,
-    /// Disjoint phase, per slot: has another transaction read a value
-    /// the slot's transaction (homed here) wrote? Its next operation
-    /// then materializes a dirty read. What stage 2 keeps as a row of
-    /// marked items is one flag here, every mark being in this scope.
-    /// Empty once stage 2 keeps the marks.
+    /// Lane mode, per slot: has another transaction read a value the
+    /// slot's transaction (homed here) wrote? Its next operation then
+    /// materializes a dirty read. What stage 2 keeps as a row of marked
+    /// items is one flag here, every mark being in this scope.
     read_from: Vec<bool>,
-    /// The position and writer slot of each flag a logged push set, in
-    /// position order: what retracting that push clears.
-    marked: VecDeque<(u32, u32)>,
-    /// The first position at which a transaction homed here
-    /// materialized a dirty read: where this conjunct's Lemma 6
-    /// certificate died. Set by the push at that position only, so
-    /// retracting it needs no record.
-    first_non_dr: Option<OpIndex>,
+    /// Lane mode: the first position at which a transaction homed here
+    /// materialized a dirty read — where this conjunct's Lemma 6
+    /// certificate died.
+    pub(super) first_non_dr: Option<OpIndex>,
 }
 
 impl ShardState {
     /// The stage of one conjunct, which keeps the marks of the
-    /// transactions homed in it while the scopes are `disjoint` (the
-    /// disjoint phase).
-    pub(super) fn conjunct(disjoint: bool) -> ShardState {
+    /// transactions homed in it if the conjunct has a lane.
+    pub(super) fn conjunct(in_lane: bool) -> ShardState {
         ShardState {
-            keeps_marks: disjoint,
+            keeps_marks: in_lane,
             ..ShardState::default()
         }
     }
 
-    /// A fresh stage for this conjunct in the disjoint phase, to push
-    /// the retained schedule from `base` into again: it keeps only
-    /// what the summarized prefix below `base` decided for good — a
-    /// cycle closed there (the graph starts frozen) and the first
-    /// non-DR position — as [`GlobalState::build_graph`] does for the
-    /// global graph, by the same lemma.
+    /// Lane mode ends: a fresh stage for this conjunct, to push the
+    /// retained operations from `base` into again, which keeps no marks
+    /// (stage 2 keeps them from now on) and only what the summarized
+    /// prefix below `base` decided for good — a cycle closed there, so
+    /// the graph starts frozen — by the lemma [`GlobalState::resume`]
+    /// rests on.
     pub(super) fn resume(&self, base: usize) -> ShardState {
-        let below = |q: Option<OpIndex>| q.filter(|q| q.0 < base);
-        let mut fresh = ShardState::conjunct(true);
-        fresh.graph.cyclic_at = below(self.graph.cyclic_at);
-        fresh.first_non_dr = below(self.first_non_dr);
+        let mut fresh = ShardState::default();
+        fresh.graph.cyclic_at = self.graph.cyclic_at.filter(|q| q.0 < base);
         fresh
     }
 
     /// Stage 3: the conjunct's conflict graph for the operation at
-    /// `p` and, in the disjoint phase, where the conjunct is the
-    /// transaction's home, its delayed-read marks, given the slot of
+    /// `p` and, in lane mode, its delayed-read marks, given the slot of
     /// the writer a read takes its value from. Anything but
     /// [`Applied::Clean`] is a breach of the PWSR rung — this access
     /// would not have been admitted — but only [`Applied::Closed`]
     /// moves the conjunct's first-violation position. The flag is
     /// whether the operation materialized a dirty read (always `false`
-    /// once stage 2 keeps the marks; it answers then).
+    /// where stage 2 keeps the marks; it answers then).
     pub(super) fn apply(
         &mut self,
         slot: usize,
@@ -926,6 +826,7 @@ impl ShardState {
         if !self.keeps_marks {
             return (applied, false);
         }
+        debug_assert!(!logged, "lane mode keeps no journal");
         let caused_non_dr = self.was_read_from(slot);
         if caused_non_dr && self.first_non_dr.is_none() {
             self.first_non_dr = Some(p);
@@ -936,107 +837,53 @@ impl ShardState {
                     self.read_from.resize(w_slot + 1, false);
                 }
                 self.read_from[w_slot] = true;
-                if logged {
-                    self.marked.push_back((p.0 as u32, w_slot as u32));
-                }
             }
         }
         (applied, caused_non_dr)
     }
 
-    /// Has another transaction read from the one in `slot` (disjoint
-    /// phase)?
+    /// Has another transaction read from the one in `slot` (lane mode)?
     fn was_read_from(&self, slot: usize) -> bool {
         self.read_from.get(slot) == Some(&true)
     }
 
     /// Retract the conjunct's last logged access, which was at `p`.
-    /// `new_slot`: the access had created `slot`.
-    pub(super) fn undo(&mut self, slot: usize, item: ItemId, p: OpIndex, new_slot: bool) {
+    pub(super) fn undo(&mut self, slot: usize, item: ItemId, p: OpIndex) {
         let pos = self.log.pop().expect("one shard entry per touched push");
         debug_assert_eq!(pos as usize, p.0);
         self.graph.undo(slot, item.index(), self.log.tape());
-        if self.marked.back().is_some_and(|&(q, _)| q == pos) {
-            let (_, w_slot) = self.marked.pop_back().expect("just seen");
-            // Gone with the disjoint phase, or with a summarized slot.
-            if let Some(flag) = self.read_from.get_mut(w_slot as usize) {
-                *flag = false;
-            }
-        }
-        if self.first_non_dr == Some(p) {
-            self.first_non_dr = None;
-        }
-        if new_slot {
-            // Every mark on it came later, and is retracted already.
-            self.read_from.truncate(slot);
-        }
     }
 
     pub(super) fn raise_floor(&mut self, floor: usize) {
         let below = self.log.count_front(|&pos| (pos as usize) < floor);
         self.log.drop_oldest(below);
-        let below = self.marked.partition_point(|&(q, _)| (q as usize) < floor);
-        self.marked.drain(..below);
-    }
-
-    /// Drop every journal entry and restart the floor at `floor` (an
-    /// unlogged push made everything before it permanent).
-    pub(super) fn reset_log(&mut self, floor: usize) {
-        self.log.reset(floor);
-        self.marked.clear();
     }
 
     /// Drop the first `s_cut` (summarized) slots: cut the graph down
-    /// (`ProjGraph::condense`) and the delayed-read flags with it. A
-    /// journaled mark on a summarized writer is dropped: that writer
-    /// is finished, so the mark can never trip again.
+    /// (`ProjGraph::condense`) and, in lane mode, the delayed-read
+    /// flags with it.
     pub(super) fn compact(&mut self, s_cut: usize, maps: &mut NodeMaps) {
         self.graph.compact(&mut self.log, s_cut, maps, |_| {});
         let cut = s_cut.min(self.read_from.len());
         self.read_from.drain(..cut);
-        for (_, w_slot) in &mut self.marked {
-            *w_slot = match *w_slot {
-                w if w != NO_POS && w as usize >= s_cut => w - s_cut as u32,
-                _ => NO_POS,
-            };
-        }
-    }
-
-    /// This conjunct's first non-DR position, as its own stage kept it
-    /// (the disjoint phase's; see [`GlobalState::first_non_dr`]).
-    pub(super) fn first_non_dr(&self) -> Option<OpIndex> {
-        self.first_non_dr
-    }
-
-    /// The disjoint phase ends: stage 2 rebuilds the marks by replay
-    /// ([`GlobalState::build_graph`]), so stop keeping them, drop the
-    /// flags and their journal and hand over the first non-DR position
-    /// (which stays this stage's record of the phase).
-    pub(super) fn end_disjoint_phase(&mut self) -> Option<OpIndex> {
-        self.keeps_marks = false;
-        self.read_from.clear();
-        self.marked.clear();
-        self.first_non_dr
     }
 
     pub(super) fn resident_bytes(&self) -> usize {
-        self.graph.resident_bytes()
-            + self.log.resident_bytes()
-            + self.read_from.len()
-            + self.marked.len() * std::mem::size_of::<(u32, u32)>()
+        self.graph.resident_bytes() + self.log.resident_bytes() + self.read_from.len()
     }
 }
 
 /// Would admitting this access by the transaction in `slot` keep
-/// `level`? Read-only and exact against the current state of `seq`,
-/// `global` and the conjunct `shards`.
+/// `level`? Read-only and exact against the current state of `global`
+/// (which the single writer keeps from its first push) and the
+/// conjunct `shards`.
 pub(super) fn admits(
     scope_index: &ScopeIndex,
     slot: Option<usize>,
     item: ItemId,
     is_write: bool,
     level: AdmissionLevel,
-    (seq, global, shards): (&SeqState, &GlobalState, &[ShardState]),
+    (global, shards): (&GlobalState, &[ShardState]),
 ) -> bool {
     let conjuncts = || {
         scope_index.of(item).iter().all(|&k| {
@@ -1050,23 +897,21 @@ pub(super) fn admits(
             let graph = global
                 .graph
                 .as_ref()
-                .map(|g| g.graph.admits(slot, item.index(), is_write));
-            // The disjoint phase: a cycle the access could close lies in
-            // one conjunct (a spanning access only links components).
-            graph.unwrap_or_else(|| shards.iter().all(|sh| sh.graph.serializable()) && conjuncts())
+                .expect("the single writer keeps stage 2");
+            graph.graph.admits(slot, item.index(), is_write)
         }
         AdmissionLevel::Pwsr => conjuncts(),
         AdmissionLevel::PwsrDr => {
             // Any operation of a dirtily-read transaction materializes
             // the DR violation.
-            // In the disjoint phase the transaction's home keeps its
-            // marks.
-            let clean = match slot.map(|s| (s, seq.home_of(s))) {
-                None => true,
-                Some((s, None)) => global.dirty_reads.get(s).is_none_or(ItemSet::is_empty),
-                Some((s, Some(k))) => !shards[k].was_read_from(s),
-            };
+            let clean =
+                slot.is_none_or(|s| global.dirty_reads.get(s).is_none_or(ItemSet::is_empty));
             clean && conjuncts()
         }
     }
+}
+
+/// The earlier of two optional positions.
+pub(super) fn earliest(a: Option<OpIndex>, b: Option<OpIndex>) -> Option<OpIndex> {
+    a.into_iter().chain(b).min()
 }

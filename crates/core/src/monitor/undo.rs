@@ -19,12 +19,8 @@
 //!   conjunct ids;
 //! * a position (a conjunct stage's record, one per push that touched
 //!   the conjunct) with that conjunct's graph frame on the tape. The
-//!   global reduced conflict graph, once the global stage keeps it, is
-//!   one more such journal, with a record for every push. In the
-//!   disjoint phase a conjunct stage also keeps a second, sparser one:
-//!   the position and writer slot of each delayed-read mark it freshly
-//!   set (a position-keyed deque, popped when the push at that
-//!   position is retracted);
+//!   global reduced conflict graph is one more such journal, with a
+//!   record for every push;
 //! * a **graph frame** (`GraphDelta` is its trailer) — one
 //!   projection-graph access: the conflict edges freshly inserted, in
 //!   insertion order; the reader list a write drained, last reader

@@ -128,8 +128,9 @@ pub fn scopes_from_bits(d1_bits: u32, d2_bits: u32) -> Vec<ItemSet> {
 /// In half the cases one of the first three transactions *spans*
 /// instead: at a drawn point of its run it also reads or writes an
 /// item of the next lane — or, with one scope, the item `MAX_ITEMS`,
-/// outside every scope. So half the cases stay in a monitor's disjoint
-/// phase throughout, and the other half leave it at that transaction.
+/// outside every scope. So on an unlogged pipeline half the cases stay
+/// in lane mode throughout, and the other half leave it at that
+/// transaction.
 pub fn arb_lanes(n_txns: u32) -> impl Strategy<Value = (Vec<ItemSet>, Vec<Transaction>)> {
     (
         1usize..=3,
@@ -367,9 +368,8 @@ impl Driver for Single {
     }
 
     /// Before the push every admission probe is `single`'s; the push
-    /// returns `want`; after it the global order, read off the conjunct
-    /// orders in the disjoint phase, passes the verifier on the live
-    /// tail.
+    /// returns `want`; after it the global order passes the verifier on
+    /// the live tail.
     fn push_checked(&mut self, op: &Operation, want: Verdict, single: &OnlineMonitor) -> Checked {
         for level in LEVELS {
             let probe = |m: &OnlineMonitor| m.admits(op.txn, op.item, op.is_write(), level);
@@ -524,16 +524,17 @@ pub fn check_against_oracles(s: &Schedule, scopes: &[ItemSet], m: &ShardedMonito
 /// operation at `p`), against the single writer's refusal on the prefix
 /// before each: the `Pwsr` and `PwsrDr` flags equal it, and a
 /// `Serializable` breach comes only with a refusal. A refusal without
-/// that breach — a miss — is allowed only before `phase_end`, the first
-/// position of the first spanning run, after a conjunct cycle whose
-/// closing push was told (see `PushOutcome`'s docs). `caused_non_dr`
+/// that breach — a miss — is allowed only before `lanes_end`, the first
+/// position of the run that ended lane mode (0 for a pipeline from its
+/// first push), after a conjunct cycle whose closing push was told (see
+/// `PushOutcome`'s docs). `caused_non_dr`
 /// is also held to the prefix itself, which shares no code with the
 /// stages: another transaction read from the pushing one while it ran.
 pub fn check_flags(
     scopes: &[ItemSet],
     ops: &[Operation],
     out: &[PushOutcome],
-    phase_end: usize,
+    lanes_end: usize,
 ) -> Result<(), String> {
     let mut single = OnlineMonitor::new(scopes.to_vec());
     for (p, (op, o)) in ops.iter().zip(out).enumerate() {
@@ -542,7 +543,7 @@ pub fn check_flags(
         let pwsr = [AdmissionLevel::Pwsr, AdmissionLevel::PwsrDr].map(flags);
         let (breach, refusal) = flags(AdmissionLevel::Serializable);
         let fv = single.verdict().first_violation;
-        let told = p < phase_end && fv.is_some_and(|q| out[q.0].caused_violation);
+        let told = p < lanes_end && fv.is_some_and(|q| out[q.0].caused_violation);
         let wrong = if pwsr.iter().any(|(b, r)| b != r) {
             "a PWSR flag differs from the single writer's refusal"
         } else if o.caused_non_dr != read_while_running(&ops[..p], op.txn) {
@@ -644,57 +645,6 @@ pub fn check_pushes<D: Driver>(
         prop_assert!(m.sealed(t.id()), "{:?} not sealed off", t.id());
     }
     Ok((m, single))
-}
-
-/// Push `ops` one at a time into a fresh logged `D`, each push passing
-/// [`Driver::push_checked`] against the batch deciders and a single
-/// writer that holds the prefix before it; then retract `victim` and
-/// truncate to `cut`, after each holding `D` — verdict, floor,
-/// certificates and orders — to what the batch deciders and a fresh
-/// single writer give the operations left; then push the truncated
-/// operations again, each checked as before. Built for a schedule that
-/// leaves the disjoint phase part way, with `victim` and `cut` before
-/// that point, so both retractions reach back across it.
-pub fn check_retracted_pushes<D: Driver>(
-    scopes: &[ItemSet],
-    ops: &[Operation],
-    victim: TxnId,
-    cut: usize,
-) -> Checked {
-    let mut m = D::start(scopes, true);
-    let push_all = |m: &mut D, done: &[Operation], todo: &[Operation]| -> Checked {
-        let all: Vec<Operation> = done.iter().chain(todo).cloned().collect();
-        let verdicts = batch_verdicts(&Schedule::new(all).expect("valid"), scopes);
-        let mut single = OnlineMonitor::new(scopes.to_vec());
-        for op in done {
-            single.push(op.clone()).expect("valid");
-        }
-        for (p, op) in (done.len()..).zip(todo) {
-            m.push_checked(op, verdicts[p + 1], &single)?;
-            single.push(op.clone()).expect("valid");
-        }
-        Ok(())
-    };
-    let held = |m: &D, kept: &[Operation], what: &str| -> Checked {
-        let s = Schedule::new(kept.to_vec()).expect("valid");
-        let mut fresh = OnlineMonitor::new(scopes.to_vec());
-        for op in kept {
-            fresh.push(op.clone()).expect("valid");
-        }
-        let state = m.state();
-        prop_assert_eq!(state.0, fresh.verdict(), "{} vs a fresh replay", what);
-        prop_assert_eq!(state.0, batch_verdicts(&s, scopes)[s.len()], "{}", what);
-        prop_assert_eq!(m.floor(), state.0.level, "{}: floor", what);
-        prop_assert_eq!(&state.1, &s, "{}: schedule", what);
-        check_lemmas_and_orders(&s, scopes, &state)
-    };
-    push_all(&mut m, &[], ops)?;
-    m.retract(victim);
-    let kept: Vec<Operation> = ops.iter().filter(|o| o.txn != victim).cloned().collect();
-    held(&m, &kept, "after the retraction")?;
-    m.truncate(cut);
-    held(&m, &kept[..cut], "after the truncation")?;
-    push_all(&mut m, &kept[..cut], &kept[cut..])
 }
 
 /// What a sweep of the first `len` operations of `s` must report when

@@ -23,10 +23,7 @@ proptest! {
     /// prefix; each conjunct's certificates equal the inclusion sweeps
     /// under the order it offers; every order it offers, the global one
     /// too, passes the verifier. Half the cases
-    /// are lane-partitioned (`arb_workload`). Counted over 3000 cases
-    /// at the default seed: 25 % never leave the disjoint phase, where
-    /// serializability is read off the conjunct graphs; the rest build
-    /// the global graph at their first spanning push.
+    /// are lane-partitioned (`arb_workload`).
     #[test]
     fn verdicts_match_batch_at_every_prefix(
         workload in arb_workload(3),

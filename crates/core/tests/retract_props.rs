@@ -24,19 +24,11 @@
 //! single writer retracts a set in one truncation, the pipeline one
 //! victim at a time.
 //!
-//! A second property aims at the end of the disjoint phase, where the
-//! delayed-read marks move from the conjunct stages to the global one:
-//! a retraction and a truncation reaching back across it must leave
-//! both drivers as a fresh replay (`common::check_retracted_pushes`).
-//!
 //! [`PushOutcome::breaches`]: pwsr_core::monitor::sharded::PushOutcome::breaches
 
 mod common;
 
-use common::{
-    arb_lanes, arb_transactions, check_retracted_pushes, interleave_random, Single, LEVELS,
-    MAX_ITEMS,
-};
+use common::{arb_lanes, arb_transactions, LEVELS, MAX_ITEMS};
 use parking_lot::Mutex;
 use proptest::prelude::*;
 use pwsr_core::ids::{ItemId, TxnId};
@@ -46,7 +38,6 @@ use pwsr_core::monitor::{AdmissionLevel, OnlineMonitor};
 use pwsr_core::op::Operation;
 use pwsr_core::state::ItemSet;
 use pwsr_core::txn::Transaction;
-use pwsr_core::value::Value;
 use pwsr_core::verify::verify;
 use std::sync::Arc;
 
@@ -298,12 +289,8 @@ proptest! {
     /// retracted, and the quiescent state is checked; it is checked on
     /// the way too, whenever a retraction leaves nobody told.
     ///
-    /// Half the cases are lane-partitioned (`arb_lanes`), so that the
-    /// monitors' disjoint phase and its end both occur. Counted over
-    /// 3000 cases at the default seed: 34 % never leave the disjoint
-    /// phase (no global graph is built), 51 % build it at a spanning
-    /// push, and in 15 % a retraction then reaches back across the
-    /// position the graph was built at.
+    /// Half the cases are lane-partitioned (`arb_lanes`). Both monitors
+    /// are logged, so each keeps the global graph from its first push.
     #[test]
     fn told_transactions_retracted_leaves_a_certified_replay(
         all_txns in arb_transactions(6, MAX_ITEMS),
@@ -368,80 +355,5 @@ proptest! {
             }
             run.check_quiescent()?;
         }
-    }
-
-    /// The end of the disjoint phase, retracted across. Two scopes, the
-    /// even and the odd items. Before any transaction spans, T1 writes
-    /// item 0, T2 reads it at once — a mark on T1 — and T1 writes item
-    /// 2 later: the mark trips and kills Lemma 6 for the even scope.
-    /// Three lane-bound transactions are interleaved around them, and
-    /// a fourth, pushed whole after that prefix, spans: it also touches
-    /// the other lane or an item outside both. Then a transaction that
-    /// started before it is retracted and the survivors are truncated
-    /// to a point before it, and the truncated operations are pushed
-    /// again. Every push, on either driver, reports what the single
-    /// writer and the batch deciders say, and after each retraction
-    /// the driver is a fresh replay of what is left.
-    #[test]
-    fn retracting_across_the_first_spanning_run_matches_a_fresh_replay(
-        txns in arb_transactions(4, MAX_ITEMS),
-        lanes in proptest::collection::vec(0usize..2, 4),
-        mix in proptest::collection::vec(any::<u8>(), 0..48),
-        places in (0usize..=100, 0usize..=100, 0usize..=100),
-        span in (any::<bool>(), 0usize..8),
-        undo in (0usize..8, 0usize..=100),
-    ) {
-        let ((split, lead_at, trip_at), (unscoped, span_at), (victim, cut_pct)) =
-            (places, span, undo);
-        let scopes: Vec<ItemSet> = (0..2)
-            .map(|k| (0..MAX_ITEMS).filter(|i| i % 2 == k).map(ItemId).collect())
-            .collect();
-        // T3..T6, each kept to its lane; T6 also spans.
-        let lane_bound = |j: usize| {
-            let (txn, lane) = (TxnId(j as u32 + 3), lanes[j]);
-            let mut ops: Vec<Operation> = txns[j]
-                .ops()
-                .iter()
-                .filter(|o| o.item.index() % 2 == lane)
-                .map(|o| Operation { txn, ..o.clone() })
-                .collect();
-            if ops.is_empty() {
-                ops.push(Operation::write(txn, ItemId(lane as u32), Value::Int(0)));
-            }
-            (txn, lane, ops)
-        };
-        let fillers: Vec<Transaction> = (0..3)
-            .map(|j| {
-                let (txn, _, ops) = lane_bound(j);
-                Transaction::new(txn, ops).expect("respects §2.2")
-            })
-            .collect();
-        let (spanner, lane, mut span_ops) = lane_bound(3);
-        let op = match unscoped {
-            true => Operation::write(spanner, ItemId(MAX_ITEMS), Value::Int(0)),
-            false => Operation::read(spanner, ItemId(1 - lane as u32), Value::Int(0)),
-        };
-        span_ops.insert(span_at % (span_ops.len() + 1), op);
-        let rest = interleave_random(&fillers, &mix);
-        let (prefix, rest) = rest.split_at(split * rest.len() / 100);
-        let mut ops = prefix.to_vec();
-        let a = lead_at * ops.len() / 100;
-        let wr = |t: u32, i: u32| Operation::write(TxnId(t), ItemId(i), Value::Int(1));
-        ops.splice(a..a, [wr(1, 0), Operation::read(TxnId(2), ItemId(0), Value::Int(1))]);
-        let b = a + 2 + trip_at * (ops.len() - a - 2) / 100;
-        ops.insert(b, wr(1, 2));
-        let span_start = ops.len();
-        ops.extend(span_ops);
-        ops.extend_from_slice(rest);
-        // A transaction that started before the spanning run.
-        let mut early: Vec<TxnId> = ops[..span_start].iter().map(|o| o.txn).collect();
-        early.sort_unstable();
-        early.dedup();
-        let victim = early[victim % early.len()];
-        let kept = ops.iter().filter(|o| o.txn != victim);
-        let span_in_kept = kept.take_while(|o| o.txn != spanner).count();
-        let cut = cut_pct * span_in_kept / 100;
-        check_retracted_pushes::<Single>(&scopes, &ops, victim, cut)?;
-        check_retracted_pushes::<ShardedMonitor>(&scopes, &ops, victim, cut)?;
     }
 }

@@ -198,8 +198,8 @@ proptest! {
         let (ops, out): (Vec<_>, Vec<_>) = pushed.into_iter().unzip();
         prop_assert!(out.iter().enumerate().all(|(p, o)| o.pos.0 == p), "positions not 0..len");
         let schedule = Schedule::new(ops.clone()).expect("each transaction in program order");
-        let phase_end = spanning.pos.0;
-        check_flags(&scopes, &ops, &out, phase_end).map_err(TestCaseError::fail)?;
+        let lanes_end = spanning.pos.0;
+        check_flags(&scopes, &ops, &out, lanes_end).map_err(TestCaseError::fail)?;
         for o in &out {
             let own = match (o.caused_violation, o.caused_non_serializable, o.caused_non_dr) {
                 (true, _, _) => VerdictLevel::Violation,
@@ -327,14 +327,14 @@ fn run_stream(m: &ShardedMonitor, trail: &Trail, plant: Plant, sweep: bool) -> S
 
 /// The `Serializable` rung on the benchmark's stream shape, against
 /// the batch deciders — code the certifier does not share. Lanes keep
-/// to their own conjunct, so the monitor starts in the disjoint phase
-/// and reads serializability off the conjunct graphs; a planted
+/// to their own conjunct, but the monitor keeps a journal, so it runs
+/// the pipeline with its global graph from the first push; a planted
 /// conjunct cycle must show there as a global one, at the same
-/// position. A spanning transaction that arrives after a sweep has
-/// summarized such a cycle builds the global graph over the survivors
-/// — frozen where the cycle closed — and must still report what the
-/// batch deciders give the whole recorded schedule; one retracted just
-/// after it triggered the build, then pushed again, must too.
+/// position. A sweep that summarizes such a cycle leaves the global
+/// graph frozen where it closed, and a spanning transaction that
+/// arrives after it must still see what the batch deciders give the
+/// whole recorded schedule; one retracted just after it pushed, then
+/// pushed again, must too.
 #[test]
 fn stream_shape_verdicts_match_the_batch_deciders() {
     let scopes = lane_scopes();

@@ -1106,7 +1106,9 @@ mod tests {
             };
             let monitored =
                 PolicySpec::predicate_wise_2pl(&ic).monitor_admission(&ic, AdmissionLevel::Pwsr);
-            let certified = monitored.clone().certified(StaticCertificate::full(
+            let mut certified = monitored.clone();
+            let spec = certified.monitor.as_mut().expect("monitor admission");
+            spec.certificate = Some(StaticCertificate::full(
                 AdmissionLevel::Pwsr,
                 programs.len(),
             ));

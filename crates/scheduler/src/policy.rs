@@ -572,28 +572,6 @@ impl PolicySpec {
     }
 }
 
-#[cfg(test)]
-impl PolicySpec {
-    /// Attach a static safety certificate to the monitor-admission
-    /// half of the policy: transactions the certificate covers skip
-    /// runtime certification entirely. A certificate weaker than the
-    /// admission floor is not [trusted](MonitorSpec::trusted_certificate)
-    /// and is dropped (the name is only tagged when the fast path is
-    /// actually active).
-    ///
-    /// Panics unless [`PolicySpec::monitor_admission`] came first.
-    pub(crate) fn certified(mut self, certificate: StaticCertificate) -> PolicySpec {
-        let spec = (self.monitor.as_mut())
-            .expect("PolicySpec::certified needs PolicySpec::monitor_admission first");
-        spec.certificate = Some(certificate);
-        match spec.trusted_certificate().map(StaticCertificate::len) {
-            Some(n) => self.name = format!("{}+CERT({n})", self.name),
-            None => spec.certificate = None,
-        }
-        self
-    }
-}
-
 /// Item→space map assigning conjunct `k` the space `k`; unconstrained
 /// items get private spaces above the conjunct range (they constrain
 /// nothing, so serializing them per item is harmless and maximally
@@ -1058,40 +1036,24 @@ mod tests {
         assert!(explicit.covers(TxnId(7)) && !explicit.covers(TxnId(1)));
     }
 
-    /// A certificate weaker than the admission floor must not attach —
-    /// neither in a spec an admission is built from nor via the policy
-    /// builder.
+    /// A certificate weaker than the admission floor is not trusted:
+    /// the admission covers nothing with it. One strong enough covers
+    /// its transactions.
     #[test]
     fn weak_certificate_is_rejected() {
         let ic = two_conjunct_ic();
+        let admission = |cert: StaticCertificate, level| {
+            MonitorAdmission::new(&MonitorSpec {
+                certificate: Some(cert),
+                ..MonitorSpec::new(ic.scopes(), level)
+            })
+        };
         let weak = StaticCertificate::full(AdmissionLevel::Pwsr, 2);
-        let adm = MonitorAdmission::new(&MonitorSpec {
-            certificate: Some(weak.clone()),
-            ..MonitorSpec::new(ic.scopes(), AdmissionLevel::PwsrDr)
-        });
+        let adm = admission(weak, AdmissionLevel::PwsrDr);
         assert!(adm.spec().trusted_certificate().is_none());
         assert!(!adm.covers(TxnId(1)));
-        let p = PolicySpec::predicate_wise_2pl(&ic)
-            .monitor_admission(&ic, AdmissionLevel::PwsrDr)
-            .certified(weak);
-        assert!(p.monitor.as_ref().unwrap().certificate.is_none());
-        assert!(!p.name.contains("CERT"));
-        // A strong-enough one attaches and tags the name.
         let strong = StaticCertificate::full(AdmissionLevel::PwsrDr, 2);
-        let p = PolicySpec::predicate_wise_2pl(&ic)
-            .monitor_admission(&ic, AdmissionLevel::Pwsr)
-            .certified(strong);
-        let spec = p.monitor.as_ref().unwrap();
-        assert!(spec.certificate.is_some());
-        assert!(p.name.ends_with("+CERT(2)"));
-        assert!(MonitorAdmission::new(spec).covers(TxnId(2)));
-    }
-
-    #[test]
-    #[should_panic(expected = "monitor_admission")]
-    fn certified_before_monitor_admission_panics() {
-        let cert = StaticCertificate::full(AdmissionLevel::Pwsr, 2);
-        let _ = PolicySpec::predicate_wise_2pl(&two_conjunct_ic()).certified(cert);
+        assert!(admission(strong, AdmissionLevel::Pwsr).covers(TxnId(2)));
     }
 
     #[test]
