@@ -128,42 +128,6 @@ impl Term {
     }
 }
 
-#[cfg(test)]
-impl Term {
-    /// `self − rhs`.
-    #[allow(clippy::should_implement_trait)] // fluent builder, not operator overloading
-    pub(crate) fn sub(self, rhs: Term) -> Term {
-        Term::Sub(Box::new(self), Box::new(rhs))
-    }
-
-    /// `self × rhs`.
-    #[allow(clippy::should_implement_trait)] // fluent builder, not operator overloading
-    pub(crate) fn mul(self, rhs: Term) -> Term {
-        Term::Mul(Box::new(self), Box::new(rhs))
-    }
-
-    /// `−self`.
-    #[allow(clippy::should_implement_trait)] // fluent builder, not operator overloading
-    pub(crate) fn neg(self) -> Term {
-        Term::Neg(Box::new(self))
-    }
-
-    /// `|self|`.
-    pub(crate) fn abs(self) -> Term {
-        Term::Abs(Box::new(self))
-    }
-
-    /// `min(self, rhs)`.
-    pub(crate) fn min(self, rhs: Term) -> Term {
-        Term::Min(Box::new(self), Box::new(rhs))
-    }
-
-    /// `max(self, rhs)`.
-    pub(crate) fn max(self, rhs: Term) -> Term {
-        Term::Max(Box::new(self), Box::new(rhs))
-    }
-}
-
 /// Comparison operators of the constraint language.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Cmp {
@@ -491,13 +455,14 @@ mod tests {
     #[test]
     fn term_arithmetic() {
         let s = st(&[(0, 3), (1, -4)]);
-        let t = Term::var(id(0)).add(Term::var(id(1)).abs()); // 3 + |−4| = 7
+        let (x, y, b) = (Term::var(id(0)), Term::var(id(1)), Box::new);
+        let t = x.clone().add(Term::Abs(b(y.clone()))); // 3 + |−4| = 7
         assert_eq!(t.eval(&s).unwrap(), Value::Int(7));
-        let t = Term::var(id(0)).mul(Term::int(2)).sub(Term::int(1)); // 3*2−1
+        let t = Term::Sub(b(Term::Mul(b(x.clone()), b(Term::int(2)))), b(Term::int(1))); // 3*2−1
         assert_eq!(t.eval(&s).unwrap(), Value::Int(5));
-        let t = Term::var(id(0)).min(Term::var(id(1))).max(Term::int(-10));
+        let t = Term::Max(b(Term::Min(b(x), b(y.clone()))), b(Term::int(-10)));
         assert_eq!(t.eval(&s).unwrap(), Value::Int(-4));
-        assert_eq!(Term::var(id(1)).neg().eval(&s).unwrap(), Value::Int(4));
+        assert_eq!(Term::Neg(b(y)).eval(&s).unwrap(), Value::Int(4));
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //! Two drivers hold it. [`OnlineMonitor`], here, owns the stage state
 //! outright and is the single-writer reference;
 //! [`sharded::ShardedMonitor`] puts the same structs behind ranked
-//! locks and ticket turnstiles so that threads certify concurrently.
+//! locks, taken hand over hand, so that threads certify concurrently.
 //! On the same interleaving they reach the same state by construction
 //! — the same code ran in the same order on the same data.
 //!

@@ -18,7 +18,7 @@
 //! adds what only a pipeline needs: the order in which threads get to
 //! call them.
 //!
-//! ## The ticketed pipeline
+//! ## The pipeline
 //!
 //! A monitored prefix is a *total order*, so something must define it.
 //! Outside lane mode (next section), [`ShardedMonitor::push_batch`]
@@ -26,46 +26,51 @@
 //!
 //! 1. **sequence** (one short mutex around `SeqState`): append the run
 //!    to the growing [`Schedule`], update the `last_write`/reads-from
-//!    entries, and claim *tickets* — one per operation for the global
-//!    stage, and one per conjunct shard whose scope
-//!    contains its item (looked up in the scopes' item → conjunct
-//!    index, built once at construction). This section is `O(words)`
-//!    with **no graph work and no §2.2 scans** — the per-transaction
-//!    read/write totals that back the §2.2 validation live *outside*
-//!    the mutex, in a striped table (each transaction's row is touched
-//!    only by the thread pushing that transaction, per the
-//!    program-order contract), so the order-claiming region is the
-//!    thinnest it can be. The durability journal hears of the run
-//!    here, which makes journal order claimed order.
-//! 2. **global** (ticketed, `GlobalState` behind its own lock):
-//!    delayed-read tracking (Definition 5 marks, the first-non-DR
-//!    prefix, the per-conjunct Lemma-6 kills) and the global reduced
-//!    conflict graph under Pearce–Kelly, from the pipeline's first
-//!    push, as the single writer keeps them. Tickets are served in
-//!    claim order, so this state evolves in exactly the claimed
-//!    interleaving. Only lane mode leaves it idle.
-//! 3. **shards** (ticketed, one `ShardState` per conjunct behind its
-//!    own lock): each touched conjunct's reduced conflict graph.
-//!    Operations on *different* conjuncts proceed through different
-//!    shards concurrently — this is where the parallelism the single
-//!    writer forfeits comes back.
+//!    entries, and list the conjunct shards whose scopes contain its
+//!    items (looked up in the scopes' item → conjunct index, built once
+//!    at construction). This section is `O(words)` with **no graph work
+//!    and no §2.2 scans** — the per-transaction read/write totals that
+//!    back the §2.2 validation live *outside* the mutex, in a striped
+//!    table (each transaction's row is touched only by the thread
+//!    pushing that transaction, per the program-order contract), so the
+//!    order-claiming region is the thinnest it can be. The durability
+//!    journal hears of the run here, which makes journal order claimed
+//!    order.
+//! 2. **global** (`GlobalState` behind its own lock): delayed-read
+//!    tracking (Definition 5 marks, the first-non-DR prefix, the
+//!    per-conjunct Lemma-6 kills) and the global reduced conflict graph
+//!    under Pearce–Kelly, from the pipeline's first push, as the single
+//!    writer keeps them. Only lane mode leaves it idle.
+//! 3. **shards** (one `ShardState` per conjunct behind its own lock):
+//!    each touched conjunct's reduced conflict graph. Operations on
+//!    *different* conjuncts proceed through different shards
+//!    concurrently — this is where the parallelism the single writer
+//!    forfeits comes back.
 //!
-//! Every stage sees its operations in claimed-position order, and the
-//! stage code is the single writer's, so each component's state
+//! The stage locks carry the order, taken **hand over hand**: a push
+//! takes the global lock before it releases the sequence lock, and
+//! holds the global lock until it holds the last shard lock its run
+//! touches (shards ascending, each before it works the next; those
+//! before the last under the global lock). A run claimed later cannot
+//! reach a stage first: it waits for the global lock, which its
+//! predecessor lets go only once every shard it still needs is held.
+//! So every stage sees its operations in claimed-position order, and
+//! the stage code is the single writer's, so each component's state
 //! equals the single-writer monitor's on the same interleaving — the
-//! final [`ShardedMonitor::verdict`] is **byte-identical** to
-//! replaying the recorded schedule through an `OnlineMonitor`. What
-//! the pipeline explorer (the test-only `explore` module) checks is
-//! therefore this module's own part: that the turnstiles serve in
-//! claimed order in whatever order threads reach them, under aborts
-//! and compactions. It runs the entry points on real threads, one at a
-//! time, and picks who goes next at every lock, unserved turn and
-//! turnstile release — every schedule of the smallest instances, a
-//! seeded sample of larger ones. The stages form a pipeline:
-//! while one thread runs its global stage for position `p`, another
-//! can run the sequence stage for `p+1` and a third a shard stage for
-//! `p-1`, so throughput is bounded by the *widest stage*, not by the
-//! sum.
+//! final [`ShardedMonitor::verdict`] is **byte-identical** to replaying
+//! the recorded schedule through an `OnlineMonitor`. What the pipeline
+//! explorer (the test-only `explore` module) checks is therefore this
+//! module's own part: that the hand-over keeps claimed order in
+//! whatever order threads reach the locks, under aborts and
+//! compactions. It runs the entry points on real threads, one at a
+//! time, and picks who goes next before every ranked lock and after
+//! each stage lock a push releases — every schedule of the smallest
+//! instances, a seeded sample of larger ones. Only the *wait* for the
+//! global lock overlaps the sequence hold: global work runs after the
+//! sequence lock is released, so while one thread works the global
+//! stage for position `p`, another can claim `p+1` and a third work a
+//! shard for `p-1`; throughput is bounded by the *widest stage*, not by
+//! the sum.
 //!
 //! ## Lane mode
 //!
@@ -89,7 +94,7 @@
 //!   lock, and there calls the lane's `SeqState::apply`, claims its
 //!   positions with one `fetch_add` on a shared counter, and calls
 //!   `ShardState::apply` at them; it publishes the floor once the lock
-//!   is released. No sequence lock, no ticket, no turn. Positions are
+//!   is released. No sequence lock and no global lock. Positions are
 //!   claimed under the lock and filled before its release, so each
 //!   lane and shard sees its operations in position order, and a drain
 //!   never finds a claimed position empty.
@@ -153,21 +158,27 @@
 //! A monitor built with [`ShardedMonitor::new_logged`] has every stage
 //! journal what it applies (`monitor::undo`): each stage state
 //! owns its journal, so the journal sits *behind the stage's existing
-//! lock*, and because each stage serves tickets in claimed order each
-//! journal is automatically in position order — the LIFO retraction
-//! invariant holds per stage without any cross-stage coordination.
+//! lock*, and because each stage sees its operations in claimed order
+//! each journal is automatically in position order — the LIFO
+//! retraction invariant holds per stage without any cross-stage
+//! coordination.
 //!
-//! [`ShardedMonitor::truncate_to`] retracts a speculative suffix: it
-//! holds the sequence mutex (no new positions can be claimed), waits
-//! for the in-flight pipeline to drain (bounded by the ops already
-//! ticketed — they complete without needing the sequence mutex), then
-//! hands `SeqState::truncate` (which bounds, journals and pops the
-//! schedule) a closure that has each other stage undo its last entry.
-//! The turnstiles are left alone: drained, each serves its next ticket,
-//! and equality is all a turn compares. The global stage stays locked
-//! for the whole truncation; a shard is locked only while *its own*
-//! entries pop, so the cost is
-//! `O(ops undone)` counted per shard, not `O(schedule)`.
+//! The floor is published under the run's last stage lock: its last
+//! shard's, or the global lock for a run that touches no shard. So the
+//! **drain** is nothing but the locks in rank order: whoever holds the
+//! sequence lock and then takes the global lock finds every earlier run
+//! past the global stage, each holding at most its last shard lock; a
+//! shard lock taken after that finds the shard's runs served and their
+//! floors published. [`ShardedMonitor::truncate_to`] retracts a
+//! speculative suffix that way: it holds the sequence mutex (no new
+//! positions can be claimed), takes the global lock, and hands
+//! `SeqState::truncate` (which bounds, journals and pops the schedule) a
+//! closure that has each other stage undo its last entry; the global
+//! stage stays locked for the whole truncation, and a shard is locked
+//! only while *its own* entries pop, so the cost is `O(ops undone)`
+//! counted per shard, not `O(schedule)`. The exact floor recompute that
+//! follows takes the global lock and every shard's, so no stale
+//! `fetch_max` lands after it.
 //! [`ShardedMonitor::retract_txn`] is the abort primitive on top, and
 //! has the one shape retraction has under either driver: truncate to
 //! the victim's first operation, then re-push the survivors through
@@ -184,9 +195,10 @@
 //! long run: once the caller knows which transactions may still
 //! abort, stage 1's floor rises to the oldest live transaction's first
 //! operation (an unlogged monitor's is always its length) and, if it
-//! moved, every stage drops its deltas below it.
-//! [`ShardedMonitor::compact`] then collapses the finished prefix
-//! below that floor, stage by stage in lock-rank order.
+//! moved, every stage drops its deltas below it, in lock-rank order —
+//! a drain. [`ShardedMonitor::compact`] then collapses the finished
+//! prefix below that floor, stage by stage in lock-rank order, so each
+//! stage is swept once the runs that still needed it are served.
 //! [`ShardedMonitor::finish_txn`] takes no sequence lock: it records
 //! the id in the transaction's §2.2-totals stripe, and whatever next
 //! reads or moves the finished flags (a frontier, a sweep, a
@@ -202,15 +214,20 @@
 //! carry fixed *ranks* — sequence mutex (0), global stage (1),
 //! conjunct shard `k` (2 + k) — and every code path acquires strictly
 //! ascending (holding a lock, only higher ranks may be taken), which
-//! rules out deadlock by resource ordering. A lane-mode push takes one
-//! ranked lock, its home shard's, and holds nothing else. A lane-mode
-//! sweep, the merged snapshot and the end of lane mode hold the
-//! sequence lock and then every shard's lock at once, in rank order
-//! (the end of lane mode takes the global lock between them, to hand
-//! the global stage what the sweeps decided): that is the drain, since
-//! a lane push claims and fills its positions under its one lock. The
-//! sequence lock is what keeps lane mode from
-//! ending under a reader. Debug builds track held
+//! rules out deadlock by resource ordering. The same order is the
+//! pipeline's: a push holds the sequence lock until it holds the global
+//! one, and the global lock until it holds its last shard lock, so the
+//! locks alone carry the claimed order (see "The pipeline"). A
+//! retraction, checkpoint or sweep holds the sequence lock and takes
+//! the global lock, then the shard locks: that is the drain. A
+//! lane-mode push takes one ranked lock, its home shard's, and holds
+//! nothing else. A lane-mode sweep, the merged snapshot and the end of
+//! lane mode hold the sequence lock and then every shard's lock at
+//! once, in rank order (the end of lane mode takes the global lock
+//! between them, to hand the global stage what the sweeps decided):
+//! that is the lanes' drain, since a lane push claims and fills its
+//! positions under its one lock. The sequence lock is what keeps lane
+//! mode from ending under a reader. Debug builds track held
 //! ranks per thread and assert the discipline on every acquisition
 //! (the private `lock_order` tracker), so a lock-order regression
 //! fails deterministically in tests — the pipeline explorer runs
@@ -230,7 +247,7 @@ use crate::ids::{IdMap, OpIndex, TxnId};
 use crate::op::Operation;
 use crate::schedule::Schedule;
 use crate::state::ItemSet;
-use parking_lot::Mutex;
+use parking_lot::{Mutex, MutexGuard};
 use std::cell::Cell;
 use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicU8, AtomicUsize, Ordering};
@@ -241,7 +258,7 @@ const NO_POS: u32 = u32::MAX;
 const NO_LANE: u32 = u32::MAX;
 
 /// The pipeline explorer: threads run one at a time, handing over at
-/// the hook calls below (a ranked lock, an unserved turn, a turnstile
+/// the hook calls below (before a ranked lock, after a stage lock's
 /// release).
 #[cfg(test)]
 #[path = "explore.rs"]
@@ -334,7 +351,7 @@ impl<T> RankedMutex<T> {
         }
     }
 
-    fn lock(&self) -> RankedGuard<impl DerefMut<Target = T> + '_> {
+    fn lock(&self) -> Held<'_, T> {
         lock_order::acquire(self.rank);
         #[cfg(test)]
         explore::lock(self.rank);
@@ -359,6 +376,9 @@ struct RankedGuard<G> {
     rank: u32,
     guard: G,
 }
+
+/// A held [`RankedMutex`].
+type Held<'a, T> = RankedGuard<MutexGuard<'a, T>>;
 
 impl<G: Deref> Deref for RankedGuard<G> {
     type Target = G::Target;
@@ -534,10 +554,10 @@ impl TotalsTable {
 #[derive(Default)]
 struct PushScratch {
     /// One entry per (operation, conjunct containing its item):
-    /// `(shard, index of the operation in the run, ticket)`. Filled in
-    /// program order under the sequence lock — so each shard's tickets
-    /// follow program order — then sorted by shard for stage 3.
-    turns: Vec<(u32, u32, u32)>,
+    /// `(shard, index of the operation in the run)`. Filled in program
+    /// order under the sequence lock, then sorted by shard for stage 3,
+    /// which so visits its shards in rank order.
+    turns: Vec<(u32, u32)>,
     /// Per operation of the run: the slot of the writer a read takes
     /// its value from, as the sequence stage resolved it.
     rf_slots: Vec<Option<usize>>,
@@ -565,27 +585,19 @@ fn with_scratch<R>(f: impl FnOnce(&mut PushScratch) -> R) -> R {
 
 /// What the order-claiming sequence mutex guards: the stage-1 state,
 /// whose journal therefore hears in claimed order (see
-/// [`MonitorJournal`]), plus what only a pipeline needs beside it.
+/// [`MonitorJournal`]), plus the buffer a retraction re-pushes from.
 #[derive(Debug)]
 struct Sequencer {
     state: SeqState,
-    /// Next global-stage ticket. Tickets are compared for equality only
-    /// and all their arithmetic wraps, so a stream may run past 2³²
-    /// operations.
-    gticket: u32,
-    /// Next ticket per conjunct shard.
-    tickets: Vec<u32>,
     /// The survivors a [`ShardedMonitor::retract_txn`] re-pushes.
     survivors: Vec<Operation>,
 }
 
-/// One conjunct shard: a ticket turnstile plus the guarded state, on
-/// cache lines of its own, so that lanes on neighbouring shards write
-/// no line in common.
+/// One conjunct shard's lock, on cache lines of its own, so that lanes
+/// on neighbouring shards write no line in common.
 #[derive(Debug)]
 #[repr(align(128))]
 struct Shard {
-    serving: AtomicU32,
     state: RankedMutex<Conjunct>,
 }
 
@@ -672,29 +684,6 @@ fn frontier_of(lanes: &[&Lane], base: usize) -> usize {
 #[repr(align(128))]
 struct Padded<T>(T);
 
-/// Spin with bounded exponential backoff, then yield: shard turns are
-/// short, so the first probes re-check almost immediately, but each
-/// miss doubles the `spin_loop` burst (1, 2, 4, … capped at 64 hints)
-/// so a waiter behind a slow predecessor backs off the cache line
-/// instead of hammering it; past the spin budget it yields — on an
-/// oversubscribed (or single-core) host the predecessor needs the CPU
-/// to finish its turn.
-fn wait_turn(serving: &AtomicU32, ticket: u32) {
-    let mut round = 0u32;
-    while serving.load(Ordering::Acquire) != ticket {
-        #[cfg(test)]
-        explore::turn(serving, ticket);
-        if round < 12 {
-            for _ in 0..(1u32 << round.min(6)) {
-                std::hint::spin_loop();
-            }
-            round += 1;
-        } else {
-            std::thread::yield_now();
-        }
-    }
-}
-
 /// What one [`ShardedMonitor::push_outcome`] observed — the lock-free
 /// floor plus one flag per rung: whether **this** push, against the
 /// state just before it, *would not have been admitted* at that rung.
@@ -774,8 +763,9 @@ impl PushOutcome {
 }
 
 /// A concurrent [`OnlineMonitor`](super::OnlineMonitor): per-conjunct
-/// certification shards behind their own locks, a ticketed pipeline
-/// defining the total order, a lock-free verdict floor — and, when
+/// certification shards behind their own locks, a pipeline of ranked
+/// stage locks taken hand over hand defining the total order, a
+/// lock-free verdict floor — and, when
 /// constructed with [`ShardedMonitor::new_logged`], per-stage undo
 /// journals enabling suffix retraction ([`ShardedMonitor::truncate_to`])
 /// and transaction aborts ([`ShardedMonitor::retract_txn`]). See the
@@ -795,7 +785,6 @@ pub struct ShardedMonitor {
     /// section (see [`TotalsTable`]).
     totals: TotalsTable,
     seq: RankedMutex<Sequencer>,
-    gserving: AtomicU32,
     gstate: RankedMutex<GlobalState>,
     shards: Vec<Shard>,
     /// Lock-free verdict floor: the worst `VerdictLevel as u8` any
@@ -806,11 +795,6 @@ pub struct ShardedMonitor {
     /// Lock-free min over the positions that materialized a dirty read
     /// (`NO_POS` = none), from whichever stage keeps the marks.
     first_non_dr: AtomicU32,
-    /// Pushes past the sequence stage that have not yet published
-    /// their floor rank — the drain waits on this as well as the
-    /// ticket turnstiles, so a retraction's exact floor recompute can
-    /// never be clobbered by a stale in-flight `fetch_max`.
-    inflight: AtomicU32,
     /// Lane mode (see the module docs): set until the first spanning
     /// run on a monitor whose scopes are pairwise disjoint and that
     /// keeps no journal of either kind. Only a hint for which path a
@@ -852,16 +836,12 @@ impl ShardedMonitor {
                 RANK_SEQ,
                 Sequencer {
                     state: SeqState::default(),
-                    gticket: 0,
-                    tickets: vec![0; n],
                     survivors: Vec::new(),
                 },
             ),
-            gserving: AtomicU32::new(0),
             gstate: RankedMutex::new(RANK_GLOBAL, GlobalState::new(lanes)),
             shards: (0..n)
                 .map(|k| Shard {
-                    serving: AtomicU32::new(0),
                     state: RankedMutex::new(
                         shard_rank(k),
                         Conjunct {
@@ -874,7 +854,6 @@ impl ShardedMonitor {
             floor: AtomicU8::new(0),
             first_violation: AtomicU32::new(NO_POS),
             first_non_dr: AtomicU32::new(NO_POS),
-            inflight: AtomicU32::new(0),
             lanes: AtomicBool::new(lanes),
             next_pos: Padded::default(),
             logging,
@@ -882,24 +861,6 @@ impl ShardedMonitor {
             serial_ns: AtomicU64::new(0),
             serial_ops: AtomicU64::new(0),
         }
-    }
-
-    /// Start every turnstile of a monitor that has admitted nothing at
-    /// `first` instead of 0, so a test reaches the `u32` wrap-around
-    /// in a handful of pushes.
-    #[cfg(test)]
-    fn with_first_ticket(self, first: u32) -> ShardedMonitor {
-        {
-            let mut s = self.seq.lock();
-            assert!(s.state.schedule.is_empty(), "tickets already claimed");
-            s.gticket = first;
-            s.tickets.fill(first);
-        }
-        self.gserving.store(first, Ordering::Release);
-        for shard in &self.shards {
-            shard.serving.store(first, Ordering::Release);
-        }
-        self
     }
 
     /// Attach a durability journal: every append, truncation and
@@ -971,7 +932,7 @@ impl ShardedMonitor {
     }
 
     /// Every shard's lock, taken in rank order: the lanes drained.
-    fn lock_shards(&self) -> Vec<RankedGuard<impl DerefMut<Target = Conjunct> + '_>> {
+    fn lock_shards(&self) -> Vec<Held<'_, Conjunct>> {
         self.shards.iter().map(|shard| shard.state.lock()).collect()
     }
 
@@ -1019,15 +980,14 @@ impl ShardedMonitor {
     /// run of operations, paying each serial cost **once per batch**
     /// instead of once per operation — one sequence-mutex entry that
     /// claims a contiguous segment of positions `[p0, p0 + k)` (a
-    /// segment-reserved `Schedule` append) together with the whole
-    /// run's global and per-shard tickets, one global-turnstile wait
-    /// plus one `gstate` lock for all `k` operations, and one turnstile
-    /// wait plus one lock per **touched conjunct shard** rather than
-    /// per operation (in lane mode, one lock in all). Ticket
-    /// *numbering* is unchanged — every operation still owns one
-    /// global ticket and one ticket per touched shard, claimed
-    /// atomically in program order — so the undo journals stay per-op
-    /// LIFO and
+    /// segment-reserved `Schedule` append), one `gstate` lock for all
+    /// `k` operations, and one lock per **touched conjunct shard**
+    /// rather than per operation (in lane mode, one lock in all). The
+    /// locks are taken hand over hand, each before the previous stage's
+    /// is let go (the module docs say which): the run reaches every
+    /// stage before any run claimed after it, and each stage applies
+    /// its operations one by one in program order — so the undo
+    /// journals stay per-op LIFO and
     /// [`ShardedMonitor::truncate_to`] / [`ShardedMonitor::retract_txn`]
     /// retract batch-admitted operations individually, exactly as if
     /// they had been pushed one by one.
@@ -1070,7 +1030,8 @@ impl ShardedMonitor {
     /// if the run and its transaction keep to one conjunct, the lane's
     /// [`admit_in_lane`](Self::admit_in_lane); else, leaving lane mode if
     /// it is on, [`claim`](Self::claim) under the sequence lock and
-    /// [`serve`](Self::serve) with the lock released. `framed` says how
+    /// [`serve`](Self::serve), which hands that lock over to the global
+    /// stage's. `framed` says how
     /// a journal hears of it: as one `appended_batch`, or (a run of
     /// one from [`ShardedMonitor::push_outcome`]) as `appended`.
     fn admit(&self, ops: &[Operation], framed: bool, outcomes: &mut [PushOutcome]) -> Result<()> {
@@ -1089,36 +1050,24 @@ impl ShardedMonitor {
             }
         }
         with_scratch(|scratch| {
-            let claimed = {
-                let mut s = self.seq.lock();
-                if self.lanes.load(Ordering::Relaxed) && !s.state.is_summarized(txn) {
-                    self.leave_lanes(&mut s, scratch);
+            let mut s = self.seq.lock();
+            if self.lanes.load(Ordering::Relaxed) && !s.state.is_summarized(txn) {
+                self.leave_lanes(&mut s, scratch);
+            }
+            let existing = match s.state.slot(txn) {
+                Ok(existing) => existing,
+                Err(summarized) => {
+                    // The run never claimed a position, and a
+                    // summarized transaction has no other totals.
+                    drop(s);
+                    self.totals.forget(txn);
+                    return Err(summarized);
                 }
-                let existing = match s.state.slot(txn) {
-                    Ok(existing) => existing,
-                    Err(summarized) => {
-                        // The run never claimed a position, and a
-                        // summarized transaction has no other totals.
-                        drop(s);
-                        self.totals.forget(txn);
-                        return Err(summarized);
-                    }
-                };
-                let t0 = self.time_serial.then(Instant::now);
-                let claimed = self.claim(&mut s, ops, framed, existing, scratch);
-                // Taken under the sequence lock, released after the
-                // floor publication: a retraction's drain waits for
-                // this to reach zero, so it can never interleave
-                // between a push's stage work and its (stale-state)
-                // `fetch_max`. One token covers the whole run: the
-                // drain only needs to know the pipeline has
-                // unpublished floors, not how many.
-                self.inflight.fetch_add(1, Ordering::AcqRel);
-                self.timed(t0, ops.len());
-                claimed
             };
-            self.serve(ops, claimed, scratch, outcomes);
-            self.inflight.fetch_sub(1, Ordering::AcqRel);
+            let t0 = self.time_serial.then(Instant::now);
+            let claimed = self.claim(&mut s, ops, framed, existing, scratch);
+            self.timed(t0, ops.len());
+            self.serve(Some(s), ops, claimed, scratch, outcomes);
             Ok(())
         })
     }
@@ -1137,8 +1086,8 @@ impl ShardedMonitor {
     /// which the run and its transaction keep: under that shard's lock
     /// alone, stage 1 on the lane's own state, one `fetch_add` on the
     /// shared counter for the positions, then stage 3 at them, and the
-    /// floor published once the lock is released — no sequence lock, no
-    /// ticket, no turn. `None` if lane mode ended before the lock was
+    /// floor published once the lock is released — no sequence lock and
+    /// no global lock. `None` if lane mode ended before the lock was
     /// taken: the caller goes through the pipeline instead.
     fn admit_in_lane(
         &self,
@@ -1213,7 +1162,7 @@ impl ShardedMonitor {
             let run = std::slice::from_ref(&lanes[k].seq.schedule.ops()[i]);
             let existing = s.state.schedule.txn_slot(run[0].txn);
             let claimed = self.claim(s, run, false, existing, scratch);
-            self.serve(run, claimed, scratch, &mut [PushOutcome::PENDING]);
+            self.serve(None, run, claimed, scratch, &mut [PushOutcome::PENDING]);
         }
         for lane in &lanes {
             s.state.finish_from(&lane.seq);
@@ -1223,12 +1172,11 @@ impl ShardedMonitor {
 
     /// The first half of an admission, under the (held) sequence lock:
     /// claim the run's segment ([`SeqState::apply`], which journals it)
-    /// and with it, atomically and in program order, every global and
-    /// per-shard ticket. `existing` is the transaction's slot as
-    /// [`SeqState::slot`] reports it. Leaves the claimed shard turns and
-    /// the resolved reads-from slots in `scratch`; returns the first
-    /// position, the transaction's slot and the first global ticket —
-    /// what [`serve`](Self::serve) takes.
+    /// and list, in program order, the shard turns its operations take.
+    /// `existing` is the transaction's slot as [`SeqState::slot`]
+    /// reports it. Leaves the shard turns and the resolved reads-from
+    /// slots in `scratch`; returns the first position and the
+    /// transaction's slot — what [`serve`](Self::serve) takes.
     fn claim(
         &self,
         s: &mut Sequencer,
@@ -1236,85 +1184,91 @@ impl ShardedMonitor {
         framed: bool,
         existing: Option<usize>,
         scratch: &mut PushScratch,
-    ) -> (usize, usize, u32) {
+    ) -> (usize, usize) {
         scratch.turns.clear();
         scratch.rf_slots.clear();
         let rf_slots = &mut scratch.rf_slots;
-        let (p0, slot) = s.state.apply(ops, existing, self.logging, framed, rf_slots);
+        let claimed = s.state.apply(ops, existing, self.logging, framed, rf_slots);
         for (i, op) in ops.iter().enumerate() {
-            for &k in self.scope_index.of(op.item) {
-                let ticket = &mut s.tickets[k as usize];
-                scratch.turns.push((k, i as u32, *ticket));
-                *ticket = ticket.wrapping_add(1);
-            }
+            let shards = self.scope_index.of(op.item).iter();
+            scratch.turns.extend(shards.map(|&k| (k, i as u32)));
         }
-        #[cfg(test)]
-        explore::claimed(ops.len(), scratch.turns.len());
-        let g0 = s.gticket;
-        s.gticket = g0.wrapping_add(ops.len() as u32);
-        (p0, slot, g0)
+        claimed
     }
 
-    /// The second half: take the claimed run through its global turn
-    /// and one turn per touched shard, then publish the lock-free
-    /// floor, filling `outcomes`. Needs no
-    /// sequence lock — an ordinary push has released it; a retraction
-    /// re-pushing a survivor still holds it, drained, so every turn is
-    /// already the caller's.
+    /// The second half: take the claimed run through the global stage
+    /// and each touched shard in rank order, hand over hand, and publish
+    /// the lock-free floor under the run's last stage lock, filling
+    /// `outcomes`. `seq` is the sequence lock an ordinary push still
+    /// holds: released once the global lock is taken. A re-push (leaving
+    /// lane mode, a retraction) passes `None` and keeps the lock it holds
+    /// throughout. The global lock is held until the run's last shard
+    /// lock is, so a run reaches every stage before any run claimed
+    /// after it: each stage sees its operations in claimed order. A
+    /// drain — the sequence lock, then the global lock, then each shard's
+    /// — so finds every claimed run served and its floor published.
     fn serve(
         &self,
+        seq: Option<Held<'_, Sequencer>>,
         ops: &[Operation],
-        (p0, slot, g0): (usize, usize, u32),
+        (p0, slot): (usize, usize),
         scratch: &mut PushScratch,
         outcomes: &mut [PushOutcome],
     ) {
-        // --- stage 2: one global turn for the run -----------------------
+        // --- stage 2: the global stage, the whole run ------------------
         // Per-op results are captured in program order inside the one
         // lock hold, so each operation's snapshot is prefix-exact —
         // identical to singleton pushes — and so is the first-non-DR
         // mirror each later position reads.
-        wait_turn(&self.gserving, g0);
-        {
-            let mut g = self.gstate.lock();
-            for (i, op) in ops.iter().enumerate() {
-                let p = OpIndex(p0 + i);
-                let rf_slot = scratch.rf_slots[i];
-                let caused_non_dr = g.apply(&self.scopes, slot, op, rf_slot, p, self.logging);
-                if caused_non_dr {
-                    self.first_non_dr.fetch_min(p.0 as u32, Ordering::AcqRel);
-                }
-                outcomes[i].caused_non_serializable = g.serializable() == Some(false);
-                outcomes[i].caused_non_dr = caused_non_dr;
+        let mut g = self.gstate.lock();
+        drop(seq);
+        for (i, op) in ops.iter().enumerate() {
+            let p = OpIndex(p0 + i);
+            let rf_slot = scratch.rf_slots[i];
+            let caused_non_dr = g.apply(&self.scopes, slot, op, rf_slot, p, self.logging);
+            if caused_non_dr {
+                self.first_non_dr.fetch_min(p.0 as u32, Ordering::AcqRel);
             }
+            outcomes[i].caused_non_serializable = g.serializable() == Some(false);
+            outcomes[i].caused_non_dr = caused_non_dr;
         }
-        self.gserving
-            .store(g0.wrapping_add(ops.len() as u32), Ordering::Release);
-        #[cfg(test)]
-        explore::released(None);
 
-        // --- stage 3: one turn per touched shard ------------------------
+        // --- stage 3: the touched shards, ascending ---------------------
         scratch.turns.sort_unstable();
-        for turns in scratch.turns.chunk_by(|a, b| a.0 == b.0) {
-            let (k, _, t0k) = turns[0];
-            let shard = &self.shards[k as usize];
-            wait_turn(&shard.serving, t0k);
-            {
-                let mut sh = shard.state.lock();
-                for &(_, i, _) in turns {
-                    let i = i as usize;
-                    let rf_slot = scratch.rf_slots[i];
-                    let (violated, _) =
-                        self.stage_shard(&mut sh.stage, slot, &ops[i], rf_slot, OpIndex(p0 + i));
-                    outcomes[i].caused_violation |= violated;
-                }
+        let mut shards = scratch.turns.chunk_by(|a, b| a.0 == b.0);
+        let last = shards.next_back();
+        let mut turn = |sh: &mut ShardState, turns: &[(u32, u32)]| {
+            for &(_, i) in turns {
+                let i = i as usize;
+                let rf_slot = scratch.rf_slots[i];
+                let (violated, _) = self.stage_shard(sh, slot, &ops[i], rf_slot, OpIndex(p0 + i));
+                outcomes[i].caused_violation |= violated;
             }
-            shard
-                .serving
-                .store(t0k.wrapping_add(turns.len() as u32), Ordering::Release);
+        };
+        // Every shard but the last, under the global lock.
+        for turns in shards {
+            let k = turns[0].0;
+            turn(&mut self.shards[k as usize].state.lock().stage, turns);
             #[cfg(test)]
             explore::released(Some(k));
         }
+        let Some(turns) = last else {
+            self.publish(p0, false, outcomes);
+            drop(g);
+            #[cfg(test)]
+            explore::released(None);
+            return;
+        };
+        let k = turns[0].0;
+        let mut sh = self.shards[k as usize].state.lock();
+        drop(g);
+        #[cfg(test)]
+        explore::released(None);
+        turn(&mut sh.stage, turns);
         self.publish(p0, false, outcomes);
+        drop(sh);
+        #[cfg(test)]
+        explore::released(Some(k));
     }
 
     /// The lock-free floor, per operation of the run at `p0` in program
@@ -1327,7 +1281,8 @@ impl ShardedMonitor {
         // whose stage is still pending is missed; that is safe, because
         // the push that closes a cycle or materializes a dirty read is
         // told through its own flags. The floor only rises while this
-        // push is in flight (a retraction drains first), so a value that
+        // push is in flight (a retraction's recompute waits for the
+        // lock this publication holds), so a value that
         // already meets this operation's rung is what `fetch_max` would
         // have returned, without taking the shared line exclusive.
         let fv = self.first_violation.load(Ordering::Acquire);
@@ -1349,8 +1304,7 @@ impl ShardedMonitor {
         }
     }
 
-    /// Stage 3 against an already locked shard (the caller holds
-    /// its ticket). Returns whether this access breached the conjunct
+    /// Stage 3 against an already locked shard. Returns whether this access breached the conjunct
     /// — closed its first cycle, or met it already frozen — and
     /// whether it materialized a dirty read the shard keeps the marks
     /// of, mirroring either position into its lock-free mirror.
@@ -1372,20 +1326,6 @@ impl ShardedMonitor {
         (applied != Applied::Clean, caused_non_dr)
     }
 
-    /// Wait for every in-flight push to clear the pipeline *and*
-    /// publish its floor rank. Must be called with the sequence lock
-    /// held (no new positions can be claimed, and the in-flight count
-    /// cannot grow); the already-ticketed pushes finish without
-    /// needing that lock, so this terminates after at most `threads`
-    /// turns.
-    fn drain(&self, s: &Sequencer) {
-        wait_turn(&self.gserving, s.gticket);
-        for (k, shard) in self.shards.iter().enumerate() {
-            wait_turn(&shard.serving, s.tickets[k]);
-        }
-        wait_turn(&self.inflight, 0);
-    }
-
     /// Retract the logged suffix until `n` operations remain, in
     /// `O(ops undone)` — each stage's journal pops in reverse position
     /// order (the per-stage LIFO the undo layer requires), and a shard
@@ -1404,7 +1344,6 @@ impl ShardedMonitor {
     /// floor (those entries were reclaimed as permanent).
     pub fn truncate_to(&self, n: usize) -> usize {
         let mut s = self.seq.lock();
-        self.drain(&s);
         self.truncate_locked(&mut s, n, None)
     }
 
@@ -1417,8 +1356,9 @@ impl ShardedMonitor {
     /// as surfaced by the scheduler's `MonitorAdmission`. Returns the
     /// new floor.
     ///
-    /// Quiesces the pipeline for the duration (holds the sequence
-    /// mutex and drains in-flight pushes), so the three journals —
+    /// Holds the sequence mutex for the duration (no new positions), and
+    /// raises the global stage and then each shard in rank order, each
+    /// once the runs in flight are done with it, so the three journals —
     /// sequence, global, per-shard — advance to the same floor
     /// atomically; a shard is locked only long enough to drop its own
     /// below-floor entries.
@@ -1434,7 +1374,6 @@ impl ShardedMonitor {
         if self.lanes.load(Ordering::Relaxed) {
             return self.len_locked(&s);
         }
-        self.drain(&s);
         let floor = live
             .into_iter()
             .filter_map(|t| s.state.first_op_of(t))
@@ -1485,10 +1424,10 @@ impl ShardedMonitor {
     /// the monitor keeps, so a sweep's allocations do not grow with the
     /// number of shards.
     ///
-    /// Quiesces the pipeline for the duration (sequence mutex held,
-    /// in-flight pushes drained), then walks the stages in lock-rank
-    /// order — global, then each shard ascending — so the discipline
-    /// that rules out deadlock covers compaction too. In lane mode it
+    /// Holds the sequence mutex for the duration and walks the stages
+    /// in lock-rank order — global, then each shard ascending — so each
+    /// stage is swept once the runs in flight are done with it, and the
+    /// discipline that rules out deadlock covers compaction too. In lane mode it
     /// drains the lanes instead and sweeps each below one frontier (see
     /// the module docs). Every verdict,
     /// certificate and [`PushOutcome`] after the call is
@@ -1504,7 +1443,6 @@ impl ShardedMonitor {
         if self.lanes.load(Ordering::Relaxed) {
             return self.compact_lanes(&mut s);
         }
-        self.drain(&s);
         self.totals.apply_finished(|txn, _| s.state.finish(txn));
         s.state.compact(|s_cut, maps, summarized| {
             // Every graph is cut down in its own storage, through the
@@ -1614,8 +1552,7 @@ impl ShardedMonitor {
         let mut total = ItemSet::rows_bytes(&self.scopes)
             + self.scope_index.resident_bytes()
             + self.shards.len() * size_of::<Shard>()
-            + s.state.resident_bytes()
-            + s.tickets.len() * size_of::<u32>();
+            + s.state.resident_bytes();
         total += self.gstate.lock().resident_bytes();
         for shard in &self.shards {
             let c = shard.state.lock();
@@ -1624,8 +1561,9 @@ impl ShardedMonitor {
         total + self.totals.resident_bytes()
     }
 
-    /// The truncation body, under the held sequence lock after a
-    /// drain. `victim` selects whose §2.2 totals to strip: `None`
+    /// The truncation body, under the held sequence lock; the stage
+    /// locks it takes in rank order drain the runs in flight. `victim`
+    /// selects whose §2.2 totals to strip: `None`
     /// (plain [`ShardedMonitor::truncate_to`]) strips every popped
     /// operation's bit — correct only when the affected transactions'
     /// pushers are quiescent; `Some(txn)` ([`ShardedMonitor::retract_txn`])
@@ -1666,7 +1604,9 @@ impl ShardedMonitor {
     /// Recompute the lock-free floor and the two position mirrors from
     /// the per-stage state (retraction can *improve* the verdict, so
     /// the monotone `fetch_max`/`fetch_min` floors must be reset).
-    /// Requires the pipeline to be quiescent under the sequence lock.
+    /// Called under the sequence lock: it takes the global lock, then
+    /// every shard's, so each run in flight has published its floor
+    /// before the stores.
     fn recompute_floor(&self) {
         let g = self.gstate.lock();
         let (fv, homes) = self.firsts();
@@ -1739,7 +1679,6 @@ impl ShardedMonitor {
         let plan = s.state.retraction(&[txn], &mut survivors);
         let mut cost = (0, 0);
         if let Ok(Some(first)) = plan {
-            self.drain(&s);
             cost = (
                 self.truncate_locked(&mut s, first, Some(txn)),
                 survivors.len(),
@@ -1747,16 +1686,15 @@ impl ShardedMonitor {
             // The ordinary admission path, minus what the survivors
             // keep: their §2.2 totals stayed in place (their owners
             // may be mid-push against those very rows), and the
-            // sequence lock is already held and drained, so every
-            // ticket claimed is served at once, the journals stay in
-            // position order and the floor the truncation recomputed
-            // stays exact.
+            // sequence lock stays held, so no run claims a position
+            // in between, the journals stay in position order and the
+            // floor the truncation recomputed stays exact.
             with_scratch(|scratch| {
                 for op in &survivors {
                     let run = std::slice::from_ref(op);
                     let existing = s.state.schedule.txn_slot(op.txn);
                     let claimed = self.claim(&mut s, run, false, existing, scratch);
-                    self.serve(run, claimed, scratch, &mut [PushOutcome::PENDING]);
+                    self.serve(None, run, claimed, scratch, &mut [PushOutcome::PENDING]);
                 }
             });
         }
@@ -2413,68 +2351,5 @@ mod tests {
         m.checkpoint([TxnId(2)]);
         assert_eq!(m.compact().frontier, 1);
         m.truncate_to(0);
-    }
-
-    /// Ticket arithmetic wraps: a monitor whose turnstiles start four
-    /// short of `u32::MAX` pushes, batches, retracts (forwards and
-    /// back across the wrap), checkpoints and compacts exactly like
-    /// one that starts at 0 — checked against a single-writer replay
-    /// of the surviving interleaving after every step. (With `+`/`-`
-    /// on the tickets a debug build panics at the first wrap.)
-    #[test]
-    fn tickets_wrap_around_without_losing_their_place() {
-        let m = ShardedMonitor::new_logged(example2_scopes()).with_first_ticket(u32::MAX - 3);
-        let mut kept: Vec<Operation> = Vec::new();
-        let check = |m: &ShardedMonitor, kept: &[Operation], step: &str| {
-            let mut replay = OnlineMonitor::new(example2_scopes());
-            for op in kept {
-                replay.push(op.clone()).unwrap();
-            }
-            assert_eq!(m.verdict(), replay.verdict(), "{step}");
-            assert_eq!(m.floor(), replay.verdict().level, "{step}");
-            assert_eq!(m.len(), kept.len(), "{step}");
-        };
-        // Global tickets MAX-3 … MAX, then 0: the batch crosses the wrap.
-        m.push(wr(1, 0, 1)).unwrap();
-        kept.push(wr(1, 0, 1));
-        let t2 = [rd(2, 0, 1), rd(2, 1, 0), wr(2, 2, 5), rd(2, 3, 0)];
-        let outcomes = m.push_batch(&t2).unwrap();
-        assert_eq!(outcomes.last().unwrap().pos, OpIndex(4));
-        kept.extend(t2.iter().cloned());
-        check(&m, &kept, "batch across the global wrap");
-        // Shard 0 has served MAX-3 … MAX-1; these take MAX and 0.
-        m.push(wr(3, 1, 2)).unwrap();
-        let t4 = [rd(4, 2, 5), wr(4, 0, 3)];
-        m.push_batch(&t4).unwrap();
-        kept.push(wr(3, 1, 2));
-        kept.extend(t4.iter().cloned());
-        check(&m, &kept, "singleton and batch past the wrap");
-        // Abort T3: T4's two operations claim fresh tickets.
-        assert_eq!(m.retract_txn(TxnId(3)).unwrap(), (3, 2));
-        kept.retain(|o| o.txn != TxnId(3));
-        check(&m, &kept, "retract_txn past the wrap");
-        // Truncate back below the wrap, then push forward across it again.
-        assert_eq!(m.truncate_to(2), 5);
-        kept.truncate(2);
-        check(&m, &kept, "truncate back across the wrap");
-        let t5 = [rd(5, 1, 0), wr(5, 1, 7), wr(5, 2, 8)];
-        m.push_batch(&t5).unwrap();
-        m.push(rd(2, 2, 8)).unwrap();
-        kept.extend(t5.iter().cloned());
-        kept.push(rd(2, 2, 8));
-        check(&m, &kept, "second crossing");
-        // Everything settles: checkpoint, compact, and keep going.
-        for t in [1, 2, 5] {
-            m.finish_txn(TxnId(t));
-        }
-        assert_eq!(m.checkpoint([]), kept.len());
-        assert_eq!(m.compact().frontier, kept.len());
-        check(&m, &kept, "compacted");
-        m.push_batch(&[rd(6, 0, 1), wr(6, 1, 9)]).unwrap();
-        kept.extend([rd(6, 0, 1), wr(6, 1, 9)]);
-        check(&m, &kept, "after compaction");
-        assert_eq!(m.retract_txn(TxnId(6)).unwrap(), (2, 0));
-        kept.truncate(kept.len() - 2);
-        check(&m, &kept, "retract after compaction");
     }
 }

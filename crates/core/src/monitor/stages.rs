@@ -53,13 +53,13 @@
 //!
 //! Each part owns its undo journal (see [`undo`](super::undo)) and its
 //! `apply` / `undo` / `raise_floor` / `compact` / `resident_bytes`.
-//! Nothing here takes a lock, touches an atomic or knows a ticket: the
-//! parts are plain data, and the two drivers differ only in
-//! how they hold them. [`OnlineMonitor`](super::OnlineMonitor) owns
-//! one of each (and one [`ShardState`] per conjunct) and walks a run
-//! operation by operation; [`ShardedMonitor`](super::sharded::ShardedMonitor)
-//! puts each behind its ranked lock and serves the same calls in
-//! ticket order, one stage at a time. Because a stage sees its
+//! Nothing here takes a lock or touches an atomic: the parts are plain
+//! data, and the two drivers differ only in how they hold them.
+//! [`OnlineMonitor`](super::OnlineMonitor) owns one of each (and one
+//! [`ShardState`] per conjunct) and walks a run operation by operation;
+//! [`ShardedMonitor`](super::sharded::ShardedMonitor) puts each behind
+//! its ranked lock, taken in claimed order, and serves the same calls
+//! one stage at a time. Because a stage sees its
 //! operations in position order under either driver, the two reach the
 //! same state on the same interleaving by construction.
 //!

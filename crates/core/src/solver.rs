@@ -756,7 +756,10 @@ mod tests {
         let b = cat.add_item("b", Domain::int_range(-3, 3));
         let ic = IntegrityConstraint::new(vec![Conjunct::new(
             0,
-            Formula::eq(Term::var(a).add(Term::var(b).abs()), Term::int(2)),
+            Formula::eq(
+                Term::var(a).add(Term::Abs(Box::new(Term::var(b)))),
+                Term::int(2),
+            ),
         )])
         .unwrap();
         let solver = Solver::new(&cat, &ic);

@@ -9,7 +9,7 @@
 //! split by truncation and by checkpoint-driven compaction. The sharded
 //! monitor's batches are the pipeline explorer's
 //! (`monitor::sharded::explore`): a `push_batch` run through the real
-//! turnstiles, held to the batch deciders and the order verifier and,
+//! stage locks, held to the batch deciders and the order verifier and,
 //! per operation, to the single writer's `admits`.
 
 mod common;

@@ -19,8 +19,8 @@
 //!   per-conjunct space mutexes in ascending space order for its whole
 //!   lifetime (conservative per-space 2PL — deadlock-free by lock
 //!   ordering). The interleaving is recorded *by* the sharded monitor
-//!   ([`ShardedMonitor`]) whose ticketed pipeline defines the total
-//!   order. Conservative per-space 2PL already serializes conflicting
+//!   ([`ShardedMonitor`]) whose pipeline of ranked stage locks defines
+//!   the total order. Conservative per-space 2PL already serializes conflicting
 //!   accesses for entire transaction lifetimes, so a thread's
 //!   `db access → push` pair cannot be split by a conflicting pair —
 //!   the recorded schedule is read-coherent by construction, and the
@@ -244,7 +244,7 @@ pub fn run_threaded_certified(
         // so deferring the monitor pushes to one program-ordered batch
         // before lock release claims the same per-item operation
         // orders as pushing op-by-op — while paying the pipeline's
-        // serial costs (seq mutex, global ticket, shard tickets) once.
+        // serial costs (sequence, global and shard locks) once.
         // For the same reason value and claimed position cannot be
         // split by a conflicting access, and no dirty mark is needed.
         let mut batch: Vec<Operation> = Vec::new();
@@ -1506,8 +1506,7 @@ mod tests {
         let jobs = (outs.iter().enumerate())
             .map(|(w, out)| Box::new(move || *out.lock() = Some(worker(w))) as Box<_>)
             .collect();
-        let (steps, result) =
-            pwsr_turns::run(jobs, &|_: &Site| None, &describe, &mut by_plan(&plan));
+        let (steps, result) = pwsr_turns::run(jobs, &describe, &mut by_plan(&plan));
         if let Err(e) = result {
             panic!("{e}\nsteps:\n{}", steps.join("\n"));
         }

@@ -1108,10 +1108,8 @@ mod tests {
                 PolicySpec::predicate_wise_2pl(&ic).monitor_admission(&ic, AdmissionLevel::Pwsr);
             let mut certified = monitored.clone();
             let spec = certified.monitor.as_mut().expect("monitor admission");
-            spec.certificate = Some(StaticCertificate::full(
-                AdmissionLevel::Pwsr,
-                programs.len(),
-            ));
+            let all = (1..=programs.len() as u32).map(TxnId).collect();
+            spec.certificate = Some(StaticCertificate::new(AdmissionLevel::Pwsr, all));
             let base = run_workload(&programs, &cat, &initial, &monitored, &cfg).unwrap();
             let fast = run_workload(&programs, &cat, &initial, &certified, &cfg).unwrap();
             // Same deterministic interleaving, same commits — the

@@ -98,23 +98,6 @@ impl StaticCertificate {
     }
 }
 
-#[cfg(test)]
-impl StaticCertificate {
-    /// Certificate covering transactions `1..=n` (program `k` runs as
-    /// transaction `k+1` in the executors).
-    pub(crate) fn full(level: AdmissionLevel, n: usize) -> StaticCertificate {
-        StaticCertificate {
-            level,
-            certified: (1..=n as u32).map(TxnId).collect(),
-        }
-    }
-
-    /// The certified transactions, ascending.
-    pub(crate) fn txns(&self) -> impl Iterator<Item = TxnId> + '_ {
-        self.certified.iter().copied()
-    }
-}
-
 /// Monitor-backed admission control: an [`OnlineMonitor`] tracking the
 /// executor's trace, consulted before every operation. An operation
 /// whose admission would sink the verdict below the spec's
@@ -1017,9 +1000,14 @@ mod tests {
         assert!(!level_implies(PwsrDr, Serializable));
     }
 
+    /// Transactions `1..=n`: program `k` runs as transaction `k+1`.
+    fn certified(n: u32) -> BTreeSet<TxnId> {
+        (1..=n).map(TxnId).collect()
+    }
+
     #[test]
     fn certificate_covers_and_satisfies() {
-        let cert = StaticCertificate::full(AdmissionLevel::Serializable, 3);
+        let cert = StaticCertificate::new(AdmissionLevel::Serializable, certified(3));
         assert_eq!(cert.len(), 3);
         assert!(!cert.is_empty());
         assert!(cert.covers(TxnId(1)) && cert.covers(TxnId(3)));
@@ -1027,10 +1015,6 @@ mod tests {
         assert!(cert.satisfies(AdmissionLevel::Pwsr));
         assert!(cert.satisfies(AdmissionLevel::Serializable));
         assert!(!cert.satisfies(AdmissionLevel::PwsrDr));
-        assert_eq!(
-            cert.txns().collect::<Vec<_>>(),
-            [TxnId(1), TxnId(2), TxnId(3)]
-        );
         let explicit =
             StaticCertificate::new(AdmissionLevel::Pwsr, [TxnId(7)].into_iter().collect());
         assert!(explicit.covers(TxnId(7)) && !explicit.covers(TxnId(1)));
@@ -1048,11 +1032,11 @@ mod tests {
                 ..MonitorSpec::new(ic.scopes(), level)
             })
         };
-        let weak = StaticCertificate::full(AdmissionLevel::Pwsr, 2);
+        let weak = StaticCertificate::new(AdmissionLevel::Pwsr, certified(2));
         let adm = admission(weak, AdmissionLevel::PwsrDr);
         assert!(adm.spec().trusted_certificate().is_none());
         assert!(!adm.covers(TxnId(1)));
-        let strong = StaticCertificate::full(AdmissionLevel::PwsrDr, 2);
+        let strong = StaticCertificate::new(AdmissionLevel::PwsrDr, certified(2));
         assert!(admission(strong, AdmissionLevel::Pwsr).covers(TxnId(2)));
     }
 

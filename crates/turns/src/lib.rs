@@ -8,9 +8,8 @@
 //! the component's own control flow, not a driver's copy of it.
 //!
 //! A parked worker can go on
-//! - from its start;
-//! - from a [`park`], once the run's `blocked` rule finds nothing in
-//!   the way (a turnstile not yet serving its ticket, say);
+//! - from its start, or from a [`park`] (a window where another worker
+//!   may run first);
 //! - from a [`lock`], once no other worker holds the key; it then
 //!   holds it until its [`unlock`];
 //! - from a [`wait`], once a [`notify`] of its key came after it
@@ -38,7 +37,7 @@ const STUCK: Duration = Duration::from_secs(60);
 /// What a parked worker waits for.
 enum Gate {
     Start,
-    /// The run's `blocked` rule.
+    /// Nothing: a window.
     Site,
     /// No other worker holding the key.
     Lock(u64),
@@ -138,8 +137,8 @@ fn site<S: Any>(site: &(dyn Any + Send)) -> &S {
     site.downcast_ref().expect("a site of the run's type")
 }
 
-/// Hook: hand over at `site` until the run's `blocked` rule lets the
-/// worker go on.
+/// Hook: hand over at `site`, a window in which another worker may run
+/// first.
 pub fn park<S: Any + Send>(site: S) {
     hand_over(Gate::Site, Box::new(site));
 }
@@ -204,7 +203,6 @@ pub(crate) type Choose<'p> = dyn FnMut(&[usize], &dyn Fn(usize) -> String) -> us
 /// each worker's site and why it cannot go on, or a worker's panic.
 pub fn run<'a, S: Any>(
     workers: Vec<Box<dyn FnOnce() + Send + 'a>>,
-    blocked: &dyn Fn(&S) -> Option<String>,
     describe: &dyn Fn(&S) -> String,
     pick: &mut Choose<'_>,
 ) -> (Vec<String>, Result<(), String>) {
@@ -263,8 +261,7 @@ pub fn run<'a, S: Any>(
             };
             // Why worker `w` cannot go on yet, if it cannot.
             let why = |w: usize| match parked(w)? {
-                (Gate::Start | Gate::Wait { .. }, _) => None,
-                (Gate::Site, s) => blocked(site(s)),
+                (Gate::Start | Gate::Site | Gate::Wait { .. }, _) => None,
                 (Gate::Lock(key), _) => (st.held.iter())
                     .find(|&&(k, o)| k == *key && o != w)
                     .map(|(_, o)| format!(", held by worker {o}")),
@@ -333,7 +330,6 @@ mod tests {
         let describe = |s: &&str| s.to_string();
         run(
             workers,
-            &|_: &&str| None,
             &describe,
             &mut |w: &[usize], _: &dyn Fn(usize) -> String| pick(w),
         )
@@ -379,7 +375,7 @@ mod tests {
             w.iter().position(|&c| c == next).expect("a candidate")
         };
         let workers = vec![both(1, 2), both(2, 1)];
-        let (steps, result) = run(workers, &|_: &String| None, &describe, &mut pick);
+        let (steps, result) = run(workers, &describe, &mut pick);
         assert_eq!(steps.last().map(String::as_str), Some("worker 1: lock 2"));
         let want =
             "deadlock: worker 0: lock 2, held by worker 1; worker 1: lock 1, held by worker 0";
@@ -430,7 +426,7 @@ mod tests {
                 false => 0,
             };
             let describe = |s: &&str| s.to_string();
-            let (steps, result) = run(workers, &|_: &&str| None, &describe, &mut pick);
+            let (steps, result) = run(workers, &describe, &mut pick);
             assert_eq!(result, Ok(()));
             let (timed_out, waited) = seen.into_inner().unwrap().expect("worker 0 ran");
             let step =
