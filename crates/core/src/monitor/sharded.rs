@@ -94,7 +94,9 @@
 //!   lock, and there calls the lane's `SeqState::apply`, claims its
 //!   positions with one `fetch_add` on a shared counter, and calls
 //!   `ShardState::apply` at them; it publishes the floor once the lock
-//!   is released. No sequence lock and no global lock. Positions are
+//!   is released (a later push may close a cycle in between; the floor
+//!   reads the violation mirror only up to the push's own position).
+//!   No sequence lock and no global lock. Positions are
 //!   claimed under the lock and filled before its release, so each
 //!   lane and shard sees its operations in position order, and a drain
 //!   never finds a claimed position empty.
@@ -240,7 +242,7 @@
 //! sequence mutex.
 
 use super::journal::MonitorJournal;
-use super::stages::{earliest, GlobalState, SeqState, ShardState, TxnTotals};
+use super::stages::{self, earliest, GlobalState, SeqState, ShardState, TxnTotals};
 use super::{AdmissionLevel, Applied, CompactStats, ScopeIndex, Verdict, VerdictLevel};
 use crate::error::Result;
 use crate::ids::{IdMap, OpIndex, TxnId};
@@ -652,12 +654,9 @@ fn in_position_order(
 }
 
 /// The compaction frontier of the whole order in lane mode, from
-/// `base`: [`SeqState::frontier`]'s longest prefix that holds every
-/// operation of each transaction it touches, all of them finished (an
-/// unlogged lane is permanent up to its length). Found per transaction
-/// rather than per operation: in order of first positions, each start
-/// that no earlier transaction reaches past ends such a prefix, up to
-/// the first transaction not finished.
+/// `base`: [`stages::frontier`] over every lane's transactions, sorted
+/// by first position, with no limit (an unlogged lane is permanent up
+/// to its length).
 fn frontier_of(lanes: &[&Lane], base: usize) -> usize {
     let mut spans = Vec::new();
     for lane in lanes {
@@ -666,17 +665,7 @@ fn frontier_of(lanes: &[&Lane], base: usize) -> usize {
         spans.extend(lane_spans.map(|(first, last)| (at(first), last.map(at))));
     }
     spans.sort_unstable();
-    let (mut hi, mut frontier) = (base, base);
-    for (first, last) in spans {
-        if hi == first {
-            frontier = first;
-        }
-        let Some(last) = last else {
-            return frontier;
-        };
-        hi = hi.max(last + 1);
-    }
-    hi
+    stages::frontier(spans, base, usize::MAX)
 }
 
 /// A value on cache lines of its own.
@@ -1128,6 +1117,8 @@ impl ShardedMonitor {
             p0
         });
         drop(held);
+        #[cfg(test)]
+        explore::released(Some(k as u32));
         self.publish(p0, true, outcomes);
         Some(Ok(()))
     }

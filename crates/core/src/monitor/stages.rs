@@ -155,6 +155,32 @@ pub(super) struct Undone {
     pub(super) new_slot: bool,
 }
 
+/// The compaction frontier of an order from `base`: the longest prefix
+/// below `limit` in which every operation belongs to a finished
+/// transaction whose last operation also lies in that prefix. `spans`
+/// are the retained transactions' `(first position, last position if
+/// finished)`, in order of first position, and cover every position
+/// from `base` on. Walked per transaction: a start that no earlier
+/// transaction reaches past ends such a prefix, up to the first
+/// transaction that is not finished or ends at or past `limit`.
+pub(super) fn frontier(
+    spans: impl IntoIterator<Item = (usize, Option<usize>)>,
+    base: usize,
+    limit: usize,
+) -> usize {
+    let (mut hi, mut frontier) = (base, base);
+    for (first, last) in spans {
+        if hi == first {
+            frontier = first;
+        }
+        match last {
+            Some(last) if last < limit => hi = hi.max(last + 1),
+            _ => return frontier,
+        }
+    }
+    hi
+}
+
 /// Stage-1 state: the order-defining tables, and the one owner of the
 /// durability journal.
 #[derive(Debug, Default)]
@@ -378,26 +404,10 @@ impl SeqState {
     /// The compaction frontier: the longest prefix of the schedule
     /// below the retraction floor (the prefix that is already
     /// permanent) in which every operation belongs to a finished
-    /// transaction whose *last* operation also lies in that prefix.
+    /// transaction whose *last* operation also lies in that prefix —
+    /// [`frontier`] over this state's transactions.
     pub(super) fn frontier(&self) -> usize {
-        let (schedule, limit) = (&self.schedule, self.log.base());
-        let mut hi = schedule.base();
-        let mut frontier = schedule.base();
-        for p in schedule.base()..limit {
-            let slot = schedule.slot_of_op(OpIndex(p));
-            if !self.finished.is_finished(slot) {
-                break;
-            }
-            let last = schedule.slot_last_raw(slot) as usize;
-            if last >= limit {
-                break;
-            }
-            hi = hi.max(last + 1);
-            if p + 1 == hi {
-                frontier = p + 1;
-            }
-        }
-        frontier
+        frontier(self.txn_spans(), self.schedule.base(), self.log.base())
     }
 
     /// Per live transaction, in slot (first-appearance) order: the

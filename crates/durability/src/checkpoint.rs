@@ -15,7 +15,7 @@
 
 use std::fmt;
 
-use pwsr_core::monitor::{OnlineMonitor, Verdict};
+use pwsr_core::monitor::OnlineMonitor;
 use pwsr_core::op::Operation;
 
 use crate::crc32::crc32;
@@ -53,23 +53,8 @@ fn hash_opt_index(h: &mut Sha256, idx: Option<pwsr_core::ids::OpIndex>) {
 /// recorded schedule, the entire verdict ladder (level, serializable,
 /// DR, all three first-failure positions, both lemma certificates),
 /// and which prefix is permanent.
-///
-/// The digest has two halves: the schedule is absorbed first, then
-/// sealed with the verdict and the floor. Only the seal needs a
-/// monitor, which is what lets [`recover`](crate::recover::recover)
-/// absorb a checkpoint's operations while the monitor is still being
-/// rebuilt.
 pub fn state_hash(monitor: &OnlineMonitor) -> StateHash {
-    seal(
-        hash_ops(monitor.schedule().ops()),
-        monitor.verdict(),
-        monitor.log_floor(),
-    )
-}
-
-/// The schedule half of [`state_hash`]: the domain tag, the operation
-/// count and every operation's length-prefixed byte encoding.
-pub(crate) fn hash_ops(ops: &[Operation]) -> Sha256 {
+    let ops = monitor.schedule().ops();
     let mut h = Sha256::new();
     h.update(b"pwsr-state-v1\0");
     h.update(&(ops.len() as u64).to_le_bytes());
@@ -80,12 +65,7 @@ pub(crate) fn hash_ops(ops: &[Operation]) -> Sha256 {
         h.update(&(buf.len() as u32).to_le_bytes());
         h.update(&buf);
     }
-    h
-}
-
-/// The verdict half of [`state_hash`]: absorb every `Verdict` field
-/// and the undo-log floor behind the schedule, and finish the digest.
-pub(crate) fn seal(mut h: Sha256, v: Verdict, floor: usize) -> StateHash {
+    let v = monitor.verdict();
     h.update(&(v.len as u64).to_le_bytes());
     h.update(&[
         v.level as u8,
@@ -97,7 +77,7 @@ pub(crate) fn seal(mut h: Sha256, v: Verdict, floor: usize) -> StateHash {
     hash_opt_index(&mut h, v.first_violation);
     hash_opt_index(&mut h, v.first_non_serializable);
     hash_opt_index(&mut h, v.first_non_dr);
-    h.update(&(floor as u64).to_le_bytes());
+    h.update(&(monitor.log_floor() as u64).to_le_bytes());
     StateHash(h.finalize())
 }
 
@@ -330,6 +310,26 @@ pub(crate) fn replay_prefix(
     Ok(m)
 }
 
+/// Rebuild the state `ckp` claims over `scopes` and check it: replay
+/// the prefix ([`replay_prefix`]), then compare its [`state_hash`]
+/// with the stored one. An invalid prefix is refused before the hash
+/// is computed.
+pub(crate) fn validate(
+    scopes: Vec<pwsr_core::state::ItemSet>,
+    ckp: &Checkpoint,
+) -> Result<OnlineMonitor, CheckpointError> {
+    let monitor = replay_prefix(scopes, &ckp.ops, ckp.floor)
+        .map_err(|e| CheckpointError::InvalidPrefix(e.to_string()))?;
+    let actual = state_hash(&monitor);
+    if actual != ckp.hash {
+        return Err(CheckpointError::HashMismatch {
+            expected: ckp.hash,
+            actual,
+        });
+    }
+    Ok(monitor)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -378,8 +378,9 @@ mod tests {
     }
 
     /// The digest of a fixed monitor, as recorded from `state_hash`
-    /// before it was split into [`hash_ops`] and [`seal`]: the split
-    /// (and anything later done to either half) may not move a byte.
+    /// before it was ever split into a schedule half and a verdict
+    /// seal: neither the split nor folding it back moved a byte, and
+    /// no later change may.
     #[test]
     fn state_hash_golden_value_survives_the_split() {
         let m = sample_monitor();
@@ -387,9 +388,6 @@ mod tests {
             state_hash(&m).to_string(),
             "7838418025bd827ec78c8e1b11c5ecd87e16e9428b2c66a2f115c084c4c9b06c"
         );
-        // The two halves, composed by hand the way `recover` does.
-        let by_halves = seal(hash_ops(m.schedule().ops()), m.verdict(), m.log_floor());
-        assert_eq!(by_halves, state_hash(&m));
     }
 
     /// `replay_prefix` admits maximal same-transaction runs as

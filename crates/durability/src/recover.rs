@@ -7,14 +7,11 @@
 //! bit-flipped tail is detected by its checksum and truncated, never
 //! silently replayed.
 //!
-//! A recovery from a checkpoint runs as **two lanes**: scanning the
-//! WAL and hashing the checkpoint's operations need nothing the
-//! prefix replay produces, so a scoped helper thread does both while
-//! the calling thread replays. The lanes meet before the hash is
-//! compared and before the first tail record is applied, so every
-//! check, and the order of refusals, is that of doing the steps in
-//! sequence (a test holds `recover` to such a reference at every cut
-//! and bit flip of a journal).
+//! Recovery is one sequence on the calling thread: validate the
+//! checkpoint (replay its prefix, compare the state hash), scan the
+//! WAL, apply the tail. A test holds `recover` to a reference that
+//! pushes the prefix one operation at a time, at every cut and bit
+//! flip of a journal.
 
 use std::fmt;
 
@@ -22,8 +19,8 @@ use pwsr_core::error::CoreError;
 use pwsr_core::monitor::OnlineMonitor;
 use pwsr_core::state::ItemSet;
 
-use crate::checkpoint::{hash_ops, replay_prefix, seal, Checkpoint, CheckpointError};
-use crate::wal::{scan, WalCorruption, WalRecord, WalScan};
+use crate::checkpoint::{validate, Checkpoint, CheckpointError};
+use crate::wal::{scan, WalCorruption, WalRecord};
 
 /// The outcome of a successful recovery.
 #[derive(Debug)]
@@ -105,22 +102,19 @@ impl From<CheckpointError> for RecoverError {
 /// 3. Tail corruption is reported, not fatal: the monitor stands at
 ///    the last durable record.
 ///
-/// With a checkpoint the work runs in **two lanes**: a scoped helper
-/// thread scans the WAL and hashes the checkpoint's operations while
-/// the calling thread replays them. The order of refusals is still
-/// that of the steps: an invalid prefix, then a hash mismatch, then
-/// the first inconsistent or unreplayable tail record. Without a
-/// checkpoint there is no prefix replay for the scan to run beside,
-/// and no thread is started.
+/// The steps run in turn on the calling thread, so the refusals come
+/// in their order: an invalid prefix, then a hash mismatch, then the
+/// first inconsistent or unreplayable tail record.
 pub fn recover(
     scopes: Vec<ItemSet>,
     checkpoint: Option<&Checkpoint>,
     wal_bytes: &[u8],
 ) -> Result<Recovered, RecoverError> {
-    let (mut monitor, scanned) = match checkpoint {
-        Some(ckp) => replay_beside_scan(&scopes, ckp, wal_bytes)?,
-        None => (OnlineMonitor::new(scopes.clone()), scan(wal_bytes)),
+    let mut monitor = match checkpoint {
+        Some(ckp) => validate(scopes.clone(), ckp)?,
+        None => OnlineMonitor::new(scopes.clone()),
     };
+    let scanned = scan(wal_bytes);
     let records_applied = scanned.records.len();
     for (index, rec) in scanned.records.into_iter().enumerate() {
         apply_record(&mut monitor, &scopes, rec, index)?;
@@ -131,47 +125,6 @@ pub fn recover(
         valid_bytes: scanned.valid_bytes,
         corruption: scanned.corruption,
     })
-}
-
-/// Step 1 and the scan of step 2, side by side. What the prefix
-/// replay produces — the monitor — is needed by neither the scan nor
-/// the schedule half of the state hash, which read only the input
-/// bytes and the checkpoint's operations. So a scoped helper thread
-/// scans the WAL and absorbs the checkpoint's operations into the
-/// digest while the calling thread replays them; after the join the
-/// replayed schedule is compared with the checkpoint's operations (so
-/// that the helper's digest is the monitor's own), sealed with the
-/// replayed verdict and floor, and checked against the stored hash.
-/// Neither lane waits on the other before the join, so on one CPU they
-/// simply time-slice.
-fn replay_beside_scan(
-    scopes: &[ItemSet],
-    ckp: &Checkpoint,
-    wal_bytes: &[u8],
-) -> Result<(OnlineMonitor, WalScan), CheckpointError> {
-    let (prefix, beside) = std::thread::scope(|lanes| {
-        let helper = lanes.spawn(|| (scan(wal_bytes), hash_ops(&ckp.ops)));
-        let prefix = replay_prefix(scopes.to_vec(), &ckp.ops, ckp.floor);
-        (prefix, helper.join())
-    });
-    let (scanned, digest) = beside.unwrap_or_else(|panic| std::panic::resume_unwind(panic));
-    let monitor = prefix.map_err(|e| CheckpointError::InvalidPrefix(e.to_string()))?;
-    // The helper hashed the checkpoint's operations, not the monitor's:
-    // its digest stands for the monitor only if the replay recorded
-    // exactly those.
-    let digest = if monitor.schedule().ops() == ckp.ops {
-        digest
-    } else {
-        hash_ops(monitor.schedule().ops())
-    };
-    let actual = seal(digest, monitor.verdict(), monitor.log_floor());
-    if actual != ckp.hash {
-        return Err(CheckpointError::HashMismatch {
-            expected: ckp.hash,
-            actual,
-        });
-    }
-    Ok((monitor, scanned))
 }
 
 /// Apply one logical record to `monitor` — the replay side of the
@@ -349,11 +302,11 @@ mod tests {
         }
     }
 
-    /// `recover` as it read before the lanes: each step in turn on the
-    /// calling thread, from `scan` and the monitor's entry points, the
-    /// prefix pushed one operation at a time and the monitor itself
-    /// hashed. Refusals are carried as their text.
-    fn recover_in_sequence(
+    /// `recover` spelled out from `scan` and the monitor's entry points:
+    /// the prefix pushed one operation at a time rather than in
+    /// transaction runs, and no record checked before it is applied.
+    /// Refusals are carried as their text.
+    fn recover_one_by_one(
         scopes: Vec<ItemSet>,
         checkpoint: Option<&Checkpoint>,
         wal_bytes: &[u8],
@@ -395,9 +348,9 @@ mod tests {
     /// Both recoveries of one input agree: on every `Recovered` field,
     /// on the monitor's digest, verdict and floor, or on the refusal.
     fn assert_same_recovery(ckp: Option<&Checkpoint>, bytes: &[u8], ctx: &str) {
-        let lanes = recover(scopes(), ckp, bytes).map_err(|e| e.to_string());
-        let sequence = recover_in_sequence(scopes(), ckp, bytes);
-        match (lanes, sequence) {
+        let recovered = recover(scopes(), ckp, bytes).map_err(|e| e.to_string());
+        let reference = recover_one_by_one(scopes(), ckp, bytes);
+        match (recovered, reference) {
             (Ok(a), Ok(b)) => {
                 assert_eq!(
                     (a.records_applied, a.valid_bytes, a.corruption),
@@ -409,7 +362,7 @@ mod tests {
                 assert_eq!(a.monitor.log_floor(), b.monitor.log_floor(), "{ctx}");
             }
             (Err(a), Err(b)) => assert_eq!(a, b, "{ctx}"),
-            (a, b) => panic!("{ctx}: two lanes {a:?}, in sequence {b:?}"),
+            (a, b) => panic!("{ctx}: recover {a:?}, one by one {b:?}"),
         }
     }
 
@@ -447,11 +400,11 @@ mod tests {
         (ckp, bytes)
     }
 
-    /// Two-lane recovery equals the sequential reference on every
-    /// input the journal can be damaged into: cut at every byte, and
-    /// one bit flipped in every frame.
+    /// Recovery equals the one-by-one reference on every input the
+    /// journal can be damaged into: cut at every byte, and one bit
+    /// flipped in every frame.
     #[test]
-    fn two_lane_recovery_equals_the_sequence_on_every_cut_and_flip() {
+    fn recovery_equals_the_one_by_one_reference_on_every_cut_and_flip() {
         let (ckp, bytes) = checkpoint_and_journal();
         for cut in 0..=bytes.len() {
             assert_same_recovery(Some(&ckp), &bytes[..cut], &format!("cut at {cut}"));
@@ -471,7 +424,7 @@ mod tests {
     }
 
     /// Refusals keep their order: the prefix, then the hash, then the
-    /// tail — whatever the other lane found meanwhile.
+    /// tail.
     #[test]
     fn refusals_keep_their_precedence() {
         let (ckp, _) = checkpoint_and_journal();
