@@ -94,7 +94,33 @@
 //!
 //! Its retraction state is the stage journals — the sequence journal,
 //! the global one and one per conjunct — with nothing beside them.
-//! Tickets and the atomic floor are the pipeline's; see [`sharded`].
+//! The stage locks taken hand over hand and the atomic floor are the
+//! pipeline's; see [`sharded`].
+//!
+//! ## Retraction: one shape, one contract
+//!
+//! Under either driver and for every caller, retraction takes victims
+//! in, truncates to the earliest operation any of them still holds and
+//! re-pushes the survivors through the ordinary admission path. Stage 1
+//! answers "where, and who survives" once; [`OnlineMonitor::retract_txns`]
+//! re-admits through the single writer's own push path, and
+//! [`sharded::ShardedMonitor::retract_txn`] through the claim and serve
+//! every push takes. The seeded runner's admission calls the single
+//! writer's with the victims it has just computed; nobody infers an
+//! abort from a shorter trace.
+//!
+//! A conflict graph freezes at its first cycle and applies nothing
+//! after it, so a retraction that un-freezes it certifies the
+//! operations pushed meanwhile for the first time. A push is therefore
+//! told whenever it *would not have been admitted* — it closed the
+//! cycle or met the graph frozen ([`sharded::PushOutcome`]) — and a
+//! re-push's outcomes go to nobody: a cycle among the survivors has a
+//! last operation, and its owner was told. The contract: *once every
+//! transaction that was told has been retracted, the verdict meets the
+//! admission level, and the monitor is the one a fresh replay of the
+//! survivors builds*. `tests/retract_props.rs` holds both drivers to
+//! it; the executor's share of it — no admitted read of an unfinished
+//! writer's item at a DR-sensitive level — is `retract_txn`'s doc.
 //!
 //! Neither driver decides Theorem 1 or 3. Batch
 //! [`classify`](crate::theorems::classify) does, over
@@ -1549,6 +1575,42 @@ mod tests {
         assert_eq!(m.verdict(), twin.verdict());
         assert_eq!(m.compactions(), 2);
         assert_eq!(m.ops_reclaimed(), 8);
+    }
+
+    /// An abort after a sweep retracts only the live suffix: the
+    /// summarized head is never revisited, the verdict is a fresh
+    /// replay's of the survivors, and a summarized victim is refused.
+    #[test]
+    fn retract_after_compaction_touches_only_the_live_suffix() {
+        let live = TxnId(500);
+        let trace: Vec<Operation> = (0..100)
+            .map(|k| wr(k + 10, k % 3, 1))
+            .chain([rd(500, 0, 1)])
+            .collect();
+        let mut m = OnlineMonitor::new(example2_scopes());
+        for op in &trace {
+            m.push_logged(op.clone()).unwrap();
+            if op.txn != live {
+                m.finish_txn(op.txn);
+            }
+        }
+        assert_eq!(m.checkpoint(100), 100);
+        assert_eq!(m.compaction_frontier(), 100);
+        let stats = m.compact();
+        assert_eq!((stats.frontier, stats.txns_summarized), (100, 100));
+        assert_eq!(m.len(), trace.len(), "compaction drops no positions");
+        assert!(!m.admits(TxnId(10), ItemId(2), true, AdmissionLevel::Pwsr));
+        assert_eq!(m.retract_txns(&[live]).unwrap(), (1, 0));
+        let mut fresh = OnlineMonitor::new(example2_scopes());
+        for op in trace.iter().filter(|o| o.txn != live) {
+            fresh.push(op.clone()).unwrap();
+        }
+        assert_eq!(m.verdict(), fresh.verdict());
+        assert!(m.resident_bytes_estimate() < fresh.resident_bytes_estimate());
+        assert_eq!(
+            m.retract_txns(&[TxnId(10)]),
+            Err(CoreError::SummarizedTransaction { txn: TxnId(10) })
+        );
     }
 
     /// Does every node of `g` belong to a live slot or appear in a

@@ -123,14 +123,6 @@ impl Tape {
     }
 }
 
-#[cfg(test)]
-impl Tape {
-    /// Is the tape empty?
-    pub(crate) fn is_empty(&self) -> bool {
-        self.words.is_empty()
-    }
-}
-
 /// A read position over a tape's words that moves towards the front —
 /// what [`UndoLog::walk_back`] hands its visitor.
 pub(crate) struct TapeCursor<'a> {
@@ -493,7 +485,7 @@ mod tests {
         assert_eq!(log.tape().len(), 2);
         assert_eq!(log.pop(), Some(2));
         assert_eq!([log.tape().pop(), log.tape().pop()], [121, 120]);
-        assert!(log.tape().is_empty());
+        assert_eq!(log.tape().len(), 0);
     }
 
     #[test]

@@ -120,14 +120,6 @@ impl Transaction {
     }
 }
 
-#[cfg(test)]
-impl Transaction {
-    /// Does the transaction access (read or write) `item`?
-    pub(crate) fn accesses(&self, item: crate::ids::ItemId) -> bool {
-        self.ops.iter().any(|o| o.item == item)
-    }
-}
-
 impl fmt::Display for Transaction {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{}:", self.id)?;
@@ -161,8 +153,9 @@ mod tests {
         assert_eq!(t1.read_set(), ItemSet::from_iter([ItemId(0), ItemId(2)]));
         assert_eq!(t1.write_set(), ItemSet::from_iter([ItemId(1)]));
         assert_eq!(t1.len(), 3);
-        assert!(t1.accesses(ItemId(1)));
-        assert!(!t1.accesses(ItemId(3)));
+        let accessed = t1.read_set().union(&t1.write_set());
+        assert!(accessed.contains(ItemId(1)));
+        assert!(!accessed.contains(ItemId(3)));
     }
 
     #[test]

@@ -5,7 +5,8 @@
 //! other driver's state. The prefix and compaction properties are
 //! `common::check_pushes`, which `monitor_props` runs on the single
 //! writer; the rest go through `common::check_against_oracles`.
-//! Turnstiles and concurrent retractions are the pipeline explorer's
+//! The order that the stage locks, taken hand over hand, keep under
+//! concurrent pushes and retractions is the pipeline explorer's
 //! (`monitor::sharded::explore`). What stays here on real OS threads
 //! is what only they show: the memory ordering of the floor
 //! publication and of the §2.2 totals stripes, on the stream shape.

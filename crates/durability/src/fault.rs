@@ -27,6 +27,46 @@
 //! chaos harness holds a third clone to assert afterwards that every
 //! registered point actually fired ([`FaultPlan::remaining`] == 0) and
 //! count what was injected ([`FaultPlan::injected`]).
+//!
+//! ## Where faults land, and what answers them
+//!
+//! ```text
+//!             program ops                     worker threads
+//!                  │                        ┌──────┬──────┬──────┐
+//!                  ▼                        │ T_i  │ T_j  │ T_k  │
+//!           executor / monitor              └──┬───┴──┬───┴──┬───┘
+//!                  │          ExecFault ──────►│      │      │
+//!                  │            Stall{ms} · Panic · PanicInStripe
+//!                  ▼
+//!            SharedWal (policy layer: retries, degrade, sticky errors)
+//!                  │
+//!                  │  WalFault ──► Append: ShortWrite{keep}
+//!                  │               Sync:   SyncFail
+//!                  │               Rotate: RotateFail
+//!                  ▼
+//!               file sink (the only thing the fault plane lies to)
+//! ```
+//!
+//! A WAL fault is answered by the sink's error policy
+//! (`WalErrorPolicy`), applied in one place to all three sites alike:
+//! fail-stop leaves the on-disk bytes up to the last good frame
+//! scanning cleanly, so recovery replays exactly the pre-fault prefix;
+//! a bounded retry repairs the sink to its last good frame before each
+//! re-attempt, so the journal is byte-identical to a fault-free run;
+//! degrading freezes the file's valid prefix and goes on in memory, so
+//! the logical log stays one cleanly scanning stream. A `Batched` due
+//! point consults the plan on the appending thread like any sync, and
+//! its failure is applied by the WAL's next call.
+//!
+//! An executor fault is contained one layer up, by the optimistic
+//! executor: every attempt runs under `catch_unwind` and a dead
+//! attempt is rolled back by the same sweep an abort uses, so the
+//! survivors' schedule is a replay's without the victim; a stall is
+//! bounded by the transaction deadline, past which a worker waiting on
+//! the stalled transaction may reap it. Every fault is counted — in
+//! `WalStats` and in the executors' metrics — and the `cha1` chaos
+//! experiment checks each for containment, recovery and parity with a
+//! fault-free twin.
 
 use std::collections::HashMap;
 use std::fmt;

@@ -131,17 +131,16 @@ impl Sha256 {
     }
 }
 
-/// One-shot SHA-256 of `data`.
-#[cfg(test)]
-pub(crate) fn sha256(data: &[u8]) -> [u8; 32] {
-    let mut h = Sha256::new();
-    h.update(data);
-    h.finalize()
-}
-
 #[cfg(test)]
 mod tests {
-    use super::sha256;
+    use super::Sha256;
+
+    /// One-shot SHA-256 of `data`.
+    fn sha256(data: &[u8]) -> [u8; 32] {
+        let mut h = Sha256::new();
+        h.update(data);
+        h.finalize()
+    }
 
     fn hex(digest: &[u8; 32]) -> String {
         digest.iter().map(|b| format!("{b:02x}")).collect()
@@ -171,7 +170,7 @@ mod tests {
         let one_shot = sha256(&data);
         // Feed in awkward chunk sizes straddling block boundaries.
         for chunk in [1usize, 3, 63, 64, 65, 127] {
-            let mut h = super::Sha256::new();
+            let mut h = Sha256::new();
             for piece in data.chunks(chunk) {
                 h.update(piece);
             }

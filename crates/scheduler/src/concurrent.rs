@@ -42,6 +42,32 @@
 //!
 //! The output schedule is PWSR by construction; tests verify it with
 //! the checker rather than trusting the construction.
+//!
+//! | shared by both | kept by 2PL | kept by OCC |
+//! |---|---|---|
+//! | the pool (`run_pool`), the item-striped store, the commit step (`CommitStep`), the [`MonitorSpec`] and its end-of-run seal | space locks over each program's space set, taken ascending for the whole transaction; one `push_batch` per transaction | dirty marks, deferred writes, abort and retry with backoff, deadlines and the reaper, the attempt clock |
+//!
+//! ## The optimistic attempt
+//!
+//! The dirty mark is an attempt's only undo record: a stripe maps each
+//! item to its holder and the value the write displaced, and a write
+//! sets the value and the mark under one latch hold. An attempt has
+//! five sections:
+//!
+//! 1. the access, one `with_clean_stripe` action: read or write,
+//!    record, advance the session;
+//! 2. its fault, if the chaos plane armed one (a stall or a panic);
+//! 3. the one liveness check, under one slot-lock hold and only with
+//!    deadlines armed: reaped → timeout, else the access breached →
+//!    breach, else its own deadline passed → timeout (unarmed, only
+//!    the breach is tested, and no slot lock is taken per access);
+//! 4. `sweep`, on every abort — self-abort for any cause, error and
+//!    panic cleanup, and the reaper alike;
+//! 5. the commit: flush the deferred writes and flip the slot under
+//!    one slot-lock hold, then clear the marks of the items it wrote.
+//!
+//! `sweep`'s doc says why each mark is put back exactly once, and the
+//! store asserts at the end of a run that no mark outlived it.
 
 use crate::error::{Result, SchedError};
 use crate::metrics::Metrics;

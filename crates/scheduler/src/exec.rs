@@ -19,6 +19,19 @@
 //! [`Schedule`] in the paper's sense, plus execution metrics — which
 //! an admitted run returns only when it meets the admission's floor.
 //!
+//! | discipline | a read | a write | after a step | on abort |
+//! |---|---|---|---|---|
+//! | **locking** ([`run_workload`]) | wait if the item's latest writer is unfinished (DR blocking), else take the shared lock or wait | take the exclusive lock or wait; then into store and trace | at `done` release everything; under early release, the spaces the plan has left behind | release the aborted's locks, back off |
+//! | **certification** ([`crate::sgt`]) | go | into store and trace | — | restart at once |
+//! | **validation** ([`crate::occ`]) | note the item's version at first read | into the attempt's buffer | validate and publish every space the transaction is finished with; a stale read aborts | bump the version of every write the aborted published, drop their attempts, restart at once |
+//!
+//! The runner has one wait rule: a step that would block leaves its
+//! transaction not runnable, the new waits-for edge is checked for a
+//! cycle at once (a victim aborts), and nothing runnable while work is
+//! outstanding is a deadlock too. A discipline that never waits never
+//! meets it. There is no option that picks a discipline: the three
+//! entry points are the selector.
+//!
 //! The executor is fully deterministic for a fixed seed, making every
 //! experiment reproducible.
 

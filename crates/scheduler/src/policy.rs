@@ -250,30 +250,6 @@ impl MonitorAdmission {
     }
 }
 
-#[cfg(test)]
-impl MonitorAdmission {
-    /// Declare `txn` finished (it will issue no further operations),
-    /// making its operations eligible for committed-prefix compaction.
-    /// Certified transactions are never monitored, so there is nothing
-    /// to finish for them.
-    pub(crate) fn finish_txn(&mut self, txn: TxnId) {
-        self.monitor.finish_txn(txn);
-    }
-
-    /// Committed-prefix compaction passthrough
-    /// ([`OnlineMonitor::compact`]): collapse the finished,
-    /// below-floor prefix into a summary and reclaim its memory. The
-    /// WAL (if attached) is untouched — it still replays the full
-    /// monitored sub-trace, and recovery may re-compact once replay
-    /// finishes; pairing WAL truncation with the frontier lives in
-    /// `pwsr_durability` ([`Checkpoint`]-then-restart), not here.
-    ///
-    /// [`Checkpoint`]: pwsr_durability::checkpoint::Checkpoint
-    pub(crate) fn compact(&mut self) -> pwsr_core::monitor::CompactStats {
-        self.monitor.compact()
-    }
-}
-
 /// The monitor-admission half of a policy — which projection scopes to
 /// certify, the verdict floor to hold, an optional certificate and WAL,
 /// and the compaction cadence — and the one description every executor
@@ -923,58 +899,6 @@ mod tests {
     /// checkpoint, compact it away, then abort the one live transaction
     /// — the retraction touches only the live suffix and every
     /// observable matches a fresh admission over the surviving trace.
-    #[test]
-    fn retract_after_compaction_touches_only_the_live_suffix() {
-        use pwsr_core::value::Value;
-        let ic = two_conjunct_ic();
-        let mut adm = MonitorAdmission::new(&MonitorSpec::new(ic.scopes(), AdmissionLevel::Pwsr));
-        let mut trace: Vec<Operation> = Vec::new();
-        for k in 0..100u32 {
-            trace.push(Operation::write(
-                TxnId(k + 10),
-                ItemId(k % 3),
-                Value::Int(1),
-            ));
-        }
-        let live = TxnId(500);
-        trace.push(Operation::read(live, ItemId(0), Value::Int(1)));
-        for op in &trace {
-            adm.push_logged(op);
-            if op.txn != live {
-                adm.finish_txn(op.txn);
-            }
-        }
-        assert_eq!(adm.checkpoint([live]), 100);
-        assert_eq!(adm.monitor().compaction_frontier(), 100);
-        let stats = adm.compact();
-        assert_eq!((stats.frontier, stats.txns_summarized), (100, 100));
-        assert_eq!(
-            adm.monitor().len(),
-            trace.len(),
-            "compaction drops no positions"
-        );
-        // Summarized transactions are flatly refused.
-        assert!(!adm.would_admit(TxnId(10), ItemId(5), true));
-        // Abort the live straggler: the incremental path retracts only
-        // its operation — the compacted head is never revisited.
-        assert_eq!(adm.retract_txns(&[live]).unwrap(), (1, 0));
-        let fresh = fed_survivors(
-            MonitorAdmission::new(&MonitorSpec::new(ic.scopes(), AdmissionLevel::Pwsr)),
-            &trace,
-            &[live],
-        );
-        assert_eq!(adm.monitor().verdict(), fresh.monitor().verdict());
-        assert!(
-            adm.monitor().resident_bytes_estimate() < fresh.monitor().resident_bytes_estimate(),
-            "the compacted admission must be smaller than the uncompacted one"
-        );
-        // A victim in the compacted prefix can no longer be retracted.
-        assert_eq!(
-            adm.retract_txns(&[TxnId(10)]),
-            Err(CoreError::SummarizedTransaction { txn: TxnId(10) })
-        );
-    }
-
     #[test]
     fn table_policy_with_fallback() {
         let mut table = HashMap::new();

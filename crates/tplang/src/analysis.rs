@@ -67,17 +67,6 @@ where
     Ok(true)
 }
 
-/// The data items a program can possibly access: every identifier in
-/// the program text that names a catalog item (a syntactic
-/// over-approximation of `RS ∪ WS` across all executions).
-#[cfg(test)]
-pub(crate) fn accessed_items(program: &Program, catalog: &Catalog) -> ItemSet {
-    let fp = rw_footprint(program, catalog);
-    let mut all = fp.reads;
-    all.union_with(&fp.writes);
-    all
-}
-
 /// Read/write-separated access footprint: a sound syntactic
 /// over-approximation of the items a program may read (`reads`) and
 /// write (`writes`) in **any** execution from **any** state.
@@ -103,14 +92,6 @@ impl RwFootprint {
         let mut all = self.reads.clone();
         all.union_with(&self.writes);
         all
-    }
-}
-
-#[cfg(test)]
-impl RwFootprint {
-    /// No accesses at all?
-    pub(crate) fn is_empty(&self) -> bool {
-        self.reads.is_empty() && self.writes.is_empty()
     }
 }
 
@@ -213,7 +194,7 @@ pub(crate) fn is_fixed_structure_exhaustive(
     catalog: &Catalog,
     cap: u64,
 ) -> Result<Option<bool>> {
-    let items: Vec<ItemId> = accessed_items(program, catalog).iter().collect();
+    let items: Vec<ItemId> = rw_footprint(program, catalog).items().iter().collect();
     let mut total: u64 = 1;
     for &i in &items {
         total = total.saturating_mul(catalog.domain(i).size());
@@ -710,15 +691,6 @@ mod tests {
     }
 
     #[test]
-    fn accessed_items_is_syntactic_union() {
-        let cat = catalog_abc(-2, 2);
-        let p = parse_program("P", "if (a > 0) then b := 1; else c := temp_local;").unwrap();
-        // temp_local is not a catalog item.
-        let items = accessed_items(&p, &cat);
-        assert_eq!(items.len(), 3);
-    }
-
-    #[test]
     fn rw_footprint_separates_sides() {
         let cat = catalog_abc(-2, 2);
         let a = cat.lookup("a").unwrap();
@@ -731,6 +703,14 @@ mod tests {
         assert!(fp.writes.contains(b) && fp.writes.contains(c));
         assert!(!fp.writes.contains(a));
         assert_eq!(fp.items().len(), 3);
+    }
+
+    #[test]
+    fn footprint_items_are_the_syntactic_union() {
+        let cat = catalog_abc(-2, 2);
+        let p = parse_program("P", "if (a > 0) then b := 1; else c := temp_local;").unwrap();
+        // temp_local is not a catalog item.
+        assert_eq!(rw_footprint(&p, &cat).items().len(), 3);
     }
 
     #[test]
@@ -750,7 +730,7 @@ mod tests {
         assert!(outer_else.reads.contains(b) && outer_else.writes.contains(c));
         let (inner_then, inner_else) = &arms[1];
         assert!(inner_then.writes.contains(c));
-        assert!(inner_else.is_empty());
+        assert_eq!(*inner_else, RwFootprint::default());
     }
 
     #[test]
